@@ -1,31 +1,24 @@
 """Batched execution (BE): realizing PTS trajectory specs efficiently.
 
-The engine prepares each prescribed noisy state exactly once and draws its
-full shot batch in bulk (:mod:`repro.execution.batched`), schedules
-trajectories across emulated devices (:mod:`repro.execution.scheduler`),
-optionally fans them out over worker processes — the paper's
-"embarrassingly parallel" inter-trajectory axis
-(:mod:`repro.execution.parallel`) — stacks them into a single
-``(B, 2**n)`` tensor evolved in lockstep
-(:mod:`repro.execution.vectorized`), or composes both axes by sharding
-dedup groups across a device pool with stacked chunks per shard
-(:mod:`repro.execution.sharded`), or — for pure-Clifford circuits with
-Pauli-mixture noise — skips dense states entirely with batched
-Pauli-frame propagation (:mod:`repro.execution.clifford`), or — past the
-dense width cap — replays one compiled gate schedule over a
-trajectory-stacked truncated MPS (:mod:`repro.execution.tensornet`);
-the last two are what ``strategy="auto"`` selects automatically via the
-per-circuit engine router (:mod:`repro.execution.router`).  Results carry per-shot provenance
-(:mod:`repro.execution.results`) and can be delivered incrementally —
-every strategy exposes ``execute_stream`` yielding per-trajectory
-:class:`~repro.execution.streaming.ShotChunk`\\ s as specs / stacks /
-shards complete (:mod:`repro.execution.streaming`,
-:func:`~repro.execution.batched.run_ptsbe_stream`).  Every strategy draws
-identical per-trajectory shots for a fixed seed; for specs in ascending
-trajectory-id order (what every PTS algorithm emits) the shot tables
-match row for row as well — and an unseeded run resolves one recorded
-root seed up front, so it replays exactly too.  See
-``docs/architecture.md`` for when to pick which.
+Every strategy prepares each prescribed noisy state exactly once and draws
+its full shot batch in bulk.  That loop exists once —
+:func:`repro.execution.driver.drive` — over four
+:class:`~repro.execution.driver.Engine` adapters: ``serial``
+(:mod:`~repro.execution.batched`), ``vectorized`` ``(B, 2**n)`` stacks
+(:mod:`~repro.execution.vectorized`), ``clifford`` Pauli frames
+(:mod:`~repro.execution.clifford`) and ``tensornet`` trajectory-stacked
+MPS (:mod:`~repro.execution.tensornet`).  ``parallel`` and ``sharded``
+(:mod:`~repro.execution.parallel`, :mod:`~repro.execution.sharded`) fan
+specs over worker processes / a device pool whose workers run those same
+engines.  ``strategy="auto"`` picks per circuit through
+:mod:`repro.execution.router`.
+
+Results carry per-shot provenance (:mod:`repro.execution.results`) and
+stream as :class:`~repro.execution.streaming.ShotChunk`\\ s while the run is
+in flight (:func:`~repro.execution.batched.run_ptsbe_stream`).  Every
+dense strategy draws identical per-trajectory shots for a fixed seed, and
+an unseeded run records the root seed it resolved, so it replays exactly
+too.  See ``docs/architecture.md`` for when to pick which.
 """
 
 from repro.execution.results import ShotTable, TrajectoryResult, PTSBEResult

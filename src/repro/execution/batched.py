@@ -16,32 +16,33 @@ whole *stacks* of trajectories per pass instead of looping specs in
 Python.  Dense preparations walk the circuit's compiled
 :class:`~repro.execution.plan.FusedPlan` (shared with the stacked
 backends, so the strategies stay bitwise interchangeable under any
-``Config.fusion`` setting).  The executor records prep and sample
-wall-times separately so the benchmarks can report the paper's
-shots-per-second curves directly.
+``Config.fusion`` setting).  The loop itself — dedup, retry, per-trajectory
+streams, ordered delivery, separate prep and sample wall-times for the
+paper's shots-per-second curves — is the shared
+:func:`repro.execution.driver.drive`; this module supplies the serial
+:class:`~repro.execution.driver.Engine` adapter and the strategy dispatch.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.backends.base import PureStateBackend
 from repro.backends.mps import MPSBackend
 from repro.backends.statevector import StatevectorBackend
 from repro.circuits.circuit import Circuit
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import CapacityError, ExecutionError, ZeroProbabilityTrajectory
-from repro.execution.results import PTSBEResult, TrajectoryResult
-from repro.execution.streaming import StreamedResult
-from repro.pts.base import PTSAlgorithm, PTSResult, TrajectorySpec
+from repro.execution.driver import drive
+from repro.execution.results import PTSBEResult
+from repro.execution.streaming import StreamedResult, StreamingExecutor
+from repro.pts.base import PTSAlgorithm, TrajectorySpec
 from repro.rng import StreamFactory
 
 __all__ = [
     "BackendSpec",
+    "backend_config",
     "BatchedExecutor",
     "run_ptsbe",
     "run_ptsbe_stream",
@@ -94,7 +95,22 @@ class BackendSpec:
         raise ExecutionError(f"unknown backend kind {self.kind!r}")
 
 
-class BatchedExecutor:
+def backend_config(backend) -> Config:
+    """The :class:`Config` a backend recipe runs under.
+
+    A :class:`BackendSpec`'s ``config`` option when it carries one — the
+    same object the workers construct their backends with.  A spec without
+    one, a callable backend factory (opaque) and ``None`` all resolve to
+    :data:`~repro.config.DEFAULT_CONFIG`, so config-gated behavior (fault
+    plan, retry policy, ``measured_cost_feedback``) then follows the
+    library default: set it with ``configure(...)`` or pass a spec carrying
+    the config.
+    """
+    config = dict(backend.options).get("config") if isinstance(backend, BackendSpec) else None
+    return config if config is not None else DEFAULT_CONFIG
+
+
+class BatchedExecutor(StreamingExecutor):
     """Serial batched execution of trajectory specs on one backend."""
 
     def __init__(
@@ -119,15 +135,6 @@ class BatchedExecutor:
             )
         return backend
 
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Run every spec: one preparation, one bulk sample each."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
-
     def execute_stream(
         self,
         circuit: Circuit,
@@ -135,7 +142,7 @@ class BatchedExecutor:
         seed: Optional[int] = None,
         retain: bool = True,
     ) -> StreamedResult:
-        """Stream one :class:`ShotChunk` per spec, in spec order.
+        """Stream one :class:`ShotChunk` per prepared state, in spec order.
 
         The finest-grained delivery of any strategy: each trajectory is
         handed over the moment its bulk sample completes, so a consumer
@@ -145,60 +152,49 @@ class BatchedExecutor:
         (``finalize`` unavailable) to bound memory for pure-ingest
         consumers.
         """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        streams = StreamFactory(seed)
-        backend = self._make_backend(circuit.num_qubits)
-
-        def deliver():
-            for spec in specs:
-                rng = streams.rng_for(spec.record.trajectory_id)
-                t0 = time.perf_counter()
-                try:
-                    weight = backend.run_fixed(circuit, spec.choices)
-                except ZeroProbabilityTrajectory:
-                    # The prescribed combination is impossible for the
-                    # actual state (nominal probabilities are only priors
-                    # for general channels): record it with zero weight
-                    # and zero shots.
-                    t1 = time.perf_counter()
-                    yield [
-                        TrajectoryResult(
-                            record=spec.record,
-                            bits=np.empty((0, len(measured)), dtype=np.uint8),
-                            actual_weight=0.0,
-                            prep_seconds=t1 - t0,
-                            sample_seconds=0.0,
-                        )
-                    ]
-                    continue
-                t1 = time.perf_counter()
-                bits = backend.sample(
-                    spec.num_shots, measured, rng, **self.sample_kwargs
-                )
-                t2 = time.perf_counter()
-                yield [
-                    TrajectoryResult(
-                        record=spec.record,
-                        bits=bits,
-                        actual_weight=weight,
-                        prep_seconds=t1 - t0,
-                        sample_seconds=t2 - t1,
-                    )
-                ]
-
-        return StreamedResult(
-            deliver(),
-            measured_qubits=measured,
-            seed=streams.seed,
-            total_trajectories=len(specs),
-            engine="serial",
-            retain=retain,
+        engine = _SerialEngine(
+            self._make_backend(circuit.num_qubits),
+            circuit,
+            self.sample_kwargs,
+            backend_config(self.backend),
         )
+        return drive(engine, circuit, specs, seed, retain)
+
+
+class _SerialEngine:
+    """:class:`~repro.execution.driver.Engine` over one per-trajectory
+    backend: a unit is a single ``run_fixed`` + bulk ``sample``."""
+
+    name = "serial"
+    max_rows = 1
+    # The fused plan compiles lazily inside the first run_fixed.
+    compile_seconds = 0.0
+
+    def __init__(
+        self, backend: PureStateBackend, circuit: Circuit, sample_kwargs: Dict, config: Config
+    ):
+        self.backend = backend
+        self.circuit = circuit
+        self.measured = tuple(circuit.measured_qubits)
+        self.sample_kwargs = sample_kwargs
+        self.config: Optional[Config] = config
+
+    def prepare(self, choices_list):
+        try:
+            return [self.backend.run_fixed(self.circuit, choices_list[0])]
+        except ZeroProbabilityTrajectory:
+            # The prescribed combination is impossible for the actual
+            # state (nominal probabilities are only priors for general
+            # channels): a dead row, not a failure.  Caught here because
+            # it is a BackendError, which the retry layer would otherwise
+            # treat as transient.
+            return [0.0]
+
+    def sample(self, row, num_shots, rng):
+        return self.backend.sample(num_shots, self.measured, rng, **self.sample_kwargs)
+
+    def release(self) -> None:
+        self.backend = None  # the 2**n state must not outlive the run
 
 
 def _build_serial(backend, sample_kwargs, kwargs):
@@ -296,13 +292,12 @@ def _check_dense_capacity(circuit, backend, resolved: str, config) -> None:
         return
     if backend.kind not in ("statevector", "batched_statevector"):
         return
-    cfg = config or DEFAULT_CONFIG
     width = circuit.num_qubits
-    if width <= cfg.max_dense_qubits:
+    if width <= config.max_dense_qubits:
         return
     raise CapacityError(
         f"circuit width {width} exceeds the dense width cap "
-        f"(Config.max_dense_qubits={cfg.max_dense_qubits}), so dense "
+        f"(Config.max_dense_qubits={config.max_dense_qubits}), so dense "
         f"strategy {resolved!r} cannot serve it; strategies that can: "
         f"'tensornet' (trajectory-stacked truncated MPS, any circuit) and "
         f"'clifford' (pure-Clifford circuits with Pauli-mixture noise)"
@@ -461,7 +456,7 @@ def run_ptsbe_stream(
     # pass through.  The decision trail rides on the stream/result.
     from repro.execution.router import resolve_strategy
 
-    config = dict(backend.options).get("config") if isinstance(backend, BackendSpec) else None
+    config = backend_config(backend)
     target.freeze()
     resolved, routing = resolve_strategy(target, backend, strategy, config)
     _check_dense_capacity(target, backend, resolved, config)

@@ -38,22 +38,21 @@ still bitwise: shots derive from the same per-trajectory Philox streams
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.backends.pauli_frame import FrameSampler
 from repro.circuits.circuit import Circuit
+from repro.config import Config
 from repro.errors import BackendError, ExecutionError
-from repro.execution.batched import BackendSpec
-from repro.execution.results import PTSBEResult, TrajectoryResult
-from repro.execution.streaming import OrderedDelivery, StreamedResult
-from repro.pts.base import TrajectorySpec, deduplicate_specs
-from repro.rng import StreamFactory
+from repro.execution.batched import BackendSpec, backend_config
+from repro.execution.driver import drive, timed
+from repro.execution.streaming import StreamedResult, StreamingExecutor
+from repro.pts.base import TrajectorySpec
 
 __all__ = ["CliffordFrameExecutor"]
 
 
-class CliffordFrameExecutor:
+class CliffordFrameExecutor(StreamingExecutor):
     """Execute trajectory specs by batched Pauli-frame propagation.
 
     Parameters
@@ -92,15 +91,7 @@ class CliffordFrameExecutor:
                 "CliffordFrameExecutor's frame sampler takes no sample "
                 f"options, got sample_kwargs={dict(sample_kwargs)!r}"
             )
-
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Run every spec: one frame assembly per dedup group, bulk XOR shots."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
+        self._config = backend_config(backend)
 
     def execute_stream(
         self,
@@ -116,66 +107,33 @@ class CliffordFrameExecutor:
         dedup group can interleave spec positions), matching the delivery
         contract of every dense strategy.
         """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        streams = StreamFactory(seed)
-        t0 = time.perf_counter()
+        return drive(_FrameEngine(circuit, self._config), circuit, specs, seed, retain)
+
+
+class _FrameEngine:
+    """:class:`~repro.execution.driver.Engine` over one compiled
+    :class:`FrameSampler`: a unit is one frame assembly, and sampling is
+    the two XORs of ``sample_fixed``."""
+
+    name = "clifford"
+    max_rows = 1
+
+    def __init__(self, circuit: Circuit, config: Optional[Config]):
+        self.config = config
         try:
-            sampler = FrameSampler(circuit)
+            self.sampler, self.compile_seconds = timed(FrameSampler, circuit.freeze())
         except BackendError as exc:
             raise ExecutionError(
                 f"strategy 'clifford' requires a pure-Clifford circuit with "
                 f"Pauli-mixture noise: {exc}"
             ) from exc
-        compile_seconds = time.perf_counter() - t0
-        groups = deduplicate_specs(specs)
 
-        def deliver():
-            delivery = OrderedDelivery(len(specs))
-            # The one-time tableau/conjugation compile is real preparation
-            # work; attribute it to the first group so shots-per-second
-            # accounting stays honest.
-            carry_prep = compile_seconds
-            for group in groups:
-                t1 = time.perf_counter()
-                flips, weight = sampler.frame_for_choices(
-                    specs[group.indices[0]].choices
-                )
-                prep_seconds = carry_prep + (time.perf_counter() - t1)
-                carry_prep = 0.0
-                completed = []
-                for j, spec_index in enumerate(group.indices):
-                    spec = specs[spec_index]
-                    rng = streams.rng_for(spec.record.trajectory_id)
-                    t2 = time.perf_counter()
-                    bits = sampler.sample_fixed(flips, spec.num_shots, rng)
-                    t3 = time.perf_counter()
-                    completed.append(
-                        (
-                            spec_index,
-                            TrajectoryResult(
-                                record=spec.record,
-                                bits=bits,
-                                actual_weight=weight,
-                                prep_seconds=prep_seconds if j == 0 else 0.0,
-                                sample_seconds=t3 - t2,
-                            ),
-                        )
-                    )
-                ready = delivery.add(completed)
-                if ready:
-                    yield ready
+    def prepare(self, choices_list):
+        self.flips, weight = self.sampler.frame_for_choices(choices_list[0])
+        return [weight]
 
-        return StreamedResult(
-            deliver(),
-            measured_qubits=measured,
-            seed=streams.seed,
-            total_trajectories=len(specs),
-            unique_preparations=len(groups),
-            engine="clifford",
-            retain=retain,
-        )
+    def sample(self, row, num_shots, rng):
+        return self.sampler.sample_fixed(self.flips, num_shots, rng)
+
+    def release(self) -> None:
+        pass

@@ -37,21 +37,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuits.circuit import Circuit
-from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import ExecutionError
-from repro.execution.batched import BackendSpec, BatchedExecutor
-from repro.execution.results import PTSBEResult, TrajectoryResult
+from repro.execution.batched import BackendSpec, BatchedExecutor, backend_config
+from repro.execution.driver import open_run
+from repro.execution.results import TrajectoryResult
 from repro.execution.scheduler import Scheduler
 from repro.execution.streaming import (
     OrderedDelivery,
     PoolJob,
     StreamedResult,
+    StreamingExecutor,
     stream_pool,
 )
 from repro.faults.retry import FaultContext, RecoveryEvent, run_unit_with_retry
 from repro.faults.plan import maybe_inject
 from repro.pts.base import TrajectorySpec
-from repro.rng import StreamFactory
 
 __all__ = ["ParallelExecutor"]
 
@@ -71,7 +71,7 @@ def _worker(args) -> List[TrajectoryResult]:
     return result.trajectories
 
 
-class ParallelExecutor:
+class ParallelExecutor(StreamingExecutor):
     """Fan trajectory specs out over a process pool."""
 
     def __init__(
@@ -97,24 +97,6 @@ class ParallelExecutor:
         self.scheduler = scheduler or Scheduler("greedy")
         self.sample_kwargs = dict(sample_kwargs or {})
 
-    def _backend_config(self) -> Config:
-        """The :class:`Config` governing this executor's fault behavior.
-
-        Read from the :class:`BackendSpec`'s ``config`` option when
-        present (the same object the workers will construct their
-        backends with), else the library default.
-        """
-        config = dict(self.backend.options).get("config")
-        return config if config is not None else DEFAULT_CONFIG
-
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
-
     def execute_stream(
         self,
         circuit: Circuit,
@@ -132,15 +114,9 @@ class ParallelExecutor:
         ``retain=False`` drops chunks after delivery (``finalize``
         unavailable) to bound memory for pure-ingest consumers.
         """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        streams = StreamFactory(seed)
+        measured, streams = open_run(circuit, specs, seed)
         ctx = FaultContext.from_config(
-            self._backend_config(), streams.seed, strategy="parallel"
+            backend_config(self.backend), streams.seed, strategy="parallel"
         )
         events: List[RecoveryEvent] = []
         assignment = self.scheduler.assign(specs, self.num_workers)

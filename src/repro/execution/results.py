@@ -133,9 +133,9 @@ class PTSBEResult:
     measured_qubits: Tuple[int, ...]
     prep_seconds: float = 0.0
     sample_seconds: float = 0.0
-    #: Number of distinct state preparations actually performed.  Set by
-    #: the vectorized executor (which deduplicates identical specs); None
-    #: for executors that prepare one state per spec unconditionally.
+    #: Number of distinct state preparations actually performed (identical
+    #: specs are prepared once).  ``None`` only for ``"parallel"``, whose
+    #: worker slices deduplicate separately.
     unique_preparations: Optional[int] = None
     #: The resolved root seed of the run.  Executors resolve ``seed=None``
     #: to one concrete entropy seed up front and record it here, so *any*
@@ -143,9 +143,11 @@ class PTSBEResult:
     #: back as ``seed=``.  ``None`` only for results assembled outside the
     #: execution layer.
     seed: Optional[int] = None
-    #: Which execution engine realized the trajectories ("serial",
-    #: "parallel", "vectorized", "sharded", or "clifford").  ``None`` only
-    #: for results assembled outside the execution layer.
+    #: Which execution engine realized the trajectories: an
+    #: :class:`~repro.execution.driver.Engine` adapter's ``name``
+    #: ("serial", "vectorized", "clifford", "tensornet") or a fan-out
+    #: wrapper ("parallel", "sharded").  ``None`` only for results
+    #: assembled outside the execution layer.
     engine: Optional[str] = None
     #: The router's decision trail for this run (set by
     #: :func:`~repro.execution.batched.run_ptsbe_stream`): why

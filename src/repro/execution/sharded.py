@@ -41,31 +41,26 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.circuit import Circuit
-from repro.config import Config, DEFAULT_CONFIG
 from repro.devices.device import Device, DeviceMesh
 from repro.devices.memory import statevector_bytes
 from repro.devices.perf_model import BackendTimings, PAPER_STATEVECTOR_TIMINGS
 from repro.errors import CapacityError, ExecutionError, FaultError
-from repro.execution.batched import BackendSpec
+from repro.execution.batched import BackendSpec, backend_config
 from repro.linalg.apply import MAX_VIEW_QUBITS
-from repro.execution.results import PTSBEResult, TrajectoryResult
+from repro.execution.driver import open_run
 from repro.execution.scheduler import Scheduler
 from repro.execution.streaming import (
     OrderedDelivery,
     PoolJob,
     StreamedResult,
+    StreamingExecutor,
+    handle_failure,
     stream_pool,
 )
 from repro.execution.vectorized import VectorizedExecutor
 from repro.faults.plan import maybe_inject
-from repro.faults.retry import (
-    CRASH_EXCEPTIONS,
-    FaultContext,
-    RecoveryEvent,
-    describe_exception,
-)
+from repro.faults.retry import FaultContext, RecoveryEvent, describe_exception
 from repro.pts.base import SpecGroup, TrajectorySpec, deduplicate_specs
-from repro.rng import StreamFactory
 
 __all__ = ["ShardedExecutor"]
 
@@ -156,7 +151,7 @@ def _shard_worker(args):
     return list(zip(indices, result.trajectories)), result.recovery
 
 
-class ShardedExecutor:
+class ShardedExecutor(StreamingExecutor):
     """Shard dedup groups across a device pool; stack within each shard.
 
     Parameters
@@ -262,7 +257,7 @@ class ShardedExecutor:
         tightening makespan on pools whose real prep/shot ratio diverges
         from the paper-calibrated one.
         """
-        if self._backend_config().measured_cost_feedback:
+        if backend_config(self.backend).measured_cost_feedback:
             measured = self.observed_timings()
             if measured is not None:
                 return measured
@@ -272,24 +267,6 @@ class ShardedExecutor:
         """Cost of one dedup group: prepare once, sample the merged budget."""
         timings = self._cost_timings()
         return timings.prep_seconds + group.total_shots * timings.shot_seconds
-
-    def _backend_config(self) -> Config:
-        """The :class:`Config` the shard backends will run under.
-
-        A callable backend factory is opaque, so for it (and for a
-        :class:`BackendSpec` without an explicit ``config`` option) this
-        falls back to :data:`~repro.config.DEFAULT_CONFIG` — the same
-        resolution the per-device chunk sizing uses for the state dtype.
-        Config-gated behavior (``measured_cost_feedback``) therefore
-        follows the library default config under a callable factory:
-        enable it globally with ``configure(measured_cost_feedback=True)``
-        or pass a ``BackendSpec`` carrying the config.
-        """
-        if isinstance(self.backend, BackendSpec):
-            config = dict(self.backend.options).get("config")
-            if config is not None:
-                return config
-        return DEFAULT_CONFIG
 
     def _workspace_factor(self, circuit: Circuit) -> int:
         """Per-row memory multiplier for chunk sizing.
@@ -308,7 +285,7 @@ class ShardedExecutor:
         """
         from repro.circuits.operations import GateOp, NoiseOp
 
-        config = self._backend_config()
+        config = backend_config(self.backend)
         # Only operators applied as matrices count — a MeasureOp may span
         # every qubit but sampling never touches the GEMM kernel.
         widest = max(
@@ -339,7 +316,7 @@ class ShardedExecutor:
         :meth:`_workspace_factor`)."""
         num_qubits = circuit.num_qubits
         factor = self._workspace_factor(circuit)
-        bytes_per_row = statevector_bytes(num_qubits, dtype=self._backend_config().dtype)
+        bytes_per_row = statevector_bytes(num_qubits, dtype=backend_config(self.backend).dtype)
         rows = device.memory_bytes // (factor * bytes_per_row)
         if rows < 1:
             raise CapacityError(
@@ -350,15 +327,6 @@ class ShardedExecutor:
         if self.max_batch is not None:
             rows = min(rows, self.max_batch)
         return int(rows)
-
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Dedup once, shard groups over devices, stack within each shard."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
 
     def execute_stream(
         self,
@@ -385,15 +353,9 @@ class ShardedExecutor:
         bitwise identical).  When the last device dies, a
         :class:`~repro.errors.FaultError` escalates with the full chain.
         """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        streams = StreamFactory(seed)
+        measured, streams = open_run(circuit, specs, seed)
         ctx = FaultContext.from_config(
-            self._backend_config(), streams.seed, strategy="sharded"
+            backend_config(self.backend), streams.seed, strategy="sharded"
         )
         events: List[RecoveryEvent] = []
         groups = deduplicate_specs(specs)
@@ -511,33 +473,8 @@ class ShardedExecutor:
                 job, attempt = queue.popleft()
                 try:
                     result = _shard_worker(job.payload_for(attempt))
-                except CapacityError:
-                    raise
                 except ctx.policy.retryable as exc:
-                    if isinstance(exc, CRASH_EXCEPTIONS):
-                        queue.extend((j, 0) for j in rebin(job, exc))
-                        continue
-                    if not ctx.policy.is_retryable(exc):
-                        raise
-                    attempt += 1
-                    if attempt >= ctx.policy.max_attempts:
-                        raise FaultError(
-                            f"work unit {job.unit!r} failed after {attempt} "
-                            f"attempt(s): {describe_exception(exc)}",
-                            unit=job.unit,
-                            attempts=attempt,
-                        ) from exc
-                    events.append(
-                        RecoveryEvent(
-                            kind="retry",
-                            strategy="sharded",
-                            unit=job.unit,
-                            attempt=attempt,
-                            error=describe_exception(exc),
-                        )
-                    )
-                    ctx.sleep_backoff(job.unit, attempt)
-                    queue.appendleft((job, attempt))
+                    queue.extend(handle_failure(job, attempt, exc, ctx, events, rebin))
                     continue
                 ready = delivery.add(job.tag(result), reissue=attempt > 0)
                 if ready:

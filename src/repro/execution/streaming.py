@@ -11,7 +11,9 @@ still preparing states.  This module is the delivery layer for
 * every executor exposes ``execute_stream(circuit, specs, seed)``
   returning a :class:`StreamedResult` — a lazy handle over
   :class:`ShotChunk`\\ s that are yielded *as each spec / stack / shard
-  completes* instead of after the full run;
+  completes* instead of after the full run (the in-process engines share
+  one such loop, :func:`repro.execution.driver.drive`; this module's
+  :func:`stream_pool` is its process-pool counterpart);
 * chunk order is the **materialized trajectory order** of the same
   executor (spec order; ascending trajectory id for ``"parallel"``), so
   concatenating the streamed chunks reproduces
@@ -63,8 +65,10 @@ from repro.trajectory.events import TrajectoryRecord
 __all__ = [
     "ShotChunk",
     "StreamedResult",
+    "StreamingExecutor",
     "OrderedDelivery",
     "PoolJob",
+    "handle_failure",
     "stream_pool",
 ]
 
@@ -133,8 +137,8 @@ class StreamedResult:
         resolve one entropy seed up front), sufficient to replay the run
         exactly via ``run_ptsbe(..., seed=stream.seed)``.
     unique_preparations:
-        Distinct state preparations the run will perform (``None`` for
-        executors that prepare one state per spec unconditionally).
+        Distinct state preparations the run will perform (``None`` only
+        for ``"parallel"``, whose worker slices deduplicate separately).
     retain:
         ``True`` (default) keeps every delivered trajectory so
         :meth:`finalize` stays free.  ``False`` drops chunks the moment
@@ -182,8 +186,7 @@ class StreamedResult:
         self._exhausted = False
         # Extra cleanup close() must run even when the generator body never
         # started (generator.close() on an unstarted generator skips its
-        # finally blocks): executors that allocate resources eagerly —
-        # e.g. the vectorized backend's stack — pass their (idempotent)
+        # finally blocks): the driver passes the engine's (idempotent)
         # release here.
         self._on_close = on_close
 
@@ -296,6 +299,14 @@ class StreamedResult:
         )
 
 
+class StreamingExecutor:
+    """Base of every executor: ``execute`` is ``execute_stream``, drained."""
+
+    def execute(self, circuit, specs, seed: Optional[int] = None) -> PTSBEResult:
+        """Run every spec and return the materialized result."""
+        return self.execute_stream(circuit, specs, seed=seed).finalize()
+
+
 class OrderedDelivery:
     """Reorder buffer turning out-of-order completions into ordered chunks.
 
@@ -372,6 +383,58 @@ class PoolJob:
     meta: Any = None
 
 
+def handle_failure(
+    job: PoolJob,
+    attempt: int,
+    exc: BaseException,
+    ctx: FaultContext,
+    recovery: List[RecoveryEvent],
+    on_crash: Optional[Callable[[PoolJob, BaseException], Optional[List[PoolJob]]]] = None,
+) -> List[Tuple[PoolJob, int]]:
+    """Decide a failed job's fate: rebin, retry, or escalate.
+
+    Returns the ``(job, attempt)`` pairs to run next — the crash hook's
+    replacement jobs at attempt 0, or the same job at ``attempt + 1``
+    (after the deterministic backoff, with a ``"retry"`` event recorded).
+    Shared by :func:`stream_pool` and the sharded strategy's in-process
+    shard loop, so both recover identically.
+    """
+    if isinstance(exc, CapacityError):
+        # The worker's own halving ladder already bottomed out;
+        # repeating the identical allocation cannot help.
+        raise exc
+    if isinstance(exc, CancelledError):
+        raise ExecutionError(
+            f"work unit {job.unit!r} was cancelled before completing; "
+            "the run cannot be finalized"
+        ) from exc
+    if isinstance(exc, CRASH_EXCEPTIONS) and on_crash is not None:
+        replacements = on_crash(job, exc)
+        if replacements is not None:
+            return [(replacement, 0) for replacement in replacements]
+    if not ctx.policy.is_retryable(exc):
+        raise exc
+    next_attempt = attempt + 1
+    if next_attempt >= ctx.policy.max_attempts:
+        raise FaultError(
+            f"work unit {job.unit!r} failed after {next_attempt} "
+            f"attempt(s): {describe_exception(exc)}",
+            unit=job.unit,
+            attempts=next_attempt,
+        ) from exc
+    recovery.append(
+        RecoveryEvent(
+            kind="retry",
+            strategy=ctx.strategy,
+            unit=job.unit,
+            attempt=next_attempt,
+            error=describe_exception(exc),
+        )
+    )
+    ctx.sleep_backoff(job.unit, next_attempt)
+    return [(job, next_attempt)]
+
+
 def stream_pool(
     jobs: Sequence[PoolJob],
     worker: Callable[[Any], Any],
@@ -412,46 +475,6 @@ def stream_pool(
     pool = ProcessPoolExecutor(max_workers=max_workers)
     futures: Dict[Any, Tuple[PoolJob, int]] = {}
     retry_classes = (BrokenProcessPool, CancelledError) + ctx.policy.retryable
-
-    def handle_failure(
-        job: PoolJob, attempt: int, exc: BaseException
-    ) -> List[Tuple[PoolJob, int]]:
-        """Decide a failed job's fate: rebin, retry, or escalate."""
-        if isinstance(exc, CapacityError):
-            # The worker's own halving ladder already bottomed out;
-            # repeating the identical allocation cannot help.
-            raise
-        if isinstance(exc, CancelledError):
-            raise ExecutionError(
-                f"work unit {job.unit!r} was cancelled before completing; "
-                "the run cannot be finalized"
-            ) from exc
-        if isinstance(exc, CRASH_EXCEPTIONS) and on_crash is not None:
-            replacements = on_crash(job, exc)
-            if replacements is not None:
-                return [(replacement, 0) for replacement in replacements]
-        if not ctx.policy.is_retryable(exc):
-            raise
-        next_attempt = attempt + 1
-        if next_attempt >= ctx.policy.max_attempts:
-            raise FaultError(
-                f"work unit {job.unit!r} failed after {next_attempt} "
-                f"attempt(s): {describe_exception(exc)}",
-                unit=job.unit,
-                attempts=next_attempt,
-            ) from exc
-        recovery.append(
-            RecoveryEvent(
-                kind="retry",
-                strategy=ctx.strategy,
-                unit=job.unit,
-                attempt=next_attempt,
-                error=describe_exception(exc),
-            )
-        )
-        ctx.sleep_backoff(job.unit, next_attempt)
-        return [(job, next_attempt)]
-
     try:
         to_submit: List[Tuple[PoolJob, int]] = [(job, 0) for job in jobs]
         while to_submit or futures:
@@ -470,7 +493,9 @@ def stream_pool(
                 except retry_classes as exc:
                     if isinstance(exc, BrokenProcessPool):
                         broken = True
-                    to_submit.extend(handle_failure(job, attempt, exc))
+                    to_submit.extend(
+                        handle_failure(job, attempt, exc, ctx, recovery, on_crash)
+                    )
                     continue
                 ready = delivery.add(job.tag(result), reissue=attempt > 0)
                 if ready:

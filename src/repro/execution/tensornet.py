@@ -44,9 +44,7 @@ trajectory_id)`` as every other strategy.
 
 from __future__ import annotations
 
-import time
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,19 +59,12 @@ from repro.backends.mps_sampler import (
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
-from repro.errors import BackendError, CapacityError, ExecutionError, FaultError
-from repro.execution.batched import BackendSpec
-from repro.execution.results import PTSBEResult, TrajectoryResult
-from repro.execution.streaming import OrderedDelivery, StreamedResult
-from repro.faults.retry import (
-    FaultContext,
-    RecoveryEvent,
-    describe_exception,
-    run_unit_with_retry,
-)
+from repro.errors import BackendError, ExecutionError
+from repro.execution.batched import BackendSpec, backend_config
+from repro.execution.driver import drive, timed
+from repro.execution.streaming import StreamedResult, StreamingExecutor
 from repro.linalg.kron import permute_operator_qubits
-from repro.pts.base import TrajectorySpec, deduplicate_specs
-from repro.rng import StreamFactory
+from repro.pts.base import TrajectorySpec
 
 __all__ = ["TensorNetExecutor", "compile_schedule", "GateSchedule"]
 
@@ -354,7 +345,7 @@ def replay_schedule(
                 stack.apply_adjacent_rows(mats, step.site)
 
 
-class TensorNetExecutor:
+class TensorNetExecutor(StreamingExecutor):
     """Execute trajectory specs on a trajectory-stacked truncated MPS.
 
     Parameters
@@ -411,7 +402,7 @@ class TensorNetExecutor:
         if max_batch < 1:
             raise ExecutionError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
-        self._config: Config = config or options.get("config") or DEFAULT_CONFIG
+        self._config: Config = config or backend_config(backend)
         resolved_bond = max_bond if max_bond is not None else options.get("max_bond")
         resolved_cutoff = cutoff if cutoff is not None else options.get("cutoff")
         self.max_bond = int(
@@ -427,15 +418,6 @@ class TensorNetExecutor:
         if self.max_bond < 1:
             raise ExecutionError("max_bond must be >= 1")
 
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Run every spec: one schedule compile, batched replay per chunk."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
-
     def execute_stream(
         self,
         circuit: Circuit,
@@ -449,151 +431,62 @@ class TensorNetExecutor:
         :class:`~repro.execution.streaming.OrderedDelivery` buffer,
         matching the delivery contract of every other strategy.
         """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        n = circuit.num_qubits
-        if n > self._config.max_tensornet_qubits:
+        if circuit.num_qubits > self._config.max_tensornet_qubits:
             raise ExecutionError(
-                f"circuit width {n} exceeds max_tensornet_qubits "
+                f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits "
                 f"({self._config.max_tensornet_qubits})"
             )
-        streams = StreamFactory(seed)
-        t0 = time.perf_counter()
+        engine = _MPSStackEngine(
+            circuit, self._config, self.max_batch, self.max_bond, self.cutoff
+        )
+        return drive(engine, circuit, specs, seed, retain)
+
+
+class _MPSStackEngine:
+    """:class:`~repro.execution.driver.Engine` over a trajectory-stacked
+    truncated MPS: a unit is one schedule replay plus one batched
+    right-environment pass.
+
+    Unlike the dense stack, a unit's *composition* matters — the batched
+    truncated SVD keeps a common rank across its rows — so the shots are a
+    function of ``max_rows`` as well as of the seed.
+    """
+
+    name = "tensornet"
+
+    def __init__(
+        self, circuit: Circuit, config: Config, max_rows: int, max_bond: int, cutoff: float
+    ):
+        self.config: Optional[Config] = config
+        self.max_rows = max_rows
+        self.num_qubits = circuit.num_qubits
+        self.cols = list(circuit.measured_qubits)
+        self.stack_options = {"max_bond": max_bond, "cutoff": cutoff, "config": config}
         try:
-            schedule = compile_schedule(circuit, self._config)
+            self.schedule, self.compile_seconds = timed(
+                compile_schedule, circuit.freeze(), config
+            )
         except BackendError as exc:
             raise ExecutionError(f"strategy 'tensornet' cannot run: {exc}") from exc
-        compile_seconds = time.perf_counter() - t0
-        groups = deduplicate_specs(specs)
-        cols = list(measured)
-        ctx = FaultContext.from_config(self._config, streams.seed, strategy="tensornet")
-        events: List[RecoveryEvent] = []
+        self.release()
 
-        def run_chunk(start: int, end: int, carry_prep: float):
-            """Replay and sample one stacked chunk of groups ``[start, end)``.
+    def prepare(self, choices_list):
+        self.release()  # the previous unit's stack goes before this one is built
+        stack = BatchedMPSStack(self.num_qubits, len(choices_list), **self.stack_options)
+        replay_schedule(stack, self.schedule, choices_list)
+        # One batched environment pass = sampling cache AND, via the
+        # telescoping-weight identity, per-row weights.
+        envs = compute_right_environments_batched(stack.tensors)
+        self._prepared = (stack, envs)
+        return [w if w > _DEAD_NORM else 0.0 for w in envs[0][:, 0, 0].real.tolist()]
 
-            One retryable unit: the replay is a pure function of the
-            schedule and the chunk's Kraus choices, and sampling
-            re-derives each row's Philox stream from
-            ``(seed, trajectory_id)``, so a retried chunk re-emits
-            bitwise-identical shots.  (Unlike the dense strategies the
-            chunk *composition* matters — the batched truncated SVD keeps
-            a common rank across the chunk — which is why plain retry
-            preserves bits but the capacity ladder's halving is only
-            guaranteed to preserve the sampled distribution.)
-            """
-            chunk = groups[start:end]
-            batch = len(chunk)
-            t1 = time.perf_counter()
-            stack = BatchedMPSStack(
-                n,
-                batch,
-                max_bond=self.max_bond,
-                cutoff=self.cutoff,
-                config=self._config,
-            )
-            choices_list = [specs[g.indices[0]].choices for g in chunk]
-            replay_schedule(stack, schedule, choices_list)
-            # One batched environment pass = sampling cache AND, via
-            # the telescoping-weight identity, per-row weights.
-            envs = compute_right_environments_batched(stack.tensors)
-            weights = envs[0][:, 0, 0].real
-            prep_seconds = carry_prep + (time.perf_counter() - t1)
-            prep_each = prep_seconds / batch
-            completed = []
-            for row, group in enumerate(chunk):
-                weight = float(max(weights[row], 0.0))
-                dead = weight <= _DEAD_NORM
-                row_tensors = stack.row_tensors(row)
-                row_envs = [e[row] for e in envs]
-                for j, spec_index in enumerate(group.indices):
-                    spec = specs[spec_index]
-                    rng = streams.rng_for(spec.record.trajectory_id)
-                    t2 = time.perf_counter()
-                    if dead or spec.num_shots == 0:
-                        bits = np.empty((0, len(measured)), dtype=np.uint8)
-                        actual_weight, sample_seconds = 0.0, 0.0
-                    else:
-                        full = sample_cached(
-                            row_tensors, row_envs, spec.num_shots, rng
-                        )
-                        bits = full[:, cols]
-                        actual_weight = weight
-                        sample_seconds = time.perf_counter() - t2
-                    completed.append(
-                        (
-                            spec_index,
-                            TrajectoryResult(
-                                record=spec.record,
-                                bits=bits,
-                                actual_weight=actual_weight,
-                                prep_seconds=prep_each if j == 0 else 0.0,
-                                sample_seconds=sample_seconds,
-                            ),
-                        )
-                    )
-            return completed
+    def sample(self, row, num_shots, rng):
+        if self._row is None or self._row[0] != row:
+            # Per-row set-up, shared by the duplicates of one prescription.
+            stack, envs = self._prepared
+            self._row = (row, stack.row_tensors(row), [e[row] for e in envs])
+        _, tensors, envs = self._row
+        return sample_cached(tensors, envs, num_shots, rng)[:, self.cols]
 
-        def deliver():
-            delivery = OrderedDelivery(len(specs))
-            pending = deque(
-                (start, min(start + self.max_batch, len(groups)))
-                for start in range(0, len(groups), self.max_batch)
-            )
-            # The one-time schedule compile is real preparation work;
-            # attribute it to the first chunk, same as the clifford path.
-            carry_prep = compile_seconds
-            while pending:
-                start, end = pending.popleft()
-                unit = f"tensornet/stack:{start}:{end}"
-                try:
-                    completed = run_unit_with_retry(
-                        lambda attempt: run_chunk(start, end, carry_prep),
-                        unit=unit,
-                        ctx=ctx,
-                        recovery=events,
-                    )
-                except CapacityError as exc:
-                    if end - start > 1:
-                        mid = (start + end) // 2
-                        events.append(
-                            RecoveryEvent(
-                                kind="batch-halved",
-                                strategy=ctx.strategy,
-                                unit=unit,
-                                attempt=0,
-                                error=describe_exception(exc),
-                                detail=(
-                                    f"split into stack:{start}:{mid} "
-                                    f"and stack:{mid}:{end}"
-                                ),
-                            )
-                        )
-                        pending.appendleft((mid, end))
-                        pending.appendleft((start, mid))
-                        continue
-                    raise FaultError(
-                        f"stacked replay of {unit!r} failed at the "
-                        f"single-row floor: {describe_exception(exc)}",
-                        unit=unit,
-                        attempts=1,
-                    ) from exc
-                carry_prep = 0.0
-                ready = delivery.add(completed)
-                if ready:
-                    yield ready
-
-        return StreamedResult(
-            deliver(),
-            measured_qubits=measured,
-            seed=streams.seed,
-            total_trajectories=len(specs),
-            unique_preparations=len(groups),
-            engine="tensornet",
-            retain=retain,
-            recovery=events,
-        )
+    def release(self) -> None:
+        self._prepared = self._row = None

@@ -22,6 +22,11 @@ The third execution strategy, alongside the serial
    stack-wide cached cumulative tensor with the stream derived from
    ``(seed, trajectory_id)``.
 
+Steps 1 and 4 are the shared :func:`repro.execution.driver.drive` loop
+(which also owns retry, the ``CapacityError`` halving ladder and ordered
+delivery); this module supplies steps 2 and 3 as an
+:class:`~repro.execution.driver.Engine` adapter.
+
 Because the per-row arithmetic deliberately mirrors the serial backend
 operation-for-operation, and sampling uses the exact same per-trajectory
 Philox streams, a vectorized run is *shot-for-shot identical* to a serial
@@ -32,32 +37,22 @@ contract :mod:`repro.execution.parallel` upholds, verified in
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.circuits.circuit import Circuit
-from repro.errors import CapacityError, ExecutionError, FaultError
+from repro.config import Config
+from repro.errors import ExecutionError
 from repro.execution.batched import BackendSpec
+from repro.execution.driver import drive, timed
 from repro.execution.plan import get_fused_plan
-from repro.execution.results import PTSBEResult, TrajectoryResult
-from repro.execution.streaming import OrderedDelivery, StreamedResult
-from repro.faults.retry import (
-    FaultContext,
-    RecoveryEvent,
-    describe_exception,
-    run_unit_with_retry,
-)
-from repro.pts.base import TrajectorySpec, deduplicate_specs
-from repro.rng import StreamFactory
+from repro.execution.streaming import StreamedResult, StreamingExecutor
+from repro.pts.base import TrajectorySpec
 
 __all__ = ["VectorizedExecutor"]
 
 
-class VectorizedExecutor:
+class VectorizedExecutor(StreamingExecutor):
     """Execute trajectory specs as stacked tensors on one process.
 
     Parameters
@@ -114,15 +109,6 @@ class VectorizedExecutor:
             )
         return backend
 
-    def execute(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-    ) -> PTSBEResult:
-        """Run every spec: deduplicated stacked preparation, bulk sampling."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
-
     def execute_stream(
         self,
         circuit: Circuit,
@@ -141,137 +127,42 @@ class VectorizedExecutor:
         chunks after delivery (``finalize`` unavailable) to bound memory
         for pure-ingest consumers.
         """
-        circuit.freeze()
-        measured = tuple(circuit.measured_qubits)
-        if not measured:
-            raise ExecutionError("circuit has no measurements to sample")
-        if not specs:
-            raise ExecutionError("no trajectory specs to execute")
-        streams = StreamFactory(seed)
-        backend = self._make_backend(circuit.num_qubits)
-        # Resolve (and memoize) the fused plan before the timed loop so
-        # compilation is not attributed to the first chunk's prep time;
-        # every chunk's run_fixed_stack call hits the plan cache.
-        config = getattr(backend, "config", None)
-        if config is not None:
-            get_fused_plan(circuit, config)
-        chunk_rows = min(self.max_batch, backend.max_batch_rows)
-        groups = deduplicate_specs(specs)
-        ctx = FaultContext.from_config(config, streams.seed, strategy="vectorized")
-        events: List[RecoveryEvent] = []
-
-        def run_chunk(start: int, end: int):
-            """Prepare and sample one stack of groups ``[start, end)``.
-
-            The whole chunk is one retryable unit: re-running it replays
-            the identical ``run_fixed_stack`` call and re-derives every
-            row's Philox stream from ``(seed, trajectory_id)``, so a
-            retried chunk's shots are bitwise identical.
-            """
-            chunk = groups[start:end]
-            choices_list = [specs[g.indices[0]].choices for g in chunk]
-            t0 = time.perf_counter()
-            weights, alive = backend.run_fixed_stack(circuit, choices_list)
-            t1 = time.perf_counter()
-            # One stacked preparation served the whole chunk; attribute
-            # its wall-time evenly across the unique rows (duplicates
-            # ride free).
-            prep_each = (t1 - t0) / len(chunk)
-            completed = []
-            for row, group in enumerate(chunk):
-                for j, spec_index in enumerate(group.indices):
-                    spec = specs[spec_index]
-                    rng = streams.rng_for(spec.record.trajectory_id)
-                    if not alive[row]:
-                        # Same contract as the serial engine on a
-                        # ZeroProbabilityTrajectory: zero weight,
-                        # no shots.
-                        bits = np.empty((0, len(measured)), dtype=np.uint8)
-                        weight, sample_s = 0.0, 0.0
-                    else:
-                        t2 = time.perf_counter()
-                        bits = backend.sample(row, spec.num_shots, measured, rng)
-                        t3 = time.perf_counter()
-                        weight, sample_s = float(weights[row]), t3 - t2
-                    completed.append(
-                        (
-                            spec_index,
-                            TrajectoryResult(
-                                record=spec.record,
-                                bits=bits,
-                                actual_weight=weight,
-                                prep_seconds=prep_each if j == 0 else 0.0,
-                                sample_seconds=sample_s,
-                            ),
-                        )
-                    )
-            return completed
-
-        def deliver():
-            delivery = OrderedDelivery(len(specs))
-            # The degradation ladder works a queue of group ranges so a
-            # CapacityError can split a chunk in place; dense stacking is
-            # chunking-invariant (bitwise, by the row-wise contract), so
-            # halving never changes a single shot.
-            pending = deque(
-                (start, min(start + chunk_rows, len(groups)))
-                for start in range(0, len(groups), chunk_rows)
-            )
-            try:
-                while pending:
-                    start, end = pending.popleft()
-                    unit = f"vectorized/stack:{start}:{end}"
-                    try:
-                        completed = run_unit_with_retry(
-                            lambda attempt: run_chunk(start, end),
-                            unit=unit,
-                            ctx=ctx,
-                            recovery=events,
-                        )
-                    except CapacityError as exc:
-                        if end - start > 1:
-                            mid = (start + end) // 2
-                            events.append(
-                                RecoveryEvent(
-                                    kind="batch-halved",
-                                    strategy=ctx.strategy,
-                                    unit=unit,
-                                    attempt=0,
-                                    error=describe_exception(exc),
-                                    detail=(
-                                        f"split into stack:{start}:{mid} "
-                                        f"and stack:{mid}:{end}"
-                                    ),
-                                )
-                            )
-                            pending.appendleft((mid, end))
-                            pending.appendleft((start, mid))
-                            continue
-                        raise FaultError(
-                            f"stacked preparation of {unit!r} failed at the "
-                            f"single-row floor: {describe_exception(exc)}",
-                            unit=unit,
-                            attempts=1,
-                        ) from exc
-                    ready = delivery.add(completed)
-                    if ready:
-                        yield ready
-            finally:
-                release = getattr(backend, "release", None)
-                if release is not None:
-                    release()
-
-        return StreamedResult(
-            deliver(),
-            measured_qubits=measured,
-            seed=streams.seed,
-            total_trajectories=len(specs),
-            unique_preparations=len(groups),
-            # The backend is allocated eagerly (validation happens at call
-            # time); a close() before the first chunk never enters the
-            # generator, so its finally can't release — close() must.
-            on_close=getattr(backend, "release", None),
-            engine="vectorized",
-            retain=retain,
-            recovery=events,
+        engine = _StackEngine(
+            self._make_backend(circuit.num_qubits), circuit, self.max_batch
         )
+        return drive(engine, circuit, specs, seed, retain)
+
+
+class _StackEngine:
+    """:class:`~repro.execution.driver.Engine` over one ``(B, 2**n)``
+    stacked backend: a unit is one ``run_fixed_stack`` walk, and every row
+    samples from the stack-wide cached cumulative tensor."""
+
+    name = "vectorized"
+
+    def __init__(
+        self, backend: BatchedStatevectorBackend, circuit: Circuit, max_batch: int
+    ):
+        self.backend = backend
+        self.circuit = circuit.freeze()
+        self.measured = tuple(circuit.measured_qubits)
+        self.max_rows = min(max_batch, backend.max_batch_rows)
+        # A factory's backend may carry no config (and walk no fused plan).
+        self.config: Optional[Config] = getattr(backend, "config", None)
+        self.compile_seconds = 0.0
+        if self.config is not None:
+            # Resolve (and memoize) the fused plan up front; every unit's
+            # run_fixed_stack call hits the plan cache.
+            _, self.compile_seconds = timed(get_fused_plan, circuit, self.config)
+
+    def prepare(self, choices_list):
+        weights, alive = self.backend.run_fixed_stack(self.circuit, choices_list)
+        return weights * alive  # host (B,) vectors; a dead row reads 0.0
+
+    def sample(self, row, num_shots, rng):
+        return self.backend.sample(row, num_shots, self.measured, rng)
+
+    def release(self) -> None:
+        release = getattr(self.backend, "release", None)
+        if release is not None:
+            release()

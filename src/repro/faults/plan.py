@@ -3,7 +3,8 @@
 A :class:`FaultPlan` describes *which* named faults fire at *which*
 instrumented sites of the execution layer.  The executors consult it
 through :func:`maybe_inject` at the top of every work unit (a parallel
-worker slice, a sharded device, a vectorized/tensornet stack chunk); with
+worker slice, a sharded device, one ``<engine>/stack`` unit of the shared
+driver); with
 no plan configured the hook is a single ``is None`` check, so the
 production path pays nothing.
 
@@ -32,6 +33,8 @@ Unit-name scheme (see ``docs/architecture.md`` for the full map)::
     sharded/shard:{device_id}    one device shard (suffix /rebin:{g} after rebinning)
     vectorized/stack:{a}:{b}     one stacked-prep chunk over groups [a, b)
     tensornet/stack:{a}:{b}      one batched-MPS chunk over groups [a, b)
+    serial/stack:{i}:{i+1}       one serial preparation (group i)
+    clifford/stack:{i}:{i+1}     one frame assembly (group i)
 """
 
 from __future__ import annotations

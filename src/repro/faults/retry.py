@@ -16,9 +16,9 @@ deduplication or fencing needed.  What this module adds on top:
   ``StreamedResult.recovery`` and ``PTSBEResult.recovery``.
 * :class:`FaultContext` — the (plan, policy, seed) triple the executors
   thread through their delivery generators.
-* :func:`run_unit_with_retry` — the in-process retry driver shared by
-  the vectorized/tensornet chunk loops and the single-worker fast paths;
-  the process-pool equivalent lives in
+* :func:`run_unit_with_retry` — the in-process retry driver used by
+  :func:`repro.execution.driver.drive` (every in-process engine) and the
+  single-worker fast path; the process-pool equivalent lives in
   :func:`repro.execution.streaming.stream_pool`.
 
 ``CapacityError`` is deliberately *not* retryable even though it

@@ -2,11 +2,13 @@
 
 The six strategies stay interchangeable because each executor behind
 ``STRATEGY_BUILDERS`` implements the same surface: an ``execute_stream``
-generator that accepts the threaded root ``seed`` and the ``retain``
-knob, and stamps its engine name onto the streamed results so routing
-decisions are auditable (``result.engine`` / ``result.routing``).  That
-contract spans four modules and has no single enforcement point at
-runtime — a new strategy can pass its own tests while silently breaking
+that accepts the threaded root ``seed`` and the ``retain`` knob, and an
+engine name equal to its registry key on the streamed results, so routing
+decisions are auditable (``result.engine`` / ``result.routing``).  The
+in-process engines get the loop itself from
+``repro.execution.driver.drive`` (whose ``Engine`` protocol mypy checks);
+what is left to check statically is the part that spans modules — a new
+strategy can pass its own tests while silently breaking
 ``run_ptsbe_stream``'s dispatch assumptions.
 
 **STRAT001** walks the contract statically:
@@ -15,9 +17,11 @@ runtime — a new strategy can pass its own tests while silently breaking
 2. resolve each builder function to the executor class it constructs
    (following the builder-local ``from repro.execution.<m> import <Cls>``);
 3. in the class's module, require ``execute_stream`` to exist, to accept
-   ``seed`` and ``retain`` parameters, and require the module to record
-   the registered engine name on its results
-   (``engine="<strategy>"`` keyword somewhere in the module);
+   ``seed`` and ``retain`` parameters, and require the module to declare
+   the registry key as its engine name: an ``Engine`` adapter's
+   class-level ``name = "<strategy>"`` (which ``drive`` stamps on the
+   results), or — the fan-out wrappers, which build their own
+   ``StreamedResult`` — an ``engine="<strategy>"`` keyword;
 4. require the dispatch site to attach the routing trail
    (an ``<stream>.routing = ...`` assignment in ``execution/batched.py``).
 
@@ -122,17 +126,18 @@ def _param_names(func: ast.FunctionDef) -> List[str]:
 
 
 def _module_records_engine(tree: ast.Module, engine: str) -> bool:
-    """Does any call in the module pass ``engine="<name>"``?"""
+    """Is ``engine`` assigned to a ``name`` or passed as an ``engine=`` keyword?"""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+        if isinstance(node, ast.keyword) and node.arg == "engine":
+            value = node.value
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "name" for t in node.targets
+        ):
+            value = node.value
+        else:
             continue
-        for kw in node.keywords:
-            if (
-                kw.arg == "engine"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value == engine
-            ):
-                return True
+        if isinstance(value, ast.Constant) and value.value == engine:
+            return True
     return False
 
 
@@ -153,9 +158,10 @@ class STRAT001ExecutorContract(ProjectRule):
     title = "registered strategy violates the executor contract"
     rationale = (
         "Every engine behind STRATEGY_BUILDERS must expose "
-        "execute_stream(seed=..., retain=...) and record its engine name "
-        "on streamed results; the strategies are only interchangeable "
-        "(and routing decisions only auditable) while that holds."
+        "execute_stream(seed=..., retain=...) and name its engine after "
+        "its registry key (an adapter's name, or an engine= keyword); the "
+        "strategies are only interchangeable (and routing decisions only "
+        "auditable) while that holds."
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:
@@ -279,9 +285,9 @@ class STRAT001ExecutorContract(ProjectRule):
                 line=cls.lineno,
                 column=cls.col_offset,
                 message=(
-                    f"module never records engine='{strategy}' on its "
-                    f"results: routing decisions must be auditable via "
-                    f"result.engine"
+                    f"module never records engine='{strategy}' (no adapter "
+                    f"with name = '{strategy}', no engine= keyword): routing "
+                    f"decisions must be auditable via result.engine"
                 ),
                 scope=class_name,
                 text=module_ctx.line_text(cls.lineno),

@@ -608,9 +608,12 @@ def run_ptsbe_stream(circuit, sampler, strategy="auto"):
 """
 
 COMPLIANT_EXECUTOR = """\
+class _FooEngine:
+    name = "foo"
+
 class FooExecutor:
     def execute_stream(self, circuit, specs, seed=None, retain=True):
-        return StreamedResult(engine="foo")
+        return drive(_FooEngine(), circuit, specs, seed, retain)
 
     def execute(self, circuit, specs, seed=None):
         return self.execute_stream(circuit, specs, seed=seed).finalize()
@@ -659,10 +662,20 @@ class TestSTRAT001:
         assert "'retain'" in findings[0].message
 
     def test_engine_not_recorded(self, tmp_path):
-        broken = COMPLIANT_EXECUTOR.replace('engine="foo"', 'engine="bar"')
+        broken = COMPLIANT_EXECUTOR.replace('name = "foo"', 'name = "bar"')
         self.fixture(tmp_path, executor=broken)
         findings = run_lint(tmp_path, ["STRAT001"])
         assert any("engine='foo'" in f.message for f in findings)
+
+    def test_fan_out_wrapper_engine_keyword(self, tmp_path):
+        # parallel/sharded build their own StreamedResult: no adapter.
+        wrapper = (
+            "class FooExecutor:\n"
+            "    def execute_stream(self, circuit, specs, seed=None, retain=True):\n"
+            '        return StreamedResult(engine="foo")\n'
+        )
+        self.fixture(tmp_path, executor=wrapper)
+        assert run_lint(tmp_path, ["STRAT001"]) == []
 
     def test_dispatch_must_attach_routing(self, tmp_path):
         broken = COMPLIANT_DISPATCH.replace('    stream.routing = "explicit"\n', "")
@@ -706,9 +719,12 @@ class TestSTRAT001:
         # The serial engine's builder constructs a class defined in the
         # dispatch module itself (no builder-local import).
         dispatch = (
+            "class _SerialEngine:\n"
+            '    name = "serial"\n'
+            "\n"
             "class BatchedExecutor:\n"
             "    def execute_stream(self, circuit, specs, seed=None, retain=True):\n"
-            '        return StreamedResult(engine="serial")\n'
+            "        return drive(_SerialEngine(), circuit, specs, seed, retain)\n"
             "\n"
             "def _build_serial(backend, sample_kwargs, kwargs):\n"
             "    return BatchedExecutor(backend, **kwargs)\n"

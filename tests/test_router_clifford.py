@@ -227,18 +227,6 @@ class TestCliffordDeterminism:
             first.shot_table().bits, replay.shot_table().bits
         )
 
-    def test_streaming_chunks_concatenate(self, clifford_circuit):
-        sampler = ExhaustivePTS(cutoff=1e-5, nshots=None, total_shots=3000)
-        stream = run_ptsbe_stream(clifford_circuit, sampler, seed=17)
-        chunks = [c.shot_table() for c in stream if c.num_shots]
-        result = stream.finalize()
-        ids = [t.trajectory_ids[0] for t in chunks]
-        assert ids == sorted(ids)  # ordered delivery
-        from repro.execution.results import ShotTable
-
-        concat = ShotTable.concatenate(chunks)
-        np.testing.assert_array_equal(concat.bits, result.shot_table().bits)
-
     def test_retain_false_streams_without_finalize(self, clifford_circuit):
         stream = run_ptsbe_stream(
             clifford_circuit, ProportionalPTS(total_shots=1000), seed=3,

@@ -407,21 +407,6 @@ class TestExecutorContracts:
             a.shot_table().trajectory_ids, b.shot_table().trajectory_ids
         )
 
-    def test_streaming_chunks_concatenate_ordered(self, small_noisy_circuit):
-        sampler = ExhaustivePTS(cutoff=1e-4, nshots=None, total_shots=3000)
-        stream = run_ptsbe_stream(
-            small_noisy_circuit, sampler, seed=17, strategy="tensornet",
-            executor_kwargs={"max_batch": 8},
-        )
-        chunks = [c.shot_table() for c in stream if c.num_shots]
-        result = stream.finalize()
-        ids = [t.trajectory_ids[0] for t in chunks]
-        assert ids == sorted(ids)  # ordered delivery across stacked chunks
-        from repro.execution.results import ShotTable
-
-        concat = ShotTable.concatenate(chunks)
-        np.testing.assert_array_equal(concat.bits, result.shot_table().bits)
-
     def test_retain_false_streams_without_finalize(self, small_noisy_circuit):
         stream = run_ptsbe_stream(
             small_noisy_circuit, ProportionalPTS(total_shots=1000), seed=3,

@@ -175,7 +175,7 @@ class TestDedup:
 
     def test_serial_executor_reports_no_dedup(self, noisy_ghz3):
         result = BatchedExecutor().execute(noisy_ghz3, [_spec(0, 10)], seed=0)
-        assert result.unique_preparations is None
+        assert result.unique_preparations == 1
 
 
 class TestVectorizedEquivalence:
@@ -252,7 +252,7 @@ class TestStrategyKnob:
         np.testing.assert_array_equal(serial.shot_table().bits, explicit.shot_table().bits)
         assert auto.engine == "vectorized"
         assert auto.unique_preparations is not None
-        assert serial.unique_preparations is None
+        assert serial.unique_preparations == auto.unique_preparations
 
     def test_parallel_strategy(self, noisy_ghz3):
         sampler = ProbabilisticPTS(nsamples=100, nshots=100)
