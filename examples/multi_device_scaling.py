@@ -5,9 +5,9 @@
   the paper's 4xH100 per 35-qubit trajectory).
 * Inter-trajectory: embarrassingly parallel trajectories over worker
   processes, shot-for-shot identical to the serial run.
-* Both axes composed: the sharded strategy bins deduplicated trajectory
-  groups across a device pool and runs chunked ``(B, 2**n)`` stacks per
-  shard — still bitwise identical to the serial run.
+* Both axes composed: the sharded strategy sizes ``(B, 2**n)`` stacks of
+  deduplicated trajectories to a device pool and hands them to one worker
+  process per device — still bitwise identical to the serial run.
 * Paper-scale planning: the calibrated performance model answers "how
   many H100-hours for a trillion shots?" — reproducing the paper's
   4,445 / 2,223 GPU-hour headlines.
@@ -94,7 +94,7 @@ def sharded_demo() -> None:
     ).specs
     serial_result = BatchedExecutor(BackendSpec.statevector()).execute(noisy, specs, seed=4)
     for devices in (1, 2, 4):
-        executor = ShardedExecutor(devices=devices)
+        executor = ShardedExecutor(devices=devices, num_workers=devices)
         t0 = time.perf_counter()
         result = executor.execute(noisy, specs, seed=4)
         dt = time.perf_counter() - t0

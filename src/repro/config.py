@@ -55,24 +55,6 @@ def _default_routing() -> str:
     return os.environ.get("REPRO_ROUTING", "auto")
 
 
-def _default_tensornet_max_bond() -> Optional[int]:
-    """Tensornet bond-cap default: ``REPRO_TENSORNET_MAX_BOND``, else None.
-
-    ``None`` resolves to :attr:`Config.default_bond_dim` at use time (see
-    :meth:`Config.resolved_tensornet_max_bond`), so the env hook only has
-    to exist when a CI leg or sweep wants a different cap.
-    """
-    raw = os.environ.get("REPRO_TENSORNET_MAX_BOND")
-    return int(raw) if raw else None
-
-
-def _default_tensornet_cutoff() -> Optional[float]:
-    """Tensornet SVD-cutoff default: ``REPRO_TENSORNET_CUTOFF``, else None
-    (resolving to :attr:`Config.svd_cutoff` at use time)."""
-    raw = os.environ.get("REPRO_TENSORNET_CUTOFF")
-    return float(raw) if raw else None
-
-
 def _default_fault_plan():
     """Fault-injection default: parsed ``REPRO_FAULTS`` env, else ``None``.
 
@@ -144,14 +126,6 @@ class Config:
         the ``REPRO_ROUTING`` environment variable (read at
         :class:`Config` construction).  Explicit strategy names are never
         rerouted.
-    measured_cost_feedback:
-        When ``True``, a :class:`~repro.execution.sharded.ShardedExecutor`
-        refines its group-scheduling cost constants from the prep/sample
-        wall times measured on its *previous* runs instead of the analytic
-        perf-model constants (default ``False``).  Affects only how dedup
-        groups are binned across devices — shard assignment never changes
-        results (the bitwise cross-strategy contract holds for any
-        assignment).
     atol:
         Absolute tolerance for verification checks.
     max_dense_qubits:
@@ -174,13 +148,10 @@ class Config:
     tensornet_max_bond:
         Maximum bond dimension for the trajectory-stacked tensornet
         strategy.  ``None`` (default) resolves to
-        :attr:`default_bond_dim`; overridable via the
-        ``REPRO_TENSORNET_MAX_BOND`` environment variable (read at
-        :class:`Config` construction).
+        :attr:`default_bond_dim`.
     tensornet_cutoff:
         Relative SVD truncation cutoff for the tensornet strategy.
-        ``None`` (default) resolves to :attr:`svd_cutoff`; overridable
-        via ``REPRO_TENSORNET_CUTOFF``.
+        ``None`` (default) resolves to :attr:`svd_cutoff`.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` injecting
         deterministic faults at the instrumented execution sites (chaos
@@ -190,8 +161,7 @@ class Config:
         :func:`repro.faults.plan.parse_fault_plan` for the syntax).
     retry:
         The :class:`~repro.faults.retry.RetryPolicy` applied per work
-        unit (parallel worker slice, sharded device, vectorized or
-        tensornet stack chunk).  Seed threading makes a retried unit
+        unit (one ``<strategy>/stack:a:b`` range of dedup groups).  Seed threading makes a retried unit
         re-emit bitwise-identical shots, so the default policy (3
         attempts, tiny exponential backoff with deterministic jitter) is
         always safe to leave on.
@@ -202,15 +172,14 @@ class Config:
     fusion: str = field(default_factory=_default_fusion)
     fusion_max_qubits: Optional[int] = None
     routing: str = field(default_factory=_default_routing)
-    measured_cost_feedback: bool = False
     atol: float = ATOL
     max_dense_qubits: int = 26
     max_density_qubits: int = 12
     default_bond_dim: int = 64
     svd_cutoff: float = 1e-12
     max_tensornet_qubits: int = 128
-    tensornet_max_bond: Optional[int] = field(default_factory=_default_tensornet_max_bond)
-    tensornet_cutoff: Optional[float] = field(default_factory=_default_tensornet_cutoff)
+    tensornet_max_bond: Optional[int] = None
+    tensornet_cutoff: Optional[float] = None
     fault_plan: Optional["FaultPlan"] = field(default_factory=_default_fault_plan)  # noqa: F821
     retry: "RetryPolicy" = field(default_factory=_default_retry)  # noqa: F821
 

@@ -53,7 +53,7 @@ class SamplingError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """Batched-execution failure (no trajectories, scheduler mismatch, ...)."""
+    """Batched-execution failure (no trajectories, no measurements, ...)."""
 
 
 class WorkerCrashError(ExecutionError):
@@ -61,9 +61,8 @@ class WorkerCrashError(ExecutionError):
 
     Raised by the fault-injection layer to emulate a hard crash, and used
     by the retry machinery as the classification for real pool deaths
-    (``BrokenProcessPool``): crash-class failures are what the sharded
-    degradation ladder responds to by rebinning the dead device's groups
-    across survivors instead of plain retry.
+    (``BrokenProcessPool``): the dead worker's task goes back to the
+    (rebuilt) pool under the same retry budget as any other failure.
     """
 
 

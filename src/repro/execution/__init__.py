@@ -8,9 +8,9 @@ its full shot batch in bulk.  That loop exists once —
 (:mod:`~repro.execution.vectorized`), ``clifford`` Pauli frames
 (:mod:`~repro.execution.clifford`) and ``tensornet`` trajectory-stacked
 MPS (:mod:`~repro.execution.tensornet`).  ``parallel`` and ``sharded``
-(:mod:`~repro.execution.parallel`, :mod:`~repro.execution.sharded`) fan
-specs over worker processes / a device pool whose workers run those same
-engines.  ``strategy="auto"`` picks per circuit through
+(:mod:`~repro.execution.parallel`, :mod:`~repro.execution.sharded`) are
+the serial and the stacked adapter handed to the same ``drive`` with
+``workers=num_workers``.  ``strategy="auto"`` picks per circuit through
 :mod:`repro.execution.router`.
 
 Results carry per-shot provenance (:mod:`repro.execution.results`) and
@@ -36,7 +36,6 @@ from repro.execution.plan import (
     clear_plan_cache,
     get_fused_plan,
 )
-from repro.execution.scheduler import Scheduler, round_robin, greedy_by_cost
 from repro.execution.parallel import ParallelExecutor
 from repro.execution.vectorized import VectorizedExecutor
 from repro.execution.sharded import ShardedExecutor
@@ -64,9 +63,6 @@ __all__ = [
     "build_fused_plan",
     "clear_plan_cache",
     "get_fused_plan",
-    "Scheduler",
-    "round_robin",
-    "greedy_by_cost",
     "ParallelExecutor",
     "VectorizedExecutor",
     "ShardedExecutor",

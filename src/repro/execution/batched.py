@@ -102,9 +102,8 @@ def backend_config(backend) -> Config:
     same object the workers construct their backends with.  A spec without
     one, a callable backend factory (opaque) and ``None`` all resolve to
     :data:`~repro.config.DEFAULT_CONFIG`, so config-gated behavior (fault
-    plan, retry policy, ``measured_cost_feedback``) then follows the
-    library default: set it with ``configure(...)`` or pass a spec carrying
-    the config.
+    plan, retry policy) then follows the library default: set it with
+    ``configure(...)`` or pass a spec carrying the config.
     """
     config = dict(backend.options).get("config") if isinstance(backend, BackendSpec) else None
     return config if config is not None else DEFAULT_CONFIG
@@ -158,7 +157,7 @@ class BatchedExecutor(StreamingExecutor):
             self.sample_kwargs,
             backend_config(self.backend),
         )
-        return drive(engine, circuit, specs, seed, retain)
+        return drive(lambda: engine, circuit, specs, seed, retain)
 
 
 class _SerialEngine:

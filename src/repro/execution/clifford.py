@@ -107,7 +107,8 @@ class CliffordFrameExecutor(StreamingExecutor):
         dedup group can interleave spec positions), matching the delivery
         contract of every dense strategy.
         """
-        return drive(_FrameEngine(circuit, self._config), circuit, specs, seed, retain)
+        engine = _FrameEngine(circuit, self._config)
+        return drive(lambda: engine, circuit, specs, seed, retain)
 
 
 class _FrameEngine:

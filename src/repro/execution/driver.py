@@ -1,44 +1,56 @@
-"""One execution driver, N engine adapters.
+"""One execution driver, N engine adapters, any number of workers.
 
 The paper's batched execution is one loop whatever the state
 representation is: prepare each pre-sampled Kraus prescription once, draw
 that trajectory's whole shot budget, attach its provenance.  :func:`drive`
 is that loop, written once.  An :class:`Engine` adapter supplies only what
 differs between state representations — how a stack of prescriptions is
-prepared and how one prepared row is sampled — and the serial, vectorized,
-clifford and tensornet executors each shrink to "build the adapter,
-``return drive(...)``".
+prepared and how one prepared row is sampled — and every executor shrinks
+to "name the adapter, ``return drive(...)``".
 
-What :func:`drive` owns, for every engine:
+What :func:`drive` owns, for every engine and every worker count:
 
 * the preamble — freeze, the "no measurements" / "no specs" checks, the
   resolved root seed, the fault context;
 * deduplication (:func:`~repro.pts.base.deduplicate_specs`) and the queue
-  of ``max_rows``-sized group ranges;
-* per unit ``"<name>/stack:<a>:<b>"``: seed-exact retry
-  (:func:`~repro.faults.retry.run_unit_with_retry`), the
-  ``CapacityError`` halving ladder, the per-trajectory Philox stream
+  of tasks, each a range of dedup groups named
+  ``"<name>/stack:<a>:<b>"``;
+* per task: the fault hook, the retry rule
+  (:meth:`~repro.faults.retry.FaultContext.next_attempt`), the
+  ``CapacityError`` halving split, the per-trajectory Philox stream
   ``(seed, trajectory_id)``, the dead-row rule (zero weight if and only
   if ``prepare`` said so: no shots, weight ``0.0``), result assembly;
 * one timing rule — a unit's prepare wall time is split evenly across its
   rows, duplicates of a row ride free, and the engine's compile seconds
-  are charged to the first unit;
+  are charged to the first unit (of each process);
 * ordered delivery and the :class:`~repro.execution.streaming.StreamedResult`.
 
-A unit is a pure function of its group range and the root seed, so a
-retried unit re-emits bitwise-identical shots on every engine.  Halving
-changes no bits where preparation is row-wise independent (the dense
-stack); the tensornet stack's truncated SVDs keep a common rank across
-the unit, so there halving preserves the sampled distribution only.
+``workers`` is the paper's inter-trajectory axis ("embarrassingly
+parallel", §3).  With ``workers == 1`` tasks run in this process, one
+``max_rows``-sized unit each.  With more, the same tasks go to a process
+pool whose initializer builds one engine per process; the parent keeps at
+most ``2 * workers`` of them in flight (a consumer that stops pulling
+stops the run) and settles each returned task by the rules above — the
+code is the same code.  A task is a pure function of its group range and
+the root seed, so a retried, halved or re-pooled task re-emits
+bitwise-identical shots on every engine.  Halving changes no bits where
+preparation is row-wise independent (the dense stack); the tensornet
+stack's truncated SVDs keep a common rank across the unit, so there
+halving preserves the sampled distribution only.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED, CancelledError, Future, ProcessPoolExecutor, wait,
+)
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple,
-    TypeVar, runtime_checkable,
+    Any, Callable, Deque, Dict, Iterator, List, Optional, Protocol, Sequence,
+    Tuple, TypeVar, runtime_checkable,
 )
 
 import numpy as np
@@ -49,15 +61,17 @@ from repro.config import Config
 from repro.errors import CapacityError, ExecutionError, FaultError
 from repro.execution.results import TrajectoryResult
 from repro.execution.streaming import OrderedDelivery, StreamedResult
-from repro.faults.retry import (
-    FaultContext, RecoveryEvent, describe_exception, run_unit_with_retry,
-)
-from repro.pts.base import TrajectorySpec, deduplicate_specs
+from repro.faults.plan import FaultPlan, maybe_inject
+from repro.faults.retry import FaultContext, RecoveryEvent, describe_exception
+from repro.pts.base import SpecGroup, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory
 
-__all__ = ["Engine", "drive", "open_run", "timed"]
+__all__ = ["Engine", "drive", "timed"]
 
 T = TypeVar("T")
+#: ``(first group, one past the last group, attempt)``.
+Task = Tuple[int, int, int]
+Completed = List[Tuple[int, TrajectoryResult]]
 
 
 @runtime_checkable
@@ -102,63 +116,65 @@ def timed(fn: Callable[..., T], *args: Any) -> Tuple[T, float]:
     """``fn(*args)`` and the wall seconds it took.
 
     How adapters measure ``compile_seconds``: every clock read of the
-    in-process engines stays in this module.
+    execution layer stays in this module.
     """
     start = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - start
 
 
-def open_run(
-    circuit: Circuit, specs: Sequence[TrajectorySpec], seed: Optional[int]
-) -> Tuple[Tuple[int, ...], StreamFactory]:
-    """Every executor's preamble: freeze the circuit, refuse an empty run,
-    resolve the root seed once.  Returns ``(measured_qubits, streams)``."""
-    circuit.freeze()
-    measured = tuple(circuit.measured_qubits)
-    if not measured:
-        raise ExecutionError("circuit has no measurements to sample")
-    if not specs:
-        raise ExecutionError("no trajectory specs to execute")
-    return measured, StreamFactory(seed)
+def _unit_name(engine: str, start: int, end: int) -> str:
+    return f"{engine}/stack:{start}:{end}"
 
 
-def drive(
-    engine: Engine,
-    circuit: Circuit,
-    specs: Sequence[TrajectorySpec],
-    seed: Optional[int] = None,
-    retain: bool = True,
-) -> StreamedResult:
-    """Stream ``specs`` through ``engine``, one chunk per completed unit.
+class _Runner:
+    """One process's side of a run: an engine, plus everything that makes
+    a task a pure function of its group range and the root seed."""
 
-    Chunks are released in spec order (a dedup group can interleave spec
-    positions), so concatenating them reproduces ``finalize()`` bitwise.
-    Abandoning the stream releases the engine's prepared state.
-    """
-    measured, streams = open_run(circuit, specs, seed)
-    ctx = FaultContext.from_config(engine.config, streams.seed, strategy=engine.name)
-    events: List[RecoveryEvent] = []
-    groups = deduplicate_specs(specs)
-    max_rows = engine.max_rows
+    def __init__(
+        self,
+        engine: Engine,
+        specs: Sequence[TrajectorySpec],
+        groups: Sequence[SpecGroup],
+        width: int,
+        seed: int,
+        rows: int,
+        plan: Optional[FaultPlan],
+    ):
+        self.engine = engine
+        self.specs = specs
+        self.groups = groups
+        self.width = width
+        self.streams = StreamFactory(seed)
+        self.rows = rows
+        self.plan = plan
+        self.carry = engine.compile_seconds
 
-    def run_unit(
-        start: int, end: int, carry: float
-    ) -> List[Tuple[int, TrajectoryResult]]:
-        unit = groups[start:end]
+    def task(self, start: int, end: int, attempt: int) -> Completed:
+        """Groups ``[start, end)``, prepared at most ``rows`` at a time."""
+        unit = _unit_name(self.engine.name, start, end)
+        maybe_inject(self.plan, unit, attempt, self.streams.seed)
+        completed: Completed = []
+        for first in range(start, end, self.rows):
+            completed += self.unit(first, min(first + self.rows, end))
+        return completed
+
+    def unit(self, start: int, end: int) -> Completed:
+        engine, specs = self.engine, self.specs
+        unit = self.groups[start:end]
         t0 = time.perf_counter()
         weights = engine.prepare([specs[g.indices[0]].choices for g in unit])
-        prep_each = (carry + time.perf_counter() - t0) / len(unit)
-        completed = []
+        prep_each = (self.carry + time.perf_counter() - t0) / len(unit)
+        completed: Completed = []
         for row, group in enumerate(unit):
             weight = float(weights[row])
             for j, index in enumerate(group.indices):
                 spec = specs[index]
                 if weight == 0.0:
-                    bits = np.empty((0, len(measured)), dtype=np.uint8)
+                    bits = np.empty((0, self.width), dtype=np.uint8)
                     sample_seconds = 0.0
                 else:
-                    rng = streams.rng_for(spec.record.trajectory_id)
+                    rng = self.streams.rng_for(spec.record.trajectory_id)
                     t1 = time.perf_counter()
                     bits = engine.sample(row, spec.num_shots, rng)
                     sample_seconds = time.perf_counter() - t1
@@ -170,55 +186,158 @@ def drive(
                     sample_seconds=sample_seconds,
                 )
                 completed.append((index, result))
+        self.carry = 0.0  # compile seconds are charged to one finished unit
         return completed
+
+
+#: The pool worker's runner, built once per process by :func:`_init_worker`.
+_WORKER: Optional[_Runner] = None
+
+
+def _init_worker(build: Callable[[], Engine], *run_args: Any) -> None:
+    global _WORKER
+    _WORKER = _Runner(build(), *run_args)
+
+
+def _pool_task(start: int, end: int, attempt: int) -> Completed:
+    assert _WORKER is not None
+    return _WORKER.task(start, end, attempt)
+
+
+def _submit(pool: ProcessPoolExecutor, task: Task) -> "Future[Completed]":
+    """``pool.submit``; a pool found broken at submission fails the task
+    like one that broke under it, so both take the same recovery path."""
+    try:
+        return pool.submit(_pool_task, *task)
+    except BrokenProcessPool as exc:
+        failed: "Future[Completed]" = Future()
+        failed.set_exception(exc)
+        return failed
+
+
+def drive(
+    build: Callable[[], Engine],
+    circuit: Circuit,
+    specs: Sequence[TrajectorySpec],
+    seed: Optional[int] = None,
+    retain: bool = True,
+    workers: int = 1,
+) -> StreamedResult:
+    """Stream ``specs`` through the engine ``build()`` makes, one chunk per
+    completed task, on ``workers`` processes.
+
+    ``build`` runs once here and, when ``workers > 1``, once in every
+    worker process — it must pickle then.  Chunks are released in spec
+    order (a dedup group can interleave spec positions, tasks finish out
+    of order), so concatenating them reproduces ``finalize()`` bitwise.
+    Abandoning the stream shuts the pool down and releases the engine.
+    """
+    circuit.freeze()
+    measured = tuple(circuit.measured_qubits)
+    if not measured:
+        raise ExecutionError("circuit has no measurements to sample")
+    if not specs:
+        raise ExecutionError("no trajectory specs to execute")
+    streams = StreamFactory(seed)
+    engine = build()
+    name = engine.name
+    ctx = FaultContext.from_config(engine.config, streams.seed, strategy=name)
+    events: List[RecoveryEvent] = []
+    groups = deduplicate_specs(specs)
+    workers = min(workers, len(groups))
+    # In-process a task is one max_rows unit.  Over a pool it is a quarter
+    # of a worker's even share — small enough to balance skewed shot
+    # budgets and to reach the first chunk early, large enough that a
+    # one-row engine does not pay one round trip per trajectory.
+    step = engine.max_rows if workers == 1 else -(-len(groups) // (4 * workers))
+    run_args = (
+        specs, groups, len(measured), streams.seed, min(engine.max_rows, step), ctx.plan,
+    )
+    if workers > 1:
+        engine.release()  # every worker builds its own; this one named the run
+    retryable = (BrokenProcessPool,) + ctx.policy.retryable
 
     def deliver() -> Iterator[List[TrajectoryResult]]:
         delivery = OrderedDelivery(len(specs))
-        pending = deque(
-            (start, min(start + max_rows, len(groups)))
-            for start in range(0, len(groups), max_rows)
+        pending: Deque[Task] = deque(
+            (start, min(start + step, len(groups)), 0)
+            for start in range(0, len(groups), step)
         )
-        carry = engine.compile_seconds
+        local = _Runner(engine, *run_args) if workers == 1 else None
+        pool: Optional[ProcessPoolExecutor] = None
+        in_flight: Dict["Future[Completed]", Task] = {}
         try:
-            while pending:
-                start, end = pending.popleft()
-                unit = f"{engine.name}/stack:{start}:{end}"
-                try:
-                    completed = run_unit_with_retry(
-                        lambda attempt: run_unit(start, end, carry),
-                        unit=unit,
-                        ctx=ctx,
-                        recovery=events,
-                    )
-                except CapacityError as exc:
-                    # Repeating the identical allocation cannot help;
-                    # split the unit in place instead.
-                    if end - start == 1:
-                        raise FaultError(
-                            f"preparation of {unit!r} failed at the "
-                            f"single-row floor: {describe_exception(exc)}",
-                            unit=unit,
-                            attempts=1,
-                        ) from exc
-                    mid = (start + end) // 2
-                    events.append(
-                        RecoveryEvent(
-                            kind="batch-halved",
-                            strategy=ctx.strategy,
-                            unit=unit,
-                            attempt=0,
-                            error=describe_exception(exc),
-                            detail=f"split into stack:{start}:{mid} and stack:{mid}:{end}",
+            while pending or in_flight:
+                outcomes: List[Tuple[Task, Callable[[], Completed]]]
+                if local is not None:
+                    task = pending.popleft()
+                    outcomes = [(task, partial(local.task, *task))]
+                else:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            workers, initializer=_init_worker, initargs=(build, *run_args)
                         )
+                    while pending and len(in_flight) < 2 * workers:
+                        task = pending.popleft()
+                        in_flight[_submit(pool, task)] = task
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    outcomes = sorted(
+                        ((in_flight.pop(future), future.result) for future in done),
+                        key=lambda outcome: outcome[0],
                     )
-                    pending.appendleft((mid, end))
-                    pending.appendleft((start, mid))
-                    continue
-                carry = 0.0
-                ready = delivery.add(completed)
-                if ready:
-                    yield ready
+                broken = False
+                for (start, end, attempt), fetch in outcomes:
+                    unit = _unit_name(name, start, end)
+                    try:
+                        completed = fetch()
+                    except CapacityError as exc:
+                        # Repeating the identical allocation cannot help;
+                        # split the unit in place instead.
+                        if end - start == 1:
+                            raise FaultError(
+                                f"preparation of {unit!r} failed at the "
+                                f"single-row floor: {describe_exception(exc)}",
+                                unit=unit,
+                                attempts=1,
+                            ) from exc
+                        mid = (start + end) // 2
+                        events.append(
+                            RecoveryEvent(
+                                kind="batch-halved",
+                                strategy=name,
+                                unit=unit,
+                                attempt=0,
+                                error=describe_exception(exc),
+                                detail=f"split into stack:{start}:{mid} and stack:{mid}:{end}",
+                            )
+                        )
+                        pending.appendleft((mid, end, 0))
+                        pending.appendleft((start, mid, 0))
+                        continue
+                    except CancelledError as exc:
+                        raise ExecutionError(
+                            f"work unit {unit!r} was cancelled before "
+                            "completing; the run cannot be finalized"
+                        ) from exc
+                    except retryable as exc:
+                        broken = broken or isinstance(exc, BrokenProcessPool)
+                        again = ctx.next_attempt(unit, attempt, exc, events)
+                        pending.appendleft((start, end, again))
+                        continue
+                    ready = delivery.add(completed, reissue=attempt > 0)
+                    if ready:
+                        yield ready
+                if broken and pool is not None:
+                    # A dead worker poisons every future of its pool.  The
+                    # tasks still in flight did not fail, their substrate
+                    # did: they go to the next pool at their current attempt.
+                    pending.extendleft(sorted(in_flight.values(), reverse=True))
+                    in_flight.clear()
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = None
         finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
             engine.release()
 
     return StreamedResult(
@@ -231,6 +350,6 @@ def drive(
         # its finally cannot release what the adapter allocated eagerly.
         on_close=engine.release,
         retain=retain,
-        engine=engine.name,
+        engine=name,
         recovery=events,
     )

@@ -156,8 +156,7 @@ class PTSBEResult:
     #: below the dispatch layer.
     routing: Optional[str] = None
     #: Structured :class:`~repro.faults.retry.RecoveryEvent` records of
-    #: every recovery action the run performed (retries, device rebins,
-    #: batch halvings).  Empty for fault-free runs; populated by
+    #: every recovery action the run performed (retries, batch halvings).  Empty for fault-free runs; populated by
     #: ``StreamedResult.finalize`` from the live stream's event list.
     recovery: List = field(default_factory=list)
 

@@ -4,29 +4,27 @@ The materialized path (:func:`~repro.execution.batched.run_ptsbe`) holds
 every realized trajectory until the whole run finishes.  For the paper's
 closing workload — "a programmable data collection engine" feeding decoder
 training (§2.3) — that wastes the run's own latency: a consumer could
-already be training on the first stack's shots while the last shard is
-still preparing states.  This module is the delivery layer for
+already be training on the first stack's shots while the last one is
+still being prepared.  This module is the delivery layer for
 :func:`~repro.execution.batched.run_ptsbe_stream`:
 
 * every executor exposes ``execute_stream(circuit, specs, seed)``
   returning a :class:`StreamedResult` — a lazy handle over
-  :class:`ShotChunk`\\ s that are yielded *as each spec / stack / shard
-  completes* instead of after the full run (the in-process engines share
-  one such loop, :func:`repro.execution.driver.drive`; this module's
-  :func:`stream_pool` is its process-pool counterpart);
-* chunk order is the **materialized trajectory order** of the same
-  executor (spec order; ascending trajectory id for ``"parallel"``), so
+  :class:`ShotChunk`\\ s that are yielded *as each task completes*
+  instead of after the full run (every strategy shares one such loop,
+  :func:`repro.execution.driver.drive`, in-process or over a pool);
+* chunk order is the **materialized trajectory order** (spec order), so
   concatenating the streamed chunks reproduces
-  ``PTSBEResult.shot_table()`` bitwise — executors whose work completes
-  out of order (process-pool strategies, deduplicated stacks) pass their
-  results through an :class:`OrderedDelivery` reorder buffer;
+  ``PTSBEResult.shot_table()`` bitwise — work completes out of order
+  (pool workers, deduplicated stacks), so results pass through an
+  :class:`OrderedDelivery` reorder buffer;
 * :meth:`StreamedResult.finalize` drains whatever has not been consumed
   and assembles the exact :class:`~repro.execution.results.PTSBEResult`
   the materialized path would have returned — same shots, same records,
   same weights — so streaming is strictly additive;
 * :meth:`StreamedResult.close` abandons the run mid-stream: the
   underlying generator's cleanup runs (process pools shut down with
-  pending shards cancelled, stacked device buffers released), so a
+  pending tasks cancelled, stacked device buffers released), so a
   consumer that got what it needed leaks nothing;
 * ``retain=False`` (every ``execute_stream`` and
   :func:`~repro.execution.batched.run_ptsbe_stream` accept it) drops
@@ -40,26 +38,14 @@ the stream derived from ``(seed, trajectory_id)``.
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CapacityError, ExecutionError, FaultError
+from repro.errors import ExecutionError
 from repro.execution.results import PTSBEResult, ShotTable, TrajectoryResult
-from repro.faults.retry import (
-    CRASH_EXCEPTIONS,
-    FaultContext,
-    RecoveryEvent,
-    describe_exception,
-)
+from repro.faults.retry import RecoveryEvent
 from repro.trajectory.events import TrajectoryRecord
 
 __all__ = [
@@ -67,9 +53,6 @@ __all__ = [
     "StreamedResult",
     "StreamingExecutor",
     "OrderedDelivery",
-    "PoolJob",
-    "handle_failure",
-    "stream_pool",
 ]
 
 
@@ -77,10 +60,10 @@ __all__ = [
 class ShotChunk:
     """One streamed delivery: the trajectories of a completed unit of work.
 
-    A chunk covers whatever the executor finished together — one spec
-    (serial), one ``(B, 2**n)`` stack (vectorized), one worker slice
-    (parallel), one device shard (sharded) — already in final trajectory
-    order relative to neighbouring chunks.
+    A chunk covers whatever became deliverable together — one spec
+    (serial), one ``(B, 2**n)`` stack (vectorized), one or more pool
+    tasks (parallel, sharded) — already in final trajectory order
+    relative to neighbouring chunks.
     """
 
     trajectories: Tuple[TrajectoryResult, ...]
@@ -137,8 +120,8 @@ class StreamedResult:
         resolve one entropy seed up front), sufficient to replay the run
         exactly via ``run_ptsbe(..., seed=stream.seed)``.
     unique_preparations:
-        Distinct state preparations the run will perform (``None`` only
-        for ``"parallel"``, whose worker slices deduplicate separately).
+        Distinct state preparations the run will perform: its number of
+        dedup groups, on every strategy.
     retain:
         ``True`` (default) keeps every delivered trajectory so
         :meth:`finalize` stays free.  ``False`` drops chunks the moment
@@ -150,7 +133,7 @@ class StreamedResult:
         raises instead.
     recovery:
         Live list of :class:`~repro.faults.retry.RecoveryEvent` records —
-        every retry, rebin, and batch-halving the run performed so far.
+        every retry and batch-halving the run performed so far.
         Shared with the executor's delivery generator, so it grows as the
         stream is consumed; :meth:`finalize` snapshots it onto
         ``PTSBEResult.recovery``.  Empty for fault-free runs.
@@ -361,154 +344,3 @@ class OrderedDelivery:
     def outstanding(self) -> int:
         """Trajectories not yet delivered (buffered or still in flight)."""
         return self._total - self._next
-
-
-@dataclass
-class PoolJob:
-    """One retryable unit of pool work.
-
-    ``payload_for(attempt)`` builds the picklable payload for a given
-    attempt number — payloads carry ``(unit, attempt, plan)`` into the
-    worker so in-worker fault injection keys off the exact attempt being
-    run.  ``tag`` turns the worker's return value into
-    ``(position, TrajectoryResult)`` pairs (running in the parent, so it
-    may close over parent-side state).  ``meta`` is executor-private
-    context — the sharded strategy stashes ``(device, groups)`` here for
-    the rebin ladder.
-    """
-
-    unit: str
-    payload_for: Callable[[int], Any]
-    tag: Callable[[Any], Sequence[Tuple[int, TrajectoryResult]]]
-    meta: Any = None
-
-
-def handle_failure(
-    job: PoolJob,
-    attempt: int,
-    exc: BaseException,
-    ctx: FaultContext,
-    recovery: List[RecoveryEvent],
-    on_crash: Optional[Callable[[PoolJob, BaseException], Optional[List[PoolJob]]]] = None,
-) -> List[Tuple[PoolJob, int]]:
-    """Decide a failed job's fate: rebin, retry, or escalate.
-
-    Returns the ``(job, attempt)`` pairs to run next — the crash hook's
-    replacement jobs at attempt 0, or the same job at ``attempt + 1``
-    (after the deterministic backoff, with a ``"retry"`` event recorded).
-    Shared by :func:`stream_pool` and the sharded strategy's in-process
-    shard loop, so both recover identically.
-    """
-    if isinstance(exc, CapacityError):
-        # The worker's own halving ladder already bottomed out;
-        # repeating the identical allocation cannot help.
-        raise exc
-    if isinstance(exc, CancelledError):
-        raise ExecutionError(
-            f"work unit {job.unit!r} was cancelled before completing; "
-            "the run cannot be finalized"
-        ) from exc
-    if isinstance(exc, CRASH_EXCEPTIONS) and on_crash is not None:
-        replacements = on_crash(job, exc)
-        if replacements is not None:
-            return [(replacement, 0) for replacement in replacements]
-    if not ctx.policy.is_retryable(exc):
-        raise exc
-    next_attempt = attempt + 1
-    if next_attempt >= ctx.policy.max_attempts:
-        raise FaultError(
-            f"work unit {job.unit!r} failed after {next_attempt} "
-            f"attempt(s): {describe_exception(exc)}",
-            unit=job.unit,
-            attempts=next_attempt,
-        ) from exc
-    recovery.append(
-        RecoveryEvent(
-            kind="retry",
-            strategy=ctx.strategy,
-            unit=job.unit,
-            attempt=next_attempt,
-            error=describe_exception(exc),
-        )
-    )
-    ctx.sleep_backoff(job.unit, next_attempt)
-    return [(job, next_attempt)]
-
-
-def stream_pool(
-    jobs: Sequence[PoolJob],
-    worker: Callable[[Any], Any],
-    delivery: OrderedDelivery,
-    max_workers: int,
-    *,
-    ctx: FaultContext,
-    recovery: List[RecoveryEvent],
-    on_crash: Optional[Callable[[PoolJob, BaseException], Optional[List[PoolJob]]]] = None,
-) -> Iterator[List[TrajectoryResult]]:
-    """Fan ``jobs`` over a process pool; yield ordered ready chunks.
-
-    The shared pool-streaming loop of the ``"parallel"`` and ``"sharded"``
-    strategies, now the pool half of the fault-tolerance layer:
-
-    * a retryable failure (``ctx.policy``) resubmits the job with
-      ``attempt + 1`` after the deterministic backoff — seed threading
-      makes the re-run bitwise identical, and reissue-aware delivery
-      accounting absorbs any duplicate positions;
-    * a crash-class failure (injected ``WorkerCrashError`` or a real
-      ``BrokenProcessPool``) first consults ``on_crash`` — the sharded
-      strategy's rebin hook, returning replacement jobs for the dead
-      device's groups — before falling back to plain retry.  A broken
-      pool is torn down and recreated; jobs that were merely in flight
-      on it are resubmitted at their *current* attempt (they did not
-      fail, their substrate did);
-    * ``CancelledError`` escaping a future is translated into
-      :class:`~repro.errors.ExecutionError` naming the unit (the raw
-      stdlib exception carries no repro context);
-    * an exhausted retry budget raises
-      :class:`~repro.errors.FaultError` naming the unit and attempts,
-      with the last cause chained.
-
-    Abandoning the enclosing generator (``GeneratorExit`` propagating
-    through ``yield``) cancels unstarted jobs and shuts the pool down;
-    running ones finish and are discarded.
-    """
-    pool = ProcessPoolExecutor(max_workers=max_workers)
-    futures: Dict[Any, Tuple[PoolJob, int]] = {}
-    retry_classes = (BrokenProcessPool, CancelledError) + ctx.policy.retryable
-    try:
-        to_submit: List[Tuple[PoolJob, int]] = [(job, 0) for job in jobs]
-        while to_submit or futures:
-            for job, attempt in to_submit:
-                futures[pool.submit(worker, job.payload_for(attempt))] = (
-                    job,
-                    attempt,
-                )
-            to_submit = []
-            done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                job, attempt = futures.pop(future)
-                try:
-                    result = future.result()
-                except retry_classes as exc:
-                    if isinstance(exc, BrokenProcessPool):
-                        broken = True
-                    to_submit.extend(
-                        handle_failure(job, attempt, exc, ctx, recovery, on_crash)
-                    )
-                    continue
-                ready = delivery.add(job.tag(result), reissue=attempt > 0)
-                if ready:
-                    yield ready
-            if broken:
-                # The pool substrate died: every in-flight future is (or
-                # will be) poisoned with BrokenProcessPool.  Recreate the
-                # pool and resubmit survivors at their current attempt —
-                # their work never failed, only its substrate.
-                survivors = list(futures.values())
-                futures.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-                to_submit.extend(survivors)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)

@@ -366,9 +366,8 @@ class TensorNetExecutor(StreamingExecutor):
     max_bond / cutoff:
         Explicit truncation overrides; default resolves through the
         backend spec options, then ``Config.tensornet_max_bond`` /
-        ``Config.tensornet_cutoff`` (env hooks
-        ``REPRO_TENSORNET_MAX_BOND`` / ``REPRO_TENSORNET_CUTOFF``), then
-        ``Config.default_bond_dim`` / ``Config.svd_cutoff``.
+        ``Config.tensornet_cutoff``, then ``Config.default_bond_dim`` /
+        ``Config.svd_cutoff``.
     """
 
     def __init__(
@@ -439,7 +438,7 @@ class TensorNetExecutor(StreamingExecutor):
         engine = _MPSStackEngine(
             circuit, self._config, self.max_batch, self.max_bond, self.cutoff
         )
-        return drive(engine, circuit, specs, seed, retain)
+        return drive(lambda: engine, circuit, specs, seed, retain)
 
 
 class _MPSStackEngine:

@@ -130,7 +130,7 @@ class VectorizedExecutor(StreamingExecutor):
         engine = _StackEngine(
             self._make_backend(circuit.num_qubits), circuit, self.max_batch
         )
-        return drive(engine, circuit, specs, seed, retain)
+        return drive(lambda: engine, circuit, specs, seed, retain)
 
 
 class _StackEngine:

@@ -16,7 +16,6 @@ from repro.faults.plan import (
     parse_fault_plan,
 )
 from repro.faults.retry import (
-    CRASH_EXCEPTIONS,
     DEFAULT_RETRYABLE,
     FaultContext,
     RecoveryEvent,
@@ -31,7 +30,6 @@ __all__ = [
     "FaultPlan",
     "maybe_inject",
     "parse_fault_plan",
-    "CRASH_EXCEPTIONS",
     "DEFAULT_RETRYABLE",
     "FaultContext",
     "RecoveryEvent",

@@ -2,16 +2,15 @@
 
 A :class:`FaultPlan` describes *which* named faults fire at *which*
 instrumented sites of the execution layer.  The executors consult it
-through :func:`maybe_inject` at the top of every work unit (a parallel
-worker slice, a sharded device, one ``<engine>/stack`` unit of the shared
-driver); with
-no plan configured the hook is a single ``is None`` check, so the
-production path pays nothing.
+through :func:`maybe_inject` at the top of every work unit (one
+``<strategy>/stack`` task of the shared driver, in whichever process runs
+it); with no plan configured the hook is a single ``is None`` check, so
+the production path pays nothing.
 
 Two ways to target faults:
 
 * **Rules** — explicit :class:`FaultSpec` entries matching unit names by
-  ``fnmatch`` glob (``worker-crash`` at ``parallel/slice:0``,
+  ``fnmatch`` glob (``worker-crash`` at ``parallel/stack:0:1``,
   ``transient-backend`` at ``vectorized/stack:*``).  A rule fires on
   attempts ``0 .. times-1`` of a matching unit, so ``times=1`` (default)
   injects once and lets the retry succeed, while a large ``times``
@@ -23,18 +22,18 @@ Two ways to target faults:
   default retry policy — and the same seed reproduces the exact same
   fault pattern, which is what makes the chaos suite assertable.
 
-Plans are frozen and picklable: they travel to subprocess workers inside
-the payloads, so in-worker sites (the shard workers' stacked chunks)
-inject under the same plan as in-process sites.
+Plans are frozen and picklable: they travel to the pool workers of the
+``parallel`` and ``sharded`` strategies, where the hook fires inside the
+worker process under the same plan as an in-process site.
 
-Unit-name scheme (see ``docs/architecture.md`` for the full map)::
+Unit-name scheme — one, for all six strategies::
 
-    parallel/slice:{k}           one scheduled worker slice
-    sharded/shard:{device_id}    one device shard (suffix /rebin:{g} after rebinning)
-    vectorized/stack:{a}:{b}     one stacked-prep chunk over groups [a, b)
-    tensornet/stack:{a}:{b}      one batched-MPS chunk over groups [a, b)
-    serial/stack:{i}:{i+1}       one serial preparation (group i)
-    clifford/stack:{i}:{i+1}     one frame assembly (group i)
+    <strategy>/stack:{a}:{b}     one task over dedup groups [a, b)
+
+In-process a task is one prepared unit: ``max_rows`` groups for the
+stacked engines (``vectorized``, ``tensornet``, ``sharded``), one group
+(``stack:{i}:{i+1}``) for ``serial`` and ``clifford``.  Over a pool of
+``W`` workers it is ``ceil(groups / 4W)`` groups.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ __all__ = [
 #: The injectable fault kinds, mirroring the failure modes a pooled-device
 #: PTSBE service actually sees.
 FAULT_KINDS = (
-    "worker-crash",  # hard worker death -> WorkerCrashError (rebin/retry)
+    "worker-crash",  # hard worker death -> WorkerCrashError (retry)
     "transient-backend",  # recoverable backend hiccup -> BackendError (retry)
     "capacity",  # mid-run OOM -> CapacityError (batch-halving ladder)
     "slow-worker",  # straggler: the unit sleeps, then succeeds
@@ -180,7 +179,7 @@ def parse_fault_plan(text: str) -> Optional[FaultPlan]:
     * ``KIND@GLOB`` — a targeted rule, e.g.
       ``transient-backend@vectorized/stack:*``;
     * ``KIND@GLOB#N`` — the same rule hitting the first ``N`` attempts,
-      e.g. ``worker-crash@parallel/slice:0#2``;
+      e.g. ``worker-crash@parallel/stack:0:1#2``;
     * ``random:RATE`` or ``random:RATE:KIND,KIND`` — random mode, e.g.
       ``random:0.2:transient-backend,slow-worker``.
 

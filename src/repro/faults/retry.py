@@ -12,14 +12,15 @@ deduplication or fencing needed.  What this module adds on top:
   instead of wall-clock entropy, so even the *pauses* of a recovered run
   replay deterministically.
 * :class:`RecoveryEvent` — the structured record of one recovery action
-  (``retry`` / ``rebin`` / ``batch-halved``), surfaced on
+  (``retry`` / ``batch-halved``), surfaced on
   ``StreamedResult.recovery`` and ``PTSBEResult.recovery``.
-* :class:`FaultContext` — the (plan, policy, seed) triple the executors
-  thread through their delivery generators.
-* :func:`run_unit_with_retry` — the in-process retry driver used by
-  :func:`repro.execution.driver.drive` (every in-process engine) and the
-  single-worker fast path; the process-pool equivalent lives in
-  :func:`repro.execution.streaming.stream_pool`.
+* :class:`FaultContext` — the (plan, policy, seed) triple of one run, and
+  the retry rule itself (:meth:`FaultContext.next_attempt`: classify,
+  check the budget, record the event, back off).
+  :func:`repro.execution.driver.drive` applies it to a failed task whether
+  the task ran in-process or came back from a pool worker.
+* :func:`run_unit_with_retry` — the same rule as a blocking loop around
+  one callable.
 
 ``CapacityError`` is deliberately *not* retryable even though it
 subclasses ``BackendError``: repeating the identical allocation would
@@ -61,13 +62,6 @@ __all__ = [
 #: on purpose — cancellation means the *consumer* abandoned the run.
 DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
     BackendError,
-    WorkerCrashError,
-    BrokenProcessPool,
-)
-
-#: Crash-class exceptions: the worker (not the work) died.  These trigger
-#: the sharded rebin ladder before falling back to plain retry.
-CRASH_EXCEPTIONS: Tuple[Type[BaseException], ...] = (
     WorkerCrashError,
     BrokenProcessPool,
 )
@@ -139,22 +133,21 @@ class RecoveryEvent:
     Attributes
     ----------
     kind:
-        ``"retry"`` (unit re-run after a retryable failure), ``"rebin"``
-        (a dead device's groups redistributed across survivors), or
-        ``"batch-halved"`` (a stacked-prep chunk split after a
+        ``"retry"`` (unit re-run after a retryable failure) or
+        ``"batch-halved"`` (a unit split in two after a
         ``CapacityError``).
     strategy:
         Executor that recovered (``"parallel"``, ``"sharded"``, ...).
     unit:
-        The instrumented unit name (``parallel/slice:0``,
-        ``sharded/shard:1``, ``vectorized/stack:0:64``, ...).
+        The instrumented unit name, ``<strategy>/stack:<a>:<b>`` on every
+        strategy (``serial/stack:3:4``, ``sharded/stack:0:64``, ...).
     attempt:
         The retry attempt this event initiated (1-based); ``0`` for
-        non-retry ladders (rebin, batch-halved).
+        ``batch-halved``.
     error:
         Compact description of the triggering exception.
     detail:
-        Ladder-specific extras (surviving devices, new chunk bounds).
+        The two group ranges a halved unit was split into.
     """
 
     kind: str
@@ -187,10 +180,44 @@ class FaultContext:
         policy = getattr(config, "retry", None) or RetryPolicy()
         return cls(plan=plan, policy=policy, seed=int(seed), strategy=strategy)
 
-    def sleep_backoff(self, unit: str, attempt: int) -> None:
+    def next_attempt(
+        self,
+        unit: str,
+        attempt: int,
+        exc: BaseException,
+        recovery: List[RecoveryEvent],
+    ) -> int:
+        """The retry rule: ``unit`` failed ``attempt`` with ``exc`` — what now?
+
+        Re-raises ``exc`` when the policy does not retry its class (never
+        ``CapacityError``), raises :class:`~repro.errors.FaultError`
+        naming the unit once the budget is spent, and otherwise records a
+        ``"retry"`` event, sleeps the deterministic backoff and returns
+        the attempt number to run next.
+        """
+        if not self.policy.is_retryable(exc):
+            raise exc
+        attempt += 1
+        if attempt >= self.policy.max_attempts:
+            raise FaultError(
+                f"work unit {unit!r} failed after {attempt} attempt(s): "
+                f"{describe_exception(exc)}",
+                unit=unit,
+                attempts=attempt,
+            ) from exc
+        recovery.append(
+            RecoveryEvent(
+                kind="retry",
+                strategy=self.strategy,
+                unit=unit,
+                attempt=attempt,
+                error=describe_exception(exc),
+            )
+        )
         delay = self.policy.backoff_seconds(self.seed, unit, attempt)
         if delay > 0.0:
             time.sleep(delay)
+        return attempt
 
 
 def run_unit_with_retry(
@@ -199,47 +226,21 @@ def run_unit_with_retry(
     unit: str,
     ctx: FaultContext,
     recovery: List[RecoveryEvent],
-    inject: bool = True,
 ) -> Any:
     """Run one work unit under the retry policy; return its result.
 
-    ``fn(attempt)`` performs the unit's work.  With ``inject=True`` the
-    fault hook fires here before each attempt; executors whose workers
-    inject internally (payloads carry the plan into the subprocess) pass
-    ``inject=False`` so a fault fires exactly once per attempt.
-
-    ``CapacityError`` always propagates (the caller's batch-halving
-    ladder owns it); other retryable failures re-run ``fn`` after a
-    deterministic backoff, appending a ``"retry"`` event per re-run,
-    until the policy's budget is exhausted — then a
-    :class:`~repro.errors.FaultError` chains the last cause.
+    ``fn(attempt)`` performs the unit's work; the fault hook fires before
+    each attempt.  ``CapacityError`` always propagates (the caller's
+    halving ladder owns it); other failures go through
+    :meth:`FaultContext.next_attempt` until ``fn`` returns or the budget
+    is spent.
     """
     attempt = 0
     while True:
         try:
-            if inject:
-                maybe_inject(ctx.plan, unit, attempt, ctx.seed)
+            maybe_inject(ctx.plan, unit, attempt, ctx.seed)
             return fn(attempt)
         except CapacityError:
             raise
         except ctx.policy.retryable as exc:
-            if not ctx.policy.is_retryable(exc):
-                raise
-            attempt += 1
-            if attempt >= ctx.policy.max_attempts:
-                raise FaultError(
-                    f"work unit {unit!r} failed after {attempt} attempt(s): "
-                    f"{describe_exception(exc)}",
-                    unit=unit,
-                    attempts=attempt,
-                ) from exc
-            recovery.append(
-                RecoveryEvent(
-                    kind="retry",
-                    strategy=ctx.strategy,
-                    unit=unit,
-                    attempt=attempt,
-                    error=describe_exception(exc),
-                )
-            )
-            ctx.sleep_backoff(unit, attempt)
+            attempt = ctx.next_attempt(unit, attempt, exc, recovery)

@@ -115,7 +115,7 @@ class ERR001SwallowedFailure(FileRule):
     id = "ERR001"
     title = "failure swallowed or caught too broadly on an execution path"
     rationale = (
-        "Retry, rebin, and batch-halving only trigger when failures "
+        "Retry and batch-halving only trigger when failures "
         "surface as typed ReproError subclasses; a broad or silent "
         "except hides faults from the recovery ladder and from the "
         "run's RecoveryEvent record."
@@ -150,7 +150,7 @@ class ERR001SwallowedFailure(FileRule):
                 ctx,
                 handler,
                 f"'except {broad[0]}' without a re-raise hides failures "
-                f"from the retry/rebin ladder; catch the typed error or "
+                f"from the retry/halving ladder; catch the typed error or "
                 f"translate into ExecutionError with unit context",
             )
         swallowed = sorted(set(names) & REPRO_ERROR_NAMES)

@@ -4,8 +4,8 @@ The six strategies stay interchangeable because each executor behind
 ``STRATEGY_BUILDERS`` implements the same surface: an ``execute_stream``
 that accepts the threaded root ``seed`` and the ``retain`` knob, and an
 engine name equal to its registry key on the streamed results, so routing
-decisions are auditable (``result.engine`` / ``result.routing``).  The
-in-process engines get the loop itself from
+decisions are auditable (``result.engine`` / ``result.routing``).  Every
+engine gets the loop itself — in-process or over a pool — from
 ``repro.execution.driver.drive`` (whose ``Engine`` protocol mypy checks);
 what is left to check statically is the part that spans modules — a new
 strategy can pass its own tests while silently breaking
@@ -19,11 +19,13 @@ strategy can pass its own tests while silently breaking
 3. in the class's module, require ``execute_stream`` to exist, to accept
    ``seed`` and ``retain`` parameters, and require the module to declare
    the registry key as its engine name: an ``Engine`` adapter's
-   class-level ``name = "<strategy>"`` (which ``drive`` stamps on the
-   results), or — the fan-out wrappers, which build their own
-   ``StreamedResult`` — an ``engine="<strategy>"`` keyword;
+   class-level ``name = "<strategy>"``, which ``drive`` stamps on the
+   results;
 4. require the dispatch site to attach the routing trail
-   (an ``<stream>.routing = ...`` assignment in ``execution/batched.py``).
+   (an ``<stream>.routing = ...`` assignment in ``execution/batched.py``);
+5. allow ``StreamedResult(...)`` to be constructed under ``execution/``
+   only in ``execution/driver.py``: an executor that builds its own has
+   left the shared loop (its retry, ordering and cleanup with it).
 
 On trees without ``execution/batched.py`` (not a repro-shaped source
 root) the rule is silent.
@@ -40,6 +42,7 @@ from repro.lint.framework import Project, ProjectRule, register
 __all__ = ["STRAT001ExecutorContract"]
 
 DISPATCH_MODULE = "execution/batched.py"
+DRIVER_MODULE = "execution/driver.py"
 TABLE_NAME = "STRATEGY_BUILDERS"
 REQUIRED_PARAMS = ("seed", "retain")
 
@@ -126,19 +129,26 @@ def _param_names(func: ast.FunctionDef) -> List[str]:
 
 
 def _module_records_engine(tree: ast.Module, engine: str) -> bool:
-    """Is ``engine`` assigned to a ``name`` or passed as an ``engine=`` keyword?"""
+    """Does some adapter in the module declare ``name = "<engine>"``?"""
     for node in ast.walk(tree):
-        if isinstance(node, ast.keyword) and node.arg == "engine":
-            value = node.value
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "name" for t in node.targets
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "name" for t in node.targets)
+            and isinstance(node.value, ast.Constant)
+            and node.value.value == engine
         ):
-            value = node.value
-        else:
-            continue
-        if isinstance(value, ast.Constant) and value.value == engine:
             return True
     return False
+
+
+def _streamed_result_calls(tree: ast.Module) -> List[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "StreamedResult"
+    ]
 
 
 def _dispatch_attaches_routing(tree: ast.Module) -> bool:
@@ -158,10 +168,10 @@ class STRAT001ExecutorContract(ProjectRule):
     title = "registered strategy violates the executor contract"
     rationale = (
         "Every engine behind STRATEGY_BUILDERS must expose "
-        "execute_stream(seed=..., retain=...) and name its engine after "
-        "its registry key (an adapter's name, or an engine= keyword); the "
-        "strategies are only interchangeable (and routing decisions only "
-        "auditable) while that holds."
+        "execute_stream(seed=..., retain=...), name its adapter after its "
+        "registry key, and leave building the StreamedResult to "
+        "execution/driver.py; the strategies are only interchangeable "
+        "(and routing decisions only auditable) while that holds."
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:
@@ -200,6 +210,26 @@ class STRAT001ExecutorContract(ProjectRule):
             )
         for strategy, builder_name in sorted(table.items()):
             yield from self._check_strategy(project, table_node, strategy, builder_name)
+        for relpath in project.files():
+            if not relpath.startswith("execution/") or relpath == DRIVER_MODULE:
+                continue
+            module_ctx = project.context_for(relpath)
+            if module_ctx is None:
+                continue
+            for call in _streamed_result_calls(module_ctx.tree):
+                yield Finding(
+                    rule=self.id,
+                    path=relpath,
+                    line=call.lineno,
+                    column=call.col_offset,
+                    message=(
+                        f"StreamedResult constructed outside {DRIVER_MODULE}: "
+                        f"return drive(...) so the run gets the shared retry, "
+                        f"ordering and cleanup"
+                    ),
+                    scope=module_ctx.scope_of(call),
+                    text=module_ctx.line_text(call.lineno),
+                )
 
     def _check_strategy(
         self,
@@ -286,8 +316,8 @@ class STRAT001ExecutorContract(ProjectRule):
                 column=cls.col_offset,
                 message=(
                     f"module never records engine='{strategy}' (no adapter "
-                    f"with name = '{strategy}', no engine= keyword): routing "
-                    f"decisions must be auditable via result.engine"
+                    f"with name = '{strategy}'): routing decisions must be "
+                    f"auditable via result.engine"
                 ),
                 scope=class_name,
                 text=module_ctx.line_text(cls.lineno),

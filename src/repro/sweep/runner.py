@@ -79,7 +79,7 @@ class StrategyOutcome:
     chunks: int
     equivalent: Optional[bool]  # None for the reference strategy itself
     stream_ok: Optional[bool]  # None when the streaming tier is disabled
-    #: Recovery actions (retries, rebins, batch halvings) the run took;
+    #: Recovery actions (retries, batch halvings) the run took;
     #: 0 for fault-free runs.  Under an injected REPRO_FAULTS plan a
     #: passing cell with ``recovery > 0`` is the chaos-smoke evidence:
     #: faults fired *and* the oracle still held.

@@ -1,13 +1,15 @@
 """The shared execution driver: one replay harness for every strategy.
 
-``repro.execution.driver.drive`` is the single in-process delivery loop
-behind the serial, vectorized, clifford and tensornet executors (and,
-through their workers, behind parallel and sharded).  Each contract below
-is checked once, parametrised over the strategies it applies to, instead
-of once per engine module.
+``repro.execution.driver.drive`` is the single delivery loop behind all
+six executors — in-process for serial, vectorized, clifford and tensornet,
+over a process pool for parallel and sharded.  Each contract below is
+checked once, parametrised over the strategies it applies to, instead of
+once per engine module.
 """
 
 import hashlib
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.channels import NoiseModel, depolarizing
 from repro.channels.standard import amplitude_damping, bit_flip
 from repro.circuits import Circuit
 from repro.config import Config
+from repro.devices import Device
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
@@ -27,7 +30,9 @@ from repro.execution import (
     VectorizedExecutor,
     run_ptsbe,
 )
-from repro.execution import batched, clifford, tensornet, vectorized
+from repro.execution import (
+    batched, clifford, driver, parallel, sharded, tensornet, vectorized,
+)
 from repro.execution.driver import Engine
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.pts import ProbabilisticPTS, TrajectorySpec
@@ -37,11 +42,13 @@ from repro.trajectory.events import KrausEvent, TrajectoryRecord
 FAST_RETRY = RetryPolicy(backoff_base=0.0, jitter=False)
 
 STRATEGIES = ["serial", "parallel", "vectorized", "sharded", "clifford", "tensornet"]
-#: The strategies whose executor calls ``drive`` itself.
+#: The strategies that run in-process however they are configured.
 ENGINES = ["serial", "vectorized", "clifford", "tensornet"]
 ADAPTERS = {
     "serial": (batched, "_SerialEngine"),
+    "parallel": (parallel, "_ParallelEngine"),
     "vectorized": (vectorized, "_StackEngine"),
+    "sharded": (sharded, "_ShardEngine"),
     "clifford": (clifford, "_FrameEngine"),
     "tensornet": (tensornet, "_MPSStackEngine"),
 }
@@ -84,7 +91,8 @@ def make_executor(strategy, config=None):
         return VectorizedExecutor(BackendSpec.batched_statevector(**options), max_batch=2)
     if strategy == "sharded":
         return ShardedExecutor(
-            BackendSpec.batched_statevector(**options), devices=2, max_batch=4
+            BackendSpec.batched_statevector(**options), devices=2, max_batch=4,
+            num_workers=2,
         )
     if strategy == "clifford":
         return CliffordFrameExecutor(BackendSpec.statevector(**options))
@@ -115,11 +123,11 @@ def test_streamed_chunks_concatenate_to_the_finalized_table(circuit, specs, stra
     assert firsts == sorted(firsts)  # ordered delivery
     result = stream.finalize()
     assert result.engine == strategy
-    assert result.unique_preparations in (None, len(specs))  # None: parallel
+    assert result.unique_preparations == len(specs)  # global, on a pool too
     assert_same_table(ShotTable.concatenate(tables), result)
 
 
-@pytest.mark.parametrize("strategy", ENGINES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_close_before_first_chunk_releases_the_engine(
     circuit, specs, strategy, monkeypatch
 ):
@@ -129,11 +137,78 @@ def test_close_before_first_chunk_releases_the_engine(
         getattr(module, adapter), "release", lambda self: released.append(self)
     )
     stream = make_executor(strategy).execute_stream(circuit, specs, seed=21)
-    released.clear()  # an adapter may reset itself through release() when built
+    # An adapter may reset itself through release() when built, and the
+    # driver releases the parent's copy of a pooled engine straight away.
+    released.clear()
     stream.close()
     assert len(released) == 1 and isinstance(released[0], Engine)
     stream.close()  # idempotent: no second release
     assert len(released) == 1
+    assert multiprocessing.active_children() == []  # no pool was ever started
+
+
+def _devices(kind):
+    if kind == "heterogeneous":
+        # The small one holds two 5-qubit complex128 rows plus workspace.
+        return [Device(0, memory_bytes=2 * 2 * 512, name="small"), Device(1, 80 * 10**9)]
+    return kind
+
+
+@pytest.mark.parametrize("num_workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "strategy,max_batch,devices",
+    [("parallel", None, None)]
+    + [
+        ("sharded", max_batch, devices)
+        for max_batch in (None, 1, 3)
+        for devices in (1, 3, "heterogeneous")
+    ],
+)
+def test_any_worker_count_batch_and_device_pool_gives_the_serial_table(
+    circuit, specs, strategy, num_workers, max_batch, devices
+):
+    if strategy == "parallel":
+        executor = ParallelExecutor(num_workers=num_workers)
+    else:
+        executor = ShardedExecutor(
+            devices=_devices(devices), max_batch=max_batch, num_workers=num_workers
+        )
+    stream = executor.execute_stream(circuit, specs, seed=21)
+    tables = [chunk.shot_table() for chunk in stream]
+    result = stream.finalize()
+    assert_same_table(ShotTable.concatenate(tables), result)
+    assert_same_table(BatchedExecutor().execute(circuit, specs, seed=21), result)
+    assert result.records == [spec.record for spec in specs]
+    assert result.unique_preparations == len(specs) and result.recovery == []
+
+
+def test_a_consumer_that_stops_pulling_stops_the_pool(circuit, specs, monkeypatch):
+    # Two workers split the groups into ~8 tasks.  Every task but the first
+    # stalls (the glob skips unit names starting "stack:0"), so the first
+    # chunk is the first completion: exactly the initial window has been
+    # submitted.
+    step = -(-len(specs) // 8)
+    tasks = [(a, min(a + step, len(specs)), 0) for a in range(0, len(specs), step)]
+    assert len(tasks) > 4
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            started.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(driver, "ProcessPoolExecutor", CountingPool)
+    plan = FaultPlan(
+        rules=(FaultSpec("slow-worker", "parallel/stack:[!0]*"),), slow_seconds=0.3
+    )
+    executor = ParallelExecutor(BackendSpec.statevector(config=Config(fault_plan=plan)))
+    stream = executor.execute_stream(circuit, specs, seed=21)
+    first = next(stream)
+    assert first.num_trajectories == step
+    assert started == tasks[:4]  # 2 * workers
+    stream.close()
+    assert started == tasks[:4]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("strategy", ["serial", "clifford"])
@@ -233,7 +308,7 @@ def test_clifford_shot_table_matches_the_pre_driver_golden_digest(circuit):
     assert digest.hexdigest() == CLIFFORD_GOLDEN
 
 
-@pytest.mark.parametrize("strategy", ENGINES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_adapters_satisfy_the_engine_protocol(circuit, specs, strategy, monkeypatch):
     module, adapter = ADAPTERS[strategy]
     built = []

@@ -1,4 +1,4 @@
-"""Batched execution: results containers, the BE engine, scheduling."""
+"""Batched execution: results containers, the BE engine, the process fan-out."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.execution import (
     run_ptsbe,
 )
 from repro.execution.results import pack_bits
-from repro.execution.scheduler import Scheduler, greedy_by_cost, round_robin
 from repro.pts import ProbabilisticPTS, TrajectorySpec
 from repro.rng import make_rng
 from repro.trajectory.events import TrajectoryRecord
@@ -135,35 +134,6 @@ class TestRunPTSBE:
         result = run_ptsbe(noisy_ghz3, ProbabilisticPTS(nsamples=100, nshots=500), seed=2)
         pooled = result.pooled_distribution()
         assert pooled.sum() == pytest.approx(1.0)
-
-
-class TestScheduler:
-    def test_round_robin_distribution(self):
-        specs = [_spec(i, 10) for i in range(10)]
-        assign = round_robin(specs, 3)
-        assert [len(c) for c in assign.per_device] == [4, 3, 3]
-
-    def test_greedy_balances_skewed_load(self):
-        specs = [_spec(0, 1_000_000)] + [_spec(i, 10) for i in range(1, 10)]
-        rr = round_robin(specs, 2)
-        greedy = greedy_by_cost(specs, 2)
-        assert greedy.makespan <= rr.makespan
-        # Greedy puts the giant spec alone-ish: imbalance near optimal.
-        assert greedy.imbalance() < 2.0
-
-    def test_greedy_spreads_equal_specs(self):
-        specs = [_spec(i, 100) for i in range(8)]
-        assign = greedy_by_cost(specs, 4)
-        assert [len(c) for c in assign.per_device] == [2, 2, 2, 2]
-
-    def test_invalid_device_count(self):
-        with pytest.raises(ExecutionError):
-            round_robin([], 0)
-
-    def test_scheduler_policy_lookup(self):
-        assert Scheduler("greedy").assign([_spec(0, 1)], 2).num_devices == 2
-        with pytest.raises(ExecutionError):
-            Scheduler("nope")
 
 
 class TestParallelExecutor:

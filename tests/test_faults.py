@@ -10,9 +10,11 @@ what makes retry exactly-once-equivalent; these tests are the proof.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -28,9 +30,11 @@ from repro.errors import (
     SamplingError,
     WorkerCrashError,
 )
-from repro.execution import BackendSpec, run_ptsbe, run_ptsbe_stream
+from repro.execution import BackendSpec, ParallelExecutor, run_ptsbe, run_ptsbe_stream
+from repro.execution.batched import _SerialEngine
+from repro.execution.driver import drive
 from repro.execution.results import TrajectoryResult
-from repro.execution.streaming import OrderedDelivery, PoolJob, stream_pool
+from repro.execution.streaming import OrderedDelivery
 from repro.faults import (
     FaultContext,
     FaultPlan,
@@ -80,13 +84,21 @@ def _pts(nsamples=24, nshots=240):
     return ProbabilisticPTS(nsamples=nsamples, nshots=nshots)
 
 
-def _run(circuit, strategy, plan=None, fusion="auto", seed=SEED, retry=FAST_RETRY):
-    """One run_ptsbe call with the plan threaded through Config."""
+def _run(
+    circuit, strategy, plan=None, fusion="auto", seed=SEED, retry=FAST_RETRY, nsamples=24
+):
+    """One run_ptsbe call with the plan threaded through Config.
+
+    Both fan-out strategies run on two worker processes, so their faults
+    fire inside the workers.  The default sampler yields <= 8 dedup
+    groups, which the driver turns into one single-group task each
+    (``<strategy>/stack:i:i+1``).
+    """
     cfg = Config(fault_plan=plan, retry=retry, fusion=fusion)
     if strategy == "parallel":
         return run_ptsbe(
             circuit,
-            _pts(),
+            _pts(nsamples),
             seed=seed,
             strategy="parallel",
             backend=BackendSpec.statevector(config=cfg),
@@ -95,16 +107,16 @@ def _run(circuit, strategy, plan=None, fusion="auto", seed=SEED, retry=FAST_RETR
     if strategy == "sharded":
         return run_ptsbe(
             circuit,
-            _pts(),
+            _pts(nsamples),
             seed=seed,
             strategy="sharded",
             backend=BackendSpec.batched_statevector(config=cfg),
-            executor_kwargs={"devices": 2},
+            executor_kwargs={"devices": 2, "num_workers": 2},
         )
     if strategy == "vectorized":
         return run_ptsbe(
             circuit,
-            _pts(),
+            _pts(nsamples),
             seed=seed,
             strategy="vectorized",
             backend=BackendSpec.batched_statevector(config=cfg),
@@ -113,7 +125,7 @@ def _run(circuit, strategy, plan=None, fusion="auto", seed=SEED, retry=FAST_RETR
     if strategy == "tensornet":
         return run_ptsbe(
             circuit,
-            _pts(),
+            _pts(nsamples),
             seed=seed,
             strategy="tensornet",
             executor_kwargs={"config": cfg},
@@ -134,26 +146,26 @@ def _kinds(result):
 # --------------------------------------------------------------------- #
 class TestFaultPlan:
     def test_rule_matches_glob_and_times(self):
-        spec = FaultSpec("transient-backend", "parallel/slice:*", times=2)
-        assert spec.matches("parallel/slice:3", 0)
-        assert spec.matches("parallel/slice:3", 1)
-        assert not spec.matches("parallel/slice:3", 2)
-        assert not spec.matches("sharded/shard:0", 0)
+        spec = FaultSpec("transient-backend", "parallel/stack:*", times=2)
+        assert spec.matches("parallel/stack:3:4", 0)
+        assert spec.matches("parallel/stack:3:4", 1)
+        assert not spec.matches("parallel/stack:3:4", 2)
+        assert not spec.matches("sharded/stack:0:1", 0)
 
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "parallel/slice:1"),
-                FaultSpec("transient-backend", "parallel/slice:*"),
+                FaultSpec("worker-crash", "parallel/stack:1:2"),
+                FaultSpec("transient-backend", "parallel/stack:*"),
             )
         )
-        assert plan.fault_at("parallel/slice:1", 0, seed=1) == "worker-crash"
-        assert plan.fault_at("parallel/slice:0", 0, seed=1) == "transient-backend"
+        assert plan.fault_at("parallel/stack:1:2", 0, seed=1) == "worker-crash"
+        assert plan.fault_at("parallel/stack:0:1", 0, seed=1) == "transient-backend"
         assert plan.fault_at("vectorized/stack:0:4", 0, seed=1) is None
 
     def test_random_mode_is_seed_deterministic(self):
         plan = FaultPlan(rate=0.5, kinds=("transient-backend", "capacity"))
-        sites = [f"parallel/slice:{k}" for k in range(32)]
+        sites = [f"parallel/stack:{k}:{k + 1}" for k in range(32)]
         first = [plan.fault_at(site, 0, seed=11) for site in sites]
         second = [plan.fault_at(site, 0, seed=11) for site in sites]
         assert first == second
@@ -164,8 +176,8 @@ class TestFaultPlan:
 
     def test_random_mode_only_hits_attempt_zero(self):
         plan = FaultPlan(rate=1.0)
-        assert plan.fault_at("parallel/slice:0", 0, seed=3) is not None
-        assert plan.fault_at("parallel/slice:0", 1, seed=3) is None
+        assert plan.fault_at("parallel/stack:0:1", 0, seed=3) is not None
+        assert plan.fault_at("parallel/stack:0:1", 1, seed=3) is None
 
     def test_maybe_inject_exception_classes(self):
         for kind, exc_type in [
@@ -200,10 +212,10 @@ class TestFaultPlan:
 
     def test_parse_round_trip(self):
         plan = parse_fault_plan(
-            "worker-crash@parallel/slice:1; transient-backend@sharded/*#2"
+            "worker-crash@parallel/stack:1:2; transient-backend@sharded/*#2"
         )
         assert plan.rules == (
-            FaultSpec("worker-crash", "parallel/slice:1"),
+            FaultSpec("worker-crash", "parallel/stack:1:2"),
             FaultSpec("transient-backend", "sharded/*", times=2),
         )
         assert plan.rate == 0.0
@@ -239,10 +251,10 @@ class TestFaultPlan:
         assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_env_var_threads_into_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "transient-backend@parallel/slice:0")
+        monkeypatch.setenv("REPRO_FAULTS", "transient-backend@parallel/stack:0:1")
         cfg = Config()
         assert cfg.fault_plan == FaultPlan(
-            rules=(FaultSpec("transient-backend", "parallel/slice:0"),)
+            rules=(FaultSpec("transient-backend", "parallel/stack:0:1"),)
         )
         monkeypatch.setenv("REPRO_FAULTS", "")
         assert Config().fault_plan is None
@@ -376,16 +388,16 @@ class TestBitwiseRecovery:
     def test_parallel_crash_and_transient(self, ghz, fusion):
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "parallel/slice:1"),
-                FaultSpec("transient-backend", "parallel/slice:0"),
+                FaultSpec("worker-crash", "parallel/stack:1:2"),
+                FaultSpec("transient-backend", "parallel/stack:0:1"),
             )
         )
         clean = _run(ghz, "parallel", fusion=fusion)
         faulty = _run(ghz, "parallel", plan=plan, fusion=fusion)
         assert sorted(_kinds(faulty)) == ["retry", "retry"]
         assert {e.unit for e in faulty.recovery} == {
-            "parallel/slice:0",
-            "parallel/slice:1",
+            "parallel/stack:0:1",
+            "parallel/stack:1:2",
         }
         assert np.array_equal(_bits(clean), _bits(faulty))
 
@@ -415,37 +427,52 @@ class TestBitwiseRecovery:
         assert "split into" in faulty.recovery[0].detail
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    def test_sharded_crash_rebins_bitwise(self, ghz):
+    def test_sharded_crash_and_transient_recover_bitwise(self, ghz):
+        # A crashed worker's task goes back to the pool like any other
+        # failed task: two retries, no other kind of event.
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "sharded/shard:0"),
-                FaultSpec("transient-backend", "sharded/shard:1"),
+                FaultSpec("worker-crash", "sharded/stack:0:1"),
+                FaultSpec("transient-backend", "sharded/stack:1:2"),
             )
         )
         clean = _run(ghz, "sharded")
         faulty = _run(ghz, "sharded", plan=plan)
-        assert sorted(_kinds(faulty)) == ["rebin", "retry"]
-        rebin = next(e for e in faulty.recovery if e.kind == "rebin")
-        assert rebin.unit == "sharded/shard:0"
-        assert "surviving device" in rebin.detail
+        assert sorted((e.kind, e.unit, e.attempt) for e in faulty.recovery) == [
+            ("retry", "sharded/stack:0:1", 1),
+            ("retry", "sharded/stack:1:2", 1),
+        ]
+        assert "WorkerCrashError" in faulty.recovery[0].error + faulty.recovery[1].error
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    def test_sharded_inner_capacity_halving_bitwise(self, ghz):
-        # Discover the inner stacked-chunk unit, then OOM exactly it: the
-        # fault fires inside the shard worker subprocess and the halving
-        # happens there too, proving plans travel into workers.
-        probe_plan = FaultPlan(
-            rules=(FaultSpec("transient-backend", "vectorized/stack:*"),)
-        )
-        probe = _run(ghz, "sharded", plan=probe_plan)
-        inner = probe.recovery[0].unit.split("/", 2)[-1]  # vectorized/stack:a:b
-        clean = _run(ghz, "sharded")
+    def test_sharded_inner_capacity_halving_bitwise(self, brickwork):
+        # 26 dedup groups on two workers make 4-group tasks.  OOM exactly
+        # the first: the fault fires inside the worker process (the plan
+        # travels there), the parent halves the task, and the halves —
+        # different unit names — go back to the pool.
+        clean = _run(brickwork, "sharded", nsamples=200)
         faulty = _run(
-            ghz, "sharded", plan=FaultPlan(rules=(FaultSpec("capacity", inner),))
+            brickwork,
+            "sharded",
+            plan=FaultPlan(rules=(FaultSpec("capacity", "sharded/stack:0:4"),)),
+            nsamples=200,
         )
-        halved = [e for e in faulty.recovery if e.kind == "batch-halved"]
-        assert halved and all("split into" in e.detail for e in halved)
-        assert all(e.unit.startswith("sharded/shard:") for e in halved)
+        (halved,) = faulty.recovery
+        assert (halved.kind, halved.unit) == ("batch-halved", "sharded/stack:0:4")
+        assert halved.detail == "split into stack:0:2 and stack:2:4"
+        assert np.array_equal(_bits(clean), _bits(faulty))
+
+    @pytest.mark.parametrize("strategy", ["parallel", "sharded"])
+    def test_in_worker_transient_faults_reach_the_result(self, ghz, strategy):
+        # Regression: parallel's workers used to retry faults at their own
+        # sites and return only the trajectories, so the run recorded none.
+        plan = FaultPlan(rules=(FaultSpec("transient-backend", f"{strategy}/stack:*"),))
+        clean = _run(ghz, strategy)
+        faulty = _run(ghz, strategy, plan=plan)
+        units = [f"{strategy}/stack:{i}:{i + 1}" for i in range(clean.unique_preparations)]
+        assert sorted((e.kind, e.unit) for e in faulty.recovery) == [
+            ("retry", unit) for unit in units
+        ]
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     @pytest.mark.parametrize("kind", ["transient-backend", "worker-crash"])
@@ -463,11 +490,11 @@ class TestBitwiseRecovery:
         pooled/stacked strategy with fault-free-identical tables."""
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "parallel/slice:1"),
-                FaultSpec("worker-crash", "sharded/shard:0"),
+                FaultSpec("worker-crash", "parallel/stack:1:2"),
+                FaultSpec("worker-crash", "sharded/stack:0:1"),
                 FaultSpec("worker-crash", "tensornet/stack:*"),
-                FaultSpec("transient-backend", "parallel/slice:0"),
-                FaultSpec("transient-backend", "sharded/shard:1"),
+                FaultSpec("transient-backend", "parallel/stack:0:1"),
+                FaultSpec("transient-backend", "sharded/stack:1:2"),
                 FaultSpec("capacity", "vectorized/stack:0:3"),
             )
         )
@@ -483,10 +510,10 @@ class TestBitwiseRecovery:
         clean = _run(ghz, "parallel")
         faulty = _run(ghz, "parallel", plan=plan)
         again = _run(ghz, "parallel", plan=plan)
-        assert _kinds(faulty)  # 4 slices at rate 0.8: some fault fired
-        # Pool workers append events in completion order, which thread
-        # scheduling may permute — the deterministic contract is the
-        # fault *set* (and the bits), not the diagnostic ordering.
+        assert _kinds(faulty)  # 4 tasks at rate 0.8: some fault fired
+        # Events are appended as tasks come back from the pool, which
+        # process scheduling may permute — the deterministic contract is
+        # the fault *set* (and the bits), not the diagnostic ordering.
         assert sorted((e.unit, e.kind, e.attempt) for e in faulty.recovery) == sorted(
             (e.unit, e.kind, e.attempt) for e in again.recovery
         )
@@ -499,7 +526,7 @@ class TestBitwiseRecovery:
     def test_stream_and_result_share_recovery(self, ghz):
         cfg = Config(
             fault_plan=FaultPlan(
-                rules=(FaultSpec("transient-backend", "parallel/slice:*"),)
+                rules=(FaultSpec("transient-backend", "parallel/stack:*"),)
             ),
             retry=FAST_RETRY,
         )
@@ -514,7 +541,7 @@ class TestBitwiseRecovery:
         result = stream.finalize()
         assert result.recovery == stream.recovery
         assert all(isinstance(e, RecoveryEvent) for e in result.recovery)
-        assert len(result.recovery) == 2  # one retry per worker slice
+        assert len(result.recovery) == result.unique_preparations  # one retry per task
 
 
 # --------------------------------------------------------------------- #
@@ -531,9 +558,9 @@ class TestDegradation:
 
     def test_retry_budget_exhaustion(self, ghz):
         plan = FaultPlan(
-            rules=(FaultSpec("transient-backend", "parallel/slice:0", times=99),)
+            rules=(FaultSpec("transient-backend", "parallel/stack:0:1", times=99),)
         )
-        with pytest.raises(FaultError, match="parallel/slice:0") as info:
+        with pytest.raises(FaultError, match="parallel/stack:0:1") as info:
             _run(
                 ghz,
                 "parallel",
@@ -543,11 +570,13 @@ class TestDegradation:
         assert info.value.attempts == 2
 
     def test_sharded_all_devices_dead(self, ghz):
-        # The glob also matches rebinned units, so devices die one after
-        # another until no survivor remains.
-        plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/shard:*", times=99),))
-        with pytest.raises(FaultError, match="no devices survive"):
+        # Whichever worker picks a task up dies with it, every time: the
+        # first task to spend its budget escalates, naming itself.
+        plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/stack:*", times=99),))
+        with pytest.raises(FaultError, match="failed after 3 attempt") as info:
             _run(ghz, "sharded", plan=plan)
+        assert info.value.unit.startswith("sharded/stack:")
+        assert isinstance(info.value.__cause__, WorkerCrashError)
 
     def test_tensornet_capacity_halving_is_structural(self, ghz):
         # Tensor-network stacking is *not* chunking-invariant (the batched
@@ -578,66 +607,54 @@ class TestDegradation:
 # --------------------------------------------------------------------- #
 # Pool substrate failures (real crashes, not injected exceptions)
 # --------------------------------------------------------------------- #
-def _make_trajectory(tid):
-    record = TrajectoryRecord(trajectory_id=tid, events=(), nominal_probability=1.0)
-    return TrajectoryResult(record=record, bits=np.zeros((2, 1), dtype=np.uint8))
+class _TestEngine(_SerialEngine):
+    name = "test"
+
+    def __init__(self, circuit):
+        super().__init__(BackendSpec().create(circuit.num_qubits), circuit, {}, None)
 
 
-def _crashy_pool_worker(payload):
-    position, attempt = payload
-    if position == 1 and attempt == 0:
-        os._exit(13)  # hard death: the pool itself breaks
-    return [(position, _make_trajectory(position))]
+class _DyingEngine(_TestEngine):
+    """Serial engine whose worker process dies — no exception, no cleanup —
+    the first time anyone prepares ``doomed``; the marker file makes it
+    happen once per test, whichever process gets there."""
+
+    def __init__(self, circuit, doomed, marker):
+        super().__init__(circuit)
+        self.doomed, self.marker = doomed, marker
+
+    def prepare(self, choices_list):
+        if choices_list[0] == self.doomed and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(13)  # hard death: the pool itself breaks
+        return super().prepare(choices_list)
 
 
-def _cancelling_pool_worker(payload):
-    from concurrent.futures import CancelledError
-
-    raise CancelledError()
+class _CancelledEngine(_TestEngine):
+    def prepare(self, choices_list):
+        raise CancelledError()
 
 
 class TestPoolSubstrate:
-    def _jobs(self, n):
-        return [
-            PoolJob(
-                unit=f"test/unit:{k}",
-                payload_for=lambda attempt, k=k: (k, attempt),
-                tag=lambda result: result,
-            )
-            for k in range(n)
-        ]
-
-    def test_broken_pool_recreated_and_survivors_resubmitted(self):
-        ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0, strategy="test")
-        events = []
-        delivery = OrderedDelivery(3)
-        delivered = []
-        for ready in stream_pool(
-            self._jobs(3),
-            _crashy_pool_worker,
-            delivery,
-            max_workers=2,
-            ctx=ctx,
-            recovery=events,
-        ):
-            delivered.extend(ready)
-        assert [t.record.trajectory_id for t in delivered] == [0, 1, 2]
-        assert any("BrokenProcessPool" in e.error for e in events)
+    def test_broken_pool_recreated_and_survivors_resubmitted(self, ghz, tmp_path):
+        specs = _pts().sample(ghz, make_rng(3)).specs
+        assert len(specs) > 2
+        clean = ParallelExecutor(num_workers=2).execute(ghz, specs, seed=SEED)
+        build = functools.partial(
+            _DyingEngine, ghz, specs[1].choices, str(tmp_path / "died-once")
+        )
+        result = drive(build, ghz, specs, seed=SEED, workers=2).finalize()
+        assert np.array_equal(_bits(clean), _bits(result))
+        assert any("BrokenProcessPool" in e.error for e in result.recovery)
+        assert {e.kind for e in result.recovery} == {"retry"}
         assert multiprocessing.active_children() == []
 
-    def test_cancelled_error_translated_with_unit_context(self):
-        ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0, strategy="test")
-        delivery = OrderedDelivery(1)
-        with pytest.raises(ExecutionError, match="test/unit:0.*cancelled"):
-            for _ in stream_pool(
-                self._jobs(1),
-                _cancelling_pool_worker,
-                delivery,
-                max_workers=1,
-                ctx=ctx,
-                recovery=[],
-            ):
-                pass
+    def test_cancelled_error_translated_with_unit_context(self, ghz):
+        specs = _pts().sample(ghz, make_rng(3)).specs
+        stream = drive(functools.partial(_CancelledEngine, ghz), ghz, specs, workers=2)
+        with pytest.raises(ExecutionError, match="test/stack:.*cancelled"):
+            stream.finalize()
+        assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------------- #
@@ -645,11 +662,11 @@ class TestPoolSubstrate:
 # --------------------------------------------------------------------- #
 class TestMidStreamClose:
     def test_close_during_in_flight_retries(self, ghz):
-        # Every slice faults on its first attempt; close after the first
-        # chunk lands while other slices are mid-retry.  Nothing may leak.
+        # Every task faults on its first attempt; close after the first
+        # chunk lands while other tasks are mid-retry.  Nothing may leak.
         cfg = Config(
             fault_plan=FaultPlan(
-                rules=(FaultSpec("transient-backend", "parallel/slice:*"),),
+                rules=(FaultSpec("transient-backend", "parallel/stack:*"),),
             ),
             retry=RetryPolicy(backoff_base=0.05, backoff_max=0.05, jitter=False),
         )
@@ -671,7 +688,7 @@ class TestMidStreamClose:
         assert multiprocessing.active_children() == []
 
     def test_finalize_after_partial_consumption_with_faults(self, ghz):
-        plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/shard:0"),))
+        plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/stack:0:1"),))
         cfg = Config(fault_plan=plan, retry=FAST_RETRY)
         stream = run_ptsbe_stream(
             ghz,
@@ -679,10 +696,12 @@ class TestMidStreamClose:
             seed=SEED,
             strategy="sharded",
             backend=BackendSpec.batched_statevector(config=cfg),
-            executor_kwargs={"devices": 2},
+            executor_kwargs={"devices": 2, "num_workers": 2},
         )
         next(stream)
         result = stream.finalize()
         clean = _run(ghz, "sharded")
         assert np.array_equal(_bits(clean), result.shot_table().bits)
-        assert any(e.kind == "rebin" for e in result.recovery)
+        assert [(e.kind, e.unit) for e in result.recovery] == [
+            ("retry", "sharded/stack:0:1")
+        ]

@@ -668,13 +668,23 @@ class TestSTRAT001:
         assert any("engine='foo'" in f.message for f in findings)
 
     def test_fan_out_wrapper_engine_keyword(self, tmp_path):
-        # parallel/sharded build their own StreamedResult: no adapter.
+        # An executor that builds its own StreamedResult has left the
+        # shared loop; an engine= keyword no longer stands in for an adapter.
         wrapper = (
             "class FooExecutor:\n"
             "    def execute_stream(self, circuit, specs, seed=None, retain=True):\n"
             '        return StreamedResult(engine="foo")\n'
         )
         self.fixture(tmp_path, executor=wrapper)
+        messages = [f.message for f in run_lint(tmp_path, ["STRAT001"])]
+        assert len(messages) == 2
+        assert any("engine='foo'" in m for m in messages)
+        assert any("outside execution/driver.py" in m for m in messages)
+
+    def test_streamed_result_allowed_in_the_driver_only(self, tmp_path):
+        self.fixture(tmp_path)
+        built = "def drive():\n    return StreamedResult()\n"
+        make_tree(tmp_path, {"execution/driver.py": built, "sweep/runner.py": built})
         assert run_lint(tmp_path, ["STRAT001"]) == []
 
     def test_dispatch_must_attach_routing(self, tmp_path):

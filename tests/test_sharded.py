@@ -10,7 +10,6 @@ from repro.errors import CapacityError, ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    Scheduler,
     ShardedExecutor,
     VALID_STRATEGIES,
     VectorizedExecutor,
@@ -99,16 +98,6 @@ class TestShardedEquivalence:
         sharded = ShardedExecutor(devices=DeviceMesh(4)).execute(
             noisy_ghz3, specs, seed=2
         )
-        np.testing.assert_array_equal(
-            serial.shot_table().bits, sharded.shot_table().bits
-        )
-
-    def test_round_robin_scheduler_also_bitwise(self, noisy_ghz3):
-        specs = _pts_specs(noisy_ghz3, 6)
-        serial = BatchedExecutor().execute(noisy_ghz3, specs, seed=8)
-        sharded = ShardedExecutor(
-            devices=3, scheduler=Scheduler("round_robin")
-        ).execute(noisy_ghz3, specs, seed=8)
         np.testing.assert_array_equal(
             serial.shot_table().bits, sharded.shot_table().bits
         )
@@ -297,75 +286,6 @@ class TestPerDeviceSizing:
         sharded = ShardedExecutor(devices=pool).execute(noisy_ghz3, specs, seed=4)
         np.testing.assert_array_equal(
             serial.shot_table().bits, sharded.shot_table().bits
-        )
-
-
-class TestMeasuredCostFeedback:
-    """Config-gated refinement of the scheduler's cost constants."""
-
-    def test_observed_timings_populate_after_a_run(self, noisy_ghz3):
-        from repro.config import Config
-
-        executor = ShardedExecutor(
-            BackendSpec.batched_statevector(
-                config=Config(measured_cost_feedback=True)
-            ),
-            devices=2,
-        )
-        assert executor.observed_timings() is None
-        executor.execute(noisy_ghz3, _pts_specs(noisy_ghz3, 2), seed=1)
-        measured = executor.observed_timings()
-        assert measured is not None
-        assert measured.prep_seconds > 0.0
-        assert measured.shot_seconds > 0.0
-        # The laptop-scale run is orders of magnitude cheaper than the
-        # paper-calibrated 2 s/prep constant the analytic model assumes.
-        assert measured.prep_seconds < executor.timings.prep_seconds
-
-    def test_cost_function_switches_only_when_gated(self, noisy_ghz3):
-        from repro.config import Config
-        from repro.pts import deduplicate_specs
-
-        specs = _pts_specs(noisy_ghz3, 2)
-        group = deduplicate_specs(specs)[0]
-        gated = ShardedExecutor(
-            BackendSpec.batched_statevector(
-                config=Config(measured_cost_feedback=True)
-            ),
-            devices=2,
-        )
-        ungated = ShardedExecutor(
-            BackendSpec.batched_statevector(config=Config()), devices=2
-        )
-        analytic = ungated._group_cost(group)
-        assert gated._group_cost(group) == analytic  # no data yet
-        for executor in (gated, ungated):
-            executor.execute(noisy_ghz3, specs, seed=2)
-        # Gated executor now bins by its measured constants...
-        assert gated._group_cost(group) != analytic
-        assert gated._group_cost(group) == pytest.approx(
-            gated.observed_timings().prep_seconds
-            + group.total_shots * gated.observed_timings().shot_seconds
-        )
-        # ...while the ungated one sticks to the analytic perf model.
-        assert ungated._group_cost(group) == analytic
-
-    def test_feedback_run_stays_bitwise_identical(self, noisy_ghz3):
-        from repro.config import Config
-
-        specs = _pts_specs(noisy_ghz3, 5)
-        serial = BatchedExecutor().execute(noisy_ghz3, specs, seed=4)
-        executor = ShardedExecutor(
-            BackendSpec.batched_statevector(
-                config=Config(measured_cost_feedback=True)
-            ),
-            devices=3,
-        )
-        # Warm-up run records costs; the second run schedules from them.
-        executor.execute(noisy_ghz3, specs, seed=4)
-        refined = executor.execute(noisy_ghz3, specs, seed=4)
-        np.testing.assert_array_equal(
-            serial.shot_table().bits, refined.shot_table().bits
         )
 
 

@@ -1,5 +1,7 @@
 """Vectorized trajectory-stacked execution: backend, dedup, equivalence."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,34 @@ class TestDedup:
             ((0, 2), 140),
             ((1,), 50),
         ]
+
+    def test_total_shots_per_key_invariant_under_shuffle(self):
+        rng = random.Random(99)
+        signatures = [(), ((0, 1),), ((0, 2),), ((0, 1), (1, 1)), ((1, 2),)]
+        specs = []
+        for tid in range(40):
+            sig = signatures[rng.randrange(len(signatures))]
+            events = [_event(site, kraus) for site, kraus in sig]
+            specs.append(_spec(tid, rng.randrange(1, 500), events))
+        budgets = {g.key: g.total_shots for g in deduplicate_specs(specs)}
+        for _ in range(5):
+            shuffled = specs[:]
+            rng.shuffle(shuffled)
+            reshuffled = {g.key: g.total_shots for g in deduplicate_specs(shuffled)}
+            assert reshuffled == budgets
+
+    def test_groups_preserve_first_occurrence_order(self):
+        specs = [
+            _spec(0, 5, [_event(0, 2)]),
+            _spec(1, 5),
+            _spec(2, 5, [_event(0, 2)]),
+            _spec(3, 5, [_event(1, 1)]),
+        ]
+        groups = deduplicate_specs(specs)
+        assert [g.indices for g in groups] == [(0, 2), (1,), (3,)]
+        # Indices within a group ascend (first-occurrence order).
+        for g in groups:
+            assert list(g.indices) == sorted(g.indices)
 
     def test_executor_prepares_duplicates_once(self, noisy_ghz3):
         specs = [
