@@ -189,8 +189,9 @@ class _SerialEngine:
             # treat as transient.
             return [0.0]
 
-    def sample(self, row, num_shots, rng):
-        return self.backend.sample(num_shots, self.measured, rng, **self.sample_kwargs)
+    def sample(self, requests):
+        draw, kwargs = self.backend.sample, self.sample_kwargs
+        return [draw(n, self.measured, rng, **kwargs) for _, n, rng in requests]
 
     def release(self) -> None:
         self.backend = None  # the 2**n state must not outlive the run

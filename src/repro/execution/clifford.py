@@ -133,8 +133,8 @@ class _FrameEngine:
         self.flips, weight = self.sampler.frame_for_choices(choices_list[0])
         return [weight]
 
-    def sample(self, row, num_shots, rng):
-        return self.sampler.sample_fixed(self.flips, num_shots, rng)
+    def sample(self, requests):
+        return [self.sampler.sample_fixed(self.flips, n, rng) for _, n, rng in requests]
 
     def release(self) -> None:
         pass

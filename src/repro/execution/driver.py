@@ -5,8 +5,8 @@ representation is: prepare each pre-sampled Kraus prescription once, draw
 that trajectory's whole shot budget, attach its provenance.  :func:`drive`
 is that loop, written once.  An :class:`Engine` adapter supplies only what
 differs between state representations — how a stack of prescriptions is
-prepared and how one prepared row is sampled — and every executor shrinks
-to "name the adapter, ``return drive(...)``".
+prepared and how a prepared unit's shot requests are drawn — and every
+executor shrinks to "name the adapter, ``return drive(...)``".
 
 What :func:`drive` owns, for every engine and every worker count:
 
@@ -22,7 +22,12 @@ What :func:`drive` owns, for every engine and every worker count:
   if ``prepare`` said so: no shots, weight ``0.0``), result assembly;
 * one timing rule — a unit's prepare wall time is split evenly across its
   rows, duplicates of a row ride free, and the engine's compile seconds
-  are charged to the first unit (of each process);
+  are charged to the first unit (of each process); a unit's shots are
+  drawn by one ``engine.sample(requests)`` call, one request per spec
+  that has shots to draw from a live row, and that call's wall time is
+  split over those specs by shot share (``sample_seconds`` = wall x spec
+  shots / unit shots; a dead row's specs and a zero-shot spec are not in
+  the list and read ``0.0``);
 * ordered delivery and the :class:`~repro.execution.streaming.StreamedResult`.
 
 ``workers`` is the paper's inter-trajectory axis ("embarrassingly
@@ -72,6 +77,9 @@ T = TypeVar("T")
 #: ``(first group, one past the last group, attempt)``.
 Task = Tuple[int, int, int]
 Completed = List[Tuple[int, TrajectoryResult]]
+#: ``(prepared row, shots, that trajectory's Philox generator)``: what one
+#: live spec asks of :meth:`Engine.sample`.
+Request = Tuple[int, int, np.random.Generator]
 
 
 @runtime_checkable
@@ -100,10 +108,9 @@ class Engine(Protocol):
         the state), which is never sampled."""
         ...
 
-    def sample(
-        self, row: int, num_shots: int, rng: np.random.Generator
-    ) -> NDArray[np.uint8]:
-        """``(num_shots, len(measured))`` bits from prepared row ``row``."""
+    def sample(self, requests: Sequence[Request]) -> Sequence[NDArray[np.uint8]]:
+        """One ``(shots, len(measured))`` bits array per request, each drawn
+        from its own prepared row with its own generator, in order."""
         ...
 
     def release(self) -> None:
@@ -115,8 +122,9 @@ class Engine(Protocol):
 def timed(fn: Callable[..., T], *args: Any) -> Tuple[T, float]:
     """``fn(*args)`` and the wall seconds it took.
 
-    How adapters measure ``compile_seconds``: every clock read of the
-    execution layer stays in this module.
+    How adapters measure ``compile_seconds`` and the runner a unit's
+    prepare and sample walls: every clock read of the execution layer
+    stays in this module.
     """
     start = time.perf_counter()
     out = fn(*args)
@@ -144,7 +152,8 @@ class _Runner:
         self.engine = engine
         self.specs = specs
         self.groups = groups
-        self.width = width
+        # The bits of a spec nothing was drawn for (dead row, zero shots).
+        self.unsampled = np.empty((0, width), dtype=np.uint8)
         self.streams = StreamFactory(seed)
         self.rows = rows
         self.plan = plan
@@ -162,28 +171,30 @@ class _Runner:
     def unit(self, start: int, end: int) -> Completed:
         engine, specs = self.engine, self.specs
         unit = self.groups[start:end]
-        t0 = time.perf_counter()
-        weights = engine.prepare([specs[g.indices[0]].choices for g in unit])
-        prep_each = (self.carry + time.perf_counter() - t0) / len(unit)
+        weights, wall = timed(engine.prepare, [specs[g.indices[0]].choices for g in unit])
+        prep_each = (self.carry + wall) / len(unit)
+        # One request per spec that has shots to draw from a live row, all
+        # of the unit's in one call; its wall time is split by shot share.
+        requests: Dict[int, Request] = {
+            i: (row, specs[i].num_shots, self.streams.rng_for(specs[i].record.trajectory_id))
+            for row, group in enumerate(unit)
+            if weights[row] != 0.0
+            for i in group.indices
+            if specs[i].num_shots > 0
+        }
+        drawn, wall = timed(engine.sample, list(requests.values()))
+        sampled = dict(zip(requests, drawn))
+        per_shot = wall / max(1, sum(map(len, drawn)))
         completed: Completed = []
         for row, group in enumerate(unit):
-            weight = float(weights[row])
             for j, index in enumerate(group.indices):
-                spec = specs[index]
-                if weight == 0.0:
-                    bits = np.empty((0, self.width), dtype=np.uint8)
-                    sample_seconds = 0.0
-                else:
-                    rng = self.streams.rng_for(spec.record.trajectory_id)
-                    t1 = time.perf_counter()
-                    bits = engine.sample(row, spec.num_shots, rng)
-                    sample_seconds = time.perf_counter() - t1
+                bits = sampled.get(index, self.unsampled)
                 result = TrajectoryResult(
-                    record=spec.record,
+                    record=specs[index].record,
                     bits=bits,
-                    actual_weight=weight,
+                    actual_weight=float(weights[row]),
                     prep_seconds=prep_each if j == 0 else 0.0,
-                    sample_seconds=sample_seconds,
+                    sample_seconds=per_shot * len(bits),
                 )
                 completed.append((index, result))
         self.carry = 0.0  # compile seconds are charged to one finished unit

@@ -134,8 +134,9 @@ class PTSBEResult:
     prep_seconds: float = 0.0
     sample_seconds: float = 0.0
     #: Number of distinct state preparations actually performed (identical
-    #: specs are prepared once).  ``None`` only for ``"parallel"``, whose
-    #: worker slices deduplicate separately.
+    #: specs are prepared once): the run's dedup groups, counted before any
+    #: fan-out, so the same number on every strategy.  ``None`` only for
+    #: results assembled outside the execution layer.
     unique_preparations: Optional[int] = None
     #: The resolved root seed of the run.  Executors resolve ``seed=None``
     #: to one concrete entropy seed up front and record it here, so *any*

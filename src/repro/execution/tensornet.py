@@ -29,9 +29,11 @@ Two structural tricks keep the replay lean:
   trajectory weight.  One batched right-environment pass at the end
   yields both the per-row weights and the cached-sampling environments
   (:func:`~repro.backends.mps_sampler.compute_right_environments_batched`),
-  after which each trajectory's shot budget is drawn with the same
-  vectorized conditional sweep the serial MPS path uses
-  (:func:`~repro.backends.mps_sampler.sample_cached`).
+  after which every ``(row, shot)`` lane of the unit is drawn in one
+  prefix-collapsed conditional sweep
+  (:func:`~repro.backends.mps_sampler.sample_cached`, the stacked form):
+  each trajectory's uniforms from its own Philox stream, one contraction
+  per distinct sampled prefix of a row, a tile of lanes at a time.
 
 Faithfulness contract: like the clifford strategy, conformance against
 the dense strategies is **distributional** (TVD / chi-square through the
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -359,8 +362,9 @@ class TensorNetExecutor(StreamingExecutor):
         object this strategy replaces, and is rejected.
     sample_kwargs:
         Rejected when non-empty: sampling is always the cached
-        right-environment sweep (the naive mode exists only as the
-        benchmark baseline).
+        right-environment sweep, once per prepared unit over all of its
+        trajectories' shots (the naive mode exists only as the benchmark
+        baseline).
     max_batch:
         Dedup groups stacked per :class:`BatchedMPSStack` replay.
     max_bond / cutoff:
@@ -443,8 +447,8 @@ class TensorNetExecutor(StreamingExecutor):
 
 class _MPSStackEngine:
     """:class:`~repro.execution.driver.Engine` over a trajectory-stacked
-    truncated MPS: a unit is one schedule replay plus one batched
-    right-environment pass.
+    truncated MPS: a unit is one schedule replay, one batched
+    right-environment pass and one stacked sampling sweep.
 
     Unlike the dense stack, a unit's *composition* matters — the batched
     truncated SVD keeps a common rank across its rows — so the shots are a
@@ -479,13 +483,12 @@ class _MPSStackEngine:
         self._prepared = (stack, envs)
         return [w if w > _DEAD_NORM else 0.0 for w in envs[0][:, 0, 0].real.tolist()]
 
-    def sample(self, row, num_shots, rng):
-        if self._row is None or self._row[0] != row:
-            # Per-row set-up, shared by the duplicates of one prescription.
-            stack, envs = self._prepared
-            self._row = (row, stack.row_tensors(row), [e[row] for e in envs])
-        _, tensors, envs = self._row
-        return sample_cached(tensors, envs, num_shots, rng)[:, self.cols]
+    def sample(self, requests):
+        stack, envs = self._prepared
+        counts = [count for _, count, _ in requests]
+        # One sweep over every (row, shot) lane of the unit.
+        bits = sample_cached(stack.tensors, envs, sum(counts), requests)[:, self.cols]
+        return [bits[end - count : end] for count, end in zip(counts, accumulate(counts))]
 
     def release(self) -> None:
-        self._prepared = self._row = None
+        self._prepared = None

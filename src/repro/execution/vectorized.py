@@ -159,8 +159,8 @@ class _StackEngine:
         weights, alive = self.backend.run_fixed_stack(self.circuit, choices_list)
         return weights * alive  # host (B,) vectors; a dead row reads 0.0
 
-    def sample(self, row, num_shots, rng):
-        return self.backend.sample(row, num_shots, self.measured, rng)
+    def sample(self, requests):
+        return [self.backend.sample(row, n, self.measured, rng) for row, n, rng in requests]
 
     def release(self) -> None:
         release = getattr(self.backend, "release", None)

@@ -36,7 +36,7 @@ from repro.execution import (
 from repro.execution.driver import Engine
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.pts import ProbabilisticPTS, TrajectorySpec
-from repro.rng import make_rng
+from repro.rng import StreamFactory, make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
 FAST_RETRY = RetryPolicy(backoff_base=0.0, jitter=False)
@@ -276,6 +276,47 @@ def test_live_zero_shot_spec_reports_its_realised_weight(circuit, strategy):
     assert ideal.actual_weight > zero.actual_weight
 
 
+@pytest.mark.parametrize("strategy", ENGINES)
+def test_one_sample_call_per_unit_with_its_wall_split_by_shot_share(
+    circuit, strategy, monkeypatch
+):
+    module, adapter = ADAPTERS[strategy]
+    original_sample = getattr(module, adapter).sample
+    original_rng_for = StreamFactory.rng_for
+    calls, streams = [], []
+
+    def recording_sample(self, requests):
+        calls.append([(shots, rng) for _, shots, rng in requests])
+        return original_sample(self, requests)
+
+    def recording_rng_for(self, trajectory_id):
+        streams.append(trajectory_id)
+        return original_rng_for(self, trajectory_id)
+
+    monkeypatch.setattr(getattr(module, adapter), "sample", recording_sample)
+    monkeypatch.setattr(StreamFactory, "rng_for", recording_rng_for)
+    monkeypatch.setattr(driver, "timed", lambda fn, *args: (fn(*args), 3.0))
+    specs = [
+        _spec(0, 30, {0: 1}), _spec(1, 0, {0: 1}), _spec(2, 10, {0: 1}),
+        _spec(3, 20), _spec(4, 0, {1: 1}),
+    ]
+    result = make_executor(strategy).execute(circuit, specs, seed=5)
+    assert result.unique_preparations == 3
+    # Three dedup groups at max_rows 1 / 2 / 1 / 4: one call per prepared unit.
+    assert len(calls) == {"serial": 3, "vectorized": 2, "clifford": 3, "tensornet": 1}[strategy]
+    # One generator per spec that draws shots, handed to exactly one call;
+    # a zero-shot spec asks for nothing and reads 0.0.
+    assert sorted(streams) == [0, 2, 3]
+    assert sorted(shots for call in calls for shots, _ in call) == [10, 20, 30]
+    assert len({id(rng) for call in calls for _, rng in call}) == 3
+    seconds = [t.sample_seconds for t in result.trajectories]
+    assert seconds[1] == seconds[4] == 0.0
+    assert seconds[0] == pytest.approx(3 * seconds[2])  # same row, 30 vs 10 shots
+    # Every unit's shares add up to the wall measured around its one call.
+    assert sum(seconds) == pytest.approx(3.0 * sum(1 for call in calls if call))
+    assert result.shot_table().bits.shape == (60, 5)
+
+
 def test_dead_row_has_zero_weight_and_no_shots_on_the_dense_engines():
     # Two successive decays of the same qubit annihilate the state.
     ideal = Circuit(1).x(0).z(0).measure_all()
@@ -287,6 +328,7 @@ def test_dead_row_has_zero_weight_and_no_shots_on_the_dense_engines():
         result = make_executor(strategy).execute(circuit, dead, seed=1)
         assert [t.actual_weight == 0.0 for t in result.trajectories] == [True, False]
         assert [t.num_shots for t in result.trajectories] == [0, 10]
+        assert result.trajectories[0].sample_seconds == 0.0  # and was never asked for
         assert result.recovery == []  # a dead row is not a retried failure
 
 
