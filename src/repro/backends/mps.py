@@ -309,10 +309,10 @@ class BatchedMPSStack:
         self.batch_size = int(batch_size)
         self._config = config
         self.max_bond = int(
-            max_bond if max_bond is not None else config.resolved_tensornet_max_bond()
+            max_bond if max_bond is not None else config.default_bond_dim
         )
         self.cutoff = float(
-            cutoff if cutoff is not None else config.resolved_tensornet_cutoff()
+            cutoff if cutoff is not None else config.svd_cutoff
         )
         if self.max_bond < 1:
             raise BackendError("max_bond must be >= 1")

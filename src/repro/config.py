@@ -46,19 +46,10 @@ def _default_fusion() -> str:
     return os.environ.get("REPRO_FUSION", "auto")
 
 
-def _default_routing() -> str:
-    """Routing default: the ``REPRO_ROUTING`` env var, else ``"auto"``.
-
-    Same CI-hook pattern as fusion: ``REPRO_ROUTING=dense`` pins
-    ``strategy="auto"`` to the pre-router dense dispatch for a whole run.
-    """
-    return os.environ.get("REPRO_ROUTING", "auto")
-
-
 def _default_fault_plan():
     """Fault-injection default: parsed ``REPRO_FAULTS`` env, else ``None``.
 
-    Same CI-hook pattern as fusion/routing: the chaos-smoke CI leg runs a
+    Same CI-hook pattern as fusion: the chaos-smoke CI leg runs a
     whole sweep under an injected plan via the environment; library code
     should set ``Config.fault_plan`` explicitly instead.  The import is
     deferred because :mod:`repro.faults` imports back into the error and
@@ -115,17 +106,15 @@ class Config:
         qubits run on the reshape-view fast paths of the gate kernel;
         wider ones use the generic batched-GEMM path (which also needs 3x
         instead of 2x workspace headroom per stacked row — see
-        :meth:`repro.execution.sharded.ShardedExecutor`).
+        :class:`repro.execution.vectorized.VectorizedExecutor`).
     routing:
         Engine routing for ``run_ptsbe(strategy="auto")``: ``"auto"``
         (default — pure-Clifford circuits with Pauli-mixture noise go to
         the batched Pauli-frame engine, everything else to the dense
         dispatch; see :mod:`repro.execution.router`) or ``"dense"``
         (always the pre-router dense resolution, for bitwise back-compat
-        of Clifford workloads previously served dense).  Overridable via
-        the ``REPRO_ROUTING`` environment variable (read at
-        :class:`Config` construction).  Explicit strategy names are never
-        rerouted.
+        of Clifford workloads previously served dense).  Explicit
+        strategy names are never rerouted.
     atol:
         Absolute tolerance for verification checks.
     max_dense_qubits:
@@ -134,10 +123,11 @@ class Config:
     max_density_qubits:
         Hard cap for density-matrix widths (4**n scaling).
     default_bond_dim:
-        Default MPS maximum bond dimension.
+        Default maximum bond dimension of the MPS backend and of the
+        trajectory-stacked tensornet strategy.
     svd_cutoff:
         Singular values below this (relative to the largest) are truncated
-        by the MPS backend.
+        by the MPS backend and the tensornet strategy.
     max_tensornet_qubits:
         Width cap for the batched tensor-network strategy — the router
         only auto-routes past-dense-cap circuits up to this width, and
@@ -145,13 +135,6 @@ class Config:
         at dispatch.  Linear in memory per site, so the cap is generous;
         it exists to keep a typo'd width from compiling a million-site
         schedule.
-    tensornet_max_bond:
-        Maximum bond dimension for the trajectory-stacked tensornet
-        strategy.  ``None`` (default) resolves to
-        :attr:`default_bond_dim`.
-    tensornet_cutoff:
-        Relative SVD truncation cutoff for the tensornet strategy.
-        ``None`` (default) resolves to :attr:`svd_cutoff`.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` injecting
         deterministic faults at the instrumented execution sites (chaos
@@ -171,15 +154,13 @@ class Config:
     array_module: str = "auto"
     fusion: str = field(default_factory=_default_fusion)
     fusion_max_qubits: Optional[int] = None
-    routing: str = field(default_factory=_default_routing)
+    routing: str = "auto"
     atol: float = ATOL
     max_dense_qubits: int = 26
     max_density_qubits: int = 12
     default_bond_dim: int = 64
     svd_cutoff: float = 1e-12
     max_tensornet_qubits: int = 128
-    tensornet_max_bond: Optional[int] = None
-    tensornet_cutoff: Optional[float] = None
     fault_plan: Optional["FaultPlan"] = field(default_factory=_default_fault_plan)  # noqa: F821
     retry: "RetryPolicy" = field(default_factory=_default_retry)  # noqa: F821
 
@@ -195,7 +176,7 @@ class Config:
         :data:`FUSION_AUTO_CAP_WIDE` (4) for circuits of
         :data:`FUSION_AUTO_WIDE_QUBITS` (12) qubits or more,
         :data:`FUSION_AUTO_CAP_NARROW` (3) below.  The plan compiler and
-        the sharded executor's workspace sizing both read the cap through
+        the stacked executor's workspace sizing both read the cap through
         here, so the two can never disagree about which kernel tier a run
         can reach.
         """
@@ -204,18 +185,6 @@ class Config:
         if num_qubits >= FUSION_AUTO_WIDE_QUBITS:
             return FUSION_AUTO_CAP_WIDE
         return FUSION_AUTO_CAP_NARROW
-
-    def resolved_tensornet_max_bond(self) -> int:
-        """The bond cap in effect for the tensornet strategy."""
-        if self.tensornet_max_bond is not None:
-            return int(self.tensornet_max_bond)
-        return int(self.default_bond_dim)
-
-    def resolved_tensornet_cutoff(self) -> float:
-        """The SVD cutoff in effect for the tensornet strategy."""
-        if self.tensornet_cutoff is not None:
-            return float(self.tensornet_cutoff)
-        return float(self.svd_cutoff)
 
     def replace(self, **kwargs) -> "Config":
         """Return a copy with the given fields replaced."""

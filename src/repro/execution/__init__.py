@@ -2,16 +2,19 @@
 
 Every strategy prepares each prescribed noisy state exactly once and draws
 its full shot batch in bulk.  That loop exists once —
-:func:`repro.execution.driver.drive` — over four
-:class:`~repro.execution.driver.Engine` adapters: ``serial``
+:func:`repro.execution.driver.drive`, reached through the one
+``execute_stream`` of :class:`~repro.execution.driver.StreamingExecutor` —
+over four executors, each a constructor plus an
+:class:`~repro.execution.driver.Engine` recipe: ``serial``
 (:mod:`~repro.execution.batched`), ``vectorized`` ``(B, 2**n)`` stacks
 (:mod:`~repro.execution.vectorized`), ``clifford`` Pauli frames
 (:mod:`~repro.execution.clifford`) and ``tensornet`` trajectory-stacked
-MPS (:mod:`~repro.execution.tensornet`).  ``parallel`` and ``sharded``
-(:mod:`~repro.execution.parallel`, :mod:`~repro.execution.sharded`) are
-the serial and the stacked adapter handed to the same ``drive`` with
-``workers=num_workers``.  ``strategy="auto"`` picks per circuit through
-:mod:`repro.execution.router`.
+MPS (:mod:`~repro.execution.tensornet`).  ``num_workers`` (both dense
+executors) and ``devices`` (the stacked one) are constructor parameters;
+``parallel`` and ``sharded`` are aliases of ``serial`` and ``vectorized``
+that differ in name and defaults only.  The name → class table is
+:data:`~repro.execution.batched.STRATEGIES`; ``strategy="auto"`` picks
+per circuit through :mod:`repro.execution.router`.
 
 Results carry per-shot provenance (:mod:`repro.execution.results`) and
 stream as :class:`~repro.execution.streaming.ShotChunk`\\ s while the run is
@@ -26,6 +29,7 @@ from repro.execution.streaming import ShotChunk, StreamedResult
 from repro.execution.batched import (
     BackendSpec,
     BatchedExecutor,
+    ParallelExecutor,
     run_ptsbe,
     run_ptsbe_stream,
     VALID_STRATEGIES,
@@ -36,9 +40,7 @@ from repro.execution.plan import (
     clear_plan_cache,
     get_fused_plan,
 )
-from repro.execution.parallel import ParallelExecutor
-from repro.execution.vectorized import VectorizedExecutor
-from repro.execution.sharded import ShardedExecutor
+from repro.execution.vectorized import ShardedExecutor, VectorizedExecutor
 from repro.execution.clifford import CliffordFrameExecutor
 from repro.execution.tensornet import TensorNetExecutor, compile_schedule
 from repro.execution.router import (

@@ -16,17 +16,19 @@ whole *stacks* of trajectories per pass instead of looping specs in
 Python.  Dense preparations walk the circuit's compiled
 :class:`~repro.execution.plan.FusedPlan` (shared with the stacked
 backends, so the strategies stay bitwise interchangeable under any
-``Config.fusion`` setting).  The loop itself — dedup, retry, per-trajectory
-streams, ordered delivery, separate prep and sample wall-times for the
-paper's shots-per-second curves — is the shared
-:func:`repro.execution.driver.drive`; this module supplies the serial
-:class:`~repro.execution.driver.Engine` adapter and the strategy dispatch.
+``Config.fusion`` setting).  The loop itself — dedup, the ``num_workers``
+task queue, retry, per-trajectory streams, ordered delivery, separate prep
+and sample wall-times for the paper's shots-per-second curves — is the
+shared :func:`repro.execution.driver.drive`; this module supplies the
+serial :class:`~repro.execution.driver.Engine` adapter, the strategy table
+and the dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Union
+from importlib import import_module
+from typing import Callable, Dict, Optional, Union
 
 from repro.backends.base import PureStateBackend
 from repro.backends.mps import MPSBackend
@@ -34,18 +36,21 @@ from repro.backends.statevector import StatevectorBackend
 from repro.circuits.circuit import Circuit
 from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import CapacityError, ExecutionError, ZeroProbabilityTrajectory
-from repro.execution.driver import drive
+from repro.execution.driver import StreamingExecutor
 from repro.execution.results import PTSBEResult
-from repro.execution.streaming import StreamedResult, StreamingExecutor
-from repro.pts.base import PTSAlgorithm, TrajectorySpec
+from repro.execution.streaming import StreamedResult
+from repro.pts.base import PTSAlgorithm
 from repro.rng import StreamFactory
 
 __all__ = [
     "BackendSpec",
     "backend_config",
     "BatchedExecutor",
+    "ParallelExecutor",
+    "executor_class",
     "run_ptsbe",
     "run_ptsbe_stream",
+    "STRATEGIES",
     "DENSE_STRATEGIES",
     "VALID_STRATEGIES",
 ]
@@ -109,69 +114,105 @@ def backend_config(backend) -> Config:
     return config if config is not None else DEFAULT_CONFIG
 
 
+def check_workers(executor, num_workers: int, backend) -> int:
+    """Validate a dense executor's ``num_workers`` against its backend."""
+    if num_workers <= 0:
+        raise ExecutionError(f"num_workers must be positive, got {num_workers}")
+    if num_workers > 1 and not isinstance(backend, BackendSpec):
+        raise ExecutionError(
+            f"{type(executor).__name__} with num_workers > 1 requires a picklable "
+            "BackendSpec, not a callable backend factory"
+        )
+    return int(num_workers)
+
+
 class BatchedExecutor(StreamingExecutor):
-    """Serial batched execution of trajectory specs on one backend."""
+    """Batched execution of trajectory specs, one prepared state at a time.
+
+    Parameters
+    ----------
+    backend:
+        A per-trajectory :class:`BackendSpec` (``"statevector"`` or
+        ``"mps"``) or a callable ``num_qubits -> backend``.
+    sample_kwargs:
+        Forwarded to the backend's ``sample``.
+    num_workers:
+        ``1`` (default) prepares every state in this process; larger
+        values hand tasks to a process pool of that size (the paper's
+        inter-trajectory axis: "the preparation and sampling of different
+        trajectories is embarrassingly parallel", §3), which needs a
+        picklable :class:`BackendSpec`.  Every trajectory draws from the
+        stream derived from ``(seed, trajectory_id)``, so the shots are
+        the same for any worker count.
+    """
+
+    strategy = "serial"
 
     def __init__(
         self,
         backend: Union[BackendSpec, Callable[[int], PureStateBackend]] = BackendSpec(),
         sample_kwargs: Optional[Dict] = None,
+        num_workers: int = 1,
     ):
+        if isinstance(backend, BackendSpec) and backend.kind == "batched_statevector":
+            raise ExecutionError(
+                f"{type(self).__name__} runs the per-trajectory engine; use "
+                "VectorizedExecutor (or run_ptsbe(strategy='vectorized')) for "
+                "the 'batched_statevector' kind"
+            )
         self.backend = backend
         self.sample_kwargs = dict(sample_kwargs or {})
+        self.num_workers = check_workers(self, num_workers, backend)
 
-    def _make_backend(self, num_qubits: int) -> PureStateBackend:
+    def _engine(self, circuit: Circuit) -> "_SerialEngine":
         backend = (
-            self.backend.create(num_qubits)
+            self.backend.create(circuit.num_qubits)
             if isinstance(self.backend, BackendSpec)
-            else self.backend(num_qubits)
+            else self.backend(circuit.num_qubits)
         )
         if not hasattr(backend, "run_fixed"):
             raise ExecutionError(
                 f"{type(backend).__name__} is not a per-trajectory backend; use "
-                "VectorizedExecutor (or run_ptsbe(strategy='vectorized')) for "
-                "the 'batched_statevector' kind"
+                "VectorizedExecutor (or run_ptsbe(strategy='vectorized'))"
             )
-        return backend
-
-    def execute_stream(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-        retain: bool = True,
-    ) -> StreamedResult:
-        """Stream one :class:`ShotChunk` per prepared state, in spec order.
-
-        The finest-grained delivery of any strategy: each trajectory is
-        handed over the moment its bulk sample completes, so a consumer
-        sees the first shots after a single state preparation.
-        :meth:`StreamedResult.finalize` reproduces :meth:`execute`
-        bitwise.  ``retain=False`` drops chunks after delivery
-        (``finalize`` unavailable) to bound memory for pure-ingest
-        consumers.
-        """
-        engine = _SerialEngine(
-            self._make_backend(circuit.num_qubits),
-            circuit,
-            self.sample_kwargs,
-            backend_config(self.backend),
+        return _SerialEngine(
+            self.strategy, backend, circuit, self.sample_kwargs, backend_config(self.backend)
         )
-        return drive(lambda: engine, circuit, specs, seed, retain)
+
+
+class ParallelExecutor(BatchedExecutor):
+    """``BatchedExecutor`` under the name ``"parallel"``, two workers by
+    default.  Kept as an alias so seeds, fault sites
+    (``parallel/stack:*``) and user code replay unchanged."""
+
+    strategy = "parallel"
+
+    def __init__(
+        self,
+        backend: BackendSpec = BackendSpec(),
+        num_workers: int = 2,
+        sample_kwargs: Optional[Dict] = None,
+    ):
+        super().__init__(backend, sample_kwargs=sample_kwargs, num_workers=num_workers)
 
 
 class _SerialEngine:
     """:class:`~repro.execution.driver.Engine` over one per-trajectory
     backend: a unit is a single ``run_fixed`` + bulk ``sample``."""
 
-    name = "serial"
     max_rows = 1
     # The fused plan compiles lazily inside the first run_fixed.
     compile_seconds = 0.0
 
     def __init__(
-        self, backend: PureStateBackend, circuit: Circuit, sample_kwargs: Dict, config: Config
+        self,
+        name: str,
+        backend: PureStateBackend,
+        circuit: Circuit,
+        sample_kwargs: Dict,
+        config: Config,
     ):
+        self.name = name
         self.backend = backend
         self.circuit = circuit
         self.measured = tuple(circuit.measured_qubits)
@@ -197,50 +238,17 @@ class _SerialEngine:
         self.backend = None  # the 2**n state must not outlive the run
 
 
-def _build_serial(backend, sample_kwargs, kwargs):
-    return BatchedExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
-
-
-def _build_parallel(backend, sample_kwargs, kwargs):
-    from repro.execution.parallel import ParallelExecutor
-
-    return ParallelExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
-
-
-def _build_vectorized(backend, sample_kwargs, kwargs):
-    from repro.execution.vectorized import VectorizedExecutor
-
-    return VectorizedExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
-
-
-def _build_sharded(backend, sample_kwargs, kwargs):
-    from repro.execution.sharded import ShardedExecutor
-
-    return ShardedExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
-
-
-def _build_clifford(backend, sample_kwargs, kwargs):
-    from repro.execution.clifford import CliffordFrameExecutor
-
-    return CliffordFrameExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
-
-
-def _build_tensornet(backend, sample_kwargs, kwargs):
-    from repro.execution.tensornet import TensorNetExecutor
-
-    return TensorNetExecutor(backend, sample_kwargs=sample_kwargs, **kwargs)
-
-
-#: The strategy dispatch table: every BE engine behind one name.  ``"auto"``
-#: resolves to one of these before lookup (via the engine router — see
-#: :mod:`repro.execution.router`).
-STRATEGY_BUILDERS = {
-    "serial": _build_serial,
-    "parallel": _build_parallel,
-    "vectorized": _build_vectorized,
-    "sharded": _build_sharded,
-    "clifford": _build_clifford,
-    "tensornet": _build_tensornet,
+#: The strategy table: every BE engine behind one name, as the
+#: ``(module, executor class)`` that serves it (the modules import this
+#: one, so the classes are looked up at dispatch).  ``"auto"`` resolves to
+#: one of these names first, through :mod:`repro.execution.router`.
+STRATEGIES = {
+    "serial": ("repro.execution.batched", "BatchedExecutor"),
+    "parallel": ("repro.execution.batched", "ParallelExecutor"),
+    "vectorized": ("repro.execution.vectorized", "VectorizedExecutor"),
+    "sharded": ("repro.execution.vectorized", "ShardedExecutor"),
+    "clifford": ("repro.execution.clifford", "CliffordFrameExecutor"),
+    "tensornet": ("repro.execution.tensornet", "TensorNetExecutor"),
 }
 
 #: The strategies that materialize dense ``2**n`` statevectors and are
@@ -248,33 +256,22 @@ STRATEGY_BUILDERS = {
 #: ``"tensornet"`` live outside the cap.
 DENSE_STRATEGIES = ("serial", "parallel", "vectorized", "sharded")
 
-VALID_STRATEGIES = ("auto",) + tuple(STRATEGY_BUILDERS)
+VALID_STRATEGIES = ("auto",) + tuple(STRATEGIES)
 
 
-def _make_executor(
-    backend,
-    strategy: str,
-    sample_kwargs: Optional[Dict],
-    executor_kwargs: Optional[Dict],
-):
-    """Resolve a strategy name to a constructed executor.
+def executor_class(strategy: str) -> type:
+    """The executor class behind a concrete strategy name.
 
     Unknown names fail up front with the full list of valid strategies —
-    the misuse guard for ``run_ptsbe(strategy=...)``.  A bare ``"auto"``
-    here (no circuit in scope to route on) falls back to the dense
-    resolution; :func:`run_ptsbe_stream` routes before calling in.
+    the misuse guard for ``run_ptsbe(strategy=...)``.
     """
-    kwargs = dict(executor_kwargs or {})
-    if strategy == "auto":
-        kind = backend.kind if isinstance(backend, BackendSpec) else None
-        strategy = "vectorized" if kind == "batched_statevector" else "serial"
-    builder = STRATEGY_BUILDERS.get(strategy)
-    if builder is None:
+    if strategy not in STRATEGIES:
         valid = ", ".join(repr(name) for name in VALID_STRATEGIES)
         raise ExecutionError(
             f"unknown strategy {strategy!r}; valid strategies are: {valid}"
         )
-    return builder(backend, sample_kwargs, kwargs)
+    module, name = STRATEGIES[strategy]
+    return getattr(import_module(module), name)
 
 
 def _check_dense_capacity(circuit, backend, resolved: str, config) -> None:
@@ -336,14 +333,22 @@ def run_ptsbe(
           ``"batched_statevector"``, else ``"serial"``.  The decision is
           recorded as ``result.routing`` and the engine that ran as
           ``result.engine``;
-        * ``"serial"`` — one :class:`BatchedExecutor` preparation per spec;
-        * ``"parallel"`` — fan specs over a process pool
-          (:class:`~repro.execution.parallel.ParallelExecutor`);
+        * ``"serial"`` — one prepared state per spec
+          (:class:`BatchedExecutor`; ``num_workers`` fans the tasks over a
+          process pool);
         * ``"vectorized"`` — deduplicated ``(B, 2**n)`` trajectory stacks
-          (:class:`~repro.execution.vectorized.VectorizedExecutor`);
-        * ``"sharded"`` — dedup groups binned across a device pool, each
-          shard running chunked stacks sized to its device's memory
-          (:class:`~repro.execution.sharded.ShardedExecutor`);
+          (:class:`~repro.execution.vectorized.VectorizedExecutor`;
+          ``max_batch`` and ``devices`` bound the rows of a stack —
+          ``devices`` sizes it to the smallest device's memory —
+          and ``num_workers`` fans the tasks over a process pool);
+        * ``"parallel"`` — alias of ``"serial"`` whose ``num_workers``
+          defaults to 2 (:class:`ParallelExecutor`);
+        * ``"sharded"`` — alias of ``"vectorized"`` whose ``devices``
+          defaults to 2 emulated 80 GB devices and whose ``max_batch``
+          defaults to ``None``
+          (:class:`~repro.execution.vectorized.ShardedExecutor`).  An
+          alias differs from its parent in name (``result.engine``, fault
+          sites) and defaults only;
         * ``"clifford"`` — batched Pauli-frame propagation for
           pure-Clifford circuits with Pauli-mixture noise, at any width
           (:class:`~repro.execution.clifford.CliffordFrameExecutor`);
@@ -363,10 +368,9 @@ def run_ptsbe(
         can serve the width.
 
         Every *dense* strategy draws identical per-trajectory shots for a fixed
-        ``seed``; shot tables also match row for row for specs in
-        ascending trajectory-id order (what every PTS algorithm emits —
-        ``"parallel"`` orders results by trajectory id, the others by
-        spec position).  All dense strategies execute through the same
+        ``seed`` and orders results by spec position, so shot tables
+        match row for row, whatever ``num_workers``, ``max_batch`` or
+        ``devices`` are.  All dense strategies execute through the same
         compiled :class:`~repro.execution.plan.FusedPlan`, so the
         cross-strategy guarantee holds with gate/noise fusion on
         (``Config.fusion="auto"``, the default) or off.  ``"clifford"``
@@ -382,8 +386,9 @@ def run_ptsbe(
         replayed bitwise with ``run_ptsbe(..., seed=result.seed)``.
     executor_kwargs:
         Extra constructor arguments for the chosen executor, e.g.
-        ``{"num_workers": 4}`` for ``"parallel"``, ``{"max_batch": 32}``
-        for ``"vectorized"``, or ``{"devices": 4}`` for ``"sharded"``.
+        ``{"num_workers": 4}`` for ``"serial"`` / ``"parallel"``, or
+        ``{"max_batch": 32, "devices": 4}`` for ``"vectorized"`` /
+        ``"sharded"``.
 
     Examples
     --------
@@ -460,7 +465,9 @@ def run_ptsbe_stream(
     target.freeze()
     resolved, routing = resolve_strategy(target, backend, strategy, config)
     _check_dense_capacity(target, backend, resolved, config)
-    executor = _make_executor(backend, resolved, sample_kwargs, executor_kwargs)
+    executor = executor_class(resolved)(
+        backend, sample_kwargs=sample_kwargs, **(executor_kwargs or {})
+    )
     stream = executor.execute_stream(
         target, pts_result.specs, seed=streams.seed, retain=retain
     )

@@ -38,16 +38,14 @@ still bitwise: shots derive from the same per-trajectory Philox streams
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.backends.pauli_frame import FrameSampler
 from repro.circuits.circuit import Circuit
 from repro.config import Config
 from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec, backend_config
-from repro.execution.driver import drive, timed
-from repro.execution.streaming import StreamedResult, StreamingExecutor
-from repro.pts.base import TrajectorySpec
+from repro.execution.driver import StreamingExecutor, timed
 
 __all__ = ["CliffordFrameExecutor"]
 
@@ -93,22 +91,8 @@ class CliffordFrameExecutor(StreamingExecutor):
             )
         self._config = backend_config(backend)
 
-    def execute_stream(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-        retain: bool = True,
-    ) -> StreamedResult:
-        """Stream each dedup group's trajectories as its frame completes.
-
-        Chunks are released in spec order through an
-        :class:`~repro.execution.streaming.OrderedDelivery` buffer (a
-        dedup group can interleave spec positions), matching the delivery
-        contract of every dense strategy.
-        """
-        engine = _FrameEngine(circuit, self._config)
-        return drive(lambda: engine, circuit, specs, seed, retain)
+    def _engine(self, circuit: Circuit) -> "_FrameEngine":
+        return _FrameEngine(circuit, self._config)
 
 
 class _FrameEngine:

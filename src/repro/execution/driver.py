@@ -6,7 +6,8 @@ that trajectory's whole shot budget, attach its provenance.  :func:`drive`
 is that loop, written once.  An :class:`Engine` adapter supplies only what
 differs between state representations — how a stack of prescriptions is
 prepared and how a prepared unit's shot requests are drawn — and every
-executor shrinks to "name the adapter, ``return drive(...)``".
+executor is a :class:`StreamingExecutor`: a constructor that validates and
+an ``_engine(circuit)`` recipe that builds the adapter.
 
 What :func:`drive` owns, for every engine and every worker count:
 
@@ -64,14 +65,14 @@ from numpy.typing import NDArray
 from repro.circuits.circuit import Circuit
 from repro.config import Config
 from repro.errors import CapacityError, ExecutionError, FaultError
-from repro.execution.results import TrajectoryResult
+from repro.execution.results import PTSBEResult, TrajectoryResult
 from repro.execution.streaming import OrderedDelivery, StreamedResult
 from repro.faults.plan import FaultPlan, maybe_inject
 from repro.faults.retry import FaultContext, RecoveryEvent, describe_exception
 from repro.pts.base import SpecGroup, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory
 
-__all__ = ["Engine", "drive", "timed"]
+__all__ = ["Engine", "StreamingExecutor", "drive", "timed"]
 
 T = TypeVar("T")
 #: ``(first group, one past the last group, attempt)``.
@@ -364,3 +365,48 @@ def drive(
         engine=name,
         recovery=events,
     )
+
+
+class StreamingExecutor:
+    """Base of every executor: a constructor that validates, an
+    ``_engine(circuit)`` recipe, and the one ``execute_stream``."""
+
+    #: The paper's inter-trajectory axis; the dense executors make it a
+    #: constructor parameter.
+    num_workers = 1
+
+    def _engine(self, circuit: Circuit) -> Engine:
+        """Build this run's adapter.  Runs in the caller's process and,
+        when ``num_workers > 1``, once in every pool worker."""
+        raise NotImplementedError
+
+    def execute_stream(
+        self,
+        circuit: Circuit,
+        specs: Sequence[TrajectorySpec],
+        seed: Optional[int] = None,
+        retain: bool = True,
+    ) -> StreamedResult:
+        """Stream one :class:`~repro.execution.streaming.ShotChunk` per
+        completed task, in spec order.
+
+        In-process a task is one prepared unit (a single state on the
+        one-row engines, a stack of up to ``max_rows`` on the stacked
+        ones); over a pool it is a range of units, so the first chunk
+        arrives when the task holding the first specs finishes, not when
+        the pool drains.  :meth:`StreamedResult.finalize` reproduces
+        :meth:`execute` bitwise; abandoning the stream releases the engine
+        and shuts the pool down.  ``retain=False`` drops chunks after
+        delivery (``finalize`` unavailable) to bound memory for
+        pure-ingest consumers.
+        """
+        return drive(
+            partial(self._engine, circuit), circuit, specs, seed, retain,
+            workers=self.num_workers,
+        )
+
+    def execute(
+        self, circuit: Circuit, specs: Sequence[TrajectorySpec], seed: Optional[int] = None
+    ) -> PTSBEResult:
+        """Run every spec and return the materialized result."""
+        return self.execute_stream(circuit, specs, seed=seed).finalize()

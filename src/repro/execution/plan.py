@@ -158,10 +158,10 @@ class NoiseStep:
     def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         """Compiled fused operator realizing Kraus choices ``key``."""
         return self._cache.get_or_build(
-            (self._step_index, key), lambda: self._build_variant(key)
+            (self._step_index, key), lambda: self._compile_variant(key)
         )
 
-    def _build_variant(self, key: Tuple[int, ...]) -> CompiledOperator:
+    def _compile_variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         if len(self._items) == 1:
             # Singleton window: compile the Kraus operator directly on the
             # site's own qubit order — identical arithmetic to the unfused

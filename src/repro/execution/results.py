@@ -144,10 +144,10 @@ class PTSBEResult:
     #: back as ``seed=``.  ``None`` only for results assembled outside the
     #: execution layer.
     seed: Optional[int] = None
-    #: Which execution engine realized the trajectories: an
-    #: :class:`~repro.execution.driver.Engine` adapter's ``name``
-    #: ("serial", "vectorized", "clifford", "tensornet") or a fan-out
-    #: wrapper ("parallel", "sharded").  ``None`` only for results
+    #: Which execution engine realized the trajectories: the strategy
+    #: name the :class:`~repro.execution.driver.Engine` adapter ran under
+    #: ("serial", "vectorized", "clifford", "tensornet", or the alias
+    #: names "parallel" and "sharded").  ``None`` only for results
     #: assembled outside the execution layer.
     engine: Optional[str] = None
     #: The router's decision trail for this run (set by

@@ -51,7 +51,6 @@ from repro.trajectory.events import TrajectoryRecord
 __all__ = [
     "ShotChunk",
     "StreamedResult",
-    "StreamingExecutor",
     "OrderedDelivery",
 ]
 
@@ -280,14 +279,6 @@ class StreamedResult:
             f"StreamedResult({state}, delivered={self.delivered_trajectories}"
             f"/{self._total}, seed={self.seed})"
         )
-
-
-class StreamingExecutor:
-    """Base of every executor: ``execute`` is ``execute_stream``, drained."""
-
-    def execute(self, circuit, specs, seed: Optional[int] = None) -> PTSBEResult:
-        """Run every spec and return the materialized result."""
-        return self.execute_stream(circuit, specs, seed=seed).finalize()
 
 
 class OrderedDelivery:

@@ -64,10 +64,8 @@ from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec, backend_config
-from repro.execution.driver import drive, timed
-from repro.execution.streaming import StreamedResult, StreamingExecutor
+from repro.execution.driver import StreamingExecutor, timed
 from repro.linalg.kron import permute_operator_qubits
-from repro.pts.base import TrajectorySpec
 
 __all__ = ["TensorNetExecutor", "compile_schedule", "GateSchedule"]
 
@@ -357,7 +355,7 @@ class TensorNetExecutor(StreamingExecutor):
         ``BackendSpec("mps", ...)`` supplies ``max_bond`` / ``cutoff`` /
         ``config`` options; the default dense kinds are tolerated for
         router-dispatch symmetry (their width cap is exactly why this
-        strategy exists), in which case the config's tensornet knobs
+        strategy exists), in which case the config's MPS knobs
         apply.  A backend *factory* is a request for a specific simulator
         object this strategy replaces, and is rejected.
     sample_kwargs:
@@ -369,8 +367,7 @@ class TensorNetExecutor(StreamingExecutor):
         Dedup groups stacked per :class:`BatchedMPSStack` replay.
     max_bond / cutoff:
         Explicit truncation overrides; default resolves through the
-        backend spec options, then ``Config.tensornet_max_bond`` /
-        ``Config.tensornet_cutoff``, then ``Config.default_bond_dim`` /
+        backend spec options, then ``Config.default_bond_dim`` /
         ``Config.svd_cutoff``.
     """
 
@@ -411,38 +408,25 @@ class TensorNetExecutor(StreamingExecutor):
         self.max_bond = int(
             resolved_bond
             if resolved_bond is not None
-            else self._config.resolved_tensornet_max_bond()
+            else self._config.default_bond_dim
         )
         self.cutoff = float(
             resolved_cutoff
             if resolved_cutoff is not None
-            else self._config.resolved_tensornet_cutoff()
+            else self._config.svd_cutoff
         )
         if self.max_bond < 1:
             raise ExecutionError("max_bond must be >= 1")
 
-    def execute_stream(
-        self,
-        circuit: Circuit,
-        specs: Sequence[TrajectorySpec],
-        seed: Optional[int] = None,
-        retain: bool = True,
-    ) -> StreamedResult:
-        """Stream each stacked chunk's trajectories as its replay completes.
-
-        Chunks are released in spec order through an
-        :class:`~repro.execution.streaming.OrderedDelivery` buffer,
-        matching the delivery contract of every other strategy.
-        """
+    def _engine(self, circuit: Circuit) -> "_MPSStackEngine":
         if circuit.num_qubits > self._config.max_tensornet_qubits:
             raise ExecutionError(
                 f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits "
                 f"({self._config.max_tensornet_qubits})"
             )
-        engine = _MPSStackEngine(
+        return _MPSStackEngine(
             circuit, self._config, self.max_batch, self.max_bond, self.cutoff
         )
-        return drive(lambda: engine, circuit, specs, seed, retain)
 
 
 class _MPSStackEngine:

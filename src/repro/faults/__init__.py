@@ -21,7 +21,6 @@ from repro.faults.retry import (
     RecoveryEvent,
     RetryPolicy,
     describe_exception,
-    run_unit_with_retry,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "RecoveryEvent",
     "RetryPolicy",
     "describe_exception",
-    "run_unit_with_retry",
 ]

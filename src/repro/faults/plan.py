@@ -22,11 +22,11 @@ Two ways to target faults:
   default retry policy — and the same seed reproduces the exact same
   fault pattern, which is what makes the chaos suite assertable.
 
-Plans are frozen and picklable: they travel to the pool workers of the
-``parallel`` and ``sharded`` strategies, where the hook fires inside the
-worker process under the same plan as an in-process site.
+Plans are frozen and picklable: they travel to the pool workers of a
+dense executor run with ``num_workers > 1``, where the hook fires inside
+the worker process under the same plan as an in-process site.
 
-Unit-name scheme — one, for all six strategies::
+Unit-name scheme — one, for every strategy name::
 
     <strategy>/stack:{a}:{b}     one task over dedup groups [a, b)
 

@@ -1,4 +1,4 @@
-"""Seed-exact retry: policies, recovery events, and the unit driver.
+"""Seed-exact retry: policies, recovery events, and the retry rule.
 
 The retry layer exists because PR 4's seed threading made it *correct*:
 every trajectory draws from the Philox stream derived from
@@ -19,8 +19,6 @@ deduplication or fencing needed.  What this module adds on top:
   check the budget, record the event, back off).
   :func:`repro.execution.driver.drive` applies it to a failed task whether
   the task ran in-process or came back from a pool worker.
-* :func:`run_unit_with_retry` — the same rule as a blocking loop around
-  one callable.
 
 ``CapacityError`` is deliberately *not* retryable even though it
 subclasses ``BackendError``: repeating the identical allocation would
@@ -33,7 +31,7 @@ from __future__ import annotations
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a
     # cycle: config.py imports this module for its default retry policy)
@@ -46,7 +44,7 @@ from repro.errors import (
     FaultError,
     WorkerCrashError,
 )
-from repro.faults.plan import FaultPlan, maybe_inject
+from repro.faults.plan import FaultPlan
 from repro.rng import FAULT_NS_JITTER, fault_rng
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "RecoveryEvent",
     "FaultContext",
     "describe_exception",
-    "run_unit_with_retry",
 ]
 
 #: Exception classes a failed work unit is retried on by default: backend
@@ -218,29 +215,3 @@ class FaultContext:
         if delay > 0.0:
             time.sleep(delay)
         return attempt
-
-
-def run_unit_with_retry(
-    fn: Callable[[int], Any],
-    *,
-    unit: str,
-    ctx: FaultContext,
-    recovery: List[RecoveryEvent],
-) -> Any:
-    """Run one work unit under the retry policy; return its result.
-
-    ``fn(attempt)`` performs the unit's work; the fault hook fires before
-    each attempt.  ``CapacityError`` always propagates (the caller's
-    halving ladder owns it); other failures go through
-    :meth:`FaultContext.next_attempt` until ``fn`` returns or the budget
-    is spent.
-    """
-    attempt = 0
-    while True:
-        try:
-            maybe_inject(ctx.plan, unit, attempt, ctx.seed)
-            return fn(attempt)
-        except CapacityError:
-            raise
-        except ctx.policy.retryable as exc:
-            attempt = ctx.next_attempt(unit, attempt, exc, recovery)

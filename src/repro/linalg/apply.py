@@ -55,9 +55,9 @@ interchangeable.  Operators on four or more qubits fall back to the
 moveaxis + batched-GEMM kernel (:func:`apply_gemm_stack`), whose
 transient peaks at ~3x the resident stack; keeping every k=3 path at
 ~2x (fresh output, plus at most a sixteenth-stack scratch block) is
-what lets the sharded executor provision 2x workspace instead of 3x
-whenever no operator spans four qubits
-(:meth:`repro.execution.sharded.ShardedExecutor`).
+what lets the stacked executor size a device's rows at 2x workspace
+instead of 3x whenever no operator spans four qubits
+(:class:`repro.execution.vectorized.VectorizedExecutor`).
 
 The kernel is array-module agnostic (the CuPy drop-in pattern of
 :mod:`repro.linalg.backend`): the stack may live on any ``xp`` namespace
@@ -392,7 +392,7 @@ def apply_gemm_stack(
     Exposed separately so the kernel benchmarks and tier tests can pit the
     reshape-view paths against it directly.  Peak memory is ~3x the stack
     (resident stack + contiguous gathered input + GEMM output), which is
-    why the sharded executor provisions extra workspace whenever a plan
+    why the stacked executor provisions extra workspace whenever a plan
     can reach this tier.
     """
     if xp is None:

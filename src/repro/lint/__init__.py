@@ -12,9 +12,10 @@ every line of ``src/repro``:
   (the bitwise-replay contract);
 * **DET001** — no wall clocks / OS entropy / hash-ordered set iteration
   in seeded replay paths;
-* **STRAT001** — every engine registered in ``STRATEGY_BUILDERS``
-  honors the cross-module executor contract (``execute_stream`` with
-  threaded ``seed``/``retain``, engine recorded on results).
+* **STRAT001** — the dispatch attaches the routing trail, and only
+  ``execution/driver.py`` builds a ``StreamedResult`` (the rest of the
+  strategy contract is a runtime conformance test over the strategy
+  table, ``tests/test_driver.py``).
 
 Run it with ``python -m repro.lint [--strict] [--json]``; grandfathered
 findings live in the committed ``baseline.json`` next to this file, each

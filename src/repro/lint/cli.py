@@ -38,7 +38,7 @@ def default_baseline_path() -> Path:
     return Path(__file__).resolve().parent / "baseline.json"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
@@ -104,7 +104,7 @@ def _print_findings(header: str, findings: Sequence[Finding]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _make_parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:

@@ -19,7 +19,6 @@ idempotent by rule id so test reloads do not duplicate rules.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Type
 
@@ -144,16 +143,6 @@ class Project:
 
     def parse_errors(self) -> List[Finding]:
         return list(self._errors)
-
-    def find_class(self, relpath: str, name: str) -> Optional[ast.ClassDef]:
-        """Locate a top-level class definition in one module."""
-        ctx = self.context_for(relpath)
-        if ctx is None:
-            return None
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == name:
-                return node
-        return None
 
 
 def run_lint(

@@ -77,8 +77,6 @@ NUMPY_COMPUTE_CALLS = frozenset(
 EXECUTOR_HOT_PATHS = (
     "execution/batched.py",
     "execution/vectorized.py",
-    "execution/sharded.py",
-    "execution/parallel.py",
     "execution/clifford.py",
     "execution/tensornet.py",
     "backends/batched_statevector.py",

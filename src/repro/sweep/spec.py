@@ -112,7 +112,7 @@ class FamilySweep:
     budget_seconds: Optional[float] = None
 
     def validate(self) -> "FamilySweep":
-        from repro.execution.batched import STRATEGY_BUILDERS
+        from repro.execution.batched import STRATEGIES
 
         if self.family not in workload_names():
             raise SweepSpecError(
@@ -126,10 +126,10 @@ class FamilySweep:
                     "non-empty (omit it to inherit the sweep-level list)"
                 )
             for s in self.strategies:
-                if s not in STRATEGY_BUILDERS:
+                if s not in STRATEGIES:
                     raise SweepSpecError(
                         f"family {self.family!r}: unknown strategy {s!r}; "
-                        f"valid: {', '.join(sorted(STRATEGY_BUILDERS))}"
+                        f"valid: {', '.join(sorted(STRATEGIES))}"
                     )
             if len(set(self.strategies)) != len(self.strategies):
                 raise SweepSpecError(
@@ -202,7 +202,7 @@ class SweepSpec:
     cell_budget_seconds: Optional[float] = None
 
     def validate(self) -> "SweepSpec":
-        from repro.execution.batched import STRATEGY_BUILDERS
+        from repro.execution.batched import STRATEGIES
 
         if not self.name:
             raise SweepSpecError("sweep needs a non-empty name")
@@ -211,10 +211,10 @@ class SweepSpec:
         if not self.strategies:
             raise SweepSpecError("sweep needs at least one strategy")
         for s in self.strategies:
-            if s not in STRATEGY_BUILDERS:
+            if s not in STRATEGIES:
                 raise SweepSpecError(
                     f"unknown strategy {s!r}; valid: "
-                    f"{', '.join(sorted(STRATEGY_BUILDERS))}"
+                    f"{', '.join(sorted(STRATEGIES))}"
                 )
         if len(set(self.strategies)) != len(self.strategies):
             raise SweepSpecError("strategies must be unique")

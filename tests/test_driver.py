@@ -1,10 +1,10 @@
 """The shared execution driver: one replay harness for every strategy.
 
-``repro.execution.driver.drive`` is the single delivery loop behind all
-six executors — in-process for serial, vectorized, clifford and tensornet,
-over a process pool for parallel and sharded.  Each contract below is
-checked once, parametrised over the strategies it applies to, instead of
-once per engine module.
+``repro.execution.driver.drive`` is the single delivery loop behind every
+strategy name — four executors, of which the two dense ones take
+``num_workers`` (``parallel`` and ``sharded`` are their aliases).  Each
+contract below is checked once, parametrised over the strategies it
+applies to, instead of once per engine module.
 """
 
 import hashlib
@@ -17,8 +17,9 @@ import pytest
 from repro.channels import NoiseModel, depolarizing
 from repro.channels.standard import amplitude_damping, bit_flip
 from repro.circuits import Circuit
-from repro.config import Config
+from repro.config import DEFAULT_CONFIG, Config
 from repro.devices import Device
+from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
@@ -30,9 +31,8 @@ from repro.execution import (
     VectorizedExecutor,
     run_ptsbe,
 )
-from repro.execution import (
-    batched, clifford, driver, parallel, sharded, tensornet, vectorized,
-)
+from repro.execution import batched, clifford, driver, tensornet, vectorized
+from repro.execution.batched import STRATEGIES, executor_class
 from repro.execution.driver import Engine
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.pts import ProbabilisticPTS, TrajectorySpec
@@ -41,14 +41,13 @@ from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
 FAST_RETRY = RetryPolicy(backoff_base=0.0, jitter=False)
 
-STRATEGIES = ["serial", "parallel", "vectorized", "sharded", "clifford", "tensornet"]
-#: The strategies that run in-process however they are configured.
+#: The four executors, under their own names; the other two are aliases.
 ENGINES = ["serial", "vectorized", "clifford", "tensornet"]
 ADAPTERS = {
     "serial": (batched, "_SerialEngine"),
-    "parallel": (parallel, "_ParallelEngine"),
+    "parallel": (batched, "_SerialEngine"),
     "vectorized": (vectorized, "_StackEngine"),
-    "sharded": (sharded, "_ShardEngine"),
+    "sharded": (vectorized, "_StackEngine"),
     "clifford": (clifford, "_FrameEngine"),
     "tensornet": (tensornet, "_MPSStackEngine"),
 }
@@ -115,7 +114,7 @@ def assert_same_table(a, b):
         np.testing.assert_array_equal(x, y)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_streamed_chunks_concatenate_to_the_finalized_table(circuit, specs, strategy):
     stream = make_executor(strategy).execute_stream(circuit, specs, seed=21)
     tables = [chunk.shot_table() for chunk in stream if chunk.num_shots]
@@ -127,7 +126,7 @@ def test_streamed_chunks_concatenate_to_the_finalized_table(circuit, specs, stra
     assert_same_table(ShotTable.concatenate(tables), result)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_close_before_first_chunk_releases_the_engine(
     circuit, specs, strategy, monkeypatch
 ):
@@ -180,6 +179,59 @@ def test_any_worker_count_batch_and_device_pool_gives_the_serial_table(
     assert_same_table(BatchedExecutor().execute(circuit, specs, seed=21), result)
     assert result.records == [spec.record for spec in specs]
     assert result.unique_preparations == len(specs) and result.recovery == []
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_every_table_entry_streams_under_its_own_name(circuit, specs, strategy, monkeypatch):
+    # The registry contract, on the default-constructed executor of every
+    # name: execute_stream takes the threaded seed and the retain knob,
+    # stamps the name on the stream and prefixes its fault units with it.
+    clean = make_executor(strategy).execute(circuit, specs, seed=21)
+    monkeypatch.setattr(DEFAULT_CONFIG, "retry", FAST_RETRY)
+    monkeypatch.setattr(
+        DEFAULT_CONFIG,
+        "fault_plan",
+        FaultPlan(rules=(FaultSpec("transient-backend", f"{strategy}/stack:*"),)),
+    )
+    cls = executor_class(strategy)
+    assert "execute_stream" not in vars(cls)  # the one on the base class
+    stream = cls().execute_stream(circuit, specs, seed=21, retain=True)
+    assert stream.engine == strategy and stream.seed == 21
+    result = stream.finalize()
+    assert result.engine == strategy
+    assert result.recovery and {e.kind for e in result.recovery} == {"retry"}
+    assert all(e.unit.startswith(f"{strategy}/stack:") for e in result.recovery)
+    if strategy != "tensornet":  # whose shots depend on the rows of a unit
+        assert_same_table(clean, result)
+
+
+def test_an_alias_is_its_parent_under_another_name(circuit, specs):
+    serial = BatchedExecutor().execute(circuit, specs, seed=21)
+    pool = _devices("heterogeneous")
+    for parent, alias, kwargs in (
+        (BatchedExecutor, ParallelExecutor, {"num_workers": 2}),
+        (VectorizedExecutor, ShardedExecutor,
+         {"devices": pool, "max_batch": 3, "num_workers": 2}),
+    ):
+        assert set(vars(alias)) - {"__module__", "__doc__"} == {"strategy", "__init__"}
+        assert issubclass(alias, parent) and alias.strategy != parent.strategy
+        for cls in (parent, alias):
+            result = cls(**kwargs).execute(circuit, specs, seed=21)
+            assert result.engine == cls.strategy
+            assert_same_table(serial, result)
+            assert result.unique_preparations == serial.unique_preparations
+
+
+@pytest.mark.parametrize("cls", [BatchedExecutor, VectorizedExecutor])
+def test_workers_need_a_picklable_backend_recipe(cls):
+    def factory(num_qubits):
+        raise AssertionError("never built")
+
+    assert cls(factory).num_workers == 1  # in-process: any factory will do
+    with pytest.raises(ExecutionError, match="picklable BackendSpec"):
+        cls(factory, num_workers=2)
+    with pytest.raises(ExecutionError, match="num_workers must be positive"):
+        cls(num_workers=0)
 
 
 def test_a_consumer_that_stops_pulling_stops_the_pool(circuit, specs, monkeypatch):
@@ -350,7 +402,7 @@ def test_clifford_shot_table_matches_the_pre_driver_golden_digest(circuit):
     assert digest.hexdigest() == CLIFFORD_GOLDEN
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_adapters_satisfy_the_engine_protocol(circuit, specs, strategy, monkeypatch):
     module, adapter = ADAPTERS[strategy]
     built = []

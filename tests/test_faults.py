@@ -43,7 +43,6 @@ from repro.faults import (
     RetryPolicy,
     maybe_inject,
     parse_fault_plan,
-    run_unit_with_retry,
 )
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng
@@ -301,59 +300,29 @@ class TestRetryPolicy:
         with pytest.raises(ExecutionError, match="backoff"):
             RetryPolicy(backoff_base=-1.0)
 
-    def test_run_unit_recovers_and_records(self):
+    def test_next_attempt_counts_up_and_records(self):
         ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0, strategy="test")
-        events, calls = [], []
-
-        def flaky(attempt):
-            calls.append(attempt)
-            if attempt < 2:
-                raise BackendError("hiccup")
-            return "done"
-
-        assert run_unit_with_retry(flaky, unit="u", ctx=ctx, recovery=events) == "done"
-        assert calls == [0, 1, 2]
+        events = []
+        assert ctx.next_attempt("u", 0, BackendError("hiccup"), events) == 1
+        assert ctx.next_attempt("u", 1, BackendError("hiccup"), events) == 2
         assert [(e.kind, e.attempt) for e in events] == [("retry", 1), ("retry", 2)]
         assert all(e.unit == "u" and e.strategy == "test" for e in events)
-
-    def test_run_unit_exhaustion_raises_fault_error(self):
-        ctx = FaultContext(
-            plan=None,
-            policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
-            seed=0,
-            strategy="test",
-        )
-        events = []
-
-        def doomed(attempt):
-            raise BackendError("permanent")
-
-        with pytest.raises(FaultError, match="failed after 2 attempt") as info:
-            run_unit_with_retry(doomed, unit="u", ctx=ctx, recovery=events)
-        assert info.value.unit == "u"
-        assert info.value.attempts == 2
-        assert isinstance(info.value.__cause__, BackendError)
-        assert len(events) == 1  # one retry happened before exhaustion
+        with pytest.raises(FaultError, match="failed after 3 attempt"):
+            ctx.next_attempt("u", 2, BackendError("hiccup"), events)
 
     def test_capacity_error_passes_straight_through(self):
         ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0)
         events = []
-
-        def oom(attempt):
-            raise CapacityError("stack too wide")
-
         with pytest.raises(CapacityError):
-            run_unit_with_retry(oom, unit="u", ctx=ctx, recovery=events)
+            ctx.next_attempt("u", 0, CapacityError("stack too wide"), events)
         assert events == []  # escalation, not recovery
 
     def test_non_retryable_propagates_unchanged(self):
         ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0)
-
-        def broken(attempt):
-            raise ValueError("logic bug")
-
-        with pytest.raises(ValueError):
-            run_unit_with_retry(broken, unit="u", ctx=ctx, recovery=[])
+        bug = ValueError("logic bug")
+        with pytest.raises(ValueError) as info:
+            ctx.next_attempt("u", 0, bug, [])
+        assert info.value is bug
 
 
 class TestOrderedDeliveryReissue:
@@ -608,10 +577,8 @@ class TestDegradation:
 # Pool substrate failures (real crashes, not injected exceptions)
 # --------------------------------------------------------------------- #
 class _TestEngine(_SerialEngine):
-    name = "test"
-
     def __init__(self, circuit):
-        super().__init__(BackendSpec().create(circuit.num_qubits), circuit, {}, None)
+        super().__init__("test", BackendSpec().create(circuit.num_qubits), circuit, {}, None)
 
 
 class _DyingEngine(_TestEngine):

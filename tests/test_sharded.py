@@ -142,6 +142,29 @@ class TestPerDeviceSizing:
                 noisy_ghz3, [_spec(0, 10)], seed=0
             )
 
+    def test_rows_are_sized_from_the_backend_that_runs_the_stack(self, noisy_ghz3):
+        """A backend factory is opaque to the recipe: the stack is sized
+        from the built backend's own config, so a complex64 factory gets
+        twice the rows of a complex128 one on the same device."""
+        from repro.backends.batched_statevector import BatchedStatevectorBackend
+        from repro.config import Config
+
+        specs = _pts_specs(noisy_ghz3, 3)
+        assert len(deduplicate_specs(specs)) == len(specs) > 4
+        # Two complex128 rows of a 3-qubit state at the 2x view-tier headroom.
+        device = [Device(0, memory_bytes=2 * 2 * 8 * 16, name="small")]
+        rows = {}
+        for dtype in (np.complex128, np.complex64):
+            config = Config(dtype=np.dtype(dtype))
+            executor = ShardedExecutor(
+                lambda n, config=config: BatchedStatevectorBackend(n, config=config),
+                devices=device,
+            )
+            stream = executor.execute_stream(noisy_ghz3, specs, seed=6)
+            rows[dtype] = next(stream).num_trajectories  # one unit per chunk
+            stream.close()
+        assert rows == {np.complex128: 2, np.complex64: 4}
+
     def test_workspace_accounts_for_fused_gemm_transient(self):
         """Regression both ways: only k>=4 operators reach the
         moveaxis+GEMM path (~3x transient) now that 3-qubit windows run

@@ -460,7 +460,7 @@ class TestExecutorContracts:
         # Explicit arg > spec options > config default.
         assert TensorNetExecutor(BackendSpec.mps(max_bond=8), max_bond=5).max_bond == 5
         assert TensorNetExecutor(BackendSpec.mps(max_bond=8)).max_bond == 8
-        cfg = Config(tensornet_max_bond=12)
+        cfg = Config(default_bond_dim=12)
         assert TensorNetExecutor(config=cfg).max_bond == 12
         assert TensorNetExecutor().max_bond == Config().default_bond_dim
 
