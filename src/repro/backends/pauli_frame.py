@@ -49,8 +49,8 @@ class _NoiseSite:
     ``x_patterns``/``z_patterns`` are the branch Paulis *at* the site;
     ``end_x_patterns`` are the same branches conjugated through every
     Clifford gate after the site to the end of the circuit, which is what
-    makes fixed-choice (PTS) sampling O(1) per spec: a spec's terminal
-    frame is just the XOR of its chosen branches' end patterns.
+    makes fixed-choice (PTS) sampling O(deviations) per spec: a spec's
+    terminal frame is just the XOR of its chosen branches' end patterns.
     """
 
     op_index: int
@@ -83,68 +83,91 @@ class FrameSampler:
     # ------------------------------------------------------------------ #
     # one-time tableau analysis of the ideal circuit
     # ------------------------------------------------------------------ #
-    def _ideal_run(self, forces: Dict[int, int]) -> Tuple[List[int], List[bool]]:
+    def _analyze_ideal(self) -> None:
+        """Reference outcome plus one affine generator per random measurement.
+
+        The gate list is applied once.  The reference pass forces every
+        random measurement to 0 (so no rng is needed); generator ``g`` is
+        the pass that forces random measurement ``g`` to 1 instead, XOR the
+        reference.  That pass agrees with the reference up to its
+        measurement, so it resumes from a copy of the tableau taken right
+        before it rather than replaying the circuit.
+        """
         backend = StabilizerBackend(self.num_qubits)
         for op in self.circuit:
             if isinstance(op, GateOp):
                 backend.apply_gate_by_name(op.gate.name, op.qubits)
             # NoiseOps ignored in the ideal pass; MeasureOps deferred.
-        # Force every random measurement (default 0) so no rng is needed.
-        full_forces = {i: forces.get(i, 0) for i in range(len(self.measured_qubits))}
-        return backend.measure_many(self.measured_qubits, forces=full_forces)
-
-    def _analyze_ideal(self) -> None:
-        reference, random_flags = self._ideal_run({})
-        self.reference = np.array(reference, dtype=np.uint8)
-        self.random_positions = [i for i, f in enumerate(random_flags) if f]
-        generators = []
-        for pos in self.random_positions:
-            flipped, _ = self._ideal_run({pos: 1})
-            generators.append(np.array(flipped, dtype=np.uint8) ^ self.reference)
-        self.generators = (
-            np.array(generators, dtype=np.uint8)
-            if generators
-            else np.zeros((0, len(self.measured_qubits)), dtype=np.uint8)
-        )
+        measured = self.measured_qubits
+        reference = np.zeros(len(measured), dtype=np.uint8)
+        self.random_positions = []
+        tails = []
+        for pos, qubit in enumerate(measured):
+            before = backend.copy()
+            reference[pos], was_random = backend.measure(qubit, force=0)
+            if was_random:
+                self.random_positions.append(pos)
+                forced = [1] + [0] * (len(measured) - pos - 1)
+                tails.append(
+                    [before.measure(q, force=f)[0] for q, f in zip(measured[pos:], forced)]
+                )
+        self.reference = reference
+        self.generators = np.zeros((len(tails), len(measured)), dtype=np.uint8)
+        for row, pos, tail in zip(self.generators, self.random_positions, tails):
+            row[pos:] = reference[pos:] ^ np.array(tail, dtype=np.uint8)
 
     # ------------------------------------------------------------------ #
     # one-time noise-site compilation
     # ------------------------------------------------------------------ #
     def _analyze_noise(self) -> None:
         self.sites: List[_NoiseSite] = []
+        # Channel analysis is a function of the channel object alone, and a
+        # noise model attaches a handful of channels to every site.
+        analyzed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
         for op_index, op in enumerate(self.circuit):
             if not isinstance(op, NoiseOp):
                 continue
-            mixture = as_unitary_mixture(op.channel)
-            if mixture is None:
-                raise BackendError(
-                    f"channel {op.channel.name!r} is not a Pauli mixture; the frame "
-                    "sampler has the Stim restriction (Clifford + Pauli noise)"
-                )
-            branches = len(mixture.probs)
-            xpat = np.zeros((branches, self.num_qubits), dtype=np.uint8)
-            zpat = np.zeros((branches, self.num_qubits), dtype=np.uint8)
-            for b, unitary in enumerate(mixture.unitaries):
-                local = pauli_from_unitary(unitary, len(op.qubits))
-                if local is None:
-                    raise BackendError(
-                        f"branch {b} of {op.channel.name!r} is not a Pauli string"
-                    )
-                for pos, q in enumerate(op.qubits):
-                    xpat[b, q] = local.x[pos]
-                    zpat[b, q] = local.z[pos]
+            if id(op.channel) not in analyzed:
+                analyzed[id(op.channel)] = self._analyze_channel(op.channel)
+            probs, local_x, local_z, dominant = analyzed[id(op.channel)]
+            xpat = np.zeros((len(probs), self.num_qubits), dtype=np.uint8)
+            zpat = np.zeros((len(probs), self.num_qubits), dtype=np.uint8)
+            xpat[:, op.qubits] = local_x
+            zpat[:, op.qubits] = local_z
             self.sites.append(
                 _NoiseSite(
                     op_index=op_index,
                     site_id=op.site_id,
-                    dominant_index=op.channel.dominant_index(),
+                    dominant_index=dominant,
                     qubits=op.qubits,
-                    probs=np.asarray(mixture.probs, dtype=np.float64),
+                    probs=probs,
                     x_patterns=xpat,
                     z_patterns=zpat,
                 )
             )
         self._propagate_site_patterns()
+
+    @staticmethod
+    def _analyze_channel(channel) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(probs, x, z, dominant branch)``: the channel as a Pauli
+        mixture, one ``(branches, channel qubits)`` bit pattern each."""
+        mixture = as_unitary_mixture(channel)
+        if mixture is None:
+            raise BackendError(
+                f"channel {channel.name!r} is not a Pauli mixture; the frame "
+                "sampler has the Stim restriction (Clifford + Pauli noise)"
+            )
+        paulis = [pauli_from_unitary(u, channel.num_qubits) for u in mixture.unitaries]
+        if None in paulis:
+            raise BackendError(
+                f"branch {paulis.index(None)} of {channel.name!r} is not a Pauli string"
+            )
+        return (
+            np.asarray(mixture.probs, dtype=np.float64),
+            np.array([p.x for p in paulis], dtype=np.uint8),
+            np.array([p.z for p in paulis], dtype=np.uint8),
+            channel.dominant_index(),
+        )
 
     def _propagate_site_patterns(self) -> None:
         """Conjugate every site's branch patterns to the end of the circuit.
@@ -176,34 +199,68 @@ class FrameSampler:
                 next_site = next(site_iter, None)
         for site, (start, stop) in zip(self.sites, spans):
             site.end_x_patterns = fx[start:stop].copy()
+        # Flat per-branch tables behind frame_for_choices: a trajectory is
+        # the all-dominant frame XOR one (branch XOR dominant) row per
+        # deviation, so assembling it never walks the sites it leaves alone.
+        self._site_position = {site.site_id: i for i, site in enumerate(self.sites)}
+        self._site_start = np.array([start for start, _ in spans], dtype=np.intp)
+        self._site_branches = np.array([len(site.probs) for site in self.sites], dtype=np.intp)
+        dominant_rows = self._site_start + np.array(
+            [site.dominant_index for site in self.sites], dtype=np.intp
+        )
+        self._branch_probs = np.concatenate([site.probs for site in self.sites] or [np.zeros(0)])
+        self._dominant_probs = self._branch_probs[dominant_rows]
+        end_flips = fx[:, self._measured_index]
+        self._delta_flips = end_flips ^ np.repeat(
+            end_flips[dominant_rows], self._site_branches, axis=0
+        )
+        self._dominant_flips = np.bitwise_xor.reduce(end_flips[dominant_rows], axis=0)
 
     # ------------------------------------------------------------------ #
     # fixed-choice (PTS) sampling
     # ------------------------------------------------------------------ #
-    def frame_for_choices(self, choices: Dict[int, int]) -> Tuple[np.ndarray, float]:
-        """Terminal frame flips on the measured qubits + exact weight.
+    def frame_for_choices(
+        self, choices_list: Sequence[Dict[int, int]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Terminal frame flips on the measured qubits + exact weights, one
+        row per prescription: ``(rows, k)`` uint8 and ``(rows,)`` float64.
 
-        ``choices`` maps deviating ``site_id`` to Kraus index (PTS
-        semantics: unpinned sites take the dominant branch).  Because a
-        spec's Kraus choices are *fixed*, its frame is deterministic — the
-        XOR over sites of the chosen branch's end-propagated X pattern —
-        and the trajectory weight is exactly the product of the chosen
-        branch probabilities (Pauli mixtures are unitary mixtures, so
-        nominal probabilities are exact).
+        Each entry of ``choices_list`` maps deviating ``site_id`` to Kraus
+        index (PTS semantics: unpinned sites take the dominant branch; ids
+        the circuit does not have are ignored).  Because a spec's Kraus
+        choices are *fixed*, its frame is deterministic — the XOR over
+        sites of the chosen branch's end-propagated X pattern, assembled as
+        the all-dominant frame XOR one precomputed ``branch XOR dominant``
+        row per deviation — and the trajectory weight is exactly the
+        product, in site order, of the chosen branch probabilities (Pauli
+        mixtures are unitary mixtures, so nominal probabilities are exact).
         """
-        flips = np.zeros(len(self.measured_qubits), dtype=np.uint8)
-        weight = 1.0
-        measured = self._measured_index
-        for site in self.sites:
-            branch = choices.get(site.site_id, site.dominant_index)
-            if not 0 <= branch < len(site.probs):
-                raise BackendError(
-                    f"site {site.site_id}: Kraus index {branch} out of range "
-                    f"for {len(site.probs)} branches"
-                )
-            flips ^= site.end_x_patterns[branch][measured]
-            weight *= float(site.probs[branch])
-        return flips, weight
+        rows, positions, branches = [], [], []
+        for row, choices in enumerate(choices_list):
+            for site_id, branch in choices.items():
+                position = self._site_position.get(site_id)
+                if position is not None:
+                    rows.append(row)
+                    positions.append(position)
+                    branches.append(branch)
+        rows = np.array(rows, dtype=np.intp)
+        positions = np.array(positions, dtype=np.intp)
+        branches = np.array(branches, dtype=np.intp)
+        bad = np.flatnonzero((branches < 0) | (branches >= self._site_branches[positions]))
+        if bad.size:
+            site = self.sites[positions[bad[0]]]
+            raise BackendError(
+                f"site {site.site_id}: Kraus index {branches[bad[0]]} out of range "
+                f"for {len(site.probs)} branches"
+            )
+        chosen = self._site_start[positions] + branches
+        flips = np.tile(self._dominant_flips, (len(choices_list), 1))
+        np.bitwise_xor.at(flips, rows, self._delta_flips[chosen])
+        probs = np.tile(self._dominant_probs, (len(choices_list), 1))
+        probs[rows, positions] = self._branch_probs[chosen]
+        # Reduced over the leading axis: the same left-to-right product
+        # over sites a scalar loop takes, so weights keep their last bit.
+        return flips, np.multiply.reduce(probs.T, axis=0, initial=1.0)
 
     #: Generators per XOR-combination lookup table: 2**12 rows of k bytes
     #: stays comfortably cache-resident while covering 12 random
@@ -248,13 +305,16 @@ class FrameSampler:
             return np.uint64
         return None
 
-    @staticmethod
-    def _pack_word(bits: np.ndarray) -> int:
-        """Pack a k-bit uint8 vector into an int (bit j = measured bit j)."""
-        word = 0
-        for j in np.flatnonzero(bits):
-            word |= 1 << int(j)
-        return word
+    def _pack_words(self, bits: np.ndarray) -> np.ndarray:
+        """Pack ``(rows, k)`` uint8 bits into ``(rows,)`` words (bit j of a
+        word = measured bit j): the inverse of :meth:`_unpack_words`."""
+        word = np.dtype(self._packed_word_dtype())
+        padded = np.zeros((len(bits), 8 * word.itemsize), dtype=np.uint8)
+        padded[:, : bits.shape[1]] = bits
+        packed = np.packbits(padded, axis=1, bitorder="little").view(word)[:, 0]
+        if sys.byteorder != "little":  # pragma: no cover - x86/arm are little
+            packed = packed.byteswap()
+        return packed
 
     def _packed_combination_tables(self) -> List[np.ndarray]:
         """Packed-word variant of :meth:`_combination_tables`.
@@ -263,76 +323,78 @@ class FrameSampler:
         outcome packed into one unsigned word — so the per-group gather is
         1-D (2–8 bytes per shot instead of k), group XORs are single word
         ops, and the bits are unpacked to ``(shots, k)`` uint8 exactly
-        once per trajectory in :meth:`_unpack_words`.
+        once per unit in :meth:`_unpack_words`.
         """
         if self._packed_tables_cache is None:
-            word = self._packed_word_dtype()
-            gen_words = [self._pack_word(g) for g in self.generators]
+            gen_words = self._pack_words(self.generators)
             tables = []
             for start in range(0, len(self.random_positions), self._PACKED_GROUP_BITS):
                 group = gen_words[start : start + self._PACKED_GROUP_BITS]
-                table = np.zeros(1 << len(group), dtype=word)
+                table = np.zeros(1 << len(group), dtype=gen_words.dtype)
                 for i, gen in enumerate(group):
                     half = 1 << i
-                    np.bitwise_xor(table[:half], word(gen), out=table[half : 2 * half])
+                    np.bitwise_xor(table[:half], gen, out=table[half : 2 * half])
                 tables.append(table)
             self._packed_tables_cache = tables
         return self._packed_tables_cache
 
-    def _unpack_words(self, packed: np.ndarray, num_shots: int) -> np.ndarray:
-        """Unpack (num_shots,) words back to (num_shots, k) uint8 bits."""
-        k = len(self.measured_qubits)
+    def _unpack_words(self, packed: np.ndarray) -> np.ndarray:
+        """Unpack ``(shots,)`` words back to contiguous ``(shots, k)`` bits."""
         if sys.byteorder != "little":  # pragma: no cover - x86/arm are little
             packed = packed.byteswap()
-        nbytes = packed.dtype.itemsize
-        bits = np.unpackbits(
-            packed.view(np.uint8).reshape(num_shots, nbytes),
+        return np.unpackbits(
+            packed.view(np.uint8).reshape(len(packed), packed.dtype.itemsize),
             axis=1,
+            count=len(self.measured_qubits),
             bitorder="little",
         )
-        return bits[:, :k]
+
+    def sample_stack(
+        self,
+        flips: np.ndarray,
+        requests: Sequence[Tuple[int, int, np.random.Generator]],
+    ) -> List[np.ndarray]:
+        """Bulk-sample every request of a unit: one ``(shots, k)`` bits
+        array per ``(row of flips, shots, rng)``, views of one unit buffer.
+
+        ``flips`` comes from :meth:`frame_for_choices`; the only per-shot
+        randomness left is the uniform combination of the ideal circuit's
+        affine outcome generators.  Each request draws one uniform table
+        row per generator group from its own generator, into one
+        unit-wide buffer; then the whole unit is one gather per group, one
+        XOR with each row's ``reference XOR flips`` and (over packed words,
+        when k fits a machine word) one unpack.
+        """
+        rows = np.array([row for row, _, _ in requests], dtype=np.intp)
+        shots = np.array([n for _, n, _ in requests], dtype=np.intp)
+        ends = np.cumsum(shots)
+        base = self.reference ^ flips
+        if not self.random_positions:
+            bits = np.repeat(base[rows], shots, axis=0)
+        else:
+            packed = self._packed_word_dtype() is not None
+            tables = self._packed_combination_tables() if packed else self._combination_tables()
+            draws = np.empty((len(tables), int(shots.sum())), dtype=np.uint16)
+            for (_, n, rng), end in zip(requests, ends):
+                for t, table in enumerate(tables):
+                    draws[t, end - n : end] = rng.integers(
+                        0, len(table) - 1, size=n, dtype=np.uint16, endpoint=True
+                    )
+            # Words when k fits one, else (>64 measured qubits) rows of the
+            # unpacked (shots, k) tables.
+            sampled = np.take(tables[0], draws[0], axis=0)
+            for table, group_draws in zip(tables[1:], draws[1:]):
+                sampled ^= np.take(table, group_draws, axis=0)
+            sampled ^= np.repeat((self._pack_words(base) if packed else base)[rows], shots, axis=0)
+            bits = self._unpack_words(sampled) if packed else sampled
+        return [bits[end - n : end] for n, end in zip(shots, ends)]
 
     def sample_fixed(
         self, flips: np.ndarray, num_shots: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Bulk-sample ``(num_shots, k)`` bits for one fixed trajectory.
-
-        ``flips`` comes from :meth:`frame_for_choices`; the only per-shot
-        randomness left is the uniform combination of the ideal circuit's
-        affine outcome generators — one uniform table-row draw and one
-        1-D gather-XOR per generator group, over packed words when k fits
-        a machine word (see :meth:`_packed_combination_tables`).
-        """
-        k = len(self.measured_qubits)
-        base = self.reference ^ flips
-        if not self.random_positions:
-            out = np.empty((num_shots, k), dtype=np.uint8)
-            out[:] = base
-            return out
-        word = self._packed_word_dtype()
-        if word is None:
-            # >64 measured qubits: fall back to the unpacked 2-D tables.
-            tables = self._combination_tables()
-            draws = rng.integers(0, len(tables[0]), size=num_shots, dtype=np.uint16)
-            out = np.take(tables[0] ^ base, draws, axis=0)
-            for table in tables[1:]:
-                draws = rng.integers(0, len(table), size=num_shots, dtype=np.uint16)
-                out ^= np.take(table, draws, axis=0)
-            return out
-        tables = self._packed_combination_tables()
-        # Fold the trajectory's fixed flips into the first table (a
-        # cache-sized copy) so the per-shot work is one uint16 draw + one
-        # 1-D gather per group — no extra full-size XOR pass per shot.
-        draws = rng.integers(
-            0, len(tables[0]) - 1, size=num_shots, dtype=np.uint16, endpoint=True
-        )
-        packed = np.take(tables[0] ^ word(self._pack_word(base)), draws)
-        for table in tables[1:]:
-            draws = rng.integers(
-                0, len(table) - 1, size=num_shots, dtype=np.uint16, endpoint=True
-            )
-            packed ^= np.take(table, draws)
-        return self._unpack_words(packed, num_shots)
+        """``(num_shots, k)`` bits for one fixed trajectory: the one-request
+        form of :meth:`sample_stack`."""
+        return self.sample_stack(flips[None, :], [(0, num_shots, rng)])[0]
 
     # ------------------------------------------------------------------ #
     # bulk sampling

@@ -245,9 +245,6 @@ class StabilizerBackend:
         phase = (2 * int(hr) + 2 * int(self.r[i]) + g) % 4
         return hx ^ self.x[i], hz ^ self.z[i], 1 if phase == 2 else 0
 
-    def _rowsum(self, h: int, i: int) -> None:
-        self.x[h], self.z[h], self.r[h] = self._rowsum_into(self.x[h], self.z[h], self.r[h], i)
-
     # ------------------------------------------------------------------ #
     # measurement
     # ------------------------------------------------------------------ #
@@ -269,9 +266,15 @@ class StabilizerBackend:
         if stab_rows.size > 0:
             # Random outcome.
             p = int(stab_rows[0]) + n
-            for i in range(2 * n):
-                if i != p and self.x[i, qubit]:
-                    self._rowsum(i, p)
+            # rowsum(i, p) for every other row i that anticommutes with
+            # Z_qubit; row p itself does not change, so all at once.
+            rows = np.flatnonzero(self.x[:, qubit])
+            rows = rows[rows != p]
+            g = self._g_vector(self.x[p], self.z[p], self.x[rows], self.z[rows]).sum(axis=1)
+            phase = (2 * self.r[rows].astype(np.int64) + 2 * int(self.r[p]) + g) % 4
+            self.x[rows] ^= self.x[p]
+            self.z[rows] ^= self.z[p]
+            self.r[rows] = phase == 2
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
             self.r[p - n] = self.r[p]

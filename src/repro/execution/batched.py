@@ -201,6 +201,7 @@ class _SerialEngine:
     backend: a unit is a single ``run_fixed`` + bulk ``sample``."""
 
     max_rows = 1
+    max_unit_shots = None
     # The fused plan compiles lazily inside the first run_fixed.
     compile_seconds = 0.0
 

@@ -6,21 +6,25 @@ realization does not need a dense state at all.  The
 :class:`~repro.backends.pauli_frame.FrameSampler` compiles the circuit
 once — one tableau analysis of the ideal circuit plus one conjugation
 walk that propagates every noise branch's Pauli pattern to the end — and
-then each PTS :class:`~repro.pts.base.TrajectorySpec` costs:
+then a *unit* of PTS :class:`~repro.pts.base.TrajectorySpec`\\ s (as many
+dedup groups as fit 2**16 shots) costs:
 
-* **O(sites)** to assemble its terminal frame: with the spec's Kraus
-  choices *fixed*, the frame is deterministic — the XOR of the chosen
-  branches' end-propagated X patterns (this is where PTS and Stim-style
-  frame sampling compose: pre-sampling removes the per-shot branch draw
-  the conventional frame sampler does);
-* **two vectorized XORs** for its whole shot budget: reference outcome
-  ⊕ random affine-generator combination ⊕ frame flips.
+* **one frame assembly**, O(deviations) per trajectory: with a spec's
+  Kraus choices *fixed*, its frame is deterministic — the all-dominant
+  frame XOR one precomputed ``branch XOR dominant`` end pattern per
+  deviating site (this is where PTS and Stim-style frame sampling
+  compose: pre-sampling removes the per-shot branch draw the conventional
+  frame sampler does);
+* **one packed gather** for the unit's whole shot budget: each trajectory
+  draws its table rows from its own Philox stream, then the unit is one
+  lookup per generator group, one XOR with ``reference XOR flips`` and one
+  unpack.
 
 That is millions of shots per second at *any* width — the dense
 strategies stop at ``Config.max_dense_qubits`` (26), this one happily
 runs 40-qubit syndrome-extraction workloads.  Specs are deduplicated
 into :class:`~repro.pts.base.SpecGroup`\\ s so each distinct Kraus
-prescription pays its frame assembly once, and delivery goes through the
+prescription is one row of its unit, and delivery goes through the
 same :class:`~repro.execution.streaming.OrderedDelivery` discipline as
 every other strategy, so ``run_ptsbe_stream``, ``retain=False``, and
 mid-stream ``close()`` behave identically.
@@ -97,11 +101,22 @@ class CliffordFrameExecutor(StreamingExecutor):
 
 class _FrameEngine:
     """:class:`~repro.execution.driver.Engine` over one compiled
-    :class:`FrameSampler`: a unit is one frame assembly, and sampling is
-    the two XORs of ``sample_fixed``."""
+    :class:`FrameSampler`: a unit is a stack of frames — one
+    ``frame_for_choices`` call assembles every row's flips and weight, one
+    ``sample_stack`` call draws every request's shots.
+
+    Frames are row-wise independent (a row's flips, weight and Philox
+    stream do not depend on its neighbours), so where a unit is cut changes
+    no bits.  Rows are nearly free here and shots are what a unit holds, so
+    a unit closes at ``max_rows`` groups or ``max_unit_shots`` shots,
+    whichever comes first: packed words stay within 512 KiB and unit bits
+    within 64 Ki x k bytes whatever the shot budget per trajectory is.
+    Throughput is flat from 64 to 2048 rows, so both are constants.
+    """
 
     name = "clifford"
-    max_rows = 1
+    max_rows = 1024
+    max_unit_shots = 1 << 16
 
     def __init__(self, circuit: Circuit, config: Optional[Config]):
         self.config = config
@@ -114,11 +129,11 @@ class _FrameEngine:
             ) from exc
 
     def prepare(self, choices_list):
-        self.flips, weight = self.sampler.frame_for_choices(choices_list[0])
-        return [weight]
+        self.flips, weights = self.sampler.frame_for_choices(choices_list)
+        return weights
 
     def sample(self, requests):
-        return [self.sampler.sample_fixed(self.flips, n, rng) for _, n, rng in requests]
+        return self.sampler.sample_stack(self.flips, requests)
 
     def release(self) -> None:
         pass

@@ -31,18 +31,27 @@ What :func:`drive` owns, for every engine and every worker count:
   the list and read ``0.0``);
 * ordered delivery and the :class:`~repro.execution.streaming.StreamedResult`.
 
+A unit is cut greedily from the dedup groups, in order: it takes groups
+until the next would make it more than ``max_rows`` groups or — on an
+engine that sets it — more than ``max_unit_shots`` shots, and always at
+least one.  (The state engines size a unit by the rows they hold; the
+frame engine's rows are nearly free, so its unit is sized by the shots it
+samples and a chunk stays bounded whatever the budget per trajectory.)
+
 ``workers`` is the paper's inter-trajectory axis ("embarrassingly
 parallel", §3).  With ``workers == 1`` tasks run in this process, one
-``max_rows``-sized unit each.  With more, the same tasks go to a process
+unit each.  With more, ranges of groups go to a process
 pool whose initializer builds one engine per process; the parent keeps at
 most ``2 * workers`` of them in flight (a consumer that stops pulling
-stops the run) and settles each returned task by the rules above — the
-code is the same code.  A task is a pure function of its group range and
-the root seed, so a retried, halved or re-pooled task re-emits
-bitwise-identical shots on every engine.  Halving changes no bits where
-preparation is row-wise independent (the dense stack); the tensornet
-stack's truncated SVDs keep a common rank across the unit, so there
-halving preserves the sampled distribution only.
+stops the run), each worker cuts its task into units by the same rule,
+and the parent settles each returned task by the rules above — the code
+is the same code.  A task is a pure function of its group range and the
+root seed, so a retried, halved or re-pooled task re-emits
+bitwise-identical shots on every engine.  Where a unit is cut, and
+halving, change no bits where preparation is row-wise independent (the
+dense stack and the frame stack); the tensornet stack's truncated SVDs
+keep a common rank across the unit, so there halving preserves the
+sampled distribution only.
 """
 
 from __future__ import annotations
@@ -97,6 +106,9 @@ class Engine(Protocol):
     name: str
     #: Dedup groups per prepared unit (1 for one-state-at-a-time engines).
     max_rows: int
+    #: Shots per prepared unit, for an engine whose rows are nearly free and
+    #: whose unit is sized by what it samples (``None``: rows alone cut).
+    max_unit_shots: Optional[int]
     #: Source of the run's fault plan and retry policy (``None``: no plan,
     #: default policy).
     config: Optional[Config]
@@ -136,6 +148,23 @@ def _unit_name(engine: str, start: int, end: int) -> str:
     return f"{engine}/stack:{start}:{end}"
 
 
+def _cuts(
+    groups: Sequence[SpecGroup], start: int, end: int, max_rows: int, max_shots: Optional[int]
+) -> Iterator[Tuple[int, int]]:
+    """Greedy ranges over ``groups[start:end]``: each takes groups until the
+    next would make it more than ``max_rows`` groups or ``max_shots`` shots,
+    and always at least one."""
+    first, shots = start, 0
+    for g in range(start, end):
+        over = max_shots is not None and shots + groups[g].total_shots > max_shots
+        if g > first and (g - first == max_rows or over):
+            yield first, g
+            first, shots = g, 0
+        shots += groups[g].total_shots
+    if first < end:
+        yield first, end
+
+
 class _Runner:
     """One process's side of a run: an engine, plus everything that makes
     a task a pure function of its group range and the root seed."""
@@ -161,12 +190,12 @@ class _Runner:
         self.carry = engine.compile_seconds
 
     def task(self, start: int, end: int, attempt: int) -> Completed:
-        """Groups ``[start, end)``, prepared at most ``rows`` at a time."""
+        """Groups ``[start, end)``, prepared one :func:`_cuts` unit at a time."""
         unit = _unit_name(self.engine.name, start, end)
         maybe_inject(self.plan, unit, attempt, self.streams.seed)
         completed: Completed = []
-        for first in range(start, end, self.rows):
-            completed += self.unit(first, min(first + self.rows, end))
+        for cut in _cuts(self.groups, start, end, self.rows, self.engine.max_unit_shots):
+            completed += self.unit(*cut)
         return completed
 
     def unit(self, start: int, end: int) -> Completed:
@@ -257,11 +286,15 @@ def drive(
     events: List[RecoveryEvent] = []
     groups = deduplicate_specs(specs)
     workers = min(workers, len(groups))
-    # In-process a task is one max_rows unit.  Over a pool it is a quarter
-    # of a worker's even share — small enough to balance skewed shot
-    # budgets and to reach the first chunk early, large enough that a
-    # one-row engine does not pay one round trip per trajectory.
-    step = engine.max_rows if workers == 1 else -(-len(groups) // (4 * workers))
+    # In-process a task is one unit: max_rows groups or max_unit_shots
+    # shots.  Over a pool it is a quarter of a worker's even share — small
+    # enough to balance skewed shot budgets and to reach the first chunk
+    # early, large enough that a one-row engine does not pay one round
+    # trip per trajectory — which the worker cuts into units.
+    if workers == 1:
+        step, max_shots = engine.max_rows, engine.max_unit_shots
+    else:
+        step, max_shots = -(-len(groups) // (4 * workers)), None
     run_args = (
         specs, groups, len(measured), streams.seed, min(engine.max_rows, step), ctx.plan,
     )
@@ -272,8 +305,7 @@ def drive(
     def deliver() -> Iterator[List[TrajectoryResult]]:
         delivery = OrderedDelivery(len(specs))
         pending: Deque[Task] = deque(
-            (start, min(start + step, len(groups)), 0)
-            for start in range(0, len(groups), step)
+            (start, end, 0) for start, end in _cuts(groups, 0, len(groups), step, max_shots)
         )
         local = _Runner(engine, *run_args) if workers == 1 else None
         pool: Optional[ProcessPoolExecutor] = None
@@ -391,8 +423,9 @@ class StreamingExecutor:
         completed task, in spec order.
 
         In-process a task is one prepared unit (a single state on the
-        one-row engines, a stack of up to ``max_rows`` on the stacked
-        ones); over a pool it is a range of units, so the first chunk
+        one-row engine, a stack of up to ``max_rows`` on the stacked
+        ones, up to ``max_unit_shots`` shots of frames); over a pool it
+        is a range of units, so the first chunk
         arrives when the task holding the first specs finishes, not when
         the pool drains.  :meth:`StreamedResult.finalize` reproduces
         :meth:`execute` bitwise; abandoning the stream releases the engine

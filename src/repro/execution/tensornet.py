@@ -440,6 +440,7 @@ class _MPSStackEngine:
     """
 
     name = "tensornet"
+    max_unit_shots = None
 
     def __init__(
         self, circuit: Circuit, config: Config, max_rows: int, max_bond: int, cutoff: float

@@ -226,6 +226,8 @@ class _StackEngine:
     stacked backend: a unit is one ``run_fixed_stack`` walk, and every row
     samples from the stack-wide cached cumulative tensor."""
 
+    max_unit_shots = None
+
     def __init__(
         self, name: str, backend: BatchedStatevectorBackend, circuit: Circuit, max_rows: int
     ):

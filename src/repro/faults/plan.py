@@ -32,7 +32,8 @@ Unit-name scheme — one, for every strategy name::
 
 In-process a task is one prepared unit: ``max_rows`` groups for the
 stacked engines (``vectorized``, ``tensornet``, ``sharded``), one group
-(``stack:{i}:{i+1}``) for ``serial`` and ``clifford``.  Over a pool of
+(``stack:{i}:{i+1}``) for ``serial``, and for ``clifford`` as many groups
+as fit ``max_unit_shots`` (2**16) shots.  Over a pool of
 ``W`` workers it is ``ceil(groups / 4W)`` groups.
 """
 

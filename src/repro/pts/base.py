@@ -72,6 +72,7 @@ class NoiseSiteView:
         self.candidates: List[ErrorCandidate] = []
         self.dominant_prob: Dict[int, float] = {}
         self.site_moment: Dict[int, int] = {}
+        self._log_dominant_total: Optional[float] = None
         last_gate_on_qubit: Dict[int, str] = {}
         for op_index, op in enumerate(circuit):
             if isinstance(op, GateOp):
@@ -120,13 +121,17 @@ class NoiseSiteView:
     # joint probabilities
     # ------------------------------------------------------------------ #
     def log_dominant_total(self) -> float:
-        """log of the all-dominant ("ideal") trajectory probability."""
-        total = 0.0
-        for p in self.dominant_prob.values():
-            if p <= 0.0:
-                return -math.inf
-            total += math.log(p)
-        return total
+        """log of the all-dominant ("ideal") trajectory probability (summed
+        once: every spec's joint probability starts from it)."""
+        if self._log_dominant_total is None:
+            total = 0.0
+            for p in self.dominant_prob.values():
+                if p <= 0.0:
+                    total = -math.inf
+                    break
+                total += math.log(p)
+            self._log_dominant_total = total
+        return self._log_dominant_total
 
     def joint_probability(self, selection: Sequence[ErrorCandidate]) -> float:
         """Nominal joint probability of a Kraus-operator selection.

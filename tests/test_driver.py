@@ -181,6 +181,77 @@ def test_any_worker_count_batch_and_device_pool_gives_the_serial_table(
     assert result.unique_preparations == len(specs) and result.recovery == []
 
 
+@pytest.mark.parametrize(
+    "max_rows,max_unit_shots,chunks",
+    [
+        (1024, 1 << 16, [25]),  # the constants: all 1000 shots in one unit
+        (1, 1 << 16, [1] * 25),
+        (4, 1 << 16, [4] * 6 + [1]),
+        (1024, 120, [3] * 8 + [1]),  # 40-shot groups, closed on shots
+        (2, 100, [2] * 12 + [1]),  # on rows first
+        (1024, 1, [1] * 25),  # a unit always takes one group
+    ],
+)
+def test_frame_units_of_any_size_give_one_table(
+    circuit, specs, monkeypatch, max_rows, max_unit_shots, chunks
+):
+    reference = CliffordFrameExecutor().execute(circuit, specs, seed=21)
+    monkeypatch.setattr(clifford._FrameEngine, "max_rows", max_rows)
+    monkeypatch.setattr(clifford._FrameEngine, "max_unit_shots", max_unit_shots)
+    stream = CliffordFrameExecutor().execute_stream(circuit, specs, seed=21)
+    tables = [chunk.shot_table() for chunk in stream]
+    assert [len(np.unique(t.trajectory_ids)) for t in tables] == chunks
+    result = stream.finalize()
+    assert_same_table(ShotTable.concatenate(tables), result)
+    assert_same_table(reference, result)
+    assert [t.actual_weight for t in result.trajectories] == [
+        t.actual_weight for t in reference.trajectories
+    ]
+    assert result.records == reference.records == [spec.record for spec in specs]
+
+
+def test_capacity_fault_halves_a_frame_unit_without_moving_a_bit(circuit, specs):
+    clean = CliffordFrameExecutor().execute(circuit, specs, seed=21)
+    config = faulty(
+        FaultSpec("capacity", "clifford/stack:0:25"), FaultSpec("capacity", "clifford/stack:12:25")
+    )
+    stream = make_executor("clifford", config).execute_stream(circuit, specs, seed=21)
+    assert [chunk.num_trajectories for chunk in stream] == [12, 6, 7]
+    result = stream.finalize()
+    assert_same_table(clean, result)
+    assert [t.actual_weight for t in result.trajectories] == [
+        t.actual_weight for t in clean.trajectories
+    ]
+    assert [(e.kind, e.unit, e.detail) for e in result.recovery] == [
+        ("batch-halved", "clifford/stack:0:25", "split into stack:0:12 and stack:12:25"),
+        ("batch-halved", "clifford/stack:12:25", "split into stack:12:18 and stack:18:25"),
+    ]
+
+
+@pytest.mark.parametrize("nshots", [1 << 16, (1 << 16) + 5, 30_000, 100])
+def test_frame_chunks_are_bounded_by_shots_not_rows(circuit, specs, nshots):
+    # Ingest mode with a large uniform budget: what a chunk holds is set by
+    # max_unit_shots, however many trajectories there are.
+    limit = clifford._FrameEngine.max_unit_shots
+    budget = [spec.with_shots(nshots) for spec in specs[:7]]
+    stream = CliffordFrameExecutor().execute_stream(circuit, budget, seed=2, retain=False)
+    sizes = [(chunk.num_trajectories, chunk.num_shots) for chunk in stream]
+    assert sum(n for n, _ in sizes) == 7
+    assert all(shots <= limit + nshots for _, shots in sizes)
+    per_chunk = max(1, limit // nshots)
+    assert [n for n, _ in sizes] == [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (
+        7 % per_chunk > 0
+    )
+    if nshots >= limit:
+        assert [n for n, _ in sizes] == [1] * 7  # one trajectory per chunk
+
+
+def test_only_the_frame_engine_cuts_on_shots():
+    assert clifford._FrameEngine.max_unit_shots == 1 << 16 and clifford._FrameEngine.max_rows > 64
+    for module, adapter in set(ADAPTERS.values()) - {(clifford, "_FrameEngine")}:
+        assert getattr(module, adapter).max_unit_shots is None
+
+
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_every_table_entry_streams_under_its_own_name(circuit, specs, strategy, monkeypatch):
     # The registry contract, on the default-constructed executor of every
@@ -265,20 +336,23 @@ def test_a_consumer_that_stops_pulling_stops_the_pool(circuit, specs, monkeypatc
 
 @pytest.mark.parametrize("strategy", ["serial", "clifford"])
 def test_injected_transient_fault_retries_and_reemits_identical_chunks(
-    circuit, specs, strategy
+    circuit, specs, strategy, monkeypatch
 ):
+    # A serial unit is one group; a frame unit closes on shots, here at
+    # three 40-shot groups.
+    monkeypatch.setattr(clifford._FrameEngine, "max_unit_shots", 120)
+    rows = {"serial": 1, "clifford": 3}[strategy]
+    units = [(a, min(a + rows, len(specs))) for a in range(0, len(specs), rows)]
     clean = list(make_executor(strategy).execute_stream(circuit, specs, seed=21))
     config = faulty(FaultSpec("transient-backend", f"{strategy}/stack:*"))
     stream = make_executor(strategy, config).execute_stream(circuit, specs, seed=21)
     recovered = list(stream)
-    assert len(recovered) == len(clean)
+    assert len(recovered) == len(clean) == len(units)
     for a, b in zip(clean, recovered):
         assert_same_table(a, b)
     events = stream.recovery
-    assert [e.kind for e in events] == ["retry"] * len(specs)
-    assert [e.unit for e in events] == [
-        f"{strategy}/stack:{i}:{i + 1}" for i in range(len(specs))
-    ]
+    assert [e.kind for e in events] == ["retry"] * len(units)
+    assert [e.unit for e in events] == [f"{strategy}/stack:{a}:{b}" for a, b in units]
     assert {(e.strategy, e.attempt) for e in events} == {(strategy, 1)}
 
 
@@ -348,14 +422,17 @@ def test_one_sample_call_per_unit_with_its_wall_split_by_shot_share(
     monkeypatch.setattr(getattr(module, adapter), "sample", recording_sample)
     monkeypatch.setattr(StreamFactory, "rng_for", recording_rng_for)
     monkeypatch.setattr(driver, "timed", lambda fn, *args: (fn(*args), 3.0))
+    # A frame unit closes on shots: the 40-shot group fills one.
+    monkeypatch.setattr(clifford._FrameEngine, "max_unit_shots", 40)
     specs = [
         _spec(0, 30, {0: 1}), _spec(1, 0, {0: 1}), _spec(2, 10, {0: 1}),
         _spec(3, 20), _spec(4, 0, {1: 1}),
     ]
     result = make_executor(strategy).execute(circuit, specs, seed=5)
     assert result.unique_preparations == 3
-    # Three dedup groups at max_rows 1 / 2 / 1 / 4: one call per prepared unit.
-    assert len(calls) == {"serial": 3, "vectorized": 2, "clifford": 3, "tensornet": 1}[strategy]
+    # Three dedup groups of 40 / 20 / 0 shots, at max_rows 1 / 2 / 4 and at
+    # 40 shots per frame unit: one call per prepared unit.
+    assert len(calls) == {"serial": 3, "vectorized": 2, "clifford": 2, "tensornet": 1}[strategy]
     # One generator per spec that draws shots, handed to exactly one call;
     # a zero-shot spec asks for nothing and reads 0.0.
     assert sorted(streams) == [0, 2, 3]

@@ -125,3 +125,290 @@ class TestBulkRate:
         tableau_s_per_shot = (time.perf_counter() - t0) / 200
         frame_s_per_shot = frame_s / 50000
         assert frame_s_per_shot < tableau_s_per_shot / 10
+
+
+# --------------------------------------------------------------------- #
+# Bitwise oracles for the stack forms (frames, packed sampling, compile)
+# --------------------------------------------------------------------- #
+def cliffordized_msd_35q():
+    """Steane-encoded MSD with its magic-prep rotations replaced by S:
+    35 measured qubits, 105 noise sites, 20 random measurements."""
+    from repro.channels import two_qubit_depolarizing
+    from repro.circuits.gates import S
+    from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
+    from repro.qec import msd_benchmark_circuit, steane_code
+
+    model = (
+        NoiseModel()
+        .add_all_qubit_gate_noise("cz", two_qubit_depolarizing(0.01))
+        .add_all_qubit_gate_noise("sx", depolarizing(0.002))
+        .add_all_qubit_gate_noise("sy", depolarizing(0.002))
+        .add_all_qubit_gate_noise("sxdg", depolarizing(0.002))
+    )
+    noisy = model.apply(msd_benchmark_circuit(steane_code()))
+    out = Circuit(noisy.num_qubits)
+    for op in noisy:
+        if isinstance(op, GateOp):
+            out.gate(S if op.gate.name in ("ry", "rz") else op.gate, *op.qubits)
+        elif isinstance(op, NoiseOp):
+            out.attach(op.channel, *op.qubits)
+        else:
+            out.append(MeasureOp(op.qubits, key=op.key))
+    return out.freeze()
+
+
+@pytest.fixture(scope="module")
+def msd35():
+    circuit = cliffordized_msd_35q()
+    return circuit, FrameSampler(circuit)
+
+
+def all_sites_walk(sampler, choices):
+    """One trajectory's flips and weight by walking every site: what
+    ``frame_for_choices`` did before it took a stack, kept as its oracle."""
+    flips = np.zeros(len(sampler.measured_qubits), dtype=np.uint8)
+    weight = 1.0
+    for site in sampler.sites:
+        branch = choices.get(site.site_id, site.dominant_index)
+        if not 0 <= branch < len(site.probs):
+            raise BackendError(f"site {site.site_id}: Kraus index {branch} out of range")
+        flips ^= site.end_x_patterns[branch][sampler._measured_index]
+        weight *= float(site.probs[branch])
+    return flips, weight
+
+
+def forced_runs(circuit):
+    """``(reference, random_positions, generators)`` from one full tableau
+    run per forced outcome: what the compile did before it shared the
+    prefix, kept as its oracle."""
+    from repro.backends.stabilizer import StabilizerBackend
+    from repro.circuits.operations import GateOp
+
+    measured = list(circuit.measured_qubits)
+
+    def run(forces):
+        backend = StabilizerBackend(circuit.num_qubits)
+        for op in circuit:
+            if isinstance(op, GateOp):
+                backend.apply_gate_by_name(op.gate.name, op.qubits)
+        return backend.measure_many(
+            measured, forces={i: forces.get(i, 0) for i in range(len(measured))}
+        )
+
+    reference, flags = run({})
+    reference = np.array(reference, dtype=np.uint8)
+    positions = [i for i, flag in enumerate(flags) if flag]
+    generators = np.zeros((len(positions), len(measured)), dtype=np.uint8)
+    for row, pos in zip(generators, positions):
+        row[:] = np.array(run({pos: 1})[0], dtype=np.uint8) ^ reference
+    return reference, positions, generators
+
+
+def one_trajectory_draw(sampler, flips, num_shots, rng):
+    """One trajectory's shots without any lookup table: per generator group
+    (16 wide while the outcome packs into a word, 12 beyond), one uniform
+    integer whose bit i selects generator i.  The draws are the ones the
+    per-trajectory sampler made before units, so this is its oracle."""
+    out = np.tile(sampler.reference ^ flips, (num_shots, 1))
+    width = 16 if len(sampler.measured_qubits) <= 64 else 12
+    for start in range(0, len(sampler.generators), width):
+        group = sampler.generators[start : start + width]
+        draws = rng.integers(
+            0, (1 << len(group)) - 1, size=num_shots, dtype=np.uint16, endpoint=True
+        )
+        coefficients = (draws[:, None].astype(np.int64) >> np.arange(len(group))) & 1
+        out ^= ((coefficients @ group.astype(np.int64)) & 1).astype(np.uint8)
+    return out
+
+
+class TestStackFrames:
+    def random_choices(self, sampler, rng, count):
+        sites = sampler.sites
+        chosen = rng.choice(len(sites), size=count, replace=False)
+        return {
+            sites[i].site_id: int(rng.integers(0, len(sites[i].probs))) for i in chosen
+        }
+
+    def test_rows_equal_the_all_sites_walk(self, msd35):
+        _, sampler = msd35
+        rng = make_rng(17)
+        choices_list = [{}] + [
+            self.random_choices(sampler, rng, count)
+            for count in (1, 1, 2, 3, 7, 40, len(sampler.sites))
+            for _ in range(6)
+        ]
+        # An id the circuit does not have is ignored, as a dict lookup
+        # per site ignored it.
+        choices_list.append({10**6: 3, sampler.sites[4].site_id: 2})
+        flips, weights = sampler.frame_for_choices(choices_list)
+        assert flips.shape == (len(choices_list), 35) and flips.dtype == np.uint8
+        assert weights.shape == (len(choices_list),) and weights.dtype == np.float64
+        for row, choices in enumerate(choices_list):
+            expected_flips, expected_weight = all_sites_walk(sampler, choices)
+            np.testing.assert_array_equal(flips[row], expected_flips)
+            assert weights[row] == expected_weight  # to the last bit
+        assert len(set(weights.tolist())) > 10 and flips.any()
+
+    def test_a_row_does_not_depend_on_its_neighbours(self, msd35):
+        _, sampler = msd35
+        rng = make_rng(3)
+        choices_list = [self.random_choices(sampler, rng, 3) for _ in range(9)]
+        flips, weights = sampler.frame_for_choices(choices_list)
+        for row in (0, 4, 8):
+            alone_flips, alone_weights = sampler.frame_for_choices([choices_list[row]])
+            np.testing.assert_array_equal(alone_flips[0], flips[row])
+            assert alone_weights[0] == weights[row]
+
+    @pytest.mark.parametrize("branch", [-1, 4, 16])
+    def test_kraus_index_out_of_range(self, msd35, branch):
+        _, sampler = msd35
+        one_qubit = next(s for s in sampler.sites if len(s.probs) == 4)
+        with pytest.raises(BackendError, match=f"site {one_qubit.site_id}: Kraus index"):
+            sampler.frame_for_choices([{}, {one_qubit.site_id: branch}])
+        with pytest.raises(BackendError):
+            all_sites_walk(sampler, {one_qubit.site_id: branch})
+
+    def test_noiseless_circuit_has_unit_weights_and_no_flips(self):
+        sampler = FrameSampler(library.ghz(3, measure=True).freeze())
+        flips, weights = sampler.frame_for_choices([{}, {5: 1}])
+        assert not flips.any() and weights.tolist() == [1.0, 1.0]
+
+
+class TestStackSampling:
+    def requests(self, seeds_and_shots, rows):
+        return [(row, n, make_rng(seed)) for row, (seed, n) in zip(rows, seeds_and_shots)]
+
+    def check_unit(self, sampler, flips, rows, shots):
+        plan = list(zip(range(100, 100 + len(shots)), shots))
+        drawn = sampler.sample_stack(flips, self.requests(plan, rows))
+        k = len(sampler.measured_qubits)
+        for bits, row, (seed, n) in zip(drawn, rows, plan):
+            assert bits.shape == (n, k) and bits.dtype == np.uint8
+            np.testing.assert_array_equal(
+                bits, one_trajectory_draw(sampler, flips[row], n, make_rng(seed))
+            )
+            np.testing.assert_array_equal(
+                bits, sampler.sample_fixed(flips[row], n, make_rng(seed))
+            )
+        return drawn
+
+    def test_unit_slices_equal_one_request_at_a_time(self, msd35):
+        _, sampler = msd35  # 20 random measurements: two packed tables
+        assert len(sampler._packed_combination_tables()) == 2
+        flips, _ = sampler.frame_for_choices(
+            [{}, {sampler.sites[0].site_id: 1}, {sampler.sites[50].site_id: 2}]
+        )
+        drawn = self.check_unit(sampler, flips, rows=[0, 0, 1, 2, 2], shots=[5, 0, 130, 1, 64])
+        assert drawn[2].any()
+
+    def test_sampled_bits_satisfy_the_affine_outcome_space(self, msd35):
+        # Independent of the draw mechanism: every shot is reference XOR
+        # flips XOR a combination of the generators.
+        from repro.qec.gf2 import rank as gf2_rank
+
+        _, sampler = msd35
+        flips, _ = sampler.frame_for_choices([{sampler.sites[7].site_id: 3}])
+        bits = sampler.sample_fixed(flips[0], 300, make_rng(1))
+        shifted = bits ^ sampler.reference ^ flips[0]
+        rank = gf2_rank(sampler.generators)
+        assert gf2_rank(np.vstack([sampler.generators, shifted])) == rank == 20
+        assert gf2_rank(shifted) > 15  # and they do spread over it
+
+    def test_retained_bits_hold_no_more_than_their_unit(self, msd35):
+        # unpackbits used to leave 64 columns behind every 35-column view.
+        _, sampler = msd35
+        flips, _ = sampler.frame_for_choices([{}, {}])
+        shots = [100, 28, 72]
+        drawn = sampler.sample_stack(flips, self.requests(zip((1, 2, 3), shots), [0, 1, 1]))
+        for bits in drawn:
+            owner = bits if bits.base is None else bits.base
+            assert owner.nbytes <= sum(shots) * 35
+        alone = sampler.sample_fixed(flips[0], 100, make_rng(1))
+        assert (alone if alone.base is None else alone.base).nbytes <= 100 * 35
+
+    def test_more_than_64_measured_qubits_take_the_unpacked_tables(self):
+        circ = Circuit(70)
+        for q in range(0, 70, 5):
+            circ.h(q)
+        for q in range(69):
+            circ.cx(q, q + 1)
+        sampler = FrameSampler(_noisy(circ.measure_all(), p=0.1))
+        assert sampler._packed_word_dtype() is None and len(sampler.random_positions) == 14
+        assert len(sampler._combination_tables()) == 2
+        flips, _ = sampler.frame_for_choices([{}, {sampler.sites[3].site_id: 1}])
+        self.check_unit(sampler, flips, rows=[1, 0, 1], shots=[40, 3, 9])
+        bits = sampler.sample_fixed(flips[1], 50, make_rng(0))
+        assert bits.shape == (50, 70) and len({row.tobytes() for row in bits}) > 20
+
+    def test_deterministic_circuit_repeats_its_one_outcome(self):
+        ideal = Circuit(2).x(0).cx(0, 1).measure_all()
+        sampler = FrameSampler(_noisy(ideal))
+        flips, _ = sampler.frame_for_choices([{}, {sampler.sites[0].site_id: 1}])
+        first, second = sampler.sample_stack(
+            flips, [(0, 3, make_rng(0)), (1, 2, make_rng(0))]
+        )
+        assert first.tolist() == [[1, 1]] * 3
+        assert second.tolist() == [(sampler.reference ^ flips[1]).tolist()] * 2
+
+    @pytest.mark.parametrize("k", [3, 16, 17, 32, 33, 64])
+    def test_pack_and_unpack_are_inverse_at_every_word_width(self, k):
+        sampler = FrameSampler(library.ghz(k, measure=True).freeze())
+        bits = make_rng(k).integers(0, 2, size=(50, k), dtype=np.uint8)
+        words = sampler._pack_words(bits)
+        assert words.dtype.itemsize * 8 >= k and words.shape == (50,)
+        assert int(words[0]) == sum(int(b) << j for j, b in enumerate(bits[0]))
+        unpacked = sampler._unpack_words(words)
+        np.testing.assert_array_equal(unpacked, bits)
+        assert unpacked.flags.c_contiguous and unpacked.base is None
+
+
+class TestCompile:
+    def check(self, circuit):
+        sampler = FrameSampler(circuit)
+        reference, positions, generators = forced_runs(circuit)
+        np.testing.assert_array_equal(sampler.reference, reference)
+        assert sampler.reference.dtype == np.uint8
+        assert sampler.random_positions == positions
+        np.testing.assert_array_equal(sampler.generators, generators)
+        assert sampler.generators.dtype == np.uint8
+        assert sampler.generators.shape == (len(positions), len(circuit.measured_qubits))
+        return sampler
+
+    def test_prefix_shared_compile_equals_independent_forced_runs(self, msd35):
+        circuit, _ = msd35
+        sampler = self.check(circuit)
+        assert len(sampler.random_positions) == 20  # 21 runs in the oracle
+
+    def test_circuit_without_a_random_measurement(self):
+        sampler = self.check(_noisy(Circuit(3).x(0).cx(0, 1).cx(1, 2).measure_all()))
+        assert sampler.random_positions == [] and sampler.generators.shape == (0, 3)
+
+    def test_site_patterns_equal_a_per_site_analysis(self, msd35):
+        # Every site analysed on its own (no channel memo), its branches
+        # conjugated through the gates after it one site at a time.
+        from repro.backends.stabilizer import pauli_from_unitary
+        from repro.channels.unitary_mixture import as_unitary_mixture
+        from repro.circuits.operations import GateOp, NoiseOp
+
+        circuit, sampler = msd35
+        ops = list(circuit)
+        sites = [(i, op) for i, op in enumerate(ops) if isinstance(op, NoiseOp)]
+        assert len(sites) == len(sampler.sites) == 105
+        assert len({id(op.channel) for _, op in sites}) == 4  # analysed once each
+        for (op_index, op), site in zip(sites, sampler.sites):
+            mixture = as_unitary_mixture(op.channel)
+            fx = np.zeros((len(mixture.probs), circuit.num_qubits), dtype=np.uint8)
+            fz = np.zeros_like(fx)
+            for b, unitary in enumerate(mixture.unitaries):
+                local = pauli_from_unitary(unitary, len(op.qubits))
+                fx[b, list(op.qubits)] = local.x
+                fz[b, list(op.qubits)] = local.z
+            np.testing.assert_array_equal(site.x_patterns, fx)
+            np.testing.assert_array_equal(site.z_patterns, fz)
+            np.testing.assert_array_equal(site.probs, np.asarray(mixture.probs))
+            assert (site.site_id, site.op_index, site.qubits) == (op.site_id, op_index, op.qubits)
+            assert site.dominant_index == op.channel.dominant_index()
+            for later in ops[op_index + 1 :]:
+                if isinstance(later, GateOp):
+                    FrameSampler._propagate_gate(later.gate.name, later.qubits, fx, fz)
+            np.testing.assert_array_equal(site.end_x_patterns, fx)

@@ -131,6 +131,119 @@ class TestProbabilisticPTS(object):
             ProbabilisticPTS(nsamples=1, nshots=0)
 
 
+def algorithm2_reference(sampler, circuit, rng):
+    """Algorithm 2 one attempt at a time: the loop ``ProbabilisticPTS.sample``
+    ran before it drew attempts a tile at a time, kept as its oracle."""
+    view = NoiseSiteView(circuit)
+    candidates = view.candidates
+    if sampler.candidate_filter is not None:
+        candidates = [c for c in candidates if sampler.candidate_filter(c)]
+    probs = np.array([c.probability for c in candidates], dtype=np.float64)
+    specs, seen = [], set()
+    duplicates = incompatible = 0
+    for _ in range(sampler.nsamples):
+        selection = []
+        if len(candidates):
+            for idx in np.nonzero(rng.random(len(candidates)) <= probs)[0]:
+                if compatible(candidates[int(idx)], selection):
+                    selection.append(candidates[int(idx)])
+                else:
+                    incompatible += 1
+        if not selection and not sampler.include_ideal:
+            continue
+        if unique_kraus(selection, seen):
+            specs.append(sampler.make_spec(view, selection, sampler.nshots, len(specs)))
+        else:
+            duplicates += 1
+    return specs, duplicates, incompatible
+
+
+class TestTiledAlgorithm2:
+    """The tiled sampler against the per-attempt loop, field for field."""
+
+    @staticmethod
+    def crowded():
+        # Two channels on one qubit in one moment, and likely enough to
+        # fire together: incompatible candidates are routine here.
+        circ = Circuit(3).h(0).cx(0, 1).cx(1, 2)
+        for q in range(3):
+            circ.attach(depolarizing(0.3), q)
+            circ.attach(depolarizing(0.2), q)
+        return circ.measure_all().freeze()
+
+    def check(self, sampler, circuit, seed, monkeypatch, tile=None):
+        if tile is not None:
+            width = max(1, NoiseSiteView(circuit).num_candidates)
+            monkeypatch.setattr(ProbabilisticPTS, "_TILE_BYTES", 8 * width * tile)
+        got = sampler.sample(circuit, make_rng(seed))
+        specs, duplicates, incompatible = algorithm2_reference(sampler, circuit, make_rng(seed))
+        assert [s.record for s in got.specs] == [s.record for s in specs]
+        assert [s.record.trajectory_id for s in got.specs] == list(range(len(specs)))
+        assert [s.record.signature() for s in got.specs] == [
+            s.record.signature() for s in specs
+        ]
+        assert [s.probability for s in got.specs] == [s.probability for s in specs]
+        assert [s.num_shots for s in got.specs] == [s.num_shots for s in specs]
+        assert got.attempted_samples == sampler.nsamples
+        assert got.duplicates_rejected == duplicates
+        assert got.incompatible_rejected == incompatible
+        return got
+
+    @pytest.mark.parametrize("nsamples,tile", [(57, 1), (57, 10), (57, 57), (57, 400), (0, 4)])
+    def test_any_tile_size(self, monkeypatch, nsamples, tile):
+        got = self.check(
+            ProbabilisticPTS(nsamples=nsamples, nshots=3), self.crowded(), 8, monkeypatch, tile
+        )
+        assert got.incompatible_rejected > 0 or nsamples == 0
+
+    def test_default_tile(self, monkeypatch, mixed_noise_circuit):
+        self.check(ProbabilisticPTS(nsamples=700, nshots=2), mixed_noise_circuit, 1, monkeypatch)
+
+    @pytest.mark.parametrize("tile", [1, 7, None])
+    def test_candidate_filter_and_no_ideal(self, monkeypatch, mixed_noise_circuit, tile):
+        sampler = ProbabilisticPTS(
+            nsamples=300, nshots=1, include_ideal=False, candidate_filter=by_qubits({2, 3})
+        )
+        got = self.check(sampler, mixed_noise_circuit, 6, monkeypatch, tile)
+        assert all(s.record.num_errors() > 0 for s in got.specs)
+
+    @pytest.mark.parametrize("include_ideal", [True, False])
+    def test_noiseless_circuit_draws_nothing(self, monkeypatch, ghz3, include_ideal):
+        sampler = ProbabilisticPTS(nsamples=9, nshots=5, include_ideal=include_ideal)
+        rng = make_rng(3)
+        got = self.check(sampler, ghz3.freeze(), 3, monkeypatch)
+        assert got.num_trajectories == int(include_ideal)
+        assert got.duplicates_rejected == (8 if include_ideal else 0)
+        sampler.sample(ghz3, rng)
+        assert rng.random() == make_rng(3).random()  # the stream was not touched
+
+    def test_compatible_is_asked_only_about_multiple_fired_candidates(
+        self, monkeypatch, noisy_ghz3
+    ):
+        from repro.pts import probabilistic
+
+        asked = []
+        monkeypatch.setattr(
+            probabilistic, "compatible",
+            lambda cand, selection: asked.append(len(selection)) or compatible(cand, selection),
+        )
+        draws = []
+        rng = make_rng(2)
+        original = rng.random
+
+        class Counting:
+            def random(self, *args, **kwargs):
+                draws.append(kwargs["out"].shape)
+                return original(*args, **kwargs)
+
+        monkeypatch.setattr(ProbabilisticPTS, "_TILE_BYTES", 8 * 12 * 64)
+        ProbabilisticPTS(nsamples=500, nshots=1).sample(noisy_ghz3, Counting())
+        assert draws == [(64, 12)] * 7 + [(52, 12)]  # one call per tile
+        fired = make_rng(2).random((500, 12)) <= 0.05 / 3
+        multiple = fired.sum(axis=1)[fired.sum(axis=1) > 1]
+        assert len(asked) == multiple.sum() and 0 < len(asked) < 500
+
+
 class TestApportionment:
     def test_sums_to_total(self):
         shots = apportion_shots(np.array([0.5, 0.3, 0.2]), 1000)

@@ -630,11 +630,15 @@ class TestStreamedDecoderDataset:
         from repro.data.dataset import iter_decoder_batches
 
         code, circ, layout = steane
+        # The router picks frames, whose units close on shots (2**16): a
+        # 30 000-shot budget is two trajectories per chunk.
         stream = run_ptsbe_stream(
-            circ, ProbabilisticPTS(nsamples=100, nshots=30), seed=41
+            circ, ProbabilisticPTS(nsamples=100, nshots=30_000), seed=41
         )
         batches = list(iter_decoder_batches(stream, circ, code, layout))
+        assert stream.engine == "clifford"
         assert len(batches) > 1  # genuinely incremental, not one blob
+        assert max(len(np.unique(tids)) for _, _, tids in batches) == 2
         total = sum(features.shape[0] for features, _, _ in batches)
         assert total == stream.finalize().total_shots
         for features, labels, tids in batches:
