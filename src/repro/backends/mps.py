@@ -46,7 +46,15 @@ _SWAP = np.array(
 
 
 class MPSBackend(PureStateBackend):
-    """Truncated MPS simulator with naive / cached batched sampling."""
+    """Truncated MPS simulator with naive / cached batched sampling.
+
+    The single-state public API: callers read ``tensors[q]`` by *qubit*,
+    so a non-adjacent two-qubit gate is swap-routed down **and back**.
+    :class:`BatchedMPSStack` under the tensornet schedule compiler does
+    not route back (``GateSchedule.site_of`` says where each qubit ends
+    up); this class converges on that routing when it becomes the stack's
+    ``B = 1`` view (ROADMAP direction 2).
+    """
 
     def __init__(
         self,
@@ -275,12 +283,25 @@ class BatchedMPSStack:
     """``B`` independent MPS states stacked along a leading batch axis.
 
     Site tensors have shape ``(B, D_l, 2, D_r)``: every trajectory in a
-    dedup chunk shares one swap-routed gate schedule, so gate application
-    and truncated SVDs become single batched einsum / GEMM calls over the
+    dedup chunk shares one routed gate schedule, so gate application and
+    truncated SVDs become single batched GEMM / LAPACK calls over the
     whole stack instead of ``B`` Python-level replays.  Bond dimensions are
     kept *common* across rows (batched SVD retains the widest row's rank —
     see :func:`repro.linalg.decompositions.truncated_svd_batched`), which
     is what keeps the stack rectangular.
+
+    Every contraction is an explicit ``matmul`` on reshaped operands (the
+    contraction order is fixed here, no path search runs per call), and
+    every step *replaces* the site tensors it touches instead of writing
+    into them, so ``list(stack.tensors)`` is a snapshot that later steps
+    cannot disturb.  The row count is not fixed: :meth:`join` appends
+    copies of a one-row state (zero-padded to common bonds) and
+    :meth:`take` gathers rows, which is how
+    :func:`repro.execution.tensornet.replay_schedule` lets a trajectory
+    enter the stack only where it first leaves the ideal circuit.
+
+    The chain is indexed by *site*; which qubit a site holds is the
+    schedule compiler's business (``GateSchedule.site_of``).
 
     The stack is deliberately **never renormalized mid-run**: each Kraus
     operator application scales a row's norm by its branch probability, so
@@ -330,37 +351,68 @@ class BatchedMPSStack:
         return [self.tensors[k].shape[3] for k in range(self.num_qubits - 1)]
 
     def row_tensors(self, m: int) -> List[np.ndarray]:
-        """Zero-copy ``(D_l, 2, D_r)`` views of row ``m``'s site tensors."""
+        """Zero-copy ``(D_l, 2, D_r)`` views of row ``m``'s site tensors,
+        in chain (site) order."""
         return [t[m] for t in self.tensors]
+
+    # ------------------------------------------------------------------ #
+    # rows come and go
+    # ------------------------------------------------------------------ #
+    def take(self, rows: np.ndarray) -> None:
+        """Keep rows ``rows`` (an index array), in that order."""
+        self.tensors = [t[rows] for t in self.tensors]
+        self.truncation_error = self.truncation_error[rows]
+        self.batch_size = len(rows)
+
+    def join(
+        self, tensors: Sequence[np.ndarray], truncation_error: float, count: int
+    ) -> None:
+        """Append ``count`` copies of the one-row state ``tensors``.
+
+        Each bond takes the larger of the stack's and the joining row's
+        dimension; the narrower side is zero-padded, which changes neither
+        state.  ``truncation_error`` is what the joining row has already
+        accumulated.
+        """
+        live = self.batch_size
+        for k, (mine, theirs) in enumerate(zip(self.tensors, tensors)):
+            dl = max(mine.shape[1], theirs.shape[1])
+            dr = max(mine.shape[3], theirs.shape[3])
+            grown = np.zeros((live + count, dl, 2, dr), dtype=np.complex128)
+            grown[:live, : mine.shape[1], :, : mine.shape[3]] = mine
+            grown[live:, : theirs.shape[1], :, : theirs.shape[3]] = theirs
+            self.tensors[k] = grown
+        self.truncation_error = np.concatenate(
+            (self.truncation_error, np.full(count, truncation_error))
+        )
+        self.batch_size = live + count
 
     # ------------------------------------------------------------------ #
     # batched gate application (adjacency is the compiler's job)
     # ------------------------------------------------------------------ #
     def apply_1q(self, matrix: np.ndarray, q: int) -> None:
         """One shared 2x2 matrix applied to site ``q`` of every row."""
-        self.tensors[q] = np.einsum(
-            "oi,maib->maob", matrix, self.tensors[q], optimize=True
-        )
+        self.tensors[q] = np.matmul(matrix, self.tensors[q])
 
     def apply_1q_rows(self, mats: np.ndarray, q: int) -> None:
         """Per-row ``(B, 2, 2)`` operators applied to site ``q``."""
-        self.tensors[q] = np.einsum(
-            "moi,maib->maob", mats, self.tensors[q], optimize=True
-        )
+        self.tensors[q] = np.matmul(mats[:, None], self.tensors[q])
 
     def apply_adjacent(self, matrix: np.ndarray, q: int) -> None:
         """One shared 4x4 matrix on adjacent sites ``(q, q+1)``."""
-        theta, dl, dr = self._merge_pair(q)
-        gate = matrix.reshape(2, 2, 2, 2)
-        theta = np.einsum("abij,mlijs->mlabs", gate, theta, optimize=True)
-        self._split_pair(theta, q, dl, dr)
+        self._split(np.matmul(matrix, self._merge(q, 2)), q)
 
     def apply_adjacent_rows(self, mats: np.ndarray, q: int) -> None:
         """Per-row ``(B, 4, 4)`` operators on adjacent sites ``(q, q+1)``."""
-        theta, dl, dr = self._merge_pair(q)
-        gates = mats.reshape(self.batch_size, 2, 2, 2, 2)
-        theta = np.einsum("mabij,mlijs->mlabs", gates, theta, optimize=True)
-        self._split_pair(theta, q, dl, dr)
+        self._split(np.matmul(mats[:, None], self._merge(q, 2)), q)
+
+    def swap_adjacent(self, q: int) -> None:
+        """Exchange sites ``(q, q+1)``: an axis transpose of the merged
+        pair, then the same truncated split as any two-site step."""
+        theta = self._merge(q, 2)
+        batch, dl, _, dr = theta.shape
+        swapped = theta.reshape(batch, dl, 2, 2, dr).swapaxes(2, 3)
+        self._split(swapped.reshape(batch, dl, 4, dr), q)
 
     def apply_3site(self, matrix: np.ndarray, q: int) -> None:
         """One shared 8x8 matrix on contiguous sites ``(q, q+1, q+2)``.
@@ -369,41 +421,37 @@ class BatchedMPSStack:
         the operator is applied once, and the blob is split back with two
         batched truncated SVDs.
         """
-        a, b, c = self.tensors[q], self.tensors[q + 1], self.tensors[q + 2]
-        dl, dt = a.shape[1], c.shape[3]
-        theta = np.einsum("mlir,mrjs->mlijs", a, b, optimize=True)
-        theta = np.einsum("mlijs,mskt->mlijkt", theta, c, optimize=True)
-        gate = matrix.reshape(2, 2, 2, 2, 2, 2)
-        theta = np.einsum("abcijk,mlijkt->mlabct", gate, theta, optimize=True)
-        # Split left site off: (B, dl*2, 4*dt)
-        mat = theta.reshape(self.batch_size, dl * 2, 4 * dt)
-        u, s, vh, k1, disc = truncated_svd_batched(
-            mat, max_rank=self.max_bond, cutoff=self.cutoff
-        )
-        self.truncation_error += disc
-        self.tensors[q] = u.reshape(self.batch_size, dl, 2, k1)
-        rest = (s[:, :, None] * vh).reshape(self.batch_size, k1 * 2, 2 * dt)
-        u, s, vh, k2, disc = truncated_svd_batched(
-            rest, max_rank=self.max_bond, cutoff=self.cutoff
-        )
-        self.truncation_error += disc
-        self.tensors[q + 1] = u.reshape(self.batch_size, k1, 2, k2)
-        self.tensors[q + 2] = (s[:, :, None] * vh).reshape(self.batch_size, k2, 2, dt)
+        self._split(np.matmul(matrix, self._merge(q, 3)), q)
 
-    def _merge_pair(self, q: int):
-        a, b = self.tensors[q], self.tensors[q + 1]
-        dl, dr = a.shape[1], b.shape[3]
-        theta = np.einsum("mlir,mrjs->mlijs", a, b, optimize=True)
-        return theta, dl, dr
+    def _merge(self, q: int, span: int) -> np.ndarray:
+        """Sites ``q .. q+span-1`` contracted over their shared bonds:
+        ``(B, D_l, 2**span, D_r)``, physical index most-significant first."""
+        theta = self.tensors[q]
+        batch, dl = theta.shape[:2]
+        for k in range(q + 1, q + span):
+            right = self.tensors[k]
+            bond, dr = right.shape[1], right.shape[3]
+            theta = np.matmul(
+                theta.reshape(batch, -1, bond), right.reshape(batch, bond, 2 * dr)
+            )
+        return theta.reshape(batch, dl, 1 << span, theta.shape[-1] // 2)
 
-    def _split_pair(self, theta: np.ndarray, q: int, dl: int, dr: int) -> None:
-        mat = theta.reshape(self.batch_size, dl * 2, 2 * dr)
-        u, s, vh, kept, disc = truncated_svd_batched(
-            mat, max_rank=self.max_bond, cutoff=self.cutoff
-        )
-        self.truncation_error += disc
-        self.tensors[q] = u.reshape(self.batch_size, dl, 2, kept)
-        self.tensors[q + 1] = (s[:, :, None] * vh).reshape(self.batch_size, kept, 2, dr)
+    def _split(self, theta: np.ndarray, q: int) -> None:
+        """Factor a merged ``(B, D_l, 2**span, D_r)`` blob back into sites
+        ``q ..``, one batched truncated SVD per bond, left to right."""
+        batch, dl, phys, dr = theta.shape
+        while phys > 2:
+            phys //= 2
+            u, s, vh, kept, disc = truncated_svd_batched(
+                theta.reshape(batch, dl * 2, phys * dr),
+                max_rank=self.max_bond,
+                cutoff=self.cutoff,
+            )
+            self.truncation_error = self.truncation_error + disc
+            self.tensors[q] = u.reshape(batch, dl, 2, kept)
+            theta = s[:, :, None] * vh
+            q, dl = q + 1, kept
+        self.tensors[q] = theta.reshape(batch, dl, 2, dr)
 
     # ------------------------------------------------------------------ #
     # norms (mostly for tests; the executor reads weights from the
@@ -411,19 +459,33 @@ class BatchedMPSStack:
     # ------------------------------------------------------------------ #
     def norms_squared(self) -> np.ndarray:
         """Per-row unnormalized squared norm (= running trajectory weight)."""
-        env = np.ones((self.batch_size, 1, 1), dtype=np.complex128)
+        batch = self.batch_size
+        env = np.ones((batch, 1, 1), dtype=np.complex128)
         for a in self.tensors:
-            tmp = np.einsum("mca,maib->mcib", env, a, optimize=True)
-            env = np.einsum("mcid,mcib->mdb", a.conj(), tmp, optimize=True)
+            dl, dr = a.shape[1], a.shape[3]
+            # env (c a) . a (a, i b) -> (c i, b); conj(a) (c i, d)^T . that -> (d b)
+            tmp = np.matmul(env, a.reshape(batch, dl, 2 * dr)).reshape(batch, -1, dr)
+            ket = a.reshape(batch, -1, dr)
+            env = np.matmul(ket.conj().transpose(0, 2, 1), tmp)
         return env[:, 0, 0].real.copy()
 
-    def row_statevector(self, m: int) -> np.ndarray:
-        """Contract row ``m`` to a dense statevector (<= ~20 qubits)."""
+    def row_statevector(
+        self, m: int, site_of: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Contract row ``m`` to a dense statevector (<= ~20 qubits).
+
+        Axes are chain sites unless ``site_of`` (qubit -> site, a
+        schedule's final routing map) is given, in which case the vector
+        is indexed by qubit like every dense backend's.
+        """
         if self.num_qubits > 20:
             raise BackendError("row_statevector limited to <= 20 qubits")
         acc = self.tensors[0][m]
         for a in self.tensors[1:]:
             acc = np.tensordot(acc, a[m], axes=([acc.ndim - 1], [0]))
+        acc = acc.reshape((2,) * self.num_qubits)
+        if site_of is not None:
+            acc = acc.transpose(list(site_of))
         return np.ascontiguousarray(acc).reshape(-1)
 
     def __repr__(self) -> str:

@@ -4,25 +4,36 @@ The sixth execution strategy (``run_ptsbe(strategy="tensornet")``): for
 circuits past the dense width cap, trajectory realization runs on a
 truncated MPS — but instead of replaying the circuit ``B`` times through
 :class:`~repro.backends.mps.MPSBackend`, the circuit is compiled **once**
-into a swap-routed, bond-ordered gate schedule and replayed over a
+into a routed, bond-ordered gate schedule and replayed over a
 :class:`~repro.backends.mps.BatchedMPSStack` whose site tensors carry a
 leading batch axis ``(B, D_l, 2, D_r)``.  Every 1q / adjacent-2q
-contraction and every truncated SVD is then a single batched einsum /
-GEMM call over the whole dedup chunk; only the noise steps differ per
+contraction and every truncated SVD is then a single batched GEMM /
+LAPACK call over the rows that need it; only the noise steps differ per
 trajectory, realized by gathering each row's chosen Kraus operator into a
-``(B, d, d)`` stack (with a shared fast path when the chunk agrees on a
+``(B, d, d)`` stack (with a shared fast path when the rows agree on a
 branch).
 
-Two structural tricks keep the replay lean:
+Three structural tricks keep the replay lean — each pays once for what
+trajectories share:
 
-* **Compile-time routing and fusion.**  Non-adjacent 2q gates are
-  swap-routed *in the schedule* (the SWAP chains are themselves shared
-  batched steps), 3q gates become a contiguous 3-site window split by two
-  batched SVDs, and — unless ``Config.fusion == "off"`` — single-qubit
-  gates are absorbed into the next step touching their site (pre-
-  multiplied into gate matrices and into every Kraus branch of noise
-  steps), so the schedule the stack replays is as short as the fusion
-  planner's dense plans.
+* **Compile-time routing and fusion.**  A multi-qubit operation on
+  non-adjacent qubits pulls its upper qubits down the chain with SWAP
+  steps *in the schedule* and leaves them there: the compiler tracks the
+  qubit -> site permutation instead of undoing it, the schedule records
+  where every qubit ends up (``GateSchedule.site_of``), and the engine
+  reads measured columns through that map.  3q gates become a contiguous
+  3-site window split by two batched SVDs, and — unless ``Config.fusion
+  == "off"`` — single-qubit gates are absorbed into the next step
+  touching their qubit (pre-multiplied into gate matrices and into every
+  Kraus branch of noise steps), so the schedule the stack replays is as
+  short as the fusion planner's dense plans.
+* **Replay from the divergence point.**  A PTS trajectory is the ideal
+  circuit except at a few noise sites, so until its first deviation a row
+  *is* the all-dominant replay.  That replay runs once at ``B = 1`` per
+  schedule and truncation (cut before every noise step; a cut is a list
+  of references, steps never write into a tensor), and
+  :func:`replay_schedule` lets a row join the live stack only at the cut
+  before its first deviating step.
 * **The telescoping-weight identity.**  The stack is never renormalized
   mid-run: each Kraus application scales a row's norm by its realized
   branch probability, so the final unnormalized squared norm *is* the
@@ -47,14 +58,14 @@ trajectory_id)`` as every other strategy.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backends.base import validate_deferred_measurement
-from repro.backends.mps import _SWAP, BatchedMPSStack
+from repro.backends.mps import BatchedMPSStack
 from repro.backends.mps_sampler import (
     compute_right_environments_batched,
     sample_cached,
@@ -86,6 +97,13 @@ class UnitaryStep:
 
 
 @dataclass(frozen=True)
+class SwapStep:
+    """Exchange the contents of sites ``site`` and ``site + 1`` (routing)."""
+
+    site: int
+
+
+@dataclass(frozen=True)
 class NoiseStep:
     """A per-trajectory Kraus choice at ``site`` (``span`` in {1, 2}).
 
@@ -102,20 +120,38 @@ class NoiseStep:
     dominant: int
 
 
-Step = Union[UnitaryStep, NoiseStep]
+Step = Union[UnitaryStep, SwapStep, NoiseStep]
+
+
+#: One cut of the all-dominant replay: (site tensors, truncation error).
+_Cut = Tuple[List[np.ndarray], float]
 
 
 @dataclass(frozen=True)
 class GateSchedule:
-    """A compiled, swap-routed, fusion-absorbed replay program."""
+    """A compiled, routed, fusion-absorbed replay program.
+
+    Sites are chain positions, not qubits: routing moves qubits and never
+    moves them back, so ``site_of[q]`` says where qubit ``q`` sits once the
+    schedule has run (a permutation of ``range(num_qubits)``).
+    """
 
     num_qubits: int
     steps: Tuple[Step, ...]
     fused: bool
+    site_of: Tuple[int, ...]
+    noise_at: Tuple[int, ...]  # index into ``steps`` of each noise step
+    #: ``(max_bond, cutoff) ->`` the all-dominant replay at ``B = 1`` under
+    #: that truncation, cut before every noise step and once at the end:
+    #: what every trajectory shares up to its first deviation.  Filled by
+    #: the first :func:`replay_schedule` that needs it.
+    ideal: Dict[Tuple[int, float], List[_Cut]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def num_noise_sites(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, NoiseStep))
+        return len(self.noise_at)
 
 
 # circuit -> {fused: GateSchedule}; weak-keyed so retired circuits drop out.
@@ -132,10 +168,13 @@ def clear_schedule_cache() -> None:
 class _Compiler:
     """One walk over the frozen circuit producing the shared schedule.
 
-    Maintains per-site *pending* 2x2 matrices (the 1q-fusion accumulator):
-    a pending is flushed as its own step only when forced — a SWAP chain
-    is about to relocate its site, or the walk ends.  Otherwise it rides
-    into the next gate/noise step touching its site.
+    Keeps the qubit <-> site map that routing permutes (a multi-qubit
+    operation pulls its upper qubits down next to its lowest one and
+    leaves them there) and per-qubit *pending* 2x2 matrices, the
+    1q-fusion accumulator.  A pending belongs to its qubit, so it rides
+    through SWAPs (``SWAP (A x B) = (B x A) SWAP``) and into the next
+    gate/noise step touching that qubit; it becomes a step of its own
+    only when the walk ends.
     """
 
     def __init__(self, num_qubits: int, fused: bool):
@@ -143,92 +182,68 @@ class _Compiler:
         self.fused = fused
         self.steps: List[Step] = []
         self.pending: Dict[int, np.ndarray] = {}
-
-    # -------------------------------------------------------------- #
-    # pending management
-    # -------------------------------------------------------------- #
-    def _take(self, q: int) -> np.ndarray:
-        return self.pending.pop(q, _I2)
-
-    def _flush(self, q: int) -> None:
-        mat = self.pending.pop(q, None)
-        if mat is not None:
-            self.steps.append(UnitaryStep(site=q, span=1, matrix=mat))
+        self.site_of = list(range(num_qubits))  # qubit -> site
+        self.qubit_at = list(range(num_qubits))  # site -> qubit
 
     def flush_all(self) -> None:
-        for q in sorted(self.pending):
-            self.steps.append(UnitaryStep(site=q, span=1, matrix=self.pending[q]))
+        for q in sorted(self.pending, key=self.site_of.__getitem__):
+            self.steps.append(
+                UnitaryStep(site=self.site_of[q], span=1, matrix=self.pending[q])
+            )
         self.pending.clear()
 
-    # -------------------------------------------------------------- #
-    # routing
-    # -------------------------------------------------------------- #
-    def _route_down(self, src: int, dst: int) -> List[int]:
-        """Emit SWAPs moving the qubit at ``src`` down to ``dst``.
-
-        Transit sites' pendings are flushed first: a SWAP relocates site
-        contents, so a deferred 1q matrix must land before its site moves.
-        Returns the swap positions for the mirror-image unroute.
-        """
-        moved: List[int] = []
-        pos = src
+    def _route_down(self, qubit: int, dst: int) -> None:
+        """Emit SWAPs moving ``qubit`` down the chain to site ``dst``."""
+        pos = self.site_of[qubit]
         while pos > dst:
-            self._flush(pos - 1)
-            self.steps.append(UnitaryStep(site=pos - 1, span=2, matrix=_SWAP))
-            moved.append(pos - 1)
             pos -= 1
-        return moved
+            self.steps.append(SwapStep(site=pos))
+            other = self.qubit_at[pos]
+            self.qubit_at[pos], self.qubit_at[pos + 1] = qubit, other
+            self.site_of[qubit], self.site_of[other] = pos, pos + 1
 
-    def _unroute(self, moved: List[int]) -> None:
-        for pos in reversed(moved):
-            self.steps.append(UnitaryStep(site=pos, span=2, matrix=_SWAP))
+    def _place(
+        self, targets: Sequence[int], mats: List[np.ndarray]
+    ) -> Tuple[int, List[np.ndarray]]:
+        """Bring ``targets`` onto contiguous sites.
 
-    # -------------------------------------------------------------- #
-    # ops
-    # -------------------------------------------------------------- #
+        Returns the lowest of those sites and ``mats`` re-wired to
+        ascending site order, with the targets' pending 1q matrices folded
+        in on the right.
+        """
+        k = len(targets)
+        order = sorted(range(k), key=lambda i: self.site_of[targets[i]])
+        if order != list(range(k)):
+            perm = [0] * k  # input wire i -> its rank in ascending site order
+            for rank, i in enumerate(order):
+                perm[i] = rank
+            mats = [permute_operator_qubits(m, perm) for m in mats]
+        if self.fused:
+            pre = self.pending.pop(targets[order[0]], _I2)
+            for i in order[1:]:
+                pre = np.kron(pre, self.pending.pop(targets[i], _I2))  # replint: disable=XP001 -- compile-time host gate matrices
+            mats = [m @ pre for m in mats]
+        base = self.site_of[targets[order[0]]]
+        for offset, i in enumerate(order[1:], start=1):
+            self._route_down(targets[i], base + offset)
+        return base, mats
+
     def add_gate(self, op: GateOp) -> None:
         targets = list(op.qubits)
         matrix = np.asarray(op.gate.matrix, dtype=np.complex128)
         k = len(targets)
-        if k == 1:
-            if self.fused:
-                q = targets[0]
-                self.pending[q] = matrix @ self.pending.get(q, _I2)
-            else:
-                self.steps.append(UnitaryStep(site=targets[0], span=1, matrix=matrix))
-            return
         if k > 3:
             raise ExecutionError(
                 f"strategy 'tensornet' applies up to 3-qubit gates natively; "
                 f"got {op.gate.name!r} on {k} qubits (transpile with "
                 f"decompose_to_2q first)"
             )
-        # Reorder operator wires to ascending physical qubits, then
-        # swap-route the upper qubit(s) adjacent to the lowest.
-        order = sorted(range(k), key=lambda i: targets[i])
-        if order != list(range(k)):
-            perm = [0] * k  # input wire i -> its rank in ascending order
-            for rank, i in enumerate(order):
-                perm[i] = rank
-            matrix = permute_operator_qubits(matrix, perm)
-        sites = sorted(targets)
-        if self.fused:
-            pre = self._take(sites[0])
-            for q in sites[1:]:
-                pre = np.kron(pre, self._take(q))  # replint: disable=XP001 -- compile-time host gate matrices
-            matrix = matrix @ pre
-        if k == 2:
-            qa, qb = sites
-            moved = self._route_down(qb, qa + 1)
-            self.steps.append(UnitaryStep(site=qa, span=2, matrix=matrix))
-            self._unroute(moved)
-        else:
-            q0, q1, q2 = sites
-            moved1 = self._route_down(q1, q0 + 1)
-            moved2 = self._route_down(q2, q0 + 2)
-            self.steps.append(UnitaryStep(site=q0, span=3, matrix=matrix))
-            self._unroute(moved2)
-            self._unroute(moved1)
+        if k == 1 and self.fused:
+            q = targets[0]
+            self.pending[q] = matrix @ self.pending.get(q, _I2)
+            return
+        site, (matrix,) = self._place(targets, [matrix])
+        self.steps.append(UnitaryStep(site=site, span=k, matrix=matrix))
 
     def add_noise(self, op: NoiseOp) -> None:
         targets = list(op.qubits)
@@ -238,32 +253,20 @@ class _Compiler:
                 f"strategy 'tensornet' supports 1- and 2-qubit noise channels; "
                 f"got {op.name!r} on {k} qubits"
             )
-        kraus = [np.asarray(m, dtype=np.complex128) for m in op.channel.kraus_ops]
-        if k == 2 and targets[1] < targets[0]:
-            kraus = [permute_operator_qubits(m, [1, 0]) for m in kraus]
-        sites = sorted(targets)
-        if self.fused:
-            pre = self._take(sites[0])
-            for q in sites[1:]:
-                pre = np.kron(pre, self._take(q))  # replint: disable=XP001 -- compile-time host gate matrices
-            # |K U psi|^2 == |(K U) psi|^2: folding the pending unitary
-            # into every branch preserves weights and post-states.
-            kraus = [m @ pre for m in kraus]
-        ops = np.stack(kraus)  # replint: disable=XP001 -- compile-time host Kraus stack
-        dominant = op.channel.dominant_index()
-        if k == 1:
-            self.steps.append(
-                NoiseStep(
-                    site=sites[0], span=1, site_id=op.site_id, ops=ops, dominant=dominant
-                )
+        # |K U psi|^2 == |(K U) psi|^2: folding the pending unitary into
+        # every branch preserves weights and post-states.
+        site, kraus = self._place(
+            targets, [np.asarray(m, dtype=np.complex128) for m in op.channel.kraus_ops]
+        )
+        self.steps.append(
+            NoiseStep(
+                site=site,
+                span=k,
+                site_id=op.site_id,
+                ops=np.stack(kraus),  # replint: disable=XP001 -- compile-time host Kraus stack
+                dominant=op.channel.dominant_index(),
             )
-        else:
-            qa, qb = sites
-            moved = self._route_down(qb, qa + 1)
-            self.steps.append(
-                NoiseStep(site=qa, span=2, site_id=op.site_id, ops=ops, dominant=dominant)
-            )
-            self._unroute(moved)
+        )
 
 
 def compile_schedule(circuit: Circuit, config: Optional[Config] = None) -> GateSchedule:
@@ -295,10 +298,66 @@ def compile_schedule(circuit: Circuit, config: Optional[Config] = None) -> GateS
             raise ExecutionError(f"unsupported operation {op!r} for tensornet")
     comp.flush_all()
     schedule = GateSchedule(
-        num_qubits=circuit.num_qubits, steps=tuple(comp.steps), fused=fused
+        num_qubits=circuit.num_qubits,
+        steps=tuple(comp.steps),
+        fused=fused,
+        site_of=tuple(comp.site_of),
+        noise_at=tuple(
+            i for i, step in enumerate(comp.steps) if isinstance(step, NoiseStep)
+        ),
     )
     per_circuit[fused] = schedule
     return schedule
+
+
+def _apply_unitary(stack: BatchedMPSStack, step: Union[UnitaryStep, SwapStep]) -> None:
+    if isinstance(step, SwapStep):
+        stack.swap_adjacent(step.site)
+    elif step.span == 1:
+        stack.apply_1q(step.matrix, step.site)
+    elif step.span == 2:
+        stack.apply_adjacent(step.matrix, step.site)
+    else:
+        stack.apply_3site(step.matrix, step.site)
+
+
+def _apply_noise(stack: BatchedMPSStack, step: NoiseStep, branches: np.ndarray) -> None:
+    """Row ``m`` of the stack realizes branch ``branches[m]`` of ``step``."""
+    if np.all(branches == branches[0]):
+        # Every row realizes the same branch: shared-matrix fast path.
+        mat = step.ops[branches[0]]
+        if step.span == 1:
+            stack.apply_1q(mat, step.site)
+        else:
+            stack.apply_adjacent(mat, step.site)
+    else:
+        mats = step.ops[branches]  # (B, d, d) gather
+        if step.span == 1:
+            stack.apply_1q_rows(mats, step.site)
+        else:
+            stack.apply_adjacent_rows(mats, step.site)
+
+
+def _ideal_cuts(schedule: GateSchedule, max_bond: int, cutoff: float) -> List[_Cut]:
+    """The schedule's all-dominant replay under one truncation, run once.
+
+    Steps replace site tensors and never write into them, so a cut is a
+    list of references to arrays that mostly also belong to its
+    neighbours.
+    """
+    cuts = schedule.ideal.get((max_bond, cutoff))
+    if cuts is None:
+        one = BatchedMPSStack(schedule.num_qubits, 1, max_bond=max_bond, cutoff=cutoff)
+        cuts = []
+        for step in schedule.steps:
+            if isinstance(step, NoiseStep):
+                cuts.append((list(one.tensors), float(one.truncation_error[0])))
+                _apply_noise(one, step, np.array([step.dominant]))
+            else:
+                _apply_unitary(one, step)
+        cuts.append((list(one.tensors), float(one.truncation_error[0])))
+        schedule.ideal[(max_bond, cutoff)] = cuts
+    return cuts
 
 
 def replay_schedule(
@@ -306,44 +365,65 @@ def replay_schedule(
     schedule: GateSchedule,
     choices_list: Sequence[Dict[int, int]],
 ) -> None:
-    """Replay the shared schedule over a trajectory stack.
+    """Replay the shared schedule from ``|0...0>`` into a trajectory stack.
 
     ``choices_list[m]`` is row ``m``'s Kraus-choice mapping (``site_id ->
     branch``); unlisted sites take the channel's dominant branch, matching
-    :meth:`repro.backends.base.PureStateBackend.run_fixed`.
+    :meth:`repro.backends.base.PureStateBackend.run_fixed`.  ``stack``
+    supplies the truncation and receives the rows; what it held is
+    dropped.
+
+    A row is identical to the all-dominant replay until its first
+    deviating noise step, so that replay runs once per schedule and
+    truncation (inside the first call that needs it) and a row *joins*
+    the live stack — from the cut before that step, zero-padded to the
+    live bonds, carrying the truncation error the shared prefix
+    accumulated — only when the replay reaches it.  Rows join in stable
+    order of first deviation; a row that never deviates is the finished
+    ideal state.  On return ``stack.tensors`` and
+    ``stack.truncation_error`` hold the rows in ``choices_list`` order.
     """
-    if len(choices_list) != stack.batch_size:
+    rows = len(choices_list)
+    if rows != stack.batch_size:
         raise ExecutionError(
-            f"choices_list has {len(choices_list)} rows for a stack of "
+            f"choices_list has {rows} rows for a stack of "
             f"batch_size {stack.batch_size}"
         )
-    for step in schedule.steps:
-        if isinstance(step, UnitaryStep):
-            if step.span == 1:
-                stack.apply_1q(step.matrix, step.site)
-            elif step.span == 2:
-                stack.apply_adjacent(step.matrix, step.site)
+    cuts = _ideal_cuts(schedule, stack.max_bond, stack.cutoff)
+    noise = [schedule.steps[i] for i in schedule.noise_at]
+    sites = len(noise)
+    column = {step.site_id: j for j, step in enumerate(noise)}
+    dominant = np.array([step.dominant for step in noise], dtype=np.intp)
+    choice = np.tile(dominant, (rows, 1))
+    for m, choices in enumerate(choices_list):
+        for site_id, branch in choices.items():
+            if site_id in column:
+                choice[m, column[site_id]] = branch
+    # First deviating column per row; the all-True sentinel column makes
+    # that ``sites`` for a row that never deviates.
+    deviates = np.ones((rows, sites + 1), dtype=bool)
+    np.not_equal(choice, dominant, out=deviates[:, :sites])
+    first = deviates.argmax(axis=1)
+    order = np.argsort(first, kind="stable")  # replint: disable=XP001 -- host row bookkeeping, never state data
+    choice = choice[order]
+    joining = np.bincount(first, minlength=sites + 1)
+
+    stack.take(order[:0])  # the live stack starts empty
+    col = int(first[order[0]])
+    if col < sites:
+        for step in schedule.steps[schedule.noise_at[col] :]:
+            if isinstance(step, NoiseStep):
+                if joining[col]:
+                    stack.join(*cuts[col], int(joining[col]))
+                _apply_noise(stack, step, choice[: stack.batch_size, col])
+                col += 1
             else:
-                stack.apply_3site(step.matrix, step.site)
-            continue
-        idx = np.fromiter(
-            (c.get(step.site_id, step.dominant) for c in choices_list),
-            dtype=np.intp,
-            count=len(choices_list),
-        )
-        if np.all(idx == idx[0]):
-            # Whole chunk realizes the same branch: shared-matrix fast path.
-            mat = step.ops[idx[0]]
-            if step.span == 1:
-                stack.apply_1q(mat, step.site)
-            else:
-                stack.apply_adjacent(mat, step.site)
-        else:
-            mats = step.ops[idx]  # (B, d, d) gather
-            if step.span == 1:
-                stack.apply_1q_rows(mats, step.site)
-            else:
-                stack.apply_adjacent_rows(mats, step.site)
+                _apply_unitary(stack, step)
+    if joining[sites]:
+        stack.join(*cuts[sites], int(joining[sites]))
+    caller = np.empty(rows, dtype=np.intp)
+    caller[order] = np.arange(rows)
+    stack.take(caller)
 
 
 class TensorNetExecutor(StreamingExecutor):
@@ -434,9 +514,18 @@ class _MPSStackEngine:
     truncated MPS: a unit is one schedule replay, one batched
     right-environment pass and one stacked sampling sweep.
 
-    Unlike the dense stack, a unit's *composition* matters — the batched
-    truncated SVD keeps a common rank across its rows — so the shots are a
-    function of ``max_rows`` as well as of the seed.
+    Unlike the dense stack, a unit's *composition* matters, so the shots
+    are a function of ``max_rows`` as well as of the seed: each batched
+    truncated SVD keeps one rank for all the rows live at that step — the
+    largest any of them needs — and the rows live at a step are the
+    unit's rows whose first deviation from the ideal circuit is at or
+    before it (:func:`replay_schedule`).  A row's tensors therefore
+    depend on its own choices and on the first-deviation steps and
+    singular spectra of the rows stacked with it, not on their order:
+    the join order is a stable sort of the unit's choices.  Uniforms are
+    consumed along the chain, site by site, and routing does not put
+    qubits back, so the sweep's columns are read through
+    ``GateSchedule.site_of``.
     """
 
     name = "tensornet"
@@ -448,7 +537,6 @@ class _MPSStackEngine:
         self.config: Optional[Config] = config
         self.max_rows = max_rows
         self.num_qubits = circuit.num_qubits
-        self.cols = list(circuit.measured_qubits)
         self.stack_options = {"max_bond": max_bond, "cutoff": cutoff, "config": config}
         try:
             self.schedule, self.compile_seconds = timed(
@@ -456,6 +544,9 @@ class _MPSStackEngine:
             )
         except BackendError as exc:
             raise ExecutionError(f"strategy 'tensornet' cannot run: {exc}") from exc
+        # Routing leaves qubits where it moved them: read each measured
+        # qubit's column at the site it ends on.
+        self.cols = [self.schedule.site_of[q] for q in circuit.measured_qubits]
         self.release()
 
     def prepare(self, choices_list):

@@ -107,16 +107,20 @@ def truncated_svd_batched(
     mats = np.asarray(mats)
     u, s, vh = np.linalg.svd(mats, full_matrices=False)
     batch, full_rank = s.shape
-    totals = np.sum(s**2, axis=1)
     rank = full_rank
-    if cutoff > 0.0 and full_rank > 0:
+    if cutoff > 0.0 and full_rank > 0 and batch:
         # Per-row relative cutoff; the batch keeps the widest row's rank.
+        # Singular values descend, so each row keeps a prefix and the
+        # widest prefix is the number of columns any row keeps.
         keep = s >= cutoff * s[:, :1]
-        per_row = np.maximum(1, keep.sum(axis=1))
-        rank = int(per_row.max()) if batch else 1
+        rank = max(1, int(np.count_nonzero(keep.any(axis=0))))
     if max_rank is not None:
         rank = max(1, min(rank, int(max_rank)))
-    kept_weight = np.sum(s[:, :rank] ** 2, axis=1)
+    if rank == full_rank:
+        return u, s, vh, rank, np.zeros(batch)
+    squares = s**2
+    totals = squares.sum(axis=1)
+    kept_weight = squares[:, :rank].sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         discarded = np.where(
             totals == 0.0, 0.0, np.maximum(0.0, 1.0 - kept_weight / np.where(totals == 0.0, 1.0, totals))

@@ -2,10 +2,11 @@
 
 Contracts under test:
 
-1. **Exact replay** — the compiled swap-routed schedule replayed over a
+1. **Exact replay** — the compiled routed schedule replayed over a
    :class:`BatchedMPSStack` at exact bond reproduces the dense
-   ``run_fixed`` statevector for non-adjacent 2q gates, 3q windows, and
-   both fusion modes.
+   ``run_fixed`` statevector (read through ``site_of``: routing does not
+   swap back) for non-adjacent 2q gates, 3q windows, and both fusion
+   modes.
 2. **Batched kernels** — ``truncated_svd_batched`` and
    ``compute_right_environments_batched`` match their serial
    counterparts row by row.
@@ -19,11 +20,18 @@ Contracts under test:
    per-trajectory weights matching the dense serial engine.
 6. **Distributional conformance** — at small width and exact bond the
    tensornet table passes the density-matrix oracle across multiple
-   unitary-mixture noise profiles, like the clifford engine.
+   unitary-mixture noise profiles, like the clifford engine — also on a
+   circuit whose routing leaves qubits away from their home sites.
+7. **Shared-prefix replay** — a row joins the live stack at its first
+   deviation from the ideal circuit; every row must equal the full
+   replay (all rows from step 0, kept here as the oracle) in statevector,
+   weight and ``truncation_error``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends.mps import BatchedMPSStack, MPSBackend
 from repro.backends.mps_sampler import (
@@ -32,9 +40,11 @@ from repro.backends.mps_sampler import (
 )
 from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, depolarizing, two_qubit_depolarizing
-from repro.channels.standard import device_profile
+from repro.channels.kraus import KrausChannel
+from repro.channels.standard import amplitude_damping, device_profile
 from repro.circuits import Circuit
-from repro.circuits.gates import CCX
+from repro.circuits.gates import CCX, H
+from repro.circuits.operations import NoiseOp
 from repro.circuits.library import build_workload, noisy, random_brickwork
 from repro.config import Config
 from repro.errors import CapacityError, ExecutionError
@@ -49,7 +59,10 @@ from repro.execution import (
 from repro.execution.batched import DENSE_STRATEGIES
 from repro.execution.tensornet import (
     NoiseStep,
+    SwapStep,
     UnitaryStep,
+    _apply_noise,
+    _apply_unitary,
     clear_schedule_cache,
     replay_schedule,
 )
@@ -74,7 +87,8 @@ def _replayed_state(circuit, config, batch=1, max_bond=4096, cutoff=0.0):
         circuit.num_qubits, batch, max_bond=max_bond, cutoff=cutoff
     )
     replay_schedule(stack, schedule, [{} for _ in range(batch)])
-    return stack.row_statevector(0)
+    # Routing does not swap back: read the chain in qubit order.
+    return stack.row_statevector(0, schedule.site_of)
 
 
 @pytest.fixture(autouse=True)
@@ -191,11 +205,16 @@ class TestScheduleCompile:
         assert noise.ops.shape == (4, 2, 2)  # I, X, Y, Z branches
 
     def test_swap_steps_emitted_for_nonadjacent(self):
-        circ = Circuit(4).cx(0, 3).measure_all().freeze()
+        circ = Circuit(4).cx(0, 3).cx(0, 3).measure_all().freeze()
         schedule = compile_schedule(circ, UNFUSED)
-        spans = [s.span for s in schedule.steps if isinstance(s, UnitaryStep)]
-        # Two SWAPs down, the gate, two SWAPs back.
-        assert spans == [2, 2, 2, 2, 2]
+        # Two SWAPs bring qubit 3 next to qubit 0 and it stays there: the
+        # second cx(0, 3) finds its qubits adjacent.
+        assert [type(s) for s in schedule.steps] == [
+            SwapStep, SwapStep, UnitaryStep, UnitaryStep
+        ]
+        assert [s.site for s in schedule.steps] == [2, 1, 0, 0]
+        assert schedule.site_of == (0, 2, 3, 1)
+        assert sorted(schedule.site_of) == list(range(4))
 
 
 class TestBatchedKernels:
@@ -297,6 +316,195 @@ class TestTruncationAccounting:
         assert np.any(stack.truncation_error > 0)
         # Different Kraus realizations truncate differently.
         assert len(np.unique(np.round(stack.truncation_error, 12))) > 1
+
+
+def _full_replay(schedule, choices_list, **options):
+    """Every row replayed from step 0: what the shared-prefix replay
+    replaced, kept as its oracle."""
+    stack = BatchedMPSStack(schedule.num_qubits, len(choices_list), **options)
+    for step in schedule.steps:
+        if isinstance(step, NoiseStep):
+            branches = [c.get(step.site_id, step.dominant) for c in choices_list]
+            _apply_noise(stack, step, np.array(branches))
+        else:
+            _apply_unitary(stack, step)
+    return stack
+
+
+def _site_ids(circuit):
+    return [op.site_id for op in circuit.operations if isinstance(op, NoiseOp)]
+
+
+def _assert_matches_full_replay(circuit, choices_list, config=UNFUSED, **options):
+    schedule = compile_schedule(circuit, config)
+    shared = BatchedMPSStack(circuit.num_qubits, len(choices_list), **options)
+    replay_schedule(shared, schedule, choices_list)
+    full = _full_replay(schedule, choices_list, **options)
+    assert shared.batch_size == len(choices_list)
+    for m in range(len(choices_list)):
+        np.testing.assert_allclose(
+            shared.row_statevector(m), full.row_statevector(m), atol=1e-12
+        )
+    np.testing.assert_allclose(shared.norms_squared(), full.norms_squared(), atol=1e-12)
+    np.testing.assert_allclose(shared.truncation_error, full.truncation_error, atol=1e-12)
+    return shared
+
+
+def _noisy_brickwork(num_qubits, depth, seed, model=None):
+    model = model or (
+        NoiseModel()
+        .add_all_qubit_gate_noise("rz", amplitude_damping(0.2))
+        .add_all_qubit_gate_noise("cz", two_qubit_depolarizing(0.1))
+    )
+    return model.apply(
+        random_brickwork(num_qubits, depth, rng=np.random.default_rng(seed), measure=True)
+    ).freeze()
+
+
+class TestSharedPrefixReplay:
+    @pytest.mark.parametrize("config", [FUSED, UNFUSED])
+    def test_rows_join_at_their_first_deviation(self, config):
+        circ = _noisy_brickwork(5, depth=3, seed=4)
+        ids = _site_ids(circ)
+        choices_list = [
+            {ids[7]: 1, ids[9]: 1},  # joins mid-schedule
+            {},  # never deviates: the finished ideal state
+            {ids[0]: 1},  # deviates at the very first noise step
+            {ids[-1]: 1},  # deviates at the very last one
+            {ids[7]: 1},  # shares a first deviation with row 0
+            {},
+            {ids[3]: 1, ids[0]: 1},  # listed out of order
+        ]
+        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=0.0)
+        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=1e-12)
+
+    def test_all_rows_share_one_first_deviation(self):
+        circ = _noisy_brickwork(4, depth=2, seed=8)
+        ids = _site_ids(circ)
+        choices_list = [{ids[4]: 1}, {ids[4]: 1, ids[6]: 1}, {ids[4]: 1, ids[5]: 1}]
+        _assert_matches_full_replay(circ, choices_list, max_bond=64, cutoff=1e-12)
+
+    @pytest.mark.parametrize("deviation", [None, 0, 5])
+    def test_single_row(self, deviation):
+        circ = _noisy_brickwork(4, depth=2, seed=9)
+        ids = _site_ids(circ)
+        choices = {} if deviation is None else {ids[deviation]: 1}
+        _assert_matches_full_replay(circ, [choices], max_bond=64, cutoff=1e-12)
+
+    def test_per_row_two_qubit_noise(self):
+        # Every row realizes a different two-qubit Pauli at the same site
+        # (apply_adjacent_rows), one of them on non-adjacent qubits.
+        circ = Circuit(5)
+        for q in range(5):
+            circ.rx(0.3 + 0.2 * q, q)
+        circ.cz(0, 1)
+        circ.attach(two_qubit_depolarizing(0.1), 0, 1)
+        circ.cx(4, 1)
+        circ.attach(two_qubit_depolarizing(0.1), 4, 1)
+        circ.rx(0.4, 2).cz(2, 3)
+        circ.attach(two_qubit_depolarizing(0.1), 3, 2)
+        circ.measure_all().freeze()
+        a, b, c = _site_ids(circ)
+        choices_list = [{a: 3, b: 7}, {a: 9}, {b: 2, c: 11}, {b: 14}, {}, {c: 5}]
+        for config in (FUSED, UNFUSED):
+            _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=1e-12)
+
+    def test_bond_two_truncation(self):
+        circ = _noisy_brickwork(6, depth=4, seed=19)
+        ids = _site_ids(circ)
+        choices_list = [{}, {ids[2]: 1}, {ids[20]: 1}, {ids[11]: 1, ids[30]: 1}, {ids[2]: 1}]
+        shared = _assert_matches_full_replay(circ, choices_list, max_bond=2, cutoff=1e-12)
+        assert shared.truncation_error[0] > 0  # bond 2 genuinely truncates
+        assert len(np.unique(np.round(shared.truncation_error, 12))) > 1
+
+    def test_join_pads_both_ways(self, monkeypatch):
+        # An identity-or-Hadamard error: on |0> the error *creates* the
+        # superposition a CX entangles, on |+> it removes it.  Row 0 takes
+        # both errors, so at row 1's join the live stack is wider than the
+        # ideal row on bond 0-1 and narrower on bond 2-3.
+        flip = KrausChannel("i_or_h", [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * H.matrix])
+        circ = Circuit(4).h(2)
+        circ.attach(flip, 0).attach(flip, 2)
+        circ.cx(0, 1).cx(2, 3)
+        circ.attach(flip, 1)
+        circ.rx(0.3, 1).cz(1, 2)
+        circ.measure_all().freeze()
+        a, b, c = _site_ids(circ)
+        padded = set()
+        join = BatchedMPSStack.join
+
+        def spy(self, tensors, truncation_error, count):
+            for mine, theirs in zip(self.tensors, tensors):
+                if self.batch_size and mine.shape[3] != theirs.shape[3]:
+                    padded.add("theirs" if mine.shape[3] > theirs.shape[3] else "mine")
+            join(self, tensors, truncation_error, count)
+
+        monkeypatch.setattr(BatchedMPSStack, "join", spy)
+        _assert_matches_full_replay(
+            circ, [{a: 1, b: 1}, {c: 1}, {}], max_bond=64, cutoff=1e-12
+        )
+        assert padded == {"mine", "theirs"}
+
+    def test_ideal_pass_runs_once_per_schedule_and_truncation(self):
+        circ = _noisy_brickwork(4, depth=2, seed=3)
+        schedule = compile_schedule(circ, UNFUSED)
+        ids = _site_ids(circ)
+        for _ in range(2):
+            stack = BatchedMPSStack(4, 2, max_bond=8, cutoff=1e-12)
+            replay_schedule(stack, schedule, [{ids[1]: 1}, {}])
+        assert list(schedule.ideal) == [(8, 1e-12)]
+        cuts = schedule.ideal[(8, 1e-12)]
+        assert len(cuts) == schedule.num_noise_sites + 1
+        replay_schedule(BatchedMPSStack(4, 1, max_bond=2, cutoff=0.0), schedule, [{}])
+        assert set(schedule.ideal) == {(8, 1e-12), (2, 0.0)}
+        assert schedule.ideal[(8, 1e-12)] is cuts
+
+    def test_caller_row_order_is_kept(self):
+        circ = _noisy_brickwork(4, depth=2, seed=5)
+        ids = _site_ids(circ)
+        choices_list = [{ids[6]: 1}, {}, {ids[0]: 1}, {ids[3]: 1}]
+        schedule = compile_schedule(circ, UNFUSED)
+        stack = BatchedMPSStack(4, 4, max_bond=64, cutoff=1e-12)
+        replay_schedule(stack, schedule, choices_list)
+        for m, choices in enumerate(choices_list):
+            alone = BatchedMPSStack(4, 1, max_bond=64, cutoff=1e-12)
+            replay_schedule(alone, schedule, [choices])
+            np.testing.assert_allclose(
+                stack.row_statevector(m), alone.row_statevector(0), atol=1e-12
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_qubits=st.integers(3, 6),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        max_bond=st.sampled_from([2, 64]),
+        fused=st.booleans(),
+        data=st.data(),
+    )
+    def test_property_random_brickwork_random_choices(
+        self, num_qubits, depth, seed, max_bond, fused, data
+    ):
+        clear_schedule_cache()
+        model = (
+            NoiseModel()
+            .add_all_qubit_gate_noise("rx", depolarizing(0.1))
+            .add_all_qubit_gate_noise("cz", two_qubit_depolarizing(0.1))
+        )
+        circ = _noisy_brickwork(num_qubits, depth, seed, model)
+        branches = {
+            op.site_id: len(op.channel.kraus_ops)
+            for op in circ.operations
+            if isinstance(op, NoiseOp)
+        }
+        row = st.dictionaries(
+            st.sampled_from(sorted(branches)), st.integers(0, 3), max_size=3
+        )
+        choices_list = data.draw(st.lists(row, min_size=1, max_size=6))
+        _assert_matches_full_replay(
+            circ, choices_list, FUSED if fused else UNFUSED,
+            max_bond=max_bond, cutoff=1e-12,
+        )
 
 
 class TestRoutingDecisions:
@@ -512,6 +720,51 @@ class TestDistributionalConformance:
                 proportional_shots=True,
             )
             assert finding.status == PASS, f"{result.engine}: {finding.detail}"
+
+
+class TestRoutedColumns:
+    """Routing leaves qubits on other sites: the engine must read each
+    measured qubit's column through ``site_of``."""
+
+    def _routed_circuit(self):
+        circ = Circuit(7)
+        for q in range(7):
+            circ.rx(0.35 + 0.31 * q, q)  # a different marginal on every qubit
+        circ.cx(0, 4).cx(5, 1).cx(0, 3).cx(6, 2).cx(4, 1)
+        return circ
+
+    def test_deterministic_bits_land_on_their_qubits(self):
+        circ = Circuit(6).x(0).x(4)
+        circ.cx(0, 3).cx(4, 1).cx(3, 5).cx(0, 3)
+        circ.attach(depolarizing(0.01), 2)
+        circ.measure(5, 0, 2, 1).freeze()
+        assert compile_schedule(circ).site_of != tuple(range(6))
+        result = run_ptsbe(circ, ProportionalPTS(total_shots=50), seed=2, strategy="tensornet")
+        bits = result.shot_table().bits
+        # x(0) -> q3 -> q5, second cx(0,3) clears q3; x(4) -> q1.
+        np.testing.assert_array_equal(bits, np.tile([1, 1, 0, 1], (50, 1)))
+
+    def test_nonadjacent_cx_matches_density_matrix(self):
+        model = (
+            NoiseModel()
+            .add_all_qubit_gate_noise("cx", two_qubit_depolarizing(0.04))
+            .add_all_qubit_gate_noise("rx", depolarizing(0.02))
+        )
+        circuit = model.apply(self._routed_circuit().measure_all()).freeze()
+        site_of = compile_schedule(circuit).site_of
+        assert site_of != tuple(range(7)) and sorted(site_of) == list(range(7))
+        sampler = ExhaustivePTS(cutoff=2e-4, nshots=None, total_shots=20_000)
+        tn = run_ptsbe(circuit, sampler, seed=5, strategy="tensornet")
+        coverage = sum(r.nominal_probability for r in tn.records)
+        finding = check_distribution(
+            circuit,
+            tn.shot_table(),
+            coverage,
+            OracleSpec(tvd_tolerance=0.05, distribution_max_qubits=7),
+            unitary_mixture=True,
+            proportional_shots=True,
+        )
+        assert finding.status == PASS, finding.detail
 
 
 class TestWideExecution:
