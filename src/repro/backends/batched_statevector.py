@@ -44,8 +44,10 @@ Sampling stays the cheap polynomial part of the PTSBE story: one
 stack-wide cumulative tensor (``|stack|**2`` normalized and cumsummed
 along the state axis, built on the array module in a single pass) serves
 every row, and each row draws its full shot budget with one row-wise
-``searchsorted`` over all shot uniforms at once — on a device module only
-the final shot indices cross back to host.
+inverse-CDF lookup over all shot uniforms at once
+(:func:`repro.linalg.sampling.inverse_cdf_indices`: a host guide table on
+NumPy, the module's ``searchsorted`` on a device) — on a device module
+only the final shot indices cross back to host.
 
 The stack lives on the array module resolved from ``Config.array_module``
 (:mod:`repro.linalg.backend`): NumPy on host, CuPy on GPU when available.
@@ -67,6 +69,7 @@ from repro.backends.statevector import bits_from_indices
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
 from repro.linalg.backend import get_array_backend
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
+from repro.linalg.sampling import inverse_cdf_indices
 from repro.circuits.circuit import Circuit
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError, ExecutionError
@@ -439,9 +442,11 @@ class BatchedStatevectorBackend:
 
         Built in one pass on the array module — ``|stack|**2``, per-row
         normalization, ``cumsum`` along the state axis, tail clamped to
-        1.0 so ``searchsorted`` never falls off the end — replacing the
-        old per-row Python loop.  The per-row arithmetic (element-wise
-        square/divide, then a row-independent cumulative sum) matches the
+        1.0 so no shot uniform falls off the end of a row (the
+        precondition of :func:`~repro.linalg.sampling.inverse_cdf_indices`)
+        — replacing the old per-row Python loop.  The per-row arithmetic
+        (element-wise square/divide, then a row-independent cumulative
+        sum) matches the
         serial backend's per-state path exactly, so sampling stays bitwise
         identical to :class:`StatevectorBackend`.  Dead (zero-norm) rows
         come out all-zero with only the clamped tail entry at 1.0 — never
@@ -462,7 +467,7 @@ class BatchedStatevectorBackend:
             cum = xp.cumsum(
                 (probs / safe).astype(np.float64, copy=False), axis=1
             )
-            # Clamp the tail so searchsorted never falls off the end.
+            # Clamp the tail so no uniform falls off the end.
             cum[:, -1] = 1.0
             self._cum_stack = cum
         return self._cum_stack
@@ -473,8 +478,9 @@ class BatchedStatevectorBackend:
         """Bulk-sample basis-state indices from one stacked trajectory.
 
         Uniforms always come from the host ``rng`` (the
-        ``(seed, trajectory_id)`` determinism contract); the row-wise
-        ``searchsorted`` runs wherever the cumulative tensor lives, and
+        ``(seed, trajectory_id)`` determinism contract); the row's
+        inverse-CDF lookup runs wherever the cumulative tensor lives (the
+        host guide table on NumPy, ``xp.searchsorted`` on a device), and
         only the resulting shot indices cross back to host.
         """
         if num_shots < 0:
@@ -485,7 +491,7 @@ class BatchedStatevectorBackend:
         if self._cum_totals[row] <= 0:
             raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
         r = rng.random(num_shots)
-        indices = self._xp.searchsorted(cum[row], self._xp.asarray(r), side="right")
+        indices = inverse_cdf_indices(cum[row], r, self._xp)
         # Shot indices are the one bulk device->host transfer of the
         # sampling hot path: stage through pinned memory under CuPy
         # (identity under NumPy) for DMA-speed copies.
@@ -511,7 +517,7 @@ class BatchedStatevectorBackend:
         """Bulk multinomial sampling over the whole stack, one rng per row.
 
         Dead rows yield an empty ``(0, len(qubits))`` table.  Each live row
-        draws its full budget in one vectorized ``searchsorted`` — the
+        draws its full budget in one vectorized inverse-CDF lookup — the
         "sampling all m_alpha desired quantum bitstrings at once" step of
         the paper, here over the stacked probability tensor.
         """

@@ -21,6 +21,7 @@ from repro.circuits.gates import Gate
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError
+from repro.linalg.sampling import inverse_cdf_indices
 
 __all__ = ["DensityMatrixBackend"]
 
@@ -127,8 +128,8 @@ class DensityMatrixBackend:
         full = self.probabilities()
         cum = np.cumsum(full)
         cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(num_shots), side="right")
-        return bits_from_indices(idx.astype(np.int64), qubits, self.num_qubits)
+        idx = inverse_cdf_indices(cum, rng.random(num_shots))
+        return bits_from_indices(idx, qubits, self.num_qubits)
 
     def expectation(self, operator: np.ndarray) -> complex:
         """tr(rho O) for a full-dimension operator."""

@@ -38,6 +38,7 @@ from repro.channels.unitary_mixture import as_unitary_mixture
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError
+from repro.linalg.sampling import inverse_cdf_indices
 
 __all__ = ["FrameSampler", "frame_sample"]
 
@@ -450,7 +451,7 @@ class FrameSampler:
                 # Vectorized branch draw for all shots at this site.
                 cum = np.cumsum(site.probs)
                 cum[-1] = 1.0
-                draws = np.searchsorted(cum, rng.random(m), side="right")
+                draws = inverse_cdf_indices(cum, rng.random(m))
                 fx ^= site.x_patterns[draws]
                 fz ^= site.z_patterns[draws]
         # Ideal randomness: uniform combination of affine generators.

@@ -16,11 +16,14 @@ Implementation notes (following the HPC guides):
   the ``(seed, trajectory_id)`` determinism contract is independent of
   where the state was prepared.
 * Bulk sampling is fully vectorized: one cumulative sum of the probability
-  vector, then ``searchsorted`` over all shot uniforms at once.  Its cost is
-  ``O(2**n + m log 2**n)`` — *polynomial in the state, trivial per shot* —
-  which is exactly the asymmetry batched execution exploits (paper §3:
-  "sampling all m_alpha desired quantum bitstrings at once, a task of mere
-  polynomial complexity").
+  vector, then the shared inverse-CDF kernel
+  (:func:`repro.linalg.sampling.inverse_cdf_indices`) over all shot uniforms
+  at once — Chen & Asau's cutpoint (guide-table) method, a ``2 * 2**n``-cell
+  guide built once per call and ``O(1)`` expected work per shot.  Its cost is
+  ``O(2**n + m)`` — *polynomial in the state, trivial per shot* — which is
+  exactly the asymmetry batched execution exploits (paper §3: "sampling all
+  m_alpha desired quantum bitstrings at once, a task of mere polynomial
+  complexity").
 * A probability-vector cache is kept between samples and invalidated on any
   state mutation, so repeated ``sample`` calls on a prepared trajectory pay
   the ``O(2**n)`` reduction once (the paper's prepare-once/sample-many).
@@ -44,21 +47,9 @@ from repro.errors import (
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
 from repro.linalg.backend import get_array_backend
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
+from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
 
 __all__ = ["StatevectorBackend", "bits_from_indices"]
-
-
-def bits_from_indices(indices: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Extract bit columns for ``qubits`` from basis-state indices.
-
-    Qubit 0 is the most significant bit of an index (library convention).
-    Always host NumPy: shot indices cross the array-module boundary before
-    they become :class:`~repro.execution.results.ShotTable` rows.
-    Returns ``(len(indices), len(qubits))`` uint8.
-    """
-    indices = np.asarray(indices, dtype=np.uint64)
-    shifts = np.array([num_qubits - 1 - q for q in qubits], dtype=np.uint64)
-    return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
 class StatevectorBackend(PureStateBackend):
@@ -314,7 +305,7 @@ class StatevectorBackend(PureStateBackend):
             if float(total) <= 0:
                 raise BackendError("state has zero norm")
             cum = xp.cumsum((probs / total).astype(np.float64, copy=False))
-            # Clamp the tail so searchsorted never falls off the end.
+            # Clamp the tail so no uniform falls off the end.
             cum[-1] = 1.0
             self._cumsum_cache = cum
         return self._cumsum_cache
@@ -323,8 +314,10 @@ class StatevectorBackend(PureStateBackend):
         """Vectorized bulk sampling of basis-state indices.
 
         Uniforms always come from the host ``rng`` (the determinism
-        contract); ``searchsorted`` runs wherever the cumulative vector
-        lives and only the shot indices cross back to host.
+        contract); the inverse-CDF lookup runs wherever the cumulative
+        vector lives (the host guide table on NumPy, the module's own
+        binary search on a device) and only the shot indices cross back
+        to host.
         """
         if num_shots < 0:
             raise BackendError("num_shots must be >= 0")
@@ -332,7 +325,7 @@ class StatevectorBackend(PureStateBackend):
             return np.empty(0, dtype=np.int64)
         cum = self._cumulative()
         r = rng.random(num_shots)
-        indices = self._xp.searchsorted(cum, self._xp.asarray(r), side="right")
+        indices = inverse_cdf_indices(cum, r, self._xp)
         # Shot indices are the one bulk device->host transfer of the
         # sampling hot path: stage through pinned memory under CuPy
         # (identity under NumPy) for DMA-speed copies.

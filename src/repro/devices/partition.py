@@ -31,6 +31,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.devices.device import DeviceMesh
 from repro.errors import DeviceError
 from repro.linalg.backend import get_array_backend
+from repro.linalg.sampling import inverse_cdf_indices
 
 __all__ = ["DistributedStatevector"]
 
@@ -210,7 +211,7 @@ class DistributedStatevector:
             probs = probs / probs.sum()
             cum = np.cumsum(probs)
             cum[-1] = 1.0
-            local = np.searchsorted(cum, rng.random(count), side="right")
+            local = inverse_cdf_indices(cum, rng.random(count))
             indices[pos : pos + count] = (d << self.local_qubits) | local
             self.bytes_communicated += int(count) * 8  # shipping shot indices
             pos += count

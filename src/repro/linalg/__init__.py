@@ -15,6 +15,7 @@ from repro.linalg.apply import (
     compile_operator,
 )
 from repro.linalg.reductions import row_norms_squared
+from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
 from repro.linalg.fusion import (
     expand_to_support,
     fuse_window_matrix,
@@ -50,6 +51,8 @@ __all__ = [
     "apply_matrix_stack",
     "compile_operator",
     "row_norms_squared",
+    "bits_from_indices",
+    "inverse_cdf_indices",
     "expand_to_support",
     "fuse_window_matrix",
     "window_support",
