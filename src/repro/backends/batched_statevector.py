@@ -22,7 +22,9 @@ trajectories in one fused operation:
   applied via the same batched kernel over its row sub-slice.  Since PTS
   trajectories overwhelmingly take the dominant branch, there are
   typically only one or two groups per window.
-* **Batched renormalization** after each noise window runs the *shared*
+* **Batched renormalization** after each general-Kraus noise window (a
+  unitary-mixture window keeps the norm and multiplies its
+  state-independent probability into the weights instead) runs the *shared*
   :func:`~repro.linalg.reductions.row_norms_squared` reduction once over
   the whole stack — the same row-independent reduction the serial
   backend's ``norm_squared`` applies to its state as a 1-row stack — so a
@@ -348,7 +350,8 @@ class BatchedStatevectorBackend:
         choices_list: Sequence[Optional[Dict[int, int]]],
         weights: np.ndarray,
     ) -> None:
-        """Group rows by variant key, apply each group, renormalize rows."""
+        """Group rows by variant key, apply each group, then weigh the rows:
+        by the window's probability (unitary mixture) or by renormalizing."""
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for row, choices in enumerate(choices_list):
             if not self._alive[row]:
@@ -383,6 +386,13 @@ class BatchedStatevectorBackend:
                     self.num_qubits,
                     xp=self._xp,
                 )
+        if step.unitary:
+            # Unitary-mixture window: every variant is unitary and its
+            # branch probability state-independent — no reduction, no host
+            # sync, no row can die here.
+            for key, rows in groups.items():
+                weights[rows] *= step.probability(key)
+            return
         # Batched renormalization: one stack-wide reduction (the same
         # row-independent row_norms_squared the serial norm_squared runs,
         # so per-row results are bitwise serial-identical by construction)

@@ -175,11 +175,14 @@ class StatevectorBackend(PureStateBackend):
         :class:`~repro.execution.plan.FusedPlan` instead of its raw
         operation list: gate windows are single fused kernel passes, and
         each noise window applies the variant realizing this trajectory's
-        Kraus choices, then renormalizes and multiplies the window's
+        Kraus choices.  A unitary-mixture window multiplies its
+        state-independent branch probability into the weight; a window
+        with a general-Kraus site renormalizes and multiplies the window's
         squared norm into the weight — the same telescoping product of
         branch probabilities the per-site base loop accumulates.  With
-        ``Config.fusion="off"`` the plan is one step per operation and the
-        arithmetic is identical to the base implementation.
+        ``Config.fusion="off"`` the plan is one step per operation, and a
+        general-Kraus site's arithmetic is identical to the base
+        implementation.
         """
         # Imported lazily: repro.execution imports this module at package
         # init, so a top-level import would be circular.
@@ -200,7 +203,14 @@ class StatevectorBackend(PureStateBackend):
             if isinstance(step, GateStep):
                 self._apply_compiled(step.op)
             else:
-                self._apply_compiled(step.variant(step.key_for(choices)))
+                key = step.key_for(choices)
+                self._apply_compiled(step.variant(key))
+                if step.unitary:
+                    # Unitary-mixture window: the variant is unitary and
+                    # the branch probability state-independent — no
+                    # reduction, no rescale.
+                    weight *= step.probability(key)
+                    continue
                 t0 = time.perf_counter()
                 norm2 = self.norm_squared()
                 if norm2 <= 1e-300:

@@ -9,7 +9,7 @@ bounded by ``Config.fusion_max_qubits``) with the diagonal/identity fast
 paths re-detected on the fused result (:func:`repro.linalg.apply
 .compile_operator`), so a brickwork layer of H + depolarizing + CX +
 two-qubit depolarizing collapses from six kernel passes and three
-renormalizations into one of each.
+renormalizations into one pass and no renormalization at all.
 
 Two step kinds:
 
@@ -19,11 +19,19 @@ Two step kinds:
 * :class:`NoiseStep` — a window containing one or more noise sites.  The
   fused matrix depends on which Kraus branches a trajectory prescribes,
   so the step exposes *variants*: one compiled operator per realized
-  Kraus-index combination, built lazily and memoized in a
+  Kraus-index combination, built lazily — as the product of factors
+  embedded onto the window once per step — and memoized in a
   :class:`~repro.trajectory.unitary_cache.KernelVariantCache` (B
   trajectories sharing a prescription pay each fusion product once).
-  After a noise window the state is renormalized and the pre-normalization
-  squared norm multiplies the trajectory weight — the product over a
+  Each step is classified once at build time.  When every site's channel
+  is a unitary mixture (``K_i = sqrt(p_i) U_i`` — paper Algorithm 1's
+  ``unitaryMixture`` branch) the variants are built from the ``U_i``:
+  the window is a unitary, costs what a gate window costs, and the
+  trajectory weight takes the state-independent
+  :meth:`NoiseStep.probability` — no reduction, no rescale.  After a
+  *general-Kraus* window (any site whose operators are not scaled
+  unitaries) the state is renormalized and the pre-normalization squared
+  norm multiplies the trajectory weight — the product over a
   trajectory's noise windows telescopes to exactly the same total weight
   the per-site serial loop accumulates.
 
@@ -40,11 +48,16 @@ lives on :class:`~repro.config.Config` rather than per call: one process,
 one numerics story.
 
 ``Config.fusion="off"`` compiles a degenerate plan — one step per circuit
-operation — that reproduces the historical unfused arithmetic exactly.
+operation, each applied on its own qubit order as the per-site loop of
+:meth:`~repro.backends.base.PureStateBackend.run_fixed` applies it; a
+unitary-mixture site is still a unitary step with its nominal
+probability, so the dominant depolarizing branch is the identity tier:
+no pass, no reduction.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -56,8 +69,13 @@ from repro.circuits.operations import MeasureOp, NoiseOp, Operation
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, ExecutionError
 from repro.linalg.apply import CompiledOperator, compile_operator
-from repro.linalg.fusion import fuse_window_matrix, window_support
-from repro.trajectory.unitary_cache import KernelVariantCache
+from repro.linalg.fusion import (
+    expand_to_support,
+    fuse_window_matrix,
+    multiply_window,
+    window_support,
+)
+from repro.trajectory.unitary_cache import ChannelAnalysisCache, KernelVariantCache
 
 __all__ = [
     "GateStep",
@@ -87,7 +105,7 @@ class GateStep:
 
 class NoiseStep:
     """A fused window containing noise sites: one compiled operator per
-    realized Kraus-index combination, plus a renormalization point.
+    realized Kraus-index combination.
 
     ``site_ids`` lists the window's noise sites in application order; a
     *variant key* is the tuple of Kraus indices chosen at those sites (in
@@ -95,6 +113,13 @@ class NoiseStep:
     ``{site_id: kraus_index}`` choices to its key (absent sites take the
     channel's dominant branch), and :meth:`variant` compiles/memoizes the
     fused operator for a key.
+
+    ``unitary`` is true when every site's channel is a unitary mixture
+    (``K_i = sqrt(p_i) U_i``).  Such a window's variants are built from
+    the ``U_i`` — unitary, so the state keeps its norm and the backends
+    skip the renormalization — and :meth:`probability` is the window's
+    state-independent branch probability.  A window with any general-Kraus
+    site compiles the ``K_i`` themselves and is a renormalization point.
     """
 
     __slots__ = (
@@ -103,7 +128,10 @@ class NoiseStep:
         "dominant_key",
         "targets",
         "num_ops",
+        "unitary",
         "_items",
+        "_operators",
+        "_embedded",
         "_step_index",
         "_dtype",
         "_cache",
@@ -116,6 +144,7 @@ class NoiseStep:
         step_index: int,
         dtype: np.dtype,
         cache: KernelVariantCache,
+        analysis: ChannelAnalysisCache,
     ):
         site_ids: List[int] = []
         channels: List[object] = []
@@ -127,12 +156,23 @@ class NoiseStep:
                 channels.append(op.channel)
             else:
                 items.append(("gate", op.gate.matrix, op.qubits))
+        mixtures = [analysis.mixture(ch) for ch in channels]
         self.site_ids = tuple(site_ids)
         self.channels = tuple(channels)
         self.dominant_key = tuple(ch.dominant_index() for ch in channels)
         self.targets = targets
         self.num_ops = len(items)
+        self.unitary = all(mix is not None for mix in mixtures)
         self._items = tuple(items)
+        # Per site, the operators a variant multiplies: U_i on a unitary
+        # window, the Kraus operators themselves otherwise.
+        self._operators = tuple(
+            mix.unitaries if self.unitary else ch.kraus_ops
+            for mix, ch in zip(mixtures, channels)
+        )
+        # (item position, kraus index or None for a gate) -> the factor
+        # embedded onto ``targets``, built on first use.
+        self._embedded: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         self._step_index = step_index
         self._dtype = dtype
         self._cache = cache
@@ -155,6 +195,13 @@ class NoiseStep:
             key[pos] = idx
         return tuple(key)
 
+    def probability(self, key: Tuple[int, ...]) -> float:
+        """Branch probability of ``key`` on a ``unitary`` window: the
+        product of the sites' nominal probabilities, in site order."""
+        return math.prod(
+            channel.nominal_probs[idx] for channel, idx in zip(self.channels, key)
+        )
+
     def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         """Compiled fused operator realizing Kraus choices ``key``."""
         return self._cache.get_or_build(
@@ -163,26 +210,36 @@ class NoiseStep:
 
     def _compile_variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         if len(self._items) == 1:
-            # Singleton window: compile the Kraus operator directly on the
-            # site's own qubit order — identical arithmetic to the unfused
+            # Singleton window: compile the site's operator directly on
+            # its own qubit order — identical arithmetic to the unfused
             # per-op path.
             _, pos, qubits = self._items[0]
             return compile_operator(
-                self.channels[pos].kraus_ops[key[pos]], qubits, self._dtype
+                self._operators[pos][key[pos]], qubits, self._dtype
             )
-        factors = []
-        for kind, payload, qubits in self._items:
-            if kind == "noise":
-                factors.append((self.channels[payload].kraus_ops[key[payload]], qubits))
-            else:
-                factors.append((payload, qubits))
-        fused = fuse_window_matrix(factors, self.targets)
+        # The product fuse_window_matrix forms, over factors embedded onto
+        # the window once per step instead of once per variant: a variant
+        # of a 4-qubit window is ~22 16x16 products, not ~22 embeddings.
+        fused = multiply_window(
+            self._factor(pos, key) for pos in range(len(self._items))
+        )
         return compile_operator(fused, self.targets, self._dtype)
+
+    def _factor(self, pos: int, key: Tuple[int, ...]) -> np.ndarray:
+        """Item ``pos`` of the window under ``key``, embedded onto ``targets``."""
+        kind, payload, qubits = self._items[pos]
+        idx = key[payload] if kind == "noise" else None
+        factor = self._embedded.get((pos, idx))
+        if factor is None:
+            matrix = payload if idx is None else self._operators[payload][idx]
+            factor = expand_to_support(matrix, qubits, self.targets)
+            self._embedded[(pos, idx)] = factor
+        return factor
 
     def __repr__(self) -> str:
         return (
             f"NoiseStep(sites={self.site_ids}, targets={self.targets}, "
-            f"ops={self.num_ops})"
+            f"ops={self.num_ops}, unitary={self.unitary})"
         )
 
 
@@ -252,6 +309,8 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
     else:
         windows = schedule_fusion_windows(circuit, max_qubits)
     cache = KernelVariantCache()
+    # One unitary-mixture analysis per distinct channel object per build.
+    analysis = ChannelAnalysisCache()
     dtype = config.dtype
     steps: List[PlanStep] = []
     num_source_ops = 0
@@ -263,7 +322,9 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
                 targets = window[0].qubits
             else:
                 targets = window_support([op.qubits for op in window])
-            steps.append(NoiseStep(window, targets, len(steps), dtype, cache))
+            steps.append(
+                NoiseStep(window, targets, len(steps), dtype, cache, analysis)
+            )
         elif len(window) == 1:
             op = window[0]
             steps.append(

@@ -26,37 +26,45 @@ support fits three qubits) the target axes are exposed by pure
 ``reshape`` views of the C-contiguous stack — qubit ``q`` is axis ``q+1``
 of ``(rows, 2, ..., 2)`` under the library's qubit-0-is-MSB convention,
 so splitting at the target qubits never copies, for contiguous and
-gapped target layouts alike.  Three tiers, cheapest first:
+gapped target layouts alike.  Tiers, cheapest first:
 
-* **scalar multiples of identity** (e.g. the dominant Kraus operator of
-  any Pauli or depolarizing channel) mutate the stack in one in-place
-  pass — or none at all for an exact identity;
+* **scalar multiples of identity** (e.g. the dominant branch of any Pauli
+  or depolarizing channel) mutate the stack in one in-place pass — or
+  none at all for an exact identity;
 * **diagonal operators** (T, S, RZ, CZ, ``ccz``-like phases — and any
   fused product of such operators, which stays diagonal) scale each basis
   slice in place;
-* **dense operators** run one slice accumulation
-  ``out_i = sum_j m[i, j] * psi_j`` into a fresh buffer, skipping zero
-  entries — permutation-like operators (X, CX, CCX) reduce to slice
-  copies.
-
-For *fully dense* 3-qubit operators (fused window products, typically
-all 64 entries nonzero) slice accumulation would stream the stack once
-per matrix entry, so the k=3 dense tier switches to BLAS while keeping
-the view discipline: contiguous target triples are contracted by one
-``matmul`` directly on the reshaped view (no gather at all — the only
-allocation is the fresh output), and gapped triples run the gather +
-GEMM + scatter in bounded row blocks — the gather staged inside the
-output rows it will overwrite, the GEMM into one reusable block scratch
-— so the transient never exceeds a sixteenth of the stack.
+* **dense operators on ascending contiguous targets, any arity** — the
+  ``k`` qubits already form one axis of size ``2**k`` under a pure
+  reshape, so one ``matmul`` on the view contracts them with no gather
+  (the only allocation is the fresh output): a flat
+  ``(R * dim / 2**k, 2**k) @ M^T`` GEMM when the window sits at the
+  least-significant end, ``M @ view(R * 2**t1, 2**k, tail)`` otherwise,
+  and for a short tail — where that batch degenerates into tiny GEMMs —
+  one flat GEMM against ``M (x) I_tail`` while the padded operator stays
+  within 32 x 32.  Fully dense fused windows land here (2-qubit
+  operators with more than 8 nonzeros, 3-qubit ones with more than 16,
+  every contiguous window on four or more qubits);
+* **remaining dense operators on up to three qubits** — permutation-like
+  ones (X, CX, CCX: at most two nonzeros per matrix row) and gapped
+  pairs — run one slice accumulation ``out_i = sum_j m[i, j] * psi_j``
+  into a fresh buffer, skipping zero entries, so permutations reduce to
+  slice copies.  Slice accumulation streams the stack once per matrix
+  entry, which is why denser matrices go to BLAS: gapped dense triples
+  run the gather + GEMM + scatter in bounded row blocks — the gather
+  staged inside the output rows it will overwrite, the GEMM into one
+  reusable block scratch — so the transient never exceeds a sixteenth of
+  the stack.
 
 The per-element arithmetic never depends on the number of stacked rows,
 which is what makes stacked and row-by-row application bit-for-bit
-interchangeable.  Operators on four or more qubits fall back to the
-moveaxis + batched-GEMM kernel (:func:`apply_gemm_stack`), whose
-transient peaks at ~3x the resident stack; keeping every k=3 path at
-~2x (fresh output, plus at most a sixteenth-stack scratch block) is
-what lets the stacked executor size a device's rows at 2x workspace
-instead of 3x whenever no operator spans four qubits
+interchangeable.  Gapped or non-ascending operators on four or more
+qubits fall back to the moveaxis + batched-GEMM kernel
+(:func:`apply_gemm_stack`), whose transient peaks at ~3x the resident
+stack; every other path stays at ~2x (fresh output, plus at most a
+sixteenth-stack scratch block), which is what lets the stacked executor
+size a device's rows at 2x workspace instead of 3x whenever no operator
+spans four qubits
 (:class:`repro.execution.vectorized.VectorizedExecutor`).
 
 The kernel is array-module agnostic (the CuPy drop-in pattern of
@@ -74,6 +82,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.linalg.backend import as_host
+from repro.linalg.kron import kron_all
 
 __all__ = [
     "CompiledOperator",
@@ -83,15 +92,24 @@ __all__ = [
     "apply_matrix_stack",
 ]
 
-#: Largest operator arity served by the reshape-view tiers; wider
-#: operators take the generic moveaxis+GEMM fallback.
+#: Largest operator arity served by the slice tiers (and analysed for the
+#: scalar/diagonal tiers); wider operators take the contiguous view matmul
+#: or, gapped, the generic moveaxis+GEMM fallback.
 MAX_VIEW_QUBITS = 3
 
-#: Nonzero-entry threshold below which a dense 3-qubit operator runs the
-#: slice-accumulation kernel (<= 2 full-stack passes of traffic — the
-#: permutation-like regime, e.g. ccx with 8 nonzeros); denser matrices
-#: switch to the BLAS-backed k=3 paths, which beat 64 strided passes.
-_K3_SLICE_MAX_NNZ = 16
+#: Slice accumulation streams the stack once per nonzero matrix entry, so
+#: it serves operators with at most this many nonzeros *per row* of the
+#: matrix — <= 2 full-stack passes of traffic, the permutation-like regime
+#: (cx with 4 nonzeros, ccx with 8); denser matrices switch to the
+#: BLAS-backed paths, which beat 16 (k=2) or 64 (k=3) strided passes.
+_SLICE_MAX_NNZ_PER_ROW = 2
+
+#: A contiguous window whose tail (the qubits below its last target) is
+#: short would run one tiny GEMM per ``2**k x tail`` block; while the
+#: padded operator ``M (x) I_tail`` stays within this dimension, one flat
+#: GEMM against it is faster (k=2 at n=12, 64 rows: 0.8-1.9 ms against
+#: 3.3-8.2 ms for tails of 2-8).
+_TAIL_GEMM_MAX_DIM = 32
 
 
 class CompiledOperator:
@@ -113,10 +131,17 @@ class CompiledOperator:
         The single scale factor when the operator is a scalar multiple of
         the identity (the cheapest tier), else ``None``.
     nnz:
-        Nonzero entry count of the host matrix, precomputed so the k=3
-        dense tier can choose between slice accumulation
-        (permutation-like operators) and the BLAS paths without
-        re-inspecting the matrix per application.
+        Nonzero entry count of the host matrix, precomputed so the dense
+        tiers can choose between slice accumulation (permutation-like
+        operators) and the BLAS paths without re-inspecting the matrix
+        per application.
+    sparse:
+        ``nnz`` is within the slice-accumulation budget
+        (:data:`_SLICE_MAX_NNZ_PER_ROW` per matrix row).
+    gemm_view:
+        The operator takes the contiguous reshape-view ``matmul`` tier:
+        dense, ascending contiguous targets, and either wider than
+        :data:`MAX_VIEW_QUBITS` or too dense for slice accumulation.
     """
 
     __slots__ = (
@@ -126,6 +151,8 @@ class CompiledOperator:
         "scalar",
         "num_targets",
         "nnz",
+        "sparse",
+        "gemm_view",
         "_on_module",
     )
 
@@ -140,24 +167,37 @@ class CompiledOperator:
         self.targets = targets
         self.diag = diag
         self.scalar = scalar
-        self.num_targets = len(targets)
+        k = self.num_targets = len(targets)
         self.nnz = int(np.count_nonzero(matrix))
-        self._on_module = None  # (xp, device array) memo for the GEMM path
+        self.sparse = self.nnz <= _SLICE_MAX_NNZ_PER_ROW * 2**k
+        contiguous = all(targets[i] + 1 == targets[i + 1] for i in range(k - 1))
+        self.gemm_view = (
+            diag is None
+            and contiguous
+            and (k > MAX_VIEW_QUBITS or not self.sparse)
+        )
+        self._on_module = None  # (xp, {tail: device array}) memo for the GEMM paths
 
-    def matrix_on(self, xp: Any) -> Any:
-        """The matrix on array module ``xp`` (transferred once, memoized).
+    def matrix_on(self, xp: Any, tail: int = 1) -> Any:
+        """``matrix (x) I_tail`` on array module ``xp`` (built once, memoized).
 
-        Only the generic k>=4 GEMM path consumes the matrix as a device
-        array; the reshape-view tiers read host entries element-wise.
-        Compiled operators are long-lived plan members, so paying the
-        host-to-device copy per application would undo the amortization
+        Only the GEMM paths consume the matrix as a device array; the
+        slice tiers read host entries element-wise.  Compiled operators
+        are long-lived plan members, so paying the host-to-device copy
+        (or, for ``tail > 1``, the host Kronecker product the short-tail
+        GEMM multiplies by) per application would undo the amortization
         compiling exists for.
         """
         memo = self._on_module
         if memo is None or memo[0] is not xp:
-            memo = (xp, xp.asarray(self.matrix))
-            self._on_module = memo
-        return memo[1]
+            memo = self._on_module = (xp, {})
+        padded = memo[1].get(tail)
+        if padded is None:
+            host = self.matrix
+            if tail > 1:
+                host = kron_all([host, np.eye(tail, dtype=host.dtype)])
+            padded = memo[1][tail] = xp.asarray(host)
+        return padded
 
     @property
     def tier(self) -> str:
@@ -265,10 +305,26 @@ def apply_compiled_stack(
     k = op.num_targets
     if op.scalar is not None:
         # Scalar multiple of identity: one pass (or none).  Only compiled
-        # for k <= 3 operators (wider windows always take the GEMM path).
+        # for k <= 3 operators (wider windows always take a GEMM path).
         if op.scalar != 1:
             stack *= op.scalar
         return stack
+    if op.gemm_view:
+        # Ascending contiguous dense targets of any arity already form one
+        # axis of size 2**k under a pure reshape: a matmul on the view, no
+        # gather, the only allocation the fresh output (~2x peak).
+        dim_k = 1 << k
+        tail = dim >> (op.targets[-1] + 1)
+        if tail == 1 or dim_k * tail <= _TAIL_GEMM_MAX_DIM:
+            # The window reaches (or nearly reaches) the least-significant
+            # end: one flat GEMM covers the whole stack
+            # (out[r, i] = sum_j U[i, j] v[r, j], U = M (x) I_tail).
+            view = stack.reshape(-1, dim_k * tail)
+            out = xp.matmul(view, op.matrix_on(xp, tail).T)
+        else:
+            view = stack.reshape(-1, dim_k, tail)
+            out = xp.matmul(op.matrix_on(xp), view)
+        return out.reshape(rows, dim)
     if k == 1:
         t = op.targets[0]
         view = stack.reshape(rows * (1 << t), 2, -1)
@@ -297,7 +353,7 @@ def apply_compiled_stack(
         # plus at most a sixteenth-stack scratch block for gapped dense
         # operators) instead of the fallback's ~3x transient.
         t1, t2, t3 = op.targets  # ascending after compilation
-        if op.diag is not None or op.nnz <= _K3_SLICE_MAX_NNZ:
+        if op.diag is not None or op.sparse:
             # Split the stack at all three target qubits (any gap layout)
             # with one pure reshape; diagonal operators scale in place,
             # permutation-like ones reduce to a few slice copies.
@@ -328,20 +384,7 @@ def apply_compiled_stack(
             ]
             _accumulate_slices(out_slices, in_slices, op.matrix, xp)
             return out.reshape(rows, dim)
-        if t2 == t1 + 1 and t3 == t2 + 1:
-            # Contiguous target triple: the three qubits already form one
-            # axis of size 8 under a pure reshape — a single matmul with
-            # no gather; the only allocation is the output.
-            if t3 == num_qubits - 1:
-                # The triple sits at the least-significant end: the 8-axis
-                # is innermost, so one flat (R, 8) @ (8, 8)^T GEMM covers
-                # the whole stack (out[r, i] = sum_j U[i, j] v[r, j]).
-                view = stack.reshape(-1, 8)
-                out = xp.matmul(view, op.matrix_on(xp).T)
-                return out.reshape(rows, dim)
-            view = stack.reshape(rows * (1 << t1), 8, -1)
-            out = xp.matmul(op.matrix_on(xp), view)
-            return out.reshape(rows, dim)
+        # Dense and gapped (contiguous dense triples took the view matmul).
         return _apply_k3_blocked_gemm(stack, op, num_qubits, xp)
     return apply_gemm_stack(stack, op, num_qubits, xp)
 
@@ -388,9 +431,11 @@ def apply_gemm_stack(
 ) -> Any:
     """Generic k-qubit fallback: move target axes up front, one batched GEMM.
 
-    The tier behind every operator wider than :data:`MAX_VIEW_QUBITS`.
-    Exposed separately so the kernel benchmarks and tier tests can pit the
-    reshape-view paths against it directly.  Peak memory is ~3x the stack
+    The tier behind gapped or non-ascending operators wider than
+    :data:`MAX_VIEW_QUBITS`.  Exposed separately so the kernel benchmarks
+    and tier tests can pit the reshape-view paths against it directly (the
+    contiguous view matmul is the same per-row product without the
+    gather).  Peak memory is ~3x the stack
     (resident stack + contiguous gathered input + GEMM output), which is
     why the stacked executor provisions extra workspace whenever a plan
     can reach this tier.

@@ -18,14 +18,19 @@ matrices — fusion products never touch the ``(B, 2**n)`` stack.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GateError
 from repro.linalg.kron import embed_operator
 
-__all__ = ["expand_to_support", "fuse_window_matrix", "window_support"]
+__all__ = [
+    "expand_to_support",
+    "fuse_window_matrix",
+    "multiply_window",
+    "window_support",
+]
 
 
 def window_support(qubit_groups: Sequence[Sequence[int]]) -> Tuple[int, ...]:
@@ -63,6 +68,23 @@ def expand_to_support(
     return embed_operator(np.asarray(matrix), local, len(support))
 
 
+def multiply_window(expanded: Iterable[np.ndarray]) -> np.ndarray:
+    """``M_last @ ... @ M_0`` of factors already expanded onto one support.
+
+    The factors come in *application order* (the first acts first).  The
+    product is accumulated in complex128 on host; callers cast to the
+    state dtype when compiling the fused operator
+    (:func:`repro.linalg.apply.compile_operator`), exactly as they would
+    for an unfused gate matrix.
+    """
+    acc = None
+    for factor in expanded:
+        acc = factor if acc is None else factor @ acc
+    if acc is None:
+        raise GateError("cannot fuse an empty operator window")
+    return np.ascontiguousarray(acc.astype(np.complex128, copy=False))
+
+
 def fuse_window_matrix(
     operators: Sequence[Tuple[np.ndarray, Sequence[int]]],
     support: Sequence[int],
@@ -71,17 +93,9 @@ def fuse_window_matrix(
 
     ``operators`` is a sequence of ``(matrix, qubits)`` pairs in
     *application order* (index 0 acts first); the result is
-    ``M_last @ ... @ M_0`` with every factor expanded onto ``support``.
-    The product is accumulated in complex128 on host; callers cast to the
-    state dtype when compiling the fused operator
-    (:func:`repro.linalg.apply.compile_operator`), exactly as they would
-    for an unfused gate matrix.
+    :func:`multiply_window` of every factor expanded onto ``support``.
     """
     support = tuple(support)
-    if not operators:
-        raise GateError("cannot fuse an empty operator window")
-    acc = None
-    for matrix, qubits in operators:
-        expanded = expand_to_support(matrix, qubits, support)
-        acc = expanded if acc is None else expanded @ acc
-    return np.ascontiguousarray(acc.astype(np.complex128, copy=False))
+    return multiply_window(
+        expand_to_support(matrix, qubits, support) for matrix, qubits in operators
+    )

@@ -63,33 +63,38 @@ class KernelVariantCache:
 
 
 class ChannelAnalysisCache:
-    """Memoized unitary-mixture analysis + cumulative probability tables."""
+    """Memoized unitary-mixture analysis + cumulative probability tables.
+
+    Keyed on the channel *object* (identity hash), which the tables
+    therefore keep alive.  Keying on ``id(channel)`` alone did not: a
+    general-Kraus analysis is ``None`` and holds no reference to its
+    channel, so a collected channel's id could be recycled by a different
+    channel and answer with the stale analysis.
+    """
 
     def __init__(self):
-        self._mixtures: Dict[int, Optional[UnitaryMixture]] = {}
-        self._cumprobs: Dict[int, np.ndarray] = {}
+        self._mixtures: Dict[KrausChannel, Optional[UnitaryMixture]] = {}
+        self._cumprobs: Dict[KrausChannel, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
     def mixture(self, channel: KrausChannel) -> Optional[UnitaryMixture]:
         """Cached :func:`as_unitary_mixture` result (None if general Kraus)."""
-        key = id(channel)
-        if key in self._mixtures:
+        if channel in self._mixtures:
             self.hits += 1
-            return self._mixtures[key]
+            return self._mixtures[channel]
         self.misses += 1
         result = as_unitary_mixture(channel)
-        self._mixtures[key] = result
+        self._mixtures[channel] = result
         return result
 
     def cumulative_probs(self, channel: KrausChannel) -> np.ndarray:
         """Cached cumulative nominal-probability table for branch lookup."""
-        key = id(channel)
-        table = self._cumprobs.get(key)
+        table = self._cumprobs.get(channel)
         if table is None:
             table = np.cumsum(np.asarray(channel.nominal_probs, dtype=np.float64))
             table[-1] = 1.0
-            self._cumprobs[key] = table
+            self._cumprobs[channel] = table
         return table
 
     def branch_index(self, channel: KrausChannel, r: float) -> int:

@@ -96,6 +96,15 @@ class TestK3ViewTier:
         apply_matrix_stack(_random_stack(2, 5, 3), u, (0, 1, 3, 4), 5, DTYPE)
         assert calls, "4-qubit operator should use the GEMM fallback"
 
+    def test_contiguous_k4_never_reaches_gemm(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("contiguous 4-qubit operator took the gather path")
+
+        monkeypatch.setattr(apply_mod, "apply_gemm_stack", boom)
+        u = random_unitary(16, np.random.default_rng(9))
+        for targets in [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]:
+            apply_matrix_stack(_random_stack(2, 6, 3), u, targets, 6, DTYPE)
+
     def test_ccx_is_dense_slice_copy_tier(self):
         from repro.circuits.gates import CCX
 
@@ -150,6 +159,78 @@ class TestK3ViewTier:
                 np.ascontiguousarray(stack[row : row + 1]), op, 6
             )
             np.testing.assert_array_equal(stacked[row], single[0])
+
+
+def _typed_stack(rows, num_qubits, seed, dtype):
+    return np.ascontiguousarray(_random_stack(rows, num_qubits, seed).astype(dtype))
+
+
+class TestContiguousGemmTier:
+    """Dense operators on ascending contiguous targets: one matmul on a
+    reshape view, at any arity."""
+
+    def test_tier_selection(self):
+        rng = np.random.default_rng(1)
+        dense = random_unitary(4, rng)
+        from repro.circuits.gates import CX
+
+        assert compile_operator(dense, (2, 3), DTYPE).gemm_view
+        assert compile_operator(dense, (3, 2), DTYPE).gemm_view  # canonicalized
+        assert not compile_operator(dense, (1, 3), DTYPE).gemm_view  # gapped
+        assert not compile_operator(CX.matrix, (0, 1), DTYPE).gemm_view  # nnz 4
+        assert not compile_operator(np.diag([1, 1j, -1, 1]), (0, 1), DTYPE).gemm_view
+        assert not compile_operator(random_unitary(2, rng), (0,), DTYPE).gemm_view
+        assert compile_operator(random_unitary(8, rng), (1, 2, 3), DTYPE).gemm_view
+        assert not compile_operator(random_unitary(8, rng), (0, 2, 3), DTYPE).gemm_view
+        assert compile_operator(random_unitary(16, rng), (0, 1, 2, 3), DTYPE).gemm_view
+        assert not compile_operator(random_unitary(16, rng), (3, 2, 1, 0), DTYPE).gemm_view
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("num_qubits,rows", [
+        (6, 1), (6, 3), (6, 64), (12, 1), (12, 3), (12, 64), (16, 1), (16, 3), (16, 64),
+    ])
+    def test_k2_row_independent_and_matches_slices(self, num_qubits, rows, dtype):
+        """The property the batched backend relies on, at every adjacent
+        pair (flat GEMM at the tail, batched GEMM above it): applying to
+        rows [r:r+1] is bitwise row r of the whole-stack call."""
+        dtype = np.dtype(dtype)
+        u = random_unitary(4, np.random.default_rng(num_qubits + rows))
+        stack = _typed_stack(rows, num_qubits, 17, dtype)
+        # Every row at small widths; first/middle/last at 16 qubits.
+        probe = range(rows) if num_qubits < 16 else sorted({0, rows // 2, rows - 1})
+        tol = 1e-14 if dtype == np.complex128 else 1e-5
+        for t1 in range(num_qubits - 1):
+            op = compile_operator(u, (t1, t1 + 1), dtype)
+            assert op.gemm_view
+            full = apply_compiled_stack(stack, op, num_qubits)  # dense: fresh output
+            assert full is not stack and full.dtype == dtype
+            for row in probe:
+                single = apply_compiled_stack(stack[row : row + 1].copy(), op, num_qubits)
+                np.testing.assert_array_equal(single[0], full[row])
+            slices = compile_operator(u, (t1, t1 + 1), dtype)
+            slices.gemm_view = False  # the slice-accumulation kernel
+            sample = slice(0, min(rows, 2))
+            np.testing.assert_allclose(
+                full[sample],
+                apply_compiled_stack(stack[sample].copy(), slices, num_qubits),
+                atol=tol * np.abs(full[sample]).max(),
+                rtol=0,
+            )
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_wide_windows_row_independent_and_match_gather(self, k):
+        u = random_unitary(2**k, np.random.default_rng(k))
+        stack = _random_stack(5, 8, 23)
+        for t1 in range(8 - k + 1):
+            op = compile_operator(u, tuple(range(t1, t1 + k)), DTYPE)
+            assert op.gemm_view
+            full = apply_compiled_stack(stack.copy(), op, 8)
+            np.testing.assert_allclose(
+                full, apply_gemm_stack(stack.copy(), op, 8), atol=1e-13
+            )
+            for row in range(5):
+                single = apply_compiled_stack(stack[row : row + 1].copy(), op, 8)
+                np.testing.assert_array_equal(single[0], full[row])
 
 
 class TestRowNormsSquared:
@@ -207,36 +288,42 @@ class TestRowNormsSquared:
         with pytest.raises(ValueError):
             row_norms_squared(stack.reshape(-1))
 
-    def test_renorm_seconds_counters_accumulate(self, noisy_ghz3):
+    def test_renorm_seconds_counters_accumulate(self, noisy_ghz3_general):
+        """Only general-Kraus windows renormalize (amplitude damping here);
+        tests/test_plan.py asserts the counter stays 0.0 on a
+        unitary-mixture circuit."""
         serial = StatevectorBackend(3)
         assert serial.renorm_seconds == 0.0
-        serial.run_fixed(noisy_ghz3, {})
+        serial.run_fixed(noisy_ghz3_general, {})
         assert serial.renorm_seconds > 0.0
         stacked = BatchedStatevectorBackend(3)
         assert stacked.renorm_seconds == 0.0
-        stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}])
+        stacked.run_fixed_stack(noisy_ghz3_general, [{}, {0: 1}])
         assert stacked.renorm_seconds > 0.0
 
-    def test_complex64_serial_stacked_bitwise(self, noisy_ghz3):
+    def test_complex64_serial_stacked_bitwise(self, noisy_ghz3, noisy_ghz3_general):
         """The divisor arithmetic is shared at any state dtype: under the
         paper's complex64 the serial scalar path and the stacked array
         path must still produce bitwise-identical states (regression —
-        a float64-scalar vs float32-array divisor once diverged here)."""
+        a float64-scalar vs float32-array divisor once diverged here; the
+        amplitude-damping circuit is the one that still divides)."""
         from repro.config import Config
 
         cfg = Config(dtype=np.dtype(np.complex64))
         choices_list = [{}, {0: 1}]
-        stacked = BatchedStatevectorBackend(3, config=cfg)
-        weights, alive = stacked.run_fixed_stack(noisy_ghz3, choices_list)
-        assert alive.all()
-        for row, choices in enumerate(choices_list):
-            serial = StatevectorBackend(3, config=cfg)
-            w = serial.run_fixed(noisy_ghz3, choices)
-            assert weights[row] == w
-            np.testing.assert_array_equal(
-                stacked.array_backend.to_host(stacked.statevector(row)),
-                serial.array_backend.to_host(serial.statevector),
-            )
+        for circuit in (noisy_ghz3, noisy_ghz3_general):
+            stacked = BatchedStatevectorBackend(3, config=cfg)
+            weights, alive = stacked.run_fixed_stack(circuit, choices_list)
+            assert alive.all()
+            assert (stacked.renorm_seconds > 0.0) == (circuit is noisy_ghz3_general)
+            for row, choices in enumerate(choices_list):
+                serial = StatevectorBackend(3, config=cfg)
+                w = serial.run_fixed(circuit, choices)
+                assert weights[row] == w
+                np.testing.assert_array_equal(
+                    stacked.array_backend.to_host(stacked.statevector(row)),
+                    serial.array_backend.to_host(serial.statevector),
+                )
 
     def test_dead_rows_still_detected_with_batched_renorm(self):
         from repro.channels.standard import amplitude_damping

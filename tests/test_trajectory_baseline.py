@@ -123,6 +123,34 @@ class TestChannelCache:
         assert cache.branch_index(ch, 0.699) == 0  # below 0.7
         assert cache.branch_index(ch, 0.701) == 1
 
+    def test_collected_channel_id_is_not_answered_with_a_stale_analysis(self):
+        """A general-Kraus analysis is None and used to keep no reference
+        to its channel: once collected, a *different* channel allocated at
+        the same id was told it is not a unitary mixture (and handed the
+        other channel's cumulative table)."""
+        from repro.channels.kraus import KrausChannel
+        from repro.channels.standard import amplitude_damping, depolarizing
+
+        cache = ChannelAnalysisCache()
+        general = amplitude_damping(0.2)
+        assert cache.mixture(general) is None
+        assert cache.cumulative_probs(general)[0] == pytest.approx(0.9)
+        stale_id = id(general)
+        # The tables hold the channel, so its id cannot be handed out again...
+        assert any(key is general for key in cache._mixtures)
+        assert any(key is general for key in cache._cumprobs)
+        del general
+        # ...which a few thousand same-sized allocations used to manage.
+        ops = depolarizing(0.3).kraus_ops
+        held = []
+        for _ in range(5000):
+            fresh = KrausChannel("depolarizing", ops, check=False)
+            if id(fresh) == stale_id:
+                assert cache.mixture(fresh) is not None
+                assert cache.cumulative_probs(fresh)[0] == pytest.approx(0.7)
+                break
+            held.append(fresh)
+
     def test_clear(self):
         from repro.channels.standard import depolarizing
 
