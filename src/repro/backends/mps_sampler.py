@@ -1,4 +1,4 @@
-"""MPS shot sampling: naive per-shot vs. cached, prefix-collapsed, batched.
+"""MPS shot sampling: naive per-shot vs. cached, count-split, batched.
 
 This module is the tensor-network half of the paper's contribution in
 miniature.  Fig. 5's observation is that "the current sampling algorithm
@@ -10,30 +10,38 @@ intermediates lets large shot batches be drawn cheaply.  Here:
   shot* — the per-shot cost is ``O(n * chi**3)``, dominated by contraction,
   mimicking the unoptimized path;
 * :func:`compute_right_environments` + :func:`sample_cached` compute the
-  chain **once** and then draw all ``m`` shots in one conditional sweep
-  that contracts once per *distinct sampled prefix*: cost
-  ``O(n * (U * chi**2 + m))`` with ``U <= m`` the prefixes alive at a
-  site (two on a GHZ state, a handful per Steane block of the paper's
-  MSD circuits, ``m`` only where every shot differs).  The same sweep
-  takes a whole trajectory stack — every ``(row, shot)`` lane of it at
-  once — which is how the tensornet engine samples a prepared unit
-  (the "non-degenerate batched sampling" of arXiv:2604.08467).
+  chain **once** and then send shot *counts*, not shots, down the tree of
+  sampled prefixes: a site contracts once per distinct prefix and splits
+  each prefix's count with one binomial draw, so the sweep costs ``O(n * U
+  * chi**2)`` with ``U`` the prefixes alive at a site (two on a GHZ state,
+  sixteen per Steane block of the paper's MSD circuits, ``m`` only where
+  every shot differs), and the ``m`` shots appear only when the counts are
+  expanded, ``O(m)`` per column.  The same sweep takes a whole trajectory
+  stack at once, which is how the tensornet engine samples a prepared unit
+  (the "non-degenerate batched sampling" of arXiv:2604.08467: a batch is
+  priced by its distinct bitstrings).
 
 Both produce identically distributed shots (verified against each other
-and against the statevector backend in ``tests/test_mps.py``), and the
-sweep reproduces the one-vector-per-shot sweep it replaced bit for bit
-(``tests/test_mps_sampler.py`` keeps that one as its oracle).
+and against the statevector backend in ``tests/test_mps.py``;
+``tests/test_mps_sampler.py`` checks the count splitting against dense
+probabilities and against the one-vector-per-shot sweep it replaced, which
+it keeps as the distribution reference).
 
 Sampling math: with right environments ``R[k]`` and a conditioned left
 vector ``l`` (the contraction of the already-fixed bits), the unnormalized
 probability of outcome ``i`` at site ``k`` is ``v_i R[k+1] v_i^dag`` with
 ``v_i = l @ A[k][:, i, :]``; dividing by the sum over ``i`` gives the exact
-conditional distribution regardless of canonical form.
+conditional distribution regardless of canonical form.  ``c`` i.i.d. shots
+that share a prefix split as ``Binomial(c, p_1)`` between its two children,
+and a uniformly random ordering of the resulting multiset of bitstrings is
+an i.i.d. sample.  Where a bond is 1 the state is a product, so the blocks
+on either side are expanded, and ordered, independently.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,11 +104,12 @@ def compute_right_environments_batched(
 #: One sampling request: ``(stack row, shots, that trajectory's generator)``.
 Request = Tuple[int, int, np.random.Generator]
 
-#: Most cells of the ``(rows, distinct prefixes)`` grid — hence most lanes —
-#: one tile of the sweep may hold.  A memory decision, not a speed one: the
-#: uniforms and the conditioned vectors of one tile are all the sampler
-#: holds besides the returned bits.
-_TILE_LANES = 4096
+#: Most cells of the ``(requests, distinct prefixes)`` grid one pass may
+#: come to hold.  A memory decision: the conditioned vectors, counts and
+#: parent links of one grid, and the shots of its requests while they are
+#: expanded, are all the sampler holds besides the returned bits.  A
+#: 64-request unit whose chain is cut every 7 sites is one pass.
+_TILE_CELLS = 8192
 
 
 def sample_cached(
@@ -108,19 +117,32 @@ def sample_cached(
     envs: Sequence[np.ndarray],
     num_shots: int,
     rng: Union[np.random.Generator, Sequence[Request]],
+    *,
+    columns: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Draw ``num_shots`` shots with one prefix-collapsed conditional sweep.
+    """Draw ``num_shots`` shots by splitting shot counts down the prefix tree.
 
     Two forms, one implementation.  With a generator, ``tensors[k]`` is one
     MPS's ``(Dl, 2, Dr)`` site tensor and ``envs`` its right environments.
     With a sequence of ``(row, shots, generator)`` requests, ``tensors[k]``
     is a trajectory stack's ``(B, Dl, 2, Dr)`` and ``envs[k]`` its ``(B, Dl,
     Dl)`` (:func:`compute_right_environments_batched`); ``num_shots`` is the
-    requests' total and every request draws from its own generator, so a
-    trajectory's bits do not depend on what it is sampled beside.
+    requests' total.
 
-    Returns ``(num_shots, n)`` uint8 bits, column ``k`` = site ``k``,
-    request after request.
+    Returns ``(num_shots, n)`` uint8 bits, column ``k`` = site ``k`` (or
+    site ``columns[k]``), request after request.
+
+    Cost: ``O(n * U * chi**2)`` for the contractions, ``U`` the distinct
+    prefixes alive at a site summed over the requests, plus ``O(m)`` to
+    expand the counts into ``m`` shots.
+
+    Randomness: a request draws only from its own generator — at every site
+    one ``binomial(counts, p1)`` over its live classes, and one shuffle of
+    its shots wherever the chain is a product (bond 1) and at its end.  The
+    shots of a request are therefore i.i.d. in order, and its bits are a
+    function of its row's tensors, its shot count and its generator, never
+    of what it is sampled beside (see :func:`_tiles` for the one rule that
+    cuts a request).
 
     The stacked form shares this name and keeps the total in ``num_shots``
     because this call is the sampling layer's boundary: what times the
@@ -135,76 +157,91 @@ def sample_cached(
         total = sum(count for _, count, _ in requests)
         if total != num_shots:
             raise BackendError(f"requests total {total} shots, not num_shots={num_shots}")
-    bits = np.empty((num_shots, len(tensors)), dtype=np.uint8)
+    # Output columns of each site: the block flush writes them in place.
+    dest: List[List[int]] = [[] for _ in tensors]
+    for column, site in enumerate(range(len(tensors)) if columns is None else columns):
+        dest[site].append(column)
+    bits = np.empty((num_shots, sum(map(len, dest))), dtype=np.uint8)
     done = 0
-    for tile in _tiles(requests):
-        lanes = sum(count for _, count, _ in tile)
-        _sweep(tensors, envs, tile, bits[done : done + lanes])
-        done += lanes
+    for tile in _tiles(requests, tensors):
+        out = _split_counts(tensors, envs, tile, dest)
+        bits[done : done + out.shape[1]] = out.T
+        done += out.shape[1]
     return bits
 
 
-def _tiles(requests: Sequence[Request]) -> Iterator[List[Request]]:
-    """Cut the requests' lanes, in order, into tiles.
+def _tiles(
+    requests: Sequence[Request], tensors: Sequence[np.ndarray]
+) -> Iterator[List[Request]]:
+    """Group the requests, in order, into passes of at most ``_TILE_CELLS``.
 
-    A row can come to hold as many distinct prefixes as it has lanes, so a
-    tile's grid is bounded by ``rows * lanes of its fullest row``; a tile
-    closes before that passes ``_TILE_LANES``.  A request larger than a
-    tile continues, and so does its generator's stream, in the next one.
+    Between two product cuts a request can come to hold ``min(shots, 2 **
+    sites)`` distinct prefixes, so a pass's grid is bounded by ``requests *
+    that bound for its fullest request`` over the chain's longest such run;
+    a tile closes before that passes ``_TILE_CELLS``.  A request whose own
+    bound is larger is cut into pieces of ``_TILE_CELLS`` shots, sampled one
+    after the other from its generator: a rule of that request alone.
     """
+    run = longest = 0
+    for a in tensors:
+        run += 1
+        longest = max(longest, run)
+        if a.shape[-1] == 1:
+            run = 0
+    prefixes = 1 << longest
     tile: List[Request] = []
-    lanes_of: Dict[int, int] = {}
-    fullest = 0
+    widest = 0
     for row, count, rng in requests:
         while count > 0:
-            take = min(count, _TILE_LANES)
-            lanes = lanes_of.get(row, 0) + take
-            rows = len(lanes_of) + (row not in lanes_of)
-            if tile and rows * max(fullest, lanes) > _TILE_LANES:
+            take = count if prefixes <= _TILE_CELLS else min(count, _TILE_CELLS)
+            width = max(widest, min(take, prefixes))
+            if tile and (len(tile) + 1) * width > _TILE_CELLS:
                 yield tile
-                tile, lanes_of, fullest = [], {}, 0
+                tile, widest = [], 0
                 continue
             tile.append((row, take, rng))
-            lanes_of[row] = lanes
-            fullest = max(fullest, lanes)
+            widest = width
             count -= take
     if tile:
         yield tile
 
 
-def _sweep(
+def _split_counts(
     tensors: Sequence[np.ndarray],
     envs: Sequence[np.ndarray],
     tile: Sequence[Request],
-    out: np.ndarray,
-) -> None:
-    """Sample one tile's lanes site by site into ``out``.
+    dest: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Sample one tile site by site; returns its ``(columns, shots)`` bits.
 
-    Lanes of one row that have sampled the same prefix share one *class*:
-    one conditioned left vector, contracted once.  Classes live on a
-    zero-padded ``(R rows, P prefixes)`` grid, so both contractions of a
-    site are one batched matmul against the rows' own tensors; a lane
-    carries only its class index.  After each site the children somebody
-    chose are re-packed, ``P`` following the fullest row.
+    A *class* is the shots of one request that have sampled the same prefix
+    since the last product cut: one conditioned left vector, contracted
+    once, and an integer count.  Classes live on a zero-padded ``(R
+    requests, P prefixes)`` grid, so both contractions of a site are one
+    batched matmul against the requests' own rows.  Each site splits every
+    count with a binomial, and the children that got shots are re-packed,
+    ``P`` following the fullest request.  Where the chain is a product, and
+    at its end, the classes are repeated by count into shots, shuffled
+    request by request, their bits read back along the parent links, and
+    the grid is back to one class per request.
     """
     n = len(tensors)
-    rows, slot = np.unique([row for row, _, _ in tile], return_inverse=True)
-    lane_slot = np.repeat(slot, [count for _, count, _ in tile])
-    uniforms = np.empty((len(lane_slot), n))
-    done = 0
-    for _, count, rng in tile:
-        rng.random(out=uniforms[done : done + count])
-        done += count
-    size = len(rows)
+    size = len(tile)
+    rows = np.array([row for row, _, _ in tile], dtype=np.intp)
+    rngs = [rng for _, _, rng in tile]
+    shots = [count for _, count, _ in tile]
+    ends = list(accumulate(shots))
+    out = np.empty((sum(map(len, dest)), ends[-1]), dtype=np.uint8)
     for k in range(n):
         a = tensors[k][rows]  # (R, Dl, 2, Dr)
         dl, dr = a.shape[1], a.shape[3]
         if dl == 1:
             # Site 0, or a product cut: what was sampled to the left no
-            # longer conditions anything (a scalar cancels in p0), so every
-            # lane of a row is back in one class.
+            # longer conditions anything (a scalar cancels in p1).
             left = np.ones((size, 1, 1), dtype=np.complex128)
-            cls = lane_slot
+            counts = np.array(shots, dtype=np.int64)[:, None]
+            widths = [1] * size
+            origins: List[np.ndarray] = []
         width = left.shape[1]
         # v[r, (p, i), :] = left[r, p] @ a[r][:, i, :]
         v = (left @ a.reshape(size, dl, 2 * dr)).reshape(size, 2 * width, dr)
@@ -214,31 +251,54 @@ def _sweep(
         np.clip(p, 0.0, None, out=p)
         total = p.sum(axis=1)
         # Degenerate classes (numerically dead branches, grid padding) fall
-        # back to uniform.
+        # back to a fair coin.
         dead = total <= 0
         if np.any(dead):
             p[dead] = 0.5
             total[dead] = 1.0
-        p0 = p[:, 0] / total
-        choice = uniforms[:, k] >= p0[cls]
-        out[:, k] = choice
-        if k + 1 == n or dr == 1:
-            continue
-        # Re-pack: child (r, p, i) survives if some lane chose it, and its
-        # new prefix index is its rank among its row's survivors.
-        child = 2 * cls + choice
-        chosen = np.zeros(size * 2 * width, dtype=bool)
-        chosen[child] = True
-        rank = np.cumsum(chosen.reshape(size, -1), axis=1) - 1
-        width = int(rank[:, -1].max()) + 1
-        packed = (rank + np.arange(size)[:, None] * width).ravel()
-        cls = packed[child]
+        p1 = (p[:, 1] / total).reshape(size, width)
+        # child[r, p, i]: the shots of class (r, p) that draw bit i here.
+        child = np.zeros((size, width, 2), dtype=np.int64)
+        for r, rng in enumerate(rngs):
+            w = widths[r]
+            child[r, :w, 1] = rng.binomial(counts[r, :w], p1[r, :w])
+        child[:, :, 0] = counts - child[:, :, 1]
+        # Re-pack: a child survives if it got shots, and its new prefix
+        # index is its rank among its request's survivors.
+        chosen = (child > 0).reshape(size, -1)
+        rank = np.cumsum(chosen, axis=1) - 1
+        widths = (rank[:, -1] + 1).tolist()
+        width = max(widths)
         kept = np.flatnonzero(chosen)
+        packed = (rank + np.arange(size)[:, None] * width).ravel()[kept]
+        counts = np.zeros(size * width, dtype=np.int64)
+        counts[packed] = child.ravel()[kept]
+        # Where each new class came from: its parent's cell and its bit.
+        origin = np.zeros(size * width, dtype=np.intp)
+        origin[packed] = kept
+        origins.append(origin)
+        if dr == 1 or k + 1 == n:
+            # Expand: class index per shot, request after request, each
+            # request's shots in an order of its own; then walk the classes
+            # back to the cut, one column of bits per site.
+            cell = np.arange(size * width)
+            labels = np.repeat(cell, counts)
+            for rng, count, end in zip(rngs, shots, ends):
+                rng.shuffle(labels[end - count : end])
+            for site, origin in zip(range(k, -1, -1), reversed(origins)):
+                origin = origin[cell]
+                cell = origin >> 1
+                bit = (origin & 1).astype(np.uint8)
+                for column in dest[site]:
+                    np.take(bit, labels, out=out[column])
+            continue
+        counts = counts.reshape(size, width)
         # Renormalize the conditioned vector to keep magnitudes O(1).
         scale = np.sqrt(np.maximum(p.ravel()[kept], 1e-300))
         left = np.zeros((size * width, dr), dtype=np.complex128)
-        left[packed[kept]] = v.reshape(-1, dr)[kept] / scale[:, None]
+        left[packed] = v.reshape(-1, dr)[kept] / scale[:, None]
         left = left.reshape(size, width, dr)
+    return out
 
 
 def sample_naive(

@@ -40,11 +40,11 @@ trajectories share:
   trajectory weight.  One batched right-environment pass at the end
   yields both the per-row weights and the cached-sampling environments
   (:func:`~repro.backends.mps_sampler.compute_right_environments_batched`),
-  after which every ``(row, shot)`` lane of the unit is drawn in one
-  prefix-collapsed conditional sweep
+  after which the unit's shots are drawn in one count-splitting sweep
   (:func:`~repro.backends.mps_sampler.sample_cached`, the stacked form):
-  each trajectory's uniforms from its own Philox stream, one contraction
-  per distinct sampled prefix of a row, a tile of lanes at a time.
+  one contraction per distinct sampled prefix of a trajectory, its shot
+  count split by binomials from the trajectory's own Philox stream, shots
+  expanded only at product cuts and at the end of the chain.
 
 Faithfulness contract: like the clifford strategy, conformance against
 the dense strategies is **distributional** (TVD / chi-square through the
@@ -522,10 +522,10 @@ class _MPSStackEngine:
     before it (:func:`replay_schedule`).  A row's tensors therefore
     depend on its own choices and on the first-deviation steps and
     singular spectra of the rows stacked with it, not on their order:
-    the join order is a stable sort of the unit's choices.  Uniforms are
+    the join order is a stable sort of the unit's choices.  Randomness is
     consumed along the chain, site by site, and routing does not put
-    qubits back, so the sweep's columns are read through
-    ``GateSchedule.site_of``.
+    qubits back, so the sampler is asked for the measured qubits' sites
+    (``GateSchedule.site_of``) as its columns.
     """
 
     name = "tensornet"
@@ -562,8 +562,8 @@ class _MPSStackEngine:
     def sample(self, requests):
         stack, envs = self._prepared
         counts = [count for _, count, _ in requests]
-        # One sweep over every (row, shot) lane of the unit.
-        bits = sample_cached(stack.tensors, envs, sum(counts), requests)[:, self.cols]
+        # One pass over the unit; measured columns come back in qubit order.
+        bits = sample_cached(stack.tensors, envs, sum(counts), requests, columns=self.cols)
         return [bits[end - count : end] for count, end in zip(counts, accumulate(counts))]
 
     def release(self) -> None:

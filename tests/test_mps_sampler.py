@@ -13,9 +13,14 @@ from repro.backends.mps import MPSBackend
 from repro.backends.mps_sampler import compute_right_environments, sample_cached
 from repro.backends.statevector import StatevectorBackend
 from repro.circuits import library
-from repro.data.stats import empirical_distribution, total_variation_distance
+from repro.data.stats import (
+    chi_square_statistic,
+    empirical_distribution,
+    total_variation_distance,
+)
 from repro.errors import BackendError
 from repro.rng import make_rng
+from repro.sweep.oracle import chi_square_critical_value
 
 
 def _prepared_mps(num_qubits=5, depth=3, seed=0):
@@ -119,11 +124,12 @@ class TestPerformanceCharacter:
 
 
 # --------------------------------------------------------------------- #
-# The prefix-collapsed stacked sweep, bit for bit against a frozen oracle
+# Count splitting: the distribution, and what a request's bits depend on
 # --------------------------------------------------------------------- #
 def reference_sample_cached(tensors, envs, num_shots, rng):
-    """``sample_cached`` as it was before the stacked sweep: one MPS, one
-    conditioned left vector per shot.  Frozen here as the oracle."""
+    """``sample_cached`` as it first was: one MPS, one conditioned left
+    vector and one uniform per shot and site.  Frozen here as the
+    distribution reference (it defines the dead-class fair coin too)."""
     n = len(tensors)
     if num_shots == 0:
         return np.empty((0, n), dtype=np.uint8)
@@ -166,92 +172,192 @@ def random_stack(rows, sites, bond, cuts=(), seed=0):
     return tensors, mps_sampler.compute_right_environments_batched(tensors)
 
 
-def assert_matches_oracle(tensors, envs, shape):
+def stream(i):
+    return np.random.Generator(np.random.Philox(key=1000 + i))
+
+
+def sample_stacked(tensors, envs, shape, **kwargs):
     """``shape`` is ``[(row, shots), ...]``; request ``i`` draws from its own
-    Philox stream on both sides."""
-
-    def stream(i):
-        return np.random.Generator(np.random.Philox(key=1000 + i))
-
+    Philox stream.  Returns the requests' bit tables."""
     requests = [(row, shots, stream(i)) for i, (row, shots) in enumerate(shape)]
-    got = sample_cached(tensors, envs, sum(s for _, s in shape), requests)
-    want = [
-        reference_sample_cached(
-            [a[row] for a in tensors], [r[row] for r in envs], shots, stream(i)
-        )
-        for i, (row, shots) in enumerate(shape)
-    ]
-    np.testing.assert_array_equal(got, np.concatenate(want))
-    return got
+    bits = sample_cached(tensors, envs, sum(s for _, s in shape), requests, **kwargs)
+    ends = np.cumsum([shots for _, shots in shape])
+    return [bits[end - shots : end] for (_, shots), end in zip(shape, ends)]
+
+
+def assert_same_as_alone(tensors, envs, shape):
+    """Request ``i`` gets the bits it gets as the only request of a call."""
+    tables = sample_stacked(tensors, envs, shape)
+    for i, ((row, shots), table) in enumerate(zip(shape, tables)):
+        alone = sample_cached(tensors, envs, shots, [(row, shots, stream(i))])
+        np.testing.assert_array_equal(table, alone)
+    return tables
+
+
+def dense_probabilities(tensors, row):
+    """Outcome probabilities of one row, site 0 the most significant bit."""
+    acc = tensors[0][row]
+    for a in tensors[1:]:
+        acc = np.tensordot(acc, a[row], axes=([-1], [0]))
+    p = np.abs(acc.reshape(-1)) ** 2
+    return p / p.sum()
+
+
+def assert_distributed_as(bits, probs, alpha=1e-4):
+    counts = empirical_distribution(bits, len(probs)) * len(bits)
+    stat, dof = chi_square_statistic(counts, probs)
+    assert stat < chi_square_critical_value(dof, alpha), (stat, dof)
 
 
 CUTS = [(), (3, 4, 9)]
 
 
-class TestStackedSweepBitwise:
+class TestCountSplitting:
+    @pytest.mark.parametrize("cuts", CUTS)
+    def test_every_request_follows_its_rows_dense_distribution(self, cuts):
+        # Ragged, two requests on row 1, one row unused.
+        tensors, envs = random_stack(4, 10, 4, cuts)
+        shape = [(0, 30_000), (1, 12_000), (3, 20_000), (1, 25_000)]
+        for (row, _), table in zip(shape, sample_stacked(tensors, envs, shape)):
+            probs = dense_probabilities(tensors, row)
+            assert_distributed_as(table, probs)
+            assert total_variation_distance(empirical_distribution(table), probs) < 0.1
+
+    @pytest.mark.parametrize("cuts", CUTS)
+    def test_agrees_with_the_one_vector_per_shot_reference(self, cuts):
+        tensors, envs = random_stack(2, 8, 4, cuts, seed=7)
+        (got,) = sample_stacked(tensors, envs, [(1, 40_000)])
+        want = reference_sample_cached(
+            [a[1] for a in tensors], [r[1] for r in envs], 40_000, stream(99)
+        )
+        tvd = total_variation_distance(empirical_distribution(got), empirical_distribution(want))
+        assert tvd < 0.05
+
     @pytest.mark.parametrize("cuts", CUTS)
     def test_ragged_requests_including_zero_and_one_shot(self, cuts):
         tensors, envs = random_stack(4, 12, 4, cuts)
-        assert_matches_oracle(tensors, envs, [(0, 5), (1, 0), (2, 1), (3, 130), (1, 17)])
+        shape = [(0, 5), (1, 0), (2, 1), (3, 130), (1, 17)]
+        tables = assert_same_as_alone(tensors, envs, shape)
+        assert [t.shape for t in tables] == [(shots, 12) for _, shots in shape]
+        assert all(t.dtype == np.uint8 and t.max(initial=0) <= 1 for t in tables)
 
     @pytest.mark.parametrize("cuts", CUTS)
     def test_specs_sharing_one_row(self, cuts):
         tensors, envs = random_stack(3, 12, 4, cuts, seed=1)
-        assert_matches_oracle(tensors, envs, [(0, 40), (0, 40), (2, 9), (0, 1), (2, 30)])
+        tables = assert_same_as_alone(tensors, envs, [(0, 40), (0, 40), (2, 9), (0, 1), (2, 30)])
+        # Same row, same count, different generators: different shots.
+        assert not np.array_equal(tables[0], tables[1])
 
-    @pytest.mark.parametrize("tile", [7, 1 << 20])
+    @pytest.mark.parametrize("tile", [64, 1 << 20])
     @pytest.mark.parametrize("cuts", CUTS)
-    def test_any_tile_size_gives_the_same_bits(self, cuts, tile, monkeypatch):
-        # At 7 lanes: more rows than one tile holds, and a request that
-        # spans many tiles continues its generator's stream across them.
-        monkeypatch.setattr(mps_sampler, "_TILE_LANES", tile)
+    def test_any_tile_budget_gives_the_same_bits(self, cuts, tile, monkeypatch):
+        # At 64 cells the eleven requests take several passes; no request
+        # is larger than the small budget, so none is cut under either.
         tensors, envs = random_stack(9, 12, 4, cuts, seed=2)
         shape = [(row, 3) for row in range(9)] + [(4, 60), (8, 2)]
-        assert_matches_oracle(tensors, envs, shape)
+        want = sample_stacked(tensors, envs, shape)
+        monkeypatch.setattr(mps_sampler, "_TILE_CELLS", tile)
+        passes = len(list(mps_sampler._tiles([(r, s, None) for r, s in shape], tensors)))
+        assert passes > 1 if tile == 64 else passes == 1
+        for got, table in zip(assert_same_as_alone(tensors, envs, shape), want):
+            np.testing.assert_array_equal(got, table)
+
+    def test_request_larger_than_one_tile(self, monkeypatch):
+        # 2**10 prefixes do not fit 256 cells: the big request is cut into
+        # 256-shot pieces by a rule of its own, whatever it is sampled beside.
+        monkeypatch.setattr(mps_sampler, "_TILE_CELLS", 256)
+        tensors, envs = random_stack(2, 10, 4, seed=3)
+        tables = assert_same_as_alone(tensors, envs, [(0, 10), (1, 30_000), (0, 300)])
+        assert_distributed_as(tables[1], dense_probabilities(tensors, 1))
 
     def test_request_larger_than_the_default_tile(self):
-        tensors, envs = random_stack(2, 6, 2, seed=3)
-        shots = 2 * mps_sampler._TILE_LANES + 123
-        assert_matches_oracle(tensors, envs, [(1, shots), (0, 10)])
+        tensors, envs = random_stack(2, 14, 2, seed=3)
+        shots = 2 * mps_sampler._TILE_CELLS + 123
+        tables = assert_same_as_alone(tensors, envs, [(1, shots), (0, 10)])
+        marginal = dense_probabilities(tensors, 1).reshape(64, -1).sum(axis=1)
+        assert_distributed_as(tables[0][:, :6], marginal)
 
     @pytest.mark.parametrize("cuts", CUTS)
     def test_zeroed_environment_falls_back_to_a_fair_coin(self, cuts):
         tensors, envs = random_stack(2, 12, 4, cuts, seed=4)
         envs[6][1] = 0.0  # row 1: site 5 sees total <= 0
-        bits = assert_matches_oracle(tensors, envs, [(0, 50), (1, 400)])
-        assert 0.35 < bits[50:, 5].mean() < 0.65
+        tables = assert_same_as_alone(tensors, envs, [(0, 50), (1, 4000)])
+        assert 0.46 < tables[1][:, 5].mean() < 0.54
+        want = reference_sample_cached(
+            [a[1] for a in tensors], [r[1] for r in envs], 4000, stream(99)
+        )
+        tvd = total_variation_distance(
+            empirical_distribution(tables[1][:, :7]), empirical_distribution(want[:, :7])
+        )
+        assert tvd < 0.1
 
-    def test_collapsed_prefixes_on_a_low_entropy_state(self):
+    def test_low_entropy_state_has_two_outcomes(self):
         # GHZ: two distinct prefixes however many shots.
         mps = MPSBackend(10, max_bond=4)
         for op in library.ghz(10).coherent_ops:
             mps.apply_gate(op.gate, op.qubits)
         tensors = [a[None] for a in mps.tensors]
         envs = [r[None] for r in compute_right_environments(mps.tensors)]
-        assert_matches_oracle(tensors, envs, [(0, 500), (0, 500)])
+        for table in assert_same_as_alone(tensors, envs, [(0, 500), (0, 501)]):
+            weight = table.sum(axis=1)
+            assert set(weight.tolist()) == {0, 10}
+            assert abs(np.count_nonzero(weight) - 250) < 60
+
+    def test_shots_of_one_request_are_exchangeable(self):
+        # Classes are expanded under a shuffle: neither half of a request
+        # is sorted by outcome, and both follow the distribution.
+        tensors, envs = random_stack(1, 8, 4, seed=8)
+        (table,) = sample_stacked(tensors, envs, [(0, 40_000)])
+        probs = dense_probabilities(tensors, 0)
+        first, second = table[:20_000], table[20_000:]
+        assert_distributed_as(first, probs)
+        assert_distributed_as(second, probs)
+        assert_distributed_as(table[::2], probs)
+
+    def test_blocks_across_a_product_cut_are_independently_paired(self):
+        # Sites 0-3 | 4-7: the joint distribution is the product of the
+        # blocks' marginals, which a shared expansion order would break.
+        tensors, envs = random_stack(1, 8, 4, cuts=(4,), seed=9)
+        (table,) = sample_stacked(tensors, envs, [(0, 40_000)])
+        probs = dense_probabilities(tensors, 0)
+        assert_distributed_as(table, probs)
+        left = empirical_distribution(table[:, :4])
+        right = empirical_distribution(table[:, 4:])
+        joint = empirical_distribution(table)
+        assert total_variation_distance(joint, np.outer(left, right).ravel()) < 0.04
+
+    def test_columns_selects_and_orders_sites(self):
+        tensors, envs = random_stack(2, 9, 4, cuts=(3,), seed=10)
+        shape = [(0, 70), (1, 33)]
+        cols = [5, 0, 8, 3]
+        for full, picked in zip(
+            sample_stacked(tensors, envs, shape), sample_stacked(tensors, envs, shape, columns=cols)
+        ):
+            np.testing.assert_array_equal(picked, full[:, cols])
+            assert picked.flags.c_contiguous
 
     def test_request_total_must_equal_num_shots(self):
         tensors, envs = random_stack(1, 3, 2)
         with pytest.raises(BackendError, match="num_shots=5"):
             sample_cached(tensors, envs, 5, [(0, 4, make_rng(0))])
 
-    def test_backend_cached_and_naive_modes_unchanged_for_a_fixed_seed(self):
+    def test_backend_modes_are_the_sampler_for_a_fixed_seed(self):
         mps, _ = _prepared_mps(seed=5)
         envs = compute_right_environments(mps.tensors)
         cols = [3, 0, 4]
         cached = mps.sample(300, cols, make_rng(21), mode="cached")
-        want = reference_sample_cached(mps.tensors, envs, 300, make_rng(21))
+        want = sample_cached(mps.tensors, envs, 300, make_rng(21))
         np.testing.assert_array_equal(cached, want[:, cols])
         naive = mps.sample(25, cols, make_rng(22), mode="naive")
         rng = make_rng(22)
-        want = [reference_sample_cached(mps.tensors, envs, 1, rng)[0] for _ in range(25)]
+        want = [sample_cached(mps.tensors, envs, 1, rng)[0] for _ in range(25)]
         np.testing.assert_array_equal(naive, np.array(want)[:, cols])
 
     def test_sampling_memory_is_one_tile_not_the_shot_budget(self):
         import tracemalloc
 
         tensors, envs = random_stack(1, 40, 4, seed=6)
-        shots = 200_000  # the uniforms alone would be 64 MB drawn at once
+        shots = 200_000  # all distinct: 200 000 classes if taken in one pass
         tracemalloc.start()
         try:
             bits = sample_cached(tensors, envs, shots, [(0, shots, make_rng(23))])
@@ -260,3 +366,27 @@ class TestStackedSweepBitwise:
             tracemalloc.stop()
         assert bits.shape == (shots, 40)
         assert peak - bits.nbytes < 8 * 2**20
+
+    def test_cost_follows_distinct_outcomes_not_shots(self):
+        """100x the shots of an eight-outcome state (one Steane block)
+        costs a few times the wall, not 100x: only the expansion is per
+        shot."""
+        import time
+
+        from repro.qec import css_encoding_circuit, steane_code
+
+        mps = MPSBackend(7, max_bond=8)
+        for op in css_encoding_circuit(steane_code())[0].coherent_ops:
+            mps.apply_gate(op.gate, op.qubits)
+        envs = compute_right_environments(mps.tensors)
+        assert len(np.unique(sample_cached(mps.tensors, envs, 2000, make_rng(0)), axis=0)) == 8
+
+        def best(shots):
+            walls = []
+            for rep in range(5):
+                t0 = time.perf_counter()
+                sample_cached(mps.tensors, envs, shots, make_rng(rep))
+                walls.append(time.perf_counter() - t0)
+            return min(walls)
+
+        assert best(100_000) < 20 * best(1_000)
