@@ -60,7 +60,7 @@ def test_fig5_inset_distributed_prep(benchmark, workload, num_devices):
 def test_fig5_inset_inter_trajectory(benchmark, workload, workers):
     """Embarrassingly parallel trajectories over worker processes."""
     specs = ProbabilisticPTS(nsamples=60, nshots=2000).sample(
-        workload, StreamFactory(0).rng_for(0)
+        workload, StreamFactory(0).sampler_rng()
     ).specs
 
     def run():

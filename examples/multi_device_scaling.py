@@ -64,7 +64,7 @@ def inter_trajectory_demo() -> None:
         NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.01)).apply(circ).freeze()
     )
     specs = ProbabilisticPTS(nsamples=120, nshots=5_000).sample(
-        noisy, StreamFactory(0).rng_for(0)
+        noisy, StreamFactory(0).sampler_rng()
     ).specs
     serial = BatchedExecutor(BackendSpec.statevector())
     t0 = time.perf_counter()
@@ -90,7 +90,7 @@ def sharded_demo() -> None:
         NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.01)).apply(circ).freeze()
     )
     specs = ProbabilisticPTS(nsamples=200, nshots=2_000).sample(
-        noisy, StreamFactory(0).rng_for(0)
+        noisy, StreamFactory(0).sampler_rng()
     ).specs
     serial_result = BatchedExecutor(BackendSpec.statevector()).execute(noisy, specs, seed=4)
     for devices in (1, 2, 4):

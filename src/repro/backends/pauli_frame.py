@@ -361,10 +361,11 @@ class FrameSampler:
         ``flips`` comes from :meth:`frame_for_choices`; the only per-shot
         randomness left is the uniform combination of the ideal circuit's
         affine outcome generators.  Each request draws one uniform table
-        row per generator group from its own generator, into one
-        unit-wide buffer; then the whole unit is one gather per group, one
-        XOR with each row's ``reference XOR flips`` and (over packed words,
-        when k fits a machine word) one unpack.
+        row per generator group from its own generator — all groups in one
+        call of 16-bit words, masked to each table's power-of-two length —
+        into one unit-wide buffer; then the whole unit is one gather per
+        group, one XOR with each row's ``reference XOR flips`` and (over
+        packed words, when k fits a machine word) one unpack.
         """
         rows = np.array([row for row, _, _ in requests], dtype=np.intp)
         shots = np.array([n for _, n, _ in requests], dtype=np.intp)
@@ -377,10 +378,10 @@ class FrameSampler:
             tables = self._packed_combination_tables() if packed else self._combination_tables()
             draws = np.empty((len(tables), int(shots.sum())), dtype=np.uint16)
             for (_, n, rng), end in zip(requests, ends):
-                for t, table in enumerate(tables):
-                    draws[t, end - n : end] = rng.integers(
-                        0, len(table) - 1, size=n, dtype=np.uint16, endpoint=True
-                    )
+                draws[:, end - n : end] = rng.integers(
+                    0, 0xFFFF, size=(len(tables), n), dtype=np.uint16, endpoint=True
+                )
+            draws &= np.array([[len(table) - 1] for table in tables], dtype=np.uint16)
             # Words when k fits one, else (>64 measured qubits) rows of the
             # unpacked (shots, k) tables.
             sampled = np.take(tables[0], draws[0], axis=0)

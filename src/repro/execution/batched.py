@@ -452,10 +452,10 @@ def run_ptsbe_stream(
     # Resolve the root seed exactly once: the PTS sampler's stream and
     # every executor trajectory stream derive from the same value, and an
     # unseeded run resolves one entropy seed here instead of drawing two
-    # independent ones (the pre-fix reproducibility bug).
+    # independent ones (the pre-fix reproducibility bug).  The sampler's
+    # stream is a counter family of its own: no trajectory draws from it.
     streams = StreamFactory(seed)
-    rng = streams.rng_for(0)
-    pts_result = sampler.sample(circuit, rng)
+    pts_result = sampler.sample(circuit, streams.sampler_rng())
     target = getattr(sampler, "twirled_circuit", None) or circuit
     # Route "auto" on the circuit the executor will actually run (the
     # twirled one, for circuit-rewriting samplers); explicit strategies

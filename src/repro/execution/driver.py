@@ -58,14 +58,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED, CancelledError, Future, ProcessPoolExecutor, wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, Future, wait
 from functools import partial
 from typing import (
-    Any, Callable, Deque, Dict, Iterator, List, Optional, Protocol, Sequence,
-    Tuple, TypeVar, runtime_checkable,
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator, List, Optional, Protocol,
+    Sequence, Tuple, TypeVar, runtime_checkable,
 )
 
 import numpy as np
@@ -80,6 +77,11 @@ from repro.faults.plan import FaultPlan, maybe_inject
 from repro.faults.retry import FaultContext, RecoveryEvent, describe_exception
 from repro.pts.base import SpecGroup, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory
+
+if TYPE_CHECKING:  # pragma: no cover
+    # At run time the pool class is imported where a pool is built: it loads
+    # multiprocessing, and workers defaults to 1.
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["Engine", "StreamingExecutor", "drive", "timed"]
 
@@ -250,7 +252,7 @@ def _submit(pool: ProcessPoolExecutor, task: Task) -> "Future[Completed]":
     like one that broke under it, so both take the same recovery path."""
     try:
         return pool.submit(_pool_task, *task)
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         failed: "Future[Completed]" = Future()
         failed.set_exception(exc)
         return failed
@@ -300,7 +302,7 @@ def drive(
     )
     if workers > 1:
         engine.release()  # every worker builds its own; this one named the run
-    retryable = (BrokenProcessPool,) + ctx.policy.retryable
+    retryable = (BrokenExecutor,) + ctx.policy.retryable
 
     def deliver() -> Iterator[List[TrajectoryResult]]:
         delivery = OrderedDelivery(len(specs))
@@ -318,6 +320,8 @@ def drive(
                     outcomes = [(task, partial(local.task, *task))]
                 else:
                     if pool is None:
+                        from concurrent.futures import ProcessPoolExecutor
+
                         pool = ProcessPoolExecutor(
                             workers, initializer=_init_worker, initargs=(build, *run_args)
                         )
@@ -364,7 +368,7 @@ def drive(
                             "completing; the run cannot be finalized"
                         ) from exc
                     except retryable as exc:
-                        broken = broken or isinstance(exc, BrokenProcessPool)
+                        broken = broken or isinstance(exc, BrokenExecutor)
                         again = ctx.next_attempt(unit, attempt, exc, events)
                         pending.appendleft((start, end, again))
                         continue

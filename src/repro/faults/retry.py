@@ -29,7 +29,7 @@ fail identically.  It escalates to the caller's degradation ladder
 from __future__ import annotations
 
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple, Type
 
@@ -55,12 +55,15 @@ __all__ = [
 ]
 
 #: Exception classes a failed work unit is retried on by default: backend
-#: hiccups, emulated or real worker deaths.  ``CancelledError`` is absent
-#: on purpose — cancellation means the *consumer* abandoned the run.
+#: hiccups, emulated or real worker deaths.  A dead pool is classified by
+#: ``BrokenExecutor``, the base of ``BrokenProcessPool``: naming the
+#: subclass would import ``multiprocessing`` with ``repro``, for a pool
+#: most runs never build.  ``CancelledError`` is absent on purpose —
+#: cancellation means the *consumer* abandoned the run.
 DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
     BackendError,
     WorkerCrashError,
-    BrokenProcessPool,
+    BrokenExecutor,
 )
 
 

@@ -9,7 +9,7 @@ until a replay diverges.
 
 **RNG001** flags any *call* into ``numpy.random`` or the stdlib
 ``random`` module anywhere in ``src/repro`` outside ``rng.py`` — the one
-module allowed to construct generators, because it is the spawn
+module allowed to construct generators, because it is the stream
 machinery (``root_sequence`` / ``trajectory_rng`` / ``StreamFactory``)
 that keys every stream by ``(seed, trajectory_id)``.  Annotations like
 ``np.random.Generator`` are attribute references, not calls, and are

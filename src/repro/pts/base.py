@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +51,10 @@ class ErrorCandidate:
     moment: int
     gate_context: str  # name of the gate this channel decorates ("" if none)
 
+    @cached_property
     def event(self) -> KrausEvent:
+        """This branch's provenance event: built once, shared by every
+        spec that selects the candidate."""
         return KrausEvent(
             site_id=self.site_id,
             kraus_index=self.kraus_index,
@@ -273,7 +277,7 @@ class PTSAlgorithm(abc.ABC):
     ) -> TrajectorySpec:
         record = TrajectoryRecord(
             trajectory_id=trajectory_id,
-            events=tuple(c.event() for c in selection),
+            events=tuple(c.event for c in selection),
             nominal_probability=view.joint_probability(selection),
         )
         return TrajectorySpec(record=record, num_shots=int(num_shots))

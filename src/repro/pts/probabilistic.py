@@ -8,22 +8,28 @@ keep the resulting Kraus set only if it has not been seen before
 "to maximize data collection, such as would be useful for training ML
 models" (paper §3.1).
 
-The attempts are independent until deduplication, so they are drawn a tile
-at a time — one ``(attempts, candidates)`` block of uniforms, which
-consumes the generator exactly as one draw per attempt would — and Python
-visits only the attempts that fired something, in attempt order: the
-output (specs, their ids, the rejection counters) is the per-attempt
-loop's, which ``tests/test_pts.py`` keeps as the oracle.
+The ``(attempt, candidate)`` cells of that double loop are independent
+Bernoulli trials and almost none of them fires, so the sampler draws the
+*fired cells* directly (:meth:`ProbabilisticPTS.fired_cells`): it walks the
+flattened cell sequence with geometric gaps at ``p_max`` — the distance to
+the next success of a Bernoulli(``p_max``) sequence, by inversion of one
+uniform — and keeps a landing on a candidate of probability ``p`` with
+probability ``p / p_max``, which is exactly one independent Bernoulli(``p``)
+per cell.  The rest of Algorithm 2 (:meth:`ProbabilisticPTS.select`) visits
+only the attempts that fired something, in attempt order, and is field for
+field the per-attempt loop ``tests/test_pts.py`` keeps as its oracle:
+ascending candidates, ``compatible``, ``uniqueKraus``, both rejection
+counters.
 
-Cost is ``O(nsamples * |candidates|)`` — the paper's
-"~O(|{K}|^2 (p)^2)" scaling with the expected number of fired sites —
-entirely independent of the exponential state dimension, which is the
-whole point: stochastic decisions are made *before* any state exists.
+Cost is ``O(nsamples * |candidates| * p_max)`` — the fired sites, the
+paper's "~O(|{K}|^2 (p)^2)" — and entirely independent of the exponential
+state dimension, which is the whole point: stochastic decisions are made
+*before* any state exists.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,6 +45,11 @@ from repro.pts.base import (
 from repro.pts.compatibility import compatible
 
 __all__ = ["ProbabilisticPTS"]
+
+#: Most landings one ``rng.random`` call draws, and most attempts the
+#: selection pass holds as Python ints at a time.  What a run keeps for its
+#: whole length is NumPy over the fired cells, a few 8-byte words each.
+_BLOCK = 1 << 16
 
 
 class ProbabilisticPTS(PTSAlgorithm):
@@ -78,65 +89,83 @@ class ProbabilisticPTS(PTSAlgorithm):
         self.include_ideal = include_ideal
         self.candidate_filter = candidate_filter
 
-    #: Bytes of uniforms drawn per tile of attempts (cache-sized: the tile
-    #: is written, compared and scanned once each).
-    _TILE_BYTES = 1 << 20
-
     def sample(self, circuit: Circuit, rng: np.random.Generator) -> PTSResult:
         view = NoiseSiteView(circuit)
         candidates = view.candidates
         if self.candidate_filter is not None:
             candidates = [c for c in candidates if self.candidate_filter(c)]
         probs = np.array([c.probability for c in candidates], dtype=np.float64)
-        width = max(1, len(candidates))
-        tile = min(max(1, self._TILE_BYTES // (8 * width)), max(1, self.nsamples))
-        uniforms = np.empty((tile, len(candidates)), dtype=np.float64)
-        fired = np.empty((tile, len(candidates)), dtype=bool)
+        return self.select(view, candidates, self.fired_cells(probs, rng))
 
+    def fired_cells(self, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The Bernoulli draws of Algorithm 2 (line 6) for every attempt: the
+        ascending flat indices ``attempt * len(probs) + candidate`` of the
+        cells that fire, each independently with its entry of ``probs``.
+
+        Consumes two uniforms per landing of the ``p_max`` walk — the gap to
+        it and whether it is kept — and none for the cells in between.
+        """
+        cells = self.nsamples * len(probs)
+        if cells == 0:
+            return np.empty(0, dtype=np.int64)
+        p_max = float(probs.max())
+        keep = probs / p_max
+        with np.errstate(divide="ignore"):
+            log_miss = np.log1p(-p_max)  # -inf at p_max == 1: every gap is 1
+        fired: List[np.ndarray] = []
+        position = -1  # the cell the walk stands on
+        while position < cells - 1:
+            ahead = (cells - 1 - position) * p_max
+            block = min(int(ahead + 4.0 * ahead**0.5) + 16, _BLOCK)  # mean + 4 sigma
+            gap_draws, keep_draws = rng.random((2, block))
+            # Geometric by inversion, capped so that the running sum is exact.
+            gaps = np.minimum(np.log1p(-gap_draws) / log_miss, cells).astype(np.int64) + 1
+            landings = position + np.cumsum(gaps)
+            position = int(landings[-1])
+            landings = landings[: np.searchsorted(landings, cells)]
+            fired.append(landings[keep_draws[: len(landings)] < keep[landings % len(probs)]])
+        return np.concatenate(fired)
+
+    def select(
+        self, view: NoiseSiteView, candidates: Sequence[ErrorCandidate], fired: np.ndarray
+    ) -> PTSResult:
+        """Algorithm 2 after its draws — ``compatible``, ``uniqueKraus``,
+        the shot budget — given ``fired``, the cells :meth:`fired_cells`
+        returns for the probabilities of these ``candidates``."""
+        rows, cols = np.divmod(fired, max(1, len(candidates)))
+        # Cell ranges of the attempts that fired something, in attempt order
+        # (which is what numbers the specs): attempt k's is edges[k:k + 2].
+        edges = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), len(fired))
+        firing = len(edges) - 1
+        kept = self.nsamples if self.include_ideal else firing
+        if self.include_ideal and firing < self.nsamples:
+            # Attempts that fired nothing are all the ideal trajectory, so
+            # only the first can be new: an empty range where it stands.
+            idle = int(np.argmax(np.append(rows[edges[:-1]] != np.arange(firing), True)))
+            edges = np.insert(edges, idle, edges[idle])
         specs: List[TrajectorySpec] = []
         # A selection is identified by its candidate indices, ascending.
         seen: Set[Tuple[int, ...]] = set()
-        kept = 0  # attempts that reach uniqueKraus: all, or the non-empty ones
         incompatible = 0
-        for done in range(0, self.nsamples, tile):
-            attempts = min(tile, self.nsamples - done)
-            # The Bernoulli pass of Algorithm 2 (lines 5-12) for a tile of
-            # attempts: one (attempts, candidates) draw consumes the stream
-            # as that many successive per-attempt draws would.
-            rng.random(out=uniforms[:attempts])
-            np.less_equal(uniforms[:attempts], probs, out=fired[:attempts])
-            rows, cols = np.divmod(np.flatnonzero(fired[:attempts]), width)
-            counts = np.bincount(rows, minlength=attempts)
-            ends = np.cumsum(counts)
-            starts, ends, cols = (ends - counts).tolist(), ends.tolist(), cols.tolist()
-            # Attempts that fired nothing are all the ideal trajectory, so
-            # only the first of a run can be new; the rest are visited in
-            # attempt order, which is what numbers the specs.
-            visit = counts > 0
-            kept += attempts if self.include_ideal else int(visit.sum())
-            if self.include_ideal and () not in seen and not visit.all():
-                visit[np.argmin(visit)] = True
-            for attempt in np.flatnonzero(visit).tolist():
-                chosen = cols[starts[attempt] : ends[attempt]]
+        for start in range(0, len(edges) - 1, _BLOCK):  # Python ints a block at a time
+            span = edges[start : start + _BLOCK + 1]
+            block = cols[span[0] : span[-1]].tolist()
+            bounds = (span - span[0]).tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
+                chosen = block[lo:hi]
                 if len(chosen) > 1:
                     # Only two or more fired candidates can conflict.
-                    selection: List[ErrorCandidate] = []
-                    compatible_indices: List[int] = []
+                    agreed: List[int] = []
                     for index in chosen:
-                        if compatible(candidates[index], selection):
-                            selection.append(candidates[index])
-                            compatible_indices.append(index)
-                        else:
-                            incompatible += 1
-                    chosen = compatible_indices
+                        if compatible(candidates[index], [candidates[i] for i in agreed]):
+                            agreed.append(index)
+                    incompatible += len(chosen) - len(agreed)
+                    chosen = agreed
                 key = tuple(chosen)
                 if key not in seen:
                     seen.add(key)
-                    specs.append(
-                        self.make_spec(
-                            view, [candidates[i] for i in key], self.nshots, len(specs)
-                        )
-                    )
+                    selection = [candidates[i] for i in key]
+                    specs.append(self.make_spec(view, selection, self.nshots, len(specs)))
         return PTSResult(
             specs=specs,
             algorithm=self.name,

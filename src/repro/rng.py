@@ -2,11 +2,34 @@
 
 The paper's simulator uses cuRAND, a counter-based generator, so that each
 trajectory draws from an independent, reproducible stream regardless of
-execution order or which GPU it lands on.  We reproduce that contract with
-NumPy's Philox bit generator plus ``SeedSequence.spawn``-style key
-derivation:
+execution order or which GPU it lands on.  cuRAND's contract is a
+``(seed, sequence)`` pair; NumPy's Philox bit generator is the same
+construction, and this module uses it the same way:
 
-* :func:`root_sequence` builds the experiment-level seed sequence;
+* **key** — the root seed is hashed once to the 128-bit Philox key
+  (``SeedSequence(seed, spawn_key=(STREAM_KEY,))``, so no stream is the one
+  :func:`make_rng` returns for the same integer);
+* **counter** — the 256-bit Philox counter of a stream starts at the words
+  ``[0, 0, index, family]``.  Drawing advances it from word 0 upward, so
+  two streams of one seed could only meet after 2**128 blocks: their
+  independence is Philox's guarantee for distinct counters under one key,
+  not a hash's;
+* **family** — :data:`FAMILY_SHOTS` for the stream trajectory *index*
+  draws its shots from, :data:`FAMILY_PTS` for the one stream the PTS
+  sampler draws from (index 0).  No trajectory index can reach the
+  sampler's stream.
+
+Before this layout every trajectory stream was
+``Philox(SeedSequence(seed, spawn_key=(index,)))`` — one hash per
+trajectory, which on a cheap engine cost more than drawing the shots — and
+the sampler drew from trajectory 0's stream.  Seeds recorded then replay a
+different, equally valid, trajectory set and shot table now.  The fault
+machinery keeps its ``SeedSequence`` spawn keys (:func:`fault_rng`): one
+stream per site and attempt, far off the hot path.
+
+* :func:`root_sequence` builds the experiment-level seed sequence and
+  :func:`make_rng` a plain generator on it, for callers that hold no
+  factory (tests, scripts);
 * :func:`trajectory_rng` derives the stream for trajectory *i* — the same
   stream is produced whether the trajectory runs serially, in a process
   pool, or on a different emulated device (verified in
@@ -17,7 +40,7 @@ derivation:
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +53,17 @@ __all__ = [
     "StreamFactory",
 ]
 
-#: Reserved leading spawn-key element for the fault-tolerance machinery.
-#: Trajectory streams use single-element keys ``(trajectory_index,)``;
-#: fault/jitter draws use four-element keys starting with this constant,
-#: so the two stream families can never collide for any seed.
+#: Spawn key the Philox key of the trajectory and sampler streams is hashed
+#: under (the root's own spawn key ``()`` is :func:`make_rng`'s).
+STREAM_KEY = 0x57A3
+
+#: Last word of a stream's starting Philox counter.
+FAMILY_SHOTS = 0
+FAMILY_PTS = 1
+
+#: Reserved leading spawn-key element for the fault-tolerance machinery:
+#: fault/jitter draws use four-element ``SeedSequence`` spawn keys starting
+#: with this constant, a key no other stream is hashed under.
 FAULT_STREAM_KEY = 0xFA17
 
 #: Sub-namespaces under :data:`FAULT_STREAM_KEY`.
@@ -94,12 +124,10 @@ def trajectory_rng(seed: Optional[int], trajectory_index: int) -> np.random.Gene
 
     The stream depends only on ``(seed, trajectory_index)`` — not on how
     many trajectories run, in what order, or on which worker — mirroring
-    counter-based cuRAND semantics.
+    counter-based cuRAND semantics.  A caller deriving many streams of one
+    seed keeps a :class:`StreamFactory`, which hashes the seed once.
     """
-    if trajectory_index < 0:
-        raise ValueError(f"trajectory_index must be >= 0, got {trajectory_index}")
-    seq = np.random.SeedSequence(seed, spawn_key=(trajectory_index,))
-    return np.random.Generator(np.random.Philox(seq))
+    return StreamFactory(seed).rng_for(trajectory_index)
 
 
 class StreamFactory:
@@ -116,10 +144,17 @@ class StreamFactory:
         if seed is None:
             seed = int(np.random.SeedSequence().generate_state(1)[0])
         self.seed = int(seed)
+        root = np.random.SeedSequence(self.seed, spawn_key=(STREAM_KEY,))
+        self._key = root.generate_state(2, np.uint64)  # hashed once, not per stream
+
+    def _stream(self, index: int, family: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self._key, counter=(0, 0, index, family)))
 
     def rng_for(self, trajectory_index: int) -> np.random.Generator:
         """Stream for a single trajectory index."""
-        return trajectory_rng(self.seed, trajectory_index)
+        if trajectory_index < 0:
+            raise ValueError(f"trajectory_index must be >= 0, got {trajectory_index}")
+        return self._stream(trajectory_index, FAMILY_SHOTS)
 
     def rngs_for(self, trajectory_indices: Sequence[int]) -> List[np.random.Generator]:
         """One independent stream per stacked trajectory.
@@ -131,14 +166,10 @@ class StreamFactory:
         """
         return [self.rng_for(i) for i in trajectory_indices]
 
-    def streams(self, count: int, start: int = 0) -> Iterator[np.random.Generator]:
-        """Yield ``count`` consecutive trajectory streams starting at ``start``."""
-        for i in range(start, start + count):
-            yield self.rng_for(i)
-
-    def child_seeds(self, count: int) -> Sequence[int]:
-        """Integer seeds (for pickling into worker processes)."""
-        return [int(np.random.SeedSequence(self.seed, spawn_key=(i,)).generate_state(1)[0]) for i in range(count)]
+    def sampler_rng(self) -> np.random.Generator:
+        """The stream the PTS sampler draws from: a counter family of its
+        own, so it shares no draw with any trajectory's shots."""
+        return self._stream(0, FAMILY_PTS)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamFactory(seed={self.seed})"

@@ -353,7 +353,7 @@ def run_cell(
     # preparation.
     from repro.rng import StreamFactory
 
-    pts_result = sampler.sample(circuit, StreamFactory(cell.seed).rng_for(0))
+    pts_result = sampler.sample(circuit, StreamFactory(cell.seed).sampler_rng())
     coverage = pts_result.coverage()
 
     if oracle.strategy_equivalence and len(dense) > 1:

@@ -48,3 +48,49 @@ def mixed_noise_circuit() -> Circuit:
         .add_measurement_noise(bit_flip(0.015))
     )
     return model.apply(ideal).freeze()
+
+
+def _cliffordized(noisy: Circuit) -> Circuit:
+    """``noisy`` with its magic-prep rotations (ry, rz) replaced by S: a
+    pure-Clifford circuit with the same Pauli noise sites, frozen."""
+    from repro.circuits.gates import S
+    from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
+
+    out = Circuit(noisy.num_qubits)
+    for op in noisy:
+        if isinstance(op, GateOp):
+            out.gate(S if op.gate.name in ("ry", "rz") else op.gate, *op.qubits)
+        elif isinstance(op, NoiseOp):
+            out.attach(op.channel, *op.qubits)
+        else:
+            out.append(MeasureOp(op.qubits, key=op.key))
+    return out.freeze()
+
+
+@pytest.fixture(scope="session")
+def msd35_circuit() -> Circuit:
+    """Steane-encoded MSD, cliffordized: 35 measured qubits, 105 noise
+    sites, 20 random measurements — the circuit of the ``clifford_pts_35q``
+    benchmark workload."""
+    from repro.qec import msd_benchmark_circuit, steane_code
+
+    model = (
+        NoiseModel()
+        .add_all_qubit_gate_noise("cz", two_qubit_depolarizing(0.01))
+        .add_all_qubit_gate_noise("sx", depolarizing(0.002))
+        .add_all_qubit_gate_noise("sy", depolarizing(0.002))
+        .add_all_qubit_gate_noise("sxdg", depolarizing(0.002))
+    )
+    return _cliffordized(model.apply(msd_benchmark_circuit(steane_code())))
+
+
+@pytest.fixture(scope="session")
+def msd_prep35_circuit() -> Circuit:
+    """Steane-encoded MSD *preparation* (five blocks, 35 measured qubits,
+    the ``tensornet_shots_35q`` workload's circuit), cliffordized: Clifford
+    + Pauli noise at a width, and of an entanglement, both wide engines
+    represent exactly."""
+    from repro.qec import msd_preparation_circuit, steane_code
+
+    model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.005))
+    return _cliffordized(model.apply(msd_preparation_circuit(steane_code())))

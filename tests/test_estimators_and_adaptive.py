@@ -54,9 +54,19 @@ class TestStratifiedEstimate:
         exact = _exact_bit_expectation(noisy_ghz3, 0)
         result = run_ptsbe(noisy_ghz3, ProbabilisticPTS(nsamples=3000, nshots=4000), seed=1)
         strat = stratified_estimate(result, bit_observable(0))
-        pooled = pooled_estimate(result, bit_observable(0))
         assert abs(strat.value - exact) < 4 * strat.std_error + 0.01
-        assert abs(strat.value - exact) <= abs(pooled.value - exact) + 0.01
+        # Bit 0 reads 1/2 on every Pauli trajectory of a GHZ state and cannot
+        # show the bias; the parity of qubits 0 and 1 is +-1 per trajectory
+        # and does.  Stratified, the error is at most the weight the sampled
+        # set leaves out times the observable's range (the estimator
+        # normalizes by the covered weight); pooled, every trajectory counts
+        # as much as the ideal one (p ~ 0.81) and the estimate is nowhere near.
+        marg = DensityMatrixBackend(3).run(noisy_ghz3).marginal_probabilities([0, 1, 2])
+        exact = float(marg @ np.array([1, 1, -1, -1, -1, -1, 1, 1]))
+        strat = stratified_estimate(result, parity_observable([0, 1]))
+        pooled = pooled_estimate(result, parity_observable([0, 1]))
+        assert abs(strat.value - exact) <= 2 * (1 - strat.total_weight) + 4 * strat.std_error
+        assert abs(pooled.value - exact) > 0.5
 
     def test_parity_estimate_with_exhaustive(self, noisy_ghz3):
         exact = _exact_parity(noisy_ghz3)

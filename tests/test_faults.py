@@ -415,20 +415,22 @@ class TestBitwiseRecovery:
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_sharded_inner_capacity_halving_bitwise(self, brickwork):
-        # 26 dedup groups on two workers make 4-group tasks.  OOM exactly
-        # the first: the fault fires inside the worker process (the plan
-        # travels there), the parent halves the task, and the halves —
-        # different unit names — go back to the pool.
+        # Two workers cut the dedup groups into eight tasks (a few groups
+        # each).  OOM exactly the first: the fault fires inside the worker
+        # process (the plan travels there), the parent halves the task, and
+        # the halves — different unit names — go back to the pool.
         clean = _run(brickwork, "sharded", nsamples=200)
+        step = -(-clean.unique_preparations // 8)
+        assert step >= 2
         faulty = _run(
             brickwork,
             "sharded",
-            plan=FaultPlan(rules=(FaultSpec("capacity", "sharded/stack:0:4"),)),
+            plan=FaultPlan(rules=(FaultSpec("capacity", f"sharded/stack:0:{step}"),)),
             nsamples=200,
         )
         (halved,) = faulty.recovery
-        assert (halved.kind, halved.unit) == ("batch-halved", "sharded/stack:0:4")
-        assert halved.detail == "split into stack:0:2 and stack:2:4"
+        assert (halved.kind, halved.unit) == ("batch-halved", f"sharded/stack:0:{step}")
+        assert halved.detail == f"split into stack:0:{step // 2} and stack:{step // 2}:{step}"
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     @pytest.mark.parametrize("strategy", ["parallel", "sharded"])

@@ -130,37 +130,9 @@ class TestBulkRate:
 # --------------------------------------------------------------------- #
 # Bitwise oracles for the stack forms (frames, packed sampling, compile)
 # --------------------------------------------------------------------- #
-def cliffordized_msd_35q():
-    """Steane-encoded MSD with its magic-prep rotations replaced by S:
-    35 measured qubits, 105 noise sites, 20 random measurements."""
-    from repro.channels import two_qubit_depolarizing
-    from repro.circuits.gates import S
-    from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
-    from repro.qec import msd_benchmark_circuit, steane_code
-
-    model = (
-        NoiseModel()
-        .add_all_qubit_gate_noise("cz", two_qubit_depolarizing(0.01))
-        .add_all_qubit_gate_noise("sx", depolarizing(0.002))
-        .add_all_qubit_gate_noise("sy", depolarizing(0.002))
-        .add_all_qubit_gate_noise("sxdg", depolarizing(0.002))
-    )
-    noisy = model.apply(msd_benchmark_circuit(steane_code()))
-    out = Circuit(noisy.num_qubits)
-    for op in noisy:
-        if isinstance(op, GateOp):
-            out.gate(S if op.gate.name in ("ry", "rz") else op.gate, *op.qubits)
-        elif isinstance(op, NoiseOp):
-            out.attach(op.channel, *op.qubits)
-        else:
-            out.append(MeasureOp(op.qubits, key=op.key))
-    return out.freeze()
-
-
 @pytest.fixture(scope="module")
-def msd35():
-    circuit = cliffordized_msd_35q()
-    return circuit, FrameSampler(circuit)
+def msd35(msd35_circuit):
+    return msd35_circuit, FrameSampler(msd35_circuit)
 
 
 def all_sites_walk(sampler, choices):
@@ -207,15 +179,18 @@ def forced_runs(circuit):
 def one_trajectory_draw(sampler, flips, num_shots, rng):
     """One trajectory's shots without any lookup table: per generator group
     (16 wide while the outcome packs into a word, 12 beyond), one uniform
-    integer whose bit i selects generator i.  The draws are the ones the
-    per-trajectory sampler made before units, so this is its oracle."""
+    integer whose bit i selects generator i.  The request's one
+    ``(groups, shots)`` draw of 16-bit words is ``sample_stack``'s, so this
+    is the oracle of everything it does with them."""
     out = np.tile(sampler.reference ^ flips, (num_shots, 1))
     width = 16 if len(sampler.measured_qubits) <= 64 else 12
-    for start in range(0, len(sampler.generators), width):
+    starts = range(0, len(sampler.generators), width)
+    words = rng.integers(
+        0, 0xFFFF, size=(len(starts), num_shots), dtype=np.uint16, endpoint=True
+    )
+    for draws, start in zip(words, starts):
         group = sampler.generators[start : start + width]
-        draws = rng.integers(
-            0, (1 << len(group)) - 1, size=num_shots, dtype=np.uint16, endpoint=True
-        )
+        draws = draws & ((1 << len(group)) - 1)
         coefficients = (draws[:, None].astype(np.int64) >> np.arange(len(group))) & 1
         out ^= ((coefficients @ group.astype(np.int64)) & 1).astype(np.uint8)
     return out

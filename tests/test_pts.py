@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from repro.channels import NoiseModel, depolarizing
+from repro.channels import NoiseModel, bit_flip, depolarizing
 from repro.circuits import Circuit
 from repro.errors import SamplingError
 from repro.pts import (
@@ -20,7 +21,7 @@ from repro.pts import (
     by_qubits,
 )
 from repro.pts.compatibility import compatible, selection_signature, unique_kraus
-from repro.rng import make_rng
+from repro.rng import StreamFactory, make_rng
 
 
 class TestNoiseSiteView:
@@ -131,24 +132,31 @@ class TestProbabilisticPTS(object):
             ProbabilisticPTS(nsamples=1, nshots=0)
 
 
-def algorithm2_reference(sampler, circuit, rng):
-    """Algorithm 2 one attempt at a time: the loop ``ProbabilisticPTS.sample``
-    ran before it drew attempts a tile at a time, kept as its oracle."""
+def filtered_candidates(sampler, circuit):
     view = NoiseSiteView(circuit)
     candidates = view.candidates
     if sampler.candidate_filter is not None:
         candidates = [c for c in candidates if sampler.candidate_filter(c)]
-    probs = np.array([c.probability for c in candidates], dtype=np.float64)
+    return view, candidates
+
+
+def algorithm2_reference(sampler, circuit, fired):
+    """Algorithm 2 one attempt at a time over every candidate: the loop
+    ``ProbabilisticPTS`` ran before it visited only what fired, kept as the
+    oracle of its selection pass.  ``fired[attempt, candidate]`` stands in
+    for the loop's ``rng.random() <= p``."""
+    view, candidates = filtered_candidates(sampler, circuit)
     specs, seen = [], set()
     duplicates = incompatible = 0
-    for _ in range(sampler.nsamples):
+    for attempt in range(sampler.nsamples):
         selection = []
-        if len(candidates):
-            for idx in np.nonzero(rng.random(len(candidates)) <= probs)[0]:
-                if compatible(candidates[int(idx)], selection):
-                    selection.append(candidates[int(idx)])
-                else:
-                    incompatible += 1
+        for idx in range(len(candidates)):
+            if not fired[attempt, idx]:
+                continue
+            if compatible(candidates[idx], selection):
+                selection.append(candidates[idx])
+            else:
+                incompatible += 1
         if not selection and not sampler.include_ideal:
             continue
         if unique_kraus(selection, seen):
@@ -158,30 +166,28 @@ def algorithm2_reference(sampler, circuit, rng):
     return specs, duplicates, incompatible
 
 
-class TestTiledAlgorithm2:
-    """The tiled sampler against the per-attempt loop, field for field."""
+def crowded():
+    # Two channels on one qubit in one moment, and likely enough to fire
+    # together: incompatible candidates are routine here.
+    circ = Circuit(3).h(0).cx(0, 1).cx(1, 2)
+    for q in range(3):
+        circ.attach(depolarizing(0.3), q)
+        circ.attach(depolarizing(0.2), q)
+    return circ.measure_all().freeze()
 
-    @staticmethod
-    def crowded():
-        # Two channels on one qubit in one moment, and likely enough to
-        # fire together: incompatible candidates are routine here.
-        circ = Circuit(3).h(0).cx(0, 1).cx(1, 2)
-        for q in range(3):
-            circ.attach(depolarizing(0.3), q)
-            circ.attach(depolarizing(0.2), q)
-        return circ.measure_all().freeze()
 
-    def check(self, sampler, circuit, seed, monkeypatch, tile=None):
-        if tile is not None:
-            width = max(1, NoiseSiteView(circuit).num_candidates)
-            monkeypatch.setattr(ProbabilisticPTS, "_TILE_BYTES", 8 * width * tile)
-        got = sampler.sample(circuit, make_rng(seed))
-        specs, duplicates, incompatible = algorithm2_reference(sampler, circuit, make_rng(seed))
+class TestSelectionPass:
+    """``ProbabilisticPTS.select`` against the per-attempt loop, field for
+    field, on one set of fired cells."""
+
+    def check(self, sampler, circuit, fired):
+        view, candidates = filtered_candidates(sampler, circuit)
+        fired = np.asarray(fired, dtype=bool).reshape(sampler.nsamples, len(candidates))
+        got = sampler.select(view, candidates, np.flatnonzero(fired))
+        specs, duplicates, incompatible = algorithm2_reference(sampler, circuit, fired)
         assert [s.record for s in got.specs] == [s.record for s in specs]
         assert [s.record.trajectory_id for s in got.specs] == list(range(len(specs)))
-        assert [s.record.signature() for s in got.specs] == [
-            s.record.signature() for s in specs
-        ]
+        assert [s.dedup_key() for s in got.specs] == [s.dedup_key() for s in specs]
         assert [s.probability for s in got.specs] == [s.probability for s in specs]
         assert [s.num_shots for s in got.specs] == [s.num_shots for s in specs]
         assert got.attempted_samples == sampler.nsamples
@@ -189,33 +195,97 @@ class TestTiledAlgorithm2:
         assert got.incompatible_rejected == incompatible
         return got
 
-    @pytest.mark.parametrize("nsamples,tile", [(57, 1), (57, 10), (57, 57), (57, 400), (0, 4)])
-    def test_any_tile_size(self, monkeypatch, nsamples, tile):
-        got = self.check(
-            ProbabilisticPTS(nsamples=nsamples, nshots=3), self.crowded(), 8, monkeypatch, tile
-        )
-        assert got.incompatible_rejected > 0 or nsamples == 0
+    def bernoulli(self, sampler, circuit, seed):
+        # Drawn without the sampler: one uniform per cell, as Algorithm 2 reads.
+        _, candidates = filtered_candidates(sampler, circuit)
+        probs = np.array([c.probability for c in candidates])
+        return make_rng(seed).random((sampler.nsamples, len(candidates))) <= probs
 
-    def test_default_tile(self, monkeypatch, mixed_noise_circuit):
-        self.check(ProbabilisticPTS(nsamples=700, nshots=2), mixed_noise_circuit, 1, monkeypatch)
+    @pytest.mark.parametrize("nsamples", [57, 1, 0])
+    def test_crowded_circuit(self, nsamples):
+        sampler = ProbabilisticPTS(nsamples=nsamples, nshots=3)
+        got = self.check(sampler, crowded(), self.bernoulli(sampler, crowded(), 8))
+        assert got.incompatible_rejected > 0 or nsamples < 57
 
-    @pytest.mark.parametrize("tile", [1, 7, None])
-    def test_candidate_filter_and_no_ideal(self, monkeypatch, mixed_noise_circuit, tile):
-        sampler = ProbabilisticPTS(
-            nsamples=300, nshots=1, include_ideal=False, candidate_filter=by_qubits({2, 3})
-        )
-        got = self.check(sampler, mixed_noise_circuit, 6, monkeypatch, tile)
-        assert all(s.record.num_errors() > 0 for s in got.specs)
+    def test_the_samplers_own_fired_cells(self, mixed_noise_circuit):
+        sampler = ProbabilisticPTS(nsamples=700, nshots=2)
+        view, candidates = filtered_candidates(sampler, mixed_noise_circuit)
+        probs = np.array([c.probability for c in candidates])
+        cells = sampler.fired_cells(probs, make_rng(1))
+        fired = np.zeros(700 * len(candidates), dtype=bool)
+        fired[cells] = True
+        got = self.check(sampler, mixed_noise_circuit, fired)
+        again = sampler.sample(mixed_noise_circuit, make_rng(1))  # sample() is the two halves
+        assert [s.record for s in again.specs] == [s.record for s in got.specs]
+        assert again.duplicates_rejected == got.duplicates_rejected
 
     @pytest.mark.parametrize("include_ideal", [True, False])
-    def test_noiseless_circuit_draws_nothing(self, monkeypatch, ghz3, include_ideal):
+    def test_candidate_filter(self, mixed_noise_circuit, include_ideal):
+        sampler = ProbabilisticPTS(
+            nsamples=300, nshots=1, include_ideal=include_ideal,
+            candidate_filter=by_qubits({2, 3}),
+        )
+        fired = self.bernoulli(sampler, mixed_noise_circuit, 6)
+        got = self.check(sampler, mixed_noise_circuit, fired)
+        assert all(s.record.num_errors() > 0 for s in got.specs) != include_ideal
+        assert all(set(e.qubits) <= {2, 3} for s in got.specs for e in s.record.events)
+
+    @pytest.mark.parametrize("include_ideal", [True, False])
+    def test_every_cell_fires(self, include_ideal):
+        # What p_max = 1 on every candidate would draw: each attempt keeps
+        # the first candidate of each site and moment, rejects the rest.
+        sampler = ProbabilisticPTS(nsamples=5, nshots=1, include_ideal=include_ideal)
+        got = self.check(sampler, crowded(), np.ones((5, 18), dtype=bool))
+        assert got.num_trajectories == 1 and got.duplicates_rejected == 4
+        assert got.incompatible_rejected == 5 * (18 - got.specs[0].record.num_errors())
+
+    def test_ideal_spec_is_numbered_where_its_first_attempt_stands(self, noisy_ghz3):
+        sampler = ProbabilisticPTS(nsamples=4, nshots=1)
+        fired = np.zeros((4, 12), dtype=bool)
+        fired[0, 3] = fired[1, 7] = fired[3, 3] = True  # attempt 2 fires nothing
+        got = self.check(sampler, noisy_ghz3, fired)
+        assert [s.record.num_errors() for s in got.specs] == [1, 1, 0]
+        assert got.duplicates_rejected == 1
+
+    @pytest.mark.parametrize("include_ideal", [True, False])
+    def test_noiseless_circuit_draws_nothing(self, ghz3, include_ideal):
         sampler = ProbabilisticPTS(nsamples=9, nshots=5, include_ideal=include_ideal)
-        rng = make_rng(3)
-        got = self.check(sampler, ghz3.freeze(), 3, monkeypatch)
+        got = self.check(sampler, ghz3.freeze(), np.zeros((9, 0), dtype=bool))
         assert got.num_trajectories == int(include_ideal)
         assert got.duplicates_rejected == (8 if include_ideal else 0)
-        sampler.sample(ghz3, rng)
+        rng = make_rng(3)
+        sampled = sampler.sample(ghz3, rng)
+        assert [s.record for s in sampled.specs] == [s.record for s in got.specs]
         assert rng.random() == make_rng(3).random()  # the stream was not touched
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_attempts_are_visited_a_block_at_a_time(self, monkeypatch, noisy_ghz3, block):
+        # The pass turns a block of attempts into Python ints at a time;
+        # where the cuts fall (here: everywhere, and around the idle
+        # attempt that numbers the ideal spec) changes nothing.
+        from repro.pts import probabilistic
+
+        monkeypatch.setattr(probabilistic, "_BLOCK", block)
+        sampler = ProbabilisticPTS(nsamples=57, nshots=3)
+        self.check(sampler, crowded(), self.bernoulli(sampler, crowded(), 8))
+        self.test_ideal_spec_is_numbered_where_its_first_attempt_stands(noisy_ghz3)
+
+    def test_scratch_follows_what_fired_not_the_attempts(self, noisy_ghz3):
+        # select() holds NumPy arrays over the fired cells (a few 8-byte
+        # words each) and one block of Python ints: nothing the length of
+        # the run.  One Python int per attempt would be ~40 MB here.
+        import tracemalloc
+
+        sampler = ProbabilisticPTS(nsamples=1_000_000, nshots=1)
+        view, candidates = filtered_candidates(sampler, noisy_ghz3)
+        fired = sampler.fired_cells(np.full(len(candidates), 2.0e-3), make_rng(5))
+        assert 20_000 < fired.size < 28_000
+        tracemalloc.start()
+        result = sampler.select(view, candidates, fired)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert result.duplicates_rejected == 1_000_000 - result.num_trajectories
+        assert peak < 64 * fired.size + (1 << 20)
 
     def test_compatible_is_asked_only_about_multiple_fired_candidates(
         self, monkeypatch, noisy_ghz3
@@ -227,21 +297,169 @@ class TestTiledAlgorithm2:
             probabilistic, "compatible",
             lambda cand, selection: asked.append(len(selection)) or compatible(cand, selection),
         )
-        draws = []
-        rng = make_rng(2)
-        original = rng.random
-
-        class Counting:
-            def random(self, *args, **kwargs):
-                draws.append(kwargs["out"].shape)
-                return original(*args, **kwargs)
-
-        monkeypatch.setattr(ProbabilisticPTS, "_TILE_BYTES", 8 * 12 * 64)
-        ProbabilisticPTS(nsamples=500, nshots=1).sample(noisy_ghz3, Counting())
-        assert draws == [(64, 12)] * 7 + [(52, 12)]  # one call per tile
-        fired = make_rng(2).random((500, 12)) <= 0.05 / 3
+        sampler = ProbabilisticPTS(nsamples=500, nshots=1)
+        fired = self.bernoulli(sampler, noisy_ghz3, 2)
+        view, candidates = filtered_candidates(sampler, noisy_ghz3)
+        sampler.select(view, candidates, np.flatnonzero(fired))
         multiple = fired.sum(axis=1)[fired.sum(axis=1) > 1]
         assert len(asked) == multiple.sum() and 0 < len(asked) < 500
+
+
+def words_drawn(rng):
+    """64-bit words a Philox generator has produced (4 per counter step)."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"]) % 4
+
+
+class TestFiredCellDraw:
+    """``ProbabilisticPTS.fired_cells`` draws the product Bernoulli of
+    Algorithm 2 by skipping, not cell by cell, so it has no bitwise oracle:
+    these are distribution and contract tests, deterministic at their seeds."""
+
+    #: Heterogeneous on purpose: every landing below p_max is thinned.
+    PROBS = np.array([0.3, 0.004, 0.11, 0.05, 0.3, 0.02, 0.0007, 0.19, 0.08, 0.25, 0.01, 0.15])
+
+    def fired_table(self, probs, nsamples, seed):
+        cells = ProbabilisticPTS(nsamples, 1).fired_cells(probs, make_rng(seed))
+        assert cells.dtype == np.int64 and np.all(np.diff(cells) > 0)  # ascending, no repeat
+        assert cells.size == 0 or (0 <= cells[0] and cells[-1] < nsamples * len(probs))
+        table = np.zeros(nsamples * len(probs), dtype=bool)
+        table[cells] = True
+        return table.reshape(nsamples, len(probs))
+
+    @staticmethod
+    def within(count, n, p, tail=1e-7):
+        low, high = stats.binom.interval(1 - tail, n, p)
+        return low <= count <= high
+
+    def test_firing_rate_of_every_candidate(self):
+        n = 1_000_000  # a 1 % bias of the gap is 6 sigma on the 0.3 columns
+        fired = self.fired_table(self.PROBS, n, 11)
+        for count, p in zip(fired.sum(axis=0), self.PROBS):
+            assert self.within(count, n, p), (count, n * p)
+
+    def test_candidates_fire_independently_within_and_across_attempts(self):
+        n = 40_000
+        fired = self.fired_table(self.PROBS, n, 12)
+        for a in range(len(self.PROBS)):
+            for b in range(a + 1, len(self.PROBS)):
+                both = int((fired[:, a] & fired[:, b]).sum())
+                assert self.within(both, n, self.PROBS[a] * self.PROBS[b]), (a, b, both)
+        # The walk crosses attempt boundaries: the last cell of an attempt
+        # and the first of the next are neighbours in it.
+        across = int((fired[:-1, -1] & fired[1:, 0]).sum())
+        assert self.within(across, n - 1, self.PROBS[-1] * self.PROBS[0])
+        # Given a cell fired, the gap to the next fired cell of its column
+        # is geometric: its neighbour in the next attempt fires at rate p.
+        again = int((fired[:-1, 0] & fired[1:, 0]).sum())
+        assert self.within(again, n - 1, self.PROBS[0] ** 2)
+
+    def test_selection_frequencies_match_the_exact_trajectory_distribution(self):
+        # One non-dominant branch per site and no two sites in conflict: an
+        # attempt's selection is then distributed exactly as the trajectory
+        # itself, whose probabilities ExhaustivePTS enumerates.
+        circ = Circuit(4)
+        rates = [0.3, 0.04, 0.11, 0.2, 0.07, 0.25, 0.02, 0.15, 0.09, 0.3]
+        for layer in range(3):
+            for q in range(4):
+                circ.h(q)
+                if rates:
+                    circ.attach(bit_flip(rates.pop()), q)
+        circuit = circ.measure_all().freeze()
+        exact = {
+            s.record.signature(): s.probability
+            for s in ExhaustivePTS(cutoff=1e-15, nshots=1).sample(circuit, make_rng(0)).specs
+        }
+        assert len(exact) == 2**10 and sum(exact.values()) == pytest.approx(1.0)
+        n = 60_000
+        sampler = ProbabilisticPTS(nsamples=n, nshots=1)
+        view, candidates = filtered_candidates(sampler, circuit)
+        probs = np.array([c.probability for c in candidates])
+        assert len(set(probs)) == 9 and sampler.select(
+            view, candidates, np.arange(10)
+        ).incompatible_rejected == 0
+        fired = self.fired_table(probs, n, 13)
+        pairs = [(c.site_id, c.kraus_index) for c in candidates]
+        observed = {}
+        for row in fired:
+            key = tuple(pairs[i] for i in np.flatnonzero(row))
+            observed[key] = observed.get(key, 0) + 1
+        assert set(observed) <= set(exact)
+        # Pool the cells a chi-square cannot use (expected count below 5).
+        expected = np.array([n * p for p in exact.values()])
+        counts = np.array([observed.get(key, 0) for key in exact])
+        big = expected >= 5
+        expected = np.append(expected[big], expected[~big].sum())
+        counts = np.append(counts[big], counts[~big].sum())
+        assert big.sum() > 100
+        assert stats.chisquare(counts, expected).pvalue > 1e-3
+        # And what sample() keeps of them is every outcome seen, once.
+        result = sampler.sample(circuit, make_rng(13))
+        assert {s.record.signature() for s in result.specs} == set(observed)
+        assert result.duplicates_rejected == n - len(observed)
+
+    @pytest.mark.parametrize("p_max", [1.0, 0.999999, 0.5, 1e-9])
+    def test_one_path_for_every_p_max(self, p_max):
+        probs = np.array([p_max, 0.25 * p_max, p_max])
+        n = 4_000
+        fired = self.fired_table(probs, n, 5)
+        for count, p in zip(fired.sum(axis=0), probs):
+            assert self.within(count, n, p)
+        if p_max == 1.0:
+            assert fired[:, 0].all() and fired[:, 2].all()
+
+    def test_replays_and_is_empty_where_nothing_can_fire(self):
+        sampler = ProbabilisticPTS(nsamples=300, nshots=1)
+        a = sampler.fired_cells(self.PROBS, make_rng(4))
+        b = sampler.fired_cells(self.PROBS, make_rng(4))
+        np.testing.assert_array_equal(a, b)
+        rng = make_rng(4)
+        assert sampler.fired_cells(np.zeros(0), rng).size == 0
+        assert ProbabilisticPTS(0, 1).fired_cells(self.PROBS, rng).size == 0
+        assert words_drawn(rng) == 0
+
+    def test_draws_follow_what_fires_not_the_cells(self, monkeypatch):
+        # attempts x sum(p) cells fire; a few uniforms each, however many
+        # cells lie between them.
+        from repro.pts import probabilistic
+
+        probs = np.full(700, 6.0e-4)
+        attempts = 20_000
+        rng = make_rng(6)
+        cells = ProbabilisticPTS(attempts, 1).fired_cells(probs, rng)
+        assert abs(cells.size - attempts * probs.sum()) < 5 * np.sqrt(attempts * probs.sum())
+        assert words_drawn(rng) <= 2.2 * attempts * probs.sum() + 64
+        # A block cap bounds the scratch, not the result: many small blocks
+        # walk to the same end (and a different, equally valid, draw).
+        monkeypatch.setattr(probabilistic, "_BLOCK", 256)
+        small = ProbabilisticPTS(attempts, 1).fired_cells(probs, make_rng(6))
+        assert abs(small.size - cells.size) < 8 * np.sqrt(cells.size)
+        assert np.all(np.diff(small) > 0) and small[-1] < attempts * 700
+        # Standing on the last cell the walk is over: no block is drawn for
+        # cells past the end.
+        monkeypatch.setattr(probabilistic, "_BLOCK", 40)
+        rng = make_rng(6)
+        assert ProbabilisticPTS(10, 1).fired_cells(np.ones(4), rng).tolist() == list(range(40))
+        assert words_drawn(rng) == 80
+
+    def test_counters_at_35q_are_the_parents_within_sampling_noise(self, msd35_circuit):
+        # The commit before the skip-ahead draw read 3354 specs, 26 646
+        # duplicates and 52 incompatible rejections here (seed 7, drawing
+        # from trajectory 0's stream).  Distinct multi-error trajectories
+        # and conflicts are rare independent events, so each count is close
+        # to Poisson and two draws of it differ by ~sqrt(a + b).
+        result = ProbabilisticPTS(30_000, 100).sample(
+            msd35_circuit, StreamFactory(7).sampler_rng()
+        )
+        singles = 1 + NoiseSiteView(msd35_circuit).num_candidates  # all found either way
+        assert singles == 736
+        rare = result.num_trajectories - singles
+        assert abs(rare - (3354 - singles)) < 5 * np.sqrt(rare + 3354 - singles)
+        assert result.duplicates_rejected == 30_000 - result.num_trajectories
+        assert abs(result.incompatible_rejected - 52) < 5 * np.sqrt(
+            result.incompatible_rejected + 52
+        )
+        assert sum(s.record.num_errors() == 1 for s in result.specs) == singles - 1
 
 
 class TestApportionment:

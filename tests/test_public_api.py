@@ -1,5 +1,9 @@
 """Public API surface, config, and error-hierarchy contracts."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,26 @@ from repro.errors import (
 class TestPublicAPI:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_import_does_not_load_multiprocessing(self):
+        # workers defaults to 1: the pool machinery (a third of what
+        # `import repro` cost above NumPy) loads where a pool is built.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys, repro, repro.execution.driver, repro.faults.retry\n"
+            "loaded = [m for m in sys.modules if m == 'concurrent.futures.process'"
+            " or m.split('.')[0] == 'multiprocessing']\n"
+            "assert not loaded, loaded\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "assert repro.faults.RetryPolicy().is_retryable(BrokenProcessPool('dead pool'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
