@@ -17,7 +17,7 @@ Sampling supports two modes (see :mod:`repro.backends.mps_sampler`):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class MPSBackend(PureStateBackend):
     :class:`BatchedMPSStack` under the tensornet schedule compiler does
     not route back (``GateSchedule.site_of`` says where each qubit ends
     up); this class converges on that routing when it becomes the stack's
-    ``B = 1`` view (ROADMAP direction 2).
+    ``B = 1`` view (ROADMAP direction 5).
     """
 
     def __init__(
@@ -280,28 +280,38 @@ class MPSBackend(PureStateBackend):
 
 
 class BatchedMPSStack:
-    """``B`` independent MPS states stacked along a leading batch axis.
+    """``B`` MPS states that replay one schedule, stored by what differs.
 
-    Site tensors have shape ``(B, D_l, 2, D_r)``: every trajectory in a
-    dedup chunk shares one routed gate schedule, so gate application and
-    truncated SVDs become single batched GEMM / LAPACK calls over the
-    whole stack instead of ``B`` Python-level replays.  Bond dimensions are
-    kept *common* across rows (batched SVD retains the widest row's rank —
-    see :func:`repro.linalg.decompositions.truncated_svd_batched`), which
-    is what keeps the stack rectangular.
+    A PTS trajectory is the ideal circuit except where one of its own
+    Kraus choices has had an effect, so beside the ``B`` rows the stack
+    carries the *ideal row* — every step's shared matrix, nothing else —
+    and holds a tensor of a row's own only where that row has left it:
+    ``tensors[k]`` is ``(1 + own_k, D_l, 2, D_r)``, slot 0 the ideal row's,
+    and ``slot[k, m]`` is the slot of row ``m`` at site ``k`` — 0 until an
+    operator of row ``m``'s own (:meth:`apply` with ``rows``) has reached
+    the site, directly or through a multi-site step that merged the site
+    with one it had reached.  A step on some sites is one batched GEMM /
+    truncated SVD over the ideal row and the rows that own a tensor at any
+    of them, and leaves those rows owning all of them; a step nobody owns
+    a tensor at runs at ``B = 1``.  :meth:`dense` gathers the ``(B, D_l, 2,
+    D_r)`` tensors the environment pass and the sampler read.
+
+    Reading slot 0 for a row that owns nothing at a site is exact, by
+    induction over the steps: a bond's basis changes only in a step on
+    that bond, every row owning a tensor at either end takes part in it
+    beside the ideal row, and a row owning neither end has the ideal
+    row's two tensors there before the step and so after it.  Bond
+    dimensions are *common* across a site's slots because slot 0 is in
+    every batched SVD (which retains the widest row's rank — see
+    :func:`repro.linalg.decompositions.truncated_svd_batched`): the rank
+    kept at a step is the largest any row *taking part in it* needs, the
+    ideal row included.
 
     Every contraction is an explicit ``matmul`` on reshaped operands (the
     contraction order is fixed here, no path search runs per call), and
     every step *replaces* the site tensors it touches instead of writing
-    into them, so ``list(stack.tensors)`` is a snapshot that later steps
-    cannot disturb.  The row count is not fixed: :meth:`join` appends
-    copies of a one-row state (zero-padded to common bonds) and
-    :meth:`take` gathers rows, which is how
-    :func:`repro.execution.tensornet.replay_schedule` lets a trajectory
-    enter the stack only where it first leaves the ideal circuit.
-
-    The chain is indexed by *site*; which qubit a site holds is the
-    schedule compiler's business (``GateSchedule.site_of``).
+    into them.  The chain is indexed by *site*; which qubit a site holds
+    is the schedule compiler's business (``GateSchedule.site_of``).
 
     The stack is deliberately **never renormalized mid-run**: each Kraus
     operator application scales a row's norm by its branch probability, so
@@ -337,108 +347,105 @@ class BatchedMPSStack:
         )
         if self.max_bond < 1:
             raise BackendError("max_bond must be >= 1")
-        self.tensors: List[np.ndarray] = []
-        self.truncation_error = np.zeros(self.batch_size)
         self.reset()
 
     def reset(self) -> None:
-        zero = np.zeros((self.batch_size, 1, 2, 1), dtype=np.complex128)
-        zero[:, 0, 0, 0] = 1.0
-        self.tensors = [zero.copy() for _ in range(self.num_qubits)]
+        """Every row, the ideal one included, back to ``|0...0>``."""
+        zero = np.zeros((1, 1, 2, 1), dtype=np.complex128)
+        zero[0, 0, 0, 0] = 1.0
+        self.tensors: List[np.ndarray] = [zero] * self.num_qubits
+        self.slot = np.zeros((self.num_qubits, self.batch_size), dtype=np.intp)
         self.truncation_error = np.zeros(self.batch_size)
 
     def bond_dimensions(self) -> List[int]:
         return [self.tensors[k].shape[3] for k in range(self.num_qubits - 1)]
 
+    def dense(self) -> List[np.ndarray]:
+        """The rows' ``(B, D_l, 2, D_r)`` site tensors, in chain (site)
+        order: one gather per site, a row the site's own or the ideal's."""
+        return [t[s] for t, s in zip(self.tensors, self.slot)]
+
     def row_tensors(self, m: int) -> List[np.ndarray]:
         """Zero-copy ``(D_l, 2, D_r)`` views of row ``m``'s site tensors,
         in chain (site) order."""
-        return [t[m] for t in self.tensors]
-
-    # ------------------------------------------------------------------ #
-    # rows come and go
-    # ------------------------------------------------------------------ #
-    def take(self, rows: np.ndarray) -> None:
-        """Keep rows ``rows`` (an index array), in that order."""
-        self.tensors = [t[rows] for t in self.tensors]
-        self.truncation_error = self.truncation_error[rows]
-        self.batch_size = len(rows)
-
-    def join(
-        self, tensors: Sequence[np.ndarray], truncation_error: float, count: int
-    ) -> None:
-        """Append ``count`` copies of the one-row state ``tensors``.
-
-        Each bond takes the larger of the stack's and the joining row's
-        dimension; the narrower side is zero-padded, which changes neither
-        state.  ``truncation_error`` is what the joining row has already
-        accumulated.
-        """
-        live = self.batch_size
-        for k, (mine, theirs) in enumerate(zip(self.tensors, tensors)):
-            dl = max(mine.shape[1], theirs.shape[1])
-            dr = max(mine.shape[3], theirs.shape[3])
-            grown = np.zeros((live + count, dl, 2, dr), dtype=np.complex128)
-            grown[:live, : mine.shape[1], :, : mine.shape[3]] = mine
-            grown[live:, : theirs.shape[1], :, : theirs.shape[3]] = theirs
-            self.tensors[k] = grown
-        self.truncation_error = np.concatenate(
-            (self.truncation_error, np.full(count, truncation_error))
-        )
-        self.batch_size = live + count
+        return [t[s[m]] for t, s in zip(self.tensors, self.slot)]
 
     # ------------------------------------------------------------------ #
     # batched gate application (adjacency is the compiler's job)
     # ------------------------------------------------------------------ #
-    def apply_1q(self, matrix: np.ndarray, q: int) -> None:
-        """One shared 2x2 matrix applied to site ``q`` of every row."""
-        self.tensors[q] = np.matmul(matrix, self.tensors[q])
+    def apply(
+        self,
+        matrix: np.ndarray,
+        q: int,
+        rows: Sequence[int] = (),
+        mats: Optional[np.ndarray] = None,
+    ) -> None:
+        """``matrix`` on the contiguous sites from ``q`` up (one, two or
+        three, by its dimension) of every row — except that row
+        ``rows[i]`` takes ``mats[i]`` in its place and from here on owns
+        its tensors at those sites.
 
-    def apply_1q_rows(self, mats: np.ndarray, q: int) -> None:
-        """Per-row ``(B, 2, 2)`` operators applied to site ``q``."""
-        self.tensors[q] = np.matmul(mats[:, None], self.tensors[q])
-
-    def apply_adjacent(self, matrix: np.ndarray, q: int) -> None:
-        """One shared 4x4 matrix on adjacent sites ``(q, q+1)``."""
-        self._split(np.matmul(matrix, self._merge(q, 2)), q)
-
-    def apply_adjacent_rows(self, mats: np.ndarray, q: int) -> None:
-        """Per-row ``(B, 4, 4)`` operators on adjacent sites ``(q, q+1)``."""
-        self._split(np.matmul(mats[:, None], self._merge(q, 2)), q)
+        Three sites is the fused k<=3 window primitive: merged, the
+        operator applied once, split back with two batched truncated SVDs.
+        """
+        span = matrix.shape[0].bit_length() - 1
+        if span == 1 and not len(rows):
+            self.tensors[q] = np.matmul(matrix, self.tensors[q])
+            return
+        part, theta = self._merge(q, span, rows)
+        if len(rows):
+            ops = np.empty((len(part) + 1,) + matrix.shape, dtype=np.complex128)
+            ops[:] = matrix
+            ops[1 + np.searchsorted(part, rows)] = mats  # replint: disable=XP001 -- host row bookkeeping, never state data
+            matrix = ops[:, None]
+        self._split(np.matmul(matrix, theta), q, part)
 
     def swap_adjacent(self, q: int) -> None:
         """Exchange sites ``(q, q+1)``: an axis transpose of the merged
         pair, then the same truncated split as any two-site step."""
-        theta = self._merge(q, 2)
+        part, theta = self._merge(q, 2)
         batch, dl, _, dr = theta.shape
         swapped = theta.reshape(batch, dl, 2, 2, dr).swapaxes(2, 3)
-        self._split(swapped.reshape(batch, dl, 4, dr), q)
+        self._split(swapped.reshape(batch, dl, 4, dr), q, part)
 
-    def apply_3site(self, matrix: np.ndarray, q: int) -> None:
-        """One shared 8x8 matrix on contiguous sites ``(q, q+1, q+2)``.
-
-        This is the fused k<=3 window primitive: three sites are merged,
-        the operator is applied once, and the blob is split back with two
-        batched truncated SVDs.
+    def _merge(
+        self, q: int, span: int, rows: Sequence[int] = ()
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sites ``q .. q+span-1`` of the rows taking part in a step there
+        — those owning a tensor at any of them, and ``rows`` — contracted
+        over their shared bonds, the ideal row first: ``(1 + P, D_l,
+        2**span, D_r)``, physical index most-significant first.  Returns
+        the ``P`` rows (ascending) beside it and gives them the sites'
+        slots ``1 .. P``, which is how :meth:`_split` stores them.
         """
-        self._split(np.matmul(matrix, self._merge(q, 3)), q)
-
-    def _merge(self, q: int, span: int) -> np.ndarray:
-        """Sites ``q .. q+span-1`` contracted over their shared bonds:
-        ``(B, D_l, 2**span, D_r)``, physical index most-significant first."""
-        theta = self.tensors[q]
-        batch, dl = theta.shape[:2]
-        for k in range(q + 1, q + span):
-            right = self.tensors[k]
+        own = self.slot[q : q + span].any(axis=0)
+        if len(rows):
+            own[rows] = True
+        part = np.flatnonzero(own)
+        batch = len(part) + 1
+        gather = np.zeros((span, batch), dtype=np.intp)
+        gather[:, 1:] = self.slot[q : q + span, part]
+        self.slot[q : q + span] = 0
+        self.slot[q : q + span, part] = np.arange(1, batch)
+        # Slots ascend with the rows, so a site all of ``part`` owns is
+        # already in order.
+        theta, *rest = (
+            site if site.shape[0] == batch else site[take]
+            for site, take in zip(self.tensors[q : q + span], gather)
+        )
+        dl = theta.shape[1]
+        for right in rest:
             bond, dr = right.shape[1], right.shape[3]
             theta = np.matmul(
                 theta.reshape(batch, -1, bond), right.reshape(batch, bond, 2 * dr)
             )
-        return theta.reshape(batch, dl, 1 << span, theta.shape[-1] // 2)
+        return part, theta.reshape(batch, dl, 1 << span, -1)
 
-    def _split(self, theta: np.ndarray, q: int) -> None:
-        """Factor a merged ``(B, D_l, 2**span, D_r)`` blob back into sites
-        ``q ..``, one batched truncated SVD per bond, left to right."""
+    def _split(self, theta: np.ndarray, q: int, part: np.ndarray) -> None:
+        """Factor a merged ``(1 + P, D_l, 2**span, D_r)`` blob back into
+        sites ``q ..``, one batched truncated SVD per bond, left to right.
+        A row in ``part`` is charged its own discarded weight, every other
+        row the ideal row's."""
         batch, dl, phys, dr = theta.shape
         while phys > 2:
             phys //= 2
@@ -447,7 +454,9 @@ class BatchedMPSStack:
                 max_rank=self.max_bond,
                 cutoff=self.cutoff,
             )
-            self.truncation_error = self.truncation_error + disc
+            charged = np.full(self.batch_size, disc[0])
+            charged[part] = disc[1:]
+            self.truncation_error += charged
             self.tensors[q] = u.reshape(batch, dl, 2, kept)
             theta = s[:, :, None] * vh
             q, dl = q + 1, kept
@@ -461,7 +470,7 @@ class BatchedMPSStack:
         """Per-row unnormalized squared norm (= running trajectory weight)."""
         batch = self.batch_size
         env = np.ones((batch, 1, 1), dtype=np.complex128)
-        for a in self.tensors:
+        for a in self.dense():
             dl, dr = a.shape[1], a.shape[3]
             # env (c a) . a (a, i b) -> (c i, b); conj(a) (c i, d)^T . that -> (d b)
             tmp = np.matmul(env, a.reshape(batch, dl, 2 * dr)).reshape(batch, -1, dr)
@@ -480,9 +489,9 @@ class BatchedMPSStack:
         """
         if self.num_qubits > 20:
             raise BackendError("row_statevector limited to <= 20 qubits")
-        acc = self.tensors[0][m]
-        for a in self.tensors[1:]:
-            acc = np.tensordot(acc, a[m], axes=([acc.ndim - 1], [0]))
+        acc, *rest = self.row_tensors(m)
+        for a in rest:
+            acc = np.tensordot(acc, a, axes=([acc.ndim - 1], [0]))
         acc = acc.reshape((2,) * self.num_qubits)
         if site_of is not None:
             acc = acc.transpose(list(site_of))

@@ -6,12 +6,11 @@ truncated MPS — but instead of replaying the circuit ``B`` times through
 :class:`~repro.backends.mps.MPSBackend`, the circuit is compiled **once**
 into a routed, bond-ordered gate schedule and replayed over a
 :class:`~repro.backends.mps.BatchedMPSStack` whose site tensors carry a
-leading batch axis ``(B, D_l, 2, D_r)``.  Every 1q / adjacent-2q
+leading batch axis ``(rows, D_l, 2, D_r)``.  Every 1q / adjacent-2q
 contraction and every truncated SVD is then a single batched GEMM /
 LAPACK call over the rows that need it; only the noise steps differ per
-trajectory, realized by gathering each row's chosen Kraus operator into a
-``(B, d, d)`` stack (with a shared fast path when the rows agree on a
-branch).
+trajectory, realized by handing the stack the rows that leave a
+channel's dominant branch beside the Kraus operators they take.
 
 Three structural tricks keep the replay lean — each pays once for what
 trajectories share:
@@ -27,13 +26,19 @@ trajectories share:
   touching their qubit (pre-multiplied into gate matrices and into every
   Kraus branch of noise steps), so the schedule the stack replays is as
   short as the fusion planner's dense plans.
-* **Replay from the divergence point.**  A PTS trajectory is the ideal
-  circuit except at a few noise sites, so until its first deviation a row
-  *is* the all-dominant replay.  That replay runs once at ``B = 1`` per
-  schedule and truncation (cut before every noise step; a cut is a list
-  of references, steps never write into a tensor), and
-  :func:`replay_schedule` lets a row join the live stack only at the cut
-  before its first deviating step.
+* **Replay along each trajectory's light cone.**  A PTS trajectory is
+  the ideal circuit except at a few noise sites, and a deviation at one
+  site reaches another only through the multi-site steps that connect
+  them: a Pauli on one Steane block of the paper's MSD circuits never
+  reaches the other four.  The stack therefore carries the all-dominant
+  *ideal row* as slot 0 of every site and, per site, a tensor only for
+  the rows whose own deviations have reached it; :func:`replay_schedule`
+  applies a step to the ideal row and to the rows owning a tensor at any
+  of its sites — a batch priced by what varies (arXiv:2604.08467) — and a
+  step no deviation has reached runs at ``B = 1``.  A row reads slot 0
+  wherever it owns nothing, exactly: a bond's basis changes only in a
+  step on that bond, and every row owning a tensor at either end takes
+  part in it beside the ideal row.
 * **The telescoping-weight identity.**  The stack is never renormalized
   mid-run: each Kraus application scales a row's norm by its realized
   branch probability, so the final unnormalized squared norm *is* the
@@ -58,7 +63,7 @@ trajectory_id)`` as every other strategy.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -116,15 +121,12 @@ class NoiseStep:
     site: int
     span: int
     site_id: int
+    name: str  # the channel's, for error messages
     ops: np.ndarray  # (num_branches, d, d)
     dominant: int
 
 
 Step = Union[UnitaryStep, SwapStep, NoiseStep]
-
-
-#: One cut of the all-dominant replay: (site tensors, truncation error).
-_Cut = Tuple[List[np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,6 @@ class GateSchedule:
     fused: bool
     site_of: Tuple[int, ...]
     noise_at: Tuple[int, ...]  # index into ``steps`` of each noise step
-    #: ``(max_bond, cutoff) ->`` the all-dominant replay at ``B = 1`` under
-    #: that truncation, cut before every noise step and once at the end:
-    #: what every trajectory shares up to its first deviation.  Filled by
-    #: the first :func:`replay_schedule` that needs it.
-    ideal: Dict[Tuple[int, float], List[_Cut]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     @property
     def num_noise_sites(self) -> int:
@@ -263,6 +258,7 @@ class _Compiler:
                 site=site,
                 span=k,
                 site_id=op.site_id,
+                name=op.name,
                 ops=np.stack(kraus),  # replint: disable=XP001 -- compile-time host Kraus stack
                 dominant=op.channel.dominant_index(),
             )
@@ -310,56 +306,6 @@ def compile_schedule(circuit: Circuit, config: Optional[Config] = None) -> GateS
     return schedule
 
 
-def _apply_unitary(stack: BatchedMPSStack, step: Union[UnitaryStep, SwapStep]) -> None:
-    if isinstance(step, SwapStep):
-        stack.swap_adjacent(step.site)
-    elif step.span == 1:
-        stack.apply_1q(step.matrix, step.site)
-    elif step.span == 2:
-        stack.apply_adjacent(step.matrix, step.site)
-    else:
-        stack.apply_3site(step.matrix, step.site)
-
-
-def _apply_noise(stack: BatchedMPSStack, step: NoiseStep, branches: np.ndarray) -> None:
-    """Row ``m`` of the stack realizes branch ``branches[m]`` of ``step``."""
-    if np.all(branches == branches[0]):
-        # Every row realizes the same branch: shared-matrix fast path.
-        mat = step.ops[branches[0]]
-        if step.span == 1:
-            stack.apply_1q(mat, step.site)
-        else:
-            stack.apply_adjacent(mat, step.site)
-    else:
-        mats = step.ops[branches]  # (B, d, d) gather
-        if step.span == 1:
-            stack.apply_1q_rows(mats, step.site)
-        else:
-            stack.apply_adjacent_rows(mats, step.site)
-
-
-def _ideal_cuts(schedule: GateSchedule, max_bond: int, cutoff: float) -> List[_Cut]:
-    """The schedule's all-dominant replay under one truncation, run once.
-
-    Steps replace site tensors and never write into them, so a cut is a
-    list of references to arrays that mostly also belong to its
-    neighbours.
-    """
-    cuts = schedule.ideal.get((max_bond, cutoff))
-    if cuts is None:
-        one = BatchedMPSStack(schedule.num_qubits, 1, max_bond=max_bond, cutoff=cutoff)
-        cuts = []
-        for step in schedule.steps:
-            if isinstance(step, NoiseStep):
-                cuts.append((list(one.tensors), float(one.truncation_error[0])))
-                _apply_noise(one, step, np.array([step.dominant]))
-            else:
-                _apply_unitary(one, step)
-        cuts.append((list(one.tensors), float(one.truncation_error[0])))
-        schedule.ideal[(max_bond, cutoff)] = cuts
-    return cuts
-
-
 def replay_schedule(
     stack: BatchedMPSStack,
     schedule: GateSchedule,
@@ -369,61 +315,52 @@ def replay_schedule(
 
     ``choices_list[m]`` is row ``m``'s Kraus-choice mapping (``site_id ->
     branch``); unlisted sites take the channel's dominant branch, matching
-    :meth:`repro.backends.base.PureStateBackend.run_fixed`.  ``stack``
-    supplies the truncation and receives the rows; what it held is
-    dropped.
+    :meth:`repro.backends.base.PureStateBackend.run_fixed`, and site ids
+    the circuit does not have are ignored.  ``stack`` supplies the
+    truncation and receives the rows; what it held is dropped.
 
-    A row is identical to the all-dominant replay until its first
-    deviating noise step, so that replay runs once per schedule and
-    truncation (inside the first call that needs it) and a row *joins*
-    the live stack — from the cut before that step, zero-padded to the
-    live bonds, carrying the truncation error the shared prefix
-    accumulated — only when the replay reaches it.  Rows join in stable
-    order of first deviation; a row that never deviates is the finished
-    ideal state.  On return ``stack.tensors`` and
+    Every step is applied once, to the ideal row and to the rows inside
+    whose light cone its sites lie: a noise step hands the stack the rows
+    that leave its dominant branch (from there on they own their tensors
+    at its sites), a multi-site step carries ownership to every site it
+    merges, and a row reads the ideal row's tensor wherever it owns none
+    (:class:`~repro.backends.mps.BatchedMPSStack` has the induction).  A
+    row's ``truncation_error`` is therefore the ideal row's, with the
+    row's own discarded weight in place of the ideal's at the steps it
+    took part in.  On return ``stack.dense()`` and
     ``stack.truncation_error`` hold the rows in ``choices_list`` order.
     """
-    rows = len(choices_list)
-    if rows != stack.batch_size:
+    if len(choices_list) != stack.batch_size:
         raise ExecutionError(
-            f"choices_list has {rows} rows for a stack of "
+            f"choices_list has {len(choices_list)} rows for a stack of "
             f"batch_size {stack.batch_size}"
         )
-    cuts = _ideal_cuts(schedule, stack.max_bond, stack.cutoff)
-    noise = [schedule.steps[i] for i in schedule.noise_at]
-    sites = len(noise)
-    column = {step.site_id: j for j, step in enumerate(noise)}
-    dominant = np.array([step.dominant for step in noise], dtype=np.intp)
-    choice = np.tile(dominant, (rows, 1))
+    noise = {schedule.steps[i].site_id: schedule.steps[i] for i in schedule.noise_at}
+    # site_id -> (rows leaving the dominant branch there, their branches)
+    leaving: Dict[int, Tuple[List[int], List[int]]] = {}
     for m, choices in enumerate(choices_list):
         for site_id, branch in choices.items():
-            if site_id in column:
-                choice[m, column[site_id]] = branch
-    # First deviating column per row; the all-True sentinel column makes
-    # that ``sites`` for a row that never deviates.
-    deviates = np.ones((rows, sites + 1), dtype=bool)
-    np.not_equal(choice, dominant, out=deviates[:, :sites])
-    first = deviates.argmax(axis=1)
-    order = np.argsort(first, kind="stable")  # replint: disable=XP001 -- host row bookkeeping, never state data
-    choice = choice[order]
-    joining = np.bincount(first, minlength=sites + 1)
-
-    stack.take(order[:0])  # the live stack starts empty
-    col = int(first[order[0]])
-    if col < sites:
-        for step in schedule.steps[schedule.noise_at[col] :]:
-            if isinstance(step, NoiseStep):
-                if joining[col]:
-                    stack.join(*cuts[col], int(joining[col]))
-                _apply_noise(stack, step, choice[: stack.batch_size, col])
-                col += 1
-            else:
-                _apply_unitary(stack, step)
-    if joining[sites]:
-        stack.join(*cuts[sites], int(joining[sites]))
-    caller = np.empty(rows, dtype=np.intp)
-    caller[order] = np.arange(rows)
-    stack.take(caller)
+            step = noise.get(site_id)
+            if step is None:
+                continue
+            if not 0 <= branch < len(step.ops):
+                raise BackendError(
+                    f"kraus_index {branch} out of range for {step.name!r} "
+                    f"({len(step.ops)} operators)"
+                )
+            if branch != step.dominant:
+                rows, branches = leaving.setdefault(site_id, ([], []))
+                rows.append(m)
+                branches.append(branch)
+    stack.reset()
+    for step in schedule.steps:
+        if isinstance(step, SwapStep):
+            stack.swap_adjacent(step.site)
+        elif isinstance(step, UnitaryStep):
+            stack.apply(step.matrix, step.site)
+        else:
+            rows, branches = leaving.get(step.site_id, ([], []))
+            stack.apply(step.ops[step.dominant], step.site, rows, step.ops[branches])
 
 
 class TensorNetExecutor(StreamingExecutor):
@@ -516,15 +453,15 @@ class _MPSStackEngine:
 
     Unlike the dense stack, a unit's *composition* matters, so the shots
     are a function of ``max_rows`` as well as of the seed: each batched
-    truncated SVD keeps one rank for all the rows live at that step — the
-    largest any of them needs — and the rows live at a step are the
-    unit's rows whose first deviation from the ideal circuit is at or
-    before it (:func:`replay_schedule`).  A row's tensors therefore
-    depend on its own choices and on the first-deviation steps and
-    singular spectra of the rows stacked with it, not on their order:
-    the join order is a stable sort of the unit's choices.  Randomness is
-    consumed along the chain, site by site, and routing does not put
-    qubits back, so the sampler is asked for the measured qubits' sites
+    truncated SVD keeps one rank for all the rows taking part in that
+    step — the largest any of them needs, the ideal row included — and
+    the rows taking part in a step are the unit's rows whose own
+    deviations from the ideal circuit have reached one of its sites
+    (:func:`replay_schedule`).  A row's tensors therefore depend on its
+    own choices and on the light cones and singular spectra of the rows
+    stacked with it, not on their order.  Randomness is consumed along
+    the chain, site by site, and routing does not put qubits back, so the
+    sampler is asked for the measured qubits' sites
     (``GateSchedule.site_of``) as its columns.
     """
 
@@ -553,17 +490,18 @@ class _MPSStackEngine:
         self.release()  # the previous unit's stack goes before this one is built
         stack = BatchedMPSStack(self.num_qubits, len(choices_list), **self.stack_options)
         replay_schedule(stack, self.schedule, choices_list)
+        tensors = stack.dense()
         # One batched environment pass = sampling cache AND, via the
         # telescoping-weight identity, per-row weights.
-        envs = compute_right_environments_batched(stack.tensors)
-        self._prepared = (stack, envs)
+        envs = compute_right_environments_batched(tensors)
+        self._prepared = (tensors, envs)
         return [w if w > _DEAD_NORM else 0.0 for w in envs[0][:, 0, 0].real.tolist()]
 
     def sample(self, requests):
-        stack, envs = self._prepared
+        tensors, envs = self._prepared
         counts = [count for _, count, _ in requests]
         # One pass over the unit; measured columns come back in qubit order.
-        bits = sample_cached(stack.tensors, envs, sum(counts), requests, columns=self.cols)
+        bits = sample_cached(tensors, envs, sum(counts), requests, columns=self.cols)
         return [bits[end - count : end] for count, end in zip(counts, accumulate(counts))]
 
     def release(self) -> None:

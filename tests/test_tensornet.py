@@ -22,10 +22,12 @@ Contracts under test:
    tensornet table passes the density-matrix oracle across multiple
    unitary-mixture noise profiles, like the clifford engine — also on a
    circuit whose routing leaves qubits away from their home sites.
-7. **Shared-prefix replay** — a row joins the live stack at its first
-   deviation from the ideal circuit; every row must equal the full
-   replay (all rows from step 0, kept here as the oracle) in statevector,
-   weight and ``truncation_error``.
+7. **Light-cone replay** — a row owns a tensor only at the sites its own
+   deviations have reached and reads the ideal row's everywhere else;
+   every row must equal the full replay (every row a tensor of its own at
+   every site from step 0, kept here as the oracle) in statevector,
+   weight and ``truncation_error``, and a batched SVD must hold only the
+   rows that differ where it factors.
 """
 
 import numpy as np
@@ -47,7 +49,7 @@ from repro.circuits.gates import CCX, H
 from repro.circuits.operations import NoiseOp
 from repro.circuits.library import build_workload, noisy, random_brickwork
 from repro.config import Config
-from repro.errors import CapacityError, ExecutionError
+from repro.errors import BackendError, CapacityError, ExecutionError, FaultError
 from repro.execution import (
     BackendSpec,
     TensorNetExecutor,
@@ -61,13 +63,14 @@ from repro.execution.tensornet import (
     NoiseStep,
     SwapStep,
     UnitaryStep,
-    _apply_noise,
-    _apply_unitary,
     clear_schedule_cache,
     replay_schedule,
 )
 from repro.linalg.decompositions import truncated_svd, truncated_svd_batched
-from repro.pts import ExhaustivePTS, ProportionalPTS
+from repro.pts import ExhaustivePTS, ProbabilisticPTS, ProportionalPTS
+from repro.pts.base import PTSAlgorithm, PTSResult, TrajectorySpec
+from repro.trajectory.events import KrausEvent, TrajectoryRecord
+from repro.qec import msd_preparation_circuit, steane_code
 from repro.sweep.oracle import PASS, check_distribution
 from repro.sweep.spec import OracleSpec
 
@@ -254,9 +257,9 @@ class TestBatchedKernels:
         # Three distinct random product-of-gates rows via per-row 1q ops.
         for q in range(5):
             mats = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-            stack.apply_1q_rows(mats, q)
-        stack.apply_adjacent(np.kron(np.eye(2), np.eye(2)), 1)
-        envs = compute_right_environments_batched(stack.tensors)
+            stack.apply(np.eye(2), q, [0, 1, 2], mats)
+        stack.apply(np.eye(4), 1)
+        envs = compute_right_environments_batched(stack.dense())
         for m in range(3):
             serial = compute_right_environments(stack.row_tensors(m))
             for e_b, e_s in zip(envs, serial):
@@ -264,8 +267,8 @@ class TestBatchedKernels:
 
     def test_env_head_equals_norms_squared(self):
         stack = BatchedMPSStack(4, 2, max_bond=8)
-        stack.apply_1q(np.array([[0.8, 0], [0, 0.8]]), 1)  # non-unitary scale
-        envs = compute_right_environments_batched(stack.tensors)
+        stack.apply(np.array([[0.8, 0], [0, 0.8]]), 1)  # non-unitary scale
+        envs = compute_right_environments_batched(stack.dense())
         np.testing.assert_allclose(
             envs[0][:, 0, 0].real, stack.norms_squared(), atol=1e-12
         )
@@ -318,17 +321,55 @@ class TestTruncationAccounting:
         assert len(np.unique(np.round(stack.truncation_error, 12))) > 1
 
 
-def _full_replay(schedule, choices_list, **options):
-    """Every row replayed from step 0: what the shared-prefix replay
-    replaced, kept as its oracle."""
-    stack = BatchedMPSStack(schedule.num_qubits, len(choices_list), **options)
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _full_replay(schedule, choices_list, max_bond, cutoff):
+    """Every row replayed from step 0 with a tensor of its own at every
+    site, every step over all ``B`` rows: what the shared-prefix and then
+    the light-cone replay replaced, kept as their oracle (and written
+    against ``truncated_svd_batched`` alone, sharing no code with them).
+    Returns the dense ``(B, D_l, 2, D_r)`` tensors and the per-row
+    truncation error."""
+    batch = len(choices_list)
+    zero = np.zeros((batch, 1, 2, 1), dtype=np.complex128)
+    zero[:, 0, 0, 0] = 1.0
+    tensors = [zero.copy() for _ in range(schedule.num_qubits)]
+    error = np.zeros(batch)
     for step in schedule.steps:
-        if isinstance(step, NoiseStep):
-            branches = [c.get(step.site_id, step.dominant) for c in choices_list]
-            _apply_noise(stack, step, np.array(branches))
+        if isinstance(step, SwapStep):
+            ops, span = _SWAP, 2
+        elif isinstance(step, UnitaryStep):
+            ops, span = step.matrix, step.span
         else:
-            _apply_unitary(stack, step)
-    return stack
+            branches = [c.get(step.site_id, step.dominant) for c in choices_list]
+            ops, span = step.ops[branches][:, None], step.span
+        q = step.site
+        theta = tensors[q]
+        dl = theta.shape[1]
+        for right in tensors[q + 1 : q + span]:
+            theta = np.einsum("mapb,mbqc->mapqc", theta, right)
+            theta = theta.reshape(batch, dl, -1, right.shape[3])
+        theta = np.matmul(ops, theta)
+        phys, dr = theta.shape[2:]
+        while phys > 2:
+            phys //= 2
+            u, sv, vh, kept, disc = truncated_svd_batched(
+                theta.reshape(batch, dl * 2, phys * dr), max_rank=max_bond, cutoff=cutoff
+            )
+            error += disc
+            tensors[q] = u.reshape(batch, dl, 2, kept)
+            theta = sv[:, :, None] * vh
+            q, dl = q + 1, kept
+        tensors[q] = theta.reshape(batch, dl, 2, dr)
+    return tensors, error
+
+
+def _row_state(tensors, m):
+    acc = tensors[0][m]
+    for a in tensors[1:]:
+        acc = np.tensordot(acc, a[m], axes=([acc.ndim - 1], [0]))
+    return acc.reshape(-1)
 
 
 def _site_ids(circuit):
@@ -337,17 +378,18 @@ def _site_ids(circuit):
 
 def _assert_matches_full_replay(circuit, choices_list, config=UNFUSED, **options):
     schedule = compile_schedule(circuit, config)
-    shared = BatchedMPSStack(circuit.num_qubits, len(choices_list), **options)
-    replay_schedule(shared, schedule, choices_list)
-    full = _full_replay(schedule, choices_list, **options)
-    assert shared.batch_size == len(choices_list)
+    cone = BatchedMPSStack(circuit.num_qubits, len(choices_list), **options)
+    replay_schedule(cone, schedule, choices_list)
+    tensors, error = _full_replay(schedule, choices_list, **options)
+    assert cone.batch_size == len(choices_list)
     for m in range(len(choices_list)):
         np.testing.assert_allclose(
-            shared.row_statevector(m), full.row_statevector(m), atol=1e-12
+            cone.row_statevector(m), _row_state(tensors, m), atol=1e-12
         )
-    np.testing.assert_allclose(shared.norms_squared(), full.norms_squared(), atol=1e-12)
-    np.testing.assert_allclose(shared.truncation_error, full.truncation_error, atol=1e-12)
-    return shared
+    weights = compute_right_environments_batched(tensors)[0][:, 0, 0].real
+    np.testing.assert_allclose(cone.norms_squared(), weights, atol=1e-12)
+    np.testing.assert_allclose(cone.truncation_error, error, atol=1e-12)
+    return cone
 
 
 def _noisy_brickwork(num_qubits, depth, seed, model=None):
@@ -361,13 +403,46 @@ def _noisy_brickwork(num_qubits, depth, seed, model=None):
     ).freeze()
 
 
-class TestSharedPrefixReplay:
+def _bonds(step):
+    """Bonds a step merges: one ``truncated_svd_batched`` call each."""
+    return (2 if isinstance(step, SwapStep) else step.span) - 1
+
+
+def _svd_sites(schedule):
+    """The site each ``truncated_svd_batched`` call of one replay factors
+    at, in call order."""
+    return [step.site + bond for step in schedule.steps for bond in range(_bonds(step))]
+
+
+@pytest.fixture
+def svd_batches(monkeypatch):
+    """Matrices per ``truncated_svd_batched`` call the stack makes."""
+    import repro.backends.mps as mps
+
+    batches = []
+
+    def spy(mats, **options):
+        batches.append(mats.shape[0])
+        return truncated_svd_batched(mats, **options)
+
+    monkeypatch.setattr(mps, "truncated_svd_batched", spy)
+    return batches
+
+
+def _msd_prep_35q():
+    """The ``tensornet_shots_35q`` benchmark workload's circuit: five
+    Steane blocks that never couple."""
+    model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.005))
+    return model.apply(msd_preparation_circuit(steane_code())).freeze()
+
+
+class TestLightConeReplay:
     @pytest.mark.parametrize("config", [FUSED, UNFUSED])
-    def test_rows_join_at_their_first_deviation(self, config):
+    def test_rows_deviate_anywhere_along_the_schedule(self, config):
         circ = _noisy_brickwork(5, depth=3, seed=4)
         ids = _site_ids(circ)
         choices_list = [
-            {ids[7]: 1, ids[9]: 1},  # joins mid-schedule
+            {ids[7]: 1, ids[9]: 1},  # leaves the ideal row mid-schedule
             {},  # never deviates: the finished ideal state
             {ids[0]: 1},  # deviates at the very first noise step
             {ids[-1]: 1},  # deviates at the very last one
@@ -392,8 +467,8 @@ class TestSharedPrefixReplay:
         _assert_matches_full_replay(circ, [choices], max_bond=64, cutoff=1e-12)
 
     def test_per_row_two_qubit_noise(self):
-        # Every row realizes a different two-qubit Pauli at the same site
-        # (apply_adjacent_rows), one of them on non-adjacent qubits.
+        # Every row realizes a different two-qubit Pauli at the same site,
+        # one of them on non-adjacent qubits.
         circ = Circuit(5)
         for q in range(5):
             circ.rx(0.3 + 0.2 * q, q)
@@ -413,15 +488,15 @@ class TestSharedPrefixReplay:
         circ = _noisy_brickwork(6, depth=4, seed=19)
         ids = _site_ids(circ)
         choices_list = [{}, {ids[2]: 1}, {ids[20]: 1}, {ids[11]: 1, ids[30]: 1}, {ids[2]: 1}]
-        shared = _assert_matches_full_replay(circ, choices_list, max_bond=2, cutoff=1e-12)
-        assert shared.truncation_error[0] > 0  # bond 2 genuinely truncates
-        assert len(np.unique(np.round(shared.truncation_error, 12))) > 1
+        cone = _assert_matches_full_replay(circ, choices_list, max_bond=2, cutoff=1e-12)
+        assert cone.truncation_error[0] > 0  # bond 2 genuinely truncates
+        assert len(np.unique(np.round(cone.truncation_error, 12))) > 1
 
-    def test_join_pads_both_ways(self, monkeypatch):
+    def test_rows_wider_and_narrower_than_the_ideal_row(self):
         # An identity-or-Hadamard error: on |0> the error *creates* the
         # superposition a CX entangles, on |+> it removes it.  Row 0 takes
-        # both errors, so at row 1's join the live stack is wider than the
-        # ideal row on bond 0-1 and narrower on bond 2-3.
+        # both errors, so it needs more than the ideal row on bond 0-1 and
+        # less on bond 2-3.
         flip = KrausChannel("i_or_h", [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * H.matrix])
         circ = Circuit(4).h(2)
         circ.attach(flip, 0).attach(flip, 2)
@@ -430,34 +505,46 @@ class TestSharedPrefixReplay:
         circ.rx(0.3, 1).cz(1, 2)
         circ.measure_all().freeze()
         a, b, c = _site_ids(circ)
-        padded = set()
-        join = BatchedMPSStack.join
-
-        def spy(self, tensors, truncation_error, count):
-            for mine, theirs in zip(self.tensors, tensors):
-                if self.batch_size and mine.shape[3] != theirs.shape[3]:
-                    padded.add("theirs" if mine.shape[3] > theirs.shape[3] else "mine")
-            join(self, tensors, truncation_error, count)
-
-        monkeypatch.setattr(BatchedMPSStack, "join", spy)
         _assert_matches_full_replay(
             circ, [{a: 1, b: 1}, {c: 1}, {}], max_bond=64, cutoff=1e-12
         )
-        assert padded == {"mine", "theirs"}
 
-    def test_ideal_pass_runs_once_per_schedule_and_truncation(self):
+    @pytest.mark.parametrize("config", [FUSED, UNFUSED])
+    def test_cone_crosses_a_swap_route_and_a_three_site_window(self, config):
+        circ = Circuit(7)
+        for q in range(7):
+            circ.rx(0.3 + 0.2 * q, q)
+        circ.attach(depolarizing(0.1), 0)
+        circ.cx(0, 4)  # carries qubit 4 down the chain, over sites 3, 2, 1
+        circ.attach(depolarizing(0.1), 6)
+        circ.gate(CCX, 5, 1, 3)  # spread, unsorted: routed into one 8x8 window
+        circ.attach(two_qubit_depolarizing(0.1), 2, 6)
+        circ.rx(0.7, 3).cz(3, 4)
+        circ.attach(amplitude_damping(0.2), 3)
+        circ.measure_all().freeze()
+        a, b, c, d = _site_ids(circ)
+        schedule = compile_schedule(circ, config)
+        assert any(isinstance(s, SwapStep) for s in schedule.steps)
+        assert any(isinstance(s, UnitaryStep) and s.span == 3 for s in schedule.steps)
+        choices_list = [{a: 2}, {}, {b: 1}, {c: 6, d: 1}, {a: 3, c: 11}, {d: 1}]
+        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=0.0)
+        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=1e-12)
+        _assert_matches_full_replay(circ, choices_list, config, max_bond=2, cutoff=1e-12)
+
+    def test_replay_restarts_the_stack(self):
+        # What the stack held is dropped: a second replay into it, and one
+        # after a replay of other rows, are bit for bit the first.
         circ = _noisy_brickwork(4, depth=2, seed=3)
         schedule = compile_schedule(circ, UNFUSED)
         ids = _site_ids(circ)
-        for _ in range(2):
-            stack = BatchedMPSStack(4, 2, max_bond=8, cutoff=1e-12)
-            replay_schedule(stack, schedule, [{ids[1]: 1}, {}])
-        assert list(schedule.ideal) == [(8, 1e-12)]
-        cuts = schedule.ideal[(8, 1e-12)]
-        assert len(cuts) == schedule.num_noise_sites + 1
-        replay_schedule(BatchedMPSStack(4, 1, max_bond=2, cutoff=0.0), schedule, [{}])
-        assert set(schedule.ideal) == {(8, 1e-12), (2, 0.0)}
-        assert schedule.ideal[(8, 1e-12)] is cuts
+        stack = BatchedMPSStack(4, 2, max_bond=8, cutoff=1e-12)
+        replay_schedule(stack, schedule, [{ids[1]: 1}, {}])
+        first, error = stack.dense(), stack.truncation_error.copy()
+        replay_schedule(stack, schedule, [{ids[2]: 1}, {ids[5]: 1}])
+        replay_schedule(stack, schedule, [{ids[1]: 1}, {}])
+        for a, b in zip(first, stack.dense()):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(error, stack.truncation_error)
 
     def test_caller_row_order_is_kept(self):
         circ = _noisy_brickwork(4, depth=2, seed=5)
@@ -472,6 +559,73 @@ class TestSharedPrefixReplay:
             np.testing.assert_allclose(
                 stack.row_statevector(m), alone.row_statevector(0), atol=1e-12
             )
+
+    def test_never_deviating_row_is_the_ideal_row(self):
+        circ = _noisy_brickwork(5, depth=3, seed=6)
+        ids = _site_ids(circ)
+        schedule = compile_schedule(circ, UNFUSED)
+        stack = BatchedMPSStack(5, 3, max_bond=64, cutoff=1e-12)
+        replay_schedule(stack, schedule, [{ids[2]: 1}, {}, {ids[9]: 1, ids[4]: 1}])
+        assert not stack.slot[:, 1].any() and stack.slot[:, 0].any()
+        for site, gathered in zip(stack.tensors, stack.dense()):
+            assert gathered.shape == (3,) + site.shape[1:]
+            np.testing.assert_array_equal(gathered[1], site[0])
+
+    def test_a_deviation_in_one_block_stays_out_of_the_other_four(self, svd_batches):
+        # The 35q MSD preparation is five Steane blocks that never couple
+        # (and are routed within their own seven sites): a row that
+        # deviates in block 0 has nothing of its own anywhere else.
+        circ = _msd_prep_35q()
+        schedule = compile_schedule(circ)
+        site_id = next(
+            op.site_id for op in circ.operations
+            if isinstance(op, NoiseOp) and max(op.qubits) < 7
+        )
+        stack = BatchedMPSStack(35, 2, max_bond=64, cutoff=1e-12)
+        replay_schedule(stack, schedule, [{site_id: 1}, {}])
+        sites = _svd_sites(schedule)
+        assert len(svd_batches) == len(sites) > 100
+        assert 6 not in sites  # no step merges across a block boundary
+        assert {b for k, b in zip(sites, svd_batches) if k >= 7} == {1}
+        assert {b for k, b in zip(sites, svd_batches) if k < 6} == {1, 2}
+        assert not stack.slot[7:].any() and stack.slot[:7, 0].any()
+
+    def test_an_svd_holds_at_most_the_rows_deviated_so_far(self, svd_batches):
+        # Where light cones cover the whole chain the replay must cost no
+        # more than the one it replaced: that one factored every row that
+        # had deviated by a step, this one those among them the step's
+        # sites have reached, plus the ideal row.
+        circ = _noisy_brickwork(9, depth=6, seed=12)
+        ids = _site_ids(circ)
+        rng = np.random.default_rng(2)
+        choices_list = [
+            {int(i): 1 for i in rng.choice(ids, size=rng.integers(0, 4), replace=False)}
+            for _ in range(12)
+        ]
+        schedule = compile_schedule(circ, UNFUSED)
+        deviated, bound = set(), []
+        for step in schedule.steps:
+            if isinstance(step, NoiseStep):
+                deviated |= {
+                    m for m, c in enumerate(choices_list)
+                    if c.get(step.site_id, step.dominant) != step.dominant
+                }
+            bound += [1 + len(deviated)] * _bonds(step)
+        stack = BatchedMPSStack(9, 12, max_bond=64, cutoff=1e-12)
+        replay_schedule(stack, schedule, choices_list)
+        assert len(svd_batches) == len(bound)
+        assert all(b <= most for b, most in zip(svd_batches, bound))
+        assert svd_batches[-1] > 1 and sum(svd_batches) < sum(bound)
+
+    def test_benchmark_repetition_factors_what_differs(self, svd_batches):
+        # One repetition of ``tensornet_shots_35q`` (circuit, sampler,
+        # seed 7, default max_batch): the replay that joined rows at their
+        # first deviation factored 7 921 matrices, this one 1 311.
+        result = run_ptsbe(
+            _msd_prep_35q(), ProbabilisticPTS(nsamples=250, nshots=1000), seed=7
+        )
+        assert result.engine == "tensornet"
+        assert sum(svd_batches) <= 1500, sum(svd_batches)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -505,6 +659,73 @@ class TestSharedPrefixReplay:
             circ, choices_list, FUSED if fused else UNFUSED,
             max_bond=max_bond, cutoff=1e-12,
         )
+
+
+class _FixedSpecs(PTSAlgorithm):
+    """A sampler that hands ``run_ptsbe`` hand-made specs."""
+
+    name = "fixed"
+
+    def __init__(self, choices_list, num_shots=10):
+        self.specs = [
+            TrajectorySpec(
+                record=TrajectoryRecord(
+                    trajectory_id=tid,
+                    events=tuple(
+                        KrausEvent(site_id=site, kraus_index=index, qubits=(0,), probability=0.1)
+                        for site, index in choices.items()
+                    ),
+                    nominal_probability=0.5,
+                ),
+                num_shots=num_shots,
+            )
+            for tid, choices in enumerate(choices_list)
+        ]
+
+    def sample(self, circuit, rng):
+        return PTSResult(specs=list(self.specs), algorithm=self.name)
+
+
+class TestKrausIndexRange:
+    """A Kraus index a channel does not have is a typed error naming the
+    channel and its operator count, as on the dense and frame engines —
+    not NumPy's wrap-around (``-1`` used to realize the last branch) or
+    a bare ``IndexError``."""
+
+    @pytest.fixture
+    def chain(self):
+        circ = Circuit(3).h(0).cx(0, 1).cx(1, 2).measure_all()
+        model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05))
+        return model.apply(circ).freeze()
+
+    @pytest.mark.parametrize("index", [-1, 4, 99])
+    def test_replay_schedule_raises_backend_error(self, chain, index):
+        site = _site_ids(chain)[1]
+        stack = BatchedMPSStack(3, 2, max_bond=8)
+        with pytest.raises(BackendError, match=rf"kraus_index {index} out of range .*4 operators"):
+            replay_schedule(stack, compile_schedule(chain), [{site: index}, {}])
+
+    @pytest.mark.parametrize("index", [-1, 4, 99])
+    def test_run_ptsbe_fails_like_the_dense_engine(self, chain, index):
+        # Through the driver a unit's BackendError is retried, then
+        # reported as the FaultError's cause: the same one on both engines.
+        sampler = _FixedSpecs([{}, {_site_ids(chain)[0]: index}])
+        causes = {}
+        for strategy in ("serial", "tensornet"):
+            with pytest.raises(FaultError, match=f"kraus_index {index} out of range") as err:
+                run_ptsbe(chain, sampler, seed=1, strategy=strategy)
+            assert isinstance(err.value.__cause__, BackendError)
+            causes[strategy] = str(err.value.__cause__)
+        assert causes["tensornet"] == causes["serial"]
+
+    def test_last_valid_index_and_unknown_site_ids_are_accepted(self, chain):
+        site = _site_ids(chain)[0]
+        result = run_ptsbe(
+            chain, _FixedSpecs([{site: 3}, {10_000: 7}]), seed=1, strategy="tensornet"
+        )
+        assert result.shot_table().bits.shape == (20, 3)
+        depolarized, ideal = (t.actual_weight for t in result.trajectories)
+        assert depolarized == pytest.approx(ideal * (0.05 / 3) / 0.95, rel=1e-9)
 
 
 class TestRoutingDecisions:
