@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.backends.base import PureStateBackend
 from repro.backends.mps_sampler import (
+    check_inside,
     compute_right_environments,
     sample_cached,
     sample_naive,
@@ -220,14 +221,15 @@ class MPSBackend(PureStateBackend):
         """Draw shots; ``mode`` selects cached-batched or naive per-shot."""
         if num_shots < 0:
             raise BackendError("num_shots must be >= 0")
-        if mode == "cached":
-            bits = sample_cached(self.tensors, self._environments(), num_shots, rng)
-        elif mode == "naive":
-            bits = sample_naive(self.tensors, num_shots, rng)
-        else:
-            raise BackendError(f"unknown sampling mode {mode!r}")
         cols = list(qubits)
-        return bits[:, cols]
+        if mode == "cached":
+            return sample_cached(
+                self.tensors, self._environments(), num_shots, rng, columns=cols
+            )
+        if mode != "naive":
+            raise BackendError(f"unknown sampling mode {mode!r}")
+        check_inside(cols, self.num_qubits, "qubit", "register")
+        return sample_naive(self.tensors, num_shots, rng)[:, cols]
 
     # ------------------------------------------------------------------ #
     # conversion (small n, for tests)

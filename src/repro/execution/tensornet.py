@@ -48,8 +48,11 @@ trajectories share:
   after which the unit's shots are drawn in one count-splitting sweep
   (:func:`~repro.backends.mps_sampler.sample_cached`, the stacked form):
   one contraction per distinct sampled prefix of a trajectory, its shot
-  count split by binomials from the trajectory's own Philox stream, shots
-  expanded only at product cuts and at the end of the chain.
+  count split by binomials from the trajectory's own Philox stream.  The
+  chain's product blocks (the runs of sites between bond-1 cuts: the five
+  Steane blocks of the MSD preparation) descend side by side, so a
+  trajectory draws once per level of a block, and its shots are expanded
+  block by block after the last level.
 
 Faithfulness contract: like the clifford strategy, conformance against
 the dense strategies is **distributional** (TVD / chi-square through the
@@ -460,7 +463,7 @@ class _MPSStackEngine:
     (:func:`replay_schedule`).  A row's tensors therefore depend on its
     own choices and on the light cones and singular spectra of the rows
     stacked with it, not on their order.  Randomness is consumed along
-    the chain, site by site, and routing does not put qubits back, so the
+    the chain's product blocks, and routing does not put qubits back, so the
     sampler is asked for the measured qubits' sites
     (``GateSchedule.site_of``) as its columns.
     """

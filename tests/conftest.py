@@ -15,6 +15,29 @@ def rng() -> np.random.Generator:
     return make_rng(12345)
 
 
+class CountedGenerator:
+    """A request's generator as the MPS sampler uses it, every call tallied
+    by method name in ``calls``; the draws are the wrapped generator's."""
+
+    def __init__(self, rng: np.random.Generator, calls: dict):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def counted_generator():
+    """``counted_generator(rng, calls)``: see :class:`CountedGenerator`."""
+    return CountedGenerator
+
+
 @pytest.fixture
 def ghz3() -> Circuit:
     """Ideal 3-qubit GHZ circuit with measurement."""

@@ -390,3 +390,145 @@ class TestCountSplitting:
             return min(walls)
 
         assert best(100_000) < 20 * best(1_000)
+
+
+# --------------------------------------------------------------------- #
+# Product blocks side by side: the lanes of one descent
+# --------------------------------------------------------------------- #
+def assert_blocks_independently_paired(table, first, second, bound):
+    """The joint of two blocks' bits is the outer product of their
+    marginals, which a shared expansion order (or a shared draw) breaks."""
+    a = empirical_distribution(table[:, first])
+    b = empirical_distribution(table[:, second])
+    joint = empirical_distribution(table[:, list(first) + list(second)])
+    assert total_variation_distance(joint, np.outer(a, b).ravel()) < bound
+
+
+class TestProductBlockLanes:
+    def test_groups_are_equal_signature_blocks_in_order_of_appearance(self):
+        assert mps_sampler._groups(random_stack(1, 12, 4, (3, 4, 9))[0]) == [
+            ([0, 9], 3), ([3], 1), ([4], 5)
+        ]
+        assert mps_sampler._groups(random_stack(1, 9, 4, (3, 6))[0]) == [([0, 3, 6], 3)]
+        assert mps_sampler._groups(random_stack(1, 10, 4)[0]) == [([0], 10)]
+        # Same length, another bond: not the same descent.
+        uneven, _ = random_stack(1, 6, 4, (3,))
+        uneven[4] = uneven[4][:, :, :, :2]
+        uneven[5] = uneven[5][:, :2]
+        assert mps_sampler._groups(uneven) == [([0], 3), ([3], 3)]
+
+    def test_three_equal_blocks_follow_the_dense_distribution_pair_by_pair(self):
+        # One group of three lanes per request; two requests share row 1.
+        tensors, envs = random_stack(3, 9, 4, cuts=(3, 6), seed=11)
+        shape = [(0, 40_000), (1, 25_000), (2, 30_000), (1, 12_000)]
+        blocks = [range(0, 3), range(3, 6), range(6, 9)]
+        for (row, shots), table in zip(shape, assert_same_as_alone(tensors, envs, shape)):
+            assert_distributed_as(table, dense_probabilities(tensors, row))
+            for i, first in enumerate(blocks):
+                for second in blocks[i + 1 :]:
+                    # 64 joint cells of independent draws: the TVD between the
+                    # joint and the product of its marginals has mean about
+                    # sqrt(64 / (2 pi shots)) <= 0.03 at 12 000 shots; blocks
+                    # expanded in one order read > 0.5.
+                    assert_blocks_independently_paired(table, first, second, 0.06)
+
+    def test_mixed_signatures_alone_is_beside_others(self):
+        # (3, 4, 9): a group of two blocks that are not neighbours and two
+        # groups of one, rows differing, ragged shots including 0 and 1.
+        tensors, envs = random_stack(5, 12, 4, (3, 4, 9), seed=12)
+        shape = [(4, 1), (0, 700), (2, 0), (1, 33), (3, 1), (0, 2), (4, 250)]
+        tables = assert_same_as_alone(tensors, envs, shape)
+        assert [len(t) for t in tables] == [shots for _, shots in shape]
+        assert_blocks_independently_paired(tables[1], range(0, 3), range(9, 12), 0.15)
+
+    @pytest.mark.parametrize(
+        "sites, cuts, binomials, shuffles",
+        [(12, (3, 6, 9), 3, 4), (14, (7,), 7, 2), (9, (), 9, 1), (12, (3, 4, 9), 3 + 1 + 5, 4)],
+    )
+    def test_a_request_draws_once_per_level_and_shuffles_once_per_block(
+        self, sites, cuts, binomials, shuffles, counted_generator
+    ):
+        tensors, envs = random_stack(2, sites, 4, cuts, seed=13)
+        calls = {}
+        requests = [(1, 300, counted_generator(stream(0), calls))]
+        bits = sample_cached(tensors, envs, 300, requests)
+        assert calls == {"binomial": binomials, "shuffle": shuffles}
+        np.testing.assert_array_equal(bits, sample_cached(tensors, envs, 300, [(1, 300, stream(0))]))
+        # Beside others it draws the same number of times; a request for
+        # no shots draws nothing at all.
+        calls.clear()
+        idle = {}
+        requests = [
+            (0, 40, stream(1)),
+            (1, 300, counted_generator(stream(0), calls)),
+            (0, 0, counted_generator(stream(2), idle)),
+        ]
+        sample_cached(tensors, envs, 340, requests)
+        assert calls == {"binomial": binomials, "shuffle": shuffles} and idle == {}
+
+    def test_request_larger_than_one_tile_on_a_multi_block_chain(self, monkeypatch):
+        # Three lanes of 2**4 prefixes fit 256 cells, the 2**9 of the long
+        # block do not: every request is cut into 256-shot pieces by that
+        # block alone, whatever it is sampled beside.
+        monkeypatch.setattr(mps_sampler, "_TILE_CELLS", 256)
+        tensors, envs = random_stack(2, 21, 4, cuts=(4, 8, 12), seed=14)
+        shape = [(0, 10), (1, 20_000), (0, 300)]
+        pieces = list(mps_sampler._tiles([(r, s, None) for r, s in shape], tensors))
+        assert [shots for tile in pieces for _, shots, _ in tile] == (
+            [10] + [256] * 78 + [32] + [256, 44]
+        )
+        big = assert_same_as_alone(tensors, envs, shape)[1]
+        assert_distributed_as(big[:, :8], dense_probabilities(tensors[:8], 1))
+        assert_blocks_independently_paired(big, range(0, 4), range(4, 8), 0.1)
+        # Many lanes of few prefixes: cut by lanes, not by shots.
+        monkeypatch.setattr(mps_sampler, "_TILE_CELLS", 16)
+        wide, wide_envs = random_stack(1, 12, 2, cuts=tuple(range(1, 12)), seed=15)
+        pieces = list(mps_sampler._tiles([(0, 5, None)], wide))
+        assert [[shots for _, shots, _ in tile] for tile in pieces] == [[1]] * 5
+        assert_same_as_alone(wide, wide_envs, [(0, 5), (0, 3)])
+
+
+class TestArgumentChecks:
+    """Out-of-range sampling arguments are a typed error, in the dense
+    backends' wording, before anything is drawn."""
+
+    @pytest.mark.parametrize("columns, qubit", [([-1], -1), ([0, 9], 9), ([2, 3, 1], 3)])
+    def test_column_outside_the_chain(self, columns, qubit):
+        tensors, envs = random_stack(2, 3, 2)
+        with pytest.raises(BackendError, match=f"qubit {qubit} is outside a 3-qubit register"):
+            sample_cached(tensors, envs, 4, [(0, 4, make_rng(0))], columns=columns)
+        mps, _ = _prepared_mps(num_qubits=3)
+        envs = compute_right_environments(mps.tensors)
+        with pytest.raises(BackendError, match=f"qubit {qubit} is outside a 3-qubit register"):
+            sample_cached(mps.tensors, envs, 4, make_rng(0), columns=columns)
+
+    @pytest.mark.parametrize("row, rows", [(-1, 2), (5, 1), (2, 2)])
+    def test_row_outside_the_stack(self, row, rows):
+        tensors, envs = random_stack(rows, 3, 2)
+        with pytest.raises(BackendError, match=f"row {row} is outside a {rows}-row stack"):
+            sample_cached(tensors, envs, 7, [(0, 3, make_rng(0)), (row, 4, make_rng(1))])
+
+    def test_negative_count(self):
+        tensors, envs = random_stack(2, 3, 2)
+        with pytest.raises(BackendError, match="num_shots must be >= 0"):
+            sample_cached(tensors, envs, 2, [(0, 5, make_rng(0)), (1, -3, make_rng(1))])
+        mps, _ = _prepared_mps(num_qubits=3)
+        with pytest.raises(BackendError, match="num_shots must be >= 0"):
+            sample_cached(mps.tensors, compute_right_environments(mps.tensors), -1, make_rng(0))
+
+    @pytest.mark.parametrize("mode", ["cached", "naive"])
+    @pytest.mark.parametrize("qubit", [-1, 7])
+    def test_backend_rejects_what_the_dense_backends_reject(self, mode, qubit):
+        message = f"qubit {qubit} is outside a 4-qubit register"
+        with pytest.raises(BackendError, match=message):
+            StatevectorBackend(4).sample(3, [qubit], make_rng(0))
+        with pytest.raises(BackendError, match=message):
+            MPSBackend(4).sample(3, [0, qubit], make_rng(0), mode=mode)
+        with pytest.raises(BackendError, match="num_shots must be >= 0"):
+            MPSBackend(4).sample(-1, [0], make_rng(0), mode=mode)
+
+    def test_backend_samples_only_the_qubits_asked_for(self):
+        mps, _ = _prepared_mps(seed=5)
+        bits = mps.sample(50, [4, 1], make_rng(3))
+        assert bits.shape == (50, 2) and bits.flags.c_contiguous
+        np.testing.assert_array_equal(bits, mps.sample(50, range(5), make_rng(3))[:, [4, 1]])

@@ -728,6 +728,83 @@ class TestKrausIndexRange:
         assert depolarized == pytest.approx(ideal * (0.05 / 3) / 0.95, rel=1e-9)
 
 
+class TestSamplingArgumentRange:
+    """What the engine asks the sampler for is checked where it is asked:
+    a measured site outside the chain is the dense backends' typed error,
+    not the last site's column (``-1``) or a bare ``IndexError``."""
+
+    @pytest.mark.parametrize("site", [-1, 3])
+    def test_run_ptsbe_reports_a_measured_site_outside_the_chain(self, site, monkeypatch):
+        import dataclasses
+
+        from repro.execution import tensornet
+
+        circ = Circuit(3).h(0).cx(0, 1).rx(0.3, 2).measure_all()
+        circ = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05)).apply(circ).freeze()
+        schedule = dataclasses.replace(compile_schedule(circ), site_of=(0, 1, site))
+        monkeypatch.setattr(tensornet, "compile_schedule", lambda circuit, config: schedule)
+        sampler = ProbabilisticPTS(nsamples=5, nshots=10)
+        with pytest.raises(FaultError, match=f"qubit {site} is outside a 3-qubit register") as err:
+            run_ptsbe(circ, sampler, seed=1, strategy="tensornet")
+        assert isinstance(err.value.__cause__, BackendError)
+
+
+class TestProductBlocksAtWidth:
+    """The 35q MSD preparation is five Steane blocks side by side: one
+    group of five lanes in the sampler."""
+
+    def test_a_request_draws_once_per_block_level_and_shuffles_once_per_block(
+        self, monkeypatch, counted_generator
+    ):
+        # One repetition of ``tensornet_shots_35q`` (circuit, sampler,
+        # seed 7): 102 requests.  Site by site a request made 35 binomial
+        # calls, 3 570 in all; lane by lane it makes 7.
+        from repro.execution import tensornet
+
+        calls, requested = {}, []
+
+        def spy(tensors, envs, num_shots, requests, **kwargs):
+            requested.append(len(requests))
+            counted = [(row, n, counted_generator(rng, calls)) for row, n, rng in requests]
+            return sample(tensors, envs, num_shots, counted, **kwargs)
+
+        sample = tensornet.sample_cached
+        monkeypatch.setattr(tensornet, "sample_cached", spy)
+        result = run_ptsbe(
+            _msd_prep_35q(), ProbabilisticPTS(nsamples=250, nshots=1000), seed=7
+        )
+        assert result.engine == "tensornet" and sum(requested) == 102
+        assert calls == {"binomial": 7 * 102, "shuffle": 5 * 102}
+
+    def test_syndromes_are_exact_and_logical_outcomes_pairwise_independent(self):
+        # A trajectory is a product state over the blocks: its injected
+        # Paulis fix each block's three Z checks on every shot, and each
+        # block's logical readout (the parity of its seven bits, a magic
+        # state's: 1 about 21 % of the time) is independent of the others'.
+        shots = 20_000
+        result = run_ptsbe(
+            _msd_prep_35q(), ProbabilisticPTS(nsamples=40, nshots=shots), seed=3,
+            strategy="tensornet",
+        )
+        assert result.num_trajectories >= 10
+        checks = np.kron(np.eye(5, dtype=np.uint8), steane_code().hz)
+        # Two independent bits' sample covariance has standard deviation
+        # sqrt(p q p' q' / shots) <= 0.25 / sqrt(shots); 5.5 of those
+        # (two-sided tail 4e-8) cover trajectories x 10 pairs.  Blocks
+        # expanded in one order read 0.16 (about p q), sixteen bounds away.
+        bound = 5.5 * 0.25 / np.sqrt(shots)
+        for trajectory in result.trajectories:
+            bits = trajectory.bits
+            assert bits.shape == (shots, 35)
+            syndrome = (bits[0] @ checks.T) % 2
+            assert np.array_equal((bits @ checks.T) % 2, np.tile(syndrome, (shots, 1)))
+            assert syndrome.any() <= (trajectory.record.num_errors() > 0)
+            logical = (bits.reshape(shots, 5, 7).sum(axis=2) % 2).astype(float)
+            assert 0.1 < logical.mean() < 0.9  # a coin worth correlating
+            covariance = np.cov(logical, rowvar=False, bias=True)
+            assert np.abs(covariance[~np.eye(5, dtype=bool)]).max() < bound
+
+
 class TestRoutingDecisions:
     def test_wide_nonclifford_routes_to_tensornet(self):
         circ = _wide_nonclifford(30)
