@@ -76,18 +76,15 @@ def result_payload(
     """Assemble (and validate) one benchmark result document."""
     import numpy as np
 
-    from repro.linalg.backend import get_array_backend
-
     payload = {
         "schema_version": SCHEMA_VERSION,
         "benchmark": benchmark,
         "created_unix": time.time(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        # The module the run actually resolved (reads Config.array_module),
-        # not a hard-coded "auto" probe — a CuPy-capable box forced to
-        # NumPy must record "numpy" or cross-commit comparisons lie.
-        "array_module": get_array_backend(None).name,
+        # Host NumPy is the library's one array module; the key stays so
+        # committed baselines and bench_compare.py keep reading it.
+        "array_module": "numpy",
         "workload": dict(workload or {}),
         "rows": [dict(row) for row in rows],
     }

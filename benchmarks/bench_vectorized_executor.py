@@ -270,9 +270,7 @@ def _random_stack(rows, num_qubits, seed):
 def _renorm_sweep_rows(stack_rows=(8, 64, 256), num_qubits=NUM_QUBITS):
     """Batched ``row_norms_squared`` vs. the legacy per-row vdot sweep.
 
-    The batched path must win at B >= 64 on the reduction itself — on a
-    device module it additionally collapses B host syncs into one, which
-    this host-side bench cannot show.
+    The batched path must win at B >= 64 on the reduction itself.
     """
     rows = []
     speedups = {}
@@ -283,7 +281,7 @@ def _renorm_sweep_rows(stack_rows=(8, 64, 256), num_qubits=NUM_QUBITS):
                 [float(np.real(np.vdot(row, row))) for row in stack]
             )
         )
-        batched = _best_of(lambda: row_norms_squared(stack, np))
+        batched = _best_of(lambda: row_norms_squared(stack))
         rows.append(
             {"kernel": "renorm-vdot-sweep", "stack_rows": b, "seconds": sweep}
         )
@@ -393,8 +391,7 @@ def test_strategy_report(benchmark, workload):
 
 def test_batched_renorm_beats_vdot_sweep():
     """The batched row_norms_squared reduction must outrun the legacy
-    per-row vdot sweep at B >= 64 (on host; on a device module it also
-    collapses B host syncs into one, which this bench cannot show)."""
+    per-row vdot sweep at B >= 64."""
     _, speedups = _renorm_sweep_rows(stack_rows=(64, 256))
     assert speedups[64] > 1.0, (
         f"batched renorm reduction {speedups[64]:.2f}x vs the per-row vdot "

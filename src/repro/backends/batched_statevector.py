@@ -30,10 +30,9 @@ trajectories in one fused operation:
   backend's ``norm_squared`` applies to its state as a 1-row stack — so a
   stacked trajectory stays *bitwise identical* to the same trajectory run
   on :class:`StatevectorBackend` by construction, while the stack pays
-  one device-resident reduction and a single host sync per noise window
-  instead of B host-synced ``vdot`` calls (the former dominant
-  stacked-path cost at large B).  The equivalence is asserted by the
-  seed-fixed tests in ``tests/test_vectorized.py`` and
+  one reduction per noise window instead of B per-row ``vdot`` calls (the
+  former dominant stacked-path cost at large B).  The equivalence is
+  asserted by the seed-fixed tests in ``tests/test_vectorized.py`` and
   ``tests/test_fusion.py``.
 
 Rows whose prescribed Kraus branch annihilates the actual state (possible
@@ -44,19 +43,9 @@ zeroed, and no shots are drawn — matching the serial engine's
 
 Sampling stays the cheap polynomial part of the PTSBE story: one
 stack-wide cumulative tensor (``|stack|**2`` normalized and cumsummed
-along the state axis, built on the array module in a single pass) serves
-every row, and each row draws its full shot budget with one row-wise
-inverse-CDF lookup over all shot uniforms at once
-(:func:`repro.linalg.sampling.inverse_cdf_indices`: a host guide table on
-NumPy, the module's ``searchsorted`` on a device) — on a device module
-only the final shot indices cross back to host.
-
-The stack lives on the array module resolved from ``Config.array_module``
-(:mod:`repro.linalg.backend`): NumPy on host, CuPy on GPU when available.
-Per-row probability vectors are transferred to host at the sampling
-boundary, and shots are always drawn with host NumPy streams — the
-``(seed, trajectory_id)`` determinism contract does not depend on where
-the stack was prepared.
+along the state axis in a single pass) serves every row, and each row
+draws its full shot budget with one row-wise inverse-CDF lookup over all
+shot uniforms at once (:func:`repro.linalg.sampling.inverse_cdf_indices`).
 """
 
 from __future__ import annotations
@@ -69,7 +58,6 @@ import numpy as np
 from repro.backends.base import validate_deferred_measurement
 from repro.backends.statevector import bits_from_indices
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
-from repro.linalg.backend import get_array_backend
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
 from repro.linalg.sampling import inverse_cdf_indices
 from repro.circuits.circuit import Circuit
@@ -121,14 +109,12 @@ class BatchedStatevectorBackend:
             )
         self.num_qubits = int(num_qubits)
         self._config = config
-        self._ab = get_array_backend(config.array_module)
-        self._xp = self._ab.xp
         self._dim = 2**self.num_qubits
-        self._stack = self._xp.empty((0, self._dim), dtype=config.dtype)
+        self._stack = np.empty((0, self._dim), dtype=config.dtype)
         self._alive: np.ndarray = np.empty(0, dtype=bool)
         self._probs_cache: Dict[int, np.ndarray] = {}
-        self._cum_stack = None  # (B, dim) cumulative tensor on the array module
-        self._cum_totals: Optional[np.ndarray] = None  # host per-row norms
+        self._cum_stack: Optional[np.ndarray] = None  # (B, dim) cumulative tensor
+        self._cum_totals: Optional[np.ndarray] = None  # per-row norms
         self.preparations = 0  # total stacked trajectories prepared (dedup audit)
         #: Cumulative wall time spent renormalizing the stack after noise
         #: windows (reduction + scale + bookkeeping) — the benchmark
@@ -158,11 +144,6 @@ class BatchedStatevectorBackend:
         """The configuration this backend was built with."""
         return self._config
 
-    @property
-    def array_backend(self):
-        """The resolved :class:`~repro.linalg.backend.ArrayBackend`."""
-        return self._ab
-
     def reset(self, batch_size: Optional[int] = None) -> None:
         """Reset every row to |0...0>, optionally resizing the stack."""
         b = self.batch_size if batch_size is None else int(batch_size)
@@ -174,7 +155,7 @@ class BatchedStatevectorBackend:
                 f"budget of 2**{self._config.max_dense_qubits} (max {self.max_batch_rows} rows)"
             )
         try:
-            self._stack = self._xp.zeros((b, self._dim), dtype=self._config.dtype)
+            self._stack = np.zeros((b, self._dim), dtype=self._config.dtype)
         except MemoryError as exc:
             # Within the configured budget but past what the host actually
             # has: surface the same actionable error type as the cap check
@@ -188,29 +169,23 @@ class BatchedStatevectorBackend:
         self._alive = np.ones(b, dtype=bool)
         self._invalidate()
 
-    def statevector(self, row: int):
-        """Row ``row``'s amplitude array (a direct view — do not mutate).
-
-        Lives on the backend's array module; use
-        ``backend.array_backend.to_host(...)`` for a host copy.
-        """
+    def statevector(self, row: int) -> np.ndarray:
+        """Row ``row``'s amplitude array (a direct view — do not mutate)."""
         return self._stack[row]
 
     def release(self) -> None:
-        """Drop the stack and every sampling cache (device buffers too).
+        """Drop the stack and every sampling cache.
 
         The stack-completion boundary for streaming consumers: when a
         :class:`~repro.execution.streaming.StreamedResult` is abandoned
         mid-run, the executor calls this so the ``(B, 2**n)`` stack and
-        the stack-wide cumulative tensor do not outlive the stream — on a
-        CuPy module that is the difference between freeing device memory
-        now and holding it until garbage collection.  Idempotent.  The
-        backend stays usable, but the stack is gone: reallocate with an
-        explicit size — ``reset(batch_size)`` or :meth:`run_fixed_stack`
-        (an argument-less ``reset()`` has no previous size to restore and
-        raises).
+        the stack-wide cumulative tensor do not outlive the stream.
+        Idempotent.  The backend stays usable, but the stack is gone:
+        reallocate with an explicit size — ``reset(batch_size)`` or
+        :meth:`run_fixed_stack` (an argument-less ``reset()`` has no
+        previous size to restore and raises).
         """
-        self._stack = self._xp.empty((0, self._dim), dtype=self._config.dtype)
+        self._stack = np.empty((0, self._dim), dtype=self._config.dtype)
         self._alive = np.empty(0, dtype=bool)
         self._invalidate()
 
@@ -237,7 +212,7 @@ class BatchedStatevectorBackend:
         targets = list(targets)
         k = len(targets)
         dim_k = 2**k
-        matrix = np.asarray(matrix) if not hasattr(matrix, "shape") else matrix
+        matrix = np.asarray(matrix)
         if matrix.shape != (dim_k, dim_k):
             raise BackendError(
                 f"matrix shape {matrix.shape} incompatible with targets {targets}"
@@ -260,33 +235,29 @@ class BatchedStatevectorBackend:
                 rows = None  # the "sub-slice" is the whole stack
         if rows is None:
             self._stack = apply_matrix_stack(
-                self._stack, matrix, targets, self.num_qubits, self._config.dtype,
-                xp=self._xp,
+                self._stack, matrix, targets, self.num_qubits, self._config.dtype
             )
         else:
             if rows.size == 0:
                 return
             self._stack[rows] = apply_matrix_stack(
-                self._xp.ascontiguousarray(self._stack[rows]),
+                np.ascontiguousarray(self._stack[rows]),
                 matrix,
                 targets,
                 self.num_qubits,
                 self._config.dtype,
-                xp=self._xp,
             )
         self._invalidate()
 
     def norms_squared(self) -> np.ndarray:
-        """Per-row <psi|psi> of the current stack (host NumPy).
+        """Per-row <psi|psi> of the current stack.
 
         One stack-wide :func:`~repro.linalg.reductions.row_norms_squared`
         call — the same shared reduction the serial backend's
         ``norm_squared`` runs, so entry ``i`` is bitwise what
         ``StatevectorBackend`` would report for row ``i``'s state.
         """
-        return self._ab.to_host(
-            row_norms_squared(self._stack, self._xp)
-        ).astype(np.float64, copy=False)
+        return row_norms_squared(self._stack).astype(np.float64, copy=False)
 
     # ------------------------------------------------------------------ #
     # stacked trajectory preparation (the vectorized BE primitive)
@@ -339,9 +310,7 @@ class BatchedStatevectorBackend:
 
     def _apply_compiled_full(self, op) -> None:
         """Apply a pre-compiled operator to the whole stack (no validation)."""
-        self._stack = apply_compiled_stack(
-            self._stack, op, self.num_qubits, xp=self._xp
-        )
+        self._stack = apply_compiled_stack(self._stack, op, self.num_qubits)
         self._invalidate()
 
     def _apply_noise_step(
@@ -375,40 +344,34 @@ class BatchedStatevectorBackend:
                 if key != majority
             }
             snapshots = {
-                key: self._xp.ascontiguousarray(self._stack[rows])
+                key: np.ascontiguousarray(self._stack[rows])
                 for key, rows in minority_rows.items()
             }
             self._apply_compiled_full(step.variant(majority))
             for key, rows in minority_rows.items():
                 self._stack[rows] = apply_compiled_stack(
-                    snapshots[key],
-                    step.variant(key),
-                    self.num_qubits,
-                    xp=self._xp,
+                    snapshots[key], step.variant(key), self.num_qubits
                 )
         if step.unitary:
             # Unitary-mixture window: every variant is unitary and its
-            # branch probability state-independent — no reduction, no host
-            # sync, no row can die here.
+            # branch probability state-independent — no reduction, no
+            # rescale, no row can die here.
             for key, rows in groups.items():
                 weights[rows] *= step.probability(key)
             return
         # Batched renormalization: one stack-wide reduction (the same
         # row-independent row_norms_squared the serial norm_squared runs,
         # so per-row results are bitwise serial-identical by construction)
-        # and a single host sync for the (B,) norm vector — replacing the
-        # per-row vdot sweep that cost one host sync per row and was the
-        # dominant stacked-path cost at large B.  Dead rows (previously
-        # dead, or annihilated by this window) get a unit divisor: x / 1.0
-        # is bitwise x, and newly-dead rows are zeroed below anyway.
-        xp = self._xp
+        # — replacing the per-row vdot sweep that was the dominant
+        # stacked-path cost at large B.  Dead rows (previously dead, or
+        # annihilated by this window) get a unit divisor: x / 1.0 is
+        # bitwise x, and newly-dead rows are zeroed below anyway.
         t0 = time.perf_counter()
-        norms = row_norms_squared(self._stack, xp)
-        norms_host = self._ab.to_host(norms)
-        scale_rows_inverse_sqrt(self._stack, norms, xp, dead_norm=_DEAD_NORM)
+        norms = row_norms_squared(self._stack)
+        scale_rows_inverse_sqrt(self._stack, norms, dead_norm=_DEAD_NORM)
         for rows in groups.values():
             for row in rows:
-                n2 = float(norms_host[row])
+                n2 = float(norms[row])
                 if n2 <= _DEAD_NORM:
                     # This branch annihilates the actual state (nominal
                     # probabilities are only priors for general channels).
@@ -424,18 +387,14 @@ class BatchedStatevectorBackend:
     # stacked probabilities and bulk sampling
     # ------------------------------------------------------------------ #
     def probabilities(self, row: int) -> np.ndarray:
-        """|amplitude|**2 of one row (cached until the stack mutates).
-
-        Always returned on host NumPy — the array-module boundary feeding
-        the sampling layer.
-        """
+        """|amplitude|**2 of one row (cached until the stack mutates)."""
         cached = self._probs_cache.get(row)
         if cached is None:
-            probs = self._xp.abs(self._stack[row]) ** 2
+            probs = np.abs(self._stack[row]) ** 2
             total = probs.sum()
             if float(total) <= 0:
                 raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
-            cached = self._ab.to_host(probs / total).astype(np.float64, copy=False)
+            cached = (probs / total).astype(np.float64, copy=False)
             self._probs_cache[row] = cached
         return cached
 
@@ -447,10 +406,10 @@ class BatchedStatevectorBackend:
                 out[row] = self.probabilities(row)
         return out
 
-    def cumulative_stack(self):
+    def cumulative_stack(self) -> np.ndarray:
         """The ``(batch, 2**n)`` cumulative-probability tensor, stack-wide.
 
-        Built in one pass on the array module — ``|stack|**2``, per-row
+        Built in one pass — ``|stack|**2``, per-row
         normalization, ``cumsum`` along the state axis, tail clamped to
         1.0 so no shot uniform falls off the end of a row (the
         precondition of :func:`~repro.linalg.sampling.inverse_cdf_indices`)
@@ -462,19 +421,13 @@ class BatchedStatevectorBackend:
         come out all-zero with only the clamped tail entry at 1.0 — never
         a valid distribution — so sampling guards on the per-row norm and
         raises before such a row could be drawn from.
-
-        The tensor stays on the array module (device-resident under
-        CuPy); only final shot indices are transferred to host.
         """
         if self._cum_stack is None:
-            xp = self._xp
-            probs = xp.abs(self._stack) ** 2
+            probs = np.abs(self._stack) ** 2
             totals = probs.sum(axis=1, keepdims=True)
-            self._cum_totals = self._ab.to_host(totals).reshape(-1).astype(
-                np.float64, copy=False
-            )
-            safe = xp.where(totals > 0, totals, xp.asarray(1.0, dtype=totals.dtype))
-            cum = xp.cumsum(
+            self._cum_totals = totals.reshape(-1).astype(np.float64, copy=False)
+            safe = np.where(totals > 0, totals, np.asarray(1.0, dtype=totals.dtype))
+            cum = np.cumsum(
                 (probs / safe).astype(np.float64, copy=False), axis=1
             )
             # Clamp the tail so no uniform falls off the end.
@@ -487,11 +440,9 @@ class BatchedStatevectorBackend:
     ) -> np.ndarray:
         """Bulk-sample basis-state indices from one stacked trajectory.
 
-        Uniforms always come from the host ``rng`` (the
-        ``(seed, trajectory_id)`` determinism contract); the row's
-        inverse-CDF lookup runs wherever the cumulative tensor lives (the
-        host guide table on NumPy, ``xp.searchsorted`` on a device), and
-        only the resulting shot indices cross back to host.
+        All ``num_shots`` uniforms come from ``rng`` in one draw (the
+        ``(seed, trajectory_id)`` determinism contract) and go through one
+        inverse-CDF lookup on the row's cumulative distribution.
         """
         if num_shots < 0:
             raise BackendError("num_shots must be >= 0")
@@ -501,11 +452,7 @@ class BatchedStatevectorBackend:
         if self._cum_totals[row] <= 0:
             raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
         r = rng.random(num_shots)
-        indices = inverse_cdf_indices(cum[row], r, self._xp)
-        # Shot indices are the one bulk device->host transfer of the
-        # sampling hot path: stage through pinned memory under CuPy
-        # (identity under NumPy) for DMA-speed copies.
-        return self._ab.to_host_pinned(indices).astype(np.int64, copy=False)
+        return inverse_cdf_indices(cum[row], r).astype(np.int64, copy=False)
 
     def sample(
         self,
@@ -547,5 +494,5 @@ class BatchedStatevectorBackend:
     def __repr__(self) -> str:
         return (
             f"BatchedStatevectorBackend(qubits={self.num_qubits}, "
-            f"batch={self.batch_size}, dtype={self._config.dtype}, xp={self._ab.name})"
+            f"batch={self.batch_size}, dtype={self._config.dtype})"
         )

@@ -398,7 +398,7 @@ class BatchedMPSStack:
         if len(rows):
             ops = np.empty((len(part) + 1,) + matrix.shape, dtype=np.complex128)
             ops[:] = matrix
-            ops[1 + np.searchsorted(part, rows)] = mats  # replint: disable=XP001 -- host row bookkeeping, never state data
+            ops[1 + np.searchsorted(part, rows)] = mats
             matrix = ops[:, None]
         self._split(np.matmul(matrix, theta), q, part)
 

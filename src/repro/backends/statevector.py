@@ -8,13 +8,6 @@ Implementation notes (following the HPC guides):
   exposes the target axes with pure reshape views and updates them in one
   ``einsum`` pass — the same kernel the trajectory-stacked backend runs,
   which keeps serial and vectorized execution bitwise identical.
-* All state math routes through the pluggable array-module layer
-  (:mod:`repro.linalg.backend`): the state lives on the ``xp`` namespace
-  resolved from ``Config.array_module`` (NumPy on host, CuPy on GPU when
-  available), while probabilities crossing the sampling boundary are
-  transferred to host — shots are always drawn with host NumPy streams so
-  the ``(seed, trajectory_id)`` determinism contract is independent of
-  where the state was prepared.
 * Bulk sampling is fully vectorized: one cumulative sum of the probability
   vector, then the shared inverse-CDF kernel
   (:func:`repro.linalg.sampling.inverse_cdf_indices`) over all shot uniforms
@@ -45,7 +38,6 @@ from repro.errors import (
     ZeroProbabilityTrajectory,
 )
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
-from repro.linalg.backend import get_array_backend
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
 from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
 
@@ -66,10 +58,8 @@ class StatevectorBackend(PureStateBackend):
             )
         self.num_qubits = int(num_qubits)
         self._config = config
-        self._ab = get_array_backend(config.array_module)
-        self._xp = self._ab.xp
         self._dim = 2**self.num_qubits
-        self._state = self._xp.zeros(self._dim, dtype=config.dtype)
+        self._state = np.zeros(self._dim, dtype=config.dtype)
         self._state[0] = 1.0
         self._probs_cache: Optional[np.ndarray] = None
         self._cumsum_cache: Optional[np.ndarray] = None
@@ -82,28 +72,19 @@ class StatevectorBackend(PureStateBackend):
     # state access
     # ------------------------------------------------------------------ #
     @property
-    def array_backend(self):
-        """The resolved :class:`~repro.linalg.backend.ArrayBackend`."""
-        return self._ab
-
-    @property
-    def statevector(self):
-        """The amplitude array (a direct reference — do not mutate).
-
-        Lives on the backend's array module; use
-        ``backend.array_backend.to_host(...)`` for a host copy.
-        """
+    def statevector(self) -> np.ndarray:
+        """The amplitude array (a direct reference — do not mutate)."""
         return self._state
 
     def set_statevector(self, state: np.ndarray, normalize: bool = False) -> None:
         """Load an externally prepared state (e.g. from a QEC encoder)."""
-        state = self._ab.asarray(state, dtype=self._config.dtype).reshape(-1)
+        state = np.asarray(state, dtype=self._config.dtype).reshape(-1)
         if state.shape[0] != self._dim:
             raise BackendError(
                 f"state has dimension {state.shape[0]}, expected {self._dim}"
             )
         if normalize:
-            nrm = float(self._xp.linalg.norm(state))
+            nrm = float(np.linalg.norm(state))
             if nrm == 0:
                 raise BackendError("cannot normalize the zero vector")
             state = state / nrm
@@ -119,8 +100,6 @@ class StatevectorBackend(PureStateBackend):
         out = StatevectorBackend.__new__(StatevectorBackend)
         out.num_qubits = self.num_qubits
         out._config = self._config
-        out._ab = self._ab
-        out._xp = self._xp
         out._dim = self._dim
         out._state = self._state.copy()
         out._probs_cache = None
@@ -139,7 +118,7 @@ class StatevectorBackend(PureStateBackend):
         targets = list(targets)
         k = len(targets)
         dim_k = 2**k
-        matrix = np.asarray(matrix) if not hasattr(matrix, "shape") else matrix
+        matrix = np.asarray(matrix)
         if matrix.shape != (dim_k, dim_k):
             raise BackendError(
                 f"matrix shape {matrix.shape} incompatible with targets {targets}"
@@ -155,16 +134,13 @@ class StatevectorBackend(PureStateBackend):
             targets,
             self.num_qubits,
             self._config.dtype,
-            xp=self._xp,
         )
         self._state = out.reshape(-1)
         self._invalidate()
 
     def _apply_compiled(self, op) -> None:
         """Apply a pre-compiled operator, skipping per-call validation."""
-        out = apply_compiled_stack(
-            self._state.reshape(1, -1), op, self.num_qubits, xp=self._xp
-        )
+        out = apply_compiled_stack(self._state.reshape(1, -1), op, self.num_qubits)
         self._state = out.reshape(-1)
         self._invalidate()
 
@@ -222,9 +198,7 @@ class StatevectorBackend(PureStateBackend):
                 # state) — one reduction per window, through the shared
                 # scale helper so the divisor arithmetic matches the
                 # stacked backend bitwise at any state dtype.
-                scale_rows_inverse_sqrt(
-                    self._state.reshape(1, -1), np.array([norm2]), self._xp
-                )
+                scale_rows_inverse_sqrt(self._state.reshape(1, -1), np.array([norm2]))
                 self._invalidate()
                 self.renorm_seconds += time.perf_counter() - t0
                 weight *= norm2
@@ -238,9 +212,7 @@ class StatevectorBackend(PureStateBackend):
         *by construction*: the batched backend runs the very same
         row-independent reduction over its whole ``(B, 2**n)`` stack.
         """
-        return float(
-            row_norms_squared(self._state.reshape(1, -1), self._xp)[0]
-        )
+        return float(row_norms_squared(self._state.reshape(1, -1))[0])
 
     def renormalize(self) -> float:
         n2 = self.norm_squared()
@@ -248,20 +220,19 @@ class StatevectorBackend(PureStateBackend):
             raise BackendError("cannot renormalize a zero state")
         # Shared scale helper (1-row stack): same divisor arithmetic as the
         # batched backend's per-window renormalization at any state dtype.
-        scale_rows_inverse_sqrt(self._state.reshape(1, -1), np.array([n2]), self._xp)
+        scale_rows_inverse_sqrt(self._state.reshape(1, -1), np.array([n2]))
         self._invalidate()
         return n2
 
     def expectation_local(self, matrix: np.ndarray, qubits: Sequence[int]) -> complex:
         """<psi|M|psi> without copying the full state twice."""
-        xp = self._xp
         qubits = list(qubits)
         k = len(qubits)
         psi = self._state.reshape((2,) * self.num_qubits)
-        psi = xp.moveaxis(psi, qubits, range(k))
-        psi = xp.ascontiguousarray(psi).reshape(2**k, -1)
-        phi = self._ab.asarray(matrix) @ psi
-        return complex(xp.sum(psi.conj() * phi))
+        psi = np.moveaxis(psi, qubits, range(k))
+        psi = np.ascontiguousarray(psi).reshape(2**k, -1)
+        phi = np.asarray(matrix) @ psi
+        return complex(np.sum(psi.conj() * phi))
 
     def expectation_pauli(self, pauli) -> float:
         """Expectation of a :class:`~repro.channels.pauli.PauliString`."""
@@ -275,46 +246,36 @@ class StatevectorBackend(PureStateBackend):
             else:
                 mat = np.array([[1.0, 0.0], [0.0, -1.0]])
             work.apply_matrix(mat, [q])
-        val = complex(self._xp.vdot(self._state, work._state)) * pauli.phase_factor()
+        val = complex(np.vdot(self._state, work._state)) * pauli.phase_factor()
         return float(np.real(val))
 
     # ------------------------------------------------------------------ #
     # probabilities and sampling
     # ------------------------------------------------------------------ #
     def probabilities(self) -> np.ndarray:
-        """|amplitude|**2 over all basis states (cached until mutation).
-
-        Always returned on host: this is the array-module boundary that
-        feeds sampling and analysis.
-        """
+        """|amplitude|**2 over all basis states (cached until mutation)."""
         if self._probs_cache is None:
-            probs = self._xp.abs(self._state) ** 2
+            probs = np.abs(self._state) ** 2
             total = probs.sum()
             if float(total) <= 0:
                 raise BackendError("state has zero norm")
-            self._probs_cache = self._ab.to_host(probs / total).astype(
-                np.float64, copy=False
-            )
+            self._probs_cache = (probs / total).astype(np.float64, copy=False)
         return self._probs_cache
 
-    def _cumulative(self):
-        """Cached cumulative distribution, resident on the array module.
+    def _cumulative(self) -> np.ndarray:
+        """Cached cumulative distribution.
 
         The arithmetic (element-wise square/divide, cumulative sum, tail
         clamp) deliberately mirrors
-        :meth:`BatchedStatevectorBackend.cumulative_stack` row for row —
-        both run on the *same* module, so serial and stacked sampling stay
-        bitwise identical whether the state lives on NumPy or CuPy (a
-        host-side cumsum here against a device-side prefix scan there
-        could disagree in the last ulp).
+        :meth:`BatchedStatevectorBackend.cumulative_stack` row for row, so
+        serial and stacked sampling stay bitwise identical.
         """
         if self._cumsum_cache is None:
-            xp = self._xp
-            probs = xp.abs(self._state) ** 2
+            probs = np.abs(self._state) ** 2
             total = probs.sum()
             if float(total) <= 0:
                 raise BackendError("state has zero norm")
-            cum = xp.cumsum((probs / total).astype(np.float64, copy=False))
+            cum = np.cumsum((probs / total).astype(np.float64, copy=False))
             # Clamp the tail so no uniform falls off the end.
             cum[-1] = 1.0
             self._cumsum_cache = cum
@@ -323,11 +284,9 @@ class StatevectorBackend(PureStateBackend):
     def sample_indices(self, num_shots: int, rng: np.random.Generator) -> np.ndarray:
         """Vectorized bulk sampling of basis-state indices.
 
-        Uniforms always come from the host ``rng`` (the determinism
-        contract); the inverse-CDF lookup runs wherever the cumulative
-        vector lives (the host guide table on NumPy, the module's own
-        binary search on a device) and only the shot indices cross back
-        to host.
+        All ``num_shots`` uniforms come from ``rng`` in one draw (the
+        ``(seed, trajectory_id)`` determinism contract) and go through one
+        inverse-CDF lookup.
         """
         if num_shots < 0:
             raise BackendError("num_shots must be >= 0")
@@ -335,11 +294,7 @@ class StatevectorBackend(PureStateBackend):
             return np.empty(0, dtype=np.int64)
         cum = self._cumulative()
         r = rng.random(num_shots)
-        indices = inverse_cdf_indices(cum, r, self._xp)
-        # Shot indices are the one bulk device->host transfer of the
-        # sampling hot path: stage through pinned memory under CuPy
-        # (identity under NumPy) for DMA-speed copies.
-        return self._ab.to_host_pinned(indices).astype(np.int64, copy=False)
+        return inverse_cdf_indices(cum, r).astype(np.int64, copy=False)
 
     def sample(
         self, num_shots: int, qubits: Sequence[int], rng: np.random.Generator
@@ -359,15 +314,14 @@ class StatevectorBackend(PureStateBackend):
         explicit post-selection (e.g. magic-state distillation accepts only
         trivial syndromes).
         """
-        xp = self._xp
         psi = self._state.reshape((2,) * self.num_qubits)
-        psi = xp.moveaxis(psi, [qubit], [0])
-        p1 = float(xp.sum(xp.abs(psi[1]) ** 2))
+        psi = np.moveaxis(psi, [qubit], [0])
+        p1 = float(np.sum(np.abs(psi[1]) ** 2))
         prob = p1 if outcome == 1 else 1.0 - p1
         if prob <= 0:
             raise BackendError(f"outcome {outcome} on qubit {qubit} has zero probability")
         psi[1 - outcome] = 0.0
-        self._state = xp.ascontiguousarray(xp.moveaxis(psi, [0], [qubit])).reshape(-1)
+        self._state = np.ascontiguousarray(np.moveaxis(psi, [0], [qubit])).reshape(-1)
         self.renormalize()
         return prob
 
@@ -375,10 +329,9 @@ class StatevectorBackend(PureStateBackend):
         """|<psi|phi>|**2 against another backend of equal width."""
         if other.num_qubits != self.num_qubits:
             raise BackendError("fidelity requires equal qubit counts")
-        return float(abs(complex(self._xp.vdot(self._state, other._state))) ** 2)
+        return float(abs(complex(np.vdot(self._state, other._state))) ** 2)
 
     def __repr__(self) -> str:
         return (
-            f"StatevectorBackend(qubits={self.num_qubits}, dtype={self._config.dtype}, "
-            f"xp={self._ab.name})"
+            f"StatevectorBackend(qubits={self.num_qubits}, dtype={self._config.dtype})"
         )

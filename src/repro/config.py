@@ -79,12 +79,6 @@ class Config:
     dtype:
         Complex dtype of dense state storage. ``complex128`` (default) or
         ``complex64`` (the paper's choice on GPU).
-    array_module:
-        Which array module the dense backends run their state math on:
-        ``"numpy"``, ``"cupy"``, or ``"auto"`` (default — CuPy when
-        importable, NumPy otherwise).  Resolved by
-        :func:`repro.linalg.backend.get_array_backend`; sampling and
-        ``ShotTable`` construction stay NumPy-on-host regardless.
     fusion:
         Gate/noise kernel fusion for the dense statevector strategies:
         ``"auto"`` (default — fuse adjacent operations into per-window
@@ -151,7 +145,6 @@ class Config:
     """
 
     dtype: np.dtype = np.dtype(np.complex128)
-    array_module: str = "auto"
     fusion: str = field(default_factory=_default_fusion)
     fusion_max_qubits: Optional[int] = None
     routing: str = "auto"

@@ -11,11 +11,6 @@ communication.  Gates touching *global* (slice-index) qubits gather the
 scatter back — every byte that crosses a device boundary is counted in
 :attr:`bytes_communicated`, so tests can assert both bit-exactness against
 the single-device backend *and* the expected communication volume.
-
-Slice math routes through the pluggable array-module layer
-(:mod:`repro.linalg.backend`), so the emulated devices run their kernels
-on NumPy or CuPy exactly like the single-device backends; sampled shot
-indices are always returned on host.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from repro.circuits.operations import GateOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
 from repro.devices.device import DeviceMesh
 from repro.errors import DeviceError
-from repro.linalg.backend import get_array_backend
 from repro.linalg.sampling import inverse_cdf_indices
 
 __all__ = ["DistributedStatevector"]
@@ -50,11 +44,9 @@ class DistributedStatevector:
             )
         self.local_qubits = num_qubits - self.global_qubits
         self._config = config
-        self._ab = get_array_backend(config.array_module)
-        self._xp = self._ab.xp
         self.local_dim = 2**self.local_qubits
         self.slices: List[np.ndarray] = [
-            self._xp.zeros(self.local_dim, dtype=config.dtype) for _ in mesh
+            np.zeros(self.local_dim, dtype=config.dtype) for _ in mesh
         ]
         self.slices[0][0] = 1.0
         self.bytes_communicated = 0
@@ -70,13 +62,13 @@ class DistributedStatevector:
 
     def gather(self) -> np.ndarray:
         """Reassemble the full state (devices own contiguous blocks)."""
-        return self._xp.concatenate(self.slices)
+        return np.concatenate(self.slices)
 
     # ------------------------------------------------------------------ #
     def apply_matrix(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
         targets = list(targets)
         k = len(targets)
-        matrix = self._ab.asarray(matrix, dtype=self._config.dtype)
+        matrix = np.asarray(matrix, dtype=self._config.dtype)
         if matrix.shape != (2**k, 2**k):
             raise DeviceError(f"matrix shape {matrix.shape} incompatible with {targets}")
         global_targets = [t for t in targets if t < self.global_qubits]
@@ -87,17 +79,16 @@ class DistributedStatevector:
 
     def _apply_local(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
         """All targets in the local part: independent per-device kernels."""
-        xp = self._xp
         local = [t - self.global_qubits for t in targets]
         k = len(local)
         for d in range(self.mesh.num_devices):
             psi = self.slices[d].reshape((2,) * self.local_qubits)
-            psi = xp.moveaxis(psi, local, range(k))
+            psi = np.moveaxis(psi, local, range(k))
             shape = psi.shape
-            flat = xp.ascontiguousarray(psi).reshape(2**k, -1)
+            flat = np.ascontiguousarray(psi).reshape(2**k, -1)
             flat = matrix @ flat
-            psi = xp.moveaxis(flat.reshape(shape), range(k), local)
-            self.slices[d] = xp.ascontiguousarray(psi).reshape(-1)
+            psi = np.moveaxis(flat.reshape(shape), range(k), local)
+            self.slices[d] = np.ascontiguousarray(psi).reshape(-1)
 
     def _apply_with_exchange(
         self, matrix: np.ndarray, targets: Sequence[int], global_targets: Sequence[int]
@@ -134,8 +125,7 @@ class DistributedStatevector:
                         idx |= 1 << b
                 members.append(idx)
             # Gather: stack member slices along new leading axes.
-            xp = self._xp
-            stacked = xp.stack([self.slices[d] for d in members], axis=0)
+            stacked = np.stack([self.slices[d] for d in members], axis=0)
             stacked = stacked.reshape((2,) * kg + (2,) * self.local_qubits)
             self.bytes_communicated += sum(self.slices[d].nbytes for d in members)
             self.exchange_count += 1
@@ -146,20 +136,19 @@ class DistributedStatevector:
                     axes.append(global_targets.index(t))
                 else:
                     axes.append(kg + (t - g))
-            psi = xp.moveaxis(stacked, axes, range(k))
+            psi = np.moveaxis(stacked, axes, range(k))
             shape = psi.shape
-            flat = xp.ascontiguousarray(psi).reshape(2**k, -1)
+            flat = np.ascontiguousarray(psi).reshape(2**k, -1)
             flat = matrix @ flat
-            psi = xp.moveaxis(flat.reshape(shape), range(k), axes)
-            psi = xp.ascontiguousarray(psi).reshape(group_size, self.local_dim)
+            psi = np.moveaxis(flat.reshape(shape), range(k), axes)
+            psi = np.ascontiguousarray(psi).reshape(group_size, self.local_dim)
             for pos, d in enumerate(members):
                 self.slices[d] = psi[pos].copy()
 
     # ------------------------------------------------------------------ #
     def norm_squared(self) -> float:
         """Local partial norms + an (emulated) all-reduce."""
-        xp = self._xp
-        partials = [float(xp.real(xp.vdot(s, s))) for s in self.slices]
+        partials = [float(np.real(np.vdot(s, s))) for s in self.slices]
         self.bytes_communicated += 8 * len(partials)  # the all-reduce scalars
         return float(sum(partials))
 
@@ -194,8 +183,7 @@ class DistributedStatevector:
         its probability mass (one all-reduce), shots are multinomially
         routed to devices, and each device samples its shots locally.
         """
-        xp = self._xp
-        block = np.array([float(xp.sum(xp.abs(s) ** 2)) for s in self.slices])
+        block = np.array([float(np.sum(np.abs(s) ** 2)) for s in self.slices])
         self.bytes_communicated += 8 * len(block)
         total = block.sum()
         if total <= 0:
@@ -207,7 +195,7 @@ class DistributedStatevector:
         for d, count in enumerate(per_device):
             if count == 0:
                 continue
-            probs = self._ab.to_host(xp.abs(self.slices[d]) ** 2)
+            probs = np.abs(self.slices[d]) ** 2
             probs = probs / probs.sum()
             cum = np.cumsum(probs)
             cum[-1] = 1.0

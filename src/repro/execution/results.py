@@ -99,10 +99,8 @@ class ShotTable:
         if len(widths) != 1:
             raise DataError(f"mismatched bit widths {widths}")
         return cls(
-            # Shot tables are host uint8 by the boundary contract: states
-            # may live on device, bits never do.
-            np.concatenate([t.bits for t in tables], axis=0),  # replint: disable=XP001 -- host bit tables
-            np.concatenate([t.trajectory_ids for t in tables]),  # replint: disable=XP001 -- host bit tables
+            np.concatenate([t.bits for t in tables], axis=0),
+            np.concatenate([t.trajectory_ids for t in tables]),
             tables[0].measured_qubits,
         )
 
@@ -177,8 +175,8 @@ class PTSBEResult:
         """All shots, provenance-aligned by trajectory index."""
         if not self.trajectories:
             raise DataError("no trajectories were executed")
-        bits = np.concatenate([t.bits for t in self.trajectories], axis=0)  # replint: disable=XP001 -- host bit tables
-        ids = np.concatenate(  # replint: disable=XP001 -- host provenance ids
+        bits = np.concatenate([t.bits for t in self.trajectories], axis=0)
+        ids = np.concatenate(
             [
                 np.full(t.num_shots, t.record.trajectory_id, dtype=np.int64)
                 for t in self.trajectories

@@ -24,7 +24,7 @@ still being prepared.  This module is the delivery layer for
   same weights — so streaming is strictly additive;
 * :meth:`StreamedResult.close` abandons the run mid-stream: the
   underlying generator's cleanup runs (process pools shut down with
-  pending tasks cancelled, stacked device buffers released), so a
+  pending tasks cancelled, stacked state buffers released), so a
   consumer that got what it needed leaks nothing;
 * ``retain=False`` (every ``execute_stream`` and
   :func:`~repro.execution.batched.run_ptsbe_stream` accept it) drops
@@ -84,8 +84,8 @@ class ShotChunk:
         """This chunk's shots, provenance-aligned by trajectory index."""
         if not self.trajectories:
             raise ExecutionError("empty shot chunk has no table")
-        bits = np.concatenate([t.bits for t in self.trajectories], axis=0)  # replint: disable=XP001 -- host bit tables
-        ids = np.concatenate(  # replint: disable=XP001 -- host provenance ids
+        bits = np.concatenate([t.bits for t in self.trajectories], axis=0)
+        ids = np.concatenate(
             [
                 np.full(t.num_shots, t.record.trajectory_id, dtype=np.int64)
                 for t in self.trajectories

@@ -219,7 +219,7 @@ class _Compiler:
         if self.fused:
             pre = self.pending.pop(targets[order[0]], _I2)
             for i in order[1:]:
-                pre = np.kron(pre, self.pending.pop(targets[i], _I2))  # replint: disable=XP001 -- compile-time host gate matrices
+                pre = np.kron(pre, self.pending.pop(targets[i], _I2))
             mats = [m @ pre for m in mats]
         base = self.site_of[targets[order[0]]]
         for offset, i in enumerate(order[1:], start=1):
@@ -262,7 +262,7 @@ class _Compiler:
                 span=k,
                 site_id=op.site_id,
                 name=op.name,
-                ops=np.stack(kraus),  # replint: disable=XP001 -- compile-time host Kraus stack
+                ops=np.stack(kraus),
                 dominant=op.channel.dominant_index(),
             )
         )

@@ -1,12 +1,5 @@
 """Dense linear-algebra helpers shared by the simulation backends."""
 
-from repro.linalg.backend import (
-    ArrayBackend,
-    NUMPY_BACKEND,
-    as_host,
-    cupy_available,
-    get_array_backend,
-)
 from repro.linalg.apply import (
     CompiledOperator,
     apply_compiled_stack,
@@ -40,11 +33,6 @@ from repro.linalg.decompositions import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "NUMPY_BACKEND",
-    "as_host",
-    "cupy_available",
-    "get_array_backend",
     "CompiledOperator",
     "apply_compiled_stack",
     "apply_gemm_stack",

@@ -8,10 +8,10 @@ two backends *bitwise identical* per trajectory — the equivalence contract
 of the vectorized execution path — while giving both the same speed.
 
 The kernel is split in two phases so the fusion compilation pipeline
-(:mod:`repro.execution.plan`) can amortize the host-side analysis:
+(:mod:`repro.execution.plan`) can amortize the per-operator analysis:
 
-* :func:`compile_operator` inspects a ``(2**k, 2**k)`` matrix **once** on
-  host — canonicalizing 2-qubit target order, casting to the state dtype,
+* :func:`compile_operator` inspects a ``(2**k, 2**k)`` matrix **once** —
+  canonicalizing 2-qubit target order, casting to the state dtype,
   and detecting the fast-path tier — and returns a reusable
   :class:`CompiledOperator`;
 * :func:`apply_compiled_stack` applies a compiled operator to a stack with
@@ -66,22 +66,14 @@ sixteenth-stack scratch block), which is what lets the stacked executor
 size a device's rows at 2x workspace instead of 3x whenever no operator
 spans four qubits
 (:class:`repro.execution.vectorized.VectorizedExecutor`).
-
-The kernel is array-module agnostic (the CuPy drop-in pattern of
-:mod:`repro.linalg.backend`): the stack may live on any ``xp`` namespace
-passed by the caller, while the small ``(2**k, 2**k)`` operator matrix is
-always inspected on host — its entries drive control flow (zero skipping,
-diagonal detection) and scalar coefficients, which would otherwise force
-one device synchronization per element.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.linalg.backend import as_host
 from repro.linalg.kron import kron_all
 
 __all__ = [
@@ -113,12 +105,12 @@ _TAIL_GEMM_MAX_DIM = 32
 
 
 class CompiledOperator:
-    """One host-analyzed ``(2**k, 2**k)`` operator, ready for stacks.
+    """One analyzed ``(2**k, 2**k)`` operator, ready for stacks.
 
     Attributes
     ----------
     matrix:
-        Host matrix, cast to the state dtype.  For 2- and 3-qubit
+        The matrix, cast to the state dtype.  For 2- and 3-qubit
         operators with non-ascending targets the bit order is
         pre-canonicalized so ``targets`` is always ascending on the fast
         paths.
@@ -131,7 +123,7 @@ class CompiledOperator:
         The single scale factor when the operator is a scalar multiple of
         the identity (the cheapest tier), else ``None``.
     nnz:
-        Nonzero entry count of the host matrix, precomputed so the dense
+        Nonzero entry count of the matrix, precomputed so the dense
         tiers can choose between slice accumulation (permutation-like
         operators) and the BLAS paths without re-inspecting the matrix
         per application.
@@ -153,7 +145,7 @@ class CompiledOperator:
         "nnz",
         "sparse",
         "gemm_view",
-        "_on_module",
+        "_padded",
     )
 
     def __init__(
@@ -176,27 +168,20 @@ class CompiledOperator:
             and contiguous
             and (k > MAX_VIEW_QUBITS or not self.sparse)
         )
-        self._on_module = None  # (xp, {tail: device array}) memo for the GEMM paths
+        self._padded: Dict[int, np.ndarray] = {1: matrix}
 
-    def matrix_on(self, xp: Any, tail: int = 1) -> Any:
-        """``matrix (x) I_tail`` on array module ``xp`` (built once, memoized).
+    def padded(self, tail: int) -> np.ndarray:
+        """``matrix (x) I_tail`` for the short-tail GEMM (built once per ``tail``).
 
-        Only the GEMM paths consume the matrix as a device array; the
-        slice tiers read host entries element-wise.  Compiled operators
-        are long-lived plan members, so paying the host-to-device copy
-        (or, for ``tail > 1``, the host Kronecker product the short-tail
-        GEMM multiplies by) per application would undo the amortization
+        Compiled operators are long-lived plan members, so paying the
+        Kronecker product per application would undo the amortization
         compiling exists for.
         """
-        memo = self._on_module
-        if memo is None or memo[0] is not xp:
-            memo = self._on_module = (xp, {})
-        padded = memo[1].get(tail)
+        padded = self._padded.get(tail)
         if padded is None:
-            host = self.matrix
-            if tail > 1:
-                host = kron_all([host, np.eye(tail, dtype=host.dtype)])
-            padded = memo[1][tail] = xp.asarray(host)
+            padded = self._padded[tail] = kron_all(
+                [self.matrix, np.eye(tail, dtype=self.matrix.dtype)]
+            )
         return padded
 
     @property
@@ -218,15 +203,14 @@ def compile_operator(
 ) -> CompiledOperator:
     """Analyze a matrix once: cast, canonicalize targets, detect the tier.
 
-    ``matrix`` may live on host or device; it is inspected on host either
-    way.  The tier analysis mirrors what :func:`apply_matrix_stack` has
-    always done per call — compiling simply hoists it so plan-driven
-    callers (:mod:`repro.execution.plan`) pay it once per distinct
-    operator instead of once per application.
+    The tier analysis mirrors what :func:`apply_matrix_stack` has always
+    done per call — compiling simply hoists it so plan-driven callers
+    (:mod:`repro.execution.plan`) pay it once per distinct operator
+    instead of once per application.
     """
     targets = tuple(targets)
     k = len(targets)
-    m = as_host(matrix).astype(dtype, copy=False)
+    m = np.asarray(matrix).astype(dtype, copy=False)
     if 2 <= k <= MAX_VIEW_QUBITS and any(
         targets[i] > targets[i + 1] for i in range(k - 1)
     ):
@@ -234,7 +218,7 @@ def compile_operator(
         # bit order so the reshape-view kernels always see ascending
         # targets.  New operator bit j takes old bit order[j], applied to
         # row and column axes alike.
-        order = tuple(int(i) for i in np.argsort(targets, kind="stable"))  # replint: disable=XP001 -- compile-time host analysis
+        order = tuple(int(i) for i in np.argsort(targets, kind="stable"))
         axes = order + tuple(k + i for i in order)
         m = np.ascontiguousarray(
             m.reshape((2,) * (2 * k)).transpose(axes).reshape(2**k, 2**k)
@@ -252,14 +236,13 @@ def compile_operator(
 
 
 def _accumulate_slices(
-    out_slices: List[Any], in_slices: List[Any], matrix: np.ndarray, xp: Any
+    out_slices: List[np.ndarray], in_slices: List[np.ndarray], matrix: np.ndarray
 ) -> None:
     """out_i = sum_j matrix[i, j] * in_j with fixed j order, skipping zeros.
 
     ``out_slices`` must not alias ``in_slices`` (callers pass a fresh
     output buffer); accumulation happens directly in the output to avoid
-    an extra full-stack copy per slice.  ``matrix`` is a host array; the
-    slices live on ``xp``.
+    an extra full-stack copy per slice.
     """
     for i, dst in enumerate(out_slices):
         started = False
@@ -269,9 +252,9 @@ def _accumulate_slices(
                 continue
             if not started:
                 if c == 1:
-                    xp.copyto(dst, src)
+                    np.copyto(dst, src)
                 else:
-                    xp.multiply(src, c, out=dst)
+                    np.multiply(src, c, out=dst)
                 started = True
             elif c == 1:
                 dst += src
@@ -281,7 +264,7 @@ def _accumulate_slices(
             dst[...] = 0
 
 
-def _scale_slices_inplace(slices: List[Any], diag: np.ndarray) -> None:
+def _scale_slices_inplace(slices: List[np.ndarray], diag: np.ndarray) -> None:
     """slice_i *= diag[i] in place (identity entries skipped)."""
     for d, s in zip(diag, slices):
         if d != 1:
@@ -289,18 +272,16 @@ def _scale_slices_inplace(slices: List[Any], diag: np.ndarray) -> None:
 
 
 def apply_compiled_stack(
-    stack: Any, op: CompiledOperator, num_qubits: int, xp: Optional[Any] = None
-) -> Any:
+    stack: np.ndarray, op: CompiledOperator, num_qubits: int
+) -> np.ndarray:
     """Apply a :class:`CompiledOperator` to every row of a stack.
 
     Same contract as :func:`apply_matrix_stack` minus the per-call
     analysis: ``stack`` is a C-contiguous ``(rows, 2**num_qubits)`` array
     owned by the caller; scalar/diagonal operators mutate it in place and
-    return it, dense operators return a fresh array on the same module.
-    No renormalization is performed.
+    return it, dense operators return a fresh array.  No renormalization
+    is performed.
     """
-    if xp is None:
-        xp = np
     rows, dim = stack.shape
     k = op.num_targets
     if op.scalar is not None:
@@ -320,10 +301,10 @@ def apply_compiled_stack(
             # end: one flat GEMM covers the whole stack
             # (out[r, i] = sum_j U[i, j] v[r, j], U = M (x) I_tail).
             view = stack.reshape(-1, dim_k * tail)
-            out = xp.matmul(view, op.matrix_on(xp, tail).T)
+            out = np.matmul(view, op.padded(tail).T)
         else:
             view = stack.reshape(-1, dim_k, tail)
-            out = xp.matmul(op.matrix_on(xp), view)
+            out = np.matmul(op.matrix, view)
         return out.reshape(rows, dim)
     if k == 1:
         t = op.targets[0]
@@ -332,8 +313,8 @@ def apply_compiled_stack(
         if op.diag is not None:
             _scale_slices_inplace(in_slices, op.diag)
             return stack
-        out = xp.empty_like(view)
-        _accumulate_slices([out[:, 0], out[:, 1]], in_slices, op.matrix, xp)
+        out = np.empty_like(view)
+        _accumulate_slices([out[:, 0], out[:, 1]], in_slices, op.matrix)
         return out.reshape(rows, dim)
     if k == 2:
         t1, t2 = op.targets  # ascending after compilation
@@ -342,9 +323,9 @@ def apply_compiled_stack(
         if op.diag is not None:
             _scale_slices_inplace(in_slices, op.diag)
             return stack
-        out = xp.empty_like(view)
+        out = np.empty_like(view)
         out_slices = [out[:, j, :, l] for j in range(2) for l in range(2)]
-        _accumulate_slices(out_slices, in_slices, op.matrix, xp)
+        _accumulate_slices(out_slices, in_slices, op.matrix)
         return out.reshape(rows, dim)
     if k == 3:
         # The k=3 view tier: fused 3-qubit windows and the native ccx
@@ -375,23 +356,23 @@ def apply_compiled_stack(
             if op.diag is not None:
                 _scale_slices_inplace(in_slices, op.diag)
                 return stack
-            out = xp.empty_like(view)
+            out = np.empty_like(view)
             out_slices = [
                 out[:, a, :, b, :, c]
                 for a in range(2)
                 for b in range(2)
                 for c in range(2)
             ]
-            _accumulate_slices(out_slices, in_slices, op.matrix, xp)
+            _accumulate_slices(out_slices, in_slices, op.matrix)
             return out.reshape(rows, dim)
         # Dense and gapped (contiguous dense triples took the view matmul).
-        return _apply_k3_blocked_gemm(stack, op, num_qubits, xp)
-    return apply_gemm_stack(stack, op, num_qubits, xp)
+        return _apply_k3_blocked_gemm(stack, op, num_qubits)
+    return apply_gemm_stack(stack, op, num_qubits)
 
 
 def _apply_k3_blocked_gemm(
-    stack: Any, op: CompiledOperator, num_qubits: int, xp: Any
-) -> Any:
+    stack: np.ndarray, op: CompiledOperator, num_qubits: int
+) -> np.ndarray:
     """Gapped dense 3-qubit operators: gather + GEMM + scatter in blocks.
 
     Same arithmetic as :func:`apply_gemm_stack` (each row is one
@@ -407,28 +388,27 @@ def _apply_k3_blocked_gemm(
     """
     rows, dim = stack.shape
     targets = [t + 1 for t in op.targets]
-    matrix = op.matrix_on(xp)
-    out = xp.empty_like(stack)
+    out = np.empty_like(stack)
     src = stack.reshape((rows,) + (2,) * num_qubits)
     dst = out.reshape((rows,) + (2,) * num_qubits)
     block = max(1, rows // 16)
-    scratch = xp.empty((block, 8, dim // 8), dtype=stack.dtype)
+    scratch = np.empty((block, 8, dim // 8), dtype=stack.dtype)
     for start in range(0, rows, block):
         blk = src[start : start + block]
         b = blk.shape[0]
-        psi = xp.moveaxis(blk, targets, (1, 2, 3))
+        psi = np.moveaxis(blk, targets, (1, 2, 3))
         # Gather (the ascontiguousarray of the whole-stack path) lands in
         # the output rows this block will overwrite anyway.
         gathered = out[start : start + b].reshape(psi.shape)
         gathered[...] = psi
-        res = xp.matmul(matrix, gathered.reshape(b, 8, -1), out=scratch[:b])
-        dst[start : start + b] = xp.moveaxis(res.reshape(psi.shape), (1, 2, 3), targets)
+        res = np.matmul(op.matrix, gathered.reshape(b, 8, -1), out=scratch[:b])
+        dst[start : start + b] = np.moveaxis(res.reshape(psi.shape), (1, 2, 3), targets)
     return out
 
 
 def apply_gemm_stack(
-    stack: Any, op: CompiledOperator, num_qubits: int, xp: Optional[Any] = None
-) -> Any:
+    stack: np.ndarray, op: CompiledOperator, num_qubits: int
+) -> np.ndarray:
     """Generic k-qubit fallback: move target axes up front, one batched GEMM.
 
     The tier behind gapped or non-ascending operators wider than
@@ -440,38 +420,32 @@ def apply_gemm_stack(
     why the stacked executor provisions extra workspace whenever a plan
     can reach this tier.
     """
-    if xp is None:
-        xp = np
     rows, dim = stack.shape
     k = op.num_targets
     psi = stack.reshape((rows,) + (2,) * num_qubits)
-    psi = xp.moveaxis(psi, [t + 1 for t in op.targets], range(1, k + 1))
+    psi = np.moveaxis(psi, [t + 1 for t in op.targets], range(1, k + 1))
     shape_after = psi.shape
-    psi = xp.ascontiguousarray(psi).reshape(rows, 2**k, -1)
-    out = xp.matmul(op.matrix_on(xp), psi).reshape(shape_after)
-    out = xp.moveaxis(out, range(1, k + 1), [t + 1 for t in op.targets])
-    return xp.ascontiguousarray(out).reshape(rows, dim)
+    psi = np.ascontiguousarray(psi).reshape(rows, 2**k, -1)
+    out = np.matmul(op.matrix, psi).reshape(shape_after)
+    out = np.moveaxis(out, range(1, k + 1), [t + 1 for t in op.targets])
+    return np.ascontiguousarray(out).reshape(rows, dim)
 
 
 def apply_matrix_stack(
-    stack: Any,
+    stack: np.ndarray,
     matrix: Any,
     targets: Sequence[int],
     num_qubits: int,
     dtype: np.dtype,
-    xp: Optional[Any] = None,
-) -> Any:
+) -> np.ndarray:
     """Apply a ``(2**k, 2**k)`` matrix to ``targets`` of every stack row.
 
     One-shot convenience over :func:`compile_operator` +
     :func:`apply_compiled_stack`.  ``stack`` must be a C-contiguous
-    ``(rows, 2**num_qubits)`` array on the ``xp`` array module (host NumPy
-    when ``xp`` is omitted) and is treated as owned by the caller:
-    diagonal operators mutate it in place and return it, dense operators
-    return a fresh array on the same module.  ``matrix`` may live on host
-    or device; it is inspected on host either way.  No renormalization is
-    performed.
+    ``(rows, 2**num_qubits)`` array and is treated as owned by the
+    caller: diagonal operators mutate it in place and return it, dense
+    operators return a fresh array.  No renormalization is performed.
     """
     return apply_compiled_stack(
-        stack, compile_operator(matrix, targets, dtype), num_qubits, xp
+        stack, compile_operator(matrix, targets, dtype), num_qubits
     )

@@ -6,11 +6,6 @@ tests; the statevector backend never materializes full operators (it applies
 gates in-place on the state tensor, per the HPC guidance of avoiding
 needless big allocations).
 
-Like the gate kernels in :mod:`repro.linalg.apply`, the constructors are
-array-module agnostic: pass an ``xp`` namespace (see
-:mod:`repro.linalg.backend`) to build the product on device; the default
-is host NumPy.
-
 Qubit-ordering convention (library-wide): qubit 0 is the *most significant*
 bit of a computational-basis index, i.e. basis state ``|q0 q1 ... q(n-1)>``
 has integer index ``q0*2**(n-1) + ... + q(n-1)``.  Equivalently, reshaping a
@@ -19,7 +14,7 @@ statevector to shape ``(2,)*n`` puts qubit ``i`` on tensor axis ``i``.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,25 +23,22 @@ from repro.errors import GateError
 __all__ = ["kron_all", "embed_operator", "permute_operator_qubits"]
 
 
-def kron_all(matrices: Sequence[np.ndarray], xp: Optional[Any] = None) -> np.ndarray:
+def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right.
 
     ``kron_all([A, B, C]) == A (x) B (x) C`` — with our convention the
     leftmost factor acts on qubit 0.
     """
-    if xp is None:
-        xp = np
     if len(matrices) == 0:
-        return xp.eye(1)
-    out = xp.asarray(matrices[0])
+        return np.eye(1)
+    out = np.asarray(matrices[0])
     for mat in matrices[1:]:
-        out = xp.kron(out, xp.asarray(mat))
+        out = np.kron(out, np.asarray(mat))
     return out
 
 
 def _validate_gate_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
-    if not hasattr(matrix, "shape"):  # lists/tuples; device arrays pass through
-        matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix)
     dim = 2**num_targets
     if matrix.shape != (dim, dim):
         raise GateError(
@@ -80,7 +72,6 @@ def embed_operator(
     matrix: np.ndarray,
     targets: Sequence[int],
     num_qubits: int,
-    xp: Optional[Any] = None,
 ) -> np.ndarray:
     """Embed a ``k``-qubit operator acting on ``targets`` into ``n`` qubits.
 
@@ -88,8 +79,6 @@ def embed_operator(
     with the operator's qubit *i* wired to circuit qubit ``targets[i]``.
     Only intended for small ``n`` (reference computations / tests).
     """
-    if xp is None:
-        xp = np
     targets = list(targets)
     k = len(targets)
     matrix = _validate_gate_matrix(matrix, k)
@@ -99,12 +88,12 @@ def embed_operator(
         raise GateError(f"targets {targets} out of range for {num_qubits} qubits")
 
     # Tensor with row/column axes per qubit, contract the gate in.
-    op = xp.asarray(matrix).reshape((2,) * (2 * k))
-    full = xp.eye(2**num_qubits, dtype=np.result_type(matrix.dtype, np.complex128))
+    op = matrix.reshape((2,) * (2 * k))
+    full = np.eye(2**num_qubits, dtype=np.result_type(matrix.dtype, np.complex128))
     full = full.reshape((2,) * (2 * num_qubits))
     # Row axes of the full operator are 0..n-1.  Contract gate input axes
     # (k..2k-1 of `op`) against the target row axes of the identity.
-    res = xp.tensordot(op, full, axes=(list(range(k, 2 * k)), targets))
+    res = np.tensordot(op, full, axes=(list(range(k, 2 * k)), targets))
     # tensordot layout: gate output axes first (one per target, in target
     # order), then the surviving identity axes (non-target rows ascending,
     # then all column axes).  Build the permutation back to row-major

@@ -2,8 +2,7 @@
 
 The per-row renormalization sweep after each noise window used to be the
 dominant stacked-path cost at large batch sizes: the batched backend
-called ``vdot(row, row)`` once per row, and on a device module every call
-forced its own host synchronization.  Batching the reduction is only
+called ``vdot(row, row)`` once per row.  Batching the reduction is only
 sound if it cannot diverge from the serial backend's ``norm_squared`` —
 the bitwise serial/stacked equivalence contract hangs on the two engines
 renormalizing by the *exact same* float.
@@ -17,8 +16,7 @@ calls it once on the whole ``(B, 2**n)`` stack.  The reduction is
 row-independent — each output element is a sum over its own row only, in
 an order that does not depend on how many rows sit above or below it —
 so the B-row result is bit-for-bit the concatenation of B 1-row results.
-One device-resident call replaces B host-synced ``vdot``\\ s, and only the
-final ``(B,)`` norm vector crosses to host.
+One call replaces B per-row ``vdot``\\ s.
 
 Note the one-time numerics change this introduced: the shared reduction
 sums ``re**2 + im**2`` over the interleaved real view of a row (a
@@ -32,21 +30,17 @@ reduction in the same commit.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 import numpy as np
 
 __all__ = ["row_norms_squared", "scale_rows_inverse_sqrt"]
 
 
-def row_norms_squared(stack: Any, xp: Optional[Any] = None) -> Any:
+def row_norms_squared(stack: np.ndarray) -> np.ndarray:
     """Per-row ``<psi|psi>`` of a C-contiguous ``(rows, dim)`` complex stack.
 
-    Returns a real ``(rows,)`` array **on the same array module** as
-    ``stack`` (no host transfer — callers decide when to synchronize).
-    The sum runs over the interleaved real view of each row
-    (``re_0**2 + im_0**2 + re_1**2 + ...``) as one batched
-    ``(1, 2*dim) @ (2*dim, 1)`` GEMV per row, so no ``(rows, dim)``
+    Returns a real ``(rows,)`` array.  The sum runs over the interleaved
+    real view of each row (``re_0**2 + im_0**2 + re_1**2 + ...``) as one
+    batched ``(1, 2*dim) @ (2*dim, 1)`` GEMV per row, so no ``(rows, dim)``
     temporary is materialized and each row's dot product is an
     independent batch element whose summation order does not depend on
     the row count — the property that makes a 1-row call on the serial
@@ -59,8 +53,6 @@ def row_norms_squared(stack: Any, xp: Optional[Any] = None) -> Any:
     contiguous states); non-contiguous input raises rather than silently
     copying, since a copy here would hide a performance bug upstream.
     """
-    if xp is None:
-        xp = np
     if stack.ndim != 2:
         raise ValueError(f"expected a (rows, dim) stack, got shape {stack.shape}")
     # Reinterpret each complex row as 2*dim interleaved floats; a pure
@@ -68,12 +60,12 @@ def row_norms_squared(stack: Any, xp: Optional[Any] = None) -> Any:
     if not stack.flags["C_CONTIGUOUS"]:
         raise ValueError("row_norms_squared requires a C-contiguous stack")
     real_view = stack.view(stack.real.dtype)
-    return xp.matmul(real_view[:, None, :], real_view[:, :, None])[:, 0, 0]
+    return np.matmul(real_view[:, None, :], real_view[:, :, None])[:, 0, 0]
 
 
 def scale_rows_inverse_sqrt(
-    stack: Any, norms: Any, xp: Optional[Any] = None, dead_norm: float = 0.0
-) -> Any:
+    stack: np.ndarray, norms: np.ndarray, dead_norm: float = 0.0
+) -> np.ndarray:
     """In place: ``stack[i] /= sqrt(norms[i])`` (unit divisor for dead rows).
 
     The renormalization *scale* companion to :func:`row_norms_squared`,
@@ -88,11 +80,9 @@ def scale_rows_inverse_sqrt(
     which is bitwise the identity; callers zero or reject such rows
     themselves.
     """
-    if xp is None:
-        xp = np
-    norms64 = xp.asarray(norms).astype(np.float64, copy=False)
-    divisor = xp.sqrt(
-        xp.where(norms64 > dead_norm, norms64, xp.asarray(1.0, dtype=np.float64))
+    norms64 = np.asarray(norms).astype(np.float64, copy=False)
+    divisor = np.sqrt(
+        np.where(norms64 > dead_norm, norms64, np.asarray(1.0, dtype=np.float64))
     ).astype(stack.real.dtype, copy=False)
     stack /= divisor[:, None]
     return stack

@@ -9,7 +9,7 @@ reduction:
 
 * :func:`inverse_cdf_indices` maps shot uniforms to basis-state indices
   through a cumulative distribution.  Its result is *defined* as
-  ``cum.searchsorted(r, side="right")``; on host it gets there with
+  ``cum.searchsorted(r, side="right")``; it gets there with
   Chen & Asau's cutpoint (guide-table) method instead of one binary
   search per shot, so a shot costs ``O(1)`` expected rather than
   ``O(log dim)`` mispredicted branches.
@@ -22,7 +22,7 @@ Both are exact replacements: no shot bit depends on which path ran.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,25 +78,21 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
     return counts[:cells].astype(dtype)
 
 
-def inverse_cdf_indices(cum: Any, r: np.ndarray, xp: Optional[Any] = None) -> Any:
+def inverse_cdf_indices(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``cum.searchsorted(r, side="right")`` for a whole shot budget at once.
 
     ``cum`` is a cumulative distribution over ``dim`` outcomes whose last
-    entry the caller has clamped to 1.0, ``r`` host uniforms in
-    ``[0, 1)``; entry ``j`` of the result is the first ``i`` with
-    ``cum[i] > r[j]``, on the array module ``cum`` lives on.
+    entry the caller has clamped to 1.0, ``r`` uniforms in ``[0, 1)``;
+    entry ``j`` of the result is the first ``i`` with ``cum[i] > r[j]``.
 
-    On host NumPy, when the shot count pays for it (:func:`_use_guide`),
-    ``[0, 1)`` is bucketed into ``2 * dim`` cells (rounded up to a power
-    of two) once per call; a shot starts at its cell's guide entry, takes
-    at most :data:`_GUIDE_MAX_STEPS` vectorised linear steps while
+    When the shot count pays for it (:func:`_use_guide`), ``[0, 1)`` is
+    bucketed into ``2 * dim`` cells (rounded up to a power of two) once
+    per call; a shot starts at its cell's guide entry, takes at most
+    :data:`_GUIDE_MAX_STEPS` vectorised linear steps while
     ``cum[idx] <= r``, and any lane still unresolved (a peaked state) is
     finished by the binary search itself — so the worst case is bounded
-    and the indices are ``searchsorted``'s by construction.  A device
-    module keeps its own ``searchsorted``.
+    and the indices are ``searchsorted``'s by construction.
     """
-    if xp is not None and xp is not np:
-        return xp.searchsorted(cum, xp.asarray(r), side="right")
     if not _use_guide(r.shape[0], cum.shape[0]):
         return cum.searchsorted(r, side="right")
     guide = _guide_table(cum)
@@ -118,8 +114,6 @@ def bits_from_indices(
     """Extract bit columns for ``qubits`` from basis-state indices.
 
     Qubit 0 is the most significant bit of an index (library convention).
-    Always host NumPy: shot indices cross the array-module boundary before
-    they become :class:`~repro.execution.results.ShotTable` rows.
     Returns C-contiguous ``(len(indices), len(qubits))`` uint8.
 
     The low ``ceil(num_qubits / 8)`` bytes of each index, most significant

@@ -4,14 +4,13 @@ Runtime equivalence tests prove the invariants held *on the inputs they
 ran*; this package enforces them *mechanically* at review time, over
 every line of ``src/repro``:
 
-* **XP001 / XP002** — backend purity: device-path math stays on the
-  pluggable ``xp`` namespace; host syncs never sit inside executor
-  loops (the CuPy drop-in contract);
 * **RNG001** — RNG discipline: every random draw derives from the
   ``repro.rng`` spawn machinery keyed by ``(seed, trajectory_id)``
   (the bitwise-replay contract);
 * **DET001** — no wall clocks / OS entropy / hash-ordered set iteration
   in seeded replay paths;
+* **ERR001** — no swallowed or over-broad ``except`` on an execution
+  path;
 * **STRAT001** — the dispatch attaches the routing trail, and only
   ``execution/driver.py`` builds a ``StreamedResult`` (the rest of the
   strategy contract is a runtime conformance test over the strategy
@@ -19,8 +18,8 @@ every line of ``src/repro``:
 
 Run it with ``python -m repro.lint [--strict] [--json]``; grandfathered
 findings live in the committed ``baseline.json`` next to this file, each
-with a justification.  Suppress a single intentional boundary crossing
-inline with ``# replint: disable=RULE -- reason``.  See
+with a justification.  Suppress a single intentional exception inline
+with ``# replint: disable=RULE -- reason``.  See
 ``docs/architecture.md`` ("Static analysis") for the catalogue and the
 policy on suppressions vs. baseline entries.
 """

@@ -42,9 +42,9 @@ def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "AST-based invariant linter for the repro codebase: backend "
-            "purity (XP001/XP002), RNG discipline (RNG001), replay "
-            "determinism (DET001), and the executor strategy contract "
+            "AST-based invariant linter for the repro codebase: RNG "
+            "discipline (RNG001), replay determinism (DET001), failure "
+            "handling (ERR001), and the executor strategy contract "
             "(STRAT001)."
         ),
     )

@@ -13,8 +13,7 @@ The context knows three things rules keep asking:
   ``import numpy as np``, ``from numpy import linalg``, and
   ``from numpy.random import default_rng`` alike;
 * **where a node sits** — the enclosing function/class scope (for
-  baseline keys) and whether it is lexically inside a loop (for the
-  hot-path transfer rule);
+  baseline keys);
 * **what the author suppressed** — ``# replint: disable=RULE[,RULE...]``
   on the offending line, or ``# replint: disable-file=RULE`` anywhere in
   the file.  ``disable=all`` silences every rule for that line.
@@ -27,7 +26,7 @@ import re
 import tokenize
 from io import StringIO
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 __all__ = ["FileContext", "SUPPRESS_RE"]
 
@@ -35,16 +34,13 @@ __all__ = ["FileContext", "SUPPRESS_RE"]
 #: suppression applies to the whole file, group 2 the comma-separated
 #: rule list (``all`` silences everything).  Trailing prose after the
 #: rule list is the (encouraged) justification and is ignored by the
-#: matcher: ``# replint: disable=XP001 -- host bit tables``.
+#: matcher: ``# replint: disable=DET001 -- timing only, never seeds``.
 SUPPRESS_RE = re.compile(
     r"#\s*replint:\s*disable(-file)?\s*=\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
 )
 
 #: Nodes that start a new scope for baseline keys.
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-#: Nodes whose body repeats: a call under one of these runs per iteration.
-_LOOP_NODES = (ast.For, ast.AsyncFor, ast.While)
 
 
 class FileContext:
@@ -144,38 +140,6 @@ class FileContext:
             cur = self._parents.get(cur)
         return ".".join(reversed(names)) if names else "<module>"
 
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> Optional[ast.FunctionDef | ast.AsyncFunctionDef]:
-        cur = self._parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cur
-            cur = self._parents.get(cur)
-        return None
-
-    def in_loop(self, node: ast.AST) -> bool:
-        """True when the node executes once per iteration of a loop.
-
-        Walks ancestors up to the enclosing function (or module) boundary;
-        comprehension generators count as loops, the loop's own ``iter``
-        expression (evaluated once) does not.
-        """
-        child = node
-        cur = self._parents.get(node)
-        while cur is not None and not isinstance(cur, _SCOPE_NODES):
-            if isinstance(cur, _LOOP_NODES):
-                once = getattr(cur, "iter", None)  # While has no iter
-                if child is not once:
-                    return True
-            if isinstance(
-                cur, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                return True
-            child = cur
-            cur = self._parents.get(cur)
-        return False
-
     def line_text(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
@@ -210,11 +174,3 @@ class FileContext:
             return True
         at_line = self.line_suppressions.get(line, set())
         return bool({"all", rule} & at_line)
-
-    def suppressed_rules(self) -> Set[Tuple[int, str]]:
-        """Every (line, rule) pair with an inline suppression (for tooling)."""
-        out: Set[Tuple[int, str]] = set()
-        for line, rules in self.line_suppressions.items():
-            for rule in rules:
-                out.add((line, rule))
-        return out

@@ -29,7 +29,7 @@ class Finding:
     Attributes
     ----------
     rule:
-        Rule identifier (``"XP001"``, ...).
+        Rule identifier (``"DET001"``, ...).
     path:
         POSIX-style path relative to the lint root.
     line / column:

@@ -4,9 +4,8 @@ Rules come in two shapes:
 
 * :class:`FileRule` — runs once per source file against a
   :class:`~repro.lint.context.FileContext`; ``applies_to`` scopes it to
-  the module set whose invariant it guards (device-path modules for the
-  ``xp`` rules, replay paths for determinism, everything for RNG
-  discipline).
+  the module set whose invariant it guards (replay paths for
+  determinism, everything for RNG discipline).
 * :class:`ProjectRule` — runs once against the whole
   :class:`Project`, for cross-module contracts (the strategy-table rule
   reads ``execution/batched.py`` and every executor module it points at).

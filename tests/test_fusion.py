@@ -400,10 +400,7 @@ class TestFusionEquivalence:
         ref = StatevectorBackend(workload.num_qubits, config=OFF)
         w_ref = ref.run_fixed(workload, choices)
         assert w == pytest.approx(w_ref, rel=1e-10)
-        host = sv.array_backend.to_host
-        np.testing.assert_allclose(
-            host(sv.statevector), host(ref.statevector), atol=1e-12
-        )
+        np.testing.assert_allclose(sv.statevector, ref.statevector, atol=1e-12)
 
     def test_shot_tables_exact_across_window_caps(self, workload):
         """Same plan => exact shots; the cap changes the plan, so only the
@@ -466,7 +463,7 @@ class TestStackWideSampling:
     def test_cumulative_stack_matches_serial_rows(self, noisy_ghz3):
         stacked = BatchedStatevectorBackend(3)
         stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}, {1: 2}])
-        cum = stacked.array_backend.to_host(stacked.cumulative_stack())
+        cum = stacked.cumulative_stack()
         assert cum.shape == (3, 8)
         for row, choices in enumerate([{}, {0: 1}, {1: 2}]):
             serial = StatevectorBackend(3)

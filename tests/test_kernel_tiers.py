@@ -1,4 +1,5 @@
-"""Dense kernel tiers: the k=3 reshape-view path and the shared norm reduction."""
+"""Dense kernel tiers: the k=3 reshape-view path, the short-tail padded GEMM,
+and the shared norm reduction with its divisor."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from repro.linalg import (
     random_unitary,
     row_norms_squared,
 )
+from repro.linalg.kron import kron_all
+from repro.linalg.reductions import scale_rows_inverse_sqrt
 
 DTYPE = np.dtype(np.complex128)
 
@@ -233,6 +236,121 @@ class TestContiguousGemmTier:
                 np.testing.assert_array_equal(single[0], full[row])
 
 
+class TestPaddedOperator:
+    """``CompiledOperator.padded``: ``M (x) I_tail`` for the short-tail GEMM."""
+
+    def test_tail_one_is_the_matrix_itself(self):
+        op = compile_operator(random_unitary(4, np.random.default_rng(3)), (4, 5), DTYPE)
+        assert op.padded(1) is op.matrix
+
+    @pytest.mark.parametrize("tail", [2, 4, 8])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_is_the_matrix_kron_identity(self, tail, dtype):
+        dtype = np.dtype(dtype)
+        op = compile_operator(random_unitary(4, np.random.default_rng(tail)), (1, 2), dtype)
+        padded = op.padded(tail)
+        assert padded.dtype == dtype
+        np.testing.assert_array_equal(padded, kron_all([op.matrix, np.eye(tail)]))
+
+    def test_built_once_per_tail(self):
+        op = compile_operator(random_unitary(4, np.random.default_rng(5)), (1, 2), DTYPE)
+        first = op.padded(4)
+        assert op.padded(4) is first
+        assert op.padded(2) is not first
+        assert op.padded(2).shape == (8, 8) and first.shape == (16, 16)
+
+    def test_short_tail_window_takes_the_padded_gemm(self):
+        # Targets (1, 2) of 5 qubits leave a tail of 4: 4 * 4 <= 32, so the
+        # whole stack is one flat GEMM against the memoised M (x) I_4.
+        u = random_unitary(4, np.random.default_rng(9))
+        op = compile_operator(u, (1, 2), DTYPE)
+        assert op.gemm_view
+        stack = _random_stack(3, 5, 2)
+        out = apply_compiled_stack(stack.copy(), op, 5)
+        assert sorted(op._padded) == [1, 4]
+        reference = (embed_operator(u, [1, 2], 5) @ stack.T).T
+        np.testing.assert_allclose(out, reference, atol=1e-13)
+        np.testing.assert_array_equal(apply_compiled_stack(stack.copy(), op, 5), out)
+
+
+def _tier_cases():
+    rng = np.random.default_rng(31)
+    from repro.circuits.gates import CX, H
+
+    return [
+        pytest.param(np.eye(2), (3,), "identity", id="identity"),
+        pytest.param(1j * np.eye(4), (1, 4), "scalar", id="scalar"),
+        pytest.param(np.diag([1, 1j, -1, 1]), (5, 0), "diagonal", id="diagonal"),
+        pytest.param(H.matrix, (2,), "dense", id="slice-1q"),
+        pytest.param(CX.matrix, (4, 1), "dense", id="slice-cx-reversed"),
+        pytest.param(random_unitary(4, rng), (4, 5), "dense", id="gemm-view"),
+        pytest.param(random_unitary(8, rng), (0, 2, 5), "dense", id="k3-blocked"),
+        pytest.param(random_unitary(16, rng), (5, 0, 2, 3), "dense", id="k4-gemm"),
+    ]
+
+
+class TestApplyMatrixStack:
+    """The one-shot entry point is compile + apply, bitwise, on every tier."""
+
+    @pytest.mark.parametrize("matrix,targets,tier", _tier_cases())
+    def test_is_compile_then_apply(self, matrix, targets, tier):
+        stack = _random_stack(3, 6, 13)
+        op = compile_operator(matrix, targets, DTYPE)
+        assert op.tier == tier
+        one_shot = apply_matrix_stack(stack.copy(), matrix, targets, 6, DTYPE)
+        compiled = apply_compiled_stack(stack.copy(), op, 6)
+        np.testing.assert_array_equal(one_shot, compiled)
+        reference = (embed_operator(matrix, list(targets), 6) @ stack.T).T
+        np.testing.assert_allclose(one_shot, reference, atol=1e-12)
+
+
+class TestScaleRowsInverseSqrt:
+    """The renormalization divisor shared by the serial and stacked backends."""
+
+    def test_divides_in_place_and_returns_the_stack(self):
+        stack = _random_stack(4, 3, 7)
+        expected = stack / np.sqrt(row_norms_squared(stack))[:, None]
+        out = scale_rows_inverse_sqrt(stack, row_norms_squared(stack))
+        assert out is stack
+        np.testing.assert_array_equal(stack, expected)
+
+    def test_rows_come_out_unit_norm(self):
+        stack = _random_stack(6, 5, 8)
+        scale_rows_inverse_sqrt(stack, row_norms_squared(stack))
+        np.testing.assert_allclose(row_norms_squared(stack), 1.0, rtol=1e-14)
+
+    def test_dead_rows_divide_by_one(self):
+        stack = _random_stack(3, 3, 9)
+        stack[1] = 0.0
+        stack[2] *= 1e-4
+        before = stack.copy()
+        norms = row_norms_squared(stack)
+        scale_rows_inverse_sqrt(stack, norms, dead_norm=1e-6)
+        np.testing.assert_array_equal(stack[1:], before[1:])
+        np.testing.assert_allclose(row_norms_squared(stack[:1]), 1.0, rtol=1e-14)
+
+    def test_complex64_divides_at_the_state_dtype(self):
+        stack = _typed_stack(3, 4, 10, np.complex64)
+        norms = row_norms_squared(stack)
+        assert norms.dtype == np.float32
+        divisor = np.sqrt(norms.astype(np.float64)).astype(np.float32)
+        expected = stack / divisor[:, None]
+        scale_rows_inverse_sqrt(stack, norms)
+        assert stack.dtype == np.complex64
+        np.testing.assert_array_equal(stack, expected)
+
+    def test_rowwise_bitwise_identical_to_single_row(self):
+        stack = _random_stack(5, 6, 12)
+        norms = row_norms_squared(stack)
+        singles = [
+            scale_rows_inverse_sqrt(stack[i : i + 1].copy(), norms[i : i + 1])
+            for i in range(5)
+        ]
+        scale_rows_inverse_sqrt(stack, norms)
+        for i, single in enumerate(singles):
+            np.testing.assert_array_equal(single[0], stack[i])
+
+
 class TestRowNormsSquared:
     """The shared serial/stacked renormalization reduction."""
 
@@ -250,9 +368,7 @@ class TestRowNormsSquared:
         sv.set_statevector(state, normalize=True)
         expected = float(
             row_norms_squared(
-                np.ascontiguousarray(sv.array_backend.to_host(sv.statevector)).reshape(
-                    1, -1
-                )
+                np.ascontiguousarray(sv.statevector).reshape(1, -1)
             )[0]
         )
         assert sv.norm_squared() == expected
@@ -267,17 +383,14 @@ class TestRowNormsSquared:
             w = serial.run_fixed(noisy_ghz3, choices)
             assert weights[row] == w  # bitwise weight identity
             np.testing.assert_array_equal(
-                stacked.array_backend.to_host(stacked.statevector(row)),
-                serial.array_backend.to_host(serial.statevector),
+                stacked.statevector(row), serial.statevector
             )
         norms = stacked.norms_squared()
         assert norms.shape == (3,)
         for row in range(3):
             assert norms[row] == float(
                 row_norms_squared(
-                    np.ascontiguousarray(
-                        stacked.array_backend.to_host(stacked.statevector(row))
-                    ).reshape(1, -1)
+                    np.ascontiguousarray(stacked.statevector(row)).reshape(1, -1)
                 )[0]
             )
 
@@ -321,8 +434,7 @@ class TestRowNormsSquared:
                 w = serial.run_fixed(circuit, choices)
                 assert weights[row] == w
                 np.testing.assert_array_equal(
-                    stacked.array_backend.to_host(stacked.statevector(row)),
-                    serial.array_backend.to_host(serial.statevector),
+                    stacked.statevector(row), serial.statevector
                 )
 
     def test_dead_rows_still_detected_with_batched_renorm(self):
@@ -334,6 +446,4 @@ class TestRowNormsSquared:
         weights, alive = stacked.run_fixed_stack(circ, [{0: 1}, {}])
         assert not alive[0] and alive[1]
         assert weights[0] == 0.0 and weights[1] > 0.0
-        np.testing.assert_array_equal(
-            stacked.array_backend.to_host(stacked.statevector(0)), [0.0, 0.0]
-        )
+        np.testing.assert_array_equal(stacked.statevector(0), [0.0, 0.0])

@@ -8,7 +8,6 @@ and the shift-and-mask bit extraction.
 from __future__ import annotations
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,21 +190,6 @@ class TestInverseCdfIndices:
         assert built == []
         inverse_cdf_indices(cum, rng.random(4096))
         assert built == [cum.shape[0]]
-
-    def test_device_module_keeps_its_own_searchsorted(self):
-        calls = []
-
-        def searchsorted(cum, r, side):
-            calls.append(side)
-            return np.searchsorted(cum, r, side=side)
-
-        xp = SimpleNamespace(searchsorted=searchsorted, asarray=np.asarray)
-        rng = np.random.default_rng(9)
-        cum = cumulative(porter_thomas(6, rng))
-        r = rng.random(4096)
-        got = inverse_cdf_indices(cum, r, xp)
-        assert calls == ["right"]
-        np.testing.assert_array_equal(got, inverse_cdf_indices(cum, r, np))
 
 
 def shift_and_mask(indices, qubits, num_qubits):

@@ -176,6 +176,13 @@ class TestSampling:
         sv.apply_gate(X, [0])
         assert sv.probabilities()[1] == pytest.approx(1.0)
 
+    def test_probabilities_are_host_numpy(self, noisy_ghz3):
+        backend = StatevectorBackend(3)
+        backend.run_fixed(noisy_ghz3, {})
+        probs = backend.probabilities()
+        assert isinstance(probs, np.ndarray)
+        assert probs.dtype == np.float64
+
 
 class TestMeasurementPrimitives:
     def test_measure_probability_one(self):
