@@ -1,7 +1,7 @@
-"""Standalone benchmark scripts + shared harness.
+"""The repo benchmark (``benchmarks/e2e``) and the sweep specs.
 
-A package so the entry points run as modules from the repo root
-(``python -m benchmarks.bench_sweep``) as well as directly as scripts
-(``python benchmarks/bench_sweep.py``); the scripts themselves keep both
-spellings working via a try/except on the ``_harness`` import.
+A package so the benchmark runs as a module from the repo root
+(``python -m benchmarks.e2e.run``) as well as directly as a script
+(``python3 benchmarks/e2e/run.py``).  The sweep specs under
+``benchmarks/sweeps`` are run by ``python -m repro.sweep``.
 """

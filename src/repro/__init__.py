@@ -31,7 +31,6 @@ from repro.errors import (
     ChannelError,
     CircuitError,
     DataError,
-    DeviceError,
     ExecutionError,
     FaultError,
     GateError,
@@ -108,7 +107,6 @@ __all__ = [
     "ExecutionError",
     "WorkerCrashError",
     "FaultError",
-    "DeviceError",
     "QECError",
     "DataError",
     # fault tolerance

@@ -98,9 +98,7 @@ class Config:
         of ``2**k x 2**k`` fused matrices per Kraus variant).  An explicit
         integer always overrides the auto-resolution.  Windows of up to 3
         qubits run on the reshape-view fast paths of the gate kernel;
-        wider ones use the generic batched-GEMM path (which also needs 3x
-        instead of 2x workspace headroom per stacked row — see
-        :class:`repro.execution.vectorized.VectorizedExecutor`).
+        wider ones use the GEMM tiers of :mod:`repro.linalg.apply`.
     routing:
         Engine routing for ``run_ptsbe(strategy="auto")``: ``"auto"``
         (default — pure-Clifford circuits with Pauli-mixture noise go to
@@ -168,10 +166,8 @@ class Config:
         the ``None`` default resolves width-aware —
         :data:`FUSION_AUTO_CAP_WIDE` (4) for circuits of
         :data:`FUSION_AUTO_WIDE_QUBITS` (12) qubits or more,
-        :data:`FUSION_AUTO_CAP_NARROW` (3) below.  The plan compiler and
-        the stacked executor's workspace sizing both read the cap through
-        here, so the two can never disagree about which kernel tier a run
-        can reach.
+        :data:`FUSION_AUTO_CAP_NARROW` (3) below.  The plan compiler reads
+        the cap through here.
         """
         if self.fusion_max_qubits is not None:
             return int(self.fusion_max_qubits)

@@ -57,7 +57,7 @@ class ExecutionError(ReproError):
 
 
 class WorkerCrashError(ExecutionError):
-    """A worker process (or emulated device) died mid-unit.
+    """A worker process died mid-unit.
 
     Raised by the fault-injection layer to emulate a hard crash, and used
     by the retry machinery as the classification for real pool deaths
@@ -78,10 +78,6 @@ class FaultError(ExecutionError):
         super().__init__(message)
         self.unit = unit
         self.attempts = attempts
-
-
-class DeviceError(ReproError):
-    """Emulated-device failure (bad mesh shape, partition mismatch, ...)."""
 
 
 class QECError(ReproError):

@@ -10,7 +10,7 @@ over four executors, each a constructor plus an
 (:mod:`~repro.execution.vectorized`), ``clifford`` Pauli frames
 (:mod:`~repro.execution.clifford`) and ``tensornet`` trajectory-stacked
 MPS (:mod:`~repro.execution.tensornet`).  ``num_workers`` (both dense
-executors) and ``devices`` (the stacked one) are constructor parameters;
+executors) and ``max_batch`` (the stacked one) are constructor parameters;
 ``parallel`` and ``sharded`` are aliases of ``serial`` and ``vectorized``
 that differ in name and defaults only.  The name → class table is
 :data:`~repro.execution.batched.STRATEGIES`; ``strategy="auto"`` picks

@@ -26,6 +26,7 @@ and the dispatch.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from importlib import import_module
 from typing import Callable, Dict, Optional, Union
@@ -302,6 +303,25 @@ def _check_dense_capacity(circuit, backend, resolved: str, config) -> None:
     )
 
 
+def _check_executor_kwargs(cls: type, resolved: str, executor_kwargs: Dict) -> None:
+    """Refuse ``executor_kwargs`` the resolved executor does not take.
+
+    ``backend`` and ``sample_kwargs`` are passed by the pipeline itself,
+    so they are not executor arguments either.
+    """
+    accepted = [
+        name for name in inspect.signature(cls).parameters
+        if name not in ("backend", "sample_kwargs")
+    ]
+    unknown = sorted(set(executor_kwargs) - set(accepted))
+    if unknown:
+        takes = ", ".join(repr(name) for name in accepted) or "none"
+        raise ExecutionError(
+            f"strategy {resolved!r} ({cls.__name__}) takes no executor argument "
+            f"{', '.join(repr(name) for name in unknown)}; it accepts: {takes}"
+        )
+
+
 def run_ptsbe(
     circuit: Circuit,
     sampler: PTSAlgorithm,
@@ -339,13 +359,12 @@ def run_ptsbe(
           process pool);
         * ``"vectorized"`` — deduplicated ``(B, 2**n)`` trajectory stacks
           (:class:`~repro.execution.vectorized.VectorizedExecutor`;
-          ``max_batch`` and ``devices`` bound the rows of a stack —
-          ``devices`` sizes it to the smallest device's memory —
-          and ``num_workers`` fans the tasks over a process pool);
+          a stack holds ``min(max_batch, the backend's dense amplitude
+          budget)`` rows, and ``num_workers`` fans the tasks over a
+          process pool);
         * ``"parallel"`` — alias of ``"serial"`` whose ``num_workers``
           defaults to 2 (:class:`ParallelExecutor`);
-        * ``"sharded"`` — alias of ``"vectorized"`` whose ``devices``
-          defaults to 2 emulated 80 GB devices and whose ``max_batch``
+        * ``"sharded"`` — alias of ``"vectorized"`` whose ``max_batch``
           defaults to ``None``
           (:class:`~repro.execution.vectorized.ShardedExecutor`).  An
           alias differs from its parent in name (``result.engine``, fault
@@ -370,8 +389,8 @@ def run_ptsbe(
 
         Every *dense* strategy draws identical per-trajectory shots for a fixed
         ``seed`` and orders results by spec position, so shot tables
-        match row for row, whatever ``num_workers``, ``max_batch`` or
-        ``devices`` are.  All dense strategies execute through the same
+        match row for row, whatever ``num_workers`` or ``max_batch``
+        are.  All dense strategies execute through the same
         compiled :class:`~repro.execution.plan.FusedPlan`, so the
         cross-strategy guarantee holds with gate/noise fusion on
         (``Config.fusion="auto"``, the default) or off.  ``"clifford"``
@@ -388,8 +407,10 @@ def run_ptsbe(
     executor_kwargs:
         Extra constructor arguments for the chosen executor, e.g.
         ``{"num_workers": 4}`` for ``"serial"`` / ``"parallel"``, or
-        ``{"max_batch": 32, "devices": 4}`` for ``"vectorized"`` /
-        ``"sharded"``.
+        ``{"max_batch": 32, "num_workers": 2}`` for ``"vectorized"`` /
+        ``"sharded"``.  A name the resolved strategy's executor does not
+        take raises :class:`~repro.errors.ExecutionError` listing the
+        names it does, before anything is built.
 
     Examples
     --------
@@ -466,9 +487,10 @@ def run_ptsbe_stream(
     target.freeze()
     resolved, routing = resolve_strategy(target, backend, strategy, config)
     _check_dense_capacity(target, backend, resolved, config)
-    executor = executor_class(resolved)(
-        backend, sample_kwargs=sample_kwargs, **(executor_kwargs or {})
-    )
+    cls = executor_class(resolved)
+    executor_kwargs = executor_kwargs or {}
+    _check_executor_kwargs(cls, resolved, executor_kwargs)
+    executor = cls(backend, sample_kwargs=sample_kwargs, **executor_kwargs)
     stream = executor.execute_stream(
         target, pts_result.specs, seed=streams.seed, retain=retain
     )

@@ -1,4 +1,4 @@
-"""Trajectory-stacked dense execution, sized to a device pool.
+"""Trajectory-stacked dense execution.
 
 ``strategy="vectorized"`` (and its alias ``"sharded"``):
 
@@ -17,9 +17,7 @@
    :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`,
    prepared with one plan walk (shared windows hit all rows in a single
    broadcast kernel, divergent Kraus variants hit row sub-slices).  ``B``
-   is ``min(max_batch, the backend's dense amplitude budget, rows the
-   smallest device of the pool holds)``, so a unit fits whichever worker
-   picks it up;
+   is ``min(max_batch, the backend's dense amplitude budget)``;
 4. **Bulk-sample** — every spec draws its full shot budget from the
    stack-wide cached cumulative tensor with the stream derived from
    ``(seed, trajectory_id)``.
@@ -33,30 +31,24 @@ adapter.
 Because the per-row arithmetic deliberately mirrors the serial backend
 operation-for-operation, and sampling uses the exact same per-trajectory
 Philox streams, the ``ShotTable`` is bitwise identical to a serial
-``BatchedExecutor`` run with the same seed for *any* device pool, worker
-count or ``max_batch`` — verified in ``tests/test_vectorized.py``,
+``BatchedExecutor`` run with the same seed for *any* worker count or
+``max_batch`` — verified in ``tests/test_vectorized.py``,
 ``tests/test_sharded.py`` and ``tests/test_driver.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.circuits.circuit import Circuit
-from repro.circuits.operations import GateOp, NoiseOp
-from repro.config import DEFAULT_CONFIG, Config
-from repro.devices.device import Device, DeviceMesh
-from repro.devices.memory import statevector_bytes
-from repro.errors import CapacityError, ExecutionError
+from repro.config import Config
+from repro.errors import ExecutionError
 from repro.execution.batched import BackendSpec, check_workers
 from repro.execution.driver import StreamingExecutor, timed
 from repro.execution.plan import get_fused_plan
-from repro.linalg.apply import MAX_VIEW_QUBITS
 
 __all__ = ["VectorizedExecutor", "ShardedExecutor"]
-
-Devices = Union[DeviceMesh, Sequence[Device], int]
 
 
 class VectorizedExecutor(StreamingExecutor):
@@ -72,27 +64,17 @@ class VectorizedExecutor(StreamingExecutor):
     max_batch:
         Upper bound on stacked rows per prepared unit (``None``: no bound
         of its own).  The rows of a unit are ``min(max_batch, the
-        backend's dense amplitude budget, rows the smallest device
-        holds)``.
+        backend's dense amplitude budget)``.
     sample_kwargs:
         Accepted for signature symmetry with the other executors, but the
         stacked dense backend takes no sampling options — a non-empty
         value is rejected up front rather than crashing mid-run.
-    devices:
-        The device pool a unit must fit: a
-        :class:`~repro.devices.device.DeviceMesh`, an explicit sequence
-        of :class:`~repro.devices.device.Device`, or an integer count of
-        identical 80 GB emulated GPUs (no power-of-two constraint).  A
-        unit is sized to the *smallest* device —
-        :func:`~repro.devices.memory.statevector_bytes` per row times the
-        kernel tier's workspace factor — so it fits whichever worker
-        picks it up.  ``None`` (default): no device bound.
     num_workers:
         ``1`` (default) runs every unit in this process; larger values
         hand tasks to a process pool of that size, which needs a
         picklable :class:`BackendSpec`.  Stacked preparation is bitwise
         identical to serial preparation row by row, so the shot table is
-        the same for any device pool, worker count or ``max_batch``.
+        the same for any worker count or ``max_batch``.
     """
 
     strategy = "vectorized"
@@ -102,7 +84,6 @@ class VectorizedExecutor(StreamingExecutor):
         backend: Union[BackendSpec, Callable[[int], BatchedStatevectorBackend], None] = None,
         max_batch: Optional[int] = 64,
         sample_kwargs: Optional[Dict] = None,
-        devices: Optional[Devices] = None,
         num_workers: int = 1,
     ):
         if backend is None:
@@ -125,7 +106,6 @@ class VectorizedExecutor(StreamingExecutor):
             )
         self.backend = backend
         self.max_batch = max_batch
-        self.devices = _device_pool(devices)
         self.num_workers = check_workers(self, num_workers, backend)
 
     def _engine(self, circuit: Circuit) -> "_StackEngine":
@@ -140,85 +120,33 @@ class VectorizedExecutor(StreamingExecutor):
                     f"backend factory returned {type(backend).__name__}, which lacks "
                     "run_fixed_stack; VectorizedExecutor needs a stacked backend"
                 )
-        # The one row-sizing rule.  Bytes and workspace come from the
-        # config the built backend runs under, not from the recipe's.
-        rows = [backend.max_batch_rows]
+        # The one row-sizing rule: the built backend's own amplitude
+        # budget, tightened by max_batch.
+        rows = backend.max_batch_rows
         if self.max_batch is not None:
-            rows.append(self.max_batch)
-        if self.devices:
-            config = getattr(backend, "config", None) or DEFAULT_CONFIG
-            factor = _workspace_factor(circuit, config)
-            row_bytes = statevector_bytes(circuit.num_qubits, dtype=config.dtype)
-            smallest = min(self.devices, key=lambda device: device.memory_bytes)
-            if smallest.memory_bytes < factor * row_bytes:
-                raise CapacityError(
-                    f"device {smallest.name!r} ({smallest.memory_bytes} bytes) cannot "
-                    f"hold one 2**{circuit.num_qubits} statevector row plus kernel "
-                    f"workspace ({factor} x {row_bytes} bytes)"
-                )
-            rows.append(smallest.memory_bytes // (factor * row_bytes))
-        return _StackEngine(self.strategy, backend, circuit, int(min(rows)))
+            rows = min(rows, self.max_batch)
+        return _StackEngine(self.strategy, backend, circuit, int(rows))
 
 
 class ShardedExecutor(VectorizedExecutor):
-    """``VectorizedExecutor`` under the name ``"sharded"``, sized to two
-    emulated devices and to no ``max_batch`` by default.  Kept as an alias
-    so seeds, fault sites (``sharded/stack:*``) and user code replay
-    unchanged."""
+    """``VectorizedExecutor`` under the name ``"sharded"``, with no
+    ``max_batch`` by default.  Kept as an alias so seeds, fault sites
+    (``sharded/stack:*``) and user code replay unchanged."""
 
     strategy = "sharded"
 
     def __init__(
         self,
         backend: Union[BackendSpec, Callable, None] = None,
-        devices: Devices = 2,
+        *,
         max_batch: Optional[int] = None,
         num_workers: int = 1,
         sample_kwargs: Optional[Dict] = None,
     ):
         super().__init__(
             backend, max_batch=max_batch, sample_kwargs=sample_kwargs,
-            devices=devices, num_workers=num_workers,
+            num_workers=num_workers,
         )
-
-
-def _device_pool(devices: Optional[Devices]) -> List[Device]:
-    if devices is None:
-        return []
-    if isinstance(devices, int):
-        if devices <= 0:
-            raise ExecutionError(f"devices must be positive, got {devices}")
-        return [
-            Device(device_id=i, memory_bytes=80 * 10**9, name=f"emulated[{i}]")
-            for i in range(devices)
-        ]
-    pool = list(devices)
-    if not pool:
-        raise ExecutionError("device pool must not be empty")
-    return pool
-
-
-def _workspace_factor(circuit: Circuit, config: Config) -> int:
-    """Peak bytes of a stacked kernel pass, in units of the resident stack.
-
-    Operators on up to :data:`~repro.linalg.apply.MAX_VIEW_QUBITS` qubits
-    run the reshape-view kernels of :mod:`repro.linalg.apply` — the
-    dedicated k=3 tier included — whose only transient is a fresh output
-    buffer: 2x.  Anything wider takes the moveaxis + batched-GEMM path,
-    whose peak holds the stack, the contiguous gathered input *and* the
-    GEMM output: 3x.  Wide operators come from the circuit's own gates and
-    channels (fusion on or off; a ``MeasureOp`` spans every qubit but is
-    never applied as a matrix) and from fused windows, which reach the
-    resolved window cap but never past the circuit's width.
-    """
-    widest = max(
-        (len(op.qubits) for op in circuit if isinstance(op, (GateOp, NoiseOp))),
-        default=1,
-    )
-    if config.fusion != "off":
-        cap = config.resolved_fusion_max_qubits(circuit.num_qubits)
-        widest = max(widest, min(cap, circuit.num_qubits))
-    return 3 if widest > MAX_VIEW_QUBITS else 2
 
 
 class _StackEngine:

@@ -86,8 +86,8 @@ class RetryPolicy:
         Exponential backoff: attempt ``k`` (1-based) sleeps
         ``min(backoff_max, backoff_base * 2**(k-1))`` seconds before
         re-running.  The defaults are deliberately tiny — test suites and
-        emulated devices recover in microseconds; a real pooled-device
-        deployment raises them via ``Config.retry``.
+        in-process faults recover in microseconds; a deployment whose
+        workers fail on real resources raises them via ``Config.retry``.
     jitter:
         When ``True`` (default) the delay is scaled by a factor in
         ``[0.5, 1.5)`` drawn from the seed-derived fault stream — the

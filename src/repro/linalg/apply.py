@@ -62,10 +62,7 @@ interchangeable.  Gapped or non-ascending operators on four or more
 qubits fall back to the moveaxis + batched-GEMM kernel
 (:func:`apply_gemm_stack`), whose transient peaks at ~3x the resident
 stack; every other path stays at ~2x (fresh output, plus at most a
-sixteenth-stack scratch block), which is what lets the stacked executor
-size a device's rows at 2x workspace instead of 3x whenever no operator
-spans four qubits
-(:class:`repro.execution.vectorized.VectorizedExecutor`).
+sixteenth-stack scratch block).
 """
 
 from __future__ import annotations
@@ -412,13 +409,11 @@ def apply_gemm_stack(
     """Generic k-qubit fallback: move target axes up front, one batched GEMM.
 
     The tier behind gapped or non-ascending operators wider than
-    :data:`MAX_VIEW_QUBITS`.  Exposed separately so the kernel benchmarks
-    and tier tests can pit the reshape-view paths against it directly (the
-    contiguous view matmul is the same per-row product without the
-    gather).  Peak memory is ~3x the stack
-    (resident stack + contiguous gathered input + GEMM output), which is
-    why the stacked executor provisions extra workspace whenever a plan
-    can reach this tier.
+    :data:`MAX_VIEW_QUBITS`.  Exposed separately so the tier tests can
+    pit the reshape-view paths against it directly (the contiguous view
+    matmul is the same per-row product without the gather).  Peak memory
+    is ~3x the stack (resident stack + contiguous gathered input + GEMM
+    output).
     """
     rows, dim = stack.shape
     k = op.num_targets

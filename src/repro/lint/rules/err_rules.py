@@ -58,7 +58,6 @@ REPRO_ERROR_NAMES = frozenset(
         "ExecutionError",
         "WorkerCrashError",
         "FaultError",
-        "DeviceError",
         "QECError",
         "DataError",
     }
@@ -72,8 +71,8 @@ BROAD_NAMES = frozenset({"Exception", "BaseException"})
 def _caught_names(ctx: FileContext, handler: ast.ExceptHandler) -> List[str]:
     """Trailing identifiers of every literal class in the except clause.
 
-    ``except (BackendError, errors.DeviceError):`` yields
-    ``["BackendError", "DeviceError"]``.  Non-literal elements (calls,
+    ``except (BackendError, errors.CapacityError):`` yields
+    ``["BackendError", "CapacityError"]``.  Non-literal elements (calls,
     subscripts, plain locals holding tuples) yield nothing — the rule
     only judges what it can read.
     """

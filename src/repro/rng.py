@@ -31,9 +31,8 @@ stream per site and attempt, far off the hot path.
   :func:`make_rng` a plain generator on it, for callers that hold no
   factory (tests, scripts);
 * :func:`trajectory_rng` derives the stream for trajectory *i* — the same
-  stream is produced whether the trajectory runs serially, in a process
-  pool, or on a different emulated device (verified in
-  ``tests/test_rng.py``);
+  stream is produced whether the trajectory runs serially, in a stack
+  of any size, or in a process pool (verified in ``tests/test_rng.py``);
 * :class:`StreamFactory` packages this for the execution layer.
 """
 

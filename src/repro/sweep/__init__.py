@@ -21,9 +21,8 @@ qsimbench sweeps algorithm families × sizes × device noise profiles:
   (families × widths × strategies: pass/fail/skip + shots/s) to markdown
   and JSON.
 
-The benchmark entry point is ``benchmarks/bench_sweep.py``, which emits
-one schema-valid ``BENCH_*.json`` per cell so ``bench_compare`` can guard
-the whole matrix against regression.
+The command line is ``python -m repro.sweep`` (:mod:`repro.sweep.__main__`),
+which writes the report to ``sweep_report.{md,json}``.
 """
 
 from repro.sweep.spec import (

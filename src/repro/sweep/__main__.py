@@ -1,21 +1,15 @@
-"""Run a declarative scenario sweep with the differential conformance oracle.
+"""``python -m repro.sweep``: run a scenario sweep with the conformance oracle.
 
-The CLI face of :mod:`repro.sweep`: load a YAML/JSON spec, run every
-(family × width × profile) cell through every listed strategy, check the
-oracle tiers (bitwise strategy equivalence, streamed-chunk concatenation,
-density-matrix distribution at small widths), and leave three kinds of
-artifact in ``--out-dir``:
-
-* one ``BENCH_sweep_<cell_id>.json`` per executed cell (schema of
-  ``benchmarks/_harness.py``; one row per strategy) — directly
-  comparable across commits with
-  ``python -m benchmarks.bench_compare <base-dir> <cur-dir>``;
-* ``sweep_report.md`` — the human coverage/perf matrix;
-* ``sweep_report.json`` — the machine summary (spec, matrix, findings).
+Loads a YAML/JSON spec, runs every (family × width × profile) cell
+through every listed strategy, checks the oracle tiers (bitwise strategy
+equivalence, streamed-chunk concatenation, density-matrix distribution
+at small widths), and writes ``sweep_report.md`` (the human
+coverage/perf matrix) and ``sweep_report.json`` (the machine summary:
+spec, matrix, findings) to ``--out-dir``.
 
 .. code-block:: bash
 
-    PYTHONPATH=src python -m benchmarks.bench_sweep \
+    PYTHONPATH=src python -m repro.sweep \\
         --spec benchmarks/sweeps/smoke.yaml --out-dir sweep-out
 
 Exit status: 0 every executed cell passed its oracle, 1 at least one
@@ -30,10 +24,7 @@ import os
 import sys
 from typing import List, Optional
 
-try:
-    from benchmarks import _harness
-except ImportError:  # direct script invocation: python benchmarks/bench_sweep.py
-    import _harness
+__all__ = ["main"]
 
 
 def _print_cell(cell) -> None:
@@ -61,7 +52,8 @@ def _list_registries() -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run a scenario sweep with the differential conformance oracle."
+        prog="python -m repro.sweep",
+        description="Run a scenario sweep with the differential conformance oracle.",
     )
     parser.add_argument(
         "--spec", metavar="PATH", default=None,
@@ -69,19 +61,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--out-dir", metavar="DIR", default=".",
-        help="directory for per-cell BENCH_*.json + reports (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--report-md", metavar="PATH", default=None,
-        help="coverage matrix markdown path (default: <out-dir>/sweep_report.md)",
-    )
-    parser.add_argument(
-        "--report-json", metavar="PATH", default=None,
-        help="machine summary path (default: <out-dir>/sweep_report.json)",
-    )
-    parser.add_argument(
-        "--no-bench-json", action="store_true",
-        help="skip writing per-cell BENCH_*.json documents",
+        help="directory for sweep_report.{md,json} (default: %(default)s)",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -120,20 +100,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     os.makedirs(args.out_dir, exist_ok=True)
-    if not args.no_bench_json:
-        for cell in result.cells:
-            rows = cell.bench_rows()
-            if not rows:  # skipped cells have no strategy outcomes
-                continue
-            path = os.path.join(args.out_dir, f"BENCH_sweep_{cell.cell_id}.json")
-            _harness.write_json(
-                path,
-                benchmark=f"sweep_{cell.cell_id}",
-                rows=rows,
-                workload=cell.workload_dict(),
-            )
-    md_path = args.report_md or os.path.join(args.out_dir, "sweep_report.md")
-    json_path = args.report_json or os.path.join(args.out_dir, "sweep_report.json")
+    md_path = os.path.join(args.out_dir, "sweep_report.md")
+    json_path = os.path.join(args.out_dir, "sweep_report.json")
     write_report(result, markdown_path=md_path, json_path=json_path)
     print(f"wrote {md_path} and {json_path}")
 
@@ -144,10 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{counts['skip']} skip, {counts['timeout']} timeout; "
         f"verified combos: {len(combos)}"
     )
-    if result.failed:
-        print(render_markdown(result), file=sys.stderr)
-        return 1
-    if args.strict and result.timed_out:
+    if result.failed or (args.strict and result.timed_out):
         print(render_markdown(result), file=sys.stderr)
         return 1
     return 0

@@ -136,47 +136,6 @@ class CellResult:
             return []
         return [o.strategy for o in self.outcomes if o.verified]
 
-    def workload_dict(self) -> Dict[str, Any]:
-        """Provenance block for the cell's ``BENCH_*.json`` document."""
-        return {
-            "family": self.spec.family,
-            "num_qubits": self.spec.width,
-            "profile": self.spec.profile,
-            "shots": self.spec.shots,
-            "sampler": self.spec.sampler,
-            "seed": self.spec.seed,
-            "coverage": self.coverage,
-            "status": self.status,
-        }
-
-    def bench_rows(self) -> List[Dict[str, Any]]:
-        """Flat scalar rows (one per strategy) for the benchmark harness."""
-        dist = self.finding("distribution")
-        rows = []
-        for o in self.outcomes:
-            row: Dict[str, Any] = {
-                "family": self.spec.family,
-                "width": self.spec.width,
-                "profile": self.spec.profile,
-                "strategy": o.strategy,
-                "trajectories": o.trajectories,
-                "shots": o.shots,
-                "shots_per_second": o.shots_per_second,
-                "seconds": o.seconds,
-                "equivalence": "reference" if o.equivalent is None else (
-                    "pass" if o.equivalent else "fail"
-                ),
-                "streaming": "skip" if o.stream_ok is None else (
-                    "pass" if o.stream_ok else "fail"
-                ),
-                "distribution": dist.status if dist is not None else "skip",
-            }
-            if dist is not None and dist.metric("tvd") is not None:
-                row["tvd"] = dist.metric("tvd")
-                row["tvd_bound"] = dist.metric("tvd_bound")
-            rows.append(row)
-        return rows
-
 
 @dataclass
 class SweepResult:
@@ -283,7 +242,7 @@ def run_cell(
     """Run one sweep cell through every strategy and the full oracle.
 
     ``executor_kwargs`` optionally maps strategy name to extra executor
-    constructor arguments (e.g. ``{"sharded": {"devices": 2}}``).  The
+    constructor arguments (e.g. ``{"sharded": {"num_workers": 2}}``).  The
     first listed *bitwise* strategy — ``serial`` is forced to the front
     when present — is the differential reference.
 

@@ -23,7 +23,6 @@ from repro.channels import NoiseModel, depolarizing
 from repro.channels.standard import amplitude_damping, bit_flip
 from repro.circuits import Circuit
 from repro.config import DEFAULT_CONFIG, Config
-from repro.devices import Device
 from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
@@ -95,8 +94,7 @@ def make_executor(strategy, config=None):
         return VectorizedExecutor(BackendSpec.batched_statevector(**options), max_batch=2)
     if strategy == "sharded":
         return ShardedExecutor(
-            BackendSpec.batched_statevector(**options), devices=2, max_batch=4,
-            num_workers=2,
+            BackendSpec.batched_statevector(**options), max_batch=4, num_workers=2,
         )
     if strategy == "clifford":
         return CliffordFrameExecutor(BackendSpec.statevector(**options))
@@ -151,36 +149,40 @@ def test_close_before_first_chunk_releases_the_engine(
     assert multiprocessing.active_children() == []  # no pool was ever started
 
 
-def _devices(kind):
-    if kind == "heterogeneous":
-        # The small one holds two 5-qubit complex128 rows plus workspace.
-        return [Device(0, memory_bytes=2 * 2 * 512, name="small"), Device(1, 80 * 10**9)]
-    return kind
-
-
 @pytest.mark.parametrize("num_workers", [1, 2, 3])
 @pytest.mark.parametrize(
-    "strategy,max_batch,devices",
+    "strategy,max_batch,budget_rows",
     [("parallel", None, None)]
     + [
-        ("sharded", max_batch, devices)
-        for max_batch in (None, 1, 3)
-        for devices in (1, 3, "heterogeneous")
+        ("sharded", max_batch, budget_rows)
+        for max_batch in (None, 1, 2, 3)
+        for budget_rows in (None, 1, 2)
     ],
 )
-def test_any_worker_count_batch_and_device_pool_gives_the_serial_table(
-    circuit, specs, strategy, num_workers, max_batch, devices
+def test_any_worker_count_batch_and_row_budget_gives_the_serial_table(
+    circuit, specs, strategy, num_workers, max_batch, budget_rows
 ):
+    """``budget_rows`` caps the backend's own dense budget at that many rows
+    of the 5-qubit state (``None``: the default budget), so a unit holds
+    ``min(max_batch, budget_rows)`` rows; the table is the serial one."""
     if strategy == "parallel":
         executor = ParallelExecutor(num_workers=num_workers)
     else:
+        backend = BackendSpec.batched_statevector()
+        if budget_rows is not None:
+            extra = budget_rows.bit_length() - 1  # log2 of a power of two
+            config = Config(max_dense_qubits=circuit.num_qubits + extra)
+            backend = BackendSpec.batched_statevector(config=config)
         executor = ShardedExecutor(
-            devices=_devices(devices), max_batch=max_batch, num_workers=num_workers
+            backend, max_batch=max_batch, num_workers=num_workers
         )
     stream = executor.execute_stream(circuit, specs, seed=21)
-    tables = [chunk.shot_table() for chunk in stream]
+    chunks = list(stream)
     result = stream.finalize()
-    assert_same_table(ShotTable.concatenate(tables), result)
+    caps = [cap for cap in (max_batch, budget_rows) if cap is not None]
+    if strategy == "sharded" and caps and num_workers == 1:  # a unit per chunk
+        assert max(chunk.num_trajectories for chunk in chunks) <= min(caps)
+    assert_same_table(ShotTable.concatenate([c.shot_table() for c in chunks]), result)
     assert_same_table(BatchedExecutor().execute(circuit, specs, seed=21), result)
     assert result.records == [spec.record for spec in specs]
     assert result.unique_preparations == len(specs) and result.recovery == []
@@ -301,11 +303,9 @@ def test_every_table_entry_streams_under_its_own_name(circuit, specs, strategy, 
 
 def test_an_alias_is_its_parent_under_another_name(circuit, specs):
     serial = BatchedExecutor().execute(circuit, specs, seed=21)
-    pool = _devices("heterogeneous")
     for parent, alias, kwargs in (
         (BatchedExecutor, ParallelExecutor, {"num_workers": 2}),
-        (VectorizedExecutor, ShardedExecutor,
-         {"devices": pool, "max_batch": 3, "num_workers": 2}),
+        (VectorizedExecutor, ShardedExecutor, {"max_batch": 3, "num_workers": 2}),
     ):
         assert set(vars(alias)) - {"__module__", "__doc__"} == {"strategy", "__init__"}
         assert issubclass(alias, parent) and alias.strategy != parent.strategy

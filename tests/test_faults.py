@@ -110,7 +110,7 @@ def _run(
             seed=seed,
             strategy="sharded",
             backend=BackendSpec.batched_statevector(config=cfg),
-            executor_kwargs={"devices": 2, "num_workers": 2},
+            executor_kwargs={"num_workers": 2},
         )
     if strategy == "vectorized":
         return run_ptsbe(
@@ -665,7 +665,7 @@ class TestMidStreamClose:
             seed=SEED,
             strategy="sharded",
             backend=BackendSpec.batched_statevector(config=cfg),
-            executor_kwargs={"devices": 2, "num_workers": 2},
+            executor_kwargs={"num_workers": 2},
         )
         next(stream)
         result = stream.finalize()

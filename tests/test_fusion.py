@@ -337,7 +337,7 @@ class TestFusionEquivalence:
             BackendSpec.batched_statevector(config=fusion_config)
         ).execute(workload, specs, seed=11)
         sharded = ShardedExecutor(
-            BackendSpec.batched_statevector(config=fusion_config), devices=3
+            BackendSpec.batched_statevector(config=fusion_config), max_batch=3
         ).execute(workload, specs, seed=11)
         a = serial.shot_table()
         for other in (vectorized, sharded):
@@ -366,9 +366,7 @@ class TestFusionEquivalence:
             VectorizedExecutor(
                 BackendSpec.batched_statevector(config=fusion_config)
             ),
-            ShardedExecutor(
-                BackendSpec.batched_statevector(config=fusion_config), devices=2
-            ),
+            ShardedExecutor(BackendSpec.batched_statevector(config=fusion_config)),
         ]
         a = reference.shot_table()
         for executor in others:

@@ -15,7 +15,6 @@ from repro.errors import (
     ChannelError,
     CircuitError,
     DataError,
-    DeviceError,
     ExecutionError,
     GateError,
     NoiseModelError,
@@ -89,7 +88,7 @@ class TestErrorHierarchy:
         "exc",
         [
             CircuitError, GateError, ChannelError, NoiseModelError, BackendError,
-            CapacityError, SamplingError, ExecutionError, DeviceError, QECError,
+            CapacityError, SamplingError, ExecutionError, QECError,
             DataError, ZeroProbabilityTrajectory,
         ],
     )

@@ -71,7 +71,7 @@ def _executor(strategy, fusion):
         )
     if strategy == "sharded":
         return ShardedExecutor(
-            BackendSpec.batched_statevector(config=config), devices=2, max_batch=4
+            BackendSpec.batched_statevector(config=config), max_batch=4
         )
     raise AssertionError(strategy)
 
@@ -178,7 +178,7 @@ class TestSeedResolution:
 
     @pytest.mark.parametrize("strategy,kwargs", [
         ("parallel", {"num_workers": 2}),
-        ("sharded", {"devices": 2}),
+        ("sharded", {"num_workers": 2}),
     ])
     def test_unseeded_multiprocess_replay(self, brickwork, strategy, kwargs):
         """Regression: workers used to draw independent entropy on seed=None."""
@@ -327,7 +327,7 @@ class TestAbandonment:
 
     def test_sharded_pool_close_leaves_no_processes(self, brickwork):
         specs = _pts_specs(brickwork, 8)
-        stream = ShardedExecutor(devices=2, num_workers=2).execute_stream(
+        stream = ShardedExecutor(num_workers=2).execute_stream(
             brickwork, specs, seed=3
         )
         next(stream)

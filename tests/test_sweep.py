@@ -168,21 +168,6 @@ class TestRunner:
         ]
         assert not result.failed
 
-    def test_bench_rows_validate_against_harness_schema(self, result):
-        import os
-        import sys
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
-        import _harness
-
-        (cell,) = result.cells
-        payload = _harness.result_payload(
-            f"sweep_{cell.cell_id}", cell.bench_rows(), cell.workload_dict()
-        )
-        _harness.validate_payload(payload)
-        assert payload["rows"][0]["equivalence"] == "reference"
-        assert payload["rows"][1]["equivalence"] == "pass"
-
     def test_out_of_range_width_skips(self):
         spec = _spec(sweeps=[
             {"family": "qaoa_ring", "widths": [2], "profiles": ["uniform_depolarizing"]},
@@ -192,7 +177,6 @@ class TestRunner:
         assert cell.status == "skip"
         assert "outside" in cell.skip_reason
         assert cell.verified_strategies() == []
-        assert cell.bench_rows() == []
 
     def test_wide_cell_skips_distribution_only(self):
         spec = _spec(
@@ -372,12 +356,8 @@ class TestBudgets:
         result = run_cell(cell, ("serial", "vectorized"), OracleSpec())
         assert result.status == "fail"
 
-    def test_bench_sweep_strict_exit_code(self, tmp_path):
-        import os
-        import sys
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
-        import bench_sweep
+    def test_sweep_cli_strict_exit_code(self, tmp_path):
+        from repro.sweep.__main__ import main
 
         data = dict(
             SMOKE_DICT, shots=300, cell_budget_seconds=1e-9,
@@ -387,8 +367,21 @@ class TestBudgets:
         spec_path.write_text(json.dumps(data))
         out = tmp_path / "out"
         argv = ["--spec", str(spec_path), "--out-dir", str(out)]
-        assert bench_sweep.main(argv) == 0  # timeout alone is not a failure
-        assert bench_sweep.main(argv + ["--strict"]) == 1
+        assert main(argv) == 0  # timeout alone is not a failure
+        assert sorted(p.name for p in out.iterdir()) == [
+            "sweep_report.json", "sweep_report.md",
+        ]
+        assert main(argv + ["--strict"]) == 1
+
+    def test_sweep_cli_usage_exit_codes(self, tmp_path, capsys):
+        from repro.sweep.__main__ import main
+
+        assert main(["--list"]) == 0
+        assert "workload families:" in capsys.readouterr().out
+        assert main(["--spec", str(tmp_path / "missing.yaml")]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--out-dir", str(tmp_path)])  # --spec is required
+        assert exit_info.value.code == 2
 
 
 class TestFailurePath:
