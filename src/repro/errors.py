@@ -2,8 +2,8 @@
 
 All library errors derive from :class:`ReproError` so callers can catch a
 single base class.  Subclasses are grouped per subsystem: circuit
-construction, channel/CPTP validation, backend simulation, PTS sampling,
-execution/scheduling and device emulation.
+construction, channel/CPTP validation, backend simulation, PTS sampling
+and execution/scheduling.
 """
 
 from __future__ import annotations

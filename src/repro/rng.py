@@ -110,8 +110,9 @@ def library_rng(seed: Optional[int] = None) -> np.random.Generator:
     historically drew from ``np.random.default_rng`` — PCG64, not the
     Philox trajectory streams — and registered circuit families are keyed
     to those exact bit sequences.  This wrapper preserves them bit for
-    bit while giving the draw one auditable home: RNG001 (``repro.lint``)
-    flags any ``numpy.random`` call outside this module, so construction
+    bit while giving the draw one auditable home: RNG001
+    (``tests/test_invariants.py``) fails on any ``numpy.random`` call
+    outside this module, so construction
     randomness flows through here and *execution* randomness through
     :func:`trajectory_rng` — never through an unseeded side channel.
     """
