@@ -450,6 +450,37 @@ def test_import_map_binds_the_top_package_or_the_alias():
         ),
         pytest.param(
             "pts/base.py",
+            "import numpy as np\nnp.random.seed(0)\n",
+            [(2, "'random.seed'")],
+            id="global-seed",
+        ),
+        pytest.param(
+            "sweep/runner.py",
+            "import random as rnd\ndef pick(xs):\n    return rnd.choice(xs)\n",
+            [(3, "'random.choice'")],
+            id="stdlib-random-alias",
+        ),
+        pytest.param(
+            "sweep/runner.py",
+            "from random import shuffle\ndef mix(xs):\n    shuffle(xs)\n",
+            [(3, "'random.shuffle'")],
+            id="stdlib-from-import",
+        ),
+        pytest.param(
+            # The method call on the fresh generator is not a second finding.
+            "pts/base.py",
+            "import numpy as np\ndef draw(seed):\n    return np.random.default_rng(seed).random()\n",
+            [(3, "'random.default_rng'")],
+            id="method-on-unseeded-generator",
+        ),
+        pytest.param(
+            "pts/base.py",
+            "def draw(random):\n    return random.random()\n",
+            [],
+            id="local-random-parameter-passes",
+        ),
+        pytest.param(
+            "pts/base.py",
             "import numpy as np\n"
             "def sample(rng: np.random.Generator) -> np.ndarray:\n"
             "    return rng.random(10)\n",
@@ -537,6 +568,25 @@ def test_rng001(path, source, expected):
             id="generator-expression",
         ),
         pytest.param(
+            "channels/noise_model.py",
+            "async def f(xs):\n    async for x in set(xs):\n        yield x\n",
+            [(2, "PYTHONHASHSEED")],
+            id="async-for-over-set",
+        ),
+        pytest.param(
+            # rng.py is exempt from RNG001, not from DET001.
+            "rng.py",
+            "import time\ndef make_rng():\n    return time.time_ns()\n",
+            [(3, "'time.time_ns'")],
+            id="rng-machinery-in-replay-scope",
+        ),
+        pytest.param(
+            "pts/base.py",
+            "from ordered import OrderedSet as set\ndef f(xs):\n    return [x for x in set(xs)]\n",
+            [],
+            id="imported-set-name-passes",
+        ),
+        pytest.param(
             "pts/base.py",
             "def f(xs):\n    return [x for x in sorted(set(xs))]\n",
             [],
@@ -564,6 +614,29 @@ def test_rng001(path, source, expected):
 )
 def test_det001(path, source, expected):
     check_file_rule(det001, path, source, expected)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "time.time",
+        "time.time_ns",
+        "time.monotonic_ns",
+        "os.urandom",
+        "os.getrandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "secrets.token_bytes",
+        "secrets.token_hex",
+        "secrets.randbits",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.date.today",
+    ],
+)
+def test_det001_flags_each_entropy_source(call):
+    source = f"import {call.split('.')[0]}\ndef stamp():\n    return {call}()\n"
+    check_file_rule(det001, "trajectory/events.py", source, [(3, f"'{call}'")])
 
 
 def _handler(caught: str, body: str = "pass") -> str:
@@ -618,6 +691,37 @@ def _handler(caught: str, body: str = "pass") -> str:
             _handler("SweepError", "..."),
             [(4, "SweepError handler")],
             id="swallowed-sweep-error",
+        ),
+        pytest.param(
+            # Defined in repro.sweep.spec, not repro.errors: the import walk finds it.
+            "execution/batched.py",
+            _handler("SweepSpecError"),
+            [(4, "SweepSpecError handler")],
+            id="swallowed-error-defined-outside-errors",
+        ),
+        pytest.param(
+            "execution/streaming.py",
+            _handler("ReproError", '"ignored"'),
+            [(4, "ReproError handler")],
+            id="swallowed-root-error-docstring-body",
+        ),
+        pytest.param(
+            "faults/retry.py",
+            _handler("BaseException", "return None"),
+            [(4, "'except BaseException'")],
+            id="base-exception-without-reraise",
+        ),
+        pytest.param(
+            "execution/driver.py",
+            _handler("(KeyError, Exception)"),
+            [(4, "'except Exception'")],
+            id="broad-inside-tuple",
+        ),
+        pytest.param(
+            "execution/driver.py",
+            _handler("Exception", "cleanup()\n        raise"),
+            [],
+            id="broad-with-bare-reraise-passes",
         ),
         pytest.param(
             "execution/driver.py",
@@ -713,6 +817,14 @@ BUILDS_ITS_OWN = "def drive():\n    return StreamedResult()\n"
             },
             [("execution/batched.py", 1, "routing")],
             id="missing-routing",
+        ),
+        pytest.param(
+            {**COMPLIANT, "execution/foo.py": BUILDS_ITS_OWN, "execution/bar.py": BUILDS_ITS_OWN},
+            [
+                ("execution/bar.py", 2, "outside execution/driver.py"),
+                ("execution/foo.py", 2, "outside execution/driver.py"),
+            ],
+            id="every-offending-module",
         ),
         pytest.param({"pkg/module.py": "x = 1\n"}, [], id="non-repro-tree"),
     ],
