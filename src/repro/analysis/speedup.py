@@ -41,11 +41,9 @@ class SpeedupMeasurement:
         return self.baseline_seconds / self.ptsbe_seconds if self.ptsbe_seconds > 0 else float("inf")
 
 
-def _time_ptsbe(
-    circuit: Circuit, backend: BackendSpec, batch_shots: int, seed: int, sample_kwargs=None
-) -> float:
+def _time_ptsbe(circuit: Circuit, backend: BackendSpec, batch_shots: int, seed: int) -> float:
     spec = TrajectorySpec(record=TrajectoryRecord(trajectory_id=0, events=()), num_shots=batch_shots)
-    executor = BatchedExecutor(backend, sample_kwargs=sample_kwargs)
+    executor = BatchedExecutor(backend)
     t0 = time.perf_counter()
     executor.execute(circuit, [spec], seed=seed)
     return time.perf_counter() - t0
@@ -66,7 +64,6 @@ def measure_speedup(
     backend: Optional[BackendSpec] = None,
     seed: int = 0,
     baseline_cap: Optional[int] = None,
-    sample_kwargs=None,
 ) -> SpeedupMeasurement:
     """Time PTSBE (1 preparation, ``batch_shots`` bulk) vs. Algorithm 1.
 
@@ -77,7 +74,7 @@ def measure_speedup(
     """
     backend = backend or BackendSpec()
     circuit.freeze()
-    ptsbe_s = _time_ptsbe(circuit, backend, batch_shots, seed, sample_kwargs)
+    ptsbe_s = _time_ptsbe(circuit, backend, batch_shots, seed)
     run_shots = batch_shots if baseline_cap is None else min(batch_shots, baseline_cap)
     base_s = _time_baseline(circuit, lambda n=circuit.num_qubits: backend.create(n), run_shots, seed)
     if run_shots < batch_shots:
@@ -97,13 +94,9 @@ def speedup_curve(
     backend: Optional[BackendSpec] = None,
     seed: int = 0,
     baseline_cap: int = 32,
-    sample_kwargs=None,
 ) -> List[SpeedupMeasurement]:
     """Sweep batch sizes — the Fig. 4/5 x-axis."""
     return [
-        measure_speedup(
-            circuit, int(m), backend=backend, seed=seed, baseline_cap=baseline_cap,
-            sample_kwargs=sample_kwargs,
-        )
+        measure_speedup(circuit, int(m), backend=backend, seed=seed, baseline_cap=baseline_cap)
         for m in batch_sizes
     ]

@@ -8,8 +8,9 @@ Six backends, mirroring the paper's ecosystem:
   — trajectory-stacked ``(B, 2**n)`` dense simulator powering the
   vectorized execution path;
 * :class:`~repro.backends.mps.MPSBackend` — truncated matrix-product-state
-  simulator (the ``tensornet`` stand-in) with naive vs. cached batched
-  sampling;
+  simulator, the one-row view of the trajectory-stacked
+  :class:`~repro.backends.mps.BatchedMPSStack` the ``tensornet`` strategy
+  replays (the CUDA-Q ``tensornet`` stand-in);
 * :class:`~repro.backends.density_matrix.DensityMatrixBackend` — exact
   4**n reference used to validate trajectory convergence;
 * :class:`~repro.backends.stabilizer.StabilizerBackend` — Aaronson-

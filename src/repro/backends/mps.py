@@ -1,18 +1,17 @@
-"""Matrix-product-state backend (the CUDA-Q ``tensornet`` stand-in).
+"""Matrix-product-state simulation (the CUDA-Q ``tensornet`` stand-in).
 
-State representation: a list of rank-3 tensors ``A[k]`` of shape
-``(D_left, 2, D_right)``; the amplitude of bitstring ``b`` is
-``prod_k A[k][:, b_k, :]`` contracted along the bonds.  Two-qubit gates on
-non-adjacent qubits are swap-routed.  Every two-qubit application performs
-a truncated SVD governed by ``max_bond`` and ``cutoff``; the cumulative
-discarded probability weight is tracked in :attr:`truncation_error`.
+One implementation: :class:`BatchedMPSStack` holds ``B`` truncated MPS
+rows that replay one schedule, and :class:`MPSBackend` is its ``B = 1``
+view for the single-state API.  A state is a chain of site tensors
+``(D_left, 2, D_right)``; every multi-site step is a truncated SVD governed
+by ``max_bond`` and ``cutoff``, and the discarded probability weight is
+tracked per row in ``truncation_error``.
 
-Sampling supports two modes (see :mod:`repro.backends.mps_sampler`):
-
-* ``mode="cached"`` — right environments computed once per prepared state,
-  then batched vectorized conditional sampling (the PTSBE-enabling path);
-* ``mode="naive"`` — the contraction chain is rebuilt per shot (the
-  baseline whose cost Fig. 5's speedup is measured against).
+The chain is indexed by *site*, not qubit: routing pulls qubits together
+and leaves them there (``site_of`` says where each qubit ends up).
+Sampling is :func:`~repro.backends.mps_sampler.sample_cached` — right
+environments once per prepared state, then shot counts split down the
+tree of sampled prefixes.
 """
 
 from __future__ import annotations
@@ -22,39 +21,40 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.base import PureStateBackend
-from repro.backends.mps_sampler import (
-    check_inside,
-    compute_right_environments,
-    sample_cached,
-    sample_naive,
-)
+from repro.backends.mps_sampler import check_inside, sample_cached
 from repro.config import Config, DEFAULT_CONFIG
-from repro.errors import BackendError
-from repro.linalg.decompositions import truncated_svd, truncated_svd_batched
-from repro.linalg.kron import permute_operator_qubits
+from repro.errors import BackendError, ZeroProbabilityTrajectory
+from repro.linalg.decompositions import truncated_svd_batched
 
 __all__ = ["MPSBackend", "BatchedMPSStack"]
 
-_SWAP = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=np.complex128,
-)
+
+def _tensornet():
+    # Imported lazily: repro.execution imports this module at package
+    # init, so a top-level import would be circular.
+    from repro.execution import tensornet
+
+    return tensornet
 
 
 class MPSBackend(PureStateBackend):
-    """Truncated MPS simulator with naive / cached batched sampling.
+    """One truncated MPS: row 0 of a one-row :class:`BatchedMPSStack`.
 
-    The single-state public API: callers read ``tensors[q]`` by *qubit*,
-    so a non-adjacent two-qubit gate is swap-routed down **and back**.
-    :class:`BatchedMPSStack` under the tensornet schedule compiler does
-    not route back (``GateSchedule.site_of`` says where each qubit ends
-    up); this class converges on that routing when it becomes the stack's
-    ``B = 1`` view (ROADMAP direction 5).
+    The view holds its state as the stack's ideal row (it never hands the
+    stack rows of their own, so ``stack.tensors[k]`` is ``(1, D_l, 2,
+    D_r)``) plus the qubit -> site map ``site_of``.  A gate on
+    non-adjacent qubits routes the way the tensornet schedule compiler
+    does (:class:`~repro.execution.tensornet.SiteMap`): the upper qubits
+    are swapped down next to the lowest and stay there.
+
+    :meth:`run_fixed` is the tensornet replay of one trajectory —
+    :func:`~repro.execution.tensornet.compile_schedule`,
+    :func:`~repro.execution.tensornet.replay_schedule` and
+    :func:`~repro.execution.tensornet.read_stack` — so ``strategy="serial"``
+    on ``BackendSpec.mps`` draws the bits ``strategy="tensornet"`` draws at
+    ``max_batch=1``.  :meth:`inner`, :meth:`expectation_local`,
+    :meth:`branch_probabilities` and :meth:`to_statevector` are exact
+    whatever order the chains hold their qubits in.
     """
 
     def __init__(
@@ -64,47 +64,46 @@ class MPSBackend(PureStateBackend):
         cutoff: Optional[float] = None,
         config: Optional[Config] = None,
     ):
-        config = config or DEFAULT_CONFIG
-        if num_qubits <= 0:
-            raise BackendError(f"num_qubits must be positive, got {num_qubits}")
-        self.num_qubits = int(num_qubits)
-        self._config = config
-        self.max_bond = int(max_bond if max_bond is not None else config.default_bond_dim)
-        self.cutoff = float(cutoff if cutoff is not None else config.svd_cutoff)
-        if self.max_bond < 1:
-            raise BackendError("max_bond must be >= 1")
-        self.tensors: List[np.ndarray] = []
-        self.truncation_error = 0.0
-        self._envs_cache: Optional[List[np.ndarray]] = None
+        self._config = config or DEFAULT_CONFIG
+        self.stack = BatchedMPSStack(num_qubits, 1, max_bond, cutoff, self._config)
+        self.num_qubits = self.stack.num_qubits
         self.reset()
 
     # ------------------------------------------------------------------ #
     # state management
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        zero = np.zeros((1, 2, 1), dtype=np.complex128)
-        zero[0, 0, 0] = 1.0
-        self.tensors = [zero.copy() for _ in range(self.num_qubits)]
-        self.truncation_error = 0.0
-        self._invalidate()
+        self.stack.reset()
+        self._sites = _tensornet().SiteMap(range(self.num_qubits))
+        # (tensors, envs) that sample() reads; None once the state moves.
+        self._prepared: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None
 
-    def _invalidate(self) -> None:
-        self._envs_cache = None
+    @property
+    def site_of(self) -> List[int]:
+        """Qubit -> site: where routing has left each qubit on the chain."""
+        return self._sites.site_of
+
+    @property
+    def truncation_error(self) -> float:
+        return float(self.stack.truncation_error[0])
 
     def bond_dimensions(self) -> List[int]:
-        """Current bond dimensions (n-1 internal bonds)."""
-        return [self.tensors[k].shape[2] for k in range(self.num_qubits - 1)]
+        """Current bond dimensions (n-1 internal bonds, in site order)."""
+        return self.stack.bond_dimensions()
 
     def copy(self) -> "MPSBackend":
-        out = MPSBackend.__new__(MPSBackend)
-        out.num_qubits = self.num_qubits
-        out._config = self._config
-        out.max_bond = self.max_bond
-        out.cutoff = self.cutoff
-        out.tensors = [t.copy() for t in self.tensors]
-        out.truncation_error = self.truncation_error
-        out._envs_cache = None
+        out = MPSBackend(self.num_qubits, self.stack.max_bond, self.stack.cutoff, self._config)
+        out.stack.tensors = [t.copy() for t in self.stack.tensors]
+        out.stack.truncation_error = self.stack.truncation_error.copy()
+        out._sites = _tensornet().SiteMap(self.site_of)
+        out._prepared = self._prepared  # never written in place
         return out
+
+    def _exact_copy(self) -> "MPSBackend":
+        """A copy that truncates nothing: unbounded bond, no cutoff."""
+        work = self.copy()
+        work.stack.max_bond, work.stack.cutoff = 1 << 30, 0.0
+        return work
 
     # ------------------------------------------------------------------ #
     # gate application
@@ -112,137 +111,111 @@ class MPSBackend(PureStateBackend):
     def apply_matrix(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
         targets = list(targets)
         matrix = np.asarray(matrix, dtype=np.complex128)
-        if any(t < 0 or t >= self.num_qubits for t in targets):
-            raise BackendError(f"targets {targets} out of range")
-        if len(targets) == 1:
-            self._apply_1q(matrix, targets[0])
-        elif len(targets) == 2:
-            self._apply_2q(matrix, targets[0], targets[1])
-        else:
+        k = len(targets)
+        check_inside(targets, self.num_qubits, "qubit", "register")
+        if len(set(targets)) != k:
+            raise BackendError(f"targets {targets} repeat a qubit")
+        if not 1 <= k <= 3:
             raise BackendError(
-                f"MPS backend applies 1- and 2-qubit matrices natively; got "
-                f"{len(targets)} targets (transpile with decompose_to_2q first)"
+                f"MPS backend applies 1- to 3-qubit matrices natively; got "
+                f"{k} targets (transpile with decompose_to_2q first)"
             )
-        self._invalidate()
+        if matrix.shape != (1 << k, 1 << k):
+            raise BackendError(f"expected a {1 << k}x{1 << k} matrix, got {matrix.shape}")
+        site, (matrix,) = self._sites.place(targets, [matrix], self.stack.swap_adjacent)
+        self.stack.apply(matrix, site)
+        self._prepared = None
 
-    def _apply_1q(self, matrix: np.ndarray, q: int) -> None:
-        if matrix.shape != (2, 2):
-            raise BackendError(f"expected 2x2 matrix, got {matrix.shape}")
-        self.tensors[q] = np.einsum("oi,aib->aob", matrix, self.tensors[q], optimize=True)
+    def run_fixed(self, circuit, kraus_choices=None) -> float:
+        """Replay one trajectory the way the tensornet engine replays a row.
 
-    def _apply_2q(self, matrix: np.ndarray, qa: int, qb: int) -> None:
-        if matrix.shape != (4, 4):
-            raise BackendError(f"expected 4x4 matrix, got {matrix.shape}")
-        if qa == qb:
-            raise BackendError("two-qubit gate targets must differ")
-        if qb < qa:
-            # Reorder the operator so its first wire is the lower qubit.
-            matrix = permute_operator_qubits(matrix, [1, 0])
-            qa, qb = qb, qa
-        # Swap-route qb down to qa+1.
-        moved = []
-        while qb > qa + 1:
-            self._apply_adjacent(_SWAP, qb - 1)
-            moved.append(qb - 1)
-            qb -= 1
-        self._apply_adjacent(matrix, qa)
-        for pos in reversed(moved):
-            self._apply_adjacent(_SWAP, pos)
-
-    def _apply_adjacent(self, matrix: np.ndarray, q: int) -> None:
-        """Apply a 4x4 matrix to adjacent sites (q, q+1) with truncation."""
-        a, b = self.tensors[q], self.tensors[q + 1]
-        dl, dr = a.shape[0], b.shape[2]
-        theta = np.tensordot(a, b, axes=([2], [0]))  # (dl, i, j, dr)
-        gate = matrix.reshape(2, 2, 2, 2)  # (o1, o2, i1, i2)
-        theta = np.einsum("abij,lijr->labr", gate, theta, optimize=True)
-        mat = theta.reshape(dl * 2, 2 * dr)
-        u, s, vh, info = truncated_svd(mat, max_rank=self.max_bond, cutoff=self.cutoff)
-        self.truncation_error += info.discarded_weight
-        self.tensors[q] = u.reshape(dl, 2, info.kept)
-        self.tensors[q + 1] = (s[:, None] * vh).reshape(info.kept, 2, dr)
+        The returned weight is the unnormalized squared norm (the product
+        of the realized branch probabilities, less truncation losses).
+        :meth:`sample` keeps the unnormalized tensors and environments the
+        engine samples from; only the state this view exposes is
+        renormalized.  A prescription that annihilates the state raises
+        :class:`~repro.errors.ZeroProbabilityTrajectory`.
+        """
+        tensornet = _tensornet()
+        if circuit.num_qubits > self.num_qubits:
+            raise BackendError(
+                f"circuit has {circuit.num_qubits} qubits, backend has {self.num_qubits}"
+            )
+        schedule = tensornet.compile_schedule(circuit, self._config)
+        tensornet.replay_schedule(self.stack, schedule, [kraus_choices or {}])
+        tensors, envs, (weight,) = tensornet.read_stack(self.stack)
+        # Row 0's tensors become the ideal row: how the view holds a state.
+        self.stack.tensors = list(tensors)
+        self.stack.slot[:] = 0
+        self._sites = tensornet.SiteMap(
+            list(schedule.site_of) + list(range(circuit.num_qubits, self.num_qubits))
+        )
+        if not weight:
+            raise ZeroProbabilityTrajectory("the prescribed Kraus choices annihilate the state")
+        self.renormalize()
+        self._prepared = (tensors, envs)
+        return weight
 
     # ------------------------------------------------------------------ #
     # norms / expectations
     # ------------------------------------------------------------------ #
     def norm_squared(self) -> float:
-        env = np.ones((1, 1), dtype=np.complex128)
-        for a in self.tensors:
-            # env (c a), a (a i b), conj(a) (c i d) -> (d b)
-            tmp = np.tensordot(env, a, axes=([1], [0]))  # (c, i, b)
-            env = np.tensordot(a.conj(), tmp, axes=([0, 1], [0, 1]))  # (d, b)
-        return float(np.real(env[0, 0]))
+        return float(self.stack.norms_squared()[0])
 
     def renormalize(self) -> float:
         n2 = self.norm_squared()
         if n2 <= 0:
             raise BackendError("cannot renormalize a zero MPS")
-        self.tensors[0] = self.tensors[0] / np.sqrt(n2)
-        self._invalidate()
+        self.stack.tensors[0] = self.stack.tensors[0] / np.sqrt(n2)
+        self._prepared = None
         return n2
 
     def inner(self, other: "MPSBackend") -> complex:
-        """<self|other> via the mixed transfer-matrix contraction."""
+        """<self|other>, with ``other`` re-routed onto this chain's qubit
+        order on an exact copy when the two orders differ."""
         if other.num_qubits != self.num_qubits:
             raise BackendError("inner product requires equal qubit counts")
+        if other.site_of != self.site_of:
+            other = other._exact_copy()
+            for site, qubit in enumerate(self._sites.qubit_at):
+                other._sites.route_down(qubit, site, other.stack.swap_adjacent)
         env = np.ones((1, 1), dtype=np.complex128)
-        for a_bra, a_ket in zip(self.tensors, other.tensors):
-            tmp = np.tensordot(env, a_ket, axes=([1], [0]))  # (c, i, b)
-            env = np.tensordot(a_bra.conj(), tmp, axes=([0, 1], [0, 1]))
+        for (bra,), (ket,) in zip(self.stack.tensors, other.stack.tensors):
+            # env (c, a) @ ket (a, i b) -> (c i, b); bra^dag (d, c i) @ that -> (d, b)
+            tmp = (env @ ket.reshape(ket.shape[0], -1)).reshape(-1, ket.shape[2])
+            env = bra.reshape(-1, bra.shape[2]).conj().T @ tmp
         return complex(env[0, 0])
 
     def expectation_local(self, matrix: np.ndarray, qubits: Sequence[int]) -> complex:
-        """<psi|M|psi> by applying M to an *untruncated* copy.
-
-        The copy uses an unbounded bond so the expectation is exact for the
-        current state (one gate application at most doubles the bond).
-        """
-        work = self.copy()
-        work.max_bond = max(4 * self.max_bond, 1 << 12)
-        work.cutoff = 0.0
+        """<psi|M|psi> by applying M to an untruncated copy: exact for the
+        current state, whatever routing ``qubits`` takes."""
+        work = self._exact_copy()
         work.apply_matrix(matrix, qubits)
         return self.inner(work)
 
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #
-    def _environments(self) -> List[np.ndarray]:
-        if self._envs_cache is None:
-            self._envs_cache = compute_right_environments(self.tensors)
-        return self._envs_cache
-
     def sample(
-        self,
-        num_shots: int,
-        qubits: Sequence[int],
-        rng: np.random.Generator,
-        mode: str = "cached",
+        self, num_shots: int, qubits: Sequence[int], rng: np.random.Generator
     ) -> np.ndarray:
-        """Draw shots; ``mode`` selects cached-batched or naive per-shot."""
-        if num_shots < 0:
-            raise BackendError("num_shots must be >= 0")
-        cols = list(qubits)
-        if mode == "cached":
-            return sample_cached(
-                self.tensors, self._environments(), num_shots, rng, columns=cols
-            )
-        if mode != "naive":
-            raise BackendError(f"unknown sampling mode {mode!r}")
-        check_inside(cols, self.num_qubits, "qubit", "register")
-        return sample_naive(self.tensors, num_shots, rng)[:, cols]
+        """Draw shots with the request form of :func:`sample_cached`: one
+        request on row 0, ``qubits`` read at their sites."""
+        qubits = list(qubits)
+        # Checked before site_of is indexed: a negative qubit must not wrap.
+        check_inside(qubits, self.num_qubits, "qubit", "register")
+        if self._prepared is None:
+            self._prepared = _tensornet().read_stack(self.stack)[:2]
+        tensors, envs = self._prepared
+        columns = [self.site_of[q] for q in qubits]
+        return sample_cached(tensors, envs, num_shots, [(0, num_shots, rng)], columns=columns)
 
     # ------------------------------------------------------------------ #
     # conversion (small n, for tests)
     # ------------------------------------------------------------------ #
     def to_statevector(self) -> np.ndarray:
-        """Contract to a dense statevector (<= ~20 qubits)."""
-        if self.num_qubits > 20:
-            raise BackendError("to_statevector limited to <= 20 qubits")
-        acc = self.tensors[0]  # (1, 2, D)
-        for a in self.tensors[1:]:
-            acc = np.tensordot(acc, a, axes=([acc.ndim - 1], [0]))
-        # acc shape (1, 2, 2, ..., 2, 1)
-        return np.ascontiguousarray(acc).reshape(-1)
+        """Contract to a dense statevector indexed by qubit (<= ~20 qubits)."""
+        return self.stack.row_statevector(0, self.site_of)
 
     @classmethod
     def from_statevector(
@@ -254,29 +227,17 @@ class MPSBackend(PureStateBackend):
     ) -> "MPSBackend":
         """Exact (or truncated) MPS decomposition of a dense state."""
         state = np.asarray(state, dtype=np.complex128).reshape(-1)
-        n = int(round(np.log2(state.shape[0])))
-        if 2**n != state.shape[0]:
+        n = state.shape[0].bit_length() - 1
+        if 1 << n != state.shape[0]:
             raise BackendError("state dimension is not a power of two")
         out = cls(n, max_bond=max_bond or (1 << 30), cutoff=cutoff, config=config)
-        tensors: List[np.ndarray] = []
-        rest = state.reshape(1, -1)
-        dl = 1
-        for k in range(n - 1):
-            mat = rest.reshape(dl * 2, -1)
-            u, s, vh, info = truncated_svd(mat, max_rank=out.max_bond, cutoff=cutoff)
-            out.truncation_error += info.discarded_weight
-            tensors.append(u.reshape(dl, 2, info.kept))
-            rest = s[:, None] * vh
-            dl = info.kept
-        tensors.append(rest.reshape(dl, 2, 1))
-        out.tensors = tensors
-        out._invalidate()
+        out.stack._split(state.reshape(1, 1, -1, 1), 0, np.empty(0, dtype=np.intp))
         return out
 
     def __repr__(self) -> str:
         chi = max(self.bond_dimensions(), default=1)
         return (
-            f"MPSBackend(qubits={self.num_qubits}, max_bond={self.max_bond}, "
+            f"MPSBackend(qubits={self.num_qubits}, max_bond={self.stack.max_bond}, "
             f"chi={chi}, trunc_err={self.truncation_error:.2e})"
         )
 
@@ -465,8 +426,8 @@ class BatchedMPSStack:
         self.tensors[q] = theta.reshape(batch, dl, 2, dr)
 
     # ------------------------------------------------------------------ #
-    # norms (mostly for tests; the executor reads weights from the
-    # batched environment pass instead)
+    # norms (the single-state view's and the tests'; the executor reads
+    # weights from the batched environment pass instead)
     # ------------------------------------------------------------------ #
     def norms_squared(self) -> np.ndarray:
         """Per-row unnormalized squared norm (= running trajectory weight)."""

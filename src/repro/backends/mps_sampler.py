@@ -1,4 +1,4 @@
-"""MPS shot sampling: naive per-shot vs. cached, count-split, batched.
+"""MPS shot sampling: cached environments, count-split, batched.
 
 This module is the tensor-network half of the paper's contribution in
 miniature.  Fig. 5's observation is that "the current sampling algorithm
@@ -6,12 +6,10 @@ for tensor networks requires nearly all of the tensor network contraction
 process to reoccur for each sample", and that caching partial-contraction
 intermediates lets large shot batches be drawn cheaply.  Here:
 
-* :func:`sample_naive` re-computes the right-environment chain for *every
-  shot* — the per-shot cost is ``O(n * chi**3)``, dominated by contraction,
-  mimicking the unoptimized path;
-* :func:`compute_right_environments` + :func:`sample_cached` compute the
-  chain **once** and then send shot *counts*, not shots, down the tree of
-  sampled prefixes: a site contracts once per distinct prefix and splits
+* :func:`compute_right_environments_batched` + :func:`sample_cached`
+  compute the environment chain **once** per prepared state and then send
+  shot *counts*, not shots, down the tree of sampled prefixes: a site
+  contracts once per distinct prefix and splits
   each prefix's count with a binomial draw, so the sweep costs ``O(n * U *
   chi**2)`` with ``U`` the prefixes alive at a site (two on a GHZ state,
   sixteen per Steane block of the paper's MSD circuits, ``m`` only where
@@ -29,12 +27,11 @@ intermediates lets large shot batches be drawn cheaply.  Here:
   thirty-five, on the five Steane blocks of the MSD preparation).  A chain
   with no cut is one block and one lane per request.
 
-Both produce identically distributed shots (verified against each other
-and against the statevector backend in ``tests/test_mps.py``;
 ``tests/test_mps_sampler.py`` checks the count splitting against dense
 probabilities and against the one-vector-per-shot sweep it replaced, which
 it keeps as the distribution reference, and the blocks of a chain for
-pairwise independence).
+pairwise independence.  :func:`compute_right_environments`, the one-MPS
+chain, stays as the reference the batched pass is tested against.
 
 Sampling math: with right environments ``R[k]`` and a conditioned left
 vector ``l`` (the contraction of the already-fixed bits), the unnormalized
@@ -50,7 +47,7 @@ joint sample of independent blocks pairs independently ordered samples.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +57,6 @@ __all__ = [
     "compute_right_environments",
     "compute_right_environments_batched",
     "sample_cached",
-    "sample_naive",
 ]
 
 
@@ -133,18 +129,17 @@ def sample_cached(
     tensors: Sequence[np.ndarray],
     envs: Sequence[np.ndarray],
     num_shots: int,
-    rng: Union[np.random.Generator, Sequence[Request]],
+    requests: Sequence[Request],
     *,
     columns: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Draw ``num_shots`` shots by splitting shot counts down the prefix tree.
 
-    Two forms, one implementation.  With a generator, ``tensors[k]`` is one
-    MPS's ``(Dl, 2, Dr)`` site tensor and ``envs`` its right environments.
-    With a sequence of ``(row, shots, generator)`` requests, ``tensors[k]``
-    is a trajectory stack's ``(B, Dl, 2, Dr)`` and ``envs[k]`` its ``(B, Dl,
+    ``requests`` are ``(row, shots, generator)`` triples, ``tensors[k]`` is
+    a trajectory stack's ``(B, Dl, 2, Dr)`` and ``envs[k]`` its ``(B, Dl,
     Dl)`` (:func:`compute_right_environments_batched`); ``num_shots`` is the
-    requests' total.
+    requests' total.  One MPS is a one-row stack with one request
+    (:meth:`repro.backends.mps.MPSBackend.sample`).
 
     Returns ``(num_shots, n)`` uint8 bits, column ``k`` = site ``k`` (or
     site ``columns[k]``), request after request.  A column outside the
@@ -166,19 +161,13 @@ def sample_cached(
     generator, never of what it is sampled beside (see :func:`_tiles` for
     the one rule that cuts a request).
 
-    The stacked form shares this name and keeps the total in ``num_shots``
-    because this call is the sampling layer's boundary: what times the
-    layer and counts its shots (``benchmarks/e2e/trace.py``) wraps it here.
+    The total is kept in ``num_shots`` because this call is the sampling
+    layer's boundary: what times the layer and counts its shots
+    (``benchmarks/e2e/trace.py``) wraps it here.
     """
-    if isinstance(rng, np.random.Generator):
-        tensors = [a[None] for a in tensors]
-        envs = [r[None] for r in envs]
-        requests: Sequence[Request] = [(0, num_shots, rng)]
-    else:
-        requests = rng
-        total = sum(count for _, count, _ in requests)
-        if total != num_shots:
-            raise BackendError(f"requests total {total} shots, not num_shots={num_shots}")
+    total = sum(count for _, count, _ in requests)
+    if total != num_shots:
+        raise BackendError(f"requests total {total} shots, not num_shots={num_shots}")
     sites = range(len(tensors)) if columns is None else columns
     check_inside(sites, len(tensors), "qubit", "register")
     check_inside((row for row, _, _ in requests), len(envs[-1]), "row", "stack")
@@ -373,21 +362,3 @@ def _split_counts(
                     np.take(table, labels, out=out[column])
     return out
 
-
-def sample_naive(
-    tensors: Sequence[np.ndarray],
-    num_shots: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-shot sampling that redoes the contraction chain every shot.
-
-    Deliberately unoptimized (this is the *baseline* of Fig. 5): each shot
-    rebuilds the right environments — "nearly all of the tensor network
-    contraction process" — before its conditional sweep.
-    """
-    n = len(tensors)
-    bits = np.empty((num_shots, n), dtype=np.uint8)
-    for shot in range(num_shots):
-        envs = compute_right_environments(tensors)  # the redundant work
-        bits[shot] = sample_cached(tensors, envs, 1, rng)[0]
-    return bits

@@ -134,9 +134,11 @@ class BatchedExecutor(StreamingExecutor):
     ----------
     backend:
         A per-trajectory :class:`BackendSpec` (``"statevector"`` or
-        ``"mps"``) or a callable ``num_qubits -> backend``.
-    sample_kwargs:
-        Forwarded to the backend's ``sample``.
+        ``"mps"``) or a callable ``num_qubits -> backend``.  On
+        ``"mps"`` a unit is the tensornet replay of one row
+        (:class:`~repro.backends.mps.MPSBackend` is a one-row
+        :class:`~repro.backends.mps.BatchedMPSStack`), so the shots are
+        ``strategy="tensornet"``'s at ``max_batch=1``.
     num_workers:
         ``1`` (default) prepares every state in this process; larger
         values hand tasks to a process pool of that size (the paper's
@@ -152,7 +154,6 @@ class BatchedExecutor(StreamingExecutor):
     def __init__(
         self,
         backend: Union[BackendSpec, Callable[[int], PureStateBackend]] = BackendSpec(),
-        sample_kwargs: Optional[Dict] = None,
         num_workers: int = 1,
     ):
         if isinstance(backend, BackendSpec) and backend.kind == "batched_statevector":
@@ -162,7 +163,6 @@ class BatchedExecutor(StreamingExecutor):
                 "the 'batched_statevector' kind"
             )
         self.backend = backend
-        self.sample_kwargs = dict(sample_kwargs or {})
         self.num_workers = check_workers(self, num_workers, backend)
 
     def _engine(self, circuit: Circuit) -> "_SerialEngine":
@@ -176,9 +176,7 @@ class BatchedExecutor(StreamingExecutor):
                 f"{type(backend).__name__} is not a per-trajectory backend; use "
                 "VectorizedExecutor (or run_ptsbe(strategy='vectorized'))"
             )
-        return _SerialEngine(
-            self.strategy, backend, circuit, self.sample_kwargs, backend_config(self.backend)
-        )
+        return _SerialEngine(self.strategy, backend, circuit, backend_config(self.backend))
 
 
 class ParallelExecutor(BatchedExecutor):
@@ -192,9 +190,8 @@ class ParallelExecutor(BatchedExecutor):
         self,
         backend: BackendSpec = BackendSpec(),
         num_workers: int = 2,
-        sample_kwargs: Optional[Dict] = None,
     ):
-        super().__init__(backend, sample_kwargs=sample_kwargs, num_workers=num_workers)
+        super().__init__(backend, num_workers=num_workers)
 
 
 class _SerialEngine:
@@ -207,18 +204,12 @@ class _SerialEngine:
     compile_seconds = 0.0
 
     def __init__(
-        self,
-        name: str,
-        backend: PureStateBackend,
-        circuit: Circuit,
-        sample_kwargs: Dict,
-        config: Config,
+        self, name: str, backend: PureStateBackend, circuit: Circuit, config: Config
     ):
         self.name = name
         self.backend = backend
         self.circuit = circuit
         self.measured = tuple(circuit.measured_qubits)
-        self.sample_kwargs = sample_kwargs
         self.config: Optional[Config] = config
 
     def prepare(self, choices_list):
@@ -233,8 +224,7 @@ class _SerialEngine:
             return [0.0]
 
     def sample(self, requests):
-        draw, kwargs = self.backend.sample, self.sample_kwargs
-        return [draw(n, self.measured, rng, **kwargs) for _, n, rng in requests]
+        return [self.backend.sample(n, self.measured, rng) for _, n, rng in requests]
 
     def release(self) -> None:
         self.backend = None  # the 2**n state must not outlive the run
@@ -306,13 +296,10 @@ def _check_dense_capacity(circuit, backend, resolved: str, config) -> None:
 def _check_executor_kwargs(cls: type, resolved: str, executor_kwargs: Dict) -> None:
     """Refuse ``executor_kwargs`` the resolved executor does not take.
 
-    ``backend`` and ``sample_kwargs`` are passed by the pipeline itself,
-    so they are not executor arguments either.
+    ``backend`` is passed by the pipeline itself, so it is not an
+    executor argument either.
     """
-    accepted = [
-        name for name in inspect.signature(cls).parameters
-        if name not in ("backend", "sample_kwargs")
-    ]
+    accepted = [name for name in inspect.signature(cls).parameters if name != "backend"]
     unknown = sorted(set(executor_kwargs) - set(accepted))
     if unknown:
         takes = ", ".join(repr(name) for name in accepted) or "none"
@@ -327,7 +314,6 @@ def run_ptsbe(
     sampler: PTSAlgorithm,
     backend: Union[BackendSpec, Callable[[int], PureStateBackend]] = BackendSpec(),
     seed: Optional[int] = None,
-    sample_kwargs: Optional[Dict] = None,
     strategy: str = "auto",
     executor_kwargs: Optional[Dict] = None,
 ) -> PTSBEResult:
@@ -427,7 +413,6 @@ def run_ptsbe(
         sampler,
         backend=backend,
         seed=seed,
-        sample_kwargs=sample_kwargs,
         strategy=strategy,
         executor_kwargs=executor_kwargs,
     ).finalize()
@@ -438,7 +423,6 @@ def run_ptsbe_stream(
     sampler: PTSAlgorithm,
     backend: Union[BackendSpec, Callable[[int], PureStateBackend]] = BackendSpec(),
     seed: Optional[int] = None,
-    sample_kwargs: Optional[Dict] = None,
     strategy: str = "auto",
     executor_kwargs: Optional[Dict] = None,
     retain: bool = True,
@@ -490,7 +474,7 @@ def run_ptsbe_stream(
     cls = executor_class(resolved)
     executor_kwargs = executor_kwargs or {}
     _check_executor_kwargs(cls, resolved, executor_kwargs)
-    executor = cls(backend, sample_kwargs=sample_kwargs, **executor_kwargs)
+    executor = cls(backend, **executor_kwargs)
     stream = executor.execute_stream(
         target, pts_result.specs, seed=streams.seed, retain=retain
     )

@@ -42,7 +42,7 @@ still bitwise: shots derive from the same per-trajectory Philox streams
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.backends.pauli_frame import FrameSampler
 from repro.circuits.circuit import Circuit
@@ -65,16 +65,9 @@ class CliffordFrameExecutor(StreamingExecutor):
         state the frame path would miss) are tolerated; an ``"mps"`` spec
         or a backend factory is a real request for a specific simulator
         and is rejected rather than silently ignored.
-    sample_kwargs:
-        Accepted for signature symmetry; the frame sampler takes no
-        sampling options, so a non-empty value is rejected up front.
     """
 
-    def __init__(
-        self,
-        backend: Union[BackendSpec, Callable, None] = None,
-        sample_kwargs: Optional[Dict] = None,
-    ):
+    def __init__(self, backend: Union[BackendSpec, Callable, None] = None):
         if backend is not None and not isinstance(backend, BackendSpec):
             raise ExecutionError(
                 "CliffordFrameExecutor simulates with Pauli frames, not a "
@@ -87,11 +80,6 @@ class CliffordFrameExecutor(StreamingExecutor):
             raise ExecutionError(
                 f"CliffordFrameExecutor cannot honor backend kind "
                 f"{backend.kind!r}; it replaces dense simulation entirely"
-            )
-        if sample_kwargs:
-            raise ExecutionError(
-                "CliffordFrameExecutor's frame sampler takes no sample "
-                f"options, got sample_kwargs={dict(sample_kwargs)!r}"
             )
         self._config = backend_config(backend)
 

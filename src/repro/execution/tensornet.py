@@ -2,11 +2,12 @@
 
 The sixth execution strategy (``run_ptsbe(strategy="tensornet")``): for
 circuits past the dense width cap, trajectory realization runs on a
-truncated MPS — but instead of replaying the circuit ``B`` times through
-:class:`~repro.backends.mps.MPSBackend`, the circuit is compiled **once**
-into a routed, bond-ordered gate schedule and replayed over a
-:class:`~repro.backends.mps.BatchedMPSStack` whose site tensors carry a
-leading batch axis ``(rows, D_l, 2, D_r)``.  Every 1q / adjacent-2q
+truncated MPS — but instead of replaying the circuit ``B`` times, the
+circuit is compiled **once** into a routed, bond-ordered gate schedule
+and replayed over a :class:`~repro.backends.mps.BatchedMPSStack` whose
+site tensors carry a leading batch axis ``(rows, D_l, 2, D_r)``
+(:class:`~repro.backends.mps.MPSBackend` is the same replay on one
+row).  Every 1q / adjacent-2q
 contraction and every truncated SVD is then a single batched GEMM /
 LAPACK call over the rows that need it; only the noise steps differ per
 trajectory, realized by handing the stack the rows that leave a
@@ -163,51 +164,37 @@ def clear_schedule_cache() -> None:
     _SCHEDULE_CACHE.clear()
 
 
-class _Compiler:
-    """One walk over the frozen circuit producing the shared schedule.
+class SiteMap:
+    """The qubit <-> site map that routing permutes.
 
-    Keeps the qubit <-> site map that routing permutes (a multi-qubit
-    operation pulls its upper qubits down next to its lowest one and
-    leaves them there) and per-qubit *pending* 2x2 matrices, the
-    1q-fusion accumulator.  A pending belongs to its qubit, so it rides
-    through SWAPs (``SWAP (A x B) = (B x A) SWAP``) and into the next
-    gate/noise step touching that qubit; it becomes a step of its own
-    only when the walk ends.
+    A multi-qubit operation pulls its upper qubits down next to its lowest
+    one and leaves them there.  The schedule compiler and the single-state
+    :class:`~repro.backends.mps.MPSBackend` route through this one class,
+    so a circuit ends with its qubits on the same sites either way.
     """
 
-    def __init__(self, num_qubits: int, fused: bool):
-        self.num_qubits = num_qubits
-        self.fused = fused
-        self.steps: List[Step] = []
-        self.pending: Dict[int, np.ndarray] = {}
-        self.site_of = list(range(num_qubits))  # qubit -> site
-        self.qubit_at = list(range(num_qubits))  # site -> qubit
+    def __init__(self, site_of: Sequence[int]):
+        self.site_of = list(site_of)  # qubit -> site
+        self.qubit_at = sorted(range(len(self.site_of)), key=self.site_of.__getitem__)
 
-    def flush_all(self) -> None:
-        for q in sorted(self.pending, key=self.site_of.__getitem__):
-            self.steps.append(
-                UnitaryStep(site=self.site_of[q], span=1, matrix=self.pending[q])
-            )
-        self.pending.clear()
-
-    def _route_down(self, qubit: int, dst: int) -> None:
-        """Emit SWAPs moving ``qubit`` down the chain to site ``dst``."""
+    def route_down(self, qubit: int, dst: int, swap: Callable[[int], None]) -> None:
+        """Move ``qubit`` down the chain to site ``dst``, calling
+        ``swap(site)`` for each exchange of ``site`` and ``site + 1``."""
         pos = self.site_of[qubit]
         while pos > dst:
             pos -= 1
-            self.steps.append(SwapStep(site=pos))
+            swap(pos)
             other = self.qubit_at[pos]
             self.qubit_at[pos], self.qubit_at[pos + 1] = qubit, other
             self.site_of[qubit], self.site_of[other] = pos, pos + 1
 
-    def _place(
-        self, targets: Sequence[int], mats: List[np.ndarray]
+    def place(
+        self, targets: Sequence[int], mats: List[np.ndarray], swap: Callable[[int], None]
     ) -> Tuple[int, List[np.ndarray]]:
-        """Bring ``targets`` onto contiguous sites.
+        """Bring ``targets`` onto contiguous sites, the lowest staying put.
 
         Returns the lowest of those sites and ``mats`` re-wired to
-        ascending site order, with the targets' pending 1q matrices folded
-        in on the right.
+        ascending site order.
         """
         k = len(targets)
         order = sorted(range(k), key=lambda i: self.site_of[targets[i]])
@@ -216,14 +203,48 @@ class _Compiler:
             for rank, i in enumerate(order):
                 perm[i] = rank
             mats = [permute_operator_qubits(m, perm) for m in mats]
-        if self.fused:
-            pre = self.pending.pop(targets[order[0]], _I2)
-            for i in order[1:]:
-                pre = np.kron(pre, self.pending.pop(targets[i], _I2))
-            mats = [m @ pre for m in mats]
         base = self.site_of[targets[order[0]]]
         for offset, i in enumerate(order[1:], start=1):
-            self._route_down(targets[i], base + offset)
+            self.route_down(targets[i], base + offset, swap)
+        return base, mats
+
+
+class _Compiler(SiteMap):
+    """One walk over the frozen circuit producing the shared schedule.
+
+    Routes through :class:`SiteMap`, emitting a :class:`SwapStep` per
+    exchange, and keeps per-qubit *pending* 2x2 matrices, the 1q-fusion
+    accumulator.  A pending belongs to its qubit, so it rides through
+    SWAPs (``SWAP (A x B) = (B x A) SWAP``) and into the next gate/noise
+    step touching that qubit; it becomes a step of its own only when the
+    walk ends.
+    """
+
+    def __init__(self, num_qubits: int, fused: bool):
+        super().__init__(range(num_qubits))
+        self.fused = fused
+        self.steps: List[Step] = []
+        self.pending: Dict[int, np.ndarray] = {}
+
+    def flush_all(self) -> None:
+        for q in sorted(self.pending, key=self.site_of.__getitem__):
+            self.steps.append(
+                UnitaryStep(site=self.site_of[q], span=1, matrix=self.pending[q])
+            )
+        self.pending.clear()
+
+    def _place(
+        self, targets: Sequence[int], mats: List[np.ndarray]
+    ) -> Tuple[int, List[np.ndarray]]:
+        """:meth:`SiteMap.place`, with the targets' pending 1q matrices
+        folded in on the right."""
+        base, mats = self.place(targets, mats, lambda site: self.steps.append(SwapStep(site)))
+        if self.fused:
+            # Routed, the targets sit on base, base + 1, ... in wire order.
+            pre = self.pending.pop(self.qubit_at[base], _I2)
+            for site in range(base + 1, base + len(targets)):
+                pre = np.kron(pre, self.pending.pop(self.qubit_at[site], _I2))
+            mats = [m @ pre for m in mats]
         return base, mats
 
     def add_gate(self, op: GateOp) -> None:
@@ -366,6 +387,22 @@ def replay_schedule(
             stack.apply(step.ops[step.dominant], step.site, rows, step.ops[branches])
 
 
+def read_stack(
+    stack: BatchedMPSStack,
+) -> Tuple[List[np.ndarray], List[np.ndarray], List[float]]:
+    """The rows' site tensors, their right environments and their weights.
+
+    One batched environment pass is the sampling cache and, by the
+    telescoping-weight identity, every row's weight (``0.0`` for a dead
+    row).  Nothing is renormalized: these are the tensors a prepared unit
+    samples from.
+    """
+    tensors = stack.dense()
+    envs = compute_right_environments_batched(tensors)
+    weights = [w if w > _DEAD_NORM else 0.0 for w in envs[0][:, 0, 0].real.tolist()]
+    return tensors, envs, weights
+
+
 class TensorNetExecutor(StreamingExecutor):
     """Execute trajectory specs on a trajectory-stacked truncated MPS.
 
@@ -378,13 +415,12 @@ class TensorNetExecutor(StreamingExecutor):
         strategy exists), in which case the config's MPS knobs
         apply.  A backend *factory* is a request for a specific simulator
         object this strategy replaces, and is rejected.
-    sample_kwargs:
-        Rejected when non-empty: sampling is always the cached
-        right-environment sweep, once per prepared unit over all of its
-        trajectories' shots (the naive mode exists only as the benchmark
-        baseline).
     max_batch:
-        Dedup groups stacked per :class:`BatchedMPSStack` replay.
+        Dedup groups stacked per :class:`BatchedMPSStack` replay.  At
+        ``max_batch=1`` this is what ``strategy="serial"`` runs on
+        ``BackendSpec.mps``, bit for bit: there
+        :class:`~repro.backends.mps.MPSBackend` is a one-row stack
+        replaying the same schedule.
     max_bond / cutoff:
         Explicit truncation overrides; default resolves through the
         backend spec options, then ``Config.default_bond_dim`` /
@@ -394,7 +430,6 @@ class TensorNetExecutor(StreamingExecutor):
     def __init__(
         self,
         backend: Union[BackendSpec, Callable, None] = None,
-        sample_kwargs: Optional[Dict] = None,
         max_batch: int = 64,
         max_bond: Optional[int] = None,
         cutoff: Optional[float] = None,
@@ -414,11 +449,6 @@ class TensorNetExecutor(StreamingExecutor):
                     f"{backend.kind!r}"
                 )
             options = dict(backend.options)
-        if sample_kwargs:
-            raise ExecutionError(
-                "TensorNetExecutor always samples via cached right "
-                f"environments, got sample_kwargs={dict(sample_kwargs)!r}"
-            )
         if max_batch < 1:
             raise ExecutionError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
@@ -493,12 +523,9 @@ class _MPSStackEngine:
         self.release()  # the previous unit's stack goes before this one is built
         stack = BatchedMPSStack(self.num_qubits, len(choices_list), **self.stack_options)
         replay_schedule(stack, self.schedule, choices_list)
-        tensors = stack.dense()
-        # One batched environment pass = sampling cache AND, via the
-        # telescoping-weight identity, per-row weights.
-        envs = compute_right_environments_batched(tensors)
+        tensors, envs, weights = read_stack(stack)
         self._prepared = (tensors, envs)
-        return [w if w > _DEAD_NORM else 0.0 for w in envs[0][:, 0, 0].real.tolist()]
+        return weights
 
     def sample(self, requests):
         tensors, envs = self._prepared

@@ -38,7 +38,7 @@ Philox streams, the ``ShotTable`` is bitwise identical to a serial
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.circuits.circuit import Circuit
@@ -65,10 +65,6 @@ class VectorizedExecutor(StreamingExecutor):
         Upper bound on stacked rows per prepared unit (``None``: no bound
         of its own).  The rows of a unit are ``min(max_batch, the
         backend's dense amplitude budget)``.
-    sample_kwargs:
-        Accepted for signature symmetry with the other executors, but the
-        stacked dense backend takes no sampling options — a non-empty
-        value is rejected up front rather than crashing mid-run.
     num_workers:
         ``1`` (default) runs every unit in this process; larger values
         hand tasks to a process pool of that size, which needs a
@@ -83,7 +79,6 @@ class VectorizedExecutor(StreamingExecutor):
         self,
         backend: Union[BackendSpec, Callable[[int], BatchedStatevectorBackend], None] = None,
         max_batch: Optional[int] = 64,
-        sample_kwargs: Optional[Dict] = None,
         num_workers: int = 1,
     ):
         if backend is None:
@@ -99,11 +94,6 @@ class VectorizedExecutor(StreamingExecutor):
             )
         if max_batch is not None and max_batch <= 0:
             raise ExecutionError(f"max_batch must be positive, got {max_batch}")
-        if sample_kwargs:
-            raise ExecutionError(
-                f"{name}'s stacked statevector backend takes no "
-                f"sample options, got sample_kwargs={dict(sample_kwargs)!r}"
-            )
         self.backend = backend
         self.max_batch = max_batch
         self.num_workers = check_workers(self, num_workers, backend)
@@ -141,12 +131,8 @@ class ShardedExecutor(VectorizedExecutor):
         *,
         max_batch: Optional[int] = None,
         num_workers: int = 1,
-        sample_kwargs: Optional[Dict] = None,
     ):
-        super().__init__(
-            backend, max_batch=max_batch, sample_kwargs=sample_kwargs,
-            num_workers=num_workers,
-        )
+        super().__init__(backend, max_batch=max_batch, num_workers=num_workers)
 
 
 class _StackEngine:

@@ -580,7 +580,7 @@ class TestDegradation:
 # --------------------------------------------------------------------- #
 class _TestEngine(_SerialEngine):
     def __init__(self, circuit):
-        super().__init__("test", BackendSpec().create(circuit.num_qubits), circuit, {}, None)
+        super().__init__("test", BackendSpec().create(circuit.num_qubits), circuit, None)
 
 
 class _DyingEngine(_TestEngine):

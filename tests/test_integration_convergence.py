@@ -121,18 +121,6 @@ class TestMPSPipeline:
         pooled = result.shot_table().empirical_distribution(len(exact))
         assert total_variation_distance(pooled, exact) < 0.03
 
-    def test_mps_naive_mode_same_distribution(self, noisy_ghz3):
-        exact = exact_distribution(noisy_ghz3)
-        result = run_ptsbe(
-            noisy_ghz3,
-            ProportionalPTS(total_shots=2000, nsamples=500),
-            backend=BackendSpec.mps(max_bond=16),
-            sample_kwargs={"mode": "naive"},
-            seed=29,
-        )
-        pooled = result.shot_table().empirical_distribution(len(exact))
-        assert total_variation_distance(pooled, exact) < 0.08
-
 
 class TestFrameSamplerCrossCheck:
     def test_frame_sampler_agrees_with_ptsbe(self, noisy_ghz3):

@@ -1,8 +1,8 @@
-"""MPS sampling: cached vs. naive equivalence and distribution exactness.
+"""MPS sampling: cached environments, count splitting, distribution exactness.
 
-This is the Fig. 5 mechanism test: both sampling modes must produce the
-same distribution (the exact one), while the cached mode amortizes the
-environment chain across the batch.
+This is the Fig. 5 mechanism test: one environment pass per prepared state,
+then shot counts split down the prefix tree, must draw the exact
+distribution, at a cost that follows distinct outcomes rather than shots.
 """
 
 import numpy as np
@@ -10,7 +10,11 @@ import pytest
 
 from repro.backends import mps_sampler
 from repro.backends.mps import MPSBackend
-from repro.backends.mps_sampler import compute_right_environments, sample_cached
+from repro.backends.mps_sampler import (
+    compute_right_environments,
+    compute_right_environments_batched,
+    sample_cached,
+)
 from repro.backends.statevector import StatevectorBackend
 from repro.circuits import library
 from repro.data.stats import (
@@ -33,41 +37,34 @@ def _prepared_mps(num_qubits=5, depth=3, seed=0):
     return mps, sv
 
 
+def one_row(mps):
+    """An MPS backend's state as the one-row stack the sampler reads, and
+    its batched right environments."""
+    tensors = mps.stack.dense()
+    return tensors, compute_right_environments_batched(tensors)
+
+
 class TestEnvironments:
     def test_full_contraction_equals_norm(self):
         mps, _ = _prepared_mps()
-        envs = compute_right_environments(mps.tensors)
+        envs = compute_right_environments(mps.stack.row_tensors(0))
         assert envs[0][0, 0].real == pytest.approx(mps.norm_squared(), abs=1e-9)
 
     def test_environment_shapes(self):
         mps, _ = _prepared_mps()
-        envs = compute_right_environments(mps.tensors)
-        for k, a in enumerate(mps.tensors):
+        tensors = mps.stack.row_tensors(0)
+        envs = compute_right_environments(tensors)
+        for k, a in enumerate(tensors):
             assert envs[k].shape == (a.shape[0], a.shape[0])
-        assert envs[len(mps.tensors)].shape == (1, 1)
+        assert envs[len(tensors)].shape == (1, 1)
 
 
 class TestDistributions:
     def test_cached_matches_exact_distribution(self):
         mps, sv = _prepared_mps()
-        bits = mps.sample(40000, range(5), make_rng(7), mode="cached")
+        bits = mps.sample(40000, range(5), make_rng(7))
         emp = empirical_distribution(bits)
         assert total_variation_distance(emp, sv.probabilities()) < 0.03
-
-    def test_naive_matches_exact_distribution(self):
-        mps, sv = _prepared_mps()
-        bits = mps.sample(2000, range(5), make_rng(8), mode="naive")
-        emp = empirical_distribution(bits)
-        assert total_variation_distance(emp, sv.probabilities()) < 0.08
-
-    def test_cached_and_naive_agree(self):
-        mps, _ = _prepared_mps(seed=3)
-        cached = mps.sample(8000, range(5), make_rng(9), mode="cached")
-        naive = mps.sample(2000, range(5), make_rng(10), mode="naive")
-        tvd = total_variation_distance(
-            empirical_distribution(cached), empirical_distribution(naive)
-        )
-        assert tvd < 0.1
 
     def test_deterministic_state(self):
         mps = MPSBackend(4)
@@ -85,11 +82,6 @@ class TestDistributions:
         bits = mps.sample(10, [2, 0], make_rng(12))
         assert np.all(bits[:, 0] == 0) and np.all(bits[:, 1] == 1)
 
-    def test_unknown_mode_rejected(self):
-        mps = MPSBackend(2)
-        with pytest.raises(Exception):
-            mps.sample(1, [0], make_rng(0), mode="wat")
-
     def test_ghz_correlations_via_cached_sampler(self):
         circ = library.ghz(8)
         mps = MPSBackend(8, max_bond=4)
@@ -98,29 +90,6 @@ class TestDistributions:
         bits = mps.sample(500, range(8), make_rng(13))
         # Every shot is all-zeros or all-ones.
         assert np.all((bits.sum(axis=1) == 0) | (bits.sum(axis=1) == 8))
-
-
-class TestPerformanceCharacter:
-    def test_cached_amortizes_contraction(self):
-        """Cached batch sampling must beat naive per-shot re-contraction.
-
-        This is the structural claim behind Fig. 5's 16x; at laptop scale
-        with a modest chi the gap is already pronounced.
-        """
-        import time
-
-        circ = library.random_brickwork(12, 4, rng=make_rng(14))
-        mps = MPSBackend(12, max_bond=32)
-        for op in circ.coherent_ops:
-            mps.apply_gate(op.gate, op.qubits)
-        shots = 300
-        t0 = time.perf_counter()
-        mps.sample(shots, range(12), make_rng(1), mode="cached")
-        cached_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mps.sample(shots, range(12), make_rng(2), mode="naive")
-        naive_s = time.perf_counter() - t0
-        assert naive_s > 2.0 * cached_s
 
 
 # --------------------------------------------------------------------- #
@@ -296,8 +265,7 @@ class TestCountSplitting:
         mps = MPSBackend(10, max_bond=4)
         for op in library.ghz(10).coherent_ops:
             mps.apply_gate(op.gate, op.qubits)
-        tensors = [a[None] for a in mps.tensors]
-        envs = [r[None] for r in compute_right_environments(mps.tensors)]
+        tensors, envs = one_row(mps)
         for table in assert_same_as_alone(tensors, envs, [(0, 500), (0, 501)]):
             weight = table.sum(axis=1)
             assert set(weight.tolist()) == {0, 10}
@@ -341,17 +309,13 @@ class TestCountSplitting:
         with pytest.raises(BackendError, match="num_shots=5"):
             sample_cached(tensors, envs, 5, [(0, 4, make_rng(0))])
 
-    def test_backend_modes_are_the_sampler_for_a_fixed_seed(self):
+    def test_backend_sample_is_one_request_for_a_fixed_seed(self):
         mps, _ = _prepared_mps(seed=5)
-        envs = compute_right_environments(mps.tensors)
+        tensors, envs = one_row(mps)
         cols = [3, 0, 4]
-        cached = mps.sample(300, cols, make_rng(21), mode="cached")
-        want = sample_cached(mps.tensors, envs, 300, make_rng(21))
-        np.testing.assert_array_equal(cached, want[:, cols])
-        naive = mps.sample(25, cols, make_rng(22), mode="naive")
-        rng = make_rng(22)
-        want = [sample_cached(mps.tensors, envs, 1, rng)[0] for _ in range(25)]
-        np.testing.assert_array_equal(naive, np.array(want)[:, cols])
+        got = mps.sample(300, cols, make_rng(21))
+        want = sample_cached(tensors, envs, 300, [(0, 300, make_rng(21))])
+        np.testing.assert_array_equal(got, want[:, [mps.site_of[q] for q in cols]])
 
     def test_sampling_memory_is_one_tile_not_the_shot_budget(self):
         import tracemalloc
@@ -378,14 +342,15 @@ class TestCountSplitting:
         mps = MPSBackend(7, max_bond=8)
         for op in css_encoding_circuit(steane_code())[0].coherent_ops:
             mps.apply_gate(op.gate, op.qubits)
-        envs = compute_right_environments(mps.tensors)
-        assert len(np.unique(sample_cached(mps.tensors, envs, 2000, make_rng(0)), axis=0)) == 8
+        tensors, envs = one_row(mps)
+        bits = sample_cached(tensors, envs, 2000, [(0, 2000, make_rng(0))])
+        assert len(np.unique(bits, axis=0)) == 8
 
         def best(shots):
             walls = []
             for rep in range(5):
                 t0 = time.perf_counter()
-                sample_cached(mps.tensors, envs, shots, make_rng(rep))
+                sample_cached(tensors, envs, shots, [(0, shots, make_rng(rep))])
                 walls.append(time.perf_counter() - t0)
             return min(walls)
 
@@ -497,10 +462,9 @@ class TestArgumentChecks:
         tensors, envs = random_stack(2, 3, 2)
         with pytest.raises(BackendError, match=f"qubit {qubit} is outside a 3-qubit register"):
             sample_cached(tensors, envs, 4, [(0, 4, make_rng(0))], columns=columns)
-        mps, _ = _prepared_mps(num_qubits=3)
-        envs = compute_right_environments(mps.tensors)
+        tensors, envs = one_row(_prepared_mps(num_qubits=3)[0])
         with pytest.raises(BackendError, match=f"qubit {qubit} is outside a 3-qubit register"):
-            sample_cached(mps.tensors, envs, 4, make_rng(0), columns=columns)
+            sample_cached(tensors, envs, 4, [(0, 4, make_rng(0))], columns=columns)
 
     @pytest.mark.parametrize("row, rows", [(-1, 2), (5, 1), (2, 2)])
     def test_row_outside_the_stack(self, row, rows):
@@ -512,20 +476,19 @@ class TestArgumentChecks:
         tensors, envs = random_stack(2, 3, 2)
         with pytest.raises(BackendError, match="num_shots must be >= 0"):
             sample_cached(tensors, envs, 2, [(0, 5, make_rng(0)), (1, -3, make_rng(1))])
-        mps, _ = _prepared_mps(num_qubits=3)
+        tensors, envs = one_row(_prepared_mps(num_qubits=3)[0])
         with pytest.raises(BackendError, match="num_shots must be >= 0"):
-            sample_cached(mps.tensors, compute_right_environments(mps.tensors), -1, make_rng(0))
+            sample_cached(tensors, envs, -1, [(0, -1, make_rng(0))])
 
-    @pytest.mark.parametrize("mode", ["cached", "naive"])
     @pytest.mark.parametrize("qubit", [-1, 7])
-    def test_backend_rejects_what_the_dense_backends_reject(self, mode, qubit):
+    def test_backend_rejects_what_the_dense_backends_reject(self, qubit):
         message = f"qubit {qubit} is outside a 4-qubit register"
         with pytest.raises(BackendError, match=message):
             StatevectorBackend(4).sample(3, [qubit], make_rng(0))
         with pytest.raises(BackendError, match=message):
-            MPSBackend(4).sample(3, [0, qubit], make_rng(0), mode=mode)
+            MPSBackend(4).sample(3, [0, qubit], make_rng(0))
         with pytest.raises(BackendError, match="num_shots must be >= 0"):
-            MPSBackend(4).sample(-1, [0], make_rng(0), mode=mode)
+            MPSBackend(4).sample(-1, [0], make_rng(0))
 
     def test_backend_samples_only_the_qubits_asked_for(self):
         mps, _ = _prepared_mps(seed=5)

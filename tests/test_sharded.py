@@ -276,10 +276,6 @@ class TestGuards:
                 lambda n: BatchedStatevectorBackend(n), num_workers=2
             )
 
-    def test_rejects_sample_kwargs(self):
-        with pytest.raises(ExecutionError):
-            ShardedExecutor(sample_kwargs={"cache": True})
-
     def test_requires_specs_and_measurements(self, noisy_ghz3):
         with pytest.raises(ExecutionError):
             ShardedExecutor().execute(noisy_ghz3, [], seed=0)

@@ -954,10 +954,6 @@ class TestExecutorContracts:
         with pytest.raises(ExecutionError, match="factory"):
             TensorNetExecutor(backend=lambda n: StatevectorBackend(n))
 
-    def test_sample_kwargs_rejected(self):
-        with pytest.raises(ExecutionError, match="sample_kwargs"):
-            TensorNetExecutor(sample_kwargs={"mode": "naive"})
-
     def test_bad_max_batch_rejected(self):
         with pytest.raises(ExecutionError, match="max_batch"):
             TensorNetExecutor(max_batch=0)

@@ -334,10 +334,6 @@ class TestGuards:
         with pytest.raises(ExecutionError):
             VectorizedExecutor(max_batch=0)
 
-    def test_vectorized_rejects_sample_kwargs(self):
-        with pytest.raises(ExecutionError):
-            VectorizedExecutor(sample_kwargs={"cache": True})
-
     def test_rngs_for_matches_rng_for(self):
         factory = StreamFactory(42)
         batch = factory.rngs_for([0, 3])
