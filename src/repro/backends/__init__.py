@@ -3,10 +3,10 @@
 Six backends, mirroring the paper's ecosystem:
 
 * :class:`~repro.backends.statevector.StatevectorBackend` — dense 2**n
-  simulator (the CUDA-Q ``nvidia`` backend stand-in);
-* :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`
-  — trajectory-stacked ``(B, 2**n)`` dense simulator powering the
-  vectorized execution path;
+  simulator (the CUDA-Q ``nvidia`` backend stand-in), the one-row view of
+  the trajectory-stacked
+  :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`
+  every dense strategy prepares and samples on;
 * :class:`~repro.backends.mps.MPSBackend` — truncated matrix-product-state
   simulator, the one-row view of the trajectory-stacked
   :class:`~repro.backends.mps.BatchedMPSStack` the ``tensornet`` strategy

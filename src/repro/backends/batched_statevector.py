@@ -1,9 +1,10 @@
-"""Trajectory-stacked dense statevector backend (the vectorized BE engine).
+"""Trajectory-stacked dense statevector backend: the one dense engine.
 
-Where :class:`~repro.backends.statevector.StatevectorBackend` evolves one
-``2**n`` statevector at a time, this backend holds a ``(B, 2**n)`` *stack*
-of trajectory states and applies every circuit moment to all ``B``
-trajectories in one fused operation:
+This backend holds a ``(B, 2**n)`` *stack* of trajectory states and
+applies every circuit moment to all ``B`` trajectories in one fused
+operation.  :class:`~repro.backends.statevector.StatevectorBackend` is
+its one-row view, so a serial preparation *is* a stacked preparation at
+``B = 1`` — one plan walk, one renormalization, one sampler:
 
 * **Shared work** is one fused kernel call: execution walks the circuit's
   compiled :class:`~repro.execution.plan.FusedPlan` — adjacent gates (and
@@ -11,9 +12,8 @@ trajectories in one fused operation:
   ``Config.fusion`` is on, one step per operation when it is off — and
   each coherent window updates every trajectory at once through a reshape
   view of the stack (:func:`~repro.linalg.apply.apply_compiled_stack`).
-  The per-operation Python/dispatch overhead and buffer traffic of the
-  serial engine — its dominant cost at moderate widths — is paid once per
-  window instead of once per (operation, trajectory).
+  The per-operation Python/dispatch overhead and buffer traffic is paid
+  once per window instead of once per (operation, trajectory).
 * **Divergent Kraus choices** are handled by *grouping*: at each noise
   window the stack rows are partitioned by their variant key — the tuple
   of prescribed Kraus indices at the window's sites (absent sites use the
@@ -24,42 +24,45 @@ trajectories in one fused operation:
   typically only one or two groups per window.
 * **Batched renormalization** after each general-Kraus noise window (a
   unitary-mixture window keeps the norm and multiplies its
-  state-independent probability into the weights instead) runs the *shared*
-  :func:`~repro.linalg.reductions.row_norms_squared` reduction once over
-  the whole stack — the same row-independent reduction the serial
-  backend's ``norm_squared`` applies to its state as a 1-row stack — so a
-  stacked trajectory stays *bitwise identical* to the same trajectory run
-  on :class:`StatevectorBackend` by construction, while the stack pays
-  one reduction per noise window instead of B per-row ``vdot`` calls (the
-  former dominant stacked-path cost at large B).  The equivalence is
-  asserted by the seed-fixed tests in ``tests/test_vectorized.py`` and
-  ``tests/test_fusion.py``.
+  state-independent probability into the weights instead) runs
+  :func:`~repro.linalg.reductions.row_norms_squared` once over the whole
+  stack.  The reduction and every kernel are row-independent, so row
+  ``i`` of a ``B``-row stack is bitwise the same trajectory prepared in a
+  one-row stack: every dense strategy draws the same shots whatever the
+  batch size (``tests/test_vectorized.py``, ``tests/test_fusion.py``).
 
 Rows whose prescribed Kraus branch annihilates the actual state (possible
 for general, non-unitary-mixture channels whose nominal probabilities are
 only priors) are marked *dead*: their weight drops to zero, the row is
-zeroed, and no shots are drawn — matching the serial engine's
-:class:`~repro.errors.ZeroProbabilityTrajectory` handling.
+zeroed, and no shots are drawn; the one-row view raises
+:class:`~repro.errors.ZeroProbabilityTrajectory` instead.
 
 Sampling stays the cheap polynomial part of the PTSBE story: one
 stack-wide cumulative tensor (``|stack|**2`` normalized and cumsummed
 along the state axis in a single pass) serves every row, and each row
 draws its full shot budget with one row-wise inverse-CDF lookup over all
 shot uniforms at once (:func:`repro.linalg.sampling.inverse_cdf_indices`).
+
+The public entry points :meth:`run_fixed_stack`, :meth:`cumulative_stack`
+and :meth:`sample` are thin wrappers over the private helpers
+:meth:`_prepare`, :meth:`_cumulative` and :meth:`_sample_indices`, which
+the one-row view calls directly: a view call never passes through a
+stacked entry point, so a profile that wraps both classes by name
+(``benchmarks/e2e/trace.py``) attributes each call to one of them.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backends.base import validate_deferred_measurement
-from repro.backends.statevector import bits_from_indices
+from repro.backends.mps_sampler import check_inside
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
-from repro.linalg.sampling import inverse_cdf_indices
+from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
 from repro.circuits.circuit import Circuit
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError, ExecutionError
@@ -75,10 +78,11 @@ class BatchedStatevectorBackend:
     """Dense simulator evolving a ``(batch, 2**n)`` stack of pure states.
 
     This is *not* a :class:`~repro.backends.base.PureStateBackend`: it
-    deliberately trades the one-state interface for stack-wide primitives.
-    Use it through :class:`~repro.execution.vectorized.VectorizedExecutor`
-    (or ``run_ptsbe(..., strategy="vectorized")``) rather than through
-    :class:`~repro.execution.batched.BatchedExecutor`.
+    trades the one-state interface for stack-wide primitives, and
+    :class:`~repro.backends.statevector.StatevectorBackend` puts the
+    one-state interface back on a one-row stack.  Use it through
+    :class:`~repro.execution.vectorized.VectorizedExecutor` (or
+    ``run_ptsbe(..., strategy="vectorized")``).
 
     Parameters
     ----------
@@ -115,7 +119,6 @@ class BatchedStatevectorBackend:
         self._probs_cache: Dict[int, np.ndarray] = {}
         self._cum_stack: Optional[np.ndarray] = None  # (B, dim) cumulative tensor
         self._cum_totals: Optional[np.ndarray] = None  # per-row norms
-        self.preparations = 0  # total stacked trajectories prepared (dedup audit)
         #: Cumulative wall time spent renormalizing the stack after noise
         #: windows (reduction + scale + bookkeeping) — the benchmark
         #: counter behind the strategy table's renorm column.
@@ -250,13 +253,8 @@ class BatchedStatevectorBackend:
         self._invalidate()
 
     def norms_squared(self) -> np.ndarray:
-        """Per-row <psi|psi> of the current stack.
-
-        One stack-wide :func:`~repro.linalg.reductions.row_norms_squared`
-        call — the same shared reduction the serial backend's
-        ``norm_squared`` runs, so entry ``i`` is bitwise what
-        ``StatevectorBackend`` would report for row ``i``'s state.
-        """
+        """Per-row <psi|psi> of the current stack: one stack-wide
+        :func:`~repro.linalg.reductions.row_norms_squared` call."""
         return row_norms_squared(self._stack).astype(np.float64, copy=False)
 
     # ------------------------------------------------------------------ #
@@ -277,19 +275,23 @@ class BatchedStatevectorBackend:
         have weight 0 and a zeroed state.
 
         Execution walks the circuit's compiled
-        :class:`~repro.execution.plan.FusedPlan` — the same plan (same
-        fused matrices, application order, and renormalization points) the
-        serial :class:`StatevectorBackend` walks, which is what keeps
-        stacked rows bitwise identical to serial preparations with fusion
-        on or off.
+        :class:`~repro.execution.plan.FusedPlan` with fusion on or off.  A
+        circuit narrower than the register acts on its leading qubits.
         """
+        return self._prepare(circuit, choices_list)
+
+    def _prepare(
+        self,
+        circuit: Circuit,
+        choices_list: Sequence[Optional[Dict[int, int]]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
         # Imported lazily: repro.execution imports this module at package
         # init, so a top-level import would be circular.
         from repro.execution.plan import NoiseStep, get_fused_plan
 
         if not circuit.frozen:
             raise ExecutionError("run_fixed_stack requires a frozen circuit")
-        if circuit.num_qubits != self.num_qubits:
+        if circuit.num_qubits > self.num_qubits:
             raise BackendError(
                 f"circuit has {circuit.num_qubits} qubits, backend has {self.num_qubits}"
             )
@@ -299,7 +301,6 @@ class BatchedStatevectorBackend:
         plan = get_fused_plan(circuit, self._config)
         self.reset(len(choices_list))
         weights = np.ones(len(choices_list), dtype=np.float64)
-        self.preparations += len(choices_list)
         for step in plan.steps:
             if isinstance(step, NoiseStep):
                 self._apply_noise_step(step, choices_list, weights)
@@ -359,13 +360,10 @@ class BatchedStatevectorBackend:
             for key, rows in groups.items():
                 weights[rows] *= step.probability(key)
             return
-        # Batched renormalization: one stack-wide reduction (the same
-        # row-independent row_norms_squared the serial norm_squared runs,
-        # so per-row results are bitwise serial-identical by construction)
-        # — replacing the per-row vdot sweep that was the dominant
-        # stacked-path cost at large B.  Dead rows (previously dead, or
-        # annihilated by this window) get a unit divisor: x / 1.0 is
-        # bitwise x, and newly-dead rows are zeroed below anyway.
+        # Batched renormalization: one stack-wide, row-independent
+        # reduction.  Dead rows (previously dead, or annihilated by this
+        # window) get a unit divisor: x / 1.0 is bitwise x, and newly-dead
+        # rows are zeroed below anyway.
         t0 = time.perf_counter()
         norms = row_norms_squared(self._stack)
         scale_rows_inverse_sqrt(self._stack, norms, dead_norm=_DEAD_NORM)
@@ -398,30 +396,21 @@ class BatchedStatevectorBackend:
             self._probs_cache[row] = cached
         return cached
 
-    def probability_stack(self) -> np.ndarray:
-        """The full ``(batch, 2**n)`` probability tensor (dead rows zero)."""
-        out = np.zeros((self.batch_size, self._dim), dtype=np.float64)
-        for row in range(self.batch_size):
-            if self._alive[row]:
-                out[row] = self.probabilities(row)
-        return out
-
     def cumulative_stack(self) -> np.ndarray:
         """The ``(batch, 2**n)`` cumulative-probability tensor, stack-wide.
 
-        Built in one pass — ``|stack|**2``, per-row
-        normalization, ``cumsum`` along the state axis, tail clamped to
-        1.0 so no shot uniform falls off the end of a row (the
-        precondition of :func:`~repro.linalg.sampling.inverse_cdf_indices`)
-        — replacing the old per-row Python loop.  The per-row arithmetic
-        (element-wise square/divide, then a row-independent cumulative
-        sum) matches the
-        serial backend's per-state path exactly, so sampling stays bitwise
-        identical to :class:`StatevectorBackend`.  Dead (zero-norm) rows
-        come out all-zero with only the clamped tail entry at 1.0 — never
-        a valid distribution — so sampling guards on the per-row norm and
-        raises before such a row could be drawn from.
+        Built in one pass — ``|stack|**2``, per-row normalization,
+        ``cumsum`` along the state axis, tail clamped to 1.0 so no shot
+        uniform falls off the end of a row (the precondition of
+        :func:`~repro.linalg.sampling.inverse_cdf_indices`) — and cached
+        until the stack mutates.  Dead (zero-norm) rows come out all-zero
+        with only the clamped tail entry at 1.0 — never a valid
+        distribution — so sampling guards on the per-row norm and raises
+        before such a row could be drawn from.
         """
+        return self._cumulative()
+
+    def _cumulative(self) -> np.ndarray:
         if self._cum_stack is None:
             probs = np.abs(self._stack) ** 2
             totals = probs.sum(axis=1, keepdims=True)
@@ -444,11 +433,23 @@ class BatchedStatevectorBackend:
         ``(seed, trajectory_id)`` determinism contract) and go through one
         inverse-CDF lookup on the row's cumulative distribution.
         """
+        return self._sample_indices(row, num_shots, rng, self.cumulative_stack)
+
+    def _sample_indices(
+        self,
+        row: int,
+        num_shots: int,
+        rng: np.random.Generator,
+        cumulative: Callable[[], np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`sample_indices`, reading the table through ``cumulative``
+        (:meth:`cumulative_stack` here, :meth:`_cumulative` in the view)."""
+        check_inside([row], self.batch_size, "row", "stack")
         if num_shots < 0:
             raise BackendError("num_shots must be >= 0")
         if num_shots == 0:
             return np.empty(0, dtype=np.int64)
-        cum = self.cumulative_stack()
+        cum = cumulative()
         if self._cum_totals[row] <= 0:
             raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
         r = rng.random(num_shots)
@@ -464,32 +465,6 @@ class BatchedStatevectorBackend:
         """Draw ``num_shots`` shots of ``qubits`` from stack row ``row``."""
         indices = self.sample_indices(row, num_shots, rng)
         return bits_from_indices(indices, qubits, self.num_qubits)
-
-    def sample_stack(
-        self,
-        shots_per_row: Sequence[int],
-        qubits: Sequence[int],
-        rngs: Sequence[np.random.Generator],
-    ) -> List[np.ndarray]:
-        """Bulk multinomial sampling over the whole stack, one rng per row.
-
-        Dead rows yield an empty ``(0, len(qubits))`` table.  Each live row
-        draws its full budget in one vectorized inverse-CDF lookup — the
-        "sampling all m_alpha desired quantum bitstrings at once" step of
-        the paper, here over the stacked probability tensor.
-        """
-        if len(shots_per_row) != self.batch_size or len(rngs) != self.batch_size:
-            raise BackendError(
-                f"expected {self.batch_size} shot counts and rngs, got "
-                f"{len(shots_per_row)} and {len(rngs)}"
-            )
-        out: List[np.ndarray] = []
-        for row, (shots, rng) in enumerate(zip(shots_per_row, rngs)):
-            if not self._alive[row]:
-                out.append(np.empty((0, len(qubits)), dtype=np.uint8))
-            else:
-                out.append(self.sample(row, shots, qubits, rng))
-        return out
 
     def __repr__(self) -> str:
         return (

@@ -14,14 +14,13 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.backends.statevector import bits_from_indices
 from repro.channels.kraus import KrausChannel
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError
-from repro.linalg.sampling import inverse_cdf_indices
+from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
 
 __all__ = ["DensityMatrixBackend"]
 

@@ -135,7 +135,10 @@ class BatchedExecutor(StreamingExecutor):
     backend:
         A per-trajectory :class:`BackendSpec` (``"statevector"`` or
         ``"mps"``) or a callable ``num_qubits -> backend``.  On
-        ``"mps"`` a unit is the tensornet replay of one row
+        ``"statevector"`` a unit is one row of the stacked dense engine
+        (:class:`~repro.backends.statevector.StatevectorBackend` is a
+        one-row :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`).
+        On ``"mps"`` a unit is the tensornet replay of one row
         (:class:`~repro.backends.mps.MPSBackend` is a one-row
         :class:`~repro.backends.mps.BatchedMPSStack`), so the shots are
         ``strategy="tensornet"``'s at ``max_batch=1``.

@@ -35,12 +35,13 @@ Two step kinds:
   trajectory's noise windows telescopes to exactly the same total weight
   the per-site serial loop accumulates.
 
-Every dense strategy (serial ``StatevectorBackend``, vectorized
-``BatchedStatevectorBackend``, and the sharded executor built on it) walks
-the *same* plan — obtained from the per-circuit cache
-:func:`get_fused_plan` — with the same matrices, application order, and
-renormalization points, which is what keeps serial/vectorized/sharded
-execution bitwise identical with fusion on or off.  Fused and unfused runs
+Every dense strategy walks the plan in one place,
+``BatchedStatevectorBackend``'s stacked preparation (the serial
+``StatevectorBackend`` is its one-row view) — obtained from the
+per-circuit cache :func:`get_fused_plan` — with the same matrices,
+application order, and renormalization points, which is what keeps
+serial/vectorized/sharded execution bitwise identical with fusion on or
+off.  Fused and unfused runs
 of the *same* trajectory agree on probabilities and weights to
 floating-point accuracy, not bit for bit (matrix products round
 differently than sequential application), which is why the fusion knob

@@ -28,9 +28,9 @@ Steps 1 and 4 are the shared :func:`repro.execution.driver.drive` loop
 supplies steps 2 and 3 as an :class:`~repro.execution.driver.Engine`
 adapter.
 
-Because the per-row arithmetic deliberately mirrors the serial backend
-operation-for-operation, and sampling uses the exact same per-trajectory
-Philox streams, the ``ShotTable`` is bitwise identical to a serial
+Because the serial backend *is* this stack at one row (every kernel and
+reduction is row-independent), and sampling uses the exact same
+per-trajectory Philox streams, the ``ShotTable`` is bitwise identical to a serial
 ``BatchedExecutor`` run with the same seed for *any* worker count or
 ``max_batch`` — verified in ``tests/test_vectorized.py``,
 ``tests/test_sharded.py`` and ``tests/test_driver.py``.

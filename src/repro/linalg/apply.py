@@ -1,11 +1,10 @@
-"""Dense gate-application kernels shared by the statevector backends.
+"""Dense gate-application kernels of the statevector engine.
 
-The hot path of both :class:`~repro.backends.statevector.StatevectorBackend`
-(one state per call) and
-:class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`
-(a ``(B, 2**n)`` trajectory stack per call).  Sharing one kernel keeps the
-two backends *bitwise identical* per trajectory — the equivalence contract
-of the vectorized execution path — while giving both the same speed.
+The hot path of :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`
+(a ``(B, 2**n)`` trajectory stack per call), and so of its one-row view
+:class:`~repro.backends.statevector.StatevectorBackend`.  Every kernel is
+row-independent, which keeps a trajectory *bitwise identical* at any
+batch size — the equivalence contract of the vectorized execution path.
 
 The kernel is split in two phases so the fusion compilation pipeline
 (:mod:`repro.execution.plan`) can amortize the per-operator analysis:

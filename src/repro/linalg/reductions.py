@@ -1,22 +1,21 @@
-"""Stack-wide reductions shared by the serial and batched dense backends.
+"""Stack-wide reductions of the dense engine.
 
 The per-row renormalization sweep after each noise window used to be the
 dominant stacked-path cost at large batch sizes: the batched backend
 called ``vdot(row, row)`` once per row.  Batching the reduction is only
-sound if it cannot diverge from the serial backend's ``norm_squared`` —
-the bitwise serial/stacked equivalence contract hangs on the two engines
-renormalizing by the *exact same* float.
+sound if a row's norm does not depend on the batch it sits in — the
+bitwise serial/stacked equivalence contract hangs on a trajectory
+renormalizing by the *exact same* float at any batch size.
 
-:func:`row_norms_squared` resolves that by construction instead of by
-promise: it is the **single** squared-norm reduction in the library.  The
-serial :class:`~repro.backends.statevector.StatevectorBackend` calls it
-on its state viewed as a 1-row stack, and the batched
-:class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`
-calls it once on the whole ``(B, 2**n)`` stack.  The reduction is
-row-independent — each output element is a sum over its own row only, in
-an order that does not depend on how many rows sit above or below it —
-so the B-row result is bit-for-bit the concatenation of B 1-row results.
-One call replaces B per-row ``vdot``\\ s.
+:func:`row_norms_squared` is the **single** squared-norm reduction in the
+library.  :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`
+calls it once on the whole ``(B, 2**n)`` stack, and the serial
+:class:`~repro.backends.statevector.StatevectorBackend` is that backend
+at ``B = 1``.  The reduction is row-independent — each output element is
+a sum over its own row only, in an order that does not depend on how many
+rows sit above or below it — so the B-row result is bit-for-bit the
+concatenation of B 1-row results.  One call replaces B per-row
+``vdot``\\ s.
 
 Note the one-time numerics change this introduced: the shared reduction
 sums ``re**2 + im**2`` over the interleaved real view of a row (a
@@ -43,9 +42,9 @@ def row_norms_squared(stack: np.ndarray) -> np.ndarray:
     batched ``(1, 2*dim) @ (2*dim, 1)`` GEMV per row, so no ``(rows, dim)``
     temporary is materialized and each row's dot product is an
     independent batch element whose summation order does not depend on
-    the row count — the property that makes a 1-row call on the serial
-    backend bitwise identical to the matching row of a whole-stack call
-    on the batched backend.  (The gate kernels' ``matmul`` fallback
+    the row count — the property that makes a 1-row stack (the serial
+    backend) bitwise identical to the matching row of a B-row stack.
+    (The gate kernels' ``matmul`` fallback
     already relies on exactly this batch independence for the bitwise
     serial/stacked contract, so the reduction adds no new assumption.)
 
@@ -69,9 +68,8 @@ def scale_rows_inverse_sqrt(
     """In place: ``stack[i] /= sqrt(norms[i])`` (unit divisor for dead rows).
 
     The renormalization *scale* companion to :func:`row_norms_squared`,
-    and shared for the same reason: the divisor arithmetic must be
-    identical between the serial backend (a 1-row stack) and the batched
-    backend (the whole stack) for the bitwise equivalence contract.  The
+    row-independent for the same reason: a row's divisor arithmetic must
+    not depend on how many rows share its stack.  The
     square root is always taken in float64 (norms may arrive as float32
     under complex64 states; the cast up is exact) and the divisor is then
     cast to the stack's real dtype, so the division itself runs at the

@@ -1,11 +1,13 @@
-"""The shot-sampling kernel shared by every dense backend.
+"""The shot-sampling kernel of every dense backend.
 
 Once a trajectory's state is prepared, drawing its whole shot budget is
 the cheap, polynomial half of batched execution (paper §3: "sampling all
 m_alpha desired quantum bitstrings at once").  It is two table lookups,
 and this module holds **the** implementation of each — the way
 :func:`repro.linalg.reductions.row_norms_squared` is the single norm
-reduction:
+reduction.  The serial statevector backend is the stacked one at
+``B = 1``, so one caller serves both; the density-matrix backend and the
+Pauli-frame branch draw are the others:
 
 * :func:`inverse_cdf_indices` maps shot uniforms to basis-state indices
   through a cumulative distribution.  Its result is *defined* as

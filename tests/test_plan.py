@@ -193,12 +193,11 @@ class TestUnitaryWindowWeights:
         self, noisy_ghz3, monkeypatch
     ):
         import repro.backends.batched_statevector as stacked_mod
-        import repro.backends.statevector as serial_mod
 
         def boom(*args, **kwargs):
             raise AssertionError("unitary-mixture window ran a norm reduction")
 
-        monkeypatch.setattr(serial_mod, "row_norms_squared", boom)
+        # The serial backend prepares through the same stacked module.
         monkeypatch.setattr(stacked_mod, "row_norms_squared", boom)
         serial = StatevectorBackend(3)
         serial.run_fixed(noisy_ghz3, {0: 1})

@@ -11,7 +11,7 @@ from repro.channels.standard import amplitude_damping, depolarizing
 from repro.circuits import Circuit
 from repro.circuits.gates import CX, H, T, X
 from repro.config import Config
-from repro.errors import BackendError, CapacityError
+from repro.errors import BackendError, CapacityError, ZeroProbabilityTrajectory
 from repro.linalg import random_unitary
 from repro.rng import make_rng
 
@@ -216,6 +216,124 @@ class TestMeasurementPrimitives:
         sv.apply_gate(H, [0])
         sv.apply_matrix(np.array([[1, 0], [0, 1j]]), [0])  # S|+> = |+i>
         assert sv.expectation_pauli(PauliString.from_label("Y")) == pytest.approx(1.0)
+
+
+def _plus3():
+    """|+++>: every outcome of every qubit has probability 1/2."""
+    sv = StatevectorBackend(3)
+    for q in range(3):
+        sv.apply_gate(H, [q])
+    return sv
+
+
+class TestQubitArgumentChecks:
+    """A qubit outside the register is a BackendError, never a wrap to
+    qubit n-1 (a negative index) nor a raw NumPy IndexError / AxisError."""
+
+    @pytest.mark.parametrize("qubits", [[-1], [3], [0, -1]])
+    def test_expectation_local(self, qubits):
+        matrix = np.diag([1.0, -1.0] * 2 ** (len(qubits) - 1))
+        with pytest.raises(BackendError, match=f"qubit {qubits[-1]} is outside a 3-qubit register"):
+            _plus3().expectation_local(matrix, qubits)
+
+    @pytest.mark.parametrize("qubit", [-1, 3])
+    def test_measure_probability_one(self, qubit):
+        with pytest.raises(BackendError, match=f"qubit {qubit} is outside a 3-qubit register"):
+            _plus3().measure_probability_one(qubit)
+
+    @pytest.mark.parametrize("qubit", [-1, 3])
+    def test_collapse(self, qubit):
+        sv = _plus3()
+        before = sv.statevector.copy()
+        with pytest.raises(BackendError, match=f"qubit {qubit} is outside a 3-qubit register"):
+            sv.collapse(qubit, 1)
+        np.testing.assert_array_equal(sv.statevector, before)
+
+
+class TestOneRowView:
+    """StatevectorBackend is row 0 of a one-row BatchedStatevectorBackend."""
+
+    def test_serial_never_enters_a_stacked_entry_point(
+        self, noisy_ghz3_general, monkeypatch
+    ):
+        """The view reaches the stack through its private helpers only, so
+        a profile of the stack's public methods never nests inside it."""
+        from repro.backends.batched_statevector import BatchedStatevectorBackend
+        from repro.execution import run_ptsbe
+        from repro.pts import ProbabilisticPTS
+
+        def run():
+            result = run_ptsbe(
+                noisy_ghz3_general, ProbabilisticPTS(nsamples=60, nshots=300),
+                seed=5, strategy="serial",
+            )
+            assert result.engine == "serial"
+            return result.shot_table().bits
+
+        want = run()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the one-row view called a stacked entry point")
+
+        for name in ("run_fixed_stack", "sample", "cumulative_stack"):
+            monkeypatch.setattr(BatchedStatevectorBackend, name, boom)
+        np.testing.assert_array_equal(run(), want)
+
+    def test_circuit_narrower_than_the_register(self):
+        """A 2-qubit circuit on 3 qubits acts on the leading two; the third
+        stays |0>, the least significant bit of every index."""
+        circ = Circuit(2).h(0).cx(0, 1)
+        circ.attach(amplitude_damping(0.3), 1)
+        circ = circ.measure_all().freeze()
+        narrow, wide = StatevectorBackend(2), StatevectorBackend(3)
+        for choices in ({}, {0: 1}):
+            weight = wide.run_fixed(circ, choices)
+            assert weight == pytest.approx(narrow.run_fixed(circ, choices), rel=1e-14)
+            np.testing.assert_allclose(
+                wide.probabilities(), np.kron(narrow.probabilities(), [1.0, 0.0]), atol=1e-15
+            )
+        # The decay branch on the Bell pair leaves |10>, i.e. |100>.
+        assert weight == pytest.approx(0.15)
+        assert wide.probabilities()[0b100] == pytest.approx(1.0)
+        assert np.all(wide.sample(20, [0, 1, 2], make_rng(0)) == [1, 0, 0])
+
+    def test_copy_is_independent(self):
+        sv = StatevectorBackend(2)
+        sv.apply_gate(H, [0])
+        twin = sv.copy()
+        assert twin.stack is not sv.stack
+        np.testing.assert_array_equal(twin.statevector, sv.statevector)
+        twin.apply_gate(X, [1])
+        assert abs(sv.statevector[0b01]) == 0.0
+        assert abs(twin.statevector[0b01]) == pytest.approx(2**-0.5)
+        sv.collapse(0, 1)
+        assert abs(twin.statevector[0b01]) == pytest.approx(2**-0.5)
+
+    def test_state_writes_go_through_to_row_zero(self):
+        sv = StatevectorBackend(2)
+        sv.set_statevector(np.array([0.0, 3.0, 0.0, 4.0]), normalize=True)
+        np.testing.assert_allclose(sv.stack.statevector(0), [0.0, 0.6, 0.0, 0.8])
+        assert sv.stack.batch_size == 1
+        assert sv.collapse(0, 1) == pytest.approx(0.64)
+        np.testing.assert_allclose(sv.stack.statevector(0), [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(sv.stack.probabilities(0), [0.0, 0.0, 0.0, 1.0])
+        sv.apply_gate(X, [1])
+        np.testing.assert_allclose(sv.stack.statevector(0), [0.0, 0.0, 1.0, 0.0])
+
+    def test_renorm_seconds_reads_the_stack(self, noisy_ghz3_general):
+        sv = StatevectorBackend(3)
+        sv.run_fixed(noisy_ghz3_general, {})
+        assert sv.renorm_seconds == sv.stack.renorm_seconds > 0.0
+        with pytest.raises(AttributeError):
+            sv.renorm_seconds = 0.0
+
+    def test_dead_row_raises_zero_probability(self):
+        circ = Circuit(1).attach(amplitude_damping(0.1), 0).measure_all().freeze()
+        sv = StatevectorBackend(1)
+        with pytest.raises(ZeroProbabilityTrajectory):
+            sv.run_fixed(circ, {0: 1})
+        assert not sv.stack.alive[0]
+        assert sv.run_fixed(circ, {}) == pytest.approx(1.0)
 
 
 class TestBitsFromIndices:

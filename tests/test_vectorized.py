@@ -70,20 +70,44 @@ class TestBatchedStatevectorBackend:
         b = stacked.sample(1, 500, (0, 1, 2), make_rng(77))
         np.testing.assert_array_equal(a, b)
 
-    def test_sample_stack_bulk(self, noisy_ghz3):
+    def test_sample_rows_in_bulk(self, noisy_ghz3):
         stacked = BatchedStatevectorBackend(3)
         stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}, {1: 1}])
-        tables = stacked.sample_stack(
-            [10, 20, 30], (0, 1, 2), StreamFactory(1).rngs_for([0, 1, 2])
-        )
+        rngs = StreamFactory(1).rngs_for([0, 1, 2])
+        tables = [
+            stacked.sample(row, shots, (0, 1, 2), rng)
+            for row, (shots, rng) in enumerate(zip([10, 20, 30], rngs))
+        ]
         assert [t.shape for t in tables] == [(10, 3), (20, 3), (30, 3)]
 
-    def test_probability_stack_shape_and_norm(self, noisy_ghz3):
+    def test_dead_row_draws_no_shots(self):
+        stacked = BatchedStatevectorBackend(1)
+        _, alive = stacked.run_fixed_stack(_amp_damp_circuit(), [{0: 1}, {}])
+        assert alive.tolist() == [False, True]
+        with pytest.raises(BackendError, match="dead trajectory"):
+            stacked.sample(0, 10, (0,), make_rng(0))
+        with pytest.raises(BackendError, match="dead trajectory"):
+            stacked.probabilities(0)
+        assert stacked.sample(0, 0, (0,), make_rng(0)).shape == (0, 1)
+        assert stacked.sample(1, 10, (0,), make_rng(0)).shape == (10, 1)
+        np.testing.assert_allclose(stacked.probabilities(1).sum(), 1.0)
+
+    def test_probabilities_shape_and_norm_per_row(self, noisy_ghz3):
         stacked = BatchedStatevectorBackend(3)
         stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}])
-        probs = stacked.probability_stack()
+        probs = np.array([stacked.probabilities(row) for row in range(2)])
         assert probs.shape == (2, 8)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_sample_row_out_of_range_is_a_typed_error(self, noisy_ghz3, row):
+        """Row -1 used to sample the last row, row B raised IndexError."""
+        stacked = BatchedStatevectorBackend(3)
+        stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}])
+        with pytest.raises(BackendError, match=f"row {row} is outside a 2-row stack"):
+            stacked.sample(row, 10, (0, 1, 2), make_rng(0))
+        with pytest.raises(BackendError, match=f"row {row} is outside a 2-row stack"):
+            stacked.sample_indices(row, 10, make_rng(0))
 
     def test_annihilated_branch_kills_row_only(self):
         circ = _amp_damp_circuit()
