@@ -5,21 +5,23 @@ ROADMAP's north star demands coverage across "as many scenarios as you
 can imagine".  This package turns that into a measured artifact, the way
 qsimbench sweeps algorithm families × sizes × device noise profiles:
 
-* :mod:`repro.sweep.spec` — a declarative sweep specification (dataclass
-  plus YAML/JSON loader) naming circuit families from the workload
-  registry (:mod:`repro.circuits.library`), width ranges, device noise
-  profiles (:mod:`repro.channels.standard`), a shot budget, and the
-  execution strategies to cross-check;
+* :mod:`repro.sweep.spec` — a declarative sweep specification naming
+  circuit families from the workload registry
+  (:mod:`repro.circuits.library`), width ranges, device noise profiles
+  (:mod:`repro.channels.standard`), a shot budget, and the execution
+  strategies to cross-check.  The dataclasses are the schema: one loader
+  reads their fields, so each key is declared once;
 * :mod:`repro.sweep.oracle` — the differential conformance oracle every
-  cell runs through: all strategies bitwise-identical to serial, streamed
-  chunks concatenating to the materialized table, and (at small widths,
-  for unitary-mixture profiles) the empirical shot distribution agreeing
-  with the exact density-matrix reference within TVD/chi-square bounds;
+  cell runs through: the dense strategies bitwise-identical to serial,
+  every strategy's streamed chunks concatenating to its materialized
+  table, and (at small widths, for unitary-mixture profiles) the
+  empirical shot distribution agreeing with the exact density-matrix
+  reference within TVD/chi-square bounds;
 * :mod:`repro.sweep.runner` — expands the spec into cells and drives each
   through :func:`~repro.execution.batched.run_ptsbe_stream`;
 * :mod:`repro.sweep.report` — renders the coverage/perf matrix
-  (families × widths × strategies: pass/fail/skip + shots/s) to markdown
-  and JSON.
+  (families × widths × the strategies each cell ran: pass/fail/skip +
+  shots/s) to markdown and JSON.
 
 The command line is ``python -m repro.sweep`` (:mod:`repro.sweep.__main__`),
 which writes the report to ``sweep_report.{md,json}``.

@@ -1,7 +1,7 @@
 """``python -m repro.sweep``: run a scenario sweep with the conformance oracle.
 
 Loads a YAML/JSON spec, runs every (family × width × profile) cell
-through every listed strategy, checks the oracle tiers (bitwise strategy
+through each of its strategies, checks the oracle tiers (bitwise strategy
 equivalence, streamed-chunk concatenation, density-matrix distribution
 at small widths), and writes ``sweep_report.md`` (the human
 coverage/perf matrix) and ``sweep_report.json`` (the machine summary:
@@ -89,9 +89,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     cells = spec.expand()
+    strategies = dict.fromkeys(s for cell in cells for s in cell.strategies)
     print(
-        f"sweep {spec.name!r}: {len(cells)} cells × "
-        f"{len(spec.strategies)} strategies ({', '.join(spec.strategies)})"
+        f"sweep {spec.name!r}: {len(cells)} cells, "
+        f"{sum(len(cell.strategies) for cell in cells)} (cell, strategy) runs "
+        f"({', '.join(strategies)})"
     )
     try:
         result = run_sweep(spec, progress=_print_cell)

@@ -1,10 +1,11 @@
 """The differential conformance oracle: what "verified" means per cell.
 
-Three tiers, cheapest first:
+Three tiers, cheapest first; the two exact ones always run:
 
-1. **Strategy equivalence** — every listed strategy's shot table must be
-   bitwise identical to the serial reference (same bits, same per-shot
-   trajectory ids).  This is the repo's strongest standing invariant
+1. **Strategy equivalence** — every dense strategy's shot table
+   (``execution.batched.DENSE_STRATEGIES``) must be bitwise identical to
+   the serial reference (same bits, same per-shot trajectory ids).
+   This is the repo's strongest standing invariant
    (one Philox stream per ``(seed, trajectory_id)``), so any drift is a
    real bug, not tolerance noise.
 2. **Streaming concatenation** — the chunks yielded by
@@ -25,7 +26,7 @@ Three tiers, cheapest first:
 
    The TVD bound is ``tvd_tolerance + (1 - coverage)``: sampling
    allowance plus the probability mass the enumeration provably did not
-   cover.  A chi-square test at ``chi_square_alpha`` additionally runs
+   cover.  A chi-square test at :data:`CHI_SQUARE_ALPHA` additionally runs
    when coverage is near-complete (un-covered mass below half the
    per-cell standard error), where the restricted and full distributions
    are statistically indistinguishable.
@@ -52,9 +53,14 @@ __all__ = [
     "check_streaming_concat",
     "check_distribution",
     "chi_square_critical_value",
+    "tables_identical",
+    "CHI_SQUARE_ALPHA",
 ]
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+#: False-positive rate of the distribution tier's chi-square test.
+CHI_SQUARE_ALPHA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,8 @@ class OracleFinding:
         return f"OracleFinding({self.check}: {self.status}{extra})"
 
 
-def _tables_identical(a: ShotTable, b: ShotTable) -> bool:
+def tables_identical(a: ShotTable, b: ShotTable) -> bool:
+    """Same measured qubits, bits and per-shot trajectory ids."""
     return (
         a.measured_qubits == b.measured_qubits
         and a.bits.shape == b.bits.shape
@@ -95,7 +102,7 @@ def check_strategy_equivalence(
 ) -> OracleFinding:
     """Every strategy's table must equal the reference bitwise."""
     mismatched = [
-        name for name, table in others.items() if not _tables_identical(reference, table)
+        name for name, table in others.items() if not tables_identical(reference, table)
     ]
     if mismatched:
         return OracleFinding(
@@ -124,7 +131,7 @@ def check_streaming_concat(
             detail=f"{strategy}: stream yielded no chunks",
         )
     concatenated = ShotTable.concatenate(list(chunks))
-    if not _tables_identical(concatenated, materialized):
+    if not tables_identical(concatenated, materialized):
         return OracleFinding(
             check="streaming_concat",
             status=FAIL,
@@ -227,14 +234,14 @@ def check_distribution(
     if uncovered <= 0.5 / math.sqrt(max(shots, 1)):
         counts = empirical * shots
         stat, dof = chi_square_statistic(counts, exact)
-        critical = chi_square_critical_value(dof, oracle.chi_square_alpha)
+        critical = chi_square_critical_value(dof, CHI_SQUARE_ALPHA)
         metrics += [("chi_square", stat), ("chi_square_critical", critical)]
         if stat > critical:
             return OracleFinding(
                 check="distribution",
                 status=FAIL,
                 detail=f"chi-square {stat:.1f} exceeds critical {critical:.1f} "
-                f"at alpha={oracle.chi_square_alpha:g} (dof={dof})",
+                f"at alpha={CHI_SQUARE_ALPHA:g} (dof={dof})",
                 metrics=tuple(metrics),
             )
     return OracleFinding(

@@ -12,12 +12,13 @@ an artifact.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sweep.oracle import FAIL, PASS, SKIP
 from repro.sweep.runner import TIMEOUT, CellResult, SweepResult
 
 __all__ = [
+    "combo_status",
     "coverage_matrix",
     "render_markdown",
     "summary_dict",
@@ -31,74 +32,64 @@ def _format_rate(rate: float) -> str:
     return f"{rate:.2e}" if rate == rate and rate != float("inf") else "-"
 
 
-def coverage_matrix(result: SweepResult) -> List[Dict[str, Any]]:
-    """One flat record per (family, width, profile, strategy) combo.
+def combo_status(cell: CellResult, strategy: str) -> Optional[str]:
+    """One (cell, strategy) combo's verdict; ``None`` if the cell has no such run.
 
-    ``status`` is the combo's verdict: the cell status unless the
-    strategy's own equivalence/streaming verdicts failed.
+    A skipped cell skips every combo; a combo whose own equivalence or
+    streaming verdict failed is ``fail``; otherwise the combo takes the
+    cell's status (``pass``, ``fail`` or — checks passed, budget blown —
+    ``timeout``).
     """
+    if cell.status == SKIP:
+        return SKIP
+    outcome = cell.outcome(strategy)
+    if outcome is None:
+        return None
+    return cell.status if outcome.verified else FAIL
+
+
+def _strategies(cells: Iterable[CellResult]) -> List[str]:
+    """The strategies the cells declare, in the order they first appear."""
+    return list(dict.fromkeys(s for cell in cells for s in cell.spec.strategies))
+
+
+def coverage_matrix(result: SweepResult) -> List[Dict[str, Any]]:
+    """One flat record per (family, width, profile, strategy) combo."""
     records: List[Dict[str, Any]] = []
     for cell in result.cells:
-        if cell.status == SKIP:
-            for strategy in result.spec.strategies:
-                records.append(
-                    {
-                        "family": cell.spec.family,
-                        "width": cell.spec.width,
-                        "profile": cell.spec.profile,
-                        "strategy": strategy,
-                        "status": SKIP,
-                        "detail": cell.skip_reason,
-                        "shots_per_second": None,
-                        "recovery": 0,
-                    }
-                )
-            continue
-        verified = set(cell.verified_strategies())
-        for outcome in cell.outcomes:
-            if cell.status == TIMEOUT:
-                # The cell's checks passed but it blew its wall-clock
-                # budget: the combo is not *verified*, but it is not a
-                # conformance failure either.
-                combo_status = TIMEOUT if outcome.verified else FAIL
-            else:
-                combo_status = PASS if outcome.strategy in verified else FAIL
+        for strategy in cell.spec.strategies:
+            outcome = cell.outcome(strategy)
             records.append(
                 {
                     "family": cell.spec.family,
                     "width": cell.spec.width,
                     "profile": cell.spec.profile,
-                    "strategy": outcome.strategy,
-                    "status": combo_status,
-                    "detail": "",
-                    "shots_per_second": outcome.shots_per_second,
-                    "recovery": outcome.recovery,
+                    "strategy": strategy,
+                    "status": combo_status(cell, strategy),
+                    "detail": cell.skip_reason,
+                    "shots_per_second": outcome.shots_per_second if outcome else None,
+                    "recovery": outcome.recovery if outcome else 0,
                 }
             )
     return records
 
 
 def _cell_label(cell: CellResult, strategy: str) -> str:
-    if cell.status == SKIP:
+    status = combo_status(cell, strategy)
+    if status in (None, SKIP):
         return _STATUS_MARK[SKIP]
-    outcome = cell.outcome(strategy)
-    if outcome is None:
-        return _STATUS_MARK[SKIP]
-    if cell.status == TIMEOUT:
-        mark = _STATUS_MARK[TIMEOUT] if outcome.verified else _STATUS_MARK[FAIL]
-    else:
-        ok = strategy in cell.verified_strategies()
-        mark = _STATUS_MARK[PASS] if ok else _STATUS_MARK[FAIL]
-    return f"{mark} {_format_rate(outcome.shots_per_second)}"
+    rate = cell.outcome(strategy).shots_per_second
+    return f"{_STATUS_MARK[status]} {_format_rate(rate)}"
 
 
 def render_markdown(result: SweepResult) -> str:
     """The human-facing coverage/perf matrix.
 
     One table per profile: rows are family × width, one column per
-    strategy (mark + shots/s), one column for the distribution-oracle
-    tier.  A summary header counts verified combos, and failed cells get
-    their oracle details listed below the tables.
+    strategy the table's cells declare (mark + shots/s), one column for
+    the distribution-oracle tier.  A summary header counts verified
+    combos, and failed cells get their oracle details listed below the
+    tables.
     """
     spec = result.spec
     counts = result.counts()
@@ -110,7 +101,7 @@ def render_markdown(result: SweepResult) -> str:
         f"(pass {counts[PASS]}, fail {counts[FAIL]}, skip {counts[SKIP]}, "
         f"timeout {counts[TIMEOUT]})",
         f"- verified (family × width × strategy) combos: {len(combos)}",
-        f"- strategies: {', '.join(spec.strategies)} · sampler: {spec.sampler} "
+        f"- strategies: {', '.join(_strategies(result.cells))} · sampler: {spec.sampler} "
         f"· shots/cell: {spec.shots} · seed: {spec.seed}",
         "",
         "Cell entries: `✓ shots/s` verified, `✗` oracle failure, `–` skipped, "
@@ -119,15 +110,12 @@ def render_markdown(result: SweepResult) -> str:
         "(pass/fail/skip + TVD).",
         "",
     ]
-    profiles: List[str] = []
-    for cell in result.cells:
-        if cell.spec.profile not in profiles:
-            profiles.append(cell.spec.profile)
-    for profile in profiles:
+    for profile in dict.fromkeys(c.spec.profile for c in result.cells):
         cells = [c for c in result.cells if c.spec.profile == profile]
         lines.append(f"## profile: `{profile}`")
         lines.append("")
-        header = ["family", "width"] + list(spec.strategies) + ["dm oracle"]
+        strategies = _strategies(cells)
+        header = ["family", "width"] + strategies + ["dm oracle"]
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
         for cell in cells:
@@ -139,7 +127,7 @@ def render_markdown(result: SweepResult) -> str:
             else:
                 dm = _STATUS_MARK[dist.status]
             row = [cell.spec.family, str(cell.spec.width)]
-            row += [_cell_label(cell, s) for s in spec.strategies]
+            row += [_cell_label(cell, s) for s in strategies]
             row.append(dm)
             lines.append("| " + " | ".join(row) + " |")
         lines.append("")

@@ -9,11 +9,11 @@ each cell the runner:
    above a cutoff and apportions the cell's shot budget proportionally —
    the mode whose pooled histogram the distribution oracle can check;
    ``probabilistic`` is paper Algorithm 2 with uniform shots);
-3. runs :func:`~repro.execution.batched.run_ptsbe_stream` once per listed
-   strategy with the *same* resolved seed, collecting streamed chunks and
-   the finalized table from the same run (streaming is delivery-only, so
-   one run serves both the streaming-concat and the cross-strategy
-   checks);
+3. runs :func:`~repro.execution.batched.run_ptsbe_stream` once per
+   strategy of the cell with the *same* resolved seed, collecting
+   streamed chunks and the finalized table from the same run (streaming
+   is delivery-only, so one run serves both the streaming-concat and the
+   cross-strategy checks);
 4. attaches the differential conformance oracle
    (:mod:`repro.sweep.oracle`) and per-strategy timings.
 
@@ -24,17 +24,17 @@ coverage matrix shows the hole instead of the run dying.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.channels.standard import DeviceNoiseProfile, device_profile
+from repro.channels.standard import device_profile
 from repro.circuits.library import get_workload, noisy
 from repro.errors import SweepError
-from repro.execution.batched import run_ptsbe_stream
-from repro.execution.results import ShotTable
+from repro.execution.batched import DENSE_STRATEGIES, run_ptsbe_stream
 from repro.pts.base import PTSAlgorithm
 from repro.pts.exhaustive import ExhaustivePTS
 from repro.pts.probabilistic import ProbabilisticPTS
+from repro.rng import StreamFactory
 from repro.sweep.oracle import (
     FAIL,
     PASS,
@@ -43,11 +43,11 @@ from repro.sweep.oracle import (
     check_distribution,
     check_strategy_equivalence,
     check_streaming_concat,
+    tables_identical,
 )
 from repro.sweep.spec import CellSpec, OracleSpec, SweepSpec
 
 __all__ = [
-    "DISTRIBUTIONAL_STRATEGIES",
     "TIMEOUT",
     "StrategyOutcome",
     "CellResult",
@@ -60,13 +60,6 @@ __all__ = [
 #: Cell status for a run that finished but blew its wall-clock budget.
 TIMEOUT = "timeout"
 
-#: Strategies whose conformance contract is distributional rather than
-#: bitwise: ``clifford`` draws shots through a different stochastic
-#: mechanism, and ``tensornet`` additionally truncates amplitudes (SVD
-#: cutoff / bond cap), so both are excluded from the bitwise equivalence
-#: tier and each gets its own density-matrix distribution finding.
-DISTRIBUTIONAL_STRATEGIES = ("clifford", "tensornet")
-
 
 @dataclass(frozen=True)
 class StrategyOutcome:
@@ -77,8 +70,10 @@ class StrategyOutcome:
     shots: int
     trajectories: int
     chunks: int
-    equivalent: Optional[bool]  # None for the reference strategy itself
-    stream_ok: Optional[bool]  # None when the streaming tier is disabled
+    #: Bitwise equal to the reference; ``None`` for the reference itself
+    #: and for the distributional engines (``clifford``, ``tensornet``).
+    equivalent: Optional[bool]
+    stream_ok: bool
     #: Recovery actions (retries, batch halvings) the run took;
     #: 0 for fault-free runs.  Under an injected REPRO_FAULTS plan a
     #: passing cell with ``recovery > 0`` is the chaos-smoke evidence:
@@ -92,7 +87,7 @@ class StrategyOutcome:
     @property
     def verified(self) -> bool:
         """No tier this strategy participates in failed."""
-        return self.equivalent is not False and self.stream_ok is not False
+        return self.equivalent is not False and self.stream_ok
 
 
 @dataclass
@@ -114,23 +109,16 @@ class CellResult:
         return self.spec.cell_id
 
     def finding(self, check: str) -> Optional[OracleFinding]:
-        for f in self.findings:
-            if f.check == check:
-                return f
-        return None
+        return next((f for f in self.findings if f.check == check), None)
 
     def outcome(self, strategy: str) -> Optional[StrategyOutcome]:
-        for o in self.outcomes:
-            if o.strategy == strategy:
-                return o
-        return None
+        return next((o for o in self.outcomes if o.strategy == strategy), None)
 
     def verified_strategies(self) -> List[str]:
         """Strategies whose (family, width, strategy) combo counts as verified.
 
-        A combo is verified when the cell ran, no cell-level finding
-        failed, and the strategy's own equivalence/streaming verdicts
-        passed.
+        A combo is verified when the cell passed (no finding failed, no
+        budget overrun) and the strategy's own verdicts passed.
         """
         if self.status != PASS:
             return []
@@ -160,11 +148,11 @@ class SweepResult:
 
     def verified_combos(self) -> List[Tuple[str, int, str]]:
         """All verified (family, width, strategy) combos across cells."""
-        combos = []
-        for cell in self.cells:
-            for strategy in cell.verified_strategies():
-                combos.append((cell.spec.family, cell.spec.width, strategy))
-        return combos
+        return [
+            (cell.spec.family, cell.spec.width, strategy)
+            for cell in self.cells
+            for strategy in cell.verified_strategies()
+        ]
 
 
 def make_sampler(cell: CellSpec) -> PTSAlgorithm:
@@ -200,60 +188,17 @@ def make_sampler(cell: CellSpec) -> PTSAlgorithm:
     raise SweepError(f"unknown sampler {cell.sampler!r}")
 
 
-def _run_strategy(
-    circuit,
-    sampler: PTSAlgorithm,
-    strategy: str,
-    seed: int,
-    executor_kwargs: Optional[Dict[str, Any]],
-) -> Tuple[ShotTable, Tuple[ShotTable, ...], StrategyOutcome, int]:
-    """One strategy's streamed run: chunk tables + finalized table + timing."""
-    t0 = time.perf_counter()
-    stream = run_ptsbe_stream(
-        circuit,
-        sampler,
-        seed=seed,
-        strategy=strategy,
-        executor_kwargs=executor_kwargs,
-    )
-    chunk_tables = tuple(chunk.shot_table() for chunk in stream if chunk.num_shots)
-    result = stream.finalize()
-    seconds = time.perf_counter() - t0
-    table = result.shot_table()
-    outcome = StrategyOutcome(
-        strategy=strategy,
-        seconds=seconds,
-        shots=table.num_shots,
-        trajectories=result.num_trajectories,
-        chunks=len(chunk_tables),
-        equivalent=None,
-        stream_ok=None,
-        recovery=len(result.recovery),
-    )
-    return table, chunk_tables, outcome, result.seed
+def run_cell(cell: CellSpec, oracle: OracleSpec) -> CellResult:
+    """Run one sweep cell through each of ``cell.strategies`` and the oracle.
 
-
-def run_cell(
-    cell: CellSpec,
-    strategies: Tuple[str, ...],
-    oracle: OracleSpec,
-    executor_kwargs: Optional[Dict[str, Dict[str, Any]]] = None,
-) -> CellResult:
-    """Run one sweep cell through every strategy and the full oracle.
-
-    ``executor_kwargs`` optionally maps strategy name to extra executor
-    constructor arguments (e.g. ``{"sharded": {"num_workers": 2}}``).  The
-    first listed *bitwise* strategy — ``serial`` is forced to the front
-    when present — is the differential reference.
-
-    The :data:`DISTRIBUTIONAL_STRATEGIES` (``clifford``, ``tensornet``)
-    are excluded from the bitwise equivalence tier: the frame engine
-    draws its per-shot randomness through a different stochastic
-    mechanism, and the tensornet engine additionally truncates amplitudes
-    — so their tables are seeded-reproducible but not bitwise equal to
-    the dense ones.  Their conformance contract is distributional — each
-    such table gets its own distribution finding against the exact
-    density-matrix reference (subject to the same width/mixture gates).
+    The first listed dense strategy (:data:`DENSE_STRATEGIES`; ``serial``
+    is forced to the front when present) is the differential reference,
+    and only the dense strategies take part in the bitwise equivalence
+    tier.  ``clifford`` draws its per-shot randomness through a different
+    mechanism and ``tensornet`` also truncates amplitudes, so their tables
+    are seeded-reproducible but not bitwise equal to the dense ones: each
+    gets its own distribution finding against the exact density-matrix
+    reference instead (subject to the same width/mixture gates).
 
     When the cell carries a ``budget_seconds`` and its total wall clock
     exceeds it, a cell that would have passed is reported ``timeout``
@@ -269,91 +214,37 @@ def run_cell(
             f"[{family.min_width}, {family.max_width}]",
         )
     cell_t0 = time.perf_counter()
-    profile: DeviceNoiseProfile = device_profile(cell.profile)
+    profile = device_profile(cell.profile)
     circuit = noisy(family.build(cell.width, seed=cell.seed), profile.noise_model())
     sampler = make_sampler(cell)
 
-    ordered = sorted(strategies, key=lambda s: s != "serial")
-    dense = [s for s in ordered if s not in DISTRIBUTIONAL_STRATEGIES]
-    distributional = [s for s in ordered if s in DISTRIBUTIONAL_STRATEGIES]
-    reference_strategy = (dense or ordered)[0]
-    tables: Dict[str, ShotTable] = {}
-    outcomes: List[StrategyOutcome] = []
-    findings: List[OracleFinding] = []
-    resolved_seed: Optional[int] = None
+    ordered = sorted(cell.strategies, key=lambda s: s != "serial")
+    dense = [s for s in ordered if s in DENSE_STRATEGIES]
+    reference = (dense or ordered)[0]
+    runs = {}
     for strategy in ordered:
-        kwargs = (executor_kwargs or {}).get(strategy)
-        table, chunk_tables, outcome, seed = _run_strategy(
-            circuit, sampler, strategy, cell.seed, kwargs
-        )
-        resolved_seed = seed if resolved_seed is None else resolved_seed
-        stream_ok: Optional[bool] = None
-        if oracle.streaming:
-            finding = check_streaming_concat(strategy, chunk_tables, table)
-            findings.append(finding)
-            stream_ok = finding.status == PASS
-        tables[strategy] = table
-        outcomes.append(
-            StrategyOutcome(
-                strategy=outcome.strategy,
-                seconds=outcome.seconds,
-                shots=outcome.shots,
-                trajectories=outcome.trajectories,
-                chunks=outcome.chunks,
-                equivalent=None,
-                stream_ok=stream_ok,
-                recovery=outcome.recovery,
-            )
-        )
+        t0 = time.perf_counter()
+        stream = run_ptsbe_stream(circuit, sampler, seed=cell.seed, strategy=strategy)
+        chunks = tuple(chunk.shot_table() for chunk in stream if chunk.num_shots)
+        result = stream.finalize()
+        runs[strategy] = (result, chunks, time.perf_counter() - t0)
+    tables = {s: result.shot_table() for s, (result, _, _) in runs.items()}
 
     # Coverage comes from re-running the sampler once against the same
     # stream the executors derived theirs from (deterministic for
     # exhaustive, seed-fixed for probabilistic) — cheap relative to state
     # preparation.
-    from repro.rng import StreamFactory
+    coverage = sampler.sample(circuit, StreamFactory(cell.seed).sampler_rng()).coverage()
 
-    pts_result = sampler.sample(circuit, StreamFactory(cell.seed).sampler_rng())
-    coverage = pts_result.coverage()
-
-    if oracle.strategy_equivalence and len(dense) > 1:
-        reference = tables[reference_strategy]
-        others = {s: tables[s] for s in dense if s != reference_strategy}
-        findings.append(
-            check_strategy_equivalence(reference_strategy, reference, others)
-        )
-        from repro.sweep.oracle import _tables_identical
-
-        for i, outcome in enumerate(outcomes):
-            if outcome.strategy == reference_strategy or outcome.strategy not in others:
-                continue
-            outcomes[i] = StrategyOutcome(
-                strategy=outcome.strategy,
-                seconds=outcome.seconds,
-                shots=outcome.shots,
-                trajectories=outcome.trajectories,
-                chunks=outcome.chunks,
-                equivalent=_tables_identical(reference, tables[outcome.strategy]),
-                stream_ok=outcome.stream_ok,
-                recovery=outcome.recovery,
-            )
-
-    findings.append(
-        check_distribution(
-            circuit,
-            tables[reference_strategy],
-            coverage,
-            oracle,
-            unitary_mixture=profile.unitary_mixture_only,
-            proportional_shots=(cell.sampler == "exhaustive"),
-        )
-    )
-    # Each distributional-contract table (clifford / tensornet) is
-    # verified on its own — it cannot ride on the reference's finding
-    # because it is not bitwise tied to the reference table.
-    for strategy in distributional:
-        if strategy == reference_strategy:
-            continue
-        f = check_distribution(
+    streamed = {s: check_streaming_concat(s, runs[s][1], tables[s]) for s in ordered}
+    findings = list(streamed.values())
+    others = {s: tables[s] for s in dense if s != reference}
+    if others:
+        findings.append(check_strategy_equivalence(reference, tables[reference], others))
+    # The reference's finding speaks for every table bitwise tied to it;
+    # each distributional table is checked on its own.
+    for strategy in [reference] + [s for s in ordered if s not in dense and s != reference]:
+        finding = check_distribution(
             circuit,
             tables[strategy],
             coverage,
@@ -361,22 +252,26 @@ def run_cell(
             unitary_mixture=profile.unitary_mixture_only,
             proportional_shots=(cell.sampler == "exhaustive"),
         )
-        findings.append(
-            OracleFinding(
-                check="distribution",
-                status=f.status,
-                detail=f"{strategy}: {f.detail}",
-                metrics=f.metrics,
-            )
-        )
+        if strategy != reference:
+            finding = replace(finding, detail=f"{strategy}: {finding.detail}")
+        findings.append(finding)
 
+    outcomes = [
+        StrategyOutcome(
+            strategy=s,
+            seconds=seconds,
+            shots=tables[s].num_shots,
+            trajectories=result.num_trajectories,
+            chunks=len(chunks),
+            equivalent=tables_identical(tables[reference], tables[s]) if s in others else None,
+            stream_ok=streamed[s].status == PASS,
+            recovery=len(result.recovery),
+        )
+        for s, (result, chunks, seconds) in runs.items()
+    ]
     elapsed = time.perf_counter() - cell_t0
     status = FAIL if any(f.status == FAIL for f in findings) else PASS
-    if (
-        status == PASS
-        and cell.budget_seconds is not None
-        and elapsed > cell.budget_seconds
-    ):
+    if status == PASS and cell.budget_seconds is not None and elapsed > cell.budget_seconds:
         status = TIMEOUT
     return CellResult(
         spec=cell,
@@ -384,14 +279,13 @@ def run_cell(
         outcomes=outcomes,
         findings=findings,
         coverage=coverage,
-        resolved_seed=resolved_seed,
+        resolved_seed=runs[ordered[0]][0].seed,
         elapsed_seconds=elapsed,
     )
 
 
 def run_sweep(
     spec: SweepSpec,
-    executor_kwargs: Optional[Dict[str, Dict[str, Any]]] = None,
     progress: Optional[Callable[[CellResult], None]] = None,
 ) -> SweepResult:
     """Run every cell of a validated spec; never raises on oracle failure.
@@ -403,7 +297,7 @@ def run_sweep(
     spec.validate()
     result = SweepResult(spec=spec)
     for cell in spec.expand():
-        cell_result = run_cell(cell, cell.strategies, spec.oracle, executor_kwargs)
+        cell_result = run_cell(cell, spec.oracle)
         result.cells.append(cell_result)
         if progress is not None:
             progress(cell_result)

@@ -1,6 +1,8 @@
 """The scenario sweep harness: spec parsing, runner, oracle wiring, report."""
 
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -20,6 +22,9 @@ from repro.sweep import (
     summary_dict,
     write_report,
 )
+from repro.sweep.oracle import chi_square_critical_value
+
+SPECS_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "sweeps"
 
 SMOKE_DICT = {
     "name": "unit",
@@ -72,6 +77,67 @@ class TestSpecParsing:
         assert wide and wide[0].width >= 30
         assert wide[0].strategies == ("clifford",)
 
+    @pytest.mark.parametrize(
+        "path", sorted(SPECS_DIR.glob("*.yaml")), ids=lambda p: p.name
+    )
+    def test_committed_spec_loads_and_round_trips(self, path):
+        spec = load_spec(str(path))
+        assert spec.expand()
+        assert spec_from_dict(spec.to_dict()) == spec
+        assert spec_from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    def test_defaults_come_from_the_dataclasses(self):
+        spec = spec_from_dict({"name": "d", "sweeps": SMOKE_DICT["sweeps"]})
+        family = FamilySweep("ghz", (3,), ("superconducting_median",))
+        assert spec == SweepSpec(name="d", sweeps=(family,))
+        assert "cell_budget_seconds" not in spec.to_dict()
+        assert "strategies" not in spec.to_dict()["sweeps"][0]
+
+    def test_string_widths_rejected(self):
+        with pytest.raises(SweepSpecError, match=r"sweeps\[0\]\.widths"):
+            _spec(sweeps=[{"family": "ghz", "widths": "35",
+                           "profiles": ["uniform_depolarizing"]}])
+
+    def test_float_shots_rejected(self):
+        with pytest.raises(SweepSpecError, match="shots: expected int"):
+            _spec(shots=1.9)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        # ``streaming: "false"`` used to parse as True.
+        [("strategy_equivalence", False), ("streaming", "false"), ("chi_square_alpha", 1e-3)],
+    )
+    def test_removed_oracle_keys_are_unknown(self, key, value):
+        with pytest.raises(SweepSpecError, match=f"unknown key.*{key}"):
+            _spec(oracle={key: value})
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"shots": True}, "shots"),
+            ({"seed": "7"}, "seed"),
+            ({"oracle": {"tvd_tolerance": "0.1"}}, "tvd_tolerance"),
+            ({"strategies": "serial"}, "strategies"),
+            ({"sampler_options": [["cutoff", 1e-5]]}, "sampler_options"),
+        ],
+        ids=["bool-shots", "str-seed", "str-tvd", "str-strategies", "list-options"],
+    )
+    def test_wrong_types_rejected_not_coerced(self, overrides, key):
+        with pytest.raises(SweepSpecError, match=key):
+            _spec(**overrides)
+
+    def test_int_accepted_where_float_declared(self):
+        spec = _spec(cell_budget_seconds=300, oracle={"tvd_tolerance": 0.1})
+        assert spec.cell_budget_seconds == 300.0
+        assert isinstance(spec.cell_budget_seconds, float)
+
+    def test_missing_required_key_named(self):
+        with pytest.raises(SweepSpecError, match="missing required key 'profiles'"):
+            _spec(sweeps=[{"family": "ghz", "widths": [3]}])
+        data = {k: v for k, v in SMOKE_DICT.items() if k != "sweeps"}
+        with pytest.raises(SweepSpecError, match="missing required key 'sweeps'"):
+            spec_from_dict(data)
+
     def test_unknown_family(self):
         with pytest.raises(SweepSpecError, match="unknown workload family"):
             _spec(sweeps=[{"family": "nope", "widths": [3], "profiles": ["uniform_depolarizing"]}])
@@ -121,10 +187,36 @@ class TestSpecParsing:
             dup.expand()
 
 
+class TestNoDependencyFallbacks:
+    """Neither PyYAML nor scipy is a runtime dependency."""
+
+    def test_yaml_path_without_pyyaml(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "yaml", None)
+        as_json = tmp_path / "spec.yaml"
+        as_json.write_text(json.dumps(SMOKE_DICT))
+        assert load_spec(str(as_json)) == spec_from_dict(SMOKE_DICT)
+        yaml_only = tmp_path / "yaml_only.yaml"
+        yaml_only.write_text("name: unit\nsweeps:\n  - family: ghz\n")
+        with pytest.raises(SweepSpecError, match="PyYAML"):
+            load_spec(str(yaml_only))
+
+    def test_chi_square_critical_value_without_scipy(self, monkeypatch):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        worst = 0.0
+        for dof in (3, 4, 7, 16, 64, 256, 1024, 4096):
+            for alpha in (1e-4, 1e-3, 1e-2, 0.05):
+                exact = chi2.ppf(1.0 - alpha, dof)
+                worst = max(worst, abs(chi_square_critical_value(dof, alpha) / exact - 1))
+        # 0 would mean scipy answered: the fallback did not run.
+        assert 0 < worst < 0.05
+
+
 class TestSampler:
     def _cell(self, **kw):
         base = dict(family="ghz", width=3, profile="uniform_depolarizing",
-                    shots=1000, sampler="exhaustive", sampler_options=(), seed=1)
+                    shots=1000, sampler="exhaustive", sampler_options=(), seed=1,
+                    strategies=("serial",))
         base.update(kw)
         return CellSpec(**base)
 
@@ -209,6 +301,20 @@ class TestRunner:
         assert cell.finding("distribution").status == "skip"
         assert "proportionally" in cell.finding("distribution").detail
 
+    def test_distributional_strategy_checked_on_its_own(self):
+        spec = _spec(shots=400, strategies=["serial", "clifford"], sweeps=[
+            {"family": "ghz", "widths": [3], "profiles": ["uniform_depolarizing"]},
+        ])
+        (cell,) = run_sweep(spec).cells
+        assert cell.status == "pass"
+        assert cell.finding("strategy_equivalence") is None
+        assert [f.check for f in cell.findings] == [
+            "streaming_concat", "streaming_concat", "distribution", "distribution",
+        ]
+        assert cell.findings[3].detail.startswith("clifford: ")
+        assert [o.equivalent for o in cell.outcomes] == [None, None]
+        assert cell.verified_strategies() == ["serial", "clifford"]
+
     def test_progress_callback(self):
         seen = []
         run_sweep(_spec(shots=200), progress=lambda c: seen.append(c.cell_id))
@@ -216,8 +322,9 @@ class TestRunner:
 
     def test_run_cell_serial_only(self):
         cell = CellSpec(family="ghz", width=3, profile="uniform_depolarizing",
-                        shots=500, sampler="exhaustive", sampler_options=(), seed=2)
-        result = run_cell(cell, ("serial",), OracleSpec())
+                        shots=500, sampler="exhaustive", sampler_options=(), seed=2,
+                        strategies=("serial",))
+        result = run_cell(cell, OracleSpec())
         assert result.status == "pass"
         # Single strategy: equivalence tier has nothing to compare.
         assert result.finding("strategy_equivalence") is None
@@ -268,6 +375,54 @@ class TestReport:
         assert json.loads(js.read_text()) == json.loads(json.dumps(summary))
 
 
+class TestStrategyColumns:
+    """The matrix follows the strategies each cell declares, not the
+    sweep-level list: an entry override shows its own columns."""
+
+    SPEC = dict(
+        SMOKE_DICT,
+        shots=300,
+        strategies=["serial"],
+        sweeps=[
+            {"family": "ghz", "widths": [3], "profiles": ["uniform_depolarizing"]},
+            {"family": "ghz", "widths": [4], "profiles": ["uniform_depolarizing"],
+             "strategies": ["clifford"]},
+            {"family": "qaoa_ring", "widths": [2], "profiles": ["uniform_depolarizing"],
+             "strategies": ["clifford"]},
+        ],
+    )
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_sweep(spec_from_dict(self.SPEC))
+
+    def test_markdown_shows_override_columns(self, result):
+        md = render_markdown(result).splitlines()
+        assert "| family | width | serial | clifford | dm oracle |" in md
+        assert any(line.startswith("| ghz | 3 | ✓ ") and "| – |" in line for line in md)
+        assert any(line.startswith("| ghz | 4 | – | ✓ ") for line in md)
+        assert "| qaoa_ring | 2 | – | – | – |" in md
+        assert "- strategies: serial, clifford · sampler: exhaustive" in "\n".join(md)
+
+    def test_coverage_matrix_uses_cell_strategies(self, result):
+        records = [(r["family"], r["width"], r["strategy"], r["status"])
+                   for r in coverage_matrix(result)]
+        assert records == [
+            ("ghz", 3, "serial", "pass"),
+            ("ghz", 4, "clifford", "pass"),
+            ("qaoa_ring", 2, "clifford", "skip"),
+        ]
+
+    def test_cli_header_counts_cell_strategy_runs(self, tmp_path, capsys):
+        from repro.sweep.__main__ import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPEC))
+        assert main(["--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "sweep 'unit': 3 cells, 3 (cell, strategy) runs (serial, clifford)"
+
+
 class TestBudgets:
     def test_budget_parsing_and_override(self):
         spec = _spec(
@@ -307,9 +462,9 @@ class TestBudgets:
         cell = CellSpec(
             family="ghz", width=3, profile="uniform_depolarizing",
             shots=500, sampler="exhaustive", sampler_options=(), seed=2,
-            budget_seconds=1e-9,
+            strategies=("serial",), budget_seconds=1e-9,
         )
-        result = run_cell(cell, ("serial",), OracleSpec())
+        result = run_cell(cell, OracleSpec())
         assert result.status == "timeout"
         assert result.elapsed_seconds > 1e-9
         # The strategy passed its own checks, but an over-budget cell
@@ -351,9 +506,9 @@ class TestBudgets:
         cell = CellSpec(
             family="ghz", width=3, profile="uniform_depolarizing",
             shots=200, sampler="exhaustive", sampler_options=(), seed=2,
-            budget_seconds=1e-9,
+            strategies=("serial", "vectorized"), budget_seconds=1e-9,
         )
-        result = run_cell(cell, ("serial", "vectorized"), OracleSpec())
+        result = run_cell(cell, OracleSpec())
         assert result.status == "fail"
 
     def test_sweep_cli_strict_exit_code(self, tmp_path):
