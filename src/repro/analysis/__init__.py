@@ -1,4 +1,4 @@
-"""Analysis: convergence, speedup accounting, weighted estimators."""
+"""Analysis: convergence and weighted estimators."""
 
 from repro.analysis.convergence import convergence_curve, distribution_error, exact_distribution
 from repro.analysis.estimators import (
@@ -8,7 +8,6 @@ from repro.analysis.estimators import (
     pooled_estimate,
     stratified_estimate,
 )
-from repro.analysis.speedup import SpeedupMeasurement, measure_speedup, speedup_curve
 
 __all__ = [
     "convergence_curve",
@@ -19,7 +18,4 @@ __all__ = [
     "parity_observable",
     "pooled_estimate",
     "stratified_estimate",
-    "SpeedupMeasurement",
-    "measure_speedup",
-    "speedup_curve",
 ]

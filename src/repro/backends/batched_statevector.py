@@ -8,9 +8,8 @@ its one-row view, so a serial preparation *is* a stacked preparation at
 
 * **Shared work** is one fused kernel call: execution walks the circuit's
   compiled :class:`~repro.execution.plan.FusedPlan` — adjacent gates (and
-  noise-branch operators) merged into per-window matrices when
-  ``Config.fusion`` is on, one step per operation when it is off — and
-  each coherent window updates every trajectory at once through a reshape
+  noise-branch operators) merged into per-window matrices — and each
+  coherent window updates every trajectory at once through a reshape
   view of the stack (:func:`~repro.linalg.apply.apply_compiled_stack`).
   The per-operation Python/dispatch overhead and buffer traffic is paid
   once per window instead of once per (operation, trajectory).
@@ -275,8 +274,8 @@ class BatchedStatevectorBackend:
         have weight 0 and a zeroed state.
 
         Execution walks the circuit's compiled
-        :class:`~repro.execution.plan.FusedPlan` with fusion on or off.  A
-        circuit narrower than the register acts on its leading qubits.
+        :class:`~repro.execution.plan.FusedPlan`.  A circuit narrower than
+        the register acts on its leading qubits.
         """
         return self._prepare(circuit, choices_list)
 

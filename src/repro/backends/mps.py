@@ -141,7 +141,7 @@ class MPSBackend(PureStateBackend):
             raise BackendError(
                 f"circuit has {circuit.num_qubits} qubits, backend has {self.num_qubits}"
             )
-        schedule = tensornet.compile_schedule(circuit, self._config)
+        schedule = tensornet.compile_schedule(circuit)
         tensornet.replay_schedule(self.stack, schedule, [kraus_choices or {}])
         tensors, envs, (weight,) = tensornet.read_stack(self.stack)
         # Row 0's tensors become the ideal row: how the view holds a state.

@@ -190,12 +190,6 @@ class StatevectorBackend(PureStateBackend):
         self.renormalize()
         return prob
 
-    def fidelity_with(self, other: "StatevectorBackend") -> float:
-        """|<psi|phi>|**2 against another backend of equal width."""
-        if other.num_qubits != self.num_qubits:
-            raise BackendError("fidelity requires equal qubit counts")
-        return float(abs(complex(np.vdot(self.statevector, other.statevector))) ** 2)
-
     def __repr__(self) -> str:
         return (
             f"StatevectorBackend(qubits={self.num_qubits}, dtype={self._config.dtype})"

@@ -94,28 +94,6 @@ class KrausChannel:
         )
 
     # ------------------------------------------------------------------ #
-    # state-dependent probabilities (paper Algorithm 1, general branch)
-    # ------------------------------------------------------------------ #
-    def probabilities_for_state(
-        self, state: np.ndarray, apply_fn
-    ) -> np.ndarray:
-        """Per-operator probabilities ``<psi| K^dag K |psi>`` for ``state``.
-
-        ``apply_fn(matrix) -> ndarray`` must apply ``matrix`` to the
-        channel's target qubits of ``state`` and return the (unnormalized)
-        result; this keeps the channel agnostic of backend layout.
-        """
-        probs = np.empty(len(self.kraus_ops))
-        for i, k in enumerate(self.kraus_ops):
-            phi = apply_fn(k)
-            probs[i] = float(np.real(np.vdot(phi, phi)))
-        # Guard against float drift; CPTP guarantees the exact sum is 1.
-        total = probs.sum()
-        if total <= 0:
-            raise ChannelError(f"channel {self.name!r}: state annihilated by all Kraus ops")
-        return probs / total
-
-    # ------------------------------------------------------------------ #
     # transformations
     # ------------------------------------------------------------------ #
     def compose_unitary(self, unitary: np.ndarray, before: bool = True) -> "KrausChannel":

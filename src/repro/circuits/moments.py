@@ -61,13 +61,11 @@ def schedule_fusion_windows(
     Returns windows in a valid emission order; each window is a list of
     operations in program order whose combined qubit support has at most
     ``max_qubits`` qubits (an operation wider than the cap becomes its own
-    window — it runs unfused).  ``max_qubits`` is the *resolved* window
-    cap: the plan compiler passes
-    :meth:`repro.config.Config.resolved_fusion_max_qubits`, i.e. an
-    explicitly configured ``fusion_max_qubits`` or the width-aware
-    auto-cap (3 below 12 qubits, 4 at and above — wider windows mean
-    fewer windows, hence fewer renormalization sweeps, which wins on wide
-    circuits).  :class:`MeasureOp`s are omitted: the
+    window — it runs unfused).  The plan compiler passes
+    :func:`repro.execution.plan.fusion_cap` of the circuit's width (3
+    below 12 qubits, 4 from 12 — wider windows mean fewer windows, hence
+    fewer renormalization sweeps, which wins on wide circuits).
+    :class:`MeasureOp`s are omitted: the
     backends defer measurement to terminal bulk sampling.
 
     The invariant that makes the reordering sound: *concurrently open

@@ -15,13 +15,13 @@ which re-runs step 1 for every single shot, and with
 whole *stacks* of trajectories per pass instead of looping specs in
 Python.  Dense preparations walk the circuit's compiled
 :class:`~repro.execution.plan.FusedPlan` (shared with the stacked
-backends, so the strategies stay bitwise interchangeable under any
-``Config.fusion`` setting).  The loop itself — dedup, the ``num_workers``
-task queue, retry, per-trajectory streams, ordered delivery, separate prep
-and sample wall-times for the paper's shots-per-second curves — is the
-shared :func:`repro.execution.driver.drive`; this module supplies the
-serial :class:`~repro.execution.driver.Engine` adapter, the strategy table
-and the dispatch.
+backends, so the strategies stay bitwise interchangeable).  The loop
+itself — dedup, the ``num_workers`` task queue, retry, per-trajectory
+streams, ordered delivery, separate prep and sample wall-times for the
+paper's shots-per-second curves — is the shared
+:func:`repro.execution.driver.drive`; this module supplies the serial
+:class:`~repro.execution.driver.Engine` adapter, the strategy table and
+the dispatch.
 """
 
 from __future__ import annotations
@@ -337,8 +337,7 @@ def run_ptsbe(
           :mod:`repro.execution.router`: pure-Clifford circuits with
           Pauli-mixture noise go to ``"clifford"``, circuits wider than
           ``Config.max_dense_qubits`` that the clifford engine cannot
-          serve go to ``"tensornet"`` (both unless
-          ``Config.routing="dense"``); everything else resolves exactly
+          serve go to ``"tensornet"``; everything else resolves exactly
           as before — ``"vectorized"`` when ``backend`` is of kind
           ``"batched_statevector"``, else ``"serial"``.  The decision is
           recorded as ``result.routing`` and the engine that ran as
@@ -380,9 +379,8 @@ def run_ptsbe(
         ``seed`` and orders results by spec position, so shot tables
         match row for row, whatever ``num_workers`` or ``max_batch``
         are.  All dense strategies execute through the same
-        compiled :class:`~repro.execution.plan.FusedPlan`, so the
-        cross-strategy guarantee holds with gate/noise fusion on
-        (``Config.fusion="auto"``, the default) or off.  ``"clifford"``
+        compiled :class:`~repro.execution.plan.FusedPlan`, which is
+        what carries the cross-strategy guarantee.  ``"clifford"``
         samples by a different stochastic mechanism (frame XORs instead
         of dense amplitude sampling), so it matches the dense strategies
         *distributionally* — exact per-trajectory conditionals and

@@ -5,11 +5,12 @@ across trajectories; this module amortizes it across *operations* as well.
 A :class:`FusedPlan` pre-compiles a frozen noisy circuit into a short
 sequence of steps — adjacent gates and noise sites whose qubit supports
 overlap are merged into single window matrices (qsim-style gate fusion,
-bounded by ``Config.fusion_max_qubits``) with the diagonal/identity fast
+bounded by :func:`fusion_cap`) with the diagonal/identity fast
 paths re-detected on the fused result (:func:`repro.linalg.apply
 .compile_operator`), so a brickwork layer of H + depolarizing + CX +
 two-qubit depolarizing collapses from six kernel passes and three
-renormalizations into one pass and no renormalization at all.
+renormalizations into one pass and no renormalization at all.  Plans
+always fuse; the window cap is :func:`fusion_cap` of the circuit's width.
 
 Two step kinds:
 
@@ -40,20 +41,12 @@ Every dense strategy walks the plan in one place,
 ``StatevectorBackend`` is its one-row view) — obtained from the
 per-circuit cache :func:`get_fused_plan` — with the same matrices,
 application order, and renormalization points, which is what keeps
-serial/vectorized/sharded execution bitwise identical with fusion on or
-off.  Fused and unfused runs
-of the *same* trajectory agree on probabilities and weights to
-floating-point accuracy, not bit for bit (matrix products round
-differently than sequential application), which is why the fusion knob
-lives on :class:`~repro.config.Config` rather than per call: one process,
-one numerics story.
-
-``Config.fusion="off"`` compiles a degenerate plan — one step per circuit
-operation, each applied on its own qubit order as the per-site loop of
-:meth:`~repro.backends.base.PureStateBackend.run_fixed` applies it; a
-unitary-mixture site is still a unitary step with its nominal
-probability, so the dominant depolarizing branch is the identity tier:
-no pass, no reduction.
+serial/vectorized/sharded execution bitwise identical.  The unfused
+reference is the per-operation loop
+:meth:`~repro.backends.base.PureStateBackend.run_fixed` (both concrete
+backends override it, so only tests call it): a fused plan agrees with it
+on states and weights to floating-point accuracy, not bit for bit
+(matrix products round differently than sequential application).
 """
 
 from __future__ import annotations
@@ -66,7 +59,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.moments import schedule_fusion_windows
-from repro.circuits.operations import MeasureOp, NoiseOp, Operation
+from repro.circuits.operations import NoiseOp, Operation
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, ExecutionError
 from repro.linalg.apply import CompiledOperator, compile_operator
@@ -85,10 +78,21 @@ __all__ = [
     "build_fused_plan",
     "get_fused_plan",
     "clear_plan_cache",
-    "plan_cache_stats",
+    "fusion_cap",
 ]
 
-VALID_FUSION_MODES = ("auto", "off")
+
+def fusion_cap(num_qubits: int) -> int:
+    """Largest qubit support of one fused window in a circuit of
+    ``num_qubits``: 3 below 12 qubits, 4 from 12.
+
+    Per the brickwork measurements, wide circuits win with 4-qubit windows
+    (fewer windows, hence fewer renormalization sweeps) despite the
+    ``16 x 16`` variant matrices; narrow ones cannot amortize them.
+    Windows of up to 3 qubits run on the reshape-view fast paths of the
+    gate kernel, wider ones on the GEMM tiers of :mod:`repro.linalg.apply`.
+    """
+    return 4 if num_qubits >= 12 else 3
 
 
 class GateStep:
@@ -212,8 +216,7 @@ class NoiseStep:
     def _compile_variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         if len(self._items) == 1:
             # Singleton window: compile the site's operator directly on
-            # its own qubit order — identical arithmetic to the unfused
-            # per-op path.
+            # its own qubit order — the arithmetic of the per-op loop.
             _, pos, qubits = self._items[0]
             return compile_operator(
                 self._operators[pos][key[pos]], qubits, self._dtype
@@ -248,22 +251,20 @@ PlanStep = Union[GateStep, NoiseStep]
 
 
 class FusedPlan:
-    """The compiled form of one frozen circuit under one fusion config."""
+    """The compiled form of one frozen circuit at one state dtype."""
 
     def __init__(
         self,
         steps: List[PlanStep],
         num_qubits: int,
         num_source_ops: int,
-        fusion: str,
-        fusion_max_qubits: int,
+        max_qubits: int,
         variant_cache: KernelVariantCache,
     ):
         self.steps = steps
         self.num_qubits = num_qubits
         self.num_source_ops = num_source_ops
-        self.fusion = fusion
-        self.fusion_max_qubits = fusion_max_qubits
+        self.max_qubits = max_qubits
         self.variant_cache = variant_cache
 
     @property
@@ -277,8 +278,7 @@ class FusedPlan:
     def __repr__(self) -> str:
         return (
             f"FusedPlan(steps={self.num_steps} [{self.num_noise_steps} noise] "
-            f"from {self.num_source_ops} ops, fusion={self.fusion!r}, "
-            f"max_qubits={self.fusion_max_qubits})"
+            f"from {self.num_source_ops} ops, max_qubits={self.max_qubits})"
         )
 
 
@@ -291,31 +291,14 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
     config = config or DEFAULT_CONFIG
     if not circuit.frozen:
         raise ExecutionError("fused plans require a frozen circuit")
-    if config.fusion not in VALID_FUSION_MODES:
-        valid = ", ".join(repr(m) for m in VALID_FUSION_MODES)
-        raise ExecutionError(
-            f"unknown fusion mode {config.fusion!r}; valid modes are: {valid}"
-        )
-    if config.fusion_max_qubits is not None and config.fusion_max_qubits < 1:
-        raise ExecutionError(
-            f"fusion_max_qubits must be >= 1, got {config.fusion_max_qubits}"
-        )
-    # An explicit fusion_max_qubits overrides; the None default resolves
-    # width-aware (3 narrow / 4 at >= 12 qubits, see repro.config).
-    max_qubits = config.resolved_fusion_max_qubits(circuit.num_qubits)
-    if config.fusion == "off":
-        windows = [
-            [op] for op in circuit if not isinstance(op, MeasureOp)
-        ]
-    else:
-        windows = schedule_fusion_windows(circuit, max_qubits)
+    max_qubits = fusion_cap(circuit.num_qubits)
     cache = KernelVariantCache()
     # One unitary-mixture analysis per distinct channel object per build.
     analysis = ChannelAnalysisCache()
     dtype = config.dtype
     steps: List[PlanStep] = []
     num_source_ops = 0
-    for window in windows:
+    for window in schedule_fusion_windows(circuit, max_qubits):
         num_source_ops += len(window)
         has_noise = any(isinstance(op, NoiseOp) for op in window)
         if has_noise:
@@ -339,62 +322,30 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
             steps.append(
                 GateStep(compile_operator(fused, targets, dtype), len(window))
             )
-    return FusedPlan(
-        steps,
-        circuit.num_qubits,
-        num_source_ops,
-        config.fusion,
-        max_qubits,
-        cache,
-    )
+    return FusedPlan(steps, circuit.num_qubits, num_source_ops, max_qubits, cache)
 
 
 #: Per-circuit plan cache: weakly keyed on the circuit object, then on the
-#: fusion-relevant config fields.  A circuit is compiled once per process
-#: per (fusion, resolved window cap, dtype) — every executor chunk, stack,
-#: and strategy after that reuses the same plan object (and its variant
-#: cache), the "compile once per dedup group" amortization.  Keying on the
-#: *resolved* cap means ``Config()`` and an explicit
-#: ``Config(fusion_max_qubits=3)`` share one plan on a narrow circuit.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, FusedPlan]]" = (
+#: state dtype.  A circuit is compiled once per process per dtype — every
+#: executor chunk, stack, and strategy after that reuses the same plan
+#: object (and its variant cache), the "compile once per dedup group"
+#: amortization.
+_PLAN_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[str, FusedPlan]]" = (
     weakref.WeakKeyDictionary()
 )
-_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def _config_key(config: Config, num_qubits: int) -> tuple:
-    return (
-        config.fusion,
-        config.resolved_fusion_max_qubits(num_qubits),
-        str(np.dtype(config.dtype)),
-    )
 
 
 def get_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> FusedPlan:
-    """Memoized :func:`build_fused_plan` (per circuit, per fusion config)."""
+    """Memoized :func:`build_fused_plan` (per circuit, per state dtype)."""
     config = config or DEFAULT_CONFIG
-    per_circuit = _PLAN_CACHE.get(circuit)
-    if per_circuit is None:
-        per_circuit = {}
-        _PLAN_CACHE[circuit] = per_circuit
-    key = _config_key(config, circuit.num_qubits)
+    per_circuit = _PLAN_CACHE.setdefault(circuit, {})
+    key = str(np.dtype(config.dtype))
     plan = per_circuit.get(key)
     if plan is None:
-        _CACHE_STATS["misses"] += 1
-        plan = build_fused_plan(circuit, config)
-        per_circuit[key] = plan
-    else:
-        _CACHE_STATS["hits"] += 1
+        plan = per_circuit[key] = build_fused_plan(circuit, config)
     return plan
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan (tests and benchmarks)."""
     _PLAN_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
-
-
-def plan_cache_stats() -> Dict[str, int]:
-    """Plan-cache hit/miss counters (copies, not live references)."""
-    return dict(_CACHE_STATS)

@@ -25,9 +25,9 @@ Pauli-frame fast path (:mod:`repro.execution.clifford`):
 The gate/noise analysis is cached per frozen circuit (weak-keyed, like
 the fused-plan cache) so repeated dispatches — a sweep running one
 circuit through several strategies, a service handling repeat requests —
-pay the channel decompositions once.  ``Config.routing="dense"`` forces
-the fallback unconditionally for bitwise back-compat of Clifford
-workloads that were previously served dense.
+pay the channel decompositions once.  To run a circuit on one engine
+whatever the router would pick, name the strategy explicitly (e.g.
+``strategy="serial"``): explicit names are never rerouted.
 
 Every decision is recorded on the result (``PTSBEResult.routing`` /
 ``StreamedResult.routing``) so a run can always answer "which engine ran,
@@ -181,7 +181,6 @@ def resolve_strategy(
     =====================================  ==========================
     condition                              resolved engine
     =====================================  ==========================
-    ``Config.routing == "dense"``          dense auto (vectorized/serial)
     backend is a factory or ``"mps"``      dense auto (explicit backend)
     pure Clifford + Pauli-mixture noise    ``"clifford"`` (frames)
     width > ``Config.max_dense_qubits``    ``"tensornet"`` (stacked MPS)
@@ -198,14 +197,7 @@ def resolve_strategy(
     if strategy != "auto":
         return strategy, f"explicit strategy {strategy!r}"
     config = config or DEFAULT_CONFIG
-    routing = getattr(config, "routing", "auto")
-    if routing not in ("auto", "dense"):
-        raise ExecutionError(
-            f"Config.routing must be 'auto' or 'dense', got {routing!r}"
-        )
     dense = _dense_auto(backend)
-    if routing == "dense":
-        return dense, f"auto->{dense}: routing disabled (Config.routing='dense')"
     if not isinstance(backend, BackendSpec):
         return dense, f"auto->{dense}: explicit backend factory requested"
     if backend.kind not in ("statevector", "batched_statevector"):

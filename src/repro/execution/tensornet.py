@@ -22,11 +22,11 @@ trajectories share:
   qubit -> site permutation instead of undoing it, the schedule records
   where every qubit ends up (``GateSchedule.site_of``), and the engine
   reads measured columns through that map.  3q gates become a contiguous
-  3-site window split by two batched SVDs, and — unless ``Config.fusion
-  == "off"`` — single-qubit gates are absorbed into the next step
-  touching their qubit (pre-multiplied into gate matrices and into every
-  Kraus branch of noise steps), so the schedule the stack replays is as
-  short as the fusion planner's dense plans.
+  3-site window split by two batched SVDs, and single-qubit gates are
+  absorbed into the next step touching their qubit (pre-multiplied into
+  gate matrices and into every Kraus branch of noise steps), so the
+  schedule the stack replays is as short as the fusion planner's dense
+  plans.
 * **Replay along each trajectory's light cone.**  A PTS trajectory is
   the ideal circuit except at a few noise sites, and a deviation at one
   site reaches another only through the multi-site steps that connect
@@ -81,7 +81,7 @@ from repro.backends.mps_sampler import (
 )
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
-from repro.config import Config, DEFAULT_CONFIG
+from repro.config import Config
 from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec, backend_config
 from repro.execution.driver import StreamingExecutor, timed
@@ -144,7 +144,6 @@ class GateSchedule:
 
     num_qubits: int
     steps: Tuple[Step, ...]
-    fused: bool
     site_of: Tuple[int, ...]
     noise_at: Tuple[int, ...]  # index into ``steps`` of each noise step
 
@@ -153,14 +152,14 @@ class GateSchedule:
         return len(self.noise_at)
 
 
-# circuit -> {fused: GateSchedule}; weak-keyed so retired circuits drop out.
-_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[bool, GateSchedule]]" = (
+# circuit -> GateSchedule; weak-keyed so retired circuits drop out.
+_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[Circuit, GateSchedule]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def clear_schedule_cache() -> None:
-    """Drop all cached tensornet schedules (tests / config changes)."""
+    """Drop all cached tensornet schedules (tests)."""
     _SCHEDULE_CACHE.clear()
 
 
@@ -220,9 +219,8 @@ class _Compiler(SiteMap):
     walk ends.
     """
 
-    def __init__(self, num_qubits: int, fused: bool):
+    def __init__(self, num_qubits: int):
         super().__init__(range(num_qubits))
-        self.fused = fused
         self.steps: List[Step] = []
         self.pending: Dict[int, np.ndarray] = {}
 
@@ -239,13 +237,11 @@ class _Compiler(SiteMap):
         """:meth:`SiteMap.place`, with the targets' pending 1q matrices
         folded in on the right."""
         base, mats = self.place(targets, mats, lambda site: self.steps.append(SwapStep(site)))
-        if self.fused:
-            # Routed, the targets sit on base, base + 1, ... in wire order.
-            pre = self.pending.pop(self.qubit_at[base], _I2)
-            for site in range(base + 1, base + len(targets)):
-                pre = np.kron(pre, self.pending.pop(self.qubit_at[site], _I2))
-            mats = [m @ pre for m in mats]
-        return base, mats
+        # Routed, the targets sit on base, base + 1, ... in wire order.
+        pre = self.pending.pop(self.qubit_at[base], _I2)
+        for site in range(base + 1, base + len(targets)):
+            pre = np.kron(pre, self.pending.pop(self.qubit_at[site], _I2))
+        return base, [m @ pre for m in mats]
 
     def add_gate(self, op: GateOp) -> None:
         targets = list(op.qubits)
@@ -257,7 +253,7 @@ class _Compiler(SiteMap):
                 f"got {op.gate.name!r} on {k} qubits (transpile with "
                 f"decompose_to_2q first)"
             )
-        if k == 1 and self.fused:
+        if k == 1:
             q = targets[0]
             self.pending[q] = matrix @ self.pending.get(q, _I2)
             return
@@ -289,24 +285,21 @@ class _Compiler(SiteMap):
         )
 
 
-def compile_schedule(circuit: Circuit, config: Optional[Config] = None) -> GateSchedule:
+def compile_schedule(circuit: Circuit) -> GateSchedule:
     """Compile (and cache) the shared replay schedule for ``circuit``.
 
-    The schedule is a pure function of the frozen circuit structure and
-    the fusion mode — trajectory-dependent data (Kraus *choices*) is left
-    symbolic as :class:`NoiseStep` branch stacks, which is what lets every
-    trajectory in a batch replay the identical program.
+    The schedule is a pure function of the frozen circuit structure —
+    trajectory-dependent data (Kraus *choices*) is left symbolic as
+    :class:`NoiseStep` branch stacks, which is what lets every trajectory
+    in a batch replay the identical program.
     """
-    config = config or DEFAULT_CONFIG
     if not circuit.frozen:
         raise ExecutionError("compile_schedule requires a frozen circuit")
-    fused = config.fusion != "off"
-    per_circuit = _SCHEDULE_CACHE.setdefault(circuit, {})
-    cached = per_circuit.get(fused)
+    cached = _SCHEDULE_CACHE.get(circuit)
     if cached is not None:
         return cached
     validate_deferred_measurement(circuit)
-    comp = _Compiler(circuit.num_qubits, fused)
+    comp = _Compiler(circuit.num_qubits)
     for op in circuit.operations:
         if isinstance(op, GateOp):
             comp.add_gate(op)
@@ -320,13 +313,12 @@ def compile_schedule(circuit: Circuit, config: Optional[Config] = None) -> GateS
     schedule = GateSchedule(
         num_qubits=circuit.num_qubits,
         steps=tuple(comp.steps),
-        fused=fused,
         site_of=tuple(comp.site_of),
         noise_at=tuple(
             i for i, step in enumerate(comp.steps) if isinstance(step, NoiseStep)
         ),
     )
-    per_circuit[fused] = schedule
+    _SCHEDULE_CACHE[circuit] = schedule
     return schedule
 
 
@@ -509,9 +501,7 @@ class _MPSStackEngine:
         self.num_qubits = circuit.num_qubits
         self.stack_options = {"max_bond": max_bond, "cutoff": cutoff, "config": config}
         try:
-            self.schedule, self.compile_seconds = timed(
-                compile_schedule, circuit.freeze(), config
-            )
+            self.schedule, self.compile_seconds = timed(compile_schedule, circuit.freeze())
         except BackendError as exc:
             raise ExecutionError(f"strategy 'tensornet' cannot run: {exc}") from exc
         # Routing leaves qubits where it moved them: read each measured

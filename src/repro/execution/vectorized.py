@@ -8,9 +8,8 @@
    globally (never once per worker) and its duplicates' shot budgets are
    served from the same stacked row;
 2. **Compile** — the circuit's :class:`~repro.execution.plan.FusedPlan`
-   is resolved once up front (fused gate/noise windows under
-   ``Config.fusion="auto"``, one step per op under ``"off"``) and shared
-   by every unit, so B trajectories with the same Kraus prescription pay
+   is resolved once up front (fused gate/noise windows) and shared by
+   every unit, so B trajectories with the same Kraus prescription pay
    window compilation once;
 3. **Stack** — each unit of unique trajectories becomes one
    ``(B, 2**n)`` stack on a

@@ -115,12 +115,6 @@ class NoiseSiteView:
     def num_candidates(self) -> int:
         return len(self.candidates)
 
-    def site_by_id(self, site_id: int) -> NoiseOp:
-        for op in self.sites:
-            if op.site_id == site_id:
-                return op
-        raise SamplingError(f"unknown noise site {site_id}")
-
     # ------------------------------------------------------------------ #
     # joint probabilities
     # ------------------------------------------------------------------ #

@@ -124,6 +124,10 @@ class ExhaustivePTS(PTSAlgorithm):
             raise SamplingError("cutoff must be > 0 (the search space is exponential)")
         if nshots is None and total_shots is None:
             raise SamplingError("provide nshots or total_shots")
+        if nshots is not None and nshots <= 0:
+            raise SamplingError("nshots must be positive")
+        if nshots is None and total_shots <= 0:
+            raise SamplingError("total_shots must be positive")
         self.cutoff = float(cutoff)
         self.nshots = nshots
         self.total_shots = total_shots
@@ -164,6 +168,8 @@ class TopKPTS(PTSAlgorithm):
     def __init__(self, k: int, nshots: int = 1000, max_errors: Optional[int] = None):
         if k <= 0:
             raise SamplingError("k must be positive")
+        if nshots <= 0:
+            raise SamplingError("nshots must be positive")
         self.k = int(k)
         self.nshots = int(nshots)
         self.max_errors = max_errors

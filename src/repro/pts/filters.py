@@ -22,7 +22,6 @@ __all__ = [
     "by_qubit_parity",
     "by_min_probability",
     "by_max_probability",
-    "by_site_range",
 ]
 
 
@@ -85,8 +84,3 @@ def by_min_probability(p_min: float) -> Filter:
 def by_max_probability(p_max: float) -> Filter:
     """Keep error branches at most this likely (rare-error targeting)."""
     return Filter(lambda c: c.probability <= p_max, f"p <= {p_max:g}")
-
-
-def by_site_range(start: int, stop: int) -> Filter:
-    """Keep errors at noise sites in ``[start, stop)`` (temporal targeting)."""
-    return Filter(lambda c: start <= c.site_id < stop, f"site in [{start},{stop})")

@@ -185,10 +185,6 @@ class CSSCode:
         sz = (self.hz @ error.x) % 2  # Z-stabilizers anticommute with X parts
         return np.concatenate([sx, sz]).astype(np.uint8)
 
-    @property
-    def num_stabilizers(self) -> int:
-        return int(self.hx.shape[0] + self.hz.shape[0])
-
     def __repr__(self) -> str:
         return f"CSSCode({self.name!r}, [[{self.n},{self.k}]])"
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import QECError
 
-__all__ = ["rref", "rank", "nullspace", "row_space_contains", "solve", "int_weight"]
+__all__ = ["rref", "rank", "nullspace", "row_space_contains", "solve"]
 
 
 def _as_gf2(matrix: np.ndarray) -> np.ndarray:
@@ -99,8 +99,3 @@ def solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     for r, pc in enumerate(pivots):
         x[pc] = red[r, cols]
     return x
-
-
-def int_weight(vector: np.ndarray) -> int:
-    """Hamming weight."""
-    return int(np.count_nonzero(np.asarray(vector) % 2))

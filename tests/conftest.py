@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import Circuit, NoiseModel, depolarizing
+from repro.backends.base import PureStateBackend
 from repro.channels.standard import amplitude_damping, bit_flip, two_qubit_depolarizing
+from repro.errors import ZeroProbabilityTrajectory
 from repro.rng import make_rng
 
 
@@ -117,3 +119,28 @@ def msd_prep35_circuit() -> Circuit:
 
     model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.005))
     return _cliffordized(model.apply(msd_preparation_circuit(steane_code())))
+
+
+def _assert_matches_per_op(make_backend, circuit, choices, state_of):
+    """Prepare ``choices`` fused (the backend's own ``run_fixed``) and by
+    the per-op reference ``PureStateBackend.run_fixed`` on a second
+    backend: equal weights and states to rounding, or both annihilated.
+    Returns False for a dead trajectory."""
+    fused, reference = make_backend(), make_backend()
+    try:
+        weight = fused.run_fixed(circuit, choices)
+    except ZeroProbabilityTrajectory:
+        with pytest.raises(ZeroProbabilityTrajectory):
+            PureStateBackend.run_fixed(reference, circuit, choices)
+        return False
+    want = PureStateBackend.run_fixed(reference, circuit, choices)
+    assert weight == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(state_of(fused), state_of(reference), atol=1e-12)
+    return True
+
+
+@pytest.fixture
+def assert_matches_per_op():
+    """The unfused reference check: both concrete backends override the
+    per-op loop ``PureStateBackend.run_fixed``, so only tests call it."""
+    return _assert_matches_per_op

@@ -83,9 +83,7 @@ def _pts(nsamples=24, nshots=240):
     return ProbabilisticPTS(nsamples=nsamples, nshots=nshots)
 
 
-def _run(
-    circuit, strategy, plan=None, fusion="auto", seed=SEED, retry=FAST_RETRY, nsamples=24
-):
+def _run(circuit, strategy, plan=None, seed=SEED, retry=FAST_RETRY, nsamples=24):
     """One run_ptsbe call with the plan threaded through Config.
 
     Both fan-out strategies run on two worker processes, so their faults
@@ -93,7 +91,7 @@ def _run(
     groups, which the driver turns into one single-group task each
     (``<strategy>/stack:i:i+1``).
     """
-    cfg = Config(fault_plan=plan, retry=retry, fusion=fusion)
+    cfg = Config(fault_plan=plan, retry=retry)
     if strategy == "parallel":
         return run_ptsbe(
             circuit,
@@ -353,16 +351,15 @@ class TestOrderedDeliveryReissue:
 class TestBitwiseRecovery:
     """Faulty runs must reproduce fault-free shot tables exactly."""
 
-    @pytest.mark.parametrize("fusion", ["auto", "off"])
-    def test_parallel_crash_and_transient(self, ghz, fusion):
+    def test_parallel_crash_and_transient(self, ghz):
         plan = FaultPlan(
             rules=(
                 FaultSpec("worker-crash", "parallel/stack:1:2"),
                 FaultSpec("transient-backend", "parallel/stack:0:1"),
             )
         )
-        clean = _run(ghz, "parallel", fusion=fusion)
-        faulty = _run(ghz, "parallel", plan=plan, fusion=fusion)
+        clean = _run(ghz, "parallel")
+        faulty = _run(ghz, "parallel", plan=plan)
         assert sorted(_kinds(faulty)) == ["retry", "retry"]
         assert {e.unit for e in faulty.recovery} == {
             "parallel/stack:0:1",
@@ -370,11 +367,10 @@ class TestBitwiseRecovery:
         }
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    @pytest.mark.parametrize("fusion", ["auto", "off"])
-    def test_vectorized_transient_retry(self, brickwork, fusion):
+    def test_vectorized_transient_retry(self, brickwork):
         plan = FaultPlan(rules=(FaultSpec("transient-backend", "vectorized/stack:0:*"),))
-        clean = _run(brickwork, "vectorized", fusion=fusion)
-        faulty = _run(brickwork, "vectorized", plan=plan, fusion=fusion)
+        clean = _run(brickwork, "vectorized")
+        faulty = _run(brickwork, "vectorized", plan=plan)
         assert _kinds(faulty) == ["retry"]
         assert np.array_equal(_bits(clean), _bits(faulty))
 

@@ -1,18 +1,26 @@
-"""Fusion pipeline: window scheduling, tier preservation, plan equivalence."""
+"""Fusion pipeline: window scheduling, tier preservation, plan equivalence.
+
+The unfused reference is :meth:`PureStateBackend.run_fixed`, the per-op
+loop both concrete backends override: called on a backend as
+``PureStateBackend.run_fixed(backend, circuit, choices)`` it applies every
+gate and Kraus operator on its own and renormalizes after every site.
+"""
 
 import numpy as np
 import pytest
 
+import repro.execution.plan as plan_module
+from repro.backends.base import PureStateBackend
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.backends.statevector import StatevectorBackend
-from repro.channels.standard import amplitude_damping
+from repro.channels.standard import amplitude_damping, device_profile
 from repro.circuits import Circuit
+from repro.circuits.library import build_workload, noisy
 from repro.circuits.moments import schedule_fusion_windows
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config
-from repro.errors import BackendError, ExecutionError
+from repro.errors import BackendError, ExecutionError, ZeroProbabilityTrajectory
 from repro.execution import (
-    BackendSpec,
     BatchedExecutor,
     ShardedExecutor,
     VectorizedExecutor,
@@ -22,6 +30,7 @@ from repro.execution.plan import (
     NoiseStep,
     build_fused_plan,
     clear_plan_cache,
+    fusion_cap,
     get_fused_plan,
 )
 from repro.linalg.apply import compile_operator
@@ -29,14 +38,18 @@ from repro.linalg.fusion import expand_to_support, fuse_window_matrix, window_su
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng
 
-AUTO = Config(fusion="auto")
-OFF = Config(fusion="off")
+#: Two unitary-mixture profiles and the general-Kraus one.
+PROFILES = ["uniform_depolarizing", "superconducting_median", "relaxation_dominated"]
 
 
 def _pts_specs(circuit, pts_seed, nsamples=300, nshots=400):
     return ProbabilisticPTS(nsamples=nsamples, nshots=nshots).sample(
         circuit, make_rng(pts_seed)
     ).specs
+
+
+def _statevector(backend):
+    return backend.statevector
 
 
 def _non_measure_ops(circuit):
@@ -154,42 +167,29 @@ class TestFusionMatrices:
 
 
 class TestFusedPlanStructure:
-    def test_off_is_one_step_per_op(self, noisy_ghz3):
-        plan = build_fused_plan(noisy_ghz3, OFF)
-        assert plan.num_steps == len(_non_measure_ops(noisy_ghz3))
-        assert plan.num_noise_steps == noisy_ghz3.num_noise_sites()
-        assert all(s.num_ops == 1 for s in plan.steps)
-
-    def test_auto_compresses_steps(self, noisy_ghz3):
-        fused = build_fused_plan(noisy_ghz3, AUTO)
-        unfused = build_fused_plan(noisy_ghz3, OFF)
-        assert fused.num_steps < unfused.num_steps
-        assert fused.num_source_ops == unfused.num_source_ops
+    def test_fusion_compresses_steps(self, noisy_ghz3):
+        plan = build_fused_plan(noisy_ghz3)
+        ops = _non_measure_ops(noisy_ghz3)
+        assert plan.num_steps < len(ops)
+        assert plan.num_source_ops == len(ops)
 
     def test_noise_sites_all_represented(self, mixed_noise_circuit):
-        plan = build_fused_plan(mixed_noise_circuit, AUTO)
+        plan = build_fused_plan(mixed_noise_circuit)
         sites = [s for step in plan.steps if isinstance(step, NoiseStep) for s in step.site_ids]
         assert sorted(sites) == [op.site_id for op in mixed_noise_circuit.noise_sites]
 
-    def test_invalid_fusion_mode_rejected(self, noisy_ghz3):
-        with pytest.raises(ExecutionError):
-            build_fused_plan(noisy_ghz3, Config(fusion="aggressive"))
-        with pytest.raises(ExecutionError):
-            build_fused_plan(noisy_ghz3, Config(fusion_max_qubits=0))
-
     def test_requires_frozen_circuit(self):
         with pytest.raises(ExecutionError):
-            build_fused_plan(Circuit(1).h(0), AUTO)
+            build_fused_plan(Circuit(1).h(0))
 
-    def test_plan_cache_memoizes_per_config(self, noisy_ghz3):
+    def test_plan_cache_memoizes_per_dtype(self, noisy_ghz3):
         clear_plan_cache()
-        a = get_fused_plan(noisy_ghz3, AUTO)
-        b = get_fused_plan(noisy_ghz3, AUTO)
-        assert a is b
-        c = get_fused_plan(noisy_ghz3, Config(fusion="auto", fusion_max_qubits=2))
-        assert c is not a
-        d = get_fused_plan(noisy_ghz3, OFF)
-        assert d is not a
+        a = get_fused_plan(noisy_ghz3)
+        assert get_fused_plan(noisy_ghz3, Config()) is a
+        single = get_fused_plan(noisy_ghz3, Config(dtype=np.dtype(np.complex64)))
+        assert single is not a
+        step = single.steps[0]
+        assert step.variant(step.dominant_key).matrix.dtype == np.complex64
 
     def test_variant_cache_amortizes_across_stacks(self, noisy_ghz3):
         clear_plan_cache()
@@ -205,32 +205,22 @@ class TestFusedPlanStructure:
         assert plan.variant_cache.hits > 0
 
     def test_out_of_range_kraus_index_rejected(self, noisy_ghz3):
-        plan = get_fused_plan(noisy_ghz3, AUTO)
+        plan = get_fused_plan(noisy_ghz3)
         step = next(s for s in plan.steps if isinstance(s, NoiseStep))
         with pytest.raises(BackendError):
             step.key_for({step.site_ids[0]: 99})
 
 
 class TestWidthAwareAutoCap:
-    """Config.fusion_max_qubits=None resolves the window cap per width."""
-
-    def test_default_is_auto_resolved(self):
-        assert Config().fusion_max_qubits is None
+    """``fusion_cap`` resolves the window cap per circuit width."""
 
     def test_narrow_circuits_resolve_to_three(self):
-        cfg = Config()
         for width in (1, 2, 5, 11):
-            assert cfg.resolved_fusion_max_qubits(width) == 3
+            assert fusion_cap(width) == 3
 
     def test_wide_circuits_resolve_to_four(self):
-        cfg = Config()
         for width in (12, 18, 26):
-            assert cfg.resolved_fusion_max_qubits(width) == 4
-
-    def test_explicit_knob_always_overrides(self):
-        cfg = Config(fusion_max_qubits=2)
-        assert cfg.resolved_fusion_max_qubits(4) == 2
-        assert cfg.resolved_fusion_max_qubits(20) == 2
+            assert fusion_cap(width) == 4
 
     def test_plan_records_resolved_cap(self):
         from repro.channels import NoiseModel, depolarizing
@@ -243,18 +233,12 @@ class TestWidthAwareAutoCap:
             model = NoiseModel().add_all_qubit_gate_noise("h", depolarizing(0.01))
             return model.apply(circ).freeze()
 
-        narrow = build_fused_plan(noisy_line(4), Config(fusion="auto"))
-        assert narrow.fusion_max_qubits == 3
-        wide = build_fused_plan(noisy_line(12), Config(fusion="auto"))
-        assert wide.fusion_max_qubits == 4
-        pinned = build_fused_plan(
-            noisy_line(12), Config(fusion="auto", fusion_max_qubits=3)
-        )
-        assert pinned.fusion_max_qubits == 3
+        assert build_fused_plan(noisy_line(4)).max_qubits == 3
+        assert build_fused_plan(noisy_line(12)).max_qubits == 4
 
-    def test_wide_cap_actually_produces_wider_windows(self):
-        """On a 12-qubit brickwork layer the auto cap of 4 must compress
-        the plan further than an explicit cap of 3."""
+    def test_wide_cap_actually_produces_wider_windows(self, monkeypatch):
+        """On a 12-qubit brickwork layer the cap of 4 must compress the
+        plan further than a cap of 3."""
         from repro.channels import NoiseModel, two_qubit_depolarizing
 
         circ = Circuit(12)
@@ -269,23 +253,11 @@ class TestWidthAwareAutoCap:
             "cx", two_qubit_depolarizing(0.01)
         )
         frozen = model.apply(circ).freeze()
-        auto = build_fused_plan(frozen, Config(fusion="auto"))
-        capped3 = build_fused_plan(frozen, Config(fusion="auto", fusion_max_qubits=3))
-        assert auto.fusion_max_qubits == 4
-        assert auto.num_steps < capped3.num_steps
-
-    def test_plan_cache_keys_on_resolved_cap(self, noisy_ghz3):
-        clear_plan_cache()
-        default = get_fused_plan(noisy_ghz3, Config(fusion="auto"))
-        explicit3 = get_fused_plan(
-            noisy_ghz3, Config(fusion="auto", fusion_max_qubits=3)
-        )
-        # Same resolved cap on a narrow circuit -> the very same plan.
-        assert default is explicit3
-        explicit2 = get_fused_plan(
-            noisy_ghz3, Config(fusion="auto", fusion_max_qubits=2)
-        )
-        assert explicit2 is not default
+        wide = build_fused_plan(frozen)
+        monkeypatch.setattr(plan_module, "fusion_cap", lambda num_qubits: 3)
+        capped3 = build_fused_plan(frozen)
+        assert (wide.max_qubits, capped3.max_qubits) == (4, 3)
+        assert wide.num_steps < capped3.num_steps
 
     def test_auto_cap_keeps_strategies_bitwise(self):
         """Across the 12-qubit threshold (cap 4, GEMM-tier fused windows)
@@ -303,13 +275,8 @@ class TestWidthAwareAutoCap:
         )
         frozen = model.apply(circ).freeze()
         specs = _pts_specs(frozen, 1, nsamples=60, nshots=80)
-        cfg = Config(fusion="auto")
-        serial = BatchedExecutor(BackendSpec.statevector(config=cfg)).execute(
-            frozen, specs, seed=3
-        )
-        vec = VectorizedExecutor(
-            BackendSpec.batched_statevector(config=cfg)
-        ).execute(frozen, specs, seed=3)
+        serial = BatchedExecutor().execute(frozen, specs, seed=3)
+        vec = VectorizedExecutor().execute(frozen, specs, seed=3)
         np.testing.assert_array_equal(
             serial.shot_table().bits, vec.shot_table().bits
         )
@@ -320,25 +287,15 @@ def workload(request):
     return request.getfixturevalue(request.param)
 
 
-@pytest.fixture(params=["auto", "off"], ids=["fusion-auto", "fusion-off"])
-def fusion_config(request):
-    return Config(fusion=request.param)
-
-
 class TestFusionEquivalence:
-    """The acceptance matrix: fusion on/off x serial/vectorized/sharded."""
+    """The acceptance matrix: serial/vectorized/sharded on one plan, and
+    the plan against the per-op reference."""
 
-    def test_strategies_bitwise_identical(self, workload, fusion_config):
+    def test_strategies_bitwise_identical(self, workload):
         specs = _pts_specs(workload, 3)
-        serial = BatchedExecutor(
-            BackendSpec.statevector(config=fusion_config)
-        ).execute(workload, specs, seed=11)
-        vectorized = VectorizedExecutor(
-            BackendSpec.batched_statevector(config=fusion_config)
-        ).execute(workload, specs, seed=11)
-        sharded = ShardedExecutor(
-            BackendSpec.batched_statevector(config=fusion_config), max_batch=3
-        ).execute(workload, specs, seed=11)
+        serial = BatchedExecutor().execute(workload, specs, seed=11)
+        vectorized = VectorizedExecutor().execute(workload, specs, seed=11)
+        sharded = ShardedExecutor(max_batch=3).execute(workload, specs, seed=11)
         a = serial.shot_table()
         for other in (vectorized, sharded):
             b = other.shot_table()
@@ -350,73 +307,56 @@ class TestFusionEquivalence:
                 [t.actual_weight for t in other.trajectories],
             )
 
-    def test_four_strategies_bitwise_identical(self, fusion_config, noisy_ghz3):
+    def test_four_strategies_bitwise_identical(self, noisy_ghz3):
         """The full 4-strategy matrix (parallel included) on one workload:
         every engine must emit the same bits under the new kernels."""
         from repro.execution import ParallelExecutor
 
         specs = _pts_specs(noisy_ghz3, 6, nsamples=150, nshots=200)
-        reference = BatchedExecutor(
-            BackendSpec.statevector(config=fusion_config)
-        ).execute(noisy_ghz3, specs, seed=17)
-        others = [
-            ParallelExecutor(
-                BackendSpec.statevector(config=fusion_config), num_workers=2
-            ),
-            VectorizedExecutor(
-                BackendSpec.batched_statevector(config=fusion_config)
-            ),
-            ShardedExecutor(BackendSpec.batched_statevector(config=fusion_config)),
-        ]
+        reference = BatchedExecutor().execute(noisy_ghz3, specs, seed=17)
+        others = [ParallelExecutor(num_workers=2), VectorizedExecutor(), ShardedExecutor()]
         a = reference.shot_table()
         for executor in others:
             b = executor.execute(noisy_ghz3, specs, seed=17).shot_table()
             np.testing.assert_array_equal(a.bits, b.bits)
             np.testing.assert_array_equal(a.trajectory_ids, b.trajectory_ids)
 
-    def test_fused_matches_unfused_to_float_accuracy(self, workload):
+    def test_fused_weights_match_per_op_reference(self, workload):
         specs = _pts_specs(workload, 5)
-        fused = VectorizedExecutor(
-            BackendSpec.batched_statevector(config=AUTO)
-        ).execute(workload, specs, seed=2)
-        unfused = VectorizedExecutor(
-            BackendSpec.batched_statevector(config=OFF)
-        ).execute(workload, specs, seed=2)
-        np.testing.assert_allclose(
-            [t.actual_weight for t in fused.trajectories],
-            [t.actual_weight for t in unfused.trajectories],
-            rtol=1e-10,
-        )
-        np.testing.assert_allclose(
-            fused.pooled_distribution(), unfused.pooled_distribution(), atol=1e-2
-        )
+        fused = VectorizedExecutor().execute(workload, specs, seed=2)
+        for trajectory in fused.trajectories:
+            reference = StatevectorBackend(workload.num_qubits)
+            try:
+                weight = PureStateBackend.run_fixed(
+                    reference, workload, trajectory.record.choices
+                )
+            except ZeroProbabilityTrajectory:
+                weight = 0.0
+            assert trajectory.actual_weight == pytest.approx(weight, rel=1e-10)
 
-    def test_fused_state_matches_unfused_state(self, workload, fusion_config):
-        choices = {0: 1}
-        sv = StatevectorBackend(workload.num_qubits, config=fusion_config)
-        w = sv.run_fixed(workload, choices)
-        ref = StatevectorBackend(workload.num_qubits, config=OFF)
-        w_ref = ref.run_fixed(workload, choices)
-        assert w == pytest.approx(w_ref, rel=1e-10)
-        np.testing.assert_allclose(sv.statevector, ref.statevector, atol=1e-12)
+    @pytest.mark.parametrize("choices", [{}, {0: 1}, {1: 1}, {0: 1, 2: 1}])
+    def test_fused_state_matches_per_op_reference(
+        self, workload, choices, assert_matches_per_op
+    ):
+        def make():
+            return StatevectorBackend(workload.num_qubits)
 
-    def test_shot_tables_exact_across_window_caps(self, workload):
+        assert_matches_per_op(make, workload, choices, _statevector)
+
+    def test_shot_tables_exact_across_window_caps(self, workload, monkeypatch):
         """Same plan => exact shots; the cap changes the plan, so only the
         strategies sharing a cap must match bitwise."""
         specs = _pts_specs(workload, 7)
         for cap in (1, 2, 4):
-            cfg = Config(fusion="auto", fusion_max_qubits=cap)
-            serial = BatchedExecutor(BackendSpec.statevector(config=cfg)).execute(
-                workload, specs, seed=5
-            )
-            vec = VectorizedExecutor(
-                BackendSpec.batched_statevector(config=cfg)
-            ).execute(workload, specs, seed=5)
+            clear_plan_cache()
+            monkeypatch.setattr(plan_module, "fusion_cap", lambda num_qubits: cap)
+            serial = BatchedExecutor().execute(workload, specs, seed=5)
+            vec = VectorizedExecutor().execute(workload, specs, seed=5)
             np.testing.assert_array_equal(
                 serial.shot_table().bits, vec.shot_table().bits
             )
 
-    def test_annihilated_trajectory_with_fusion(self, fusion_config):
+    def test_annihilated_trajectory_with_fusion(self):
         """A Kraus window that annihilates the state: zero weight, no shots,
         identical handling in serial and stacked execution."""
         from repro.pts.base import TrajectorySpec
@@ -444,17 +384,42 @@ class TestFusionEquivalence:
                 num_shots=50,
             ),
         ]
-        serial = BatchedExecutor(
-            BackendSpec.statevector(config=fusion_config)
-        ).execute(circ, specs, seed=4)
-        vec = VectorizedExecutor(
-            BackendSpec.batched_statevector(config=fusion_config)
-        ).execute(circ, specs, seed=4)
+        serial = BatchedExecutor().execute(circ, specs, seed=4)
+        vec = VectorizedExecutor().execute(circ, specs, seed=4)
         assert serial.trajectories[0].actual_weight == 0.0
         assert serial.trajectories[0].bits.shape == (0, 1)
         for s, v in zip(serial.trajectories, vec.trajectories):
             assert s.actual_weight == pytest.approx(v.actual_weight)
             np.testing.assert_array_equal(s.bits, v.bits)
+
+
+class TestPerOpReference:
+    """The fused dense plan against the per-op loop on the benchmark's
+    brickwork family, under unitary-mixture and general-Kraus noise."""
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_fused_plan_matches_per_op_loop_on_brickwork_8q(
+        self, profile, assert_matches_per_op
+    ):
+        circuit = noisy(
+            build_workload("brickwork", 8, seed=1), device_profile(profile).noise_model()
+        )
+        assert build_fused_plan(circuit).num_steps < len(_non_measure_ops(circuit))
+        specs = _pts_specs(circuit, 2, nsamples=40, nshots=1)
+        choices_list = [{}] + [spec.record.choices for spec in specs]
+        assert any(choices_list)
+        live = [
+            assert_matches_per_op(lambda: StatevectorBackend(8), circuit, choices, _statevector)
+            for choices in choices_list
+        ]
+        assert sum(live) > 1
+
+    def test_gate_windows_match_per_op_loop_on_ideal_brickwork_8q(self, assert_matches_per_op):
+        circuit = build_workload("brickwork", 8, seed=1).freeze()
+        steps = build_fused_plan(circuit).steps
+        assert all(isinstance(step, GateStep) for step in steps)
+        assert max(step.num_ops for step in steps) > 2
+        assert assert_matches_per_op(lambda: StatevectorBackend(8), circuit, {}, _statevector)
 
 
 class TestStackWideSampling:

@@ -24,9 +24,6 @@ from repro.linalg.fusion import fuse_window_matrix, window_support
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng
 
-#: Structural tests pin fusion on: the suite also runs under REPRO_FUSION=off.
-AUTO = Config(fusion="auto")
-
 
 def _brickwork(num_qubits, layers=4):
     """The benchmark's H/T/CX brickwork, depolarizing noise on every gate."""
@@ -57,7 +54,7 @@ def _mixed_window_circuit():
 
 class TestClassification:
     def test_depolarizing_windows_are_unitary(self):
-        plan = build_fused_plan(_brickwork(12), AUTO)
+        plan = build_fused_plan(_brickwork(12))
         assert plan.num_noise_steps == plan.num_steps == 14
         assert all(step.unitary for step in plan.steps)
 
@@ -65,7 +62,7 @@ class TestClassification:
         plan = build_fused_plan(noisy_ghz3_general)
         noise = [s for s in plan.steps if isinstance(s, NoiseStep)]
         assert noise and not any(step.unitary for step in noise)
-        (step,) = build_fused_plan(_mixed_window_circuit(), AUTO).steps
+        (step,) = build_fused_plan(_mixed_window_circuit()).steps
         assert len(step.site_ids) == 2 and not step.unitary
 
     def test_one_analysis_per_distinct_channel_per_build(self, monkeypatch):
@@ -82,9 +79,8 @@ class TestClassification:
         assert len(analysed) == len(distinct)
         assert {id(ch) for ch in analysed} == distinct
 
-    @pytest.mark.parametrize("fusion", ["auto", "off"])
-    def test_unitary_variants_are_unitary(self, fusion):
-        plan = build_fused_plan(_brickwork(6), Config(fusion=fusion))
+    def test_unitary_variants_are_unitary(self):
+        plan = build_fused_plan(_brickwork(6))
         rng = np.random.default_rng(4)
         for step in plan.steps:
             if not isinstance(step, NoiseStep):
@@ -95,12 +91,12 @@ class TestClassification:
                 m.conj().T @ m, np.eye(m.shape[0]), atol=1e-12
             )
 
-    def test_unfused_dominant_depolarizing_branch_is_the_identity_tier(self):
-        plan = build_fused_plan(_brickwork(6), Config(fusion="off"))
-        noise = [s for s in plan.steps if isinstance(s, NoiseStep)]
-        assert noise
-        for step in noise:
-            assert step.variant(step.dominant_key).tier == "identity"
+    def test_lone_dominant_depolarizing_site_is_the_identity_tier(self):
+        circ = Circuit(2).attach(depolarizing(0.1), 0)
+        circ.attach(two_qubit_depolarizing(0.1), 0, 1)
+        (step,) = build_fused_plan(circ.measure_all().freeze()).steps
+        assert step.unitary and len(step.site_ids) == 2
+        assert step.variant(step.dominant_key).tier == "identity"
 
 
 class TestPreEmbeddedProduct:
@@ -109,8 +105,8 @@ class TestPreEmbeddedProduct:
         the product over once-embedded factors is the very matrix
         fuse_window_matrix builds from scratch."""
         circuit = _brickwork(12)
-        plan = build_fused_plan(circuit, AUTO)
-        windows = schedule_fusion_windows(circuit, plan.fusion_max_qubits)
+        plan = build_fused_plan(circuit)
+        windows = schedule_fusion_windows(circuit, plan.max_qubits)
         assert len(windows) == plan.num_steps
         rng = np.random.default_rng(19)
         for step, window in zip(plan.steps, windows):
@@ -137,7 +133,7 @@ class TestPreEmbeddedProduct:
 
     def test_general_window_multiplies_the_kraus_operators(self):
         circuit = _mixed_window_circuit()
-        (step,) = build_fused_plan(circuit, AUTO).steps
+        (step,) = build_fused_plan(circuit).steps
         ops = [op for op in circuit][:4]
         for key in itertools.product(range(4), range(2)):
             chosen = iter(key)
@@ -156,14 +152,12 @@ class TestPreEmbeddedProduct:
 
 
 class TestUnitaryWindowWeights:
-    @pytest.mark.parametrize("fusion", ["auto", "off"])
-    def test_weight_is_the_in_order_product_of_nominal_probs(self, fusion):
+    def test_weight_is_the_in_order_product_of_nominal_probs(self):
         """No reduction enters the weight of a unitary-mixture trajectory:
         it is exactly the plan-order product of nominal probabilities, on
         both backends, and the PTS record's probability to rounding."""
-        config = Config(fusion=fusion)
         circuit = _brickwork(6)
-        plan = build_fused_plan(circuit, config)
+        plan = build_fused_plan(circuit)
         specs = ProbabilisticPTS(nsamples=300, nshots=10).sample(
             circuit, make_rng(5)
         ).specs
@@ -180,11 +174,11 @@ class TestUnitaryWindowWeights:
                     window *= channel.nominal_probs[idx]
                 weight *= window
             expected.append(weight)
-        stacked = BatchedStatevectorBackend(6, config=config)
+        stacked = BatchedStatevectorBackend(6)
         weights, alive = stacked.run_fixed_stack(circuit, choices_list)
         assert alive.all()
         for spec, choices, want, got in zip(specs, choices_list, expected, weights):
-            serial = StatevectorBackend(6, config=config)
+            serial = StatevectorBackend(6)
             assert serial.run_fixed(circuit, choices) == want
             assert got == want
             assert want == pytest.approx(spec.record.nominal_probability, rel=1e-12)
@@ -210,12 +204,10 @@ class TestUnitaryWindowWeights:
         """19 windows and not one renormalization: single precision must
         still end on a unit state and the complex128 distribution."""
         circuit = _brickwork(16)
-        assert build_fused_plan(circuit, AUTO).num_noise_steps == 19
+        assert build_fused_plan(circuit).num_noise_steps == 19
         choices = {site.site_id: 1 for site in circuit.noise_sites[::17]}
-        single = StatevectorBackend(
-            16, config=Config(fusion="auto", dtype=np.dtype(np.complex64))
-        )
-        double = StatevectorBackend(16, config=AUTO)
+        single = StatevectorBackend(16, config=Config(dtype=np.dtype(np.complex64)))
+        double = StatevectorBackend(16)
         assert single.run_fixed(circuit, choices) == double.run_fixed(circuit, choices)
         assert single.renorm_seconds == 0.0
         assert abs(single.norm_squared() - 1.0) < 1e-5
@@ -234,12 +226,12 @@ class TestMixedWindow:
         ]
         exact = DensityMatrixBackend(2).run(circuit).probabilities()
 
-        stacked = BatchedStatevectorBackend(2, config=AUTO)
+        stacked = BatchedStatevectorBackend(2)
         weights, alive = stacked.run_fixed_stack(circuit, keys)
         assert stacked.renorm_seconds > 0.0 and alive.all()
         pooled = np.zeros(4)
         for row, choices in enumerate(keys):
-            serial = StatevectorBackend(2, config=AUTO)
+            serial = StatevectorBackend(2)
             weight = serial.run_fixed(circuit, choices)
             assert serial.renorm_seconds > 0.0
             assert weights[row] == weight
@@ -255,12 +247,12 @@ class TestMixedWindow:
         circ = Circuit(1).x(0)
         circ.attach(amplitude_damping(gamma), 0)
         circ = circ.measure_all().freeze()
-        (step,) = build_fused_plan(circ, AUTO).steps
+        (step,) = build_fused_plan(circ).steps
         assert not step.unitary
         (site,) = step.site_ids
         priors = step.channels[0].nominal_probs
         for idx, exact in enumerate((1.0 - gamma, gamma)):
-            sv = StatevectorBackend(1, config=AUTO)
+            sv = StatevectorBackend(1)
             weight = sv.run_fixed(circ, {site: idx})
             assert sv.renorm_seconds > 0.0
             assert weight == pytest.approx(exact, abs=1e-12)

@@ -578,8 +578,25 @@ class TestExhaustive:
         with pytest.raises(SamplingError):
             ExhaustivePTS(cutoff=0.0)
 
+    @pytest.mark.parametrize("nshots", [0, -5])
+    def test_non_positive_nshots_rejected(self, nshots):
+        # Used to return an empty result: every spec had <= 0 shots.
+        with pytest.raises(SamplingError, match="nshots"):
+            ExhaustivePTS(cutoff=1e-3, nshots=nshots)
+
+    @pytest.mark.parametrize("total_shots", [0, -100])
+    def test_non_positive_total_shots_rejected(self, total_shots):
+        with pytest.raises(SamplingError, match="total_shots"):
+            ExhaustivePTS(cutoff=1e-3, nshots=None, total_shots=total_shots)
+
 
 class TestTopK:
+    @pytest.mark.parametrize("nshots", [0, -5])
+    def test_non_positive_nshots_rejected(self, nshots):
+        # Used to emit k specs with a zero or negative shot budget.
+        with pytest.raises(SamplingError, match="nshots"):
+            TopKPTS(k=3, nshots=nshots)
+
     def test_returns_k_most_likely(self, noisy_ghz3):
         result = TopKPTS(k=5, nshots=1).sample(noisy_ghz3, make_rng(0))
         assert result.num_trajectories == 5

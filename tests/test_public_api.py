@@ -1,5 +1,7 @@
 """Public API surface, config, and error-hierarchy contracts."""
 
+import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -107,9 +109,45 @@ class TestConfig:
     def test_default_dtype(self):
         assert DEFAULT_CONFIG.dtype == np.dtype(np.complex128)
 
-    def test_real_dtype_pairing(self):
-        assert Config(dtype=np.dtype(np.complex64)).real_dtype() == np.dtype(np.float32)
-        assert Config().real_dtype() == np.dtype(np.float64)
+    def test_fields_are_the_tracked_eight(self):
+        assert [f.name for f in dataclasses.fields(Config)] == [
+            "dtype",
+            "max_dense_qubits",
+            "max_density_qubits",
+            "default_bond_dim",
+            "svd_cutoff",
+            "max_tensornet_qubits",
+            "fault_plan",
+            "retry",
+        ]
+
+    def test_the_one_environment_hook_is_repro_faults(self):
+        """Every read of the process environment in ``src/repro`` — an
+        ``environ`` subscript or ``.get``, a ``getenv`` call — names its
+        variable literally, and the only variable named is ``REPRO_FAULTS``."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        read = set()
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            parent = {kid: node for node in ast.walk(tree) for kid in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                name = getattr(node, "attr", getattr(node, "id", None))
+                if name not in ("environ", "environb", "getenv", "getenvb"):
+                    continue
+                if isinstance(node, ast.Name) and isinstance(parent.get(node), ast.alias):
+                    continue
+                site = parent.get(node)
+                if isinstance(site, ast.Attribute) and site.attr == "get":
+                    site = parent.get(site)
+                if isinstance(site, ast.Call) and site.args:
+                    key = site.args[0]
+                elif isinstance(site, ast.Subscript):
+                    key = site.slice
+                else:
+                    key = None
+                assert isinstance(key, ast.Constant), f"{path.name}:{node.lineno} reads the environment"
+                read.add(key.value)
+        assert read == {"REPRO_FAULTS"}
 
     def test_replace_returns_copy(self):
         cfg = Config()

@@ -5,7 +5,7 @@ Four contracts under test:
 1. **Routing decisions** — ``strategy="auto"`` sends pure-Clifford
    circuits with Pauli-mixture noise to the frame engine and everything
    else to the pre-router dense dispatch, every decision recorded on the
-   result, forceable off via ``Config.routing="dense"``.
+   result; an explicit strategy name is never rerouted.
 2. **Seeded replay** — clifford runs are bitwise reproducible for a
    fixed seed (its own contract; it is *not* bitwise tied to dense).
 3. **Dense bitwise stability** — on circuits the router declines, auto
@@ -24,7 +24,6 @@ from repro.backends.stabilizer import pauli_from_unitary
 from repro.channels import NoiseModel, depolarizing, pauli_string_matrix
 from repro.channels.standard import amplitude_damping, bit_flip
 from repro.circuits import Circuit
-from repro.config import Config
 from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
@@ -92,25 +91,6 @@ class TestRoutingDecisions:
             t_gate_circuit, BackendSpec.batched_statevector(), "auto"
         )
         assert resolved == "vectorized"
-
-    def test_routing_dense_forces_fallback(self, clifford_circuit):
-        resolved, reason = resolve_strategy(
-            clifford_circuit,
-            BackendSpec.statevector(),
-            "auto",
-            Config(routing="dense"),
-        )
-        assert resolved == "serial"
-        assert "routing disabled" in reason
-
-    def test_invalid_routing_value_rejected(self, clifford_circuit):
-        with pytest.raises(ExecutionError, match="routing"):
-            resolve_strategy(
-                clifford_circuit,
-                BackendSpec.statevector(),
-                "auto",
-                Config(routing="frames"),
-            )
 
     def test_mps_backend_declines(self, clifford_circuit):
         resolved, reason = resolve_strategy(
@@ -273,17 +253,15 @@ class TestDenseBitwiseStability:
             auto.shot_table().bits, pinned.shot_table().bits
         )
 
-    def test_routing_dense_pins_clifford_workload_to_dense(self, clifford_circuit):
+    def test_explicit_serial_pins_clifford_workload_to_dense(self, clifford_circuit):
         sampler = ProbabilisticPTS(nsamples=40, nshots=50)
-        dense_cfg = BackendSpec(
-            "statevector", (("config", Config(routing="dense")),)
-        )
-        forced = run_ptsbe(clifford_circuit, sampler, dense_cfg, seed=9)
+        auto = run_ptsbe(clifford_circuit, sampler, seed=9)
         pinned = run_ptsbe(clifford_circuit, sampler, seed=9, strategy="serial")
-        assert forced.engine == "serial"
-        np.testing.assert_array_equal(
-            forced.shot_table().bits, pinned.shot_table().bits
-        )
+        assert (auto.engine, pinned.engine) == ("clifford", "serial")
+        # One PTS draw: the same trajectories, realized by another engine.
+        assert [(r.trajectory_id, r.choices) for r in auto.records] == [
+            (r.trajectory_id, r.choices) for r in pinned.records
+        ]
 
 
 class TestFrameConformance:

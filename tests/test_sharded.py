@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.execution.plan as plan_module
+from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, depolarizing, two_qubit_depolarizing
 from repro.circuits import Circuit
 from repro.config import Config
@@ -16,6 +18,7 @@ from repro.execution import (
     run_ptsbe,
 )
 from repro.execution.batched import STRATEGIES
+from repro.execution.plan import get_fused_plan
 from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
 from repro.rng import make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
@@ -64,6 +67,11 @@ def _budget(num_qubits, rows, **options):
     if rows is not None:
         options["max_dense_qubits"] = num_qubits + rows.bit_length() - 1
     return BackendSpec.batched_statevector(config=Config(**options))
+
+
+WIDE_GATE_CIRCUITS = ["fused_4q", "native_cccx", "native_ccx", "bell_2q"]
+CAPS = [1, 2, 3, 4]
+CAP_IDS = [f"cap{cap}" for cap in CAPS]
 
 
 def _wide_gate_circuit(name):
@@ -130,30 +138,45 @@ class TestShardedEquivalence:
         )
 
     @pytest.mark.parametrize("budget_rows", [None, 1])
-    @pytest.mark.parametrize(
-        "fusion",
-        [{"fusion": "off"}]
-        + [{"fusion": "auto", "fusion_max_qubits": cap} for cap in (2, 3, 4)],
-        ids=["off", "cap2", "cap3", "cap4"],
-    )
-    @pytest.mark.parametrize(
-        "name", ["fused_4q", "native_cccx", "native_ccx", "bell_2q"]
-    )
-    def test_every_application_tier_matches_serial(self, name, fusion, budget_rows):
+    @pytest.mark.parametrize("cap", CAPS, ids=CAP_IDS)
+    @pytest.mark.parametrize("name", WIDE_GATE_CIRCUITS)
+    def test_every_application_tier_matches_serial(self, name, cap, budget_rows, monkeypatch):
         """Each operator tier (GEMM for k>=4, reshape views below) gives the
-        serial table from a one-row stack and from a full one."""
+        serial table from a one-row stack and from a full one, whatever the
+        fusion window cap (cap 1 runs every multi-qubit op on its own)."""
+        monkeypatch.setattr(plan_module, "fusion_cap", lambda num_qubits: cap)
         circ = _wide_gate_circuit(name)
         specs = _pts_specs(circ, 3, nsamples=120, nshots=150)
-        serial = BatchedExecutor(
-            BackendSpec.statevector(config=Config(**fusion))
-        ).execute(circ, specs, seed=6)
-        sharded = ShardedExecutor(
-            _budget(circ.num_qubits, budget_rows, **fusion)
-        ).execute(circ, specs, seed=6)
+        serial = BatchedExecutor().execute(circ, specs, seed=6)
+        sharded = ShardedExecutor(_budget(circ.num_qubits, budget_rows)).execute(
+            circ, specs, seed=6
+        )
+        assert get_fused_plan(circ).max_qubits == cap
         a, b = serial.shot_table(), sharded.shot_table()
         np.testing.assert_array_equal(a.bits, b.bits)
         np.testing.assert_array_equal(a.trajectory_ids, b.trajectory_ids)
         assert sharded.records == serial.records
+
+    @pytest.mark.parametrize("cap", CAPS, ids=CAP_IDS)
+    @pytest.mark.parametrize("name", WIDE_GATE_CIRCUITS)
+    def test_every_application_tier_matches_per_op_reference(
+        self, name, cap, monkeypatch, assert_matches_per_op
+    ):
+        """The plan each tier runs prepares the per-op reference's weight
+        and state, for the ideal trajectory and every sampled one."""
+        monkeypatch.setattr(plan_module, "fusion_cap", lambda num_qubits: cap)
+        circ = _wide_gate_circuit(name)
+        assert get_fused_plan(circ).max_qubits == cap
+        specs = _pts_specs(circ, 3, nsamples=40, nshots=1)
+        choices_list = [{}] + [spec.record.choices for spec in specs]
+        assert any(choices_list)
+        for choices in choices_list:
+            assert assert_matches_per_op(
+                lambda: StatevectorBackend(circ.num_qubits),
+                circ,
+                choices,
+                lambda backend: backend.statevector,
+            )
 
 
 class TestDedupAcrossShards:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.channels import NoiseModel, depolarizing, two_qubit_depolarizing
 from repro.circuits import Circuit
-from repro.config import Config
 from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
@@ -59,20 +58,15 @@ def brickwork():
     return model.apply(circ).freeze()
 
 
-def _executor(strategy, fusion):
-    config = Config(fusion=fusion)
+def _executor(strategy):
     if strategy == "serial":
-        return BatchedExecutor(BackendSpec.statevector(config=config))
+        return BatchedExecutor(BackendSpec.statevector())
     if strategy == "parallel":
-        return ParallelExecutor(BackendSpec.statevector(config=config), num_workers=2)
+        return ParallelExecutor(BackendSpec.statevector(), num_workers=2)
     if strategy == "vectorized":
-        return VectorizedExecutor(
-            BackendSpec.batched_statevector(config=config), max_batch=4
-        )
+        return VectorizedExecutor(BackendSpec.batched_statevector(), max_batch=4)
     if strategy == "sharded":
-        return ShardedExecutor(
-            BackendSpec.batched_statevector(config=config), max_batch=4
-        )
+        return ShardedExecutor(BackendSpec.batched_statevector(), max_batch=4)
     raise AssertionError(strategy)
 
 
@@ -80,16 +74,13 @@ STRATEGIES = ["serial", "parallel", "vectorized", "sharded"]
 
 
 class TestStreamedEquivalence:
-    """Acceptance matrix: all four strategies x fusion on/off."""
+    """Acceptance matrix: all four strategies."""
 
-    @pytest.mark.parametrize("fusion", ["auto", "off"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_concat_chunks_bitwise_equal_materialized(
-        self, brickwork, strategy, fusion
-    ):
+    def test_concat_chunks_bitwise_equal_materialized(self, brickwork, strategy):
         specs = _pts_specs(brickwork, 11)
-        materialized = _executor(strategy, fusion).execute(brickwork, specs, seed=21)
-        stream = _executor(strategy, fusion).execute_stream(brickwork, specs, seed=21)
+        materialized = _executor(strategy).execute(brickwork, specs, seed=21)
+        stream = _executor(strategy).execute_stream(brickwork, specs, seed=21)
         chunks = list(stream)
         assert all(isinstance(c, ShotChunk) for c in chunks)
         concat = ShotTable.concatenate([c.shot_table() for c in chunks])
@@ -100,8 +91,8 @@ class TestStreamedEquivalence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_finalize_reproduces_materialized_result(self, brickwork, strategy):
         specs = _pts_specs(brickwork, 5)
-        materialized = _executor(strategy, "auto").execute(brickwork, specs, seed=8)
-        finalized = _executor(strategy, "auto").execute_stream(
+        materialized = _executor(strategy).execute(brickwork, specs, seed=8)
+        finalized = _executor(strategy).execute_stream(
             brickwork, specs, seed=8
         ).finalize()
         np.testing.assert_array_equal(
@@ -350,7 +341,7 @@ class TestCloseIdempotency:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_second_close_is_noop(self, brickwork, strategy):
         specs = _pts_specs(brickwork, 4)
-        stream = _executor(strategy, "auto").execute_stream(brickwork, specs, seed=5)
+        stream = _executor(strategy).execute_stream(brickwork, specs, seed=5)
         next(stream)
         stream.close()
         stream.close()
@@ -360,7 +351,7 @@ class TestCloseIdempotency:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_close_after_finalize_is_noop(self, brickwork, strategy):
         specs = _pts_specs(brickwork, 4)
-        stream = _executor(strategy, "auto").execute_stream(brickwork, specs, seed=5)
+        stream = _executor(strategy).execute_stream(brickwork, specs, seed=5)
         result = stream.finalize()
         stream.close()
         stream.close()
@@ -431,9 +422,9 @@ class TestRetention:
     @pytest.mark.parametrize("strategy", ["serial", "vectorized", "sharded"])
     def test_chunks_identical_but_nothing_retained(self, brickwork, strategy):
         specs = _pts_specs(brickwork, 4)
-        executor = _executor(strategy, "auto")
+        executor = _executor(strategy)
         retained = list(executor.execute_stream(brickwork, specs, seed=5))
-        dropping = _executor(strategy, "auto").execute_stream(
+        dropping = _executor(strategy).execute_stream(
             brickwork, specs, seed=5, retain=False
         )
         assert dropping.retain is False
@@ -484,8 +475,8 @@ class TestRetainFalseAbandonment:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_retain_false_stream_matches_materialized(self, brickwork, strategy):
         specs = _pts_specs(brickwork, 4)
-        materialized = _executor(strategy, "auto").execute(brickwork, specs, seed=10)
-        stream = _executor(strategy, "auto").execute_stream(
+        materialized = _executor(strategy).execute(brickwork, specs, seed=10)
+        stream = _executor(strategy).execute_stream(
             brickwork, specs, seed=10, retain=False
         )
         concat = ShotTable.concatenate([c.shot_table() for c in stream])
@@ -499,7 +490,7 @@ class TestRetainFalseAbandonment:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_midstream_close_retain_false(self, brickwork, strategy):
         specs = _pts_specs(brickwork, 8)
-        stream = _executor(strategy, "auto").execute_stream(
+        stream = _executor(strategy).execute_stream(
             brickwork, specs, seed=9, retain=False
         )
         first = next(stream)
@@ -516,8 +507,8 @@ class TestRetainFalseAbandonment:
         """An abandoned run must not poison the executor: the same sharded
         instance has to serve a fresh, complete, bitwise-correct run."""
         specs = _pts_specs(brickwork, 8)
-        materialized = _executor("sharded", "auto").execute(brickwork, specs, seed=12)
-        executor = _executor("sharded", "auto")
+        materialized = _executor("sharded").execute(brickwork, specs, seed=12)
+        executor = _executor("sharded")
         stream = executor.execute_stream(brickwork, specs, seed=12, retain=False)
         next(stream)
         stream.close()

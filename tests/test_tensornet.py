@@ -5,8 +5,9 @@ Contracts under test:
 1. **Exact replay** — the compiled routed schedule replayed over a
    :class:`BatchedMPSStack` at exact bond reproduces the dense
    ``run_fixed`` statevector (read through ``site_of``: routing does not
-   swap back) for non-adjacent 2q gates, 3q windows, and both fusion
-   modes.
+   swap back) for non-adjacent 2q gates and 3q windows, and on noisy
+   brickwork the per-op reference ``PureStateBackend.run_fixed`` (one
+   routed contraction per operation, no 1q absorption).
 2. **Batched kernels** — ``truncated_svd_batched`` and
    ``compute_right_environments_batched`` match their serial
    counterparts row by row.
@@ -46,7 +47,7 @@ from repro.channels.kraus import KrausChannel
 from repro.channels.standard import amplitude_damping, device_profile
 from repro.circuits import Circuit
 from repro.circuits.gates import CCX, H
-from repro.circuits.operations import NoiseOp
+from repro.circuits.operations import MeasureOp, NoiseOp
 from repro.circuits.library import build_workload, noisy, random_brickwork
 from repro.config import Config
 from repro.errors import BackendError, CapacityError, ExecutionError, FaultError
@@ -74,8 +75,8 @@ from repro.qec import msd_preparation_circuit, steane_code
 from repro.sweep.oracle import PASS, check_distribution
 from repro.sweep.spec import OracleSpec
 
-FUSED = Config(fusion="auto")
-UNFUSED = Config(fusion="off")
+def _exact_mps8():
+    return MPSBackend(8, max_bond=256, cutoff=0.0)
 
 
 def _dense_state(circuit):
@@ -84,8 +85,8 @@ def _dense_state(circuit):
     return np.asarray(backend.statevector).copy()
 
 
-def _replayed_state(circuit, config, batch=1, max_bond=4096, cutoff=0.0):
-    schedule = compile_schedule(circuit, config)
+def _replayed_state(circuit, batch=1, max_bond=4096, cutoff=0.0):
+    schedule = compile_schedule(circuit)
     stack = BatchedMPSStack(
         circuit.num_qubits, batch, max_bond=max_bond, cutoff=cutoff
     )
@@ -123,10 +124,7 @@ class TestExactReplay:
         circ.measure_all()
         circ.freeze()
         dense = _dense_state(circ)
-        for config in (FUSED, UNFUSED):
-            np.testing.assert_allclose(
-                _replayed_state(circ, config), dense, atol=1e-12
-            )
+        np.testing.assert_allclose(_replayed_state(circ), dense, atol=1e-12)
 
     def test_descending_targets_wire_permuted(self):
         circ = Circuit(5)
@@ -136,10 +134,7 @@ class TestExactReplay:
         circ.measure_all()
         circ.freeze()
         dense = _dense_state(circ)
-        for config in (FUSED, UNFUSED):
-            np.testing.assert_allclose(
-                _replayed_state(circ, config), dense, atol=1e-12
-            )
+        np.testing.assert_allclose(_replayed_state(circ), dense, atol=1e-12)
 
     def test_3q_gate_fused_window(self):
         circ = Circuit(6)
@@ -149,39 +144,57 @@ class TestExactReplay:
         circ.measure_all()
         circ.freeze()
         dense = _dense_state(circ)
-        for config in (FUSED, UNFUSED):
-            np.testing.assert_allclose(
-                _replayed_state(circ, config), dense, atol=1e-12
-            )
+        np.testing.assert_allclose(_replayed_state(circ), dense, atol=1e-12)
 
-    def test_brickwork_fused_matches_unfused(self):
+    def test_brickwork_matches_dense(self):
         circ = random_brickwork(
             7, depth=3, rng=np.random.default_rng(5), measure=True
         ).freeze()
-        dense = _dense_state(circ)
-        np.testing.assert_allclose(_replayed_state(circ, FUSED), dense, atol=1e-10)
-        np.testing.assert_allclose(_replayed_state(circ, UNFUSED), dense, atol=1e-10)
+        np.testing.assert_allclose(_replayed_state(circ), _dense_state(circ), atol=1e-10)
 
-    def test_fused_schedule_is_shorter(self):
+    def test_1q_gates_absorbed_into_windows(self):
         circ = random_brickwork(
             6, depth=3, rng=np.random.default_rng(3), measure=True
         ).freeze()
-        fused = compile_schedule(circ, FUSED)
-        unfused = compile_schedule(circ, UNFUSED)
-        assert len(fused.steps) < len(unfused.steps)
-        # Fusion absorbs every 1q rotation into a neighboring window.
-        assert fused.fused and not unfused.fused
+        steps = compile_schedule(circ).steps
+        assert len(steps) < sum(1 for op in circ.operations if not isinstance(op, MeasureOp))
+        # A 1q step is a pending matrix flushed at the end of the walk.
+        last_wide = max(i for i, s in enumerate(steps) if not isinstance(s, SwapStep) and s.span > 1)
+        assert all(isinstance(s, SwapStep) or s.span > 1 for s in steps[: last_wide + 1])
+
+    @pytest.mark.parametrize(
+        "profile", ["uniform_depolarizing", "superconducting_median", "relaxation_dominated"]
+    )
+    def test_schedule_matches_per_op_loop_on_brickwork_8q(self, profile, assert_matches_per_op):
+        """The fused schedule (``MPSBackend.run_fixed``) against the per-op
+        reference on the same exact-bond MPS, every PTS trajectory."""
+        circuit = noisy(
+            build_workload("brickwork", 8, seed=1), device_profile(profile).noise_model()
+        )
+        specs = ProbabilisticPTS(40, 1).sample(circuit, np.random.default_rng(2)).specs
+        choices_list = [{}] + [spec.record.choices for spec in specs]
+        assert any(choices_list)
+        live = [
+            assert_matches_per_op(_exact_mps8, circuit, choices, MPSBackend.to_statevector)
+            for choices in choices_list
+        ]
+        assert sum(live) > 1
+
+    def test_ideal_brickwork_matches_per_op_loop(self, assert_matches_per_op):
+        # No noise step between a 1q gate and the next CZ: every pending
+        # 1q matrix rides into a two-site step.
+        circuit = build_workload("brickwork", 8, seed=1).freeze()
+        assert assert_matches_per_op(_exact_mps8, circuit, {}, MPSBackend.to_statevector)
 
 
 class TestScheduleCompile:
     def test_cache_returns_same_object(self):
         circ = _wide_nonclifford(8)
-        assert compile_schedule(circ, FUSED) is compile_schedule(circ, FUSED)
-        assert compile_schedule(circ, FUSED) is not compile_schedule(circ, UNFUSED)
+        assert compile_schedule(circ) is compile_schedule(circ)
 
     def test_num_noise_sites_matches_circuit(self):
         circ = _wide_nonclifford(8)
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         noise_ops = [op for op in circ.operations if hasattr(op, "channel")]
         assert schedule.num_noise_sites == len(noise_ops)
         site_ids = {s.site_id for s in schedule.steps if isinstance(s, NoiseStep)}
@@ -197,19 +210,19 @@ class TestScheduleCompile:
         g4 = Gate("g4", np.eye(16).astype(complex), check=False)
         circ = Circuit(4).gate(g4, 0, 1, 2, 3).measure_all().freeze()
         with pytest.raises(ExecutionError, match="decompose_to_2q"):
-            compile_schedule(circ, UNFUSED)
+            compile_schedule(circ)
 
     def test_noise_branch_count_preserved(self):
         circ = Circuit(2).h(0).cx(0, 1)
         circ.attach(depolarizing(0.1), 0)
         circ.measure_all().freeze()
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         (noise,) = [s for s in schedule.steps if isinstance(s, NoiseStep)]
         assert noise.ops.shape == (4, 2, 2)  # I, X, Y, Z branches
 
     def test_swap_steps_emitted_for_nonadjacent(self):
         circ = Circuit(4).cx(0, 3).cx(0, 3).measure_all().freeze()
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         # Two SWAPs bring qubit 3 next to qubit 0 and it stays there: the
         # second cx(0, 3) finds its qubits adjacent.
         assert [type(s) for s in schedule.steps] == [
@@ -288,10 +301,10 @@ class TestTruncationAccounting:
 
     def test_b1_matches_serial_mps(self):
         circ = self._adjacent_circuit()
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         stack = BatchedMPSStack(6, 1, max_bond=2, cutoff=1e-12)
         replay_schedule(stack, schedule, [{}])
-        serial = MPSBackend(6, max_bond=2, cutoff=1e-12, config=UNFUSED)
+        serial = MPSBackend(6, max_bond=2, cutoff=1e-12)
         serial.run_fixed(circ)
         assert stack.truncation_error.shape == (1,)
         assert stack.truncation_error[0] > 0  # bond 2 genuinely truncates
@@ -311,7 +324,7 @@ class TestTruncationAccounting:
         from repro.rng import StreamFactory
 
         specs = sampler.sample(circ, StreamFactory(4).rng_for(0)).specs
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         stack = BatchedMPSStack(8, len(specs), max_bond=2, cutoff=1e-12)
         replay_schedule(stack, schedule, [s.choices for s in specs])
         assert stack.truncation_error.shape == (len(specs),)
@@ -376,8 +389,8 @@ def _site_ids(circuit):
     return [op.site_id for op in circuit.operations if isinstance(op, NoiseOp)]
 
 
-def _assert_matches_full_replay(circuit, choices_list, config=UNFUSED, **options):
-    schedule = compile_schedule(circuit, config)
+def _assert_matches_full_replay(circuit, choices_list, **options):
+    schedule = compile_schedule(circuit)
     cone = BatchedMPSStack(circuit.num_qubits, len(choices_list), **options)
     replay_schedule(cone, schedule, choices_list)
     tensors, error = _full_replay(schedule, choices_list, **options)
@@ -437,8 +450,7 @@ def _msd_prep_35q():
 
 
 class TestLightConeReplay:
-    @pytest.mark.parametrize("config", [FUSED, UNFUSED])
-    def test_rows_deviate_anywhere_along_the_schedule(self, config):
+    def test_rows_deviate_anywhere_along_the_schedule(self):
         circ = _noisy_brickwork(5, depth=3, seed=4)
         ids = _site_ids(circ)
         choices_list = [
@@ -450,8 +462,8 @@ class TestLightConeReplay:
             {},
             {ids[3]: 1, ids[0]: 1},  # listed out of order
         ]
-        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=0.0)
-        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=1e-12)
+        _assert_matches_full_replay(circ, choices_list, max_bond=64, cutoff=0.0)
+        _assert_matches_full_replay(circ, choices_list, max_bond=64, cutoff=1e-12)
 
     def test_all_rows_share_one_first_deviation(self):
         circ = _noisy_brickwork(4, depth=2, seed=8)
@@ -481,8 +493,7 @@ class TestLightConeReplay:
         circ.measure_all().freeze()
         a, b, c = _site_ids(circ)
         choices_list = [{a: 3, b: 7}, {a: 9}, {b: 2, c: 11}, {b: 14}, {}, {c: 5}]
-        for config in (FUSED, UNFUSED):
-            _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=1e-12)
+        _assert_matches_full_replay(circ, choices_list, max_bond=64, cutoff=1e-12)
 
     def test_bond_two_truncation(self):
         circ = _noisy_brickwork(6, depth=4, seed=19)
@@ -509,8 +520,7 @@ class TestLightConeReplay:
             circ, [{a: 1, b: 1}, {c: 1}, {}], max_bond=64, cutoff=1e-12
         )
 
-    @pytest.mark.parametrize("config", [FUSED, UNFUSED])
-    def test_cone_crosses_a_swap_route_and_a_three_site_window(self, config):
+    def test_cone_crosses_a_swap_route_and_a_three_site_window(self):
         circ = Circuit(7)
         for q in range(7):
             circ.rx(0.3 + 0.2 * q, q)
@@ -523,19 +533,19 @@ class TestLightConeReplay:
         circ.attach(amplitude_damping(0.2), 3)
         circ.measure_all().freeze()
         a, b, c, d = _site_ids(circ)
-        schedule = compile_schedule(circ, config)
+        schedule = compile_schedule(circ)
         assert any(isinstance(s, SwapStep) for s in schedule.steps)
         assert any(isinstance(s, UnitaryStep) and s.span == 3 for s in schedule.steps)
         choices_list = [{a: 2}, {}, {b: 1}, {c: 6, d: 1}, {a: 3, c: 11}, {d: 1}]
-        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=0.0)
-        _assert_matches_full_replay(circ, choices_list, config, max_bond=64, cutoff=1e-12)
-        _assert_matches_full_replay(circ, choices_list, config, max_bond=2, cutoff=1e-12)
+        _assert_matches_full_replay(circ, choices_list, max_bond=64, cutoff=0.0)
+        _assert_matches_full_replay(circ, choices_list, max_bond=64, cutoff=1e-12)
+        _assert_matches_full_replay(circ, choices_list, max_bond=2, cutoff=1e-12)
 
     def test_replay_restarts_the_stack(self):
         # What the stack held is dropped: a second replay into it, and one
         # after a replay of other rows, are bit for bit the first.
         circ = _noisy_brickwork(4, depth=2, seed=3)
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         ids = _site_ids(circ)
         stack = BatchedMPSStack(4, 2, max_bond=8, cutoff=1e-12)
         replay_schedule(stack, schedule, [{ids[1]: 1}, {}])
@@ -550,7 +560,7 @@ class TestLightConeReplay:
         circ = _noisy_brickwork(4, depth=2, seed=5)
         ids = _site_ids(circ)
         choices_list = [{ids[6]: 1}, {}, {ids[0]: 1}, {ids[3]: 1}]
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         stack = BatchedMPSStack(4, 4, max_bond=64, cutoff=1e-12)
         replay_schedule(stack, schedule, choices_list)
         for m, choices in enumerate(choices_list):
@@ -563,7 +573,7 @@ class TestLightConeReplay:
     def test_never_deviating_row_is_the_ideal_row(self):
         circ = _noisy_brickwork(5, depth=3, seed=6)
         ids = _site_ids(circ)
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         stack = BatchedMPSStack(5, 3, max_bond=64, cutoff=1e-12)
         replay_schedule(stack, schedule, [{ids[2]: 1}, {}, {ids[9]: 1, ids[4]: 1}])
         assert not stack.slot[:, 1].any() and stack.slot[:, 0].any()
@@ -602,7 +612,7 @@ class TestLightConeReplay:
             {int(i): 1 for i in rng.choice(ids, size=rng.integers(0, 4), replace=False)}
             for _ in range(12)
         ]
-        schedule = compile_schedule(circ, UNFUSED)
+        schedule = compile_schedule(circ)
         deviated, bound = set(), []
         for step in schedule.steps:
             if isinstance(step, NoiseStep):
@@ -633,11 +643,10 @@ class TestLightConeReplay:
         depth=st.integers(1, 4),
         seed=st.integers(0, 2**16),
         max_bond=st.sampled_from([2, 64]),
-        fused=st.booleans(),
         data=st.data(),
     )
     def test_property_random_brickwork_random_choices(
-        self, num_qubits, depth, seed, max_bond, fused, data
+        self, num_qubits, depth, seed, max_bond, data
     ):
         clear_schedule_cache()
         model = (
@@ -655,10 +664,7 @@ class TestLightConeReplay:
             st.sampled_from(sorted(branches)), st.integers(0, 3), max_size=3
         )
         choices_list = data.draw(st.lists(row, min_size=1, max_size=6))
-        _assert_matches_full_replay(
-            circ, choices_list, FUSED if fused else UNFUSED,
-            max_bond=max_bond, cutoff=1e-12,
-        )
+        _assert_matches_full_replay(circ, choices_list, max_bond=max_bond, cutoff=1e-12)
 
 
 class _FixedSpecs(PTSAlgorithm):
@@ -742,7 +748,7 @@ class TestSamplingArgumentRange:
         circ = Circuit(3).h(0).cx(0, 1).rx(0.3, 2).measure_all()
         circ = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05)).apply(circ).freeze()
         schedule = dataclasses.replace(compile_schedule(circ), site_of=(0, 1, site))
-        monkeypatch.setattr(tensornet, "compile_schedule", lambda circuit, config: schedule)
+        monkeypatch.setattr(tensornet, "compile_schedule", lambda circuit: schedule)
         sampler = ProbabilisticPTS(nsamples=5, nshots=10)
         with pytest.raises(FaultError, match=f"qubit {site} is outside a 3-qubit register") as err:
             run_ptsbe(circ, sampler, seed=1, strategy="tensornet")
@@ -838,13 +844,12 @@ class TestRoutingDecisions:
         resolved, _ = resolve_strategy(circ, BackendSpec.statevector(), "auto", cfg)
         assert resolved == "serial"
 
-    def test_routing_dense_pin_skips_tensornet(self):
+    def test_explicit_serial_skips_tensornet(self):
         circ = _wide_nonclifford(30)
-        resolved, reason = resolve_strategy(
-            circ, BackendSpec.statevector(), "auto", Config(routing="dense")
-        )
+        assert resolve_strategy(circ, BackendSpec.statevector(), "auto")[0] == "tensornet"
+        resolved, reason = resolve_strategy(circ, BackendSpec.statevector(), "serial")
         assert resolved == "serial"
-        assert "routing disabled" in reason
+        assert reason == "explicit strategy 'serial'"
 
     def test_auto_records_engine_and_routing(self):
         circ = _wide_nonclifford(28)
@@ -872,12 +877,6 @@ class TestCapacityErrors:
         assert "max_dense_qubits=26" in msg
         assert "28" in msg
         assert "'tensornet'" in msg and "'clifford'" in msg
-
-    def test_routing_dense_pin_above_cap_raises(self):
-        circ = _wide_nonclifford(28)
-        dense_pin = BackendSpec("statevector", (("config", Config(routing="dense")),))
-        with pytest.raises(CapacityError):
-            run_ptsbe(circ, ProportionalPTS(total_shots=100), dense_pin, seed=1)
 
     def test_mps_spec_not_capacity_checked(self):
         # The serial MPS path has no dense width cap; 28q runs fine.
