@@ -185,7 +185,8 @@ class BatchedStatevectorBackend:
         Idempotent.  The backend stays usable, but the stack is gone:
         reallocate with an explicit size — ``reset(batch_size)`` or
         :meth:`run_fixed_stack` (an argument-less ``reset()`` has no
-        previous size to restore and raises).
+        previous size to restore and raises).  The serial engine releases
+        its one-row view this way after every unit's draw.
         """
         self._stack = np.empty((0, self._dim), dtype=self._config.dtype)
         self._alive = np.empty(0, dtype=bool)

@@ -79,6 +79,11 @@ class StatevectorBackend(PureStateBackend):
     def reset(self) -> None:
         self.stack.reset(1)
 
+    def release(self) -> None:
+        """Drop the state and its sampling tables; :meth:`run_fixed` (or
+        :meth:`reset`) allocates the next one.  Idempotent."""
+        self.stack.release()
+
     def copy(self) -> "StatevectorBackend":
         out = StatevectorBackend(self.num_qubits, self._config)
         out.set_statevector(self.statevector)

@@ -179,7 +179,10 @@ class BatchedExecutor(StreamingExecutor):
                 f"{type(backend).__name__} is not a per-trajectory backend; use "
                 "VectorizedExecutor (or run_ptsbe(strategy='vectorized'))"
             )
-        return _SerialEngine(self.strategy, backend, circuit, backend_config(self.backend))
+        dense_spec = isinstance(self.backend, BackendSpec) and self.backend.kind == "statevector"
+        return _SerialEngine(
+            self.strategy, backend, circuit, backend_config(self.backend), dense_spec
+        )
 
 
 class ParallelExecutor(BatchedExecutor):
@@ -207,13 +210,31 @@ class _SerialEngine:
     compile_seconds = 0.0
 
     def __init__(
-        self, name: str, backend: PureStateBackend, circuit: Circuit, config: Config
+        self,
+        name: str,
+        backend: PureStateBackend,
+        circuit: Circuit,
+        config: Config,
+        dense_spec: bool = False,
     ):
         self.name = name
         self.backend = backend
         self.circuit = circuit
         self.measured = tuple(circuit.measured_qubits)
         self.config: Optional[Config] = config
+        self.dense_spec = dense_spec
+
+    @property
+    def lookahead_shots(self) -> Optional[int]:
+        """Past ``max(2**16, 2**n)`` shots a unit's draw hides the next
+        unit's preparation.  Measured on a 2-core host with the look-ahead
+        always on: 1.6-1.9x shots/s at 16 qubits and 200 000 shots per
+        unit; 0.85-0.96x at 6 and 10 qubits with 100 or 1 000 shots; 1.0x,
+        and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots.  Only a
+        dense state a ``BackendSpec`` built qualifies: serial on MPS is
+        tensornet at one row (first chunk +37 % there), and a factory is
+        opaque and may hand both adapters one shared instance."""
+        return max(1 << 16, 2**self.circuit.num_qubits) if self.dense_spec else None
 
     def prepare(self, choices_list):
         try:
@@ -227,10 +248,16 @@ class _SerialEngine:
             return [0.0]
 
     def sample(self, requests):
-        return [self.backend.sample(n, self.measured, rng) for _, n, rng in requests]
+        bits = [self.backend.sample(n, self.measured, rng) for _, n, rng in requests]
+        # A unit is drawn once: its 2**n state and sampling tables go now,
+        # not when the next unit is prepared over them.
+        self.release()
+        return bits
 
     def release(self) -> None:
-        self.backend = None  # the 2**n state must not outlive the run
+        release = getattr(self.backend, "release", None)
+        if release is not None:
+            release()
 
 
 #: The strategy table: every BE engine behind one name, as the

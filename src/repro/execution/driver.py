@@ -28,7 +28,9 @@ What :func:`drive` owns, for every engine and every worker count:
   that has shots to draw from a live row, and that call's wall time is
   split over those specs by shot share (``sample_seconds`` = wall x spec
   shots / unit shots; a dead row's specs and a zero-shot spec are not in
-  the list and read ``0.0``);
+  the list and read ``0.0``).  A look-ahead unit's prepare wall is timed
+  on the helper thread, while the unit before it draws, so a run's
+  ``prep_seconds + sample_seconds`` can exceed its wall time;
 * ordered delivery and the :class:`~repro.execution.streaming.StreamedResult`.
 
 A unit is cut greedily from the dedup groups, in order: it takes groups
@@ -40,7 +42,17 @@ samples and a chunk stays bounded whatever the budget per trajectory.)
 
 ``workers`` is the paper's inter-trajectory axis ("embarrassingly
 parallel", §3).  With ``workers == 1`` tasks run in this process, one
-unit each.  With more, ranges of groups go to a process
+unit each, and a unit whose shots exceed its adapter's
+``lookahead_shots`` hides the next task's ``engine.prepare`` behind its
+draw: one helper thread prepares that unit on a second adapter (built by
+``build()`` on first use), so at most one prepared unit is resident
+ahead.  The helper runs nothing but ``prepare``: the fault hook, retry
+and halving stay on this thread, and a look-ahead that raised, or whose
+task is not the next one popped, is dropped and its unit prepared again
+in line, so an error surfaces once, where it does without one.  Rows
+draw from their own Philox streams and dense preparation is row-wise
+independent, so which thread prepared a unit changes no bits.  With
+more, ranges of groups go to a process
 pool whose initializer builds one engine per process; the parent keeps at
 most ``2 * workers`` of them in flight (a consumer that stops pulling
 stops the run), each worker cuts its task into units by the same rule,
@@ -79,9 +91,9 @@ from repro.pts.base import SpecGroup, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory
 
 if TYPE_CHECKING:  # pragma: no cover
-    # At run time the pool class is imported where a pool is built: it loads
-    # multiprocessing, and workers defaults to 1.
-    from concurrent.futures import ProcessPoolExecutor
+    # At run time each pool class is imported where a pool is built: the
+    # process pool loads multiprocessing, and workers defaults to 1.
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 __all__ = ["Engine", "StreamingExecutor", "drive", "timed"]
 
@@ -92,6 +104,8 @@ Completed = List[Tuple[int, TrajectoryResult]]
 #: ``(prepared row, shots, that trajectory's Philox generator)``: what one
 #: live spec asks of :meth:`Engine.sample`.
 Request = Tuple[int, int, np.random.Generator]
+#: A prepared unit: the weights ``prepare`` returned and its wall seconds.
+Prepared = Tuple[Sequence[float], float]
 
 
 @runtime_checkable
@@ -117,6 +131,12 @@ class Engine(Protocol):
     #: Wall seconds the constructor spent compiling (see :func:`timed`).
     compile_seconds: float
 
+    @property
+    def lookahead_shots(self) -> Optional[int]:
+        """In-process, a unit with more shots than this prepares the next
+        unit on a helper thread while it draws (``None``: never)."""
+        ...
+
     def prepare(self, choices_list: Sequence[Dict[int, int]]) -> Sequence[float]:
         """Prepare one row per Kraus prescription; return the realized
         weights.  ``0.0`` marks a dead row (the prescription annihilates
@@ -129,7 +149,8 @@ class Engine(Protocol):
         ...
 
     def release(self) -> None:
-        """Drop prepared state.  Idempotent: called when the run ends and
+        """Drop prepared state; the adapter stays usable.  Idempotent:
+        called on a dropped look-ahead's adapter, when the run ends and
         again by ``StreamedResult.close()``."""
         ...
 
@@ -197,13 +218,19 @@ class _Runner:
         maybe_inject(self.plan, unit, attempt, self.streams.seed)
         completed: Completed = []
         for cut in _cuts(self.groups, start, end, self.rows, self.engine.max_unit_shots):
-            completed += self.unit(*cut)
+            completed += self.draw(self.engine, *cut, self.prepare(self.engine, *cut))
         return completed
 
-    def unit(self, start: int, end: int) -> Completed:
-        engine, specs = self.engine, self.specs
+    def prepare(self, engine: Engine, start: int, end: int) -> Prepared:
+        """``engine.prepare`` on groups ``[start, end)``, timed."""
+        choices = [self.specs[g.indices[0]].choices for g in self.groups[start:end]]
+        return timed(engine.prepare, choices)
+
+    def draw(self, engine: Engine, start: int, end: int, prepared: Prepared) -> Completed:
+        """Draw the shots of groups ``[start, end)``, prepared on ``engine``."""
+        specs = self.specs
         unit = self.groups[start:end]
-        weights, wall = timed(engine.prepare, [specs[g.indices[0]].choices for g in unit])
+        weights, wall = prepared
         prep_each = (self.carry + wall) / len(unit)
         # One request per spec that has shots to draw from a live row, all
         # of the unit's in one call; its wall time is split by shot share.
@@ -231,6 +258,70 @@ class _Runner:
                 completed.append((index, result))
         self.carry = 0.0  # compile seconds are charged to one finished unit
         return completed
+
+
+class _LocalRunner(_Runner):
+    """The ``workers == 1`` runner: a task is one unit, and a unit with
+    more than ``lookahead_shots`` shots prepares the next task's unit on a
+    second adapter, on one helper thread, while it draws.  The unit at
+    group 0 runs alone, so the first chunk costs what it did."""
+
+    def __init__(self, build: Callable[[], Engine], engine: Engine, *run_args: Any):
+        super().__init__(engine, *run_args)
+        self.build = build
+        self.spare: Optional[Engine] = None
+        self.helper: Optional[ThreadPoolExecutor] = None
+        #: The unit prepared ahead on ``spare``: its group range and future.
+        self.ahead: Optional[Tuple[int, int, "Future[Prepared]"]] = None
+
+    def task(
+        self, start: int, end: int, attempt: int, upcoming: Optional[Task] = None
+    ) -> Completed:
+        unit = _unit_name(self.engine.name, start, end)
+        maybe_inject(self.plan, unit, attempt, self.streams.seed)
+        prepared = self.claim(start, end)
+        if prepared is None:
+            prepared = self.prepare(self.engine, start, end)
+        threshold = self.engine.lookahead_shots
+        shots = sum(group.total_shots for group in self.groups[start:end])
+        if start > 0 and upcoming is not None and threshold is not None and shots > threshold:
+            self.look_ahead(*upcoming[:2])
+        return self.draw(self.engine, start, end, prepared)
+
+    def claim(self, start: int, end: int) -> Optional[Prepared]:
+        """The look-ahead, when it prepared groups ``[start, end)`` and did
+        not raise; its adapter then draws.  Otherwise it is dropped."""
+        if self.ahead is None:
+            return None
+        assert self.spare is not None
+        first, last, future = self.ahead
+        self.ahead = None
+        # exception() waits for the helper: from here on it is idle.
+        if future.exception() is None and (first, last) == (start, end):
+            self.engine, self.spare = self.spare, self.engine
+            return future.result()
+        self.spare.release()
+        return None
+
+    def look_ahead(self, start: int, end: int) -> None:
+        if self.spare is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.spare = self.build()
+            self.spare.release()  # what it allocated eagerly; the helper reallocates
+            self.carry += self.spare.compile_seconds
+            self.helper = ThreadPoolExecutor(1, thread_name_prefix="repro-lookahead")
+        assert self.helper is not None
+        self.ahead = (start, end, self.helper.submit(self.prepare, self.spare, start, end))
+
+    def close(self) -> None:
+        """Join the helper and release both adapters.  Idempotent."""
+        if self.helper is not None:
+            self.helper.shutdown(wait=True, cancel_futures=True)
+        self.ahead = None
+        self.engine.release()
+        if self.spare is not None:
+            self.spare.release()
 
 
 #: The pool worker's runner, built once per process by :func:`_init_worker`.
@@ -273,7 +364,8 @@ def drive(
     worker process — it must pickle then.  Chunks are released in spec
     order (a dedup group can interleave spec positions, tasks finish out
     of order), so concatenating them reproduces ``finalize()`` bitwise.
-    Abandoning the stream shuts the pool down and releases the engine.
+    Abandoning the stream shuts the pool down, or joins the look-ahead
+    helper, and releases the engine (both, in-process).
     """
     circuit.freeze()
     measured = tuple(circuit.measured_qubits)
@@ -300,8 +392,11 @@ def drive(
     run_args = (
         specs, groups, len(measured), streams.seed, min(engine.max_rows, step), ctx.plan,
     )
-    if workers > 1:
+    local = _LocalRunner(build, engine, *run_args) if workers == 1 else None
+    if local is None:
         engine.release()  # every worker builds its own; this one named the run
+    # Joins the look-ahead helper and releases both adapters in-process.
+    release = engine.release if local is None else local.close
     retryable = (BrokenExecutor,) + ctx.policy.retryable
 
     def deliver() -> Iterator[List[TrajectoryResult]]:
@@ -309,7 +404,6 @@ def drive(
         pending: Deque[Task] = deque(
             (start, end, 0) for start, end in _cuts(groups, 0, len(groups), step, max_shots)
         )
-        local = _Runner(engine, *run_args) if workers == 1 else None
         pool: Optional[ProcessPoolExecutor] = None
         in_flight: Dict["Future[Completed]", Task] = {}
         try:
@@ -317,7 +411,8 @@ def drive(
                 outcomes: List[Tuple[Task, Callable[[], Completed]]]
                 if local is not None:
                     task = pending.popleft()
-                    outcomes = [(task, partial(local.task, *task))]
+                    upcoming = pending[0] if pending else None
+                    outcomes = [(task, partial(local.task, *task, upcoming))]
                 else:
                     if pool is None:
                         from concurrent.futures import ProcessPoolExecutor
@@ -386,7 +481,7 @@ def drive(
         finally:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-            engine.release()
+            release()
 
     return StreamedResult(
         deliver(),
@@ -396,7 +491,7 @@ def drive(
         unique_preparations=len(groups),
         # close() before the first chunk never enters the generator, so
         # its finally cannot release what the adapter allocated eagerly.
-        on_close=engine.release,
+        on_close=release,
         retain=retain,
         engine=name,
         recovery=events,

@@ -115,7 +115,11 @@ class TrajectoryResult:
     record: TrajectoryRecord
     bits: np.ndarray  # (m_alpha, k) uint8
     actual_weight: float = 1.0  # product of realized branch probabilities
+    #: Wall seconds of the state preparation this spec was charged with
+    #: (its dedup group's first spec only).  A unit prepared ahead was timed
+    #: on the helper thread while the unit before it drew its shots.
     prep_seconds: float = 0.0
+    #: This spec's shot share of its unit's one draw.
     sample_seconds: float = 0.0
 
     @property
@@ -129,6 +133,9 @@ class PTSBEResult:
 
     trajectories: List[TrajectoryResult]
     measured_qubits: Tuple[int, ...]
+    #: The trajectories' prepare and sample seconds, summed.  The serial
+    #: engine's look-ahead prepares a unit while the one before it draws,
+    #: so on such a run the two together can exceed the wall time.
     prep_seconds: float = 0.0
     sample_seconds: float = 0.0
     #: Number of distinct state preparations actually performed (identical

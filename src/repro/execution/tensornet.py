@@ -492,6 +492,9 @@ class _MPSStackEngine:
 
     name = "tensornet"
     max_unit_shots = None
+    # Measured with the look-ahead always on (tensornet_shots_35q, 2-core
+    # host): first chunk 0.037 -> 0.050 s (+37 %).
+    lookahead_shots = None
 
     def __init__(
         self, circuit: Circuit, config: Config, max_rows: int, max_bond: int, cutoff: float

@@ -16,8 +16,9 @@ Pauli-frame branch draw are the others:
   search per shot, so a shot costs ``O(1)`` expected rather than
   ``O(log dim)`` mispredicted branches.
 * :func:`bits_from_indices` turns those indices into one-byte-per-bit
-  shot-table rows with a byte-wise ``unpackbits`` instead of a
-  shift-and-mask pass over an ``(m, n)`` ``uint64`` temporary.
+  shot-table rows with one ``unpackbits`` over the indices' big-endian
+  bytes instead of a shift-and-mask pass over an ``(m, n)`` ``uint64``
+  temporary.
 
 Both are exact replacements: no shot bit depends on which path ran.
 """
@@ -118,10 +119,12 @@ def bits_from_indices(
     Qubit 0 is the most significant bit of an index (library convention).
     Returns C-contiguous ``(len(indices), len(qubits))`` uint8.
 
-    The low ``ceil(num_qubits / 8)`` bytes of each index, most significant
-    first, are unpacked eight bits at a time; the requested columns are a
-    slice of that when ``qubits`` is an ascending run (``measure_all``)
-    and a gather otherwise.
+    Each index is narrowed to the smallest of 1, 2, 4 or 8 big-endian
+    bytes that holds ``num_qubits`` bits, and the flat byte buffer is
+    unpacked in one pass (the peak is the output plus the narrowed
+    indices); the requested columns are a slice of that when ``qubits`` is
+    an ascending run (``measure_all``, no copy when the width is a whole
+    word) and a gather otherwise.
     """
     qubits = list(qubits)
     for q in qubits:
@@ -129,10 +132,10 @@ def bits_from_indices(
             raise BackendError(
                 f"qubit {q} is outside a {num_qubits}-qubit register"
             )
-    nbytes = (num_qubits + 7) // 8
-    pad = 8 * nbytes - num_qubits
-    big_endian = np.asarray(indices).astype(">u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(big_endian[:, 8 - nbytes:], axis=1)
+    width = 1 << (((num_qubits + 7) // 8) - 1).bit_length()
+    pad = 8 * width - num_qubits
+    big_endian = np.asarray(indices).astype(f">u{width}")
+    bits = np.unpackbits(big_endian.view(np.uint8)).reshape(-1, 8 * width)
     if qubits and qubits == list(range(qubits[0], qubits[0] + len(qubits))):
         return np.ascontiguousarray(bits[:, pad + qubits[0]: pad + qubits[-1] + 1])
     return bits.take([pad + q for q in qubits], axis=1)

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import Circuit, NoiseModel, depolarizing
 from repro.backends.base import PureStateBackend
-from repro.channels.standard import amplitude_damping, bit_flip, two_qubit_depolarizing
+from repro.channels.standard import (
+    amplitude_damping,
+    bit_flip,
+    device_profile,
+    two_qubit_depolarizing,
+)
+from repro.circuits.library import noisy
+from repro.circuits.operations import NoiseOp
 from repro.errors import ZeroProbabilityTrajectory
+from repro.pts import ProbabilisticPTS, TrajectorySpec
 from repro.rng import make_rng
+from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
 
 @pytest.fixture
@@ -38,6 +49,72 @@ class CountedGenerator:
 def counted_generator():
     """``counted_generator(rng, calls)``: see :class:`CountedGenerator`."""
     return CountedGenerator
+
+
+@pytest.fixture
+def lookahead(monkeypatch):
+    """``lookahead(on)`` forces the serial engine's look-ahead on (threshold
+    0: every unit that draws a shot prepares the next one on the helper
+    thread) or off (``None``).  It returns the names of the threads that
+    ran each serial ``prepare`` from then on, so a test can tell the helper
+    really prepared units."""
+    from repro.execution import batched
+
+    threads = []
+    original = batched._SerialEngine.prepare
+
+    def recording(self, choices_list):
+        threads.append(threading.current_thread().name)
+        return original(self, choices_list)
+
+    monkeypatch.setattr(batched._SerialEngine, "prepare", recording)
+
+    def force(on: bool):
+        monkeypatch.setattr(batched._SerialEngine, "lookahead_shots", 0 if on else None)
+        threads.clear()
+        return threads
+
+    return force
+
+
+@pytest.fixture
+def lookahead_threads():
+    """``lookahead_threads()``: the look-ahead helper threads alive now."""
+    return lambda: [t for t in threading.enumerate() if t.name.startswith("repro-lookahead")]
+
+
+@pytest.fixture(scope="session")
+def relaxation_dead_row():
+    """``relaxation_dominated`` noise on 5 qubits, and PTS specs with one
+    dead row in the middle: qubit 0 is flipped, then phased, and decays
+    after both gates, which annihilates the state."""
+    ideal = Circuit(5).x(0).t(0)
+    for q in range(1, 5):
+        ideal.h(q)
+    for q in range(1, 4):
+        ideal.cx(q, q + 1)
+    for q in range(1, 5):
+        ideal.t(q)
+    circuit = noisy(ideal.measure_all(), device_profile("relaxation_dominated").noise_model())
+    first, second = [
+        op.site_id
+        for op in circuit
+        if isinstance(op, NoiseOp)
+        and op.qubits == (0,)
+        and op.channel.name.startswith("amp_damp")
+    ]
+    specs = ProbabilisticPTS(nsamples=40, nshots=50).sample(circuit, make_rng(3)).specs
+    events = tuple(
+        KrausEvent(site_id=site, kraus_index=1, qubits=(0,), probability=0.008)
+        for site in (first, second)
+    )
+    record = TrajectoryRecord(
+        trajectory_id=max(s.record.trajectory_id for s in specs) + 1,
+        events=events,
+        nominal_probability=0.008**2,
+    )
+    middle = len(specs) // 2
+    return circuit, specs[:middle] + [TrajectorySpec(record=record, num_shots=50)] + specs[middle:]
 
 
 @pytest.fixture

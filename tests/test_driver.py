@@ -10,6 +10,8 @@ applies to, instead of once per engine module.
 import concurrent.futures
 import hashlib
 import multiprocessing
+import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from unittest import mock
@@ -19,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, depolarizing
-from repro.channels.standard import amplitude_damping, bit_flip
+from repro.channels.standard import amplitude_damping, bit_flip, two_qubit_depolarizing
 from repro.circuits import Circuit
 from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import ExecutionError
@@ -645,3 +648,162 @@ def test_adapters_satisfy_the_engine_protocol(circuit, specs, strategy, monkeypa
     assert isinstance(engine, Engine)
     assert engine.name == strategy and engine.max_rows >= 1
     assert engine.compile_seconds >= 0.0
+
+
+# --------------------------------------------------------------------- #
+# The in-process look-ahead
+# --------------------------------------------------------------------- #
+def layered(num_qubits):
+    """H / CX brick / T layers with 2q depolarizing on every CX, frozen."""
+    ideal = Circuit(num_qubits)
+    for q in range(num_qubits):
+        ideal.h(q)
+    for q in range(0, num_qubits - 1, 2):
+        ideal.cx(q, q + 1)
+    for q in range(num_qubits):
+        ideal.t(q)
+    ideal.measure_all()
+    model = NoiseModel().add_all_qubit_gate_noise("cx", two_qubit_depolarizing(0.05))
+    return model.apply(ideal).freeze()
+
+
+def ghz_like(num_qubits):
+    """An H layer and one noisy CX: Clifford, Pauli noise, bond 2 — every
+    engine serves it at any width here."""
+    ideal = Circuit(num_qubits)
+    for q in range(num_qubits):
+        ideal.h(q)
+    ideal.cx(0, 1).measure_all()
+    return NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05)).apply(ideal).freeze()
+
+
+#: Which units look ahead: ``(executor, width, shots per unit, qualifies)``.
+#: The rule is ``shots > max(2**16, 2**n)`` on a serial dense state a
+#: ``BackendSpec`` built, and never elsewhere.
+LOOKAHEAD_RULE = {
+    "serial-16q-200000-shots": (BatchedExecutor, 16, 200_000, True),
+    "serial-16q-2**16-shots": (BatchedExecutor, 16, 1 << 16, False),
+    "serial-20q-2**17-shots": (BatchedExecutor, 20, 1 << 17, False),
+    "vectorized": (partial(VectorizedExecutor, max_batch=1), 16, 200_000, False),
+    "clifford": (CliffordFrameExecutor, 16, 200_000, False),
+    "tensornet": (partial(TensorNetExecutor, max_batch=1), 16, 200_000, False),
+    "serial-on-mps": (partial(BatchedExecutor, BackendSpec.mps()), 16, 200_000, False),
+    "serial-behind-a-factory": (partial(BatchedExecutor, StatevectorBackend), 16, 200_000, False),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOKAHEAD_RULE))
+def test_which_units_look_ahead(case, monkeypatch, lookahead_threads):
+    make, width, shots, qualifies = LOOKAHEAD_RULE[case]
+    circuit = ghz_like(width)
+    started = []
+    original = driver._LocalRunner.look_ahead
+
+    def recording(self, start, end):
+        started.append((start, end))
+        original(self, start, end)
+
+    monkeypatch.setattr(driver._LocalRunner, "look_ahead", recording)
+    executor = make()
+    engine = executor._engine(circuit)
+    threshold = engine.lookahead_shots
+    engine.release()
+    assert (threshold is not None and shots > threshold) is qualifies
+    specs = [_spec(0, shots), _spec(1, shots, {0: 1}), _spec(2, shots, {0: 2})]
+    result = executor.execute(circuit, specs, seed=1)
+    assert result.total_shots == 3 * shots
+    # The unit at group 0 runs alone; the second prepares the third ahead.
+    assert started == ([(2, 3)] if qualifies else [])
+    assert lookahead_threads() == []
+
+
+def test_a_drawn_serial_unit_drops_its_state(circuit, specs, monkeypatch):
+    original = batched._SerialEngine.sample
+    after = []
+
+    def checking(self, requests):
+        bits = original(self, requests)
+        after.append((self.backend.stack.batch_size, self.backend.stack._cum_stack))
+        return bits
+
+    monkeypatch.setattr(batched._SerialEngine, "sample", checking)
+    BatchedExecutor().execute(circuit, specs[:6], seed=1)
+    assert len(after) == 6 and all(rows == 0 and cum is None for rows, cum in after)
+
+
+def test_look_ahead_units_keep_the_timing_rule(circuit, lookahead):
+    threads = lookahead(True)
+    dup = [
+        _spec(0, 30, {0: 1}), _spec(1, 20), _spec(2, 10, {0: 1}),
+        _spec(3, 40, {1: 1}), _spec(4, 40), _spec(5, 60, {1: 1}),
+    ]
+    result = BatchedExecutor().execute(circuit, dup, seed=9)
+    assert "repro-lookahead_0" in threads  # the third group was prepared ahead
+    # A group's preparation is charged to its first spec, timed wherever it ran.
+    assert [t.prep_seconds > 0 for t in result.trajectories] == [
+        True, True, False, True, False, False,
+    ]
+    # Each unit's one draw is split by shot share: one rate per group.
+    rate = [t.sample_seconds / t.num_shots for t in result.trajectories]
+    for first, second in ((0, 2), (1, 4), (3, 5)):
+        assert rate[second] == pytest.approx(rate[first], rel=1e-9)
+    assert all(r > 0 for r in rate)
+
+
+def test_look_ahead_prepare_seconds_overlap_the_draw(circuit, lookahead, monkeypatch):
+    """A prepare and a draw that each sleep 20 ms: in line their seconds add
+    up to at most the wall; with the look-ahead a unit's prepare runs while
+    the one before it draws, so they add up to more."""
+    prepare, sample = batched._SerialEngine.prepare, batched._SerialEngine.sample
+
+    def slow_prepare(self, choices_list):
+        time.sleep(0.02)
+        return prepare(self, choices_list)
+
+    def slow_sample(self, requests):
+        time.sleep(0.02)
+        return sample(self, requests)
+
+    monkeypatch.setattr(batched._SerialEngine, "prepare", slow_prepare)
+    monkeypatch.setattr(batched._SerialEngine, "sample", slow_sample)
+    specs = [_spec(i, 10, {i: 1} if i < 5 else None) for i in range(6)]
+    for on in (False, True):
+        lookahead(on)
+        start = time.perf_counter()
+        result = BatchedExecutor().execute(circuit, specs, seed=2)
+        wall = time.perf_counter() - start
+        assert (result.prep_seconds + result.sample_seconds > wall) is on
+
+
+def test_look_ahead_holds_at_most_one_more_preparation(lookahead):
+    """On an engaged 16-qubit run of 200 000-shot units, the traced peak
+    exceeds the in-line run's by at most what preparing one unit holds
+    (its state, the kernel's fresh output and scratch)."""
+    circuit = layered(16)
+    specs = ProbabilisticPTS(nsamples=12, nshots=200_000).sample(circuit, make_rng(7)).specs
+    assert len(deduplicate_specs(specs)) >= 4
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def drain(on):
+        lookahead(on)
+        for _ in BatchedExecutor().execute_stream(circuit, specs, seed=7, retain=False):
+            pass
+
+    backend = StatevectorBackend(16)
+    backend.run_fixed(circuit, specs[0].choices)  # compiles the plan
+    backend.release()
+    one_preparation = traced_peak(lambda: backend.run_fixed(circuit, specs[1].choices))
+    drain(False)
+    inline = traced_peak(lambda: drain(False))
+    threads = lookahead(True)
+    ahead = traced_peak(lambda: drain(True))
+    assert "repro-lookahead_0" in threads
+    assert ahead - inline <= 1.05 * one_preparation, (ahead - inline) / one_preparation

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import CancelledError
 
@@ -569,6 +570,116 @@ class TestDegradation:
     def test_fault_error_is_execution_error(self):
         assert issubclass(FaultError, ExecutionError)
         assert issubclass(WorkerCrashError, ExecutionError)
+
+
+# --------------------------------------------------------------------- #
+# The in-process look-ahead: recovered exactly as in line
+# --------------------------------------------------------------------- #
+def _serial_stream(circuit, plan=None):
+    cfg = Config(fault_plan=plan, retry=FAST_RETRY)
+    return run_ptsbe_stream(
+        circuit, _pts(), seed=SEED, strategy="serial", backend=BackendSpec.statevector(config=cfg)
+    )
+
+
+def _serial(circuit, plan=None):
+    return _serial_stream(circuit, plan).finalize()
+
+
+def _same_run(a, b):
+    assert a.recovery == b.recovery
+    assert np.array_equal(_bits(a), _bits(b))
+    assert [t.actual_weight for t in a.trajectories] == [t.actual_weight for t in b.trajectories]
+
+
+HELPER = "repro-lookahead_0"
+
+
+class TestLookAheadRecovery:
+    """Forced on, serial unit ``stack:2:3`` is prepared on the helper thread
+    while ``stack:1:2`` draws (the unit at group 0 runs alone).  Whatever
+    fails on the way, the run records the in-line run's events and draws
+    its bits."""
+
+    @pytest.mark.parametrize("kind", ["transient-backend", "worker-crash", "slow-worker"])
+    def test_fault_at_a_look_ahead_unit(self, brickwork, lookahead, kind):
+        plan = FaultPlan(rules=(FaultSpec(kind, "serial/stack:2:3"),))
+        lookahead(False)
+        inline = _serial(brickwork, plan)
+        threads = lookahead(True)
+        ahead = _serial(brickwork, plan)
+        assert HELPER in threads
+        _same_run(ahead, inline)
+        retried = [] if kind == "slow-worker" else [("retry", "serial/stack:2:3", 1)]
+        assert [(e.kind, e.unit, e.attempt) for e in inline.recovery] == retried
+
+    def test_capacity_fault_at_a_look_ahead_unit(self, brickwork, lookahead, lookahead_threads):
+        # A serial unit is one row: the ladder has nothing to halve.
+        plan = FaultPlan(rules=(FaultSpec("capacity", "serial/stack:2:3"),))
+        runs = []
+        for on in (False, True):
+            threads = lookahead(on)
+            stream = _serial_stream(brickwork, plan)
+            delivered = []
+            with pytest.raises(FaultError, match="single-row floor") as info:
+                for chunk in stream:
+                    delivered.append(chunk.shot_table().bits)
+            assert (HELPER in threads) is on
+            assert lookahead_threads() == []  # the failure joined the helper
+            runs.append((str(info.value), info.value.unit, stream.recovery, delivered))
+        (message, unit, recovery, bits), again = runs
+        assert (message, unit, recovery) == again[:3] and unit == "serial/stack:2:3"
+        assert len(bits) == len(again[3]) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(bits, again[3]))
+
+    @pytest.mark.parametrize("error", [BackendError, CapacityError])
+    def test_a_look_ahead_that_raised_is_prepared_again_in_line(
+        self, brickwork, lookahead, monkeypatch, error
+    ):
+        """The helper's ``prepare`` always raises: every unit it took is
+        dropped and prepared in line, and no event is recorded."""
+        lookahead(False)
+        inline = _serial(brickwork)
+        lookahead(True)
+        prepare, raised = _SerialEngine.prepare, []
+
+        def helper_fails(self, choices_list):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(choices_list)
+                raise error("the helper's preparation failed")
+            return prepare(self, choices_list)
+
+        monkeypatch.setattr(_SerialEngine, "prepare", helper_fails)
+        ahead = _serial(brickwork)
+        assert len(raised) == inline.unique_preparations - 2
+        assert inline.recovery == []
+        _same_run(ahead, inline)
+
+    def test_a_look_ahead_behind_a_failed_draw_is_dropped(self, brickwork, lookahead, monkeypatch):
+        """``stack:1:2`` starts ``stack:2:3``'s look-ahead, then its draw
+        fails once: the retried ``stack:1:2`` is popped next, so the
+        look-ahead is dropped and ``stack:2:3`` prepared again."""
+        sample = _SerialEngine.sample
+
+        def run(on):
+            calls = []
+
+            def second_draw_fails_once(self, requests):
+                calls.append(requests)
+                if len(calls) == 2:
+                    raise BackendError("draw hiccup")
+                return sample(self, requests)
+
+            monkeypatch.setattr(_SerialEngine, "sample", second_draw_fails_once)
+            threads = lookahead(on)
+            return _serial(brickwork), list(threads)
+
+        inline, inline_threads = run(False)
+        ahead, threads = run(True)
+        assert [(e.kind, e.unit) for e in inline.recovery] == [("retry", "serial/stack:1:2")]
+        _same_run(ahead, inline)
+        # One more preparation: the dropped look-ahead.
+        assert len(threads) == len(inline_threads) + 1 == inline.unique_preparations + 2
 
 
 # --------------------------------------------------------------------- #

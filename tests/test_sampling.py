@@ -200,10 +200,12 @@ def shift_and_mask(indices, qubits, num_qubits):
 
 
 class TestBitsFromIndices:
-    @pytest.mark.parametrize("num_qubits", range(1, 31))
+    @pytest.mark.parametrize("num_qubits", range(1, 65))
     def test_matches_shift_and_mask_at_every_width(self, num_qubits):
+        """Every word size the indices are narrowed to (1, 2, 4, 8 bytes),
+        each padded and exactly filled."""
         rng = np.random.default_rng(num_qubits)
-        indices = rng.integers(0, 2**num_qubits, size=300)
+        indices = rng.integers(0, 2**num_qubits, size=300, dtype=np.uint64)
         everything = list(range(num_qubits))
         permuted = [int(q) for q in rng.permutation(num_qubits)]
         selections = [
@@ -222,6 +224,15 @@ class TestBitsFromIndices:
             np.testing.assert_array_equal(
                 got, shift_and_mask(indices, qubits, num_qubits)
             )
+
+    @pytest.mark.parametrize("num_qubits", [7, 16, 20, 33])
+    def test_non_contiguous_unsorted_qubits(self, num_qubits):
+        """A gather across byte boundaries, in neither order nor a run."""
+        indices = np.random.default_rng(num_qubits).integers(0, 2**num_qubits, size=500)
+        qubits = [num_qubits - 2, 0, num_qubits // 2, 2, num_qubits - 1]
+        got = bits_from_indices(indices, qubits, num_qubits)
+        assert got.flags["C_CONTIGUOUS"] and got.shape == (500, 5)
+        np.testing.assert_array_equal(got, shift_and_mask(indices, qubits, num_qubits))
 
     @pytest.mark.parametrize("qubits", [[0, 1, 2, 3, 4], [4, 0], []])
     def test_empty_indices(self, qubits):
@@ -288,12 +299,14 @@ def traced_peak(fn) -> int:
 
 class TestMemory:
     def test_bit_unpack_peaks_near_its_output(self):
-        """The shift-and-mask formula peaked at ~24x its output bytes."""
+        """The shift-and-mask formula peaked at ~24x its output bytes and an
+        unpack of ``>u8`` words at ~1.5x; the 16-bit words it unpacks now
+        add 2 bytes per shot to the 16 of the output (1.125x)."""
         indices = np.random.default_rng(0).integers(0, 2**16, size=200_000)
         qubits = list(range(16))
         output_bytes = 200_000 * 16
         peak = traced_peak(lambda: bits_from_indices(indices, qubits, 16))
-        assert peak <= 4 * output_bytes, peak / output_bytes
+        assert peak <= 1.15 * output_bytes, peak / output_bytes
 
     def test_guide_table_is_int32_and_peaks_at_three_cumulative_vectors(self):
         """An int64 guide at the 26-qubit dense cap would be 1 GiB by itself."""

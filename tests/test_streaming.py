@@ -1,6 +1,7 @@
 """Streaming shot delivery: chunk equivalence, replay seeds, clean abandonment."""
 
 import multiprocessing
+import sys
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.execution import (
     run_ptsbe_stream,
 )
 from repro.execution.streaming import OrderedDelivery
-from repro.pts import ProbabilisticPTS, TrajectorySpec
+from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
 from repro.rng import make_rng
 from repro.trajectory.events import TrajectoryRecord
 
@@ -519,6 +520,97 @@ class TestRetainFalseAbandonment:
             result.shot_table().bits, materialized.shot_table().bits
         )
         _assert_no_child_processes()
+
+
+class TestLookAhead:
+    """The serial engine's look-ahead moves no bit and leaks nothing.
+
+    Forced on, every unit after the first prepares the next one on the
+    helper thread, on the other of two adapters; forced off, none does."""
+
+    @staticmethod
+    def _run(circuit, specs, mode):
+        """The shot table and weights of one serial run, read ``mode``'s way;
+        a run that needed a retry is not the run under test."""
+        retain = mode != "retain=False"
+        stream = BatchedExecutor().execute_stream(circuit, specs, seed=13, retain=retain)
+        if mode == "materialised":
+            trajectories = stream.finalize().trajectories
+        else:
+            trajectories = [t for chunk in stream for t in chunk.trajectories]
+        assert stream.recovery == []
+        table = ShotChunk(tuple(trajectories), stream.measured_qubits).shot_table()
+        return table, [t.actual_weight for t in trajectories]
+
+    @pytest.mark.parametrize("mode", ["materialised", "chunk-by-chunk", "retain=False"])
+    @pytest.mark.parametrize("workload", ["unitary-mixture", "relaxation-dead-row"])
+    def test_same_table_with_and_without(
+        self, brickwork, relaxation_dead_row, lookahead, workload, mode
+    ):
+        if workload == "unitary-mixture":
+            circuit, specs = brickwork, _pts_specs(brickwork, 11, nsamples=120, nshots=90)
+        else:
+            circuit, specs = relaxation_dead_row
+        lookahead(False)
+        inline, inline_weights = self._run(circuit, specs, mode)
+        threads = lookahead(True)
+        ahead, ahead_weights = self._run(circuit, specs, mode)
+        # Every unit past the first two was prepared ahead.
+        assert threads.count("repro-lookahead_0") == len(deduplicate_specs(specs)) - 2
+        np.testing.assert_array_equal(ahead.bits, inline.bits)
+        np.testing.assert_array_equal(ahead.trajectory_ids, inline.trajectory_ids)
+        assert ahead_weights == inline_weights
+        assert (0.0 in inline_weights) is (workload == "relaxation-dead-row")
+
+    def test_same_table_under_rapid_thread_switching(self, brickwork, lookahead):
+        """The two threads share no adapter at a time: switching every
+        microsecond moves no bit."""
+        specs = _pts_specs(brickwork, 12, nsamples=120, nshots=2_000)
+        lookahead(False)
+        inline, _ = self._run(brickwork, specs, "materialised")
+        threads = lookahead(True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            ahead, _ = self._run(brickwork, specs, "materialised")
+            assert time.perf_counter() - start < 30
+        finally:
+            sys.setswitchinterval(interval)
+        assert threads.count("repro-lookahead_0") == len(deduplicate_specs(specs)) - 2
+        np.testing.assert_array_equal(ahead.bits, inline.bits)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_close_mid_stream_joins_the_helper_and_releases_both_adapters(
+        self, brickwork, lookahead, lookahead_threads, monkeypatch, chunks
+    ):
+        from repro.execution import batched
+
+        built = []
+        original = batched._SerialEngine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(batched._SerialEngine, "__init__", recording_init)
+        lookahead(True)
+        stream = BatchedExecutor().execute_stream(brickwork, _pts_specs(brickwork, 4), seed=1)
+        for _ in range(chunks):
+            next(stream)
+        # The unit at group 0 runs alone: the helper and its adapter come
+        # with the second unit, which prepares the third ahead.
+        assert len(built) == len(lookahead_threads()) + 1 == min(chunks, 2)
+        stream.close()
+        assert lookahead_threads() == []
+        assert all(engine.backend.stack.batch_size == 0 for engine in built)
+
+    def test_exhaustion_joins_the_helper(self, brickwork, lookahead, lookahead_threads):
+        threads = lookahead(True)
+        specs = _pts_specs(brickwork, 4)
+        result = BatchedExecutor().execute(brickwork, specs, seed=1)
+        assert "repro-lookahead_0" in threads and result.num_trajectories == len(specs)
+        assert lookahead_threads() == []
 
 
 class TestStreamingPrimitives:
