@@ -161,6 +161,11 @@ class StatevectorBackend(PureStateBackend):
         """|amplitude|**2 over all basis states (cached until mutation)."""
         return self.stack.probabilities(0)
 
+    def cumulative(self) -> np.ndarray:
+        """The cumulative distribution :meth:`sample` draws from, built once
+        per prepared state (the measurement tail runs here)."""
+        return self.stack._cumulative()
+
     def sample_indices(self, num_shots: int, rng: np.random.Generator) -> np.ndarray:
         """Vectorized bulk sampling of basis-state indices: all
         ``num_shots`` uniforms from ``rng`` in one draw, one inverse-CDF

@@ -238,7 +238,12 @@ class _SerialEngine:
 
     def prepare(self, choices_list):
         try:
-            return [self.backend.run_fixed(self.circuit, choices_list[0])]
+            weight = self.backend.run_fixed(self.circuit, choices_list[0])
+            if self.dense_spec:
+                # The draw table (and the measurement tail in it), built
+                # here so a look-ahead helper pays for it, not the draw.
+                self.backend.cumulative()
+            return [weight]
         except ZeroProbabilityTrajectory:
             # The prescribed combination is impossible for the actual
             # state (nominal probabilities are only priors for general

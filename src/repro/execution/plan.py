@@ -36,6 +36,16 @@ Two step kinds:
   trajectory's noise windows telescopes to exactly the same total weight
   the per-site serial loop accumulates.
 
+A step is *classical* when every gate in its window and every branch
+unitary of every site is monomial (one nonzero per row and per column: X,
+CX, CCX, SWAP, Z, S, T, RZ, CZ, Pauli and depolarizing branches — not H,
+RY, SX, nor any general-Kraus site).  Such a window only permutes basis
+states and attaches unit-modulus phases, which a computational-basis
+measurement cannot see: on ``|psi|**2`` it is the index map
+:meth:`NoiseStep.permutation`.  :attr:`FusedPlan.tail` is where the plan's
+maximal suffix of classical steps starts — the *measurement tail*, which
+the dense engine samples through instead of simulating.
+
 Every dense strategy walks the plan in one place,
 ``BatchedStatevectorBackend``'s stacked preparation (the serial
 ``StatevectorBackend`` is its one-row view) — obtained from the
@@ -82,6 +92,22 @@ __all__ = [
 ]
 
 
+def _monomial(matrices) -> bool:
+    """Every matrix of a ``(..., d, d)`` stack has exactly one nonzero per
+    row and per column."""
+    nonzero = np.asarray(matrices) != 0
+    return bool((nonzero.sum(axis=-2) == 1).all() and (nonzero.sum(axis=-1) == 1).all())
+
+
+def _index_map(
+    matrix: np.ndarray, qubits: Sequence[int], support: Tuple[int, ...]
+) -> np.ndarray:
+    """Column of each row's nonzero once a monomial ``matrix`` on ``qubits``
+    is embedded onto ``support``: ``|M psi|**2 [i] = |psi|**2 [map[i]]``."""
+    pattern = (np.asarray(matrix) != 0).astype(np.float64)
+    return np.argmax(expand_to_support(pattern, qubits, support) != 0, axis=1)
+
+
 def fusion_cap(num_qubits: int) -> int:
     """Largest qubit support of one fused window in a circuit of
     ``num_qubits``: 3 below 12 qubits, 4 from 12.
@@ -96,13 +122,29 @@ def fusion_cap(num_qubits: int) -> int:
 
 
 class GateStep:
-    """A purely coherent fused window: one compiled operator, no renorm."""
+    """A purely coherent fused window: one compiled operator, no renorm.
 
-    __slots__ = ("op", "num_ops")
+    It answers the :class:`NoiseStep` variant interface with the one key
+    ``()``, so the dense walk treats both step kinds alike."""
+
+    __slots__ = ("op", "num_ops", "support", "classical", "_map")
 
     def __init__(self, op: CompiledOperator, num_ops: int):
         self.op = op
         self.num_ops = num_ops  # source operations fused into this step
+        self.support = tuple(sorted(op.targets))
+        self.classical = _monomial(op.matrix)
+        self._map = _index_map(op.matrix, op.targets, self.support) if self.classical else None
+
+    def key_for(self, choices: Optional[Mapping[int, int]]) -> Tuple[int, ...]:
+        return ()
+
+    def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
+        return self.op
+
+    def permutation(self, key: Tuple[int, ...]) -> np.ndarray:
+        """The index map of a classical step on :attr:`support`."""
+        return self._map
 
     def __repr__(self) -> str:
         return f"GateStep(targets={self.op.targets}, ops={self.num_ops}, tier={self.op.tier!r})"
@@ -125,6 +167,9 @@ class NoiseStep:
     skip the renormalization — and :meth:`probability` is the window's
     state-independent branch probability.  A window with any general-Kraus
     site compiles the ``K_i`` themselves and is a renormalization point.
+    ``classical`` is true on a unitary window whose gates and branch
+    unitaries are all monomial; its :meth:`permutation` is then the
+    variant's index map on ``support`` (the ascending ``targets``).
     """
 
     __slots__ = (
@@ -134,9 +179,12 @@ class NoiseStep:
         "targets",
         "num_ops",
         "unitary",
+        "support",
+        "_classical",
         "_items",
         "_operators",
         "_embedded",
+        "_maps",
         "_step_index",
         "_dtype",
         "_cache",
@@ -175,12 +223,28 @@ class NoiseStep:
             mix.unitaries if self.unitary else ch.kraus_ops
             for mix, ch in zip(mixtures, channels)
         )
+        self.support = tuple(sorted(targets))
+        self._classical: Optional[bool] = None
         # (item position, kraus index or None for a gate) -> the factor
-        # embedded onto ``targets``, built on first use.
+        # embedded onto ``targets`` (its index map onto ``support`` in
+        # ``_maps``), built on first use.
         self._embedded: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
+        self._maps: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         self._step_index = step_index
         self._dtype = dtype
         self._cache = cache
+
+    @property
+    def classical(self) -> bool:
+        """Unitary, with monomial gates and branch unitaries (decided on
+        first use: a plan asks only its suffix)."""
+        if self._classical is None:
+            # Each distinct gate matrix and channel once (sites of one
+            # channel share its tuple of unitaries).
+            parts = {id(m): m for kind, m, _ in self._items if kind == "gate"}
+            parts.update((id(unitaries), unitaries) for unitaries in self._operators)
+            self._classical = self.unitary and all(map(_monomial, parts.values()))
+        return self._classical
 
     def key_for(self, choices: Optional[Mapping[int, int]]) -> Tuple[int, ...]:
         """Variant key for one trajectory's Kraus choices (validated)."""
@@ -229,6 +293,21 @@ class NoiseStep:
         )
         return compile_operator(fused, self.targets, self._dtype)
 
+    def permutation(self, key: Tuple[int, ...]) -> np.ndarray:
+        """Index map of a classical window's variant ``key`` on ``support``:
+        ``|U psi|**2 [i] = |psi|**2 [map[i]]``.  Composed from the items'
+        own maps (``2**k`` integers each), with no complex product."""
+        composed = np.arange(2 ** len(self.support))
+        for pos, (kind, payload, qubits) in enumerate(self._items):
+            idx = key[payload] if kind == "noise" else None
+            part = self._maps.get((pos, idx))
+            if part is None:
+                matrix = payload if idx is None else self._operators[payload][idx]
+                part = self._maps[(pos, idx)] = _index_map(matrix, qubits, self.support)
+            # The first item acts first: (B A) maps i to map_A[map_B[i]].
+            composed = composed[part]
+        return composed
+
     def _factor(self, pos: int, key: Tuple[int, ...]) -> np.ndarray:
         """Item ``pos`` of the window under ``key``, embedded onto ``targets``."""
         kind, payload, qubits = self._items[pos]
@@ -251,7 +330,11 @@ PlanStep = Union[GateStep, NoiseStep]
 
 
 class FusedPlan:
-    """The compiled form of one frozen circuit at one state dtype."""
+    """The compiled form of one frozen circuit at one state dtype.
+
+    ``tail`` is the index of the first step of the plan's maximal suffix of
+    classical steps (``num_steps`` when the last step is not classical).
+    """
 
     def __init__(
         self,
@@ -262,6 +345,9 @@ class FusedPlan:
         variant_cache: KernelVariantCache,
     ):
         self.steps = steps
+        self.tail = len(steps)
+        while self.tail and steps[self.tail - 1].classical:
+            self.tail -= 1
         self.num_qubits = num_qubits
         self.num_source_ops = num_source_ops
         self.max_qubits = max_qubits
@@ -278,7 +364,8 @@ class FusedPlan:
     def __repr__(self) -> str:
         return (
             f"FusedPlan(steps={self.num_steps} [{self.num_noise_steps} noise] "
-            f"from {self.num_source_ops} ops, max_qubits={self.max_qubits})"
+            f"from {self.num_source_ops} ops, max_qubits={self.max_qubits}, "
+            f"tail={self.tail})"
         )
 
 

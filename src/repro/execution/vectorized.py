@@ -162,6 +162,9 @@ class _StackEngine:
 
     def prepare(self, choices_list):
         weights, alive = self.backend.run_fixed_stack(self.circuit, choices_list)
+        cumulative = getattr(self.backend, "cumulative_stack", None)
+        if cumulative is not None:
+            cumulative()  # the draw table: the measurement tail runs here
         return weights * alive  # host (B,) vectors; a dead row reads 0.0
 
     def sample(self, requests):

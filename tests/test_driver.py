@@ -778,7 +778,7 @@ def test_look_ahead_prepare_seconds_overlap_the_draw(circuit, lookahead, monkeyp
 def test_look_ahead_holds_at_most_one_more_preparation(lookahead):
     """On an engaged 16-qubit run of 200 000-shot units, the traced peak
     exceeds the in-line run's by at most what preparing one unit holds
-    (its state, the kernel's fresh output and scratch)."""
+    (its state, the kernel's fresh output and scratch, its draw table)."""
     circuit = layered(16)
     specs = ProbabilisticPTS(nsamples=12, nshots=200_000).sample(circuit, make_rng(7)).specs
     assert len(deduplicate_specs(specs)) >= 4
@@ -800,7 +800,12 @@ def test_look_ahead_holds_at_most_one_more_preparation(lookahead):
     backend = StatevectorBackend(16)
     backend.run_fixed(circuit, specs[0].choices)  # compiles the plan
     backend.release()
-    one_preparation = traced_peak(lambda: backend.run_fixed(circuit, specs[1].choices))
+
+    def prepare_one():
+        backend.run_fixed(circuit, specs[1].choices)
+        backend.cumulative()
+
+    one_preparation = traced_peak(prepare_one)
     drain(False)
     inline = traced_peak(lambda: drain(False))
     threads = lookahead(True)

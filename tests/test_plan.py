@@ -1,5 +1,6 @@
 """Fused-plan noise windows: unitary-mixture classification, exact
-branch probabilities, pre-embedded variant products."""
+branch probabilities, pre-embedded variant products, and the measurement
+tail (classical steps and their index maps)."""
 
 import itertools
 
@@ -13,14 +14,18 @@ from repro.backends.density_matrix import DensityMatrixBackend
 from repro.backends.statevector import StatevectorBackend
 from repro.channels.standard import (
     amplitude_damping,
+    bit_flip,
+    pauli_channel,
     two_qubit_depolarizing,
 )
 from repro.channels.unitary_mixture import as_unitary_mixture
+from repro.circuits.gates import CCX
+from repro.circuits.library import ghz, surface_syndrome
 from repro.circuits.moments import schedule_fusion_windows
 from repro.circuits.operations import NoiseOp
 from repro.config import Config
 from repro.execution.plan import NoiseStep, build_fused_plan
-from repro.linalg.fusion import fuse_window_matrix, window_support
+from repro.linalg.fusion import expand_to_support, fuse_window_matrix, window_support
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng
 
@@ -257,3 +262,130 @@ class TestMixedWindow:
             assert sv.renorm_seconds > 0.0
             assert weight == pytest.approx(exact, abs=1e-12)
             assert abs(weight - priors[idx]) > 0.1
+
+
+def _one_step(build):
+    """The single fused step of a 3-qubit circuit built by ``build``."""
+    circ = Circuit(3)
+    build(circ)
+    (step,) = build_fused_plan(circ.measure_all().freeze()).steps
+    return step
+
+
+def _h_or_identity():
+    """A unitary mixture with an H branch: scaled unitaries, not monomial."""
+    from repro.channels.kraus import KrausChannel
+    from repro.circuits.gates import H
+
+    return KrausChannel("h_mix", [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * H.matrix])
+
+
+def _noisy(circuit):
+    model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05))
+    return model.apply(circuit).freeze()
+
+
+def _noisy3(build):
+    """A 3-qubit circuit built by ``build``, depolarizing after every CX."""
+    circ = Circuit(3)
+    build(circ)
+    return _noisy(circ.measure_all())
+
+
+class TestMeasurementTail:
+    """Which steps are classical, where the tail starts, and each classical
+    variant's index map against the compiled complex operator."""
+
+    CLASSICAL = {
+        "x": lambda c: c.x(0),
+        "cx": lambda c: c.cx(0, 1),
+        "cx reversed": lambda c: c.cx(2, 0),
+        "ccx": lambda c: c.gate(CCX, 0, 1, 2),
+        "swap": lambda c: c.swap(0, 2),
+        "z": lambda c: c.z(1),
+        "s": lambda c: c.s(1),
+        "t": lambda c: c.t(1),
+        "rz": lambda c: c.rz(0.3, 1),
+        "cz": lambda c: c.cz(0, 1),
+        "bit flip": lambda c: c.attach(bit_flip(0.1), 0),
+        "pauli": lambda c: c.attach(pauli_channel(0.1, 0.05, 0.02), 1),
+        "depolarizing": lambda c: c.attach(depolarizing(0.1), 2),
+        "two-qubit depolarizing": lambda c: c.attach(two_qubit_depolarizing(0.1), 2, 0),
+        "t + cx + depolarizing": lambda c: c.t(0).cx(0, 1).attach(
+            two_qubit_depolarizing(0.1), 0, 1
+        ),
+    }
+    NOT_CLASSICAL = {
+        "h": lambda c: c.h(0),
+        "ry": lambda c: c.ry(0.3, 0),
+        "sx": lambda c: c.sx(0),
+        "amplitude damping": lambda c: c.attach(amplitude_damping(0.1), 0),
+        "unitary mixture with an H branch": lambda c: c.attach(_h_or_identity(), 0),
+        "cx + h in one window": lambda c: c.cx(0, 1).h(1),
+        "depolarizing + amplitude damping": lambda c: c.attach(depolarizing(0.1), 0).attach(
+            amplitude_damping(0.1), 0
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLASSICAL))
+    def test_monomial_windows_are_classical(self, name):
+        assert _one_step(self.CLASSICAL[name]).classical
+
+    @pytest.mark.parametrize("name", sorted(NOT_CLASSICAL))
+    def test_other_windows_are_not(self, name):
+        assert not _one_step(self.NOT_CLASSICAL[name]).classical
+
+    def test_h_mixture_is_a_unitary_mixture_all_the_same(self):
+        step = _one_step(self.NOT_CLASSICAL["unitary mixture with an H branch"])
+        assert step.unitary and not step.classical
+
+    @pytest.mark.parametrize(
+        "circuit, tail, steps",
+        [
+            (lambda: _brickwork(12), 6, 14),
+            (lambda: _brickwork(16), 8, 19),
+            (lambda: _noisy(ghz(10, measure=True)), 4, 5),
+            (lambda: _noisy(surface_syndrome(17, measure=True)), 4, 10),
+        ],
+        ids=["brickwork12", "brickwork16", "ghz10", "surface_syndrome17"],
+    )
+    def test_tail_counts(self, circuit, tail, steps):
+        plan = build_fused_plan(circuit())
+        assert (plan.num_steps - plan.tail, plan.num_steps) == (tail, steps)
+        assert all(step.classical for step in plan.steps[plan.tail :])
+        assert not plan.steps[plan.tail - 1].classical
+
+    def test_no_classical_suffix_is_an_empty_tail(self):
+        plan = build_fused_plan(Circuit(2).cx(0, 1).h(1).measure_all().freeze())
+        assert plan.tail == plan.num_steps
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            lambda: _brickwork(12),
+            lambda: _noisy(surface_syndrome(17, measure=True)),
+            lambda: _noisy3(lambda c: c.attach(two_qubit_depolarizing(0.1), 2, 0)),
+            lambda: _noisy3(lambda c: c.gate(CCX, 2, 0, 1)),
+        ],
+        ids=["brickwork12", "surface_syndrome17", "site-on-2-0", "ccx-on-2-0-1"],
+    )
+    def test_index_map_is_the_variant_pattern(self, circuit):
+        """For dominant and random keys, every tail step's map is the
+        nonzero column of each row of the compiled variant, once that
+        variant is read on the ascending support."""
+        plan = build_fused_plan(circuit())
+        assert plan.tail < plan.num_steps
+        rng = np.random.default_rng(3)
+        for step in plan.steps[plan.tail :]:
+            channels = getattr(step, "channels", ())
+            keys = [step.key_for(None)] + [
+                tuple(int(rng.integers(len(ch))) for ch in channels) for _ in range(4)
+            ]
+            for key in keys:
+                op = step.variant(key)
+                matrix = expand_to_support(op.matrix, op.targets, step.support)
+                assert (np.count_nonzero(matrix, axis=1) == 1).all()
+                np.testing.assert_array_equal(
+                    step.permutation(key), np.argmax(matrix != 0, axis=1)
+                )
+                np.testing.assert_allclose(np.abs(matrix[matrix != 0]), 1.0, atol=1e-15)

@@ -1,17 +1,26 @@
-"""Dense statevector backend: gate application, sampling, collapse."""
+"""Dense statevector backend: gate application, sampling, collapse, and
+the measurement tail the dense walk samples through."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import NoiseModel
+from repro.backends.batched_statevector import BatchedStatevectorBackend
+from repro.backends.density_matrix import DensityMatrixBackend
 from repro.backends.statevector import StatevectorBackend, bits_from_indices
 from repro.channels.pauli import PauliString
-from repro.channels.standard import amplitude_damping, depolarizing
+from repro.channels.standard import amplitude_damping, bit_flip, depolarizing
 from repro.circuits import Circuit
+from repro.circuits.operations import NoiseOp
 from repro.circuits.gates import CX, H, T, X
 from repro.config import Config
 from repro.errors import BackendError, CapacityError, ZeroProbabilityTrajectory
+from repro.execution.plan import get_fused_plan
 from repro.linalg import random_unitary
 from repro.rng import make_rng
 
@@ -383,3 +392,220 @@ class TestRunFixed:
         sv.apply_gate(H, [0])
         assert sv.statevector.dtype == np.complex64
         assert sv.norm_squared() == pytest.approx(1.0, abs=1e-6)
+
+
+def _tail_circuit(num_qubits=5, phases=True, noise=None):
+    """Four H/T/CX brickwork layers (no T when not ``phases``) with ``noise``
+    on both qubits of every CX of the first and the last layer: the last
+    layer's T and CX windows are the plan's measurement tail."""
+    noise = noise or depolarizing(0.1)
+    circ = Circuit(num_qubits)
+    for layer in range(4):
+        for q in range(num_qubits):
+            if layer % 2 == 0:
+                circ.h(q)
+            elif phases:
+                circ.t(q)
+        for q in range(layer % 2, num_qubits - 1, 2):
+            circ.cx(q, q + 1)
+            if layer in (0, 3):
+                circ.attach(noise, q).attach(noise, q + 1)
+    return circ.measure_all().freeze()
+
+
+def _tail_sites(circuit):
+    """The noise sites of the plan's measurement tail."""
+    plan = get_fused_plan(circuit)
+    assert plan.tail < plan.num_steps
+    return [site for step in plan.steps[plan.tail :] for site in getattr(step, "site_ids", ())]
+
+
+@pytest.fixture
+def tail_off(monkeypatch):
+    """``tail_off(circuit)``: the circuit's plan walks every step on the
+    amplitudes (the walk before the measurement tail), for this test."""
+
+    def force(circuit):
+        plan = get_fused_plan(circuit)
+        monkeypatch.setattr(plan, "tail", plan.num_steps)
+
+    return force
+
+
+class TestMeasurementTail:
+    """The lazy tail: every amplitude read is the full walk's state, bit
+    for bit, and sampling sees the same distribution."""
+
+    def _choices(self, circuit):
+        tail = _tail_sites(circuit)
+        # An X error inside the tail, a Y and a Z, and a dominant row.
+        return [{}, {tail[0]: 1}, {tail[-1]: 2, 0: 1}, {tail[1]: 3}, {}]
+
+    def _walked(self, circuit, choices_list, tail_off):
+        reference = BatchedStatevectorBackend(circuit.num_qubits)
+        tail_off(circuit)
+        weights, _ = reference.run_fixed_stack(circuit, choices_list)
+        assert reference._tail == []
+        return reference, weights
+
+    def test_statevector_after_a_lazy_stack_is_the_full_walk(self, tail_off):
+        circuit = _tail_circuit()
+        choices_list = self._choices(circuit)
+        lazy = BatchedStatevectorBackend(5)
+        weights, _ = lazy.run_fixed_stack(circuit, choices_list)
+        assert len(lazy._tail) == get_fused_plan(circuit).num_steps - get_fused_plan(circuit).tail
+        reference, want = self._walked(circuit, choices_list, tail_off)
+        np.testing.assert_array_equal(weights, want)
+        for row in range(len(choices_list)):
+            np.testing.assert_array_equal(lazy.statevector(row), reference.statevector(row))
+        np.testing.assert_array_equal(lazy.norms_squared(), reference.norms_squared())
+
+    def test_lazy_probabilities_match_the_materialized_ones(self):
+        circuit = _tail_circuit()
+        choices_list = self._choices(circuit)
+        lazy = BatchedStatevectorBackend(5)
+        lazy.run_fixed_stack(circuit, choices_list)
+        walked = BatchedStatevectorBackend(5)
+        walked.run_fixed_stack(circuit, choices_list)
+        walked.statevector(0)  # materializes the tail before any table
+        for row in range(len(choices_list)):
+            np.testing.assert_allclose(
+                lazy.probabilities(row), walked.probabilities(row), rtol=0, atol=1e-15
+            )
+        np.testing.assert_allclose(
+            lazy.cumulative_stack(), walked.cumulative_stack(), rtol=0, atol=1e-15
+        )
+
+    def test_gapped_tail_windows(self, tail_off):
+        """CX fans onto non-adjacent qubits: tail windows with gaps."""
+        circ = Circuit(6)
+        for q in range(3):
+            circ.h(q)
+        circ.cx(0, 1).cx(1, 2).cx(0, 3).cx(2, 5).s(5).cx(1, 4).swap(0, 5).cx(3, 5)
+        model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05))
+        circuit = model.apply(circ.measure_all()).freeze()
+        plan = get_fused_plan(circuit)
+        supports = [step.support for step in plan.steps[plan.tail :]]
+        assert supports == [(0, 3), (2, 5), (1, 4), (0, 3, 5)]
+        tail = _tail_sites(circuit)
+        choices_list = [{}, {tail[0]: 1}, {tail[2]: 2, tail[-1]: 1}, {tail[-2]: 3}]
+        lazy = BatchedStatevectorBackend(6)
+        lazy.run_fixed_stack(circuit, choices_list)
+        cum = lazy.cumulative_stack()
+        tail_off(circuit)
+        walked = BatchedStatevectorBackend(6)
+        walked.run_fixed_stack(circuit, choices_list)
+        np.testing.assert_allclose(cum, walked.cumulative_stack(), rtol=0, atol=1e-15)
+        for row in range(len(choices_list)):
+            np.testing.assert_array_equal(lazy.statevector(row), walked.statevector(row))
+
+    def test_lazy_probabilities_are_exact_without_a_phase(self):
+        """A pure CX + bit-flip tail permutes the squares, bit for bit."""
+        circuit = _tail_circuit(phases=False, noise=bit_flip(0.1))
+        tail = _tail_sites(circuit)
+        choices_list = [{}, {tail[0]: 1}, {tail[-1]: 1}]
+        lazy = BatchedStatevectorBackend(5)
+        lazy.run_fixed_stack(circuit, choices_list)
+        walked = BatchedStatevectorBackend(5)
+        walked.run_fixed_stack(circuit, choices_list)
+        walked.statevector(0)
+        np.testing.assert_array_equal(lazy.cumulative_stack(), walked.cumulative_stack())
+        for row in range(len(choices_list)):
+            np.testing.assert_array_equal(lazy.probabilities(row), walked.probabilities(row))
+
+    def test_single_state_reads_after_a_lazy_run_fixed(self, tail_off):
+        circuit = _tail_circuit()
+        choices = {_tail_sites(circuit)[0]: 1}
+        lazy = StatevectorBackend(5)
+        weight = lazy.run_fixed(circuit, choices)
+        probs = lazy.probabilities()  # lazy: read before any amplitude
+        marginal = lazy.measure_probability_one(4)
+        tail_off(circuit)
+        walked = StatevectorBackend(5)
+        assert walked.run_fixed(circuit, choices) == weight
+        np.testing.assert_allclose(probs, walked.probabilities(), rtol=0, atol=1e-15)
+        assert marginal == pytest.approx(walked.measure_probability_one(4), abs=1e-15)
+        pauli = PauliString.from_label("XZIYZ")
+        assert lazy.expectation_pauli(pauli) == walked.expectation_pauli(pauli)
+        np.testing.assert_array_equal(lazy.copy().statevector, walked.statevector)
+        assert lazy.collapse(2, 1) == walked.collapse(2, 1)
+        np.testing.assert_array_equal(lazy.statevector, walked.statevector)
+
+    def test_collapse_after_a_lazy_run_fixed_is_the_projection(self):
+        circuit = _tail_circuit()
+        lazy = StatevectorBackend(5)
+        lazy.run_fixed(circuit, {_tail_sites(circuit)[1]: 1})
+        before = np.array(lazy.statevector)
+        prob = lazy.collapse(3, 0)
+        psi = before.reshape((2,) * 5).copy()
+        psi[:, :, :, 1] = 0
+        assert prob == pytest.approx(np.sum(np.abs(psi) ** 2), abs=1e-14)
+        np.testing.assert_allclose(
+            lazy.statevector, psi.reshape(-1) / np.sqrt(prob), rtol=0, atol=1e-14
+        )
+
+    def test_every_trajectory_pooled_is_the_density_matrix(self):
+        """Every Kraus combination of a 4-qubit circuit with noise in and
+        before its tail, weighed and pooled from the lazy tables: the exact
+        channel output (a permutation that skipped some rows would not)."""
+        circuit = _tail_circuit(4)
+        plan = get_fused_plan(circuit)
+        sites = [op.site_id for op in circuit if isinstance(op, NoiseOp)]
+        assert 0 < len(_tail_sites(circuit)) < len(sites) == 6
+        choices_list = [
+            dict(zip(sites, combo)) for combo in itertools.product(range(4), repeat=len(sites))
+        ]
+        stack = BatchedStatevectorBackend(4)
+        weights, alive = stack.run_fixed_stack(circuit, choices_list)
+        assert alive.all() and len(stack._tail) == plan.num_steps - plan.tail
+        cum = stack.cumulative_stack()
+        from_tables = weights @ np.diff(cum, axis=1, prepend=0.0)
+        from_rows = sum(w * stack.probabilities(row) for row, w in enumerate(weights))
+        exact = DensityMatrixBackend(4).run(circuit).probabilities()
+        for pooled in (from_tables, from_rows):
+            assert 0.5 * np.abs(pooled - exact).sum() < 1e-12
+
+
+class TestTailMemory:
+    def test_a_16_qubit_unit_peaks_no_higher_with_the_tail(self, tail_off):
+        """One serial unit, prepared (with its draw table) and drawn: the
+        tail never allocates more than the walk it replaces, and the plan
+        holds no 2**n-sized array for any tail variant."""
+        circuit = _tail_circuit(16)
+        sites = _tail_sites(circuit)
+        choices = {sites[0]: 1, sites[5]: 2, sites[-1]: 3}
+        sv = StatevectorBackend(16)
+        sv.run_fixed(circuit, choices)  # compiles the plan
+        sv.release()
+
+        def unit_peak():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sv.run_fixed(circuit, choices)
+                sv.cumulative()
+                sv.sample(1000, list(range(16)), make_rng(1))
+                sv.release()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        with_tail = unit_peak()
+        plan = get_fused_plan(circuit)
+        maps = [
+            (step, part)
+            for step in plan.steps[plan.tail :]
+            for part in getattr(step, "_maps", {}).values()
+        ]
+        assert maps and all(part.size == 2 ** len(step.support) for step, part in maps)
+        held = [part for _, part in maps] + [
+            array
+            for step in plan.steps
+            for array in list(getattr(step, "_embedded", {}).values())
+            + [getattr(step, "_map", None)]
+            if array is not None
+        ]
+        held += [op.matrix for op in plan.variant_cache._store.values()]
+        assert max(array.size for array in held) <= 2 ** (2 * plan.max_qubits) < 2**16
+        tail_off(circuit)
+        assert with_tail <= unit_peak()

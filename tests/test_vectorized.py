@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from repro.backends.batched_statevector import BatchedStatevectorBackend
+from repro import NoiseModel
 from repro.backends.statevector import StatevectorBackend
-from repro.channels.standard import amplitude_damping
+from repro.channels.standard import amplitude_damping, bit_flip, depolarizing
 from repro.circuits import Circuit
+from repro.circuits.library import ghz
 from repro.config import Config
 from repro.errors import BackendError, CapacityError, ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
     ParallelExecutor,
+    ShardedExecutor,
     VectorizedExecutor,
+    get_fused_plan,
     run_ptsbe,
 )
 from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
@@ -363,3 +367,67 @@ class TestGuards:
         batch = factory.rngs_for([0, 3])
         assert batch[0].random(4).tolist() == factory.rng_for(0).random(4).tolist()
         assert batch[1].random(4).tolist() == factory.rng_for(3).random(4).tolist()
+
+
+def _tail_engaging(kind):
+    """Circuits whose plans end in a measurement tail: brickwork (T + CX +
+    depolarizing windows, two singleton T steps), noisy GHZ (a CX ladder),
+    and CX fans onto gapped qubits (gapped tail windows)."""
+    model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05))
+    if kind == "ghz":
+        return model.apply(ghz(6, measure=True)).freeze()
+    circ = Circuit(6)
+    if kind == "brickwork":
+        for layer in range(4):
+            for q in range(6):
+                circ.h(q) if layer % 2 == 0 else circ.t(q)
+            for q in range(layer % 2, 5, 2):
+                circ.cx(q, q + 1)
+    else:
+        for q in range(3):
+            circ.h(q)
+        circ.cx(0, 1).cx(1, 2)
+        circ.cx(0, 3).cx(2, 5).s(5).cx(1, 4).swap(0, 5).cx(3, 5)
+    return model.apply(circ.measure_all()).freeze()
+
+
+class TestMeasurementTailStrategies:
+    """Every strategy samples through the one tail path: serial, vectorized
+    and sharded shot tables are bitwise equal on tail-engaging circuits,
+    and a pure-permutation tail draws what the full walk draws."""
+
+    @pytest.mark.parametrize("kind", ["brickwork", "ghz", "gapped"])
+    def test_serial_vectorized_sharded_bitwise(self, kind):
+        circuit = _tail_engaging(kind)
+        plan = get_fused_plan(circuit)
+        assert plan.tail < plan.num_steps
+        tail = [
+            site for step in plan.steps[plan.tail :] for site in getattr(step, "site_ids", ())
+        ]
+        specs = _pts_specs(circuit, 9, nsamples=200, nshots=300)
+        # A trajectory whose only error is an X inside the tail.
+        specs.append(_spec(len(specs), 500, [_event(tail[0], 1)]))
+        runs = [
+            BatchedExecutor().execute(circuit, specs, seed=3),
+            VectorizedExecutor(max_batch=7).execute(circuit, specs, seed=3),
+            ShardedExecutor().execute(circuit, specs, seed=3),
+        ]
+        first = runs[0].shot_table()
+        for run in runs[1:]:
+            table = run.shot_table()
+            np.testing.assert_array_equal(table.bits, first.bits)
+            np.testing.assert_array_equal(table.trajectory_ids, first.trajectory_ids)
+            assert [t.actual_weight for t in run.trajectories] == [
+                t.actual_weight for t in runs[0].trajectories
+            ]
+
+    def test_a_permutation_tail_draws_what_the_full_walk_draws(self, monkeypatch):
+        model = NoiseModel().add_all_qubit_gate_noise("cx", bit_flip(0.1))
+        circuit = model.apply(ghz(6, measure=True)).freeze()
+        specs = _pts_specs(circuit, 4, nsamples=300, nshots=200)
+        lazy = VectorizedExecutor().execute(circuit, specs, seed=8).shot_table().bits
+        plan = get_fused_plan(circuit)
+        assert plan.tail < plan.num_steps
+        monkeypatch.setattr(plan, "tail", plan.num_steps)
+        walked = VectorizedExecutor().execute(circuit, specs, seed=8).shot_table().bits
+        np.testing.assert_array_equal(lazy, walked)
