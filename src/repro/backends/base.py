@@ -33,7 +33,11 @@ from repro.circuits.gates import Gate
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError, ExecutionError, ZeroProbabilityTrajectory
 
-__all__ = ["PureStateBackend", "validate_deferred_measurement"]
+__all__ = ["DEAD_NORM", "PureStateBackend", "validate_deferred_measurement"]
+
+#: Squared norm at or below which a prepared state is annihilated: a dead
+#: trajectory row, on every backend.
+DEAD_NORM = 1e-300
 
 
 def validate_deferred_measurement(circuit: Circuit) -> None:
@@ -110,7 +114,7 @@ class PureStateBackend(abc.ABC):
             )
         self.apply_matrix(channel.kraus_ops[kraus_index], qubits)
         norm2 = self.norm_squared()
-        if norm2 <= 1e-300:
+        if norm2 <= DEAD_NORM:
             raise ZeroProbabilityTrajectory(
                 f"Kraus branch {kraus_index} of {channel.name!r} annihilates the state"
             )

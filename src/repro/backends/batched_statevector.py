@@ -67,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.base import validate_deferred_measurement
+from repro.backends.base import DEAD_NORM, validate_deferred_measurement
 from repro.backends.mps_sampler import check_inside
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
@@ -77,10 +77,6 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError, ExecutionError
 
 __all__ = ["BatchedStatevectorBackend"]
-
-#: Squared-norm threshold below which a trajectory row is considered
-#: annihilated (same threshold as PureStateBackend.apply_channel_choice).
-_DEAD_NORM = 1e-300
 
 
 def _apply_grouped(
@@ -434,11 +430,11 @@ class BatchedStatevectorBackend:
         # rows are zeroed below anyway.
         t0 = time.perf_counter()
         norms = row_norms_squared(self._stack)
-        scale_rows_inverse_sqrt(self._stack, norms, dead_norm=_DEAD_NORM)
+        scale_rows_inverse_sqrt(self._stack, norms, dead_norm=DEAD_NORM)
         for rows in groups.values():
             for row in rows:
                 n2 = float(norms[row])
-                if n2 <= _DEAD_NORM:
+                if n2 <= DEAD_NORM:
                     # This branch annihilates the actual state (nominal
                     # probabilities are only priors for general channels).
                     self._alive[row] = False

@@ -50,9 +50,10 @@ class MPSBackend(PureStateBackend):
     :meth:`run_fixed` is the tensornet replay of one trajectory —
     :func:`~repro.execution.tensornet.compile_schedule`,
     :func:`~repro.execution.tensornet.replay_schedule` and
-    :func:`~repro.execution.tensornet.read_stack` — so ``strategy="serial"``
-    on ``BackendSpec.mps`` draws the bits ``strategy="tensornet"`` draws at
-    ``max_batch=1``.  :meth:`inner`, :meth:`expectation_local`,
+    :func:`~repro.execution.tensornet.read_stack` — so it prepares and
+    samples the state ``strategy="tensornet"`` does at ``max_batch=1``
+    (which is what ``strategy="serial"`` on ``BackendSpec.mps`` runs: the
+    tensornet adapter at one row).  :meth:`inner`, :meth:`expectation_local`,
     :meth:`branch_probabilities` and :meth:`to_statevector` are exact
     whatever order the chains hold their qubits in.
     """

@@ -19,8 +19,10 @@ backends, so the strategies stay bitwise interchangeable).  The loop
 itself — dedup, the ``num_workers`` task queue, retry, per-trajectory
 streams, ordered delivery, separate prep and sample wall-times for the
 paper's shots-per-second curves — is the shared
-:func:`repro.execution.driver.drive`; this module supplies the serial
-:class:`~repro.execution.driver.Engine` adapter, the strategy table and
+:func:`repro.execution.driver.drive`; this module supplies the one way to
+name a backend (:class:`BackendSpec`, checked by :func:`check_backend`),
+the serial dense :class:`~repro.execution.driver.Engine` adapter (serial
+on ``"mps"`` is the tensornet adapter at one row), the strategy table and
 the dispatch.
 """
 
@@ -29,15 +31,15 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Tuple
 
-from repro.backends.base import PureStateBackend
+from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.backends.mps import MPSBackend
 from repro.backends.statevector import StatevectorBackend
 from repro.circuits.circuit import Circuit
 from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import CapacityError, ExecutionError, ZeroProbabilityTrajectory
-from repro.execution.driver import StreamingExecutor
+from repro.execution.driver import Engine, StreamingExecutor
 from repro.execution.results import PTSBEResult
 from repro.execution.streaming import StreamedResult
 from repro.pts.base import PTSAlgorithm
@@ -45,7 +47,7 @@ from repro.rng import StreamFactory
 
 __all__ = [
     "BackendSpec",
-    "backend_config",
+    "check_backend",
     "BatchedExecutor",
     "ParallelExecutor",
     "executor_class",
@@ -59,12 +61,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """Picklable recipe for constructing a backend in any process.
+    """Picklable recipe for the backend a run uses, in any process.
 
     ``kind`` is ``"statevector"``, ``"mps"``, or ``"batched_statevector"``
     (the trajectory-stacked backend used by
     :class:`~repro.execution.vectorized.VectorizedExecutor`); ``options``
-    are forwarded to the constructor (e.g. ``{"max_bond": 32}``).
+    are that kind's backend constructor arguments (``_BACKEND_KINDS``),
+    e.g. ``{"max_bond": 32}``.  A spec is the only way to say which
+    backend runs: every executor and :func:`run_ptsbe` refuse anything
+    else, and refuse an option the kind's backend does not take
+    (:func:`check_backend`).
 
     ``options`` is stored as a sorted tuple of ``(key, value)`` pairs so
     the spec stays picklable and deterministic; the spec is hashable only
@@ -88,42 +94,61 @@ class BackendSpec:
     def batched_statevector(cls, **options) -> "BackendSpec":
         return cls("batched_statevector", tuple(sorted(options.items())))
 
-    def create(self, num_qubits: int):
-        opts = dict(self.options)
-        if self.kind == "statevector":
-            return StatevectorBackend(num_qubits, **opts)
-        if self.kind == "mps":
-            return MPSBackend(num_qubits, **opts)
-        if self.kind == "batched_statevector":
-            from repro.backends.batched_statevector import BatchedStatevectorBackend
-
-            return BatchedStatevectorBackend(num_qubits, **opts)
-        raise ExecutionError(f"unknown backend kind {self.kind!r}")
+    @property
+    def config(self) -> Config:
+        """The :class:`Config` the recipe runs under: its ``config`` option,
+        else :data:`~repro.config.DEFAULT_CONFIG` (set with
+        ``configure(...)``).  The fault plan, the retry policy and the
+        width caps are read from it."""
+        config = dict(self.options).get("config")
+        return config if config is not None else DEFAULT_CONFIG
 
 
-def backend_config(backend) -> Config:
-    """The :class:`Config` a backend recipe runs under.
+#: Each spec kind's backend and the options a spec of that kind takes: the
+#: backend's constructor arguments after ``num_qubits``.
+_BACKEND_KINDS = {
+    kind: (cls, tuple(inspect.signature(cls).parameters)[1:])
+    for kind, cls in (
+        ("statevector", StatevectorBackend),
+        ("mps", MPSBackend),
+        ("batched_statevector", BatchedStatevectorBackend),
+    )
+}
 
-    A :class:`BackendSpec`'s ``config`` option when it carries one — the
-    same object the workers construct their backends with.  A spec without
-    one, a callable backend factory (opaque) and ``None`` all resolve to
-    :data:`~repro.config.DEFAULT_CONFIG`, so config-gated behavior (fault
-    plan, retry policy) then follows the library default: set it with
-    ``configure(...)`` or pass a spec carrying the config.
-    """
-    config = dict(backend.options).get("config") if isinstance(backend, BackendSpec) else None
-    return config if config is not None else DEFAULT_CONFIG
+#: The kinds that hold a dense state vector.
+DENSE_KINDS = ("statevector", "batched_statevector")
 
 
-def check_workers(executor, num_workers: int, backend) -> int:
-    """Validate a dense executor's ``num_workers`` against its backend."""
+def check_backend(
+    owner: str, backend: object, kinds: Tuple[str, ...] = tuple(_BACKEND_KINDS)
+) -> BackendSpec:
+    """The execution layer's one input check: ``backend`` is a
+    :class:`BackendSpec` of one of ``kinds`` (the kinds the refusing
+    entry point, ``owner``, runs) whose options its kind's backend takes."""
+    if not isinstance(backend, BackendSpec):
+        raise ExecutionError(
+            f"{owner} takes a BackendSpec (BackendSpec.statevector(), "
+            f".mps(...) or .batched_statevector()), not {type(backend).__name__}"
+        )
+    if backend.kind not in kinds:
+        raise ExecutionError(
+            f"{owner} cannot run backend kind {backend.kind!r}; "
+            f"it runs: {', '.join(map(repr, kinds))}"
+        )
+    cls, accepted = _BACKEND_KINDS[backend.kind]
+    unknown = sorted(set(dict(backend.options)) - set(accepted))
+    if unknown:
+        raise ExecutionError(
+            f"backend kind {backend.kind!r} ({cls.__name__}) takes no option "
+            f"{', '.join(map(repr, unknown))}; it accepts: {', '.join(map(repr, accepted))}"
+        )
+    return backend
+
+
+def check_workers(num_workers: int) -> int:
+    """Validate a dense executor's ``num_workers``."""
     if num_workers <= 0:
         raise ExecutionError(f"num_workers must be positive, got {num_workers}")
-    if num_workers > 1 and not isinstance(backend, BackendSpec):
-        raise ExecutionError(
-            f"{type(executor).__name__} with num_workers > 1 requires a picklable "
-            "BackendSpec, not a callable backend factory"
-        )
     return int(num_workers)
 
 
@@ -133,56 +158,37 @@ class BatchedExecutor(StreamingExecutor):
     Parameters
     ----------
     backend:
-        A per-trajectory :class:`BackendSpec` (``"statevector"`` or
-        ``"mps"``) or a callable ``num_qubits -> backend``.  On
-        ``"statevector"`` a unit is one row of the stacked dense engine
-        (:class:`~repro.backends.statevector.StatevectorBackend` is a
-        one-row :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`).
-        On ``"mps"`` a unit is the tensornet replay of one row
-        (:class:`~repro.backends.mps.MPSBackend` is a one-row
-        :class:`~repro.backends.mps.BatchedMPSStack`), so the shots are
-        ``strategy="tensornet"``'s at ``max_batch=1``.
+        A per-trajectory :class:`BackendSpec`, ``"statevector"`` or
+        ``"mps"``.  On ``"statevector"`` a unit is one row of the stacked
+        dense engine (:class:`~repro.backends.statevector.StatevectorBackend`
+        is a one-row
+        :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`).
+        On ``"mps"`` a unit is the tensornet adapter at one row, under this
+        executor's name, so the shots are ``strategy="tensornet"``'s at
+        ``max_batch=1``.
     num_workers:
         ``1`` (default) prepares every state in this process; larger
         values hand tasks to a process pool of that size (the paper's
         inter-trajectory axis: "the preparation and sampling of different
-        trajectories is embarrassingly parallel", §3), which needs a
-        picklable :class:`BackendSpec`.  Every trajectory draws from the
-        stream derived from ``(seed, trajectory_id)``, so the shots are
-        the same for any worker count.
+        trajectories is embarrassingly parallel", §3).  Every trajectory
+        draws from the stream derived from ``(seed, trajectory_id)``, so
+        the shots are the same for any worker count.
     """
 
     strategy = "serial"
 
-    def __init__(
-        self,
-        backend: Union[BackendSpec, Callable[[int], PureStateBackend]] = BackendSpec(),
-        num_workers: int = 1,
-    ):
-        if isinstance(backend, BackendSpec) and backend.kind == "batched_statevector":
-            raise ExecutionError(
-                f"{type(self).__name__} runs the per-trajectory engine; use "
-                "VectorizedExecutor (or run_ptsbe(strategy='vectorized')) for "
-                "the 'batched_statevector' kind"
-            )
-        self.backend = backend
-        self.num_workers = check_workers(self, num_workers, backend)
+    def __init__(self, backend: BackendSpec = BackendSpec(), num_workers: int = 1):
+        self.backend = check_backend(type(self).__name__, backend, ("statevector", "mps"))
+        self.num_workers = check_workers(num_workers)
 
-    def _engine(self, circuit: Circuit) -> "_SerialEngine":
-        backend = (
-            self.backend.create(circuit.num_qubits)
-            if isinstance(self.backend, BackendSpec)
-            else self.backend(circuit.num_qubits)
-        )
-        if not hasattr(backend, "run_fixed"):
-            raise ExecutionError(
-                f"{type(backend).__name__} is not a per-trajectory backend; use "
-                "VectorizedExecutor (or run_ptsbe(strategy='vectorized'))"
-            )
-        dense_spec = isinstance(self.backend, BackendSpec) and self.backend.kind == "statevector"
-        return _SerialEngine(
-            self.strategy, backend, circuit, backend_config(self.backend), dense_spec
-        )
+    def _engine(self, circuit: Circuit) -> Engine:
+        if self.backend.kind == "mps":
+            # Imported here: repro.execution.tensornet imports this module.
+            from repro.execution.tensornet import _MPSStackEngine
+
+            return _MPSStackEngine(self.strategy, self.backend, circuit, max_rows=1)
+        backend = StatevectorBackend(circuit.num_qubits, **dict(self.backend.options))
+        return _SerialEngine(self.strategy, backend, circuit, self.backend.config)
 
 
 class ParallelExecutor(BatchedExecutor):
@@ -201,8 +207,8 @@ class ParallelExecutor(BatchedExecutor):
 
 
 class _SerialEngine:
-    """:class:`~repro.execution.driver.Engine` over one per-trajectory
-    backend: a unit is a single ``run_fixed`` + bulk ``sample``."""
+    """:class:`~repro.execution.driver.Engine` over one dense statevector:
+    a unit is a single ``run_fixed`` + bulk ``sample``."""
 
     max_rows = 1
     max_unit_shots = None
@@ -210,19 +216,13 @@ class _SerialEngine:
     compile_seconds = 0.0
 
     def __init__(
-        self,
-        name: str,
-        backend: PureStateBackend,
-        circuit: Circuit,
-        config: Config,
-        dense_spec: bool = False,
+        self, name: str, backend: StatevectorBackend, circuit: Circuit, config: Config
     ):
         self.name = name
         self.backend = backend
         self.circuit = circuit
         self.measured = tuple(circuit.measured_qubits)
-        self.config: Optional[Config] = config
-        self.dense_spec = dense_spec
+        self.config = config
 
     @property
     def lookahead_shots(self) -> Optional[int]:
@@ -230,19 +230,15 @@ class _SerialEngine:
         unit's preparation.  Measured on a 2-core host with the look-ahead
         always on: 1.6-1.9x shots/s at 16 qubits and 200 000 shots per
         unit; 0.85-0.96x at 6 and 10 qubits with 100 or 1 000 shots; 1.0x,
-        and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots.  Only a
-        dense state a ``BackendSpec`` built qualifies: serial on MPS is
-        tensornet at one row (first chunk +37 % there), and a factory is
-        opaque and may hand both adapters one shared instance."""
-        return max(1 << 16, 2**self.circuit.num_qubits) if self.dense_spec else None
+        and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots."""
+        return max(1 << 16, 2**self.circuit.num_qubits)
 
     def prepare(self, choices_list):
         try:
             weight = self.backend.run_fixed(self.circuit, choices_list[0])
-            if self.dense_spec:
-                # The draw table (and the measurement tail in it), built
-                # here so a look-ahead helper pays for it, not the draw.
-                self.backend.cumulative()
+            # The draw table (and the measurement tail in it), built here
+            # so a look-ahead helper pays for it, not the draw.
+            self.backend.cumulative()
             return [weight]
         except ZeroProbabilityTrajectory:
             # The prescribed combination is impossible for the actual
@@ -260,9 +256,7 @@ class _SerialEngine:
         return bits
 
     def release(self) -> None:
-        release = getattr(self.backend, "release", None)
-        if release is not None:
-            release()
+        self.backend.release()
 
 
 #: The strategy table: every BE engine behind one name, as the
@@ -301,20 +295,17 @@ def executor_class(strategy: str) -> type:
     return getattr(import_module(module), name)
 
 
-def _check_dense_capacity(circuit, backend, resolved: str, config) -> None:
+def _check_dense_capacity(
+    circuit: Circuit, backend: BackendSpec, resolved: str, config: Config
+) -> None:
     """Refuse over-cap dense dispatches with an actionable error.
 
     Without this, an oversized run surfaces as a raw ``MemoryError`` from
-    the ``(B, 2**n)`` allocation (or an opaque backend failure) deep in
-    the executor.  The check fires only for the dense strategies on the
-    built-in dense backend kinds — a custom backend factory is the
-    caller's own capacity contract.
+    the ``(B, 2**n)`` allocation deep in the executor.  The check fires
+    only for the dense strategies on the dense backend kinds: serial on
+    ``"mps"`` has no dense width cap.
     """
-    if resolved not in DENSE_STRATEGIES:
-        return
-    if not isinstance(backend, BackendSpec):
-        return
-    if backend.kind not in ("statevector", "batched_statevector"):
+    if resolved not in DENSE_STRATEGIES or backend.kind not in DENSE_KINDS:
         return
     width = circuit.num_qubits
     if width <= config.max_dense_qubits:
@@ -347,7 +338,7 @@ def _check_executor_kwargs(cls: type, resolved: str, executor_kwargs: Dict) -> N
 def run_ptsbe(
     circuit: Circuit,
     sampler: PTSAlgorithm,
-    backend: Union[BackendSpec, Callable[[int], PureStateBackend]] = BackendSpec(),
+    backend: BackendSpec = BackendSpec(),
     seed: Optional[int] = None,
     strategy: str = "auto",
     executor_kwargs: Optional[Dict] = None,
@@ -362,6 +353,10 @@ def run_ptsbe(
 
     Parameters
     ----------
+    backend:
+        The :class:`BackendSpec` to run on; anything else, and an option
+        its kind's backend does not take, raises
+        :class:`~repro.errors.ExecutionError` before the sampler draws.
     strategy:
         Which batched-execution engine realizes the specs:
 
@@ -371,12 +366,15 @@ def run_ptsbe(
           ``Config.max_dense_qubits`` that the clifford engine cannot
           serve go to ``"tensornet"``; everything else resolves exactly
           as before — ``"vectorized"`` when ``backend`` is of kind
-          ``"batched_statevector"``, else ``"serial"``.  The decision is
+          ``"batched_statevector"``, else ``"serial"``.  An ``"mps"``
+          spec always resolves to ``"serial"``.  The decision is
           recorded as ``result.routing`` and the engine that ran as
           ``result.engine``;
         * ``"serial"`` — one prepared state per spec
-          (:class:`BatchedExecutor`; ``num_workers`` fans the tasks over a
-          process pool);
+          (:class:`BatchedExecutor`; on ``BackendSpec.mps`` the tensornet
+          adapter at one row, so the shots are ``"tensornet"``'s at
+          ``max_batch=1``; ``num_workers`` fans the tasks over a process
+          pool);
         * ``"vectorized"`` — deduplicated ``(B, 2**n)`` trajectory stacks
           (:class:`~repro.execution.vectorized.VectorizedExecutor`;
           a stack holds ``min(max_batch, the backend's dense amplitude
@@ -454,7 +452,7 @@ def run_ptsbe(
 def run_ptsbe_stream(
     circuit: Circuit,
     sampler: PTSAlgorithm,
-    backend: Union[BackendSpec, Callable[[int], PureStateBackend]] = BackendSpec(),
+    backend: BackendSpec = BackendSpec(),
     seed: Optional[int] = None,
     strategy: str = "auto",
     executor_kwargs: Optional[Dict] = None,
@@ -486,6 +484,7 @@ def run_ptsbe_stream(
         for chunk in stream:
             model.partial_fit(chunk.shot_table().bits, ...)
     """
+    check_backend("run_ptsbe", backend)
     circuit.freeze()
     # Resolve the root seed exactly once: the PTS sampler's stream and
     # every executor trajectory stream derive from the same value, and an
@@ -500,7 +499,7 @@ def run_ptsbe_stream(
     # pass through.  The decision trail rides on the stream/result.
     from repro.execution.router import resolve_strategy
 
-    config = backend_config(backend)
+    config = backend.config
     target.freeze()
     resolved, routing = resolve_strategy(target, backend, strategy, config)
     _check_dense_capacity(target, backend, resolved, config)

@@ -42,13 +42,11 @@ still bitwise: shots derive from the same per-trajectory Philox streams
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
-
 from repro.backends.pauli_frame import FrameSampler
 from repro.circuits.circuit import Circuit
 from repro.config import Config
 from repro.errors import BackendError, ExecutionError
-from repro.execution.batched import BackendSpec, backend_config
+from repro.execution.batched import DENSE_KINDS, BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
 
 __all__ = ["CliffordFrameExecutor"]
@@ -60,28 +58,15 @@ class CliffordFrameExecutor(StreamingExecutor):
     Parameters
     ----------
     backend:
-        Accepted for dispatch-signature symmetry.  Frame sampling needs
-        no dense backend, so only the default dense kinds (which carry no
-        state the frame path would miss) are tolerated; an ``"mps"`` spec
-        or a backend factory is a real request for a specific simulator
-        and is rejected rather than silently ignored.
+        Accepted for dispatch-signature symmetry, and read for its
+        ``config``.  Frame sampling needs no dense backend, so only the
+        dense kinds (which carry no state the frame path would miss) are
+        tolerated; an ``"mps"`` spec is a real request for a specific
+        simulator and is rejected rather than silently ignored.
     """
 
-    def __init__(self, backend: Union[BackendSpec, Callable, None] = None):
-        if backend is not None and not isinstance(backend, BackendSpec):
-            raise ExecutionError(
-                "CliffordFrameExecutor simulates with Pauli frames, not a "
-                "backend factory; drop the factory or pick a dense strategy"
-            )
-        if isinstance(backend, BackendSpec) and backend.kind not in (
-            "statevector",
-            "batched_statevector",
-        ):
-            raise ExecutionError(
-                f"CliffordFrameExecutor cannot honor backend kind "
-                f"{backend.kind!r}; it replaces dense simulation entirely"
-            )
-        self._config = backend_config(backend)
+    def __init__(self, backend: BackendSpec = BackendSpec()):
+        self._config = check_backend(type(self).__name__, backend, DENSE_KINDS).config
 
     def _engine(self, circuit: Circuit) -> "_FrameEngine":
         return _FrameEngine(circuit, self._config)
@@ -110,7 +95,7 @@ class _FrameEngine:
     # FrameSampler compile (0.044 s).
     lookahead_shots = None
 
-    def __init__(self, circuit: Circuit, config: Optional[Config]):
+    def __init__(self, circuit: Circuit, config: Config):
         self.config = config
         try:
             self.sampler, self.compile_seconds = timed(FrameSampler, circuit.freeze())

@@ -125,9 +125,8 @@ class Engine(Protocol):
     #: Shots per prepared unit, for an engine whose rows are nearly free and
     #: whose unit is sized by what it samples (``None``: rows alone cut).
     max_unit_shots: Optional[int]
-    #: Source of the run's fault plan and retry policy (``None``: no plan,
-    #: default policy).
-    config: Optional[Config]
+    #: Source of the run's fault plan and retry policy.
+    config: Config
     #: Wall seconds the constructor spent compiling (see :func:`timed`).
     compile_seconds: float
 

@@ -91,6 +91,18 @@ class ShotTable:
         return self.select(self.trajectory_ids == trajectory_id)
 
     @classmethod
+    def from_trajectories(
+        cls, trajectories: Sequence["TrajectoryResult"], measured_qubits: Tuple[int, ...]
+    ) -> "ShotTable":
+        """The trajectories' shots in order, each row tagged with its
+        trajectory's id: the table of a result and of a streamed chunk."""
+        bits = np.concatenate([t.bits for t in trajectories], axis=0)
+        ids = np.concatenate(
+            [np.full(t.num_shots, t.record.trajectory_id, dtype=np.int64) for t in trajectories]
+        )
+        return cls(bits, ids, measured_qubits)
+
+    @classmethod
     def concatenate(cls, tables: Sequence["ShotTable"]) -> "ShotTable":
         tables = [t for t in tables if t.num_shots > 0]
         if not tables:
@@ -182,14 +194,7 @@ class PTSBEResult:
         """All shots, provenance-aligned by trajectory index."""
         if not self.trajectories:
             raise DataError("no trajectories were executed")
-        bits = np.concatenate([t.bits for t in self.trajectories], axis=0)
-        ids = np.concatenate(
-            [
-                np.full(t.num_shots, t.record.trajectory_id, dtype=np.int64)
-                for t in self.trajectories
-            ]
-        )
-        return ShotTable(bits, ids, self.measured_qubits)
+        return ShotTable.from_trajectories(self.trajectories, self.measured_qubits)
 
     def pooled_distribution(self, weighted: bool = True) -> np.ndarray:
         """Pooled outcome distribution over the sampled trajectory subsets.

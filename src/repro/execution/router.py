@@ -20,7 +20,9 @@ Pauli-frame fast path (:mod:`repro.execution.clifford`):
   (``"vectorized"`` for a ``batched_statevector`` backend spec, else
   ``"serial"``) — bit-for-bit the same dispatch as before this module
   existed, which is what keeps ``strategy="auto"`` on non-Clifford
-  circuits bitwise stable across the router's introduction.
+  circuits bitwise stable across the router's introduction.  An
+  ``"mps"`` spec always resolves here, to ``"serial"``: the tensornet
+  adapter at one row.
 
 The gate/noise analysis is cached per frozen circuit (weak-keyed, like
 the fused-plan cache) so repeated dispatches — a sweep running one
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.backends.stabilizer import StabilizerBackend, pauli_from_unitary
 from repro.channels.unitary_mixture import as_unitary_mixture
@@ -47,13 +49,15 @@ from repro.circuits.operations import GateOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import ExecutionError
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.execution.batched import BackendSpec
+
 __all__ = [
     "CLIFFORD_GATES",
     "CircuitProfile",
     "analyze_circuit",
     "resolve_strategy",
     "clear_router_cache",
-    "router_cache_stats",
 ]
 
 #: Gate names both the tableau backend and the frame conjugation rules
@@ -72,14 +76,11 @@ class CircuitProfile:
 
     frame_eligible: bool
     reason: str
-    num_gates: int = 0
-    num_noise_sites: int = 0
 
 
 _ROUTER_CACHE: "weakref.WeakKeyDictionary[Circuit, CircuitProfile]" = (
     weakref.WeakKeyDictionary()
 )
-_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
 def _profile(circuit: Circuit) -> CircuitProfile:
@@ -94,12 +95,7 @@ def _profile(circuit: Circuit) -> CircuitProfile:
             num_gates += 1
             name = op.gate.name.lower()
             if name not in CLIFFORD_GATES:
-                return CircuitProfile(
-                    frame_eligible=False,
-                    reason=f"gate {op.gate.name!r} is non-Clifford",
-                    num_gates=num_gates,
-                    num_noise_sites=num_sites,
-                )
+                return CircuitProfile(False, f"gate {op.gate.name!r} is non-Clifford")
         elif isinstance(op, NoiseOp):
             num_sites += 1
             verdict = channel_verdicts.get(id(op.channel), "unseen")
@@ -107,27 +103,11 @@ def _profile(circuit: Circuit) -> CircuitProfile:
                 verdict = _non_pauli_reason(op.channel, len(op.qubits))
                 channel_verdicts[id(op.channel)] = verdict
             if verdict is not None:
-                return CircuitProfile(
-                    frame_eligible=False,
-                    reason=verdict,
-                    num_gates=num_gates,
-                    num_noise_sites=num_sites,
-                )
+                return CircuitProfile(False, verdict)
     if not circuit.measured_qubits:
-        return CircuitProfile(
-            frame_eligible=False,
-            reason="circuit has no measurements",
-            num_gates=num_gates,
-            num_noise_sites=num_sites,
-        )
+        return CircuitProfile(False, "circuit has no measurements")
     return CircuitProfile(
-        frame_eligible=True,
-        reason=(
-            f"{num_gates} Clifford gates, {num_sites} Pauli-mixture "
-            "noise sites"
-        ),
-        num_gates=num_gates,
-        num_noise_sites=num_sites,
+        True, f"{num_gates} Clifford gates, {num_sites} Pauli-mixture noise sites"
     )
 
 
@@ -151,25 +131,13 @@ def analyze_circuit(circuit: Circuit) -> CircuitProfile:
         raise ExecutionError("engine routing requires a frozen circuit")
     profile = _ROUTER_CACHE.get(circuit)
     if profile is None:
-        _CACHE_STATS["misses"] += 1
-        profile = _profile(circuit)
-        _ROUTER_CACHE[circuit] = profile
-    else:
-        _CACHE_STATS["hits"] += 1
+        profile = _ROUTER_CACHE[circuit] = _profile(circuit)
     return profile
-
-
-def _dense_auto(backend) -> str:
-    """The pre-router ``"auto"`` resolution, bit-for-bit."""
-    from repro.execution.batched import BackendSpec
-
-    kind = backend.kind if isinstance(backend, BackendSpec) else None
-    return "vectorized" if kind == "batched_statevector" else "serial"
 
 
 def resolve_strategy(
     circuit: Circuit,
-    backend,
+    backend: "BackendSpec",
     strategy: str,
     config: Optional[Config] = None,
 ) -> Tuple[str, str]:
@@ -181,7 +149,7 @@ def resolve_strategy(
     =====================================  ==========================
     condition                              resolved engine
     =====================================  ==========================
-    backend is a factory or ``"mps"``      dense auto (explicit backend)
+    backend spec of kind ``"mps"``         ``"serial"`` (MPS, one row)
     pure Clifford + Pauli-mixture noise    ``"clifford"`` (frames)
     width > ``Config.max_dense_qubits``    ``"tensornet"`` (stacked MPS)
     any non-Clifford gate / other channel  dense auto (vectorized/serial)
@@ -192,15 +160,12 @@ def resolve_strategy(
     ``Config.max_tensornet_qubits``; past that, the dense resolution is
     returned and dispatch raises its capacity error.
     """
-    from repro.execution.batched import BackendSpec
-
     if strategy != "auto":
         return strategy, f"explicit strategy {strategy!r}"
     config = config or DEFAULT_CONFIG
-    dense = _dense_auto(backend)
-    if not isinstance(backend, BackendSpec):
-        return dense, f"auto->{dense}: explicit backend factory requested"
-    if backend.kind not in ("statevector", "batched_statevector"):
+    # The pre-router "auto" resolution, bit-for-bit.
+    dense = "vectorized" if backend.kind == "batched_statevector" else "serial"
+    if backend.kind == "mps":
         return dense, f"auto->{dense}: explicit {backend.kind!r} backend requested"
     profile = analyze_circuit(circuit)
     if profile.frame_eligible:
@@ -219,10 +184,3 @@ def resolve_strategy(
 def clear_router_cache() -> None:
     """Drop every cached circuit profile (tests)."""
     _ROUTER_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
-
-
-def router_cache_stats() -> Dict[str, int]:
-    """Router-cache hit/miss counters (copies, not live references)."""
-    return dict(_CACHE_STATS)

@@ -41,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ExecutionError
 from repro.execution.results import PTSBEResult, ShotTable, TrajectoryResult
 from repro.faults.retry import RecoveryEvent
@@ -84,14 +82,7 @@ class ShotChunk:
         """This chunk's shots, provenance-aligned by trajectory index."""
         if not self.trajectories:
             raise ExecutionError("empty shot chunk has no table")
-        bits = np.concatenate([t.bits for t in self.trajectories], axis=0)
-        ids = np.concatenate(
-            [
-                np.full(t.num_shots, t.record.trajectory_id, dtype=np.int64)
-                for t in self.trajectories
-            ]
-        )
-        return ShotTable(bits, ids, self.measured_qubits)
+        return ShotTable.from_trajectories(self.trajectories, self.measured_qubits)
 
     def __repr__(self) -> str:
         return (

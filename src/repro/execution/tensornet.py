@@ -69,11 +69,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backends.base import validate_deferred_measurement
+from repro.backends.base import DEAD_NORM, validate_deferred_measurement
 from repro.backends.mps import BatchedMPSStack
 from repro.backends.mps_sampler import (
     compute_right_environments_batched,
@@ -81,17 +81,12 @@ from repro.backends.mps_sampler import (
 )
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
-from repro.config import Config
 from repro.errors import BackendError, ExecutionError
-from repro.execution.batched import BackendSpec, backend_config
+from repro.execution.batched import BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
 from repro.linalg.kron import permute_operator_qubits
 
 __all__ = ["TensorNetExecutor", "compile_schedule", "GateSchedule"]
-
-#: Rows whose unnormalized squared norm falls to this are numerically dead
-#: (same threshold the dense batched backend uses for its stacked rows).
-_DEAD_NORM = 1e-300
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -176,7 +171,7 @@ class SiteMap:
         self.site_of = list(site_of)  # qubit -> site
         self.qubit_at = sorted(range(len(self.site_of)), key=self.site_of.__getitem__)
 
-    def route_down(self, qubit: int, dst: int, swap: Callable[[int], None]) -> None:
+    def route_down(self, qubit: int, dst: int, swap: Callable[..., None]) -> None:
         """Move ``qubit`` down the chain to site ``dst``, calling
         ``swap(site)`` for each exchange of ``site`` and ``site + 1``."""
         pos = self.site_of[qubit]
@@ -188,7 +183,7 @@ class SiteMap:
             self.site_of[qubit], self.site_of[other] = pos, pos + 1
 
     def place(
-        self, targets: Sequence[int], mats: List[np.ndarray], swap: Callable[[int], None]
+        self, targets: Sequence[int], mats: List[np.ndarray], swap: Callable[..., None]
     ) -> Tuple[int, List[np.ndarray]]:
         """Bring ``targets`` onto contiguous sites, the lowest staying put.
 
@@ -391,7 +386,7 @@ def read_stack(
     """
     tensors = stack.dense()
     envs = compute_right_environments_batched(tensors)
-    weights = [w if w > _DEAD_NORM else 0.0 for w in envs[0][:, 0, 0].real.tolist()]
+    weights = [w if w > DEAD_NORM else 0.0 for w in envs[0][:, 0, 0].real.tolist()]
     return tensors, envs, weights
 
 
@@ -401,80 +396,38 @@ class TensorNetExecutor(StreamingExecutor):
     Parameters
     ----------
     backend:
-        ``BackendSpec("mps", ...)`` supplies ``max_bond`` / ``cutoff`` /
-        ``config`` options; the default dense kinds are tolerated for
-        router-dispatch symmetry (their width cap is exactly why this
-        strategy exists), in which case the config's MPS knobs
-        apply.  A backend *factory* is a request for a specific simulator
-        object this strategy replaces, and is rejected.
+        ``BackendSpec.mps(...)`` supplies the ``max_bond`` / ``cutoff`` /
+        ``config`` options; a truncation knob it leaves out is
+        ``Config.default_bond_dim`` / ``Config.svd_cutoff``.  The dense
+        kinds are tolerated for router-dispatch symmetry (their width cap
+        is exactly why this strategy exists); their ``config`` applies.
     max_batch:
         Dedup groups stacked per :class:`BatchedMPSStack` replay.  At
         ``max_batch=1`` this is what ``strategy="serial"`` runs on
-        ``BackendSpec.mps``, bit for bit: there
-        :class:`~repro.backends.mps.MPSBackend` is a one-row stack
-        replaying the same schedule.
-    max_bond / cutoff:
-        Explicit truncation overrides; default resolves through the
-        backend spec options, then ``Config.default_bond_dim`` /
-        ``Config.svd_cutoff``.
+        ``BackendSpec.mps``: the same adapter, at one row.
     """
 
-    def __init__(
-        self,
-        backend: Union[BackendSpec, Callable, None] = None,
-        max_batch: int = 64,
-        max_bond: Optional[int] = None,
-        cutoff: Optional[float] = None,
-        config: Optional[Config] = None,
-    ):
-        if backend is not None and not isinstance(backend, BackendSpec):
-            raise ExecutionError(
-                "TensorNetExecutor simulates with a trajectory-stacked MPS, "
-                "not a backend factory; drop the factory or pick a dense "
-                "strategy"
-            )
-        options: Dict = {}
-        if isinstance(backend, BackendSpec):
-            if backend.kind not in ("mps", "statevector", "batched_statevector"):
-                raise ExecutionError(
-                    f"TensorNetExecutor cannot honor backend kind "
-                    f"{backend.kind!r}"
-                )
-            options = dict(backend.options)
+    def __init__(self, backend: BackendSpec = BackendSpec(), max_batch: int = 64):
+        self.backend = check_backend(type(self).__name__, backend)
         if max_batch < 1:
             raise ExecutionError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
-        self._config: Config = config or backend_config(backend)
-        resolved_bond = max_bond if max_bond is not None else options.get("max_bond")
-        resolved_cutoff = cutoff if cutoff is not None else options.get("cutoff")
-        self.max_bond = int(
-            resolved_bond
-            if resolved_bond is not None
-            else self._config.default_bond_dim
-        )
-        self.cutoff = float(
-            resolved_cutoff
-            if resolved_cutoff is not None
-            else self._config.svd_cutoff
-        )
-        if self.max_bond < 1:
-            raise ExecutionError("max_bond must be >= 1")
 
     def _engine(self, circuit: Circuit) -> "_MPSStackEngine":
-        if circuit.num_qubits > self._config.max_tensornet_qubits:
+        limit = self.backend.config.max_tensornet_qubits
+        if circuit.num_qubits > limit:
             raise ExecutionError(
-                f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits "
-                f"({self._config.max_tensornet_qubits})"
+                f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits ({limit})"
             )
-        return _MPSStackEngine(
-            circuit, self._config, self.max_batch, self.max_bond, self.cutoff
-        )
+        return _MPSStackEngine("tensornet", self.backend, circuit, self.max_batch)
 
 
 class _MPSStackEngine:
     """:class:`~repro.execution.driver.Engine` over a trajectory-stacked
     truncated MPS: a unit is one schedule replay, one batched
-    right-environment pass and one stacked sampling sweep.
+    right-environment pass and one stacked sampling sweep.  It runs
+    ``strategy="tensornet"`` and, at ``max_rows=1`` under their own names,
+    ``"serial"`` / ``"parallel"`` on ``BackendSpec.mps``.
 
     Unlike the dense stack, a unit's *composition* matters, so the shots
     are a function of ``max_rows`` as well as of the seed: each batched
@@ -488,25 +441,34 @@ class _MPSStackEngine:
     the chain's product blocks, and routing does not put qubits back, so the
     sampler is asked for the measured qubits' sites
     (``GateSchedule.site_of``) as its columns.
+
+    The truncation is the spec's ``max_bond`` / ``cutoff`` options, each
+    falling back to its ``config``'s ``default_bond_dim`` / ``svd_cutoff``.
     """
 
-    name = "tensornet"
     max_unit_shots = None
     # Measured with the look-ahead always on (tensornet_shots_35q, 2-core
     # host): first chunk 0.037 -> 0.050 s (+37 %).
     lookahead_shots = None
 
-    def __init__(
-        self, circuit: Circuit, config: Config, max_rows: int, max_bond: int, cutoff: float
-    ):
-        self.config: Optional[Config] = config
+    def __init__(self, name: str, backend: BackendSpec, circuit: Circuit, max_rows: int):
+        self.name = name
+        self.config = backend.config
         self.max_rows = max_rows
         self.num_qubits = circuit.num_qubits
-        self.stack_options = {"max_bond": max_bond, "cutoff": cutoff, "config": config}
+        options = dict(backend.options)
+        bond, cutoff = options.get("max_bond"), options.get("cutoff")
+        self.stack_options = {
+            "max_bond": self.config.default_bond_dim if bond is None else int(bond),
+            "cutoff": self.config.svd_cutoff if cutoff is None else float(cutoff),
+            "config": self.config,
+        }
+        if self.stack_options["max_bond"] < 1:
+            raise ExecutionError("max_bond must be >= 1")
         try:
             self.schedule, self.compile_seconds = timed(compile_schedule, circuit.freeze())
         except BackendError as exc:
-            raise ExecutionError(f"strategy 'tensornet' cannot run: {exc}") from exc
+            raise ExecutionError(f"strategy {name!r} cannot run: {exc}") from exc
         # Routing leaves qubits where it moved them: read each measured
         # qubit's column at the site it ends on.
         self.cols = [self.schedule.site_of[q] for q in circuit.measured_qubits]

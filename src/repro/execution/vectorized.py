@@ -37,13 +37,12 @@ per-trajectory Philox streams, the ``ShotTable`` is bitwise identical to a seria
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.circuits.circuit import Circuit
-from repro.config import Config
 from repro.errors import ExecutionError
-from repro.execution.batched import BackendSpec, check_workers
+from repro.execution.batched import DENSE_KINDS, BackendSpec, check_backend, check_workers
 from repro.execution.driver import StreamingExecutor, timed
 from repro.execution.plan import get_fused_plan
 
@@ -58,57 +57,34 @@ class VectorizedExecutor(StreamingExecutor):
     backend:
         A :class:`BackendSpec` of kind ``"batched_statevector"`` or
         ``"statevector"`` (the latter is upgraded to the stacked backend
-        with the same options), or a callable ``num_qubits -> backend``
-        returning a :class:`BatchedStatevectorBackend`-compatible object.
+        with the same options).
     max_batch:
         Upper bound on stacked rows per prepared unit (``None``: no bound
         of its own).  The rows of a unit are ``min(max_batch, the
         backend's dense amplitude budget)``.
     num_workers:
         ``1`` (default) runs every unit in this process; larger values
-        hand tasks to a process pool of that size, which needs a
-        picklable :class:`BackendSpec`.  Stacked preparation is bitwise
-        identical to serial preparation row by row, so the shot table is
-        the same for any worker count or ``max_batch``.
+        hand tasks to a process pool of that size.  Stacked preparation is
+        bitwise identical to serial preparation row by row, so the shot
+        table is the same for any worker count or ``max_batch``.
     """
 
     strategy = "vectorized"
 
     def __init__(
         self,
-        backend: Union[BackendSpec, Callable[[int], BatchedStatevectorBackend], None] = None,
+        backend: BackendSpec = BackendSpec.batched_statevector(),
         max_batch: Optional[int] = 64,
         num_workers: int = 1,
     ):
-        if backend is None:
-            backend = BackendSpec.batched_statevector()
-        name = type(self).__name__
-        if isinstance(backend, BackendSpec) and backend.kind not in (
-            "statevector",
-            "batched_statevector",
-        ):
-            raise ExecutionError(
-                f"{name} supports dense statevector stacks only, "
-                f"not backend kind {backend.kind!r}"
-            )
+        self.backend = check_backend(type(self).__name__, backend, DENSE_KINDS)
         if max_batch is not None and max_batch <= 0:
             raise ExecutionError(f"max_batch must be positive, got {max_batch}")
-        self.backend = backend
         self.max_batch = max_batch
-        self.num_workers = check_workers(self, num_workers, backend)
+        self.num_workers = check_workers(num_workers)
 
     def _engine(self, circuit: Circuit) -> "_StackEngine":
-        if isinstance(self.backend, BackendSpec):
-            backend = BatchedStatevectorBackend(
-                circuit.num_qubits, **dict(self.backend.options)
-            )
-        else:
-            backend = self.backend(circuit.num_qubits)
-            if not hasattr(backend, "run_fixed_stack"):
-                raise ExecutionError(
-                    f"backend factory returned {type(backend).__name__}, which lacks "
-                    "run_fixed_stack; VectorizedExecutor needs a stacked backend"
-                )
+        backend = BatchedStatevectorBackend(circuit.num_qubits, **dict(self.backend.options))
         # The one row-sizing rule: the built backend's own amplitude
         # budget, tightened by max_batch.
         rows = backend.max_batch_rows
@@ -126,7 +102,7 @@ class ShardedExecutor(VectorizedExecutor):
 
     def __init__(
         self,
-        backend: Union[BackendSpec, Callable, None] = None,
+        backend: BackendSpec = BackendSpec.batched_statevector(),
         *,
         max_batch: Optional[int] = None,
         num_workers: int = 1,
@@ -152,25 +128,18 @@ class _StackEngine:
         self.circuit = circuit.freeze()
         self.measured = tuple(circuit.measured_qubits)
         self.max_rows = max_rows
-        # A factory's backend may carry no config (and walk no fused plan).
-        self.config: Optional[Config] = getattr(backend, "config", None)
-        self.compile_seconds = 0.0
-        if self.config is not None:
-            # Resolve (and memoize) the fused plan up front; every unit's
-            # run_fixed_stack call hits the plan cache.
-            _, self.compile_seconds = timed(get_fused_plan, circuit, self.config)
+        self.config = backend.config
+        # Resolve (and memoize) the fused plan up front; every unit's
+        # run_fixed_stack call hits the plan cache.
+        _, self.compile_seconds = timed(get_fused_plan, circuit, self.config)
 
     def prepare(self, choices_list):
         weights, alive = self.backend.run_fixed_stack(self.circuit, choices_list)
-        cumulative = getattr(self.backend, "cumulative_stack", None)
-        if cumulative is not None:
-            cumulative()  # the draw table: the measurement tail runs here
+        self.backend.cumulative_stack()  # the draw table: the measurement tail runs here
         return weights * alive  # host (B,) vectors; a dead row reads 0.0
 
     def sample(self, requests):
         return [self.backend.sample(row, n, self.measured, rng) for row, n, rng in requests]
 
     def release(self) -> None:
-        release = getattr(self.backend, "release", None)
-        if release is not None:
-            release()
+        self.backend.release()

@@ -168,17 +168,12 @@ class FaultContext:
     strategy: str = ""
 
     @classmethod
-    def from_config(
-        cls, config: Optional[Config], seed: int, strategy: str = ""
-    ) -> "FaultContext":
-        """Resolve the context an executor runs under.
-
-        Tolerates config objects predating the fault fields (callable
-        backend factories can carry anything).
-        """
-        plan = getattr(config, "fault_plan", None)
-        policy = getattr(config, "retry", None) or RetryPolicy()
-        return cls(plan=plan, policy=policy, seed=int(seed), strategy=strategy)
+    def from_config(cls, config: Config, seed: int, strategy: str = "") -> "FaultContext":
+        """The context an executor runs under: ``config``'s fault plan and
+        retry policy."""
+        return cls(
+            plan=config.fault_plan, policy=config.retry, seed=int(seed), strategy=strategy
+        )
 
     def next_attempt(
         self,

@@ -320,15 +320,59 @@ def test_an_alias_is_its_parent_under_another_name(circuit, specs):
 
 
 @pytest.mark.parametrize("cls", [BatchedExecutor, VectorizedExecutor])
-def test_workers_need_a_picklable_backend_recipe(cls):
-    def factory(num_qubits):
-        raise AssertionError("never built")
-
-    assert cls(factory).num_workers == 1  # in-process: any factory will do
-    with pytest.raises(ExecutionError, match="picklable BackendSpec"):
-        cls(factory, num_workers=2)
+def test_num_workers_must_be_positive(cls):
     with pytest.raises(ExecutionError, match="num_workers must be positive"):
         cls(num_workers=0)
+
+
+def _factory(num_qubits):
+    raise AssertionError("never built")
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_a_backend_is_a_spec_and_nothing_else(circuit, strategy):
+    """A callable backend factory is refused by every executor and by
+    ``run_ptsbe`` (before the sampler draws), naming ``BackendSpec``."""
+    with pytest.raises(ExecutionError, match="takes a BackendSpec"):
+        executor_class(strategy)(_factory)
+    with pytest.raises(ExecutionError, match="run_ptsbe takes a BackendSpec"):
+        run_ptsbe(circuit, ProbabilisticPTS(nsamples=5, nshots=5), _factory, seed=1,
+                  strategy=strategy)
+
+
+#: A spec each strategy takes, with one option misspelled, and the options
+#: that spec's kind accepts.
+MISSPELLED = [
+    ("serial", BackendSpec.mps(max_bonds=8), "'max_bond', 'cutoff', 'config'"),
+    ("serial", BackendSpec.statevector(max_bond=8), "'config'"),
+    ("parallel", BackendSpec.mps(cutof=0.0), "'max_bond', 'cutoff', 'config'"),
+    ("vectorized", BackendSpec.batched_statevector(max_bond=8), "'batch_size', 'config'"),
+    ("sharded", BackendSpec.statevector(dtype=None), "'config'"),
+    ("clifford", BackendSpec.statevector(max_bond=8), "'config'"),
+    ("tensornet", BackendSpec.mps(max_bonds=8), "'max_bond', 'cutoff', 'config'"),
+    ("tensornet", BackendSpec.statevector(max_bond=8), "'config'"),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy,spec,accepted",
+    MISSPELLED,
+    ids=[f"{strategy}-{spec.kind}-{spec.options[0][0]}" for strategy, spec, _ in MISSPELLED],
+)
+def test_an_option_the_backend_does_not_take_raises(circuit, strategy, spec, accepted):
+    """A misspelled option is an error on every strategy, never a default
+    in disguise (tensornet used to run ``max_bonds=8`` at bond 64)."""
+    option = repr(spec.options[0][0])
+    for run in (
+        lambda: executor_class(strategy)(spec),
+        lambda: run_ptsbe(circuit, ProbabilisticPTS(nsamples=5, nshots=5), spec, seed=1,
+                          strategy=strategy),
+    ):
+        with pytest.raises(ExecutionError) as err:
+            run()
+        message = str(err.value)
+        assert repr(spec.kind) in message and option in message
+        assert message.endswith(f"it accepts: {accepted}")
 
 
 def test_a_consumer_that_stops_pulling_stops_the_pool(circuit, specs, monkeypatch):
@@ -678,8 +722,8 @@ def ghz_like(num_qubits):
 
 
 #: Which units look ahead: ``(executor, width, shots per unit, qualifies)``.
-#: The rule is ``shots > max(2**16, 2**n)`` on a serial dense state a
-#: ``BackendSpec`` built, and never elsewhere.
+#: The rule is ``shots > max(2**16, 2**n)`` on a serial dense state, and
+#: never elsewhere.
 LOOKAHEAD_RULE = {
     "serial-16q-200000-shots": (BatchedExecutor, 16, 200_000, True),
     "serial-16q-2**16-shots": (BatchedExecutor, 16, 1 << 16, False),
@@ -688,7 +732,6 @@ LOOKAHEAD_RULE = {
     "clifford": (CliffordFrameExecutor, 16, 200_000, False),
     "tensornet": (partial(TensorNetExecutor, max_batch=1), 16, 200_000, False),
     "serial-on-mps": (partial(BatchedExecutor, BackendSpec.mps()), 16, 200_000, False),
-    "serial-behind-a-factory": (partial(BatchedExecutor, StatevectorBackend), 16, 200_000, False),
 }
 
 

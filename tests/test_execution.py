@@ -109,14 +109,6 @@ class TestBatchedExecutor:
         )
         assert result.total_shots == 100
 
-    def test_callable_backend_factory(self, noisy_ghz3):
-        from repro.backends.statevector import StatevectorBackend
-
-        result = BatchedExecutor(lambda n: StatevectorBackend(n)).execute(
-            noisy_ghz3, [_spec(0, 10)], seed=0
-        )
-        assert result.total_shots == 10
-
     def test_deterministic_given_seed(self, noisy_ghz3):
         specs = [_spec(0, 50), _spec(1, 50)]
         a = BatchedExecutor().execute(noisy_ghz3, specs, seed=9).shot_table()
@@ -146,10 +138,6 @@ class TestParallelExecutor:
         # Sort both by (trajectory, row) since order within is preserved.
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.trajectory_ids, b.trajectory_ids)
-
-    def test_rejects_unpicklable_backend(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(backend=lambda n: None)
 
     def test_single_chunk_shortcut(self, noisy_ghz3):
         result = ParallelExecutor(num_workers=4).execute(noisy_ghz3, [_spec(0, 10)], seed=1)

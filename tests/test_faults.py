@@ -20,6 +20,7 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
+from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, depolarizing, two_qubit_depolarizing
 from repro.circuits import Circuit
 from repro.config import Config
@@ -126,7 +127,7 @@ def _run(circuit, strategy, plan=None, seed=SEED, retry=FAST_RETRY, nsamples=24)
             _pts(nsamples),
             seed=seed,
             strategy="tensornet",
-            executor_kwargs={"config": cfg},
+            backend=BackendSpec.mps(config=cfg),
         )
     raise AssertionError(strategy)
 
@@ -687,7 +688,7 @@ class TestLookAheadRecovery:
 # --------------------------------------------------------------------- #
 class _TestEngine(_SerialEngine):
     def __init__(self, circuit):
-        super().__init__("test", BackendSpec().create(circuit.num_qubits), circuit, None)
+        super().__init__("test", StatevectorBackend(circuit.num_qubits), circuit, Config())
 
 
 class _DyingEngine(_TestEngine):

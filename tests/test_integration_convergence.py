@@ -15,6 +15,7 @@ from repro.analysis.convergence import (
     exact_distribution,
 )
 from repro.backends.pauli_frame import FrameSampler
+from repro.backends.statevector import StatevectorBackend
 from repro.data.stats import empirical_distribution, total_variation_distance
 from repro.execution import BackendSpec, BatchedExecutor, run_ptsbe
 from repro.pts import ExhaustivePTS, ProbabilisticPTS, ProportionalPTS
@@ -84,7 +85,7 @@ class TestBaselineEquivalence:
     def test_baseline_and_ptsbe_sample_same_distribution(self, mixed_noise_circuit):
         exact = exact_distribution(mixed_noise_circuit)
         base = TrajectorySimulator(
-            lambda: BackendSpec().create(mixed_noise_circuit.num_qubits)
+            lambda: StatevectorBackend(mixed_noise_circuit.num_qubits)
         ).sample(mixed_noise_circuit, 5000, seed=25)
         pts = run_ptsbe(
             mixed_noise_circuit, ProportionalPTS(total_shots=20_000, nsamples=2500), seed=26

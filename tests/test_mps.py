@@ -2,8 +2,8 @@
 
 ``MPSBackend`` is the one-row view of ``BatchedMPSStack``: it routes
 without swapping back, so every single-state read goes through
-``site_of``, and ``strategy="serial"`` on it is ``strategy="tensornet"`` at
-``max_batch=1``, bit for bit.
+``site_of``, and ``strategy="serial"`` on ``BackendSpec.mps`` is the
+tensornet adapter at ``max_batch=1``, bit for bit.
 """
 
 import runpy
@@ -21,7 +21,8 @@ from repro.circuits import Circuit, library
 from repro.circuits.gates import CCX, CX, H, T, X
 from repro.circuits.library import build_workload, noisy
 from repro.errors import BackendError
-from repro.execution import BackendSpec, compile_schedule, run_ptsbe
+from repro.execution import BackendSpec, compile_schedule, run_ptsbe, tensornet
+from repro.execution.batched import executor_class
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng
 
@@ -316,3 +317,32 @@ class TestOneImplementation:
         mps = MPSBackend(5)
         mps.run_fixed(circ)
         assert mps.site_of == list(compile_schedule(circ).site_of) != list(range(5))
+
+
+class TestSerialIsTheTensornetAdapter:
+    """Serial and parallel on ``BackendSpec.mps`` build the tensornet
+    adapter at one row, under their own names: there is no second MPS
+    path through ``MPSBackend.run_fixed``."""
+
+    @pytest.mark.parametrize("strategy,workers", [("serial", 1), ("parallel", 2)])
+    def test_the_adapter_at_one_row_under_the_strategy_name(self, strategy, workers):
+        circuit = _profiled("ghz", "uniform_depolarizing")
+        executor = executor_class(strategy)(BackendSpec.mps(max_bond=4), num_workers=workers)
+        engine = executor._engine(circuit)
+        assert isinstance(engine, tensornet._MPSStackEngine)
+        assert (engine.name, engine.max_rows) == (strategy, 1)
+        assert engine.stack_options["max_bond"] == 4
+        specs = ProbabilisticPTS(20, 50).sample(circuit, make_rng(2)).specs
+        assert executor.execute(circuit, specs, seed=3).engine == strategy
+
+    def test_a_serial_run_never_calls_run_fixed(self, monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("MPSBackend.run_fixed ran")
+
+        monkeypatch.setattr(MPSBackend, "run_fixed", forbidden)
+        circuit = _profiled("qft", "superconducting_median")
+        result = run_ptsbe(
+            circuit, ProbabilisticPTS(20, 100), BackendSpec.mps(max_bond=4), seed=3,
+            strategy="serial",
+        )
+        assert result.engine == "serial" and result.total_shots > 0

@@ -206,16 +206,12 @@ class TestRowRule:
         self, noisy_ghz3, cls, max_batch, rows
     ):
         """A unit holds ``min(max_batch, backend.max_batch_rows)`` rows, read
-        off the backend that runs the stack: a factory's backend under
+        off the backend that runs the stack: a spec's backend under
         ``max_dense_qubits=5`` holds 2**(5-3) = 4 rows of a 3-qubit state."""
-        from repro.backends.batched_statevector import BatchedStatevectorBackend
-
         specs = _pts_specs(noisy_ghz3, 3)
         assert len(deduplicate_specs(specs)) == len(specs) > 4
-        config = Config(max_dense_qubits=5)
-        executor = cls(
-            lambda n: BatchedStatevectorBackend(n, config=config), max_batch=max_batch
-        )
+        spec = BackendSpec.batched_statevector(config=Config(max_dense_qubits=5))
+        executor = cls(spec, max_batch=max_batch)
         stream = executor.execute_stream(noisy_ghz3, specs, seed=6)
         assert next(stream).num_trajectories == rows  # one unit per chunk
         stream.close()
@@ -246,7 +242,7 @@ class TestStrategyDispatch:
             "vectorized": ["max_batch", "num_workers"],
             "sharded": ["max_batch", "num_workers"],
             "clifford": [],
-            "tensornet": ["max_batch", "max_bond", "cutoff", "config"],
+            "tensornet": ["max_batch"],
         }[strategy]
         with pytest.raises(ExecutionError) as err:
             run_ptsbe(
@@ -290,14 +286,6 @@ class TestGuards:
             ShardedExecutor(max_batch=0)
         with pytest.raises(ExecutionError):
             ShardedExecutor(num_workers=0)
-
-    def test_workers_require_picklable_backend(self):
-        from repro.backends.batched_statevector import BatchedStatevectorBackend
-
-        with pytest.raises(ExecutionError):
-            ShardedExecutor(
-                lambda n: BatchedStatevectorBackend(n), num_workers=2
-            )
 
     def test_requires_specs_and_measurements(self, noisy_ghz3):
         with pytest.raises(ExecutionError):

@@ -257,56 +257,49 @@ class TestAbandonment:
         with pytest.raises(ExecutionError, match="closed"):
             stream.finalize()
 
-    def test_vectorized_close_releases_backend(self, brickwork):
+    @staticmethod
+    def _stack_engines(monkeypatch):
+        """The vectorized adapters a run builds, captured at construction."""
+        from repro.execution import vectorized
+
+        built = []
+        original = vectorized._StackEngine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(vectorized._StackEngine, "__init__", recording_init)
+        return built
+
+    def test_vectorized_close_releases_backend(self, brickwork, monkeypatch):
         specs = _pts_specs(brickwork, 4)
-        captured = {}
-
-        def factory(num_qubits):
-            from repro.backends.batched_statevector import BatchedStatevectorBackend
-
-            captured["backend"] = BatchedStatevectorBackend(num_qubits)
-            return captured["backend"]
-
-        stream = VectorizedExecutor(factory, max_batch=1).execute_stream(
-            brickwork, specs, seed=2
-        )
+        built = self._stack_engines(monkeypatch)
+        stream = VectorizedExecutor(max_batch=1).execute_stream(brickwork, specs, seed=2)
         next(stream)
-        assert captured["backend"].batch_size > 0  # stack resident mid-run
+        (engine,) = built
+        assert engine.backend.batch_size > 0  # stack resident mid-run
         stream.close()
-        assert captured["backend"].batch_size == 0  # released on abandonment
+        assert engine.backend.batch_size == 0  # released on abandonment
 
-    def test_vectorized_close_before_first_chunk_releases(self, brickwork):
+    def test_vectorized_close_before_first_chunk_releases(self, brickwork, monkeypatch):
         """close() without consuming anything must still free the stack
         (the generator body never starts, so close() runs the release)."""
         specs = _pts_specs(brickwork, 4)
-        captured = {}
-
-        def factory(num_qubits):
-            from repro.backends.batched_statevector import BatchedStatevectorBackend
-
-            captured["backend"] = BatchedStatevectorBackend(num_qubits)
-            return captured["backend"]
-
-        stream = VectorizedExecutor(factory, max_batch=1).execute_stream(
-            brickwork, specs, seed=2
-        )
-        assert captured["backend"].batch_size > 0  # allocated eagerly
+        built = self._stack_engines(monkeypatch)
+        stream = VectorizedExecutor(max_batch=1).execute_stream(brickwork, specs, seed=2)
+        (engine,) = built
+        assert engine.backend.batch_size > 0  # allocated eagerly
         stream.close()
-        assert captured["backend"].batch_size == 0
+        assert engine.backend.batch_size == 0
 
-    def test_vectorized_full_drain_also_releases(self, brickwork):
+    def test_vectorized_full_drain_also_releases(self, brickwork, monkeypatch):
         specs = _pts_specs(brickwork, 4)
-        captured = {}
-
-        def factory(num_qubits):
-            from repro.backends.batched_statevector import BatchedStatevectorBackend
-
-            captured["backend"] = BatchedStatevectorBackend(num_qubits)
-            return captured["backend"]
-
-        stream = VectorizedExecutor(factory).execute_stream(brickwork, specs, seed=2)
+        built = self._stack_engines(monkeypatch)
+        stream = VectorizedExecutor().execute_stream(brickwork, specs, seed=2)
         stream.finalize()
-        assert captured["backend"].batch_size == 0
+        (engine,) = built
+        assert engine.backend.batch_size == 0
 
     def test_parallel_close_leaves_no_processes(self, brickwork):
         specs = _pts_specs(brickwork, 8)

@@ -949,25 +949,30 @@ class TestExecutorContracts:
         for tid, weight in tw.items():
             assert weight == pytest.approx(sw[tid], rel=1e-9, abs=1e-12)
 
-    def test_backend_factory_rejected(self):
-        with pytest.raises(ExecutionError, match="factory"):
-            TensorNetExecutor(backend=lambda n: StatevectorBackend(n))
-
     def test_bad_max_batch_rejected(self):
         with pytest.raises(ExecutionError, match="max_batch"):
             TensorNetExecutor(max_batch=0)
 
-    def test_bond_resolution_order(self):
-        # Explicit arg > spec options > config default.
-        assert TensorNetExecutor(BackendSpec.mps(max_bond=8), max_bond=5).max_bond == 5
-        assert TensorNetExecutor(BackendSpec.mps(max_bond=8)).max_bond == 8
-        cfg = Config(default_bond_dim=12)
-        assert TensorNetExecutor(config=cfg).max_bond == 12
-        assert TensorNetExecutor().max_bond == Config().default_bond_dim
+    def test_bond_resolution_order(self, small_noisy_circuit):
+        """Spec option > config default, for the bond and the cutoff alike."""
+
+        def truncation(spec):
+            options = TensorNetExecutor(spec)._engine(small_noisy_circuit).stack_options
+            return options["max_bond"], options["cutoff"]
+
+        cfg = Config(default_bond_dim=12, svd_cutoff=1e-9)
+        assert truncation(BackendSpec.mps(max_bond=8, cutoff=0.0, config=cfg)) == (8, 0.0)
+        assert truncation(BackendSpec.mps(config=cfg)) == (12, 1e-9)
+        assert truncation(BackendSpec.statevector(config=cfg)) == (12, 1e-9)
+        assert truncation(BackendSpec()) == (Config().default_bond_dim, Config().svd_cutoff)
+
+    def test_bond_below_one_rejected(self, small_noisy_circuit):
+        with pytest.raises(ExecutionError, match="max_bond"):
+            TensorNetExecutor(BackendSpec.mps(max_bond=0))._engine(small_noisy_circuit)
 
     def test_width_above_tensornet_cap_raises(self):
         circ = _wide_nonclifford(8)
-        exe = TensorNetExecutor(config=Config(max_tensornet_qubits=6))
+        exe = TensorNetExecutor(BackendSpec.mps(config=Config(max_tensornet_qubits=6)))
         from repro.pts.base import NoiseSiteView, PTSAlgorithm
 
         spec = PTSAlgorithm.make_spec(NoiseSiteView(circ), [], 10, trajectory_id=0)

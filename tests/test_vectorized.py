@@ -348,12 +348,6 @@ class TestGuards:
         with pytest.raises(ExecutionError):
             VectorizedExecutor(BackendSpec.mps(max_bond=8))
 
-    def test_vectorized_rejects_bad_factory(self, noisy_ghz3):
-        with pytest.raises(ExecutionError):
-            VectorizedExecutor(lambda n: StatevectorBackend(n)).execute(
-                noisy_ghz3, [_spec(0, 10)], seed=0
-            )
-
     def test_vectorized_requires_specs_and_measurements(self, noisy_ghz3):
         with pytest.raises(ExecutionError):
             VectorizedExecutor().execute(noisy_ghz3, [], seed=0)
