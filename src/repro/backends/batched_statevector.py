@@ -9,26 +9,40 @@ its one-row view, so a serial preparation *is* a stacked preparation at
 * **Shared work** is one fused kernel call: execution walks the circuit's
   compiled :class:`~repro.execution.plan.FusedPlan` — adjacent gates (and
   noise-branch operators) merged into per-window matrices — and each
-  coherent window updates every trajectory at once through a reshape
-  view of the stack (:func:`~repro.linalg.apply.apply_compiled_stack`).
+  coherent window updates every walked trajectory at once through a
+  reshape view of the stack
+  (:func:`~repro.linalg.apply.apply_compiled_stack`), writing into a
+  second buffer of the stack's shape that the walk alternates with.
   The per-operation Python/dispatch overhead and buffer traffic is paid
-  once per window instead of once per (operation, trajectory).
+  once per window instead of once per (operation, trajectory).  The
+  *ideal prefix* is shared too: PTS fixes every choice before any state
+  exists, so up to its first non-dominant choice
+  (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`) a row is
+  the ideal circuit.  The rows are kept in order of first deviation
+  behind one slot that carries the ideal state; a step runs on the
+  leading block of rows that have deviated by it plus that slot, and a
+  row joins by copying the slot's state, weight and alive flag just
+  before its own first deviation (rows that never deviate before the
+  tail copy it once, at the end).  Every row-facing call maps caller rows
+  to slots, so callers see their own order.
 * **Divergent Kraus choices** are handled by *grouping*: at each noise
-  window the stack rows are partitioned by their variant key — the tuple
+  window the walked rows are partitioned by their variant key — the tuple
   of prescribed Kraus indices at the window's sites (absent sites use the
   channel's dominant operator, exactly like
   :meth:`PureStateBackend.run_fixed`) — and each distinct fused variant is
   applied via the same batched kernel over its row sub-slice.  Since PTS
   trajectories overwhelmingly take the dominant branch, there are
-  typically only one or two groups per window.
+  typically only one or two groups per window, and only the rows that
+  name one of the window's sites have their key looked up.
 * **Batched renormalization** after each general-Kraus noise window (a
   unitary-mixture window keeps the norm and multiplies its
   state-independent probability into the weights instead) runs
-  :func:`~repro.linalg.reductions.row_norms_squared` once over the whole
-  stack.  The reduction and every kernel are row-independent, so row
-  ``i`` of a ``B``-row stack is bitwise the same trajectory prepared in a
-  one-row stack: every dense strategy draws the same shots whatever the
-  batch size (``tests/test_vectorized.py``, ``tests/test_fusion.py``).
+  :func:`~repro.linalg.reductions.row_norms_squared` once over the walked
+  block.  The reduction and every kernel are row-independent, and a
+  copied prefix is the same arithmetic on the same input, so row ``i`` of
+  a ``B``-row stack is bitwise the same trajectory prepared in a one-row
+  stack: every dense strategy draws the same shots whatever the batch
+  size (``tests/test_vectorized.py``, ``tests/test_fusion.py``).
 
 Rows whose prescribed Kraus branch annihilates the actual state (possible
 for general, non-unitary-mixture channels whose nominal probabilities are
@@ -81,28 +95,33 @@ __all__ = ["BatchedStatevectorBackend"]
 
 def _apply_grouped(
     stack: np.ndarray,
-    groups: Dict[Tuple[int, ...], List[int]],
-    apply: Callable[[np.ndarray, Tuple[int, ...]], np.ndarray],
+    groups: Dict[Tuple[int, ...], Sequence[int]],
+    apply: Callable[[np.ndarray, Tuple[int, ...], Optional[np.ndarray]], np.ndarray],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``apply(rows, key)`` on each variant group of ``stack``'s rows.
+    """``apply(rows, key, out)`` on each variant group of ``stack``'s rows.
 
     One group (unanimous rows) takes the whole stack — dead rows are zero
     and stay zero under any operator.  Otherwise the majority variant runs
     on the whole stack and the (few) deviating rows are overwritten from a
     pre-step snapshot, which avoids gathering and scattering the large
-    majority slice.  ``apply`` may work in place; the result is returned.
+    majority slice.  ``apply`` either works in place or writes to ``out``
+    (fresh when ``None``); the result is returned.  The minority variants
+    write into whichever of ``stack`` and ``out`` the majority left free.
     """
     if len(groups) <= 1:
-        return apply(stack, next(iter(groups))) if groups else stack
+        return apply(stack, next(iter(groups)), out) if groups else stack
     majority = max(groups, key=lambda key: len(groups[key]))
     minority_rows = {
         key: np.asarray(rows, dtype=np.intp) for key, rows in groups.items() if key != majority
     }
     snapshots = {key: np.ascontiguousarray(stack[rows]) for key, rows in minority_rows.items()}
-    stack = apply(stack, majority)
+    result = apply(stack, majority, out)
+    free = out if result is stack else stack
     for key, rows in minority_rows.items():
-        stack[rows] = apply(snapshots[key], key)
-    return stack
+        scratch = None if free is None else free[: len(rows)]
+        result[rows] = apply(snapshots.pop(key), key, scratch)
+    return result
 
 
 def _permute(stack: np.ndarray, support: Tuple[int, ...], index_map: np.ndarray) -> np.ndarray:
@@ -178,13 +197,18 @@ class BatchedStatevectorBackend:
         self.num_qubits = int(num_qubits)
         self._config = config
         self._dim = 2**self.num_qubits
+        #: Rows in walk order (see :meth:`_prepare`); ``_row[r]`` is where
+        #: caller row ``r`` lives, and every row-facing call maps through it.
         self._stack = np.empty((0, self._dim), dtype=config.dtype)
         self._alive: np.ndarray = np.empty(0, dtype=bool)
+        self._row: np.ndarray = np.empty(0, dtype=np.intp)
+        #: The second buffer a walk alternates with, alive only during one.
+        self._spare: Optional[np.ndarray] = None
         self._probs_cache: Dict[int, np.ndarray] = {}
         self._cum_stack: Optional[np.ndarray] = None  # (B, dim) cumulative tensor
         self._cum_totals: Optional[np.ndarray] = None  # per-row norms
         #: The measurement tail of the last preparation, not yet run on the
-        #: amplitudes: ``(step, {variant key: rows})`` per classical step.
+        #: amplitudes: ``(step, {variant key: caller rows})`` per classical step.
         self._tail: List[Tuple[object, Dict[Tuple[int, ...], List[int]]]] = []
         #: Cumulative wall time spent renormalizing the stack after noise
         #: windows (reduction + scale + bookkeeping) — the benchmark
@@ -207,7 +231,7 @@ class BatchedStatevectorBackend:
     @property
     def alive(self) -> np.ndarray:
         """Boolean mask of rows that still hold a valid (non-dead) state."""
-        return self._alive
+        return self._alive[self._row]
 
     @property
     def config(self) -> Config:
@@ -217,6 +241,12 @@ class BatchedStatevectorBackend:
     def reset(self, batch_size: Optional[int] = None) -> None:
         """Reset every row to |0...0>, optionally resizing the stack."""
         b = self.batch_size if batch_size is None else int(batch_size)
+        self._allocate(b, np.zeros)
+        self._stack[:, 0] = 1.0
+        self._row = np.arange(b)
+
+    def _allocate(self, b: int, alloc: Callable = np.empty) -> None:
+        """A fresh ``b``-row stack from ``alloc``, every row alive, no tail."""
         if b <= 0:
             raise BackendError(f"batch_size must be positive, got {b}")
         if b > self.max_batch_rows:
@@ -224,8 +254,9 @@ class BatchedStatevectorBackend:
                 f"stack of {b} x 2**{self.num_qubits} amplitudes exceeds the dense "
                 f"budget of 2**{self._config.max_dense_qubits} (max {self.max_batch_rows} rows)"
             )
+        self.release()  # the old stack and its tables go before the new one comes
         try:
-            self._stack = np.zeros((b, self._dim), dtype=self._config.dtype)
+            self._stack = alloc((b, self._dim), dtype=self._config.dtype)
         except MemoryError as exc:
             # Within the configured budget but past what the host actually
             # has: surface the same actionable error type as the cap check
@@ -235,15 +266,12 @@ class BatchedStatevectorBackend:
                 f"of memory; lower the batch size or use strategy "
                 f"'tensornet'/'clifford' for wide circuits"
             ) from exc
-        self._stack[:, 0] = 1.0
         self._alive = np.ones(b, dtype=bool)
-        self._tail = []
-        self._invalidate()
 
     def statevector(self, row: int) -> np.ndarray:
         """Row ``row``'s amplitude array (a direct view — do not mutate)."""
         self._materialize()
-        return self._stack[row]
+        return self._stack[self._row[row]]
 
     def release(self) -> None:
         """Drop the stack and every sampling cache.
@@ -260,6 +288,8 @@ class BatchedStatevectorBackend:
         """
         self._stack = np.empty((0, self._dim), dtype=self._config.dtype)
         self._alive = np.empty(0, dtype=bool)
+        self._row = np.empty(0, dtype=np.intp)
+        self._spare = None
         self._tail = []
         self._invalidate()
 
@@ -306,6 +336,7 @@ class BatchedStatevectorBackend:
                     f"rows {rows.tolist()} out of range for a "
                     f"{self.batch_size}-row stack"
                 )
+            rows = np.sort(self._row[rows])
             if rows.size == self.batch_size:
                 rows = None  # the "sub-slice" is the whole stack
         if rows is None:
@@ -328,7 +359,7 @@ class BatchedStatevectorBackend:
         """Per-row <psi|psi> of the current stack: one stack-wide
         :func:`~repro.linalg.reductions.row_norms_squared` call."""
         self._materialize()
-        return row_norms_squared(self._stack).astype(np.float64, copy=False)
+        return row_norms_squared(self._stack).astype(np.float64, copy=False)[self._row]
 
     # ------------------------------------------------------------------ #
     # stacked trajectory preparation (the vectorized BE primitive)
@@ -373,48 +404,106 @@ class BatchedStatevectorBackend:
         if len(choices_list) == 0:
             raise ExecutionError("empty trajectory stack")
         plan = get_fused_plan(circuit, self._config)
-        self.reset(len(choices_list))
-        weights = np.ones(len(choices_list), dtype=np.float64)
-        for index, step in enumerate(plan.steps):
-            groups = self._groups(step, choices_list)
-            if index >= plan.tail:
-                # The measurement tail: recorded, not run (see _squares).
-                self._tail.append((step, groups))
-            else:
-                self._apply_step(step, groups)
+        b = len(choices_list)
+        first, touched = plan.prescribed_steps(choices_list)
+        first = np.asarray(first, dtype=np.intp)
+        # Walk order: slot 0 holds the row that deviates last — the ideal
+        # circuit until then — and the others follow in order of their
+        # first deviation, so the rows a step touches are a leading block.
+        order = np.roll(np.argsort(first, kind="stable"), 1)
+        joined = (1 + np.searchsorted(first[order[1:]], np.arange(plan.tail), side="right")).tolist()
+        self._allocate(b)
+        self._row = np.empty(b, dtype=np.intp)
+        self._row[order] = np.arange(b)
+        slot = self._row.tolist()
+        self._stack[0] = 0
+        self._stack[0, 0] = 1.0
+        self._spare = np.empty_like(self._stack)
+        weights = np.ones(b, dtype=np.float64)
+        live = 1
+        for index in range(plan.tail):
+            step = plan.steps[index]
+            live = self._join(live, joined[index], weights)
+            prescribed = [(slot[row], choices_list[row]) for row in touched[index]]
+            groups = self._groups(step, self._alive, live, prescribed)
+            self._apply_step(step, groups, live)
             if isinstance(step, NoiseStep):
-                self._weigh(step, groups, weights)
+                self._weigh(step, groups, weights, live)
+        self._join(live, b, weights)
+        self._spare = None
+        weights, alive = weights[self._row], self._alive[self._row]
+        for index in range(plan.tail, plan.num_steps):
+            # The measurement tail: recorded on caller rows, not run (see
+            # _squares).  Its windows are unitary: _weigh touches no state.
+            step = plan.steps[index]
+            prescribed = [(row, choices_list[row]) for row in touched[index]]
+            groups = self._groups(step, alive, b, prescribed)
+            self._tail.append((step, groups))
+            if isinstance(step, NoiseStep):
+                self._weigh(step, groups, weights, b)
             # MeasureOps are deferred; sampling happens afterwards.
-        return weights, self._alive.copy()
+        return weights, alive
 
+    def _join(self, live: int, upto: int, weights: np.ndarray) -> int:
+        """Slots ``[live, upto)`` take the ideal slot's state, weight and
+        alive flag (the prefix they share with it); returns the new block
+        end, ``upto >= live``."""
+        if upto > live:
+            self._stack[live:upto] = self._stack[0]
+            weights[live:upto] = weights[0]
+            self._alive[live:upto] = self._alive[0]
+        return upto
+
+    @staticmethod
     def _groups(
-        self, step, choices_list: Sequence[Optional[Dict[int, int]]]
-    ) -> Dict[Tuple[int, ...], List[int]]:
-        """The live rows of the stack grouped by their variant key at ``step``."""
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for row, choices in enumerate(choices_list):
-            if self._alive[row]:
+        step, alive: np.ndarray, count: int, prescribed: List[Tuple[int, Dict[int, int]]]
+    ) -> Dict[Tuple[int, ...], Sequence[int]]:
+        """The alive rows among the first ``count`` grouped by their variant
+        key at ``step``: each ``(row, choices)`` in ``prescribed`` (the rows
+        naming a site of the step) by its own key, every other row by the
+        dominant one."""
+        rest = alive[:count].copy()
+        groups: Dict[Tuple[int, ...], Sequence[int]] = {}
+        for row, choices in prescribed:
+            if row < count and alive[row]:
+                rest[row] = False
                 groups.setdefault(step.key_for(choices), []).append(row)
+        others = np.flatnonzero(rest)
+        if others.size:
+            key = step.key_for(None)
+            groups[key] = np.concatenate([others, groups[key]]) if key in groups else others
         return groups
 
-    def _apply_step(self, step, groups: Dict[Tuple[int, ...], List[int]]) -> None:
-        """One step of the complex walk: each group's variant on its rows."""
-        self._stack = _apply_grouped(
-            self._stack,
+    def _apply_step(self, step, groups: Dict[Tuple[int, ...], Sequence[int]], live: int) -> None:
+        """One step of the complex walk on the leading ``live`` slots: each
+        group's variant on its rows, from one buffer into the other."""
+        block, spare = self._stack[:live], self._spare[:live]
+        result = _apply_grouped(
+            block,
             groups,
-            lambda block, key: apply_compiled_stack(block, step.variant(key), self.num_qubits),
+            lambda rows, key, out: apply_compiled_stack(
+                rows, step.variant(key), self.num_qubits, out
+            ),
+            spare,
         )
+        if result is spare:
+            self._stack, self._spare = self._spare, self._stack
 
     def _materialize(self) -> None:
         """Run the recorded tail on the amplitudes: the walk it replaces,
         step for step, so every amplitude read is the full walk's state."""
         tail, self._tail = self._tail, []
+        if not tail:
+            return
+        self._spare = np.empty_like(self._stack)
         for step, groups in tail:
-            self._apply_step(step, groups)
+            slots = {key: self._row[rows] for key, rows in groups.items()}
+            self._apply_step(step, slots, self.batch_size)
+        self._spare = None
 
-    def _weigh(self, step, groups, weights: np.ndarray) -> None:
+    def _weigh(self, step, groups, weights: np.ndarray, live: int) -> None:
         """Weigh the rows after a noise window: by the window's probability
-        (unitary mixture) or by renormalizing."""
+        (unitary mixture) or by renormalizing the leading ``live`` slots."""
         if step.unitary:
             # Unitary-mixture window: every variant is unitary and its
             # branch probability state-independent — no reduction, no
@@ -424,13 +513,14 @@ class BatchedStatevectorBackend:
             return
         if not groups:
             return  # every row already dead: nothing to scale
-        # Batched renormalization: one stack-wide, row-independent
+        # Batched renormalization: one block-wide, row-independent
         # reduction.  Dead rows (previously dead, or annihilated by this
         # window) get a unit divisor: x / 1.0 is bitwise x, and newly-dead
         # rows are zeroed below anyway.
         t0 = time.perf_counter()
-        norms = row_norms_squared(self._stack)
-        scale_rows_inverse_sqrt(self._stack, norms, dead_norm=DEAD_NORM)
+        block = self._stack[:live]
+        norms = row_norms_squared(block)
+        scale_rows_inverse_sqrt(block, norms, dead_norm=DEAD_NORM)
         for rows in groups.values():
             for row in rows:
                 n2 = float(norms[row])
@@ -490,16 +580,20 @@ class BatchedStatevectorBackend:
         return self._cum_stack
 
     def _squares(self, lo: int, hi: int) -> np.ndarray:
-        """``|amplitude|**2`` of rows ``[lo, hi)`` in the final index order,
-        as a fresh array the caller owns.
+        """``|amplitude|**2`` of caller rows ``[lo, hi)`` in the final index
+        order, as a fresh array the caller owns.
 
         The recorded tail runs here, on the real squares: each classical
         step is its variants' index maps (their phases drop out of
         ``|.|**2``), grouped as the complex walk groups them.  Without a
         phase the result is bitwise the walked state's squares; with one,
         it differs only where a phase product rounds in the last bit.
+        The squares come out in caller order, read row by row out of the
+        walk order: no gather of the complex stack.
         """
-        probs = np.abs(self._stack[lo:hi])
+        probs = np.empty((hi - lo, self._dim), dtype=self._stack.real.dtype)
+        for row, slot in enumerate(self._row[lo:hi].tolist()):
+            np.abs(self._stack[slot], out=probs[row])
         np.square(probs, out=probs)
         for step, groups in self._tail:
             if hi - lo < self.batch_size:
@@ -511,7 +605,7 @@ class BatchedStatevectorBackend:
             probs = _apply_grouped(
                 probs,
                 groups,
-                lambda block, key: _permute(block, step.support, step.permutation(key)),
+                lambda block, key, out: _permute(block, step.support, step.permutation(key)),
             )
         return probs
 

@@ -12,6 +12,7 @@ an ``_engine(circuit)`` recipe that builds the adapter.
 What :func:`drive` owns, for every engine and every worker count:
 
 * the preamble — freeze, the "no measurements" / "no specs" checks, the
+  check that every prescribed noise site exists in the circuit, the
   resolved root seed, the fault context;
 * deduplication (:func:`~repro.pts.base.deduplicate_specs`) and the queue
   of tasks, each a range of dedup groups named
@@ -372,12 +373,22 @@ def drive(
         raise ExecutionError("circuit has no measurements to sample")
     if not specs:
         raise ExecutionError("no trajectory specs to execute")
+    groups = deduplicate_specs(specs)
+    # Site ids count the circuit's noise ops from 0 and a group key is
+    # sorted by site: its ends bound every site it prescribes.
+    num_sites = circuit.num_noise_sites()
+    for group in groups:
+        if group.key and not (0 <= group.key[0][0] and group.key[-1][0] < num_sites):
+            site = next(s for s, _ in group.key if not 0 <= s < num_sites)
+            raise ExecutionError(
+                f"spec {group.indices[0]} prescribes noise site {site}, but the "
+                f"circuit has {num_sites} noise sites (ids 0..{num_sites - 1})"
+            )
     streams = StreamFactory(seed)
     engine = build()
     name = engine.name
     ctx = FaultContext.from_config(engine.config, streams.seed, strategy=name)
     events: List[RecoveryEvent] = []
-    groups = deduplicate_specs(specs)
     workers = min(workers, len(groups))
     # In-process a task is one unit: max_rows groups or max_unit_shots
     # shots.  Over a pool it is a quarter of a worker's even share — small

@@ -185,6 +185,7 @@ class NoiseStep:
         "_operators",
         "_embedded",
         "_maps",
+        "_probabilities",
         "_step_index",
         "_dtype",
         "_cache",
@@ -230,6 +231,7 @@ class NoiseStep:
         # ``_maps``), built on first use.
         self._embedded: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         self._maps: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
+        self._probabilities: Dict[Tuple[int, ...], float] = {}
         self._step_index = step_index
         self._dtype = dtype
         self._cache = cache
@@ -266,10 +268,14 @@ class NoiseStep:
 
     def probability(self, key: Tuple[int, ...]) -> float:
         """Branch probability of ``key`` on a ``unitary`` window: the
-        product of the sites' nominal probabilities, in site order."""
-        return math.prod(
-            channel.nominal_probs[idx] for channel, idx in zip(self.channels, key)
-        )
+        product of the sites' nominal probabilities, in site order
+        (memoized per key)."""
+        probability = self._probabilities.get(key)
+        if probability is None:
+            probability = self._probabilities[key] = math.prod(
+                channel.nominal_probs[idx] for channel, idx in zip(self.channels, key)
+            )
+        return probability
 
     def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         """Compiled fused operator realizing Kraus choices ``key``."""
@@ -352,10 +358,49 @@ class FusedPlan:
         self.num_source_ops = num_source_ops
         self.max_qubits = max_qubits
         self.variant_cache = variant_cache
+        # Noise site id -> (its step's index, the site's dominant index).
+        self._sites: Dict[int, Tuple[int, int]] = {
+            site: (index, dominant)
+            for index, step in enumerate(steps)
+            if isinstance(step, NoiseStep)
+            for site, dominant in zip(step.site_ids, step.dominant_key)
+        }
 
     @property
     def num_steps(self) -> int:
         return len(self.steps)
+
+    def prescribed_steps(
+        self, choices_list: Sequence[Optional[Mapping[int, int]]]
+    ) -> Tuple[List[int], List[List[int]]]:
+        """Where each prescription in ``choices_list`` acts on the plan.
+
+        Returns ``first`` — per prescription, the index of the first step
+        at which it takes a branch other than the dominant one
+        (``num_steps`` if it never does): every step before it runs the
+        ideal circuit's variant — and ``touched`` — per step, the
+        prescriptions (by position, ascending) that name one of its sites.
+        A choice that names the dominant index touches its step but is no
+        deviation; index ranges are checked where a step's
+        :meth:`NoiseStep.key_for` reads them.
+        """
+        first = [len(self.steps)] * len(choices_list)
+        touched: List[List[int]] = [[] for _ in self.steps]
+        for row, choices in enumerate(choices_list):
+            for site, index in (choices or {}).items():
+                entry = self._sites.get(site)
+                if entry is None:
+                    raise BackendError(
+                        f"noise site {site} is not in the circuit "
+                        f"(it has {len(self._sites)} sites)"
+                    )
+                step, dominant = entry
+                rows = touched[step]
+                if not rows or rows[-1] != row:
+                    rows.append(row)
+                if index != dominant and step < first[row]:
+                    first[row] = step
+        return first, touched
 
     @property
     def num_noise_steps(self) -> int:

@@ -268,15 +268,21 @@ def _scale_slices_inplace(slices: List[np.ndarray], diag: np.ndarray) -> None:
 
 
 def apply_compiled_stack(
-    stack: np.ndarray, op: CompiledOperator, num_qubits: int
+    stack: np.ndarray,
+    op: CompiledOperator,
+    num_qubits: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Apply a :class:`CompiledOperator` to every row of a stack.
 
     Same contract as :func:`apply_matrix_stack` minus the per-call
     analysis: ``stack`` is a C-contiguous ``(rows, 2**num_qubits)`` array
     owned by the caller; scalar/diagonal operators mutate it in place and
-    return it, dense operators return a fresh array.  No renormalization
-    is performed.
+    return it, dense operators write their output to ``out`` — a
+    C-contiguous array of ``stack``'s shape and dtype that does not
+    overlap it, a fresh one when ``None`` — and return that.  A caller
+    that alternates between two buffers allocates nothing per call.  No
+    renormalization is performed.
     """
     rows, dim = stack.shape
     k = op.num_targets
@@ -286,6 +292,8 @@ def apply_compiled_stack(
         if op.scalar != 1:
             stack *= op.scalar
         return stack
+    if out is None and op.diag is None:
+        out = np.empty_like(stack)  # every tier below but the diagonal one
     if op.gemm_view:
         # Ascending contiguous dense targets of any arity already form one
         # axis of size 2**k under a pure reshape: a matmul on the view, no
@@ -297,11 +305,11 @@ def apply_compiled_stack(
             # end: one flat GEMM covers the whole stack
             # (out[r, i] = sum_j U[i, j] v[r, j], U = M (x) I_tail).
             view = stack.reshape(-1, dim_k * tail)
-            out = np.matmul(view, op.padded(tail).T)
+            np.matmul(view, op.padded(tail).T, out=out.reshape(view.shape))
         else:
             view = stack.reshape(-1, dim_k, tail)
-            out = np.matmul(op.matrix, view)
-        return out.reshape(rows, dim)
+            np.matmul(op.matrix, view, out=out.reshape(view.shape))
+        return out
     if k == 1:
         t = op.targets[0]
         view = stack.reshape(rows * (1 << t), 2, -1)
@@ -309,9 +317,9 @@ def apply_compiled_stack(
         if op.diag is not None:
             _scale_slices_inplace(in_slices, op.diag)
             return stack
-        out = np.empty_like(view)
-        _accumulate_slices([out[:, 0], out[:, 1]], in_slices, op.matrix)
-        return out.reshape(rows, dim)
+        dst = out.reshape(view.shape)
+        _accumulate_slices([dst[:, 0], dst[:, 1]], in_slices, op.matrix)
+        return out
     if k == 2:
         t1, t2 = op.targets  # ascending after compilation
         view = stack.reshape(rows * (1 << t1), 2, 1 << (t2 - t1 - 1), 2, -1)
@@ -319,10 +327,10 @@ def apply_compiled_stack(
         if op.diag is not None:
             _scale_slices_inplace(in_slices, op.diag)
             return stack
-        out = np.empty_like(view)
-        out_slices = [out[:, j, :, l] for j in range(2) for l in range(2)]
+        dst = out.reshape(view.shape)
+        out_slices = [dst[:, j, :, l] for j in range(2) for l in range(2)]
         _accumulate_slices(out_slices, in_slices, op.matrix)
-        return out.reshape(rows, dim)
+        return out
     if k == 3:
         # The k=3 view tier: fused 3-qubit windows and the native ccx
         # never pay the whole-stack moveaxis+GEMM fallback, so peak
@@ -352,22 +360,22 @@ def apply_compiled_stack(
             if op.diag is not None:
                 _scale_slices_inplace(in_slices, op.diag)
                 return stack
-            out = np.empty_like(view)
+            dst = out.reshape(view.shape)
             out_slices = [
-                out[:, a, :, b, :, c]
+                dst[:, a, :, b, :, c]
                 for a in range(2)
                 for b in range(2)
                 for c in range(2)
             ]
             _accumulate_slices(out_slices, in_slices, op.matrix)
-            return out.reshape(rows, dim)
+            return out
         # Dense and gapped (contiguous dense triples took the view matmul).
-        return _apply_k3_blocked_gemm(stack, op, num_qubits)
-    return apply_gemm_stack(stack, op, num_qubits)
+        return _apply_k3_blocked_gemm(stack, op, num_qubits, out)
+    return apply_gemm_stack(stack, op, num_qubits, out)
 
 
 def _apply_k3_blocked_gemm(
-    stack: np.ndarray, op: CompiledOperator, num_qubits: int
+    stack: np.ndarray, op: CompiledOperator, num_qubits: int, out: np.ndarray
 ) -> np.ndarray:
     """Gapped dense 3-qubit operators: gather + GEMM + scatter in blocks.
 
@@ -384,7 +392,6 @@ def _apply_k3_blocked_gemm(
     """
     rows, dim = stack.shape
     targets = [t + 1 for t in op.targets]
-    out = np.empty_like(stack)
     src = stack.reshape((rows,) + (2,) * num_qubits)
     dst = out.reshape((rows,) + (2,) * num_qubits)
     block = max(1, rows // 16)
@@ -403,7 +410,10 @@ def _apply_k3_blocked_gemm(
 
 
 def apply_gemm_stack(
-    stack: np.ndarray, op: CompiledOperator, num_qubits: int
+    stack: np.ndarray,
+    op: CompiledOperator,
+    num_qubits: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Generic k-qubit fallback: move target axes up front, one batched GEMM.
 
@@ -420,9 +430,12 @@ def apply_gemm_stack(
     psi = np.moveaxis(psi, [t + 1 for t in op.targets], range(1, k + 1))
     shape_after = psi.shape
     psi = np.ascontiguousarray(psi).reshape(rows, 2**k, -1)
-    out = np.matmul(op.matrix, psi).reshape(shape_after)
-    out = np.moveaxis(out, range(1, k + 1), [t + 1 for t in op.targets])
-    return np.ascontiguousarray(out).reshape(rows, dim)
+    result = np.matmul(op.matrix, psi).reshape(shape_after)
+    result = np.moveaxis(result, range(1, k + 1), [t + 1 for t in op.targets])
+    if out is None:
+        return np.ascontiguousarray(result).reshape(rows, dim)
+    out.reshape(result.shape)[...] = result
+    return out
 
 
 def apply_matrix_stack(

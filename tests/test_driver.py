@@ -652,6 +652,16 @@ def test_dead_row_has_zero_weight_and_no_shots_on_the_dense_engines():
         assert result.recovery == []  # a dead row is not a retried failure
 
 
+@pytest.mark.parametrize("site", [999, -1])
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_a_prescription_for_a_missing_noise_site_is_rejected(circuit, strategy, site):
+    """Such a spec used to run as the ideal trajectory, and its record
+    claimed an error that was never applied."""
+    specs = [_spec(0, 10, {0: 1}), _spec(1, 10, {1: 1, site: 1})]
+    with pytest.raises(ExecutionError, match=rf"spec 1 prescribes noise site {site}\b"):
+        make_executor(strategy).execute(circuit, specs, seed=1)
+
+
 #: SHA-256 of ``bits`` then little-endian int64 ``trajectory_ids`` of the run
 #: below.  The clifford engine has no bitwise cross-check against another
 #: engine, so this is it.  Regenerated by the change that gave the PTS

@@ -284,6 +284,7 @@ def _tier_cases():
         pytest.param(H.matrix, (2,), "dense", id="slice-1q"),
         pytest.param(CX.matrix, (4, 1), "dense", id="slice-cx-reversed"),
         pytest.param(random_unitary(4, rng), (4, 5), "dense", id="gemm-view"),
+        pytest.param(random_unitary(4, rng), (0, 1), "dense", id="gemm-view-batched"),
         pytest.param(random_unitary(8, rng), (0, 2, 5), "dense", id="k3-blocked"),
         pytest.param(random_unitary(16, rng), (5, 0, 2, 3), "dense", id="k4-gemm"),
     ]
@@ -302,6 +303,20 @@ class TestApplyMatrixStack:
         np.testing.assert_array_equal(one_shot, compiled)
         reference = (embed_operator(matrix, list(targets), 6) @ stack.T).T
         np.testing.assert_allclose(one_shot, reference, atol=1e-12)
+
+    @pytest.mark.parametrize("matrix,targets,tier", _tier_cases())
+    def test_an_out_buffer_takes_the_same_bits(self, matrix, targets, tier):
+        """Given ``out``, a tier that does not work in place writes into it
+        and returns it; an in-place tier returns the stack, ``out`` untouched."""
+        stack = _random_stack(3, 6, 13)
+        op = compile_operator(matrix, targets, DTYPE)
+        fresh = apply_compiled_stack(stack.copy(), op, 6)
+        source, out = stack.copy(), np.full_like(stack, np.nan)
+        result = apply_compiled_stack(source, op, 6, out)
+        in_place = tier in ("identity", "scalar", "diagonal")
+        assert result is (source if in_place else out)
+        assert np.isnan(out).all() == in_place
+        np.testing.assert_array_equal(result, fresh)
 
 
 class TestScaleRowsInverseSqrt:

@@ -724,14 +724,17 @@ class TestKrausIndexRange:
             causes[strategy] = str(err.value.__cause__)
         assert causes["tensornet"] == causes["serial"]
 
-    def test_last_valid_index_and_unknown_site_ids_are_accepted(self, chain):
+    def test_last_valid_index_is_accepted(self, chain):
         site = _site_ids(chain)[0]
-        result = run_ptsbe(
-            chain, _FixedSpecs([{site: 3}, {10_000: 7}]), seed=1, strategy="tensornet"
-        )
+        result = run_ptsbe(chain, _FixedSpecs([{site: 3}, {}]), seed=1, strategy="tensornet")
         assert result.shot_table().bits.shape == (20, 3)
         depolarized, ideal = (t.actual_weight for t in result.trajectories)
         assert depolarized == pytest.approx(ideal * (0.05 / 3) / 0.95, rel=1e-9)
+
+    def test_an_unknown_site_id_is_rejected(self, chain):
+        # It used to run as the ideal trajectory under an error record.
+        with pytest.raises(ExecutionError, match="prescribes noise site 10000"):
+            run_ptsbe(chain, _FixedSpecs([{}, {10_000: 7}]), seed=1, strategy="tensornet")
 
 
 class TestSamplingArgumentRange:

@@ -1,14 +1,22 @@
 """Vectorized trajectory-stacked execution: backend, dedup, equivalence."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.backends.batched_statevector as stacked_module
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro import NoiseModel
 from repro.backends.statevector import StatevectorBackend
-from repro.channels.standard import amplitude_damping, bit_flip, depolarizing
+from repro.channels.standard import (
+    amplitude_damping,
+    bit_flip,
+    depolarizing,
+    phase_damping,
+    two_qubit_depolarizing,
+)
 from repro.circuits import Circuit
 from repro.circuits.library import ghz
 from repro.config import Config
@@ -166,6 +174,213 @@ class TestBatchedStatevectorBackend:
         stacked = BatchedStatevectorBackend(3)
         with pytest.raises(BackendError):
             stacked.run_fixed_stack(noisy_ghz3, [{0: 99}])
+
+    @pytest.mark.parametrize("where", ["walked", "tail"])
+    def test_out_of_range_kraus_index_on_a_row_not_yet_deviated(self, where):
+        """The bad row first leaves the ideal prefix at its bad choice: the
+        check still runs on it, in the walk or in the recorded tail."""
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = get_fused_plan(circuit)
+        step = plan.steps[plan.tail - 1 if where == "walked" else plan.tail]
+        choices_list = [{0: 1}, {step.site_ids[0]: 99}, {}]
+        with pytest.raises(BackendError, match="kraus_index 99 out of range"):
+            BatchedStatevectorBackend(6).run_fixed_stack(circuit, choices_list)
+
+    def test_a_site_the_circuit_lacks_is_a_typed_error(self, noisy_ghz3):
+        with pytest.raises(BackendError, match="noise site 999 is not in the circuit"):
+            BatchedStatevectorBackend(3).run_fixed_stack(noisy_ghz3, [{}, {999: 1}])
+
+
+def _noisy_brickwork(n, p):
+    """H/T/CX brickwork with depolarizing noise on every gate (``p`` on CX,
+    ``p / 5`` on H and T): every plan step is a noise window, and the plan
+    ends in a measurement tail."""
+    circ = Circuit(n)
+    for layer in range(4):
+        for q in range(n):
+            circ.h(q) if layer % 2 == 0 else circ.t(q)
+        for q in range(layer % 2, n - 1, 2):
+            circ.cx(q, q + 1)
+    model = (
+        NoiseModel()
+        .add_all_qubit_gate_noise("cx", two_qubit_depolarizing(p))
+        .add_all_qubit_gate_noise("h", depolarizing(p / 5))
+        .add_all_qubit_gate_noise("t", depolarizing(p / 5))
+    )
+    return model.apply(circ.measure_all()).freeze()
+
+
+def _damped_register():
+    """A 4-qubit basis-state circuit under amplitude and phase damping: six
+    general-Kraus windows.  Site 4 (phase damping on qubit 0, step 0) is a
+    survivable error; site 13 (amplitude damping on qubit 1, step 2) decays
+    a qubit that is exactly |0>, which kills the row."""
+    circ = Circuit(4)
+    for q in range(4):
+        circ.x(q)
+    circ.cx(0, 1).cx(2, 3).cx(1, 2).cx(3, 0)
+    for q in range(4):
+        circ.z(q)
+    circ.h(0).cx(0, 1).cx(1, 2).cx(2, 3)
+    model = (
+        NoiseModel()
+        .add_all_qubit_gate_noise("x", amplitude_damping(0.3))
+        .add_all_qubit_gate_noise("z", amplitude_damping(0.3))
+        .add_all_qubit_gate_noise("cx", phase_damping(0.2))
+        .add_all_qubit_gate_noise("h", depolarizing(0.1))
+    )
+    return model.apply(circ.measure_all()).freeze()
+
+
+def _first_deviation(plan, choices):
+    """The first step whose variant key is not the dominant one (the plan's
+    length if none), read off the steps' own keys."""
+    return next(
+        (
+            index
+            for index, step in enumerate(plan.steps)
+            if step.key_for(choices) != step.key_for(None)
+        ),
+        plan.num_steps,
+    )
+
+
+def _unit_12q():
+    """A fixed 64-row unit on 12-qubit brickwork, first deviations spread
+    over every step, in the tail, and never."""
+    circuit = _noisy_brickwork(12, 0.01)
+    specs = _pts_specs(circuit, 7, nsamples=3000, nshots=4)
+    return circuit, [spec.choices for spec in specs[:64]]
+
+
+def _assert_rows_are_one_row_preparations(circuit, choices_list):
+    """Every row of a stacked preparation, read through every row-facing
+    call, is bitwise the one-row preparation of the same choices."""
+    n = circuit.num_qubits
+    stacked = BatchedStatevectorBackend(n)
+    weights, alive = stacked.run_fixed_stack(circuit, choices_list)
+    singles = []
+    for choices in choices_list:
+        single = BatchedStatevectorBackend(n)
+        weight, live = single.run_fixed_stack(circuit, [choices])
+        singles.append((single, weight[0], live[0]))
+    assert weights.tolist() == [weight for _, weight, _ in singles]
+    assert alive.tolist() == stacked.alive.tolist() == [live for _, _, live in singles]
+    cum = stacked.cumulative_stack()
+    qubits = tuple(range(n))
+    for row, (single, _, live) in enumerate(singles):
+        np.testing.assert_array_equal(cum[row], single.cumulative_stack()[0])
+        if live:
+            np.testing.assert_array_equal(stacked.probabilities(row), single.probabilities(0))
+            np.testing.assert_array_equal(
+                stacked.sample(row, 50, qubits, make_rng(row)),
+                single.sample(0, 50, qubits, make_rng(row)),
+            )
+    # Amplitude reads: the recorded tail runs on the amplitudes first.
+    np.testing.assert_array_equal(
+        stacked.norms_squared(), [single.norms_squared()[0] for single, _, _ in singles]
+    )
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    stacked.apply_matrix(hadamard, [0], rows=[0, 2])
+    for row, (single, _, _) in enumerate(singles):
+        if row in (0, 2):
+            single.apply_matrix(hadamard, [0])
+        np.testing.assert_array_equal(stacked.statevector(row), single.statevector(0))
+    return alive
+
+
+class TestIdealPrefixSharing:
+    """A stacked preparation walks each row only from its first deviation:
+    until then the row is the ideal circuit, whose state one slot carries
+    and a row copies when it joins.  Rows stay bitwise what a one-row
+    preparation gives, whatever order they come in."""
+
+    def test_rows_deviating_at_every_step_in_the_tail_and_never(self):
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = get_fused_plan(circuit)
+        assert 0 < plan.tail < plan.num_steps
+        choices_list = [{}]
+        for step in plan.steps:
+            site, dominant = step.site_ids[-1], step.dominant_key[-1]
+            choices_list.append({site: dominant + 1})
+        first, last = plan.steps[0], plan.steps[plan.tail - 1]
+        choices_list += [
+            {first.site_ids[0]: 2, last.site_ids[0]: 3},
+            # A choice naming the dominant index is no deviation ...
+            {first.site_ids[0]: first.dominant_key[0]},
+            # ... and leaves the row ideal until its real one.
+            {first.site_ids[1]: first.dominant_key[1], last.site_ids[-1]: 1},
+            {},
+        ]
+        random.Random(5).shuffle(choices_list)
+        deviations = {_first_deviation(plan, choices) for choices in choices_list}
+        assert deviations == set(range(plan.num_steps + 1))
+        assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
+
+    def test_general_kraus_rows_renormalize_and_die_after_joining(self):
+        circuit = _damped_register()
+        plan = get_fused_plan(circuit)
+        assert plan.tail == plan.num_steps and not any(s.unitary for s in plan.steps)
+        dies_later = {4: 1, 13: 1}
+        assert _first_deviation(plan, dies_later) < _first_deviation(plan, {13: 1})
+        choices_list = [{}, {13: 1}, {0: 0}, {9: 1}, dies_later, {12: 1}, {21: 1}, {1: 1, 22: 1}]
+        random.Random(3).shuffle(choices_list)
+        alive = _assert_rows_are_one_row_preparations(circuit, choices_list)
+        dead = [choices for choices, live in zip(choices_list, alive) if not live]
+        assert sorted(dead, key=len) == [{13: 1}, dies_later]
+
+    def test_step_s_walks_the_rows_deviated_by_s_plus_the_ideal_row(self, monkeypatch):
+        circuit, choices_list = _unit_12q()
+        plan = get_fused_plan(circuit)
+        seen = []
+        original = stacked_module.apply_compiled_stack
+
+        def counting(stack, op, num_qubits, *args, **kwargs):
+            seen.append((stack.shape[0], op))
+            return original(stack, op, num_qubits, *args, **kwargs)
+
+        monkeypatch.setattr(stacked_module, "apply_compiled_stack", counting)
+        BatchedStatevectorBackend(12).run_fixed_stack(circuit, choices_list)
+        step_of = {
+            id(step.variant(step.key_for(choices))): index
+            for index, step in enumerate(plan.steps)
+            for choices in choices_list
+        }
+        rows_at = {}
+        for rows, op in seen:
+            index = step_of[id(op)]
+            rows_at[index] = max(rows_at.get(index, 0), rows)
+        first = [_first_deviation(plan, choices) for choices in choices_list]
+        expected = {
+            index: min(len(choices_list), 1 + sum(f <= index for f in first))
+            for index in range(plan.tail)
+        }
+        assert rows_at == expected
+        # The unit shares: its rows deviate all through the walk.
+        assert sum(expected.values()) < 0.6 * len(choices_list) * plan.tail
+
+    def test_walk_peaks_at_two_stacks_plus_the_minority_snapshots(self):
+        circuit, choices_list = _unit_12q()
+        plan = get_fused_plan(circuit)
+        BatchedStatevectorBackend(12).run_fixed_stack(circuit, choices_list)  # compile variants
+        row_bytes = 2**12 * np.dtype(np.complex128).itemsize
+        stack_bytes = len(choices_list) * row_bytes
+        # A step's minority rows are at most the rows off its dominant branch.
+        minority = max(
+            sum(step.key_for(choices) != step.key_for(None) for choices in choices_list)
+            for step in plan.steps[: plan.tail]
+        )
+        backend = BatchedStatevectorBackend(12)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backend.run_fixed_stack(circuit, choices_list)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # One row of slack for the bookkeeping arrays.
+        assert peak <= 2 * stack_bytes + (minority + 1) * row_bytes, peak / row_bytes
 
 
 class TestDedup:
