@@ -50,28 +50,43 @@ only priors) are marked *dead*: their weight drops to zero, the row is
 zeroed, and no shots are drawn; the one-row view raises
 :class:`~repro.errors.ZeroProbabilityTrajectory` instead.
 
-Sampling stays the cheap polynomial part of the PTSBE story: one
-stack-wide cumulative tensor (``|stack|**2`` normalized and cumsummed
-along the state axis in a single pass) serves every row, and each row
-draws its full shot budget with one row-wise inverse-CDF lookup over all
-shot uniforms at once (:func:`repro.linalg.sampling.inverse_cdf_indices`).
+Sampling stays the cheap polynomial part of the PTSBE story: a
+cumulative table per row (``|stack|**2`` normalized and cumsummed along
+the state axis in one stack-wide pass), and each request draws its full
+shot budget with one inverse-CDF lookup over all its shot uniforms at
+once (:func:`repro.linalg.sampling.inverse_cdf_indices`).
 
 The plan's *measurement tail* (:attr:`~repro.execution.plan.FusedPlan.tail`,
 its suffix of permutation-and-phase steps) is sampled through, not
 simulated: the preparation records each tail step's variant groups and
-multiplies in its probabilities, and the sampler applies the steps to the
-real ``|stack|**2`` as index gathers, where the phases drop out.  An
-amplitude read (:meth:`statevector`, :meth:`apply_matrix`,
+multiplies in its probabilities, and a draw goes through the recorded
+steps, where the phases drop out, one of two ways:
+
+* a request of ``num_shots >= 2**n`` reads its row's *final-order* table:
+  the steps applied to the real ``|stack|**2`` as index gathers, which
+  cost ``O(2**n)`` per row and step;
+* a request of ``num_shots < 2**n`` reads its row's *walked-order* table
+  (the prefix state's squares, no gather), and the drawn indices are
+  relabelled instead: a step maps ``final[i] = walked[map[i]]``, so a
+  walked index ``j`` becomes ``map^-1[j]`` on the step's window bits.  A
+  unit's relabelled requests are joined and each step runs once over
+  them (:meth:`_relabel`), which costs ``O(shots)`` per step — less than
+  the gathers whenever a row draws fewer shots than it has amplitudes.
+
+Both rules draw the same distribution, and every strategy applies the
+same rule to a request, so the strategies stay bitwise interchangeable.
+An amplitude read (:meth:`statevector`, :meth:`apply_matrix`,
 :meth:`norms_squared`, and through them the view's single-state API)
 first runs the recorded steps on the amplitudes, so every state read is
 the full walk's, bit for bit.
 
 The public entry points :meth:`run_fixed_stack`, :meth:`cumulative_stack`
 and :meth:`sample` are thin wrappers over the private helpers
-:meth:`_prepare`, :meth:`_cumulative` and :meth:`_sample_indices`, which
-the one-row view calls directly: a view call never passes through a
-stacked entry point, so a profile that wraps both classes by name
-(``benchmarks/e2e/trace.py``) attributes each call to one of them.
+:meth:`_prepare`, :meth:`_cumulative` / :meth:`_draw_tables` and
+:meth:`_draw`, which the one-row view calls directly: a view call never
+passes through a stacked entry point, so a profile that wraps both
+classes by name (``benchmarks/e2e/trace.py``) attributes each call to
+one of them.
 """
 
 from __future__ import annotations
@@ -205,8 +220,9 @@ class BatchedStatevectorBackend:
         #: The second buffer a walk alternates with, alive only during one.
         self._spare: Optional[np.ndarray] = None
         self._probs_cache: Dict[int, np.ndarray] = {}
-        self._cum_stack: Optional[np.ndarray] = None  # (B, dim) cumulative tensor
-        self._cum_totals: Optional[np.ndarray] = None  # per-row norms
+        #: The draw tables, walked order (``True``) and final order:
+        #: ``(caller row -> table row or -1, cumulative table, row norms)``.
+        self._tables: Dict[bool, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         #: The measurement tail of the last preparation, not yet run on the
         #: amplitudes: ``(step, {variant key: caller rows})`` per classical step.
         self._tail: List[Tuple[object, Dict[Tuple[int, ...], List[int]]]] = []
@@ -295,8 +311,7 @@ class BatchedStatevectorBackend:
 
     def _invalidate(self) -> None:
         self._probs_cache.clear()
-        self._cum_stack = None
-        self._cum_totals = None
+        self._tables.clear()
 
     # ------------------------------------------------------------------ #
     # batched state evolution
@@ -495,6 +510,7 @@ class BatchedStatevectorBackend:
         tail, self._tail = self._tail, []
         if not tail:
             return
+        self._tables.pop(True, None)  # its draws would need the tail just run
         self._spare = np.empty_like(self._stack)
         for step, groups in tail:
             slots = {key: self._row[rows] for key, rows in groups.items()}
@@ -542,7 +558,7 @@ class BatchedStatevectorBackend:
         cached = self._probs_cache.get(row)
         if cached is None:
             check_inside([row], self.batch_size, "row", "stack")
-            probs = self._squares(row, row + 1)[0]
+            probs = self._squares([row])[0]
             total = probs.sum()
             if float(total) <= 0:
                 raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
@@ -550,7 +566,9 @@ class BatchedStatevectorBackend:
             self._probs_cache[row] = cached
         return cached
 
-    def cumulative_stack(self) -> np.ndarray:
+    def cumulative_stack(
+        self, sizes: Optional[Sequence[Sequence[int]]] = None
+    ) -> Optional[np.ndarray]:
         """The ``(batch, 2**n)`` cumulative-probability tensor, stack-wide.
 
         Built in one pass — ``|stack|**2``, per-row normalization,
@@ -561,27 +579,69 @@ class BatchedStatevectorBackend:
         with only the clamped tail entry at 1.0 — never a valid
         distribution — so sampling guards on the per-row norm and raises
         before such a row could be drawn from.
+
+        With ``sizes`` — per row, the shot counts of the requests
+        :meth:`sample` will draw from it — this builds only the tables
+        those draws read instead, and returns ``None``: a row's
+        *walked-order* table (the measurement tail not applied) for its
+        requests under ``2**n`` shots, its final-order one for the rest
+        (see the module notes).
         """
-        return self._cumulative()
+        if sizes is None:
+            return self._cumulative()
+        self._draw_tables(sizes)
+        return None
 
     def _cumulative(self) -> np.ndarray:
-        if self._cum_stack is None:
-            probs = self._squares(0, self.batch_size)
-            totals = probs.sum(axis=1, keepdims=True)
-            self._cum_totals = totals.reshape(-1).astype(np.float64, copy=False)
-            safe = np.where(totals > 0, totals, np.asarray(1.0, dtype=totals.dtype))
-            # In place on the fresh squares: one (B, 2**n) table alive, not three.
-            np.divide(probs, safe, out=probs)
-            cum = probs.astype(np.float64, copy=False)
-            np.cumsum(cum, axis=1, out=cum)
-            # Clamp the tail so no uniform falls off the end.
-            cum[:, -1] = 1.0
-            self._cum_stack = cum
-        return self._cum_stack
+        """The final-order table of every row (:meth:`cumulative_stack`)."""
+        return self._table(False, slice(None))[1]
 
-    def _squares(self, lo: int, hi: int) -> np.ndarray:
-        """``|amplitude|**2`` of caller rows ``[lo, hi)`` in the final index
-        order, as a fresh array the caller owns.
+    def _draw_tables(self, sizes: Sequence[Sequence[int]]) -> None:
+        """Build the tables the draws of ``sizes`` read (:meth:`cumulative_stack`)."""
+        for walked in (True, False):
+            rows = [
+                row
+                for row, shots in enumerate(sizes)
+                if any(n > 0 and self._walked(n) == walked for n in shots)
+            ]
+            if rows:
+                self._tables[walked] = self._build_table(walked, rows)
+
+    def _walked(self, num_shots: int) -> bool:
+        """Whether a request of ``num_shots`` draws from its row's walked-order
+        table: fewer shots than ``2**n``, and a tail to relabel them through."""
+        return bool(self._tail) and num_shots < self._dim
+
+    def _table(self, walked: bool, rows) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(caller row -> table row or -1, cumulative table, row norms)`` in
+        walked or final order, built for every row unless it has ``rows``
+        (an index into the caller rows)."""
+        entry = self._tables.get(walked)
+        if entry is None or (entry[0][rows] < 0).any():
+            entry = self._tables[walked] = self._build_table(walked, range(self.batch_size))
+        return entry
+
+    def _build_table(
+        self, walked: bool, rows: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = np.asarray(rows, dtype=np.intp)
+        probs = self._squares(rows, tail=not walked)
+        totals = probs.sum(axis=1, keepdims=True)
+        safe = np.where(totals > 0, totals, np.asarray(1.0, dtype=totals.dtype))
+        # In place on the fresh squares: one (rows, 2**n) table alive, not three.
+        np.divide(probs, safe, out=probs)
+        cum = probs.astype(np.float64, copy=False)
+        np.cumsum(cum, axis=1, out=cum)
+        # Clamp the tail so no uniform falls off the end.
+        cum[:, -1] = 1.0
+        at = np.full(self.batch_size, -1, dtype=np.intp)
+        at[rows] = np.arange(len(rows))
+        return at, cum, totals.reshape(-1).astype(np.float64, copy=False)
+
+    def _squares(self, rows: Sequence[int], tail: bool = True) -> np.ndarray:
+        """``|amplitude|**2`` of caller ``rows`` (ascending), as a fresh array
+        the caller owns: in the final index order, or with ``tail=False`` in
+        the walked one.
 
         The recorded tail runs here, on the real squares: each classical
         step is its variants' index maps (their phases drop out of
@@ -591,17 +651,20 @@ class BatchedStatevectorBackend:
         The squares come out in caller order, read row by row out of the
         walk order: no gather of the complex stack.
         """
-        probs = np.empty((hi - lo, self._dim), dtype=self._stack.real.dtype)
-        for row, slot in enumerate(self._row[lo:hi].tolist()):
-            np.abs(self._stack[slot], out=probs[row])
+        rows = np.asarray(rows, dtype=np.intp)
+        probs = np.empty((len(rows), self._dim), dtype=self._stack.real.dtype)
+        for out, slot in zip(probs, self._row[rows].tolist()):
+            np.abs(self._stack[slot], out=out)
         np.square(probs, out=probs)
+        if not tail:
+            return probs
+        at = np.full(self.batch_size, -1, dtype=np.intp)
+        at[rows] = np.arange(len(rows))
         for step, groups in self._tail:
-            if hi - lo < self.batch_size:
-                groups = {
-                    key: [row - lo for row in rows if lo <= row < hi]
-                    for key, rows in groups.items()
-                }
-                groups = {key: rows for key, rows in groups.items() if rows}
+            if len(rows) < self.batch_size:
+                # The groups' rows as positions in ``rows``, empty groups dropped.
+                groups = {key: at[np.asarray(g, dtype=np.intp)] for key, g in groups.items()}
+                groups = {key: g[g >= 0] for key, g in groups.items() if g.max() >= 0}
             probs = _apply_grouped(
                 probs,
                 groups,
@@ -609,47 +672,114 @@ class BatchedStatevectorBackend:
             )
         return probs
 
-    def sample_indices(
+    def _relabel(self, indices: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Walked-order ``indices`` drawn from caller rows ``owners`` (one
+        per index), in final order, in place.
+
+        A tail step maps the squares by ``final[i] = walked[map[i]]``, so a
+        walked index ``j`` is final index ``map^-1[j]`` on the step's window
+        bits, steps in order.  Per step, one ``(variant keys, 2**k)`` table
+        holds each key's bit flips ``spread(w ^ map^-1[w])``; an index reads
+        its row's key's entry at its window value ``w`` — one gather over
+        the unit's shots, whatever the number of keys.
+        """
+        n = self.num_qubits
+        for step, groups in self._tail:
+            if not groups:
+                continue
+            support = step.support
+            k = len(support)
+            values = np.arange(1 << k)
+            spread = np.zeros(1 << k, dtype=indices.dtype)
+            for j, q in enumerate(support):
+                spread |= ((values >> (k - 1 - j)) & 1) << (n - 1 - q)
+            flips = np.empty((len(groups), 1 << k), dtype=indices.dtype)
+            for flip, key in zip(flips, groups):
+                inverse = np.empty_like(values)
+                inverse[step.permutation(key)] = values
+                flip[:] = spread[values ^ inverse]
+            if support[-1] - support[0] == k - 1:
+                window = (indices >> (n - 1 - support[-1])) & ((1 << k) - 1)
+            else:
+                window = np.zeros_like(indices)
+                for j, q in enumerate(support):
+                    window |= ((indices >> (n - 1 - q)) & 1) << (k - 1 - j)
+            if len(groups) > 1:
+                key_of = np.zeros(self.batch_size, dtype=indices.dtype)
+                for g, rows in enumerate(groups.values()):
+                    key_of[rows] = g << k
+                window += key_of[owners]
+            indices ^= flips.reshape(-1).take(window)
+        return indices
+
+    def _indices(
         self, row: int, num_shots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Bulk-sample basis-state indices from one stacked trajectory.
+    ) -> Tuple[np.ndarray, bool]:
+        """``num_shots`` basis indices drawn from caller row ``row``, and
+        whether they are in walked order (:meth:`_relabel` finishes them).
 
         All ``num_shots`` uniforms come from ``rng`` in one draw (the
         ``(seed, trajectory_id)`` determinism contract) and go through one
-        inverse-CDF lookup on the row's cumulative distribution.
+        inverse-CDF lookup on the row's cumulative table.
         """
-        return self._sample_indices(row, num_shots, rng, self.cumulative_stack)
-
-    def _sample_indices(
-        self,
-        row: int,
-        num_shots: int,
-        rng: np.random.Generator,
-        cumulative: Callable[[], np.ndarray],
-    ) -> np.ndarray:
-        """:meth:`sample_indices`, reading the table through ``cumulative``
-        (:meth:`cumulative_stack` here, :meth:`_cumulative` in the view)."""
         check_inside([row], self.batch_size, "row", "stack")
         if num_shots < 0:
             raise BackendError("num_shots must be >= 0")
         if num_shots == 0:
-            return np.empty(0, dtype=np.int64)
-        cum = cumulative()
-        if self._cum_totals[row] <= 0:
+            return np.empty(0, dtype=np.int64), False
+        walked = self._walked(num_shots)
+        at, cum, totals = self._table(walked, row)
+        if totals[at[row]] <= 0:
             raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
         r = rng.random(num_shots)
-        return inverse_cdf_indices(cum[row], r).astype(np.int64, copy=False)
+        return inverse_cdf_indices(cum[at[row]], r).astype(np.int64, copy=False), walked
+
+    def _draw(
+        self, requests: Sequence[Tuple[int, int, np.random.Generator]], qubits=None
+    ) -> List[np.ndarray]:
+        """Per ``(row, num_shots, rng)`` request, its final-order indices, or
+        with ``qubits`` its bits of them.  The walked-order draws are joined,
+        relabelled and unpacked together."""
+        out, walked = [], []
+        for position, (row, num_shots, rng) in enumerate(requests):
+            indices, relabel = self._indices(row, num_shots, rng)
+            if relabel:
+                walked.append(position)
+            elif qubits is not None:
+                indices = bits_from_indices(indices, qubits, self.num_qubits)
+            out.append(indices)
+        if walked:
+            counts = [len(out[p]) for p in walked]
+            owners = np.repeat([requests[p][0] for p in walked], counts)
+            joined = self._relabel(np.concatenate([out[p] for p in walked]), owners)
+            if qubits is not None:
+                joined = bits_from_indices(joined, qubits, self.num_qubits)
+            for p, part in zip(walked, np.split(joined, np.cumsum(counts)[:-1])):
+                out[p] = part
+        return out
+
+    def sample_indices(
+        self, row: int, num_shots: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Bulk-sample basis-state indices (final order) from one stacked
+        trajectory: one draw of ``num_shots`` uniforms from ``rng``, one
+        inverse-CDF lookup on the row's table."""
+        return self._draw([(row, num_shots, rng)])[0]
 
     def sample(
         self,
-        row: int,
-        num_shots: int,
+        requests: Sequence[Tuple[int, int, np.random.Generator]],
         qubits: Sequence[int],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw ``num_shots`` shots of ``qubits`` from stack row ``row``."""
-        indices = self.sample_indices(row, num_shots, rng)
-        return bits_from_indices(indices, qubits, self.num_qubits)
+    ) -> List[np.ndarray]:
+        """One ``(num_shots, len(qubits))`` bits array per ``(row, num_shots,
+        rng)`` request, each drawn from its row with its own generator.
+
+        A request under ``2**n`` shots reads its row's walked-order table,
+        and every such request's indices go through the measurement tail
+        together (one pass per tail step over the joined draws) and are
+        unpacked by one :func:`~repro.linalg.sampling.bits_from_indices`.
+        """
+        return self._draw(requests, qubits)
 
     def __repr__(self) -> str:
         return (

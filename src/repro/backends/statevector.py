@@ -18,8 +18,8 @@ calls on a prepared trajectory pay the ``O(2**n)`` reduction once.
 What the view adds is the single-state API the stack has no use for:
 loading and copying a state, projective collapse, marginals,
 expectations and fidelities.  The view reaches the stack only through
-its private helpers (``_prepare``, ``_cumulative``, ``_sample_indices``),
-never through a public stacked entry point.
+its private helpers (``_prepare``, ``_cumulative``, ``_draw_tables``,
+``_draw``), never through a public stacked entry point.
 """
 
 from __future__ import annotations
@@ -161,22 +161,28 @@ class StatevectorBackend(PureStateBackend):
         """|amplitude|**2 over all basis states (cached until mutation)."""
         return self.stack.probabilities(0)
 
-    def cumulative(self) -> np.ndarray:
-        """The cumulative distribution :meth:`sample` draws from, built once
-        per prepared state (the measurement tail runs here)."""
-        return self.stack._cumulative()
+    def cumulative(self, sizes: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
+        """The cumulative distribution over final basis indices, built once
+        per prepared state (the measurement tail runs here).  With
+        ``sizes``, the shot counts :meth:`sample` will draw, it builds only
+        the tables those draws read instead and returns ``None``: a draw
+        under ``2**n`` shots reads the walked-order table and is relabelled
+        through the tail (see :mod:`repro.backends.batched_statevector`)."""
+        if sizes is None:
+            return self.stack._cumulative()
+        self.stack._draw_tables([sizes])
+        return None
 
     def sample_indices(self, num_shots: int, rng: np.random.Generator) -> np.ndarray:
         """Vectorized bulk sampling of basis-state indices: all
         ``num_shots`` uniforms from ``rng`` in one draw, one inverse-CDF
         lookup."""
-        return self.stack._sample_indices(0, num_shots, rng, self.stack._cumulative)
+        return self.stack._draw([(0, num_shots, rng)])[0]
 
     def sample(
         self, num_shots: int, qubits: Sequence[int], rng: np.random.Generator
     ) -> np.ndarray:
-        indices = self.sample_indices(num_shots, rng)
-        return bits_from_indices(indices, qubits, self.num_qubits)
+        return self.stack._draw([(0, num_shots, rng)], qubits)[0]
 
     def measure_probability_one(self, qubit: int) -> float:
         """Marginal P(qubit = 1) of the current state."""

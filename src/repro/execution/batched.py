@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from importlib import import_module
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.backends.mps import MPSBackend
 from repro.backends.statevector import StatevectorBackend
@@ -118,13 +120,22 @@ _BACKEND_KINDS = {
 #: The kinds that hold a dense state vector.
 DENSE_KINDS = ("statevector", "batched_statevector")
 
+#: The state dtype of every non-dense engine: the only one they honour.
+_STATE_DTYPE = np.dtype(Config.dtype)
+
 
 def check_backend(
-    owner: str, backend: object, kinds: Tuple[str, ...] = tuple(_BACKEND_KINDS)
+    owner: str,
+    backend: object,
+    kinds: Tuple[str, ...] = tuple(_BACKEND_KINDS),
+    dense: Tuple[str, ...] = DENSE_KINDS,
 ) -> BackendSpec:
     """The execution layer's one input check: ``backend`` is a
     :class:`BackendSpec` of one of ``kinds`` (the kinds the refusing
-    entry point, ``owner``, runs) whose options its kind's backend takes."""
+    entry point, ``owner``, runs) whose options its kind's backend takes.
+    ``dense`` are the kinds on which ``owner`` holds a dense state vector;
+    on any other it runs a complex128 MPS, so a spec whose config asks
+    for another state dtype is refused rather than silently ignored."""
     if not isinstance(backend, BackendSpec):
         raise ExecutionError(
             f"{owner} takes a BackendSpec (BackendSpec.statevector(), "
@@ -141,6 +152,14 @@ def check_backend(
         raise ExecutionError(
             f"backend kind {backend.kind!r} ({cls.__name__}) takes no option "
             f"{', '.join(map(repr, unknown))}; it accepts: {', '.join(map(repr, accepted))}"
+        )
+    dtype = np.dtype(backend.config.dtype)
+    if backend.kind not in dense and dtype != _STATE_DTYPE:
+        raise ExecutionError(
+            f"{owner} runs backend kind {backend.kind!r} as a {_STATE_DTYPE} matrix "
+            f"product state and cannot honour dtype {dtype}; only a dense state "
+            f"vector takes a dtype (kinds {', '.join(map(repr, DENSE_KINDS))} "
+            f"under a dense strategy)"
         )
     return backend
 
@@ -233,12 +252,12 @@ class _SerialEngine:
         and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots."""
         return max(1 << 16, 2**self.circuit.num_qubits)
 
-    def prepare(self, choices_list):
+    def prepare(self, choices_list, sizes):
         try:
             weight = self.backend.run_fixed(self.circuit, choices_list[0])
-            # The draw table (and the measurement tail in it), built here
-            # so a look-ahead helper pays for it, not the draw.
-            self.backend.cumulative()
+            # The draw tables, built here so a look-ahead helper pays for
+            # them, not the draw.
+            self.backend.cumulative(sizes[0])
             return [weight]
         except ZeroProbabilityTrajectory:
             # The prescribed combination is impossible for the actual
@@ -325,6 +344,8 @@ def _check_executor_kwargs(cls: type, resolved: str, executor_kwargs: Dict) -> N
     ``backend`` is passed by the pipeline itself, so it is not an
     executor argument either.
     """
+    if not executor_kwargs:
+        return  # nothing to refuse: skip the signature lookup
     accepted = [name for name in inspect.signature(cls).parameters if name != "backend"]
     unknown = sorted(set(executor_kwargs) - set(accepted))
     if unknown:

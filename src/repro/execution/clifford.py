@@ -105,7 +105,7 @@ class _FrameEngine:
                 f"Pauli-mixture noise: {exc}"
             ) from exc
 
-    def prepare(self, choices_list):
+    def prepare(self, choices_list, sizes):
         self.flips, weights = self.sampler.frame_for_choices(choices_list)
         return weights
 

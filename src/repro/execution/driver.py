@@ -20,8 +20,10 @@ What :func:`drive` owns, for every engine and every worker count:
 * per task: the fault hook, the retry rule
   (:meth:`~repro.faults.retry.FaultContext.next_attempt`), the
   ``CapacityError`` halving split, the per-trajectory Philox stream
-  ``(seed, trajectory_id)``, the dead-row rule (zero weight if and only
-  if ``prepare`` said so: no shots, weight ``0.0``), result assembly;
+  ``(seed, trajectory_id)``, the shot counts each row will be asked for
+  (handed to ``prepare`` with the prescriptions), the dead-row rule
+  (zero weight if and only if ``prepare`` said so: no shots, weight
+  ``0.0``), result assembly;
 * one timing rule — a unit's prepare wall time is split evenly across its
   rows, duplicates of a row ride free, and the engine's compile seconds
   are charged to the first unit (of each process); a unit's shots are
@@ -137,10 +139,14 @@ class Engine(Protocol):
         unit on a helper thread while it draws (``None``: never)."""
         ...
 
-    def prepare(self, choices_list: Sequence[Dict[int, int]]) -> Sequence[float]:
+    def prepare(
+        self, choices_list: Sequence[Dict[int, int]], sizes: Sequence[Sequence[int]]
+    ) -> Sequence[float]:
         """Prepare one row per Kraus prescription; return the realized
         weights.  ``0.0`` marks a dead row (the prescription annihilates
-        the state), which is never sampled."""
+        the state), which is never sampled.  ``sizes[row]`` lists the shot
+        counts that row's requests will draw, so the tables the draws read
+        are built here (an engine whose draws need none ignores it)."""
         ...
 
     def sample(self, requests: Sequence[Request]) -> Sequence[NDArray[np.uint8]]:
@@ -198,7 +204,7 @@ class _Runner:
         specs: Sequence[TrajectorySpec],
         groups: Sequence[SpecGroup],
         width: int,
-        seed: int,
+        streams: StreamFactory,
         rows: int,
         plan: Optional[FaultPlan],
     ):
@@ -207,7 +213,7 @@ class _Runner:
         self.groups = groups
         # The bits of a spec nothing was drawn for (dead row, zero shots).
         self.unsampled = np.empty((0, width), dtype=np.uint8)
-        self.streams = StreamFactory(seed)
+        self.streams = streams
         self.rows = rows
         self.plan = plan
         self.carry = engine.compile_seconds
@@ -223,8 +229,10 @@ class _Runner:
 
     def prepare(self, engine: Engine, start: int, end: int) -> Prepared:
         """``engine.prepare`` on groups ``[start, end)``, timed."""
-        choices = [self.specs[g.indices[0]].choices for g in self.groups[start:end]]
-        return timed(engine.prepare, choices)
+        unit = self.groups[start:end]
+        choices = [self.specs[g.indices[0]].choices for g in unit]
+        sizes = [[self.specs[i].num_shots for i in g.indices] for g in unit]
+        return timed(engine.prepare, choices, sizes)
 
     def draw(self, engine: Engine, start: int, end: int, prepared: Prepared) -> Completed:
         """Draw the shots of groups ``[start, end)``, prepared on ``engine``."""
@@ -400,7 +408,7 @@ def drive(
     else:
         step, max_shots = -(-len(groups) // (4 * workers)), None
     run_args = (
-        specs, groups, len(measured), streams.seed, min(engine.max_rows, step), ctx.plan,
+        specs, groups, len(measured), streams, min(engine.max_rows, step), ctx.plan,
     )
     local = _LocalRunner(build, engine, *run_args) if workers == 1 else None
     if local is None:

@@ -182,9 +182,12 @@ class NoiseStep:
         "support",
         "_classical",
         "_items",
+        "_site_items",
+        "_prefix",
         "_operators",
         "_embedded",
         "_maps",
+        "_composed",
         "_probabilities",
         "_step_index",
         "_dtype",
@@ -218,6 +221,10 @@ class NoiseStep:
         self.num_ops = len(items)
         self.unitary = all(mix is not None for mix in mixtures)
         self._items = tuple(items)
+        # The item position of each site, and the dominant variant's
+        # partial products (see _dominant_prefix).
+        self._site_items = tuple(pos for pos, item in enumerate(items) if item[0] == "noise")
+        self._prefix: List[np.ndarray] = []
         # Per site, the operators a variant multiplies: U_i on a unitary
         # window, the Kraus operators themselves otherwise.
         self._operators = tuple(
@@ -231,6 +238,7 @@ class NoiseStep:
         # ``_maps``), built on first use.
         self._embedded: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         self._maps: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
+        self._composed: Dict[Tuple[int, ...], np.ndarray] = {}
         self._probabilities: Dict[Tuple[int, ...], float] = {}
         self._step_index = step_index
         self._dtype = dtype
@@ -292,17 +300,37 @@ class NoiseStep:
                 self._operators[pos][key[pos]], qubits, self._dtype
             )
         # The product fuse_window_matrix forms, over factors embedded onto
-        # the window once per step instead of once per variant: a variant
-        # of a 4-qubit window is ~22 16x16 products, not ~22 embeddings.
+        # the window once per step instead of once per variant, continued
+        # from the dominant variant's product up to the key's first
+        # deviating item: the same matmuls in the same order, so a variant
+        # deviating at the window's last site multiplies only from there.
+        deviating = zip(self._site_items, key, self.dominant_key)
+        start = min((item for item, idx, dom in deviating if idx != dom), default=len(self._items))
         fused = multiply_window(
-            self._factor(pos, key) for pos in range(len(self._items))
+            (self._factor(pos, key) for pos in range(start, len(self._items))),
+            self._dominant_prefix(start),
         )
         return compile_operator(fused, self.targets, self._dtype)
+
+    def _dominant_prefix(self, count: int) -> Optional[np.ndarray]:
+        """The dominant variant's product of items ``[0, count)`` (``None``
+        for none), memoized per item position as the walk to it forms it."""
+        while len(self._prefix) < count:
+            factor = self._factor(len(self._prefix), self.dominant_key)
+            self._prefix.append(factor @ self._prefix[-1] if self._prefix else factor)
+        return self._prefix[count - 1] if count else None
 
     def permutation(self, key: Tuple[int, ...]) -> np.ndarray:
         """Index map of a classical window's variant ``key`` on ``support``:
         ``|U psi|**2 [i] = |psi|**2 [map[i]]``.  Composed from the items'
-        own maps (``2**k`` integers each), with no complex product."""
+        own maps (``2**k`` integers each), with no complex product, once
+        per key."""
+        composed = self._composed.get(key)
+        if composed is None:
+            composed = self._composed[key] = self._compose(key)
+        return composed
+
+    def _compose(self, key: Tuple[int, ...]) -> np.ndarray:
         composed = np.arange(2 ** len(self.support))
         for pos, (kind, payload, qubits) in enumerate(self._items):
             idx = key[payload] if kind == "noise" else None

@@ -400,7 +400,8 @@ class TensorNetExecutor(StreamingExecutor):
         ``config`` options; a truncation knob it leaves out is
         ``Config.default_bond_dim`` / ``Config.svd_cutoff``.  The dense
         kinds are tolerated for router-dispatch symmetry (their width cap
-        is exactly why this strategy exists); their ``config`` applies.
+        is exactly why this strategy exists); their ``config`` applies,
+        and a state ``dtype`` other than complex128 in it is refused.
     max_batch:
         Dedup groups stacked per :class:`BatchedMPSStack` replay.  At
         ``max_batch=1`` this is what ``strategy="serial"`` runs on
@@ -408,7 +409,7 @@ class TensorNetExecutor(StreamingExecutor):
     """
 
     def __init__(self, backend: BackendSpec = BackendSpec(), max_batch: int = 64):
-        self.backend = check_backend(type(self).__name__, backend)
+        self.backend = check_backend(type(self).__name__, backend, dense=())
         if max_batch < 1:
             raise ExecutionError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
@@ -474,7 +475,7 @@ class _MPSStackEngine:
         self.cols = [self.schedule.site_of[q] for q in circuit.measured_qubits]
         self.release()
 
-    def prepare(self, choices_list):
+    def prepare(self, choices_list, sizes):
         self.release()  # the previous unit's stack goes before this one is built
         stack = BatchedMPSStack(self.num_qubits, len(choices_list), **self.stack_options)
         replay_schedule(stack, self.schedule, choices_list)

@@ -133,13 +133,13 @@ class _StackEngine:
         # run_fixed_stack call hits the plan cache.
         _, self.compile_seconds = timed(get_fused_plan, circuit, self.config)
 
-    def prepare(self, choices_list):
+    def prepare(self, choices_list, sizes):
         weights, alive = self.backend.run_fixed_stack(self.circuit, choices_list)
-        self.backend.cumulative_stack()  # the draw table: the measurement tail runs here
+        self.backend.cumulative_stack(sizes)  # the draw tables
         return weights * alive  # host (B,) vectors; a dead row reads 0.0
 
     def sample(self, requests):
-        return [self.backend.sample(row, n, self.measured, rng) for row, n, rng in requests]
+        return self.backend.sample(requests, self.measured)
 
     def release(self) -> None:
         self.backend.release()

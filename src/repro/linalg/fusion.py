@@ -18,7 +18,7 @@ matrices — fusion products never touch the ``(B, 2**n)`` stack.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,16 +68,19 @@ def expand_to_support(
     return embed_operator(np.asarray(matrix), local, len(support))
 
 
-def multiply_window(expanded: Iterable[np.ndarray]) -> np.ndarray:
+def multiply_window(
+    expanded: Iterable[np.ndarray], acc: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``M_last @ ... @ M_0`` of factors already expanded onto one support.
 
     The factors come in *application order* (the first acts first).  The
     product is accumulated in complex128 on host; callers cast to the
     state dtype when compiling the fused operator
     (:func:`repro.linalg.apply.compile_operator`), exactly as they would
-    for an unfused gate matrix.
+    for an unfused gate matrix.  ``acc``, when given, is the product of
+    the factors that act before ``expanded``: the result is then the one
+    the whole sequence gives, matmul for matmul.
     """
-    acc = None
     for factor in expanded:
         acc = factor if acc is None else factor @ acc
     if acc is None:

@@ -1,10 +1,12 @@
 """Kronecker-product utilities and operator embedding.
 
 These helpers construct full ``2**n x 2**n`` matrices from small gate
-matrices.  They are used by the density-matrix reference backend and by
-tests; the statevector backend never materializes full operators (it applies
-gates in-place on the state tensor, per the HPC guidance of avoiding
-needless big allocations).
+matrices.  :func:`embed_operator` is on the hot path of plan compilation:
+it embeds every factor of every fused window variant onto the window's
+support (:func:`repro.linalg.fusion.expand_to_support`, a few qubits
+wide), and it also builds :meth:`Circuit.unitary` at the full register
+width.  The statevector backends never materialize a full-register
+operator (they apply windows in place on the state tensor).
 
 Qubit-ordering convention (library-wide): qubit 0 is the *most significant*
 bit of a computational-basis index, i.e. basis state ``|q0 q1 ... q(n-1)>``
@@ -77,7 +79,10 @@ def embed_operator(
 
     Returns the dense ``2**n x 2**n`` matrix ``I (x) ... matrix ... (x) I``
     with the operator's qubit *i* wired to circuit qubit ``targets[i]``.
-    Only intended for small ``n`` (reference computations / tests).
+    Memory is two ``2**n x 2**n`` arrays (the block layout and its
+    transpose), so at the full register width it is for small ``n``
+    (:meth:`Circuit.unitary`); on a fusion window's support it costs a
+    few microseconds per factor.
     """
     targets = list(targets)
     k = len(targets)
@@ -87,21 +92,20 @@ def embed_operator(
     if any(t < 0 or t >= num_qubits for t in targets):
         raise GateError(f"targets {targets} out of range for {num_qubits} qubits")
 
-    # Tensor with row/column axes per qubit, contract the gate in.
-    op = matrix.reshape((2,) * (2 * k))
-    full = np.eye(2**num_qubits, dtype=np.result_type(matrix.dtype, np.complex128))
-    full = full.reshape((2,) * (2 * num_qubits))
-    # Row axes of the full operator are 0..n-1.  Contract gate input axes
-    # (k..2k-1 of `op`) against the target row axes of the identity.
-    res = np.tensordot(op, full, axes=(list(range(k, 2 * k)), targets))
-    # tensordot layout: gate output axes first (one per target, in target
-    # order), then the surviving identity axes (non-target rows ascending,
-    # then all column axes).  Build the permutation back to row-major
-    # (rows 0..n-1, columns n..2n-1).
-    non_targets = [q for q in range(num_qubits) if q not in targets]
-    current_pos = {t: j for j, t in enumerate(targets)}
-    for r, q in enumerate(non_targets):
-        current_pos[q] = k + r
-    order = [current_pos[q] for q in range(num_qubits)]
-    order += list(range(num_qubits, 2 * num_qubits))
-    return res.transpose(order).reshape(2**num_qubits, 2**num_qubits)
+    # ``matrix`` on the leading k wires and the identity on the other
+    # n - k: in a (2**k, rest, 2**k, rest) layout, block (a, b) is
+    # ``matrix[a, b]`` times the identity of the rest, so only the diagonal
+    # of the rest axes is filled -- the entries a tensordot against the
+    # identity produces, without the products.
+    rest = 2 ** (num_qubits - k)
+    dtype = np.result_type(matrix.dtype, np.complex128)
+    full = np.zeros((2**k, rest, 2**k, rest), dtype=dtype)
+    diagonal = np.arange(rest)
+    full[:, diagonal, :, diagonal] = matrix
+    # Wire i is circuit qubit targets[i] for i < k, then the non-targets in
+    # ascending order; one axis transpose puts every qubit at its axis.
+    wires = targets + [q for q in range(num_qubits) if q not in targets]
+    order = [wires.index(q) for q in range(num_qubits)]
+    order += [num_qubits + axis for axis in order]
+    full = full.reshape((2,) * (2 * num_qubits)).transpose(order)
+    return full.reshape(2**num_qubits, 2**num_qubits)

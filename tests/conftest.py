@@ -63,9 +63,9 @@ def lookahead(monkeypatch):
     threads = []
     original = batched._SerialEngine.prepare
 
-    def recording(self, choices_list):
+    def recording(self, choices_list, sizes):
         threads.append(threading.current_thread().name)
-        return original(self, choices_list)
+        return original(self, choices_list, sizes)
 
     monkeypatch.setattr(batched._SerialEngine, "prepare", recording)
 
@@ -150,6 +150,32 @@ def mixed_noise_circuit() -> Circuit:
         .add_measurement_noise(bit_flip(0.015))
     )
     return model.apply(ideal).freeze()
+
+
+def _layered_brickwork(num_qubits: int, layers: int = 4) -> Circuit:
+    """The benchmark's brickwork shape: H/T layers and CX bricks, with
+    depolarizing noise on every gate, measured."""
+    circ = Circuit(num_qubits)
+    for layer in range(layers):
+        for q in range(num_qubits):
+            circ.h(q) if layer % 2 == 0 else circ.t(q)
+        for q in range(layer % 2, num_qubits - 1, 2):
+            circ.cx(q, q + 1)
+    circ.measure_all()
+    model = (
+        NoiseModel()
+        .add_all_qubit_gate_noise("cx", two_qubit_depolarizing(0.01))
+        .add_all_qubit_gate_noise("h", depolarizing(0.002))
+        .add_all_qubit_gate_noise("t", depolarizing(0.002))
+    )
+    return model.apply(circ).freeze()
+
+
+@pytest.fixture(scope="session")
+def layered_brickwork():
+    """``layered_brickwork(n)``: the benchmark's brickwork circuit at ``n``
+    qubits (``benchmarks/e2e/workloads.py``'s ``brickwork``)."""
+    return _layered_brickwork
 
 
 def _cliffordized(noisy: Circuit) -> Circuit:

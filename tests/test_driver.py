@@ -25,6 +25,7 @@ from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, depolarizing
 from repro.channels.standard import amplitude_damping, bit_flip, two_qubit_depolarizing
 from repro.circuits import Circuit
+from repro.circuits.library import build_workload
 from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import ExecutionError
 from repro.execution import (
@@ -39,7 +40,7 @@ from repro.execution import (
     run_ptsbe,
 )
 from repro.execution import batched, clifford, driver, tensornet, vectorized
-from repro.execution.batched import STRATEGIES, executor_class
+from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
 from repro.execution.driver import Engine
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
@@ -373,6 +374,56 @@ def test_an_option_the_backend_does_not_take_raises(circuit, strategy, spec, acc
         message = str(err.value)
         assert repr(spec.kind) in message and option in message
         assert message.endswith(f"it accepts: {accepted}")
+
+
+COMPLEX64 = Config(dtype=np.dtype(np.complex64))
+
+#: A strategy and spec that run a complex128 MPS, asked for complex64.
+MPS_AT_COMPLEX64 = [
+    ("tensornet", BackendSpec.mps(config=COMPLEX64)),
+    ("tensornet", BackendSpec.statevector(config=COMPLEX64)),
+    ("serial", BackendSpec.mps(config=COMPLEX64)),
+    ("parallel", BackendSpec.mps(config=COMPLEX64)),
+    ("auto", BackendSpec.mps(config=COMPLEX64)),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy,spec", MPS_AT_COMPLEX64, ids=[f"{s}-{spec.kind}" for s, spec in MPS_AT_COMPLEX64]
+)
+def test_a_non_dense_engine_refuses_another_state_dtype(circuit, strategy, spec):
+    """The MPS engines run complex128 whatever the config says: a spec that
+    asks for complex64 is refused, naming the dtype and the dense kinds,
+    instead of running at the precision it did not ask for."""
+    runs = [lambda: run_ptsbe(circuit, ProbabilisticPTS(nsamples=5, nshots=5), spec, seed=1,
+                              strategy=strategy)]
+    if strategy != "auto":
+        runs.append(lambda: executor_class(strategy)(spec))
+    for run in runs:
+        with pytest.raises(ExecutionError) as err:
+            run()
+        message = str(err.value)
+        assert "complex64" in message and "'statevector', 'batched_statevector'" in message
+
+
+def test_auto_routing_to_tensornet_refuses_another_state_dtype():
+    """Past the dense cap ``auto`` routes a dense spec to tensornet, which
+    would ignore its complex64: refused there, while complex128 runs."""
+    wide = build_workload("brickwork", 40)
+    sampler = ProbabilisticPTS(nsamples=3, nshots=2)
+    assert run_ptsbe(wide, sampler, BackendSpec.statevector(), seed=1).engine == "tensornet"
+    with pytest.raises(ExecutionError, match="TensorNetExecutor .* dtype complex64"):
+        run_ptsbe(wide, sampler, BackendSpec.statevector(config=COMPLEX64), seed=1)
+
+
+@pytest.mark.parametrize("strategy", DENSE_STRATEGIES)
+def test_the_dense_strategies_take_a_state_dtype(circuit, strategy):
+    spec = BackendSpec.statevector(config=COMPLEX64)
+    if strategy in ("vectorized", "sharded"):
+        spec = BackendSpec.batched_statevector(config=COMPLEX64)
+    result = run_ptsbe(circuit, ProbabilisticPTS(nsamples=5, nshots=5), spec, seed=1,
+                       strategy=strategy)
+    assert result.engine == strategy
 
 
 def test_a_consumer_that_stops_pulling_stops_the_pool(circuit, specs, monkeypatch):
@@ -776,12 +827,12 @@ def test_a_drawn_serial_unit_drops_its_state(circuit, specs, monkeypatch):
 
     def checking(self, requests):
         bits = original(self, requests)
-        after.append((self.backend.stack.batch_size, self.backend.stack._cum_stack))
+        after.append((self.backend.stack.batch_size, self.backend.stack._tables))
         return bits
 
     monkeypatch.setattr(batched._SerialEngine, "sample", checking)
     BatchedExecutor().execute(circuit, specs[:6], seed=1)
-    assert len(after) == 6 and all(rows == 0 and cum is None for rows, cum in after)
+    assert len(after) == 6 and all(rows == 0 and not tables for rows, tables in after)
 
 
 def test_look_ahead_units_keep_the_timing_rule(circuit, lookahead):
@@ -809,9 +860,9 @@ def test_look_ahead_prepare_seconds_overlap_the_draw(circuit, lookahead, monkeyp
     the one before it draws, so they add up to more."""
     prepare, sample = batched._SerialEngine.prepare, batched._SerialEngine.sample
 
-    def slow_prepare(self, choices_list):
+    def slow_prepare(self, choices_list, sizes):
         time.sleep(0.02)
-        return prepare(self, choices_list)
+        return prepare(self, choices_list, sizes)
 
     def slow_sample(self, requests):
         time.sleep(0.02)

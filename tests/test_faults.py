@@ -644,11 +644,11 @@ class TestLookAheadRecovery:
         lookahead(True)
         prepare, raised = _SerialEngine.prepare, []
 
-        def helper_fails(self, choices_list):
+        def helper_fails(self, choices_list, sizes):
             if threading.current_thread() is not threading.main_thread():
                 raised.append(choices_list)
                 raise error("the helper's preparation failed")
-            return prepare(self, choices_list)
+            return prepare(self, choices_list, sizes)
 
         monkeypatch.setattr(_SerialEngine, "prepare", helper_fails)
         ahead = _serial(brickwork)
@@ -700,15 +700,15 @@ class _DyingEngine(_TestEngine):
         super().__init__(circuit)
         self.doomed, self.marker = doomed, marker
 
-    def prepare(self, choices_list):
+    def prepare(self, choices_list, sizes):
         if choices_list[0] == self.doomed and not os.path.exists(self.marker):
             open(self.marker, "w").close()
             os._exit(13)  # hard death: the pool itself breaks
-        return super().prepare(choices_list)
+        return super().prepare(choices_list, sizes)
 
 
 class _CancelledEngine(_TestEngine):
-    def prepare(self, choices_list):
+    def prepare(self, choices_list, sizes):
         raise CancelledError()
 
 

@@ -443,3 +443,139 @@ class TestStackWideSampling:
             stacked.sample_indices(0, 10, make_rng(0))
         assert stacked.sample_indices(0, 0, make_rng(0)).shape == (0,)
         assert stacked.sample_indices(1, 10, make_rng(0)).shape == (10,)
+
+
+def _variant_keys(step, rng, samples=40):
+    """The dominant key, every single-site deviation (so every item
+    position a variant can start from), the first and last sites deviating
+    together, and ``samples`` random keys — in a shuffled order, so
+    deviating keys also build the dominant prefix from cold."""
+    dominant = step.dominant_key
+    keys = {dominant}
+    for site, channel in enumerate(step.channels):
+        for index in range(len(channel)):
+            keys.add(dominant[:site] + (index,) + dominant[site + 1:])
+    last = len(step.channels) - 1
+    keys.add(
+        tuple(
+            (dominant[s] + 1) % len(step.channels[s]) if s in (0, last) else dominant[s]
+            for s in range(len(dominant))
+        )
+    )
+    for _ in range(samples):
+        keys.add(tuple(int(rng.integers(len(channel))) for channel in step.channels))
+    keys = sorted(keys)
+    rng.shuffle(keys)
+    return keys
+
+
+def _fused_reference(step, key, dtype):
+    """The variant built the pre-memo way: ``fuse_window_matrix`` of the
+    window's items under ``key``, compiled on the step's targets."""
+    if len(step._items) == 1:
+        _, site, qubits = step._items[0]
+        return compile_operator(step._operators[site][key[site]], qubits, dtype).matrix
+    operators = [
+        (payload if kind == "gate" else step._operators[payload][key[payload]], qubits)
+        for kind, payload, qubits in step._items
+    ]
+    return compile_operator(fuse_window_matrix(operators, step.targets), step.targets, dtype).matrix
+
+
+class TestVariantsFromTheDominantPrefix:
+    """A variant continues the dominant variant's partial product from its
+    first deviating item: the same matmuls in the same order as fusing the
+    whole window, so every variant is bitwise the fused window."""
+
+    def _circuits(self, layered_brickwork):
+        relaxation = noisy(
+            build_workload("brickwork", 8, seed=1),
+            device_profile("relaxation_dominated").noise_model(),
+        ).freeze()
+        return [layered_brickwork(8), layered_brickwork(12), relaxation]
+
+    def test_every_variant_equals_the_fused_window(self, layered_brickwork):
+        rng = np.random.default_rng(5)
+        general = 0
+        for circuit in self._circuits(layered_brickwork):
+            config = Config()
+            plan = build_fused_plan(circuit, config)
+            steps = [step for step in plan.steps if isinstance(step, NoiseStep)]
+            assert steps and max(len(step._items) for step in steps) > 4
+            general += sum(not step.unitary for step in steps)
+            for step in steps:
+                for key in _variant_keys(step, rng):
+                    want = _fused_reference(step, key, config.dtype)
+                    assert np.array_equal(step.variant(key).matrix, want), (step, key)
+        assert general > 0  # the relaxation profile's windows are general-Kraus
+
+    def test_a_last_site_deviation_multiplies_only_from_that_site(self, monkeypatch):
+        circuit = Circuit(2).h(0).cx(0, 1).t(1).h(1)
+        circuit.attach(amplitude_damping(0.2), 0)
+        circuit = noisy(circuit.measure_all(), device_profile("uniform_depolarizing")
+                        .noise_model()).freeze()
+        plan = build_fused_plan(circuit)
+        step = max((s for s in plan.steps if isinstance(s, NoiseStep)),
+                   key=lambda s: len(s._items))
+        last = step._site_items[-1]
+        assert len(step.site_ids) >= 2 and last > 0
+        step.variant(step.dominant_key)
+        factors = []
+        original = NoiseStep._factor
+
+        def counting(self, pos, key):
+            factors.append(pos)
+            return original(self, pos, key)
+
+        monkeypatch.setattr(NoiseStep, "_factor", counting)
+        key = step.dominant_key[:-1] + ((step.dominant_key[-1] + 1) % len(step.channels[-1]),)
+        operator = step.variant(key)
+        assert factors == list(range(last, len(step._items)))
+        assert np.array_equal(operator.matrix, _fused_reference(step, key, np.complex128))
+
+
+def _embed_by_tensordot(matrix, targets, num_qubits):
+    """The tensordot-against-the-identity embedding ``embed_operator`` used
+    to be, kept as its oracle."""
+    k = len(targets)
+    op = np.asarray(matrix).reshape((2,) * (2 * k))
+    full = np.eye(2**num_qubits, dtype=np.result_type(np.asarray(matrix).dtype, np.complex128))
+    full = full.reshape((2,) * (2 * num_qubits))
+    res = np.tensordot(op, full, axes=(list(range(k, 2 * k)), list(targets)))
+    rest = [q for q in range(num_qubits) if q not in targets]
+    position = {t: j for j, t in enumerate(targets)}
+    position.update((q, k + r) for r, q in enumerate(rest))
+    order = [position[q] for q in range(num_qubits)] + list(range(num_qubits, 2 * num_qubits))
+    return res.transpose(order).reshape(2**num_qubits, 2**num_qubits)
+
+
+class TestEmbedOperator:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+    def test_equals_the_tensordot_embedding_at_every_target_order(self, num_qubits):
+        import itertools
+
+        from repro.linalg.kron import embed_operator
+
+        rng = np.random.default_rng(num_qubits)
+        for k in range(1, min(4, num_qubits) + 1):
+            for targets in itertools.permutations(range(num_qubits), k):
+                shape = (2**k, 2**k)
+                for matrix in (
+                    rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                    rng.normal(size=shape),  # real gates embed as complex too
+                ):
+                    got = embed_operator(matrix, targets, num_qubits)
+                    want = _embed_by_tensordot(matrix, targets, num_qubits)
+                    assert got.dtype == want.dtype == np.complex128
+                    assert np.array_equal(got, want), (targets, num_qubits)
+
+    def test_circuit_unitary_at_full_width(self):
+        from repro.linalg.kron import embed_operator
+
+        circuit = build_workload("brickwork", 8, seed=3)
+        want = np.eye(2**8, dtype=np.complex128)
+        for op in circuit.coherent_ops:
+            embedded = embed_operator(op.gate.matrix, op.qubits, 8)
+            assert np.array_equal(embedded, _embed_by_tensordot(op.gate.matrix, op.qubits, 8))
+            want = _embed_by_tensordot(op.gate.matrix, op.qubits, 8) @ want
+        assert np.array_equal(circuit.unitary(), want)

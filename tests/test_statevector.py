@@ -583,7 +583,7 @@ class TestTailMemory:
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 sv.run_fixed(circuit, choices)
-                sv.cumulative()
+                sv.cumulative([1000])  # what the serial engine's prepare builds
                 sv.sample(1000, list(range(16)), make_rng(1))
                 sv.release()
                 return tracemalloc.get_traced_memory()[1] - base

@@ -30,6 +30,7 @@ from repro.execution import (
     get_fused_plan,
     run_ptsbe,
 )
+from repro.linalg.sampling import bits_from_indices
 from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory, make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
@@ -79,17 +80,14 @@ class TestBatchedStatevectorBackend:
         serial = StatevectorBackend(3)
         serial.run_fixed(noisy_ghz3, {0: 1})
         a = serial.sample(500, (0, 1, 2), make_rng(77))
-        b = stacked.sample(1, 500, (0, 1, 2), make_rng(77))
+        (b,) = stacked.sample([(1, 500, make_rng(77))], (0, 1, 2))
         np.testing.assert_array_equal(a, b)
 
     def test_sample_rows_in_bulk(self, noisy_ghz3):
         stacked = BatchedStatevectorBackend(3)
         stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}, {1: 1}])
         rngs = StreamFactory(1).rngs_for([0, 1, 2])
-        tables = [
-            stacked.sample(row, shots, (0, 1, 2), rng)
-            for row, (shots, rng) in enumerate(zip([10, 20, 30], rngs))
-        ]
+        tables = stacked.sample(list(zip(range(3), [10, 20, 30], rngs)), (0, 1, 2))
         assert [t.shape for t in tables] == [(10, 3), (20, 3), (30, 3)]
 
     def test_dead_row_draws_no_shots(self):
@@ -97,11 +95,11 @@ class TestBatchedStatevectorBackend:
         _, alive = stacked.run_fixed_stack(_amp_damp_circuit(), [{0: 1}, {}])
         assert alive.tolist() == [False, True]
         with pytest.raises(BackendError, match="dead trajectory"):
-            stacked.sample(0, 10, (0,), make_rng(0))
+            stacked.sample([(0, 10, make_rng(0))], (0,))
         with pytest.raises(BackendError, match="dead trajectory"):
             stacked.probabilities(0)
-        assert stacked.sample(0, 0, (0,), make_rng(0)).shape == (0, 1)
-        assert stacked.sample(1, 10, (0,), make_rng(0)).shape == (10, 1)
+        assert stacked.sample([(0, 0, make_rng(0))], (0,))[0].shape == (0, 1)
+        assert stacked.sample([(1, 10, make_rng(0))], (0,))[0].shape == (10, 1)
         np.testing.assert_allclose(stacked.probabilities(1).sum(), 1.0)
 
     def test_probabilities_shape_and_norm_per_row(self, noisy_ghz3):
@@ -117,7 +115,7 @@ class TestBatchedStatevectorBackend:
         stacked = BatchedStatevectorBackend(3)
         stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}])
         with pytest.raises(BackendError, match=f"row {row} is outside a 2-row stack"):
-            stacked.sample(row, 10, (0, 1, 2), make_rng(0))
+            stacked.sample([(row, 10, make_rng(0))], (0, 1, 2))
         with pytest.raises(BackendError, match=f"row {row} is outside a 2-row stack"):
             stacked.sample_indices(row, 10, make_rng(0))
 
@@ -273,8 +271,8 @@ def _assert_rows_are_one_row_preparations(circuit, choices_list):
         if live:
             np.testing.assert_array_equal(stacked.probabilities(row), single.probabilities(0))
             np.testing.assert_array_equal(
-                stacked.sample(row, 50, qubits, make_rng(row)),
-                single.sample(0, 50, qubits, make_rng(row)),
+                stacked.sample([(row, 50, make_rng(row))], qubits)[0],
+                single.sample([(0, 50, make_rng(row))], qubits)[0],
             )
     # Amplitude reads: the recorded tail runs on the amplitudes first.
     np.testing.assert_array_equal(
@@ -640,3 +638,107 @@ class TestMeasurementTailStrategies:
         monkeypatch.setattr(plan, "tail", plan.num_steps)
         walked = VectorizedExecutor().execute(circuit, specs, seed=8).shot_table().bits
         np.testing.assert_array_equal(lazy, walked)
+
+
+def _tail_sites(circuit):
+    plan = get_fused_plan(circuit)
+    return [site for step in plan.steps[plan.tail :] for site in getattr(step, "site_ids", ())]
+
+
+def _tail_prescriptions(circuit):
+    """The ideal row, one row per tail site taking its first non-identity
+    branch (a bit flip: X, or IX on a pair), a row deviating at the first
+    and last tail sites, and one row deviating before the tail."""
+    plan = get_fused_plan(circuit)
+    tail = _tail_sites(circuit)
+    before = next(
+        site
+        for step in plan.steps[: plan.tail]
+        for site in getattr(step, "site_ids", ())
+    )
+    return [{}] + [{site: 1} for site in tail] + [{tail[0]: 2, tail[-1]: 1}, {before: 1}]
+
+
+class TestRelabelledDraws:
+    """A request under ``2**n`` shots draws from its row's walked-order table
+    and is relabelled through the measurement tail with the unit's other
+    such requests; one of ``2**n`` or more reads the final-order table."""
+
+    #: Total-variation bound on 64k pooled shots of a 6- or 7-qubit row.
+    #: Correct draws read at most 0.013 here; skipping the relabel reads
+    #: 0.28-1.0 on every row, and relabelling the tail-deviating rows by the
+    #: ideal row's key reads 0.70-1.0 on those rows.
+    TVD = 0.04
+
+    @pytest.mark.parametrize("kind", ["brickwork6", "brickwork7", "gapped"])
+    def test_relabelled_draws_follow_each_rows_distribution(self, kind, layered_brickwork):
+        circuit = {
+            "brickwork6": lambda: layered_brickwork(6),
+            "brickwork7": lambda: layered_brickwork(7),
+            "gapped": lambda: _tail_engaging("gapped"),
+        }[kind]()
+        n = circuit.num_qubits
+        dim = 2**n
+        plan = get_fused_plan(circuit)
+        assert plan.num_steps - plan.tail >= 4
+        choices_list = _tail_prescriptions(circuit)
+        rows = len(choices_list)
+        per_row = 64_000 // (dim - 1) + 1
+        owners = np.tile(np.arange(rows), per_row)  # requests interleave the rows
+        requests = [
+            (int(row), dim - 1, rng)
+            for row, rng in zip(owners, StreamFactory(17).rngs_for(range(owners.size)))
+        ]
+        stack = BatchedStatevectorBackend(n)
+        stack.run_fixed_stack(circuit, choices_list)
+        stack.cumulative_stack([[dim - 1]] * rows)
+        assert set(stack._tables) == {True}  # no final-order table: no tail gather
+        tables = stack.sample(requests, range(n))
+        weights = 1 << np.arange(n - 1, -1, -1)
+        counts = np.zeros((rows, dim))
+        for (row, _, _), bits in zip(requests, tables):
+            counts[row] += np.bincount(bits.astype(np.int64) @ weights, minlength=dim)
+        for row in range(rows):
+            tvd = 0.5 * np.abs(counts[row] / counts[row].sum() - stack.probabilities(row)).sum()
+            assert tvd < self.TVD, (kind, row, choices_list[row], tvd)
+
+    def test_one_view_draw_is_the_stacked_draw(self, layered_brickwork):
+        circuit = layered_brickwork(6)
+        choices = _tail_prescriptions(circuit)[3]
+        view = StatevectorBackend(6)
+        view.run_fixed(circuit, choices)
+        stack = BatchedStatevectorBackend(6)
+        stack.run_fixed_stack(circuit, [{}, choices])
+        for shots in (1, 63, 64, 65):
+            bits = view.sample(shots, range(6), make_rng(shots))
+            (stacked,) = stack.sample([(1, shots, make_rng(shots))], range(6))
+            np.testing.assert_array_equal(bits, stacked)
+            indices = view.sample_indices(shots, make_rng(shots))
+            np.testing.assert_array_equal(bits, bits_from_indices(indices, range(6), 6))
+
+    @pytest.mark.parametrize("on", [False, True], ids=["inline", "look-ahead"])
+    def test_serial_equals_vectorized_around_2_to_the_n(self, on, layered_brickwork, lookahead):
+        circuit = layered_brickwork(6)
+        dim = 2**6
+        specs = [
+            TrajectorySpec(record=spec.record, num_shots=dim - 1 + i % 3)
+            for i, spec in enumerate(_pts_specs(circuit, 11, nsamples=150, nshots=1))
+        ]
+        # One dedup group whose two specs sit on opposite sides of 2**n.
+        events = [_event(_tail_sites(circuit)[1], 1)]
+        specs += [_spec(len(specs), dim - 1, events), _spec(len(specs) + 1, dim + 1, events)]
+        groups = deduplicate_specs(specs)
+        assert any(
+            {specs[i].num_shots for i in group.indices} == {dim - 1, dim + 1} for group in groups
+        )
+        lookahead(on)
+        serial = BatchedExecutor().execute(circuit, specs, seed=5)
+        first = serial.shot_table()
+        assert {len(t.bits) for t in serial.trajectories} == {dim - 1, dim, dim + 1}
+        for run in (
+            VectorizedExecutor(max_batch=7).execute(circuit, specs, seed=5),
+            ShardedExecutor().execute(circuit, specs, seed=5),
+        ):
+            table = run.shot_table()
+            np.testing.assert_array_equal(table.bits, first.bits)
+            np.testing.assert_array_equal(table.trajectory_ids, first.trajectory_ids)
