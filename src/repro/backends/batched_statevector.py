@@ -25,14 +25,17 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   before its own first deviation (rows that never deviate before the
   tail copy it once, at the end).  Every row-facing call maps caller rows
   to slots, so callers see their own order.
-* **Divergent Kraus choices** are handled by *grouping*: at each noise
-  window the walked rows are partitioned by their variant key — the tuple
-  of prescribed Kraus indices at the window's sites (absent sites use the
-  channel's dominant operator, exactly like
-  :meth:`PureStateBackend.run_fixed`) — and each distinct fused variant is
-  applied via the same batched kernel over its row sub-slice.  Since PTS
-  trajectories overwhelmingly take the dominant branch, there are
-  typically only one or two groups per window, and only the rows that
+* **Divergent Kraus choices** share the step's one kernel call: at each
+  noise window the walked rows are partitioned by their variant key — the
+  tuple of prescribed Kraus indices at the window's sites (absent sites
+  use the channel's dominant operator, exactly like
+  :meth:`PureStateBackend.run_fixed`) — and when every variant in the
+  unit compiles to a GEMM tier, one batched kernel call runs each row
+  under its own variant (the step's variants plus a row -> variant
+  index), bitwise what the one-variant call gives that row.  Only a step
+  with a variant on a per-variant tier (diagonal, scalar or slice
+  accumulation, which skip different zero entries per variant) applies
+  each variant to its group (:func:`_apply_grouped`).  Only the rows that
   name one of the window's sites have their key looked up.
 * **Batched renormalization** after each general-Kraus noise window (a
   unitary-mixture window keeps the norm and multiplies its
@@ -116,6 +119,10 @@ def _apply_grouped(
 ) -> np.ndarray:
     """``apply(rows, key, out)`` on each variant group of ``stack``'s rows.
 
+    The path for steps whose arithmetic is per variant (a variant on the
+    diagonal, scalar or slice-accumulation tier) and for the final-order
+    tail tables; a step whose variants all take a GEMM tier runs as one
+    per-row call instead (:meth:`BatchedStatevectorBackend._apply_step`).
     One group (unanimous rows) takes the whole stack — dead rows are zero
     and stay zero under any operator.  Otherwise the majority variant runs
     on the whole stack and the (few) deviating rows are overwritten from a
@@ -490,17 +497,31 @@ class BatchedStatevectorBackend:
         return groups
 
     def _apply_step(self, step, groups: Dict[Tuple[int, ...], Sequence[int]], live: int) -> None:
-        """One step of the complex walk on the leading ``live`` slots: each
-        group's variant on its rows, from one buffer into the other."""
+        """One step of the complex walk on the leading ``live`` slots, from
+        one buffer into the other: one kernel call, each row under its own
+        group's variant, unless some variant's tier is not a GEMM (see
+        :func:`_apply_grouped`)."""
+        if not groups:
+            return  # every row dead: zero under any operator
         block, spare = self._stack[:live], self._spare[:live]
-        result = _apply_grouped(
-            block,
-            groups,
-            lambda rows, key, out: apply_compiled_stack(
-                rows, step.variant(key), self.num_qubits, out
-            ),
-            spare,
-        )
+        variants = [step.variant(key) for key in groups]
+        if len(variants) == 1:
+            result = apply_compiled_stack(block, variants[0], self.num_qubits, spare)
+        elif all(op.gemm for op in variants):
+            # Dead rows are zero and stay zero under any variant.
+            index = np.zeros(live, dtype=np.intp)
+            for position, rows in enumerate(groups.values()):
+                index[rows] = position
+            result = apply_compiled_stack(block, variants, self.num_qubits, spare, index)
+        else:
+            result = _apply_grouped(
+                block,
+                groups,
+                lambda rows, key, out: apply_compiled_stack(
+                    rows, step.variant(key), self.num_qubits, out
+                ),
+                spare,
+            )
         if result is spare:
             self._stack, self._spare = self._spare, self._stack
 

@@ -200,11 +200,15 @@ class PTSBEResult:
         """Pooled outcome distribution over the sampled trajectory subsets.
 
         With ``weighted=True`` each trajectory's empirical conditional
-        distribution is weighted by its nominal probability (renormalized
-        over the sampled subsets) — the estimator that converges to the
-        exact noisy distribution as coverage -> 1.  With ``weighted=False``
-        shots are pooled raw (appropriate when shot counts were already
-        apportioned proportionally).
+        distribution is weighted by its :attr:`TrajectoryResult.actual_weight`
+        — the realized probability of its Kraus choices on the actual
+        state — renormalized over the sampled trajectories.  The estimator
+        converges to the exact noisy distribution restricted to the sampled
+        trajectory subsets (the exact one as their total weight -> 1), for
+        general-Kraus channels too, where the nominal probability is only a
+        prior.  On ``tensornet`` the weight carries the truncated MPS norm.
+        With ``weighted=False`` shots are pooled raw (appropriate when
+        shot counts were already apportioned proportionally).
         """
         if not self.trajectories:
             raise DataError("no trajectories were executed")
@@ -219,7 +223,7 @@ class PTSBEResult:
         for t in self.trajectories:
             if t.num_shots == 0:
                 continue
-            w = t.record.nominal_probability
+            w = t.actual_weight
             hist = np.bincount(pack_bits(t.bits), minlength=dim).astype(np.float64)
             out += w * hist / hist.sum()
             total_weight += w

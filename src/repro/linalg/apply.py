@@ -14,7 +14,10 @@ The kernel is split in two phases so the fusion compilation pipeline
   and detecting the fast-path tier — and returns a reusable
   :class:`CompiledOperator`;
 * :func:`apply_compiled_stack` applies a compiled operator to a stack with
-  zero per-call analysis.
+  zero per-call analysis — or, on the GEMM tiers, one operator per row:
+  a step's compiled variants and a row -> variant index, run as one
+  batched ``matmul`` whose per-row product is the one-operator call on
+  that row.
 
 :func:`apply_matrix_stack` (the historical one-shot entry point) is simply
 ``apply_compiled_stack(stack, compile_operator(...), ...)``.
@@ -66,7 +69,7 @@ sixteenth-stack scratch block).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,6 +133,11 @@ class CompiledOperator:
         The operator takes the contiguous reshape-view ``matmul`` tier:
         dense, ascending contiguous targets, and either wider than
         :data:`MAX_VIEW_QUBITS` or too dense for slice accumulation.
+    gemm:
+        The operator takes a GEMM tier — the contiguous view, the gapped
+        dense ``k = 3`` blocked GEMM or the generic moved-axes GEMM —
+        whose arithmetic depends only on the targets, so operators on the
+        same targets can share one per-row call.
     """
 
     __slots__ = (
@@ -141,6 +149,7 @@ class CompiledOperator:
         "nnz",
         "sparse",
         "gemm_view",
+        "gemm",
         "_padded",
     )
 
@@ -163,6 +172,9 @@ class CompiledOperator:
             diag is None
             and contiguous
             and (k > MAX_VIEW_QUBITS or not self.sparse)
+        )
+        self.gemm = self.gemm_view or k > MAX_VIEW_QUBITS or (
+            k == MAX_VIEW_QUBITS and diag is None and not self.sparse
         )
         self._padded: Dict[int, np.ndarray] = {1: matrix}
 
@@ -269,9 +281,10 @@ def _scale_slices_inplace(slices: List[np.ndarray], diag: np.ndarray) -> None:
 
 def apply_compiled_stack(
     stack: np.ndarray,
-    op: CompiledOperator,
+    op: Union[CompiledOperator, Sequence[CompiledOperator]],
     num_qubits: int,
     out: Optional[np.ndarray] = None,
+    variant: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Apply a :class:`CompiledOperator` to every row of a stack.
 
@@ -283,8 +296,21 @@ def apply_compiled_stack(
     overlap it, a fresh one when ``None`` — and return that.  A caller
     that alternates between two buffers allocates nothing per call.  No
     renormalization is performed.
+
+    With ``variant`` — one index per row — ``op`` is a sequence of
+    operators on the same targets, each of a GEMM tier
+    (:attr:`CompiledOperator.gemm`), and row ``r`` takes
+    ``op[variant[r]]``: one batched ``matmul`` against a per-row operator
+    array, whose product for each row has the shape and operands of the
+    one-operator call on that row alone, so every row comes out bitwise
+    what that call gives.
     """
     rows, dim = stack.shape
+    ops: Optional[Sequence[CompiledOperator]] = None
+    if variant is not None:
+        ops, op = op, op[0]
+        if not all(o.gemm and o.targets == op.targets for o in ops):
+            raise ValueError("per-row operators must share targets and a GEMM tier")
     k = op.num_targets
     if op.scalar is not None:
         # Scalar multiple of identity: one pass (or none).  Only compiled
@@ -303,13 +329,24 @@ def apply_compiled_stack(
         if tail == 1 or dim_k * tail <= _TAIL_GEMM_MAX_DIM:
             # The window reaches (or nearly reaches) the least-significant
             # end: one flat GEMM covers the whole stack
-            # (out[r, i] = sum_j U[i, j] v[r, j], U = M (x) I_tail).
-            view = stack.reshape(-1, dim_k * tail)
-            np.matmul(view, op.padded(tail).T, out=out.reshape(view.shape))
+            # (out[r, i] = sum_j U[i, j] v[r, j], U = M (x) I_tail), or per
+            # row the flat GEMM of that row alone.
+            if ops is None:
+                view = stack.reshape(-1, dim_k * tail)
+                padded = op.padded(tail).T
+            else:
+                view = stack.reshape(rows, -1, dim_k * tail)
+                padded = _per_row(ops, variant, lambda o: o.padded(tail)).transpose(0, 2, 1)
+            np.matmul(view, padded, out=out.reshape(view.shape))
         else:
-            view = stack.reshape(-1, dim_k, tail)
-            np.matmul(op.matrix, view, out=out.reshape(view.shape))
+            view = stack.reshape(rows, -1, dim_k, tail)
+            matrix = op.matrix if ops is None else _per_row(ops, variant)[:, None]
+            np.matmul(matrix, view, out=out.reshape(view.shape))
         return out
+    if ops is not None:
+        if k > MAX_VIEW_QUBITS:
+            return apply_gemm_stack(stack, ops, num_qubits, out, variant)
+        return _apply_k3_blocked_gemm(stack, _per_row(ops, variant), op.targets, num_qubits, out)
     if k == 1:
         t = op.targets[0]
         view = stack.reshape(rows * (1 << t), 2, -1)
@@ -370,12 +407,31 @@ def apply_compiled_stack(
             _accumulate_slices(out_slices, in_slices, op.matrix)
             return out
         # Dense and gapped (contiguous dense triples took the view matmul).
-        return _apply_k3_blocked_gemm(stack, op, num_qubits, out)
+        return _apply_k3_blocked_gemm(stack, op.matrix, op.targets, num_qubits, out)
     return apply_gemm_stack(stack, op, num_qubits, out)
 
 
+def _per_row(
+    ops: Sequence[CompiledOperator],
+    variant: np.ndarray,
+    matrix_of: Callable[[CompiledOperator], np.ndarray] = lambda o: o.matrix,
+) -> np.ndarray:
+    """The ``(rows, d, d)`` operator array: row ``r`` holds
+    ``matrix_of(ops[variant[r]])``, C-contiguous like the matrix itself.
+    Filled per variant, so no ``(variants, d, d)`` stack is built first."""
+    first = matrix_of(ops[0])
+    matrices = np.empty((len(variant),) + first.shape, dtype=first.dtype)
+    for position, op in enumerate(ops):
+        matrices[variant == position] = matrix_of(op)
+    return matrices
+
+
 def _apply_k3_blocked_gemm(
-    stack: np.ndarray, op: CompiledOperator, num_qubits: int, out: np.ndarray
+    stack: np.ndarray,
+    matrix: np.ndarray,
+    targets: Tuple[int, ...],
+    num_qubits: int,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Gapped dense 3-qubit operators: gather + GEMM + scatter in blocks.
 
@@ -388,10 +444,11 @@ def _apply_k3_blocked_gemm(
     overwrites them), and the GEMM result goes to one reusable
     block-sized scratch buffer.  Peak memory is the output (~1x the
     stack) plus a single ``rows // 16`` scratch block — ~2x + 1/16,
-    versus the whole-stack fallback's ~3x.
+    versus the whole-stack fallback's ~3x.  ``matrix`` is one ``(8, 8)``
+    operator or a ``(rows, 8, 8)`` per-row array.
     """
     rows, dim = stack.shape
-    targets = [t + 1 for t in op.targets]
+    targets = [t + 1 for t in targets]
     src = stack.reshape((rows,) + (2,) * num_qubits)
     dst = out.reshape((rows,) + (2,) * num_qubits)
     block = max(1, rows // 16)
@@ -404,16 +461,18 @@ def _apply_k3_blocked_gemm(
         # the output rows this block will overwrite anyway.
         gathered = out[start : start + b].reshape(psi.shape)
         gathered[...] = psi
-        res = np.matmul(op.matrix, gathered.reshape(b, 8, -1), out=scratch[:b])
+        operand = matrix if matrix.ndim == 2 else matrix[start : start + b]
+        res = np.matmul(operand, gathered.reshape(b, 8, -1), out=scratch[:b])
         dst[start : start + b] = np.moveaxis(res.reshape(psi.shape), (1, 2, 3), targets)
     return out
 
 
 def apply_gemm_stack(
     stack: np.ndarray,
-    op: CompiledOperator,
+    op: Union[CompiledOperator, Sequence[CompiledOperator]],
     num_qubits: int,
     out: Optional[np.ndarray] = None,
+    variant: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Generic k-qubit fallback: move target axes up front, one batched GEMM.
 
@@ -422,16 +481,19 @@ def apply_gemm_stack(
     pit the reshape-view paths against it directly (the contiguous view
     matmul is the same per-row product without the gather).  Peak memory
     is ~3x the stack (resident stack + contiguous gathered input + GEMM
-    output).
+    output).  ``variant`` gives each row its own operator, as in
+    :func:`apply_compiled_stack`.
     """
     rows, dim = stack.shape
-    k = op.num_targets
+    matrix = op.matrix if variant is None else _per_row(op, variant)
+    axes = [t + 1 for t in (op if variant is None else op[0]).targets]
+    k = len(axes)
     psi = stack.reshape((rows,) + (2,) * num_qubits)
-    psi = np.moveaxis(psi, [t + 1 for t in op.targets], range(1, k + 1))
+    psi = np.moveaxis(psi, axes, range(1, k + 1))
     shape_after = psi.shape
     psi = np.ascontiguousarray(psi).reshape(rows, 2**k, -1)
-    result = np.matmul(op.matrix, psi).reshape(shape_after)
-    result = np.moveaxis(result, range(1, k + 1), [t + 1 for t in op.targets])
+    result = np.matmul(matrix, psi).reshape(shape_after)
+    result = np.moveaxis(result, range(1, k + 1), axes)
     if out is None:
         return np.ascontiguousarray(result).reshape(rows, dim)
     out.reshape(result.shape)[...] = result

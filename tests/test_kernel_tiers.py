@@ -1,5 +1,6 @@
 """Dense kernel tiers: the k=3 reshape-view path, the short-tail padded GEMM,
-and the shared norm reduction with its divisor."""
+per-row operators on the GEMM tiers, and the shared norm reduction with its
+divisor."""
 
 import numpy as np
 import pytest
@@ -462,3 +463,79 @@ class TestRowNormsSquared:
         assert not alive[0] and alive[1]
         assert weights[0] == 0.0 and weights[1] > 0.0
         np.testing.assert_array_equal(stacked.statevector(0), [0.0, 0.0])
+
+
+#: One layout per GEMM tier on a 10-qubit register: the contiguous view at
+#: a mid-register window, the padded short tail, the flat GEMM at the
+#: least-significant end, gapped k = 3 (blocked) and gapped k = 4 (moved
+#: axes).
+PER_ROW_LAYOUTS = [
+    pytest.param((3, 4), id="view-mid"),
+    pytest.param((6, 7), id="padded-tail-4"),
+    pytest.param((7, 8, 9), id="flat-tail-1"),
+    pytest.param((1, 4, 6), id="k3-blocked"),
+    pytest.param((0, 2, 3, 7), id="k4-moved-axes"),
+]
+
+
+class TestPerRowOperators:
+    """``apply_compiled_stack(stack, variants, n, out, variant)``: one call in
+    which every row takes its own operator, bitwise the one-operator call
+    on that row alone."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    @pytest.mark.parametrize("targets", PER_ROW_LAYOUTS)
+    def test_each_row_is_its_one_operator_call(self, targets, rows, dtype):
+        dtype = np.dtype(dtype)
+        rng = np.random.default_rng(rows + len(targets))
+        variants = [
+            compile_operator(random_unitary(2 ** len(targets), rng), targets, dtype)
+            for _ in range(3)
+        ]
+        assert all(op.gemm for op in variants)
+        index = rng.integers(0, len(variants), rows)
+        index[: min(rows, 3)] = np.arange(min(rows, 3))  # row 0 differs from rows 1 and 2
+        stack = _typed_stack(rows, 10, rows, dtype)
+        out = np.full_like(stack, np.nan)
+        result = apply_compiled_stack(stack.copy(), variants, 10, out, index)
+        assert result is out and result.dtype == dtype
+        for row, v in enumerate(index):
+            single = apply_compiled_stack(stack[row : row + 1].copy(), variants[v], 10)
+            assert np.array_equal(result[row], single[0]), (row, v)
+
+    def test_fresh_output_without_out(self):
+        rng = np.random.default_rng(4)
+        variants = [compile_operator(random_unitary(4, rng), (3, 4), DTYPE) for _ in range(2)]
+        stack = _random_stack(3, 8, 5)
+        index = np.array([1, 0, 1])
+        result = apply_compiled_stack(stack, variants, 8, variant=index)
+        assert result is not stack
+        single = apply_compiled_stack(stack[1:2].copy(), variants[0], 8)
+        np.testing.assert_array_equal(result[1], single[0])
+
+    def test_gemm_marks_the_tiers_per_row_calls_accept(self):
+        from repro.circuits.gates import CX
+
+        rng = np.random.default_rng(6)
+        assert compile_operator(random_unitary(4, rng), (2, 3), DTYPE).gemm  # view
+        assert compile_operator(random_unitary(8, rng), (0, 2, 5), DTYPE).gemm  # k3 blocked
+        assert compile_operator(random_unitary(16, rng), (0, 2, 3, 7), DTYPE).gemm  # moved axes
+        assert not compile_operator(random_unitary(4, rng), (1, 3), DTYPE).gemm  # k2 slices
+        assert not compile_operator(CX.matrix, (0, 1), DTYPE).gemm  # sparse
+        assert not compile_operator(np.diag([1, 1j, -1, 1]), (0, 1), DTYPE).gemm
+        assert not compile_operator(1j * np.eye(2), (0,), DTYPE).gemm
+
+    def test_rejects_mixed_targets_or_a_non_gemm_variant(self):
+        from repro.circuits.gates import CX
+
+        rng = np.random.default_rng(8)
+        dense = compile_operator(random_unitary(4, rng), (2, 3), DTYPE)
+        stack = _random_stack(2, 6, 1)
+        index = np.array([0, 1])
+        for other in (
+            compile_operator(random_unitary(4, rng), (3, 4), DTYPE),
+            compile_operator(CX.matrix, (2, 3), DTYPE),
+        ):
+            with pytest.raises(ValueError, match="GEMM tier"):
+                apply_compiled_stack(stack.copy(), [dense, other], 6, variant=index)

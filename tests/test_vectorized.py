@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.backends.batched_statevector as stacked_module
+import repro.linalg.apply as apply_module
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro import NoiseModel
 from repro.backends.statevector import StatevectorBackend
@@ -344,30 +345,39 @@ class TestIdealPrefixSharing:
             for index, step in enumerate(plan.steps)
             for choices in choices_list
         }
-        rows_at = {}
+        calls, rows_at = {}, {}
         for rows, op in seen:
-            index = step_of[id(op)]
-            rows_at[index] = max(rows_at.get(index, 0), rows)
+            # A per-row call passes the step's variants, every one of them.
+            (index,) = {step_of[id(v)] for v in (op if isinstance(op, list) else [op])}
+            calls[index] = calls.get(index, 0) + 1
+            rows_at[index] = rows
         first = [_first_deviation(plan, choices) for choices in choices_list]
         expected = {
             index: min(len(choices_list), 1 + sum(f <= index for f in first))
             for index in range(plan.tail)
         }
         assert rows_at == expected
+        # Every walked step is one kernel call, however many variants its rows take.
+        assert calls == dict.fromkeys(range(plan.tail), 1)
+        assert any(isinstance(op, list) for _, op in seen)
         # The unit shares: its rows deviate all through the walk.
         assert sum(expected.values()) < 0.6 * len(choices_list) * plan.tail
 
-    def test_walk_peaks_at_two_stacks_plus_the_minority_snapshots(self):
+    def test_walk_peaks_at_two_stacks_plus_the_per_row_operators(self, monkeypatch):
         circuit, choices_list = _unit_12q()
-        plan = get_fused_plan(circuit)
+        operators = []
+        original = apply_module._per_row
+
+        def recording(*args, **kwargs):
+            matrices = original(*args, **kwargs)
+            operators.append(matrices.nbytes)
+            return matrices
+
+        monkeypatch.setattr(apply_module, "_per_row", recording)
         BatchedStatevectorBackend(12).run_fixed_stack(circuit, choices_list)  # compile variants
+        monkeypatch.undo()
         row_bytes = 2**12 * np.dtype(np.complex128).itemsize
         stack_bytes = len(choices_list) * row_bytes
-        # A step's minority rows are at most the rows off its dominant branch.
-        minority = max(
-            sum(step.key_for(choices) != step.key_for(None) for choices in choices_list)
-            for step in plan.steps[: plan.tail]
-        )
         backend = BatchedStatevectorBackend(12)
         tracemalloc.start()
         try:
@@ -377,8 +387,66 @@ class TestIdealPrefixSharing:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # One row of slack for the bookkeeping arrays.
-        assert peak <= 2 * stack_bytes + (minority + 1) * row_bytes, peak / row_bytes
+        # No snapshot of any row: the largest per-row operator array, and
+        # one row of slack for the bookkeeping arrays.
+        assert operators and max(operators) < row_bytes * 4
+        assert peak <= 2 * stack_bytes + max(operators) + row_bytes, peak / row_bytes
+
+    def test_steps_mixing_tiers_keep_every_row_its_one_row_preparation(self, monkeypatch):
+        """Dense windows take one per-row call; a diagonal window under bit
+        flips (its flipped variants are permutation-like), a gapped CX
+        window (slice accumulation) and a window whose amplitude-damping
+        variants are sparser than its dominant one take the grouped path."""
+        circuit = Circuit(6)
+        for q in range(3):
+            circuit.ry(0.3 + 0.2 * q, q)
+        circuit.cx(0, 1).cx(1, 2)  # dense on (0, 1, 2)
+        circuit.h(3).h(4).h(5).cx(3, 4).cx(4, 5)  # dense on (3, 4, 5)
+        circuit.cx(1, 3)  # gapped CX
+        circuit.t(4).t(5).cz(4, 5)  # diagonal
+        circuit.cx(3, 4)
+        for q in range(6):
+            circuit.ry(0.4 + 0.1 * q, q)
+        noisy = (
+            NoiseModel()
+            .add_all_qubit_gate_noise("t", bit_flip(0.1))
+            .add_all_qubit_gate_noise("cz", bit_flip(0.1))
+            .add_all_qubit_gate_noise("cx", depolarizing(0.1))
+            .add_all_qubit_gate_noise("ry", amplitude_damping(0.2))
+            .apply(circuit.measure_all())
+            .freeze()
+        )
+        plan = get_fused_plan(noisy)
+        tiers = {step.targets: step.variant(step.dominant_key) for step in plan.steps}
+        assert tiers[(1, 3)].tier == "dense" and not tiers[(1, 3)].gemm
+        assert tiers[(4, 5)].tier == "diagonal"
+        assert tiers[(0, 1, 2)].gemm and tiers[(3, 4, 5)].gemm
+        grouped, per_row = [], []
+        original = stacked_module._apply_grouped
+
+        def recording(stack, groups, *args, **kwargs):
+            grouped.append(len(groups))
+            return original(stack, groups, *args, **kwargs)
+
+        kernel = stacked_module.apply_compiled_stack
+
+        def counting(stack, op, num_qubits, out=None, variant=None):
+            if variant is not None:
+                per_row.append(len(op))
+            return kernel(stack, op, num_qubits, out, variant)
+
+        monkeypatch.setattr(stacked_module, "_apply_grouped", recording)
+        monkeypatch.setattr(stacked_module, "apply_compiled_stack", counting)
+        sites = [site for step in plan.steps for site in step.site_ids]
+        choices_list = [{}] + [{site: 1} for site in sites]
+        choices_list += [{site: 1 for site in sites[::3]}, {site: 1 for site in sites[1::4]}]
+        random.Random(11).shuffle(choices_list)
+        _assert_rows_are_one_row_preparations(noisy, choices_list)
+        # Only the stack has more than one group at a step: every step of
+        # its walk is one per-row call (both dense windows) or one grouped
+        # pass (the other seven), each over several variants.
+        assert len(per_row) == 2 and len(grouped) == plan.num_steps - 2
+        assert min(per_row + grouped) > 1, (per_row, grouped)
 
 
 class TestDedup:
