@@ -16,8 +16,9 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   The per-operation Python/dispatch overhead and buffer traffic is paid
   once per window instead of once per (operation, trajectory).  The
   *ideal prefix* is shared too: PTS fixes every choice before any state
-  exists, so up to its first non-dominant choice
-  (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`) a row is
+  exists, so up to its first deviation — the first step holding a site of
+  its prescription table
+  (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`) — a row is
   the ideal circuit.  The rows are kept in order of first deviation
   behind one slot that carries the ideal state; a step runs on the
   leading block of rows that have deviated by it plus that slot, and a
@@ -27,16 +28,16 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   to slots, so callers see their own order.
 * **Divergent Kraus choices** share the step's one kernel call: at each
   noise window the walked rows are partitioned by their variant key — the
-  tuple of prescribed Kraus indices at the window's sites (absent sites
-  use the channel's dominant operator, exactly like
-  :meth:`PureStateBackend.run_fixed`) — and when every variant in the
-  unit compiles to a GEMM tier, one batched kernel call runs each row
-  under its own variant (the step's variants plus a row -> variant
-  index), bitwise what the one-variant call gives that row.  Only a step
-  with a variant on a per-variant tier (diagonal, scalar or slice
+  tuple of prescribed Kraus indices at the window's sites (a site the
+  row's table does not list takes the channel's dominant operator,
+  exactly like :meth:`PureStateBackend.run_fixed`) — and when every
+  variant in the unit compiles to a GEMM tier, one batched kernel call
+  runs each row under its own variant (the step's variants plus a row ->
+  variant index), bitwise what the one-variant call gives that row.  Only
+  a step with a variant on a per-variant tier (diagonal, scalar or slice
   accumulation, which skip different zero entries per variant) applies
   each variant to its group (:func:`_apply_grouped`).  Only the rows that
-  name one of the window's sites have their key looked up.
+  deviate at one of the window's sites carry a key of their own.
 * **Batched renormalization** after each general-Kraus noise window (a
   unitary-mixture window keeps the norm and multiplies its
   state-independent probability into the weights instead) runs
@@ -95,7 +96,7 @@ one of them.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +108,7 @@ from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
 from repro.circuits.circuit import Circuit
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError, ExecutionError
+from repro.prescriptions import Choices, as_prescriptions, site_table
 
 __all__ = ["BatchedStatevectorBackend"]
 
@@ -387,18 +389,18 @@ class BatchedStatevectorBackend:
     # stacked trajectory preparation (the vectorized BE primitive)
     # ------------------------------------------------------------------ #
     def run_fixed_stack(
-        self,
-        circuit: Circuit,
-        choices_list: Sequence[Optional[Dict[int, int]]],
+        self, circuit: Circuit, choices_list: Choices
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Prepare one trajectory state per entry of ``choices_list``.
+        """Prepare one trajectory state per row of ``choices_list``.
 
-        Each entry maps ``site_id -> kraus_index`` exactly as in
-        :meth:`PureStateBackend.run_fixed`; sites absent from a map use
-        the channel's dominant operator.  Returns ``(weights, alive)``:
-        the per-row product of actual branch probabilities, and a mask of
-        rows whose prescribed branches were all realizable.  Dead rows
-        have weight 0 and a zeroed state.
+        ``choices_list`` is a prescription table built against ``circuit``
+        or one ``site_id -> kraus_index`` map per row, as in
+        :meth:`PureStateBackend.run_fixed` (checked by
+        :func:`~repro.prescriptions.as_prescriptions`); sites a row does
+        not list use the channel's dominant operator.  Returns ``(weights,
+        alive)``: the per-row product of actual branch probabilities, and a
+        mask of rows whose prescribed branches were all realizable.  Dead
+        rows have weight 0 and a zeroed state.
 
         Execution walks the circuit's compiled
         :class:`~repro.execution.plan.FusedPlan` up to its measurement
@@ -407,11 +409,7 @@ class BatchedStatevectorBackend:
         """
         return self._prepare(circuit, choices_list)
 
-    def _prepare(
-        self,
-        circuit: Circuit,
-        choices_list: Sequence[Optional[Dict[int, int]]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _prepare(self, circuit: Circuit, choices_list: Choices) -> Tuple[np.ndarray, np.ndarray]:
         # Imported lazily: repro.execution imports this module at package
         # init, so a top-level import would be circular.
         from repro.execution.plan import NoiseStep, get_fused_plan
@@ -425,10 +423,10 @@ class BatchedStatevectorBackend:
         validate_deferred_measurement(circuit)
         if len(choices_list) == 0:
             raise ExecutionError("empty trajectory stack")
+        table = as_prescriptions(site_table(circuit), choices_list)
         plan = get_fused_plan(circuit, self._config)
-        b = len(choices_list)
-        first, touched = plan.prescribed_steps(choices_list)
-        first = np.asarray(first, dtype=np.intp)
+        b = len(table)
+        first, touched = plan.prescribed_steps(table)
         # Walk order: slot 0 holds the row that deviates last — the ideal
         # circuit until then — and the others follow in order of their
         # first deviation, so the rows a step touches are a leading block.
@@ -446,7 +444,7 @@ class BatchedStatevectorBackend:
         for index in range(plan.tail):
             step = plan.steps[index]
             live = self._join(live, joined[index], weights)
-            prescribed = [(slot[row], choices_list[row]) for row in touched[index]]
+            prescribed = [(slot[row], key) for row, key in touched[index].items()]
             groups = self._groups(step, self._alive, live, prescribed)
             self._apply_step(step, groups, live)
             if isinstance(step, NoiseStep):
@@ -458,8 +456,7 @@ class BatchedStatevectorBackend:
             # The measurement tail: recorded on caller rows, not run (see
             # _squares).  Its windows are unitary: _weigh touches no state.
             step = plan.steps[index]
-            prescribed = [(row, choices_list[row]) for row in touched[index]]
-            groups = self._groups(step, alive, b, prescribed)
+            groups = self._groups(step, alive, b, touched[index].items())
             self._tail.append((step, groups))
             if isinstance(step, NoiseStep):
                 self._weigh(step, groups, weights, b)
@@ -478,22 +475,21 @@ class BatchedStatevectorBackend:
 
     @staticmethod
     def _groups(
-        step, alive: np.ndarray, count: int, prescribed: List[Tuple[int, Dict[int, int]]]
+        step, alive: np.ndarray, count: int, prescribed: Iterable[Tuple[int, Tuple[int, ...]]]
     ) -> Dict[Tuple[int, ...], Sequence[int]]:
         """The alive rows among the first ``count`` grouped by their variant
-        key at ``step``: each ``(row, choices)`` in ``prescribed`` (the rows
-        naming a site of the step) by its own key, every other row by the
-        dominant one."""
+        key at ``step``: each ``(row, key)`` in ``prescribed`` (the rows
+        deviating at the step, all among them) by its own key, every other
+        row by the dominant one."""
         rest = alive[:count].copy()
         groups: Dict[Tuple[int, ...], Sequence[int]] = {}
-        for row, choices in prescribed:
-            if row < count and alive[row]:
+        for row, key in prescribed:
+            if alive[row]:
                 rest[row] = False
-                groups.setdefault(step.key_for(choices), []).append(row)
+                groups.setdefault(key, []).append(row)
         others = np.flatnonzero(rest)
         if others.size:
-            key = step.key_for(None)
-            groups[key] = np.concatenate([others, groups[key]]) if key in groups else others
+            groups[step.dominant_key] = others
         return groups
 
     def _apply_step(self, step, groups: Dict[Tuple[int, ...], Sequence[int]], live: int) -> None:

@@ -39,6 +39,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError
 from repro.linalg.sampling import inverse_cdf_indices
+from repro.prescriptions import Choices, as_prescriptions, site_table
 
 __all__ = ["FrameSampler", "frame_sample"]
 
@@ -200,12 +201,13 @@ class FrameSampler:
                 next_site = next(site_iter, None)
         for site, (start, stop) in zip(self.sites, spans):
             site.end_x_patterns = fx[start:stop].copy()
-        # Flat per-branch tables behind frame_for_choices: a trajectory is
-        # the all-dominant frame XOR one (branch XOR dominant) row per
-        # deviation, so assembling it never walks the sites it leaves alone.
-        self._site_position = {site.site_id: i for i, site in enumerate(self.sites)}
+        # Flat per-branch tables behind frame_for_choices, indexed by site
+        # id (the sites are in program order, as the ids count them): a
+        # trajectory is the all-dominant frame XOR one (branch XOR
+        # dominant) row per deviation, so assembling it never walks the
+        # sites it leaves alone.
         self._site_start = np.array([start for start, _ in spans], dtype=np.intp)
-        self._site_branches = np.array([len(site.probs) for site in self.sites], dtype=np.intp)
+        site_branches = np.array([len(site.probs) for site in self.sites], dtype=np.intp)
         dominant_rows = self._site_start + np.array(
             [site.dominant_index for site in self.sites], dtype=np.intp
         )
@@ -213,52 +215,35 @@ class FrameSampler:
         self._dominant_probs = self._branch_probs[dominant_rows]
         end_flips = fx[:, self._measured_index]
         self._delta_flips = end_flips ^ np.repeat(
-            end_flips[dominant_rows], self._site_branches, axis=0
+            end_flips[dominant_rows], site_branches, axis=0
         )
         self._dominant_flips = np.bitwise_xor.reduce(end_flips[dominant_rows], axis=0)
 
     # ------------------------------------------------------------------ #
     # fixed-choice (PTS) sampling
     # ------------------------------------------------------------------ #
-    def frame_for_choices(
-        self, choices_list: Sequence[Dict[int, int]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def frame_for_choices(self, choices_list: Choices) -> Tuple[np.ndarray, np.ndarray]:
         """Terminal frame flips on the measured qubits + exact weights, one
         row per prescription: ``(rows, k)`` uint8 and ``(rows,)`` float64.
 
-        Each entry of ``choices_list`` maps deviating ``site_id`` to Kraus
-        index (PTS semantics: unpinned sites take the dominant branch; ids
-        the circuit does not have are ignored).  Because a spec's Kraus
-        choices are *fixed*, its frame is deterministic — the XOR over
-        sites of the chosen branch's end-propagated X pattern, assembled as
-        the all-dominant frame XOR one precomputed ``branch XOR dominant``
-        row per deviation — and the trajectory weight is exactly the
+        ``choices_list`` is a prescription table built against the circuit,
+        or one ``site_id -> kraus_index`` map per row, checked by
+        :func:`~repro.prescriptions.as_prescriptions` (PTS semantics: a
+        site a row does not list takes the dominant branch).  Because a
+        spec's Kraus choices are *fixed*, its frame is deterministic — the
+        XOR over sites of the chosen branch's end-propagated X pattern,
+        assembled as the all-dominant frame XOR one precomputed ``branch
+        XOR dominant`` row per deviation — and the trajectory weight is exactly the
         product, in site order, of the chosen branch probabilities (Pauli
         mixtures are unitary mixtures, so nominal probabilities are exact).
         """
-        rows, positions, branches = [], [], []
-        for row, choices in enumerate(choices_list):
-            for site_id, branch in choices.items():
-                position = self._site_position.get(site_id)
-                if position is not None:
-                    rows.append(row)
-                    positions.append(position)
-                    branches.append(branch)
-        rows = np.array(rows, dtype=np.intp)
-        positions = np.array(positions, dtype=np.intp)
-        branches = np.array(branches, dtype=np.intp)
-        bad = np.flatnonzero((branches < 0) | (branches >= self._site_branches[positions]))
-        if bad.size:
-            site = self.sites[positions[bad[0]]]
-            raise BackendError(
-                f"site {site.site_id}: Kraus index {branches[bad[0]]} out of range "
-                f"for {len(site.probs)} branches"
-            )
-        chosen = self._site_start[positions] + branches
-        flips = np.tile(self._dominant_flips, (len(choices_list), 1))
+        table = as_prescriptions(site_table(self.circuit), choices_list)
+        rows, sites = table.rows(), table.site_ids
+        chosen = self._site_start[sites] + table.branches
+        flips = np.tile(self._dominant_flips, (len(table), 1))
         np.bitwise_xor.at(flips, rows, self._delta_flips[chosen])
-        probs = np.tile(self._dominant_probs, (len(choices_list), 1))
-        probs[rows, positions] = self._branch_probs[chosen]
+        probs = np.tile(self._dominant_probs, (len(table), 1))
+        probs[rows, sites] = self._branch_probs[chosen]
         # Reduced over the leading axis: the same left-to-right product
         # over sites a scalar loop takes, so weights keep their last bit.
         return flips, np.multiply.reduce(probs.T, axis=0, initial=1.0)

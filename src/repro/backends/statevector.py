@@ -35,6 +35,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, ZeroProbabilityTrajectory
 from repro.linalg.reductions import scale_rows_inverse_sqrt
 from repro.linalg.sampling import bits_from_indices
+from repro.prescriptions import Prescriptions
 
 __all__ = ["StatevectorBackend", "bits_from_indices"]
 
@@ -104,11 +105,14 @@ class StatevectorBackend(PureStateBackend):
         state-independent branch probability into the weight, and a window
         with a general-Kraus site renormalizes and multiplies in the
         window's squared norm — the same telescoping product of branch
-        probabilities the per-site base loop accumulates.  A prescription
-        that annihilates the state raises
+        probabilities the per-site base loop accumulates.
+        ``kraus_choices`` is one ``site_id -> kraus_index`` map or a
+        one-row :class:`~repro.prescriptions.Prescriptions` table.  A
+        prescription that annihilates the state raises
         :class:`~repro.errors.ZeroProbabilityTrajectory`.
         """
-        weights, alive = self.stack._prepare(circuit, [kraus_choices])
+        rows = kraus_choices if isinstance(kraus_choices, Prescriptions) else [kraus_choices]
+        weights, alive = self.stack._prepare(circuit, rows)
         if not alive[0]:
             raise ZeroProbabilityTrajectory("the prescribed Kraus choices annihilate the state")
         return float(weights[0])

@@ -252,9 +252,9 @@ class _SerialEngine:
         and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots."""
         return max(1 << 16, 2**self.circuit.num_qubits)
 
-    def prepare(self, choices_list, sizes):
+    def prepare(self, table, sizes):
         try:
-            weight = self.backend.run_fixed(self.circuit, choices_list[0])
+            weight = self.backend.run_fixed(self.circuit, table)
             # The draw tables, built here so a look-ahead helper pays for
             # them, not the draw.
             self.backend.cumulative(sizes[0])

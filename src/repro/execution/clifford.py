@@ -105,8 +105,8 @@ class _FrameEngine:
                 f"Pauli-mixture noise: {exc}"
             ) from exc
 
-    def prepare(self, choices_list, sizes):
-        self.flips, weights = self.sampler.frame_for_choices(choices_list)
+    def prepare(self, table, sizes):
+        self.flips, weights = self.sampler.frame_for_choices(table)
         return weights
 
     def sample(self, requests):

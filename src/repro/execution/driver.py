@@ -12,11 +12,14 @@ an ``_engine(circuit)`` recipe that builds the adapter.
 What :func:`drive` owns, for every engine and every worker count:
 
 * the preamble — freeze, the "no measurements" / "no specs" checks, the
-  check that every prescribed noise site exists in the circuit, the
   resolved root seed, the fault context;
-* deduplication (:func:`~repro.pts.base.deduplicate_specs`) and the queue
-  of tasks, each a range of dedup groups named
-  ``"<name>/stack:<a>:<b>"``;
+* deduplication (:func:`~repro.pts.base.deduplicate_specs`), the run's
+  one prescription table — one row per dedup group, built from the group
+  keys by :func:`~repro.prescriptions.prescribe`, which checks every
+  prescribed site and Kraus index once, before any unit runs, with the
+  same error on every engine — and the queue of tasks, each a range of
+  dedup groups named ``"<name>/stack:<a>:<b>"`` that an engine prepares
+  from its slice of the table;
 * per task: the fault hook, the retry rule
   (:meth:`~repro.faults.retry.FaultContext.next_attempt`), the
   ``CapacityError`` halving split, the per-trajectory Philox stream
@@ -90,6 +93,7 @@ from repro.execution.results import PTSBEResult, TrajectoryResult
 from repro.execution.streaming import OrderedDelivery, StreamedResult
 from repro.faults.plan import FaultPlan, maybe_inject
 from repro.faults.retry import FaultContext, RecoveryEvent, describe_exception
+from repro.prescriptions import Prescriptions, prescribe, site_table
 from repro.pts.base import SpecGroup, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory
 
@@ -139,14 +143,13 @@ class Engine(Protocol):
         unit on a helper thread while it draws (``None``: never)."""
         ...
 
-    def prepare(
-        self, choices_list: Sequence[Dict[int, int]], sizes: Sequence[Sequence[int]]
-    ) -> Sequence[float]:
-        """Prepare one row per Kraus prescription; return the realized
-        weights.  ``0.0`` marks a dead row (the prescription annihilates
-        the state), which is never sampled.  ``sizes[row]`` lists the shot
-        counts that row's requests will draw, so the tables the draws read
-        are built here (an engine whose draws need none ignores it)."""
+    def prepare(self, table: Prescriptions, sizes: Sequence[Sequence[int]]) -> Sequence[float]:
+        """Prepare one state per row of ``table``, the unit's slice of the
+        run's checked prescription table; return the realized weights.
+        ``0.0`` marks a dead row (the prescription annihilates the state),
+        which is never sampled.  ``sizes[row]`` lists the shot counts that
+        row's requests will draw, so the tables the draws read are built
+        here (an engine whose draws need none ignores it)."""
         ...
 
     def sample(self, requests: Sequence[Request]) -> Sequence[NDArray[np.uint8]]:
@@ -203,6 +206,7 @@ class _Runner:
         engine: Engine,
         specs: Sequence[TrajectorySpec],
         groups: Sequence[SpecGroup],
+        table: Prescriptions,
         width: int,
         streams: StreamFactory,
         rows: int,
@@ -211,6 +215,7 @@ class _Runner:
         self.engine = engine
         self.specs = specs
         self.groups = groups
+        self.table = table
         # The bits of a spec nothing was drawn for (dead row, zero shots).
         self.unsampled = np.empty((0, width), dtype=np.uint8)
         self.streams = streams
@@ -229,10 +234,8 @@ class _Runner:
 
     def prepare(self, engine: Engine, start: int, end: int) -> Prepared:
         """``engine.prepare`` on groups ``[start, end)``, timed."""
-        unit = self.groups[start:end]
-        choices = [self.specs[g.indices[0]].choices for g in unit]
-        sizes = [[self.specs[i].num_shots for i in g.indices] for g in unit]
-        return timed(engine.prepare, choices, sizes)
+        sizes = [[self.specs[i].num_shots for i in g.indices] for g in self.groups[start:end]]
+        return timed(engine.prepare, self.table[start:end], sizes)
 
     def draw(self, engine: Engine, start: int, end: int, prepared: Prepared) -> Completed:
         """Draw the shots of groups ``[start, end)``, prepared on ``engine``."""
@@ -382,16 +385,7 @@ def drive(
     if not specs:
         raise ExecutionError("no trajectory specs to execute")
     groups = deduplicate_specs(specs)
-    # Site ids count the circuit's noise ops from 0 and a group key is
-    # sorted by site: its ends bound every site it prescribes.
-    num_sites = circuit.num_noise_sites()
-    for group in groups:
-        if group.key and not (0 <= group.key[0][0] and group.key[-1][0] < num_sites):
-            site = next(s for s, _ in group.key if not 0 <= s < num_sites)
-            raise ExecutionError(
-                f"spec {group.indices[0]} prescribes noise site {site}, but the "
-                f"circuit has {num_sites} noise sites (ids 0..{num_sites - 1})"
-            )
+    table = prescribe(site_table(circuit), [g.key for g in groups], [g.indices[0] for g in groups])
     streams = StreamFactory(seed)
     engine = build()
     name = engine.name
@@ -408,7 +402,7 @@ def drive(
     else:
         step, max_shots = -(-len(groups) // (4 * workers)), None
     run_args = (
-        specs, groups, len(measured), streams, min(engine.max_rows, step), ctx.plan,
+        specs, groups, table, len(measured), streams, min(engine.max_rows, step), ctx.plan,
     )
     local = _LocalRunner(build, engine, *run_args) if workers == 1 else None
     if local is None:

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.moments import schedule_fusion_windows
 from repro.circuits.operations import NoiseOp, Operation
 from repro.config import Config, DEFAULT_CONFIG
-from repro.errors import BackendError, ExecutionError
+from repro.errors import ExecutionError
 from repro.linalg.apply import CompiledOperator, compile_operator
 from repro.linalg.fusion import (
     expand_to_support,
@@ -79,6 +79,7 @@ from repro.linalg.fusion import (
     multiply_window,
     window_support,
 )
+from repro.prescriptions import Prescriptions
 from repro.trajectory.unitary_cache import ChannelAnalysisCache, KernelVariantCache
 
 __all__ = [
@@ -128,6 +129,7 @@ class GateStep:
     ``()``, so the dense walk treats both step kinds alike."""
 
     __slots__ = ("op", "num_ops", "support", "classical", "_map")
+    dominant_key: Tuple[int, ...] = ()
 
     def __init__(self, op: CompiledOperator, num_ops: int):
         self.op = op
@@ -135,9 +137,6 @@ class GateStep:
         self.support = tuple(sorted(op.targets))
         self.classical = _monomial(op.matrix)
         self._map = _index_map(op.matrix, op.targets, self.support) if self.classical else None
-
-    def key_for(self, choices: Optional[Mapping[int, int]]) -> Tuple[int, ...]:
-        return ()
 
     def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         return self.op
@@ -156,10 +155,10 @@ class NoiseStep:
 
     ``site_ids`` lists the window's noise sites in application order; a
     *variant key* is the tuple of Kraus indices chosen at those sites (in
-    the same order).  :meth:`key_for` maps a trajectory's sparse
-    ``{site_id: kraus_index}`` choices to its key (absent sites take the
+    the same order; ``dominant_key`` where a trajectory takes every
     channel's dominant branch), and :meth:`variant` compiles/memoizes the
-    fused operator for a key.
+    fused operator for a key.  :meth:`FusedPlan.prescribed_steps` reads a
+    trajectory's keys off its prescription table.
 
     ``unitary`` is true when every site's channel is a unitary mixture
     (``K_i = sqrt(p_i) U_i``).  Such a window's variants are built from
@@ -256,24 +255,6 @@ class NoiseStep:
             self._classical = self.unitary and all(map(_monomial, parts.values()))
         return self._classical
 
-    def key_for(self, choices: Optional[Mapping[int, int]]) -> Tuple[int, ...]:
-        """Variant key for one trajectory's Kraus choices (validated)."""
-        if not choices:
-            return self.dominant_key
-        key = list(self.dominant_key)
-        for pos, site_id in enumerate(self.site_ids):
-            idx = choices.get(site_id)
-            if idx is None:
-                continue
-            channel = self.channels[pos]
-            if not (0 <= idx < len(channel)):
-                raise BackendError(
-                    f"kraus_index {idx} out of range for {channel.name!r} "
-                    f"({len(channel)} operators)"
-                )
-            key[pos] = idx
-        return tuple(key)
-
     def probability(self, key: Tuple[int, ...]) -> float:
         """Branch probability of ``key`` on a ``unitary`` window: the
         product of the sites' nominal probabilities, in site order
@@ -368,6 +349,8 @@ class FusedPlan:
 
     ``tail`` is the index of the first step of the plan's maximal suffix of
     classical steps (``num_steps`` when the last step is not classical).
+    Indexed by noise site id, ``site_step`` is the step holding each site
+    and ``site_position`` the site's place in that step's variant key.
     """
 
     def __init__(
@@ -386,49 +369,41 @@ class FusedPlan:
         self.num_source_ops = num_source_ops
         self.max_qubits = max_qubits
         self.variant_cache = variant_cache
-        # Noise site id -> (its step's index, the site's dominant index).
-        self._sites: Dict[int, Tuple[int, int]] = {
-            site: (index, dominant)
+        located = sorted(
+            (site, index, position)
             for index, step in enumerate(steps)
             if isinstance(step, NoiseStep)
-            for site, dominant in zip(step.site_ids, step.dominant_key)
-        }
+            for position, site in enumerate(step.site_ids)
+        )
+        _, self.site_step, self.site_position = np.array(located, dtype=np.intp).reshape(-1, 3).T
 
     @property
     def num_steps(self) -> int:
         return len(self.steps)
 
     def prescribed_steps(
-        self, choices_list: Sequence[Optional[Mapping[int, int]]]
-    ) -> Tuple[List[int], List[List[int]]]:
-        """Where each prescription in ``choices_list`` acts on the plan.
+        self, table: Prescriptions
+    ) -> Tuple[np.ndarray, List[Dict[int, Tuple[int, ...]]]]:
+        """Where each row of a prescription table (built against this
+        plan's circuit) leaves the ideal circuit.
 
-        Returns ``first`` — per prescription, the index of the first step
-        at which it takes a branch other than the dominant one
-        (``num_steps`` if it never does): every step before it runs the
-        ideal circuit's variant — and ``touched`` — per step, the
-        prescriptions (by position, ascending) that name one of its sites.
-        A choice that names the dominant index touches its step but is no
-        deviation; index ranges are checked where a step's
-        :meth:`NoiseStep.key_for` reads them.
+        Returns ``first`` — per row, the index of its first deviating step
+        (``num_steps`` for a row with no entries): every step before it
+        runs the ideal circuit's variant — and ``touched`` — per step,
+        ``{row: variant key}`` for the rows deviating there, ascending.
         """
-        first = [len(self.steps)] * len(choices_list)
-        touched: List[List[int]] = [[] for _ in self.steps]
-        for row, choices in enumerate(choices_list):
-            for site, index in (choices or {}).items():
-                entry = self._sites.get(site)
-                if entry is None:
-                    raise BackendError(
-                        f"noise site {site} is not in the circuit "
-                        f"(it has {len(self._sites)} sites)"
-                    )
-                step, dominant = entry
-                rows = touched[step]
-                if not rows or rows[-1] != row:
-                    rows.append(row)
-                if index != dominant and step < first[row]:
-                    first[row] = step
-        return first, touched
+        rows = table.rows()
+        steps = self.site_step[table.site_ids]
+        # An empty row's minimum is the initial value: no reduceat segment.
+        first = np.full(len(table), self.num_steps, dtype=np.intp)
+        np.minimum.at(first, rows, steps)
+        keys: List[Dict[int, List[int]]] = [{} for _ in self.steps]
+        positions = self.site_position[table.site_ids]
+        for row, step, position, branch in zip(
+            rows.tolist(), steps.tolist(), positions.tolist(), table.branches.tolist()
+        ):
+            keys[step].setdefault(row, list(self.steps[step].dominant_key))[position] = branch
+        return first, [{row: tuple(key) for row, key in step.items()} for step in keys]
 
     @property
     def num_noise_steps(self) -> int:

@@ -85,6 +85,7 @@ from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
 from repro.linalg.kron import permute_operator_qubits
+from repro.prescriptions import Choices, as_prescriptions, site_table
 
 __all__ = ["TensorNetExecutor", "compile_schedule", "GateSchedule"]
 
@@ -120,7 +121,6 @@ class NoiseStep:
     site: int
     span: int
     site_id: int
-    name: str  # the channel's, for error messages
     ops: np.ndarray  # (num_branches, d, d)
     dominant: int
 
@@ -134,17 +134,15 @@ class GateSchedule:
 
     Sites are chain positions, not qubits: routing moves qubits and never
     moves them back, so ``site_of[q]`` says where qubit ``q`` sits once the
-    schedule has run (a permutation of ``range(num_qubits)``).
+    schedule has run (a permutation of ``range(num_qubits)``).  ``sites``
+    is the circuit's :func:`~repro.prescriptions.site_table`, which
+    prescriptions are checked against.
     """
 
     num_qubits: int
     steps: Tuple[Step, ...]
     site_of: Tuple[int, ...]
-    noise_at: Tuple[int, ...]  # index into ``steps`` of each noise step
-
-    @property
-    def num_noise_sites(self) -> int:
-        return len(self.noise_at)
+    sites: np.ndarray  # the circuit's site_table
 
 
 # circuit -> GateSchedule; weak-keyed so retired circuits drop out.
@@ -273,7 +271,6 @@ class _Compiler(SiteMap):
                 site=site,
                 span=k,
                 site_id=op.site_id,
-                name=op.name,
                 ops=np.stack(kraus),
                 dominant=op.channel.dominant_index(),
             )
@@ -309,26 +306,22 @@ def compile_schedule(circuit: Circuit) -> GateSchedule:
         num_qubits=circuit.num_qubits,
         steps=tuple(comp.steps),
         site_of=tuple(comp.site_of),
-        noise_at=tuple(
-            i for i, step in enumerate(comp.steps) if isinstance(step, NoiseStep)
-        ),
+        sites=site_table(circuit),
     )
     _SCHEDULE_CACHE[circuit] = schedule
     return schedule
 
 
-def replay_schedule(
-    stack: BatchedMPSStack,
-    schedule: GateSchedule,
-    choices_list: Sequence[Dict[int, int]],
-) -> None:
+def replay_schedule(stack: BatchedMPSStack, schedule: GateSchedule, choices_list: Choices) -> None:
     """Replay the shared schedule from ``|0...0>`` into a trajectory stack.
 
-    ``choices_list[m]`` is row ``m``'s Kraus-choice mapping (``site_id ->
-    branch``); unlisted sites take the channel's dominant branch, matching
-    :meth:`repro.backends.base.PureStateBackend.run_fixed`, and site ids
-    the circuit does not have are ignored.  ``stack`` supplies the
-    truncation and receives the rows; what it held is dropped.
+    ``choices_list`` is a prescription table built against the schedule's
+    circuit, or row ``m``'s Kraus-choice mapping (``site_id -> branch``)
+    for each ``m``, checked against ``schedule.sites`` by
+    :func:`~repro.prescriptions.as_prescriptions`.  A site a row does not
+    list takes the channel's dominant branch, matching
+    :meth:`repro.backends.base.PureStateBackend.run_fixed`.  ``stack``
+    supplies the truncation and receives the rows; what it held is dropped.
 
     Every step is applied once, to the ideal row and to the rows inside
     whose light cone its sites lie: a noise step hands the stack the rows
@@ -346,23 +339,12 @@ def replay_schedule(
             f"choices_list has {len(choices_list)} rows for a stack of "
             f"batch_size {stack.batch_size}"
         )
-    noise = {schedule.steps[i].site_id: schedule.steps[i] for i in schedule.noise_at}
-    # site_id -> (rows leaving the dominant branch there, their branches)
-    leaving: Dict[int, Tuple[List[int], List[int]]] = {}
-    for m, choices in enumerate(choices_list):
-        for site_id, branch in choices.items():
-            step = noise.get(site_id)
-            if step is None:
-                continue
-            if not 0 <= branch < len(step.ops):
-                raise BackendError(
-                    f"kraus_index {branch} out of range for {step.name!r} "
-                    f"({len(step.ops)} operators)"
-                )
-            if branch != step.dominant:
-                rows, branches = leaving.setdefault(site_id, ([], []))
-                rows.append(m)
-                branches.append(branch)
+    table = as_prescriptions(schedule.sites, choices_list)
+    # The rows leaving the dominant branch, grouped by site (rows ascending
+    # within one): site s's are [cuts[s], cuts[s + 1]).
+    order = np.argsort(table.site_ids, kind="stable")
+    rows, branches = table.rows()[order], table.branches[order]
+    cuts = np.searchsorted(table.site_ids[order], np.arange(len(schedule.sites) + 1))
     stack.reset()
     for step in schedule.steps:
         if isinstance(step, SwapStep):
@@ -370,8 +352,8 @@ def replay_schedule(
         elif isinstance(step, UnitaryStep):
             stack.apply(step.matrix, step.site)
         else:
-            rows, branches = leaving.get(step.site_id, ([], []))
-            stack.apply(step.ops[step.dominant], step.site, rows, step.ops[branches])
+            at = slice(cuts[step.site_id], cuts[step.site_id + 1])
+            stack.apply(step.ops[step.dominant], step.site, rows[at], step.ops[branches[at]])
 
 
 def read_stack(
@@ -475,10 +457,10 @@ class _MPSStackEngine:
         self.cols = [self.schedule.site_of[q] for q in circuit.measured_qubits]
         self.release()
 
-    def prepare(self, choices_list, sizes):
+    def prepare(self, table, sizes):
         self.release()  # the previous unit's stack goes before this one is built
-        stack = BatchedMPSStack(self.num_qubits, len(choices_list), **self.stack_options)
-        replay_schedule(stack, self.schedule, choices_list)
+        stack = BatchedMPSStack(self.num_qubits, len(table), **self.stack_options)
+        replay_schedule(stack, self.schedule, table)
         tensors, envs, weights = read_stack(stack)
         self._prepared = (tensors, envs)
         return weights

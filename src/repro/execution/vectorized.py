@@ -133,8 +133,8 @@ class _StackEngine:
         # run_fixed_stack call hits the plan cache.
         _, self.compile_seconds = timed(get_fused_plan, circuit, self.config)
 
-    def prepare(self, choices_list, sizes):
-        weights, alive = self.backend.run_fixed_stack(self.circuit, choices_list)
+    def prepare(self, table, sizes):
+        weights, alive = self.backend.run_fixed_stack(self.circuit, table)
         self.backend.cumulative_stack(sizes)  # the draw tables
         return weights * alive  # host (B,) vectors; a dead row reads 0.0
 

@@ -703,14 +703,56 @@ def test_dead_row_has_zero_weight_and_no_shots_on_the_dense_engines():
         assert result.recovery == []  # a dead row is not a retried failure
 
 
-@pytest.mark.parametrize("site", [999, -1])
+#: Spec 1's ``(site, kraus index)`` events, and the one error every
+#: strategy raises for them.  A missing site used to run as the ideal
+#: trajectory under a record claiming an error; a site named twice ran its
+#: last index alone; a bad index failed inside a unit, was retried as a
+#: fault, and was worded two ways.
+BAD_PRESCRIPTIONS = {
+    "999": (
+        [(1, 1), (999, 1)],
+        "spec 1 prescribes noise site 999, but the circuit has 14 noise sites (ids 0..13)",
+    ),
+    "-1": (
+        [(-1, 1), (1, 1)],
+        "spec 1 prescribes noise site -1, but the circuit has 14 noise sites (ids 0..13)",
+    ),
+    "index-1": (
+        [(1, 1), (5, -1)],
+        "spec 1 prescribes Kraus index -1 at noise site 5, whose channel has 4 operators",
+    ),
+    "index-arity": (
+        [(1, 1), (5, 4)],
+        "spec 1 prescribes Kraus index 4 at noise site 5, whose channel has 4 operators",
+    ),
+    "site-twice": ([(5, 1), (5, 2)], "spec 1 prescribes noise site 5 twice"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PRESCRIPTIONS))
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
-def test_a_prescription_for_a_missing_noise_site_is_rejected(circuit, strategy, site):
-    """Such a spec used to run as the ideal trajectory, and its record
-    claimed an error that was never applied."""
-    specs = [_spec(0, 10, {0: 1}), _spec(1, 10, {1: 1, site: 1})]
-    with pytest.raises(ExecutionError, match=rf"spec 1 prescribes noise site {site}\b"):
-        make_executor(strategy).execute(circuit, specs, seed=1)
+def test_a_prescription_for_a_missing_noise_site_is_rejected(circuit, strategy, case):
+    """Every kind of bad prescription, a missing site first among them, is
+    rejected by ``execute_stream`` before any unit runs."""
+    events, message = BAD_PRESCRIPTIONS[case]
+    record = TrajectoryRecord(1, tuple(KrausEvent(site, index) for site, index in events))
+    specs = [_spec(0, 10, {0: 1}), TrajectorySpec(record, 10)]
+    with pytest.raises(ExecutionError) as raised:
+        make_executor(strategy).execute_stream(circuit, specs, seed=1)
+    assert type(raised.value) is ExecutionError  # not a FaultError: nothing was retried
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_naming_the_dominant_index_changes_nothing(circuit, strategy):
+    """The table drops an entry naming its site's dominant index (0 on
+    every site here), so the bits and weights are the unnamed spec's."""
+    plain = [_spec(0, 30, {5: 1}), _spec(1, 30), _spec(2, 30, {2: 1, 7: 3})]
+    named = [_spec(0, 30, {5: 1, 6: 0}), _spec(1, 30, {0: 0}), _spec(2, 30, {2: 1, 7: 3, 13: 0})]
+    a = make_executor(strategy).execute(circuit, plain, seed=3)
+    b = make_executor(strategy).execute(circuit, named, seed=3)
+    assert_same_table(a, b)
+    assert [t.actual_weight for t in a.trajectories] == [t.actual_weight for t in b.trajectories]
 
 
 #: SHA-256 of ``bits`` then little-endian int64 ``trajectory_ids`` of the run

@@ -207,8 +207,8 @@ class TestFusedPlanStructure:
     def test_out_of_range_kraus_index_rejected(self, noisy_ghz3):
         plan = get_fused_plan(noisy_ghz3)
         step = next(s for s in plan.steps if isinstance(s, NoiseStep))
-        with pytest.raises(BackendError):
-            step.key_for({step.site_ids[0]: 99})
+        with pytest.raises(ExecutionError, match="prescribes Kraus index 99 at noise site"):
+            BatchedStatevectorBackend(3).run_fixed_stack(noisy_ghz3, [{step.site_ids[0]: 99}])
 
 
 class TestWidthAwareAutoCap:

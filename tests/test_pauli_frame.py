@@ -9,7 +9,7 @@ from repro.channels import NoiseModel, bit_flip, depolarizing
 from repro.channels.standard import amplitude_damping
 from repro.circuits import Circuit, library
 from repro.data.stats import empirical_distribution, total_variation_distance
-from repro.errors import BackendError
+from repro.errors import BackendError, ExecutionError
 from repro.rng import make_rng
 
 
@@ -212,9 +212,10 @@ class TestStackFrames:
             for count in (1, 1, 2, 3, 7, 40, len(sampler.sites))
             for _ in range(6)
         ]
-        # An id the circuit does not have is ignored, as a dict lookup
-        # per site ignored it.
-        choices_list.append({10**6: 3, sampler.sites[4].site_id: 2})
+        # An entry naming its site's dominant index is dropped from the
+        # table: the row is its other entries' alone.
+        dominant = sampler.sites[3]
+        choices_list.append({dominant.site_id: dominant.dominant_index, sampler.sites[4].site_id: 2})
         flips, weights = sampler.frame_for_choices(choices_list)
         assert flips.shape == (len(choices_list), 35) and flips.dtype == np.uint8
         assert weights.shape == (len(choices_list),) and weights.dtype == np.float64
@@ -223,6 +224,9 @@ class TestStackFrames:
             np.testing.assert_array_equal(flips[row], expected_flips)
             assert weights[row] == expected_weight  # to the last bit
         assert len(set(weights.tolist())) > 10 and flips.any()
+        # An id the circuit does not have is rejected, not ignored.
+        with pytest.raises(ExecutionError, match=r"spec 1 prescribes noise site 1000000\b"):
+            sampler.frame_for_choices([{}, {10**6: 3, sampler.sites[4].site_id: 2}])
 
     def test_a_row_does_not_depend_on_its_neighbours(self, msd35):
         _, sampler = msd35
@@ -238,15 +242,21 @@ class TestStackFrames:
     def test_kraus_index_out_of_range(self, msd35, branch):
         _, sampler = msd35
         one_qubit = next(s for s in sampler.sites if len(s.probs) == 4)
-        with pytest.raises(BackendError, match=f"site {one_qubit.site_id}: Kraus index"):
+        with pytest.raises(
+            ExecutionError,
+            match=rf"spec 1 prescribes Kraus index {branch} at noise site {one_qubit.site_id}, "
+            r"whose channel has 4 operators",
+        ):
             sampler.frame_for_choices([{}, {one_qubit.site_id: branch}])
         with pytest.raises(BackendError):
             all_sites_walk(sampler, {one_qubit.site_id: branch})
 
     def test_noiseless_circuit_has_unit_weights_and_no_flips(self):
         sampler = FrameSampler(library.ghz(3, measure=True).freeze())
-        flips, weights = sampler.frame_for_choices([{}, {5: 1}])
+        flips, weights = sampler.frame_for_choices([{}, None])
         assert not flips.any() and weights.tolist() == [1.0, 1.0]
+        with pytest.raises(ExecutionError, match="noise site 5, but the circuit has 0 noise sites"):
+            sampler.frame_for_choices([{}, {5: 1}])
 
 
 class TestStackSampling:

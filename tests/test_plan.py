@@ -175,7 +175,8 @@ class TestUnitaryWindowWeights:
                 if not isinstance(step, NoiseStep):
                     continue
                 window = 1.0
-                for channel, idx in zip(step.channels, step.key_for(choices)):
+                key = [choices.get(site, d) for site, d in zip(step.site_ids, step.dominant_key)]
+                for channel, idx in zip(step.channels, key):
                     window *= channel.nominal_probs[idx]
                 weight *= window
             expected.append(weight)
@@ -378,7 +379,7 @@ class TestMeasurementTail:
         rng = np.random.default_rng(3)
         for step in plan.steps[plan.tail :]:
             channels = getattr(step, "channels", ())
-            keys = [step.key_for(None)] + [
+            keys = [step.dominant_key] + [
                 tuple(int(rng.integers(len(ch))) for ch in channels) for _ in range(4)
             ]
             for key in keys:

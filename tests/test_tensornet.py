@@ -196,7 +196,7 @@ class TestScheduleCompile:
         circ = _wide_nonclifford(8)
         schedule = compile_schedule(circ)
         noise_ops = [op for op in circ.operations if hasattr(op, "channel")]
-        assert schedule.num_noise_sites == len(noise_ops)
+        assert len(schedule.sites) == len(noise_ops)
         site_ids = {s.site_id for s in schedule.steps if isinstance(s, NoiseStep)}
         assert site_ids == {op.site_id for op in noise_ops}
 
@@ -693,10 +693,11 @@ class _FixedSpecs(PTSAlgorithm):
 
 
 class TestKrausIndexRange:
-    """A Kraus index a channel does not have is a typed error naming the
-    channel and its operator count, as on the dense and frame engines —
-    not NumPy's wrap-around (``-1`` used to realize the last branch) or
-    a bare ``IndexError``."""
+    """A Kraus index a channel does not have is the prescription table's
+    typed error naming the site and its operator count, as on every
+    engine — not NumPy's wrap-around (``-1`` used to realize the last
+    branch) or a bare ``IndexError``.  Through the driver it is raised
+    before any unit runs (``tests/test_driver.py``)."""
 
     @pytest.fixture
     def chain(self):
@@ -705,24 +706,15 @@ class TestKrausIndexRange:
         return model.apply(circ).freeze()
 
     @pytest.mark.parametrize("index", [-1, 4, 99])
-    def test_replay_schedule_raises_backend_error(self, chain, index):
+    def test_replay_schedule_raises_the_table_error(self, chain, index):
         site = _site_ids(chain)[1]
         stack = BatchedMPSStack(3, 2, max_bond=8)
-        with pytest.raises(BackendError, match=rf"kraus_index {index} out of range .*4 operators"):
+        with pytest.raises(
+            ExecutionError,
+            match=rf"spec 0 prescribes Kraus index {index} at noise site {site}, "
+            r"whose channel has 4 operators",
+        ):
             replay_schedule(stack, compile_schedule(chain), [{site: index}, {}])
-
-    @pytest.mark.parametrize("index", [-1, 4, 99])
-    def test_run_ptsbe_fails_like_the_dense_engine(self, chain, index):
-        # Through the driver a unit's BackendError is retried, then
-        # reported as the FaultError's cause: the same one on both engines.
-        sampler = _FixedSpecs([{}, {_site_ids(chain)[0]: index}])
-        causes = {}
-        for strategy in ("serial", "tensornet"):
-            with pytest.raises(FaultError, match=f"kraus_index {index} out of range") as err:
-                run_ptsbe(chain, sampler, seed=1, strategy=strategy)
-            assert isinstance(err.value.__cause__, BackendError)
-            causes[strategy] = str(err.value.__cause__)
-        assert causes["tensornet"] == causes["serial"]
 
     def test_last_valid_index_is_accepted(self, chain):
         site = _site_ids(chain)[0]

@@ -32,6 +32,7 @@ from repro.execution import (
     run_ptsbe,
 )
 from repro.linalg.sampling import bits_from_indices
+from repro.prescriptions import as_prescriptions, site_table
 from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory, make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
@@ -171,22 +172,29 @@ class TestBatchedStatevectorBackend:
 
     def test_out_of_range_kraus_index(self, noisy_ghz3):
         stacked = BatchedStatevectorBackend(3)
-        with pytest.raises(BackendError):
+        with pytest.raises(
+            ExecutionError,
+            match="spec 0 prescribes Kraus index 99 at noise site 0, whose channel has 4 operators",
+        ):
             stacked.run_fixed_stack(noisy_ghz3, [{0: 99}])
 
     @pytest.mark.parametrize("where", ["walked", "tail"])
     def test_out_of_range_kraus_index_on_a_row_not_yet_deviated(self, where):
-        """The bad row first leaves the ideal prefix at its bad choice: the
-        check still runs on it, in the walk or in the recorded tail."""
+        """The bad row would first leave the ideal prefix at its bad
+        choice, in the walk or in the recorded tail: the table the entry
+        point builds rejects it before either."""
         circuit = _noisy_brickwork(6, 0.05)
         plan = get_fused_plan(circuit)
         step = plan.steps[plan.tail - 1 if where == "walked" else plan.tail]
         choices_list = [{0: 1}, {step.site_ids[0]: 99}, {}]
-        with pytest.raises(BackendError, match="kraus_index 99 out of range"):
+        with pytest.raises(ExecutionError, match="spec 1 prescribes Kraus index 99 at noise site"):
             BatchedStatevectorBackend(6).run_fixed_stack(circuit, choices_list)
 
     def test_a_site_the_circuit_lacks_is_a_typed_error(self, noisy_ghz3):
-        with pytest.raises(BackendError, match="noise site 999 is not in the circuit"):
+        with pytest.raises(
+            ExecutionError,
+            match=r"spec 1 prescribes noise site 999, but the circuit has 4 noise sites \(ids 0\.\.3\)",
+        ):
             BatchedStatevectorBackend(3).run_fixed_stack(noisy_ghz3, [{}, {999: 1}])
 
 
@@ -231,6 +239,13 @@ def _damped_register():
     return model.apply(circ.measure_all()).freeze()
 
 
+def _key(step, choices):
+    """``step``'s variant key under ``{site_id: kraus_index}`` choices, read
+    off the step's own sites (a site the choices do not name is dominant)."""
+    sites = getattr(step, "site_ids", ())
+    return tuple(choices.get(site, dominant) for site, dominant in zip(sites, step.dominant_key))
+
+
 def _first_deviation(plan, choices):
     """The first step whose variant key is not the dominant one (the plan's
     length if none), read off the steps' own keys."""
@@ -238,7 +253,7 @@ def _first_deviation(plan, choices):
         (
             index
             for index, step in enumerate(plan.steps)
-            if step.key_for(choices) != step.key_for(None)
+            if _key(step, choices) != step.dominant_key
         ),
         plan.num_steps,
     )
@@ -316,6 +331,27 @@ class TestIdealPrefixSharing:
         assert deviations == set(range(plan.num_steps + 1))
         assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
 
+    def test_a_row_with_no_entries_between_two_deviating_rows_never_deviates(self):
+        """An empty CSR slice keeps its row's first deviation at
+        ``num_steps``: a segmented minimum (``np.minimum.reduceat``) would
+        read the next row's first entry there instead."""
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = get_fused_plan(circuit)
+        assert plan.tail > 1
+        late, early = plan.steps[plan.tail - 1], plan.steps[0]
+        choices_list = [
+            {late.site_ids[0]: late.dominant_key[0] + 1},
+            {early.site_ids[0]: early.dominant_key[0]},  # dropped: no entries left
+            {},
+            {early.site_ids[0]: early.dominant_key[0] + 1},
+        ]
+        table = as_prescriptions(site_table(circuit), choices_list)
+        assert np.diff(table.offsets).tolist() == [1, 0, 0, 1]
+        first, touched = plan.prescribed_steps(table)
+        assert first.tolist() == [plan.tail - 1, plan.num_steps, plan.num_steps, 0]
+        assert list(touched[0]) == [3] and list(touched[plan.tail - 1]) == [0]
+        assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
+
     def test_general_kraus_rows_renormalize_and_die_after_joining(self):
         circuit = _damped_register()
         plan = get_fused_plan(circuit)
@@ -341,7 +377,7 @@ class TestIdealPrefixSharing:
         monkeypatch.setattr(stacked_module, "apply_compiled_stack", counting)
         BatchedStatevectorBackend(12).run_fixed_stack(circuit, choices_list)
         step_of = {
-            id(step.variant(step.key_for(choices))): index
+            id(step.variant(_key(step, choices))): index
             for index, step in enumerate(plan.steps)
             for choices in choices_list
         }
