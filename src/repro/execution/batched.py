@@ -231,6 +231,7 @@ class _SerialEngine:
 
     max_rows = 1
     max_unit_shots = None
+    coupled_rows = False
     # The fused plan compiles lazily inside the first run_fixed.
     compile_seconds = 0.0
 

@@ -45,6 +45,11 @@ engine that sets it — more than ``max_unit_shots`` shots, and always at
 least one.  (The state engines size a unit by the rows they hold; the
 frame engine's rows are nearly free, so its unit is sized by the shots it
 samples and a chunk stays bounded whatever the budget per trajectory.)
+In-process, on an engine whose rows are independent of each other, group
+0 is a unit of its own and the greedy cuts start at group 1
+(:func:`_local_cuts`): the first chunk waits for one trajectory's
+preparation and draw, not a whole unit's.  An engine with
+``coupled_rows`` (the tensornet stack) keeps the greedy cuts from group 0.
 
 ``workers`` is the paper's inter-trajectory axis ("embarrassingly
 parallel", §3).  With ``workers == 1`` tasks run in this process, one
@@ -132,6 +137,10 @@ class Engine(Protocol):
     #: Shots per prepared unit, for an engine whose rows are nearly free and
     #: whose unit is sized by what it samples (``None``: rows alone cut).
     max_unit_shots: Optional[int]
+    #: Whether a row's prepared state depends on the rows stacked with it
+    #: (the tensornet stack's shared truncation ranks).  In-process, an
+    #: engine without it prepares group 0 as a unit of its own.
+    coupled_rows: bool
     #: Source of the run's fault plan and retry policy.
     config: Config
     #: Wall seconds the constructor spent compiling (see :func:`timed`).
@@ -195,6 +204,15 @@ def _cuts(
         shots += groups[g].total_shots
     if first < end:
         yield first, end
+
+
+def _local_cuts(groups: Sequence[SpecGroup], engine: Engine) -> List[Tuple[int, int]]:
+    """The in-process task list, one unit each: :func:`_cuts` over every
+    group, except that an engine without ``coupled_rows`` prepares group 0
+    alone, so the first chunk waits for one trajectory, not a unit."""
+    start = 0 if engine.coupled_rows else 1
+    head = [(0, 1)] if start else []
+    return head + list(_cuts(groups, start, len(groups), engine.max_rows, engine.max_unit_shots))
 
 
 class _Runner:
@@ -275,7 +293,7 @@ class _LocalRunner(_Runner):
     """The ``workers == 1`` runner: a task is one unit, and a unit with
     more than ``lookahead_shots`` shots prepares the next task's unit on a
     second adapter, on one helper thread, while it draws.  The unit at
-    group 0 runs alone, so the first chunk costs what it did."""
+    group 0 never looks ahead, so the first chunk costs what it did."""
 
     def __init__(self, build: Callable[[], Engine], engine: Engine, *run_args: Any):
         super().__init__(engine, *run_args)
@@ -392,15 +410,17 @@ def drive(
     ctx = FaultContext.from_config(engine.config, streams.seed, strategy=name)
     events: List[RecoveryEvent] = []
     workers = min(workers, len(groups))
-    # In-process a task is one unit: max_rows groups or max_unit_shots
-    # shots.  Over a pool it is a quarter of a worker's even share — small
+    # In-process a task is one unit (_local_cuts: group 0 alone unless the
+    # engine's rows are coupled, then max_rows groups or max_unit_shots
+    # shots).  Over a pool it is a quarter of a worker's even share — small
     # enough to balance skewed shot budgets and to reach the first chunk
     # early, large enough that a one-row engine does not pay one round
     # trip per trajectory — which the worker cuts into units.
     if workers == 1:
-        step, max_shots = engine.max_rows, engine.max_unit_shots
+        step, cuts = engine.max_rows, _local_cuts(groups, engine)
     else:
-        step, max_shots = -(-len(groups) // (4 * workers)), None
+        step = -(-len(groups) // (4 * workers))
+        cuts = list(_cuts(groups, 0, len(groups), step, None))
     run_args = (
         specs, groups, table, len(measured), streams, min(engine.max_rows, step), ctx.plan,
     )
@@ -413,9 +433,7 @@ def drive(
 
     def deliver() -> Iterator[List[TrajectoryResult]]:
         delivery = OrderedDelivery(len(specs))
-        pending: Deque[Task] = deque(
-            (start, end, 0) for start, end in _cuts(groups, 0, len(groups), step, max_shots)
-        )
+        pending: Deque[Task] = deque((start, end, 0) for start, end in cuts)
         pool: Optional[ProcessPoolExecutor] = None
         in_flight: Dict["Future[Completed]", Task] = {}
         try:

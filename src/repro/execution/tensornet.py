@@ -430,6 +430,9 @@ class _MPSStackEngine:
     """
 
     max_unit_shots = None
+    # Truncation ranks are shared by a unit's rows: in-process, group 0 is
+    # not cut off on its own (see drive()).
+    coupled_rows = True
     # Measured with the look-ahead always on (tensornet_shots_35q, 2-core
     # host): first chunk 0.037 -> 0.050 s (+37 %).
     lookahead_shots = None

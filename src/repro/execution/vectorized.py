@@ -116,6 +116,7 @@ class _StackEngine:
     samples from the stack-wide cached cumulative tensor."""
 
     max_unit_shots = None
+    coupled_rows = False
     # Measured with the look-ahead always on (stack_many_12q, 2-core host):
     # 0.97-0.98x shots/s, peak RSS +20 % and first chunk +10 %.
     lookahead_shots = None

@@ -30,11 +30,15 @@ Unit-name scheme — one, for every strategy name::
 
     <strategy>/stack:{a}:{b}     one task over dedup groups [a, b)
 
-In-process a task is one prepared unit: ``max_rows`` groups for the
-stacked engines (``vectorized``, ``tensornet``, ``sharded``), one group
-(``stack:{i}:{i+1}``) for ``serial``, and for ``clifford`` as many groups
-as fit ``max_unit_shots`` (2**16) shots.  Over a pool of
-``W`` workers it is ``ceil(groups / 4W)`` groups.
+In-process a task is one prepared unit.  On every engine whose rows are
+independent (``serial``, ``vectorized``, ``sharded``, ``clifford``) the
+first is ``stack:0:1``, dedup group 0 alone; after it come ``max_rows``
+groups from group 1 for ``vectorized`` and ``sharded``
+(``stack:1:65``, ...), one group (``stack:{i}:{i+1}``) for ``serial``,
+and for ``clifford`` as many groups as fit ``max_unit_shots`` (2**16)
+shots.  ``tensornet``, whose rows share truncation ranks
+(``coupled_rows``), cuts ``max_rows`` groups from group 0.  Over a pool
+of ``W`` workers a task is ``ceil(groups / 4W)`` groups.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ class RecoveryEvent:
         Executor that recovered (``"parallel"``, ``"sharded"``, ...).
     unit:
         The instrumented unit name, ``<strategy>/stack:<a>:<b>`` on every
-        strategy (``serial/stack:3:4``, ``sharded/stack:0:64``, ...).
+        strategy (``serial/stack:3:4``, ``sharded/stack:1:65``, ...).
     attempt:
         The retry attempt this event initiated (1-based); ``0`` for
         ``batch-halved``.

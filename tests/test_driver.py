@@ -123,7 +123,8 @@ def assert_same_table(a, b):
 
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_streamed_chunks_concatenate_to_the_finalized_table(circuit, specs, strategy):
-    stream = make_executor(strategy).execute_stream(circuit, specs, seed=21)
+    executor = make_executor(strategy)
+    stream = executor.execute_stream(circuit, specs, seed=21)
     tables = [chunk.shot_table() for chunk in stream if chunk.num_shots]
     firsts = [t.trajectory_ids[0] for t in tables]
     assert firsts == sorted(firsts)  # ordered delivery
@@ -131,6 +132,18 @@ def test_streamed_chunks_concatenate_to_the_finalized_table(circuit, specs, stra
     assert result.engine == strategy
     assert result.unique_preparations == len(specs)  # global, on a pool too
     assert_same_table(ShotTable.concatenate(tables), result)
+    # In-process, a row-independent engine hands over dedup group 0 alone
+    # first; tensornet, whose rows share truncation ranks, a whole unit.
+    local = driver.drive(partial(executor._engine, circuit), circuit, specs, seed=21)
+    first = next(local)
+    local.close()
+    groups = deduplicate_specs(specs)
+    held = min(executor.max_batch, len(groups)) if strategy == "tensornet" else 1
+    assert first.records == [
+        specs[i].record for i in sorted(i for g in groups[:held] for i in g.indices)
+    ]
+    first_bits = first.shot_table().bits
+    np.testing.assert_array_equal(first_bits, result.shot_table().bits[: len(first_bits)])
 
 
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
@@ -217,8 +230,9 @@ def test_frame_units_of_any_size_give_one_table(
     stream = CliffordFrameExecutor().execute_stream(circuit, specs, seed=21)
     tables = [chunk.shot_table() for chunk in stream]
     assert len(specs) > 8  # several units in every row above but the first
-    assert [len(np.unique(t.trajectory_ids)) for t in tables] == _even_chunks(
-        len(specs), min(per_unit, len(specs))
+    # Group 0 is a unit of its own; the greedy cuts start at group 1.
+    assert [len(np.unique(t.trajectory_ids)) for t in tables] == [1] + _even_chunks(
+        len(specs) - 1, min(per_unit, len(specs) - 1)
     )
     result = stream.finalize()
     assert_same_table(ShotTable.concatenate(tables), result)
@@ -231,15 +245,18 @@ def test_frame_units_of_any_size_give_one_table(
 
 def test_capacity_fault_halves_a_frame_unit_without_moving_a_bit(circuit, specs):
     clean = CliffordFrameExecutor().execute(circuit, specs, seed=21)
-    # The whole run is one unit; halve it, then halve its upper half.
+    # Group 0 is a unit of its own and the rest of the run is one unit;
+    # halve that, then halve its upper half.
     end = len(specs)
-    half, quarter = end // 2, (end // 2 + end) // 2
+    half, quarter = (1 + end) // 2, ((1 + end) // 2 + end) // 2
     config = faulty(
-        FaultSpec("capacity", f"clifford/stack:0:{end}"),
+        FaultSpec("capacity", f"clifford/stack:1:{end}"),
         FaultSpec("capacity", f"clifford/stack:{half}:{end}"),
     )
     stream = make_executor("clifford", config).execute_stream(circuit, specs, seed=21)
-    assert [chunk.num_trajectories for chunk in stream] == [half, quarter - half, end - quarter]
+    assert [chunk.num_trajectories for chunk in stream] == [
+        1, half - 1, quarter - half, end - quarter
+    ]
     result = stream.finalize()
     assert_same_table(clean, result)
     assert [t.actual_weight for t in result.trajectories] == [
@@ -247,8 +264,8 @@ def test_capacity_fault_halves_a_frame_unit_without_moving_a_bit(circuit, specs)
     ]
     assert [(e.kind, e.unit, e.detail) for e in result.recovery] == [
         (
-            "batch-halved", f"clifford/stack:0:{end}",
-            f"split into stack:0:{half} and stack:{half}:{end}",
+            "batch-halved", f"clifford/stack:1:{end}",
+            f"split into stack:1:{half} and stack:{half}:{end}",
         ),
         (
             "batch-halved", f"clifford/stack:{half}:{end}",
@@ -268,9 +285,8 @@ def test_frame_chunks_are_bounded_by_shots_not_rows(circuit, specs, nshots):
     assert sum(n for n, _ in sizes) == 7
     assert all(shots <= limit + nshots for _, shots in sizes)
     per_chunk = max(1, limit // nshots)
-    assert [n for n, _ in sizes] == [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (
-        7 % per_chunk > 0
-    )
+    # Group 0 is a unit of its own; the greedy cuts start at group 1.
+    assert [n for n, _ in sizes] == [1] + _even_chunks(6, per_chunk)
     if nshots >= limit:
         assert [n for n, _ in sizes] == [1] * 7  # one trajectory per chunk
 
@@ -461,10 +477,10 @@ def test_injected_transient_fault_retries_and_reemits_identical_chunks(
     circuit, specs, strategy, monkeypatch
 ):
     # A serial unit is one group; a frame unit closes on shots, here at
-    # three 40-shot groups.
+    # three 40-shot groups, after group 0's unit of its own.
     monkeypatch.setattr(clifford._FrameEngine, "max_unit_shots", 120)
     rows = {"serial": 1, "clifford": 3}[strategy]
-    units = [(a, min(a + rows, len(specs))) for a in range(0, len(specs), rows)]
+    units = [(0, 1)] + [(a, min(a + rows, len(specs))) for a in range(1, len(specs), rows)]
     clean = list(make_executor(strategy).execute_stream(circuit, specs, seed=21))
     config = faulty(FaultSpec("transient-backend", f"{strategy}/stack:*"))
     stream = make_executor(strategy, config).execute_stream(circuit, specs, seed=21)
@@ -480,14 +496,15 @@ def test_injected_transient_fault_retries_and_reemits_identical_chunks(
 
 def test_capacity_fault_on_a_two_row_unit_halves_exactly_once(circuit, specs):
     clean = make_executor("vectorized").execute(circuit, specs, seed=21)
-    config = faulty(FaultSpec("capacity", "vectorized/stack:2:4"))
+    # Units of max_batch=2 groups start at group 1, after group 0's own.
+    config = faulty(FaultSpec("capacity", "vectorized/stack:1:3"))
     result = make_executor("vectorized", config).execute(circuit, specs, seed=21)
     assert_same_table(clean, result)
     (event,) = result.recovery
     assert (event.kind, event.unit, event.attempt) == (
-        "batch-halved", "vectorized/stack:2:4", 0
+        "batch-halved", "vectorized/stack:1:3", 0
     )
-    assert event.detail == "split into stack:2:3 and stack:3:4"
+    assert event.detail == "split into stack:1:2 and stack:2:3"
 
 
 #: One way to run a seed: how units are cut, on how many processes, what
@@ -533,15 +550,17 @@ def test_any_chunking_workers_faults_and_halving_give_one_table_per_seed(
         clifford._FrameEngine, max_rows=how["rows"], max_unit_shots=how["unit_shots"]
     )
     with frame_cuts:
-        # The first task, by the driver's own rule; halve it `halvings` deep.
+        # The tasks, by the driver's own rule; halve the first that holds
+        # two groups or more (else the first) `halvings` deep.
         groups = deduplicate_specs(specs)
         probe = _permuted_executor(strategy, how["rows"], None)._engine(circuit)
         probe.release()
         if how["workers"] == 1:
-            step, max_shots = probe.max_rows, probe.max_unit_shots
+            tasks = driver._local_cuts(groups, probe)
         else:
-            step, max_shots = -(-len(groups) // (4 * how["workers"])), None
-        start, end = next(driver._cuts(groups, 0, len(groups), step, max_shots))
+            step = -(-len(groups) // (4 * how["workers"]))
+            tasks = list(driver._cuts(groups, 0, len(groups), step, None))
+        start, end = next((task for task in tasks if task[1] - task[0] > 1), tasks[0])
         rules = []
         while end - start >= 2 and len(rules) < how["halvings"]:
             rules.append(FaultSpec("capacity", f"{strategy}/stack:{start}:{end}"))

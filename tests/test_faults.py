@@ -377,16 +377,19 @@ class TestBitwiseRecovery:
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_vectorized_capacity_halving_is_bitwise(self, brickwork):
-        # An exact-site rule fires once on the full first chunk; the two
-        # halves have different unit names, so the ladder recovers.
-        # Dense stacking is chunking-invariant, so halving is bitwise.
+        # An exact-site rule fires once on the first full stack (after
+        # group 0's unit of its own); the two halves have different unit
+        # names, so the ladder recovers.  Dense stacking is
+        # chunking-invariant, so halving is bitwise.
         clean = _run(brickwork, "vectorized")
         probe = _run(
             brickwork,
             "vectorized",
             plan=FaultPlan(rules=(FaultSpec("transient-backend", "vectorized/stack:*"),)),
         )
-        first_chunk = probe.recovery[0].unit
+        assert probe.recovery[0].unit == "vectorized/stack:0:1"
+        first_chunk = probe.recovery[1].unit
+        assert first_chunk == "vectorized/stack:1:5"
         plan = FaultPlan(rules=(FaultSpec("capacity", first_chunk),))
         faulty = _run(brickwork, "vectorized", plan=plan)
         assert _kinds(faulty) == ["batch-halved"]

@@ -207,13 +207,15 @@ class TestRowRule:
     ):
         """A unit holds ``min(max_batch, backend.max_batch_rows)`` rows, read
         off the backend that runs the stack: a spec's backend under
-        ``max_dense_qubits=5`` holds 2**(5-3) = 4 rows of a 3-qubit state."""
+        ``max_dense_qubits=5`` holds 2**(5-3) = 4 rows of a 3-qubit state.
+        Group 0 is a unit of its own, so that is the second chunk."""
         specs = _pts_specs(noisy_ghz3, 3)
         assert len(deduplicate_specs(specs)) == len(specs) > 4
         spec = BackendSpec.batched_statevector(config=Config(max_dense_qubits=5))
         executor = cls(spec, max_batch=max_batch)
         stream = executor.execute_stream(noisy_ghz3, specs, seed=6)
-        assert next(stream).num_trajectories == rows  # one unit per chunk
+        assert next(stream).num_trajectories == 1  # one unit per chunk
+        assert next(stream).num_trajectories == rows
         stream.close()
 
 
