@@ -23,7 +23,7 @@ Semantics contract
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,19 +40,22 @@ __all__ = ["DEAD_NORM", "PureStateBackend", "validate_deferred_measurement"]
 DEAD_NORM = 1e-300
 
 
-def validate_deferred_measurement(circuit: Circuit) -> None:
-    """Raise when any qubit is operated on after being measured."""
+def validate_deferred_measurement(circuit: Circuit) -> Tuple[int, ...]:
+    """``circuit.measured_qubits``, read in the same pass that raises when
+    any qubit is operated on after being measured."""
+    order: List[int] = []
     measured = set()
     for op in circuit:
         if isinstance(op, MeasureOp):
+            order.extend(op.qubits)
             measured.update(op.qubits)
-        else:
-            hit = measured.intersection(op.qubits)
-            if hit:
-                raise BackendError(
-                    f"operation {op!r} acts on already-measured qubit(s) {sorted(hit)}; "
-                    "this library defers measurements to circuit end"
-                )
+        elif measured and not measured.isdisjoint(op.qubits):
+            raise BackendError(
+                f"operation {op!r} acts on already-measured qubit(s) "
+                f"{sorted(measured.intersection(op.qubits))}; "
+                "this library defers measurements to circuit end"
+            )
+    return tuple(order)
 
 
 class PureStateBackend(abc.ABC):

@@ -26,18 +26,24 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   before its own first deviation (rows that never deviate before the
   tail copy it once, at the end).  Every row-facing call maps caller rows
   to slots, so callers see their own order.
-* **Divergent Kraus choices** share the step's one kernel call: at each
-  noise window the walked rows are partitioned by their variant key — the
-  tuple of prescribed Kraus indices at the window's sites (a site the
-  row's table does not list takes the channel's dominant operator,
-  exactly like :meth:`PureStateBackend.run_fixed`) — and when every
-  variant in the unit compiles to a GEMM tier, one batched kernel call
-  runs each row under its own variant (the step's variants plus a row ->
-  variant index), bitwise what the one-variant call gives that row.  Only
-  a step with a variant on a per-variant tier (diagonal, scalar or slice
+* **Divergent Kraus choices** share the step's one kernel call.  A row's
+  variant key at a step — the tuple of prescribed Kraus indices at the
+  window's sites (a site the row's table does not list takes the
+  channel's dominant operator, exactly like
+  :meth:`PureStateBackend.run_fixed`) — is read once per unit into one
+  table (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`): per
+  step, the distinct keys, dominant first, and one integer per row
+  indexing them.  The walk, the weights, the tail tables and the
+  relabelled draws all index that array.  A step whose walked rows all
+  take one variant makes the one-variant call; otherwise, when every
+  variant compiles to a GEMM tier, one batched kernel call runs each row
+  under its own variant (the step's variants plus the row -> variant
+  index), bitwise what the one-variant call gives that row.  Only a step
+  with a variant on a per-variant tier (diagonal, scalar or slice
   accumulation, which skip different zero entries per variant) applies
-  each variant to its group (:func:`_apply_grouped`).  Only the rows that
-  deviate at one of the window's sites carry a key of their own.
+  each variant to its rows (:func:`_apply_grouped`, the one place that
+  lists a variant's rows).  Dead rows are not filtered out: a dead row is
+  zero, stays zero under any variant and keeps weight 0.
 * **Batched renormalization** after each general-Kraus noise window (a
   unitary-mixture window keeps the norm and multiplies its
   state-independent probability into the weights instead) runs
@@ -62,8 +68,8 @@ once (:func:`repro.linalg.sampling.inverse_cdf_indices`).
 
 The plan's *measurement tail* (:attr:`~repro.execution.plan.FusedPlan.tail`,
 its suffix of permutation-and-phase steps) is sampled through, not
-simulated: the preparation records each tail step's variant groups and
-multiplies in its probabilities, and a draw goes through the recorded
+simulated: the preparation records each tail step's row -> variant index
+and multiplies in its probabilities, and a draw goes through the recorded
 steps, where the phases drop out, one of two ways:
 
 * a request of ``num_shots >= 2**n`` reads its row's *final-order* table:
@@ -96,7 +102,7 @@ one of them.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,39 +118,51 @@ from repro.prescriptions import Choices, as_prescriptions, site_table
 
 __all__ = ["BatchedStatevectorBackend"]
 
+#: A step's distinct variant keys; a row's variant is an index into them.
+Keys = List[Tuple[int, ...]]
+
+
+def _used(keys: Keys, of: np.ndarray) -> Tuple[Keys, np.ndarray]:
+    """The keys ``of`` names and its index into them: one key (and ``of``
+    untouched) whenever every row takes the same variant."""
+    if len(keys) > 1:
+        used, of = np.unique(of, return_inverse=True)
+        keys = [keys[i] for i in used]
+    return keys, of
+
 
 def _apply_grouped(
     stack: np.ndarray,
-    groups: Dict[Tuple[int, ...], Sequence[int]],
+    keys: Keys,
+    of: np.ndarray,
     apply: Callable[[np.ndarray, Tuple[int, ...], Optional[np.ndarray]], np.ndarray],
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``apply(rows, key, out)`` on each variant group of ``stack``'s rows.
+    """``apply(rows, key, out)`` on each variant group of ``stack``'s rows,
+    row ``i`` under ``keys[of[i]]``.
 
     The path for steps whose arithmetic is per variant (a variant on the
     diagonal, scalar or slice-accumulation tier) and for the final-order
     tail tables; a step whose variants all take a GEMM tier runs as one
     per-row call instead (:meth:`BatchedStatevectorBackend._apply_step`).
-    One group (unanimous rows) takes the whole stack — dead rows are zero
-    and stay zero under any operator.  Otherwise the majority variant runs
-    on the whole stack and the (few) deviating rows are overwritten from a
+    One variant takes the whole stack.  Otherwise the majority variant runs
+    on the whole stack and the (few) other rows are overwritten from a
     pre-step snapshot, which avoids gathering and scattering the large
     majority slice.  ``apply`` either works in place or writes to ``out``
     (fresh when ``None``); the result is returned.  The minority variants
     write into whichever of ``stack`` and ``out`` the majority left free.
     """
-    if len(groups) <= 1:
-        return apply(stack, next(iter(groups)), out) if groups else stack
-    majority = max(groups, key=lambda key: len(groups[key]))
-    minority_rows = {
-        key: np.asarray(rows, dtype=np.intp) for key, rows in groups.items() if key != majority
-    }
-    snapshots = {key: np.ascontiguousarray(stack[rows]) for key, rows in minority_rows.items()}
-    result = apply(stack, majority, out)
+    keys, of = _used(keys, of)
+    if len(keys) == 1:
+        return apply(stack, keys[0], out)
+    majority = int(np.bincount(of).argmax())
+    minority_rows = {i: np.flatnonzero(of == i) for i in range(len(keys)) if i != majority}
+    snapshots = {i: np.ascontiguousarray(stack[rows]) for i, rows in minority_rows.items()}
+    result = apply(stack, keys[majority], out)
     free = out if result is stack else stack
-    for key, rows in minority_rows.items():
+    for i, rows in minority_rows.items():
         scratch = None if free is None else free[: len(rows)]
-        result[rows] = apply(snapshots.pop(key), key, scratch)
+        result[rows] = apply(snapshots.pop(i), keys[i], scratch)
     return result
 
 
@@ -233,8 +251,9 @@ class BatchedStatevectorBackend:
         #: ``(caller row -> table row or -1, cumulative table, row norms)``.
         self._tables: Dict[bool, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         #: The measurement tail of the last preparation, not yet run on the
-        #: amplitudes: ``(step, {variant key: caller rows})`` per classical step.
-        self._tail: List[Tuple[object, Dict[Tuple[int, ...], List[int]]]] = []
+        #: amplitudes: ``(step, keys, of)`` per classical step, ``of`` indexed
+        #: by caller row (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`).
+        self._tail: List[Tuple[object, Keys, np.ndarray]] = []
         #: Cumulative wall time spent renormalizing the stack after noise
         #: windows (reduction + scale + bookkeeping) — the benchmark
         #: counter behind the strategy table's renorm column.
@@ -426,7 +445,7 @@ class BatchedStatevectorBackend:
         table = as_prescriptions(site_table(circuit), choices_list)
         plan = get_fused_plan(circuit, self._config)
         b = len(table)
-        first, touched = plan.prescribed_steps(table)
+        first, variants = plan.prescribed_steps(table)
         # Walk order: slot 0 holds the row that deviates last — the ideal
         # circuit until then — and the others follow in order of their
         # first deviation, so the rows a step touches are a leading block.
@@ -435,31 +454,26 @@ class BatchedStatevectorBackend:
         self._allocate(b)
         self._row = np.empty(b, dtype=np.intp)
         self._row[order] = np.arange(b)
-        slot = self._row.tolist()
         self._stack[0] = 0
         self._stack[0, 0] = 1.0
         self._spare = np.empty_like(self._stack)
         weights = np.ones(b, dtype=np.float64)
         live = 1
-        for index in range(plan.tail):
-            step = plan.steps[index]
-            live = self._join(live, joined[index], weights)
-            prescribed = [(slot[row], key) for row, key in touched[index].items()]
-            groups = self._groups(step, self._alive, live, prescribed)
-            self._apply_step(step, groups, live)
+        for step, upto, (keys, of) in zip(plan.steps, joined, variants):
+            live = self._join(live, upto, weights)
+            of = of[order[:live]]
+            self._apply_step(step, keys, of, live)
             if isinstance(step, NoiseStep):
-                self._weigh(step, groups, weights, live)
+                self._weigh(step, keys, of, weights[:live])
         self._join(live, b, weights)
         self._spare = None
         weights, alive = weights[self._row], self._alive[self._row]
-        for index in range(plan.tail, plan.num_steps):
+        for step, (keys, of) in zip(plan.steps[plan.tail :], variants[plan.tail :]):
             # The measurement tail: recorded on caller rows, not run (see
             # _squares).  Its windows are unitary: _weigh touches no state.
-            step = plan.steps[index]
-            groups = self._groups(step, alive, b, touched[index].items())
-            self._tail.append((step, groups))
+            self._tail.append((step, keys, of))
             if isinstance(step, NoiseStep):
-                self._weigh(step, groups, weights, b)
+                self._weigh(step, keys, of, weights)
             # MeasureOps are deferred; sampling happens afterwards.
         return weights, alive
 
@@ -473,46 +487,24 @@ class BatchedStatevectorBackend:
             self._alive[live:upto] = self._alive[0]
         return upto
 
-    @staticmethod
-    def _groups(
-        step, alive: np.ndarray, count: int, prescribed: Iterable[Tuple[int, Tuple[int, ...]]]
-    ) -> Dict[Tuple[int, ...], Sequence[int]]:
-        """The alive rows among the first ``count`` grouped by their variant
-        key at ``step``: each ``(row, key)`` in ``prescribed`` (the rows
-        deviating at the step, all among them) by its own key, every other
-        row by the dominant one."""
-        rest = alive[:count].copy()
-        groups: Dict[Tuple[int, ...], Sequence[int]] = {}
-        for row, key in prescribed:
-            if alive[row]:
-                rest[row] = False
-                groups.setdefault(key, []).append(row)
-        others = np.flatnonzero(rest)
-        if others.size:
-            groups[step.dominant_key] = others
-        return groups
-
-    def _apply_step(self, step, groups: Dict[Tuple[int, ...], Sequence[int]], live: int) -> None:
-        """One step of the complex walk on the leading ``live`` slots, from
-        one buffer into the other: one kernel call, each row under its own
-        group's variant, unless some variant's tier is not a GEMM (see
-        :func:`_apply_grouped`)."""
-        if not groups:
-            return  # every row dead: zero under any operator
+    def _apply_step(self, step, keys: Keys, of: np.ndarray, live: int) -> None:
+        """One step of the complex walk on the leading ``live`` slots, slot
+        ``i`` under ``keys[of[i]]``, from one buffer into the other: one
+        kernel call, unless some variant's tier is not a GEMM (see
+        :func:`_apply_grouped`).  Dead rows are zero and stay zero under
+        any variant."""
         block, spare = self._stack[:live], self._spare[:live]
-        variants = [step.variant(key) for key in groups]
+        keys, of = _used(keys, of)
+        variants = [step.variant(key) for key in keys]
         if len(variants) == 1:
             result = apply_compiled_stack(block, variants[0], self.num_qubits, spare)
         elif all(op.gemm for op in variants):
-            # Dead rows are zero and stay zero under any variant.
-            index = np.zeros(live, dtype=np.intp)
-            for position, rows in enumerate(groups.values()):
-                index[rows] = position
-            result = apply_compiled_stack(block, variants, self.num_qubits, spare, index)
+            result = apply_compiled_stack(block, variants, self.num_qubits, spare, of)
         else:
             result = _apply_grouped(
                 block,
-                groups,
+                keys,
+                of,
                 lambda rows, key, out: apply_compiled_stack(
                     rows, step.variant(key), self.num_qubits, out
                 ),
@@ -529,42 +521,39 @@ class BatchedStatevectorBackend:
             return
         self._tables.pop(True, None)  # its draws would need the tail just run
         self._spare = np.empty_like(self._stack)
-        for step, groups in tail:
-            slots = {key: self._row[rows] for key, rows in groups.items()}
-            self._apply_step(step, slots, self.batch_size)
+        for step, keys, of in tail:
+            slots = np.empty_like(of)
+            slots[self._row] = of
+            self._apply_step(step, keys, slots, self.batch_size)
         self._spare = None
 
-    def _weigh(self, step, groups, weights: np.ndarray, live: int) -> None:
-        """Weigh the rows after a noise window: by the window's probability
-        (unitary mixture) or by renormalizing the leading ``live`` slots."""
+    def _weigh(self, step, keys: Keys, of: np.ndarray, weights: np.ndarray) -> None:
+        """Weigh the leading ``len(weights)`` slots after a noise window, slot
+        ``i`` under ``keys[of[i]]``: by the window's probability (unitary
+        mixture) or by renormalizing them."""
         if step.unitary:
             # Unitary-mixture window: every variant is unitary and its
             # branch probability state-independent — no reduction, no
             # rescale, no row can die here.
-            for key, rows in groups.items():
-                weights[rows] *= step.probability(key)
+            weights *= np.array([step.probability(key) for key in keys])[of]
             return
-        if not groups:
-            return  # every row already dead: nothing to scale
         # Batched renormalization: one block-wide, row-independent
         # reduction.  Dead rows (previously dead, or annihilated by this
         # window) get a unit divisor: x / 1.0 is bitwise x, and newly-dead
         # rows are zeroed below anyway.
         t0 = time.perf_counter()
-        block = self._stack[:live]
+        block = self._stack[: len(weights)]
         norms = row_norms_squared(block)
         scale_rows_inverse_sqrt(block, norms, dead_norm=DEAD_NORM)
-        for rows in groups.values():
-            for row in rows:
-                n2 = float(norms[row])
-                if n2 <= DEAD_NORM:
-                    # This branch annihilates the actual state (nominal
-                    # probabilities are only priors for general channels).
-                    self._alive[row] = False
-                    weights[row] = 0.0
-                    self._stack[row].fill(0)
-                    continue
-                weights[row] *= n2
+        norms = norms.astype(np.float64, copy=False)
+        weights *= norms
+        # A branch that annihilates the actual state (nominal probabilities
+        # are only priors for general channels) kills its row.
+        dead = norms <= DEAD_NORM
+        if dead.any():
+            self._alive[: len(weights)] &= ~dead
+            weights[dead] = 0.0
+            block[dead] = 0
         self.renorm_seconds += time.perf_counter() - t0
 
     # ------------------------------------------------------------------ #
@@ -662,7 +651,7 @@ class BatchedStatevectorBackend:
 
         The recorded tail runs here, on the real squares: each classical
         step is its variants' index maps (their phases drop out of
-        ``|.|**2``), grouped as the complex walk groups them.  Without a
+        ``|.|**2``), each row under its own variant.  Without a
         phase the result is bitwise the walked state's squares; with one,
         it differs only where a phase product rounds in the last bit.
         The squares come out in caller order, read row by row out of the
@@ -675,16 +664,11 @@ class BatchedStatevectorBackend:
         np.square(probs, out=probs)
         if not tail:
             return probs
-        at = np.full(self.batch_size, -1, dtype=np.intp)
-        at[rows] = np.arange(len(rows))
-        for step, groups in self._tail:
-            if len(rows) < self.batch_size:
-                # The groups' rows as positions in ``rows``, empty groups dropped.
-                groups = {key: at[np.asarray(g, dtype=np.intp)] for key, g in groups.items()}
-                groups = {key: g[g >= 0] for key, g in groups.items() if g.max() >= 0}
+        for step, keys, of in self._tail:
             probs = _apply_grouped(
                 probs,
-                groups,
+                keys,
+                of[rows],
                 lambda block, key, out: _permute(block, step.support, step.permutation(key)),
             )
         return probs
@@ -697,21 +681,19 @@ class BatchedStatevectorBackend:
         walked index ``j`` is final index ``map^-1[j]`` on the step's window
         bits, steps in order.  Per step, one ``(variant keys, 2**k)`` table
         holds each key's bit flips ``spread(w ^ map^-1[w])``; an index reads
-        its row's key's entry at its window value ``w`` — one gather over
-        the unit's shots, whatever the number of keys.
+        entry ``(of[owner] << k) + w`` of it, ``w`` its window value — one
+        gather over the unit's shots, whatever the number of keys.
         """
         n = self.num_qubits
-        for step, groups in self._tail:
-            if not groups:
-                continue
+        for step, keys, of in self._tail:
             support = step.support
             k = len(support)
             values = np.arange(1 << k)
             spread = np.zeros(1 << k, dtype=indices.dtype)
             for j, q in enumerate(support):
                 spread |= ((values >> (k - 1 - j)) & 1) << (n - 1 - q)
-            flips = np.empty((len(groups), 1 << k), dtype=indices.dtype)
-            for flip, key in zip(flips, groups):
+            flips = np.empty((len(keys), 1 << k), dtype=indices.dtype)
+            for flip, key in zip(flips, keys):
                 inverse = np.empty_like(values)
                 inverse[step.permutation(key)] = values
                 flip[:] = spread[values ^ inverse]
@@ -721,11 +703,8 @@ class BatchedStatevectorBackend:
                 window = np.zeros_like(indices)
                 for j, q in enumerate(support):
                     window |= ((indices >> (n - 1 - q)) & 1) << (k - 1 - j)
-            if len(groups) > 1:
-                key_of = np.zeros(self.batch_size, dtype=indices.dtype)
-                for g, rows in enumerate(groups.values()):
-                    key_of[rows] = g << k
-                window += key_of[owners]
+            if len(keys) > 1:
+                window += of[owners] << k
             indices ^= flips.reshape(-1).take(window)
         return indices
 

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends.base import validate_deferred_measurement
 from repro.backends.stabilizer import StabilizerBackend, pauli_from_unitary
 from repro.channels.unitary_mixture import as_unitary_mixture
 from repro.circuits.circuit import Circuit
@@ -71,6 +72,7 @@ class FrameSampler:
     def __init__(self, circuit: Circuit):
         if not circuit.frozen:
             raise BackendError("FrameSampler requires a frozen circuit")
+        validate_deferred_measurement(circuit)
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.measured_qubits = list(circuit.measured_qubits)

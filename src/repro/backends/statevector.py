@@ -112,6 +112,8 @@ class StatevectorBackend(PureStateBackend):
         :class:`~repro.errors.ZeroProbabilityTrajectory`.
         """
         rows = kraus_choices if isinstance(kraus_choices, Prescriptions) else [kraus_choices]
+        if len(rows) != 1:
+            raise BackendError(f"run_fixed prepares one row, got a {len(rows)}-row table")
         weights, alive = self.stack._prepare(circuit, rows)
         if not alive[0]:
             raise ZeroProbabilityTrajectory("the prescribed Kraus choices annihilate the state")

@@ -12,7 +12,10 @@ an ``_engine(circuit)`` recipe that builds the adapter.
 What :func:`drive` owns, for every engine and every worker count:
 
 * the preamble — freeze, the "no measurements" / "no specs" checks, the
-  resolved root seed, the fault context;
+  deferred-measurement contract (no operation on a measured qubit,
+  :func:`~repro.backends.base.validate_deferred_measurement`), checked
+  once with the same error on every engine, the resolved root seed, the
+  fault context;
 * deduplication (:func:`~repro.pts.base.deduplicate_specs`), the run's
   one prescription table — one row per dedup group, built from the group
   keys by :func:`~repro.prescriptions.prescribe`, which checks every
@@ -91,9 +94,10 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.backends.base import validate_deferred_measurement
 from repro.circuits.circuit import Circuit
 from repro.config import Config
-from repro.errors import CapacityError, ExecutionError, FaultError
+from repro.errors import BackendError, CapacityError, ExecutionError, FaultError
 from repro.execution.results import PTSBEResult, TrajectoryResult
 from repro.execution.streaming import OrderedDelivery, StreamedResult
 from repro.faults.plan import FaultPlan, maybe_inject
@@ -397,7 +401,10 @@ def drive(
     helper, and releases the engine (both, in-process).
     """
     circuit.freeze()
-    measured = tuple(circuit.measured_qubits)
+    try:
+        measured = validate_deferred_measurement(circuit)
+    except BackendError as exc:
+        raise ExecutionError(str(exc)) from None
     if not measured:
         raise ExecutionError("circuit has no measurements to sample")
     if not specs:

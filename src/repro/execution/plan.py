@@ -383,27 +383,36 @@ class FusedPlan:
 
     def prescribed_steps(
         self, table: Prescriptions
-    ) -> Tuple[np.ndarray, List[Dict[int, Tuple[int, ...]]]]:
-        """Where each row of a prescription table (built against this
-        plan's circuit) leaves the ideal circuit.
+    ) -> Tuple[np.ndarray, List[Tuple[List[Tuple[int, ...]], np.ndarray]]]:
+        """Each row's variant at every step of a prescription table (built
+        against this plan's circuit).
 
         Returns ``first`` — per row, the index of its first deviating step
         (``num_steps`` for a row with no entries): every step before it
-        runs the ideal circuit's variant — and ``touched`` — per step,
-        ``{row: variant key}`` for the rows deviating there, ascending.
+        runs the ideal circuit's variant — and, per step, ``(keys, of)``:
+        the step's distinct variant keys, the dominant one first, then in
+        order of their first row, and one ``intp`` index into ``keys`` per
+        row.  A row that names none of a step's sites takes the dominant key.
         """
         rows = table.rows()
         steps = self.site_step[table.site_ids]
         # An empty row's minimum is the initial value: no reduceat segment.
         first = np.full(len(table), self.num_steps, dtype=np.intp)
         np.minimum.at(first, rows, steps)
-        keys: List[Dict[int, List[int]]] = [{} for _ in self.steps]
+        built: List[Dict[int, List[int]]] = [{} for _ in self.steps]
         positions = self.site_position[table.site_ids]
         for row, step, position, branch in zip(
             rows.tolist(), steps.tolist(), positions.tolist(), table.branches.tolist()
         ):
-            keys[step].setdefault(row, list(self.steps[step].dominant_key))[position] = branch
-        return first, [{row: tuple(key) for row, key in step.items()} for step in keys]
+            built[step].setdefault(row, list(self.steps[step].dominant_key))[position] = branch
+        of = np.zeros((self.num_steps, len(table)), dtype=np.intp)
+        variants = []
+        for step, deviating, step_of in zip(self.steps, built, of):
+            keys = {step.dominant_key: 0}
+            for row, key in deviating.items():
+                step_of[row] = keys.setdefault(tuple(key), len(keys))
+            variants.append((list(keys), step_of))
+        return first, variants
 
     @property
     def num_noise_steps(self) -> int:

@@ -69,7 +69,9 @@ class Prescriptions:
 
     def __getitem__(self, index: Union[int, slice]) -> Union["Prescriptions", Dict[int, int]]:
         if isinstance(index, slice):
-            start, stop, _ = index.indices(len(self))
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ExecutionError(f"a prescription table slice takes step 1, got {step}")
             stop = max(start, stop)
             lo, hi = self.offsets[start], self.offsets[stop]
             offsets = self.offsets[start : stop + 1] - lo

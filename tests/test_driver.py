@@ -762,6 +762,34 @@ def test_a_prescription_for_a_missing_noise_site_is_rejected(circuit, strategy, 
     assert str(raised.value) == message
 
 
+#: A Bell pair measured on qubit 0, then an X on qubit 0, then qubit 1
+#: measured: the measured record is {00, 11}, a draw at the end {01, 10}.
+#: The clifford engine (and ``auto``, which routes there) used to return
+#: the latter, the dense engines to retry a ``BackendError`` into a
+#: ``FaultError``, tensornet to word its own ``ExecutionError``.
+MEASURED_THEN_ACTED_ON = (
+    "operation GateOp(x, qubits=(0,)) acts on already-measured qubit(s) [0]; "
+    "this library defers measurements to circuit end"
+)
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES) + ["auto"])
+def test_an_operation_on_a_measured_qubit_is_rejected_before_any_unit_runs(
+    strategy, monkeypatch
+):
+    def prepare(self, table, sizes):
+        raise AssertionError("a unit ran")
+
+    for module, name in ADAPTERS.values():
+        monkeypatch.setattr(getattr(module, name), "prepare", prepare)
+    ideal = Circuit(2).h(0).cx(0, 1).measure(0).x(0).measure(1)
+    noisy = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05)).apply(ideal)
+    with pytest.raises(ExecutionError) as raised:
+        run_ptsbe(noisy.freeze(), ProbabilisticPTS(nsamples=20, nshots=50), seed=1, strategy=strategy)
+    assert type(raised.value) is ExecutionError  # not a FaultError: nothing was retried
+    assert str(raised.value) == MEASURED_THEN_ACTED_ON
+
+
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_naming_the_dominant_index_changes_nothing(circuit, strategy):
     """The table drops an entry naming its site's dominant index (0 on

@@ -92,6 +92,15 @@ class TestRestrictions:
         with pytest.raises(BackendError):
             FrameSampler(Circuit(1).h(0).freeze())
 
+    def test_rejects_an_operation_on_a_measured_qubit(self):
+        """Frames draw every measurement at the end: an X after measuring
+        qubit 0 of a Bell pair would turn the record {00, 11} into {01, 10}."""
+        circ = Circuit(2).h(0).cx(0, 1).measure(0).x(0).measure(1).freeze()
+        with pytest.raises(BackendError, match=r"already-measured qubit\(s\) \[0\]"):
+            FrameSampler(circ)
+        with pytest.raises(BackendError, match=r"already-measured qubit\(s\) \[0\]"):
+            frame_sample(circ, 10, make_rng(0))
+
     def test_rejects_non_pauli_noise(self):
         circ = Circuit(1)
         circ.attach(amplitude_damping(0.1), 0)

@@ -46,6 +46,14 @@ def test_rows_hold_deviations_only_in_csr_form():
     assert middle[0] == {0: 3, 2: 1} and len(table[2:2]) == 0
 
 
+@pytest.mark.parametrize("rows", [slice(None, None, 2), slice(None, None, -1), slice(2, 0, -1)])
+def test_a_slice_with_a_step_is_refused(rows):
+    """A slice is a row range: its CSR offsets are one contiguous run."""
+    table = as_prescriptions(site_table(_chain()), [{0: 1}, {}, {3: 2}])
+    with pytest.raises(ExecutionError, match="slice takes step 1"):
+        table[rows]
+
+
 @pytest.mark.parametrize(
     "keys, message",
     [

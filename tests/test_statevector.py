@@ -22,6 +22,7 @@ from repro.config import Config
 from repro.errors import BackendError, CapacityError, ZeroProbabilityTrajectory
 from repro.execution.plan import get_fused_plan
 from repro.linalg import random_unitary
+from repro.prescriptions import as_prescriptions, site_table
 from repro.rng import make_rng
 
 
@@ -305,6 +306,18 @@ class TestOneRowView:
         assert weight == pytest.approx(0.15)
         assert wide.probabilities()[0b100] == pytest.approx(1.0)
         assert np.all(wide.sample(20, [0, 1, 2], make_rng(0)) == [1, 0, 0])
+
+    def test_run_fixed_refuses_a_table_of_other_than_one_row(self):
+        circ = Circuit(2).h(0).cx(0, 1)
+        circ.attach(amplitude_damping(0.3), 1)
+        circ = circ.measure_all().freeze()
+        sv = StatevectorBackend(2)
+        for rows in ([{}, {0: 1}, {}], []):
+            table = as_prescriptions(site_table(circ), rows)
+            with pytest.raises(BackendError, match=f"got a {len(rows)}-row table"):
+                sv.run_fixed(circ, table)
+        assert sv.run_fixed(circ, as_prescriptions(site_table(circ), [{0: 1}])) == pytest.approx(0.15)
+        assert sv.stack.batch_size == 1
 
     def test_copy_is_independent(self):
         sv = StatevectorBackend(2)

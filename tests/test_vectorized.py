@@ -347,9 +347,14 @@ class TestIdealPrefixSharing:
         ]
         table = as_prescriptions(site_table(circuit), choices_list)
         assert np.diff(table.offsets).tolist() == [1, 0, 0, 1]
-        first, touched = plan.prescribed_steps(table)
+        first, variants = plan.prescribed_steps(table)
         assert first.tolist() == [plan.tail - 1, plan.num_steps, plan.num_steps, 0]
-        assert list(touched[0]) == [3] and list(touched[plan.tail - 1]) == [0]
+        assert all(keys[0] == step.dominant_key for step, (keys, _) in zip(plan.steps, variants))
+        deviating = {index: np.flatnonzero(of).tolist() for index, (_, of) in enumerate(variants)}
+        assert {index: rows for index, rows in deviating.items() if rows} == {
+            0: [3],
+            plan.tail - 1: [0],
+        }
         assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
 
     def test_general_kraus_rows_renormalize_and_die_after_joining(self):
