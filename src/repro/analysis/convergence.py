@@ -9,8 +9,6 @@ validation.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
-
 import numpy as np
 
 from repro.backends.density_matrix import DensityMatrixBackend
@@ -18,7 +16,7 @@ from repro.circuits.circuit import Circuit
 from repro.data.stats import empirical_distribution, total_variation_distance
 from repro.errors import DataError
 
-__all__ = ["distribution_error", "convergence_curve", "exact_distribution"]
+__all__ = ["distribution_error", "exact_distribution"]
 
 
 def exact_distribution(circuit: Circuit) -> np.ndarray:
@@ -37,23 +35,3 @@ def exact_distribution(circuit: Circuit) -> np.ndarray:
 def distribution_error(bits: np.ndarray, exact: np.ndarray) -> float:
     """TVD between an empirical shot set and the exact distribution."""
     return total_variation_distance(empirical_distribution(bits, len(exact)), exact)
-
-
-def convergence_curve(
-    sampler: Callable[[int], np.ndarray],
-    exact: np.ndarray,
-    shot_counts: Sequence[int],
-) -> List[Tuple[int, float]]:
-    """TVD vs. shot count for any ``sampler(num_shots) -> bits`` callable.
-
-    A correct sampler's curve decays like ``O(1/sqrt(m))`` (multinomial
-    fluctuation) toward its bias floor; a biased estimator plateaus above
-    zero — which is exactly how the tests distinguish the uniform-shots
-    Algorithm-2 dataset mode (deliberately biased toward rare errors)
-    from the proportional mode (asymptotically exact).
-    """
-    out = []
-    for m in shot_counts:
-        bits = sampler(int(m))
-        out.append((int(m), distribution_error(bits, exact)))
-    return out

@@ -1,17 +1,18 @@
 """Observable estimation from PTSBE results, with uncertainty.
 
 PTSBE's trajectory structure is a *stratified* sample: each prescribed
-Kraus set is a stratum with known (nominal or realized) weight, sampled
+Kraus set is a stratum with a known (realized) weight, sampled
 with an arbitrary, user-chosen shot budget.  The right estimator for an
 observable ``f(bits)`` is therefore the weighted stratified mean
 
     E[f] ~ sum_a  w_a * mean_a(f)  /  sum_a w_a
 
-with the classic stratified variance — *not* the raw pooled mean, which
-is biased whenever shots were not allocated proportionally (Algorithm 2's
-uniform-``nshots`` mode).  This module provides both, plus standard
-observables (bit expectations, parities / diagonal Pauli strings), so
-benchmarks and examples can quote error bars.
+with the classic stratified variance — *not* the raw pooled mean
+(``result.pooled_distribution(weighted=False)``), which is biased whenever
+shots were not allocated proportionally (Algorithm 2's uniform-``nshots``
+mode).  This module provides that estimator plus standard observables
+(bit expectations, parities / diagonal Pauli strings), so benchmarks and
+examples can quote error bars.
 
 This generalizes the paper's "proportionally sampled dataset, e.g., for
 expectation value estimation" remark: proportional allocation makes the
@@ -32,7 +33,6 @@ from repro.execution.results import PTSBEResult
 __all__ = [
     "Estimate",
     "stratified_estimate",
-    "pooled_estimate",
     "bit_observable",
     "parity_observable",
 ]
@@ -81,9 +81,14 @@ def parity_observable(columns: Optional[Sequence[int]] = None) -> Callable[[np.n
 def stratified_estimate(
     result: PTSBEResult,
     observable: Callable[[np.ndarray], np.ndarray],
-    use_actual_weights: bool = False,
 ) -> Estimate:
     """Weighted stratified estimator over a PTSBE result.
+
+    Each stratum is weighted by its *realized* branch-probability product
+    (:attr:`TrajectoryResult.actual_weight`): exact for general
+    (state-dependent) channels, where the nominal pre-sampled probability
+    is only a prior, and equal to the nominal probability on unitary
+    mixtures.
 
     Parameters
     ----------
@@ -91,18 +96,12 @@ def stratified_estimate(
         Output of batched execution.
     observable:
         Maps an ``(m, k)`` bit block to ``m`` real values.
-    use_actual_weights:
-        Weight strata by the *realized* branch-probability product
-        (:attr:`TrajectoryResult.actual_weight`) instead of the nominal
-        pre-sampled probability — exact for general (state-dependent)
-        channels, identical for unitary mixtures.
 
     Notes
     -----
     Variance: ``Var = sum_a (w_a/W)^2 * s_a^2 / m_a`` with ``s_a^2`` the
-    within-stratum sample variance — zero-shot strata contribute weight
-    but no variance term (they are deterministic exclusions, e.g.
-    zero-probability trajectories).
+    within-stratum sample variance.  Strata with zero weight or zero shots
+    are skipped: they add neither weight nor a variance term.
     """
     num = 0.0
     weight_total = 0.0
@@ -110,8 +109,7 @@ def stratified_estimate(
     strata = 0
     pairs = []
     for t in result.trajectories:
-        # actual_weight *is* the realized probability of the fixed choices.
-        w = t.actual_weight if use_actual_weights else t.record.nominal_probability
+        w = t.actual_weight
         if w <= 0.0 or t.num_shots == 0:
             continue
         values = np.asarray(observable(t.bits), dtype=np.float64)
@@ -132,21 +130,4 @@ def stratified_estimate(
         std_error=float(np.sqrt(var)),
         total_weight=float(weight_total),
         num_strata=strata,
-    )
-
-
-def pooled_estimate(
-    result: PTSBEResult, observable: Callable[[np.ndarray], np.ndarray]
-) -> Estimate:
-    """Raw pooled mean (correct only under proportional shot allocation)."""
-    table = result.shot_table()
-    values = np.asarray(observable(table.bits), dtype=np.float64)
-    if values.shape[0] == 0:
-        raise DataError("no shots to estimate from")
-    se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return Estimate(
-        value=float(values.mean()),
-        std_error=se,
-        total_weight=float(len(values)),
-        num_strata=result.num_trajectories,
     )

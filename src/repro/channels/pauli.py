@@ -4,7 +4,8 @@
 symplectic (x-bits, z-bits) representation.  It backs three subsystems:
 
 * the stabilizer tableau backend (:mod:`repro.backends.stabilizer`);
-* Pauli twirling in the tailored PTS samplers (:mod:`repro.pts.tailored`);
+* Pauli twirling (:meth:`~repro.channels.kraus.KrausChannel.pauli_twirl`,
+  applied to a whole circuit by :func:`repro.pts.tailored.twirl_circuit`);
 * the QEC code machinery (:mod:`repro.qec`).
 
 Representation: ``P = i**phase * prod_q X_q**x[q] * Z_q**z[q]`` with

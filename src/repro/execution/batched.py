@@ -370,8 +370,9 @@ def run_ptsbe(
     1. PTS: ``sampler`` pre-samples trajectory specs from the circuit;
     2. BE: the chosen executor realizes each spec with batched sampling.
 
-    Handles circuit-rewriting samplers (e.g. Pauli twirling) by executing
-    against the sampler's rewritten circuit when it exposes one.
+    Both stages run on ``circuit`` as given.  To run twirled noise, twirl
+    first: ``run_ptsbe(twirl_circuit(circuit), sampler)``
+    (:func:`repro.pts.twirl_circuit`).
 
     Parameters
     ----------
@@ -515,22 +516,19 @@ def run_ptsbe_stream(
     # stream is a counter family of its own: no trajectory draws from it.
     streams = StreamFactory(seed)
     pts_result = sampler.sample(circuit, streams.sampler_rng())
-    target = getattr(sampler, "twirled_circuit", None) or circuit
-    # Route "auto" on the circuit the executor will actually run (the
-    # twirled one, for circuit-rewriting samplers); explicit strategies
-    # pass through.  The decision trail rides on the stream/result.
+    # Route "auto" on the circuit; explicit strategies pass through.  The
+    # decision trail rides on the stream/result.
     from repro.execution.router import resolve_strategy
 
     config = backend.config
-    target.freeze()
-    resolved, routing = resolve_strategy(target, backend, strategy, config)
-    _check_dense_capacity(target, backend, resolved, config)
+    resolved, routing = resolve_strategy(circuit, backend, strategy, config)
+    _check_dense_capacity(circuit, backend, resolved, config)
     cls = executor_class(resolved)
     executor_kwargs = executor_kwargs or {}
     _check_executor_kwargs(cls, resolved, executor_kwargs)
     executor = cls(backend, **executor_kwargs)
     stream = executor.execute_stream(
-        target, pts_result.specs, seed=streams.seed, retain=retain
+        circuit, pts_result.specs, seed=streams.seed, retain=retain
     )
     stream.routing = routing
     return stream

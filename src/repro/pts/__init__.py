@@ -21,8 +21,11 @@ Algorithms (paper §3.1):
 * :class:`~repro.pts.exhaustive.ExhaustivePTS` / ``TopKPTS`` — analytic
   enumeration of the most likely error combinations above a cutoff
   (branch-and-bound);
-* :mod:`repro.pts.tailored` — Pauli-twirled and spatially-correlated
-  error injection;
+* :class:`~repro.pts.tailored.CorrelatedNoisePTS` — spatially
+  correlated burst injection;
+* :func:`~repro.pts.tailored.twirl_circuit` — Pauli twirling as a circuit
+  transform applied before PTS:
+  ``run_ptsbe(twirl_circuit(circuit), sampler)``;
 * :mod:`repro.pts.filters` — gate-type / location / parity selection
   criteria composable into any sampler (paper: "add selection criteria to
   Line 5 of Algorithm 2").
@@ -42,8 +45,7 @@ from repro.pts.probabilistic import ProbabilisticPTS
 from repro.pts.proportional import ProportionalPTS, apportion_shots
 from repro.pts.bands import ProbabilityBandPTS
 from repro.pts.exhaustive import ExhaustivePTS, TopKPTS
-from repro.pts.adaptive import AdaptiveNeymanPTS
-from repro.pts.tailored import CorrelatedNoisePTS, PauliTwirlPTS
+from repro.pts.tailored import CorrelatedNoisePTS, twirl_circuit
 from repro.pts.filters import (
     by_channel_name,
     by_gate_context,
@@ -69,9 +71,8 @@ __all__ = [
     "ProbabilityBandPTS",
     "ExhaustivePTS",
     "TopKPTS",
-    "AdaptiveNeymanPTS",
-    "PauliTwirlPTS",
     "CorrelatedNoisePTS",
+    "twirl_circuit",
     "by_channel_name",
     "by_gate_context",
     "by_qubits",

@@ -19,6 +19,7 @@ from repro.circuits.circuit import Circuit
 from repro.errors import SamplingError
 from repro.pts.base import PTSAlgorithm, PTSResult, TrajectorySpec
 from repro.pts.probabilistic import ProbabilisticPTS
+from repro.pts.proportional import apportion_shots
 
 __all__ = ["ProbabilityBandPTS"]
 
@@ -33,8 +34,9 @@ class ProbabilityBandPTS(PTSAlgorithm):
     base:
         Trajectory-set generator (defaults to Algorithm 2).
     renormalize_shots:
-        When set, the surviving trajectories' shot budgets are rescaled so
-        the result keeps the base sampler's total shot count.
+        When set, the base sampler's total shot count is split evenly
+        over the surviving trajectories (largest remainder), so the result
+        keeps that total; a trajectory left with no shot is dropped.
     """
 
     name = "probability_band"
@@ -61,9 +63,8 @@ class ProbabilityBandPTS(PTSAlgorithm):
             s for s in base_result.specs if self.p_min <= s.probability <= self.p_max
         ]
         if self.renormalize_shots and kept:
-            original_total = base_result.total_shots
-            per = max(1, original_total // len(kept))
-            kept = [s.with_shots(per) for s in kept]
+            shots = apportion_shots(np.ones(len(kept)), base_result.total_shots)
+            kept = [s.with_shots(int(m)) for s, m in zip(kept, shots) if m > 0]
         return PTSResult(
             specs=kept,
             algorithm=f"{self.name}[{self.p_min:g},{self.p_max:g}]({self.base.name})",

@@ -2,13 +2,16 @@
 
 The paper's contribution list opens with "tailored error injection for
 specific QEC analysis scenarios (e.g., Pauli twirling or spatially
-correlated noise)".  Two samplers:
+correlated noise)".  Two tools:
 
-* :class:`PauliTwirlPTS` — replaces every noise channel with its Pauli
-  twirl (a Pauli channel with matched error rates) before delegating to a
-  base sampler.  Twirled circuits are what most QEC decoders assume, and
-  twirled channels are always unitary mixtures, so joint probabilities
-  become exact.
+* :func:`twirl_circuit` — a circuit transform, not a sampler: it replaces
+  every single-qubit noise channel with its Pauli twirl (a Pauli channel
+  with matched error rates), the approximate-noise substitution of Isakov
+  et al. (arXiv:2111.02396).  Apply it before PTS —
+  ``run_ptsbe(twirl_circuit(circuit), sampler)`` — so every trajectory is
+  drawn from, and executed on, the twirled circuit.  Twirled channels are
+  unitary mixtures, so joint probabilities become exact, and a Clifford
+  circuit's twirled noise routes to the Pauli-frame engine.
 * :class:`CorrelatedNoisePTS` — injects spatially correlated error
   *bursts*: a burst picks a center qubit and a moment window, then selects
   an error branch at every noise site within ``radius`` qubits (linear
@@ -20,7 +23,7 @@ correlated noise)".  Two samplers:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -35,9 +38,8 @@ from repro.pts.base import (
     TrajectorySpec,
 )
 from repro.pts.compatibility import compatible, unique_kraus
-from repro.pts.probabilistic import ProbabilisticPTS
 
-__all__ = ["PauliTwirlPTS", "CorrelatedNoisePTS", "twirl_circuit"]
+__all__ = ["CorrelatedNoisePTS", "twirl_circuit"]
 
 
 def twirl_circuit(circuit: Circuit) -> Circuit:
@@ -54,34 +56,6 @@ def twirl_circuit(circuit: Circuit) -> Circuit:
         else:
             out.append(MeasureOp(op.qubits, key=op.key))
     return out.freeze()
-
-
-class PauliTwirlPTS(PTSAlgorithm):
-    """Twirl the circuit's channels, then run a base PTS algorithm.
-
-    The emitted specs reference the *twirled* circuit, which is also
-    exposed as :attr:`twirled_circuit` after :meth:`sample` — batched
-    execution must run against it (the executor helper
-    ``repro.execution.batched.run_ptsbe`` handles this automatically when
-    given this sampler).
-    """
-
-    name = "pauli_twirl"
-
-    def __init__(self, base: Optional[PTSAlgorithm] = None, nsamples: int = 1000, nshots: int = 1000):
-        self.base = base if base is not None else ProbabilisticPTS(nsamples, nshots)
-        self.twirled_circuit: Optional[Circuit] = None
-
-    def sample(self, circuit: Circuit, rng: np.random.Generator) -> PTSResult:
-        self.twirled_circuit = twirl_circuit(circuit)
-        result = self.base.sample(self.twirled_circuit, rng)
-        return PTSResult(
-            specs=result.specs,
-            algorithm=f"{self.name}({self.base.name})",
-            attempted_samples=result.attempted_samples,
-            duplicates_rejected=result.duplicates_rejected,
-            incompatible_rejected=result.incompatible_rejected,
-        )
 
 
 class CorrelatedNoisePTS(PTSAlgorithm):

@@ -1,4 +1,4 @@
-"""Weighted estimators + the adaptive Neyman sampler extension."""
+"""Weighted stratified estimator and the standard observables."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,14 @@ from repro.analysis.estimators import (
     Estimate,
     bit_observable,
     parity_observable,
-    pooled_estimate,
     stratified_estimate,
 )
 from repro.backends.density_matrix import DensityMatrixBackend
-from repro.errors import DataError, SamplingError
+from repro.channels import NoiseModel
+from repro.channels.standard import amplitude_damping
+from repro.circuits import library
 from repro.execution import run_ptsbe
 from repro.pts import ExhaustivePTS, ProbabilisticPTS, ProportionalPTS
-from repro.pts.adaptive import AdaptiveNeymanPTS
-from repro.rng import make_rng
 
 
 def _exact_bit_expectation(circuit, column):
@@ -62,11 +61,12 @@ class TestStratifiedEstimate:
         # normalizes by the covered weight); pooled, every trajectory counts
         # as much as the ideal one (p ~ 0.81) and the estimate is nowhere near.
         marg = DensityMatrixBackend(3).run(noisy_ghz3).marginal_probabilities([0, 1, 2])
-        exact = float(marg @ np.array([1, 1, -1, -1, -1, -1, 1, 1]))
+        parity = np.array([1, 1, -1, -1, -1, -1, 1, 1])
+        exact = float(marg @ parity)
         strat = stratified_estimate(result, parity_observable([0, 1]))
-        pooled = pooled_estimate(result, parity_observable([0, 1]))
+        pooled = result.pooled_distribution(weighted=False) @ parity
         assert abs(strat.value - exact) <= 2 * (1 - strat.total_weight) + 4 * strat.std_error
-        assert abs(pooled.value - exact) > 0.5
+        assert abs(pooled - exact) > 0.5
 
     def test_parity_estimate_with_exhaustive(self, noisy_ghz3):
         exact = _exact_parity(noisy_ghz3)
@@ -91,70 +91,31 @@ class TestStratifiedEstimate:
         result = run_ptsbe(
             noisy_ghz3_general, ProbabilisticPTS(nsamples=2000, nshots=3000), seed=4
         )
-        est = stratified_estimate(result, bit_observable(0), use_actual_weights=True)
+        est = stratified_estimate(result, bit_observable(0))
         assert est.value == pytest.approx(exact, abs=4 * est.std_error + 0.02)
+
+    def test_weights_by_actual_weight_under_strong_damping(self):
+        """Every trajectory above 1e-12 under amplitude damping 0.3: weighted
+        by the nominal probability (a prior, not the realized weight) the
+        estimate sits ~85 standard errors from the exact 0.245."""
+        model = (
+            NoiseModel()
+            .add_all_qubit_gate_noise("cx", amplitude_damping(0.3))
+            .add_all_qubit_gate_noise("h", amplitude_damping(0.3))
+        )
+        circuit = model.apply(library.ghz(3, measure=True)).freeze()
+        exact = _exact_bit_expectation(circuit, 0)
+        assert exact == pytest.approx(0.245)
+        result = run_ptsbe(
+            circuit, ExhaustivePTS(cutoff=1e-12, nshots=20000), seed=3, strategy="serial"
+        )
+        est = stratified_estimate(result, bit_observable(0))
+        assert abs(est.value - exact) < 4 * est.std_error
 
     def test_pooled_correct_under_proportional(self, noisy_ghz3):
         exact = _exact_bit_expectation(noisy_ghz3, 0)
         result = run_ptsbe(noisy_ghz3, ProportionalPTS(total_shots=40_000, nsamples=2500), seed=5)
-        est = pooled_estimate(result, bit_observable(0))
-        assert est.value == pytest.approx(exact, abs=4 * est.std_error + 0.01)
-
-
-class TestAdaptiveNeyman:
-    def test_allocates_toward_variance(self, noisy_ghz3):
-        """GHZ bit-0 under depolarizing: the ideal trajectory has maximal
-        outcome variance (50/50), error trajectories vary; Neyman must give
-        positive-variance strata the budget."""
-        sampler = AdaptiveNeymanPTS(
-            total_shots=20_000,
-            observable=bit_observable(0),
-            nsamples=1500,
-            pilot_shots=64,
-            seed=6,
-        )
-        result = sampler.sample(noisy_ghz3, make_rng(6))
-        assert result.total_shots >= 20_000  # min_shots floor may add a few
-        by_prob = result.sorted_by_probability()
-        # The ideal trajectory (p ~ 0.81, sigma = 0.5) dominates allocation.
-        assert by_prob[0].num_shots == max(s.num_shots for s in result.specs)
-
-    def test_deterministic_observable_falls_back_to_proportional(self, noisy_ghz3):
-        """An observable that is constant (always 1) has zero variance in
-        every stratum; allocation must fall back to weights."""
-        sampler = AdaptiveNeymanPTS(
-            total_shots=1000,
-            observable=lambda bits: np.ones(bits.shape[0]),
-            nsamples=500,
-            pilot_shots=16,
-            seed=7,
-        )
-        result = sampler.sample(noisy_ghz3, make_rng(7))
-        by_prob = result.sorted_by_probability()
-        assert by_prob[0].num_shots == max(s.num_shots for s in result.specs)
-
-    def test_estimate_accuracy_end_to_end(self, noisy_ghz3):
-        exact = _exact_bit_expectation(noisy_ghz3, 0)
-        sampler = AdaptiveNeymanPTS(
-            total_shots=30_000, observable=bit_observable(0), nsamples=2000, seed=8
-        )
-        result_specs = sampler.sample(noisy_ghz3, make_rng(8))
-        from repro.execution import BatchedExecutor
-
-        result = BatchedExecutor().execute(noisy_ghz3, result_specs.specs, seed=8)
-        est = stratified_estimate(result, bit_observable(0))
-        assert est.value == pytest.approx(exact, abs=4 * est.std_error + 0.01)
-
-    def test_parameter_validation(self):
-        with pytest.raises(SamplingError):
-            AdaptiveNeymanPTS(total_shots=0, observable=bit_observable(0))
-        with pytest.raises(SamplingError):
-            AdaptiveNeymanPTS(total_shots=10, observable=bit_observable(0), pilot_shots=1)
-
-    def test_pilot_result_exposed(self, noisy_ghz3):
-        sampler = AdaptiveNeymanPTS(
-            total_shots=100, observable=bit_observable(0), nsamples=300, seed=9
-        )
-        sampler.sample(noisy_ghz3, make_rng(9))
-        assert sampler.pilot_result is not None
-        assert sampler.pilot_result.num_trajectories > 0
+        keys = np.arange(8)
+        pooled = result.pooled_distribution(weighted=False) @ ((keys >> 2) & 1)
+        std_error = np.sqrt(pooled * (1 - pooled) / result.total_shots)
+        assert pooled == pytest.approx(exact, abs=4 * std_error + 0.01)

@@ -9,11 +9,7 @@ Pauli-frame sampler all must agree with it (within multinomial error).
 import numpy as np
 import pytest
 
-from repro.analysis.convergence import (
-    convergence_curve,
-    distribution_error,
-    exact_distribution,
-)
+from repro.analysis.convergence import distribution_error, exact_distribution
 from repro.backends.pauli_frame import FrameSampler
 from repro.backends.statevector import StatevectorBackend
 from repro.data.stats import empirical_distribution, total_variation_distance
@@ -100,12 +96,15 @@ class TestBaselineEquivalence:
     def test_convergence_curve_decays(self, noisy_ghz3):
         exact = exact_distribution(noisy_ghz3)
 
-        def sampler(m):
-            result = run_ptsbe(noisy_ghz3, ProportionalPTS(total_shots=m, nsamples=1500), seed=27)
-            return result.shot_table().bits
-
-        curve = convergence_curve(sampler, exact, [200, 2000, 50_000])
-        errs = [e for _, e in curve]
+        errs = [
+            distribution_error(
+                run_ptsbe(
+                    noisy_ghz3, ProportionalPTS(total_shots=m, nsamples=1500), seed=27
+                ).shot_table().bits,
+                exact,
+            )
+            for m in [200, 2000, 50_000]
+        ]
         assert errs[-1] < errs[0]
         assert errs[-1] < 0.03
 

@@ -428,7 +428,7 @@ def test_import_map_binds_the_top_package_or_the_alias():
             id="alias",
         ),
         pytest.param(
-            "pts/adaptive.py",
+            "pts/tailored.py",
             "from numpy.random import default_rng\ndef draw(seed):\n    return default_rng(seed)\n",
             [(3, "'random.default_rng'")],
             id="from-import",

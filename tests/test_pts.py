@@ -12,6 +12,8 @@ from repro.errors import SamplingError
 from repro.pts import (
     ExhaustivePTS,
     NoiseSiteView,
+    PTSAlgorithm,
+    PTSResult,
     ProbabilisticPTS,
     ProbabilityBandPTS,
     ProportionalPTS,
@@ -530,14 +532,39 @@ class TestBandPTS:
         with pytest.raises(SamplingError):
             ProbabilityBandPTS(0.5, 0.1)
 
-    def test_renormalize_shots(self, noisy_ghz3):
+    @pytest.mark.parametrize(
+        "p_min, p_max", [(1e-3, 0.1), (1e-4, 1e-2)], ids=["wide", "16-specs"]
+    )
+    def test_renormalize_shots(self, noisy_ghz3, p_min, p_max):
+        """The base total is split evenly over the kept specs: on the
+        16-spec band floor division would keep only 288 of 300 shots."""
         base_total = ProbabilisticPTS(nsamples=2000, nshots=10).sample(
             noisy_ghz3, make_rng(12)
         ).total_shots
         result = ProbabilityBandPTS(
-            1e-3, 0.1, nsamples=2000, nshots=10, renormalize_shots=True
+            p_min, p_max, nsamples=2000, nshots=10, renormalize_shots=True
         ).sample(noisy_ghz3, make_rng(12))
-        assert result.total_shots >= base_total // 2
+        shots = [s.num_shots for s in result.specs]
+        assert result.total_shots == base_total
+        assert max(shots) - min(shots) <= 1
+
+    def test_renormalize_drops_specs_left_without_shots(self, noisy_ghz3):
+        """A base whose total is below the kept count: the split hands out
+        one shot each to the first specs and drops the rest."""
+        specs = ProbabilisticPTS(nsamples=2000, nshots=1).sample(noisy_ghz3, make_rng(12)).specs
+        fixed = PTSResult(specs=[s.with_shots(0) for s in specs[2:]] + specs[:2], algorithm="fixed")
+
+        class Fixed(PTSAlgorithm):
+            name = "fixed"
+
+            def sample(self, circuit, rng):
+                return fixed
+
+        result = ProbabilityBandPTS(0.0, 1.0, base=Fixed(), renormalize_shots=True).sample(
+            noisy_ghz3, make_rng(12)
+        )
+        assert len(specs) > 2
+        assert [s.num_shots for s in result.specs] == [1, 1]
 
 
 class TestExhaustive:
@@ -617,3 +644,30 @@ class TestTopK:
         # Full tree = prod(1 + 3 branches)^4 sites = 4^4 = 256 leaves plus
         # internals; pruning should visit far fewer nodes.
         assert sampler.nodes_visited < 200
+
+
+def test_pts_imports_nothing_from_execution():
+    """PTS is a pure stage: a sampler's specs are a function of the circuit
+    and one seed, so no module under ``repro.pts`` may import an executor."""
+    import ast
+    from pathlib import Path
+
+    import repro.pts
+
+    offenders = []
+    for path in sorted(Path(repro.pts.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = ["repro", "pts"][: 3 - node.level] if node.level else []
+                module = ".".join(package + [node.module] if node.module else package)
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name == "repro.execution" or name.startswith("repro.execution.")
+            ]
+    assert offenders == []

@@ -10,7 +10,6 @@ from repro.circuits import Circuit, library
 from repro.errors import SamplingError
 from repro.pts import (
     CorrelatedNoisePTS,
-    PauliTwirlPTS,
     ProbabilisticPTS,
     by_channel_name,
     by_gate_context,
@@ -18,9 +17,9 @@ from repro.pts import (
     by_min_probability,
     by_qubit_parity,
     by_qubits,
+    twirl_circuit,
 )
 from repro.pts.base import NoiseSiteView
-from repro.pts.tailored import twirl_circuit
 from repro.rng import make_rng
 
 
@@ -42,18 +41,18 @@ class TestTwirl:
         assert twirled.num_noise_sites() == amp_damp_circuit.num_noise_sites()
         assert twirled.num_gates() == amp_damp_circuit.num_gates()
 
-    def test_sampler_exposes_twirled_circuit(self, amp_damp_circuit):
-        sampler = PauliTwirlPTS(nsamples=100, nshots=10)
-        result = sampler.sample(amp_damp_circuit, make_rng(0))
-        assert sampler.twirled_circuit is not None
-        assert result.num_trajectories > 0
-
-    def test_twirled_pipeline_runs(self, amp_damp_circuit):
+    def test_twirl_first_pipeline_routes_to_clifford(self, amp_damp_circuit):
+        """Twirling is a circuit transform applied before PTS: the twirled
+        GHZ circuit carries only Pauli-mixture noise, so ``auto`` routes it
+        to the Pauli-frame engine (amplitude damping itself would not)."""
         from repro.execution import run_ptsbe
 
-        sampler = PauliTwirlPTS(nsamples=150, nshots=200)
-        result = run_ptsbe(amp_damp_circuit, sampler, seed=3)
-        assert result.total_shots > 0
+        sampler = ProbabilisticPTS(nsamples=150, nshots=200)
+        result = run_ptsbe(twirl_circuit(amp_damp_circuit), sampler, seed=3)
+        assert result.engine == "clifford"
+        assert result.routing.startswith("auto->clifford")
+        assert result.total_shots == 200 * result.num_trajectories > 0
+        assert run_ptsbe(amp_damp_circuit, sampler, seed=3).engine != "clifford"
 
 
 class TestCorrelatedBursts:

@@ -944,6 +944,23 @@ class TestExecutorContracts:
         for tid, weight in tw.items():
             assert weight == pytest.approx(sw[tid], rel=1e-9, abs=1e-12)
 
+    def test_weights_obey_the_sum_rule_past_the_dense_cap(self):
+        """Trace preservation at 35 qubits, where no dense reference exists:
+        the realized weights of all eight branch combinations of three
+        amplitude-damping sites sum to one."""
+        circ = Circuit(35).h(0)
+        for q in range(34):
+            circ.cx(q, q + 1)
+            if q in (5, 17, 29):
+                circ.attach(amplitude_damping(0.2), q + 1)
+        circ.measure_all().freeze()
+        result = run_ptsbe(circ, ExhaustivePTS(cutoff=1e-12, nshots=10), seed=5)
+        assert result.engine == "tensornet"
+        assert result.num_trajectories == 8
+        weights = [t.actual_weight for t in result.trajectories]
+        assert abs(sum(weights) - 1.0) < 1e-12
+        assert min(weights) < max(weights) < 1.0
+
     def test_bad_max_batch_rejected(self):
         with pytest.raises(ExecutionError, match="max_batch"):
             TensorNetExecutor(max_batch=0)
