@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.base import validate_deferred_measurement
-from repro.backends.stabilizer import StabilizerBackend, pauli_from_unitary
-from repro.channels.unitary_mixture import as_unitary_mixture
+from repro.backends.stabilizer import StabilizerBackend
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError
@@ -125,8 +124,8 @@ class FrameSampler:
     # ------------------------------------------------------------------ #
     def _analyze_noise(self) -> None:
         self.sites: List[_NoiseSite] = []
-        # Channel analysis is a function of the channel object alone, and a
-        # noise model attaches a handful of channels to every site.
+        # The channel's bit patterns depend on the channel object alone, and
+        # a noise model attaches a handful of channels to every site.
         analyzed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
         for op_index, op in enumerate(self.circuit):
             if not isinstance(op, NoiseOp):
@@ -155,13 +154,13 @@ class FrameSampler:
     def _analyze_channel(channel) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """``(probs, x, z, dominant branch)``: the channel as a Pauli
         mixture, one ``(branches, channel qubits)`` bit pattern each."""
-        mixture = as_unitary_mixture(channel)
+        mixture = channel.mixture
         if mixture is None:
             raise BackendError(
                 f"channel {channel.name!r} is not a Pauli mixture; the frame "
                 "sampler has the Stim restriction (Clifford + Pauli noise)"
             )
-        paulis = [pauli_from_unitary(u, channel.num_qubits) for u in mixture.unitaries]
+        paulis = mixture.paulis
         if None in paulis:
             raise BackendError(
                 f"branch {paulis.index(None)} of {channel.name!r} is not a Pauli string"

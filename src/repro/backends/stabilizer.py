@@ -24,72 +24,11 @@ import numpy as np
 
 from repro.channels.kraus import KrausChannel
 from repro.channels.pauli import PauliString
-from repro.channels.unitary_mixture import as_unitary_mixture
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError
 
-__all__ = ["StabilizerBackend", "pauli_from_unitary"]
-
-
-def pauli_from_unitary(matrix: np.ndarray, num_qubits: int) -> Optional[PauliString]:
-    """Recognize a matrix as (phase times) a Pauli string, else ``None``.
-
-    Algebraic recognition from the sparsity pattern instead of a trace
-    test against all ``4**n`` Pauli matrices: a Pauli-string matrix has
-    exactly one nonzero per column, ``M[j ^ a, j] = v0 * (-1)^popcount(
-    zmask & j)`` with ``a`` the X mask and ``zmask`` the Z mask over
-    basis-index bits (qubit 0 = most significant, the kron order of
-    :func:`repro.channels.pauli.pauli_string_matrix`).  The X mask is
-    read off column 0's nonzero row, the Z mask off the sign ratios at
-    the power-of-two columns, then the whole matrix is verified against
-    the implied pattern in one vectorized pass — O(4**n) work on a
-    matrix that is already O(4**n) large, versus O(16**n) for the scan.
-    """
-    atol = 1e-8
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    dim = 2**num_qubits
-    if matrix.shape != (dim, dim):
-        return None
-    # X mask from column 0: the single nonzero sits at row a = xmask.
-    col0 = matrix[:, 0]
-    nonzero = np.nonzero(np.abs(col0) > atol)[0]
-    if nonzero.size != 1:
-        return None
-    a = int(nonzero[0])
-    v0 = complex(col0[a])
-    # Overall scalar must be unit modulus (same contract as before).
-    if abs(abs(v0) - 1.0) > atol:
-        return None
-    # Z mask from the sign ratio at each power-of-two column.
-    zmask = 0
-    for bit in range(num_qubits):
-        j = 1 << bit
-        ratio = complex(matrix[j ^ a, j]) / v0
-        if abs(ratio - 1.0) <= atol:
-            continue
-        if abs(ratio + 1.0) <= atol:
-            zmask |= j
-        else:
-            return None
-    # Verify the full matrix against the implied single-nonzero pattern.
-    cols = np.arange(dim)
-    parity = np.bitwise_and(cols, zmask)
-    for shift in (32, 16, 8, 4, 2, 1):  # XOR-fold popcount parity
-        parity ^= parity >> shift
-    signs = 1.0 - 2.0 * (parity & 1).astype(np.float64)
-    residual = matrix.copy()
-    residual[cols ^ a, cols] -= v0 * signs
-    if not np.allclose(residual, 0.0, atol=atol):
-        return None
-    # Bit order: qubit 0 is the most significant basis-index bit.
-    x = np.array([(a >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)], dtype=np.uint8)
-    z = np.array([(zmask >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)], dtype=np.uint8)
-    label = "".join(
-        "Y" if xi and zi else "X" if xi else "Z" if zi else "I"
-        for xi, zi in zip(x, z)
-    )
-    return PauliString.from_label(label)
+__all__ = ["StabilizerBackend"]
 
 
 class StabilizerBackend:
@@ -384,7 +323,7 @@ class StabilizerBackend:
         index: Optional[int] = None,
     ) -> int:
         """Apply one branch of a Pauli-mixture channel; returns the index."""
-        mixture = as_unitary_mixture(channel)
+        mixture = channel.mixture
         if mixture is None:
             raise BackendError(
                 f"channel {channel.name!r} is not a unitary mixture; the tableau "
@@ -394,7 +333,7 @@ class StabilizerBackend:
             if rng is None:
                 raise BackendError("sampling a noise branch requires an rng")
             index = int(rng.choice(len(mixture.probs), p=np.asarray(mixture.probs)))
-        local = pauli_from_unitary(mixture.unitaries[index], len(qubits))
+        local = mixture.paulis[index]
         if local is None:
             raise BackendError(
                 f"branch {index} of {channel.name!r} is not a Pauli string; "

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.channels.unitary_mixture as unitary_mixture
 from repro.config import ATOL
 from repro.errors import ChannelError
 
@@ -35,7 +36,7 @@ class KrausChannel:
         Verify the CPTP condition on construction.
     """
 
-    __slots__ = ("name", "kraus_ops", "num_qubits", "_nominal")
+    __slots__ = ("name", "kraus_ops", "num_qubits", "_nominal", "_dominant", "_mixture")
 
     def __init__(self, name: str, kraus_ops: Sequence[np.ndarray], check: bool = True):
         ops = [np.asarray(k, dtype=np.complex128) for k in kraus_ops]
@@ -63,6 +64,7 @@ class KrausChannel:
         self._nominal = tuple(
             float(np.real(np.trace(k.conj().T @ k)) / dim) for k in ops
         )
+        self._dominant = int(np.argmax(self._nominal))
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -84,7 +86,21 @@ class KrausChannel:
 
     def dominant_index(self) -> int:
         """Index of the highest-nominal-probability ("no error") operator."""
-        return int(np.argmax(self._nominal))
+        return self._dominant
+
+    @property
+    def mixture(self) -> Optional[unitary_mixture.UnitaryMixture]:
+        """The channel as a unitary mixture, or ``None`` for general Kraus.
+
+        :func:`~repro.channels.unitary_mixture.as_unitary_mixture` runs on
+        first use and its result stays in the channel (a pickled channel
+        carries it), so each channel object is analysed once.
+        """
+        try:
+            return self._mixture
+        except AttributeError:
+            self._mixture = unitary_mixture.as_unitary_mixture(self)
+            return self._mixture
 
     def is_trivial(self) -> bool:
         """True when the channel is the identity channel."""

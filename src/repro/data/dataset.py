@@ -128,10 +128,8 @@ def _logical_flip_label(
     }
     for event in record.events:
         op = site_channels[event.site_id]
-        kraus = op.channel.kraus_ops[event.kraus_index]
-        from repro.backends.stabilizer import pauli_from_unitary
-
-        local = pauli_from_unitary(kraus / np.linalg.norm(kraus) * np.sqrt(kraus.shape[0]), len(op.qubits))
+        mixture = op.channel.mixture
+        local = None if mixture is None else mixture.paulis[event.kraus_index]
         if local is None:
             raise DataError(
                 f"channel {op.channel.name!r} branch {event.kraus_index} is not Pauli; "

@@ -46,7 +46,6 @@ from repro.execution.tensornet import TensorNetExecutor, compile_schedule
 from repro.execution.router import (
     CircuitProfile,
     analyze_circuit,
-    clear_router_cache,
     resolve_strategy,
 )
 
@@ -73,6 +72,5 @@ __all__ = [
     "compile_schedule",
     "CircuitProfile",
     "analyze_circuit",
-    "clear_router_cache",
     "resolve_strategy",
 ]

@@ -21,12 +21,13 @@ Two step kinds:
   fused matrix depends on which Kraus branches a trajectory prescribes,
   so the step exposes *variants*: one compiled operator per realized
   Kraus-index combination, built lazily — as the product of factors
-  embedded onto the window once per step — and memoized in a
-  :class:`~repro.trajectory.unitary_cache.KernelVariantCache` (B
-  trajectories sharing a prescription pay each fusion product once).
-  Each step is classified once at build time.  When every site's channel
-  is a unitary mixture (``K_i = sqrt(p_i) U_i`` — paper Algorithm 1's
-  ``unitaryMixture`` branch) the variants are built from the ``U_i``:
+  embedded onto the window once per step — and memoized by the step (B
+  trajectories sharing a prescription, and every later stack, pay each
+  fusion product once).  Each step is classified once at build time, from
+  its channels' own cached analysis
+  (:attr:`~repro.channels.kraus.KrausChannel.mixture`).  When every site's
+  channel is a unitary mixture (``K_i = sqrt(p_i) U_i`` — paper Algorithm
+  1's ``unitaryMixture`` branch) the variants are built from the ``U_i``:
   the window is a unitary, costs what a gate window costs, and the
   trajectory weight takes the state-independent
   :meth:`NoiseStep.probability` — no reduction, no rescale.  After a
@@ -80,7 +81,6 @@ from repro.linalg.fusion import (
     window_support,
 )
 from repro.prescriptions import Prescriptions
-from repro.trajectory.unitary_cache import ChannelAnalysisCache, KernelVariantCache
 
 __all__ = [
     "GateStep",
@@ -188,19 +188,15 @@ class NoiseStep:
         "_maps",
         "_composed",
         "_probabilities",
-        "_step_index",
+        "_variants",
         "_dtype",
-        "_cache",
     )
 
     def __init__(
         self,
         ops: Sequence[Operation],
         targets: Tuple[int, ...],
-        step_index: int,
         dtype: np.dtype,
-        cache: KernelVariantCache,
-        analysis: ChannelAnalysisCache,
     ):
         site_ids: List[int] = []
         channels: List[object] = []
@@ -212,7 +208,7 @@ class NoiseStep:
                 channels.append(op.channel)
             else:
                 items.append(("gate", op.gate.matrix, op.qubits))
-        mixtures = [analysis.mixture(ch) for ch in channels]
+        mixtures = [ch.mixture for ch in channels]
         self.site_ids = tuple(site_ids)
         self.channels = tuple(channels)
         self.dominant_key = tuple(ch.dominant_index() for ch in channels)
@@ -239,9 +235,8 @@ class NoiseStep:
         self._maps: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         self._composed: Dict[Tuple[int, ...], np.ndarray] = {}
         self._probabilities: Dict[Tuple[int, ...], float] = {}
-        self._step_index = step_index
+        self._variants: Dict[Tuple[int, ...], CompiledOperator] = {}
         self._dtype = dtype
-        self._cache = cache
 
     @property
     def classical(self) -> bool:
@@ -267,10 +262,12 @@ class NoiseStep:
         return probability
 
     def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
-        """Compiled fused operator realizing Kraus choices ``key``."""
-        return self._cache.get_or_build(
-            (self._step_index, key), lambda: self._compile_variant(key)
-        )
+        """Compiled fused operator realizing Kraus choices ``key``
+        (memoized per key)."""
+        variant = self._variants.get(key)
+        if variant is None:
+            variant = self._variants[key] = self._compile_variant(key)
+        return variant
 
     def _compile_variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         if len(self._items) == 1:
@@ -359,7 +356,6 @@ class FusedPlan:
         num_qubits: int,
         num_source_ops: int,
         max_qubits: int,
-        variant_cache: KernelVariantCache,
     ):
         self.steps = steps
         self.tail = len(steps)
@@ -368,7 +364,6 @@ class FusedPlan:
         self.num_qubits = num_qubits
         self.num_source_ops = num_source_ops
         self.max_qubits = max_qubits
-        self.variant_cache = variant_cache
         located = sorted(
             (site, index, position)
             for index, step in enumerate(steps)
@@ -436,9 +431,6 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
     if not circuit.frozen:
         raise ExecutionError("fused plans require a frozen circuit")
     max_qubits = fusion_cap(circuit.num_qubits)
-    cache = KernelVariantCache()
-    # One unitary-mixture analysis per distinct channel object per build.
-    analysis = ChannelAnalysisCache()
     dtype = config.dtype
     steps: List[PlanStep] = []
     num_source_ops = 0
@@ -450,9 +442,7 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
                 targets = window[0].qubits
             else:
                 targets = window_support([op.qubits for op in window])
-            steps.append(
-                NoiseStep(window, targets, len(steps), dtype, cache, analysis)
-            )
+            steps.append(NoiseStep(window, targets, dtype))
         elif len(window) == 1:
             op = window[0]
             steps.append(
@@ -466,13 +456,13 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
             steps.append(
                 GateStep(compile_operator(fused, targets, dtype), len(window))
             )
-    return FusedPlan(steps, circuit.num_qubits, num_source_ops, max_qubits, cache)
+    return FusedPlan(steps, circuit.num_qubits, num_source_ops, max_qubits)
 
 
 #: Per-circuit plan cache: weakly keyed on the circuit object, then on the
 #: state dtype.  A circuit is compiled once per process per dtype — every
 #: executor chunk, stack, and strategy after that reuses the same plan
-#: object (and its variant cache), the "compile once per dedup group"
+#: object (and its steps' variants), the "compile once per dedup group"
 #: amortization.
 _PLAN_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[str, FusedPlan]]" = (
     weakref.WeakKeyDictionary()

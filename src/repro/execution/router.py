@@ -24,12 +24,12 @@ Pauli-frame fast path (:mod:`repro.execution.clifford`):
   ``"mps"`` spec always resolves here, to ``"serial"``: the tensornet
   adapter at one row.
 
-The gate/noise analysis is cached per frozen circuit (weak-keyed, like
-the fused-plan cache) so repeated dispatches — a sweep running one
-circuit through several strategies, a service handling repeat requests —
-pay the channel decompositions once.  To run a circuit on one engine
-whatever the router would pick, name the strategy explicitly (e.g.
-``strategy="serial"``): explicit names are never rerouted.
+The walk reads each channel's own cached analysis
+(:attr:`~repro.channels.kraus.KrausChannel.mixture`), so a repeated
+dispatch of one circuit pays no channel decomposition again.  To run a
+circuit on one engine whatever the router would pick, name the strategy
+explicitly (e.g. ``strategy="serial"``): explicit names are never
+rerouted.
 
 Every decision is recorded on the result (``PTSBEResult.routing`` /
 ``StreamedResult.routing``) so a run can always answer "which engine ran,
@@ -38,12 +38,10 @@ and why".
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.backends.stabilizer import StabilizerBackend, pauli_from_unitary
-from repro.channels.unitary_mixture import as_unitary_mixture
+from repro.backends.stabilizer import StabilizerBackend
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, NoiseOp
 from repro.config import Config, DEFAULT_CONFIG
@@ -57,7 +55,6 @@ __all__ = [
     "CircuitProfile",
     "analyze_circuit",
     "resolve_strategy",
-    "clear_router_cache",
 ]
 
 #: Gate names both the tableau backend and the frame conjugation rules
@@ -67,7 +64,7 @@ CLIFFORD_GATES = frozenset(StabilizerBackend._GATE_DISPATCH)
 
 @dataclass(frozen=True)
 class CircuitProfile:
-    """Cached routing-relevant facts about one frozen circuit.
+    """Routing-relevant facts about one frozen circuit.
 
     ``frame_eligible`` is the faithfulness verdict; ``reason`` names the
     first disqualifier (or summarizes the Clifford/Pauli structure when
@@ -78,18 +75,12 @@ class CircuitProfile:
     reason: str
 
 
-_ROUTER_CACHE: "weakref.WeakKeyDictionary[Circuit, CircuitProfile]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _profile(circuit: Circuit) -> CircuitProfile:
+def analyze_circuit(circuit: Circuit) -> CircuitProfile:
+    """Routing analysis of a frozen circuit."""
+    if not circuit.frozen:
+        raise ExecutionError("engine routing requires a frozen circuit")
     num_gates = 0
     num_sites = 0
-    # Channels repeat object-identically across sites (noise models attach
-    # one channel instance per gate name), so memoize the branch analysis
-    # per channel object within the walk.
-    channel_verdicts: Dict[int, Optional[str]] = {}
     for op in circuit:
         if isinstance(op, GateOp):
             num_gates += 1
@@ -98,10 +89,7 @@ def _profile(circuit: Circuit) -> CircuitProfile:
                 return CircuitProfile(False, f"gate {op.gate.name!r} is non-Clifford")
         elif isinstance(op, NoiseOp):
             num_sites += 1
-            verdict = channel_verdicts.get(id(op.channel), "unseen")
-            if verdict == "unseen":
-                verdict = _non_pauli_reason(op.channel, len(op.qubits))
-                channel_verdicts[id(op.channel)] = verdict
+            verdict = _non_pauli_reason(op.channel)
             if verdict is not None:
                 return CircuitProfile(False, verdict)
     if not circuit.measured_qubits:
@@ -111,28 +99,18 @@ def _profile(circuit: Circuit) -> CircuitProfile:
     )
 
 
-def _non_pauli_reason(channel, num_qubits: int) -> Optional[str]:
+def _non_pauli_reason(channel) -> Optional[str]:
     """Why a channel disqualifies frame routing, or ``None`` if it doesn't."""
-    mixture = as_unitary_mixture(channel)
+    mixture = channel.mixture
     if mixture is None:
         return f"channel {channel.name!r} is not a unitary mixture"
-    for b, unitary in enumerate(mixture.unitaries):
-        if pauli_from_unitary(unitary, num_qubits) is None:
+    for b, pauli in enumerate(mixture.paulis):
+        if pauli is None:
             return (
                 f"channel {channel.name!r} branch {b} is unitary but not a "
                 "Pauli string"
             )
     return None
-
-
-def analyze_circuit(circuit: Circuit) -> CircuitProfile:
-    """Memoized routing analysis of a frozen circuit."""
-    if not circuit.frozen:
-        raise ExecutionError("engine routing requires a frozen circuit")
-    profile = _ROUTER_CACHE.get(circuit)
-    if profile is None:
-        profile = _ROUTER_CACHE[circuit] = _profile(circuit)
-    return profile
 
 
 def resolve_strategy(
@@ -144,7 +122,7 @@ def resolve_strategy(
     """Resolve ``strategy`` to a concrete engine name + decision trail.
 
     Explicit strategies pass through untouched (the trail records that
-    they were requested).  ``"auto"`` consults the cached circuit profile:
+    they were requested).  ``"auto"`` consults the circuit profile:
 
     =====================================  ==========================
     condition                              resolved engine
@@ -179,8 +157,3 @@ def resolve_strategy(
             f"{profile.reason}",
         )
     return dense, f"auto->{dense}: {profile.reason}"
-
-
-def clear_router_cache() -> None:
-    """Drop every cached circuit profile (tests)."""
-    _ROUTER_CACHE.clear()

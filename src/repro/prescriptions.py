@@ -37,12 +37,9 @@ def site_table(circuit: Circuit) -> np.ndarray:
     circuit object)."""
     table = _SITE_TABLES.get(circuit)
     if table is None:
-        channels = [op.channel for op in circuit.noise_sites]
-        # Once per channel object: a noise model puts a few on every site.
-        unique = {id(channel): channel for channel in channels}
-        stats = {key: (len(ch), ch.dominant_index()) for key, ch in unique.items()}
-        flat = chain.from_iterable(stats[id(channel)] for channel in channels)
-        table = np.fromiter(flat, np.intp, 2 * len(channels)).reshape(-1, 2)
+        sites = circuit.noise_sites
+        flat = chain.from_iterable((len(op.channel), op.channel.dominant_index()) for op in sites)
+        table = np.fromiter(flat, np.intp, 2 * len(sites)).reshape(-1, 2)
         _SITE_TABLES[circuit] = table
     return table
 

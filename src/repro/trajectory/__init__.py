@@ -3,10 +3,10 @@
 :mod:`repro.trajectory.baseline` implements paper Algorithm 1 — the
 interleaved gate-application / per-site noise-sampling loop of the
 traditional CUDA-Q trajectory simulator, including its one pre-existing
-optimization (the unitary-mixture fast path, cached by
-:mod:`repro.trajectory.unitary_cache`).  Its three limitations (redundant
-state preparation per shot, single-shot collection, no error provenance)
-are precisely what PTSBE removes.
+optimization (the unitary-mixture fast path, read off each channel's
+cached analysis, :attr:`repro.channels.kraus.KrausChannel.mixture`).  Its
+three limitations (redundant state preparation per shot, single-shot
+collection, no error provenance) are precisely what PTSBE removes.
 
 :mod:`repro.trajectory.events` defines the provenance records shared by
 the baseline and PTSBE layers.
@@ -14,11 +14,9 @@ the baseline and PTSBE layers.
 
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 from repro.trajectory.baseline import TrajectorySimulator
-from repro.trajectory.unitary_cache import ChannelAnalysisCache
 
 __all__ = [
     "KrausEvent",
     "TrajectoryRecord",
     "TrajectorySimulator",
-    "ChannelAnalysisCache",
 ]

@@ -28,7 +28,6 @@ from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import ExecutionError
 from repro.rng import StreamFactory
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
-from repro.trajectory.unitary_cache import ChannelAnalysisCache
 
 __all__ = ["TrajectorySimulator", "TrajectoryShotResult"]
 
@@ -56,7 +55,6 @@ class TrajectorySimulator:
     ):
         self.backend_factory = backend_factory
         self.record_events = record_events
-        self.cache = ChannelAnalysisCache()
 
     # ------------------------------------------------------------------ #
     def run_single_trajectory(
@@ -85,10 +83,10 @@ class TrajectorySimulator:
             elif isinstance(op, NoiseOp):
                 channel = op.channel
                 r = float(rng.random())
-                mixture = self.cache.mixture(channel)
+                mixture = channel.mixture
                 if mixture is not None:
                     # Unitary-mixture branch: state-independent probabilities.
-                    k = self.cache.branch_index(channel, r)
+                    k = int(np.searchsorted(mixture.cumulative, r, side="right"))
                     backend.apply_matrix(mixture.unitaries[k], op.qubits)
                     branch_p = mixture.probs[k]
                 else:

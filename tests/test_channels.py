@@ -17,7 +17,8 @@ from repro.channels.standard import (
     reset_channel,
     two_qubit_depolarizing,
 )
-from repro.channels.unitary_mixture import as_unitary_mixture, is_unitary_mixture
+import repro.channels.unitary_mixture as unitary_mixture_mod
+from repro.channels.unitary_mixture import as_unitary_mixture
 from repro.errors import ChannelError
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -104,13 +105,76 @@ class TestUnitaryMixture:
     )
     def test_general_channels_rejected(self, channel):
         assert as_unitary_mixture(channel) is None
-        assert not is_unitary_mixture(channel)
+        assert channel.mixture is None
 
     def test_mixture_reconstructs_kraus(self):
         ch = depolarizing(0.25)
         mixture = as_unitary_mixture(ch)
         for p, u, k in zip(mixture.probs, mixture.unitaries, ch.kraus_ops):
             assert np.allclose(np.sqrt(p) * u, k)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [depolarizing(1e-9), depolarizing(1e-12), pauli_channel(1e-10, 0, 0),
+         two_qubit_depolarizing(1e-12)],
+        ids=lambda c: c.name,
+    )
+    def test_rare_branches_are_recognized(self, channel):
+        """K^dag K = p I is judged relative to p: a branch far below the
+        absolute tolerance is still a scaled unitary."""
+        mixture = as_unitary_mixture(channel)
+        assert mixture is not None
+        assert mixture.probs == pytest.approx(channel.nominal_probs, rel=1e-9)
+        assert None not in mixture.paulis
+
+    @pytest.mark.parametrize(
+        "channel", [amplitude_damping(1e-12), phase_damping(1e-12)], ids=lambda c: c.name
+    )
+    def test_rare_general_branches_stay_general(self, channel):
+        assert as_unitary_mixture(channel) is None
+
+    def test_mixture_is_analysed_once_per_channel(self, monkeypatch):
+        calls = []
+        real = unitary_mixture_mod._scaled_unitary_factor
+        monkeypatch.setattr(
+            unitary_mixture_mod,
+            "_scaled_unitary_factor",
+            lambda k, atol: calls.append(k) or real(k, atol),
+        )
+        ch = depolarizing(0.1)
+        first = ch.mixture
+        assert ch.mixture is first and ch.mixture is first
+        assert len(calls) == len(ch)
+        general = amplitude_damping(0.1)
+        assert general.mixture is None and general.mixture is None
+        assert len(calls) == len(ch) + 1  # rejected at its first operator, once
+
+    def test_mixture_carries_paulis_and_cumulative_table(self):
+        mixture = pauli_channel(0.1, 0.2, 0.0).mixture
+        assert [p.label() for p in mixture.paulis] == ["I", "X", "Y"]
+        assert mixture.cumulative[-1] == 1.0
+        assert np.allclose(mixture.cumulative, [0.7, 0.8, 1.0])
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        hadamard_mix = KrausChannel("hmix", [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * h])
+        assert hadamard_mix.mixture.paulis[1] is None
+
+    def test_analysed_channel_pickles_with_its_analysis(self, monkeypatch):
+        """Pool workers receive analysed channels: the analysis travels."""
+        import pickle
+
+        ch = depolarizing(0.2)
+        mixture = ch.mixture
+        clone = pickle.loads(pickle.dumps(ch))
+        monkeypatch.setattr(
+            unitary_mixture_mod,
+            "_scaled_unitary_factor",
+            lambda k, atol: pytest.fail("an unpickled channel was analysed again"),
+        )
+        assert clone.mixture is not None and clone.mixture.channel is clone
+        assert clone.mixture.probs == mixture.probs
+        assert [p.label() for p in clone.mixture.paulis] == ["I", "X", "Y", "Z"]
+        assert np.array_equal(clone.mixture.cumulative, mixture.cumulative)
+        assert pickle.loads(pickle.dumps(amplitude_damping(0.1))).dominant_index() == 0
 
     def test_probabilities_state_independent_claim(self, rng):
         """For unitary mixtures the nominal probs equal state probs."""
@@ -157,7 +221,7 @@ class TestChannelMethods:
 class TestPauliTwirl:
     def test_twirled_is_pauli_mixture(self):
         twirled = amplitude_damping(0.3).pauli_twirl()
-        assert is_unitary_mixture(twirled)
+        assert twirled.mixture is not None
 
     def test_twirl_preserves_pauli_channels(self):
         ch = depolarizing(0.2)
@@ -180,3 +244,60 @@ class TestPauliTwirl:
     def test_twirl_rejects_multiqubit(self):
         with pytest.raises(ChannelError):
             two_qubit_depolarizing(0.1).pauli_twirl()
+
+
+class TestOneAnalysisPerChannel:
+    """The unitary-mixture analysis is a property of the channel: every
+    reader takes ``channel.mixture``, and only ``repro/channels/`` runs
+    the analysis itself."""
+
+    def test_routing_compile_and_tableau_run_analyse_each_channel_once(self, monkeypatch):
+        from repro.backends.pauli_frame import FrameSampler
+        from repro.backends.stabilizer import StabilizerBackend
+        from repro.channels.noise_model import NoiseModel
+        from repro.circuits.library import ghz
+        from repro.execution import BackendSpec, resolve_strategy
+        from repro.execution.plan import build_fused_plan
+        from repro.rng import make_rng
+
+        calls = []
+        real = unitary_mixture_mod._scaled_unitary_factor
+        monkeypatch.setattr(
+            unitary_mixture_mod,
+            "_scaled_unitary_factor",
+            lambda k, atol: calls.append(k) or real(k, atol),
+        )
+        circuit = (
+            NoiseModel()
+            .add_all_qubit_gate_noise("h", depolarizing(0.01))
+            .add_all_qubit_gate_noise("cx", two_qubit_depolarizing(0.02))
+            .add_all_qubit_gate_noise("x", pauli_channel(0.01, 0.0, 0.03))
+            .apply(ghz(4).x(3).measure_all())
+            .freeze()
+        )
+        channels = {op.channel for op in circuit.noise_sites}
+        assert len(channels) == 3 and len(circuit.noise_sites) == 5
+        engine, _ = resolve_strategy(circuit, BackendSpec(), "auto")
+        assert engine == "clifford"
+        build_fused_plan(circuit)
+        FrameSampler(circuit)
+        StabilizerBackend(circuit.num_qubits).run(circuit, rng=make_rng(3))
+        assert len(calls) == sum(len(channel) for channel in channels)
+
+    def test_only_the_channels_package_analyses_a_channel(self):
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        analysers = {"as_unitary_mixture", "pauli_from_unitary"}
+        modules = [path for path in sorted(src.rglob("*.py")) if path.parent.name != "channels"]
+        assert len(modules) > 50
+        found = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in analysers:
+                        found.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert found == []

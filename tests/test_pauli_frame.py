@@ -380,7 +380,7 @@ class TestCompile:
     def test_site_patterns_equal_a_per_site_analysis(self, msd35):
         # Every site analysed on its own (no channel memo), its branches
         # conjugated through the gates after it one site at a time.
-        from repro.backends.stabilizer import pauli_from_unitary
+        from repro.channels.pauli import pauli_from_unitary
         from repro.channels.unitary_mixture import as_unitary_mixture
         from repro.circuits.operations import GateOp, NoiseOp
 

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-import repro.trajectory.unitary_cache as unitary_cache_mod
+import repro.channels.unitary_mixture as unitary_mixture_mod
 from repro import Circuit, NoiseModel, depolarizing
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.backends.density_matrix import DensityMatrixBackend
@@ -73,7 +73,7 @@ class TestClassification:
     def test_one_analysis_per_distinct_channel_per_build(self, monkeypatch):
         analysed = []
         monkeypatch.setattr(
-            unitary_cache_mod,
+            unitary_mixture_mod,
             "as_unitary_mixture",
             lambda channel: analysed.append(channel) or as_unitary_mixture(channel),
         )
@@ -83,6 +83,8 @@ class TestClassification:
         assert len(distinct) == 3  # one object per noise-model rule
         assert len(analysed) == len(distinct)
         assert {id(ch) for ch in analysed} == distinct
+        build_fused_plan(circuit)  # the analysis stays with the channels
+        assert len(analysed) == len(distinct)
 
     def test_unitary_variants_are_unitary(self):
         plan = build_fused_plan(_brickwork(6))

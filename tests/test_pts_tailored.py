@@ -5,7 +5,6 @@ import pytest
 
 from repro.channels import NoiseModel, depolarizing
 from repro.channels.standard import amplitude_damping
-from repro.channels.unitary_mixture import is_unitary_mixture
 from repro.circuits import Circuit, library
 from repro.errors import SamplingError
 from repro.pts import (
@@ -34,7 +33,7 @@ class TestTwirl:
     def test_twirl_circuit_channels_become_mixtures(self, amp_damp_circuit):
         twirled = twirl_circuit(amp_damp_circuit)
         for site in twirled.noise_sites:
-            assert is_unitary_mixture(site.channel)
+            assert site.channel.mixture is not None
 
     def test_twirl_preserves_structure(self, amp_damp_circuit):
         twirled = twirl_circuit(amp_damp_circuit)

@@ -20,16 +20,16 @@ Four contracts under test:
 import numpy as np
 import pytest
 
-from repro.backends.stabilizer import pauli_from_unitary
+import repro.channels.unitary_mixture as unitary_mixture_mod
 from repro.channels import NoiseModel, depolarizing, pauli_string_matrix
+from repro.channels.pauli import pauli_from_unitary
 from repro.channels.standard import amplitude_damping, bit_flip
-from repro.circuits import Circuit
+from repro.circuits import Circuit, library
 from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
     CliffordFrameExecutor,
     analyze_circuit,
-    clear_router_cache,
     resolve_strategy,
     run_ptsbe,
     run_ptsbe_stream,
@@ -85,6 +85,26 @@ class TestRoutingDecisions:
         assert resolved == "serial"
         assert "not a unitary mixture" in reason
 
+    @pytest.mark.parametrize("rate", [1e-9, 1e-10, 1e-12])
+    def test_rare_depolarizing_noise_routes_to_frames(self, rate):
+        """A Pauli channel whose error branches sit far below the analysis
+        tolerance is still a Pauli mixture: ``auto`` picks frames, which
+        weigh every trajectory as the dense engine does."""
+        noisy = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(rate))
+        circuit = noisy.apply(library.ghz(3, measure=True)).freeze()
+        resolved, reason = resolve_strategy(circuit, BackendSpec.statevector(), "auto")
+        assert resolved == "clifford"
+        assert reason == "auto->clifford: 3 Clifford gates, 4 Pauli-mixture noise sites"
+        sampler = ExhaustivePTS(cutoff=1e-30, nshots=10, max_errors=1)
+        frames = run_ptsbe(circuit, sampler, seed=3)
+        dense = run_ptsbe(circuit, sampler, seed=3, strategy="serial")
+        assert frames.engine == "clifford" and frames.num_trajectories == 13
+        np.testing.assert_allclose(
+            [t.actual_weight for t in frames.trajectories],
+            [t.actual_weight for t in dense.trajectories],
+            rtol=1e-12,
+        )
+
     def test_batched_kind_declines_to_vectorized(self, t_gate_circuit):
         resolved, _ = resolve_strategy(
             t_gate_circuit, BackendSpec.batched_statevector(), "auto"
@@ -115,12 +135,17 @@ class TestRoutingDecisions:
         assert not profile.frame_eligible
         assert "no measurements" in profile.reason
 
-    def test_analysis_cached_per_circuit(self, clifford_circuit):
+    def test_repeat_analysis_reads_the_channels_own_analysis(self, clifford_circuit, monkeypatch):
         first = analyze_circuit(clifford_circuit)
-        assert analyze_circuit(clifford_circuit) is first
-        clear_router_cache()
-        again = analyze_circuit(clifford_circuit)
-        assert again is not first and again == first
+        calls = []
+        real = unitary_mixture_mod._scaled_unitary_factor
+        monkeypatch.setattr(
+            unitary_mixture_mod,
+            "_scaled_unitary_factor",
+            lambda k, atol: calls.append(k) or real(k, atol),
+        )
+        assert analyze_circuit(clifford_circuit) == first
+        assert calls == []
 
     def test_requires_frozen(self):
         with pytest.raises(ExecutionError, match="frozen"):

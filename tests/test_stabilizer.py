@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.backends.stabilizer import StabilizerBackend, pauli_from_unitary
+from repro.backends.stabilizer import StabilizerBackend
 from repro.backends.statevector import StatevectorBackend
-from repro.channels.pauli import PauliString
+from repro.channels.pauli import PauliString, pauli_from_unitary
 from repro.channels.standard import amplitude_damping, depolarizing
 from repro.circuits import Circuit, library
 from repro.data.stats import empirical_distribution, total_variation_distance

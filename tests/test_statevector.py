@@ -618,7 +618,9 @@ class TestTailMemory:
             + [getattr(step, "_map", None)]
             if array is not None
         ]
-        held += [op.matrix for op in plan.variant_cache._store.values()]
+        held += [
+            op.matrix for step in plan.steps for op in getattr(step, "_variants", {}).values()
+        ]
         assert max(array.size for array in held) <= 2 ** (2 * plan.max_qubits) < 2**16
         tail_off(circuit)
         assert with_tail <= unit_peak()

@@ -9,7 +9,6 @@ from repro.backends.statevector import StatevectorBackend
 from repro.errors import ExecutionError
 from repro.rng import make_rng
 from repro.trajectory.baseline import TrajectorySimulator
-from repro.trajectory.unitary_cache import ChannelAnalysisCache
 
 
 def _sv_factory():
@@ -105,56 +104,33 @@ class TestShotAccounting:
             TrajectorySimulator(lambda: StatevectorBackend(1)).sample(circ, 10)
 
 
-class TestChannelCache:
-    def test_cache_hits_accumulate(self, noisy_ghz3):
+class TestChannelAnalysis:
+    def test_one_analysis_per_channel(self, noisy_ghz3, monkeypatch):
+        import repro.channels.unitary_mixture as unitary_mixture_mod
+
+        calls = []
+        real = unitary_mixture_mod._scaled_unitary_factor
+        monkeypatch.setattr(
+            unitary_mixture_mod,
+            "_scaled_unitary_factor",
+            lambda k, atol: calls.append(k) or real(k, atol),
+        )
         sim = TrajectorySimulator(_sv_factory)
         sim.sample(noisy_ghz3, 50, seed=18)
-        # 4 sites sharing one channel object per rule: 1 distinct channel.
-        assert sim.cache.misses <= 2
-        assert sim.cache.hits > 50
+        sim.sample(noisy_ghz3, 50, seed=19)
+        # Every site shares one channel object: its operators, once each.
+        (channel,) = {op.channel for op in noisy_ghz3.noise_sites}
+        assert len(calls) == len(channel)
 
     def test_branch_index_boundaries(self):
         from repro.channels.standard import depolarizing
 
-        cache = ChannelAnalysisCache()
-        ch = depolarizing(0.3)
-        assert cache.branch_index(ch, 0.0) == 0
-        assert cache.branch_index(ch, 0.999999) == 3
-        assert cache.branch_index(ch, 0.699) == 0  # below 0.7
-        assert cache.branch_index(ch, 0.701) == 1
+        cumulative = depolarizing(0.3).mixture.cumulative
 
-    def test_collected_channel_id_is_not_answered_with_a_stale_analysis(self):
-        """A general-Kraus analysis is None and used to keep no reference
-        to its channel: once collected, a *different* channel allocated at
-        the same id was told it is not a unitary mixture (and handed the
-        other channel's cumulative table)."""
-        from repro.channels.kraus import KrausChannel
-        from repro.channels.standard import amplitude_damping, depolarizing
+        def branch(r):
+            return int(np.searchsorted(cumulative, r, side="right"))
 
-        cache = ChannelAnalysisCache()
-        general = amplitude_damping(0.2)
-        assert cache.mixture(general) is None
-        assert cache.cumulative_probs(general)[0] == pytest.approx(0.9)
-        stale_id = id(general)
-        # The tables hold the channel, so its id cannot be handed out again...
-        assert any(key is general for key in cache._mixtures)
-        assert any(key is general for key in cache._cumprobs)
-        del general
-        # ...which a few thousand same-sized allocations used to manage.
-        ops = depolarizing(0.3).kraus_ops
-        held = []
-        for _ in range(5000):
-            fresh = KrausChannel("depolarizing", ops, check=False)
-            if id(fresh) == stale_id:
-                assert cache.mixture(fresh) is not None
-                assert cache.cumulative_probs(fresh)[0] == pytest.approx(0.7)
-                break
-            held.append(fresh)
-
-    def test_clear(self):
-        from repro.channels.standard import depolarizing
-
-        cache = ChannelAnalysisCache()
-        cache.mixture(depolarizing(0.1))
-        cache.clear()
-        assert cache.misses == 0 and not cache._mixtures
+        assert branch(0.0) == 0
+        assert branch(0.999999) == 3
+        assert branch(0.699) == 0  # below 0.7
+        assert branch(0.701) == 1
