@@ -14,18 +14,21 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   (:func:`~repro.linalg.apply.apply_compiled_stack`), writing into a
   second buffer of the stack's shape that the walk alternates with.
   The per-operation Python/dispatch overhead and buffer traffic is paid
-  once per window instead of once per (operation, trajectory).  The
-  *ideal prefix* is shared too: PTS fixes every choice before any state
-  exists, so up to its first deviation — the first step holding a site of
-  its prescription table
-  (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`) — a row is
-  the ideal circuit.  The rows are kept in order of first deviation
-  behind one slot that carries the ideal state; a step runs on the
-  leading block of rows that have deviated by it plus that slot, and a
-  row joins by copying the slot's state, weight and alive flag just
-  before its own first deviation (rows that never deviate before the
-  tail copy it once, at the end).  Every row-facing call maps caller rows
-  to slots, so callers see their own order.
+  once per window instead of once per (operation, trajectory).  Shared
+  *prefixes* are walked once too: PTS fixes every choice before any state
+  exists, so a row's variant at every step is known before the walk, and
+  two rows that took the same variants up to a step hold the same state
+  there.  The rows are lexsorted by variant sequence over the walked steps
+  (:func:`_trie`); a row *joins* at the first step where it differs from
+  its sorted predecessor, by copying the state, weight and alive flag of
+  the nearest earlier sorted row that joined before it (the two agree on
+  every step before the join).  The lex-first row walks from ``|0...0>``
+  in slot 0, the others follow in order of join step, so a step runs on
+  the leading block of rows that have joined by it, and each walked
+  row-step is one node of the rows' trie.  Rows that agree up to the tail
+  copy once, at the end; a row whose source died before it joined is dead
+  the same way.  Every row-facing call maps caller rows to slots, so
+  callers see their own order.
 * **Divergent Kraus choices** share the step's one kernel call.  A row's
   variant key at a step — the tuple of prescribed Kraus indices at the
   window's sites (a site the row's table does not list takes the
@@ -129,6 +132,44 @@ def _used(keys: Keys, of: np.ndarray) -> Tuple[Keys, np.ndarray]:
         used, of = np.unique(of, return_inverse=True)
         keys = [keys[i] for i in used]
     return keys, of
+
+
+def _trie(walked: List[np.ndarray], b: int) -> Tuple[np.ndarray, List[int], np.ndarray]:
+    """The trie walk of ``b`` rows that take variant ``walked[s][row]`` at
+    walked step ``s``: per slot, its caller row; per walked step, how many
+    slots have joined by it; per slot, the slot whose state it copies when
+    it joins.
+
+    The rows are lexsorted by variant sequence.  A row's join step is the
+    first step where it differs from its lexsort predecessor (``len(walked)``
+    if none), and its source is the nearest earlier row in lexsort order
+    that joined before it: every row in between agrees with the source on
+    the steps before that join, so the row does too, and the source's
+    state there is the one the row would have walked to.  The lex-first
+    row is slot 0, joins at ``-1`` and walks from ``|0...0>``.  Slots go in
+    order of join step, so the rows a step runs on are a leading block.
+    """
+    join = np.full(b, len(walked), dtype=np.intp)
+    join[0] = -1
+    lex = np.arange(b)
+    if walked:
+        lex = np.lexsort(walked[::-1])
+        sequences = np.stack(walked)[:, lex]
+        differ = sequences[:, 1:] != sequences[:, :-1]
+        join[1:] = np.where(differ.any(axis=0), differ.argmax(axis=0), len(walked))
+    # One stack pass for each row's previous strictly smaller join step.
+    source = np.zeros(b, dtype=np.intp)
+    joins, below = join.tolist(), [0]
+    for row in range(1, b):
+        while joins[below[-1]] >= joins[row]:
+            below.pop()
+        source[row] = below[-1]
+        below.append(row)
+    by_join = np.argsort(join, kind="stable")
+    slot = np.empty(b, dtype=np.intp)
+    slot[by_join] = np.arange(b)
+    joined = np.searchsorted(join[by_join], np.arange(len(walked)), side="right")
+    return lex[by_join], joined.tolist(), slot[source[by_join]]
 
 
 def _apply_grouped(
@@ -239,7 +280,7 @@ class BatchedStatevectorBackend:
         self.num_qubits = int(num_qubits)
         self._config = config
         self._dim = 2**self.num_qubits
-        #: Rows in walk order (see :meth:`_prepare`); ``_row[r]`` is where
+        #: Rows in walk order (see :func:`_trie`); ``_row[r]`` is where
         #: caller row ``r`` lives, and every row-facing call maps through it.
         self._stack = np.empty((0, self._dim), dtype=config.dtype)
         self._alive: np.ndarray = np.empty(0, dtype=bool)
@@ -445,27 +486,23 @@ class BatchedStatevectorBackend:
         table = as_prescriptions(site_table(circuit), choices_list)
         plan = get_fused_plan(circuit, self._config)
         b = len(table)
-        first, variants = plan.prescribed_steps(table)
-        # Walk order: slot 0 holds the row that deviates last — the ideal
-        # circuit until then — and the others follow in order of their
-        # first deviation, so the rows a step touches are a leading block.
-        order = np.roll(np.argsort(first, kind="stable"), 1)
-        joined = (1 + np.searchsorted(first[order[1:]], np.arange(plan.tail), side="right")).tolist()
+        variants = plan.prescribed_steps(table)
+        rows, joined, source = _trie([of for _, of in variants[: plan.tail]], b)
         self._allocate(b)
         self._row = np.empty(b, dtype=np.intp)
-        self._row[order] = np.arange(b)
+        self._row[rows] = np.arange(b)
         self._stack[0] = 0
         self._stack[0, 0] = 1.0
         self._spare = np.empty_like(self._stack)
         weights = np.ones(b, dtype=np.float64)
         live = 1
         for step, upto, (keys, of) in zip(plan.steps, joined, variants):
-            live = self._join(live, upto, weights)
-            of = of[order[:live]]
+            live = self._join(live, upto, source, weights)
+            of = of[rows[:live]]
             self._apply_step(step, keys, of, live)
             if isinstance(step, NoiseStep):
                 self._weigh(step, keys, of, weights[:live])
-        self._join(live, b, weights)
+        self._join(live, b, source, weights)
         self._spare = None
         weights, alive = weights[self._row], self._alive[self._row]
         for step, (keys, of) in zip(plan.steps[plan.tail :], variants[plan.tail :]):
@@ -477,14 +514,16 @@ class BatchedStatevectorBackend:
             # MeasureOps are deferred; sampling happens afterwards.
         return weights, alive
 
-    def _join(self, live: int, upto: int, weights: np.ndarray) -> int:
-        """Slots ``[live, upto)`` take the ideal slot's state, weight and
-        alive flag (the prefix they share with it); returns the new block
-        end, ``upto >= live``."""
-        if upto > live:
-            self._stack[live:upto] = self._stack[0]
-            weights[live:upto] = weights[0]
-            self._alive[live:upto] = self._alive[0]
+    def _join(self, live: int, upto: int, source: np.ndarray, weights: np.ndarray) -> int:
+        """Slots ``[live, upto)`` take their source slots' state, weight and
+        alive flag (the prefix each shares with its source); returns the new
+        block end, ``upto >= live``.  A state is copied row by row: a
+        fancy-indexed block copy would allocate a ``(rows, 2**n)`` temporary."""
+        sources = source[live:upto]
+        for slot, src in enumerate(sources.tolist(), live):
+            self._stack[slot] = self._stack[src]
+        weights[live:upto] = weights[sources]
+        self._alive[live:upto] = self._alive[sources]
         return upto
 
     def _apply_step(self, step, keys: Keys, of: np.ndarray, live: int) -> None:

@@ -91,6 +91,7 @@ class _FrameEngine:
     max_rows = 1024
     max_unit_shots = 1 << 16
     coupled_rows = False
+    sort_bytes = None
     # Measured with the look-ahead always on (clifford_pts_35q, 2-core
     # host): 0.75x shots/s and first chunk +55 %, from a second
     # FrameSampler compile (0.044 s).

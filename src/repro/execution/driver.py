@@ -54,6 +54,22 @@ In-process, on an engine whose rows are independent of each other, group
 preparation and draw, not a whole unit's.  An engine with
 ``coupled_rows`` (the tensornet stack) keeps the greedy cuts from group 0.
 
+On an engine that sets ``sort_bytes`` (the dense stack, whose rows share
+the walk of the prefix they agree on) the cuts after that first unit are
+grouped into *sort windows* (:func:`_windows`): runs of whole units whose
+shots' bits — ``len(measured)`` bytes a shot — fit ``sort_bytes``, one
+resident stack's bytes, and always at least one unit.  Inside each window
+the groups go in trie order
+(:meth:`~repro.prescriptions.Prescriptions.trie_order`), so rows that
+took the same errors share a unit; the cuts, on rows alone, are the same
+ranges of that order.  A fault-unit name's range indexes the sorted
+order.  The order is computed after the first chunk is delivered (over a
+pool, before the pool starts), and it never depends on ``retain``.
+Delivery is in spec order whatever the order of preparation, so a chunk
+is whatever a unit's completion makes deliverable: on a sorting engine at
+most one window (the first chunk is group 0 alone in-process), on every
+other engine one unit.
+
 ``workers`` is the paper's inter-trajectory axis ("embarrassingly
 parallel", §3).  With ``workers == 1`` tasks run in this process, one
 unit each, and a unit whose shots exceed its adapter's
@@ -145,6 +161,11 @@ class Engine(Protocol):
     #: (the tensornet stack's shared truncation ranks).  In-process, an
     #: engine without it prepares group 0 as a unit of its own.
     coupled_rows: bool
+    #: Bytes of one prepared unit, on an engine whose rows share the prefix
+    #: they agree on (the dense stack; its units are cut on rows alone):
+    #: its groups run in trie order inside windows of units whose shot
+    #: bits fit it (``None``: caller order).
+    sort_bytes: Optional[int]
     #: Source of the run's fault plan and retry policy.
     config: Config
     #: Wall seconds the constructor spent compiling (see :func:`timed`).
@@ -217,6 +238,24 @@ def _local_cuts(groups: Sequence[SpecGroup], engine: Engine) -> List[Tuple[int, 
     start = 0 if engine.coupled_rows else 1
     head = [(0, 1)] if start else []
     return head + list(_cuts(groups, start, len(groups), engine.max_rows, engine.max_unit_shots))
+
+
+def _windows(
+    groups: Sequence[SpecGroup], tasks: Sequence[Tuple[int, int]], max_shots: int
+) -> NDArray[np.intp]:
+    """Each group's sort window, numbered from 1: greedy runs of
+    consecutive ``tasks``, each taking tasks until the next would take its
+    groups past ``max_shots`` shots, and always at least one.  Groups no
+    task holds are window 0."""
+    window = np.zeros(len(groups), dtype=np.intp)
+    number = total = 0
+    for start, end in tasks:
+        shots = sum(group.total_shots for group in groups[start:end])
+        if number == 0 or total + shots > max_shots:
+            number, total = number + 1, 0
+        window[start:end] = number
+        total += shots
+    return window
 
 
 class _Runner:
@@ -422,12 +461,11 @@ def drive(
     # shots).  Over a pool it is a quarter of a worker's even share — small
     # enough to balance skewed shot budgets and to reach the first chunk
     # early, large enough that a one-row engine does not pay one round
-    # trip per trajectory — which the worker cuts into units.
-    if workers == 1:
-        step, cuts = engine.max_rows, _local_cuts(groups, engine)
-    else:
-        step = -(-len(groups) // (4 * workers))
-        cuts = list(_cuts(groups, 0, len(groups), step, None))
+    # trip per trajectory — which the worker cuts into units.  The tasks
+    # after the head (in-process, group 0 alone) are cut and ordered once
+    # its chunk is delivered (rest()).
+    step = engine.max_rows if workers == 1 else -(-len(groups) // (4 * workers))
+    head = int(workers == 1 and not engine.coupled_rows)
     run_args = (
         specs, groups, table, len(measured), streams, min(engine.max_rows, step), ctx.plan,
     )
@@ -438,13 +476,40 @@ def drive(
     release = engine.release if local is None else local.close
     retryable = (BrokenExecutor,) + ctx.policy.retryable
 
+    def rest() -> List[Tuple[int, int]]:
+        """The tasks after the head.  On a sorting engine the groups of each
+        window of them whose shot bits fit ``sort_bytes`` go in trie order,
+        and group ranges index that order from here on.  A window holds
+        whole units cut on rows alone, so the cuts still hold, and delivery
+        buffers at most one window's bits or one unit's."""
+        nonlocal groups, table, run_args
+        if workers == 1:
+            cuts = _local_cuts(groups, engine)[head:]
+        else:
+            cuts = list(_cuts(groups, 0, len(groups), step, None))
+        if engine.sort_bytes is None:
+            return cuts
+        rank = table.trie_order(_windows(groups, cuts, engine.sort_bytes // len(measured)))
+        groups, table = [groups[g] for g in rank.tolist()], table.take(rank)
+        run_args = (specs, groups, table, *run_args[3:])
+        if local is not None:
+            local.groups, local.table = groups, table
+        return cuts
+
     def deliver() -> Iterator[List[TrajectoryResult]]:
         delivery = OrderedDelivery(len(specs))
-        pending: Deque[Task] = deque((start, end, 0) for start, end in cuts)
+        pending: Deque[Task] = deque([(0, 1, 0)] * head)
+        ordered = False
         pool: Optional[ProcessPoolExecutor] = None
         in_flight: Dict["Future[Completed]", Task] = {}
         try:
-            while pending or in_flight:
+            while pending or in_flight or not ordered:
+                if not (pending or in_flight):
+                    # The head is delivered: the first chunk never waits
+                    # for the rest of the run to be ordered.
+                    pending.extend((start, end, 0) for start, end in rest())
+                    ordered = True
+                    continue
                 outcomes: List[Tuple[Task, Callable[[], Completed]]]
                 if local is not None:
                     task = pending.popleft()

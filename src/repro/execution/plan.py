@@ -378,22 +378,15 @@ class FusedPlan:
 
     def prescribed_steps(
         self, table: Prescriptions
-    ) -> Tuple[np.ndarray, List[Tuple[List[Tuple[int, ...]], np.ndarray]]]:
+    ) -> List[Tuple[List[Tuple[int, ...]], np.ndarray]]:
         """Each row's variant at every step of a prescription table (built
-        against this plan's circuit).
-
-        Returns ``first`` — per row, the index of its first deviating step
-        (``num_steps`` for a row with no entries): every step before it
-        runs the ideal circuit's variant — and, per step, ``(keys, of)``:
-        the step's distinct variant keys, the dominant one first, then in
-        order of their first row, and one ``intp`` index into ``keys`` per
-        row.  A row that names none of a step's sites takes the dominant key.
+        against this plan's circuit): per step, ``(keys, of)`` — the step's
+        distinct variant keys, the dominant one first, then in order of
+        their first row, and one ``intp`` index into ``keys`` per row.  A
+        row that names none of a step's sites takes the dominant key.
         """
         rows = table.rows()
         steps = self.site_step[table.site_ids]
-        # An empty row's minimum is the initial value: no reduceat segment.
-        first = np.full(len(table), self.num_steps, dtype=np.intp)
-        np.minimum.at(first, rows, steps)
         built: List[Dict[int, List[int]]] = [{} for _ in self.steps]
         positions = self.site_position[table.site_ids]
         for row, step, position, branch in zip(
@@ -407,7 +400,7 @@ class FusedPlan:
             for row, key in deviating.items():
                 step_of[row] = keys.setdefault(tuple(key), len(keys))
             variants.append((list(keys), step_of))
-        return first, variants
+        return variants
 
     @property
     def num_noise_steps(self) -> int:

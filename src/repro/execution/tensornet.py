@@ -433,6 +433,7 @@ class _MPSStackEngine:
     # Truncation ranks are shared by a unit's rows: in-process, group 0 is
     # not cut off on its own (see drive()).
     coupled_rows = True
+    sort_bytes = None  # for the same reason: a sort would move its bits
     # Measured with the look-ahead always on (tensornet_shots_35q, 2-core
     # host): first chunk 0.037 -> 0.050 s (+37 %).
     lookahead_shots = None

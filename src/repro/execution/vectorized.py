@@ -14,9 +14,12 @@
 3. **Stack** — each unit of unique trajectories becomes one
    ``(B, 2**n)`` stack on a
    :class:`~repro.backends.batched_statevector.BatchedStatevectorBackend`,
-   prepared with one plan walk (shared windows hit all rows in a single
-   broadcast kernel, divergent Kraus variants hit row sub-slices).  ``B``
-   is ``min(max_batch, the backend's dense amplitude budget)``;
+   prepared with one plan walk: each step is one kernel call over the
+   rows that have joined by it, each row under its own Kraus variant, and
+   rows that took the same variants up to a step share the walk there
+   (the driver hands this engine its groups in trie order, inside sort
+   windows of ``sort_bytes``).  ``B`` is ``min(max_batch, the backend's
+   dense amplitude budget)``;
 4. **Bulk-sample** — every spec draws its full shot budget from the
    stack-wide cached cumulative tensor with the stream derived from
    ``(seed, trajectory_id)``.
@@ -38,6 +41,8 @@ per-trajectory Philox streams, the ``ShotTable`` is bitwise identical to a seria
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.circuits.circuit import Circuit
@@ -130,6 +135,10 @@ class _StackEngine:
         self.measured = tuple(circuit.measured_qubits)
         self.max_rows = max_rows
         self.config = backend.config
+        # Rows that agree on a prefix share its walk, so the driver sorts
+        # them, in windows of whole units whose shots' bits fit one stack.
+        itemsize = np.dtype(self.config.dtype).itemsize
+        self.sort_bytes = max_rows * 2**backend.num_qubits * itemsize
         # Resolve (and memoize) the fused plan up front; every unit's
         # run_fixed_stack call hits the plan cache.
         _, self.compile_seconds = timed(get_fused_plan, circuit, self.config)

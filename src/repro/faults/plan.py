@@ -34,7 +34,8 @@ In-process a task is one prepared unit.  On every engine whose rows are
 independent (``serial``, ``vectorized``, ``sharded``, ``clifford``) the
 first is ``stack:0:1``, dedup group 0 alone; after it come ``max_rows``
 groups from group 1 for ``vectorized`` and ``sharded``
-(``stack:1:65``, ...), one group (``stack:{i}:{i+1}``) for ``serial``,
+(``stack:1:65``, ..., ranges of the groups in the trie order the driver
+puts them in), one group (``stack:{i}:{i+1}``) for ``serial``,
 and for ``clifford`` as many groups as fit ``max_unit_shots`` (2**16)
 shots.  ``tensornet``, whose rows share truncation ranks
 (``coupled_rows``), cuts ``max_rows`` groups from group 0.  Over a pool

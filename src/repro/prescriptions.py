@@ -81,6 +81,30 @@ class Prescriptions:
         """The row of every entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
+    def take(self, rows: np.ndarray) -> "Prescriptions":
+        """The table of ``rows`` (an index array), in that order."""
+        lengths = np.diff(self.offsets)[rows]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        shift = np.repeat(self.offsets[rows] - offsets[:-1], lengths)
+        entries = np.arange(offsets[-1]) + shift
+        return Prescriptions(self.sites, offsets, self.site_ids[entries], self.branches[entries])
+
+    def trie_order(self, window: np.ndarray) -> np.ndarray:
+        """The rows by ``window`` (one key per row), and inside a window in
+        lexicographic order of their branch at every site, a deviation
+        before the dominant branch: entry by entry, by site id, then
+        branch, a row out of entries after one that deviates again.  Rows
+        of a window that agree up to any site are adjacent.  One ``lexsort``."""
+        rows = self.rows()
+        width = int(np.diff(self.offsets).max(initial=0))
+        position = np.arange(len(rows)) - self.offsets[rows]
+        keys = np.zeros((width, 2, len(self)), dtype=np.intp)
+        keys[:, 0] = len(self.sites)  # past every site id
+        keys[position, 0, rows] = self.site_ids
+        keys[position, 1, rows] = self.branches
+        # lexsort's last key is its first: window, site 0, branch 0, site 1, ...
+        return np.lexsort(np.vstack((keys.reshape(2 * width, len(self))[::-1], window)))
+
 
 #: What an engine's public entry point takes: a table, or one
 #: ``{site_id: kraus_index}`` dict per row (``None`` for none).

@@ -3,8 +3,10 @@
 ``hypothesis`` draws small noisy circuits (2-4 qubits, gates from
 {h, s, x, cx, cz, t, ry}, after each gate either no noise or one of
 ``depolarizing`` down to rare rates, ``pauli_channel`` or
-``amplitude_damping``), and each one runs through ``ExhaustivePTS`` on
-every strategy name and on ``"auto"``:
+``amplitude_damping``), and each one runs through a drawn sampler
+(``ExhaustivePTS`` or ``ProbabilisticPTS``) at a drawn ``max_batch`` (1,
+3 or 64: the dense stack's sort windows then hold one unit, several or
+the whole run) on every strategy name and on ``"auto"``:
 
 * the dense strategies agree bitwise — bits, trajectory ids and weights;
 * ``tensornet``, and ``clifford`` wherever the router calls the circuit
@@ -12,13 +14,14 @@ every strategy name and on ``"auto"``:
   (their shots agree only in distribution);
 * ``auto`` picks ``clifford`` if and only if the circuit is
   frame-eligible;
-* a spec naming a noise site the circuit lacks is refused with one
-  message by every strategy.
+* a spec naming a noise site the circuit lacks, a Kraus index outside
+  its site's channel or one site twice is refused with one message by
+  every strategy.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.channels import depolarizing, pauli_channel
@@ -27,10 +30,11 @@ from repro.circuits import Circuit
 from repro.errors import ExecutionError
 from repro.execution import analyze_circuit, run_ptsbe
 from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES
-from repro.pts import ExhaustivePTS, TrajectorySpec
+from repro.pts import ExhaustivePTS, ProbabilisticPTS, TrajectorySpec
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
 SAMPLER = ExhaustivePTS(cutoff=1e-6, nshots=20)
+SAMPLERS = (SAMPLER, ProbabilisticPTS(nsamples=60, nshots=20))
 RATES = (1e-10, 1e-7, 1e-3, 0.02)
 
 single_qubit_noise = st.one_of(
@@ -96,40 +100,59 @@ def assert_dense_equal(result, reference):
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(circuit=noisy_circuits(), max_batch=st.sampled_from((1, 3)))
-def test_every_strategy_agrees_with_serial(circuit, max_batch):
-    serial = run(circuit, "serial")
+@given(
+    circuit=noisy_circuits(),
+    sampler=st.sampled_from(SAMPLERS),
+    max_batch=st.sampled_from((1, 3, 64)),
+)
+def test_every_strategy_agrees_with_serial(circuit, sampler, max_batch):
+    serial = run(circuit, "serial", sampler=sampler)
     eligible = analyze_circuit(circuit).frame_eligible
     for strategy in DENSE_STRATEGIES[1:]:
-        assert_dense_equal(run(circuit, strategy, max_batch), serial)
+        assert_dense_equal(run(circuit, strategy, max_batch, sampler), serial)
     ids, weights = trajectories(serial)
     others = ["tensornet"] + ["clifford"] * eligible
     for strategy in others:
-        got_ids, got_weights = trajectories(run(circuit, strategy, max_batch))
+        got_ids, got_weights = trajectories(run(circuit, strategy, max_batch, sampler))
         assert got_ids == ids
         np.testing.assert_allclose(got_weights, weights, rtol=0, atol=1e-12)
-    auto = run(circuit, "auto")
+    auto = run(circuit, "auto", sampler=sampler)
     assert (auto.engine == "clifford") == eligible
     if not eligible:
         assert_dense_equal(auto, serial)
 
 
-class _UnknownSitePTS(ExhaustivePTS):
-    """``ExhaustivePTS`` plus one spec naming a site past the last one."""
+class _MalformedPTS(ExhaustivePTS):
+    """``ExhaustivePTS`` plus one spec with the given ``(site, kraus)`` events."""
+
+    def __init__(self, events):
+        super().__init__(cutoff=1e-6, nshots=20)
+        self.events = events
 
     def sample(self, circuit, rng):
         result = super().sample(circuit, rng)
-        site = circuit.num_noise_sites()
-        record = TrajectoryRecord(len(result.specs), (KrausEvent(site, 1),))
-        result.specs.append(TrajectorySpec(record, 20))
+        events = tuple(KrausEvent(site, index) for site, index in self.events)
+        result.specs.append(TrajectorySpec(TrajectoryRecord(len(result.specs), events), 20))
         return result
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(circuit=noisy_circuits())
-def test_an_unknown_site_is_refused_alike_by_every_strategy(circuit):
-    sampler = _UnknownSitePTS(cutoff=1e-6, nshots=20)
+def malformed(kind, circuit):
+    """A malformed spec's events, and what its refusal says."""
     sites = circuit.num_noise_sites()
+    if kind == "unknown site":
+        return [(sites, 1)], f"prescribes noise site {sites}, but"
+    operators = len(circuit.noise_sites[0].channel)
+    if kind == "index":
+        return [(0, operators)], f"prescribes Kraus index {operators} at noise site 0, whose"
+    return [(0, 0), (0, 0)], "prescribes noise site 0 twice"  # index 0 always exists
+
+
+@settings(max_examples=45, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=noisy_circuits(), kind=st.sampled_from(("unknown site", "index", "site twice")))
+def test_a_malformed_prescription_is_refused_alike_by_every_strategy(circuit, kind):
+    assume(kind == "unknown site" or circuit.num_noise_sites() > 0)
+    events, wording = malformed(kind, circuit)
+    sampler = _MalformedPTS(events)
     messages = set()
     for strategy in list(STRATEGIES) + ["auto"]:
         if strategy == "clifford" and not analyze_circuit(circuit).frame_eligible:
@@ -138,7 +161,7 @@ def test_an_unknown_site_is_refused_alike_by_every_strategy(circuit):
             run(circuit, strategy, sampler=sampler)
         messages.add(str(raised.value))
     assert len(messages) == 1
-    assert f"prescribes noise site {sites}" in messages.pop()
+    assert wording in messages.pop()
 
 
 def test_parallel_on_a_pool_agrees_with_serial():

@@ -181,7 +181,9 @@ def test_any_worker_count_batch_and_row_budget_gives_the_serial_table(
 ):
     """``budget_rows`` caps the backend's own dense budget at that many rows
     of the 5-qubit state (``None``: the default budget), so a unit holds
-    ``min(max_batch, budget_rows)`` rows; the table is the serial one."""
+    ``min(max_batch, budget_rows)`` rows; the table is the serial one.
+    In-process, the sorting dense stack delivers group 0 alone and then at
+    most one sort window a chunk; the one-row engine one unit a chunk."""
     if strategy == "parallel":
         executor = ParallelExecutor(num_workers=num_workers)
     else:
@@ -196,13 +198,57 @@ def test_any_worker_count_batch_and_row_budget_gives_the_serial_table(
     stream = executor.execute_stream(circuit, specs, seed=21)
     chunks = list(stream)
     result = stream.finalize()
-    caps = [cap for cap in (max_batch, budget_rows) if cap is not None]
-    if strategy == "sharded" and caps and num_workers == 1:  # a unit per chunk
-        assert max(chunk.num_trajectories for chunk in chunks) <= min(caps)
+    ends = np.cumsum([chunk.num_trajectories for chunk in chunks]).tolist()
+    if strategy == "parallel" and num_workers == 1:
+        assert ends == list(range(1, len(specs) + 1))  # a unit per chunk
+    elif num_workers == 1:
+        caps = [cap for cap in (max_batch, budget_rows) if cap is not None]
+        rows = min(caps + [2 ** (DEFAULT_CONFIG.max_dense_qubits - circuit.num_qubits)])
+        starts = _window_starts(specs, rows, rows * 2**circuit.num_qubits * 16, circuit.num_qubits)
+        assert ends[0] == 1 and set(starts) <= set(ends), (starts, ends)
+        # A capped stack is 512 bytes a row and a unit's bits 200 a row:
+        # two units a window, so several windows.
+        assert len(starts) > 1 or not caps
     assert_same_table(ShotTable.concatenate([c.shot_table() for c in chunks]), result)
     assert_same_table(BatchedExecutor().execute(circuit, specs, seed=21), result)
     assert result.records == [spec.record for spec in specs]
     assert result.unique_preparations == len(specs) and result.recovery == []
+
+
+def _window_starts(specs, rows, stack_bytes, width):
+    """Where the sort windows start after group 0 when every spec is its
+    own dedup group: runs of whole ``rows``-spec units whose shot bits
+    (``width`` bytes a shot) fit ``stack_bytes``, at least one unit each."""
+    starts, total = [], stack_bytes
+    for start in range(1, len(specs), rows):
+        bits = sum(spec.num_shots for spec in specs[start : start + rows]) * width
+        if total + bits > stack_bytes:
+            starts.append(start)
+            total = 0
+        total += bits
+    return starts
+
+
+def test_sort_windows_bound_the_chunks_whatever_is_retained():
+    """A 3-qubit run at ``max_batch=2`` whose shot bits fill several unit
+    stacks of 2 x 8 amplitudes (256 bytes): its units are sorted inside
+    several windows, no chunk crosses a window's first spec, and retaining
+    the chunks or not cuts them the same way."""
+    ghz = Circuit(3).h(0).cx(0, 1).cx(1, 2).measure_all()
+    noisy = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.2)).apply(ghz).freeze()
+    specs = ProbabilisticPTS(nsamples=400, nshots=10).sample(noisy, make_rng(3)).specs
+    groups = deduplicate_specs(specs)
+    assert len(groups) == len(specs) > 12  # one group a spec, 30 bytes of bits each
+    starts = _window_starts(specs, 2, 2 * 8 * 16, 3)
+    assert len(starts) >= 2 and starts[1] - starts[0] == 8  # four units a window
+    boundaries = []
+    for retain in (True, False):
+        stream = VectorizedExecutor(max_batch=2).execute_stream(noisy, specs, seed=4, retain=retain)
+        boundaries.append(np.cumsum([chunk.num_trajectories for chunk in stream]).tolist())
+    assert boundaries[0] == boundaries[1]
+    assert boundaries[0][0] == 1 and set(starts) <= set(boundaries[0])
+    serial = BatchedExecutor().execute(noisy, specs, seed=4)
+    assert_same_table(VectorizedExecutor(max_batch=2).execute(noisy, specs, seed=4), serial)
 
 
 def _even_chunks(total, size):
@@ -760,6 +806,42 @@ def test_a_prescription_for_a_missing_noise_site_is_rejected(circuit, strategy, 
         make_executor(strategy).execute_stream(circuit, specs, seed=1)
     assert type(raised.value) is ExecutionError  # not a FaultError: nothing was retried
     assert str(raised.value) == message
+
+
+class _FixedPTS(ProbabilisticPTS):
+    """Hands ``run_ptsbe`` the given specs, whatever it draws."""
+
+    def __init__(self, specs):
+        super().__init__(nsamples=1, nshots=1)
+        self.fixed = specs
+
+    def sample(self, circuit, rng):
+        result = super().sample(circuit, rng)
+        result.specs[:] = self.fixed
+        return result
+
+
+@pytest.mark.parametrize(
+    "bad,problem",
+    [
+        ([(999, 1)], "noise site 999, but the circuit has 14 noise sites (ids 0..13)"),
+        ([(5, 4)], "Kraus index 4 at noise site 5, whose channel has 4 operators"),
+        ([(5, 1), (5, 2)], "noise site 5 twice"),
+    ],
+)
+@pytest.mark.parametrize("strategy", list(STRATEGIES) + ["auto"])
+def test_the_first_malformed_spec_in_caller_order_is_named(circuit, strategy, bad, problem):
+    """Specs 4 and 9 are malformed alike, and spec 9's deviations sort
+    first (site 1 against site 3): the table is checked in caller order,
+    before any engine sorts it, so every strategy names spec 4."""
+    specs = [_spec(tid, 10, {tid: 1}) for tid in range(12)]
+    for tid, first in ((4, 3), (9, 1)):
+        events = tuple(KrausEvent(site, index) for site, index in [(first, 1)] + bad)
+        specs[tid] = TrajectorySpec(TrajectoryRecord(tid, events), 10)
+    with pytest.raises(ExecutionError) as raised:
+        run_ptsbe(circuit, _FixedPTS(specs), seed=1, strategy=strategy)
+    assert type(raised.value) is ExecutionError
+    assert str(raised.value) == f"spec 4 prescribes {problem}"
 
 
 #: A Bell pair measured on qubit 0, then an X on qubit 0, then qubit 1

@@ -85,3 +85,32 @@ def test_a_table_for_the_same_sites_passes_through_and_any_other_is_checked_agai
     again = as_prescriptions(wider, table)
     assert again is not table and np.array_equal(again.sites, wider)
     assert [again[0], again[1]] == [{3: 3}, {1: 2}]
+
+
+def test_take_and_the_trie_order_against_a_sort_of_the_dense_rows():
+    """``trie_order`` sorts by window, then lexicographically by each row's
+    branch at every site, a deviation before the dominant branch (the
+    reference below sorts the dense rows in Python); ``take`` gathers rows
+    in any order."""
+    sites = site_table(_chain())
+    rows = [
+        {site: branch for site, branch in enumerate(dense) if branch}
+        for dense in np.ndindex(4, 4, 4, 4)
+    ]
+    rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))] + [{}, {1: 2}]
+    table = as_prescriptions(sites, rows)
+
+    def dense(row):
+        return [(0, row[site]) if site in row else (1, 0) for site in range(4)]
+
+    window = np.arange(len(rows)) // 100  # three windows: 100, 100 and 58 rows
+    order = table.trie_order(window)
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    expected = sorted((window[r], dense(row)) for r, row in enumerate(rows))
+    assert [(window[r], dense(rows[r])) for r in order] == expected
+    taken = table.take(order)
+    assert [taken[r] for r in range(len(rows))] == [rows[r] for r in order]
+    assert table.take(np.array([], dtype=np.intp)).offsets.tolist() == [0]
+    assert table[3:3].trie_order(window[3:3]).tolist() == []
+    empty = as_prescriptions(sites, [{}, {}, {}])
+    assert empty.trie_order(np.array([1, 0, 1])).tolist() == [1, 0, 2]

@@ -303,11 +303,47 @@ def _assert_rows_are_one_row_preparations(circuit, choices_list):
     return alive
 
 
-class TestIdealPrefixSharing:
-    """A stacked preparation walks each row only from its first deviation:
-    until then the row is the ideal circuit, whose state one slot carries
-    and a row copies when it joins.  Rows stay bitwise what a one-row
-    preparation gives, whatever order they come in."""
+def _walked_rows(circuit, choices_list, monkeypatch):
+    """``{step index: rows}`` of every kernel call one stacked preparation
+    of ``choices_list`` makes, and the calls per step."""
+    plan = get_fused_plan(circuit)
+    seen = []
+    original = stacked_module.apply_compiled_stack
+
+    def counting(stack, op, num_qubits, *args, **kwargs):
+        seen.append((stack.shape[0], op))
+        return original(stack, op, num_qubits, *args, **kwargs)
+
+    monkeypatch.setattr(stacked_module, "apply_compiled_stack", counting)
+    BatchedStatevectorBackend(circuit.num_qubits).run_fixed_stack(circuit, choices_list)
+    monkeypatch.undo()
+    step_of = {
+        id(step.variant(_key(step, choices))): index
+        for index, step in enumerate(plan.steps)
+        for choices in choices_list
+    }
+    calls, rows_at = {}, {}
+    for rows, op in seen:
+        # A per-row call passes the step's variants, every one of them.
+        (index,) = {step_of[id(v)] for v in (op if isinstance(op, list) else [op])}
+        calls[index] = calls.get(index, 0) + 1
+        rows_at[index] = rows
+    return rows_at, calls, seen
+
+
+def _trie_rows(plan, choices_list):
+    """Per walked step ``s``, the distinct variant-key sequences over steps
+    ``0..s`` among the rows: the nodes of their trie at depth ``s``."""
+    keys = [[_key(step, choices) for step in plan.steps[: plan.tail]] for choices in choices_list]
+    return {index: len({tuple(k[: index + 1]) for k in keys}) for index in range(plan.tail)}
+
+
+class TestPrefixSharing:
+    """A stacked preparation walks each row only from its join step, the
+    first step where its variant sequence differs from its predecessor's in
+    sorted order: until then it copies the state of the nearest earlier
+    row that joined before it, which took the same variants.  Rows stay
+    bitwise what a one-row preparation gives, whatever order they come in."""
 
     def test_rows_deviating_at_every_step_in_the_tail_and_never(self):
         circuit = _noisy_brickwork(6, 0.05)
@@ -332,9 +368,8 @@ class TestIdealPrefixSharing:
         assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
 
     def test_a_row_with_no_entries_between_two_deviating_rows_never_deviates(self):
-        """An empty CSR slice keeps its row's first deviation at
-        ``num_steps``: a segmented minimum (``np.minimum.reduceat``) would
-        read the next row's first entry there instead."""
+        """An empty CSR slice takes the dominant key at every step: it does
+        not read the next row's first entry."""
         circuit = _noisy_brickwork(6, 0.05)
         plan = get_fused_plan(circuit)
         assert plan.tail > 1
@@ -347,8 +382,7 @@ class TestIdealPrefixSharing:
         ]
         table = as_prescriptions(site_table(circuit), choices_list)
         assert np.diff(table.offsets).tolist() == [1, 0, 0, 1]
-        first, variants = plan.prescribed_steps(table)
-        assert first.tolist() == [plan.tail - 1, plan.num_steps, plan.num_steps, 0]
+        variants = plan.prescribed_steps(table)
         assert all(keys[0] == step.dominant_key for step, (keys, _) in zip(plan.steps, variants))
         deviating = {index: np.flatnonzero(of).tolist() for index, (_, of) in enumerate(variants)}
         assert {index: rows for index, rows in deviating.items() if rows} == {
@@ -369,40 +403,84 @@ class TestIdealPrefixSharing:
         dead = [choices for choices, live in zip(choices_list, alive) if not live]
         assert sorted(dead, key=len) == [{13: 1}, dies_later]
 
-    def test_step_s_walks_the_rows_deviated_by_s_plus_the_ideal_row(self, monkeypatch):
+    def test_step_s_walks_the_rows_joined_by_s(self, monkeypatch):
         circuit, choices_list = _unit_12q()
         plan = get_fused_plan(circuit)
-        seen = []
-        original = stacked_module.apply_compiled_stack
-
-        def counting(stack, op, num_qubits, *args, **kwargs):
-            seen.append((stack.shape[0], op))
-            return original(stack, op, num_qubits, *args, **kwargs)
-
-        monkeypatch.setattr(stacked_module, "apply_compiled_stack", counting)
-        BatchedStatevectorBackend(12).run_fixed_stack(circuit, choices_list)
-        step_of = {
-            id(step.variant(_key(step, choices))): index
-            for index, step in enumerate(plan.steps)
-            for choices in choices_list
-        }
-        calls, rows_at = {}, {}
-        for rows, op in seen:
-            # A per-row call passes the step's variants, every one of them.
-            (index,) = {step_of[id(v)] for v in (op if isinstance(op, list) else [op])}
-            calls[index] = calls.get(index, 0) + 1
-            rows_at[index] = rows
-        first = [_first_deviation(plan, choices) for choices in choices_list]
-        expected = {
-            index: min(len(choices_list), 1 + sum(f <= index for f in first))
-            for index in range(plan.tail)
-        }
-        assert rows_at == expected
+        rows_at, calls, seen = _walked_rows(circuit, choices_list, monkeypatch)
+        assert rows_at == _trie_rows(plan, choices_list)
         # Every walked step is one kernel call, however many variants its rows take.
         assert calls == dict.fromkeys(range(plan.tail), 1)
         assert any(isinstance(op, list) for _, op in seen)
         # The unit shares: its rows deviate all through the walk.
-        assert sum(expected.values()) < 0.6 * len(choices_list) * plan.tail
+        assert sum(rows_at.values()) < 0.6 * len(choices_list) * plan.tail
+
+    def test_rows_sharing_a_deviation_walk_it_once(self, monkeypatch):
+        """The walked row-steps are the trie's node count, read off the
+        steps' own keys, and fewer than sharing the ideal prefix alone
+        walks (each row from its first deviation, plus the ideal row)."""
+        circuit, choices_list = _unit_12q()
+        plan = get_fused_plan(circuit)
+        rows_at, _, _ = _walked_rows(circuit, choices_list, monkeypatch)
+        first = [_first_deviation(plan, choices) for choices in choices_list]
+        ideal = sum(
+            min(len(choices_list), 1 + sum(f <= index for f in first)) for index in range(plan.tail)
+        )
+        walked = sum(rows_at.values())
+        assert walked == sum(_trie_rows(plan, choices_list).values()) < ideal
+
+    def test_siblings_join_their_sorted_predecessor_at_every_depth(self, monkeypatch):
+        """Rows sharing a non-ideal prefix, rows joining at step 0, a row
+        whose walked prefix is its sibling's (it joins at the tail) and the
+        ideal row, shuffled: each walks only below its branch point and is
+        its one-row preparation."""
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = get_fused_plan(circuit)
+        assert plan.tail >= 3
+        early, middle, late = plan.steps[0], plan.steps[plan.tail // 2], plan.steps[plan.tail]
+        base = {early.site_ids[0]: early.dominant_key[0] + 1}
+        choices_list = [
+            {},
+            base,
+            {early.site_ids[0]: early.dominant_key[0] + 2},  # joins at step 0
+            {**base, middle.site_ids[0]: 1},  # shares step 0's error with base
+            {**base, middle.site_ids[0]: 2},
+            {**base, middle.site_ids[0]: 2, late.site_ids[0]: 1},  # joins at the tail
+            {**base, middle.site_ids[-1]: 3},
+        ]
+        random.Random(2).shuffle(choices_list)
+        rows_at, _, _ = _walked_rows(circuit, choices_list, monkeypatch)
+        assert rows_at == _trie_rows(plan, choices_list)
+        assert rows_at[0] == 3 and rows_at[plan.tail - 1] == 6
+        assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
+
+    def test_a_row_joining_a_source_its_prefix_killed_is_dead(self):
+        """Site 13 kills its row at step 2; the rows that share that prefix
+        and deviate later copy the dead source, and are dead exactly as
+        their one-row preparations are."""
+        circuit = _damped_register()
+        plan = get_fused_plan(circuit)
+        late = plan.site_step[21]
+        assert plan.site_step[13] < late < plan.tail
+        choices_list = [{}, {13: 1}, {13: 1, 21: 1}, {4: 1, 13: 1}, {4: 1, 13: 1, 22: 1}, {21: 1}]
+        random.Random(4).shuffle(choices_list)
+        alive = _assert_rows_are_one_row_preparations(circuit, choices_list)
+        assert [13 not in choices for choices in choices_list] == alive.tolist()
+
+    def test_a_plan_that_is_all_tail_walks_nothing(self, monkeypatch):
+        """Every step of a Pauli-noise X / CX / S circuit is a permutation
+        with phases: the walk is empty, every row copies ``|0...0>`` and
+        the recorded tail does the rest."""
+        circuit = Circuit(3).x(0).cx(0, 1).s(1).cx(1, 2)
+        model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.1))
+        circuit = model.apply(circuit.measure_all()).freeze()
+        plan = get_fused_plan(circuit)
+        assert plan.tail == 0 < plan.num_steps
+        sites = range(circuit.num_noise_sites())
+        choices_list = [{}] + [{site: 1 + site % 3} for site in sites] + [{0: 2, 1: 3}]
+        random.Random(6).shuffle(choices_list)
+        rows_at, _, _ = _walked_rows(circuit, choices_list, monkeypatch)
+        assert rows_at == {}
+        assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
 
     def test_walk_peaks_at_two_stacks_plus_the_per_row_operators(self, monkeypatch):
         circuit, choices_list = _unit_12q()
