@@ -59,6 +59,10 @@ class Circuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._ops: List[Operation] = []
+        #: The noise ops in site-id order and the measured qubits, read
+        #: once by freeze().
+        self._sites: Tuple[NoiseOp, ...] = ()
+        self._measured: Tuple[int, ...] = ()
         self._frozen = False
 
     # ------------------------------------------------------------------ #
@@ -167,11 +171,13 @@ class Circuit:
         """
         if self._frozen:
             return self
-        site = 0
+        sites: List[NoiseOp] = []
         for idx, op in enumerate(self._ops):
             if isinstance(op, NoiseOp):
-                self._ops[idx] = op.with_site_id(site)
-                site += 1
+                self._ops[idx] = op = op.with_site_id(len(sites))
+                sites.append(op)
+        self._sites = tuple(sites)
+        self._measured = self.measured_qubits
         self._frozen = True
         return self
 
@@ -204,7 +210,7 @@ class Circuit:
         """
         if not self._frozen:
             raise CircuitError("freeze() the circuit before reading noise_sites")
-        return tuple(op for op in self._ops if isinstance(op, NoiseOp))
+        return self._sites
 
     @property
     def measurements(self) -> Tuple[MeasureOp, ...]:
@@ -213,6 +219,8 @@ class Circuit:
     @property
     def measured_qubits(self) -> Tuple[int, ...]:
         """Qubits measured, in measurement order (concatenated over ops)."""
+        if self._frozen:
+            return self._measured
         out: List[int] = []
         for m in self.measurements:
             out.extend(m.qubits)

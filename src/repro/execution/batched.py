@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import import_module
 from typing import Dict, Optional, Tuple
 
@@ -43,6 +44,7 @@ from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import CapacityError, ExecutionError, ZeroProbabilityTrajectory
 from repro.execution.driver import Engine, StreamingExecutor
 from repro.execution.results import PTSBEResult
+from repro.execution.router import resolve_strategy
 from repro.execution.streaming import StreamedResult
 from repro.pts.base import PTSAlgorithm
 from repro.rng import StreamFactory
@@ -153,14 +155,15 @@ def check_backend(
             f"backend kind {backend.kind!r} ({cls.__name__}) takes no option "
             f"{', '.join(map(repr, unknown))}; it accepts: {', '.join(map(repr, accepted))}"
         )
-    dtype = np.dtype(backend.config.dtype)
-    if backend.kind not in dense and dtype != _STATE_DTYPE:
-        raise ExecutionError(
-            f"{owner} runs backend kind {backend.kind!r} as a {_STATE_DTYPE} matrix "
-            f"product state and cannot honour dtype {dtype}; only a dense state "
-            f"vector takes a dtype (kinds {', '.join(map(repr, DENSE_KINDS))} "
-            f"under a dense strategy)"
-        )
+    if backend.kind not in dense:
+        dtype = np.dtype(backend.config.dtype)
+        if dtype != _STATE_DTYPE:
+            raise ExecutionError(
+                f"{owner} runs backend kind {backend.kind!r} as a {_STATE_DTYPE} matrix "
+                f"product state and cannot honour dtype {dtype}; only a dense state "
+                f"vector takes a dtype (kinds {', '.join(map(repr, DENSE_KINDS))} "
+                f"under a dense strategy)"
+            )
     return backend
 
 
@@ -301,6 +304,7 @@ DENSE_STRATEGIES = ("serial", "parallel", "vectorized", "sharded")
 VALID_STRATEGIES = ("auto",) + tuple(STRATEGIES)
 
 
+@lru_cache(maxsize=None)
 def executor_class(strategy: str) -> type:
     """The executor class behind a concrete strategy name.
 
@@ -519,8 +523,6 @@ def run_ptsbe_stream(
     pts_result = sampler.sample(circuit, streams.sampler_rng())
     # Route "auto" on the circuit; explicit strategies pass through.  The
     # decision trail rides on the stream/result.
-    from repro.execution.router import resolve_strategy
-
     config = backend.config
     resolved, routing = resolve_strategy(circuit, backend, strategy, config)
     _check_dense_capacity(circuit, backend, resolved, config)

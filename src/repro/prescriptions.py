@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import chain
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -37,9 +37,10 @@ def site_table(circuit: Circuit) -> np.ndarray:
     circuit object)."""
     table = _SITE_TABLES.get(circuit)
     if table is None:
-        sites = circuit.noise_sites
-        flat = chain.from_iterable((len(op.channel), op.channel.dominant_index()) for op in sites)
-        table = np.fromiter(flat, np.intp, 2 * len(sites)).reshape(-1, 2)
+        channels = [op.channel for op in circuit.noise_sites]
+        table = np.array(
+            [[len(ch) for ch in channels], [ch.dominant_index() for ch in channels]], np.intp
+        ).T
         _SITE_TABLES[circuit] = table
     return table
 
@@ -117,40 +118,57 @@ def prescribe(
 ) -> Prescriptions:
     """The table of ``keys`` — per row, its ``(site_id, kraus_index)``
     pairs sorted by site (a :class:`~repro.pts.base.SpecGroup` key) —
-    checked against ``sites`` (a :func:`site_table`) in one vectorized pass.
+    checked against ``sites`` (a :func:`site_table`): the site and index of
+    each distinct pair once, a site named twice in one pass over the rows.
 
     Raises :class:`~repro.errors.ExecutionError` naming the row's owner
     (``owners[row]``, else the row) for a site the circuit does not have,
-    a Kraus index outside its site's channel, or a site a row names twice.
-    Entries naming their site's dominant index are dropped.
+    then for a Kraus index outside its site's channel, then for a site a
+    row names twice: the first such row.  Entries naming their site's
+    dominant index are dropped.
     """
-    rows = np.repeat(np.arange(len(keys)), np.fromiter(map(len, keys), np.intp, len(keys)))
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(keys)), dtype=np.intp)
-    site_ids, branches = pairs.reshape(-1, 2).T
+    arity, dominant = sites.T.tolist()
+    n = len(arity)
 
-    def check(bad: np.ndarray, problem: Callable[[int, int], str]) -> None:
-        """Raise for the first entry ``bad`` marks: ``problem(site, index)``."""
-        bad = np.flatnonzero(bad)
-        if bad.size:
-            at = bad[0]
-            owner = rows[at] if owners is None else owners[rows[at]]
-            raise ExecutionError(f"spec {owner} prescribes {problem(site_ids[at], branches[at])}")
+    def refuse(row: int, problem: str) -> ExecutionError:
+        return ExecutionError(f"spec {row if owners is None else owners[row]} prescribes {problem}")
 
-    n, (arity, dominant) = len(sites), sites.T
-    check(
-        (site_ids < 0) | (site_ids >= n),
-        lambda site, _: f"noise site {site}, but the circuit has {n} noise sites (ids 0..{n - 1})",
-    )
-    check(
-        (branches < 0) | (branches >= arity[site_ids]),
-        lambda site, index: f"Kraus index {index} at noise site {site}, "
-        f"whose channel has {arity[site]} operators",
-    )
-    twice = (site_ids[1:] == site_ids[:-1]) & (rows[1:] == rows[:-1])
-    check(twice, lambda site, _: f"noise site {site} twice")
-    keep = branches != dominant[site_ids]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=len(keys)))))
-    return Prescriptions(sites, offsets, site_ids[keep], branches[keep])
+    def first(bad: Set[Tuple[int, int]]) -> Tuple[int, Tuple[int, int]]:
+        """The row and pair of the first entry, in row order, in ``bad``."""
+        entries = ((row, pair) for row, key in enumerate(keys) for pair in key)
+        return next((row, pair) for row, pair in entries if pair in bad)
+
+    distinct = set(chain.from_iterable(keys))
+    unknown = {pair for pair in distinct if not 0 <= pair[0] < n}
+    if unknown:
+        row, (site, _) = first(unknown)
+        raise refuse(
+            row, f"noise site {site}, but the circuit has {n} noise sites (ids 0..{n - 1})"
+        )
+    outside = {(site, index) for site, index in distinct if not 0 <= index < arity[site]}
+    if outside:
+        row, (site, index) = first(outside)
+        raise refuse(
+            row,
+            f"Kraus index {index} at noise site {site}, "
+            f"whose channel has {arity[site]} operators",
+        )
+    lengths = np.fromiter(map(len, keys), np.intp, len(keys))
+    rows = np.arange(len(keys)).repeat(lengths)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(keys)), np.intp)
+    site_ids, branches = pairs.reshape(-1, 2).T.copy()
+    named = rows * n + site_ids  # one number per (row, site)
+    twice = named[1:] == named[:-1]
+    if twice.any():
+        at = twice.argmax()
+        raise refuse(rows[at], f"noise site {site_ids[at]} twice")
+    if any(index == dominant[site] for site, index in distinct):
+        keep = branches != sites[site_ids, 1]
+        site_ids, branches = site_ids[keep], branches[keep]
+        lengths = np.bincount(rows[keep], minlength=len(keys))
+    offsets = np.zeros(len(keys) + 1, np.intp)
+    lengths.cumsum(out=offsets[1:])
+    return Prescriptions(sites, offsets, site_ids, branches)
 
 
 def as_prescriptions(sites: np.ndarray, choices: Choices) -> Prescriptions:

@@ -8,7 +8,7 @@ construction, and this module uses it the same way:
 
 * **key** — the root seed is hashed once to the 128-bit Philox key
   (``SeedSequence(seed, spawn_key=(STREAM_KEY,))``, so no stream is the one
-  :func:`make_rng` returns for the same integer);
+  :func:`make_rng` returns for the same integer), kept per seed;
 * **counter** — the 256-bit Philox counter of a stream starts at the words
   ``[0, 0, index, family]``.  Drawing advances it from word 0 upward, so
   two streams of one seed could only meet after 2**128 blocks: their
@@ -39,9 +39,11 @@ stream per site and attempt, far off the hot path.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 __all__ = [
     "root_sequence",
@@ -130,6 +132,31 @@ def trajectory_rng(seed: Optional[int], trajectory_index: int) -> np.random.Gene
     return StreamFactory(seed).rng_for(trajectory_index)
 
 
+class _StreamKey(ISpawnableSeedSequence):
+    """A root seed's Philox key, as the seed sequence its streams are built
+    from: ``Philox(_StreamKey(seed), counter=c)`` is
+    ``Philox(key=_StreamKey(seed).key, counter=c)`` without the OS entropy
+    a keyed ``Philox`` draws and drops (a syscall per stream)."""
+
+    def __init__(self, seed: int):
+        root = np.random.SeedSequence(seed, spawn_key=(STREAM_KEY,))
+        self.key = root.generate_state(2, np.uint64)
+        self.key.flags.writeable = False  # shared by every factory of the seed
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or dtype is not np.uint64:  # what Philox asks for
+            raise ValueError("a stream key is two np.uint64 words")
+        return self.key
+
+    def spawn(self, n_children: int) -> List[np.random.SeedSequence]:
+        raise TypeError("a trajectory stream does not spawn; ask its StreamFactory")
+
+
+#: One key per root seed: the factories of one run (the sampler's, the
+#: executor's) share one hash.
+_stream_key = lru_cache(maxsize=64)(_StreamKey)
+
+
 class StreamFactory:
     """Factory of per-trajectory RNG streams for the execution layer.
 
@@ -144,11 +171,10 @@ class StreamFactory:
         if seed is None:
             seed = int(np.random.SeedSequence().generate_state(1)[0])
         self.seed = int(seed)
-        root = np.random.SeedSequence(self.seed, spawn_key=(STREAM_KEY,))
-        self._key = root.generate_state(2, np.uint64)  # hashed once, not per stream
+        self._key = _stream_key(self.seed)  # hashed once, not per stream
 
     def _stream(self, index: int, family: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self._key, counter=(0, 0, index, family)))
+        return np.random.Generator(np.random.Philox(self._key, counter=(0, 0, index, family)))
 
     def rng_for(self, trajectory_index: int) -> np.random.Generator:
         """Stream for a single trajectory index."""

@@ -61,6 +61,9 @@ def test_a_slice_with_a_step_is_refused(rows):
         ([[(0, 1)], [(1, 4)]], "spec 11 prescribes Kraus index 4 at noise site 1, whose channel"),
         ([[(0, -1)], []], "spec 10 prescribes Kraus index -1 at noise site 0, whose channel"),
         ([[(0, 1)], [(2, 0), (2, 1)]], "spec 11 prescribes noise site 2 twice"),
+        # An unknown site anywhere comes before a bad index or a repeat in an earlier row.
+        ([[(0, 4), (0, 1)], [(9, 1)]], "spec 11 prescribes noise site 9, but"),
+        ([[(1, 2), (1, 3)], [(3, 7)]], "spec 11 prescribes Kraus index 7 at noise site 3"),
     ],
 )
 def test_prescribe_names_the_owner_of_the_first_bad_row(keys, message):

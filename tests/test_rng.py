@@ -84,6 +84,8 @@ class TestCounterLayout:
 
         factory = StreamFactory(3)
         monkeypatch.setattr(np.random, "SeedSequence", no_new_sequences)
+        # Nor is OS entropy drawn: Philox(key=...) draws a SeedSequence() it drops.
+        monkeypatch.setattr(np.random.bit_generator, "randbits", no_new_sequences)
         first = [factory.rng_for(i).random() for i in range(50)] + [factory.sampler_rng().random()]
         monkeypatch.undo()
         assert first == [StreamFactory(3).rng_for(i).random() for i in range(50)] + [
