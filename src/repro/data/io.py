@@ -25,7 +25,6 @@ def _record_to_dict(record: TrajectoryRecord) -> Dict:
     return {
         "trajectory_id": record.trajectory_id,
         "nominal_probability": record.nominal_probability,
-        "weight": record.weight,
         "events": [
             {
                 "site_id": e.site_id,
@@ -53,7 +52,6 @@ def _record_from_dict(data: Dict) -> TrajectoryRecord:
             for e in data["events"]
         ),
         nominal_probability=float(data["nominal_probability"]),
-        weight=float(data.get("weight", 1.0)),
     )
 
 

@@ -1,6 +1,7 @@
 """The batched-execution (BE) engine.
 
-For every :class:`~repro.pts.base.TrajectorySpec` the engine:
+For every trajectory of the PTS table (:class:`~repro.pts.base.PTSResult`)
+the engine:
 
 1. prepares the prescribed noisy state **once** (``backend.run_fixed`` with
    the spec's fixed Kraus choices) — the O(2**n) part;

@@ -6,8 +6,8 @@ realization does not need a dense state at all.  The
 :class:`~repro.backends.pauli_frame.FrameSampler` compiles the circuit
 once — one tableau analysis of the ideal circuit plus one conjugation
 walk that propagates every noise branch's Pauli pattern to the end — and
-then a *unit* of PTS :class:`~repro.pts.base.TrajectorySpec`\\ s (as many
-dedup groups as fit 2**16 shots) costs:
+then a *unit* of PTS trajectories (as many dedup groups as fit 2**16
+shots) costs:
 
 * **one frame assembly**, O(deviations) per trajectory: with a spec's
   Kraus choices *fixed*, its frame is deterministic — the all-dominant
@@ -22,8 +22,8 @@ dedup groups as fit 2**16 shots) costs:
 
 That is millions of shots per second at *any* width — the dense
 strategies stop at ``Config.max_dense_qubits`` (26), this one happily
-runs 40-qubit syndrome-extraction workloads.  Specs are deduplicated
-into :class:`~repro.pts.base.SpecGroup`\\ s so each distinct Kraus
+runs 40-qubit syndrome-extraction workloads.  Trajectories are deduplicated
+into :class:`~repro.pts.base.SpecGroups` so each distinct Kraus
 prescription is one row of its unit, and delivery goes through the
 same :class:`~repro.execution.streaming.OrderedDelivery` discipline as
 every other strategy, so ``run_ptsbe_stream``, ``retain=False``, and

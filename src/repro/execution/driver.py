@@ -16,13 +16,18 @@ What :func:`drive` owns, for every engine and every worker count:
   :func:`~repro.backends.base.validate_deferred_measurement`), checked
   once with the same error on every engine, the resolved root seed, the
   fault context;
-* deduplication (:func:`~repro.pts.base.deduplicate_specs`), the run's
-  one prescription table — one row per dedup group, built from the group
-  keys by :func:`~repro.prescriptions.prescribe`, which checks every
-  prescribed site and Kraus index once, before any unit runs, with the
-  same error on every engine — and the queue of tasks, each a range of
-  dedup groups named ``"<name>/stack:<a>:<b>"`` that an engine prepares
-  from its slice of the table;
+* the run's trajectory table, one row per spec: PTS emits it
+  (:class:`~repro.pts.base.PTSResult`, whose ``specs`` view converts back
+  to it at no cost), and any other spec sequence is converted once
+  (:meth:`~repro.pts.base.PTSResult.from_specs`) by
+  :func:`~repro.prescriptions.prescribe`, which checks every prescribed
+  site and Kraus index before any unit runs, with the same error on every
+  engine;
+* deduplication (:func:`~repro.pts.base.deduplicate_specs`: the table's
+  equal rows, grouped; one row per group is the run's prescription
+  table) and the queue of tasks, each a range of dedup groups named
+  ``"<name>/stack:<a>:<b>"`` that an engine prepares from its slice of
+  the prescription table;
 * per task: the fault hook, the retry rule
   (:meth:`~repro.faults.retry.FaultContext.next_attempt`), the
   ``CapacityError`` halving split, the per-trajectory Philox stream
@@ -37,7 +42,8 @@ What :func:`drive` owns, for every engine and every worker count:
   that has shots to draw from a live row, and that call's wall time is
   split over those specs by shot share (``sample_seconds`` = wall x spec
   shots / unit shots; a dead row's specs and a zero-shot spec are not in
-  the list and read ``0.0``).  A look-ahead unit's prepare wall is timed
+  the list and read ``0.0``).  A spec's provenance record is built there,
+  where its unit is delivered.  A look-ahead unit's prepare wall is timed
   on the helper thread, while the unit before it draws, so a run's
   ``prep_seconds + sample_seconds`` can exceed its wall time;
 * ordered delivery and the :class:`~repro.execution.streaming.StreamedResult`.
@@ -118,8 +124,8 @@ from repro.execution.results import PTSBEResult, TrajectoryResult
 from repro.execution.streaming import OrderedDelivery, StreamedResult
 from repro.faults.plan import FaultPlan, maybe_inject
 from repro.faults.retry import FaultContext, RecoveryEvent, describe_exception
-from repro.prescriptions import Prescriptions, prescribe, site_table
-from repro.pts.base import SpecGroup, TrajectorySpec, deduplicate_specs
+from repro.prescriptions import Prescriptions
+from repro.pts.base import PTSResult, SpecGroups, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -215,23 +221,23 @@ def _unit_name(engine: str, start: int, end: int) -> str:
 
 
 def _cuts(
-    groups: Sequence[SpecGroup], start: int, end: int, max_rows: int, max_shots: Optional[int]
+    groups: SpecGroups, start: int, end: int, max_rows: int, max_shots: Optional[int]
 ) -> Iterator[Tuple[int, int]]:
-    """Greedy ranges over ``groups[start:end]``: each takes groups until the
-    next would make it more than ``max_rows`` groups or ``max_shots`` shots,
-    and always at least one."""
+    """Greedy ranges over groups ``[start, end)``: each takes groups until
+    the next would make it more than ``max_rows`` groups or ``max_shots``
+    shots, and always at least one."""
     first, shots = start, 0
-    for g in range(start, end):
-        over = max_shots is not None and shots + groups[g].total_shots > max_shots
+    for g, total in enumerate(groups.total_shots[start:end].tolist(), start):
+        over = max_shots is not None and shots + total > max_shots
         if g > first and (g - first == max_rows or over):
             yield first, g
             first, shots = g, 0
-        shots += groups[g].total_shots
+        shots += total
     if first < end:
         yield first, end
 
 
-def _local_cuts(groups: Sequence[SpecGroup], engine: Engine) -> List[Tuple[int, int]]:
+def _local_cuts(groups: SpecGroups, engine: Engine) -> List[Tuple[int, int]]:
     """The in-process task list, one unit each: :func:`_cuts` over every
     group, except that an engine without ``coupled_rows`` prepares group 0
     alone, so the first chunk waits for one trajectory, not a unit."""
@@ -241,7 +247,7 @@ def _local_cuts(groups: Sequence[SpecGroup], engine: Engine) -> List[Tuple[int, 
 
 
 def _windows(
-    groups: Sequence[SpecGroup], tasks: Sequence[Tuple[int, int]], max_shots: int
+    groups: SpecGroups, tasks: Sequence[Tuple[int, int]], max_shots: int
 ) -> NDArray[np.intp]:
     """Each group's sort window, numbered from 1: greedy runs of
     consecutive ``tasks``, each taking tasks until the next would take its
@@ -250,7 +256,7 @@ def _windows(
     window = np.zeros(len(groups), dtype=np.intp)
     number = total = 0
     for start, end in tasks:
-        shots = sum(group.total_shots for group in groups[start:end])
+        shots = int(groups.total_shots[start:end].sum())
         if number == 0 or total + shots > max_shots:
             number, total = number + 1, 0
         window[start:end] = number
@@ -265,18 +271,16 @@ class _Runner:
     def __init__(
         self,
         engine: Engine,
-        specs: Sequence[TrajectorySpec],
-        groups: Sequence[SpecGroup],
-        table: Prescriptions,
+        trajectories: PTSResult,
+        groups: SpecGroups,
         width: int,
         streams: StreamFactory,
         rows: int,
         plan: Optional[FaultPlan],
     ):
         self.engine = engine
-        self.specs = specs
+        self.trajectories = trajectories
         self.groups = groups
-        self.table = table
         # The bits of a spec nothing was drawn for (dead row, zero shots).
         self.unsampled = np.empty((0, width), dtype=np.uint8)
         self.streams = streams
@@ -293,41 +297,53 @@ class _Runner:
             completed += self.draw(self.engine, *cut, self.prepare(self.engine, *cut))
         return completed
 
+    def unit(self, start: int, end: int) -> Tuple[NDArray[np.intp], List[int], List[range]]:
+        """The trajectory rows of groups ``[start, end)``, their shots, and
+        each group's range of positions in those."""
+        offsets = self.groups.offsets[start : end + 1]
+        bounds = (offsets - offsets[0]).tolist()
+        members = self.groups.members[offsets[0] : offsets[-1]]
+        spans = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+        return members, self.trajectories.shots[members].tolist(), spans
+
     def prepare(self, engine: Engine, start: int, end: int) -> Prepared:
         """``engine.prepare`` on groups ``[start, end)``, timed."""
-        sizes = [[self.specs[i].num_shots for i in g.indices] for g in self.groups[start:end]]
-        return timed(engine.prepare, self.table[start:end], sizes)
+        _, shots, spans = self.unit(start, end)
+        sizes = [shots[span.start : span.stop] for span in spans]
+        return timed(engine.prepare, self.groups.table[start:end], sizes)
 
     def draw(self, engine: Engine, start: int, end: int, prepared: Prepared) -> Completed:
         """Draw the shots of groups ``[start, end)``, prepared on ``engine``."""
-        specs = self.specs
-        unit = self.groups[start:end]
+        trajectories = self.trajectories
+        members, shots, spans = self.unit(start, end)
+        ids = trajectories.trajectory_ids[members].tolist()
+        positions = members.tolist()
         weights, wall = prepared
-        prep_each = (self.carry + wall) / len(unit)
+        prep_each = (self.carry + wall) / (end - start)
         # One request per spec that has shots to draw from a live row, all
         # of the unit's in one call; its wall time is split by shot share.
         requests: Dict[int, Request] = {
-            i: (row, specs[i].num_shots, self.streams.rng_for(specs[i].record.trajectory_id))
-            for row, group in enumerate(unit)
+            j: (row, shots[j], self.streams.rng_for(ids[j]))
+            for row, span in enumerate(spans)
             if weights[row] != 0.0
-            for i in group.indices
-            if specs[i].num_shots > 0
+            for j in span
+            if shots[j] > 0
         }
         drawn, wall = timed(engine.sample, list(requests.values()))
         sampled = dict(zip(requests, drawn))
         per_shot = wall / max(1, sum(map(len, drawn)))
         completed: Completed = []
-        for row, group in enumerate(unit):
-            for j, index in enumerate(group.indices):
-                bits = sampled.get(index, self.unsampled)
+        for row, span in enumerate(spans):
+            for j in span:
+                bits = sampled.get(j, self.unsampled)
                 result = TrajectoryResult(
-                    record=specs[index].record,
+                    record=trajectories.record(positions[j]),
                     bits=bits,
                     actual_weight=float(weights[row]),
-                    prep_seconds=prep_each if j == 0 else 0.0,
+                    prep_seconds=prep_each if j == span.start else 0.0,
                     sample_seconds=per_shot * len(bits),
                 )
-                completed.append((index, result))
+                completed.append((positions[j], result))
         self.carry = 0.0  # compile seconds are charged to one finished unit
         return completed
 
@@ -355,7 +371,7 @@ class _LocalRunner(_Runner):
         if prepared is None:
             prepared = self.prepare(self.engine, start, end)
         threshold = self.engine.lookahead_shots
-        shots = sum(group.total_shots for group in self.groups[start:end])
+        shots = int(self.groups.total_shots[start:end].sum())
         if start > 0 and upcoming is not None and threshold is not None and shots > threshold:
             self.look_ahead(*upcoming[:2])
         return self.draw(self.engine, start, end, prepared)
@@ -448,8 +464,8 @@ def drive(
         raise ExecutionError("circuit has no measurements to sample")
     if not specs:
         raise ExecutionError("no trajectory specs to execute")
-    groups = deduplicate_specs(specs)
-    table = prescribe(site_table(circuit), [g.key for g in groups], [g.indices[0] for g in groups])
+    trajectories = PTSResult.from_specs(circuit, specs)
+    groups = deduplicate_specs(trajectories.table, trajectories.shots)
     streams = StreamFactory(seed)
     engine = build()
     name = engine.name
@@ -466,9 +482,7 @@ def drive(
     # its chunk is delivered (rest()).
     step = engine.max_rows if workers == 1 else -(-len(groups) // (4 * workers))
     head = int(workers == 1 and not engine.coupled_rows)
-    run_args = (
-        specs, groups, table, len(measured), streams, min(engine.max_rows, step), ctx.plan,
-    )
+    run_args = (trajectories, groups, len(measured), streams, min(engine.max_rows, step), ctx.plan)
     local = _LocalRunner(build, engine, *run_args) if workers == 1 else None
     if local is None:
         engine.release()  # every worker builds its own; this one named the run
@@ -482,22 +496,22 @@ def drive(
         and group ranges index that order from here on.  A window holds
         whole units cut on rows alone, so the cuts still hold, and delivery
         buffers at most one window's bits or one unit's."""
-        nonlocal groups, table, run_args
+        nonlocal groups, run_args
         if workers == 1:
             cuts = _local_cuts(groups, engine)[head:]
         else:
             cuts = list(_cuts(groups, 0, len(groups), step, None))
         if engine.sort_bytes is None:
             return cuts
-        rank = table.trie_order(_windows(groups, cuts, engine.sort_bytes // len(measured)))
-        groups, table = [groups[g] for g in rank.tolist()], table.take(rank)
-        run_args = (specs, groups, table, *run_args[3:])
+        window = _windows(groups, cuts, engine.sort_bytes // len(measured))
+        groups = groups.take(groups.table.trie_order(window))
+        run_args = (trajectories, groups, *run_args[2:])
         if local is not None:
-            local.groups, local.table = groups, table
+            local.groups = groups
         return cuts
 
     def deliver() -> Iterator[List[TrajectoryResult]]:
-        delivery = OrderedDelivery(len(specs))
+        delivery = OrderedDelivery(trajectories.num_trajectories)
         pending: Deque[Task] = deque([(0, 1, 0)] * head)
         ordered = False
         pool: Optional[ProcessPoolExecutor] = None
@@ -589,7 +603,7 @@ def drive(
         deliver(),
         measured_qubits=measured,
         seed=streams.seed,
-        total_trajectories=len(specs),
+        total_trajectories=trajectories.num_trajectories,
         unique_preparations=len(groups),
         # close() before the first chunk never enters the generator, so
         # its finally cannot release what the adapter allocated eagerly.

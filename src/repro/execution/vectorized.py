@@ -2,9 +2,9 @@
 
 ``strategy="vectorized"`` (and its alias ``"sharded"``):
 
-1. **Deduplicate** — the driver groups specs by
-   :meth:`~repro.pts.base.TrajectorySpec.dedup_key` before any work is
-   handed out, so a unique Kraus prescription is prepared exactly once
+1. **Deduplicate** — the driver groups the equal rows of the run's
+   trajectory table (:func:`~repro.pts.base.deduplicate_specs`) before
+   any work is handed out, so a unique Kraus prescription is prepared exactly once
    globally (never once per worker) and its duplicates' shot budgets are
    served from the same stacked row;
 2. **Compile** — the circuit's :class:`~repro.execution.plan.FusedPlan`

@@ -9,7 +9,10 @@ checked once, when :func:`prescribe` builds it, against the circuit's
 :func:`site_table`.  That is the one place a prescribed site id or Kraus
 index is checked: every engine reads the arrays, and for every engine a
 site a row does not list is one where the row takes the dominant branch
-(an entry naming the dominant index is dropped at build).
+(an entry naming the dominant index is dropped at build).  The one table
+built without it is the one PTS emits
+(:meth:`~repro.pts.base.NoiseSiteView.result`), valid by construction:
+each entry is a real site's non-dominant branch, a site at most once a row.
 
 :func:`as_prescriptions` is how an engine's public entry point takes its
 input: a table built against the same circuit passes through, and
@@ -20,15 +23,16 @@ and so checked, by :func:`prescribe`.
 from __future__ import annotations
 
 import weakref
-from itertools import chain
-from typing import Dict, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.errors import ExecutionError
 
-__all__ = ["site_table", "Prescriptions", "Choices", "prescribe", "as_prescriptions"]
+__all__ = [
+    "site_table", "Prescriptions", "Choices", "gather", "prescribe", "as_prescriptions",
+]
 
 
 def site_table(circuit: Circuit) -> np.ndarray:
@@ -84,11 +88,22 @@ class Prescriptions:
 
     def take(self, rows: np.ndarray) -> "Prescriptions":
         """The table of ``rows`` (an index array), in that order."""
-        lengths = np.diff(self.offsets)[rows]
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        shift = np.repeat(self.offsets[rows] - offsets[:-1], lengths)
-        entries = np.arange(offsets[-1]) + shift
+        offsets, entries = gather(self.offsets, rows)
         return Prescriptions(self.sites, offsets, self.site_ids[entries], self.branches[entries])
+
+    def keys(self) -> np.ndarray:
+        """``(2 * width, len(self))``: down each column, its row's entries'
+        site id and branch in order, padded with a site id past every site
+        (branch 0) to the longest row's width.  Rows are equal if and only
+        if their columns are."""
+        rows = self.rows()
+        width = int(np.diff(self.offsets).max(initial=0))
+        position = np.arange(len(rows)) - self.offsets[rows]
+        keys = np.zeros((width, 2, len(self)), dtype=np.intp)
+        keys[:, 0] = len(self.sites)
+        keys[position, 0, rows] = self.site_ids
+        keys[position, 1, rows] = self.branches
+        return keys.reshape(2 * width, len(self))
 
     def trie_order(self, window: np.ndarray) -> np.ndarray:
         """The rows by ``window`` (one key per row), and inside a window in
@@ -96,79 +111,55 @@ class Prescriptions:
         before the dominant branch: entry by entry, by site id, then
         branch, a row out of entries after one that deviates again.  Rows
         of a window that agree up to any site are adjacent.  One ``lexsort``."""
-        rows = self.rows()
-        width = int(np.diff(self.offsets).max(initial=0))
-        position = np.arange(len(rows)) - self.offsets[rows]
-        keys = np.zeros((width, 2, len(self)), dtype=np.intp)
-        keys[:, 0] = len(self.sites)  # past every site id
-        keys[position, 0, rows] = self.site_ids
-        keys[position, 1, rows] = self.branches
         # lexsort's last key is its first: window, site 0, branch 0, site 1, ...
-        return np.lexsort(np.vstack((keys.reshape(2 * width, len(self))[::-1], window)))
+        return np.lexsort(np.vstack((self.keys()[::-1], window)))
+
+
+def gather(offsets: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``offsets`` taken at ``rows`` (an index array), in that order:
+    the new offsets, and the old entry index of each new entry."""
+    lengths = np.diff(offsets)[rows]
+    taken = np.concatenate(([0], np.cumsum(lengths)))
+    entries = np.arange(taken[-1]) + np.repeat(offsets[rows] - taken[:-1], lengths)
+    return taken, entries
 
 
 #: What an engine's public entry point takes: a table, or one
 #: ``{site_id: kraus_index}`` dict per row (``None`` for none).
 Choices = Union[Prescriptions, Sequence[Optional[Mapping[int, int]]]]
 
-def prescribe(
-    sites: np.ndarray,
-    keys: Sequence[Sequence[Tuple[int, int]]],
-    owners: Optional[Sequence[int]] = None,
-) -> Prescriptions:
+
+def prescribe(sites: np.ndarray, keys: Sequence[Sequence[Tuple[int, int]]]) -> Prescriptions:
     """The table of ``keys`` — per row, its ``(site_id, kraus_index)``
-    pairs sorted by site (a :class:`~repro.pts.base.SpecGroup` key) —
-    checked against ``sites`` (a :func:`site_table`): the site and index of
-    each distinct pair once, a site named twice in one pass over the rows.
+    pairs sorted by site — checked against ``sites`` (a :func:`site_table`).
 
-    Raises :class:`~repro.errors.ExecutionError` naming the row's owner
-    (``owners[row]``, else the row) for a site the circuit does not have,
-    then for a Kraus index outside its site's channel, then for a site a
-    row names twice: the first such row.  Entries naming their site's
-    dominant index are dropped.
+    Raises :class:`~repro.errors.ExecutionError` naming the first row that
+    prescribes a site the circuit does not have; failing that, the first
+    with a Kraus index outside its site's channel; failing that, the first
+    that names a site twice.  Entries naming their site's dominant index
+    are dropped.
     """
-    arity, dominant = sites.T.tolist()
-    n = len(arity)
-
-    def refuse(row: int, problem: str) -> ExecutionError:
-        return ExecutionError(f"spec {row if owners is None else owners[row]} prescribes {problem}")
-
-    def first(bad: Set[Tuple[int, int]]) -> Tuple[int, Tuple[int, int]]:
-        """The row and pair of the first entry, in row order, in ``bad``."""
-        entries = ((row, pair) for row, key in enumerate(keys) for pair in key)
-        return next((row, pair) for row, pair in entries if pair in bad)
-
-    distinct = set(chain.from_iterable(keys))
-    unknown = {pair for pair in distinct if not 0 <= pair[0] < n}
-    if unknown:
-        row, (site, _) = first(unknown)
-        raise refuse(
-            row, f"noise site {site}, but the circuit has {n} noise sites (ids 0..{n - 1})"
-        )
-    outside = {(site, index) for site, index in distinct if not 0 <= index < arity[site]}
-    if outside:
-        row, (site, index) = first(outside)
-        raise refuse(
-            row,
-            f"Kraus index {index} at noise site {site}, "
-            f"whose channel has {arity[site]} operators",
-        )
-    lengths = np.fromiter(map(len, keys), np.intp, len(keys))
-    rows = np.arange(len(keys)).repeat(lengths)
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(keys)), np.intp)
-    site_ids, branches = pairs.reshape(-1, 2).T.copy()
-    named = rows * n + site_ids  # one number per (row, site)
-    twice = named[1:] == named[:-1]
-    if twice.any():
-        at = twice.argmax()
-        raise refuse(rows[at], f"noise site {site_ids[at]} twice")
-    if any(index == dominant[site] for site, index in distinct):
-        keep = branches != sites[site_ids, 1]
-        site_ids, branches = site_ids[keep], branches[keep]
-        lengths = np.bincount(rows[keep], minlength=len(keys))
-    offsets = np.zeros(len(keys) + 1, np.intp)
-    lengths.cumsum(out=offsets[1:])
-    return Prescriptions(sites, offsets, site_ids, branches)
+    arity = sites[:, 0].tolist()
+    entries = [(row, site, index) for row, key in enumerate(keys) for site, index in key]
+    for row, site, _ in entries:
+        if not 0 <= site < len(arity):
+            raise ExecutionError(
+                f"spec {row} prescribes noise site {site}, but the circuit has "
+                f"{len(arity)} noise sites (ids 0..{len(arity) - 1})"
+            )
+    for row, site, index in entries:
+        if not 0 <= index < arity[site]:
+            raise ExecutionError(
+                f"spec {row} prescribes Kraus index {index} at noise site {site}, "
+                f"whose channel has {arity[site]} operators"
+            )
+    for (row, site, _), (again, same, _) in zip(entries, entries[1:]):
+        if (row, site) == (again, same):
+            raise ExecutionError(f"spec {row} prescribes noise site {site} twice")
+    rows, site_ids, branches = np.array(entries, dtype=np.intp).reshape(-1, 3).T.copy()
+    keep = branches != sites[site_ids, 1]
+    offsets = np.searchsorted(rows[keep], np.arange(len(keys) + 1))
+    return Prescriptions(sites, offsets, site_ids[keep], branches[keep])
 
 
 def as_prescriptions(sites: np.ndarray, choices: Choices) -> Prescriptions:

@@ -2,11 +2,11 @@
 
 PTS decouples stochastic noise sampling from state evolution: a sampling
 algorithm runs over the circuit's *noise-site candidates* (site, Kraus
-index, nominal probability) and emits
-:class:`~repro.pts.base.TrajectorySpec` objects — fixed Kraus-operator
-sets with a prescribed shot count and full provenance metadata — which the
-batched execution engine then realizes without redundant state
-preparation.
+index, nominal probability) and emits one trajectory table, a
+:class:`~repro.pts.base.PTSResult` — per trajectory its fixed Kraus
+choices, prescribed shot count, id and nominal probability, with the
+provenance records built from it when read — which the batched execution
+engine then realizes without redundant state preparation.
 
 Algorithms (paper §3.1):
 
@@ -36,7 +36,7 @@ from repro.pts.base import (
     NoiseSiteView,
     PTSAlgorithm,
     PTSResult,
-    SpecGroup,
+    SpecGroups,
     TrajectorySpec,
     deduplicate_specs,
 )
@@ -61,7 +61,7 @@ __all__ = [
     "PTSAlgorithm",
     "PTSResult",
     "TrajectorySpec",
-    "SpecGroup",
+    "SpecGroups",
     "deduplicate_specs",
     "compatible",
     "unique_kraus",

@@ -11,13 +11,13 @@ budget on informative states.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.errors import SamplingError
-from repro.pts.base import PTSAlgorithm, PTSResult, TrajectorySpec
+from repro.pts.base import PTSAlgorithm, PTSResult
 from repro.pts.probabilistic import ProbabilisticPTS
 from repro.pts.proportional import apportion_shots
 
@@ -58,17 +58,12 @@ class ProbabilityBandPTS(PTSAlgorithm):
         self.renormalize_shots = renormalize_shots
 
     def sample(self, circuit: Circuit, rng: np.random.Generator) -> PTSResult:
-        base_result = self.base.sample(circuit, rng)
-        kept: List[TrajectorySpec] = [
-            s for s in base_result.specs if self.p_min <= s.probability <= self.p_max
-        ]
-        if self.renormalize_shots and kept:
-            shots = apportion_shots(np.ones(len(kept)), base_result.total_shots)
-            kept = [s.with_shots(int(m)) for s, m in zip(kept, shots) if m > 0]
-        return PTSResult(
-            specs=kept,
-            algorithm=f"{self.name}[{self.p_min:g},{self.p_max:g}]({self.base.name})",
-            attempted_samples=base_result.attempted_samples,
-            duplicates_rejected=base_result.duplicates_rejected,
-            incompatible_rejected=base_result.incompatible_rejected,
-        )
+        base = self.base.sample(circuit, rng)
+        probs = base.probabilities
+        kept = np.flatnonzero((self.p_min <= probs) & (probs <= self.p_max))
+        shots = base.shots[kept]
+        if self.renormalize_shots and len(kept):
+            shots = apportion_shots(np.ones(len(kept)), base.total_shots)
+            kept, shots = kept[shots > 0], shots[shots > 0]
+        algorithm = f"{self.name}[{self.p_min:g},{self.p_max:g}]({self.base.name})"
+        return base.take(kept, shots, algorithm)

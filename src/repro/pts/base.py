@@ -1,4 +1,4 @@
-"""PTS core abstractions: candidates, trajectory specs, algorithm base.
+"""PTS core abstractions: candidates, the trajectory table, algorithm base.
 
 :class:`NoiseSiteView` flattens a frozen noisy circuit into the
 ``NoisyCircuit({K}, {p})`` iterable of paper Algorithm 2: one
@@ -7,18 +7,27 @@ carrying its nominal probability, target qubits, moment index (for the
 ``compatible`` check) and the name of the gate it decorates (for the
 selection-criteria filters).
 
-:class:`TrajectorySpec` is PTS's output unit — "the prescribed sampled set
-of Kraus operators {K_a0, ..., K_ai} along with their prescribed number of
-shots m_a" (paper Fig. 1) plus the provenance record.
+:class:`PTSResult` is PTS's output — "the prescribed sampled set of Kraus
+operators {K_a0, ..., K_ai} along with their prescribed number of shots
+m_a" (paper Fig. 1) — as one table: a
+:class:`~repro.prescriptions.Prescriptions` row per trajectory, its
+deviations from the dominant branches, beside its trajectory id, shot
+count and nominal probability.  :meth:`NoiseSiteView.result` builds it
+from a sampler's candidate selections.  A :class:`TrajectorySpec` and its
+provenance :class:`~repro.trajectory.events.TrajectoryRecord` are views of
+one row, built when read (``result.specs[i]``; the execution layer builds
+a record where its unit is delivered).  :func:`deduplicate_specs` groups
+equal rows.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,13 +35,14 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.moments import moment_index_of_ops
 from repro.circuits.operations import GateOp, NoiseOp
 from repro.errors import SamplingError
+from repro.prescriptions import Prescriptions, gather, prescribe, site_table
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
 __all__ = [
     "ErrorCandidate",
     "NoiseSiteView",
     "TrajectorySpec",
-    "SpecGroup",
+    "SpecGroups",
     "deduplicate_specs",
     "PTSResult",
     "PTSAlgorithm",
@@ -51,18 +61,6 @@ class ErrorCandidate:
     moment: int
     gate_context: str  # name of the gate this channel decorates ("" if none)
 
-    @cached_property
-    def event(self) -> KrausEvent:
-        """This branch's provenance event: built once, shared by every
-        spec that selects the candidate."""
-        return KrausEvent(
-            site_id=self.site_id,
-            kraus_index=self.kraus_index,
-            qubits=self.qubits,
-            channel_name=self.channel_name,
-            probability=self.probability,
-        )
-
 
 class NoiseSiteView:
     """Flattened view of a frozen circuit's stochastic structure."""
@@ -72,11 +70,9 @@ class NoiseSiteView:
             raise SamplingError("NoiseSiteView requires a frozen circuit")
         self.circuit = circuit
         moments = moment_index_of_ops(circuit)
-        self.sites: List[NoiseOp] = []
         self.candidates: List[ErrorCandidate] = []
         self.dominant_prob: Dict[int, float] = {}
         self.site_moment: Dict[int, int] = {}
-        self._log_dominant_total: Optional[float] = None
         last_gate_on_qubit: Dict[int, str] = {}
         for op_index, op in enumerate(circuit):
             if isinstance(op, GateOp):
@@ -85,7 +81,6 @@ class NoiseSiteView:
                 continue
             if not isinstance(op, NoiseOp):
                 continue
-            self.sites.append(op)
             channel = op.channel
             dom = channel.dominant_index()
             probs = channel.nominal_probs
@@ -109,42 +104,58 @@ class NoiseSiteView:
 
     @property
     def num_sites(self) -> int:
-        return len(self.sites)
+        return len(self.dominant_prob)
 
     @property
     def num_candidates(self) -> int:
         return len(self.candidates)
 
-    # ------------------------------------------------------------------ #
-    # joint probabilities
-    # ------------------------------------------------------------------ #
     def log_dominant_total(self) -> float:
-        """log of the all-dominant ("ideal") trajectory probability (summed
-        once: every spec's joint probability starts from it)."""
-        if self._log_dominant_total is None:
-            total = 0.0
-            for p in self.dominant_prob.values():
-                if p <= 0.0:
-                    total = -math.inf
-                    break
-                total += math.log(p)
-            self._log_dominant_total = total
-        return self._log_dominant_total
+        """log of the all-dominant ("ideal") trajectory probability: every
+        trajectory's joint probability starts from it."""
+        total = 0.0
+        for p in self.dominant_prob.values():
+            total += math.log(p) if p > 0.0 else -math.inf
+        return total
 
-    def joint_probability(self, selection: Sequence[ErrorCandidate]) -> float:
-        """Nominal joint probability of a Kraus-operator selection.
+    def result(
+        self,
+        selections: Sequence[Sequence[ErrorCandidate]],
+        shots: Union[int, np.ndarray],
+        algorithm: str,
+        **counters: int,
+    ) -> "PTSResult":
+        """The PTS output of ``selections`` — per trajectory, its
+        candidates in site order, a site at most once (what ``compatible``
+        keeps) — numbered from 0, with ``shots`` each (one count, or one per
+        trajectory); ``counters`` are the result's rejection counts.
 
-        Selected sites contribute their branch probability; all other sites
-        contribute their dominant-branch probability.  Exact for unitary-
-        mixture noise (state-independent probabilities, paper §2.2).
+        The table is valid by construction: a candidate is a real site's
+        non-dominant branch.  A nominal joint probability takes each
+        selected site's branch probability and every other site's dominant
+        one (exact for unitary mixtures, paper §2.2): the log of the ideal
+        trajectory's, plus ``log p - log p_dominant`` per candidate in
+        selection order, then one ``exp``.
         """
-        log_p = self.log_dominant_total()
-        for cand in selection:
-            dom = self.dominant_prob[cand.site_id]
-            if dom <= 0.0 or cand.probability <= 0.0:
-                return 0.0
-            log_p += math.log(cand.probability) - math.log(dom)
-        return math.exp(log_p)
+        chosen = list(chain.from_iterable(selections))
+        lengths = np.array([len(selection) for selection in selections], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        site_ids = np.array([c.site_id for c in chosen], dtype=np.intp)
+        branches = np.array([c.kraus_index for c in chosen], dtype=np.intp)
+        table = Prescriptions(site_table(self.circuit), offsets, site_ids, branches)
+        # math.log and math.exp, not NumPy's: those differ in the last bit.
+        # A dominant branch of probability 0 makes its selections' 0.
+        dominant = {s: math.log(p) if p > 0.0 else math.inf for s, p in self.dominant_prob.items()}
+        steps = np.array([math.log(c.probability) - dominant[c.site_id] for c in chosen])
+        log_p = np.full(len(selections), self.log_dominant_total())
+        rows = table.rows()
+        position = np.arange(len(rows)) - offsets[rows]
+        for j in range(int(lengths.max(initial=0))):  # in selection order
+            log_p[rows[position == j]] += steps[position == j]
+        ids = np.arange(len(selections), dtype=np.int64)
+        shots = np.broadcast_to(np.asarray(shots, dtype=np.int64), len(selections)).copy()
+        probabilities = np.array([math.exp(x) for x in log_p.tolist()])
+        return PTSResult(table, ids, shots, probabilities, self.circuit, algorithm, **counters)
 
 
 @dataclass
@@ -165,73 +176,100 @@ class TrajectorySpec:
     def with_shots(self, num_shots: int) -> "TrajectorySpec":
         return TrajectorySpec(record=self.record, num_shots=int(num_shots))
 
-    def dedup_key(self) -> Tuple[Tuple[int, int], ...]:
-        """Hashable identity of the *prepared state* this spec prescribes.
-
-        Two specs with equal keys realize the same Kraus choices on the
-        same circuit and therefore the same noisy state — the vectorized
-        executor prepares such specs once and only merges shot budgets.
-        Delegates to :meth:`TrajectoryRecord.signature` (sorted
-        ``(site_id, kraus_index)`` pairs).
-        """
-        return self.record.signature()
-
     def __repr__(self) -> str:
         return f"TrajectorySpec(errors={self.record.num_errors()}, shots={self.num_shots}, p={self.probability:.3e})"
 
 
-@dataclass(frozen=True)
-class SpecGroup:
-    """Specs sharing one prepared state (identical Kraus choices).
-
-    ``indices`` point into the original spec sequence, in first-occurrence
-    order; ``total_shots`` is the merged shot budget of the group — one
-    state preparation serves all of it.
-    """
-
-    key: Tuple[Tuple[int, int], ...]
-    indices: Tuple[int, ...]
-    total_shots: int
-
-
-def deduplicate_specs(specs: Sequence[TrajectorySpec]) -> List[SpecGroup]:
-    """Group trajectory specs by :meth:`TrajectorySpec.dedup_key`.
-
-    PTS algorithms already reject duplicate error combinations within one
-    run (``uniqueKraus``), but specs merged across runs, algorithms, or
-    hand-built workloads can repeat.  Groups preserve the first-occurrence
-    order of their keys, so batched preparation stays deterministic.
-    """
-    grouped: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
-    for i, spec in enumerate(specs):
-        grouped.setdefault(spec.dedup_key(), []).append(i)
-    return [
-        SpecGroup(
-            key=key,
-            indices=tuple(indices),
-            total_shots=sum(specs[i].num_shots for i in indices),
-        )
-        for key, indices in grouped.items()
-    ]
-
-
-@dataclass
+@dataclass(eq=False)
 class PTSResult:
-    """Everything a PTS algorithm hands to batched execution."""
+    """Everything a PTS algorithm hands to batched execution: the run's
+    trajectory table.
 
-    specs: List[TrajectorySpec]
+    Row ``i`` is trajectory ``trajectory_ids[i]``, sampled on ``circuit``:
+    its deviations from the dominant branches (``table[i]``), ``shots[i]``
+    shots and nominal probability ``probabilities[i]``.  ``specs`` is a
+    sequence view of the rows, one :class:`TrajectorySpec` built per read.
+    """
+
+    table: Prescriptions
+    trajectory_ids: np.ndarray
+    shots: np.ndarray
+    probabilities: np.ndarray
+    circuit: Circuit
     algorithm: str
     attempted_samples: int = 0
     duplicates_rejected: int = 0
     incompatible_rejected: int = 0
+    #: A hand-built spec list's own records (``None``: built from the rows).
+    records: Optional[Sequence[TrajectoryRecord]] = None
+    _events: Dict[Tuple[int, int], KrausEvent] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @classmethod
+    def from_specs(cls, circuit: Circuit, specs: Sequence[TrajectorySpec]) -> "PTSResult":
+        """``specs`` as a result on the frozen ``circuit``, the way
+        :func:`~repro.prescriptions.as_prescriptions` takes dicts: a
+        result's own ``specs`` view, sampled on a circuit of an equal site
+        table, is that result; any other sequence keeps its records, and
+        its table is built — so checked — by
+        :func:`~repro.prescriptions.prescribe`, which names a bad spec by
+        its position."""
+        sites = site_table(circuit)
+        if isinstance(specs, _Specs) and np.array_equal(specs.result.table.sites, sites):
+            return specs.result
+        records = [spec.record for spec in specs]
+        keys = [sorted((e.site_id, e.kraus_index) for e in r.events) for r in records]
+        table = prescribe(sites, keys)
+        ids = np.array([r.trajectory_id for r in records], dtype=np.int64)
+        shots = np.array([spec.num_shots for spec in specs], dtype=np.int64)
+        probabilities = np.array([r.nominal_probability for r in records], dtype=np.float64)
+        return cls(table, ids, shots, probabilities, circuit, "specs", records=records)
+
+    @property
+    def specs(self) -> Sequence[TrajectorySpec]:
+        return _Specs(self)
+
+    def record(self, row: int) -> TrajectoryRecord:
+        """Row ``row``'s provenance: its deviations as events, in site order."""
+        if self.records is not None:
+            return self.records[row]
+        lo, hi = self.table.offsets[row : row + 2]
+        pairs = zip(self.table.site_ids[lo:hi].tolist(), self.table.branches[lo:hi].tolist())
+        return TrajectoryRecord(
+            int(self.trajectory_ids[row]),
+            tuple(self._event(*pair) for pair in pairs),
+            float(self.probabilities[row]),
+        )
+
+    def _event(self, site: int, index: int) -> KrausEvent:
+        """One event per branch, built once and shared by every record."""
+        if (site, index) not in self._events:
+            op = self.circuit.noise_sites[site]
+            p = float(op.channel.nominal_probs[index])
+            self._events[site, index] = KrausEvent(site, index, op.qubits, op.channel.name, p)
+        return self._events[site, index]
+
+    def take(self, rows: np.ndarray, shots: np.ndarray, algorithm: str) -> "PTSResult":
+        """Rows ``rows`` (an index array) with ``shots`` each, as
+        ``algorithm``'s result: how a derived sampler reshapes its base's."""
+        return replace(
+            self,
+            table=self.table.take(rows),
+            trajectory_ids=self.trajectory_ids[rows],
+            shots=np.asarray(shots, dtype=np.int64),
+            probabilities=self.probabilities[rows],
+            algorithm=algorithm,
+            records=None if self.records is None else [self.records[i] for i in rows.tolist()],
+        )
 
     @property
     def num_trajectories(self) -> int:
-        return len(self.specs)
+        return len(self.shots)
 
     @property
     def total_shots(self) -> int:
-        return sum(s.num_shots for s in self.specs)
+        return int(self.shots.sum())
 
     def coverage(self) -> float:
         """Sum of nominal probabilities of the distinct sampled sets.
@@ -240,10 +278,11 @@ class PTSResult:
         has unit total probability, paper Fig. 2) that the sampled subsets
         account for.
         """
-        return float(sum(s.probability for s in self.specs))
+        return float(sum(self.probabilities.tolist()))
 
     def sorted_by_probability(self) -> List[TrajectorySpec]:
-        return sorted(self.specs, key=lambda s: -s.probability)
+        specs = self.specs
+        return [specs[i] for i in np.argsort(-self.probabilities, kind="stable").tolist()]
 
     def __repr__(self) -> str:
         return (
@@ -252,26 +291,79 @@ class PTSResult:
         )
 
 
+class _Specs(SequenceABC):
+    """:attr:`PTSResult.specs`: row ``i`` as a :class:`TrajectorySpec`,
+    built when read (a slice reads a list)."""
+
+    def __init__(self, result: PTSResult):
+        self.result = result
+
+    def __len__(self) -> int:
+        return len(self.result.shots)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        row = range(len(self))[index]
+        return TrajectorySpec(self.result.record(row), int(self.result.shots[row]))
+
+
+@dataclass(frozen=True, eq=False)
+class SpecGroups:
+    """The distinct rows of a trajectory table, each prepared once.
+
+    Group ``g`` is row ``g`` of ``table``: the prescription shared by the
+    trajectory rows ``members[offsets[g]:offsets[g + 1]]`` (ascending, so
+    the first is the first occurrence), whose merged shot budget is
+    ``total_shots[g]``.
+    """
+
+    table: Prescriptions
+    offsets: np.ndarray
+    members: np.ndarray
+    total_shots: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.total_shots)
+
+    def take(self, groups: np.ndarray) -> "SpecGroups":
+        """The groups ``groups`` (an index array), in that order."""
+        offsets, entries = gather(self.offsets, groups)
+        table, totals = self.table.take(groups), self.total_shots[groups]
+        return SpecGroups(table, offsets, self.members[entries], totals)
+
+
+def deduplicate_specs(table: Prescriptions, shots: np.ndarray) -> SpecGroups:
+    """Group the rows of a trajectory ``table`` (``shots`` each) that
+    prescribe the same state: equal CSR slices, which — dominant entries
+    being dropped from a checked table — are equal Kraus choices.
+
+    PTS algorithms already reject duplicate error combinations within one
+    run (``uniqueKraus``), but specs merged across runs, algorithms, or
+    hand-built workloads can repeat.  Groups go in the first-occurrence
+    order of their rows, so batched preparation stays deterministic.  One
+    ``lexsort``.
+    """
+    keys = table.keys()
+    # Equal rows (equal key columns) are adjacent in lexsort order, and
+    # stay in row order.  The row lengths lead: a key for an empty table.
+    order = np.lexsort(np.vstack((keys[::-1], np.diff(table.offsets))))
+    keys = keys[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new)
+    rank = np.argsort(order[starts])  # the runs by first occurrence
+    offsets, entries = gather(np.append(starts, len(order)), rank)
+    members = order[entries]
+    totals = np.add.reduceat(shots[members], offsets[:-1]) if len(members) else shots[:0]
+    return SpecGroups(table.take(members[offsets[:-1]]), offsets, members, totals)
+
+
 class PTSAlgorithm(abc.ABC):
-    """Base class: turn a frozen noisy circuit into trajectory specs."""
+    """Base class: turn a frozen noisy circuit into a trajectory table."""
 
     name = "pts"
 
     @abc.abstractmethod
     def sample(self, circuit: Circuit, rng: np.random.Generator) -> PTSResult:
         """Run the pre-sampling pass."""
-
-    # Shared helper ----------------------------------------------------- #
-    @staticmethod
-    def make_spec(
-        view: NoiseSiteView,
-        selection: Sequence[ErrorCandidate],
-        num_shots: int,
-        trajectory_id: int,
-    ) -> TrajectorySpec:
-        record = TrajectoryRecord(
-            trajectory_id=trajectory_id,
-            events=tuple(c.event for c in selection),
-            nominal_probability=view.joint_probability(selection),
-        )
-        return TrajectorySpec(record=record, num_shots=int(num_shots))

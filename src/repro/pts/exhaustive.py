@@ -22,20 +22,13 @@ probability mass.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.errors import SamplingError
-from repro.pts.base import (
-    ErrorCandidate,
-    NoiseSiteView,
-    PTSAlgorithm,
-    PTSResult,
-    TrajectorySpec,
-)
+from repro.pts.base import ErrorCandidate, NoiseSiteView, PTSAlgorithm, PTSResult
 from repro.pts.compatibility import compatible
 
 __all__ = ["ExhaustivePTS", "TopKPTS"]
@@ -45,7 +38,6 @@ class _SiteTable:
     """Per-site branch options in a DFS-friendly layout."""
 
     def __init__(self, view: NoiseSiteView, max_errors: Optional[int]):
-        self.view = view
         self.site_ids: List[int] = sorted(view.dominant_prob.keys())
         by_site: Dict[int, List[ErrorCandidate]] = {sid: [] for sid in self.site_ids}
         for cand in view.candidates:
@@ -146,18 +138,15 @@ class ExhaustivePTS(PTSAlgorithm):
         )
         found.sort(key=lambda item: -item[1])
         if self.nshots is not None:
-            shot_list = [self.nshots] * len(found)
+            shots = np.full(len(found), self.nshots)
         else:
             from repro.pts.proportional import apportion_shots
 
-            probs = np.array([p for _, p in found])
-            shot_list = apportion_shots(probs, self.total_shots)
-        specs = [
-            self.make_spec(view, sel, int(shots), trajectory_id=i)
-            for i, ((sel, _), shots) in enumerate(zip(found, shot_list))
-            if int(shots) > 0
-        ]
-        return PTSResult(specs=specs, algorithm=f"{self.name}(cutoff={self.cutoff:g})")
+            shots = apportion_shots(np.array([p for _, p in found]), self.total_shots)
+        algorithm = f"{self.name}(cutoff={self.cutoff:g})"
+        result = view.result([sel for sel, _ in found], shots, algorithm)
+        kept = np.flatnonzero(shots > 0)
+        return result.take(kept, shots[kept], algorithm)
 
 
 class TopKPTS(PTSAlgorithm):
@@ -194,8 +183,4 @@ class TopKPTS(PTSAlgorithm):
 
         self.nodes_visited = _enumerate(table, cutoff, emit)
         ranked = sorted(heap, key=lambda item: -item[0])
-        specs = [
-            self.make_spec(view, sel, self.nshots, trajectory_id=i)
-            for i, (_, _, sel) in enumerate(ranked)
-        ]
-        return PTSResult(specs=specs, algorithm=f"{self.name}(k={self.k})")
+        return view.result([sel for _, _, sel in ranked], self.nshots, f"{self.name}(k={self.k})")

@@ -35,13 +35,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.errors import SamplingError
-from repro.pts.base import (
-    ErrorCandidate,
-    NoiseSiteView,
-    PTSAlgorithm,
-    PTSResult,
-    TrajectorySpec,
-)
+from repro.pts.base import ErrorCandidate, NoiseSiteView, PTSAlgorithm, PTSResult
 from repro.pts.compatibility import compatible
 
 __all__ = ["ProbabilisticPTS"]
@@ -134,7 +128,7 @@ class ProbabilisticPTS(PTSAlgorithm):
         returns for the probabilities of these ``candidates``."""
         rows, cols = np.divmod(fired, max(1, len(candidates)))
         # Cell ranges of the attempts that fired something, in attempt order
-        # (which is what numbers the specs): attempt k's is edges[k:k + 2].
+        # (which is what numbers the trajectories): attempt k's is edges[k:k + 2].
         edges = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), len(fired))
         firing = len(edges) - 1
         kept = self.nsamples if self.include_ideal else firing
@@ -143,7 +137,7 @@ class ProbabilisticPTS(PTSAlgorithm):
             # only the first can be new: an empty range where it stands.
             idle = int(np.argmax(np.append(rows[edges[:-1]] != np.arange(firing), True)))
             edges = np.insert(edges, idle, edges[idle])
-        specs: List[TrajectorySpec] = []
+        selections: List[List[ErrorCandidate]] = []
         # A selection is identified by its candidate indices, ascending.
         seen: Set[Tuple[int, ...]] = set()
         incompatible = 0
@@ -164,12 +158,12 @@ class ProbabilisticPTS(PTSAlgorithm):
                 key = tuple(chosen)
                 if key not in seen:
                     seen.add(key)
-                    selection = [candidates[i] for i in key]
-                    specs.append(self.make_spec(view, selection, self.nshots, len(specs)))
-        return PTSResult(
-            specs=specs,
-            algorithm=self.name,
+                    selections.append([candidates[i] for i in key])
+        return view.result(
+            selections,
+            self.nshots,
+            self.name,
             attempted_samples=self.nsamples,
-            duplicates_rejected=kept - len(specs),
+            duplicates_rejected=kept - len(selections),
             incompatible_rejected=incompatible,
         )

@@ -15,13 +15,13 @@ trajectory subsets — verified against the density-matrix backend in
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.errors import SamplingError
-from repro.pts.base import PTSAlgorithm, PTSResult, TrajectorySpec
+from repro.pts.base import PTSAlgorithm, PTSResult
 from repro.pts.probabilistic import ProbabilisticPTS
 
 __all__ = ["ProportionalPTS", "apportion_shots"]
@@ -81,24 +81,13 @@ class ProportionalPTS(PTSAlgorithm):
         self.resample = resample
 
     def sample(self, circuit: Circuit, rng: np.random.Generator) -> PTSResult:
-        base_result = self.base.sample(circuit, rng)
-        if not base_result.specs:
+        base = self.base.sample(circuit, rng)
+        if not base.num_trajectories:
             raise SamplingError("base sampler produced no trajectories")
-        probs = np.array([s.probability for s in base_result.specs])
+        probs = base.probabilities
         if self.resample:
-            rel = probs / probs.sum()
-            shots = rng.multinomial(self.total_shots, rel)
+            shots = rng.multinomial(self.total_shots, probs / probs.sum())
         else:
             shots = apportion_shots(probs, self.total_shots)
-        specs: List[TrajectorySpec] = [
-            spec.with_shots(int(m))
-            for spec, m in zip(base_result.specs, shots)
-            if int(m) > 0
-        ]
-        return PTSResult(
-            specs=specs,
-            algorithm=f"{self.name}({self.base.name})",
-            attempted_samples=base_result.attempted_samples,
-            duplicates_rejected=base_result.duplicates_rejected,
-            incompatible_rejected=base_result.incompatible_rejected,
-        )
+        kept = np.flatnonzero(shots > 0)
+        return base.take(kept, shots[kept], f"{self.name}({self.base.name})")

@@ -30,13 +30,7 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import SamplingError
-from repro.pts.base import (
-    ErrorCandidate,
-    NoiseSiteView,
-    PTSAlgorithm,
-    PTSResult,
-    TrajectorySpec,
-)
+from repro.pts.base import ErrorCandidate, NoiseSiteView, PTSAlgorithm, PTSResult
 from repro.pts.compatibility import compatible, unique_kraus
 
 __all__ = ["CorrelatedNoisePTS", "twirl_circuit"]
@@ -105,10 +99,9 @@ class CorrelatedNoisePTS(PTSAlgorithm):
         by_site: Dict[int, List[ErrorCandidate]] = {}
         for cand in view.candidates:
             by_site.setdefault(cand.site_id, []).append(cand)
-        moments = [view.site_moment[sid] for sid in sorted(view.site_moment)]
-        max_moment = max(moments) if moments else 0
+        max_moment = max(view.site_moment.values(), default=0)
 
-        specs: List[TrajectorySpec] = []
+        selections: List[List[ErrorCandidate]] = []
         seen: Set[Tuple[Tuple[int, int], ...]] = set()
         duplicates = 0
         for _ in range(self.num_bursts):
@@ -131,14 +124,13 @@ class CorrelatedNoisePTS(PTSAlgorithm):
             if not selection:
                 continue
             if unique_kraus(selection, seen):
-                specs.append(
-                    self.make_spec(view, selection, self.nshots, trajectory_id=len(specs))
-                )
+                selections.append(selection)
             else:
                 duplicates += 1
-        return PTSResult(
-            specs=specs,
-            algorithm=f"{self.name}(r={self.radius},w={self.moment_window})",
+        return view.result(
+            selections,
+            self.nshots,
+            f"{self.name}(r={self.radius},w={self.moment_window})",
             attempted_samples=self.num_bursts,
             duplicates_rejected=duplicates,
         )

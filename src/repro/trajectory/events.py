@@ -64,7 +64,6 @@ class TrajectoryRecord:
     trajectory_id: int
     events: Tuple[KrausEvent, ...]
     nominal_probability: float = 1.0
-    weight: float = 1.0
 
     @property
     def choices(self) -> Dict[int, int]:

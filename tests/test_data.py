@@ -134,6 +134,35 @@ class TestSerialization:
         assert rec.events[0].channel_name == "depolarizing2(0.03)"
         assert rec.events[0].qubits == (0, 1)
         assert rec.nominal_probability == pytest.approx(0.002)
+        assert rec == record
+
+    def test_provenance_claims_no_weight(self, tmp_path):
+        """A record holds no realized weight (that is
+        ``TrajectoryResult.actual_weight``), so none is written; a file
+        written with the old ``"weight"`` key still loads."""
+        import json
+
+        from repro.data.dataset import LabeledShotDataset
+        from repro.data.io import load_dataset, save_dataset
+        from repro.trajectory.events import TrajectoryRecord
+
+        record = TrajectoryRecord(trajectory_id=0, events=(), nominal_probability=0.9)
+        ds = LabeledShotDataset(
+            features=np.zeros((1, 2), dtype=np.uint8),
+            labels=np.array([0]),
+            trajectory_ids=np.array([0]),
+            records={0: record},
+        )
+        path = save_dataset(ds, tmp_path / "ds.npz")
+        with np.load(path) as data:
+            provenance = json.loads(bytes(data["provenance"].tobytes()).decode("utf-8"))
+            arrays = {name: data[name] for name in ("features", "labels", "trajectory_ids")}
+        assert "weight" not in provenance["records"]["0"]
+        assert not hasattr(record, "weight")
+        provenance["records"]["0"]["weight"] = 1.0
+        blob = np.frombuffer(json.dumps(provenance).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(tmp_path / "old.npz", provenance=blob, **arrays)
+        assert load_dataset(tmp_path / "old.npz").records == {0: record}
 
     def test_missing_file(self, tmp_path):
         from repro.data.io import load_dataset

@@ -16,8 +16,14 @@ the whole run) on every strategy name and on ``"auto"``:
   frame-eligible;
 * a spec naming a noise site the circuit lacks, a Kraus index outside
   its site's channel or one site twice is refused with one message by
-  every strategy.
+  every strategy;
+* a sampler's result and the same trajectories as a hand-built spec list
+  (with a duplicate and an entry naming a dominant index drawn in) give
+  one shot table, the same dedup groups and each its own records.
 """
+
+import dataclasses
+
 
 import numpy as np
 import pytest
@@ -28,9 +34,12 @@ from repro.channels import depolarizing, pauli_channel
 from repro.channels.standard import amplitude_damping
 from repro.circuits import Circuit
 from repro.errors import ExecutionError
-from repro.execution import analyze_circuit, run_ptsbe
-from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES
+from repro.execution import BackendSpec, analyze_circuit, run_ptsbe
+from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
+from repro.execution.router import resolve_strategy
 from repro.pts import ExhaustivePTS, ProbabilisticPTS, TrajectorySpec
+from repro.pts import base as pts_base
+from repro.rng import make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
 SAMPLER = ExhaustivePTS(cutoff=1e-6, nshots=20)
@@ -84,6 +93,14 @@ def run(circuit, strategy, max_batch=3, sampler=SAMPLER, **extra):
     return run_ptsbe(circuit, sampler, seed=5, strategy=strategy, executor_kwargs=kwargs)
 
 
+def execute(circuit, strategy, specs, max_batch=3):
+    """``specs`` through the executor ``run_ptsbe`` builds for ``strategy``."""
+    backend = BackendSpec()
+    resolved, _ = resolve_strategy(circuit, backend, strategy, backend.config)
+    executor = executor_class(resolved)(backend, **options(strategy, max_batch))
+    return executor.execute(circuit, specs, seed=5)
+
+
 def trajectories(result):
     ids = [t.record.trajectory_id for t in result.trajectories]
     return ids, np.array([t.actual_weight for t in result.trajectories])
@@ -122,20 +139,6 @@ def test_every_strategy_agrees_with_serial(circuit, sampler, max_batch):
         assert_dense_equal(auto, serial)
 
 
-class _MalformedPTS(ExhaustivePTS):
-    """``ExhaustivePTS`` plus one spec with the given ``(site, kraus)`` events."""
-
-    def __init__(self, events):
-        super().__init__(cutoff=1e-6, nshots=20)
-        self.events = events
-
-    def sample(self, circuit, rng):
-        result = super().sample(circuit, rng)
-        events = tuple(KrausEvent(site, index) for site, index in self.events)
-        result.specs.append(TrajectorySpec(TrajectoryRecord(len(result.specs), events), 20))
-        return result
-
-
 def malformed(kind, circuit):
     """A malformed spec's events, and what its refusal says."""
     sites = circuit.num_noise_sites()
@@ -152,16 +155,102 @@ def malformed(kind, circuit):
 def test_a_malformed_prescription_is_refused_alike_by_every_strategy(circuit, kind):
     assume(kind == "unknown site" or circuit.num_noise_sites() > 0)
     events, wording = malformed(kind, circuit)
-    sampler = _MalformedPTS(events)
+    # The sampled specs plus one with the malformed events.
+    specs = list(SAMPLER.sample(circuit, make_rng(5)).specs)
+    record = TrajectoryRecord(len(specs), tuple(KrausEvent(s, i) for s, i in events))
+    specs.append(TrajectorySpec(record, 20))
     messages = set()
     for strategy in list(STRATEGIES) + ["auto"]:
         if strategy == "clifford" and not analyze_circuit(circuit).frame_eligible:
             continue
         with pytest.raises(ExecutionError) as raised:
-            run(circuit, strategy, sampler=sampler)
+            execute(circuit, strategy, specs)
         messages.add(str(raised.value))
     assert len(messages) == 1
     assert wording in messages.pop()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    circuit=noisy_circuits(),
+    sampler=st.sampled_from(SAMPLERS),
+    max_batch=st.sampled_from((1, 3, 64)),
+    data=st.data(),
+)
+def test_a_result_and_its_hand_built_spec_list_run_alike(circuit, sampler, max_batch, data):
+    """The two input forms of ``execute``: a sampler's result (its
+    ``specs`` view) and the same trajectories as a spec list built by hand,
+    which ``drive()`` converts and checks.  Rows ``n`` and ``n + 1`` repeat
+    two drawn rows under new ids, and the list names a dominant index in
+    the second, which prescribes nothing."""
+    sampled = sampler.sample(circuit, make_rng(5))
+    n = sampled.num_trajectories
+    twin, other = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+    rows = np.append(np.arange(n), [twin, other])
+    result = dataclasses.replace(
+        sampled.take(rows, np.append(sampled.shots, [7, 9]), "drawn"),
+        trajectory_ids=np.arange(n + 2),
+    )
+    records = [spec.record for spec in result.specs]
+    free = sorted(set(range(circuit.num_noise_sites())) - set(result.table[other]))
+    if free:
+        site = data.draw(st.sampled_from(free))
+        dominant = KrausEvent(site, circuit.noise_sites[site].channel.dominant_index())
+        events = tuple(sorted(records[-1].events + (dominant,)))
+        records[-1] = dataclasses.replace(records[-1], events=events)
+    hand_built = [TrajectorySpec(record, int(m)) for record, m in zip(records, result.shots)]
+    eligible = analyze_circuit(circuit).frame_eligible
+    for strategy in list(STRATEGIES) + ["auto"]:
+        if strategy == "clifford" and not eligible:
+            continue
+        a = execute(circuit, strategy, result.specs, max_batch)
+        b = execute(circuit, strategy, hand_built, max_batch)
+        assert_dense_equal(b, a)
+        assert a.unique_preparations == b.unique_preparations == n
+        assert a.records == [spec.record for spec in result.specs]
+        assert b.records == records
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES) + ["auto"])
+def test_a_dominant_index_prepares_the_state_that_omits_its_site(strategy):
+    circuit = Circuit(2).h(0).cx(0, 1)
+    circuit.attach(depolarizing(0.1), 0).attach(depolarizing(0.1), 1).measure_all().freeze()
+    dominant = circuit.noise_sites[0].channel.dominant_index()
+    specs = [
+        TrajectorySpec(TrajectoryRecord(tid, tuple(KrausEvent(0, k) for k in kraus)), 10)
+        for tid, kraus in enumerate([(), (dominant,), (1,)])
+    ]
+    result = execute(circuit, strategy, specs)
+    assert result.unique_preparations == 2
+    assert result.records == [spec.record for spec in specs]
+    bits = [t.bits for t in result.trajectories]
+    assert [len(b) for b in bits] == [10, 10, 10]
+
+
+def test_a_sampled_run_builds_no_spec(monkeypatch):
+    """A sampler's table goes to the engines as it is: no spec is built
+    and nothing is checked again (``len`` of the view builds nothing)."""
+    built = []
+    original = TrajectorySpec.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("a sampled table was prescribed again")
+
+    monkeypatch.setattr(TrajectorySpec, "__init__", counting)
+    monkeypatch.setattr(pts_base, "prescribe", refused)
+    circuit = Circuit(3).h(0).cx(0, 1).cx(1, 2)
+    circuit.attach(depolarizing(0.05), 1).attach(amplitude_damping(0.1), 2).measure_all().freeze()
+    sampled = SAMPLER.sample(circuit, make_rng(1))
+    assert len(sampled.specs) == sampled.num_trajectories > 1
+    for strategy in list(STRATEGIES) + ["auto"]:
+        if strategy != "clifford":
+            assert run(circuit, strategy).num_trajectories == sampled.num_trajectories
+    assert built == []
+    assert sampled.specs[1].record.trajectory_id == 1 and len(built) == 1
 
 
 def test_parallel_on_a_pool_agrees_with_serial():

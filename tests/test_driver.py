@@ -43,7 +43,7 @@ from repro.execution import batched, clifford, driver, tensornet, vectorized
 from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
 from repro.execution.driver import Engine
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
-from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
+from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory, make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
@@ -86,6 +86,12 @@ def circuit():
 @pytest.fixture(scope="module")
 def specs(circuit):
     return ProbabilisticPTS(nsamples=60, nshots=40).sample(circuit, make_rng(5)).specs
+
+
+def groups_of(circuit, specs):
+    """``specs``' dedup groups, as ``drive()`` forms them."""
+    trajectories = PTSResult.from_specs(circuit, specs)
+    return deduplicate_specs(trajectories.table, trajectories.shots)
 
 
 def make_executor(strategy, config=None):
@@ -137,11 +143,10 @@ def test_streamed_chunks_concatenate_to_the_finalized_table(circuit, specs, stra
     local = driver.drive(partial(executor._engine, circuit), circuit, specs, seed=21)
     first = next(local)
     local.close()
-    groups = deduplicate_specs(specs)
+    groups = groups_of(circuit, specs)
     held = min(executor.max_batch, len(groups)) if strategy == "tensornet" else 1
-    assert first.records == [
-        specs[i].record for i in sorted(i for g in groups[:held] for i in g.indices)
-    ]
+    held_rows = sorted(groups.members[: groups.offsets[held]])
+    assert first.records == [specs[i].record for i in held_rows]
     first_bits = first.shot_table().bits
     np.testing.assert_array_equal(first_bits, result.shot_table().bits[: len(first_bits)])
 
@@ -237,7 +242,7 @@ def test_sort_windows_bound_the_chunks_whatever_is_retained():
     ghz = Circuit(3).h(0).cx(0, 1).cx(1, 2).measure_all()
     noisy = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.2)).apply(ghz).freeze()
     specs = ProbabilisticPTS(nsamples=400, nshots=10).sample(noisy, make_rng(3)).specs
-    groups = deduplicate_specs(specs)
+    groups = groups_of(noisy, specs)
     assert len(groups) == len(specs) > 12  # one group a spec, 30 bytes of bits each
     starts = _window_starts(specs, 2, 2 * 8 * 16, 3)
     assert len(starts) >= 2 and starts[1] - starts[0] == 8  # four units a window
@@ -598,7 +603,7 @@ def test_any_chunking_workers_faults_and_halving_give_one_table_per_seed(
     with frame_cuts:
         # The tasks, by the driver's own rule; halve the first that holds
         # two groups or more (else the first) `halvings` deep.
-        groups = deduplicate_specs(specs)
+        groups = groups_of(circuit, specs)
         probe = _permuted_executor(strategy, how["rows"], None)._engine(circuit)
         probe.release()
         if how["workers"] == 1:
@@ -816,9 +821,7 @@ class _FixedPTS(ProbabilisticPTS):
         self.fixed = specs
 
     def sample(self, circuit, rng):
-        result = super().sample(circuit, rng)
-        result.specs[:] = self.fixed
-        return result
+        return PTSResult.from_specs(circuit, self.fixed)
 
 
 @pytest.mark.parametrize(
@@ -833,13 +836,17 @@ class _FixedPTS(ProbabilisticPTS):
 def test_the_first_malformed_spec_in_caller_order_is_named(circuit, strategy, bad, problem):
     """Specs 4 and 9 are malformed alike, and spec 9's deviations sort
     first (site 1 against site 3): the table is checked in caller order,
-    before any engine sorts it, so every strategy names spec 4."""
+    before any engine sorts it, so every strategy names spec 4 (``auto``
+    through a sampler that emits the specs)."""
     specs = [_spec(tid, 10, {tid: 1}) for tid in range(12)]
     for tid, first in ((4, 3), (9, 1)):
         events = tuple(KrausEvent(site, index) for site, index in [(first, 1)] + bad)
         specs[tid] = TrajectorySpec(TrajectoryRecord(tid, events), 10)
     with pytest.raises(ExecutionError) as raised:
-        run_ptsbe(circuit, _FixedPTS(specs), seed=1, strategy=strategy)
+        if strategy == "auto":
+            run_ptsbe(circuit, _FixedPTS(specs), seed=1)
+        else:
+            make_executor(strategy).execute_stream(circuit, specs, seed=1)
     assert type(raised.value) is ExecutionError
     assert str(raised.value) == f"spec 4 prescribes {problem}"
 
@@ -1056,7 +1063,7 @@ def test_look_ahead_holds_at_most_one_more_preparation(lookahead):
     (its state, the kernel's fresh output and scratch, its draw table)."""
     circuit = layered(16)
     specs = ProbabilisticPTS(nsamples=12, nshots=200_000).sample(circuit, make_rng(7)).specs
-    assert len(deduplicate_specs(specs)) >= 4
+    assert len(groups_of(circuit, specs)) >= 4
 
     def traced_peak(fn):
         tracemalloc.start()

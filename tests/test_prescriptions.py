@@ -57,18 +57,20 @@ def test_a_slice_with_a_step_is_refused(rows):
 @pytest.mark.parametrize(
     "keys, message",
     [
-        ([[(0, 1)], [(4, 1)]], "spec 11 prescribes noise site 4, but the circuit has 4 noise sites"),
-        ([[(0, 1)], [(1, 4)]], "spec 11 prescribes Kraus index 4 at noise site 1, whose channel"),
-        ([[(0, -1)], []], "spec 10 prescribes Kraus index -1 at noise site 0, whose channel"),
-        ([[(0, 1)], [(2, 0), (2, 1)]], "spec 11 prescribes noise site 2 twice"),
+        ([[(0, 1)], [(4, 1)]], "spec 1 prescribes noise site 4, but the circuit has 4 noise sites"),
+        ([[(0, 1)], [(1, 4)]], "spec 1 prescribes Kraus index 4 at noise site 1, whose channel"),
+        ([[(0, -1)], []], "spec 0 prescribes Kraus index -1 at noise site 0, whose channel"),
+        ([[(0, 1)], [(2, 0), (2, 1)]], "spec 1 prescribes noise site 2 twice"),
         # An unknown site anywhere comes before a bad index or a repeat in an earlier row.
-        ([[(0, 4), (0, 1)], [(9, 1)]], "spec 11 prescribes noise site 9, but"),
-        ([[(1, 2), (1, 3)], [(3, 7)]], "spec 11 prescribes Kraus index 7 at noise site 3"),
+        ([[(0, 4), (0, 1)], [(9, 1)]], "spec 1 prescribes noise site 9, but"),
+        ([[(1, 2), (1, 3)], [(3, 7)]], "spec 1 prescribes Kraus index 7 at noise site 3"),
+        # A site in two rows is no repeat.
+        ([[(2, 1)], [(2, 1), (3, 1), (3, 2)]], "spec 1 prescribes noise site 3 twice"),
     ],
 )
-def test_prescribe_names_the_owner_of_the_first_bad_row(keys, message):
+def test_prescribe_names_the_first_bad_row(keys, message):
     with pytest.raises(ExecutionError, match=message):
-        prescribe(site_table(_chain()), keys, owners=[10, 11])
+        prescribe(site_table(_chain()), keys)
 
 
 def test_a_table_for_the_same_sites_passes_through_and_any_other_is_checked_again():

@@ -1,5 +1,7 @@
 """PTS algorithms: Algorithm 2, proportional, bands, exhaustive, top-k."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,13 +41,43 @@ class TestNoiseSiteView:
 
     def test_joint_probability_ideal(self, noisy_ghz3):
         view = NoiseSiteView(noisy_ghz3)
-        assert view.joint_probability([]) == pytest.approx((1 - 0.05) ** 4)
+        assert view.result([[]], 1, "one").probabilities[0] == pytest.approx((1 - 0.05) ** 4)
 
     def test_joint_probability_one_error(self, noisy_ghz3):
         view = NoiseSiteView(noisy_ghz3)
         cand = view.candidates[0]
         expected = (0.05 / 3) * (1 - 0.05) ** 3
-        assert view.joint_probability([cand]) == pytest.approx(expected)
+        assert view.result([[cand]], 1, "one").probabilities[0] == pytest.approx(expected)
+
+    def test_result_rows_are_the_selections_bit_for_bit(self, mixed_noise_circuit):
+        """The builder's table, records and nominal probabilities against
+        the per-selection formula it replaced: ``math.log`` per candidate
+        in selection order from the ideal's log, one ``math.exp``."""
+        view = NoiseSiteView(mixed_noise_circuit)
+        by_site = {}
+        for cand in view.candidates:
+            by_site.setdefault(cand.site_id, []).append(cand)
+        sites = sorted(by_site)
+        rng = make_rng(4)
+        selections = [[]] + [
+            [by_site[site][rng.integers(len(by_site[site]))] for site in sorted(chosen)]
+            for chosen in (rng.choice(sites, rng.integers(1, 6), replace=False) for _ in range(60))
+        ]
+        result = view.result(selections, np.arange(61) + 1, "drawn", attempted_samples=9)
+        assert result.attempted_samples == 9 and result.shots.tolist() == list(range(1, 62))
+        for row, selection in enumerate(selections):
+            log_p = view.log_dominant_total()
+            for cand in selection:
+                log_p += math.log(cand.probability) - math.log(view.dominant_prob[cand.site_id])
+            assert result.probabilities[row] == math.exp(log_p)
+            assert result.table[row] == {c.site_id: c.kraus_index for c in selection}
+            record = result.specs[row].record
+            assert record.trajectory_id == row and record.nominal_probability == math.exp(log_p)
+            assert [(e.site_id, e.kraus_index, e.qubits, e.channel_name, e.probability)
+                    for e in record.events] == [
+                (c.site_id, c.kraus_index, c.qubits, c.channel_name, c.probability)
+                for c in selection
+            ]
 
     def test_requires_frozen(self):
         with pytest.raises(SamplingError):
@@ -148,7 +180,7 @@ def algorithm2_reference(sampler, circuit, fired):
     oracle of its selection pass.  ``fired[attempt, candidate]`` stands in
     for the loop's ``rng.random() <= p``."""
     view, candidates = filtered_candidates(sampler, circuit)
-    specs, seen = [], set()
+    selections, seen = [], set()
     duplicates = incompatible = 0
     for attempt in range(sampler.nsamples):
         selection = []
@@ -162,10 +194,10 @@ def algorithm2_reference(sampler, circuit, fired):
         if not selection and not sampler.include_ideal:
             continue
         if unique_kraus(selection, seen):
-            specs.append(sampler.make_spec(view, selection, sampler.nshots, len(specs)))
+            selections.append(selection)
         else:
             duplicates += 1
-    return specs, duplicates, incompatible
+    return view.result(selections, sampler.nshots, sampler.name).specs, duplicates, incompatible
 
 
 def crowded():
@@ -189,7 +221,7 @@ class TestSelectionPass:
         specs, duplicates, incompatible = algorithm2_reference(sampler, circuit, fired)
         assert [s.record for s in got.specs] == [s.record for s in specs]
         assert [s.record.trajectory_id for s in got.specs] == list(range(len(specs)))
-        assert [s.dedup_key() for s in got.specs] == [s.dedup_key() for s in specs]
+        assert [s.choices for s in got.specs] == [s.choices for s in specs]
         assert [s.probability for s in got.specs] == [s.probability for s in specs]
         assert [s.num_shots for s in got.specs] == [s.num_shots for s in specs]
         assert got.attempted_samples == sampler.nsamples
@@ -552,7 +584,7 @@ class TestBandPTS:
         """A base whose total is below the kept count: the split hands out
         one shot each to the first specs and drops the rest."""
         specs = ProbabilisticPTS(nsamples=2000, nshots=1).sample(noisy_ghz3, make_rng(12)).specs
-        fixed = PTSResult(specs=[s.with_shots(0) for s in specs[2:]] + specs[:2], algorithm="fixed")
+        fixed = PTSResult.from_specs(noisy_ghz3, [s.with_shots(0) for s in specs[2:]] + specs[:2])
 
         class Fixed(PTSAlgorithm):
             name = "fixed"

@@ -302,8 +302,8 @@ class TestFrameConformance:
         sampler = ExhaustivePTS(cutoff=1e-5, nshots=None, total_shots=2000)
         frames = run_ptsbe(clifford_circuit, sampler, seed=13, strategy="clifford")
         serial = run_ptsbe(clifford_circuit, sampler, seed=13, strategy="serial")
-        fw = {r.trajectory_id: r.weight for r in frames.records}
-        sw = {r.trajectory_id: r.weight for r in serial.records}
+        fw = {t.record.trajectory_id: t.actual_weight for t in frames.trajectories}
+        sw = {t.record.trajectory_id: t.actual_weight for t in serial.trajectories}
         assert fw.keys() == sw.keys()
         for tid, weight in fw.items():
             assert weight == pytest.approx(sw[tid], abs=1e-12)

@@ -19,7 +19,7 @@ from repro.execution import (
 )
 from repro.execution.batched import STRATEGIES
 from repro.execution.plan import get_fused_plan
-from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
+from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
 from repro.rng import make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
@@ -188,7 +188,9 @@ class TestDedupAcrossShards:
             _spec(3, 40, [_event(1, 2, qubits=(0, 1))]),
         ]
         result = ShardedExecutor(max_batch=3).execute(noisy_ghz3, specs, seed=3)
-        assert result.unique_preparations == len(deduplicate_specs(specs))
+        trajectories = PTSResult.from_specs(noisy_ghz3, specs)
+        groups = deduplicate_specs(trajectories.table, trajectories.shots)
+        assert result.unique_preparations == len(groups) == 3
         assert [t.record.trajectory_id for t in result.trajectories] == [0, 1, 2, 3]
         assert [t.num_shots for t in result.trajectories] == [30, 20, 10, 40]
 
@@ -210,7 +212,8 @@ class TestRowRule:
         ``max_dense_qubits=5`` holds 2**(5-3) = 4 rows of a 3-qubit state.
         Group 0 is a unit of its own, so that is the second chunk."""
         specs = _pts_specs(noisy_ghz3, 3)
-        assert len(deduplicate_specs(specs)) == len(specs) > 4
+        trajectories = PTSResult.from_specs(noisy_ghz3, specs)
+        assert len(deduplicate_specs(trajectories.table, trajectories.shots)) == len(specs) > 4
         spec = BackendSpec.batched_statevector(config=Config(max_dense_qubits=5))
         executor = cls(spec, max_batch=max_batch)
         stream = executor.execute_stream(noisy_ghz3, specs, seed=6)

@@ -23,7 +23,7 @@ from repro.execution import (
     run_ptsbe_stream,
 )
 from repro.execution.streaming import OrderedDelivery
-from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
+from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
 from repro.rng import make_rng
 from repro.trajectory.events import TrajectoryRecord
 
@@ -32,6 +32,12 @@ def _pts_specs(circuit, pts_seed, nsamples=200, nshots=300):
     return ProbabilisticPTS(nsamples=nsamples, nshots=nshots).sample(
         circuit, make_rng(pts_seed)
     ).specs
+
+
+def _num_groups(circuit, specs):
+    """How many dedup groups ``drive()`` forms from ``specs``."""
+    trajectories = PTSResult.from_specs(circuit, specs)
+    return len(deduplicate_specs(trajectories.table, trajectories.shots))
 
 
 def _spec(tid, shots):
@@ -549,7 +555,7 @@ class TestLookAhead:
         threads = lookahead(True)
         ahead, ahead_weights = self._run(circuit, specs, mode)
         # Every unit past the first two was prepared ahead.
-        assert threads.count("repro-lookahead_0") == len(deduplicate_specs(specs)) - 2
+        assert threads.count("repro-lookahead_0") == _num_groups(circuit, specs) - 2
         np.testing.assert_array_equal(ahead.bits, inline.bits)
         np.testing.assert_array_equal(ahead.trajectory_ids, inline.trajectory_ids)
         assert ahead_weights == inline_weights
@@ -570,7 +576,7 @@ class TestLookAhead:
             assert time.perf_counter() - start < 30
         finally:
             sys.setswitchinterval(interval)
-        assert threads.count("repro-lookahead_0") == len(deduplicate_specs(specs)) - 2
+        assert threads.count("repro-lookahead_0") == _num_groups(brickwork, specs) - 2
         np.testing.assert_array_equal(ahead.bits, inline.bits)
 
     @pytest.mark.parametrize("chunks", [1, 2, 3])

@@ -689,7 +689,7 @@ class _FixedSpecs(PTSAlgorithm):
         ]
 
     def sample(self, circuit, rng):
-        return PTSResult(specs=list(self.specs), algorithm=self.name)
+        return PTSResult.from_specs(circuit, self.specs)
 
 
 class TestKrausIndexRange:
@@ -938,8 +938,8 @@ class TestExecutorContracts:
         sampler = ExhaustivePTS(cutoff=1e-4, nshots=None, total_shots=2000)
         tn = run_ptsbe(small_noisy_circuit, sampler, seed=13, strategy="tensornet")
         serial = run_ptsbe(small_noisy_circuit, sampler, seed=13, strategy="serial")
-        tw = {r.trajectory_id: r.weight for r in tn.records}
-        sw = {r.trajectory_id: r.weight for r in serial.records}
+        tw = {t.record.trajectory_id: t.actual_weight for t in tn.trajectories}
+        sw = {t.record.trajectory_id: t.actual_weight for t in serial.trajectories}
         assert tw.keys() == sw.keys()
         for tid, weight in tw.items():
             assert weight == pytest.approx(sw[tid], rel=1e-9, abs=1e-12)
@@ -985,9 +985,7 @@ class TestExecutorContracts:
     def test_width_above_tensornet_cap_raises(self):
         circ = _wide_nonclifford(8)
         exe = TensorNetExecutor(BackendSpec.mps(config=Config(max_tensornet_qubits=6)))
-        from repro.pts.base import NoiseSiteView, PTSAlgorithm
-
-        spec = PTSAlgorithm.make_spec(NoiseSiteView(circ), [], 10, trajectory_id=0)
+        spec = TrajectorySpec(TrajectoryRecord(trajectory_id=0, events=()), num_shots=10)
         with pytest.raises(ExecutionError, match="max_tensornet_qubits"):
             exe.execute_stream(circ, [spec], seed=0)
 

@@ -33,7 +33,7 @@ from repro.execution import (
 )
 from repro.linalg.sampling import bits_from_indices
 from repro.prescriptions import as_prescriptions, site_table
-from repro.pts import ProbabilisticPTS, TrajectorySpec, deduplicate_specs
+from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory, make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
@@ -49,6 +49,18 @@ def _event(site, kraus, qubits=(0,), p=0.05):
     return KrausEvent(
         site_id=site, kraus_index=kraus, qubits=qubits, channel_name="ch", probability=p
     )
+
+
+def _groups(circuit, specs):
+    """``specs``' dedup groups, as ``drive()`` forms them."""
+    trajectories = PTSResult.from_specs(circuit, specs)
+    return deduplicate_specs(trajectories.table, trajectories.shots)
+
+
+def _members(groups):
+    """Each group's trajectory rows."""
+    bounds = groups.offsets.tolist()
+    return [groups.members[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 def _pts_specs(circuit, pts_seed, nsamples=300, nshots=400):
@@ -569,27 +581,27 @@ class TestPrefixSharing:
 
 
 class TestDedup:
-    def test_dedup_key_ignores_trajectory_id_and_shots(self):
+    def test_groups_ignore_trajectory_id_and_shots(self, noisy_ghz3):
         a = _spec(0, 100, [_event(0, 1)])
         b = _spec(9, 250, [_event(0, 1)])
-        assert a.dedup_key() == b.dedup_key()
+        groups = _groups(noisy_ghz3, [a, b])
+        assert _members(groups) == [[0, 1]] and groups.total_shots.tolist() == [350]
 
-    def test_dedup_key_distinguishes_choices(self):
-        assert _spec(0, 1, [_event(0, 1)]).dedup_key() != _spec(0, 1, [_event(0, 2)]).dedup_key()
+    def test_groups_distinguish_choices(self, noisy_ghz3):
+        groups = _groups(noisy_ghz3, [_spec(0, 1, [_event(0, 1)]), _spec(0, 1, [_event(0, 2)])])
+        assert _members(groups) == [[0], [1]]
 
-    def test_groups_merge_shot_budgets_in_order(self):
+    def test_groups_merge_shot_budgets_in_order(self, noisy_ghz3):
         specs = [
             _spec(0, 100, [_event(0, 1)]),
             _spec(1, 50),
             _spec(2, 40, [_event(0, 1)]),
         ]
-        groups = deduplicate_specs(specs)
-        assert [(g.indices, g.total_shots) for g in groups] == [
-            ((0, 2), 140),
-            ((1,), 50),
-        ]
+        groups = _groups(noisy_ghz3, specs)
+        assert _members(groups) == [[0, 2], [1]]
+        assert groups.total_shots.tolist() == [140, 50]
 
-    def test_total_shots_per_key_invariant_under_shuffle(self):
+    def test_total_shots_per_key_invariant_under_shuffle(self, noisy_ghz3):
         rng = random.Random(99)
         signatures = [(), ((0, 1),), ((0, 2),), ((0, 1), (1, 1)), ((1, 2),)]
         specs = []
@@ -597,25 +609,73 @@ class TestDedup:
             sig = signatures[rng.randrange(len(signatures))]
             events = [_event(site, kraus) for site, kraus in sig]
             specs.append(_spec(tid, rng.randrange(1, 500), events))
-        budgets = {g.key: g.total_shots for g in deduplicate_specs(specs)}
+
+        def budgets(specs):
+            groups = _groups(noisy_ghz3, specs)
+            keys = [tuple(sorted(groups.table[g].items())) for g in range(len(groups))]
+            return dict(zip(keys, groups.total_shots.tolist()))
+
+        expected = budgets(specs)
+        assert set(expected) == set(signatures)
         for _ in range(5):
             shuffled = specs[:]
             rng.shuffle(shuffled)
-            reshuffled = {g.key: g.total_shots for g in deduplicate_specs(shuffled)}
-            assert reshuffled == budgets
+            assert budgets(shuffled) == expected
 
-    def test_groups_preserve_first_occurrence_order(self):
+    def test_groups_preserve_first_occurrence_order(self, noisy_ghz3):
         specs = [
             _spec(0, 5, [_event(0, 2)]),
             _spec(1, 5),
             _spec(2, 5, [_event(0, 2)]),
             _spec(3, 5, [_event(1, 1)]),
         ]
-        groups = deduplicate_specs(specs)
-        assert [g.indices for g in groups] == [(0, 2), (1,), (3,)]
-        # Indices within a group ascend (first-occurrence order).
-        for g in groups:
-            assert list(g.indices) == sorted(g.indices)
+        groups = _groups(noisy_ghz3, specs)
+        # Members within a group ascend; groups go by their first member.
+        assert _members(groups) == [[0, 2], [1], [3]]
+        assert groups.members[groups.offsets[:-1]].tolist() == [0, 1, 3]  # first rows
+        assert [groups.table[g] for g in range(3)] == [{0: 2}, {}, {1: 1}]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_groups_match_a_dict_of_row_keys(self, noisy_ghz3, seed):
+        """``deduplicate_specs`` against the dict dedup it replaced: rows
+        keyed by their sorted ``(site, kraus)`` pairs, in first-occurrence
+        order, shots merged."""
+        rng = random.Random(seed)
+        rows = [
+            {site: rng.randrange(4) for site in rng.sample(range(4), rng.randrange(4))}
+            for _ in range(rng.randrange(1, 60))
+        ]
+        specs = [
+            _spec(tid, rng.randrange(0, 9), [_event(s, k) for s, k in sorted(row.items())])
+            for tid, row in enumerate(rows)
+        ]
+        grouped = {}
+        for index, spec in enumerate(specs):
+            key = tuple(sorted((s, k) for s, k in spec.choices.items() if k != 0))  # 0 dominates
+            grouped.setdefault(key, []).append(index)
+        groups = _groups(noisy_ghz3, specs)
+        assert _members(groups) == list(grouped.values())
+        assert groups.total_shots.tolist() == [
+            sum(specs[i].num_shots for i in members) for members in grouped.values()
+        ]
+        assert [tuple(sorted(groups.table[g].items())) for g in range(len(groups))] == list(grouped)
+
+    def test_a_dominant_entry_groups_with_the_omitted_site(self, noisy_ghz3):
+        """The checked table drops an entry naming its site's dominant
+        index, so that spec prescribes the state of one omitting it."""
+        specs = [_spec(0, 5), _spec(1, 5, [_event(2, 0)]), _spec(2, 5, [_event(2, 1)])]
+        groups = _groups(noisy_ghz3, specs)
+        assert _members(groups) == [[0, 1], [2]]
+        assert groups.total_shots.tolist() == [10, 5]
+
+    def test_take_permutes_groups_and_table_together(self, noisy_ghz3):
+        specs = [_spec(t, t + 1, [_event(t % 4, 1 + t % 3)]) for t in range(7)]
+        groups = _groups(noisy_ghz3, specs)
+        rank = np.array([4, 0, 6, 1, 5, 3, 2])
+        taken = groups.take(rank)
+        assert _members(taken) == [_members(groups)[g] for g in rank]
+        assert [taken.table[g] for g in range(7)] == [groups.table[g] for g in rank]
+        assert taken.total_shots.tolist() == groups.total_shots[rank].tolist()
 
     def test_executor_prepares_duplicates_once(self, noisy_ghz3):
         specs = [
@@ -798,7 +858,7 @@ class TestMeasurementTailStrategies:
         tail = [
             site for step in plan.steps[plan.tail :] for site in getattr(step, "site_ids", ())
         ]
-        specs = _pts_specs(circuit, 9, nsamples=200, nshots=300)
+        specs = list(_pts_specs(circuit, 9, nsamples=200, nshots=300))
         # A trajectory whose only error is an X inside the tail.
         specs.append(_spec(len(specs), 500, [_event(tail[0], 1)]))
         runs = [
@@ -914,9 +974,9 @@ class TestRelabelledDraws:
         # One dedup group whose two specs sit on opposite sides of 2**n.
         events = [_event(_tail_sites(circuit)[1], 1)]
         specs += [_spec(len(specs), dim - 1, events), _spec(len(specs) + 1, dim + 1, events)]
-        groups = deduplicate_specs(specs)
+        groups = _groups(circuit, specs)
         assert any(
-            {specs[i].num_shots for i in group.indices} == {dim - 1, dim + 1} for group in groups
+            {specs[i].num_shots for i in group} == {dim - 1, dim + 1} for group in _members(groups)
         )
         lookahead(on)
         serial = BatchedExecutor().execute(circuit, specs, seed=5)
