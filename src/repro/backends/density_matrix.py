@@ -10,7 +10,7 @@ qubits (paper §1: direct density-matrix simulation is "intractable beyond
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -18,27 +18,27 @@ from repro.channels.kraus import KrausChannel
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
-from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError
 from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
 
 __all__ = ["DensityMatrixBackend"]
 
+#: Width cap of the density matrix (``4**n`` entries).
+MAX_DENSITY_QUBITS = 12
+
 
 class DensityMatrixBackend:
     """Exact open-system simulator: ``rho -> U rho U^dag`` / ``sum K rho K^dag``."""
 
-    def __init__(self, num_qubits: int, config: Optional[Config] = None):
-        config = config or DEFAULT_CONFIG
+    def __init__(self, num_qubits: int):
         if num_qubits <= 0:
             raise BackendError(f"num_qubits must be positive, got {num_qubits}")
-        if num_qubits > config.max_density_qubits:
+        if num_qubits > MAX_DENSITY_QUBITS:
             raise CapacityError(
                 f"{num_qubits} qubits exceeds the density-matrix cap of "
-                f"{config.max_density_qubits} (4**n scaling)"
+                f"{MAX_DENSITY_QUBITS} (4**n scaling)"
             )
         self.num_qubits = int(num_qubits)
-        self._config = config
         self._dim = 2**num_qubits
         self._rho = np.zeros((self._dim, self._dim), dtype=np.complex128)
         self._rho[0, 0] = 1.0

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.backends.base import PureStateBackend
 from repro.backends.mps_sampler import check_inside, sample_cached
-from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, ZeroProbabilityTrajectory
 from repro.linalg.decompositions import truncated_svd_batched
 
@@ -58,15 +57,9 @@ class MPSBackend(PureStateBackend):
     whatever order the chains hold their qubits in.
     """
 
-    def __init__(
-        self,
-        num_qubits: int,
-        max_bond: Optional[int] = None,
-        cutoff: Optional[float] = None,
-        config: Optional[Config] = None,
-    ):
-        self._config = config or DEFAULT_CONFIG
-        self.stack = BatchedMPSStack(num_qubits, 1, max_bond, cutoff, self._config)
+    def __init__(self, num_qubits: int, **truncation):
+        # ``max_bond`` / ``cutoff``, defaulted by the stack.
+        self.stack = BatchedMPSStack(num_qubits, 1, **truncation)
         self.num_qubits = self.stack.num_qubits
         self.reset()
 
@@ -93,7 +86,7 @@ class MPSBackend(PureStateBackend):
         return self.stack.bond_dimensions()
 
     def copy(self) -> "MPSBackend":
-        out = MPSBackend(self.num_qubits, self.stack.max_bond, self.stack.cutoff, self._config)
+        out = MPSBackend(self.num_qubits, max_bond=self.stack.max_bond, cutoff=self.stack.cutoff)
         out.stack.tensors = [t.copy() for t in self.stack.tensors]
         out.stack.truncation_error = self.stack.truncation_error.copy()
         out._sites = _tensornet().SiteMap(self.site_of)
@@ -224,14 +217,13 @@ class MPSBackend(PureStateBackend):
         state: np.ndarray,
         max_bond: Optional[int] = None,
         cutoff: float = 0.0,
-        config: Optional[Config] = None,
     ) -> "MPSBackend":
         """Exact (or truncated) MPS decomposition of a dense state."""
         state = np.asarray(state, dtype=np.complex128).reshape(-1)
         n = state.shape[0].bit_length() - 1
         if 1 << n != state.shape[0]:
             raise BackendError("state dimension is not a power of two")
-        out = cls(n, max_bond=max_bond or (1 << 30), cutoff=cutoff, config=config)
+        out = cls(n, max_bond=max_bond or (1 << 30), cutoff=cutoff)
         out.stack._split(state.reshape(1, 1, -1, 1), 0, np.empty(0, dtype=np.intp))
         return out
 
@@ -291,24 +283,17 @@ class BatchedMPSStack:
         self,
         num_qubits: int,
         batch_size: int,
-        max_bond: Optional[int] = None,
-        cutoff: Optional[float] = None,
-        config: Optional[Config] = None,
+        max_bond: int = 64,
+        cutoff: float = 1e-12,
     ):
-        config = config or DEFAULT_CONFIG
         if num_qubits <= 0:
             raise BackendError(f"num_qubits must be positive, got {num_qubits}")
         if batch_size <= 0:
             raise BackendError(f"batch_size must be positive, got {batch_size}")
         self.num_qubits = int(num_qubits)
         self.batch_size = int(batch_size)
-        self._config = config
-        self.max_bond = int(
-            max_bond if max_bond is not None else config.default_bond_dim
-        )
-        self.cutoff = float(
-            cutoff if cutoff is not None else config.svd_cutoff
-        )
+        self.max_bond = int(max_bond)
+        self.cutoff = float(cutoff)
         if self.max_bond < 1:
             raise BackendError("max_bond must be >= 1")
         self.reset()

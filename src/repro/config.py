@@ -48,7 +48,15 @@ def _default_retry():
 
 @dataclass
 class Config:
-    """Runtime knobs shared across the library.
+    """A run's policy: the dense state's storage and width cap, and how
+    faults are injected and retried.
+
+    Engine-specific settings live with their engine: the MPS truncation
+    is the ``BackendSpec.mps(max_bond=..., cutoff=...)`` options (defaults
+    on :class:`~repro.backends.mps.BatchedMPSStack`), and the tensornet
+    and density-matrix width caps are module constants
+    (:data:`repro.execution.router.MAX_TENSORNET_QUBITS`,
+    :data:`repro.backends.density_matrix.MAX_DENSITY_QUBITS`).
 
     Attributes
     ----------
@@ -58,21 +66,6 @@ class Config:
     max_dense_qubits:
         Hard cap for dense statevector widths, protecting against an
         accidental 2**35 allocation (the paper needed 4x H100 for that).
-    max_density_qubits:
-        Hard cap for density-matrix widths (4**n scaling).
-    default_bond_dim:
-        Default maximum bond dimension of the MPS backend and of the
-        trajectory-stacked tensornet strategy.
-    svd_cutoff:
-        Singular values below this (relative to the largest) are truncated
-        by the MPS backend and the tensornet strategy.
-    max_tensornet_qubits:
-        Width cap for the batched tensor-network strategy — the router
-        only auto-routes past-dense-cap circuits up to this width, and
-        explicit ``strategy="tensornet"`` requests beyond it are refused
-        at dispatch.  Linear in memory per site, so the cap is generous;
-        it exists to keep a typo'd width from compiling a million-site
-        schedule.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` injecting
         deterministic faults at the instrumented execution sites (chaos
@@ -90,10 +83,6 @@ class Config:
 
     dtype: np.dtype = np.dtype(np.complex128)
     max_dense_qubits: int = 26
-    max_density_qubits: int = 12
-    default_bond_dim: int = 64
-    svd_cutoff: float = 1e-12
-    max_tensornet_qubits: int = 128
     fault_plan: Optional["FaultPlan"] = field(default_factory=_default_fault_plan)  # noqa: F821
     retry: "RetryPolicy" = field(default_factory=_default_retry)  # noqa: F821
 
@@ -102,8 +91,8 @@ class Config:
         return dataclasses.replace(self, **kwargs)
 
 
-#: Library-wide default configuration.  Backends take an optional ``config``
-#: argument and fall back to this instance.
+#: Library-wide default configuration.  The dense backends take an optional
+#: ``config`` argument and fall back to this instance.
 DEFAULT_CONFIG = Config()
 
 

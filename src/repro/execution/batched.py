@@ -71,10 +71,11 @@ class BackendSpec:
     ``kind`` is ``"statevector"``, ``"mps"``, or ``"batched_statevector"``
     (the trajectory-stacked backend used by
     :class:`~repro.execution.vectorized.VectorizedExecutor`); ``options``
-    are that kind's backend constructor arguments (``_BACKEND_KINDS``),
-    e.g. ``{"max_bond": 32}``.  A spec is the only way to say which
-    backend runs: every executor and :func:`run_ptsbe` refuse anything
-    else, and refuse an option the kind's backend does not take
+    are the settings that kind's engine reads (``_BACKEND_KINDS``): every
+    kind takes ``config``, and ``"mps"`` also its truncation, ``max_bond``
+    and ``cutoff`` (e.g. ``{"max_bond": 32}``).  A spec is the only way
+    to say which backend runs: every executor and :func:`run_ptsbe`
+    refuse anything else, and refuse an option the kind does not take
     (:func:`check_backend`).
 
     ``options`` is stored as a sorted tuple of ``(key, value)`` pairs so
@@ -103,21 +104,18 @@ class BackendSpec:
     def config(self) -> Config:
         """The :class:`Config` the recipe runs under: its ``config`` option,
         else :data:`~repro.config.DEFAULT_CONFIG` (set with
-        ``configure(...)``).  The fault plan, the retry policy and the
-        width caps are read from it."""
+        ``configure(...)``).  The state dtype, the dense width cap, the
+        fault plan and the retry policy are read from it."""
         config = dict(self.options).get("config")
         return config if config is not None else DEFAULT_CONFIG
 
 
 #: Each spec kind's backend and the options a spec of that kind takes: the
-#: backend's constructor arguments after ``num_qubits``.
+#: run's ``config``, and on ``"mps"`` the truncation its engine reads.
 _BACKEND_KINDS = {
-    kind: (cls, tuple(inspect.signature(cls).parameters)[1:])
-    for kind, cls in (
-        ("statevector", StatevectorBackend),
-        ("mps", MPSBackend),
-        ("batched_statevector", BatchedStatevectorBackend),
-    )
+    "statevector": (StatevectorBackend, ("config",)),
+    "mps": (MPSBackend, ("max_bond", "cutoff", "config")),
+    "batched_statevector": (BatchedStatevectorBackend, ("config",)),
 }
 
 #: The kinds that hold a dense state vector.
@@ -135,7 +133,7 @@ def check_backend(
 ) -> BackendSpec:
     """The execution layer's one input check: ``backend`` is a
     :class:`BackendSpec` of one of ``kinds`` (the kinds the refusing
-    entry point, ``owner``, runs) whose options its kind's backend takes.
+    entry point, ``owner``, runs) whose options its kind takes.
     ``dense`` are the kinds on which ``owner`` holds a dense state vector;
     on any other it runs a complex128 MPS, so a spec whose config asks
     for another state dtype is refused rather than silently ignored."""
@@ -428,9 +426,10 @@ def run_ptsbe(
           ``Config.max_dense_qubits`` that the clifford engine cannot
           serve.
 
-        Unknown names are rejected up front with the list of valid
-        strategies.  Dense strategies refuse circuits wider than
-        ``Config.max_dense_qubits`` at dispatch with a
+        Unknown names are rejected up front, before the sampler draws,
+        with the list of valid strategies.  Dense strategies refuse
+        circuits wider than ``Config.max_dense_qubits`` at dispatch, also
+        before the sampler draws, with a
         :class:`~repro.errors.CapacityError` naming the strategies that
         can serve the width.
 
@@ -515,15 +514,9 @@ def run_ptsbe_stream(
     """
     check_backend("run_ptsbe", backend)
     circuit.freeze()
-    # Resolve the root seed exactly once: the PTS sampler's stream and
-    # every executor trajectory stream derive from the same value, and an
-    # unseeded run resolves one entropy seed here instead of drawing two
-    # independent ones (the pre-fix reproducibility bug).  The sampler's
-    # stream is a counter family of its own: no trajectory draws from it.
-    streams = StreamFactory(seed)
-    pts_result = sampler.sample(circuit, streams.sampler_rng())
     # Route "auto" on the circuit; explicit strategies pass through.  The
-    # decision trail rides on the stream/result.
+    # decision trail rides on the stream/result.  The dispatch is refused
+    # here, before the sampler draws: none of it reads the sampler's table.
     config = backend.config
     resolved, routing = resolve_strategy(circuit, backend, strategy, config)
     _check_dense_capacity(circuit, backend, resolved, config)
@@ -531,6 +524,13 @@ def run_ptsbe_stream(
     executor_kwargs = executor_kwargs or {}
     _check_executor_kwargs(cls, resolved, executor_kwargs)
     executor = cls(backend, **executor_kwargs)
+    # Resolve the root seed exactly once: the PTS sampler's stream and
+    # every executor trajectory stream derive from the same value, and an
+    # unseeded run resolves one entropy seed here instead of drawing two
+    # independent ones (the pre-fix reproducibility bug).  The sampler's
+    # stream is a counter family of its own: no trajectory draws from it.
+    streams = StreamFactory(seed)
+    pts_result = sampler.sample(circuit, streams.sampler_rng())
     stream = executor.execute_stream(
         circuit, pts_result.specs, seed=streams.seed, retain=retain
     )

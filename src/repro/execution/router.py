@@ -11,7 +11,7 @@ Pauli-frame fast path (:mod:`repro.execution.clifford`):
   weights match the dense engines exactly, at millions of shots/s and
   independent of width;
 * **tensornet** serves circuits the dense strategies *cannot*: widths
-  past ``Config.max_dense_qubits`` (up to ``Config.max_tensornet_qubits``)
+  past ``Config.max_dense_qubits`` (up to :data:`MAX_TENSORNET_QUBITS`)
   that are not frame-eligible route to the trajectory-stacked truncated
   MPS (:mod:`repro.execution.tensornet`) — conformance there is
   distributional (truncation perturbs amplitudes), which is the right
@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CLIFFORD_GATES",
+    "MAX_TENSORNET_QUBITS",
     "CircuitProfile",
     "analyze_circuit",
     "resolve_strategy",
@@ -60,6 +61,12 @@ __all__ = [
 #: Gate names both the tableau backend and the frame conjugation rules
 #: support — the exact applicability condition of the frame engine.
 CLIFFORD_GATES = frozenset(StabilizerBackend._GATE_DISPATCH)
+
+#: Width cap of the tensornet strategy: ``"auto"`` routes a past-dense-cap
+#: circuit there only up to this width, and ``TensorNetExecutor`` refuses a
+#: wider one.  Memory is linear in sites, so the cap is generous; it keeps a
+#: typo'd width from compiling a million-site schedule.
+MAX_TENSORNET_QUBITS = 128
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def resolve_strategy(
 
     The tensornet tier sits *after* the frame check (frames are exact and
     cheaper when applicable) and only fires up to
-    ``Config.max_tensornet_qubits``; past that, the dense resolution is
+    :data:`MAX_TENSORNET_QUBITS`; past that, the dense resolution is
     returned and dispatch raises its capacity error.
     """
     if strategy != "auto":
@@ -149,7 +156,7 @@ def resolve_strategy(
     if profile.frame_eligible:
         return "clifford", f"auto->clifford: {profile.reason}"
     width = circuit.num_qubits
-    if config.max_dense_qubits < width <= config.max_tensornet_qubits:
+    if config.max_dense_qubits < width <= MAX_TENSORNET_QUBITS:
         return (
             "tensornet",
             f"auto->tensornet: width {width} exceeds the dense cap "

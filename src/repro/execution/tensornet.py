@@ -84,6 +84,7 @@ from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
+from repro.execution.router import MAX_TENSORNET_QUBITS
 from repro.linalg.kron import permute_operator_qubits
 from repro.prescriptions import Choices, as_prescriptions, site_table
 
@@ -378,12 +379,14 @@ class TensorNetExecutor(StreamingExecutor):
     Parameters
     ----------
     backend:
-        ``BackendSpec.mps(...)`` supplies the ``max_bond`` / ``cutoff`` /
-        ``config`` options; a truncation knob it leaves out is
-        ``Config.default_bond_dim`` / ``Config.svd_cutoff``.  The dense
+        ``BackendSpec.mps(...)`` supplies the truncation, its ``max_bond``
+        / ``cutoff`` options (left out, :class:`BatchedMPSStack`'s
+        defaults: 64 and 1e-12), and the run's ``config``.  The dense
         kinds are tolerated for router-dispatch symmetry (their width cap
-        is exactly why this strategy exists); their ``config`` applies,
-        and a state ``dtype`` other than complex128 in it is refused.
+        is exactly why this strategy exists) and run at the defaults;
+        their ``config`` applies, and a state ``dtype`` other than
+        complex128 in it is refused.  Circuits wider than
+        :data:`~repro.execution.router.MAX_TENSORNET_QUBITS` are refused.
     max_batch:
         Dedup groups stacked per :class:`BatchedMPSStack` replay.  At
         ``max_batch=1`` this is what ``strategy="serial"`` runs on
@@ -397,10 +400,10 @@ class TensorNetExecutor(StreamingExecutor):
         self.max_batch = int(max_batch)
 
     def _engine(self, circuit: Circuit) -> "_MPSStackEngine":
-        limit = self.backend.config.max_tensornet_qubits
-        if circuit.num_qubits > limit:
+        if circuit.num_qubits > MAX_TENSORNET_QUBITS:
             raise ExecutionError(
-                f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits ({limit})"
+                f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits "
+                f"({MAX_TENSORNET_QUBITS})"
             )
         return _MPSStackEngine("tensornet", self.backend, circuit, self.max_batch)
 
@@ -425,8 +428,9 @@ class _MPSStackEngine:
     sampler is asked for the measured qubits' sites
     (``GateSchedule.site_of``) as its columns.
 
-    The truncation is the spec's ``max_bond`` / ``cutoff`` options, each
-    falling back to its ``config``'s ``default_bond_dim`` / ``svd_cutoff``.
+    The truncation is the spec's ``max_bond`` / ``cutoff`` options, handed
+    to every :class:`BatchedMPSStack` as they are (the stack defaults and
+    checks them).
     """
 
     max_unit_shots = None
@@ -443,16 +447,10 @@ class _MPSStackEngine:
         self.config = backend.config
         self.max_rows = max_rows
         self.num_qubits = circuit.num_qubits
-        options = dict(backend.options)
-        bond, cutoff = options.get("max_bond"), options.get("cutoff")
-        self.stack_options = {
-            "max_bond": self.config.default_bond_dim if bond is None else int(bond),
-            "cutoff": self.config.svd_cutoff if cutoff is None else float(cutoff),
-            "config": self.config,
-        }
-        if self.stack_options["max_bond"] < 1:
-            raise ExecutionError("max_bond must be >= 1")
+        self.stack_options = {k: v for k, v in backend.options if k != "config"}
         try:
+            # A one-row stack refuses bad truncation options before any unit.
+            BatchedMPSStack(self.num_qubits, 1, **self.stack_options)
             self.schedule, self.compile_seconds = timed(compile_schedule, circuit.freeze())
         except BackendError as exc:
             raise ExecutionError(f"strategy {name!r} cannot run: {exc}") from exc

@@ -276,9 +276,12 @@ class PTSResult:
 
         The fraction of the full trajectory distribution {p_alpha} (which
         has unit total probability, paper Fig. 2) that the sampled subsets
-        account for.
+        account for.  Rows that prescribe one set count once: each dedup
+        group's first row, in row order.
         """
-        return float(sum(self.probabilities.tolist()))
+        groups = deduplicate_specs(self.table, self.shots)
+        first = np.sort(groups.members[groups.offsets[:-1]])
+        return float(sum(self.probabilities[first].tolist()))
 
     def sorted_by_probability(self) -> List[TrajectorySpec]:
         specs = self.specs

@@ -20,6 +20,8 @@ class TestBasics:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             DensityMatrixBackend(20)
+        with pytest.raises(CapacityError, match="density-matrix cap of 12"):
+            DensityMatrixBackend(13)
 
     def test_unitary_evolution_matches_statevector(self, rng):
         circ = Circuit(3).h(0).cx(0, 1).t(2).cz(1, 2)

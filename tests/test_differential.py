@@ -3,12 +3,16 @@
 ``hypothesis`` draws small noisy circuits (2-4 qubits, gates from
 {h, s, x, cx, cz, t, ry}, after each gate either no noise or one of
 ``depolarizing`` down to rare rates, ``pauli_channel`` or
-``amplitude_damping``), and each one runs through a drawn sampler
-(``ExhaustivePTS`` or ``ProbabilisticPTS``) at a drawn ``max_batch`` (1,
-3 or 64: the dense stack's sort windows then hold one unit, several or
-the whole run) on every strategy name and on ``"auto"``:
+``amplitude_damping``, then sometimes a mid-circuit measurement of one
+qubit; the others are measured at the end), and each one runs through a
+drawn sampler (``ExhaustivePTS`` or ``ProbabilisticPTS``) at a drawn
+``max_batch`` (1, 3 or 64: the dense stack's sort windows then hold one
+unit, several or the whole run) on every strategy name and on ``"auto"``:
 
-* the dense strategies agree bitwise — bits, trajectory ids and weights;
+* a circuit that acts on a measured qubit is refused with one
+  ``ExecutionError`` by every strategy, before any unit runs;
+* otherwise the dense strategies agree bitwise — bits, trajectory ids and
+  weights;
 * ``tensornet``, and ``clifford`` wherever the router calls the circuit
   frame-eligible, realize serial's trajectories with serial's weights
   (their shots agree only in distribution);
@@ -16,7 +20,8 @@ the whole run) on every strategy name and on ``"auto"``:
   frame-eligible;
 * a spec naming a noise site the circuit lacks, a Kraus index outside
   its site's channel or one site twice is refused with one message by
-  every strategy;
+  every strategy (on a circuit that acts on a measured qubit, that
+  circuit's refusal: the circuit is checked first);
 * a sampler's result and the same trajectories as a hand-built spec list
   (with a duplicate and an entry naming a dominant index drawn in) give
   one shot table, the same dedup groups and each its own records.
@@ -30,17 +35,27 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.backends.base import validate_deferred_measurement
 from repro.channels import depolarizing, pauli_channel
 from repro.channels.standard import amplitude_damping
 from repro.circuits import Circuit
-from repro.errors import ExecutionError
+from repro.errors import BackendError, ExecutionError
 from repro.execution import BackendSpec, analyze_circuit, run_ptsbe
+from repro.execution import batched, clifford, tensornet, vectorized
 from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
 from repro.execution.router import resolve_strategy
 from repro.pts import ExhaustivePTS, ProbabilisticPTS, TrajectorySpec
 from repro.pts import base as pts_base
 from repro.rng import make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
+
+#: Every adapter class, by module.
+ADAPTERS = [
+    (batched, "_SerialEngine"),
+    (vectorized, "_StackEngine"),
+    (clifford, "_FrameEngine"),
+    (tensornet, "_MPSStackEngine"),
+]
 
 SAMPLER = ExhaustivePTS(cutoff=1e-6, nshots=20)
 SAMPLERS = (SAMPLER, ProbabilisticPTS(nsamples=60, nshots=20))
@@ -60,9 +75,13 @@ single_qubit_noise = st.one_of(
 
 @st.composite
 def noisy_circuits(draw):
+    """A circuit whose qubits may be measured mid-circuit (each once; the
+    rest at the end), so a later gate may act on a measured qubit: such a
+    circuit is not :func:`legal`."""
     num_qubits = draw(st.integers(2, 4))
     qubit = st.integers(0, num_qubits - 1)
     circuit = Circuit(num_qubits)
+    measured = []
     for _ in range(draw(st.integers(1, 6))):
         name = draw(st.sampled_from(("h", "s", "x", "cx", "cz", "t", "ry")))
         if name in ("cx", "cz"):
@@ -77,7 +96,27 @@ def noisy_circuits(draw):
         channel = draw(st.none() | single_qubit_noise)
         if channel is not None:
             circuit.attach(channel, draw(st.sampled_from(qubits)))
-    return circuit.measure_all().freeze()
+        if draw(st.integers(0, 3)) == 0:  # a mid-circuit measurement
+            early = draw(qubit)
+            if early not in measured:
+                circuit.measure(early)
+                measured.append(early)
+    rest = [q for q in range(num_qubits) if q not in measured]
+    if rest:
+        circuit.measure(*rest)
+    return circuit.freeze()
+
+
+def legal(circuit):
+    """No operation acts on a qubit after it is measured."""
+    try:
+        validate_deferred_measurement(circuit)
+    except BackendError:
+        return False
+    return True
+
+
+MEASURED = "acts on already-measured qubit(s)"
 
 
 def options(strategy, max_batch):
@@ -123,6 +162,9 @@ def assert_dense_equal(result, reference):
     max_batch=st.sampled_from((1, 3, 64)),
 )
 def test_every_strategy_agrees_with_serial(circuit, sampler, max_batch):
+    if not legal(circuit):
+        assert_refused_before_any_unit(circuit, sampler)
+        return
     serial = run(circuit, "serial", sampler=sampler)
     eligible = analyze_circuit(circuit).frame_eligible
     for strategy in DENSE_STRATEGIES[1:]:
@@ -137,6 +179,27 @@ def test_every_strategy_agrees_with_serial(circuit, sampler, max_batch):
     assert (auto.engine == "clifford") == eligible
     if not eligible:
         assert_dense_equal(auto, serial)
+
+
+def _no_unit(self, table, sizes):
+    raise AssertionError("a unit ran")
+
+
+def assert_refused_before_any_unit(circuit, sampler):
+    """Every strategy name plus ``auto`` refuses ``circuit`` with one
+    ``ExecutionError`` (not a retried ``FaultError``), and no engine
+    prepares a unit first."""
+    messages = set()
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ADAPTERS:
+            patch.setattr(getattr(module, name), "prepare", _no_unit)
+        for strategy in list(STRATEGIES) + ["auto"]:
+            with pytest.raises(ExecutionError) as raised:
+                run(circuit, strategy, sampler=sampler)
+            assert type(raised.value) is ExecutionError
+            messages.add(str(raised.value))
+    assert len(messages) == 1
+    assert MEASURED in messages.pop()
 
 
 def malformed(kind, circuit):
@@ -155,6 +218,8 @@ def malformed(kind, circuit):
 def test_a_malformed_prescription_is_refused_alike_by_every_strategy(circuit, kind):
     assume(kind == "unknown site" or circuit.num_noise_sites() > 0)
     events, wording = malformed(kind, circuit)
+    if not legal(circuit):
+        wording = MEASURED  # the circuit is checked before its specs
     # The sampled specs plus one with the malformed events.
     specs = list(SAMPLER.sample(circuit, make_rng(5)).specs)
     record = TrajectoryRecord(len(specs), tuple(KrausEvent(s, i) for s, i in events))
@@ -183,6 +248,7 @@ def test_a_result_and_its_hand_built_spec_list_run_alike(circuit, sampler, max_b
     which ``drive()`` converts and checks.  Rows ``n`` and ``n + 1`` repeat
     two drawn rows under new ids, and the list names a dominant index in
     the second, which prescribes nothing."""
+    assume(legal(circuit))
     sampled = sampler.sample(circuit, make_rng(5))
     n = sampled.num_trajectories
     twin, other = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))

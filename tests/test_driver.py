@@ -27,7 +27,7 @@ from repro.channels.standard import amplitude_damping, bit_flip, two_qubit_depol
 from repro.circuits import Circuit
 from repro.circuits.library import build_workload
 from repro.config import DEFAULT_CONFIG, Config
-from repro.errors import ExecutionError
+from repro.errors import CapacityError, ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
@@ -408,13 +408,42 @@ def test_a_backend_is_a_spec_and_nothing_else(circuit, strategy):
                   strategy=strategy)
 
 
+class _RefusedSampler(ProbabilisticPTS):
+    """A sampler that fails the test if the pipeline asks it for a table."""
+
+    def sample(self, circuit, rng):
+        raise AssertionError("the sampler ran before the dispatch was refused")
+
+
+#: Dispatches ``run_ptsbe`` refuses, as ``(run_ptsbe keywords, error type,
+#: message fragment)``: none of the checks reads the sampler's table.
+BAD_DISPATCHES = [
+    ({"strategy": "warp"}, ExecutionError, "unknown strategy 'warp'"),
+    ({"strategy": "serial", "executor_kwargs": {"max_batch": 4}}, ExecutionError,
+     "takes no executor argument 'max_batch'"),
+    ({"strategy": "clifford", "backend": BackendSpec.mps()}, ExecutionError,
+     "cannot run backend kind 'mps'"),
+    ({"strategy": "serial", "backend": BackendSpec.statevector(config=Config(max_dense_qubits=3))},
+     CapacityError, "exceeds the dense width cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,fragment", BAD_DISPATCHES, ids=["strategy", "kwargs", "kind", "width"]
+)
+def test_a_bad_dispatch_is_refused_before_the_sampler_runs(circuit, kwargs, error, fragment):
+    with pytest.raises(error, match=fragment):
+        run_ptsbe(circuit, _RefusedSampler(nsamples=5, nshots=5), seed=1, **kwargs)
+
+
 #: A spec each strategy takes, with one option misspelled, and the options
 #: that spec's kind accepts.
 MISSPELLED = [
     ("serial", BackendSpec.mps(max_bonds=8), "'max_bond', 'cutoff', 'config'"),
     ("serial", BackendSpec.statevector(max_bond=8), "'config'"),
     ("parallel", BackendSpec.mps(cutof=0.0), "'max_bond', 'cutoff', 'config'"),
-    ("vectorized", BackendSpec.batched_statevector(max_bond=8), "'batch_size', 'config'"),
+    ("vectorized", BackendSpec.batched_statevector(max_bond=8), "'config'"),
+    ("vectorized", BackendSpec.batched_statevector(batch_size=4), "'config'"),
     ("sharded", BackendSpec.statevector(dtype=None), "'config'"),
     ("clifford", BackendSpec.statevector(max_bond=8), "'config'"),
     ("tensornet", BackendSpec.mps(max_bonds=8), "'max_bond', 'cutoff', 'config'"),

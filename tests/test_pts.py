@@ -159,6 +159,15 @@ class TestProbabilisticPTS(object):
         result = ProbabilisticPTS(nsamples=2000, nshots=1).sample(noisy_ghz3, make_rng(7))
         assert 0 < result.coverage() <= 1.0 + 1e-9
 
+    def test_coverage_counts_a_repeated_set_once(self, noisy_ghz3):
+        """Coverage sums each distinct set once, so a run's rows listed
+        twice (another run's duplicates, a merged workload) cover what they
+        covered once."""
+        result = ProbabilisticPTS(nsamples=10, nshots=1).sample(noisy_ghz3, make_rng(7))
+        twice = PTSResult.from_specs(noisy_ghz3, list(result.specs) * 2)
+        assert twice.num_trajectories == 2 * result.num_trajectories
+        assert twice.coverage() == result.coverage() < 1.0
+
     def test_invalid_params(self):
         with pytest.raises(SamplingError):
             ProbabilisticPTS(nsamples=-1, nshots=1)

@@ -109,14 +109,10 @@ class TestConfig:
     def test_default_dtype(self):
         assert DEFAULT_CONFIG.dtype == np.dtype(np.complex128)
 
-    def test_fields_are_the_tracked_eight(self):
+    def test_fields_are_the_tracked_four(self):
         assert [f.name for f in dataclasses.fields(Config)] == [
             "dtype",
             "max_dense_qubits",
-            "max_density_qubits",
-            "default_bond_dim",
-            "svd_cutoff",
-            "max_tensornet_qubits",
             "fault_plan",
             "retry",
         ]

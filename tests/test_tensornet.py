@@ -60,6 +60,7 @@ from repro.execution import (
     run_ptsbe_stream,
 )
 from repro.execution.batched import DENSE_STRATEGIES
+from repro.execution.router import MAX_TENSORNET_QUBITS
 from repro.execution.tensornet import (
     NoiseStep,
     SwapStep,
@@ -834,9 +835,10 @@ class TestRoutingDecisions:
         assert resolved == "clifford"
 
     def test_beyond_tensornet_cap_falls_back_dense(self):
-        circ = _wide_nonclifford(8)
-        cfg = Config(max_dense_qubits=4, max_tensornet_qubits=6)
-        resolved, _ = resolve_strategy(circ, BackendSpec.statevector(), "auto", cfg)
+        at_cap = _wide_nonclifford(MAX_TENSORNET_QUBITS)
+        assert resolve_strategy(at_cap, BackendSpec.statevector(), "auto")[0] == "tensornet"
+        circ = _wide_nonclifford(MAX_TENSORNET_QUBITS + 1)
+        resolved, _ = resolve_strategy(circ, BackendSpec.statevector(), "auto")
         assert resolved == "serial"
 
     def test_explicit_serial_skips_tensornet(self):
@@ -966,25 +968,28 @@ class TestExecutorContracts:
             TensorNetExecutor(max_batch=0)
 
     def test_bond_resolution_order(self, small_noisy_circuit):
-        """Spec option > config default, for the bond and the cutoff alike."""
+        """Spec option > the stack's default, for the bond and the cutoff
+        alike; a spec's ``config`` sets neither."""
 
         def truncation(spec):
             options = TensorNetExecutor(spec)._engine(small_noisy_circuit).stack_options
-            return options["max_bond"], options["cutoff"]
+            stack = BatchedMPSStack(small_noisy_circuit.num_qubits, 1, **options)
+            return stack.max_bond, stack.cutoff
 
-        cfg = Config(default_bond_dim=12, svd_cutoff=1e-9)
+        cfg = Config(max_dense_qubits=4)
         assert truncation(BackendSpec.mps(max_bond=8, cutoff=0.0, config=cfg)) == (8, 0.0)
-        assert truncation(BackendSpec.mps(config=cfg)) == (12, 1e-9)
-        assert truncation(BackendSpec.statevector(config=cfg)) == (12, 1e-9)
-        assert truncation(BackendSpec()) == (Config().default_bond_dim, Config().svd_cutoff)
+        assert truncation(BackendSpec.mps(max_bond=8)) == (8, 1e-12)
+        assert truncation(BackendSpec.mps(config=cfg)) == (64, 1e-12)
+        assert truncation(BackendSpec.statevector(config=cfg)) == (64, 1e-12)
+        assert truncation(BackendSpec()) == (64, 1e-12)
 
     def test_bond_below_one_rejected(self, small_noisy_circuit):
         with pytest.raises(ExecutionError, match="max_bond"):
             TensorNetExecutor(BackendSpec.mps(max_bond=0))._engine(small_noisy_circuit)
 
     def test_width_above_tensornet_cap_raises(self):
-        circ = _wide_nonclifford(8)
-        exe = TensorNetExecutor(BackendSpec.mps(config=Config(max_tensornet_qubits=6)))
+        circ = _wide_nonclifford(MAX_TENSORNET_QUBITS + 1)
+        exe = TensorNetExecutor(BackendSpec.mps())
         spec = TrajectorySpec(TrajectoryRecord(trajectory_id=0, events=()), num_shots=10)
         with pytest.raises(ExecutionError, match="max_tensornet_qubits"):
             exe.execute_stream(circ, [spec], seed=0)
