@@ -63,11 +63,19 @@ only priors) are marked *dead*: their weight drops to zero, the row is
 zeroed, and no shots are drawn; the one-row view raises
 :class:`~repro.errors.ZeroProbabilityTrajectory` instead.
 
-Sampling stays the cheap polynomial part of the PTSBE story: a
-cumulative table per row (``|stack|**2`` normalized and cumsummed along
-the state axis in one stack-wide pass), and each request draws its full
-shot budget with one inverse-CDF lookup over all its shot uniforms at
-once (:func:`repro.linalg.sampling.inverse_cdf_indices`).
+Sampling stays the cheap polynomial part of the PTSBE story, and works
+per unit, not per request: a cumulative table (``|stack|**2`` normalized
+and cumsummed along the state axis in one block pass), every request's
+uniforms drawn from its own generator into one unit buffer, and one
+exact search over the whole buffer
+(:func:`repro.linalg.sampling.stacked_inverse_cdf_indices`, each uniform
+against its own row).  Rows the trie joins at the tail hold a copy of
+their source's walked state, so the walked-order table has one row per
+*distinct* walked state, the stack's leading slots: such a row reads its
+source's table row.  A request that reads the final-order table (below)
+keeps its own lookup (:func:`repro.linalg.sampling.inverse_cdf_indices`,
+whose guide table pays at large shot counts); both searches return
+``searchsorted``'s indices.
 
 The plan's *measurement tail* (:attr:`~repro.execution.plan.FusedPlan.tail`,
 its suffix of permutation-and-phase steps) is sampled through, not
@@ -113,7 +121,11 @@ from repro.backends.base import DEAD_NORM, validate_deferred_measurement
 from repro.backends.mps_sampler import check_inside
 from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
-from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
+from repro.linalg.sampling import (
+    bits_from_indices,
+    inverse_cdf_indices,
+    stacked_inverse_cdf_indices,
+)
 from repro.circuits.circuit import Circuit
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError, ExecutionError
@@ -291,6 +303,12 @@ class BatchedStatevectorBackend:
         #: The draw tables, walked order (``True``) and final order:
         #: ``(caller row -> table row or -1, cumulative table, row norms)``.
         self._tables: Dict[bool, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: Per slot, the slot whose walked state it holds while a tail is
+        #: recorded: itself, or the source of a row the trie joined at the
+        #: tail.  The walked-order table has one row per such holder.
+        self._holder: np.ndarray = np.empty(0, dtype=np.intp)
+        #: The relabel's bit flips per ``(tail step, variant key)``.
+        self._flips: Dict[Tuple[object, Tuple[int, ...]], np.ndarray] = {}
         #: The measurement tail of the last preparation, not yet run on the
         #: amplitudes: ``(step, keys, of)`` per classical step, ``of`` indexed
         #: by caller row (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`).
@@ -374,6 +392,7 @@ class BatchedStatevectorBackend:
         self._stack = np.empty((0, self._dim), dtype=self._config.dtype)
         self._alive = np.empty(0, dtype=bool)
         self._row = np.empty(0, dtype=np.intp)
+        self._holder = np.empty(0, dtype=np.intp)
         self._spare = None
         self._tail = []
         self._invalidate()
@@ -502,6 +521,8 @@ class BatchedStatevectorBackend:
             self._apply_step(step, keys, of, live)
             if isinstance(step, NoiseStep):
                 self._weigh(step, keys, of, weights[:live])
+        self._holder = np.arange(b)
+        self._holder[live:] = source[live:]
         self._join(live, b, source, weights)
         self._spare = None
         weights, alive = weights[self._row], self._alive[self._row]
@@ -652,10 +673,11 @@ class BatchedStatevectorBackend:
             if rows:
                 self._tables[walked] = self._build_table(walked, rows)
 
-    def _walked(self, num_shots: int) -> bool:
-        """Whether a request of ``num_shots`` draws from its row's walked-order
-        table: fewer shots than ``2**n``, and a tail to relabel them through."""
-        return bool(self._tail) and num_shots < self._dim
+    def _walked(self, num_shots):
+        """Whether a request of ``num_shots`` (or each of an array of them)
+        draws from its row's walked-order table: fewer shots than ``2**n``,
+        and a tail to relabel them through."""
+        return bool(self._tail) & (num_shots < self._dim)
 
     def _table(self, walked: bool, rows) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(caller row -> table row or -1, cumulative table, row norms)`` in
@@ -669,8 +691,21 @@ class BatchedStatevectorBackend:
     def _build_table(
         self, walked: bool, rows: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table the draws of caller ``rows`` read.  In walked order its
+        rows are the stack's leading slots, up to the last one a row in
+        ``rows`` holds its walked state in, squared in one block pass: a
+        row the trie joined at the tail reads its source's table row."""
         rows = np.asarray(rows, dtype=np.intp)
-        probs = self._squares(rows, tail=not walked)
+        if walked:
+            holder = self._holder[self._row]
+            count = int(holder[rows].max()) + 1
+            probs = np.abs(self._stack[:count])
+            np.square(probs, out=probs)
+            at = np.where(holder < count, holder, -1)
+        else:
+            probs = self._squares(rows)
+            at = np.full(self.batch_size, -1, dtype=np.intp)
+            at[rows] = np.arange(len(rows))
         totals = probs.sum(axis=1, keepdims=True)
         safe = np.where(totals > 0, totals, np.asarray(1.0, dtype=totals.dtype))
         # In place on the fresh squares: one (rows, 2**n) table alive, not three.
@@ -679,8 +714,6 @@ class BatchedStatevectorBackend:
         np.cumsum(cum, axis=1, out=cum)
         # Clamp the tail so no uniform falls off the end.
         cum[:, -1] = 1.0
-        at = np.full(self.batch_size, -1, dtype=np.intp)
-        at[rows] = np.arange(len(rows))
         return at, cum, totals.reshape(-1).astype(np.float64, copy=False)
 
     def _squares(self, rows: Sequence[int], tail: bool = True) -> np.ndarray:
@@ -719,23 +752,15 @@ class BatchedStatevectorBackend:
         A tail step maps the squares by ``final[i] = walked[map[i]]``, so a
         walked index ``j`` is final index ``map^-1[j]`` on the step's window
         bits, steps in order.  Per step, one ``(variant keys, 2**k)`` table
-        holds each key's bit flips ``spread(w ^ map^-1[w])``; an index reads
-        entry ``(of[owner] << k) + w`` of it, ``w`` its window value — one
-        gather over the unit's shots, whatever the number of keys.
+        holds each key's bit flips (:meth:`_flip`); an index reads entry
+        ``(of[owner] << k) + w`` of it, ``w`` its window value — one gather
+        over the unit's shots, whatever the number of keys.
         """
         n = self.num_qubits
         for step, keys, of in self._tail:
             support = step.support
             k = len(support)
-            values = np.arange(1 << k)
-            spread = np.zeros(1 << k, dtype=indices.dtype)
-            for j, q in enumerate(support):
-                spread |= ((values >> (k - 1 - j)) & 1) << (n - 1 - q)
-            flips = np.empty((len(keys), 1 << k), dtype=indices.dtype)
-            for flip, key in zip(flips, keys):
-                inverse = np.empty_like(values)
-                inverse[step.permutation(key)] = values
-                flip[:] = spread[values ^ inverse]
+            flips = np.concatenate([self._flip(step, key) for key in keys])
             if support[-1] - support[0] == k - 1:
                 window = (indices >> (n - 1 - support[-1])) & ((1 << k) - 1)
             else:
@@ -744,53 +769,82 @@ class BatchedStatevectorBackend:
                     window |= ((indices >> (n - 1 - q)) & 1) << (k - 1 - j)
             if len(keys) > 1:
                 window += of[owners] << k
-            indices ^= flips.reshape(-1).take(window)
+            indices ^= flips.take(window)
         return indices
 
-    def _indices(
-        self, row: int, num_shots: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, bool]:
-        """``num_shots`` basis indices drawn from caller row ``row``, and
-        whether they are in walked order (:meth:`_relabel` finishes them).
-
-        All ``num_shots`` uniforms come from ``rng`` in one draw (the
-        ``(seed, trajectory_id)`` determinism contract) and go through one
-        inverse-CDF lookup on the row's cumulative table.
-        """
-        check_inside([row], self.batch_size, "row", "stack")
-        if num_shots < 0:
-            raise BackendError("num_shots must be >= 0")
-        if num_shots == 0:
-            return np.empty(0, dtype=np.int64), False
-        walked = self._walked(num_shots)
-        at, cum, totals = self._table(walked, row)
-        if totals[at[row]] <= 0:
-            raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
-        r = rng.random(num_shots)
-        return inverse_cdf_indices(cum[at[row]], r).astype(np.int64, copy=False), walked
+    def _flip(self, step, key: Tuple[int, ...]) -> np.ndarray:
+        """``spread(w ^ map^-1[w])`` per window value ``w`` of ``step``'s
+        variant ``key``, ``spread`` placing a window's bits on the register's
+        (memoized: a plan's steps outlive every unit)."""
+        flip = self._flips.get((step, key))
+        if flip is None:
+            n, support = self.num_qubits, step.support
+            k = len(support)
+            values = np.arange(1 << k)
+            spread = np.zeros(1 << k, dtype=np.int64)
+            for j, q in enumerate(support):
+                spread |= ((values >> (k - 1 - j)) & 1) << (n - 1 - q)
+            inverse = np.empty_like(values)
+            inverse[step.permutation(key)] = values
+            flip = self._flips[(step, key)] = spread[values ^ inverse]
+        return flip
 
     def _draw(
         self, requests: Sequence[Tuple[int, int, np.random.Generator]], qubits=None
     ) -> List[np.ndarray]:
         """Per ``(row, num_shots, rng)`` request, its final-order indices, or
-        with ``qubits`` its bits of them.  The walked-order draws are joined,
-        relabelled and unpacked together."""
-        out, walked = [], []
-        for position, (row, num_shots, rng) in enumerate(requests):
-            indices, relabel = self._indices(row, num_shots, rng)
+        with ``qubits`` its bits of them.
+
+        A request's uniforms come from its own generator in one draw, in
+        request order (the ``(seed, trajectory_id)`` determinism contract).
+        The walked-order requests write theirs into one unit buffer, which
+        one :func:`~repro.linalg.sampling.stacked_inverse_cdf_indices` call
+        resolves, one :meth:`_relabel` takes to final order and one unpack
+        turns into bits.  Any other request makes one inverse-CDF lookup on
+        its row's final-order table.
+        """
+        rows = np.array([row for row, _, _ in requests], dtype=np.intp)
+        sizes = np.array([num_shots for _, num_shots, _ in requests], dtype=np.intp)
+        outside = (rows < 0) | (rows >= self.batch_size)
+        check_inside(rows[outside].tolist(), self.batch_size, "row", "stack")
+        if (sizes < 0).any():
+            raise BackendError("num_shots must be >= 0")
+        walked = (sizes > 0) & self._walked(sizes)
+        tables = {}
+        for order, mask in ((True, walked), (False, (sizes > 0) & ~walked)):
+            if mask.any():
+                at, cum, totals = self._table(order, rows[mask])
+                dead = totals[at[rows[mask]]] <= 0
+                if dead.any():
+                    row = rows[mask][dead.argmax()]
+                    raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
+                tables[order] = at, cum
+        buffer = np.empty(int(sizes[walked].sum()))
+        out, spans, start = [], [], 0
+        for (row, num_shots, rng), relabel in zip(requests, walked.tolist()):
             if relabel:
-                walked.append(position)
-            elif qubits is not None:
+                rng.random(out=buffer[start : start + num_shots])
+                spans.append((len(out), start, start + num_shots))
+                start += num_shots
+                out.append(None)
+                continue
+            indices = np.empty(0, dtype=np.int64)
+            if num_shots:
+                at, cum = tables[False]
+                indices = inverse_cdf_indices(cum[at[row]], rng.random(num_shots))
+                indices = indices.astype(np.int64, copy=False)
+            if qubits is not None:
                 indices = bits_from_indices(indices, qubits, self.num_qubits)
             out.append(indices)
-        if walked:
-            counts = [len(out[p]) for p in walked]
-            owners = np.repeat([requests[p][0] for p in walked], counts)
-            joined = self._relabel(np.concatenate([out[p] for p in walked]), owners)
+        if spans:
+            at, cum = tables[True]
+            owners = np.repeat(rows[walked], sizes[walked])
+            indices = stacked_inverse_cdf_indices(cum, at.take(owners), buffer)
+            indices = self._relabel(indices, owners)
             if qubits is not None:
-                joined = bits_from_indices(joined, qubits, self.num_qubits)
-            for p, part in zip(walked, np.split(joined, np.cumsum(counts)[:-1])):
-                out[p] = part
+                indices = bits_from_indices(indices, qubits, self.num_qubits)
+            for position, a, b in spans:
+                out[position] = indices[a:b]
         return out
 
     def sample_indices(

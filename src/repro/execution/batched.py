@@ -43,9 +43,9 @@ from repro.backends.statevector import StatevectorBackend
 from repro.circuits.circuit import Circuit
 from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import CapacityError, ExecutionError, ZeroProbabilityTrajectory
-from repro.execution.driver import Engine, StreamingExecutor
+from repro.execution.driver import Engine, StreamingExecutor, check_measurements
 from repro.execution.results import PTSBEResult
-from repro.execution.router import resolve_strategy
+from repro.execution.router import check_engine_fits, resolve_strategy
 from repro.execution.streaming import StreamedResult
 from repro.pts.base import PTSAlgorithm
 from repro.rng import StreamFactory
@@ -520,6 +520,11 @@ def run_ptsbe_stream(
     config = backend.config
     resolved, routing = resolve_strategy(circuit, backend, strategy, config)
     _check_dense_capacity(circuit, backend, resolved, config)
+    if strategy != "auto":
+        # "auto" routed on these facts.  The measurement checks come first,
+        # as in drive(): they refuse a circuit alike on every strategy.
+        check_measurements(circuit)
+        check_engine_fits(circuit, resolved)
     cls = executor_class(resolved)
     executor_kwargs = executor_kwargs or {}
     _check_executor_kwargs(cls, resolved, executor_kwargs)

@@ -45,9 +45,9 @@ from __future__ import annotations
 from repro.backends.pauli_frame import FrameSampler
 from repro.circuits.circuit import Circuit
 from repro.config import Config
-from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import DENSE_KINDS, BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
+from repro.execution.router import check_engine_fits
 
 __all__ = ["CliffordFrameExecutor"]
 
@@ -69,6 +69,7 @@ class CliffordFrameExecutor(StreamingExecutor):
         self._config = check_backend(type(self).__name__, backend, DENSE_KINDS).config
 
     def _engine(self, circuit: Circuit) -> "_FrameEngine":
+        check_engine_fits(circuit, "clifford")
         return _FrameEngine(circuit, self._config)
 
 
@@ -99,13 +100,7 @@ class _FrameEngine:
 
     def __init__(self, circuit: Circuit, config: Config):
         self.config = config
-        try:
-            self.sampler, self.compile_seconds = timed(FrameSampler, circuit.freeze())
-        except BackendError as exc:
-            raise ExecutionError(
-                f"strategy 'clifford' requires a pure-Clifford circuit with "
-                f"Pauli-mixture noise: {exc}"
-            ) from exc
+        self.sampler, self.compile_seconds = timed(FrameSampler, circuit.freeze())
 
     def prepare(self, table, sizes):
         self.flips, weights = self.sampler.frame_for_choices(table)

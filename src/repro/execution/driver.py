@@ -133,7 +133,7 @@ if TYPE_CHECKING:  # pragma: no cover
     # process pool loads multiprocessing, and workers defaults to 1.
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-__all__ = ["Engine", "StreamingExecutor", "drive", "timed"]
+__all__ = ["Engine", "StreamingExecutor", "check_measurements", "drive", "timed"]
 
 T = TypeVar("T")
 #: ``(first group, one past the last group, attempt)``.
@@ -437,6 +437,18 @@ def _submit(pool: ProcessPoolExecutor, task: Task) -> "Future[Completed]":
         return failed
 
 
+def check_measurements(circuit: Circuit) -> Tuple[int, ...]:
+    """The measured qubits of ``circuit``, refusing one that breaks the
+    deferred-measurement contract or measures nothing."""
+    try:
+        measured = validate_deferred_measurement(circuit)
+    except BackendError as exc:
+        raise ExecutionError(str(exc)) from None
+    if not measured:
+        raise ExecutionError("circuit has no measurements to sample")
+    return measured
+
+
 def drive(
     build: Callable[[], Engine],
     circuit: Circuit,
@@ -456,12 +468,7 @@ def drive(
     helper, and releases the engine (both, in-process).
     """
     circuit.freeze()
-    try:
-        measured = validate_deferred_measurement(circuit)
-    except BackendError as exc:
-        raise ExecutionError(str(exc)) from None
-    if not measured:
-        raise ExecutionError("circuit has no measurements to sample")
+    measured = check_measurements(circuit)
     if not specs:
         raise ExecutionError("no trajectory specs to execute")
     trajectories = PTSResult.from_specs(circuit, specs)

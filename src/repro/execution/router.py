@@ -55,6 +55,7 @@ __all__ = [
     "MAX_TENSORNET_QUBITS",
     "CircuitProfile",
     "analyze_circuit",
+    "check_engine_fits",
     "resolve_strategy",
 ]
 
@@ -104,6 +105,25 @@ def analyze_circuit(circuit: Circuit) -> CircuitProfile:
     return CircuitProfile(
         True, f"{num_gates} Clifford gates, {num_sites} Pauli-mixture noise sites"
     )
+
+
+def check_engine_fits(circuit: Circuit, strategy: str) -> None:
+    """Refuse a circuit the engine behind ``strategy`` cannot run at all:
+    ``"clifford"`` needs a frame-eligible circuit, ``"tensornet"`` one no
+    wider than :data:`MAX_TENSORNET_QUBITS`.  Other names pass (the dense
+    width cap is the dispatch's own check)."""
+    if strategy == "clifford":
+        profile = analyze_circuit(circuit)
+        if not profile.frame_eligible:
+            raise ExecutionError(
+                f"strategy 'clifford' requires a pure-Clifford circuit with "
+                f"Pauli-mixture noise: {profile.reason}"
+            )
+    elif strategy == "tensornet" and circuit.num_qubits > MAX_TENSORNET_QUBITS:
+        raise ExecutionError(
+            f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits "
+            f"({MAX_TENSORNET_QUBITS})"
+        )
 
 
 def _non_pauli_reason(channel) -> Optional[str]:

@@ -84,7 +84,7 @@ from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError, ExecutionError
 from repro.execution.batched import BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
-from repro.execution.router import MAX_TENSORNET_QUBITS
+from repro.execution.router import check_engine_fits
 from repro.linalg.kron import permute_operator_qubits
 from repro.prescriptions import Choices, as_prescriptions, site_table
 
@@ -400,11 +400,7 @@ class TensorNetExecutor(StreamingExecutor):
         self.max_batch = int(max_batch)
 
     def _engine(self, circuit: Circuit) -> "_MPSStackEngine":
-        if circuit.num_qubits > MAX_TENSORNET_QUBITS:
-            raise ExecutionError(
-                f"circuit width {circuit.num_qubits} exceeds max_tensornet_qubits "
-                f"({MAX_TENSORNET_QUBITS})"
-            )
+        check_engine_fits(circuit, "tensornet")
         return _MPSStackEngine("tensornet", self.backend, circuit, self.max_batch)
 
 

@@ -19,13 +19,7 @@ from repro.linalg.kron import (
     kron_all,
     permute_operator_qubits,
 )
-from repro.linalg.unitary import (
-    closest_unitary,
-    is_hermitian,
-    is_unitary,
-    random_statevector,
-    random_unitary,
-)
+from repro.linalg.unitary import is_unitary
 from repro.linalg.decompositions import (
     truncated_svd,
     truncated_svd_batched,
@@ -47,11 +41,7 @@ __all__ = [
     "embed_operator",
     "kron_all",
     "permute_operator_qubits",
-    "closest_unitary",
-    "is_hermitian",
     "is_unitary",
-    "random_statevector",
-    "random_unitary",
     "truncated_svd",
     "truncated_svd_batched",
     "schmidt_decomposition",

@@ -2,25 +2,31 @@
 
 Once a trajectory's state is prepared, drawing its whole shot budget is
 the cheap, polynomial half of batched execution (paper §3: "sampling all
-m_alpha desired quantum bitstrings at once").  It is two table lookups,
-and this module holds **the** implementation of each — the way
-:func:`repro.linalg.reductions.row_norms_squared` is the single norm
+m_alpha desired quantum bitstrings at once").  It is table lookups and a
+bit unpack, and this module holds **the** implementation of each — the
+way :func:`repro.linalg.reductions.row_norms_squared` is the single norm
 reduction.  The serial statevector backend is the stacked one at
 ``B = 1``, so one caller serves both; the density-matrix backend and the
-Pauli-frame branch draw are the others:
+Pauli-frame branch draw are the others.  Two kernels map shot uniforms to
+basis-state indices through cumulative distributions, and both are
+*defined* as ``cum.searchsorted(r, side="right")``:
 
-* :func:`inverse_cdf_indices` maps shot uniforms to basis-state indices
-  through a cumulative distribution.  Its result is *defined* as
-  ``cum.searchsorted(r, side="right")``; it gets there with
-  Chen & Asau's cutpoint (guide-table) method instead of one binary
-  search per shot, so a shot costs ``O(1)`` expected rather than
-  ``O(log dim)`` mispredicted branches.
-* :func:`bits_from_indices` turns those indices into one-byte-per-bit
-  shot-table rows with one ``unpackbits`` over the indices' big-endian
-  bytes instead of a shift-and-mask pass over an ``(m, n)`` ``uint64``
-  temporary.
+* :func:`inverse_cdf_indices` serves one distribution and one request.
+  It gets there with Chen & Asau's cutpoint (guide-table) method
+  instead of one binary search per shot when the shot count pays for it,
+  so a shot costs ``O(1)`` expected rather than ``O(log dim)``
+  mispredicted branches.
+* :func:`stacked_inverse_cdf_indices` serves a whole unit of requests
+  at once: each uniform names its row of a ``(rows, 2**n)`` table, and
+  one branchless binary search (``n`` levels, each one gather and one
+  compare over every uniform) resolves them all, instead of one
+  ``searchsorted`` call per request over its own cold row.
 
-Both are exact replacements: no shot bit depends on which path ran.
+:func:`bits_from_indices` turns indices into one-byte-per-bit shot-table
+rows with one ``unpackbits`` over the indices' big-endian bytes instead
+of a shift-and-mask pass over an ``(m, n)`` ``uint64`` temporary.
+
+All three are exact replacements: no shot bit depends on which path ran.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from repro.errors import BackendError
 
-__all__ = ["bits_from_indices", "inverse_cdf_indices"]
+__all__ = ["bits_from_indices", "inverse_cdf_indices", "stacked_inverse_cdf_indices"]
 
 #: Below this many shots the guide's fixed cost (a dozen NumPy calls,
 #: ~20 us) exceeds what it saves, whatever the dimension.
@@ -109,6 +115,51 @@ def inverse_cdf_indices(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
     if todo.size:
         idx[todo] = cum.searchsorted(r.take(todo), side="right")
     return idx
+
+
+def stacked_inverse_cdf_indices(
+    cum: np.ndarray, rows: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """``cum[rows[j]].searchsorted(r[j], side="right")`` for every ``j``.
+
+    ``cum`` is a C-contiguous ``(tables, 2**n)`` stack of cumulative
+    distributions, each clamped to 1.0 at its last entry, ``rows`` the
+    table row of each uniform in ``r`` (all in ``[0, 1)``).
+
+    A branchless binary search over the flattened stack.  Each uniform's
+    probe starts mid-row; per level it gathers ``cum`` there, and moves
+    up by half the remaining span where that entry is ``<= r``, down where
+    it is not.  After ``n`` levels the probe sits on the last entry
+    ``<= r`` or the first one past it, and one compare says which.  That
+    needs only that ``cum[i] <= r`` be true on a prefix of each row, which
+    holds for a running sum of non-negative terms, and still holds where
+    the sum overshot 1.0 before the clamp: every ``r < 1``, so neither the
+    overshoot nor the clamped 1.0 is ``<= r``.  No probe leaves its row
+    (so the gathers need no bounds check), and the clamped last entry is
+    never probed.
+    """
+    dim = cum.shape[1]
+    if dim < 2 or dim & (dim - 1):
+        raise BackendError(f"a stacked table needs 2**n columns (n >= 1), got {dim}")
+    flat = cum.reshape(-1)
+    step = dim >> 1
+    probe = np.asarray(rows, dtype=np.intp) * dim
+    probe += step - 1
+    values = np.empty(r.shape, dtype=cum.dtype)
+    hit = np.empty(r.shape, dtype=bool)
+    move = np.empty_like(probe)
+    while True:
+        flat.take(probe, out=values, mode="clip")
+        np.less_equal(values, r, out=hit)
+        step >>= 1
+        if not step:
+            break
+        probe -= step
+        np.multiply(hit, 2 * step, out=move)
+        probe += move
+    probe &= dim - 1  # row * dim + column, column < dim - 1: keep the column
+    probe += hit
+    return probe
 
 
 def bits_from_indices(

@@ -1,21 +1,12 @@
-"""Unitarity / hermiticity checks and Haar-random object generation."""
+"""The unitarity check."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.config import ATOL
-from repro.rng import library_rng
 
-__all__ = [
-    "is_unitary",
-    "is_hermitian",
-    "closest_unitary",
-    "random_unitary",
-    "random_statevector",
-]
+__all__ = ["is_unitary"]
 
 
 def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
@@ -25,38 +16,3 @@ def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
         return False
     ident = np.eye(matrix.shape[0])
     return bool(np.allclose(matrix @ matrix.conj().T, ident, atol=atol))
-
-
-def is_hermitian(matrix: np.ndarray, atol: float = ATOL) -> bool:
-    """True when ``matrix`` equals its conjugate transpose."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        return False
-    return bool(np.allclose(matrix, matrix.conj().T, atol=atol))
-
-
-def closest_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Project a matrix onto the unitary group (polar decomposition).
-
-    Useful for re-unitarizing gates after accumulated float drift.
-    """
-    u, _, vh = np.linalg.svd(np.asarray(matrix))
-    return u @ vh
-
-
-def random_unitary(dim: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    rng = rng if rng is not None else library_rng()
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    # Fix the phase ambiguity so the distribution is exactly Haar.
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
-
-
-def random_statevector(num_qubits: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Haar-random pure state on ``num_qubits`` qubits."""
-    rng = rng if rng is not None else library_rng()
-    dim = 2**num_qubits
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return z / np.linalg.norm(z)

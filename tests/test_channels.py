@@ -178,7 +178,7 @@ class TestUnitaryMixture:
 
     def test_probabilities_state_independent_claim(self, rng):
         """For unitary mixtures the nominal probs equal state probs."""
-        from repro.linalg import random_statevector
+        from haar import random_statevector
 
         ch = depolarizing(0.3)
         psi = random_statevector(1, rng)

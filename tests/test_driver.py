@@ -415,25 +415,47 @@ class _RefusedSampler(ProbabilisticPTS):
         raise AssertionError("the sampler ran before the dispatch was refused")
 
 
-#: Dispatches ``run_ptsbe`` refuses, as ``(run_ptsbe keywords, error type,
-#: message fragment)``: none of the checks reads the sampler's table.
+def _t_gate_circuit():
+    return Circuit(3).h(0).t(0).cx(0, 1).cx(1, 2).measure_all()
+
+
+def _chain(width):
+    circuit = Circuit(width).h(0)
+    for q in range(width - 1):
+        circuit.cx(q, q + 1)
+    return circuit.measure_all()
+
+
+#: Dispatches ``run_ptsbe`` refuses, as ``(circuit or None for the module's
+#: circuit, run_ptsbe keywords, error type, message fragment)``: none of
+#: the checks reads the sampler's table.
 BAD_DISPATCHES = [
-    ({"strategy": "warp"}, ExecutionError, "unknown strategy 'warp'"),
-    ({"strategy": "serial", "executor_kwargs": {"max_batch": 4}}, ExecutionError,
+    (None, {"strategy": "warp"}, ExecutionError, "unknown strategy 'warp'"),
+    (None, {"strategy": "serial", "executor_kwargs": {"max_batch": 4}}, ExecutionError,
      "takes no executor argument 'max_batch'"),
-    ({"strategy": "clifford", "backend": BackendSpec.mps()}, ExecutionError,
+    (None, {"strategy": "clifford", "backend": BackendSpec.mps()}, ExecutionError,
      "cannot run backend kind 'mps'"),
-    ({"strategy": "serial", "backend": BackendSpec.statevector(config=Config(max_dense_qubits=3))},
+    (None,
+     {"strategy": "serial", "backend": BackendSpec.statevector(config=Config(max_dense_qubits=3))},
      CapacityError, "exceeds the dense width cap"),
+    (_t_gate_circuit, {"strategy": "clifford"}, ExecutionError,
+     "requires a pure-Clifford circuit with Pauli-mixture noise: gate 't' is non-Clifford"),
+    (partial(_chain, 130), {"strategy": "tensornet"}, ExecutionError,
+     r"circuit width 130 exceeds max_tensornet_qubits \(128\)"),
 ]
 
 
 @pytest.mark.parametrize(
-    "kwargs,error,fragment", BAD_DISPATCHES, ids=["strategy", "kwargs", "kind", "width"]
+    "build,kwargs,error,fragment",
+    BAD_DISPATCHES,
+    ids=["strategy", "kwargs", "kind", "width", "non-clifford", "tensornet-width"],
 )
-def test_a_bad_dispatch_is_refused_before_the_sampler_runs(circuit, kwargs, error, fragment):
+def test_a_bad_dispatch_is_refused_before_the_sampler_runs(
+    circuit, build, kwargs, error, fragment
+):
+    target = circuit if build is None else build()
     with pytest.raises(error, match=fragment):
-        run_ptsbe(circuit, _RefusedSampler(nsamples=5, nshots=5), seed=1, **kwargs)
+        run_ptsbe(target, _RefusedSampler(nsamples=5, nshots=5), seed=1, **kwargs)
 
 
 #: A spec each strategy takes, with one option misspelled, and the options

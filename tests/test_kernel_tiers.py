@@ -14,11 +14,12 @@ from repro.linalg import (
     apply_matrix_stack,
     compile_operator,
     embed_operator,
-    random_unitary,
     row_norms_squared,
 )
 from repro.linalg.kron import kron_all
 from repro.linalg.reductions import scale_rows_inverse_sqrt
+
+from haar import random_unitary
 
 DTYPE = np.dtype(np.complex128)
 

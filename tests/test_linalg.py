@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from repro.errors import GateError
 from repro.linalg import (
-    closest_unitary,
     embed_operator,
-    is_hermitian,
     is_unitary,
     kron_all,
     permute_operator_qubits,
-    random_statevector,
-    random_unitary,
     schmidt_decomposition,
     truncated_svd,
 )
+
+from haar import random_statevector, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -97,15 +95,6 @@ class TestUnitary:
 
     def test_is_unitary_rejects_scaled(self):
         assert not is_unitary(2.0 * np.eye(4))
-
-    def test_is_hermitian(self):
-        assert is_hermitian(X)
-        assert not is_hermitian(np.array([[0, 1], [0, 0]]))
-
-    def test_closest_unitary_projects(self):
-        rng = np.random.default_rng(3)
-        noisy = random_unitary(4, rng) + 1e-3 * rng.normal(size=(4, 4))
-        assert is_unitary(closest_unitary(noisy), atol=1e-9)
 
     def test_random_statevector_normalized(self):
         psi = random_statevector(4, np.random.default_rng(4))

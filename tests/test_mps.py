@@ -157,14 +157,14 @@ class TestNormsAndExpectations:
 
 class TestConversion:
     def test_from_statevector_roundtrip(self, rng):
-        from repro.linalg import random_statevector
+        from haar import random_statevector
 
         psi = random_statevector(5, rng)
         mps = MPSBackend.from_statevector(psi)
         assert np.allclose(mps.to_statevector(), psi, atol=1e-10)
 
     def test_from_statevector_truncated_is_normalized_up_to_weight(self, rng):
-        from repro.linalg import random_statevector
+        from haar import random_statevector
 
         psi = random_statevector(6, rng)
         mps = MPSBackend.from_statevector(psi, max_bond=2)

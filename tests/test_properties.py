@@ -136,7 +136,7 @@ class TestKrausCPTPClosure:
     @settings(max_examples=20, deadline=None)
     def test_random_unitary_mixture_is_cptp(self, seed, nops):
         from repro.channels.kraus import KrausChannel
-        from repro.linalg.unitary import random_unitary
+        from haar import random_unitary
 
         rng = make_rng(seed)
         weights = rng.random(nops) + 1e-3
@@ -149,7 +149,7 @@ class TestKrausCPTPClosure:
     @given(seeds, probs, st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_compose_unitary_preserves_cptp(self, seed, p, before):
-        from repro.linalg.unitary import random_unitary
+        from haar import random_unitary
 
         ch = amplitude_damping(min(p, 1.0))
         u = random_unitary(2, make_rng(seed))
@@ -164,7 +164,7 @@ class TestKrausCPTPClosure:
     @given(seeds, probs, probs)
     @settings(max_examples=15, deadline=None)
     def test_twirl_then_compose_preserves_cptp(self, seed, p1, p2):
-        from repro.linalg.unitary import random_unitary
+        from haar import random_unitary
 
         ch = phase_damping(min(p1, 1.0)).pauli_twirl()
         u = random_unitary(2, make_rng(seed))
@@ -186,7 +186,7 @@ class TestFusionWindowAlgebra:
             fuse_window_matrix,
             window_support,
         )
-        from repro.linalg.unitary import random_unitary
+        from haar import random_unitary
 
         rng = make_rng(seed)
         # Non-contiguous circuit qubit labels: the algebra must not assume
@@ -215,7 +215,7 @@ class TestFusionWindowAlgebra:
         """Operators on disjoint qubits embed to commuting window matrices,
         so their fusion order inside a window cannot change the product."""
         from repro.linalg.fusion import expand_to_support, fuse_window_matrix
-        from repro.linalg.unitary import random_unitary
+        from haar import random_unitary
 
         rng = make_rng(seed)
         support = tuple(range(width))

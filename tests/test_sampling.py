@@ -1,8 +1,9 @@
-"""The shared shot-sampling kernel: inverse-CDF lookup and bit unpack.
+"""The shared shot-sampling kernels: inverse-CDF lookups and bit unpack.
 
-Both functions replaced a slower formula with an exact equivalent, so the
+Each function replaced a slower formula with an exact equivalent, so the
 old formulas live on here as oracles: ``cum.searchsorted(r, side="right")``
-and the shift-and-mask bit extraction.
+(row by row, for the stacked search) and the shift-and-mask bit
+extraction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from repro.backends.density_matrix import DensityMatrixBackend
 from repro.backends.statevector import StatevectorBackend
 from repro.errors import BackendError
 from repro.linalg import sampling
-from repro.linalg.sampling import bits_from_indices, inverse_cdf_indices
+from repro.linalg.sampling import (
+    bits_from_indices,
+    inverse_cdf_indices,
+    stacked_inverse_cdf_indices,
+)
 from repro.rng import make_rng
 
 
@@ -190,6 +195,113 @@ class TestInverseCdfIndices:
         assert built == []
         inverse_cdf_indices(cum, rng.random(4096))
         assert built == [cum.shape[0]]
+
+
+def unit_table(num_qubits: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """A ``(rows, 2**n)`` stack of the backends' cumulative rows: Porter-Thomas
+    rows, with a GHZ row (one plateau across the middle) and a row whose
+    every other outcome has probability 0 when there is room."""
+    table = np.stack([cumulative(porter_thomas(num_qubits, rng)) for _ in range(rows)])
+    dim = 2**num_qubits
+    if rows > 1:
+        ghz = np.zeros(dim)
+        ghz[0] = ghz[-1] = np.sqrt(0.5)
+        table[1] = cumulative(ghz)
+    if rows > 2:
+        gapped = porter_thomas(num_qubits, rng)
+        gapped[::2] = 0
+        table[2] = cumulative(gapped)
+    return table
+
+
+def uneven_unit(table: np.ndarray, rng: np.random.Generator, most: int = 300):
+    """Per-uniform table rows and uniforms for a unit whose requests draw
+    0 to ``most`` shots each, one request per row, rows interleaved."""
+    counts = rng.integers(0, most, size=table.shape[0])
+    counts[rng.integers(table.shape[0])] = most  # never an empty unit
+    rows = rng.permutation(np.repeat(np.arange(table.shape[0]), counts))
+    return rows, rng.random(rows.shape[0])
+
+
+def assert_is_rowwise_searchsorted(cum: np.ndarray, rows: np.ndarray, r: np.ndarray) -> None:
+    got = stacked_inverse_cdf_indices(cum, rows, r)
+    expected = np.empty(r.shape[0], dtype=np.intp)
+    for row in range(cum.shape[0]):
+        mine = rows == row
+        expected[mine] = cum[row].searchsorted(r[mine], side="right")
+    np.testing.assert_array_equal(got, expected)
+
+
+class TestStackedInverseCdfIndices:
+    """One branchless search over a unit's table is ``searchsorted`` on
+    each uniform's own row, bit for bit."""
+
+    @pytest.mark.parametrize("num_qubits", range(1, 13))
+    def test_every_width_and_unit_size(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        for rows in (1, 2, 3, 7, 64):
+            table = unit_table(num_qubits, rows, rng)
+            assert_is_rowwise_searchsorted(table, *uneven_unit(table, rng))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_qubits=st.integers(1, 12),
+        rows=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.complex128, np.complex64]),
+    )
+    def test_porter_thomas_units(self, num_qubits, rows, seed, dtype):
+        rng = np.random.default_rng(seed)
+        table = np.stack(
+            [cumulative(porter_thomas(num_qubits, rng, dtype)) for _ in range(rows)]
+        )
+        assert_is_rowwise_searchsorted(table, *uneven_unit(table, rng))
+
+    @pytest.mark.parametrize("num_qubits", [1, 4, 12])
+    def test_uniforms_equal_to_table_entries_and_zero(self, num_qubits):
+        """side="right": a uniform equal to ``cum[i]`` belongs to outcome ``i + 1``."""
+        rng = np.random.default_rng(40 + num_qubits)
+        table = unit_table(num_qubits, 9, rng)
+        rows, r = uneven_unit(table, rng)
+        columns = rng.integers(0, table.shape[1] - 1, size=r.shape[0])
+        on_entry = rng.random(r.shape[0]) < 0.5
+        r[on_entry] = table[rows[on_entry], columns[on_entry]]
+        r[::7] = 0.0
+        assert (r < 1.0).all()
+        assert_is_rowwise_searchsorted(table, rows, r)
+        # A leading zero-probability outcome is never drawn, even by r = 0.
+        flat = cumulative(np.array([0.0, 0.0, 1.0, 1.0] + [0.0] * 12))
+        zeros = stacked_inverse_cdf_indices(flat[None, :], np.zeros(50, dtype=np.intp), np.zeros(50))
+        assert zeros.tolist() == [2] * 50
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 5, 12])
+    def test_zero_probability_plateaus(self, num_qubits):
+        """Uniforms exactly on a plateau's value land past its last entry."""
+        rng = np.random.default_rng(50 + num_qubits)
+        table = unit_table(num_qubits, 5, rng)
+        rows, r = uneven_unit(table, rng)
+        on_plateau = rows == min(1, table.shape[0] - 1)
+        r[on_plateau & (rng.random(r.shape[0]) < 0.5)] = 0.5  # the GHZ row's plateau
+        assert_is_rowwise_searchsorted(table, rows, r)
+
+    def test_a_row_whose_cumsum_overshoots_one_before_the_clamp(self):
+        rng = np.random.default_rng(3)
+        table = unit_table(9, 6, rng)
+        table[4, -4:-1] = np.nextafter(1.0, 2.0)
+        rows, r = uneven_unit(table, rng)
+        rows = np.concatenate([rows, [4] * 8, [0] * 8])
+        r = np.concatenate([r, [np.nextafter(1.0, 0.0)] * 16])
+        assert_is_rowwise_searchsorted(table, rows, r)
+
+    def test_an_empty_unit(self):
+        table = unit_table(3, 2, np.random.default_rng(0))
+        got = stacked_inverse_cdf_indices(table, np.empty(0, dtype=np.intp), np.empty(0))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("dim", [1, 3, 12])
+    def test_a_width_that_is_not_a_power_of_two_is_refused(self, dim):
+        with pytest.raises(BackendError, match="2\\*\\*n columns"):
+            stacked_inverse_cdf_indices(np.ones((2, dim)), np.zeros(1, dtype=np.intp), np.zeros(1))
 
 
 def shift_and_mask(indices, qubits, num_qubits):

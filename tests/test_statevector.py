@@ -21,9 +21,10 @@ from repro.circuits.gates import CX, H, T, X
 from repro.config import Config
 from repro.errors import BackendError, CapacityError, ZeroProbabilityTrajectory
 from repro.execution.plan import get_fused_plan
-from repro.linalg import random_unitary
 from repro.prescriptions import as_prescriptions, site_table
 from repro.rng import make_rng
+
+from haar import random_unitary
 
 
 class TestBasics:

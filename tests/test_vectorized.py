@@ -494,6 +494,44 @@ class TestPrefixSharing:
         assert rows_at == {}
         assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
 
+    def test_rows_differing_only_in_the_tail_share_one_walked_table_row(self):
+        """Three walked prefixes, each under four tail choices: the walked-order
+        table has one row per walked state, a row joined at the tail reads
+        its source's, and every row still draws its one-row preparation's
+        shots, through tables built for the unit's sizes and on demand."""
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = get_fused_plan(circuit)
+        assert 0 < plan.tail < plan.num_steps
+        early, late = plan.steps[0], plan.steps[plan.tail - 1]
+        prefixes = [{}, {early.site_ids[0]: 1}, {late.site_ids[-1]: 2}]
+        tail = _tail_sites(circuit)
+        tails = [{}, {tail[0]: 1}, {tail[-1]: 3}, {tail[0]: 2, tail[-1]: 1}]
+        choices_list = [{**prefix, **end} for end in tails for prefix in prefixes]
+        random.Random(8).shuffle(choices_list)
+        walked = [
+            tuple(_key(step, choices) for step in plan.steps[: plan.tail])
+            for choices in choices_list
+        ]
+        rows = len(choices_list)
+        stack = BatchedStatevectorBackend(circuit.num_qubits)
+        stack.run_fixed_stack(circuit, choices_list)
+        stack.cumulative_stack([[50]] * rows)
+        at, cum, _ = stack._tables[True]
+        assert cum.shape[0] == len(set(walked)) == len(prefixes) < rows
+        assert sorted(set(at.tolist())) == list(range(len(prefixes)))
+        for i in range(rows):
+            for j in range(rows):
+                assert (at[i] == at[j]) == (walked[i] == walked[j]), (i, j)
+        qubits = tuple(range(circuit.num_qubits))
+        for row, choices in enumerate(choices_list):
+            single = BatchedStatevectorBackend(circuit.num_qubits)
+            single.run_fixed_stack(circuit, [choices])
+            np.testing.assert_array_equal(
+                stack.sample([(row, 50, make_rng(row))], qubits)[0],
+                single.sample([(0, 50, make_rng(row))], qubits)[0],
+            )
+        assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
+
     def test_walk_peaks_at_two_stacks_plus_the_per_row_operators(self, monkeypatch):
         circuit, choices_list = _unit_12q()
         operators = []
