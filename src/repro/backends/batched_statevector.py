@@ -26,9 +26,10 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   in slot 0, the others follow in order of join step, so a step runs on
   the leading block of rows that have joined by it, and each walked
   row-step is one node of the rows' trie.  Rows that agree up to the tail
-  copy once, at the end; a row whose source died before it joined is dead
-  the same way.  Every row-facing call maps caller rows to slots, so
-  callers see their own order.
+  take their source's weight at the end and its state only when an
+  amplitude is read (the draws read the source's); a row whose source
+  died before it joined is dead the same way.  Every row-facing call
+  maps caller rows to slots, so callers see their own order.
 * **Divergent Kraus choices** share the step's one kernel call.  A row's
   variant key at a step — the tuple of prescribed Kraus indices at the
   window's sites (a site the row's table does not list takes the
@@ -303,9 +304,10 @@ class BatchedStatevectorBackend:
         #: The draw tables, walked order (``True``) and final order:
         #: ``(caller row -> table row or -1, cumulative table, row norms)``.
         self._tables: Dict[bool, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        #: Per slot, the slot whose walked state it holds while a tail is
-        #: recorded: itself, or the source of a row the trie joined at the
-        #: tail.  The walked-order table has one row per such holder.
+        #: Per slot, the slot whose walked state it holds: itself, or the
+        #: source of a row the trie joined at the tail, whose own state is
+        #: copied only when an amplitude is read (:meth:`_materialize`).
+        #: The walked-order table has one row per such holder.
         self._holder: np.ndarray = np.empty(0, dtype=np.intp)
         #: The relabel's bit flips per ``(tail step, variant key)``.
         self._flips: Dict[Tuple[object, Tuple[int, ...]], np.ndarray] = {}
@@ -370,6 +372,7 @@ class BatchedStatevectorBackend:
                 f"'tensornet'/'clifford' for wide circuits"
             ) from exc
         self._alive = np.ones(b, dtype=bool)
+        self._holder = np.arange(b)
 
     def statevector(self, row: int) -> np.ndarray:
         """Row ``row``'s amplitude array (a direct view — do not mutate)."""
@@ -521,9 +524,12 @@ class BatchedStatevectorBackend:
             self._apply_step(step, keys, of, live)
             if isinstance(step, NoiseStep):
                 self._weigh(step, keys, of, weights[:live])
-        self._holder = np.arange(b)
-        self._holder[live:] = source[live:]
-        self._join(live, b, source, weights)
+        # Rows the trie joins at the tail take their source's weight and
+        # alive flag now, its state only when an amplitude is read
+        # (_materialize): until then each reads its holder's.
+        self._holder[live:] = sources = source[live:]
+        weights[live:] = weights[sources]
+        self._alive[live:] = self._alive[sources]
         self._spare = None
         weights, alive = weights[self._row], self._alive[self._row]
         for step, (keys, of) in zip(plan.steps[plan.tail :], variants[plan.tail :]):
@@ -574,8 +580,16 @@ class BatchedStatevectorBackend:
             self._stack, self._spare = self._spare, self._stack
 
     def _materialize(self) -> None:
-        """Run the recorded tail on the amplitudes: the walk it replaces,
-        step for step, so every amplitude read is the full walk's state."""
+        """Give every slot its own amplitudes, then run the recorded tail on
+        them: the walk it replaces, step for step, so every amplitude read
+        is the full walk's state.  The slots the trie joined at the tail
+        are the last ones (slots go in order of join step), so the last
+        slot tells whether any still reads its holder's state."""
+        held = self._holder
+        if len(held) and held[-1] != len(held) - 1:
+            for slot in np.flatnonzero(held != np.arange(len(held))).tolist():
+                self._stack[slot] = self._stack[held[slot]]
+            self._holder = np.arange(len(held))
         tail, self._tail = self._tail, []
         if not tail:
             return
@@ -731,7 +745,7 @@ class BatchedStatevectorBackend:
         """
         rows = np.asarray(rows, dtype=np.intp)
         probs = np.empty((len(rows), self._dim), dtype=self._stack.real.dtype)
-        for out, slot in zip(probs, self._row[rows].tolist()):
+        for out, slot in zip(probs, self._holder[self._row[rows]].tolist()):
             np.abs(self._stack[slot], out=out)
         np.square(probs, out=probs)
         if not tail:

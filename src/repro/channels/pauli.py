@@ -26,6 +26,7 @@ from repro.errors import ChannelError
 __all__ = [
     "PauliString",
     "pauli_from_unitary",
+    "paulis_from_unitaries",
     "pauli_string_matrix",
     "all_pauli_labels",
     "weight_bounded_paulis",
@@ -203,7 +204,19 @@ def pauli_string_matrix(label: str) -> np.ndarray:
 
 
 def pauli_from_unitary(matrix: np.ndarray, num_qubits: int) -> Optional[PauliString]:
-    """Recognize a matrix as (phase times) a Pauli string, else ``None``.
+    """Recognize a matrix as (phase times) a Pauli string, else ``None``:
+    :func:`paulis_from_unitaries` on one matrix."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.shape != (2**num_qubits,) * 2:
+        return None
+    return paulis_from_unitaries(matrix[None], num_qubits)[0]
+
+
+def paulis_from_unitaries(
+    matrices: np.ndarray, num_qubits: int
+) -> List[Optional[PauliString]]:
+    """Recognize each of a ``(m, 2**n, 2**n)`` stack of matrices as (phase
+    times) a Pauli string, else ``None``, in one pass over the stack.
 
     Algebraic recognition from the sparsity pattern instead of a trace
     test against all ``4**n`` Pauli matrices: a Pauli-string matrix has
@@ -212,54 +225,49 @@ def pauli_from_unitary(matrix: np.ndarray, num_qubits: int) -> Optional[PauliStr
     basis-index bits (qubit 0 = most significant, the kron order of
     :func:`pauli_string_matrix`).  The X mask is
     read off column 0's nonzero row, the Z mask off the sign ratios at
-    the power-of-two columns, then the whole matrix is verified against
-    the implied pattern in one vectorized pass — O(4**n) work on a
-    matrix that is already O(4**n) large, versus O(16**n) for the scan.
+    the power-of-two columns, then each whole matrix is verified against
+    the implied pattern — O(4**n) work per matrix that is already O(4**n)
+    large, versus O(16**n) for the scan.  The overall scalar ``v0`` must
+    have unit modulus; the result carries the phase of its label alone.
     """
     atol = 1e-8
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    dim = 2**num_qubits
-    if matrix.shape != (dim, dim):
-        return None
+    matrices = np.asarray(matrices, dtype=np.complex128)
+    count, dim = len(matrices), 2**num_qubits
+    branch = np.arange(count)
     # X mask from column 0: the single nonzero sits at row a = xmask.
-    col0 = matrix[:, 0]
-    nonzero = np.nonzero(np.abs(col0) > atol)[0]
-    if nonzero.size != 1:
-        return None
-    a = int(nonzero[0])
-    v0 = complex(col0[a])
-    # Overall scalar must be unit modulus (same contract as before).
-    if abs(abs(v0) - 1.0) > atol:
-        return None
+    col0 = matrices[:, :, 0]
+    nonzero = np.abs(col0) > atol
+    a = nonzero.argmax(axis=1)
+    v0 = col0[branch, a]
+    ok = (nonzero.sum(axis=1) == 1) & (np.abs(np.abs(v0) - 1.0) <= atol)
+    v0 = np.where(ok, v0, 1.0)  # a refused matrix divides by 1, not by 0
     # Z mask from the sign ratio at each power-of-two column.
-    zmask = 0
+    zmask = np.zeros(count, dtype=np.intp)
     for bit in range(num_qubits):
         j = 1 << bit
-        ratio = complex(matrix[j ^ a, j]) / v0
-        if abs(ratio - 1.0) <= atol:
-            continue
-        if abs(ratio + 1.0) <= atol:
-            zmask |= j
-        else:
-            return None
-    # Verify the full matrix against the implied single-nonzero pattern.
+        ratio = matrices[branch, j ^ a, j] / v0
+        plus = np.abs(ratio - 1.0) <= atol
+        ok &= plus | (np.abs(ratio + 1.0) <= atol)
+        zmask[~plus] |= j
+    # Verify every matrix against its implied single-nonzero pattern.
     cols = np.arange(dim)
-    parity = np.bitwise_and(cols, zmask)
+    parity = zmask[:, None] & cols
     for shift in (32, 16, 8, 4, 2, 1):  # XOR-fold popcount parity
         parity ^= parity >> shift
     signs = 1.0 - 2.0 * (parity & 1).astype(np.float64)
-    residual = matrix.copy()
-    residual[cols ^ a, cols] -= v0 * signs
-    if not np.allclose(residual, 0.0, atol=atol):
-        return None
-    # Bit order: qubit 0 is the most significant basis-index bit.
-    x = np.array([(a >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)], dtype=np.uint8)
-    z = np.array([(zmask >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)], dtype=np.uint8)
-    label = "".join(
-        "Y" if xi and zi else "X" if xi else "Z" if zi else "I"
-        for xi, zi in zip(x, z)
-    )
-    return PauliString.from_label(label)
+    residual = matrices.copy()
+    residual[branch[:, None], cols ^ a[:, None], cols] -= v0[:, None] * signs
+    # np.allclose(residual, 0, atol=atol), per matrix.
+    ok &= (np.abs(residual) <= atol).all(axis=(1, 2))
+    # Bit order: qubit 0 is the most significant basis-index bit; each Y
+    # is i * X Z, so the phase counts the Ys (as from_label does).
+    shifts = np.arange(num_qubits - 1, -1, -1)
+    xs = (a[:, None] >> shifts) & 1
+    zs = (zmask[:, None] >> shifts) & 1
+    return [
+        PauliString(x, z, int(np.count_nonzero(x & z))) if good else None
+        for good, x, z in zip(ok.tolist(), xs, zs)
+    ]
 
 
 @lru_cache(maxsize=8)

@@ -11,16 +11,18 @@ product of per-site ``p_i``.
 The analysis is a property of the channel: every reader takes
 :attr:`KrausChannel.mixture <repro.channels.kraus.KrausChannel.mixture>`,
 which runs :func:`as_unitary_mixture` once per channel object and keeps
-the result.
+the result.  The analysis is one pass over the stacked Kraus operators:
+one batched ``K^dag K``, one scaled-identity test and one batched Pauli
+recognition (:func:`~repro.channels.pauli.paulis_from_unitaries`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.channels.pauli import PauliString, pauli_from_unitary
+from repro.channels.pauli import PauliString, paulis_from_unitaries
 from repro.errors import ChannelError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,13 +42,17 @@ class UnitaryMixture:
 
     __slots__ = ("channel", "probs", "unitaries", "paulis", "cumulative")
 
-    def __init__(self, channel: "KrausChannel", probs: Tuple[float, ...], unitaries: Tuple[np.ndarray, ...]):
+    def __init__(
+        self,
+        channel: "KrausChannel",
+        probs: Tuple[float, ...],
+        unitaries: Tuple[np.ndarray, ...],
+        paulis: Sequence[Optional[PauliString]],
+    ):
         self.channel = channel
         self.probs = probs
         self.unitaries = unitaries
-        self.paulis: Tuple[Optional[PauliString], ...] = tuple(
-            pauli_from_unitary(u, channel.num_qubits) for u in unitaries
-        )
+        self.paulis: Tuple[Optional[PauliString], ...] = tuple(paulis)
         self.cumulative = np.cumsum(np.asarray(channel.nominal_probs, dtype=np.float64))
         self.cumulative[-1] = 1.0
 
@@ -57,38 +63,35 @@ class UnitaryMixture:
         return f"UnitaryMixture({self.channel.name!r}, branches={len(self.probs)})"
 
 
-def _scaled_unitary_factor(kraus: np.ndarray, atol: float) -> Optional[float]:
-    """If ``K = sqrt(p) U`` with ``U`` unitary, return ``p``; else None.
-
-    ``K^dag K = p I`` is necessary and sufficient; it is judged relative to
-    ``p``, so a rare branch (``p`` far below ``atol``) is still recognized.
-    """
-    gram = kraus.conj().T @ kraus
-    p = float(np.real(gram[0, 0]))
-    if p <= 0.0:
-        return None
-    if np.allclose(gram / p, np.eye(gram.shape[0]), atol=atol):
-        return p
-    return None
-
-
 def as_unitary_mixture(channel: "KrausChannel", atol: float = 1e-9) -> Optional[UnitaryMixture]:
     """Detect and decompose a unitary-mixture channel.
 
     Returns ``None`` when any Kraus operator is not a scaled unitary (e.g.
     amplitude damping).  This mirrors CUDA-Q's automatic channel analysis.
+
+    ``K = sqrt(p) U`` with ``U`` unitary iff ``K^dag K = p I``, so ``p`` is
+    the Gram matrix's first diagonal entry.  The identity is judged
+    relative to ``p`` — a rare branch (``p`` far below ``atol``) is still
+    recognized — with exactly ``np.allclose``'s test, every branch at once.
     """
-    probs: List[float] = []
-    unitaries: List[np.ndarray] = []
-    for k in channel.kraus_ops:
-        p = _scaled_unitary_factor(k, atol)
-        if p is None:
-            return None
-        probs.append(p)
-        unitaries.append(k / np.sqrt(p))
+    kraus = np.stack(channel.kraus_ops)
+    gram = np.conj(kraus).transpose(0, 2, 1) @ kraus
+    p = gram[:, 0, 0].real.copy()
+    positive = p > 0.0
+    scaled = gram / np.where(positive, p, 1.0)[:, None, None]
+    eye = np.eye(kraus.shape[1])
+    # np.allclose(scaled, eye, atol=atol) per branch: |x - y| <= atol +
+    # rtol |y| (its other term, x == y, adds nothing while y is finite).
+    close = np.abs(scaled - eye) <= atol + 1e-05 * np.abs(eye)
+    if not (positive & close.all(axis=(1, 2))).all():
+        return None
+    probs = tuple(p.tolist())
     total = sum(probs)
     if abs(total - 1.0) > 1e-6:
         raise ChannelError(
             f"channel {channel.name!r}: scaled-unitary probabilities sum to {total}, not 1"
         )
-    return UnitaryMixture(channel, tuple(probs), tuple(unitaries))
+    unitaries = kraus / np.sqrt(p)[:, None, None]
+    return UnitaryMixture(
+        channel, probs, tuple(unitaries), paulis_from_unitaries(unitaries, channel.num_qubits)
+    )

@@ -18,7 +18,6 @@ from repro.data.io import load_dataset, save_dataset
 from repro.data.stats import (
     chi_square_statistic,
     empirical_distribution,
-    fidelity_distributions,
     total_variation_distance,
     unique_fraction,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "total_variation_distance",
-    "fidelity_distributions",
     "chi_square_statistic",
     "unique_fraction",
     "empirical_distribution",

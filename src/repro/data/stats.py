@@ -11,7 +11,6 @@ from repro.errors import DataError
 __all__ = [
     "empirical_distribution",
     "total_variation_distance",
-    "fidelity_distributions",
     "chi_square_statistic",
     "unique_fraction",
 ]
@@ -40,15 +39,6 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise DataError(f"distribution shapes differ: {p.shape} vs {q.shape}")
     return float(0.5 * np.abs(p - q).sum())
-
-
-def fidelity_distributions(p: np.ndarray, q: np.ndarray) -> float:
-    """Classical (Bhattacharyya) fidelity ``(sum sqrt(p q))**2``."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DataError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    return float(np.sum(np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None))) ** 2)
 
 
 def chi_square_statistic(

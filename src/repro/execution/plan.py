@@ -21,7 +21,8 @@ Two step kinds:
   fused matrix depends on which Kraus branches a trajectory prescribes,
   so the step exposes *variants*: one compiled operator per realized
   Kraus-index combination, built lazily — as the product of factors
-  embedded onto the window once per step — and memoized by the step (B
+  embedded onto the window once per step, less those that are exactly
+  the identity — and memoized by the step (B
   trajectories sharing a prescription, and every later stack, pay each
   fusion product once).  Each step is classified once at build time, from
   its channels' own cached analysis
@@ -98,6 +99,12 @@ def _monomial(matrices) -> bool:
     row and per column."""
     nonzero = np.asarray(matrices) != 0
     return bool((nonzero.sum(axis=-2) == 1).all() and (nonzero.sum(axis=-1) == 1).all())
+
+
+def _is_identity(matrix: np.ndarray) -> bool:
+    """``matrix`` is exactly the identity: as many nonzeros as rows, and
+    every diagonal entry 1."""
+    return np.count_nonzero(matrix) == len(matrix) and bool((matrix.diagonal() == 1).all())
 
 
 def _index_map(
@@ -190,6 +197,7 @@ class NoiseStep:
         "_probabilities",
         "_variants",
         "_dtype",
+        "_shared",
     )
 
     def __init__(
@@ -197,6 +205,7 @@ class NoiseStep:
         ops: Sequence[Operation],
         targets: Tuple[int, ...],
         dtype: np.dtype,
+        shared: Dict[Tuple[object, ...], Optional[np.ndarray]],
     ):
         site_ids: List[int] = []
         channels: List[object] = []
@@ -219,7 +228,7 @@ class NoiseStep:
         # The item position of each site, and the dominant variant's
         # partial products (see _dominant_prefix).
         self._site_items = tuple(pos for pos, item in enumerate(items) if item[0] == "noise")
-        self._prefix: List[np.ndarray] = []
+        self._prefix: List[Optional[np.ndarray]] = []
         # Per site, the operators a variant multiplies: U_i on a unitary
         # window, the Kraus operators themselves otherwise.
         self._operators = tuple(
@@ -229,14 +238,18 @@ class NoiseStep:
         self.support = tuple(sorted(targets))
         self._classical: Optional[bool] = None
         # (item position, kraus index or None for a gate) -> the factor
-        # embedded onto ``targets`` (its index map onto ``support`` in
-        # ``_maps``), built on first use.
-        self._embedded: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
+        # embedded onto ``targets``, None for an identity (its index map
+        # onto ``support`` in ``_maps``), built on first use.
+        self._embedded: Dict[Tuple[int, Optional[int]], Optional[np.ndarray]] = {}
         self._maps: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
         self._composed: Dict[Tuple[int, ...], np.ndarray] = {}
         self._probabilities: Dict[Tuple[int, ...], float] = {}
         self._variants: Dict[Tuple[int, ...], CompiledOperator] = {}
         self._dtype = dtype
+        # The plan's embedded factors by content (dtype, bytes, qubits on
+        # the window, window width), shared by all of its steps: a window
+        # embeds the factor another window of its width already has.
+        self._shared = shared
 
     @property
     def classical(self) -> bool:
@@ -282,20 +295,30 @@ class NoiseStep:
         # from the dominant variant's product up to the key's first
         # deviating item: the same matmuls in the same order, so a variant
         # deviating at the window's last site multiplies only from there.
+        # A factor that is exactly the identity (every Pauli channel's
+        # dominant branch) is skipped: multiplying by it changes no value
+        # (at most the sign of a zero).
         deviating = zip(self._site_items, key, self.dominant_key)
         start = min((item for item, idx, dom in deviating if idx != dom), default=len(self._items))
-        fused = multiply_window(
-            (self._factor(pos, key) for pos in range(start, len(self._items))),
-            self._dominant_prefix(start),
-        )
+        factors = [self._factor(pos, key) for pos in range(start, len(self._items))]
+        factors = [factor for factor in factors if factor is not None]
+        prefix = self._dominant_prefix(start)
+        if prefix is None and not factors:
+            fused = np.eye(2 ** len(self.targets), dtype=np.complex128)
+        else:
+            fused = multiply_window(factors, prefix)
         return compile_operator(fused, self.targets, self._dtype)
 
     def _dominant_prefix(self, count: int) -> Optional[np.ndarray]:
         """The dominant variant's product of items ``[0, count)`` (``None``
-        for none), memoized per item position as the walk to it forms it."""
+        while it is the identity), memoized per item position as the walk
+        to it forms it."""
         while len(self._prefix) < count:
             factor = self._factor(len(self._prefix), self.dominant_key)
-            self._prefix.append(factor @ self._prefix[-1] if self._prefix else factor)
+            last = self._prefix[-1] if self._prefix else None
+            if factor is not None:
+                last = factor if last is None else factor @ last
+            self._prefix.append(last)
         return self._prefix[count - 1] if count else None
 
     def permutation(self, key: Tuple[int, ...]) -> np.ndarray:
@@ -320,16 +343,26 @@ class NoiseStep:
             composed = composed[part]
         return composed
 
-    def _factor(self, pos: int, key: Tuple[int, ...]) -> np.ndarray:
-        """Item ``pos`` of the window under ``key``, embedded onto ``targets``."""
+    def _factor(self, pos: int, key: Tuple[int, ...]) -> Optional[np.ndarray]:
+        """Item ``pos`` of the window under ``key``, embedded onto
+        ``targets``, or ``None`` where its operator is exactly the identity."""
         kind, payload, qubits = self._items[pos]
         idx = key[payload] if kind == "noise" else None
-        factor = self._embedded.get((pos, idx))
-        if factor is None:
+        try:
+            return self._embedded[(pos, idx)]
+        except KeyError:
             matrix = payload if idx is None else self._operators[payload][idx]
-            factor = expand_to_support(matrix, qubits, self.targets)
+            local = tuple(self.targets.index(q) for q in qubits)
+            content = (matrix.dtype.str, matrix.tobytes(), local, len(self.targets))
+            try:
+                factor = self._shared[content]
+            except KeyError:
+                factor = None
+                if not _is_identity(matrix):
+                    factor = expand_to_support(matrix, qubits, self.targets)
+                self._shared[content] = factor
             self._embedded[(pos, idx)] = factor
-        return factor
+            return factor
 
     def __repr__(self) -> str:
         return (
@@ -426,6 +459,7 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
     max_qubits = fusion_cap(circuit.num_qubits)
     dtype = config.dtype
     steps: List[PlanStep] = []
+    shared: Dict[Tuple[object, ...], Optional[np.ndarray]] = {}
     num_source_ops = 0
     for window in schedule_fusion_windows(circuit, max_qubits):
         num_source_ops += len(window)
@@ -435,7 +469,7 @@ def build_fused_plan(circuit: Circuit, config: Optional[Config] = None) -> Fused
                 targets = window[0].qubits
             else:
                 targets = window_support([op.qubits for op in window])
-            steps.append(NoiseStep(window, targets, dtype))
+            steps.append(NoiseStep(window, targets, dtype, shared))
         elif len(window) == 1:
             op = window[0]
             steps.append(

@@ -25,8 +25,10 @@ Pauli-frame fast path (:mod:`repro.execution.clifford`):
   adapter at one row.
 
 The walk reads each channel's own cached analysis
-(:attr:`~repro.channels.kraus.KrausChannel.mixture`), so a repeated
-dispatch of one circuit pays no channel decomposition again.  To run a
+(:attr:`~repro.channels.kraus.KrausChannel.mixture`), and its verdict is
+kept per frozen circuit object (weakly, as the fused plan is), so a run
+that routes and then checks the engine walks the circuit once, and a
+repeated dispatch of one circuit walks it no more.  To run a
 circuit on one engine whatever the router would pick, name the strategy
 explicitly (e.g. ``strategy="serial"``): explicit names are never
 rerouted.
@@ -38,6 +40,7 @@ and why".
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -107,13 +110,28 @@ def analyze_circuit(circuit: Circuit) -> CircuitProfile:
     )
 
 
+#: Per-circuit profile cache, weakly keyed on the frozen circuit object like
+#: the plan cache: routing and the engine-fit check of one run (and every
+#: later run of the circuit) walk it once.
+_PROFILES: "weakref.WeakKeyDictionary[Circuit, CircuitProfile]" = weakref.WeakKeyDictionary()
+
+
+def _profile(circuit: Circuit) -> CircuitProfile:
+    """Memoized :func:`analyze_circuit`."""
+    profile = _PROFILES.get(circuit)
+    if profile is None:
+        profile = analyze_circuit(circuit)
+        _PROFILES[circuit] = profile
+    return profile
+
+
 def check_engine_fits(circuit: Circuit, strategy: str) -> None:
     """Refuse a circuit the engine behind ``strategy`` cannot run at all:
     ``"clifford"`` needs a frame-eligible circuit, ``"tensornet"`` one no
     wider than :data:`MAX_TENSORNET_QUBITS`.  Other names pass (the dense
     width cap is the dispatch's own check)."""
     if strategy == "clifford":
-        profile = analyze_circuit(circuit)
+        profile = _profile(circuit)
         if not profile.frame_eligible:
             raise ExecutionError(
                 f"strategy 'clifford' requires a pure-Clifford circuit with "
@@ -172,7 +190,7 @@ def resolve_strategy(
     dense = "vectorized" if backend.kind == "batched_statevector" else "serial"
     if backend.kind == "mps":
         return dense, f"auto->{dense}: explicit {backend.kind!r} backend requested"
-    profile = analyze_circuit(circuit)
+    profile = _profile(circuit)
     if profile.frame_eligible:
         return "clifford", f"auto->clifford: {profile.reason}"
     width = circuit.num_qubits

@@ -16,7 +16,8 @@ statevector to shape ``(2,)*n`` puts qubit ``i`` on tensor axis ``i``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +71,34 @@ def permute_operator_qubits(matrix: np.ndarray, perm: Sequence[int]) -> np.ndarr
     return tensor.transpose(axes).reshape(2**k, 2**k)
 
 
+@lru_cache(maxsize=256)
+def _embed_pattern(targets: Tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Flat positions, in a ``2**n x 2**n`` matrix, of the entries an
+    operator on ``targets`` fills: row ``a * 2**k + b`` lists where entry
+    ``(a, b)`` goes, once per basis state of the other ``n - k`` qubits.
+
+    Depends only on the integers it is keyed by, so it is built once per
+    ``(targets, n)`` for every operator embedded there."""
+    def place(count: int, wires: Sequence[int]) -> np.ndarray:
+        # The index whose wire bits (wire 0 most significant) spell each of
+        # ``count`` values, every other bit 0.
+        values = np.arange(count)
+        index = np.zeros(count, dtype=np.intp)
+        for bit, wire in enumerate(reversed(wires)):
+            index |= ((values >> bit) & 1) << (num_qubits - 1 - wire)
+        return index
+
+    k = len(targets)
+    dim = 2**num_qubits
+    own = place(2**k, targets)
+    rest = place(2 ** (num_qubits - k), [q for q in range(num_qubits) if q not in targets])
+    rows = (own[:, None] + rest) * dim
+    cols = own[:, None] + rest
+    pattern = (rows[:, None, :] + cols[None, :, :]).reshape(4**k, -1)
+    pattern.flags.writeable = False  # every caller shares it
+    return pattern
+
+
 def embed_operator(
     matrix: np.ndarray,
     targets: Sequence[int],
@@ -78,34 +107,22 @@ def embed_operator(
     """Embed a ``k``-qubit operator acting on ``targets`` into ``n`` qubits.
 
     Returns the dense ``2**n x 2**n`` matrix ``I (x) ... matrix ... (x) I``
-    with the operator's qubit *i* wired to circuit qubit ``targets[i]``.
-    Memory is two ``2**n x 2**n`` arrays (the block layout and its
-    transpose), so at the full register width it is for small ``n``
+    with the operator's qubit *i* wired to circuit qubit ``targets[i]``:
+    entry ``(a, b)`` of ``matrix`` lands wherever the target bits of row
+    and column spell ``a`` and ``b`` and the other bits agree, placed in
+    one assignment through a cached index pattern (:func:`_embed_pattern`).
+    At the full register width it is for small ``n``
     (:meth:`Circuit.unitary`); on a fusion window's support it costs a
     few microseconds per factor.
     """
-    targets = list(targets)
+    targets = tuple(targets)
     k = len(targets)
     matrix = _validate_gate_matrix(matrix, k)
     if len(set(targets)) != k:
-        raise GateError(f"duplicate target qubits: {targets}")
+        raise GateError(f"duplicate target qubits: {list(targets)}")
     if any(t < 0 or t >= num_qubits for t in targets):
-        raise GateError(f"targets {targets} out of range for {num_qubits} qubits")
-
-    # ``matrix`` on the leading k wires and the identity on the other
-    # n - k: in a (2**k, rest, 2**k, rest) layout, block (a, b) is
-    # ``matrix[a, b]`` times the identity of the rest, so only the diagonal
-    # of the rest axes is filled -- the entries a tensordot against the
-    # identity produces, without the products.
-    rest = 2 ** (num_qubits - k)
-    dtype = np.result_type(matrix.dtype, np.complex128)
-    full = np.zeros((2**k, rest, 2**k, rest), dtype=dtype)
-    diagonal = np.arange(rest)
-    full[:, diagonal, :, diagonal] = matrix
-    # Wire i is circuit qubit targets[i] for i < k, then the non-targets in
-    # ascending order; one axis transpose puts every qubit at its axis.
-    wires = targets + [q for q in range(num_qubits) if q not in targets]
-    order = [wires.index(q) for q in range(num_qubits)]
-    order += [num_qubits + axis for axis in order]
-    full = full.reshape((2,) * (2 * num_qubits)).transpose(order)
-    return full.reshape(2**num_qubits, 2**num_qubits)
+        raise GateError(f"targets {list(targets)} out of range for {num_qubits} qubits")
+    dim = 2**num_qubits
+    full = np.zeros(dim * dim, dtype=np.result_type(matrix.dtype, np.complex128))
+    full[_embed_pattern(targets, num_qubits)] = matrix.reshape(-1, 1)
+    return full.reshape(dim, dim)

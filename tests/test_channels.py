@@ -135,19 +135,19 @@ class TestUnitaryMixture:
 
     def test_mixture_is_analysed_once_per_channel(self, monkeypatch):
         calls = []
-        real = unitary_mixture_mod._scaled_unitary_factor
+        real = unitary_mixture_mod.as_unitary_mixture
         monkeypatch.setattr(
             unitary_mixture_mod,
-            "_scaled_unitary_factor",
-            lambda k, atol: calls.append(k) or real(k, atol),
+            "as_unitary_mixture",
+            lambda channel: calls.append(channel) or real(channel),
         )
         ch = depolarizing(0.1)
         first = ch.mixture
         assert ch.mixture is first and ch.mixture is first
-        assert len(calls) == len(ch)
+        assert calls == [ch]
         general = amplitude_damping(0.1)
         assert general.mixture is None and general.mixture is None
-        assert len(calls) == len(ch) + 1  # rejected at its first operator, once
+        assert calls == [ch, general]  # a rejection is kept too
 
     def test_mixture_carries_paulis_and_cumulative_table(self):
         mixture = pauli_channel(0.1, 0.2, 0.0).mixture
@@ -167,8 +167,8 @@ class TestUnitaryMixture:
         clone = pickle.loads(pickle.dumps(ch))
         monkeypatch.setattr(
             unitary_mixture_mod,
-            "_scaled_unitary_factor",
-            lambda k, atol: pytest.fail("an unpickled channel was analysed again"),
+            "as_unitary_mixture",
+            lambda channel: pytest.fail("an unpickled channel was analysed again"),
         )
         assert clone.mixture is not None and clone.mixture.channel is clone
         assert clone.mixture.probs == mixture.probs
@@ -185,6 +185,232 @@ class TestUnitaryMixture:
         for k, p_nominal in zip(ch.kraus_ops, ch.nominal_probs):
             phi = k @ psi
             assert abs(np.vdot(phi, phi).real - p_nominal) < 1e-10
+
+
+def _scaled_unitary_factor_reference(kraus, atol):
+    """The per-branch scaled-unitary test the one-pass analysis replaced,
+    kept as its oracle: ``p`` if ``K^dag K = p I`` (relative to ``p``)."""
+    gram = kraus.conj().T @ kraus
+    p = float(np.real(gram[0, 0]))
+    if p <= 0.0:
+        return None
+    if np.allclose(gram / p, np.eye(gram.shape[0]), atol=atol):
+        return p
+    return None
+
+
+def _pauli_from_unitary_reference(matrix, num_qubits):
+    """The per-matrix Pauli recognition the batched one replaced, kept as
+    its oracle."""
+    from repro.channels.pauli import PauliString
+
+    atol = 1e-8
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    dim = 2**num_qubits
+    col0 = matrix[:, 0]
+    nonzero = np.nonzero(np.abs(col0) > atol)[0]
+    if nonzero.size != 1:
+        return None
+    a = int(nonzero[0])
+    v0 = complex(col0[a])
+    if abs(abs(v0) - 1.0) > atol:
+        return None
+    zmask = 0
+    for bit in range(num_qubits):
+        j = 1 << bit
+        ratio = complex(matrix[j ^ a, j]) / v0
+        if abs(ratio - 1.0) <= atol:
+            continue
+        if abs(ratio + 1.0) <= atol:
+            zmask |= j
+        else:
+            return None
+    cols = np.arange(dim)
+    parity = np.bitwise_and(cols, zmask)
+    for shift in (32, 16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    signs = 1.0 - 2.0 * (parity & 1).astype(np.float64)
+    residual = matrix.copy()
+    residual[cols ^ a, cols] -= v0 * signs
+    if not np.allclose(residual, 0.0, atol=atol):
+        return None
+    x = [(a >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
+    z = [(zmask >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
+    label = "".join("Y" if xi and zi else "X" if xi else "Z" if zi else "I" for xi, zi in zip(x, z))
+    return PauliString.from_label(label)
+
+
+def _analysis_reference(channel, atol=1e-9):
+    """``as_unitary_mixture`` as a loop over branches: ``None``, or
+    ``(probs, unitaries, paulis)``; raises ``ChannelError`` alike."""
+    probs, unitaries = [], []
+    for k in channel.kraus_ops:
+        p = _scaled_unitary_factor_reference(k, atol)
+        if p is None:
+            return None
+        probs.append(p)
+        unitaries.append(k / np.sqrt(p))
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-6:
+        raise ChannelError(
+            f"channel {channel.name!r}: scaled-unitary probabilities sum to {total}, not 1"
+        )
+    paulis = [_pauli_from_unitary_reference(u, channel.num_qubits) for u in unitaries]
+    return tuple(probs), unitaries, paulis
+
+
+def _assert_same_analysis(channel):
+    try:
+        with np.errstate(invalid="ignore"):  # a NaN operator, as np.allclose has it
+            want = _analysis_reference(channel)
+    except ChannelError as exc:
+        with pytest.raises(ChannelError) as raised:
+            as_unitary_mixture(channel)
+        assert str(raised.value) == str(exc)
+        return
+    got = as_unitary_mixture(channel)
+    if want is None:
+        assert got is None
+        return
+    probs, unitaries, paulis = want
+    assert got.probs == probs
+    assert len(got.unitaries) == len(unitaries)
+    for mine, theirs in zip(got.unitaries, unitaries):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+    assert len(got.paulis) == len(paulis)
+    for mine, theirs in zip(got.paulis, paulis):
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert mine == theirs and mine.x.dtype == theirs.x.dtype
+
+
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_S = np.diag([1, 1j])
+
+
+@st.composite
+def unitary_mixtures(draw):
+    """A ``KrausChannel`` of scaled unitaries on 1-2 qubits: Paulis (some
+    with a global phase), Clifford and Haar-random branches, and weights
+    that may not sum to 1 (``check=False``), so the error path is drawn."""
+    from haar import random_unitary
+    from repro.channels.pauli import pauli_string_matrix
+
+    num_qubits = draw(st.integers(1, 2))
+    dim = 2**num_qubits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 5))
+    ops = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["pauli", "phased", "clifford", "haar", "near"]))
+        label = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=num_qubits,
+                                      max_size=num_qubits)))
+        pauli = pauli_string_matrix(label)
+        if kind == "pauli":
+            unitary = pauli
+        elif kind == "phased":
+            unitary = np.exp(1j * draw(st.floats(-np.pi, np.pi))) * pauli
+        elif kind == "clifford":
+            gate = _H if draw(st.booleans()) else _S
+            unitary = np.kron(gate, np.eye(dim // 2)) @ pauli
+        elif kind == "haar":
+            unitary = random_unitary(dim, rng)
+        else:  # a Pauli off by a little: near each tolerance
+            unitary = pauli + draw(st.sampled_from([1e-12, 1e-9, 1e-7, 3e-6, 1e-4])) * random_unitary(dim, rng)
+        ops.append(unitary)
+    weights = np.array([draw(st.floats(1e-12, 1.0)) for _ in ops])
+    if draw(st.booleans()):
+        weights /= weights.sum()
+    return KrausChannel("drawn", [np.sqrt(w) * u for w, u in zip(weights, ops)], check=False)
+
+
+class TestOnePassAnalysis:
+    """``as_unitary_mixture`` analyses every branch in one pass; the
+    per-branch loop it replaced (kept above) is its bitwise oracle."""
+
+    @pytest.mark.parametrize(
+        "channel",
+        ALL_CHANNELS
+        + [
+            depolarizing(1e-10),
+            depolarizing(0.0),
+            depolarizing(0.75),
+            two_qubit_depolarizing(1e-10),
+            amplitude_damping(1e-12),
+            amplitude_damping(0.0),
+            amplitude_damping(1.0),
+            generalized_amplitude_damping(0.0, 0.5),
+            phase_damping(1.0),
+            reset_channel(1.0),
+            pauli_channel(0.0, 0.0, 0.0),
+            pauli_channel(0.5, 0.0, 0.5),
+        ],
+        ids=lambda c: c.name,
+    )
+    def test_standard_channels(self, channel):
+        _assert_same_analysis(channel)
+
+    def test_device_profiles(self):
+        from repro.channels.standard import device_profile, profile_names
+
+        for name in profile_names():
+            profile = device_profile(name)
+            for channel in (
+                depolarizing(profile.p1),
+                two_qubit_depolarizing(profile.p2),
+                amplitude_damping(profile.gamma1),
+                bit_flip(profile.p_prep),
+                bit_flip(profile.p_meas),
+            ):
+                _assert_same_analysis(channel)
+
+    def test_refusals_and_errors(self):
+        h = KrausChannel("hmix", [np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * _H])
+        assert h.mixture is not None and h.mixture.paulis[1] is None
+        _assert_same_analysis(h)
+        over = KrausChannel("over", [np.sqrt(0.5) * np.eye(2), np.sqrt(0.6) * _H], check=False)
+        with pytest.raises(ChannelError, match="sum to"):
+            as_unitary_mixture(over)
+        _assert_same_analysis(over)
+        zero = KrausChannel("zero", [np.eye(2), np.zeros((2, 2))], check=False)
+        assert as_unitary_mixture(zero) is None
+        _assert_same_analysis(zero)
+        nan = KrausChannel("nan", [np.full((2, 2), np.nan)], check=False)
+        assert as_unitary_mixture(nan) is None
+        _assert_same_analysis(nan)
+
+    @pytest.mark.parametrize("stretch, recognized", [(2.5e-6, True), (1e-5, False)])
+    def test_the_relative_tolerance_on_the_diagonal(self, stretch, recognized):
+        """A diagonal of ``K^dag K / p`` off 1 by 5e-6 is inside
+        ``np.allclose``'s ``rtol`` (1e-5), one off by 2e-5 is not."""
+        scaled = np.diag([1.0, 1.0 + stretch])
+        channel = KrausChannel(
+            "stretched", [np.sqrt(0.9) * scaled, np.sqrt(0.1) * _H], check=False
+        )
+        assert (as_unitary_mixture(channel) is not None) == recognized
+        _assert_same_analysis(channel)
+
+    @given(unitary_mixtures())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_unitary_mixtures(self, channel):
+        _assert_same_analysis(channel)
+
+    def test_paulis_from_unitaries_matches_the_per_matrix_oracle(self):
+        from repro.channels.pauli import pauli_from_unitary, paulis_from_unitaries
+        from repro.channels.pauli import all_pauli_labels, pauli_string_matrix
+
+        for n in (1, 2, 3):
+            labels = all_pauli_labels(n)
+            phases = np.exp(0.25j * np.pi * np.arange(len(labels)))
+            matrices = np.stack([ph * pauli_string_matrix(label) for ph, label in zip(phases, labels)])
+            matrices[::5] *= 1.5  # not unit modulus
+            matrices[1::7, 0, 0] += 0.3  # a second nonzero in column 0 or a broken sign
+            got = paulis_from_unitaries(matrices, n)
+            want = [_pauli_from_unitary_reference(m, n) for m in matrices]
+            assert got == want
+            assert [pauli_from_unitary(m, n) for m in matrices] == want
+        assert pauli_from_unitary(np.eye(2), 2) is None  # shape mismatch
 
 
 class TestChannelMethods:
@@ -261,11 +487,11 @@ class TestOneAnalysisPerChannel:
         from repro.rng import make_rng
 
         calls = []
-        real = unitary_mixture_mod._scaled_unitary_factor
+        real = unitary_mixture_mod.as_unitary_mixture
         monkeypatch.setattr(
             unitary_mixture_mod,
-            "_scaled_unitary_factor",
-            lambda k, atol: calls.append(k) or real(k, atol),
+            "as_unitary_mixture",
+            lambda channel: calls.append(channel) or real(channel),
         )
         circuit = (
             NoiseModel()
@@ -282,14 +508,14 @@ class TestOneAnalysisPerChannel:
         build_fused_plan(circuit)
         FrameSampler(circuit)
         StabilizerBackend(circuit.num_qubits).run(circuit, rng=make_rng(3))
-        assert len(calls) == sum(len(channel) for channel in channels)
+        assert sorted(map(id, calls)) == sorted(map(id, channels))
 
     def test_only_the_channels_package_analyses_a_channel(self):
         import ast
         from pathlib import Path
 
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
-        analysers = {"as_unitary_mixture", "pauli_from_unitary"}
+        analysers = {"as_unitary_mixture", "pauli_from_unitary", "paulis_from_unitaries"}
         modules = [path for path in sorted(src.rglob("*.py")) if path.parent.name != "channels"]
         assert len(modules) > 50
         found = []

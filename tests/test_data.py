@@ -6,7 +6,6 @@ import pytest
 from repro.data.stats import (
     chi_square_statistic,
     empirical_distribution,
-    fidelity_distributions,
     total_variation_distance,
     unique_fraction,
 )
@@ -34,11 +33,6 @@ class TestStats:
         assert total_variation_distance(p, q) == pytest.approx(
             total_variation_distance(q, p)
         )
-
-    def test_fidelity_bounds(self):
-        p = np.array([0.5, 0.5])
-        assert fidelity_distributions(p, p) == pytest.approx(1.0)
-        assert fidelity_distributions(np.array([1.0, 0]), np.array([0, 1.0])) == 0.0
 
     def test_chi_square_small_for_matching(self, rng):
         expected = np.array([0.4, 0.35, 0.25])

@@ -542,6 +542,72 @@ class TestVariantsFromTheDominantPrefix:
         assert np.array_equal(operator.matrix, _fused_reference(step, key, np.complex128))
 
 
+class TestIdentityFreeVariants:
+    """Variants skip the factors that are exactly the identity (every Pauli
+    channel's dominant branch, an ``i`` gate): each is still bitwise the
+    product ``fuse_window_matrix`` forms over every factor."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("num_qubits, nsamples", [(6, 200), (12, 12_000), (16, 60)])
+    def test_every_sampled_key_of_the_benchmark_brickwork(
+        self, layered_brickwork, num_qubits, nsamples, seed
+    ):
+        """The keys the benchmark's PTS draws (its sampler stream, its sizes):
+        every variant, byte for byte."""
+        from repro.rng import StreamFactory
+
+        circuit = layered_brickwork(num_qubits)
+        result = ProbabilisticPTS(nsamples=nsamples, nshots=1).sample(
+            circuit, StreamFactory(seed).sampler_rng()
+        )
+        config = Config()
+        plan = build_fused_plan(circuit, config)
+        checked = skipped = 0
+        for step, (keys, _) in zip(plan.steps, plan.prescribed_steps(result.table)):
+            if not isinstance(step, NoiseStep):
+                continue
+            for key in keys:
+                got = step.variant(key).matrix
+                want = _fused_reference(step, key, config.dtype)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (step, key)
+                checked += 1
+            skipped += sum(factor is None for factor in step._embedded.values())
+        assert checked > plan.num_noise_steps and skipped > 0
+
+    def test_a_general_kraus_window_and_an_identity_window(self):
+        """Amplitude damping (whose dominant operator is no identity, so it
+        multiplies) beside depolarizing and a skipped ``i`` gate, and a
+        window of noise sites alone, whose dominant variant is all
+        identities."""
+        from repro.channels.standard import depolarizing, two_qubit_depolarizing
+        from repro.circuits.gates import I
+
+        circuit = Circuit(3).h(0).cx(0, 1).gate(I, 2).cx(1, 2).t(2)
+        circuit.attach(amplitude_damping(0.2), 1)
+        circuit.attach(depolarizing(0.1), 2)
+        circuit.attach(depolarizing(0.1), 0)
+        circuit = circuit.measure_all().freeze()
+        lone = Circuit(2)
+        lone.attach(two_qubit_depolarizing(0.1), 0, 1)
+        lone.attach(depolarizing(0.2), 1)
+        lone = lone.measure_all().freeze()
+        rng = np.random.default_rng(3)
+        windows = 0
+        for c in (circuit, lone):
+            for step in build_fused_plan(c).steps:
+                if not isinstance(step, NoiseStep) or len(step._items) < 2:
+                    continue
+                windows += 1
+                for key in _variant_keys(step, rng, samples=8):
+                    want = _fused_reference(step, key, np.complex128)
+                    assert np.array_equal(step.variant(key).matrix, want), (step, key)
+        assert windows >= 2
+        (step,) = [s for s in build_fused_plan(lone).steps if isinstance(s, NoiseStep)]
+        assert all(factor is None for factor in (step._factor(p, step.dominant_key)
+                                                 for p in range(len(step._items))))
+        assert np.array_equal(step.variant(step.dominant_key).matrix, np.eye(4))
+
+
 def _embed_by_tensordot(matrix, targets, num_qubits):
     """The tensordot-against-the-identity embedding ``embed_operator`` used
     to be, kept as its oracle."""
@@ -576,6 +642,35 @@ class TestEmbedOperator:
                     want = _embed_by_tensordot(matrix, targets, num_qubits)
                     assert got.dtype == want.dtype == np.complex128
                     assert np.array_equal(got, want), (targets, num_qubits)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+    def test_equals_kron_and_permute(self, num_qubits):
+        """``matrix (x) I`` on the wires ``targets + rest``, its basis
+        indices then moved to circuit order: every target tuple of 1-3
+        qubits."""
+        import itertools
+
+        from repro.linalg.kron import embed_operator
+
+        rng = np.random.default_rng(10 + num_qubits)
+        dim = 2**num_qubits
+        index = np.arange(dim)
+        for k in range(1, min(3, num_qubits) + 1):
+            for targets in itertools.permutations(range(num_qubits), k):
+                matrix = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+                wires = list(targets) + [q for q in range(num_qubits) if q not in targets]
+                circuit_index = np.zeros(dim, dtype=np.intp)
+                for wire, qubit in enumerate(wires):
+                    circuit_index |= ((index >> (num_qubits - 1 - wire)) & 1) << (
+                        num_qubits - 1 - qubit
+                    )
+                want = np.zeros((dim, dim), dtype=np.complex128)
+                want[np.ix_(circuit_index, circuit_index)] = np.kron(
+                    matrix, np.eye(2 ** (num_qubits - k))
+                )
+                got = embed_operator(matrix, targets, num_qubits)
+                assert got.dtype == np.complex128 and got.flags.c_contiguous
+                assert np.array_equal(got, want), (targets, num_qubits)
 
     def test_circuit_unitary_at_full_width(self):
         from repro.linalg.kron import embed_operator

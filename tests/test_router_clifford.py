@@ -138,11 +138,11 @@ class TestRoutingDecisions:
     def test_repeat_analysis_reads_the_channels_own_analysis(self, clifford_circuit, monkeypatch):
         first = analyze_circuit(clifford_circuit)
         calls = []
-        real = unitary_mixture_mod._scaled_unitary_factor
+        real = unitary_mixture_mod.as_unitary_mixture
         monkeypatch.setattr(
             unitary_mixture_mod,
-            "_scaled_unitary_factor",
-            lambda k, atol: calls.append(k) or real(k, atol),
+            "as_unitary_mixture",
+            lambda channel: calls.append(channel) or real(channel),
         )
         assert analyze_circuit(clifford_circuit) == first
         assert calls == []
@@ -150,6 +150,27 @@ class TestRoutingDecisions:
     def test_requires_frozen(self):
         with pytest.raises(ExecutionError, match="frozen"):
             analyze_circuit(Circuit(2).h(0).measure_all())
+
+    @pytest.mark.parametrize("strategy", ["auto", "clifford"])
+    def test_a_run_walks_the_circuit_once(self, monkeypatch, strategy):
+        """Routing and the clifford engine's fit check share the circuit's
+        profile: one walk per circuit object, however many runs."""
+        import repro.execution.router as router
+
+        walks = []
+        real = router.analyze_circuit
+        monkeypatch.setattr(router, "analyze_circuit", lambda c: walks.append(c) or real(c))
+        ideal = Circuit(3).h(0).cx(0, 1).cx(1, 2).measure_all()
+        circuit = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05)).apply(ideal)
+        circuit.freeze()
+        for seed in (1, 2):
+            result = run_ptsbe(circuit, ProportionalPTS(total_shots=100), seed=seed,
+                               strategy=strategy)
+            assert result.engine == "clifford"
+        assert walks == [circuit]
+        other = circuit.copy().freeze()
+        assert resolve_strategy(other, BackendSpec(), "auto")[0] == "clifford"
+        assert walks == [circuit, other]
 
 
 class TestEngineRecording:

@@ -109,18 +109,18 @@ class TestChannelAnalysis:
         import repro.channels.unitary_mixture as unitary_mixture_mod
 
         calls = []
-        real = unitary_mixture_mod._scaled_unitary_factor
+        real = unitary_mixture_mod.as_unitary_mixture
         monkeypatch.setattr(
             unitary_mixture_mod,
-            "_scaled_unitary_factor",
-            lambda k, atol: calls.append(k) or real(k, atol),
+            "as_unitary_mixture",
+            lambda channel: calls.append(channel) or real(channel),
         )
         sim = TrajectorySimulator(_sv_factory)
         sim.sample(noisy_ghz3, 50, seed=18)
         sim.sample(noisy_ghz3, 50, seed=19)
-        # Every site shares one channel object: its operators, once each.
+        # Every site shares one channel object: analysed once.
         (channel,) = {op.channel for op in noisy_ghz3.noise_sites}
-        assert len(calls) == len(channel)
+        assert calls == [channel]
 
     def test_branch_index_boundaries(self):
         from repro.channels.standard import depolarizing

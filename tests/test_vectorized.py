@@ -532,6 +532,63 @@ class TestPrefixSharing:
             )
         assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
 
+    @pytest.mark.parametrize("read", ["final_draw", "statevector"])
+    def test_a_row_joined_at_the_tail_copies_its_state_only_when_read(self, read):
+        """A row the trie joins at the tail takes its source's weight but not
+        its amplitudes: its final-order draw reads the source's state
+        through the tail, and an amplitude read copies it first.  Either
+        read, first or second, is the row's one-row preparation."""
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = get_fused_plan(circuit)
+        assert 0 < plan.tail < plan.num_steps
+        early = plan.steps[0]
+        tail = _tail_sites(circuit)
+        choices_list = [
+            {early.site_ids[0]: 1},
+            {},
+            {early.site_ids[0]: 1, tail[0]: 2},  # joins row 0 at the tail
+            {tail[-1]: 3},  # joins row 1 at the tail
+            {early.site_ids[0]: 1},  # row 0 again: joins it at the tail
+        ]
+        n = circuit.num_qubits
+        stack = BatchedStatevectorBackend(n)
+        stack.run_fixed_stack(circuit, choices_list)
+        held = stack._holder
+        deferred = np.flatnonzero(held != np.arange(len(held)))
+        assert len(deferred) == 3
+        joined = sorted(np.flatnonzero(np.isin(stack._row, deferred)).tolist())
+        assert joined == [2, 3, 4]
+        qubits = tuple(range(n))
+        for first in (read, {"final_draw": "statevector", "statevector": "final_draw"}[read]):
+            for row in joined:
+                single = BatchedStatevectorBackend(n)
+                single.run_fixed_stack(circuit, [choices_list[row]])
+                if first == "final_draw":
+                    np.testing.assert_array_equal(
+                        stack.sample([(row, 2**n, make_rng(row))], qubits)[0],
+                        single.sample([(0, 2**n, make_rng(row))], qubits)[0],
+                    )
+                else:
+                    np.testing.assert_array_equal(stack.statevector(row), single.statevector(0))
+        assert (stack._holder == np.arange(len(held))).all() and stack._tail == []
+
+    def test_identical_rows_with_no_tail_share_one_walk(self):
+        """With no measurement tail, a repeated row joins at the end of the
+        walk all the same: its amplitudes are its source's when read."""
+        circuit = _damped_register()
+        plan = get_fused_plan(circuit)
+        assert plan.tail == plan.num_steps
+        choices_list = [{21: 1}, {}, {21: 1}, {}, {13: 1}, {13: 1}]
+        stack = BatchedStatevectorBackend(circuit.num_qubits)
+        weights, alive = stack.run_fixed_stack(circuit, choices_list)
+        assert np.flatnonzero(stack._holder != np.arange(6)).tolist() == [3, 4, 5]
+        assert weights[0] == weights[2] and weights[1] == weights[3]
+        np.testing.assert_array_equal(stack.statevector(2), stack.statevector(0))
+        np.testing.assert_array_equal(stack.norms_squared()[[2, 3]], stack.norms_squared()[[0, 1]])
+        assert alive.tolist() == [True] * 4 + [False] * 2  # site 13 kills its rows
+        alive = _assert_rows_are_one_row_preparations(circuit, choices_list)
+        assert alive.tolist() == [True] * 4 + [False] * 2
+
     def test_walk_peaks_at_two_stacks_plus_the_per_row_operators(self, monkeypatch):
         circuit, choices_list = _unit_12q()
         operators = []
