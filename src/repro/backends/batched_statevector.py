@@ -34,20 +34,26 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   variant key at a step — the tuple of prescribed Kraus indices at the
   window's sites (a site the row's table does not list takes the
   channel's dominant operator, exactly like
-  :meth:`PureStateBackend.run_fixed`) — is read once per unit into one
-  table (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`): per
-  step, the distinct keys, dominant first, and one integer per row
-  indexing them.  The walk, the weights, the tail tables and the
-  relabelled draws all index that array.  A step whose walked rows all
-  take one variant makes the one-variant call; otherwise, when every
-  variant compiles to a GEMM tier, one batched kernel call runs each row
-  under its own variant (the step's variants plus the row -> variant
-  index), bitwise what the one-variant call gives that row.  Only a step
-  with a variant on a per-variant tier (diagonal, scalar or slice
-  accumulation, which skip different zero entries per variant) applies
-  each variant to its rows (:func:`_apply_grouped`, the one place that
-  lists a variant's rows).  Dead rows are not filtered out: a dead row is
-  zero, stays zero under any variant and keeps weight 0.
+  :meth:`PureStateBackend.run_fixed`) — is an index into the step's
+  :class:`~repro.execution.plan.VariantTable`, which lasts the run: its
+  keys (dominant first), and per key the compiled operator (stacked for
+  the per-row GEMM), the branch probability and, on a tail step, the
+  index map and relabel flips, each built once per key.  One
+  ``(steps, rows)`` index array per unit
+  (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`) is all the
+  walk, the weights, the tail tables and the relabelled draws read: each
+  is a gather from the tables.  A step whose walked rows all take one
+  variant (``of.min() == of.max()``) makes the one-variant call;
+  otherwise, when every variant its rows take compiles to a GEMM tier,
+  one batched kernel call runs each row under its own variant (the table
+  plus the row -> variant index, whose per-row operator array is one
+  gather of the table's stacked matrices), bitwise what the one-variant
+  call gives that row.  Only a step with a variant on a per-variant tier
+  (diagonal, scalar or slice accumulation, which skip different zero
+  entries per variant) applies each variant to its rows
+  (:func:`_apply_grouped`, the one place that lists a variant's rows).
+  Dead rows are not filtered out: a dead row is zero, stays zero under
+  any variant and keeps weight 0.
 * **Batched renormalization** after each general-Kraus noise window (a
   unitary-mixture window keeps the norm and multiplies its
   state-independent probability into the weights instead) runs
@@ -92,8 +98,10 @@ steps, where the phases drop out, one of two ways:
   relabelled instead: a step maps ``final[i] = walked[map[i]]``, so a
   walked index ``j`` becomes ``map^-1[j]`` on the step's window bits.  A
   unit's relabelled requests are joined and each step runs once over
-  them (:meth:`_relabel`), which costs ``O(shots)`` per step — less than
-  the gathers whenever a row draws fewer shots than it has amplitudes.
+  them (:meth:`_relabel`): one gather from the step's table of bit flips
+  (one row per variant key, built when the key first appears), which
+  costs ``O(shots)`` per step — less than the gathers whenever a row
+  draws fewer shots than it has amplitudes.
 
 Both rules draw the same distribution, and every strategy applies the
 same rule to a request, so the strategies stay bitwise interchangeable.
@@ -134,20 +142,7 @@ from repro.prescriptions import Choices, as_prescriptions, site_table
 
 __all__ = ["BatchedStatevectorBackend"]
 
-#: A step's distinct variant keys; a row's variant is an index into them.
-Keys = List[Tuple[int, ...]]
-
-
-def _used(keys: Keys, of: np.ndarray) -> Tuple[Keys, np.ndarray]:
-    """The keys ``of`` names and its index into them: one key (and ``of``
-    untouched) whenever every row takes the same variant."""
-    if len(keys) > 1:
-        used, of = np.unique(of, return_inverse=True)
-        keys = [keys[i] for i in used]
-    return keys, of
-
-
-def _trie(walked: List[np.ndarray], b: int) -> Tuple[np.ndarray, List[int], np.ndarray]:
+def _trie(walked: np.ndarray, b: int) -> Tuple[np.ndarray, List[int], np.ndarray]:
     """The trie walk of ``b`` rows that take variant ``walked[s][row]`` at
     walked step ``s``: per slot, its caller row; per walked step, how many
     slots have joined by it; per slot, the slot whose state it copies when
@@ -165,9 +160,9 @@ def _trie(walked: List[np.ndarray], b: int) -> Tuple[np.ndarray, List[int], np.n
     join = np.full(b, len(walked), dtype=np.intp)
     join[0] = -1
     lex = np.arange(b)
-    if walked:
+    if len(walked):
         lex = np.lexsort(walked[::-1])
-        sequences = np.stack(walked)[:, lex]
+        sequences = walked[:, lex]
         differ = sequences[:, 1:] != sequences[:, :-1]
         join[1:] = np.where(differ.any(axis=0), differ.argmax(axis=0), len(walked))
     # One stack pass for each row's previous strictly smaller join step.
@@ -187,13 +182,12 @@ def _trie(walked: List[np.ndarray], b: int) -> Tuple[np.ndarray, List[int], np.n
 
 def _apply_grouped(
     stack: np.ndarray,
-    keys: Keys,
     of: np.ndarray,
-    apply: Callable[[np.ndarray, Tuple[int, ...], Optional[np.ndarray]], np.ndarray],
+    apply: Callable[[np.ndarray, int, Optional[np.ndarray]], np.ndarray],
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``apply(rows, key, out)`` on each variant group of ``stack``'s rows,
-    row ``i`` under ``keys[of[i]]``.
+    """``apply(rows, variant, out)`` on each variant group of ``stack``'s
+    rows, row ``i`` under variant ``of[i]``.
 
     The path for steps whose arithmetic is per variant (a variant on the
     diagonal, scalar or slice-accumulation tier) and for the final-order
@@ -206,17 +200,17 @@ def _apply_grouped(
     (fresh when ``None``); the result is returned.  The minority variants
     write into whichever of ``stack`` and ``out`` the majority left free.
     """
-    keys, of = _used(keys, of)
-    if len(keys) == 1:
-        return apply(stack, keys[0], out)
+    used, of = np.unique(of, return_inverse=True)
+    if len(used) == 1:
+        return apply(stack, int(used[0]), out)
     majority = int(np.bincount(of).argmax())
-    minority_rows = {i: np.flatnonzero(of == i) for i in range(len(keys)) if i != majority}
+    minority_rows = {i: np.flatnonzero(of == i) for i in range(len(used)) if i != majority}
     snapshots = {i: np.ascontiguousarray(stack[rows]) for i, rows in minority_rows.items()}
-    result = apply(stack, keys[majority], out)
+    result = apply(stack, int(used[majority]), out)
     free = out if result is stack else stack
     for i, rows in minority_rows.items():
         scratch = None if free is None else free[: len(rows)]
-        result[rows] = apply(snapshots.pop(i), keys[i], scratch)
+        result[rows] = apply(snapshots.pop(i), int(used[i]), scratch)
     return result
 
 
@@ -309,12 +303,15 @@ class BatchedStatevectorBackend:
         #: copied only when an amplitude is read (:meth:`_materialize`).
         #: The walked-order table has one row per such holder.
         self._holder: np.ndarray = np.empty(0, dtype=np.intp)
-        #: The relabel's bit flips per ``(tail step, variant key)``.
-        self._flips: Dict[Tuple[object, Tuple[int, ...]], np.ndarray] = {}
         #: The measurement tail of the last preparation, not yet run on the
-        #: amplitudes: ``(step, keys, of)`` per classical step, ``of`` indexed
-        #: by caller row (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`).
-        self._tail: List[Tuple[object, Keys, np.ndarray]] = []
+        #: amplitudes: ``(step, of)`` per classical step, ``of`` indexing the
+        #: step's variant table by caller row
+        #: (:meth:`~repro.execution.plan.FusedPlan.prescribed_steps`).
+        self._tail: List[Tuple[object, np.ndarray]] = []
+        #: How far the tail tables' flips, built on the circuit's width,
+        #: shift on this register (a narrower circuit acts on its leading
+        #: qubits).
+        self._shift = 0
         #: Cumulative wall time spent renormalizing the stack after noise
         #: windows (reduction + scale + bookkeeping) — the benchmark
         #: counter behind the strategy table's renorm column.
@@ -509,7 +506,7 @@ class BatchedStatevectorBackend:
         plan = get_fused_plan(circuit, self._config)
         b = len(table)
         variants = plan.prescribed_steps(table)
-        rows, joined, source = _trie([of for _, of in variants[: plan.tail]], b)
+        rows, joined, source = _trie(variants[: plan.tail], b)
         self._allocate(b)
         self._row = np.empty(b, dtype=np.intp)
         self._row[rows] = np.arange(b)
@@ -518,12 +515,12 @@ class BatchedStatevectorBackend:
         self._spare = np.empty_like(self._stack)
         weights = np.ones(b, dtype=np.float64)
         live = 1
-        for step, upto, (keys, of) in zip(plan.steps, joined, variants):
+        for step, upto, of in zip(plan.steps, joined, variants):
             live = self._join(live, upto, source, weights)
             of = of[rows[:live]]
-            self._apply_step(step, keys, of, live)
+            self._apply_step(step.table, of, live)
             if isinstance(step, NoiseStep):
-                self._weigh(step, keys, of, weights[:live])
+                self._weigh(step, of, weights[:live])
         # Rows the trie joins at the tail take their source's weight and
         # alive flag now, its state only when an amplitude is read
         # (_materialize): until then each reads its holder's.
@@ -532,12 +529,13 @@ class BatchedStatevectorBackend:
         self._alive[live:] = self._alive[sources]
         self._spare = None
         weights, alive = weights[self._row], self._alive[self._row]
-        for step, (keys, of) in zip(plan.steps[plan.tail :], variants[plan.tail :]):
+        self._shift = self.num_qubits - plan.num_qubits
+        for step, of in zip(plan.steps[plan.tail :], variants[plan.tail :]):
             # The measurement tail: recorded on caller rows, not run (see
             # _squares).  Its windows are unitary: _weigh touches no state.
-            self._tail.append((step, keys, of))
+            self._tail.append((step, of))
             if isinstance(step, NoiseStep):
-                self._weigh(step, keys, of, weights)
+                self._weigh(step, of, weights)
             # MeasureOps are deferred; sampling happens afterwards.
         return weights, alive
 
@@ -553,27 +551,24 @@ class BatchedStatevectorBackend:
         self._alive[live:upto] = self._alive[sources]
         return upto
 
-    def _apply_step(self, step, keys: Keys, of: np.ndarray, live: int) -> None:
+    def _apply_step(self, table, of: np.ndarray, live: int) -> None:
         """One step of the complex walk on the leading ``live`` slots, slot
-        ``i`` under ``keys[of[i]]``, from one buffer into the other: one
-        kernel call, unless some variant's tier is not a GEMM (see
-        :func:`_apply_grouped`).  Dead rows are zero and stay zero under
-        any variant."""
+        ``i`` under the step's variant ``of[i]`` (an index into its
+        :class:`~repro.execution.plan.VariantTable`), from one buffer into
+        the other: one kernel call, unless some variant's tier is not a
+        GEMM (see :func:`_apply_grouped`).  Dead rows are zero and stay
+        zero under any variant."""
         block, spare = self._stack[:live], self._spare[:live]
-        keys, of = _used(keys, of)
-        variants = [step.variant(key) for key in keys]
-        if len(variants) == 1:
-            result = apply_compiled_stack(block, variants[0], self.num_qubits, spare)
-        elif all(op.gemm for op in variants):
-            result = apply_compiled_stack(block, variants, self.num_qubits, spare, of)
+        ops = table.operators()
+        if of.min() == of.max():
+            result = apply_compiled_stack(block, ops[of[0]], self.num_qubits, spare)
+        elif table.gemm.take(of).all():
+            result = apply_compiled_stack(block, table, self.num_qubits, spare, of)
         else:
             result = _apply_grouped(
                 block,
-                keys,
                 of,
-                lambda rows, key, out: apply_compiled_stack(
-                    rows, step.variant(key), self.num_qubits, out
-                ),
+                lambda rows, i, out: apply_compiled_stack(rows, ops[i], self.num_qubits, out),
                 spare,
             )
         if result is spare:
@@ -595,21 +590,21 @@ class BatchedStatevectorBackend:
             return
         self._tables.pop(True, None)  # its draws would need the tail just run
         self._spare = np.empty_like(self._stack)
-        for step, keys, of in tail:
+        for step, of in tail:
             slots = np.empty_like(of)
             slots[self._row] = of
-            self._apply_step(step, keys, slots, self.batch_size)
+            self._apply_step(step.table, slots, self.batch_size)
         self._spare = None
 
-    def _weigh(self, step, keys: Keys, of: np.ndarray, weights: np.ndarray) -> None:
+    def _weigh(self, step, of: np.ndarray, weights: np.ndarray) -> None:
         """Weigh the leading ``len(weights)`` slots after a noise window, slot
-        ``i`` under ``keys[of[i]]``: by the window's probability (unitary
-        mixture) or by renormalizing them."""
+        ``i`` under the step's variant ``of[i]``: by the window's probability
+        (unitary mixture) or by renormalizing them."""
         if step.unitary:
             # Unitary-mixture window: every variant is unitary and its
             # branch probability state-independent — no reduction, no
             # rescale, no row can die here.
-            weights *= np.array([step.probability(key) for key in keys])[of]
+            weights *= step.table.probabilities.take(of)
             return
         # Batched renormalization: one block-wide, row-independent
         # reduction.  Dead rows (previously dead, or annihilated by this
@@ -750,12 +745,10 @@ class BatchedStatevectorBackend:
         np.square(probs, out=probs)
         if not tail:
             return probs
-        for step, keys, of in self._tail:
+        for step, of in self._tail:
+            maps, _ = step.table.permutations()
             probs = _apply_grouped(
-                probs,
-                keys,
-                of[rows],
-                lambda block, key, out: _permute(block, step.support, step.permutation(key)),
+                probs, of[rows], lambda block, i, out: _permute(block, step.support, maps[i])
             )
         return probs
 
@@ -765,43 +758,28 @@ class BatchedStatevectorBackend:
 
         A tail step maps the squares by ``final[i] = walked[map[i]]``, so a
         walked index ``j`` is final index ``map^-1[j]`` on the step's window
-        bits, steps in order.  Per step, one ``(variant keys, 2**k)`` table
-        holds each key's bit flips (:meth:`_flip`); an index reads entry
+        bits, steps in order.  The step's variant table holds each key's
+        bit flips as one ``(keys, 2**k)`` array; an index reads entry
         ``(of[owner] << k) + w`` of it, ``w`` its window value — one gather
         over the unit's shots, whatever the number of keys.
         """
         n = self.num_qubits
-        for step, keys, of in self._tail:
+        for step, of in self._tail:
             support = step.support
             k = len(support)
-            flips = np.concatenate([self._flip(step, key) for key in keys])
+            _, flips = step.table.permutations()
+            if self._shift:
+                flips = flips << self._shift
             if support[-1] - support[0] == k - 1:
                 window = (indices >> (n - 1 - support[-1])) & ((1 << k) - 1)
             else:
                 window = np.zeros_like(indices)
                 for j, q in enumerate(support):
                     window |= ((indices >> (n - 1 - q)) & 1) << (k - 1 - j)
-            if len(keys) > 1:
+            if of.any():
                 window += of[owners] << k
             indices ^= flips.take(window)
         return indices
-
-    def _flip(self, step, key: Tuple[int, ...]) -> np.ndarray:
-        """``spread(w ^ map^-1[w])`` per window value ``w`` of ``step``'s
-        variant ``key``, ``spread`` placing a window's bits on the register's
-        (memoized: a plan's steps outlive every unit)."""
-        flip = self._flips.get((step, key))
-        if flip is None:
-            n, support = self.num_qubits, step.support
-            k = len(support)
-            values = np.arange(1 << k)
-            spread = np.zeros(1 << k, dtype=np.int64)
-            for j, q in enumerate(support):
-                spread |= ((values >> (k - 1 - j)) & 1) << (n - 1 - q)
-            inverse = np.empty_like(values)
-            inverse[step.permutation(key)] = values
-            flip = self._flips[(step, key)] = spread[values ^ inverse]
-        return flip
 
     def _draw(
         self, requests: Sequence[Tuple[int, int, np.random.Generator]], qubits=None

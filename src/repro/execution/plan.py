@@ -22,7 +22,7 @@ Two step kinds:
   so the step exposes *variants*: one compiled operator per realized
   Kraus-index combination, built lazily — as the product of factors
   embedded onto the window once per step, less those that are exactly
-  the identity — and memoized by the step (B
+  the identity — and kept in the step's :class:`VariantTable` (B
   trajectories sharing a prescription, and every later stack, pay each
   fusion product once).  Each step is classified once at build time, from
   its channels' own cached analysis
@@ -48,6 +48,13 @@ measurement cannot see: on ``|psi|**2`` it is the index map
 maximal suffix of classical steps starts — the *measurement tail*, which
 the dense engine samples through instead of simulating.
 
+Each step owns one :class:`VariantTable` for the whole run: its variant
+keys in order of first use (the dominant key first) and, per key, the
+branch probability, the compiled operator and, on a tail step, the index
+map and the relabel's bit flips.  :meth:`FusedPlan.prescribed_steps`
+turns a unit's prescription table into one ``intp`` index per row and
+step into those tables, and the walk only gathers from them.
+
 Every dense strategy walks the plan in one place,
 ``BatchedStatevectorBackend``'s stacked preparation (the serial
 ``StatevectorBackend`` is its one-row view) — obtained from the
@@ -65,6 +72,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -74,7 +82,7 @@ from repro.circuits.moments import schedule_fusion_windows
 from repro.circuits.operations import NoiseOp, Operation
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import ExecutionError
-from repro.linalg.apply import CompiledOperator, compile_operator
+from repro.linalg.apply import CompiledOperator, OperatorStack, compile_operator
 from repro.linalg.fusion import (
     expand_to_support,
     fuse_window_matrix,
@@ -87,6 +95,7 @@ __all__ = [
     "GateStep",
     "NoiseStep",
     "FusedPlan",
+    "VariantTable",
     "build_fused_plan",
     "get_fused_plan",
     "clear_plan_cache",
@@ -107,13 +116,39 @@ def _is_identity(matrix: np.ndarray) -> bool:
     return np.count_nonzero(matrix) == len(matrix) and bool((matrix.diagonal() == 1).all())
 
 
-def _index_map(
-    matrix: np.ndarray, qubits: Sequence[int], support: Tuple[int, ...]
+@lru_cache(maxsize=256)
+def _map_layout(bits: Tuple[int, ...], k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arithmetic of an item whose matrix bit ``j-1-b`` is bit
+    ``bits[b]`` of a ``k``-bit window index: per window index, its bits off
+    the item and the matrix row its item bits spell; per matrix column, its
+    bits placed on the window.  Built once per layout (read-only arrays
+    every caller shares)."""
+    j = len(bits)
+    window, local = np.arange(1 << k), np.arange(1 << j)
+    row, spread, mask = np.zeros_like(window), np.zeros_like(local), 0
+    for b, bit in enumerate(bits):
+        row |= ((window >> bit) & 1) << (j - 1 - b)
+        spread |= ((local >> (j - 1 - b)) & 1) << bit
+        mask |= 1 << bit
+    layout = (window & ~mask, row, spread)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _index_maps(
+    matrices: np.ndarray, qubits: Sequence[int], support: Tuple[int, ...]
 ) -> np.ndarray:
-    """Column of each row's nonzero once a monomial ``matrix`` on ``qubits``
-    is embedded onto ``support``: ``|M psi|**2 [i] = |psi|**2 [map[i]]``."""
-    pattern = (np.asarray(matrix) != 0).astype(np.float64)
-    return np.argmax(expand_to_support(pattern, qubits, support) != 0, axis=1)
+    """Per monomial matrix of a ``(..., 2**j, 2**j)`` stack on ``qubits``,
+    the column of each row's nonzero once the matrix is embedded onto
+    ``support`` (``|M psi|**2 [i] = |psi|**2 [map[i]]``), as a ``(...,
+    2**k)`` array: window index ``i`` keeps its bits off ``qubits`` and
+    takes, on them, the column of the nonzero in the matrix row they spell.
+    """
+    k = len(support)
+    rest, row, spread = _map_layout(tuple(k - 1 - support.index(q) for q in qubits), k)
+    columns = np.argmax(np.asarray(matrices) != 0, axis=-1)
+    return rest | spread[columns[..., row]]
 
 
 def fusion_cap(num_qubits: int) -> int:
@@ -135,7 +170,7 @@ class GateStep:
     It answers the :class:`NoiseStep` variant interface with the one key
     ``()``, so the dense walk treats both step kinds alike."""
 
-    __slots__ = ("op", "num_ops", "support", "classical", "_map")
+    __slots__ = ("op", "num_ops", "support", "classical", "table", "_map", "__weakref__")
     dominant_key: Tuple[int, ...] = ()
 
     def __init__(self, op: CompiledOperator, num_ops: int):
@@ -143,14 +178,24 @@ class GateStep:
         self.num_ops = num_ops  # source operations fused into this step
         self.support = tuple(sorted(op.targets))
         self.classical = _monomial(op.matrix)
-        self._map = _index_map(op.matrix, op.targets, self.support) if self.classical else None
+        self._map = _index_maps(op.matrix, op.targets, self.support) if self.classical else None
+        self.table: Optional[VariantTable] = None  # set by the plan
 
     def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
         return self.op
 
+    def probability(self, key: Tuple[int, ...]) -> float:
+        return 1.0
+
     def permutation(self, key: Tuple[int, ...]) -> np.ndarray:
         """The index map of a classical step on :attr:`support`."""
         return self._map
+
+    def compile_variants(self, keys: Sequence[Tuple[int, ...]]) -> List[CompiledOperator]:
+        return [self.op] * len(keys)
+
+    def index_maps(self, keys: Sequence[Tuple[int, ...]]) -> np.ndarray:
+        return np.tile(self._map, (len(keys), 1))
 
     def __repr__(self) -> str:
         return f"GateStep(targets={self.op.targets}, ops={self.num_ops}, tier={self.op.tier!r})"
@@ -163,9 +208,10 @@ class NoiseStep:
     ``site_ids`` lists the window's noise sites in application order; a
     *variant key* is the tuple of Kraus indices chosen at those sites (in
     the same order; ``dominant_key`` where a trajectory takes every
-    channel's dominant branch), and :meth:`variant` compiles/memoizes the
-    fused operator for a key.  :meth:`FusedPlan.prescribed_steps` reads a
-    trajectory's keys off its prescription table.
+    channel's dominant branch), and :meth:`variant` is the fused operator
+    for a key, compiled once into the step's :attr:`table`.
+    :meth:`FusedPlan.prescribed_steps` reads a trajectory's keys off its
+    prescription table.
 
     ``unitary`` is true when every site's channel is a unitary mixture
     (``K_i = sqrt(p_i) U_i``).  Such a window's variants are built from
@@ -188,16 +234,15 @@ class NoiseStep:
         "support",
         "_classical",
         "_items",
+        "table",
         "_site_items",
         "_prefix",
         "_operators",
         "_embedded",
-        "_maps",
-        "_composed",
-        "_probabilities",
-        "_variants",
+        "_stages",
         "_dtype",
         "_shared",
+        "__weakref__",
     )
 
     def __init__(
@@ -238,18 +283,16 @@ class NoiseStep:
         self.support = tuple(sorted(targets))
         self._classical: Optional[bool] = None
         # (item position, kraus index or None for a gate) -> the factor
-        # embedded onto ``targets``, None for an identity (its index map
-        # onto ``support`` in ``_maps``), built on first use.
+        # embedded onto ``targets``, None for an identity, built on first
+        # use; the index-map stages of a classical window (index_maps).
         self._embedded: Dict[Tuple[int, Optional[int]], Optional[np.ndarray]] = {}
-        self._maps: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
-        self._composed: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._probabilities: Dict[Tuple[int, ...], float] = {}
-        self._variants: Dict[Tuple[int, ...], CompiledOperator] = {}
+        self._stages: Optional[Tuple[List[Tuple[int, np.ndarray]], Optional[np.ndarray]]] = None
         self._dtype = dtype
         # The plan's embedded factors by content (dtype, bytes, qubits on
         # the window, window width), shared by all of its steps: a window
         # embeds the factor another window of its width already has.
         self._shared = shared
+        self.table: Optional[VariantTable] = None  # set by the plan
 
     @property
     def classical(self) -> bool:
@@ -265,49 +308,51 @@ class NoiseStep:
 
     def probability(self, key: Tuple[int, ...]) -> float:
         """Branch probability of ``key`` on a ``unitary`` window: the
-        product of the sites' nominal probabilities, in site order
-        (memoized per key)."""
-        probability = self._probabilities.get(key)
-        if probability is None:
-            probability = self._probabilities[key] = math.prod(
-                channel.nominal_probs[idx] for channel, idx in zip(self.channels, key)
-            )
-        return probability
+        product of the sites' nominal probabilities, in site order (the
+        step's :attr:`table` keeps it per key)."""
+        return math.prod(channel.nominal_probs[idx] for channel, idx in zip(self.channels, key))
 
     def variant(self, key: Tuple[int, ...]) -> CompiledOperator:
-        """Compiled fused operator realizing Kraus choices ``key``
-        (memoized per key)."""
-        variant = self._variants.get(key)
-        if variant is None:
-            variant = self._variants[key] = self._compile_variant(key)
-        return variant
+        """Compiled fused operator realizing Kraus choices ``key`` (compiled
+        once per key, into :attr:`table`)."""
+        (index,) = self.table.indices([key])
+        return self.table.operators()[index]
 
-    def _compile_variant(self, key: Tuple[int, ...]) -> CompiledOperator:
+    def compile_variants(self, keys: Sequence[Tuple[int, ...]]) -> List[CompiledOperator]:
+        """The fused operator of each of ``keys``, in order.
+
+        Each is the product ``fuse_window_matrix`` forms, over factors
+        embedded onto the window once per step instead of once per
+        variant, continued from the dominant variant's product up to the
+        key's first deviating item: the same matmuls in the same order, so
+        a variant deviating at the window's last site multiplies only from
+        there.  A factor that is exactly the identity (every Pauli
+        channel's dominant branch) is skipped: multiplying by it changes no
+        value (at most the sign of a zero).
+        """
         if len(self._items) == 1:
             # Singleton window: compile the site's operator directly on
             # its own qubit order — the arithmetic of the per-op loop.
             _, pos, qubits = self._items[0]
-            return compile_operator(
-                self._operators[pos][key[pos]], qubits, self._dtype
-            )
-        # The product fuse_window_matrix forms, over factors embedded onto
-        # the window once per step instead of once per variant, continued
-        # from the dominant variant's product up to the key's first
-        # deviating item: the same matmuls in the same order, so a variant
-        # deviating at the window's last site multiplies only from there.
-        # A factor that is exactly the identity (every Pauli channel's
-        # dominant branch) is skipped: multiplying by it changes no value
-        # (at most the sign of a zero).
-        deviating = zip(self._site_items, key, self.dominant_key)
-        start = min((item for item, idx, dom in deviating if idx != dom), default=len(self._items))
-        factors = [self._factor(pos, key) for pos in range(start, len(self._items))]
-        factors = [factor for factor in factors if factor is not None]
-        prefix = self._dominant_prefix(start)
-        if prefix is None and not factors:
-            fused = np.eye(2 ** len(self.targets), dtype=np.complex128)
-        else:
-            fused = multiply_window(factors, prefix)
-        return compile_operator(fused, self.targets, self._dtype)
+            operators, dtype = self._operators[pos], self._dtype
+            return [compile_operator(operators[key[pos]], qubits, dtype) for key in keys]
+        compiled, count = [], len(self._items)
+        for key in keys:
+            # The key's first deviating item (sites are in item order).
+            deviating = zip(self._site_items, key, self.dominant_key)
+            start = next((item for item, idx, dom in deviating if idx != dom), count)
+            prefix = self._dominant_prefix(start)
+            factors = [
+                factor
+                for factor in (self._factor(pos, key) for pos in range(start, count))
+                if factor is not None
+            ]
+            if prefix is None and not factors:
+                fused = np.eye(2 ** len(self.targets), dtype=np.complex128)
+            else:
+                fused = multiply_window(factors, prefix)
+            compiled.append(compile_operator(fused, self.targets, self._dtype))
+        return compiled
 
     def _dominant_prefix(self, count: int) -> Optional[np.ndarray]:
         """The dominant variant's product of items ``[0, count)`` (``None``
@@ -322,26 +367,48 @@ class NoiseStep:
         return self._prefix[count - 1] if count else None
 
     def permutation(self, key: Tuple[int, ...]) -> np.ndarray:
-        """Index map of a classical window's variant ``key`` on ``support``:
-        ``|U psi|**2 [i] = |psi|**2 [map[i]]``.  Composed from the items'
-        own maps (``2**k`` integers each), with no complex product, once
-        per key."""
-        composed = self._composed.get(key)
-        if composed is None:
-            composed = self._composed[key] = self._compose(key)
-        return composed
+        """Index map of the variant ``key`` of a step in the plan's
+        measurement tail, on ``support``: ``|U psi|**2 [i] = |psi|**2
+        [map[i]]`` (its row of :attr:`table`'s ``maps``)."""
+        (index,) = self.table.indices([key])
+        return self.table.permutations()[0][index]
 
-    def _compose(self, key: Tuple[int, ...]) -> np.ndarray:
-        composed = np.arange(2 ** len(self.support))
-        for pos, (kind, payload, qubits) in enumerate(self._items):
-            idx = key[payload] if kind == "noise" else None
-            part = self._maps.get((pos, idx))
-            if part is None:
-                matrix = payload if idx is None else self._operators[payload][idx]
-                part = self._maps[(pos, idx)] = _index_map(matrix, qubits, self.support)
+    def index_maps(self, keys: Sequence[Tuple[int, ...]]) -> np.ndarray:
+        """One row per key: the index map of a classical window's variant
+        on ``support``, composed from the items' own maps (``2**k``
+        integers each) with no complex product, in one array pass over
+        the keys: one gather per noise site (see :meth:`_map_stages`)."""
+        keys = np.array(keys, dtype=np.intp).reshape(len(keys), -1)
+        stages, trailing = self._map_stages()
+        size = 1 << len(self.support)
+        # Row r of the flat (keys, size) array starts at r * size.
+        starts = np.arange(0, len(keys) * size, size)[:, None]
+        composed = None
+        for site, maps in stages:
             # The first item acts first: (B A) maps i to map_A[map_B[i]].
-            composed = composed[part]
-        return composed
+            part = maps[keys[:, site]]
+            composed = part if composed is None else composed.take(part + starts)
+        return composed if trailing is None else composed[:, trailing]
+
+    def _map_stages(self) -> Tuple[List[Tuple[int, np.ndarray]], Optional[np.ndarray]]:
+        """The window's index maps as stages, built once: per noise site,
+        ``(site, maps)`` with one row per Kraus index, the gates before it
+        (since the previous site) composed in; then the gates after the
+        last site as one map, or ``None``."""
+        if self._stages is None:
+            stages, gates = [], None
+            for kind, payload, qubits in self._items:
+                matrices = payload if kind == "gate" else self._operators[payload]
+                maps = _index_maps(matrices, qubits, self.support)
+                if gates is not None:
+                    maps = gates[maps]
+                if kind == "gate":
+                    gates = maps
+                else:
+                    stages.append((payload, maps))
+                    gates = None
+            self._stages = (stages, gates)
+        return self._stages
 
     def _factor(self, pos: int, key: Tuple[int, ...]) -> Optional[np.ndarray]:
         """Item ``pos`` of the window under ``key``, embedded onto
@@ -374,6 +441,96 @@ class NoiseStep:
 PlanStep = Union[GateStep, NoiseStep]
 
 
+class VariantTable(OperatorStack):
+    """One plan step's variants for the whole run, in order of first use.
+
+    ``keys[i]`` is a variant key, ``keys[0]`` the step's dominant key, and
+    every column is indexed alike: ``probabilities[i]`` is the key's
+    :meth:`NoiseStep.probability` (1 on a gate step), ``ops[i]`` its
+    compiled operator (:meth:`operators`, stacked for the per-row GEMM by
+    :class:`~repro.linalg.apply.OperatorStack`), and, on a step of the
+    measurement tail, :meth:`permutations` its index map on the step's
+    support and the relabel's bit flips.  A unit's rows index these
+    columns (:meth:`FusedPlan.prescribed_steps`), so the walk, the weights
+    and the relabel are gathers.
+
+    The table grows once per new key, under the lock, because the serial
+    look-ahead prepares against the same plan on a helper thread; a key
+    reaches the index only after ``probabilities`` covers it.  The other
+    columns are built for every key added since they were last read, in
+    one pass, where they are first needed: operators by the walk (a tail
+    step's only when an amplitude read runs the tail), index maps and
+    flips by the draws.
+    """
+
+    def __init__(self, step: PlanStep, width: Optional[int] = None):
+        super().__init__()
+        dominant = step.dominant_key
+        self.keys: List[Tuple[int, ...]] = [dominant]
+        self.probabilities = np.array([step.probability(dominant)])
+        self._index: Dict[Tuple[int, ...], int] = {dominant: 0}
+        # Weak: the step owns its table, and a plan must not outlive its
+        # circuit waiting for the cycle collector.
+        self._step = weakref.ref(step)
+        self._permutations: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # A tail step's window bits, placed on a ``width``-qubit register.
+        self._spread: Optional[np.ndarray] = None
+        if width is not None:
+            k = len(step.support)
+            values = np.arange(1 << k)
+            self._spread = np.zeros(1 << k, dtype=np.int64)
+            for j, q in enumerate(step.support):
+                self._spread |= ((values >> (k - 1 - j)) & 1) << (width - 1 - q)
+
+    def indices(self, keys: Sequence[Tuple[int, ...]]) -> List[int]:
+        """Each key's index, adding the keys the table does not hold yet."""
+        index = self._index
+        try:
+            return [index[key] for key in keys]
+        except KeyError:
+            with self._lock:
+                # Another thread may have added them while this one waited.
+                new = [key for key in dict.fromkeys(keys) if key not in index]
+                if new:
+                    step = self._step()
+                    probabilities = [step.probability(key) for key in new]
+                    self.probabilities = np.concatenate([self.probabilities, probabilities])
+                    start = len(self.keys)
+                    self.keys = self.keys + new
+                    index.update(zip(new, range(start, start + len(new))))
+            return [index[key] for key in keys]
+
+    def operators(self) -> List[CompiledOperator]:
+        """``ops``, compiling the keys added since the last call."""
+        if len(self.ops) < len(self.keys):
+            with self._lock:
+                self.extend(self._step().compile_variants(self.keys[len(self.ops) :]))
+        return self.ops
+
+    def permutations(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(maps, flips)`` of a tail step, one row per key: the key's index
+        map on the step's support (:meth:`NoiseStep.index_maps`) and
+        ``spread(w ^ map^-1[w])`` per window value ``w``, ``spread`` placing
+        a window's bits on the plan's register.  The keys added since the
+        last call get their rows in one array pass."""
+        built = self._permutations
+        if built is None or len(built[0]) < len(self.keys):
+            with self._lock:
+                built = self._permutations
+                done = 0 if built is None else len(built[0])
+                new = self.keys[done:]
+                if new:
+                    step = self._step()
+                    maps = step.index_maps(new)
+                    inverse = maps.argsort(axis=1)  # exact: each row is a permutation
+                    flips = self._spread[np.arange(maps.shape[1]) ^ inverse]
+                    if built is not None:
+                        maps = np.concatenate([built[0], maps])
+                        flips = np.concatenate([built[1], flips])
+                    built = self._permutations = (maps, flips)
+        return built
+
+
 class FusedPlan:
     """The compiled form of one frozen circuit at one state dtype.
 
@@ -381,6 +538,8 @@ class FusedPlan:
     classical steps (``num_steps`` when the last step is not classical).
     Indexed by noise site id, ``site_step`` is the step holding each site
     and ``site_position`` the site's place in that step's variant key.
+    Every step gets its :class:`VariantTable` here; a tail step's builds
+    the relabel's flips on a ``num_qubits`` register.
     """
 
     def __init__(
@@ -397,6 +556,8 @@ class FusedPlan:
         self.num_qubits = num_qubits
         self.num_source_ops = num_source_ops
         self.max_qubits = max_qubits
+        for index, step in enumerate(steps):
+            step.table = VariantTable(step, num_qubits if index >= self.tail else None)
         located = sorted(
             (site, index, position)
             for index, step in enumerate(steps)
@@ -409,31 +570,31 @@ class FusedPlan:
     def num_steps(self) -> int:
         return len(self.steps)
 
-    def prescribed_steps(
-        self, table: Prescriptions
-    ) -> List[Tuple[List[Tuple[int, ...]], np.ndarray]]:
+    def prescribed_steps(self, table: Prescriptions) -> np.ndarray:
         """Each row's variant at every step of a prescription table (built
-        against this plan's circuit): per step, ``(keys, of)`` — the step's
-        distinct variant keys, the dominant one first, then in order of
-        their first row, and one ``intp`` index into ``keys`` per row.  A
-        row that names none of a step's sites takes the dominant key.
+        against this plan's circuit): a ``(num_steps, rows)`` ``intp`` array
+        whose entry ``[s, r]`` indexes step ``s``'s :class:`VariantTable`.
+        A row that names none of a step's sites takes the dominant key,
+        index 0; the tables add the keys they have not seen.
         """
         rows = table.rows()
         steps = self.site_step[table.site_ids]
-        built: List[Dict[int, List[int]]] = [{} for _ in self.steps]
         positions = self.site_position[table.site_ids]
+        dominant = [step.dominant_key for step in self.steps]
+        built: List[Dict[int, List[int]]] = [{} for _ in self.steps]
         for row, step, position, branch in zip(
             rows.tolist(), steps.tolist(), positions.tolist(), table.branches.tolist()
         ):
-            built[step].setdefault(row, list(self.steps[step].dominant_key))[position] = branch
+            deviating = built[step]
+            key = deviating.get(row)
+            if key is None:
+                key = deviating[row] = list(dominant[step])
+            key[position] = branch
         of = np.zeros((self.num_steps, len(table)), dtype=np.intp)
-        variants = []
         for step, deviating, step_of in zip(self.steps, built, of):
-            keys = {step.dominant_key: 0}
-            for row, key in deviating.items():
-                step_of[row] = keys.setdefault(tuple(key), len(keys))
-            variants.append((list(keys), step_of))
-        return variants
+            if deviating:
+                step_of[list(deviating)] = step.table.indices(list(map(tuple, deviating.values())))
+        return of
 
     @property
     def num_noise_steps(self) -> int:

@@ -15,9 +15,10 @@ The kernel is split in two phases so the fusion compilation pipeline
   :class:`CompiledOperator`;
 * :func:`apply_compiled_stack` applies a compiled operator to a stack with
   zero per-call analysis — or, on the GEMM tiers, one operator per row:
-  a step's compiled variants and a row -> variant index, run as one
-  batched ``matmul`` whose per-row product is the one-operator call on
-  that row.
+  an :class:`OperatorStack` (a plan step's variants, stacked once as they
+  are compiled) and a row -> operator index, run as one batched
+  ``matmul`` against the stack's matrices gathered by that index, whose
+  per-row product is the one-operator call on that row.
 
 :func:`apply_matrix_stack` (the historical one-shot entry point) is simply
 ``apply_compiled_stack(stack, compile_operator(...), ...)``.
@@ -69,7 +70,8 @@ sixteenth-stack scratch block).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+import threading
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,6 +79,7 @@ from repro.linalg.kron import kron_all
 
 __all__ = [
     "CompiledOperator",
+    "OperatorStack",
     "compile_operator",
     "apply_compiled_stack",
     "apply_gemm_stack",
@@ -187,9 +190,7 @@ class CompiledOperator:
         """
         padded = self._padded.get(tail)
         if padded is None:
-            padded = self._padded[tail] = kron_all(
-                [self.matrix, np.eye(tail, dtype=self.matrix.dtype)]
-            )
+            padded = self._padded[tail] = _pad(self.matrix, tail)
         return padded
 
     @property
@@ -204,6 +205,63 @@ class CompiledOperator:
             f"CompiledOperator(targets={self.targets}, tier={self.tier!r}, "
             f"dtype={self.matrix.dtype})"
         )
+
+
+def _pad(matrix: np.ndarray, tail: int) -> np.ndarray:
+    """``matrix (x) I_tail`` (``matrix`` itself at ``tail == 1``)."""
+    return matrix if tail == 1 else kron_all([matrix, np.eye(tail, dtype=matrix.dtype)])
+
+
+class OperatorStack:
+    """Compiled operators on one set of targets, for the per-row call of
+    :func:`apply_compiled_stack`: ``ops[i]`` is operator ``i`` and
+    ``gemm[i]`` its :attr:`CompiledOperator.gemm`.
+
+    :meth:`matrices` keeps their matrices (or short-tail padded forms) in
+    one ``(capacity, d, d)`` array, filled once per operator as operators
+    are added, so a call's per-row operator array is one gather by the
+    row -> operator index.  One thread may add operators while another
+    applies them: ``gemm`` covers an operator before ``ops`` lists it, and
+    the matrices grow under a lock, into rows no reader indexes yet.
+    """
+
+    def __init__(self, ops: Sequence[CompiledOperator] = ()):
+        self.ops: List[CompiledOperator] = []
+        self.gemm = np.zeros(0, dtype=bool)
+        #: tail -> (matrices, rows filled)
+        self._matrices: Dict[int, Tuple[np.ndarray, int]] = {}
+        self._lock = threading.Lock()
+        self.extend(ops)
+
+    def extend(self, ops: Sequence[CompiledOperator]) -> None:
+        """Append ``ops``, which share the stack's targets."""
+        if not ops:
+            return
+        targets = (self.ops or ops)[0].targets
+        if any(op.targets != targets for op in ops):
+            raise ValueError("per-row operators must share targets and a GEMM tier")
+        self.gemm = np.concatenate([self.gemm, [op.gemm for op in ops]])
+        self.ops = self.ops + list(ops)
+
+    def matrices(self, tail: int = 1) -> np.ndarray:
+        """Row ``i`` is ``ops[i].padded(tail)`` for every operator added so
+        far (rows past them are unset).  Each operator is padded and
+        written once; the array doubles when full."""
+        entry = self._matrices.get(tail)
+        if entry is None or entry[1] < len(self.ops):
+            with self._lock:
+                matrices, filled = self._matrices.get(tail, (None, 0))
+                ops = self.ops
+                if matrices is None or len(matrices) < len(ops):
+                    dim = tail * len(ops[0].matrix)
+                    grown = np.empty((2 * len(ops), dim, dim), dtype=ops[0].matrix.dtype)
+                    if filled:
+                        grown[:filled] = matrices[:filled]
+                    matrices = grown
+                for row in range(filled, len(ops)):
+                    matrices[row] = _pad(ops[row].matrix, tail)
+                entry = self._matrices[tail] = (matrices, len(ops))
+        return entry[0]
 
 
 def compile_operator(
@@ -281,7 +339,7 @@ def _scale_slices_inplace(slices: List[np.ndarray], diag: np.ndarray) -> None:
 
 def apply_compiled_stack(
     stack: np.ndarray,
-    op: Union[CompiledOperator, Sequence[CompiledOperator]],
+    op: Union[CompiledOperator, OperatorStack],
     num_qubits: int,
     out: Optional[np.ndarray] = None,
     variant: Optional[np.ndarray] = None,
@@ -297,20 +355,21 @@ def apply_compiled_stack(
     that alternates between two buffers allocates nothing per call.  No
     renormalization is performed.
 
-    With ``variant`` — one index per row — ``op`` is a sequence of
-    operators on the same targets, each of a GEMM tier
-    (:attr:`CompiledOperator.gemm`), and row ``r`` takes
-    ``op[variant[r]]``: one batched ``matmul`` against a per-row operator
-    array, whose product for each row has the shape and operands of the
-    one-operator call on that row alone, so every row comes out bitwise
-    what that call gives.
+    With ``variant`` — one ``intp`` index per row — ``op`` is an
+    :class:`OperatorStack` and row ``r`` takes ``op.ops[variant[r]]``,
+    each of a GEMM tier (:attr:`CompiledOperator.gemm`): one batched
+    ``matmul`` against the per-row operator array (one gather of the
+    stack's matrices), whose product for each row has the shape and
+    operands of the one-operator call on that row alone, so every row
+    comes out bitwise what that call gives.
     """
     rows, dim = stack.shape
-    ops: Optional[Sequence[CompiledOperator]] = None
+    ops: Optional[OperatorStack] = None
     if variant is not None:
-        ops, op = op, op[0]
-        if not all(o.gemm and o.targets == op.targets for o in ops):
+        if not op.gemm.take(variant).all():
             raise ValueError("per-row operators must share targets and a GEMM tier")
+        # Every GEMM operator on these targets takes the same tier.
+        ops, op = op, op.ops[variant[0]]
     k = op.num_targets
     if op.scalar is not None:
         # Scalar multiple of identity: one pass (or none).  Only compiled
@@ -336,7 +395,7 @@ def apply_compiled_stack(
                 padded = op.padded(tail).T
             else:
                 view = stack.reshape(rows, -1, dim_k * tail)
-                padded = _per_row(ops, variant, lambda o: o.padded(tail)).transpose(0, 2, 1)
+                padded = _per_row(ops, variant, tail).transpose(0, 2, 1)
             np.matmul(view, padded, out=out.reshape(view.shape))
         else:
             view = stack.reshape(rows, -1, dim_k, tail)
@@ -411,19 +470,11 @@ def apply_compiled_stack(
     return apply_gemm_stack(stack, op, num_qubits, out)
 
 
-def _per_row(
-    ops: Sequence[CompiledOperator],
-    variant: np.ndarray,
-    matrix_of: Callable[[CompiledOperator], np.ndarray] = lambda o: o.matrix,
-) -> np.ndarray:
-    """The ``(rows, d, d)`` operator array: row ``r`` holds
-    ``matrix_of(ops[variant[r]])``, C-contiguous like the matrix itself.
-    Filled per variant, so no ``(variants, d, d)`` stack is built first."""
-    first = matrix_of(ops[0])
-    matrices = np.empty((len(variant),) + first.shape, dtype=first.dtype)
-    for position, op in enumerate(ops):
-        matrices[variant == position] = matrix_of(op)
-    return matrices
+def _per_row(ops: OperatorStack, variant: np.ndarray, tail: int = 1) -> np.ndarray:
+    """The ``(rows, d, d)`` operator array, C-contiguous: row ``r`` holds
+    ``ops.ops[variant[r]].padded(tail)``, gathered from the stack's
+    persistent matrices."""
+    return ops.matrices(tail).take(variant, axis=0)
 
 
 def _apply_k3_blocked_gemm(
@@ -469,7 +520,7 @@ def _apply_k3_blocked_gemm(
 
 def apply_gemm_stack(
     stack: np.ndarray,
-    op: Union[CompiledOperator, Sequence[CompiledOperator]],
+    op: Union[CompiledOperator, OperatorStack],
     num_qubits: int,
     out: Optional[np.ndarray] = None,
     variant: Optional[np.ndarray] = None,
@@ -486,7 +537,7 @@ def apply_gemm_stack(
     """
     rows, dim = stack.shape
     matrix = op.matrix if variant is None else _per_row(op, variant)
-    axes = [t + 1 for t in (op if variant is None else op[0]).targets]
+    axes = [t + 1 for t in (op if variant is None else op.ops[0]).targets]
     k = len(axes)
     psi = stack.reshape((rows,) + (2,) * num_qubits)
     psi = np.moveaxis(psi, axes, range(1, k + 1))

@@ -198,18 +198,20 @@ class TestFusedPlanStructure:
         backend.run_fixed_stack(noisy_ghz3, choices_list)
         plan = get_fused_plan(noisy_ghz3, backend.config)
         noise = [step for step in plan.steps if isinstance(step, NoiseStep)]
-        compiled = [dict(step._variants) for step in noise]
-        assert any(compiled)
+        compiled = [dict(zip(step.table.keys, step.table.ops)) for step in noise]
+        assert any(len(ops) > 1 for ops in compiled)
         compiles = []
-        real = NoiseStep._compile_variant
+        real = NoiseStep.compile_variants
         monkeypatch.setattr(
-            NoiseStep, "_compile_variant", lambda step, key: compiles.append(key) or real(step, key)
+            NoiseStep,
+            "compile_variants",
+            lambda step, keys: compiles.extend(keys) or real(step, keys),
         )
         backend.run_fixed_stack(noisy_ghz3, choices_list)
         # The second stack compiles nothing and reuses the same variant objects.
         assert compiles == []
         for step, before in zip(noise, compiled):
-            assert step._variants.keys() == before.keys()
+            assert step.table.keys == list(before)
             assert all(step.variant(key) is op for key, op in before.items())
 
     def test_out_of_range_kraus_index_rejected(self, noisy_ghz3):
@@ -552,8 +554,8 @@ class TestIdentityFreeVariants:
     def test_every_sampled_key_of_the_benchmark_brickwork(
         self, layered_brickwork, num_qubits, nsamples, seed
     ):
-        """The keys the benchmark's PTS draws (its sampler stream, its sizes):
-        every variant, byte for byte."""
+        """The keys the benchmark's PTS draws (its sampler stream, its sizes),
+        read off the steps' variant tables: every variant, byte for byte."""
         from repro.rng import StreamFactory
 
         circuit = layered_brickwork(num_qubits)
@@ -562,12 +564,15 @@ class TestIdentityFreeVariants:
         )
         config = Config()
         plan = build_fused_plan(circuit, config)
+        of = plan.prescribed_steps(result.table)
         checked = skipped = 0
-        for step, (keys, _) in zip(plan.steps, plan.prescribed_steps(result.table)):
+        for step, step_of in zip(plan.steps, of):
             if not isinstance(step, NoiseStep):
                 continue
-            for key in keys:
-                got = step.variant(key).matrix
+            keys = step.table.keys
+            assert keys[0] == step.dominant_key and 0 < len(keys) == step_of.max() + 1
+            for key, got in zip(keys, step.table.operators()):
+                got = got.matrix
                 want = _fused_reference(step, key, config.dtype)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (step, key)
                 checked += 1

@@ -16,6 +16,7 @@ from repro.linalg import (
     embed_operator,
     row_norms_squared,
 )
+from repro.linalg.apply import OperatorStack
 from repro.linalg.kron import kron_all
 from repro.linalg.reductions import scale_rows_inverse_sqrt
 
@@ -479,10 +480,21 @@ PER_ROW_LAYOUTS = [
 ]
 
 
+def _per_row_by_masks(ops, variant, tail):
+    """The per-row operator array filled one variant at a time (a boolean
+    mask per operator), as the per-row call built it before it gathered
+    from an :class:`OperatorStack`; kept as the gather's oracle."""
+    first = ops[0].padded(tail)
+    matrices = np.empty((len(variant),) + first.shape, dtype=first.dtype)
+    for position, op in enumerate(ops):
+        matrices[variant == position] = op.padded(tail)
+    return matrices
+
+
 class TestPerRowOperators:
-    """``apply_compiled_stack(stack, variants, n, out, variant)``: one call in
-    which every row takes its own operator, bitwise the one-operator call
-    on that row alone."""
+    """``apply_compiled_stack(stack, OperatorStack(variants), n, out,
+    variant)``: one call in which every row takes its own operator, bitwise
+    the one-operator call on that row alone."""
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("rows", [1, 2, 7, 64])
@@ -499,7 +511,7 @@ class TestPerRowOperators:
         index[: min(rows, 3)] = np.arange(min(rows, 3))  # row 0 differs from rows 1 and 2
         stack = _typed_stack(rows, 10, rows, dtype)
         out = np.full_like(stack, np.nan)
-        result = apply_compiled_stack(stack.copy(), variants, 10, out, index)
+        result = apply_compiled_stack(stack.copy(), OperatorStack(variants), 10, out, index)
         assert result is out and result.dtype == dtype
         for row, v in enumerate(index):
             single = apply_compiled_stack(stack[row : row + 1].copy(), variants[v], 10)
@@ -510,7 +522,7 @@ class TestPerRowOperators:
         variants = [compile_operator(random_unitary(4, rng), (3, 4), DTYPE) for _ in range(2)]
         stack = _random_stack(3, 8, 5)
         index = np.array([1, 0, 1])
-        result = apply_compiled_stack(stack, variants, 8, variant=index)
+        result = apply_compiled_stack(stack, OperatorStack(variants), 8, variant=index)
         assert result is not stack
         single = apply_compiled_stack(stack[1:2].copy(), variants[0], 8)
         np.testing.assert_array_equal(result[1], single[0])
@@ -534,9 +546,49 @@ class TestPerRowOperators:
         dense = compile_operator(random_unitary(4, rng), (2, 3), DTYPE)
         stack = _random_stack(2, 6, 1)
         index = np.array([0, 1])
-        for other in (
-            compile_operator(random_unitary(4, rng), (3, 4), DTYPE),
-            compile_operator(CX.matrix, (2, 3), DTYPE),
-        ):
-            with pytest.raises(ValueError, match="GEMM tier"):
-                apply_compiled_stack(stack.copy(), [dense, other], 6, variant=index)
+        with pytest.raises(ValueError, match="GEMM tier"):
+            OperatorStack([dense, compile_operator(random_unitary(4, rng), (3, 4), DTYPE)])
+        sparse = OperatorStack([dense, compile_operator(CX.matrix, (2, 3), DTYPE)])
+        with pytest.raises(ValueError, match="GEMM tier"):
+            apply_compiled_stack(stack.copy(), sparse, 6, variant=index)
+        # A non-GEMM operator no row takes is no obstacle.
+        result = apply_compiled_stack(stack.copy(), sparse, 6, variant=np.array([0, 0]))
+        np.testing.assert_array_equal(result, apply_compiled_stack(stack.copy(), dense, 6))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            pytest.param((3, 4), id="view-mid"),
+            pytest.param((6, 7), id="padded-tail-4"),
+            pytest.param((1, 4, 6), id="k3-blocked"),
+            pytest.param((0, 2, 3, 7), id="k4-moved-axes"),
+        ],
+    )
+    def test_the_gather_is_the_list_form_byte_for_byte(self, targets, dtype):
+        """The per-row array is one gather of the stack's persistent
+        matrices (padded on a short tail), byte-equal to filling it one
+        variant at a time, also after the stack grows past its first
+        capacity while rows are in use."""
+        dtype = np.dtype(dtype)
+        rng = np.random.default_rng(len(targets))
+        ops = [
+            compile_operator(random_unitary(2 ** len(targets), rng), targets, dtype)
+            for _ in range(7)
+        ]
+        tail = 2**10 >> (targets[-1] + 1)
+        uses = tail if ops[0].gemm_view and (2 ** len(targets)) * tail <= 32 else 1
+        assert (uses > 1) == (targets == (6, 7))
+        table = OperatorStack(ops[:2])
+        for count in (2, 3, 7):
+            table.extend(ops[len(table.ops) : count])
+            variant = rng.integers(0, count, 64)
+            got = apply_mod._per_row(table, variant, uses)
+            want = _per_row_by_masks(ops[:count], variant, uses)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), count
+        stack = _typed_stack(64, 10, 3, dtype)
+        result = apply_compiled_stack(stack.copy(), table, 10, variant=variant)
+        for row in (0, 31, 63):
+            single = apply_compiled_stack(stack[row : row + 1].copy(), ops[variant[row]], 10)
+            assert result[row].tobytes() == single[0].tobytes()

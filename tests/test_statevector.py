@@ -606,22 +606,26 @@ class TestTailMemory:
 
         with_tail = unit_peak()
         plan = get_fused_plan(circuit)
+        tables = [step.table for step in plan.steps[plan.tail :]]
         maps = [
             (step, part)
-            for step in plan.steps[plan.tail :]
-            for part in getattr(step, "_maps", {}).values()
+            for step, table in zip(plan.steps[plan.tail :], tables)
+            for part in table.permutations()
         ]
-        assert maps and all(part.size == 2 ** len(step.support) for step, part in maps)
-        held = [part for _, part in maps] + [
+        maps += [
+            (step, part)
+            for step in plan.steps[plan.tail :]
+            for _, part in (getattr(step, "_stages", None) or ((), None))[0]
+        ]
+        assert maps and all(part.shape[-1] == 2 ** len(step.support) for step, part in maps)
+        held = [part[0] for _, part in maps] + [
             array
             for step in plan.steps
             for array in list(getattr(step, "_embedded", {}).values())
             + [getattr(step, "_map", None)]
             if array is not None
         ]
-        held += [
-            op.matrix for step in plan.steps for op in getattr(step, "_variants", {}).values()
-        ]
+        held += [op.matrix for step in plan.steps for op in step.table.ops]
         assert max(array.size for array in held) <= 2 ** (2 * plan.max_qubits) < 2**16
         tail_off(circuit)
         assert with_tail <= unit_peak()

@@ -1,6 +1,8 @@
 """Vectorized trajectory-stacked execution: backend, dedup, equivalence."""
 
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.execution import (
     get_fused_plan,
     run_ptsbe,
 )
+from repro.execution.plan import VariantTable, build_fused_plan
 from repro.linalg.sampling import bits_from_indices
 from repro.prescriptions import as_prescriptions, site_table
 from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
@@ -329,15 +332,17 @@ def _walked_rows(circuit, choices_list, monkeypatch):
     monkeypatch.setattr(stacked_module, "apply_compiled_stack", counting)
     BatchedStatevectorBackend(circuit.num_qubits).run_fixed_stack(circuit, choices_list)
     monkeypatch.undo()
-    step_of = {
-        id(step.variant(_key(step, choices))): index
+    # A call passes one of a step's variants, or for a per-row call the
+    # step's variant table itself.
+    step_of = {id(step.table): index for index, step in enumerate(plan.steps)}
+    step_of.update(
+        (id(step.variant(_key(step, choices))), index)
         for index, step in enumerate(plan.steps)
         for choices in choices_list
-    }
+    )
     calls, rows_at = {}, {}
     for rows, op in seen:
-        # A per-row call passes the step's variants, every one of them.
-        (index,) = {step_of[id(v)] for v in (op if isinstance(op, list) else [op])}
+        index = step_of[id(op)]
         calls[index] = calls.get(index, 0) + 1
         rows_at[index] = rows
     return rows_at, calls, seen
@@ -395,8 +400,9 @@ class TestPrefixSharing:
         table = as_prescriptions(site_table(circuit), choices_list)
         assert np.diff(table.offsets).tolist() == [1, 0, 0, 1]
         variants = plan.prescribed_steps(table)
-        assert all(keys[0] == step.dominant_key for step, (keys, _) in zip(plan.steps, variants))
-        deviating = {index: np.flatnonzero(of).tolist() for index, (_, of) in enumerate(variants)}
+        assert variants.shape == (plan.num_steps, 4) and variants.dtype == np.intp
+        assert all(step.table.keys[0] == step.dominant_key for step in plan.steps)
+        deviating = {index: np.flatnonzero(of).tolist() for index, of in enumerate(variants)}
         assert {index: rows for index, rows in deviating.items() if rows} == {
             0: [3],
             plan.tail - 1: [0],
@@ -422,7 +428,7 @@ class TestPrefixSharing:
         assert rows_at == _trie_rows(plan, choices_list)
         # Every walked step is one kernel call, however many variants its rows take.
         assert calls == dict.fromkeys(range(plan.tail), 1)
-        assert any(isinstance(op, list) for _, op in seen)
+        assert any(isinstance(op, VariantTable) for _, op in seen)
         # The unit shares: its rows deviate all through the walk.
         assert sum(rows_at.values()) < 0.6 * len(choices_list) * plan.tail
 
@@ -650,15 +656,15 @@ class TestPrefixSharing:
         grouped, per_row = [], []
         original = stacked_module._apply_grouped
 
-        def recording(stack, groups, *args, **kwargs):
-            grouped.append(len(groups))
-            return original(stack, groups, *args, **kwargs)
+        def recording(stack, of, *args, **kwargs):
+            grouped.append(len(np.unique(of)))
+            return original(stack, of, *args, **kwargs)
 
         kernel = stacked_module.apply_compiled_stack
 
         def counting(stack, op, num_qubits, out=None, variant=None):
             if variant is not None:
-                per_row.append(len(op))
+                per_row.append(len(np.unique(variant)))
             return kernel(stack, op, num_qubits, out, variant)
 
         monkeypatch.setattr(stacked_module, "_apply_grouped", recording)
@@ -673,6 +679,151 @@ class TestPrefixSharing:
         # pass (the other seven), each over several variants.
         assert len(per_row) == 2 and len(grouped) == plan.num_steps - 2
         assert min(per_row + grouped) > 1, (per_row, grouped)
+
+
+class TestVariantTables:
+    """Each plan step keeps one variant table for the whole run, and a
+    unit's rows index it: the walk, the weights and the relabel gather
+    from the tables instead of rebuilding per-unit key lists."""
+
+    def test_a_unit_on_one_non_dominant_key_makes_the_one_variant_call(self, monkeypatch):
+        """Every row takes the same deviating key at step 0: the step's table
+        holds the dominant key too, but the call passes one operator."""
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = get_fused_plan(circuit)
+        first, later = plan.steps[0], plan.steps[plan.tail - 1]
+        assert plan.tail > 1 and len(first.site_ids) > 1
+        deviation = {first.site_ids[0]: first.dominant_key[0] + 1}
+        choices_list = [
+            deviation,
+            {**deviation, later.site_ids[0]: 2},
+            {**deviation, first.site_ids[1]: first.dominant_key[1]},  # not a deviation
+        ]
+        calls = []
+        kernel = stacked_module.apply_compiled_stack
+
+        def counting(stack, op, num_qubits, out=None, variant=None):
+            calls.append((stack.shape[0], op, variant))
+            return kernel(stack, op, num_qubits, out, variant)
+
+        monkeypatch.setattr(stacked_module, "apply_compiled_stack", counting)
+        BatchedStatevectorBackend(6).run_fixed_stack(circuit, choices_list)
+        monkeypatch.undo()
+        key = _key(first, deviation)
+        (index,) = first.table.indices([key])
+        assert index > 0 and first.table.keys[0] == first.dominant_key
+        rows, op, variant = calls[0]
+        assert rows == 1 and variant is None and op is first.table.ops[index]
+        # One call per walked step; the last walked one splits the two
+        # distinct prefixes over two variants.
+        assert len(calls) == plan.tail and all(v is None for _, _, v in calls[:-1])
+        rows, op, variant = calls[-1]
+        assert rows == 2 and op is later.table and len(set(variant.tolist())) == 2
+        _assert_rows_are_one_row_preparations(circuit, choices_list)
+
+    def test_tables_keep_keys_across_units_in_order_of_first_use(self):
+        circuit = _noisy_brickwork(6, 0.05)
+        plan = build_fused_plan(circuit)
+        specs = _pts_specs(circuit, 3, nsamples=400, nshots=1)
+        choices = [spec.choices for spec in specs]
+        site_ids = site_table(circuit)
+        first = plan.prescribed_steps(as_prescriptions(site_ids, choices[:40]))
+        sizes = [len(step.table.keys) for step in plan.steps]
+        built = [len(step.table.permutations()[0]) for step in plan.steps[plan.tail :]]
+        assert built == sizes[plan.tail :]
+        both = plan.prescribed_steps(as_prescriptions(site_ids, choices))
+        # The first unit's rows keep their indices; the tables only grew.
+        np.testing.assert_array_equal(both[:, :40], first)
+        grown = [len(s.table.keys) - n for s, n in zip(plan.steps, sizes)]
+        assert min(grown) >= 0 and max(grown[plan.tail :]) > 0
+        for step, of in zip(plan.steps, both):
+            table = step.table
+            assert len(table.probabilities) == len(table.keys) == len(set(table.keys))
+            want = [_key(step, row) for row in choices]
+            assert [table.keys[i] for i in of] == want
+            if hasattr(step, "unitary"):
+                np.testing.assert_array_equal(
+                    table.probabilities, [step.probability(key) for key in table.keys]
+                )
+        fresh = build_fused_plan(circuit)
+        for index in range(plan.tail, plan.num_steps):
+            # Grown over two units, the maps are the one-pass maps of every key.
+            step = plan.steps[index]
+            maps, flips = step.table.permutations()
+            assert maps.shape == flips.shape == (len(step.table.keys), 2 ** len(step.support))
+            np.testing.assert_array_equal(maps, fresh.steps[index].index_maps(step.table.keys))
+        plan.prescribed_steps(as_prescriptions(site_ids, choices[::-1]))  # no new key
+        for step in plan.steps[plan.tail :]:
+            assert len(step.table.permutations()[0]) == len(step.table.keys)
+
+    def test_two_threads_against_one_fresh_plan_assign_the_same_indices(self, monkeypatch):
+        """Backends prepare the same units at once on three threads (more
+        than the host's cores, switching every microsecond) against one
+        fresh plan, as the serial look-ahead does on two: each unit's
+        indices agree, the tables hold each key once at one index, and
+        every thread draws the bits and weights a one-thread run draws on a
+        plan of its own."""
+        units = 6
+
+        def run(circuit, thread_count):
+            specs = _pts_specs(circuit, 5, nsamples=600, nshots=1)
+            choices = [spec.choices for spec in specs]
+            chunks = [choices[i::units] for i in range(units)]
+            seen = {}
+            prescribe = type(get_fused_plan(circuit)).prescribed_steps
+
+            def recording(plan, table):
+                of = prescribe(plan, table)
+                seen.setdefault(threading.current_thread().name, []).append(of)
+                return of
+
+            monkeypatch.setattr(type(get_fused_plan(circuit)), "prescribed_steps", recording)
+            barrier = threading.Barrier(thread_count)
+            results = {}
+
+            def prepare(name):
+                backend = BatchedStatevectorBackend(circuit.num_qubits)
+                barrier.wait()
+                out = []
+                for unit, rows in enumerate(chunks):
+                    weights, _ = backend.run_fixed_stack(circuit, rows)
+                    bits = backend.sample(
+                        [(row, 64, make_rng(1000 * unit + row)) for row in range(len(rows))],
+                        tuple(range(circuit.num_qubits)),
+                    )
+                    out.append((weights.tolist(), np.concatenate(bits).tobytes()))
+                results[name] = out
+
+            threads = [
+                threading.Thread(target=prepare, args=(f"t{i}",), name=f"t{i}")
+                for i in range(thread_count)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            monkeypatch.undo()
+            return results, seen
+
+        circuit = _noisy_brickwork(8, 0.05)
+        results, seen = run(circuit, 3)
+        alone, _ = run(_noisy_brickwork(8, 0.05), 1)
+        assert set(results) == set(seen) == {"t0", "t1", "t2"}
+        for name in ("t1", "t2"):
+            assert all(np.array_equal(a, b) for a, b in zip(seen["t0"], seen[name]))
+            assert results[name] == results["t0"]
+        assert results["t0"] == alone["t0"]
+        for step in get_fused_plan(circuit).steps:
+            table = step.table
+            assert len(set(table.keys)) == len(table.keys) == len(table.probabilities)
+            assert table.indices(table.keys) == list(range(len(table.keys)))
+            assert len(table.operators()) == len(table.keys) == len(table.gemm)
 
 
 class TestDedup:
