@@ -101,33 +101,28 @@ def stratified_estimate(
     -----
     Variance: ``Var = sum_a (w_a/W)^2 * s_a^2 / m_a`` with ``s_a^2`` the
     within-stratum sample variance.  Strata with zero weight or zero shots
-    are skipped: they add neither weight nor a variance term.
+    are skipped: they add neither weight nor a variance term.  The
+    observable runs once over the result's shot table and the strata are
+    read from its columns (per-stratum sums by ``bincount``).
     """
-    num = 0.0
-    weight_total = 0.0
-    var = 0.0
-    strata = 0
-    pairs = []
-    for t in result.trajectories:
-        w = t.actual_weight
-        if w <= 0.0 or t.num_shots == 0:
-            continue
-        values = np.asarray(observable(t.bits), dtype=np.float64)
-        if values.shape[0] != t.num_shots:
-            raise DataError("observable returned wrong number of values")
-        pairs.append((w, values))
-        weight_total += w
-        strata += 1
-    if weight_total <= 0.0 or not pairs:
+    table = result.shot_table()
+    count, weight = result.columns.specs["count"], result.columns.specs["weight"]
+    values = np.asarray(observable(table.bits), dtype=np.float64)
+    if values.shape[0] != table.num_shots:
+        raise DataError("observable returned wrong number of values")
+    stratum = np.repeat(np.arange(len(count)), count)
+    mean = np.bincount(stratum, values, len(count)) / np.maximum(count, 1)
+    spread = np.bincount(stratum, (values - mean[stratum]) ** 2, len(count))
+    kept = (weight > 0.0) & (count > 0)
+    if not kept.any():
         raise DataError("no weighted shots to estimate from")
-    for w, values in pairs:
-        frac = w / weight_total
-        num += frac * values.mean()
-        if values.shape[0] > 1:
-            var += frac**2 * values.var(ddof=1) / values.shape[0]
+    weight_total = weight[kept].sum()
+    frac, m = weight[kept] / weight_total, count[kept]
+    # A one-shot stratum has no spread and adds no variance term.
+    var = (frac**2 * spread[kept] / (np.maximum(m - 1, 1) * m)).sum()
     return Estimate(
-        value=float(num),
+        value=float(frac @ mean[kept]),
         std_error=float(np.sqrt(var)),
         total_weight=float(weight_total),
-        num_strata=strata,
+        num_strata=int(kept.sum()),
     )

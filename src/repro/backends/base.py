@@ -23,6 +23,7 @@ Semantics contract
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +43,10 @@ DEAD_NORM = 1e-300
 
 def validate_deferred_measurement(circuit: Circuit) -> Tuple[int, ...]:
     """``circuit.measured_qubits``, read in the same pass that raises when
-    any qubit is operated on after being measured."""
+    any qubit is operated on after being measured (memoized per frozen
+    circuit object: every unit a backend prepares asks again)."""
+    if circuit in _DEFERRED:
+        return _DEFERRED[circuit]
     order: List[int] = []
     measured = set()
     for op in circuit:
@@ -55,7 +59,12 @@ def validate_deferred_measurement(circuit: Circuit) -> Tuple[int, ...]:
                 f"{sorted(measured.intersection(op.qubits))}; "
                 "this library defers measurements to circuit end"
             )
+    if circuit.frozen:
+        _DEFERRED[circuit] = tuple(order)
     return tuple(order)
+
+
+_DEFERRED: "weakref.WeakKeyDictionary[Circuit, Tuple[int, ...]]" = weakref.WeakKeyDictionary()
 
 
 class PureStateBackend(abc.ABC):

@@ -783,17 +783,17 @@ class BatchedStatevectorBackend:
 
     def _draw(
         self, requests: Sequence[Tuple[int, int, np.random.Generator]], qubits=None
-    ) -> List[np.ndarray]:
-        """Per ``(row, num_shots, rng)`` request, its final-order indices, or
-        with ``qubits`` its bits of them.
+    ) -> np.ndarray:
+        """The ``(row, num_shots, rng)`` requests' final-order indices,
+        request after request, or with ``qubits`` their bits.
 
         A request's uniforms come from its own generator in one draw, in
         request order (the ``(seed, trajectory_id)`` determinism contract).
         The walked-order requests write theirs into one unit buffer, which
         one :func:`~repro.linalg.sampling.stacked_inverse_cdf_indices` call
-        resolves, one :meth:`_relabel` takes to final order and one unpack
-        turns into bits.  Any other request makes one inverse-CDF lookup on
-        its row's final-order table.
+        resolves and one :meth:`_relabel` takes to final order.  Any other
+        request makes one inverse-CDF lookup on its row's final-order
+        table.  One unpack turns the unit's indices into bits.
         """
         rows = np.array([row for row, _, _ in requests], dtype=np.intp)
         sizes = np.array([num_shots for _, num_shots, _ in requests], dtype=np.intp)
@@ -812,32 +812,30 @@ class BatchedStatevectorBackend:
                     raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
                 tables[order] = at, cum
         buffer = np.empty(int(sizes[walked].sum()))
-        out, spans, start = [], [], 0
+        indices = np.empty(int(sizes.sum()), dtype=np.int64)
+        start = end = 0
         for (row, num_shots, rng), relabel in zip(requests, walked.tolist()):
+            end += num_shots
             if relabel:
                 rng.random(out=buffer[start : start + num_shots])
-                spans.append((len(out), start, start + num_shots))
                 start += num_shots
-                out.append(None)
-                continue
-            indices = np.empty(0, dtype=np.int64)
-            if num_shots:
+            elif num_shots:
                 at, cum = tables[False]
-                indices = inverse_cdf_indices(cum[at[row]], rng.random(num_shots))
-                indices = indices.astype(np.int64, copy=False)
-            if qubits is not None:
-                indices = bits_from_indices(indices, qubits, self.num_qubits)
-            out.append(indices)
-        if spans:
+                indices[end - num_shots : end] = inverse_cdf_indices(
+                    cum[at[row]], rng.random(num_shots)
+                )
+        if start:
             at, cum = tables[True]
             owners = np.repeat(rows[walked], sizes[walked])
-            indices = stacked_inverse_cdf_indices(cum, at.take(owners), buffer)
-            indices = self._relabel(indices, owners)
-            if qubits is not None:
-                indices = bits_from_indices(indices, qubits, self.num_qubits)
-            for position, a, b in spans:
-                out[position] = indices[a:b]
-        return out
+            drawn = stacked_inverse_cdf_indices(cum, at.take(owners), buffer)
+            relabelled = self._relabel(drawn, owners)
+            if start == len(indices):
+                indices = relabelled.astype(np.int64, copy=False)
+            else:
+                indices[np.repeat(walked, sizes)] = relabelled
+        if qubits is None:
+            return indices
+        return bits_from_indices(indices, qubits, self.num_qubits)
 
     def sample_indices(
         self, row: int, num_shots: int, rng: np.random.Generator
@@ -845,15 +843,16 @@ class BatchedStatevectorBackend:
         """Bulk-sample basis-state indices (final order) from one stacked
         trajectory: one draw of ``num_shots`` uniforms from ``rng``, one
         inverse-CDF lookup on the row's table."""
-        return self._draw([(row, num_shots, rng)])[0]
+        return self._draw([(row, num_shots, rng)])
 
     def sample(
         self,
         requests: Sequence[Tuple[int, int, np.random.Generator]],
         qubits: Sequence[int],
-    ) -> List[np.ndarray]:
-        """One ``(num_shots, len(qubits))`` bits array per ``(row, num_shots,
-        rng)`` request, each drawn from its row with its own generator.
+    ) -> np.ndarray:
+        """One ``(shots, len(qubits))`` bits block: each ``(row, num_shots,
+        rng)`` request's shots, drawn from its row with its own generator,
+        request after request.
 
         A request under ``2**n`` shots reads its row's walked-order table,
         and every such request's indices go through the measurement tail

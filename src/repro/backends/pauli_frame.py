@@ -340,9 +340,10 @@ class FrameSampler:
         self,
         flips: np.ndarray,
         requests: Sequence[Tuple[int, int, np.random.Generator]],
-    ) -> List[np.ndarray]:
+    ) -> np.ndarray:
         """Bulk-sample every request of a unit: one ``(shots, k)`` bits
-        array per ``(row of flips, shots, rng)``, views of one unit buffer.
+        block, each ``(row of flips, shots, rng)`` request's shots after the
+        one before.
 
         ``flips`` comes from :meth:`frame_for_choices`; the only per-shot
         randomness left is the uniform combination of the ideal circuit's
@@ -375,14 +376,14 @@ class FrameSampler:
                 sampled ^= np.take(table, group_draws, axis=0)
             sampled ^= np.repeat((self._pack_words(base) if packed else base)[rows], shots, axis=0)
             bits = self._unpack_words(sampled) if packed else sampled
-        return [bits[end - n : end] for n, end in zip(shots, ends)]
+        return bits
 
     def sample_fixed(
         self, flips: np.ndarray, num_shots: int, rng: np.random.Generator
     ) -> np.ndarray:
         """``(num_shots, k)`` bits for one fixed trajectory: the one-request
         form of :meth:`sample_stack`."""
-        return self.sample_stack(flips[None, :], [(0, num_shots, rng)])[0]
+        return self.sample_stack(flips[None, :], [(0, num_shots, rng)])
 
     # ------------------------------------------------------------------ #
     # bulk sampling

@@ -183,12 +183,12 @@ class StatevectorBackend(PureStateBackend):
         """Vectorized bulk sampling of basis-state indices: all
         ``num_shots`` uniforms from ``rng`` in one draw, one inverse-CDF
         lookup."""
-        return self.stack._draw([(0, num_shots, rng)])[0]
+        return self.stack._draw([(0, num_shots, rng)])
 
     def sample(
         self, num_shots: int, qubits: Sequence[int], rng: np.random.Generator
     ) -> np.ndarray:
-        return self.stack._draw([(0, num_shots, rng)], qubits)[0]
+        return self.stack._draw([(0, num_shots, rng)], qubits)
 
     def measure_probability_one(self, qubit: int) -> float:
         """Marginal P(qubit = 1) of the current state."""

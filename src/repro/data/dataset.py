@@ -22,12 +22,12 @@ preparing states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.operations import GateOp, NoiseOp
+from repro.circuits.operations import NoiseOp
 from repro.errors import DataError
 from repro.execution.results import PTSBEResult
 from repro.execution.streaming import StreamedResult
@@ -165,7 +165,8 @@ def iter_decoder_batches(
     syndrome_bits = layout.syndrome_bit_count()
     label_of: Dict[int, int] = {}
     for chunk in stream:
-        for record in chunk.records:
+        records = list(chunk.records)
+        for record in records:
             if record.trajectory_id not in label_of:
                 label_of[record.trajectory_id] = _logical_flip_label(
                     record, circuit, code
@@ -173,10 +174,16 @@ def iter_decoder_batches(
         if chunk.num_shots == 0:
             continue
         table = chunk.shot_table()
-        labels = np.empty(table.num_shots, dtype=np.int64)
-        for i, tid in enumerate(table.trajectory_ids):
-            labels[i] = label_of[int(tid)]
+        labels = _shot_labels(label_of, records, chunk.columns.specs["count"])
         yield table.bits[:, :syndrome_bits], labels, table.trajectory_ids
+
+
+def _shot_labels(
+    label_of: Dict[int, int], records: Sequence[TrajectoryRecord], shots: np.ndarray
+) -> np.ndarray:
+    """Each trajectory's label, repeated over its ``shots``."""
+    labels = np.array([label_of[r.trajectory_id] for r in records], dtype=np.int64)
+    return np.repeat(labels, shots)
 
 
 def build_decoder_dataset(
@@ -191,12 +198,12 @@ def build_decoder_dataset(
     Z-frame flip implied by the trajectory's provenance record.
 
     ``result`` may be a materialized
-    :class:`~repro.execution.results.PTSBEResult` or a live
+    :class:`~repro.execution.results.PTSBEResult` or a fresh live
     :class:`~repro.execution.streaming.StreamedResult` (from
-    :func:`~repro.execution.batched.run_ptsbe_stream`); the streamed form
-    is consumed incrementally via :func:`iter_decoder_batches` — labels
-    are computed chunk by chunk as the run progresses — and assembles the
-    identical dataset.
+    :func:`~repro.execution.batched.run_ptsbe_stream`), which is finalized
+    first; :func:`iter_decoder_batches` labels a stream chunk by chunk
+    instead.  Each trajectory is labelled once and its label repeated over
+    its shots.
     """
     if isinstance(result, StreamedResult):
         if result.delivered_trajectories:
@@ -207,57 +214,16 @@ def build_decoder_dataset(
                 f"({result.delivered_trajectories} trajectories); pass a fresh "
                 "StreamedResult, or finalize() it and pass the PTSBEResult"
             )
-        feature_batches: List[np.ndarray] = []
-        label_batches: List[np.ndarray] = []
-        id_batches: List[np.ndarray] = []
-        records: Dict[int, TrajectoryRecord] = {}
-        num_trajectories = 0
-        for features, labels, tids in iter_decoder_batches(
-            result, circuit, code, layout
-        ):
-            feature_batches.append(features)
-            label_batches.append(labels)
-            id_batches.append(tids)
-        for trajectory in result.finalize().trajectories:
-            records[trajectory.record.trajectory_id] = trajectory.record
-            num_trajectories += 1
-        width = layout.syndrome_bit_count()
-        return LabeledShotDataset(
-            features=(
-                np.concatenate(feature_batches)
-                if feature_batches
-                else np.empty((0, width), dtype=np.uint8)
-            ),
-            labels=(
-                np.concatenate(label_batches)
-                if label_batches
-                else np.empty(0, dtype=np.int64)
-            ),
-            trajectory_ids=(
-                np.concatenate(id_batches)
-                if id_batches
-                else np.empty(0, dtype=np.int64)
-            ),
-            records=records,
-            metadata={
-                "code": code.name,
-                "rounds": str(layout.rounds),
-                "num_trajectories": str(num_trajectories),
-            },
-        )
+        result = result.finalize()
     syndrome_bits = layout.syndrome_bit_count()
     table = result.shot_table()
     features = table.bits[:, :syndrome_bits]
-    records = {r.trajectory_id: r for r in result.records}
-    labels = np.empty(table.num_shots, dtype=np.int64)
-    label_of: Dict[int, int] = {}
-    for tid, record in records.items():
-        label_of[tid] = _logical_flip_label(record, circuit, code)
-    for i, tid in enumerate(table.trajectory_ids):
-        labels[i] = label_of[int(tid)]
+    trajectory_records = list(result.records)
+    records = {r.trajectory_id: r for r in trajectory_records}
+    label_of = {tid: _logical_flip_label(r, circuit, code) for tid, r in records.items()}
     return LabeledShotDataset(
         features=features,
-        labels=labels,
+        labels=_shot_labels(label_of, trajectory_records, result.columns.specs["count"]),
         trajectory_ids=table.trajectory_ids,
         records=records,
         metadata={

@@ -276,7 +276,8 @@ class _SerialEngine:
         # A unit is drawn once: its 2**n state and sampling tables go now,
         # not when the next unit is prepared over them.
         self.release()
-        return bits
+        empty = np.empty((0, len(self.measured)), dtype=np.uint8)
+        return bits[0] if len(bits) == 1 else np.concatenate([empty, *bits])
 
     def release(self) -> None:
         self.backend.release()

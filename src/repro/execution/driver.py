@@ -34,7 +34,7 @@ What :func:`drive` owns, for every engine and every worker count:
   ``(seed, trajectory_id)``, the shot counts each row will be asked for
   (handed to ``prepare`` with the prescriptions), the dead-row rule
   (zero weight if and only if ``prepare`` said so: no shots, weight
-  ``0.0``), result assembly;
+  ``0.0``), the unit's block and spec columns;
 * one timing rule — a unit's prepare wall time is split evenly across its
   rows, duplicates of a row ride free, and the engine's compile seconds
   are charged to the first unit (of each process); a unit's shots are
@@ -42,9 +42,14 @@ What :func:`drive` owns, for every engine and every worker count:
   that has shots to draw from a live row, and that call's wall time is
   split over those specs by shot share (``sample_seconds`` = wall x spec
   shots / unit shots; a dead row's specs and a zero-shot spec are not in
-  the list and read ``0.0``).  A spec's provenance record is built there,
-  where its unit is delivered.  A look-ahead unit's prepare wall is timed
-  on the helper thread, while the unit before it draws, so a run's
+  the list and read ``0.0``).  The call fills one ``(shots, bits)`` block
+  for the unit, and the unit returns as
+  :class:`~repro.execution.results.UnitShots`: its spec positions, that
+  block and each spec's row, shot count, weight and seconds — no
+  per-trajectory object and no provenance record (records are built
+  from the run's trajectory table when read).  A look-ahead unit's
+  prepare wall is timed on the helper thread, while the unit before it
+  draws, so a run's
   ``prep_seconds + sample_seconds`` can exceed its wall time;
 * ordered delivery and the :class:`~repro.execution.streaming.StreamedResult`.
 
@@ -120,7 +125,7 @@ from repro.backends.base import validate_deferred_measurement
 from repro.circuits.circuit import Circuit
 from repro.config import Config
 from repro.errors import BackendError, CapacityError, ExecutionError, FaultError
-from repro.execution.results import PTSBEResult, TrajectoryResult
+from repro.execution.results import SPEC_COLUMNS, PTSBEResult, SpecColumns, UnitShots
 from repro.execution.streaming import OrderedDelivery, StreamedResult
 from repro.faults.plan import FaultPlan, maybe_inject
 from repro.faults.retry import FaultContext, RecoveryEvent, describe_exception
@@ -138,7 +143,7 @@ __all__ = ["Engine", "StreamingExecutor", "check_measurements", "drive", "timed"
 T = TypeVar("T")
 #: ``(first group, one past the last group, attempt)``.
 Task = Tuple[int, int, int]
-Completed = List[Tuple[int, TrajectoryResult]]
+Completed = List[UnitShots]
 #: ``(prepared row, shots, that trajectory's Philox generator)``: what one
 #: live spec asks of :meth:`Engine.sample`.
 Request = Tuple[int, int, np.random.Generator]
@@ -192,9 +197,10 @@ class Engine(Protocol):
         here (an engine whose draws need none ignores it)."""
         ...
 
-    def sample(self, requests: Sequence[Request]) -> Sequence[NDArray[np.uint8]]:
-        """One ``(shots, len(measured))`` bits array per request, each drawn
-        from its own prepared row with its own generator, in order."""
+    def sample(self, requests: Sequence[Request]) -> NDArray[np.uint8]:
+        """One ``(shots, len(measured))`` bits block for the unit: each
+        request's shots, drawn from its own prepared row with its own
+        generator, request after request."""
         ...
 
     def release(self) -> None:
@@ -273,7 +279,6 @@ class _Runner:
         engine: Engine,
         trajectories: PTSResult,
         groups: SpecGroups,
-        width: int,
         streams: StreamFactory,
         rows: int,
         plan: Optional[FaultPlan],
@@ -281,8 +286,6 @@ class _Runner:
         self.engine = engine
         self.trajectories = trajectories
         self.groups = groups
-        # The bits of a spec nothing was drawn for (dead row, zero shots).
-        self.unsampled = np.empty((0, width), dtype=np.uint8)
         self.streams = streams
         self.rows = rows
         self.plan = plan
@@ -292,60 +295,48 @@ class _Runner:
         """Groups ``[start, end)``, prepared one :func:`_cuts` unit at a time."""
         unit = _unit_name(self.engine.name, start, end)
         maybe_inject(self.plan, unit, attempt, self.streams.seed)
-        completed: Completed = []
-        for cut in _cuts(self.groups, start, end, self.rows, self.engine.max_unit_shots):
-            completed += self.draw(self.engine, *cut, self.prepare(self.engine, *cut))
-        return completed
+        return [
+            self.draw(self.engine, *cut, self.prepare(self.engine, *cut))
+            for cut in _cuts(self.groups, start, end, self.rows, self.engine.max_unit_shots)
+        ]
 
-    def unit(self, start: int, end: int) -> Tuple[NDArray[np.intp], List[int], List[range]]:
+    def unit(self, start: int, end: int) -> Tuple[NDArray[np.intp], NDArray[np.int64], List[int]]:
         """The trajectory rows of groups ``[start, end)``, their shots, and
-        each group's range of positions in those."""
+        where each group's rows start in those (one past the last ends)."""
         offsets = self.groups.offsets[start : end + 1]
-        bounds = (offsets - offsets[0]).tolist()
         members = self.groups.members[offsets[0] : offsets[-1]]
-        spans = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-        return members, self.trajectories.shots[members].tolist(), spans
+        return members, self.trajectories.shots[members], (offsets - offsets[0]).tolist()
 
     def prepare(self, engine: Engine, start: int, end: int) -> Prepared:
         """``engine.prepare`` on groups ``[start, end)``, timed."""
-        _, shots, spans = self.unit(start, end)
-        sizes = [shots[span.start : span.stop] for span in spans]
+        _, shots, bounds = self.unit(start, end)
+        shots = shots.tolist()
+        sizes = [shots[a:b] for a, b in zip(bounds, bounds[1:])]
         return timed(engine.prepare, self.groups.table[start:end], sizes)
 
-    def draw(self, engine: Engine, start: int, end: int, prepared: Prepared) -> Completed:
-        """Draw the shots of groups ``[start, end)``, prepared on ``engine``."""
-        trajectories = self.trajectories
-        members, shots, spans = self.unit(start, end)
-        ids = trajectories.trajectory_ids[members].tolist()
-        positions = members.tolist()
+    def draw(self, engine: Engine, start: int, end: int, prepared: Prepared) -> UnitShots:
+        """Draw the shots of groups ``[start, end)``, prepared on ``engine``,
+        into one block, spec after spec."""
+        members, shots, bounds = self.unit(start, end)
+        rows = np.repeat(np.arange(end - start), np.diff(bounds))
         weights, wall = prepared
-        prep_each = (self.carry + wall) / (end - start)
+        specs = np.zeros(len(members), dtype=SPEC_COLUMNS)
+        specs["weight"] = np.asarray(weights, dtype=np.float64)[rows]
+        specs["prep"][bounds[:-1]] = (self.carry + wall) / (end - start)
+        self.carry = 0.0  # compile seconds are charged to one finished unit
         # One request per spec that has shots to draw from a live row, all
         # of the unit's in one call; its wall time is split by shot share.
-        requests: Dict[int, Request] = {
-            j: (row, shots[j], self.streams.rng_for(ids[j]))
-            for row, span in enumerate(spans)
-            if weights[row] != 0.0
-            for j in span
-            if shots[j] > 0
-        }
-        drawn, wall = timed(engine.sample, list(requests.values()))
-        sampled = dict(zip(requests, drawn))
-        per_shot = wall / max(1, sum(map(len, drawn)))
-        completed: Completed = []
-        for row, span in enumerate(spans):
-            for j in span:
-                bits = sampled.get(j, self.unsampled)
-                result = TrajectoryResult(
-                    record=trajectories.record(positions[j]),
-                    bits=bits,
-                    actual_weight=float(weights[row]),
-                    prep_seconds=prep_each if j == span.start else 0.0,
-                    sample_seconds=per_shot * len(bits),
-                )
-                completed.append((positions[j], result))
-        self.carry = 0.0  # compile seconds are charged to one finished unit
-        return completed
+        drawn = specs["count"] = np.where(specs["weight"] != 0.0, shots, 0)
+        specs["row"] = np.cumsum(drawn) - drawn
+        live = np.flatnonzero(drawn)
+        ids = self.trajectories.trajectory_ids[members[live]].tolist()
+        requests = [
+            (row, count, self.streams.rng_for(tid))
+            for row, count, tid in zip(rows[live].tolist(), drawn[live].tolist(), ids)
+        ]
+        bits, wall = timed(engine.sample, requests)
+        specs["sample"] = drawn * (wall / max(1, len(bits)))
+        return UnitShots(members, bits, specs)
 
 
 class _LocalRunner(_Runner):
@@ -374,7 +365,7 @@ class _LocalRunner(_Runner):
         shots = int(self.groups.total_shots[start:end].sum())
         if start > 0 and upcoming is not None and threshold is not None and shots > threshold:
             self.look_ahead(*upcoming[:2])
-        return self.draw(self.engine, start, end, prepared)
+        return [self.draw(self.engine, start, end, prepared)]
 
     def claim(self, start: int, end: int) -> Optional[Prepared]:
         """The look-ahead, when it prepared groups ``[start, end)`` and did
@@ -489,7 +480,7 @@ def drive(
     # its chunk is delivered (rest()).
     step = engine.max_rows if workers == 1 else -(-len(groups) // (4 * workers))
     head = int(workers == 1 and not engine.coupled_rows)
-    run_args = (trajectories, groups, len(measured), streams, min(engine.max_rows, step), ctx.plan)
+    run_args = (trajectories, groups, streams, min(engine.max_rows, step), ctx.plan)
     local = _LocalRunner(build, engine, *run_args) if workers == 1 else None
     if local is None:
         engine.release()  # every worker builds its own; this one named the run
@@ -517,8 +508,8 @@ def drive(
             local.groups = groups
         return cuts
 
-    def deliver() -> Iterator[List[TrajectoryResult]]:
-        delivery = OrderedDelivery(trajectories.num_trajectories)
+    def deliver() -> Iterator[SpecColumns]:
+        delivery = OrderedDelivery(trajectories)
         pending: Deque[Task] = deque([(0, 1, 0)] * head)
         ordered = False
         pool: Optional[ProcessPoolExecutor] = None
@@ -591,7 +582,7 @@ def drive(
                         pending.appendleft((start, end, again))
                         continue
                     ready = delivery.add(completed, reissue=attempt > 0)
-                    if ready:
+                    if ready is not None:
                         yield ready
                 if broken and pool is not None:
                     # A dead worker poisons every future of its pool.  The

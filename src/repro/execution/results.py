@@ -6,16 +6,26 @@ aligning every shot with the :class:`~repro.trajectory.events
 .TrajectoryRecord` that produced it.  That alignment *is* the paper's
 error-provenance feature: downstream consumers (e.g. decoder training in
 :mod:`repro.data.dataset`) join shots to error labels by this index.
+
+A run's results are columnar.  Each drawn unit's shots are one block
+(:class:`UnitShots`), and a streamed chunk or a :class:`PTSBEResult`
+keeps the blocks it covers plus one :data:`SPEC_COLUMNS` row per spec
+(:class:`SpecColumns`) beside the run's trajectory table.  Its
+``trajectories`` and ``records`` are sequence views that build a
+:class:`TrajectoryResult` or a record per item read; ``shot_table()`` is
+one row gather of the blocks in spec order plus ``np.repeat`` ids, and
+the pooled distribution reads the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import DataError
+from repro.pts.base import LazySequence, PTSResult
 from repro.trajectory.events import TrajectoryRecord
 
 __all__ = ["ShotTable", "TrajectoryResult", "PTSBEResult", "pack_bits"]
@@ -91,18 +101,6 @@ class ShotTable:
         return self.select(self.trajectory_ids == trajectory_id)
 
     @classmethod
-    def from_trajectories(
-        cls, trajectories: Sequence["TrajectoryResult"], measured_qubits: Tuple[int, ...]
-    ) -> "ShotTable":
-        """The trajectories' shots in order, each row tagged with its
-        trajectory's id: the table of a result and of a streamed chunk."""
-        bits = np.concatenate([t.bits for t in trajectories], axis=0)
-        ids = np.concatenate(
-            [np.full(t.num_shots, t.record.trajectory_id, dtype=np.int64) for t in trajectories]
-        )
-        return cls(bits, ids, measured_qubits)
-
-    @classmethod
     def concatenate(cls, tables: Sequence["ShotTable"]) -> "ShotTable":
         tables = [t for t in tables if t.num_shots > 0]
         if not tables:
@@ -122,7 +120,9 @@ class ShotTable:
 
 @dataclass
 class TrajectoryResult:
-    """One realized trajectory: its record, shots, and timing."""
+    """One realized trajectory: its record, shots, and timing.  A result
+    keeps none of these; :attr:`PTSBEResult.trajectories` builds one per
+    read."""
 
     record: TrajectoryRecord
     bits: np.ndarray  # (m_alpha, k) uint8
@@ -139,17 +139,102 @@ class TrajectoryResult:
         return int(self.bits.shape[0])
 
 
-@dataclass
-class PTSBEResult:
-    """Aggregated output of a batched-execution run."""
+#: Per spec: the unit it was drawn in, its first row and shot count in
+#: that unit's block, its realized weight and the seconds it was charged.
+SPEC_COLUMNS = np.dtype([
+    ("unit", np.intp), ("row", np.intp), ("count", np.intp),
+    ("weight", np.float64), ("prep", np.float64), ("sample", np.float64),
+])
 
-    trajectories: List[TrajectoryResult]
+
+@dataclass(frozen=True, eq=False)
+class UnitShots:
+    """One drawn unit as the driver returns it: spec ``positions[i]`` (a
+    row of the run's trajectory table) drew ``specs[i]["count"]`` rows of
+    ``bits`` from ``specs[i]["row"]`` on (``unit`` is set on delivery)."""
+
+    positions: np.ndarray  # (s,) intp
+    bits: np.ndarray  # (shots, k) uint8, spec after spec
+    specs: np.ndarray  # (s,) SPEC_COLUMNS
+
+
+@dataclass(frozen=True, eq=False)
+class SpecColumns:
+    """Delivered specs ``start .. start + len(specs)`` of ``run`` (its
+    :class:`~repro.pts.base.PTSResult`), in spec order: ``specs[i]`` are
+    spec ``start + i``'s :data:`SPEC_COLUMNS`, its ``unit`` a key of
+    ``blocks``, the drawn units' bits."""
+
+    run: Optional[PTSResult]
+    start: int
+    blocks: Dict[int, np.ndarray]
+    specs: np.ndarray
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["SpecColumns"]) -> "SpecColumns":
+        """A run's delivered parts, from its first spec on, as one."""
+        specs = np.concatenate([p.specs for p in parts] or [np.zeros(0, SPEC_COLUMNS)])
+        blocks = {u: block for p in parts for u, block in p.blocks.items()}
+        return cls(parts[0].run if parts else None, 0, blocks, specs)
+
+    def record(self, i: int) -> TrajectoryRecord:
+        return self.run.record(self.start + i)
+
+    def trajectory(self, i: int) -> TrajectoryResult:
+        unit, row, count, weight, prep, sample = self.specs[i].tolist()
+        bits = self.blocks[unit][row : row + count]
+        return TrajectoryResult(self.record(i), bits, weight, prep, sample)
+
+    def shot_table(self, measured_qubits: Tuple[int, ...], retained: bool) -> ShotTable:
+        """The specs' shots in spec order, each row tagged with its spec's
+        trajectory id: one slice copy per run of specs whose rows follow
+        each other in one block (``retained=False``: a lone run's rows are
+        handed over as they are)."""
+        unit, row, count = (self.specs[name] for name in ("unit", "row", "count"))
+        ids = np.repeat(self.run.trajectory_ids[self.start : self.start + len(unit)], count)
+        new = np.flatnonzero(
+            np.append(True, (unit[1:] != unit[:-1]) | (row[1:] != row[:-1] + count[:-1]))
+        )
+        runs = zip(unit[new].tolist(), row[new].tolist(), np.add.reduceat(count, new).tolist())
+        if len(new) == 1 and not retained:
+            (u, first, n), = runs
+            return ShotTable(self.blocks[u][first : first + n], ids, measured_qubits)
+        bits = np.empty((len(ids), len(measured_qubits)), dtype=np.uint8)
+        at = 0
+        for u, first, n in runs:
+            bits[at : at + n] = self.blocks[u][first : first + n]
+            at += n
+        return ShotTable(bits, ids, measured_qubits)
+
+
+class SpecViews:
+    """What a streamed chunk and a result share: their :class:`SpecColumns`,
+    how many specs and shots they cover and two views of them,
+    ``trajectories`` and ``records``, whose items are built when read."""
+
+    columns: SpecColumns
+    num_trajectories: int
+    num_shots: int
+    trajectories: Sequence[TrajectoryResult]
+    records: Sequence[TrajectoryRecord]
+
+    def __post_init__(self) -> None:
+        n = len(self.columns.specs)
+        object.__setattr__(self, "num_trajectories", n)
+        object.__setattr__(self, "num_shots", int(self.columns.specs["count"].sum()))
+        object.__setattr__(self, "trajectories", LazySequence(n, self.columns.trajectory))
+        object.__setattr__(self, "records", LazySequence(n, self.columns.record))
+
+
+@dataclass(eq=False)
+class PTSBEResult(SpecViews):
+    """Aggregated output of a batched-execution run: each drawn unit's
+    shots as one block, and per spec its place in them, its weight and its
+    seconds (``columns``).  ``trajectories`` and ``records`` are views,
+    built on access."""
+
+    columns: SpecColumns
     measured_qubits: Tuple[int, ...]
-    #: The trajectories' prepare and sample seconds, summed.  The serial
-    #: engine's look-ahead prepares a unit while the one before it draws,
-    #: so on such a run the two together can exceed the wall time.
-    prep_seconds: float = 0.0
-    sample_seconds: float = 0.0
     #: Number of distinct state preparations actually performed (identical
     #: specs are prepared once): the run's dedup groups, counted before any
     #: fan-out, so the same number on every strategy.  ``None`` only for
@@ -179,22 +264,26 @@ class PTSBEResult:
     recovery: List = field(default_factory=list)
 
     @property
-    def num_trajectories(self) -> int:
-        return len(self.trajectories)
+    def prep_seconds(self) -> float:
+        """The trajectories' prepare seconds, summed.  The serial engine's
+        look-ahead prepares a unit while the one before it draws, so on
+        such a run this and :attr:`sample_seconds` together can exceed the
+        wall time."""
+        return float(self.columns.specs["prep"].sum())
+
+    @property
+    def sample_seconds(self) -> float:
+        return float(self.columns.specs["sample"].sum())
 
     @property
     def total_shots(self) -> int:
-        return sum(t.num_shots for t in self.trajectories)
-
-    @property
-    def records(self) -> List[TrajectoryRecord]:
-        return [t.record for t in self.trajectories]
+        return self.num_shots
 
     def shot_table(self) -> ShotTable:
         """All shots, provenance-aligned by trajectory index."""
-        if not self.trajectories:
+        if not self.num_trajectories:
             raise DataError("no trajectories were executed")
-        return ShotTable.from_trajectories(self.trajectories, self.measured_qubits)
+        return self.columns.shot_table(self.measured_qubits, retained=True)
 
     def pooled_distribution(self, weighted: bool = True) -> np.ndarray:
         """Pooled outcome distribution over the sampled trajectory subsets.
@@ -208,28 +297,21 @@ class PTSBEResult:
         general-Kraus channels too, where the nominal probability is only a
         prior.  On ``tensornet`` the weight carries the truncated MPS norm.
         With ``weighted=False`` shots are pooled raw (appropriate when
-        shot counts were already apportioned proportionally).
+        shot counts were already apportioned proportionally).  One
+        ``bincount`` over the shot table, each shot weighted by its
+        trajectory's weight over its shot count.
         """
-        if not self.trajectories:
-            raise DataError("no trajectories were executed")
-        k = self.trajectories[0].bits.shape[1]
-        if k > 24:
-            raise DataError("dense distribution limited to <= 24 bits")
-        dim = 1 << k
+        table = self.shot_table()
         if not weighted:
-            return self.shot_table().empirical_distribution(dim)
-        out = np.zeros(dim, dtype=np.float64)
-        total_weight = 0.0
-        for t in self.trajectories:
-            if t.num_shots == 0:
-                continue
-            w = t.actual_weight
-            hist = np.bincount(pack_bits(t.bits), minlength=dim).astype(np.float64)
-            out += w * hist / hist.sum()
-            total_weight += w
+            return table.empirical_distribution()
+        if table.num_bits > 24:
+            raise DataError("dense distribution limited to <= 24 bits")
+        count, weight = self.columns.specs["count"], self.columns.specs["weight"]
+        total_weight = weight[count > 0].sum()
         if total_weight <= 0:
             raise DataError("zero total trajectory weight")
-        return out / total_weight
+        per_shot = np.repeat(weight / np.maximum(count, 1), count)
+        return np.bincount(table.keys(), per_shot, minlength=1 << table.num_bits) / total_weight
 
     def __repr__(self) -> str:
         return (

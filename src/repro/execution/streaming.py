@@ -13,11 +13,19 @@ still being prepared.  This module is the delivery layer for
   :class:`ShotChunk`\\ s that are yielded *as each task completes*
   instead of after the full run (every strategy shares one such loop,
   :func:`repro.execution.driver.drive`, in-process or over a pool);
-* chunk order is the **materialized trajectory order** (spec order), so
-  concatenating the streamed chunks reproduces
-  ``PTSBEResult.shot_table()`` bitwise — work completes out of order
-  (pool workers, deduplicated stacks), so results pass through an
-  :class:`OrderedDelivery` reorder buffer;
+* a drawn unit arrives as one block of bits and one row of
+  :data:`~repro.execution.results.SPEC_COLUMNS` per spec
+  (:class:`~repro.execution.results.UnitShots`; over a pool it is pickled
+  as those arrays); units complete out of order (pool workers,
+  deduplicated stacks), so they pass through an :class:`OrderedDelivery`
+  reorder buffer, which releases the specs that became contiguous as one
+  chunk — chunk order is the **materialized trajectory order** (spec
+  order), so concatenating the streamed chunks reproduces
+  ``PTSBEResult.shot_table()`` bitwise;
+* a chunk and a result keep the blocks and the columns beside the run's
+  :class:`~repro.pts.base.PTSResult`; their ``trajectories`` and
+  ``records`` are views, one object built per item read, and a table is
+  one row gather of the blocks plus repeated trajectory ids;
 * :meth:`StreamedResult.finalize` drains whatever has not been consumed
   and assembles the exact :class:`~repro.execution.results.PTSBEResult`
   the materialized path would have returned — same shots, same records,
@@ -29,7 +37,10 @@ still being prepared.  This module is the delivery layer for
 * ``retain=False`` (every ``execute_stream`` and
   :func:`~repro.execution.batched.run_ptsbe_stream` accept it) drops
   each chunk after delivery so pure-ingest consumers hold at most one
-  chunk of shots at a time — ``finalize()`` is unavailable in that mode.
+  chunk of shots at a time — ``finalize()`` is unavailable in that mode,
+  and a chunk whose shots are one block's contiguous rows hands those
+  rows over as its table's bits, uncopied (a retained block is always
+  copied, so no table aliases what a result keeps).
 
 Determinism is untouched: streaming changes *when* results are handed
 over, never how they are computed — every trajectory still samples from
@@ -41,10 +52,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ExecutionError
-from repro.execution.results import PTSBEResult, ShotTable, TrajectoryResult
+from repro.execution.results import (
+    SPEC_COLUMNS, PTSBEResult, ShotTable, SpecColumns, SpecViews, UnitShots,
+)
 from repro.faults.retry import RecoveryEvent
-from repro.trajectory.events import TrajectoryRecord
+from repro.pts.base import PTSResult
 
 __all__ = [
     "ShotChunk",
@@ -54,35 +69,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ShotChunk:
-    """One streamed delivery: the trajectories of a completed unit of work.
+class ShotChunk(SpecViews):
+    """One streamed delivery: the specs a completed unit of work made
+    deliverable, in spec order.
 
     A chunk covers whatever became deliverable together — one spec
     (serial), one ``(B, 2**n)`` stack (vectorized), one or more pool
     tasks (parallel, sharded) — already in final trajectory order
-    relative to neighbouring chunks.
+    relative to neighbouring chunks.  It holds the drawn unit blocks and
+    per-spec columns (``columns``); ``trajectories`` and ``records`` are
+    views built on access.
     """
 
-    trajectories: Tuple[TrajectoryResult, ...]
+    columns: SpecColumns
     measured_qubits: Tuple[int, ...]
-
-    @property
-    def num_trajectories(self) -> int:
-        return len(self.trajectories)
-
-    @property
-    def num_shots(self) -> int:
-        return sum(t.num_shots for t in self.trajectories)
-
-    @property
-    def records(self) -> List[TrajectoryRecord]:
-        return [t.record for t in self.trajectories]
+    #: Whether the stream keeps the chunk's blocks for ``finalize()``: then
+    #: its table copies them, else a lone block's rows are handed over.
+    retained: bool = True
 
     def shot_table(self) -> ShotTable:
         """This chunk's shots, provenance-aligned by trajectory index."""
-        if not self.trajectories:
+        if not self.num_trajectories:
             raise ExecutionError("empty shot chunk has no table")
-        return ShotTable.from_trajectories(self.trajectories, self.measured_qubits)
+        return self.columns.shot_table(self.measured_qubits, self.retained)
 
     def __repr__(self) -> str:
         return (
@@ -131,7 +140,7 @@ class StreamedResult:
 
     def __init__(
         self,
-        chunks: Iterator[List[TrajectoryResult]],
+        chunks: Iterator[SpecColumns],
         measured_qubits: Tuple[int, ...],
         seed: int,
         total_trajectories: int,
@@ -153,7 +162,7 @@ class StreamedResult:
         self.retain = bool(retain)
         self.recovery: List[RecoveryEvent] = recovery if recovery is not None else []
         self._total = int(total_trajectories)
-        self._collected: List[TrajectoryResult] = []
+        self._collected: List[SpecColumns] = []
         self._delivered = 0
         self._closed = False
         self._exhausted = False
@@ -177,14 +186,10 @@ class StreamedResult:
         except StopIteration:
             self._exhausted = True
             raise
-        self._delivered += len(delivered)
+        self._delivered += len(delivered.specs)
         if self.retain:
-            self._collected.extend(delivered)
-        return ShotChunk(tuple(delivered), self.measured_qubits)
-
-    def chunks(self) -> Iterator[ShotChunk]:
-        """Alias for iteration (reads better at call sites)."""
-        return self
+            self._collected.append(delivered)
+        return ShotChunk(delivered, self.measured_qubits, self.retain)
 
     def tables(self) -> Iterator[ShotTable]:
         """Yield each chunk's :class:`ShotTable` directly."""
@@ -246,17 +251,16 @@ class StreamedResult:
             )
         for _ in self:
             pass
-        if len(self._collected) != self._total:
+        columns = SpecColumns.concatenate(self._collected)
+        if len(columns.specs) != self._total:
             raise ExecutionError(
-                f"stream was closed after {len(self._collected)} of "
+                f"stream was closed after {len(columns.specs)} of "
                 f"{self._total} trajectories; a finalized result requires "
                 "the full run"
             )
         return PTSBEResult(
-            trajectories=list(self._collected),
+            columns,
             measured_qubits=self.measured_qubits,
-            prep_seconds=sum(t.prep_seconds for t in self._collected),
-            sample_seconds=sum(t.sample_seconds for t in self._collected),
             unique_preparations=self.unique_preparations,
             seed=self.seed,
             engine=self.engine,
@@ -273,56 +277,77 @@ class StreamedResult:
 
 
 class OrderedDelivery:
-    """Reorder buffer turning out-of-order completions into ordered chunks.
+    """Reorder buffer turning out-of-order unit completions into ordered
+    chunks.
 
     Executors whose units of work finish out of trajectory order (process
     pools, deduplicated stacks whose groups interleave spec positions)
-    feed completed ``(position, TrajectoryResult)`` pairs in; :meth:`add`
-    returns the contiguous prefix that became ready — possibly empty,
-    possibly spanning several buffered completions — so the stream always
-    delivers trajectories in exact materialized order.
+    feed each completed task's :class:`~repro.execution.results.UnitShots`
+    in; :meth:`add` returns the contiguous run of specs that became ready
+    — possibly none, possibly spanning several buffered units — as
+    :class:`~repro.execution.results.SpecColumns` over the units' blocks,
+    so the stream always delivers trajectories in exact materialized
+    order.  ``run`` is the run's :class:`~repro.pts.base.PTSResult`; a
+    unit's spec positions are its rows.
     """
 
-    def __init__(self, total: int):
-        self._pending: Dict[int, TrajectoryResult] = {}
-        self._next = 0
-        self._total = int(total)
+    def __init__(self, run: PTSResult):
+        self.run = run
+        #: Per position, its spec's columns; unit 0 until it is delivered.
+        self._specs = np.zeros(run.num_trajectories, dtype=SPEC_COLUMNS)
+        #: Unit id (from 1) -> its block and how many of its specs are undelivered.
+        self._blocks: Dict[int, List] = {}
+        self._issued, self._next = 1, 0
 
-    def add(
-        self,
-        completions: Sequence[Tuple[int, TrajectoryResult]],
-        reissue: bool = False,
-    ) -> List[TrajectoryResult]:
-        """Buffer completions; return the newly-contiguous ordered prefix.
+    def add(self, units: Sequence[UnitShots], reissue: bool = False) -> Optional[SpecColumns]:
+        """Buffer a task's units; return the newly-contiguous specs.
 
         ``reissue=True`` is the retry layer's accounting mode: positions
-        already delivered or buffered are silently dropped instead of
-        raising.  Seed threading guarantees a reissued trajectory is
-        bitwise identical to the first delivery, so keeping the original
-        is correct — the recovered stream concatenates exactly like a
-        fault-free one.  Duplicate positions in a *non*-reissued unit
-        still raise, preserving the executor-bug tripwire.
+        already delivered or buffered are silently dropped (a unit with no
+        other position is dropped whole) instead of raising.  Seed
+        threading guarantees a reissued trajectory is bitwise identical to
+        the first delivery, so keeping the original is correct — the
+        recovered stream concatenates exactly like a fault-free one.
+        Duplicate positions in a *non*-reissued unit still raise,
+        preserving the executor-bug tripwire.
         """
-        for position, trajectory in completions:
-            if not (0 <= position < self._total):
+        total, held = len(self._specs), self._specs["unit"]
+        for unit in units:
+            positions = unit.positions
+            outside = positions[(positions < 0) | (positions >= total)]
+            if outside.size:
                 raise ExecutionError(
-                    f"delivery position {position} out of range for "
-                    f"{self._total} trajectories"
+                    f"delivery position {outside[0]} out of range for "
+                    f"{total} trajectories"
                 )
-            if position < self._next or position in self._pending:
-                if reissue:
-                    continue
-                raise ExecutionError(
-                    f"duplicate delivery for trajectory position {position}"
-                )
-            self._pending[position] = trajectory
-        ready: List[TrajectoryResult] = []
-        while self._next in self._pending:
-            ready.append(self._pending.pop(self._next))
-            self._next += 1
-        return ready
+            seen, ordered = held[positions] > 0, np.sort(positions)
+            clash = np.append(positions[seen], ordered[1:][ordered[1:] == ordered[:-1]])
+            if clash.size and not reissue:
+                raise ExecutionError(f"duplicate delivery for trajectory position {clash[0]}")
+            keep = np.flatnonzero(~seen)
+            if keep.size:
+                specs = unit.specs[keep]
+                specs["unit"] = self._issued
+                self._specs[positions[keep]] = specs
+                self._blocks[self._issued] = [unit.bits, keep.size]
+                self._issued += 1
+        # The first undelivered position, searched in windows that double.
+        start = stop = self._next
+        while stop < total and held[stop]:
+            stop += int(np.append(held[stop : 2 * stop - start + 64], 0).argmin())
+        if stop == start:
+            return None
+        self._next = stop
+        uids, counts = np.unique(held[start:stop], return_counts=True)
+        blocks = {}
+        for uid, count in zip(uids.tolist(), counts.tolist()):
+            blocks[uid] = self._blocks[uid][0]
+            self._blocks[uid][1] -= count
+            if not self._blocks[uid][1]:
+                del self._blocks[uid]
+        return SpecColumns(self.run, start, blocks, self._specs[start:stop])
 
     @property
     def outstanding(self) -> int:
         """Trajectories not yet delivered (buffered or still in flight)."""
-        return self._total - self._next
+        return len(self._specs) - self._next

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -465,10 +464,9 @@ class _MPSStackEngine:
 
     def sample(self, requests):
         tensors, envs = self._prepared
-        counts = [count for _, count, _ in requests]
+        total = sum(count for _, count, _ in requests)
         # One pass over the unit; measured columns come back in qubit order.
-        bits = sample_cached(tensors, envs, sum(counts), requests, columns=self.cols)
-        return [bits[end - count : end] for count, end in zip(counts, accumulate(counts))]
+        return sample_cached(tensors, envs, total, requests, columns=self.cols)
 
     def release(self) -> None:
         self._prepared = None

@@ -27,7 +27,7 @@ import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -234,12 +234,13 @@ class PTSResult:
         """Row ``row``'s provenance: its deviations as events, in site order."""
         if self.records is not None:
             return self.records[row]
-        lo, hi = self.table.offsets[row : row + 2]
-        pairs = zip(self.table.site_ids[lo:hi].tolist(), self.table.branches[lo:hi].tolist())
+        table, events = self.table, ()
+        lo, hi = table.offsets.item(row), table.offsets.item(row + 1)
+        if hi > lo:
+            sites, branches = table.site_ids[lo:hi].tolist(), table.branches[lo:hi].tolist()
+            events = tuple(map(self._event, sites, branches))
         return TrajectoryRecord(
-            int(self.trajectory_ids[row]),
-            tuple(self._event(*pair) for pair in pairs),
-            float(self.probabilities[row]),
+            self.trajectory_ids.item(row), events, self.probabilities.item(row)
         )
 
     def _event(self, site: int, index: int) -> KrausEvent:
@@ -294,20 +295,42 @@ class PTSResult:
         )
 
 
-class _Specs(SequenceABC):
-    """:attr:`PTSResult.specs`: row ``i`` as a :class:`TrajectorySpec`,
-    built when read (a slice reads a list)."""
+class LazySequence(SequenceABC):
+    """A sequence whose item ``i`` is ``build(i)``, built when read (a slice
+    reads a list; the item last read is kept, so reading it again builds
+    nothing); equal to any sequence of equal items."""
 
-    def __init__(self, result: PTSResult):
-        self.result = result
+    def __init__(self, length: int, build: Callable[[int], Any]):
+        self._length = length
+        self._build = build
+        self._last: Tuple[int, Any] = (-1, None)
 
     def __len__(self) -> int:
-        return len(self.result.shots)
+        return self._length
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        row = range(len(self))[index]
+            return [self[i] for i in range(self._length)[index]]
+        i = range(self._length)[index]
+        if self._last[0] != i:
+            self._last = (i, self._build(i))
+        return self._last[1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SequenceABC) and list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _Specs(LazySequence):
+    """:attr:`PTSResult.specs`: row ``i`` as a :class:`TrajectorySpec`,
+    built when read."""
+
+    def __init__(self, result: PTSResult):
+        super().__init__(len(result.shots), self._spec)
+        self.result = result
+
+    def _spec(self, row: int) -> TrajectorySpec:
         return TrajectorySpec(self.result.record(row), int(self.result.shots[row]))
 
 

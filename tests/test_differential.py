@@ -40,7 +40,8 @@ from repro.channels import depolarizing, pauli_channel
 from repro.channels.standard import amplitude_damping
 from repro.circuits import Circuit
 from repro.errors import BackendError, ExecutionError
-from repro.execution import BackendSpec, analyze_circuit, run_ptsbe
+from repro.execution import BackendSpec, analyze_circuit, run_ptsbe, run_ptsbe_stream
+from repro.execution.results import TrajectoryResult
 from repro.execution import batched, clifford, tensornet, vectorized
 from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
 from repro.execution.router import resolve_strategy
@@ -317,6 +318,41 @@ def test_a_sampled_run_builds_no_spec(monkeypatch):
             assert run(circuit, strategy).num_trajectories == sampled.num_trajectories
     assert built == []
     assert sampled.specs[1].record.trajectory_id == 1 and len(built) == 1
+
+
+@pytest.mark.parametrize("strategy", ["serial", "vectorized", "clifford", "tensornet"])
+@pytest.mark.parametrize("retain", [False, True], ids=["streamed", "materialised"])
+def test_a_shot_table_builds_no_trajectory_and_no_record(monkeypatch, strategy, retain):
+    """Delivery keeps each unit's shots as one block: a run read through
+    its shot tables constructs no ``TrajectoryResult`` and no
+    ``TrajectoryRecord``; ``len`` of the views builds nothing and an item
+    builds one."""
+    built = []
+    for cls in (TrajectoryResult, TrajectoryRecord):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    circuit = Circuit(3).h(0).cx(0, 1).s(2).cx(1, 2)
+    circuit.attach(depolarizing(0.05), 1).attach(depolarizing(0.1), 2).measure_all().freeze()
+    stream = run_ptsbe_stream(
+        circuit, SAMPLER, seed=5, strategy=strategy, retain=retain,
+        executor_kwargs=options(strategy, 3),
+    )
+    if not retain:
+        chunks = list(stream)
+        assert len(chunks) > 1 and all(chunk.shot_table().num_shots for chunk in chunks)
+        assert sum(len(chunk.records) for chunk in chunks) > 1 and built == []
+        assert chunks[-1].trajectories[0].num_shots == 20
+        assert sorted(built) == ["TrajectoryRecord", "TrajectoryResult"]
+        return
+    result = stream.finalize()
+    assert result.shot_table().num_shots == 20 * len(result.records) > 20 and built == []
+    assert result.trajectories[1].record.trajectory_id == 1
+    assert sorted(built) == ["TrajectoryRecord", "TrajectoryResult"]
 
 
 def test_parallel_on_a_pool_agrees_with_serial():

@@ -16,6 +16,7 @@ import os
 import threading
 import time
 from concurrent.futures import CancelledError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ from repro.errors import (
 from repro.execution import BackendSpec, ParallelExecutor, run_ptsbe, run_ptsbe_stream
 from repro.execution.batched import _SerialEngine
 from repro.execution.driver import drive
-from repro.execution.results import TrajectoryResult
-from repro.execution.streaming import OrderedDelivery
+from repro.execution.results import SPEC_COLUMNS, UnitShots
+from repro.execution.streaming import OrderedDelivery, ShotChunk
 from repro.faults import (
     FaultContext,
     FaultPlan,
@@ -48,7 +49,6 @@ from repro.faults import (
 )
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng
-from repro.trajectory.events import TrajectoryRecord
 
 SEED = 7
 
@@ -326,25 +326,26 @@ class TestRetryPolicy:
 
 
 class TestOrderedDeliveryReissue:
-    def _trajectory(self, tid):
-        record = TrajectoryRecord(
-            trajectory_id=tid, events=(), nominal_probability=1.0
-        )
-        return TrajectoryResult(record=record, bits=np.zeros((1, 1), dtype=np.uint8))
+    @staticmethod
+    def _unit(*positions):
+        positions = np.array(positions, dtype=np.intp)
+        specs = np.zeros(len(positions), dtype=SPEC_COLUMNS)
+        specs["row"], specs["count"] = np.arange(len(positions)), 1
+        return UnitShots(positions, positions.astype(np.uint8)[:, None], specs)
 
     def test_reissue_drops_duplicates_silently(self):
-        delivery = OrderedDelivery(3)
-        delivery.add([(0, self._trajectory(0)), (1, self._trajectory(1))])
-        again = delivery.add(
-            [(1, self._trajectory(1)), (2, self._trajectory(2))], reissue=True
-        )
-        assert [t.record.trajectory_id for t in again] == [2]
+        run = SimpleNamespace(num_trajectories=3, trajectory_ids=np.arange(3))
+        delivery = OrderedDelivery(run)
+        delivery.add([self._unit(0, 1)])
+        again = delivery.add([self._unit(1, 2)], reissue=True)
+        assert (again.start, len(again.specs)) == (2, 1)
+        assert ShotChunk(again, (0,)).shot_table().bits.tolist() == [[2]]
 
     def test_plain_duplicate_still_raises(self):
-        delivery = OrderedDelivery(2)
-        delivery.add([(0, self._trajectory(0))])
+        delivery = OrderedDelivery(SimpleNamespace(num_trajectories=2))
+        delivery.add([self._unit(0)])
         with pytest.raises(ExecutionError, match="duplicate"):
-            delivery.add([(0, self._trajectory(0))])
+            delivery.add([self._unit(0)])
 
 
 # --------------------------------------------------------------------- #

@@ -274,8 +274,10 @@ class TestStackSampling:
 
     def check_unit(self, sampler, flips, rows, shots):
         plan = list(zip(range(100, 100 + len(shots)), shots))
-        drawn = sampler.sample_stack(flips, self.requests(plan, rows))
+        block = sampler.sample_stack(flips, self.requests(plan, rows))
         k = len(sampler.measured_qubits)
+        assert block.shape == (sum(shots), k)
+        drawn = np.split(block, np.cumsum(shots)[:-1])
         for bits, row, (seed, n) in zip(drawn, rows, plan):
             assert bits.shape == (n, k) and bits.dtype == np.uint8
             np.testing.assert_array_equal(
@@ -313,10 +315,9 @@ class TestStackSampling:
         _, sampler = msd35
         flips, _ = sampler.frame_for_choices([{}, {}])
         shots = [100, 28, 72]
-        drawn = sampler.sample_stack(flips, self.requests(zip((1, 2, 3), shots), [0, 1, 1]))
-        for bits in drawn:
-            owner = bits if bits.base is None else bits.base
-            assert owner.nbytes <= sum(shots) * 35
+        bits = sampler.sample_stack(flips, self.requests(zip((1, 2, 3), shots), [0, 1, 1]))
+        owner = bits if bits.base is None else bits.base
+        assert owner.nbytes <= sum(shots) * 35
         alone = sampler.sample_fixed(flips[0], 100, make_rng(1))
         assert (alone if alone.base is None else alone.base).nbytes <= 100 * 35
 
@@ -338,8 +339,8 @@ class TestStackSampling:
         ideal = Circuit(2).x(0).cx(0, 1).measure_all()
         sampler = FrameSampler(_noisy(ideal))
         flips, _ = sampler.frame_for_choices([{}, {sampler.sites[0].site_id: 1}])
-        first, second = sampler.sample_stack(
-            flips, [(0, 3, make_rng(0)), (1, 2, make_rng(0))]
+        first, second = np.split(
+            sampler.sample_stack(flips, [(0, 3, make_rng(0)), (1, 2, make_rng(0))]), [3]
         )
         assert first.tolist() == [[1, 1]] * 3
         assert second.tolist() == [(sampler.reference ^ flips[1]).tolist()] * 2

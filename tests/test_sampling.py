@@ -388,7 +388,7 @@ class TestCrossBackendBitwise:
 
         tables = [
             serial.sample(num_shots, qubits, make_rng(21)),
-            stacked.sample([(0, num_shots, make_rng(21))], qubits)[0],
+            stacked.sample([(0, num_shots, make_rng(21))], qubits),
             exact.sample(num_shots, qubits, make_rng(21)),
         ]
         assert tables[0].shape == (num_shots, 3)

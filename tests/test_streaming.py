@@ -3,6 +3,7 @@
 import multiprocessing
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from repro.execution import (
     run_ptsbe,
     run_ptsbe_stream,
 )
+from repro.execution import driver
+from repro.execution.results import SPEC_COLUMNS, SpecColumns, UnitShots
 from repro.execution.streaming import OrderedDelivery
 from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
 from repro.rng import make_rng
@@ -534,11 +537,13 @@ class TestLookAhead:
         retain = mode != "retain=False"
         stream = BatchedExecutor().execute_stream(circuit, specs, seed=13, retain=retain)
         if mode == "materialised":
-            trajectories = stream.finalize().trajectories
+            result = stream.finalize()
+            table, trajectories = result.shot_table(), result.trajectories
         else:
-            trajectories = [t for chunk in stream for t in chunk.trajectories]
+            chunks = list(stream)
+            table = ShotTable.concatenate([chunk.shot_table() for chunk in chunks])
+            trajectories = [t for chunk in chunks for t in chunk.trajectories]
         assert stream.recovery == []
-        table = ShotChunk(tuple(trajectories), stream.measured_qubits).shot_table()
         return table, [t.actual_weight for t in trajectories]
 
     @pytest.mark.parametrize("mode", ["materialised", "chunk-by-chunk", "retain=False"])
@@ -612,22 +617,42 @@ class TestLookAhead:
         assert lookahead_threads() == []
 
 
+def _unit(positions, shots=2):
+    """A drawn unit whose spec at position ``p`` drew ``shots`` rows of ``p``."""
+    positions = np.asarray(positions, dtype=np.intp)
+    bits = np.repeat(positions, shots).astype(np.uint8)[:, None]
+    specs = np.zeros(len(positions), dtype=SPEC_COLUMNS)
+    specs["row"], specs["count"], specs["weight"] = np.arange(len(positions)) * shots, shots, 1
+    return UnitShots(positions, bits, specs)
+
+
+def _run(total):
+    """The two fields of a run's trajectory table that delivery reads."""
+    return SimpleNamespace(num_trajectories=total, trajectory_ids=np.arange(total) + 10)
+
+
 class TestStreamingPrimitives:
     def test_ordered_delivery_reorders(self):
-        t = [object() for _ in range(4)]
-        delivery = OrderedDelivery(4)
-        assert delivery.add([(2, t[2])]) == []
-        assert delivery.add([(0, t[0])]) == [t[0]]
-        assert delivery.add([(3, t[3]), (1, t[1])]) == [t[1], t[2], t[3]]
+        delivery = OrderedDelivery(_run(4))
+        assert delivery.add([_unit([2])]) is None
+        first = delivery.add([_unit([0])])
+        assert (first.start, len(first.specs)) == (0, 1)
+        rest = delivery.add([_unit([3, 1])])
+        assert (rest.start, len(rest.specs)) == (1, 3)
+        table = ShotChunk(rest, (0,)).shot_table()
+        assert table.bits[:, 0].tolist() == [1, 1, 2, 2, 3, 3]
+        assert table.trajectory_ids.tolist() == [11, 11, 12, 12, 13, 13]
         assert delivery.outstanding == 0
 
     def test_ordered_delivery_rejects_duplicates_and_range(self):
-        delivery = OrderedDelivery(2)
-        delivery.add([(0, object())])
+        delivery = OrderedDelivery(_run(3))
+        delivery.add([_unit([0])])
         with pytest.raises(ExecutionError, match="duplicate"):
-            delivery.add([(0, object())])
+            delivery.add([_unit([0])])
+        with pytest.raises(ExecutionError, match="position 2"):
+            delivery.add([_unit([2, 1, 2])])
         with pytest.raises(ExecutionError, match="out of range"):
-            delivery.add([(5, object())])
+            delivery.add([_unit([5])])
 
     def test_shot_chunk_table(self, brickwork):
         stream = BatchedExecutor().execute_stream(
@@ -640,7 +665,7 @@ class TestStreamingPrimitives:
         assert repr(chunk).startswith("ShotChunk(")
 
     def test_empty_chunk_has_no_table(self):
-        chunk = ShotChunk(trajectories=(), measured_qubits=(0,))
+        chunk = ShotChunk(SpecColumns.concatenate([]), measured_qubits=(0,))
         with pytest.raises(ExecutionError, match="empty"):
             chunk.shot_table()
 
@@ -652,6 +677,132 @@ class TestStreamingPrimitives:
         assert stream.delivered_trajectories == 1
         stream.close()
         assert "closed" in repr(stream)
+
+
+def _halves(unit):
+    """``unit`` cut between its specs the way a halved task cuts it."""
+    half = len(unit.positions) // 2
+    cut = unit.specs["row"][half]
+    second = unit.specs[half:].copy()
+    second["row"] -= cut
+    return (
+        UnitShots(unit.positions[:half], unit.bits[:cut], unit.specs[:half]),
+        UnitShots(unit.positions[half:], unit.bits[cut:], second),
+    )
+
+
+class TestUnitDelivery:
+    """Delivery is unit-granular: however a run's units arrive — out of
+    order, reissued, overlapping a halved range, over a pool — the chunk
+    tables concatenate to ``finalize().shot_table()`` bitwise."""
+
+    @pytest.fixture(scope="class")
+    def drawn(self, brickwork):
+        """A vectorized run's trajectory table, its units as drawn (in
+        completion order) and its materialized shot table."""
+        specs = list(_pts_specs(brickwork, 5, nsamples=120, nshots=40))
+        # Re-keyed duplicates join earlier specs' dedup groups, so a unit's
+        # positions interleave with other units'.
+        specs += [
+            TrajectorySpec(
+                TrajectoryRecord(1000 + i, spec.record.events, spec.probability), 30
+            )
+            for i, spec in enumerate(specs[::4])
+        ]
+        units = []
+        original = driver._Runner.draw
+
+        def recording(self, *args):
+            units.append(original(self, *args))
+            return units[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(driver._Runner, "draw", recording)
+            table = VectorizedExecutor(max_batch=4).execute(brickwork, specs, seed=3).shot_table()
+        assert len(units) > 4 and any(np.diff(u.positions).max() > 1 for u in units)
+        return specs, PTSResult.from_specs(brickwork, specs), units, table
+
+    @staticmethod
+    def _replay(run, arrivals, reference):
+        """Feed ``(units, reissue)`` arrivals through one delivery; the chunk
+        tables, joined, and the finalized table must equal ``reference``."""
+        delivery = OrderedDelivery(run)
+
+        def chunks():
+            for units, reissue in arrivals:
+                ready = delivery.add(units, reissue)
+                if ready is not None:
+                    yield ready
+
+        stream = StreamedResult(
+            chunks(), reference.measured_qubits, seed=3, total_trajectories=run.num_trajectories
+        )
+        joined = ShotTable.concatenate([chunk.shot_table() for chunk in stream])
+        for table in (joined, stream.finalize().shot_table()):
+            np.testing.assert_array_equal(table.bits, reference.bits)
+            np.testing.assert_array_equal(table.trajectory_ids, reference.trajectory_ids)
+
+    def test_out_of_order_completions(self, drawn):
+        _, run, units, reference = drawn
+        self._replay(run, [([unit], False) for unit in reversed(units)], reference)
+        order = np.random.default_rng(0).permutation(len(units))
+        self._replay(run, [([units[i]], False) for i in order], reference)
+        self._replay(run, [(units[::-1], False)], reference)
+
+    def test_reissued_unit_is_dropped_whole(self, drawn):
+        _, run, units, reference = drawn
+        delivery = OrderedDelivery(run)
+        delivery.add(units[:2])
+        outstanding = delivery.outstanding
+        assert delivery.add(units[1:2], reissue=True) is None
+        assert delivery.outstanding == outstanding
+        again = [([units[0]], False), ([units[1]], False), ([units[1], units[0]], True)]
+        self._replay(run, again + [([unit], False) for unit in units[2:]], reference)
+
+    def test_reissue_overlapping_a_halved_range(self, drawn):
+        _, run, units, reference = drawn
+        widest = max(range(len(units)), key=lambda i: len(units[i].positions))
+        first, _ = _halves(units[widest])
+        others = [([unit], False) for i, unit in enumerate(units) if i != widest]
+        # The first half lands, then the whole unit comes back reissued: its
+        # second half's specs are read from the reissued block.
+        self._replay(run, [([first], False)] + others + [([units[widest]], True)], reference)
+
+    def test_duplicate_tripwire_on_a_non_reissued_unit(self, drawn):
+        _, run, units, _ = drawn
+        widest = max(units, key=lambda unit: len(unit.positions))
+        first, _ = _halves(widest)
+        delivery = OrderedDelivery(run)
+        delivery.add([first])
+        with pytest.raises(ExecutionError, match="duplicate delivery"):
+            delivery.add([widest])
+        with pytest.raises(ExecutionError, match="duplicate delivery"):
+            OrderedDelivery(run).add([widest, widest])
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_a_table_aliases_a_block_only_when_nothing_keeps_it(self, brickwork, retain):
+        """A ``retain=False`` chunk whose shots are one block's contiguous
+        rows hands them over uncopied; a retained block is always copied."""
+        specs = _pts_specs(brickwork, 5, nsamples=40, nshots=64)
+        stream = BatchedExecutor().execute_stream(brickwork, specs, seed=3, retain=retain)
+        for chunk in stream:
+            bits = chunk.shot_table().bits
+            shared = [np.shares_memory(bits, b) for b in chunk.columns.blocks.values()]
+            assert any(shared) is (not retain)
+        if retain:
+            result = stream.finalize()
+            bits = result.shot_table().bits
+            assert not any(np.shares_memory(bits, b) for b in result.columns.blocks.values())
+
+    def test_two_workers(self, drawn, brickwork):
+        specs, _, _, reference = drawn
+        executor = VectorizedExecutor(max_batch=4, num_workers=2)
+        stream = executor.execute_stream(brickwork, specs, seed=3)
+        joined = ShotTable.concatenate([chunk.shot_table() for chunk in stream])
+        for table in (joined, stream.finalize().shot_table()):
+            np.testing.assert_array_equal(table.bits, reference.bits)
+            np.testing.assert_array_equal(table.trajectory_ids, reference.trajectory_ids)
+        _assert_no_child_processes()
 
 
 class TestStreamedDecoderDataset:

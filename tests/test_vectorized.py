@@ -97,15 +97,15 @@ class TestBatchedStatevectorBackend:
         serial = StatevectorBackend(3)
         serial.run_fixed(noisy_ghz3, {0: 1})
         a = serial.sample(500, (0, 1, 2), make_rng(77))
-        (b,) = stacked.sample([(1, 500, make_rng(77))], (0, 1, 2))
+        b = stacked.sample([(1, 500, make_rng(77))], (0, 1, 2))
         np.testing.assert_array_equal(a, b)
 
     def test_sample_rows_in_bulk(self, noisy_ghz3):
         stacked = BatchedStatevectorBackend(3)
         stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}, {1: 1}])
         rngs = StreamFactory(1).rngs_for([0, 1, 2])
-        tables = stacked.sample(list(zip(range(3), [10, 20, 30], rngs)), (0, 1, 2))
-        assert [t.shape for t in tables] == [(10, 3), (20, 3), (30, 3)]
+        block = stacked.sample(list(zip(range(3), [10, 20, 30], rngs)), (0, 1, 2))
+        assert block.shape == (60, 3)
 
     def test_dead_row_draws_no_shots(self):
         stacked = BatchedStatevectorBackend(1)
@@ -115,8 +115,8 @@ class TestBatchedStatevectorBackend:
             stacked.sample([(0, 10, make_rng(0))], (0,))
         with pytest.raises(BackendError, match="dead trajectory"):
             stacked.probabilities(0)
-        assert stacked.sample([(0, 0, make_rng(0))], (0,))[0].shape == (0, 1)
-        assert stacked.sample([(1, 10, make_rng(0))], (0,))[0].shape == (10, 1)
+        assert stacked.sample([(0, 0, make_rng(0))], (0,)).shape == (0, 1)
+        assert stacked.sample([(1, 10, make_rng(0))], (0,)).shape == (10, 1)
         np.testing.assert_allclose(stacked.probabilities(1).sum(), 1.0)
 
     def test_probabilities_shape_and_norm_per_row(self, noisy_ghz3):
@@ -302,8 +302,8 @@ def _assert_rows_are_one_row_preparations(circuit, choices_list):
         if live:
             np.testing.assert_array_equal(stacked.probabilities(row), single.probabilities(0))
             np.testing.assert_array_equal(
-                stacked.sample([(row, 50, make_rng(row))], qubits)[0],
-                single.sample([(0, 50, make_rng(row))], qubits)[0],
+                stacked.sample([(row, 50, make_rng(row))], qubits),
+                single.sample([(0, 50, make_rng(row))], qubits),
             )
     # Amplitude reads: the recorded tail runs on the amplitudes first.
     np.testing.assert_array_equal(
@@ -533,8 +533,8 @@ class TestPrefixSharing:
             single = BatchedStatevectorBackend(circuit.num_qubits)
             single.run_fixed_stack(circuit, [choices])
             np.testing.assert_array_equal(
-                stack.sample([(row, 50, make_rng(row))], qubits)[0],
-                single.sample([(0, 50, make_rng(row))], qubits)[0],
+                stack.sample([(row, 50, make_rng(row))], qubits),
+                single.sample([(0, 50, make_rng(row))], qubits),
             )
         assert all(_assert_rows_are_one_row_preparations(circuit, choices_list))
 
@@ -571,8 +571,8 @@ class TestPrefixSharing:
                 single.run_fixed_stack(circuit, [choices_list[row]])
                 if first == "final_draw":
                     np.testing.assert_array_equal(
-                        stack.sample([(row, 2**n, make_rng(row))], qubits)[0],
-                        single.sample([(0, 2**n, make_rng(row))], qubits)[0],
+                        stack.sample([(row, 2**n, make_rng(row))], qubits),
+                        single.sample([(0, 2**n, make_rng(row))], qubits),
                     )
                 else:
                     np.testing.assert_array_equal(stack.statevector(row), single.statevector(0))
@@ -1186,11 +1186,10 @@ class TestRelabelledDraws:
         stack.run_fixed_stack(circuit, choices_list)
         stack.cumulative_stack([[dim - 1]] * rows)
         assert set(stack._tables) == {True}  # no final-order table: no tail gather
-        tables = stack.sample(requests, range(n))
-        weights = 1 << np.arange(n - 1, -1, -1)
+        block = stack.sample(requests, range(n))
+        keys = block.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
         counts = np.zeros((rows, dim))
-        for (row, _, _), bits in zip(requests, tables):
-            counts[row] += np.bincount(bits.astype(np.int64) @ weights, minlength=dim)
+        np.add.at(counts, (np.repeat(owners, dim - 1), keys), 1)
         for row in range(rows):
             tvd = 0.5 * np.abs(counts[row] / counts[row].sum() - stack.probabilities(row)).sum()
             assert tvd < self.TVD, (kind, row, choices_list[row], tvd)
@@ -1204,7 +1203,7 @@ class TestRelabelledDraws:
         stack.run_fixed_stack(circuit, [{}, choices])
         for shots in (1, 63, 64, 65):
             bits = view.sample(shots, range(6), make_rng(shots))
-            (stacked,) = stack.sample([(1, shots, make_rng(shots))], range(6))
+            stacked = stack.sample([(1, shots, make_rng(shots))], range(6))
             np.testing.assert_array_equal(bits, stacked)
             indices = view.sample_indices(shots, make_rng(shots))
             np.testing.assert_array_equal(bits, bits_from_indices(indices, range(6), 6))
