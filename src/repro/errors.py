@@ -57,12 +57,11 @@ class ExecutionError(ReproError):
 
 
 class WorkerCrashError(ExecutionError):
-    """A worker process died mid-unit.
+    """A work unit's worker died mid-unit.
 
-    Raised by the fault-injection layer to emulate a hard crash, and used
-    by the retry machinery as the classification for real pool deaths
-    (``BrokenProcessPool``): the dead worker's task goes back to the
-    (rebuilt) pool under the same retry budget as any other failure.
+    Raised by the fault-injection layer (the ``worker-crash`` kind) to
+    emulate a hard crash; the driver retries the unit in-process under the
+    same retry budget as any other failure.
     """
 
 
@@ -71,7 +70,7 @@ class FaultError(ExecutionError):
 
     Carries the failing unit's name and the attempt count; the triggering
     exception rides on ``__cause__`` so callers see the full chain
-    (e.g. ``FaultError <- BrokenProcessPool``).
+    (e.g. ``FaultError <- WorkerCrashError``).
     """
 
     def __init__(self, message: str, unit: str = "", attempts: int = 0):

@@ -9,8 +9,8 @@ over four executors, each a constructor plus an
 (:mod:`~repro.execution.batched`), ``vectorized`` ``(B, 2**n)`` stacks
 (:mod:`~repro.execution.vectorized`), ``clifford`` Pauli frames
 (:mod:`~repro.execution.clifford`) and ``tensornet`` trajectory-stacked
-MPS (:mod:`~repro.execution.tensornet`).  ``num_workers`` (both dense
-executors) and ``max_batch`` (the stacked one) are constructor parameters;
+MPS (:mod:`~repro.execution.tensornet`), all in this process.
+``max_batch`` (the stacked executors) is a constructor parameter;
 ``parallel`` and ``sharded`` are aliases of ``serial`` and ``vectorized``
 that differ in name and defaults only.  The name → class table is
 :data:`~repro.execution.batched.STRATEGIES`; ``strategy="auto"`` picks

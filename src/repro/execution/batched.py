@@ -17,9 +17,9 @@ whole *stacks* of trajectories per pass instead of looping specs in
 Python.  Dense preparations walk the circuit's compiled
 :class:`~repro.execution.plan.FusedPlan` (shared with the stacked
 backends, so the strategies stay bitwise interchangeable).  The loop
-itself — dedup, the ``num_workers`` task queue, retry, per-trajectory
-streams, ordered delivery, separate prep and sample wall-times for the
-paper's shots-per-second curves — is the shared
+itself — dedup, the task queue, retry, per-trajectory streams, ordered
+delivery, separate prep and sample wall-times for the paper's
+shots-per-second curves — is the shared
 :func:`repro.execution.driver.drive`; this module supplies the one way to
 name a backend (:class:`BackendSpec`, checked by :func:`check_backend`),
 the serial dense :class:`~repro.execution.driver.Engine` adapter (serial
@@ -66,7 +66,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """Picklable recipe for the backend a run uses, in any process.
+    """Picklable recipe for the backend a run uses.
 
     ``kind`` is ``"statevector"``, ``"mps"``, or ``"batched_statevector"``
     (the trajectory-stacked backend used by
@@ -166,13 +166,6 @@ def check_backend(
     return backend
 
 
-def check_workers(num_workers: int) -> int:
-    """Validate a dense executor's ``num_workers``."""
-    if num_workers <= 0:
-        raise ExecutionError(f"num_workers must be positive, got {num_workers}")
-    return int(num_workers)
-
-
 class BatchedExecutor(StreamingExecutor):
     """Batched execution of trajectory specs, one prepared state at a time.
 
@@ -187,20 +180,12 @@ class BatchedExecutor(StreamingExecutor):
         On ``"mps"`` a unit is the tensornet adapter at one row, under this
         executor's name, so the shots are ``strategy="tensornet"``'s at
         ``max_batch=1``.
-    num_workers:
-        ``1`` (default) prepares every state in this process; larger
-        values hand tasks to a process pool of that size (the paper's
-        inter-trajectory axis: "the preparation and sampling of different
-        trajectories is embarrassingly parallel", §3).  Every trajectory
-        draws from the stream derived from ``(seed, trajectory_id)``, so
-        the shots are the same for any worker count.
     """
 
     strategy = "serial"
 
-    def __init__(self, backend: BackendSpec = BackendSpec(), num_workers: int = 1):
+    def __init__(self, backend: BackendSpec = BackendSpec()):
         self.backend = check_backend(type(self).__name__, backend, ("statevector", "mps"))
-        self.num_workers = check_workers(num_workers)
 
     def _engine(self, circuit: Circuit) -> Engine:
         if self.backend.kind == "mps":
@@ -213,18 +198,11 @@ class BatchedExecutor(StreamingExecutor):
 
 
 class ParallelExecutor(BatchedExecutor):
-    """``BatchedExecutor`` under the name ``"parallel"``, two workers by
-    default.  Kept as an alias so seeds, fault sites
-    (``parallel/stack:*``) and user code replay unchanged."""
+    """``BatchedExecutor`` under the name ``"parallel"``.  Kept as an
+    alias so seeds, fault sites (``parallel/stack:*``) and user code
+    replay unchanged."""
 
     strategy = "parallel"
-
-    def __init__(
-        self,
-        backend: BackendSpec = BackendSpec(),
-        num_workers: int = 2,
-    ):
-        super().__init__(backend, num_workers=num_workers)
 
 
 class _SerialEngine:
@@ -401,20 +379,19 @@ def run_ptsbe(
         * ``"serial"`` — one prepared state per spec
           (:class:`BatchedExecutor`; on ``BackendSpec.mps`` the tensornet
           adapter at one row, so the shots are ``"tensornet"``'s at
-          ``max_batch=1``; ``num_workers`` fans the tasks over a process
-          pool);
+          ``max_batch=1``);
         * ``"vectorized"`` — deduplicated ``(B, 2**n)`` trajectory stacks
           (:class:`~repro.execution.vectorized.VectorizedExecutor`;
           a stack holds ``min(max_batch, the backend's dense amplitude
-          budget)`` rows, and ``num_workers`` fans the tasks over a
-          process pool);
-        * ``"parallel"`` — alias of ``"serial"`` whose ``num_workers``
-          defaults to 2 (:class:`ParallelExecutor`);
+          budget)`` rows);
+        * ``"parallel"`` — alias of ``"serial"``
+          (:class:`ParallelExecutor`);
         * ``"sharded"`` — alias of ``"vectorized"`` whose ``max_batch``
           defaults to ``None``
           (:class:`~repro.execution.vectorized.ShardedExecutor`).  An
           alias differs from its parent in name (``result.engine``, fault
-          sites) and defaults only;
+          sites) and defaults only.  Every strategy runs in this process;
+          there is no worker-count option;
         * ``"clifford"`` — batched Pauli-frame propagation for
           pure-Clifford circuits with Pauli-mixture noise, at any width
           (:class:`~repro.execution.clifford.CliffordFrameExecutor`);
@@ -436,8 +413,8 @@ def run_ptsbe(
 
         Every *dense* strategy draws identical per-trajectory shots for a fixed
         ``seed`` and orders results by spec position, so shot tables
-        match row for row, whatever ``num_workers`` or ``max_batch``
-        are.  All dense strategies execute through the same
+        match row for row, whatever ``max_batch`` is.  All dense
+        strategies execute through the same
         compiled :class:`~repro.execution.plan.FusedPlan`, which is
         what carries the cross-strategy guarantee.  ``"clifford"``
         samples by a different stochastic mechanism (frame XORs instead
@@ -452,11 +429,11 @@ def run_ptsbe(
         replayed bitwise with ``run_ptsbe(..., seed=result.seed)``.
     executor_kwargs:
         Extra constructor arguments for the chosen executor, e.g.
-        ``{"num_workers": 4}`` for ``"serial"`` / ``"parallel"``, or
-        ``{"max_batch": 32, "num_workers": 2}`` for ``"vectorized"`` /
-        ``"sharded"``.  A name the resolved strategy's executor does not
-        take raises :class:`~repro.errors.ExecutionError` listing the
-        names it does, before anything is built.
+        ``{"max_batch": 32}`` for ``"vectorized"`` / ``"sharded"`` /
+        ``"tensornet"`` (``"serial"`` and ``"parallel"`` take none).  A
+        name the resolved strategy's executor does not take (such as
+        ``num_workers``) raises :class:`~repro.errors.ExecutionError`
+        listing the names it does, before anything is built.
 
     Examples
     --------

@@ -1,4 +1,4 @@
-"""One execution driver, N engine adapters, any number of workers.
+"""One execution driver, N engine adapters, one in-process runner.
 
 The paper's batched execution is one loop whatever the state
 representation is: prepare each pre-sampled Kraus prescription once, draw
@@ -9,7 +9,7 @@ prepared and how a prepared unit's shot requests are drawn — and every
 executor is a :class:`StreamingExecutor`: a constructor that validates and
 an ``_engine(circuit)`` recipe that builds the adapter.
 
-What :func:`drive` owns, for every engine and every worker count:
+What :func:`drive` owns, for every engine:
 
 * the preamble — freeze, the "no measurements" / "no specs" checks, the
   deferred-measurement contract (no operation on a measured qubit,
@@ -37,7 +37,7 @@ What :func:`drive` owns, for every engine and every worker count:
   ``0.0``), the unit's block and spec columns;
 * one timing rule — a unit's prepare wall time is split evenly across its
   rows, duplicates of a row ride free, and the engine's compile seconds
-  are charged to the first unit (of each process); a unit's shots are
+  are charged to the first unit; a unit's shots are
   drawn by one ``engine.sample(requests)`` call, one request per spec
   that has shots to draw from a live row, and that call's wall time is
   split over those specs by shot share (``sample_seconds`` = wall x spec
@@ -59,9 +59,9 @@ engine that sets it — more than ``max_unit_shots`` shots, and always at
 least one.  (The state engines size a unit by the rows they hold; the
 frame engine's rows are nearly free, so its unit is sized by the shots it
 samples and a chunk stays bounded whatever the budget per trajectory.)
-In-process, on an engine whose rows are independent of each other, group
-0 is a unit of its own and the greedy cuts start at group 1
-(:func:`_local_cuts`): the first chunk waits for one trajectory's
+On an engine whose rows are independent of each other, group 0 is a
+unit of its own and the greedy cuts start at group 1
+(:func:`_task_cuts`): the first chunk waits for one trajectory's
 preparation and draw, not a whole unit's.  An engine with
 ``coupled_rows`` (the tensornet stack) keeps the greedy cuts from group 0.
 
@@ -74,48 +74,45 @@ the groups go in trie order
 (:meth:`~repro.prescriptions.Prescriptions.trie_order`), so rows that
 took the same errors share a unit; the cuts, on rows alone, are the same
 ranges of that order.  A fault-unit name's range indexes the sorted
-order.  The order is computed after the first chunk is delivered (over a
-pool, before the pool starts), and it never depends on ``retain``.
+order.  The order is computed after the first chunk is delivered, and it
+never depends on ``retain``.
 Delivery is in spec order whatever the order of preparation, so a chunk
 is whatever a unit's completion makes deliverable: on a sorting engine at
-most one window (the first chunk is group 0 alone in-process), on every
+most one window (the first chunk is group 0 alone), on every
 other engine one unit.
 
-``workers`` is the paper's inter-trajectory axis ("embarrassingly
-parallel", §3).  With ``workers == 1`` tasks run in this process, one
-unit each, and a unit whose shots exceed its adapter's
-``lookahead_shots`` hides the next task's ``engine.prepare`` behind its
-draw: one helper thread prepares that unit on a second adapter (built by
-``build()`` on first use), so at most one prepared unit is resident
-ahead.  The helper runs nothing but ``prepare``: the fault hook, retry
-and halving stay on this thread, and a look-ahead that raised, or whose
-task is not the next one popped, is dropped and its unit prepared again
-in line, so an error surfaces once, where it does without one.  Rows
-draw from their own Philox streams and dense preparation is row-wise
-independent, so which thread prepared a unit changes no bits.  With
-more, ranges of groups go to a process
-pool whose initializer builds one engine per process; the parent keeps at
-most ``2 * workers`` of them in flight (a consumer that stops pulling
-stops the run), each worker cuts its task into units by the same rule,
-and the parent settles each returned task by the rules above — the code
-is the same code.  A task is a pure function of its group range and the
-root seed, so a retried, halved or re-pooled task re-emits
-bitwise-identical shots on every engine.  Where a unit is cut, and
-halving, change no bits where preparation is row-wise independent (the
-dense stack and the frame stack); the tensornet stack's truncated SVDs
-keep a common rank across the unit, so there halving preserves the
-sampled distribution only.
+Tasks run in this process, one unit each, and a unit whose shots exceed
+its adapter's ``lookahead_shots`` hides the next task's
+``engine.prepare`` behind its draw: one helper thread prepares that unit
+on a second adapter (built by ``build()`` on first use), so at most one
+prepared unit is resident ahead.  The helper runs nothing but
+``prepare``: the fault hook, retry and halving stay on this thread, and a
+look-ahead that raised, or whose task is not the next one popped, is
+dropped and its unit prepared again in line, so an error surfaces once,
+where it does without one.  Rows draw from their own Philox streams and
+dense preparation is row-wise independent, so which thread prepared a
+unit changes no bits.  A task is a pure function of its group range and
+the root seed, so a retried or halved task re-emits bitwise-identical
+shots on every engine.  Where a unit is cut, and halving, change no bits
+where preparation is row-wise independent (the dense stack and the frame
+stack); the tensornet stack's truncated SVDs keep a common rank across
+the unit, so there halving preserves the sampled distribution only.
+
+The paper runs its inter-trajectory axis ("embarrassingly parallel", §3)
+across devices.  This driver has no such axis: on one host a process
+pool of the same tasks measured slower than this loop on every shape
+tried (``docs/architecture.md``, "Strategies").
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, Future, wait
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from functools import partial
 from typing import (
-    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator, List, Optional, Protocol,
-    Sequence, Tuple, TypeVar, runtime_checkable,
+    Any, Callable, Deque, Iterator, List, Optional, Protocol, Sequence, Tuple, TypeVar,
+    runtime_checkable,
 )
 
 import numpy as np
@@ -133,17 +130,11 @@ from repro.prescriptions import Prescriptions
 from repro.pts.base import PTSResult, SpecGroups, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory
 
-if TYPE_CHECKING:  # pragma: no cover
-    # At run time each pool class is imported where a pool is built: the
-    # process pool loads multiprocessing, and workers defaults to 1.
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
 __all__ = ["Engine", "StreamingExecutor", "check_measurements", "drive", "timed"]
 
 T = TypeVar("T")
 #: ``(first group, one past the last group, attempt)``.
 Task = Tuple[int, int, int]
-Completed = List[UnitShots]
 #: ``(prepared row, shots, that trajectory's Philox generator)``: what one
 #: live spec asks of :meth:`Engine.sample`.
 Request = Tuple[int, int, np.random.Generator]
@@ -169,8 +160,8 @@ class Engine(Protocol):
     #: whose unit is sized by what it samples (``None``: rows alone cut).
     max_unit_shots: Optional[int]
     #: Whether a row's prepared state depends on the rows stacked with it
-    #: (the tensornet stack's shared truncation ranks).  In-process, an
-    #: engine without it prepares group 0 as a unit of its own.
+    #: (the tensornet stack's shared truncation ranks).  An engine
+    #: without it prepares group 0 as a unit of its own.
     coupled_rows: bool
     #: Bytes of one prepared unit, on an engine whose rows share the prefix
     #: they agree on (the dense stack; its units are cut on rows alone):
@@ -184,8 +175,8 @@ class Engine(Protocol):
 
     @property
     def lookahead_shots(self) -> Optional[int]:
-        """In-process, a unit with more shots than this prepares the next
-        unit on a helper thread while it draws (``None``: never)."""
+        """A unit with more shots than this prepares the next unit on a
+        helper thread while it draws (``None``: never)."""
         ...
 
     def prepare(self, table: Prescriptions, sizes: Sequence[Sequence[int]]) -> Sequence[float]:
@@ -226,30 +217,24 @@ def _unit_name(engine: str, start: int, end: int) -> str:
     return f"{engine}/stack:{start}:{end}"
 
 
-def _cuts(
-    groups: SpecGroups, start: int, end: int, max_rows: int, max_shots: Optional[int]
-) -> Iterator[Tuple[int, int]]:
-    """Greedy ranges over groups ``[start, end)``: each takes groups until
-    the next would make it more than ``max_rows`` groups or ``max_shots``
-    shots, and always at least one."""
-    first, shots = start, 0
-    for g, total in enumerate(groups.total_shots[start:end].tolist(), start):
+def _task_cuts(groups: SpecGroups, engine: Engine) -> List[Tuple[int, int]]:
+    """The task list, one unit each: greedy ranges over the groups, each
+    taking groups until the next would make it more than ``max_rows``
+    groups or ``max_unit_shots`` shots, and always at least one.  An engine
+    without ``coupled_rows`` prepares group 0 alone first, so the first
+    chunk waits for one trajectory, not a unit."""
+    first = 0 if engine.coupled_rows else 1
+    cuts = [(0, 1)] if first else []
+    max_shots, shots = engine.max_unit_shots, 0
+    for g, total in enumerate(groups.total_shots[first:].tolist(), first):
         over = max_shots is not None and shots + total > max_shots
-        if g > first and (g - first == max_rows or over):
-            yield first, g
+        if g > first and (g - first == engine.max_rows or over):
+            cuts.append((first, g))
             first, shots = g, 0
         shots += total
-    if first < end:
-        yield first, end
-
-
-def _local_cuts(groups: SpecGroups, engine: Engine) -> List[Tuple[int, int]]:
-    """The in-process task list, one unit each: :func:`_cuts` over every
-    group, except that an engine without ``coupled_rows`` prepares group 0
-    alone, so the first chunk waits for one trajectory, not a unit."""
-    start = 0 if engine.coupled_rows else 1
-    head = [(0, 1)] if start else []
-    return head + list(_cuts(groups, start, len(groups), engine.max_rows, engine.max_unit_shots))
+    if first < len(groups):
+        cuts.append((first, len(groups)))
+    return cuts
 
 
 def _windows(
@@ -271,34 +256,46 @@ def _windows(
 
 
 class _Runner:
-    """One process's side of a run: an engine, plus everything that makes
-    a task a pure function of its group range and the root seed."""
+    """A run's engine, plus everything that makes a task a pure function
+    of its group range and the root seed.  A task is one unit, and a unit
+    with more than ``lookahead_shots`` shots prepares the next task's unit
+    on a second adapter, on one helper thread, while it draws.  The unit
+    at group 0 never looks ahead, so the first chunk costs what it did."""
 
     def __init__(
         self,
+        build: Callable[[], Engine],
         engine: Engine,
         trajectories: PTSResult,
         groups: SpecGroups,
         streams: StreamFactory,
-        rows: int,
         plan: Optional[FaultPlan],
     ):
+        self.build = build
         self.engine = engine
         self.trajectories = trajectories
         self.groups = groups
         self.streams = streams
-        self.rows = rows
         self.plan = plan
         self.carry = engine.compile_seconds
+        self.spare: Optional[Engine] = None
+        self.helper: Optional[ThreadPoolExecutor] = None
+        #: The unit prepared ahead on ``spare``: its group range and future.
+        self.ahead: Optional[Tuple[int, int, "Future[Prepared]"]] = None
 
-    def task(self, start: int, end: int, attempt: int) -> Completed:
-        """Groups ``[start, end)``, prepared one :func:`_cuts` unit at a time."""
+    def task(self, start: int, end: int, attempt: int, upcoming: Optional[Task]) -> UnitShots:
+        """The unit of groups ``[start, end)``; ``upcoming`` is the task
+        popped after it, which a large unit prepares ahead."""
         unit = _unit_name(self.engine.name, start, end)
         maybe_inject(self.plan, unit, attempt, self.streams.seed)
-        return [
-            self.draw(self.engine, *cut, self.prepare(self.engine, *cut))
-            for cut in _cuts(self.groups, start, end, self.rows, self.engine.max_unit_shots)
-        ]
+        prepared = self.claim(start, end)
+        if prepared is None:
+            prepared = self.prepare(self.engine, start, end)
+        threshold = self.engine.lookahead_shots
+        shots = int(self.groups.total_shots[start:end].sum())
+        if start > 0 and upcoming is not None and threshold is not None and shots > threshold:
+            self.look_ahead(*upcoming[:2])
+        return self.draw(self.engine, start, end, prepared)
 
     def unit(self, start: int, end: int) -> Tuple[NDArray[np.intp], NDArray[np.int64], List[int]]:
         """The trajectory rows of groups ``[start, end)``, their shots, and
@@ -338,35 +335,6 @@ class _Runner:
         specs["sample"] = drawn * (wall / max(1, len(bits)))
         return UnitShots(members, bits, specs)
 
-
-class _LocalRunner(_Runner):
-    """The ``workers == 1`` runner: a task is one unit, and a unit with
-    more than ``lookahead_shots`` shots prepares the next task's unit on a
-    second adapter, on one helper thread, while it draws.  The unit at
-    group 0 never looks ahead, so the first chunk costs what it did."""
-
-    def __init__(self, build: Callable[[], Engine], engine: Engine, *run_args: Any):
-        super().__init__(engine, *run_args)
-        self.build = build
-        self.spare: Optional[Engine] = None
-        self.helper: Optional[ThreadPoolExecutor] = None
-        #: The unit prepared ahead on ``spare``: its group range and future.
-        self.ahead: Optional[Tuple[int, int, "Future[Prepared]"]] = None
-
-    def task(
-        self, start: int, end: int, attempt: int, upcoming: Optional[Task] = None
-    ) -> Completed:
-        unit = _unit_name(self.engine.name, start, end)
-        maybe_inject(self.plan, unit, attempt, self.streams.seed)
-        prepared = self.claim(start, end)
-        if prepared is None:
-            prepared = self.prepare(self.engine, start, end)
-        threshold = self.engine.lookahead_shots
-        shots = int(self.groups.total_shots[start:end].sum())
-        if start > 0 and upcoming is not None and threshold is not None and shots > threshold:
-            self.look_ahead(*upcoming[:2])
-        return [self.draw(self.engine, start, end, prepared)]
-
     def claim(self, start: int, end: int) -> Optional[Prepared]:
         """The look-ahead, when it prepared groups ``[start, end)`` and did
         not raise; its adapter then draws.  Otherwise it is dropped."""
@@ -384,8 +352,6 @@ class _LocalRunner(_Runner):
 
     def look_ahead(self, start: int, end: int) -> None:
         if self.spare is None:
-            from concurrent.futures import ThreadPoolExecutor
-
             self.spare = self.build()
             self.spare.release()  # what it allocated eagerly; the helper reallocates
             self.carry += self.spare.compile_seconds
@@ -401,31 +367,6 @@ class _LocalRunner(_Runner):
         self.engine.release()
         if self.spare is not None:
             self.spare.release()
-
-
-#: The pool worker's runner, built once per process by :func:`_init_worker`.
-_WORKER: Optional[_Runner] = None
-
-
-def _init_worker(build: Callable[[], Engine], *run_args: Any) -> None:
-    global _WORKER
-    _WORKER = _Runner(build(), *run_args)
-
-
-def _pool_task(start: int, end: int, attempt: int) -> Completed:
-    assert _WORKER is not None
-    return _WORKER.task(start, end, attempt)
-
-
-def _submit(pool: ProcessPoolExecutor, task: Task) -> "Future[Completed]":
-    """``pool.submit``; a pool found broken at submission fails the task
-    like one that broke under it, so both take the same recovery path."""
-    try:
-        return pool.submit(_pool_task, *task)
-    except BrokenExecutor as exc:
-        failed: "Future[Completed]" = Future()
-        failed.set_exception(exc)
-        return failed
 
 
 def check_measurements(circuit: Circuit) -> Tuple[int, ...]:
@@ -446,17 +387,14 @@ def drive(
     specs: Sequence[TrajectorySpec],
     seed: Optional[int] = None,
     retain: bool = True,
-    workers: int = 1,
 ) -> StreamedResult:
     """Stream ``specs`` through the engine ``build()`` makes, one chunk per
-    completed task, on ``workers`` processes.
+    completed task.
 
-    ``build`` runs once here and, when ``workers > 1``, once in every
-    worker process — it must pickle then.  Chunks are released in spec
-    order (a dedup group can interleave spec positions, tasks finish out
-    of order), so concatenating them reproduces ``finalize()`` bitwise.
-    Abandoning the stream shuts the pool down, or joins the look-ahead
-    helper, and releases the engine (both, in-process).
+    ``build`` runs here, and once more if a unit looks ahead.  Chunks are
+    released in spec order (a dedup group can interleave spec positions),
+    so concatenating them reproduces ``finalize()`` bitwise.  Abandoning
+    the stream joins the look-ahead helper and releases both adapters.
     """
     circuit.freeze()
     measured = check_measurements(circuit)
@@ -469,24 +407,12 @@ def drive(
     name = engine.name
     ctx = FaultContext.from_config(engine.config, streams.seed, strategy=name)
     events: List[RecoveryEvent] = []
-    workers = min(workers, len(groups))
-    # In-process a task is one unit (_local_cuts: group 0 alone unless the
-    # engine's rows are coupled, then max_rows groups or max_unit_shots
-    # shots).  Over a pool it is a quarter of a worker's even share — small
-    # enough to balance skewed shot budgets and to reach the first chunk
-    # early, large enough that a one-row engine does not pay one round
-    # trip per trajectory — which the worker cuts into units.  The tasks
-    # after the head (in-process, group 0 alone) are cut and ordered once
-    # its chunk is delivered (rest()).
-    step = engine.max_rows if workers == 1 else -(-len(groups) // (4 * workers))
-    head = int(workers == 1 and not engine.coupled_rows)
-    run_args = (trajectories, groups, streams, min(engine.max_rows, step), ctx.plan)
-    local = _LocalRunner(build, engine, *run_args) if workers == 1 else None
-    if local is None:
-        engine.release()  # every worker builds its own; this one named the run
-    # Joins the look-ahead helper and releases both adapters in-process.
-    release = engine.release if local is None else local.close
-    retryable = (BrokenExecutor,) + ctx.policy.retryable
+    # A task is one unit (_task_cuts: group 0 alone unless the engine's
+    # rows are coupled, then max_rows groups or max_unit_shots shots).  The
+    # tasks after the head are cut and ordered once its chunk is delivered
+    # (rest()).
+    head = int(not engine.coupled_rows)
+    runner = _Runner(build, engine, trajectories, groups, streams, ctx.plan)
 
     def rest() -> List[Tuple[int, int]]:
         """The tasks after the head.  On a sorting engine the groups of each
@@ -494,108 +420,66 @@ def drive(
         and group ranges index that order from here on.  A window holds
         whole units cut on rows alone, so the cuts still hold, and delivery
         buffers at most one window's bits or one unit's."""
-        nonlocal groups, run_args
-        if workers == 1:
-            cuts = _local_cuts(groups, engine)[head:]
-        else:
-            cuts = list(_cuts(groups, 0, len(groups), step, None))
-        if engine.sort_bytes is None:
-            return cuts
-        window = _windows(groups, cuts, engine.sort_bytes // len(measured))
-        groups = groups.take(groups.table.trie_order(window))
-        run_args = (trajectories, groups, *run_args[2:])
-        if local is not None:
-            local.groups = groups
+        cuts = _task_cuts(groups, engine)[head:]
+        if engine.sort_bytes is not None:
+            window = _windows(groups, cuts, engine.sort_bytes // len(measured))
+            runner.groups = groups.take(groups.table.trie_order(window))
         return cuts
 
     def deliver() -> Iterator[SpecColumns]:
         delivery = OrderedDelivery(trajectories)
         pending: Deque[Task] = deque([(0, 1, 0)] * head)
         ordered = False
-        pool: Optional[ProcessPoolExecutor] = None
-        in_flight: Dict["Future[Completed]", Task] = {}
         try:
-            while pending or in_flight or not ordered:
-                if not (pending or in_flight):
+            while pending or not ordered:
+                if not pending:
                     # The head is delivered: the first chunk never waits
                     # for the rest of the run to be ordered.
                     pending.extend((start, end, 0) for start, end in rest())
                     ordered = True
                     continue
-                outcomes: List[Tuple[Task, Callable[[], Completed]]]
-                if local is not None:
-                    task = pending.popleft()
-                    upcoming = pending[0] if pending else None
-                    outcomes = [(task, partial(local.task, *task, upcoming))]
-                else:
-                    if pool is None:
-                        from concurrent.futures import ProcessPoolExecutor
-
-                        pool = ProcessPoolExecutor(
-                            workers, initializer=_init_worker, initargs=(build, *run_args)
-                        )
-                    while pending and len(in_flight) < 2 * workers:
-                        task = pending.popleft()
-                        in_flight[_submit(pool, task)] = task
-                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                    outcomes = sorted(
-                        ((in_flight.pop(future), future.result) for future in done),
-                        key=lambda outcome: outcome[0],
-                    )
-                broken = False
-                for (start, end, attempt), fetch in outcomes:
-                    unit = _unit_name(name, start, end)
-                    try:
-                        completed = fetch()
-                    except CapacityError as exc:
-                        # Repeating the identical allocation cannot help;
-                        # split the unit in place instead.
-                        if end - start == 1:
-                            raise FaultError(
-                                f"preparation of {unit!r} failed at the "
-                                f"single-row floor: {describe_exception(exc)}",
-                                unit=unit,
-                                attempts=1,
-                            ) from exc
-                        mid = (start + end) // 2
-                        events.append(
-                            RecoveryEvent(
-                                kind="batch-halved",
-                                strategy=name,
-                                unit=unit,
-                                attempt=0,
-                                error=describe_exception(exc),
-                                detail=f"split into stack:{start}:{mid} and stack:{mid}:{end}",
-                            )
-                        )
-                        pending.appendleft((mid, end, 0))
-                        pending.appendleft((start, mid, 0))
-                        continue
-                    except CancelledError as exc:
-                        raise ExecutionError(
-                            f"work unit {unit!r} was cancelled before "
-                            "completing; the run cannot be finalized"
+                start, end, attempt = task = pending.popleft()
+                unit = _unit_name(name, start, end)
+                try:
+                    completed = runner.task(*task, pending[0] if pending else None)
+                except CapacityError as exc:
+                    # Repeating the identical allocation cannot help;
+                    # split the unit in place instead.
+                    if end - start == 1:
+                        raise FaultError(
+                            f"preparation of {unit!r} failed at the "
+                            f"single-row floor: {describe_exception(exc)}",
+                            unit=unit,
+                            attempts=1,
                         ) from exc
-                    except retryable as exc:
-                        broken = broken or isinstance(exc, BrokenExecutor)
-                        again = ctx.next_attempt(unit, attempt, exc, events)
-                        pending.appendleft((start, end, again))
-                        continue
-                    ready = delivery.add(completed, reissue=attempt > 0)
-                    if ready is not None:
-                        yield ready
-                if broken and pool is not None:
-                    # A dead worker poisons every future of its pool.  The
-                    # tasks still in flight did not fail, their substrate
-                    # did: they go to the next pool at their current attempt.
-                    pending.extendleft(sorted(in_flight.values(), reverse=True))
-                    in_flight.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
+                    mid = (start + end) // 2
+                    events.append(
+                        RecoveryEvent(
+                            kind="batch-halved",
+                            strategy=name,
+                            unit=unit,
+                            attempt=0,
+                            error=describe_exception(exc),
+                            detail=f"split into stack:{start}:{mid} and stack:{mid}:{end}",
+                        )
+                    )
+                    pending.appendleft((mid, end, 0))
+                    pending.appendleft((start, mid, 0))
+                    continue
+                except CancelledError as exc:
+                    raise ExecutionError(
+                        f"work unit {unit!r} was cancelled before "
+                        "completing; the run cannot be finalized"
+                    ) from exc
+                except ctx.policy.retryable as exc:
+                    again = ctx.next_attempt(unit, attempt, exc, events)
+                    pending.appendleft((start, end, again))
+                    continue
+                ready = delivery.add(completed)
+                if ready is not None:
+                    yield ready
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            release()
+            runner.close()
 
     return StreamedResult(
         deliver(),
@@ -605,7 +489,7 @@ def drive(
         unique_preparations=len(groups),
         # close() before the first chunk never enters the generator, so
         # its finally cannot release what the adapter allocated eagerly.
-        on_close=release,
+        on_close=runner.close,
         retain=retain,
         engine=name,
         recovery=events,
@@ -616,13 +500,8 @@ class StreamingExecutor:
     """Base of every executor: a constructor that validates, an
     ``_engine(circuit)`` recipe, and the one ``execute_stream``."""
 
-    #: The paper's inter-trajectory axis; the dense executors make it a
-    #: constructor parameter.
-    num_workers = 1
-
     def _engine(self, circuit: Circuit) -> Engine:
-        """Build this run's adapter.  Runs in the caller's process and,
-        when ``num_workers > 1``, once in every pool worker."""
+        """Build this run's adapter."""
         raise NotImplementedError
 
     def execute_stream(
@@ -635,21 +514,17 @@ class StreamingExecutor:
         """Stream one :class:`~repro.execution.streaming.ShotChunk` per
         completed task, in spec order.
 
-        In-process a task is one prepared unit (a single state on the
-        one-row engine, a stack of up to ``max_rows`` on the stacked
-        ones, up to ``max_unit_shots`` shots of frames); over a pool it
-        is a range of units, so the first chunk
-        arrives when the task holding the first specs finishes, not when
-        the pool drains.  :meth:`StreamedResult.finalize` reproduces
-        :meth:`execute` bitwise; abandoning the stream releases the engine
-        and shuts the pool down.  ``retain=False`` drops chunks after
-        delivery (``finalize`` unavailable) to bound memory for
-        pure-ingest consumers.
+        A task is one prepared unit (a single state on the one-row
+        engine, a stack of up to ``max_rows`` on the stacked ones, up to
+        ``max_unit_shots`` shots of frames), so the first chunk arrives
+        when the unit holding the first specs is drawn, not when the run
+        drains.  :meth:`StreamedResult.finalize` reproduces
+        :meth:`execute` bitwise; abandoning the stream releases the
+        engine.  ``retain=False`` drops chunks after delivery
+        (``finalize`` unavailable) to bound memory for pure-ingest
+        consumers.
         """
-        return drive(
-            partial(self._engine, circuit), circuit, specs, seed, retain,
-            workers=self.num_workers,
-        )
+        return drive(partial(self._engine, circuit), circuit, specs, seed, retain)
 
     def execute(
         self, circuit: Circuit, specs: Sequence[TrajectorySpec], seed: Optional[int] = None

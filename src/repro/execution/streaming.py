@@ -12,14 +12,13 @@ still being prepared.  This module is the delivery layer for
   returning a :class:`StreamedResult` — a lazy handle over
   :class:`ShotChunk`\\ s that are yielded *as each task completes*
   instead of after the full run (every strategy shares one such loop,
-  :func:`repro.execution.driver.drive`, in-process or over a pool);
+  :func:`repro.execution.driver.drive`);
 * a drawn unit arrives as one block of bits and one row of
   :data:`~repro.execution.results.SPEC_COLUMNS` per spec
-  (:class:`~repro.execution.results.UnitShots`; over a pool it is pickled
-  as those arrays); units complete out of order (pool workers,
-  deduplicated stacks), so they pass through an :class:`OrderedDelivery`
-  reorder buffer, which releases the specs that became contiguous as one
-  chunk — chunk order is the **materialized trajectory order** (spec
+  (:class:`~repro.execution.results.UnitShots`); a deduplicated unit's
+  specs interleave positions with other units', so units pass through an
+  :class:`OrderedDelivery` reorder buffer, which releases the specs that
+  became contiguous as one chunk — chunk order is the **materialized trajectory order** (spec
   order), so concatenating the streamed chunks reproduces
   ``PTSBEResult.shot_table()`` bitwise;
 * a chunk and a result keep the blocks and the columns beside the run's
@@ -31,9 +30,9 @@ still being prepared.  This module is the delivery layer for
   the materialized path would have returned — same shots, same records,
   same weights — so streaming is strictly additive;
 * :meth:`StreamedResult.close` abandons the run mid-stream: the
-  underlying generator's cleanup runs (process pools shut down with
-  pending tasks cancelled, stacked state buffers released), so a
-  consumer that got what it needed leaks nothing;
+  underlying generator's cleanup runs (the look-ahead helper joined,
+  state buffers released), so a consumer that got what it needed leaks
+  nothing;
 * ``retain=False`` (every ``execute_stream`` and
   :func:`~repro.execution.batched.run_ptsbe_stream` accept it) drops
   each chunk after delivery so pure-ingest consumers hold at most one
@@ -50,7 +49,7 @@ the stream derived from ``(seed, trajectory_id)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,8 +73,8 @@ class ShotChunk(SpecViews):
     deliverable, in spec order.
 
     A chunk covers whatever became deliverable together — one spec
-    (serial), one ``(B, 2**n)`` stack (vectorized), one or more pool
-    tasks (parallel, sharded) — already in final trajectory order
+    (serial, parallel), one or more ``(B, 2**n)`` stacks (vectorized,
+    sharded) — already in final trajectory order
     relative to neighbouring chunks.  It holds the drawn unit blocks and
     per-spec columns (``columns``); ``trajectories`` and ``records`` are
     views built on access.
@@ -280,10 +279,11 @@ class OrderedDelivery:
     """Reorder buffer turning out-of-order unit completions into ordered
     chunks.
 
-    Executors whose units of work finish out of trajectory order (process
-    pools, deduplicated stacks whose groups interleave spec positions)
-    feed each completed task's :class:`~repro.execution.results.UnitShots`
-    in; :meth:`add` returns the contiguous run of specs that became ready
+    The driver's units of work finish out of trajectory order (a
+    deduplicated unit's groups interleave spec positions; a sorting
+    engine runs its groups in trie order): each drawn
+    :class:`~repro.execution.results.UnitShots` is fed in, and
+    :meth:`add` returns the contiguous run of specs that became ready
     — possibly none, possibly spanning several buffered units — as
     :class:`~repro.execution.results.SpecColumns` over the units' blocks,
     so the stream always delivers trajectories in exact materialized
@@ -299,38 +299,29 @@ class OrderedDelivery:
         self._blocks: Dict[int, List] = {}
         self._issued, self._next = 1, 0
 
-    def add(self, units: Sequence[UnitShots], reissue: bool = False) -> Optional[SpecColumns]:
-        """Buffer a task's units; return the newly-contiguous specs.
+    def add(self, unit: UnitShots) -> Optional[SpecColumns]:
+        """Buffer a drawn unit; return the newly-contiguous specs.
 
-        ``reissue=True`` is the retry layer's accounting mode: positions
-        already delivered or buffered are silently dropped (a unit with no
-        other position is dropped whole) instead of raising.  Seed
-        threading guarantees a reissued trajectory is bitwise identical to
-        the first delivery, so keeping the original is correct — the
-        recovered stream concatenates exactly like a fault-free one.
-        Duplicate positions in a *non*-reissued unit still raise,
-        preserving the executor-bug tripwire.
+        A failed or halved unit files nothing, so every position is filed
+        once: a position already delivered or buffered, or repeated in the
+        unit, raises (the executor-bug tripwire, retried units included).
         """
         total, held = len(self._specs), self._specs["unit"]
-        for unit in units:
-            positions = unit.positions
-            outside = positions[(positions < 0) | (positions >= total)]
-            if outside.size:
-                raise ExecutionError(
-                    f"delivery position {outside[0]} out of range for "
-                    f"{total} trajectories"
-                )
-            seen, ordered = held[positions] > 0, np.sort(positions)
-            clash = np.append(positions[seen], ordered[1:][ordered[1:] == ordered[:-1]])
-            if clash.size and not reissue:
-                raise ExecutionError(f"duplicate delivery for trajectory position {clash[0]}")
-            keep = np.flatnonzero(~seen)
-            if keep.size:
-                specs = unit.specs[keep]
-                specs["unit"] = self._issued
-                self._specs[positions[keep]] = specs
-                self._blocks[self._issued] = [unit.bits, keep.size]
-                self._issued += 1
+        positions = unit.positions
+        outside = positions[(positions < 0) | (positions >= total)]
+        if outside.size:
+            raise ExecutionError(
+                f"delivery position {outside[0]} out of range for {total} trajectories"
+            )
+        ordered = np.sort(positions)
+        clash = np.append(positions[held[positions] > 0], ordered[1:][ordered[1:] == ordered[:-1]])
+        if clash.size:
+            raise ExecutionError(f"duplicate delivery for trajectory position {clash[0]}")
+        if positions.size:
+            self._specs[positions] = unit.specs
+            held[positions] = self._issued
+            self._blocks[self._issued] = [unit.bits, positions.size]
+            self._issued += 1
         # The first undelivered position, searched in windows that double.
         start = stop = self._next
         while stop < total and held[stop]:

@@ -429,8 +429,8 @@ class _MPSStackEngine:
     """
 
     max_unit_shots = None
-    # Truncation ranks are shared by a unit's rows: in-process, group 0 is
-    # not cut off on its own (see drive()).
+    # Truncation ranks are shared by a unit's rows: group 0 is not cut off
+    # on its own (see drive()).
     coupled_rows = True
     sort_bytes = None  # for the same reason: a sort would move its bits
     # Measured with the look-ahead always on (tensornet_shots_35q, 2-core

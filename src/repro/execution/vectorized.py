@@ -4,9 +4,9 @@
 
 1. **Deduplicate** — the driver groups the equal rows of the run's
    trajectory table (:func:`~repro.pts.base.deduplicate_specs`) before
-   any work is handed out, so a unique Kraus prescription is prepared exactly once
-   globally (never once per worker) and its duplicates' shot budgets are
-   served from the same stacked row;
+   any work is handed out, so a unique Kraus prescription is prepared
+   exactly once and its duplicates' shot budgets are served from the same
+   stacked row;
 2. **Compile** — the circuit's :class:`~repro.execution.plan.FusedPlan`
    is resolved once up front (fused gate/noise windows) and shared by
    every unit, so B trajectories with the same Kraus prescription pay
@@ -25,7 +25,7 @@
    ``(seed, trajectory_id)``.
 
 Steps 1 and 4 are the shared :func:`repro.execution.driver.drive` loop
-(which also owns the ``num_workers`` task queue, retry, the
+(which also owns the task queue, retry, the
 ``CapacityError`` halving ladder and ordered delivery); this module
 supplies steps 2 and 3 as an :class:`~repro.execution.driver.Engine`
 adapter.
@@ -33,8 +33,8 @@ adapter.
 Because the serial backend *is* this stack at one row (every kernel and
 reduction is row-independent), and sampling uses the exact same
 per-trajectory Philox streams, the ``ShotTable`` is bitwise identical to a serial
-``BatchedExecutor`` run with the same seed for *any* worker count or
-``max_batch`` — verified in ``tests/test_vectorized.py``,
+``BatchedExecutor`` run with the same seed for *any* ``max_batch`` —
+verified in ``tests/test_vectorized.py``,
 ``tests/test_sharded.py`` and ``tests/test_driver.py``.
 """
 
@@ -47,7 +47,7 @@ import numpy as np
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro.circuits.circuit import Circuit
 from repro.errors import ExecutionError
-from repro.execution.batched import DENSE_KINDS, BackendSpec, check_backend, check_workers
+from repro.execution.batched import DENSE_KINDS, BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
 from repro.execution.plan import get_fused_plan
 
@@ -66,12 +66,9 @@ class VectorizedExecutor(StreamingExecutor):
     max_batch:
         Upper bound on stacked rows per prepared unit (``None``: no bound
         of its own).  The rows of a unit are ``min(max_batch, the
-        backend's dense amplitude budget)``.
-    num_workers:
-        ``1`` (default) runs every unit in this process; larger values
-        hand tasks to a process pool of that size.  Stacked preparation is
+        backend's dense amplitude budget)``.  Stacked preparation is
         bitwise identical to serial preparation row by row, so the shot
-        table is the same for any worker count or ``max_batch``.
+        table is the same for any ``max_batch``.
     """
 
     strategy = "vectorized"
@@ -80,13 +77,11 @@ class VectorizedExecutor(StreamingExecutor):
         self,
         backend: BackendSpec = BackendSpec.batched_statevector(),
         max_batch: Optional[int] = 64,
-        num_workers: int = 1,
     ):
         self.backend = check_backend(type(self).__name__, backend, DENSE_KINDS)
         if max_batch is not None and max_batch <= 0:
             raise ExecutionError(f"max_batch must be positive, got {max_batch}")
         self.max_batch = max_batch
-        self.num_workers = check_workers(num_workers)
 
     def _engine(self, circuit: Circuit) -> "_StackEngine":
         backend = BatchedStatevectorBackend(circuit.num_qubits, **dict(self.backend.options))
@@ -110,9 +105,8 @@ class ShardedExecutor(VectorizedExecutor):
         backend: BackendSpec = BackendSpec.batched_statevector(),
         *,
         max_batch: Optional[int] = None,
-        num_workers: int = 1,
     ):
-        super().__init__(backend, max_batch=max_batch, num_workers=num_workers)
+        super().__init__(backend, max_batch=max_batch)
 
 
 class _StackEngine:

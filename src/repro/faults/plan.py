@@ -3,9 +3,9 @@
 A :class:`FaultPlan` describes *which* named faults fire at *which*
 instrumented sites of the execution layer.  The executors consult it
 through :func:`maybe_inject` at the top of every work unit (one
-``<strategy>/stack`` task of the shared driver, in whichever process runs
-it); with no plan configured the hook is a single ``is None`` check, so
-the production path pays nothing.
+``<strategy>/stack`` task of the shared driver); with no plan configured
+the hook is a single ``is None`` check, so the production path pays
+nothing.
 
 Two ways to target faults:
 
@@ -22,15 +22,13 @@ Two ways to target faults:
   default retry policy — and the same seed reproduces the exact same
   fault pattern, which is what makes the chaos suite assertable.
 
-Plans are frozen and picklable: they travel to the pool workers of a
-dense executor run with ``num_workers > 1``, where the hook fires inside
-the worker process under the same plan as an in-process site.
+Plans are frozen values: the same plan and seed fire the same faults.
 
 Unit-name scheme — one, for every strategy name::
 
     <strategy>/stack:{a}:{b}     one task over dedup groups [a, b)
 
-In-process a task is one prepared unit.  On every engine whose rows are
+A task is one prepared unit.  On every engine whose rows are
 independent (``serial``, ``vectorized``, ``sharded``, ``clifford``) the
 first is ``stack:0:1``, dedup group 0 alone; after it come ``max_rows``
 groups from group 1 for ``vectorized`` and ``sharded``
@@ -38,8 +36,7 @@ groups from group 1 for ``vectorized`` and ``sharded``
 puts them in), one group (``stack:{i}:{i+1}``) for ``serial``,
 and for ``clifford`` as many groups as fit ``max_unit_shots`` (2**16)
 shots.  ``tensornet``, whose rows share truncation ranks
-(``coupled_rows``), cuts ``max_rows`` groups from group 0.  Over a pool
-of ``W`` workers a task is ``ceil(groups / 4W)`` groups.
+(``coupled_rows``), cuts ``max_rows`` groups from group 0.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ deduplication or fencing needed.  What this module adds on top:
 * :class:`FaultContext` — the (plan, policy, seed) triple of one run, and
   the retry rule itself (:meth:`FaultContext.next_attempt`: classify,
   check the budget, record the event, back off).
-  :func:`repro.execution.driver.drive` applies it to a failed task whether
-  the task ran in-process or came back from a pool worker.
+  :func:`repro.execution.driver.drive` applies it to every failed task.
 
 ``CapacityError`` is deliberately *not* retryable even though it
 subclasses ``BackendError``: repeating the identical allocation would
@@ -29,7 +28,6 @@ fail identically.  It escalates to the caller's degradation ladder
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple, Type
 
@@ -55,16 +53,9 @@ __all__ = [
 ]
 
 #: Exception classes a failed work unit is retried on by default: backend
-#: hiccups, emulated or real worker deaths.  A dead pool is classified by
-#: ``BrokenExecutor``, the base of ``BrokenProcessPool``: naming the
-#: subclass would import ``multiprocessing`` with ``repro``, for a pool
-#: most runs never build.  ``CancelledError`` is absent on purpose —
-#: cancellation means the *consumer* abandoned the run.
-DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
-    BackendError,
-    WorkerCrashError,
-    BrokenExecutor,
-)
+#: hiccups and injected worker crashes.  ``CancelledError`` is absent on
+#: purpose — cancellation means the *consumer* abandoned the run.
+DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (BackendError, WorkerCrashError)
 
 
 def describe_exception(exc: BaseException) -> str:
@@ -86,8 +77,8 @@ class RetryPolicy:
         Exponential backoff: attempt ``k`` (1-based) sleeps
         ``min(backoff_max, backoff_base * 2**(k-1))`` seconds before
         re-running.  The defaults are deliberately tiny — test suites and
-        in-process faults recover in microseconds; a deployment whose
-        workers fail on real resources raises them via ``Config.retry``.
+        injected faults recover in microseconds; a deployment whose
+        backend fails on real resources raises them via ``Config.retry``.
     jitter:
         When ``True`` (default) the delay is scaled by a factor in
         ``[0.5, 1.5)`` drawn from the seed-derived fault stream — the

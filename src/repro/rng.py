@@ -163,8 +163,8 @@ class StreamFactory:
     Parameters
     ----------
     seed:
-        Experiment seed.  ``None`` draws OS entropy once at construction so
-        that all workers still agree on the stream tree.
+        Experiment seed.  ``None`` draws OS entropy once at construction,
+        so every stream of the factory derives from one recorded seed.
     """
 
     def __init__(self, seed: Optional[int] = None) -> None:

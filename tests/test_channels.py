@@ -159,7 +159,7 @@ class TestUnitaryMixture:
         assert hadamard_mix.mixture.paulis[1] is None
 
     def test_analysed_channel_pickles_with_its_analysis(self, monkeypatch):
-        """Pool workers receive analysed channels: the analysis travels."""
+        """A pickled channel keeps its analysis: the analysis travels."""
         import pickle
 
         ch = depolarizing(0.2)

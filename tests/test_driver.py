@@ -1,18 +1,16 @@
 """The shared execution driver: one replay harness for every strategy.
 
 ``repro.execution.driver.drive`` is the single delivery loop behind every
-strategy name — four executors, of which the two dense ones take
-``num_workers`` (``parallel`` and ``sharded`` are their aliases).  Each
+strategy name — four executors, all in-process (``parallel`` and
+``sharded`` are aliases of the two dense ones).  Each
 contract below is checked once, parametrised over the strategies it
 applies to, instead of once per engine module.
 """
 
-import concurrent.futures
 import hashlib
-import multiprocessing
+import inspect
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from unittest import mock
 
@@ -99,13 +97,11 @@ def make_executor(strategy, config=None):
     if strategy == "serial":
         return BatchedExecutor(BackendSpec.statevector(**options))
     if strategy == "parallel":
-        return ParallelExecutor(BackendSpec.statevector(**options), num_workers=2)
+        return ParallelExecutor(BackendSpec.statevector(**options))
     if strategy == "vectorized":
         return VectorizedExecutor(BackendSpec.batched_statevector(**options), max_batch=2)
     if strategy == "sharded":
-        return ShardedExecutor(
-            BackendSpec.batched_statevector(**options), max_batch=4, num_workers=2,
-        )
+        return ShardedExecutor(BackendSpec.batched_statevector(**options), max_batch=4)
     if strategy == "clifford":
         return CliffordFrameExecutor(BackendSpec.statevector(**options))
     if strategy == "tensornet":
@@ -136,10 +132,10 @@ def test_streamed_chunks_concatenate_to_the_finalized_table(circuit, specs, stra
     assert firsts == sorted(firsts)  # ordered delivery
     result = stream.finalize()
     assert result.engine == strategy
-    assert result.unique_preparations == len(specs)  # global, on a pool too
+    assert result.unique_preparations == len(specs)
     assert_same_table(ShotTable.concatenate(tables), result)
-    # In-process, a row-independent engine hands over dedup group 0 alone
-    # first; tensornet, whose rows share truncation ranks, a whole unit.
+    # A row-independent engine hands over dedup group 0 alone first;
+    # tensornet, whose rows share truncation ranks, a whole unit.
     local = driver.drive(partial(executor._engine, circuit), circuit, specs, seed=21)
     first = next(local)
     local.close()
@@ -161,17 +157,15 @@ def test_close_before_first_chunk_releases_the_engine(
         getattr(module, adapter), "release", lambda self: released.append(self)
     )
     stream = make_executor(strategy).execute_stream(circuit, specs, seed=21)
-    # An adapter may reset itself through release() when built, and the
-    # driver releases the parent's copy of a pooled engine straight away.
+    # An adapter may reset itself through release() when built.
     released.clear()
     stream.close()
     assert len(released) == 1 and isinstance(released[0], Engine)
     stream.close()  # idempotent: no second release
     assert len(released) == 1
-    assert multiprocessing.active_children() == []  # no pool was ever started
 
 
-@pytest.mark.parametrize("num_workers", [1, 2, 3])
+@pytest.mark.parametrize("form", ["view", "list"])
 @pytest.mark.parametrize(
     "strategy,max_batch,budget_rows",
     [("parallel", None, None)]
@@ -181,32 +175,37 @@ def test_close_before_first_chunk_releases_the_engine(
         for budget_rows in (None, 1, 2)
     ],
 )
-def test_any_worker_count_batch_and_row_budget_gives_the_serial_table(
-    circuit, specs, strategy, num_workers, max_batch, budget_rows
+def test_any_batch_and_row_budget_gives_the_serial_table(
+    circuit, specs, strategy, max_batch, budget_rows, form
 ):
     """``budget_rows`` caps the backend's own dense budget at that many rows
     of the 5-qubit state (``None``: the default budget), so a unit holds
     ``min(max_batch, budget_rows)`` rows; the table is the serial one.
-    In-process, the sorting dense stack delivers group 0 alone and then at
-    most one sort window a chunk; the one-row engine one unit a chunk."""
+    The sorting dense stack delivers group 0 alone and then at most one
+    sort window a chunk; the one-row engine one unit a chunk.  ``form`` is
+    the input: the sampler's ``specs`` view, which ``drive()`` takes as its
+    own result, or a plain list of the same specs, which it rebuilds
+    through ``prescribe`` — the chunks and the table are the same."""
+    sampled = specs.result
+    if form == "list":
+        specs = list(specs)
+    assert (PTSResult.from_specs(circuit, specs) is sampled) is (form == "view")
     if strategy == "parallel":
-        executor = ParallelExecutor(num_workers=num_workers)
+        executor = ParallelExecutor()
     else:
         backend = BackendSpec.batched_statevector()
         if budget_rows is not None:
             extra = budget_rows.bit_length() - 1  # log2 of a power of two
             config = Config(max_dense_qubits=circuit.num_qubits + extra)
             backend = BackendSpec.batched_statevector(config=config)
-        executor = ShardedExecutor(
-            backend, max_batch=max_batch, num_workers=num_workers
-        )
+        executor = ShardedExecutor(backend, max_batch=max_batch)
     stream = executor.execute_stream(circuit, specs, seed=21)
     chunks = list(stream)
     result = stream.finalize()
     ends = np.cumsum([chunk.num_trajectories for chunk in chunks]).tolist()
-    if strategy == "parallel" and num_workers == 1:
+    if strategy == "parallel":
         assert ends == list(range(1, len(specs) + 1))  # a unit per chunk
-    elif num_workers == 1:
+    else:
         caps = [cap for cap in (max_batch, budget_rows) if cap is not None]
         rows = min(caps + [2 ** (DEFAULT_CONFIG.max_dense_qubits - circuit.num_qubits)])
         starts = _window_starts(specs, rows, rows * 2**circuit.num_qubits * 16, circuit.num_qubits)
@@ -374,11 +373,11 @@ def test_every_table_entry_streams_under_its_own_name(circuit, specs, strategy, 
 
 def test_an_alias_is_its_parent_under_another_name(circuit, specs):
     serial = BatchedExecutor().execute(circuit, specs, seed=21)
-    for parent, alias, kwargs in (
-        (BatchedExecutor, ParallelExecutor, {"num_workers": 2}),
-        (VectorizedExecutor, ShardedExecutor, {"max_batch": 3, "num_workers": 2}),
+    for parent, alias, kwargs, own in (
+        (BatchedExecutor, ParallelExecutor, {}, {"strategy"}),
+        (VectorizedExecutor, ShardedExecutor, {"max_batch": 3}, {"strategy", "__init__"}),
     ):
-        assert set(vars(alias)) - {"__module__", "__doc__"} == {"strategy", "__init__"}
+        assert set(vars(alias)) - {"__module__", "__doc__"} == own
         assert issubclass(alias, parent) and alias.strategy != parent.strategy
         for cls in (parent, alias):
             result = cls(**kwargs).execute(circuit, specs, seed=21)
@@ -387,10 +386,37 @@ def test_an_alias_is_its_parent_under_another_name(circuit, specs):
             assert result.unique_preparations == serial.unique_preparations
 
 
-@pytest.mark.parametrize("cls", [BatchedExecutor, VectorizedExecutor])
-def test_num_workers_must_be_positive(cls):
-    with pytest.raises(ExecutionError, match="num_workers must be positive"):
-        cls(num_workers=0)
+@pytest.mark.parametrize("strategy", DENSE_STRATEGIES)
+def test_a_worker_count_is_refused_and_the_aliases_run_in_process(circuit, strategy):
+    """No dense strategy takes ``num_workers``: it is refused before
+    anything is built, naming what the executor does take, and the aliases
+    draw their parents' tables bit for bit."""
+    sampler = ProbabilisticPTS(nsamples=40, nshots=30)
+    stacked = strategy in ("vectorized", "sharded")
+    backend = BackendSpec.batched_statevector() if stacked else BackendSpec.statevector()
+    takes = "'max_batch'" if stacked else "none"
+    refused = f"no executor argument 'num_workers'; it accepts: {takes}$"
+    with pytest.raises(ExecutionError, match=refused):
+        run_ptsbe(circuit, sampler, backend, seed=3, strategy=strategy,
+                  executor_kwargs={"num_workers": 2})
+    parent = {"parallel": "serial", "sharded": "vectorized"}.get(strategy, strategy)
+    result = run_ptsbe(circuit, sampler, backend, seed=3, strategy=strategy)
+    assert result.engine == strategy
+    assert_same_table(run_ptsbe(circuit, sampler, backend, seed=3, strategy=parent), result)
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_no_executor_constructor_takes_a_worker_count(strategy):
+    """Every executor runs in this process: its constructor takes a backend
+    and, on the stacking ones, a row cap — a worker count is not a
+    parameter, so passing one fails as any unknown keyword does."""
+    cls = executor_class(strategy)
+    takes = list(inspect.signature(cls).parameters)
+    stacked = strategy in ("vectorized", "sharded", "tensornet")
+    assert takes == (["backend", "max_batch"] if stacked else ["backend"])
+    assert not hasattr(cls, "num_workers")
+    with pytest.raises(TypeError, match="num_workers"):
+        cls(num_workers=2)
 
 
 def _factory(num_qubits):
@@ -544,34 +570,24 @@ def test_the_dense_strategies_take_a_state_dtype(circuit, strategy):
     assert result.engine == strategy
 
 
-def test_a_consumer_that_stops_pulling_stops_the_pool(circuit, specs, monkeypatch):
-    # Two workers split the groups into ~8 tasks.  Every task but the first
-    # stalls (the glob skips unit names starting "stack:0"), so the first
-    # chunk is the first completion: exactly the initial window has been
-    # submitted.
-    step = -(-len(specs) // 8)
-    tasks = [(a, min(a + step, len(specs)), 0) for a in range(0, len(specs), step)]
-    assert len(tasks) > 4
-    started = []
+def test_a_consumer_that_stops_pulling_stops_the_run(circuit, specs, monkeypatch):
+    """Units are prepared as chunks are pulled: after the first chunk only
+    group 0's unit has been prepared, and closing the stream prepares
+    nothing more."""
+    prepared = []
+    prepare = batched._SerialEngine.prepare
 
-    class CountingPool(ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            started.append(args)
-            return super().submit(fn, *args)
+    def counting(self, table, sizes):
+        prepared.append(len(table))
+        return prepare(self, table, sizes)
 
-    # The driver imports the pool class where it builds one.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    plan = FaultPlan(
-        rules=(FaultSpec("slow-worker", "parallel/stack:[!0]*"),), slow_seconds=0.3
-    )
-    executor = ParallelExecutor(BackendSpec.statevector(config=Config(fault_plan=plan)))
-    stream = executor.execute_stream(circuit, specs, seed=21)
-    first = next(stream)
-    assert first.num_trajectories == step
-    assert started == tasks[:4]  # 2 * workers
+    monkeypatch.setattr(batched._SerialEngine, "prepare", counting)
+    stream = ParallelExecutor().execute_stream(circuit, specs, seed=21)
+    assert prepared == []
+    assert next(stream).num_trajectories == 1
+    assert prepared == [1]
     stream.close()
-    assert started == tasks[:4]
-    assert multiprocessing.active_children() == []
+    assert prepared == [1]
 
 
 @pytest.mark.parametrize("strategy", ["serial", "clifford"])
@@ -609,14 +625,13 @@ def test_capacity_fault_on_a_two_row_unit_halves_exactly_once(circuit, specs):
     assert event.detail == "split into stack:1:2 and stack:2:3"
 
 
-#: One way to run a seed: how units are cut, on how many processes, what
-#: fails on the way and how deep the first task is halved.
+#: One way to run a seed: how units are cut, what fails on the way and how
+#: deep the first task is halved.
 PERMUTATIONS = st.fixed_dictionaries(
     {
         "seed": st.sampled_from([21, 22]),
         "rows": st.sampled_from([1, 2, 3, 5, 64]),
         "unit_shots": st.sampled_from([40, 130, 1 << 16]),  # frame units only
-        "workers": st.sampled_from([1, 2]),
         "fault_rate": st.sampled_from([0.0, 0.4, 1.0]),
         "fault_kinds": st.sampled_from(
             [("transient-backend",), ("worker-crash", "transient-backend")]
@@ -636,7 +651,7 @@ def _permuted_executor(strategy, rows, config):
 @pytest.mark.parametrize("strategy", ENGINES)
 @settings(max_examples=20, deadline=None)
 @given(how=PERMUTATIONS)
-def test_any_chunking_workers_faults_and_halving_give_one_table_per_seed(
+def test_any_chunking_faults_and_halving_give_one_table_per_seed(
     circuit, specs, strategy, how
 ):
     """The replay contract on ``drive()`` itself, whatever moves underneath:
@@ -657,11 +672,7 @@ def test_any_chunking_workers_faults_and_halving_give_one_table_per_seed(
         groups = groups_of(circuit, specs)
         probe = _permuted_executor(strategy, how["rows"], None)._engine(circuit)
         probe.release()
-        if how["workers"] == 1:
-            tasks = driver._local_cuts(groups, probe)
-        else:
-            step = -(-len(groups) // (4 * how["workers"]))
-            tasks = list(driver._cuts(groups, 0, len(groups), step, None))
+        tasks = driver._task_cuts(groups, probe)
         start, end = next((task for task in tasks if task[1] - task[0] > 1), tasks[0])
         rules = []
         while end - start >= 2 and len(rules) < how["halvings"]:
@@ -669,9 +680,7 @@ def test_any_chunking_workers_faults_and_halving_give_one_table_per_seed(
             end = (start + end) // 2
         plan = FaultPlan(rules=tuple(rules), rate=how["fault_rate"], kinds=how["fault_kinds"])
         executor = _permuted_executor(strategy, how["rows"], Config(fault_plan=plan, retry=FAST_RETRY))
-        stream = driver.drive(
-            partial(executor._engine, circuit), circuit, specs, seed, workers=how["workers"]
-        )
+        stream = driver.drive(partial(executor._engine, circuit), circuit, specs, seed)
         tables = [chunk.shot_table() for chunk in stream]
         result = stream.finalize()
     assert_same_table(ShotTable.concatenate(tables), result)
@@ -686,7 +695,6 @@ def test_any_chunking_workers_faults_and_halving_give_one_table_per_seed(
         assert kinds.count("retry") >= len(tables)  # every unit's first attempt failed
     if how["fault_rate"] == 0.0:
         assert "retry" not in kinds
-    assert multiprocessing.active_children() == []
 
 
 def test_wide_clifford_circuit_agrees_across_the_two_wide_engines(msd_prep35_circuit):
@@ -1012,13 +1020,16 @@ def ghz_like(num_qubits):
 
 
 #: Which units look ahead: ``(executor, width, shots per unit, qualifies)``.
-#: The rule is ``shots > max(2**16, 2**n)`` on a serial dense state, and
-#: never elsewhere.
+#: The rule is ``shots > max(2**16, 2**n)`` on a serial dense state (under
+#: either name, ``serial`` or its alias ``parallel``), and never elsewhere.
 LOOKAHEAD_RULE = {
     "serial-16q-200000-shots": (BatchedExecutor, 16, 200_000, True),
     "serial-16q-2**16-shots": (BatchedExecutor, 16, 1 << 16, False),
     "serial-20q-2**17-shots": (BatchedExecutor, 20, 1 << 17, False),
+    "parallel-16q-200000-shots": (ParallelExecutor, 16, 200_000, True),
+    "parallel-16q-2**16-shots": (ParallelExecutor, 16, 1 << 16, False),
     "vectorized": (partial(VectorizedExecutor, max_batch=1), 16, 200_000, False),
+    "sharded": (partial(ShardedExecutor, max_batch=1), 16, 200_000, False),
     "clifford": (CliffordFrameExecutor, 16, 200_000, False),
     "tensornet": (partial(TensorNetExecutor, max_batch=1), 16, 200_000, False),
     "serial-on-mps": (partial(BatchedExecutor, BackendSpec.mps()), 16, 200_000, False),
@@ -1030,13 +1041,13 @@ def test_which_units_look_ahead(case, monkeypatch, lookahead_threads):
     make, width, shots, qualifies = LOOKAHEAD_RULE[case]
     circuit = ghz_like(width)
     started = []
-    original = driver._LocalRunner.look_ahead
+    original = driver._Runner.look_ahead
 
     def recording(self, start, end):
         started.append((start, end))
         original(self, start, end)
 
-    monkeypatch.setattr(driver._LocalRunner, "look_ahead", recording)
+    monkeypatch.setattr(driver._Runner, "look_ahead", recording)
     executor = make()
     engine = executor._engine(circuit)
     threshold = engine.lookahead_shots

@@ -162,15 +162,15 @@ class TestRunPTSBE:
 
 class TestParallelExecutor:
     def test_matches_serial_shot_for_shot(self, noisy_ghz3):
-        """The determinism contract: workers change nothing."""
+        """The determinism contract: the alias changes nothing."""
         specs = [_spec(i, 40) for i in range(6)]
         serial = BatchedExecutor().execute(noisy_ghz3, specs, seed=5)
-        parallel = ParallelExecutor(num_workers=2).execute(noisy_ghz3, specs, seed=5)
+        parallel = ParallelExecutor().execute(noisy_ghz3, specs, seed=5)
         a, b = serial.shot_table(), parallel.shot_table()
         # Sort both by (trajectory, row) since order within is preserved.
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.trajectory_ids, b.trajectory_ids)
 
     def test_single_chunk_shortcut(self, noisy_ghz3):
-        result = ParallelExecutor(num_workers=4).execute(noisy_ghz3, [_spec(0, 10)], seed=1)
+        result = ParallelExecutor().execute(noisy_ghz3, [_spec(0, 10)], seed=1)
         assert result.total_shots == 10

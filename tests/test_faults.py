@@ -11,8 +11,6 @@ what makes retry exactly-once-equivalent; these tests are the proof.
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -33,7 +31,7 @@ from repro.errors import (
     SamplingError,
     WorkerCrashError,
 )
-from repro.execution import BackendSpec, ParallelExecutor, run_ptsbe, run_ptsbe_stream
+from repro.execution import BackendSpec, run_ptsbe, run_ptsbe_stream
 from repro.execution.batched import _SerialEngine
 from repro.execution.driver import drive
 from repro.execution.results import SPEC_COLUMNS, UnitShots
@@ -88,20 +86,20 @@ def _pts(nsamples=24, nshots=240):
 def _run(circuit, strategy, plan=None, seed=SEED, retry=FAST_RETRY, nsamples=24):
     """One run_ptsbe call with the plan threaded through Config.
 
-    Both fan-out strategies run on two worker processes, so their faults
-    fire inside the workers.  The default sampler yields <= 8 dedup
-    groups, which the driver turns into one single-group task each
-    (``<strategy>/stack:i:i+1``).
+    The default sampler yields <= 8 dedup groups: ``serial`` / ``parallel``
+    run one single-group task each (``parallel/stack:i:i+1``), ``sharded``
+    group 0 alone and then one stack of the rest
+    (``sharded/stack:1:<groups>``), ``vectorized`` group 0 alone and then
+    stacks of 4.
     """
     cfg = Config(fault_plan=plan, retry=retry)
-    if strategy == "parallel":
+    if strategy in ("serial", "parallel", "clifford"):
         return run_ptsbe(
             circuit,
             _pts(nsamples),
             seed=seed,
-            strategy="parallel",
+            strategy=strategy,
             backend=BackendSpec.statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
         )
     if strategy == "sharded":
         return run_ptsbe(
@@ -110,7 +108,6 @@ def _run(circuit, strategy, plan=None, seed=SEED, retry=FAST_RETRY, nsamples=24)
             seed=seed,
             strategy="sharded",
             backend=BackendSpec.batched_statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
         )
     if strategy == "vectorized":
         return run_ptsbe(
@@ -325,7 +322,7 @@ class TestRetryPolicy:
         assert info.value is bug
 
 
-class TestOrderedDeliveryReissue:
+class TestOrderedDeliveryTripwire:
     @staticmethod
     def _unit(*positions):
         positions = np.array(positions, dtype=np.intp)
@@ -333,19 +330,15 @@ class TestOrderedDeliveryReissue:
         specs["row"], specs["count"] = np.arange(len(positions)), 1
         return UnitShots(positions, positions.astype(np.uint8)[:, None], specs)
 
-    def test_reissue_drops_duplicates_silently(self):
+    def test_plain_duplicate_still_raises(self):
+        """A failed unit files nothing, so its retry files each position
+        once; a unit filed twice is an executor bug."""
         run = SimpleNamespace(num_trajectories=3, trajectory_ids=np.arange(3))
         delivery = OrderedDelivery(run)
-        delivery.add([self._unit(0, 1)])
-        again = delivery.add([self._unit(1, 2)], reissue=True)
-        assert (again.start, len(again.specs)) == (2, 1)
-        assert ShotChunk(again, (0,)).shot_table().bits.tolist() == [[2]]
-
-    def test_plain_duplicate_still_raises(self):
-        delivery = OrderedDelivery(SimpleNamespace(num_trajectories=2))
-        delivery.add([self._unit(0)])
-        with pytest.raises(ExecutionError, match="duplicate"):
-            delivery.add([self._unit(0)])
+        first = delivery.add(self._unit(0, 1))
+        assert ShotChunk(first, (0,)).shot_table().bits.tolist() == [[0], [1]]
+        with pytest.raises(ExecutionError, match="duplicate delivery for trajectory position 1"):
+            delivery.add(self._unit(1, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -399,52 +392,60 @@ class TestBitwiseRecovery:
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_sharded_crash_and_transient_recover_bitwise(self, ghz):
-        # A crashed worker's task goes back to the pool like any other
-        # failed task: two retries, no other kind of event.
+        # A crashed unit is retried in this process like any other failed
+        # task: two retries, in task order, no other kind of event.
+        clean = _run(ghz, "sharded")
+        rest = f"sharded/stack:1:{clean.unique_preparations}"
         plan = FaultPlan(
             rules=(
                 FaultSpec("worker-crash", "sharded/stack:0:1"),
-                FaultSpec("transient-backend", "sharded/stack:1:2"),
+                FaultSpec("transient-backend", rest),
             )
         )
-        clean = _run(ghz, "sharded")
         faulty = _run(ghz, "sharded", plan=plan)
-        assert sorted((e.kind, e.unit, e.attempt) for e in faulty.recovery) == [
+        assert [(e.kind, e.unit, e.attempt) for e in faulty.recovery] == [
             ("retry", "sharded/stack:0:1", 1),
-            ("retry", "sharded/stack:1:2", 1),
+            ("retry", rest, 1),
         ]
-        assert "WorkerCrashError" in faulty.recovery[0].error + faulty.recovery[1].error
+        assert "WorkerCrashError" in faulty.recovery[0].error
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_sharded_inner_capacity_halving_bitwise(self, brickwork):
-        # Two workers cut the dedup groups into eight tasks (a few groups
-        # each).  OOM exactly the first: the fault fires inside the worker
-        # process (the plan travels there), the parent halves the task, and
-        # the halves — different unit names — go back to the pool.
+        # Group 0 is a unit of its own and the rest one stack.  OOM exactly
+        # that stack: the driver halves it, and the halves — different
+        # unit names — run in its place.
         clean = _run(brickwork, "sharded", nsamples=200)
-        step = -(-clean.unique_preparations // 8)
-        assert step >= 2
+        groups = clean.unique_preparations
+        assert groups >= 3
+        mid = (1 + groups) // 2
         faulty = _run(
             brickwork,
             "sharded",
-            plan=FaultPlan(rules=(FaultSpec("capacity", f"sharded/stack:0:{step}"),)),
+            plan=FaultPlan(rules=(FaultSpec("capacity", f"sharded/stack:1:{groups}"),)),
             nsamples=200,
         )
         (halved,) = faulty.recovery
-        assert (halved.kind, halved.unit) == ("batch-halved", f"sharded/stack:0:{step}")
-        assert halved.detail == f"split into stack:0:{step // 2} and stack:{step // 2}:{step}"
+        assert (halved.kind, halved.unit) == ("batch-halved", f"sharded/stack:1:{groups}")
+        assert halved.detail == f"split into stack:1:{mid} and stack:{mid}:{groups}"
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    @pytest.mark.parametrize("strategy", ["parallel", "sharded"])
-    def test_in_worker_transient_faults_reach_the_result(self, ghz, strategy):
-        # Regression: parallel's workers used to retry faults at their own
-        # sites and return only the trajectories, so the run recorded none.
+    @pytest.mark.parametrize("strategy", ["serial", "parallel", "vectorized", "sharded"])
+    def test_transient_faults_reach_the_result(self, ghz, strategy):
+        # Regression: parallel used to retry faults at their own sites and
+        # return only the trajectories, so the run recorded none.  Every
+        # dense name records one retry per unit, in unit order.
         plan = FaultPlan(rules=(FaultSpec("transient-backend", f"{strategy}/stack:*"),))
         clean = _run(ghz, strategy)
         faulty = _run(ghz, strategy, plan=plan)
-        units = [f"{strategy}/stack:{i}:{i + 1}" for i in range(clean.unique_preparations)]
-        assert sorted((e.kind, e.unit) for e in faulty.recovery) == [
-            ("retry", unit) for unit in units
+        groups = clean.unique_preparations
+        if strategy in ("serial", "parallel"):
+            cuts = [(i, i + 1) for i in range(groups)]
+        elif strategy == "vectorized":
+            cuts = [(0, 1)] + [(a, min(a + 4, groups)) for a in range(1, groups, 4)]
+        else:
+            cuts = [(0, 1), (1, groups)]
+        assert [(e.kind, e.unit) for e in faulty.recovery] == [
+            ("retry", f"{strategy}/stack:{a}:{b}") for a, b in cuts
         ]
         assert np.array_equal(_bits(clean), _bits(faulty))
 
@@ -456,24 +457,36 @@ class TestBitwiseRecovery:
         assert "retry" in _kinds(faulty)
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    @pytest.mark.parametrize("strategy", ["parallel", "sharded", "tensornet"])
+    @pytest.mark.parametrize(
+        "strategy", ["serial", "parallel", "vectorized", "sharded", "clifford", "tensornet"]
+    )
     def test_acceptance_plan_recovers_bitwise(self, ghz, strategy):
         """The issue's acceptance plan: >=1 crash, >=1 transient, >=1
         stacked-prep capacity fault in one plan, completing on every
-        pooled/stacked strategy with fault-free-identical tables."""
+        strategy name with fault-free-identical tables.  A crash is
+        retried in this process like any other fault."""
         plan = FaultPlan(
             rules=(
+                FaultSpec("worker-crash", "serial/stack:1:2"),
                 FaultSpec("worker-crash", "parallel/stack:1:2"),
                 FaultSpec("worker-crash", "sharded/stack:0:1"),
+                FaultSpec("worker-crash", "clifford/stack:0:1"),
                 FaultSpec("worker-crash", "tensornet/stack:*"),
+                FaultSpec("transient-backend", "serial/stack:0:1"),
                 FaultSpec("transient-backend", "parallel/stack:0:1"),
-                FaultSpec("transient-backend", "sharded/stack:1:2"),
+                FaultSpec("transient-backend", "sharded/stack:1:*"),
+                FaultSpec("transient-backend", "clifford/stack:1:*"),
+                FaultSpec("worker-crash", "vectorized/stack:0:1"),
+                FaultSpec("capacity", "vectorized/stack:1:5"),
                 FaultSpec("capacity", "vectorized/stack:0:3"),
             )
         )
         clean = _run(ghz, strategy)
         faulty = _run(ghz, strategy, plan=plan)
         assert faulty.recovery, f"{strategy} recorded no recovery events"
+        assert "retry" in _kinds(faulty)
+        if strategy == "vectorized":
+            assert "batch-halved" in _kinds(faulty)
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_random_chaos_recovers_bitwise(self, ghz):
@@ -484,12 +497,9 @@ class TestBitwiseRecovery:
         faulty = _run(ghz, "parallel", plan=plan)
         again = _run(ghz, "parallel", plan=plan)
         assert _kinds(faulty)  # 4 tasks at rate 0.8: some fault fired
-        # Events are appended as tasks come back from the pool, which
-        # process scheduling may permute — the deterministic contract is
-        # the fault *set* (and the bits), not the diagnostic ordering.
-        assert sorted((e.unit, e.kind, e.attempt) for e in faulty.recovery) == sorted(
-            (e.unit, e.kind, e.attempt) for e in again.recovery
-        )
+        # Tasks run in order in this process: the same seed records the
+        # same events in the same order.
+        assert faulty.recovery == again.recovery
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_disabled_faults_record_nothing(self, ghz):
@@ -509,7 +519,6 @@ class TestBitwiseRecovery:
             seed=SEED,
             strategy="parallel",
             backend=BackendSpec.statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
         )
         result = stream.finalize()
         assert result.recovery == stream.recovery
@@ -543,12 +552,12 @@ class TestDegradation:
         assert info.value.attempts == 2
 
     def test_sharded_all_devices_dead(self, ghz):
-        # Whichever worker picks a task up dies with it, every time: the
-        # first task to spend its budget escalates, naming itself.
+        # Every attempt of every unit crashes: the first task to spend its
+        # budget escalates, naming itself.
         plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/stack:*", times=99),))
         with pytest.raises(FaultError, match="failed after 3 attempt") as info:
             _run(ghz, "sharded", plan=plan)
-        assert info.value.unit.startswith("sharded/stack:")
+        assert info.value.unit == "sharded/stack:0:1"
         assert isinstance(info.value.__cause__, WorkerCrashError)
 
     def test_tensornet_capacity_halving_is_structural(self, ghz):
@@ -688,27 +697,11 @@ class TestLookAheadRecovery:
 
 
 # --------------------------------------------------------------------- #
-# Pool substrate failures (real crashes, not injected exceptions)
+# A cancelled unit
 # --------------------------------------------------------------------- #
 class _TestEngine(_SerialEngine):
     def __init__(self, circuit):
         super().__init__("test", StatevectorBackend(circuit.num_qubits), circuit, Config())
-
-
-class _DyingEngine(_TestEngine):
-    """Serial engine whose worker process dies — no exception, no cleanup —
-    the first time anyone prepares ``doomed``; the marker file makes it
-    happen once per test, whichever process gets there."""
-
-    def __init__(self, circuit, doomed, marker):
-        super().__init__(circuit)
-        self.doomed, self.marker = doomed, marker
-
-    def prepare(self, choices_list, sizes):
-        if choices_list[0] == self.doomed and not os.path.exists(self.marker):
-            open(self.marker, "w").close()
-            os._exit(13)  # hard death: the pool itself breaks
-        return super().prepare(choices_list, sizes)
 
 
 class _CancelledEngine(_TestEngine):
@@ -716,26 +709,12 @@ class _CancelledEngine(_TestEngine):
         raise CancelledError()
 
 
-class TestPoolSubstrate:
-    def test_broken_pool_recreated_and_survivors_resubmitted(self, ghz, tmp_path):
-        specs = _pts().sample(ghz, make_rng(3)).specs
-        assert len(specs) > 2
-        clean = ParallelExecutor(num_workers=2).execute(ghz, specs, seed=SEED)
-        build = functools.partial(
-            _DyingEngine, ghz, specs[1].choices, str(tmp_path / "died-once")
-        )
-        result = drive(build, ghz, specs, seed=SEED, workers=2).finalize()
-        assert np.array_equal(_bits(clean), _bits(result))
-        assert any("BrokenProcessPool" in e.error for e in result.recovery)
-        assert {e.kind for e in result.recovery} == {"retry"}
-        assert multiprocessing.active_children() == []
-
+class TestCancellation:
     def test_cancelled_error_translated_with_unit_context(self, ghz):
         specs = _pts().sample(ghz, make_rng(3)).specs
-        stream = drive(functools.partial(_CancelledEngine, ghz), ghz, specs, workers=2)
-        with pytest.raises(ExecutionError, match="test/stack:.*cancelled"):
+        stream = drive(functools.partial(_CancelledEngine, ghz), ghz, specs)
+        with pytest.raises(ExecutionError, match="test/stack:0:1.*cancelled"):
             stream.finalize()
-        assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------------- #
@@ -744,7 +723,7 @@ class TestPoolSubstrate:
 class TestMidStreamClose:
     def test_close_during_in_flight_retries(self, ghz):
         # Every task faults on its first attempt; close after the first
-        # chunk lands while other tasks are mid-retry.  Nothing may leak.
+        # chunk lands, before the next task's retry.  Nothing may leak.
         cfg = Config(
             fault_plan=FaultPlan(
                 rules=(FaultSpec("transient-backend", "parallel/stack:*"),),
@@ -757,16 +736,12 @@ class TestMidStreamClose:
             seed=SEED,
             strategy="parallel",
             backend=BackendSpec.statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
         )
         next(stream)
         stream.close()
         stream.close()  # idempotent under fault recovery too
         assert stream.closed
-        deadline = time.time() + 10
-        while multiprocessing.active_children() and time.time() < deadline:
-            time.sleep(0.05)
-        assert multiprocessing.active_children() == []
+        assert [(e.kind, e.unit) for e in stream.recovery] == [("retry", "parallel/stack:0:1")]
 
     def test_finalize_after_partial_consumption_with_faults(self, ghz):
         plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/stack:0:1"),))
@@ -777,7 +752,6 @@ class TestMidStreamClose:
             seed=SEED,
             strategy="sharded",
             backend=BackendSpec.batched_statevector(config=cfg),
-            executor_kwargs={"num_workers": 2},
         )
         next(stream)
         result = stream.finalize()

@@ -324,7 +324,7 @@ class TestFusionEquivalence:
 
         specs = _pts_specs(noisy_ghz3, 6, nsamples=150, nshots=200)
         reference = BatchedExecutor().execute(noisy_ghz3, specs, seed=17)
-        others = [ParallelExecutor(num_workers=2), VectorizedExecutor(), ShardedExecutor()]
+        others = [ParallelExecutor(), VectorizedExecutor(), ShardedExecutor()]
         a = reference.shot_table()
         for executor in others:
             b = executor.execute(noisy_ghz3, specs, seed=17).shot_table()

@@ -277,18 +277,17 @@ ONE_IMPLEMENTATION = {
 
 
 class TestOneImplementation:
-    """``strategy="serial"`` on ``BackendSpec.mps`` runs the tensornet
-    replay on one row: the same shot table, trajectory ids and weights as
-    ``strategy="tensornet"`` at ``max_batch=1``."""
+    """``strategy="serial"`` (or its alias ``parallel``) on
+    ``BackendSpec.mps`` runs the tensornet replay on one row: the same shot
+    table, trajectory ids and weights as ``strategy="tensornet"`` at
+    ``max_batch=1``."""
 
     @staticmethod
-    def _runs(name, **serial_options):
+    def _runs(name, strategy="serial"):
         build, bond, (nsamples, nshots), seed = ONE_IMPLEMENTATION[name]
         circuit, spec = build(), BackendSpec.mps(max_bond=bond)
         sampler = ProbabilisticPTS(nsamples, nshots)
-        serial = run_ptsbe(
-            circuit, sampler, spec, seed=seed, strategy="serial", executor_kwargs=serial_options
-        )
+        serial = run_ptsbe(circuit, sampler, spec, seed=seed, strategy=strategy)
         tensornet = run_ptsbe(
             circuit, sampler, spec, seed=seed, strategy="tensornet",
             executor_kwargs={"max_batch": 1},
@@ -309,8 +308,9 @@ class TestOneImplementation:
     def test_serial_mps_is_tensornet_at_one_row(self, name):
         self._assert_same(*self._runs(name))
 
-    def test_serial_workers_too(self):
-        self._assert_same(*self._runs("qft-8q", num_workers=2))
+    @pytest.mark.parametrize("name", list(ONE_IMPLEMENTATION))
+    def test_the_parallel_alias_too(self, name):
+        self._assert_same(*self._runs(name, "parallel"))
 
     def test_run_fixed_ends_on_the_schedules_sites(self):
         circ = Circuit(5).h(0).cx(0, 4).cx(4, 2).measure_all().freeze()
@@ -324,10 +324,10 @@ class TestSerialIsTheTensornetAdapter:
     adapter at one row, under their own names: there is no second MPS
     path through ``MPSBackend.run_fixed``."""
 
-    @pytest.mark.parametrize("strategy,workers", [("serial", 1), ("parallel", 2)])
-    def test_the_adapter_at_one_row_under_the_strategy_name(self, strategy, workers):
+    @pytest.mark.parametrize("strategy", ["serial", "parallel"])
+    def test_the_adapter_at_one_row_under_the_strategy_name(self, strategy):
         circuit = _profiled("ghz", "uniform_depolarizing")
-        executor = executor_class(strategy)(BackendSpec.mps(max_bond=4), num_workers=workers)
+        executor = executor_class(strategy)(BackendSpec.mps(max_bond=4))
         engine = executor._engine(circuit)
         assert isinstance(engine, tensornet._MPSStackEngine)
         assert (engine.name, engine.max_rows) == (strategy, 1)

@@ -196,11 +196,7 @@ class TestEngineRecording:
                 if name in ("vectorized", "sharded")
                 else BackendSpec.statevector()
             )
-            kwargs = {"num_workers": 2} if name == "parallel" else None
-            result = run_ptsbe(
-                clifford_circuit, sampler, backend, seed=5,
-                strategy=name, executor_kwargs=kwargs,
-            )
+            result = run_ptsbe(clifford_circuit, sampler, backend, seed=5, strategy=name)
             assert result.engine == name
             assert result.routing == f"explicit strategy {name!r}"
 

@@ -124,19 +124,6 @@ class TestShardedEquivalence:
             [t.actual_weight for t in serial.trajectories],
         )
 
-    def test_process_pool_matches_inline(self, noisy_ghz3):
-        specs = _pts_specs(noisy_ghz3, 3, nsamples=150, nshots=200)
-        inline = ShardedExecutor().execute(noisy_ghz3, specs, seed=5)
-        pooled = ShardedExecutor(num_workers=2).execute(
-            noisy_ghz3, specs, seed=5
-        )
-        np.testing.assert_array_equal(
-            inline.shot_table().bits, pooled.shot_table().bits
-        )
-        np.testing.assert_array_equal(
-            inline.shot_table().trajectory_ids, pooled.shot_table().trajectory_ids
-        )
-
     @pytest.mark.parametrize("budget_rows", [None, 1])
     @pytest.mark.parametrize("cap", CAPS, ids=CAP_IDS)
     @pytest.mark.parametrize("name", WIDE_GATE_CIRCUITS)
@@ -242,10 +229,10 @@ class TestStrategyDispatch:
         self, noisy_ghz3, strategy, stale
     ):
         accepts = {
-            "serial": ["num_workers"],
-            "parallel": ["num_workers"],
-            "vectorized": ["max_batch", "num_workers"],
-            "sharded": ["max_batch", "num_workers"],
+            "serial": [],
+            "parallel": [],
+            "vectorized": ["max_batch"],
+            "sharded": ["max_batch"],
             "clifford": [],
             "tensornet": ["max_batch"],
         }[strategy]
@@ -286,11 +273,9 @@ class TestGuards:
         with pytest.raises(ExecutionError):
             ShardedExecutor(BackendSpec.mps(max_bond=8))
 
-    def test_rejects_bad_max_batch_and_workers(self):
+    def test_rejects_bad_max_batch(self):
         with pytest.raises(ExecutionError):
             ShardedExecutor(max_batch=0)
-        with pytest.raises(ExecutionError):
-            ShardedExecutor(num_workers=0)
 
     def test_requires_specs_and_measurements(self, noisy_ghz3):
         with pytest.raises(ExecutionError):

@@ -1,6 +1,5 @@
 """Streaming shot delivery: chunk equivalence, replay seeds, clean abandonment."""
 
-import multiprocessing
 import sys
 import time
 from types import SimpleNamespace
@@ -72,7 +71,7 @@ def _executor(strategy):
     if strategy == "serial":
         return BatchedExecutor(BackendSpec.statevector())
     if strategy == "parallel":
-        return ParallelExecutor(BackendSpec.statevector(), num_workers=2)
+        return ParallelExecutor(BackendSpec.statevector())
     if strategy == "vectorized":
         return VectorizedExecutor(BackendSpec.batched_statevector(), max_batch=4)
     if strategy == "sharded":
@@ -177,32 +176,24 @@ class TestSeedResolution:
         )
         assert replay.seed == first.seed
 
-    @pytest.mark.parametrize("strategy,kwargs", [
-        ("parallel", {"num_workers": 2}),
-        ("sharded", {"num_workers": 2}),
-    ])
-    def test_unseeded_multiprocess_replay(self, brickwork, strategy, kwargs):
-        """Regression: workers used to draw independent entropy on seed=None."""
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unseeded_run_replays_on_every_dense_name(self, brickwork, strategy):
+        """An unseeded run under any dense name, aliases included, replays
+        bit for bit from the seed it records."""
         backend = (
             BackendSpec.batched_statevector()
-            if strategy == "sharded"
-            else BackendSpec()
+            if strategy in ("vectorized", "sharded")
+            else BackendSpec.statevector()
         )
         first = run_ptsbe(
-            brickwork,
-            ProbabilisticPTS(nsamples=40, nshots=60),
-            backend=backend,
+            brickwork, ProbabilisticPTS(nsamples=40, nshots=60), backend=backend,
             strategy=strategy,
-            executor_kwargs=kwargs,
         )
         replay = run_ptsbe(
-            brickwork,
-            ProbabilisticPTS(nsamples=40, nshots=60),
-            backend=backend,
-            strategy=strategy,
-            executor_kwargs=kwargs,
-            seed=first.seed,
+            brickwork, ProbabilisticPTS(nsamples=40, nshots=60), backend=backend,
+            strategy=strategy, seed=first.seed,
         )
+        assert first.engine == replay.engine == strategy
         np.testing.assert_array_equal(
             first.shot_table().bits, replay.shot_table().bits
         )
@@ -234,19 +225,8 @@ class TestSeedResolution:
         assert a.seed != b.seed  # 2**32 space; collision ~ never
 
 
-def _assert_no_child_processes(timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if not multiprocessing.active_children():
-            return
-        time.sleep(0.05)
-    raise AssertionError(
-        f"leaked worker processes: {multiprocessing.active_children()}"
-    )
-
-
 class TestAbandonment:
-    """Mid-stream close() must leak neither processes nor buffers."""
+    """Mid-stream close() must leak neither threads nor buffers."""
 
     def test_serial_close_is_idempotent(self, brickwork):
         specs = _pts_specs(brickwork, 4)
@@ -310,32 +290,11 @@ class TestAbandonment:
         (engine,) = built
         assert engine.backend.batch_size == 0
 
-    def test_parallel_close_leaves_no_processes(self, brickwork):
-        specs = _pts_specs(brickwork, 8)
-        stream = ParallelExecutor(num_workers=2).execute_stream(
-            brickwork, specs, seed=3
-        )
-        next(stream)
-        stream.close()
-        _assert_no_child_processes()
-
-    def test_sharded_pool_close_leaves_no_processes(self, brickwork):
-        specs = _pts_specs(brickwork, 8)
-        stream = ShardedExecutor(num_workers=2).execute_stream(
-            brickwork, specs, seed=3
-        )
-        next(stream)
-        stream.close()
-        _assert_no_child_processes()
-
     def test_context_manager_closes(self, brickwork):
         specs = _pts_specs(brickwork, 4)
-        with ParallelExecutor(num_workers=2).execute_stream(
-            brickwork, specs, seed=4
-        ) as stream:
+        with ParallelExecutor().execute_stream(brickwork, specs, seed=4) as stream:
             next(stream)
         assert stream.closed
-        _assert_no_child_processes()
 
 
 class TestCloseIdempotency:
@@ -473,7 +432,7 @@ class TestRetention:
 
 class TestRetainFalseAbandonment:
     """retain=False streams must deliver identically, abandon cleanly
-    mid-run on every strategy, and leave the sharded pool reusable."""
+    mid-run on every strategy, and leave the sharded executor reusable."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_retain_false_stream_matches_materialized(self, brickwork, strategy):
@@ -504,7 +463,6 @@ class TestRetainFalseAbandonment:
             next(stream)
         with pytest.raises(ExecutionError):
             stream.finalize()
-        _assert_no_child_processes()
 
     def test_sharded_close_then_reopen_same_executor(self, brickwork):
         """An abandoned run must not poison the executor: the same sharded
@@ -515,13 +473,11 @@ class TestRetainFalseAbandonment:
         stream = executor.execute_stream(brickwork, specs, seed=12, retain=False)
         next(stream)
         stream.close()
-        _assert_no_child_processes()
         reopened = executor.execute_stream(brickwork, specs, seed=12)
         result = reopened.finalize()
         np.testing.assert_array_equal(
             result.shot_table().bits, materialized.shot_table().bits
         )
-        _assert_no_child_processes()
 
 
 class TestLookAhead:
@@ -634,10 +590,10 @@ def _run(total):
 class TestStreamingPrimitives:
     def test_ordered_delivery_reorders(self):
         delivery = OrderedDelivery(_run(4))
-        assert delivery.add([_unit([2])]) is None
-        first = delivery.add([_unit([0])])
+        assert delivery.add(_unit([2])) is None
+        first = delivery.add(_unit([0]))
         assert (first.start, len(first.specs)) == (0, 1)
-        rest = delivery.add([_unit([3, 1])])
+        rest = delivery.add(_unit([3, 1]))
         assert (rest.start, len(rest.specs)) == (1, 3)
         table = ShotChunk(rest, (0,)).shot_table()
         assert table.bits[:, 0].tolist() == [1, 1, 2, 2, 3, 3]
@@ -646,13 +602,13 @@ class TestStreamingPrimitives:
 
     def test_ordered_delivery_rejects_duplicates_and_range(self):
         delivery = OrderedDelivery(_run(3))
-        delivery.add([_unit([0])])
+        delivery.add(_unit([0]))
         with pytest.raises(ExecutionError, match="duplicate"):
-            delivery.add([_unit([0])])
+            delivery.add(_unit([0]))
         with pytest.raises(ExecutionError, match="position 2"):
-            delivery.add([_unit([2, 1, 2])])
+            delivery.add(_unit([2, 1, 2]))
         with pytest.raises(ExecutionError, match="out of range"):
-            delivery.add([_unit([5])])
+            delivery.add(_unit([5]))
 
     def test_shot_chunk_table(self, brickwork):
         stream = BatchedExecutor().execute_stream(
@@ -693,8 +649,8 @@ def _halves(unit):
 
 class TestUnitDelivery:
     """Delivery is unit-granular: however a run's units arrive — out of
-    order, reissued, overlapping a halved range, over a pool — the chunk
-    tables concatenate to ``finalize().shot_table()`` bitwise."""
+    order, a halved range as two units — the chunk tables concatenate to
+    ``finalize().shot_table()`` bitwise, and no position is filed twice."""
 
     @pytest.fixture(scope="class")
     def drawn(self, brickwork):
@@ -724,13 +680,13 @@ class TestUnitDelivery:
 
     @staticmethod
     def _replay(run, arrivals, reference):
-        """Feed ``(units, reissue)`` arrivals through one delivery; the chunk
-        tables, joined, and the finalized table must equal ``reference``."""
+        """Feed the arriving units through one delivery; the chunk tables,
+        joined, and the finalized table must equal ``reference``."""
         delivery = OrderedDelivery(run)
 
         def chunks():
-            for units, reissue in arrivals:
-                ready = delivery.add(units, reissue)
+            for unit in arrivals:
+                ready = delivery.add(unit)
                 if ready is not None:
                     yield ready
 
@@ -744,40 +700,30 @@ class TestUnitDelivery:
 
     def test_out_of_order_completions(self, drawn):
         _, run, units, reference = drawn
-        self._replay(run, [([unit], False) for unit in reversed(units)], reference)
+        self._replay(run, units[::-1], reference)
         order = np.random.default_rng(0).permutation(len(units))
-        self._replay(run, [([units[i]], False) for i in order], reference)
-        self._replay(run, [(units[::-1], False)], reference)
+        self._replay(run, [units[i] for i in order], reference)
 
-    def test_reissued_unit_is_dropped_whole(self, drawn):
-        _, run, units, reference = drawn
-        delivery = OrderedDelivery(run)
-        delivery.add(units[:2])
-        outstanding = delivery.outstanding
-        assert delivery.add(units[1:2], reissue=True) is None
-        assert delivery.outstanding == outstanding
-        again = [([units[0]], False), ([units[1]], False), ([units[1], units[0]], True)]
-        self._replay(run, again + [([unit], False) for unit in units[2:]], reference)
-
-    def test_reissue_overlapping_a_halved_range(self, drawn):
+    def test_a_halved_range_arrives_as_two_units(self, drawn):
         _, run, units, reference = drawn
         widest = max(range(len(units)), key=lambda i: len(units[i].positions))
-        first, _ = _halves(units[widest])
-        others = [([unit], False) for i, unit in enumerate(units) if i != widest]
-        # The first half lands, then the whole unit comes back reissued: its
-        # second half's specs are read from the reissued block.
-        self._replay(run, [([first], False)] + others + [([units[widest]], True)], reference)
+        first, second = _halves(units[widest])
+        others = [unit for i, unit in enumerate(units) if i != widest]
+        self._replay(run, [second] + others + [first], reference)
 
-    def test_duplicate_tripwire_on_a_non_reissued_unit(self, drawn):
+    def test_duplicate_tripwire_on_a_unit_filed_twice(self, drawn):
         _, run, units, _ = drawn
         widest = max(units, key=lambda unit: len(unit.positions))
         first, _ = _halves(widest)
         delivery = OrderedDelivery(run)
-        delivery.add([first])
+        delivery.add(first)
         with pytest.raises(ExecutionError, match="duplicate delivery"):
-            delivery.add([widest])
+            delivery.add(widest)
+        # A retried unit that was filed before its retry trips it too.
+        delivery = OrderedDelivery(run)
+        delivery.add(widest)
         with pytest.raises(ExecutionError, match="duplicate delivery"):
-            OrderedDelivery(run).add([widest, widest])
+            delivery.add(widest)
 
     @pytest.mark.parametrize("retain", [False, True])
     def test_a_table_aliases_a_block_only_when_nothing_keeps_it(self, brickwork, retain):
@@ -793,16 +739,6 @@ class TestUnitDelivery:
             result = stream.finalize()
             bits = result.shot_table().bits
             assert not any(np.shares_memory(bits, b) for b in result.columns.blocks.values())
-
-    def test_two_workers(self, drawn, brickwork):
-        specs, _, _, reference = drawn
-        executor = VectorizedExecutor(max_batch=4, num_workers=2)
-        stream = executor.execute_stream(brickwork, specs, seed=3)
-        joined = ShotTable.concatenate([chunk.shot_table() for chunk in stream])
-        for table in (joined, stream.finalize().shot_table()):
-            np.testing.assert_array_equal(table.bits, reference.bits)
-            np.testing.assert_array_equal(table.trajectory_ids, reference.trajectory_ids)
-        _assert_no_child_processes()
 
 
 class TestStreamedDecoderDataset:

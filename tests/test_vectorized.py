@@ -1021,10 +1021,7 @@ class TestStrategyKnob:
     def test_parallel_strategy(self, noisy_ghz3):
         sampler = ProbabilisticPTS(nsamples=100, nshots=100)
         serial = run_ptsbe(noisy_ghz3, sampler, seed=9, strategy="serial")
-        parallel = run_ptsbe(
-            noisy_ghz3, sampler, seed=9, strategy="parallel",
-            executor_kwargs={"num_workers": 2},
-        )
+        parallel = run_ptsbe(noisy_ghz3, sampler, seed=9, strategy="parallel")
         np.testing.assert_array_equal(serial.shot_table().bits, parallel.shot_table().bits)
 
     def test_unknown_strategy_rejected(self, noisy_ghz3):
