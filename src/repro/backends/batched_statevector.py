@@ -30,6 +30,14 @@ its one-row view, so a serial preparation *is* a stacked preparation at
   amplitude is read (the draws read the source's); a row whose source
   died before it joined is dead the same way.  Every row-facing call
   maps caller rows to slots, so callers see their own order.
+* **A serial run shares prefixes across its units** through a
+  :class:`Ladder`: the one-row form of the same walk, where a row "joins"
+  by restoring a held ideal-prefix state (a *rung*) at or before its
+  first deviating step instead of copying a sorted predecessor's row.
+  The serial engine chooses at most :data:`MAX_RUNGS` rung steps once
+  per run, from the first deviations of the units still to run, and
+  hands the ladder to :meth:`_prepare`; a rung at the plan's tail lets a
+  row that deviates only in the measurement tail walk nothing.
 * **Divergent Kraus choices** share the step's one kernel call.  A row's
   variant key at a step — the tuple of prescribed Kraus indices at the
   window's sites (a site the row's table does not list takes the
@@ -82,7 +90,12 @@ their source's walked state, so the walked-order table has one row per
 source's table row.  A request that reads the final-order table (below)
 keeps its own lookup (:func:`repro.linalg.sampling.inverse_cdf_indices`,
 whose guide table pays at large shot counts); both searches return
-``searchsorted``'s indices.
+``searchsorted``'s indices.  When the tables are built for known request
+sizes (:meth:`cumulative_stack` with ``sizes``, which the engines call at
+prepare time) the guide table of every final-order row whose largest
+request takes the guide path is built with them
+(:func:`repro.linalg.sampling.guide_table`), so the draw only reads it:
+under the serial look-ahead the helper thread pays for it.
 
 The plan's *measurement tail* (:attr:`~repro.execution.plan.FusedPlan.tail`,
 its suffix of permutation-and-phase steps) is sampled through, not
@@ -121,6 +134,7 @@ one of them.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -132,15 +146,24 @@ from repro.linalg.apply import apply_compiled_stack, apply_matrix_stack
 from repro.linalg.reductions import row_norms_squared, scale_rows_inverse_sqrt
 from repro.linalg.sampling import (
     bits_from_indices,
+    guide_table,
     inverse_cdf_indices,
     stacked_inverse_cdf_indices,
 )
 from repro.circuits.circuit import Circuit
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import BackendError, CapacityError, ExecutionError
-from repro.prescriptions import Choices, as_prescriptions, site_table
+from repro.prescriptions import Choices, Prescriptions, as_prescriptions, site_table
 
-__all__ = ["BatchedStatevectorBackend"]
+__all__ = ["BatchedStatevectorBackend", "Ladder", "MAX_RUNGS"]
+
+#: A draw table: ``(caller row -> table row or -1, cumulative table, row
+#: norms, table row -> prebuilt guide table)``.
+Tables = Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, np.ndarray]]
+
+#: The most rungs a :class:`Ladder` holds: two states, as many as the
+#: one-row walk's own two buffers.
+MAX_RUNGS = 2
 
 def _trie(walked: np.ndarray, b: int) -> Tuple[np.ndarray, List[int], np.ndarray]:
     """The trie walk of ``b`` rows that take variant ``walked[s][row]`` at
@@ -178,6 +201,85 @@ def _trie(walked: np.ndarray, b: int) -> Tuple[np.ndarray, List[int], np.ndarray
     slot[by_join] = np.arange(b)
     joined = np.searchsorted(join[by_join], np.arange(len(walked)), side="right")
     return lex[by_join], joined.tolist(), slot[source[by_join]]
+
+
+def _rungs(reach: Sequence[int], cap: int) -> Tuple[Tuple[int, ...], int]:
+    """The rung steps that save the most walked row-steps, at most ``cap``
+    of them, and the row-steps they save; ``reach[s]`` counts the rows
+    whose ideal prefix reaches walked step ``s`` (``s = 0 .. tail``).
+
+    With rungs ``r_1 < ... < r_k``, a row reaching ``r_i`` but not
+    ``r_(i+1)`` restores ``r_i`` and saves ``r_i`` steps, except that the
+    first row to reach a rung fills it instead.  In any order of rows that
+    costs exactly the deepest rung reached: the first row to reach
+    ``r_k`` restores ``r_(k-1)`` if an earlier row filled it, and else
+    fills both.  So the saving is ``sum(r_i * (reach[r_i] -
+    reach[r_(i+1)])) - r_k``, and a rung fewer than two rows reach saves
+    nothing.  Ties go to the fewer, shallower rungs.
+    """
+    candidates = [s for s in range(1, len(reach)) if reach[s] >= 2]
+    best: Tuple[Tuple[int, ...], int] = ((), 0)
+    for k in range(1, cap + 1):
+        for rungs in itertools.combinations(candidates, k):
+            counts = [reach[r] for r in rungs] + [0]
+            saved = sum(r * (counts[i] - counts[i + 1]) for i, r in enumerate(rungs))
+            if saved - rungs[-1] > best[1]:
+                best = rungs, saved - rungs[-1]
+    return best
+
+
+class Ladder:
+    """A serial run's checkpoint ladder: ideal-prefix states held across
+    its units, so a row walks only from where it leaves the ideal circuit.
+
+    Every row takes each walked step's dominant variant up to its *first
+    deviating* walked step, so up to there it holds the ideal prefix's
+    state.  A *rung* is that state at one walked step, with its weight and
+    alive flag.  A row restores the deepest held rung at or before its
+    first deviation and walks on from there: the one-row form of the
+    trie walk's join (:meth:`BatchedStatevectorBackend._join`), with a
+    held prefix in place of a sorted predecessor's row.  A rung at the
+    plan's tail serves the rows that deviate only in the measurement tail,
+    which then walk nothing.
+
+    The rung steps are chosen once, from the first deviations of the rows
+    still to run (``table``, against ``plan``), to save the most walked
+    row-steps with at most :data:`MAX_RUNGS` held states (:func:`_rungs`).
+    A rung is filled by the first row whose walk passes it on the ideal
+    prefix, and a restored rung is bitwise that walk's state, weight and
+    flag: every kernel and reduction is row-independent, so each row comes
+    out as its own walk from ``|0...0>``.  Preparations that share a
+    ladder must not run concurrently (the serial look-ahead prepares on
+    one thread at a time).
+    """
+
+    def __init__(self, plan, table: Prescriptions):
+        first = np.full(len(table), plan.tail, dtype=np.intp)
+        np.minimum.at(first, table.rows(), plan.site_step[table.site_ids])
+        reach = np.cumsum(np.bincount(first, minlength=plan.tail + 1)[::-1])[::-1]
+        self.steps, saved = _rungs(reach.tolist(), MAX_RUNGS)
+        #: The walked row-steps ``table``'s rows take, prepared once each in
+        #: any order (each walked row-step is one kernel call).
+        self.row_steps = plan.tail * len(table) - saved
+        #: ``step -> (state, weight, alive)`` of every filled rung.
+        self.held: Dict[int, Tuple[np.ndarray, float, bool]] = {}
+
+    def restore(self, first: int) -> Tuple[int, Optional[Tuple[np.ndarray, float, bool]]]:
+        """The deepest held rung at or before walked step ``first``, as
+        ``(step, rung)``; ``(0, None)`` when the walk starts at ``|0...0>``."""
+        step = max((s for s in self.held if s <= first), default=0)
+        return step, self.held.get(step)
+
+    def keep(self, step: int, first: int, state: np.ndarray, weight: float, alive: bool) -> None:
+        """Fill the rung at walked ``step`` from a row's walk there, if the
+        row is still on the ideal prefix (``step <= first``) and the rung is
+        chosen and empty."""
+        if step <= first and step in self.steps and step not in self.held:
+            self.held[step] = (state.copy(), weight, alive)
+
+    def release(self) -> None:
+        """Drop every held state; the rung steps stay chosen."""
+        self.held.clear()
 
 
 def _apply_grouped(
@@ -295,9 +397,9 @@ class BatchedStatevectorBackend:
         #: The second buffer a walk alternates with, alive only during one.
         self._spare: Optional[np.ndarray] = None
         self._probs_cache: Dict[int, np.ndarray] = {}
-        #: The draw tables, walked order (``True``) and final order:
-        #: ``(caller row -> table row or -1, cumulative table, row norms)``.
-        self._tables: Dict[bool, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: The draw tables, walked order (``True``) and final order, with
+        #: the guide tables of the final-order rows whose draws read one.
+        self._tables: Dict[bool, Tables] = {}
         #: Per slot, the slot whose walked state it holds: itself, or the
         #: source of a row the trie joined at the tail, whose own state is
         #: copied only when an amplitude is read (:meth:`_materialize`).
@@ -316,6 +418,10 @@ class BatchedStatevectorBackend:
         #: windows (reduction + scale + bookkeeping) — the benchmark
         #: counter behind the strategy table's renorm column.
         self.renorm_seconds = 0.0
+        #: Rows of ``|0...0>`` a reset left for the first amplitude read to
+        #: allocate (:meth:`_born`): a preparation replaces the stack
+        #: before any read, so a backend built to prepare never fills one.
+        self._unborn = 0
         self.reset(batch_size)
 
     # ------------------------------------------------------------------ #
@@ -323,7 +429,7 @@ class BatchedStatevectorBackend:
     # ------------------------------------------------------------------ #
     @property
     def batch_size(self) -> int:
-        return int(self._stack.shape[0])
+        return len(self._alive)
 
     @property
     def max_batch_rows(self) -> int:
@@ -341,14 +447,14 @@ class BatchedStatevectorBackend:
         return self._config
 
     def reset(self, batch_size: Optional[int] = None) -> None:
-        """Reset every row to |0...0>, optionally resizing the stack."""
+        """Reset every row to |0...0>, optionally resizing the stack.  The
+        amplitudes are allocated by the first read that needs them."""
         b = self.batch_size if batch_size is None else int(batch_size)
-        self._allocate(b, np.zeros)
-        self._stack[:, 0] = 1.0
-        self._row = np.arange(b)
+        self._allocate(b, None)
 
-    def _allocate(self, b: int, alloc: Callable = np.empty) -> None:
-        """A fresh ``b``-row stack from ``alloc``, every row alive, no tail."""
+    def _allocate(self, b: int, alloc: Optional[Callable] = np.empty) -> None:
+        """A fresh ``b``-row stack from ``alloc`` (``None``: ``|0...0>`` rows
+        left to :meth:`_born`), every row alive, in caller order, no tail."""
         if b <= 0:
             raise BackendError(f"batch_size must be positive, got {b}")
         if b > self.max_batch_rows:
@@ -357,8 +463,25 @@ class BatchedStatevectorBackend:
                 f"budget of 2**{self._config.max_dense_qubits} (max {self.max_batch_rows} rows)"
             )
         self.release()  # the old stack and its tables go before the new one comes
+        self._alive = np.ones(b, dtype=bool)
+        self._holder = np.arange(b)
+        self._row = np.arange(b)
+        if alloc is None:
+            self._unborn = b
+        else:
+            self._stack = self._new(b, alloc)
+
+    def _born(self) -> None:
+        """Allocate the ``|0...0>`` rows a reset left unborn, if any."""
+        if self._unborn:
+            self._stack = self._new(self._unborn, np.zeros)
+            self._stack[:, 0] = 1.0
+            self._unborn = 0
+
+    def _new(self, b: int, alloc: Callable) -> np.ndarray:
+        """A ``(b, 2**n)`` array from ``alloc``."""
         try:
-            self._stack = alloc((b, self._dim), dtype=self._config.dtype)
+            return alloc((b, self._dim), dtype=self._config.dtype)
         except MemoryError as exc:
             # Within the configured budget but past what the host actually
             # has: surface the same actionable error type as the cap check
@@ -368,8 +491,6 @@ class BatchedStatevectorBackend:
                 f"of memory; lower the batch size or use strategy "
                 f"'tensornet'/'clifford' for wide circuits"
             ) from exc
-        self._alive = np.ones(b, dtype=bool)
-        self._holder = np.arange(b)
 
     def statevector(self, row: int) -> np.ndarray:
         """Row ``row``'s amplitude array (a direct view — do not mutate)."""
@@ -390,6 +511,7 @@ class BatchedStatevectorBackend:
         its one-row view this way after every unit's draw.
         """
         self._stack = np.empty((0, self._dim), dtype=self._config.dtype)
+        self._unborn = 0
         self._alive = np.empty(0, dtype=bool)
         self._row = np.empty(0, dtype=np.intp)
         self._holder = np.empty(0, dtype=np.intp)
@@ -488,7 +610,12 @@ class BatchedStatevectorBackend:
         """
         return self._prepare(circuit, choices_list)
 
-    def _prepare(self, circuit: Circuit, choices_list: Choices) -> Tuple[np.ndarray, np.ndarray]:
+    def _prepare(
+        self, circuit: Circuit, choices_list: Choices, ladder: Optional[Ladder] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`run_fixed_stack`; a one-row table (the serial view's) may
+        restore its walk's start from ``ladder`` and fill its rungs on the
+        way (:class:`Ladder`)."""
         # Imported lazily: repro.execution imports this module at package
         # init, so a top-level import would be circular.
         from repro.execution.plan import NoiseStep, get_fused_plan
@@ -508,19 +635,31 @@ class BatchedStatevectorBackend:
         variants = plan.prescribed_steps(table)
         rows, joined, source = _trie(variants[: plan.tail], b)
         self._allocate(b)
-        self._row = np.empty(b, dtype=np.intp)
         self._row[rows] = np.arange(b)
-        self._stack[0] = 0
-        self._stack[0, 0] = 1.0
-        self._spare = np.empty_like(self._stack)
         weights = np.ones(b, dtype=np.float64)
+        start, first = 0, plan.tail
+        if ladder is not None:
+            deviating = np.flatnonzero(variants[: plan.tail, 0])
+            first = int(deviating[0]) if len(deviating) else plan.tail
+            start, rung = ladder.restore(first)
+        if start:
+            self._stack[0], weights[0], self._alive[0] = rung
+        else:
+            self._stack[0] = 0
+            self._stack[0, 0] = 1.0
+        self._spare = np.empty_like(self._stack)
         live = 1
-        for step, upto, of in zip(plan.steps, joined, variants):
-            live = self._join(live, upto, source, weights)
+        for index in range(start, plan.tail):
+            if ladder is not None:
+                ladder.keep(index, first, self._stack[0], weights[0], self._alive[0])
+            step, of = plan.steps[index], variants[index]
+            live = self._join(live, joined[index], source, weights)
             of = of[rows[:live]]
             self._apply_step(step.table, of, live)
             if isinstance(step, NoiseStep):
                 self._weigh(step, of, weights[:live])
+        if ladder is not None:
+            ladder.keep(plan.tail, first, self._stack[0], weights[0], self._alive[0])
         # Rows the trie joins at the tail take their source's weight and
         # alive flag now, its state only when an amplitude is read
         # (_materialize): until then each reads its holder's.
@@ -580,6 +719,7 @@ class BatchedStatevectorBackend:
         is the full walk's state.  The slots the trie joined at the tail
         are the last ones (slots go in order of join step), so the last
         slot tells whether any still reads its holder's state."""
+        self._born()
         held = self._holder
         if len(held) and held[-1] != len(held) - 1:
             for slot in np.flatnonzero(held != np.arange(len(held))).tolist():
@@ -672,15 +812,23 @@ class BatchedStatevectorBackend:
         return self._table(False, slice(None))[1]
 
     def _draw_tables(self, sizes: Sequence[Sequence[int]]) -> None:
-        """Build the tables the draws of ``sizes`` read (:meth:`cumulative_stack`)."""
+        """Build the tables the draws of ``sizes`` read (:meth:`cumulative_stack`),
+        with the guide table of every final-order row whose largest request
+        takes the guide path (:func:`~repro.linalg.sampling.guide_table`)."""
         for walked in (True, False):
-            rows = [
-                row
-                for row, shots in enumerate(sizes)
-                if any(n > 0 and self._walked(n) == walked for n in shots)
-            ]
-            if rows:
-                self._tables[walked] = self._build_table(walked, rows)
+            drawn = {}  # row -> its largest request in this order
+            for row, shots in enumerate(sizes):
+                taken = [n for n in shots if n > 0 and self._walked(n) == walked]
+                if taken:
+                    drawn[row] = max(taken)
+            if drawn:
+                at, cum, totals, guides = self._build_table(walked, list(drawn))
+                if not walked:
+                    for row, n in drawn.items():
+                        guide = guide_table(cum[at[row]], n)
+                        if guide is not None:
+                            guides[int(at[row])] = guide
+                self._tables[walked] = at, cum, totals, guides
 
     def _walked(self, num_shots):
         """Whether a request of ``num_shots`` (or each of an array of them)
@@ -688,18 +836,16 @@ class BatchedStatevectorBackend:
         and a tail to relabel them through."""
         return bool(self._tail) & (num_shots < self._dim)
 
-    def _table(self, walked: bool, rows) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(caller row -> table row or -1, cumulative table, row norms)`` in
-        walked or final order, built for every row unless it has ``rows``
-        (an index into the caller rows)."""
+    def _table(self, walked: bool, rows) -> Tables:
+        """The :data:`Tables` in walked or final order, built for every row
+        (with no guide) unless it has ``rows`` (an index into the caller
+        rows)."""
         entry = self._tables.get(walked)
         if entry is None or (entry[0][rows] < 0).any():
             entry = self._tables[walked] = self._build_table(walked, range(self.batch_size))
         return entry
 
-    def _build_table(
-        self, walked: bool, rows: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build_table(self, walked: bool, rows: Sequence[int]) -> Tables:
         """The table the draws of caller ``rows`` read.  In walked order its
         rows are the stack's leading slots, up to the last one a row in
         ``rows`` holds its walked state in, squared in one block pass: a
@@ -723,7 +869,7 @@ class BatchedStatevectorBackend:
         np.cumsum(cum, axis=1, out=cum)
         # Clamp the tail so no uniform falls off the end.
         cum[:, -1] = 1.0
-        return at, cum, totals.reshape(-1).astype(np.float64, copy=False)
+        return at, cum, totals.reshape(-1).astype(np.float64, copy=False), {}
 
     def _squares(self, rows: Sequence[int], tail: bool = True) -> np.ndarray:
         """``|amplitude|**2`` of caller ``rows`` (ascending), as a fresh array
@@ -738,6 +884,7 @@ class BatchedStatevectorBackend:
         The squares come out in caller order, read row by row out of the
         walk order: no gather of the complex stack.
         """
+        self._born()
         rows = np.asarray(rows, dtype=np.intp)
         probs = np.empty((len(rows), self._dim), dtype=self._stack.real.dtype)
         for out, slot in zip(probs, self._holder[self._row[rows]].tolist()):
@@ -805,12 +952,12 @@ class BatchedStatevectorBackend:
         tables = {}
         for order, mask in ((True, walked), (False, (sizes > 0) & ~walked)):
             if mask.any():
-                at, cum, totals = self._table(order, rows[mask])
+                tables[order] = self._table(order, rows[mask])
+                at, _, totals, _ = tables[order]
                 dead = totals[at[rows[mask]]] <= 0
                 if dead.any():
                     row = rows[mask][dead.argmax()]
                     raise BackendError(f"stack row {row} has zero norm (dead trajectory)")
-                tables[order] = at, cum
         buffer = np.empty(int(sizes[walked].sum()))
         indices = np.empty(int(sizes.sum()), dtype=np.int64)
         start = end = 0
@@ -820,12 +967,13 @@ class BatchedStatevectorBackend:
                 rng.random(out=buffer[start : start + num_shots])
                 start += num_shots
             elif num_shots:
-                at, cum = tables[False]
-                indices[end - num_shots : end] = inverse_cdf_indices(
-                    cum[at[row]], rng.random(num_shots)
+                at, cum, _, guides = tables[False]
+                inverse_cdf_indices(
+                    cum[at[row]], rng.random(num_shots), guides.get(at[row]),
+                    indices[end - num_shots : end],
                 )
         if start:
-            at, cum = tables[True]
+            at, cum, _, _ = tables[True]
             owners = np.repeat(rows[walked], sizes[walked])
             drawn = stacked_inverse_cdf_indices(cum, at.take(owners), buffer)
             relabelled = self._relabel(drawn, owners)

@@ -74,7 +74,7 @@ class StatevectorBackend(PureStateBackend):
             if nrm == 0:
                 raise BackendError("cannot normalize the zero vector")
             state = state / nrm
-        self.reset()
+        self.stack._allocate(1)
         self.stack._stack[0] = state
 
     def reset(self) -> None:
@@ -96,7 +96,7 @@ class StatevectorBackend(PureStateBackend):
     def apply_matrix(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
         self.stack.apply_matrix(matrix, targets)
 
-    def run_fixed(self, circuit, kraus_choices=None) -> float:
+    def run_fixed(self, circuit, kraus_choices=None, ladder=None) -> float:
         """The stack's plan walk on one row.
 
         Overrides :meth:`PureStateBackend.run_fixed`: the circuit's
@@ -109,12 +109,15 @@ class StatevectorBackend(PureStateBackend):
         ``kraus_choices`` is one ``site_id -> kraus_index`` map or a
         one-row :class:`~repro.prescriptions.Prescriptions` table.  A
         prescription that annihilates the state raises
-        :class:`~repro.errors.ZeroProbabilityTrajectory`.
+        :class:`~repro.errors.ZeroProbabilityTrajectory`.  With a
+        :class:`~repro.backends.batched_statevector.Ladder` the walk starts
+        at its deepest rung on the row's ideal prefix and fills the rungs
+        it passes: the same state and weight, fewer steps walked.
         """
         rows = kraus_choices if isinstance(kraus_choices, Prescriptions) else [kraus_choices]
         if len(rows) != 1:
             raise BackendError(f"run_fixed prepares one row, got a {len(rows)}-row table")
-        weights, alive = self.stack._prepare(circuit, rows)
+        weights, alive = self.stack._prepare(circuit, rows, ladder)
         if not alive[0]:
             raise ZeroProbabilityTrajectory("the prescribed Kraus choices annihilate the state")
         return float(weights[0])

@@ -37,13 +37,14 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.batched_statevector import BatchedStatevectorBackend
+from repro.backends.batched_statevector import BatchedStatevectorBackend, Ladder
 from repro.backends.mps import MPSBackend
 from repro.backends.statevector import StatevectorBackend
 from repro.circuits.circuit import Circuit
 from repro.config import DEFAULT_CONFIG, Config
 from repro.errors import CapacityError, ExecutionError, ZeroProbabilityTrajectory
 from repro.execution.driver import Engine, StreamingExecutor, check_measurements
+from repro.execution.plan import get_fused_plan
 from repro.execution.results import PTSBEResult
 from repro.execution.router import check_engine_fits, resolve_strategy
 from repro.execution.streaming import StreamedResult
@@ -207,7 +208,12 @@ class ParallelExecutor(BatchedExecutor):
 
 class _SerialEngine:
     """:class:`~repro.execution.driver.Engine` over one dense statevector:
-    a unit is a single ``run_fixed`` + bulk ``sample``."""
+    a unit is a single ``run_fixed`` + bulk ``sample``.
+
+    The units after the head share one :class:`Ladder` of ideal-prefix
+    states, chosen when they are scheduled and shared with the
+    look-ahead's adapter, so a row walks only from the deepest held rung
+    on its ideal prefix; :meth:`release` drops it with the run."""
 
     max_rows = 1
     max_unit_shots = None
@@ -224,6 +230,7 @@ class _SerialEngine:
         self.circuit = circuit
         self.measured = tuple(circuit.measured_qubits)
         self.config = config
+        self.ladder: Optional[Ladder] = None
 
     @property
     def lookahead_shots(self) -> Optional[int]:
@@ -234,11 +241,19 @@ class _SerialEngine:
         and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots."""
         return max(1 << 16, 2**self.circuit.num_qubits)
 
+    def share(self, table, peer) -> None:
+        """Choose the run's rungs from the rows still to run, or share the
+        first adapter's ladder (``peer``)."""
+        if peer is not None:
+            self.ladder = peer.ladder
+        else:
+            self.ladder = Ladder(get_fused_plan(self.circuit, self.config), table)
+
     def prepare(self, table, sizes):
         try:
-            weight = self.backend.run_fixed(self.circuit, table)
-            # The draw tables, built here so a look-ahead helper pays for
-            # them, not the draw.
+            weight = self.backend.run_fixed(self.circuit, table, self.ladder)
+            # The draw tables and their guide tables, built here so a
+            # look-ahead helper pays for them, not the draw.
             self.backend.cumulative(sizes[0])
             return [weight]
         except ZeroProbabilityTrajectory:
@@ -253,12 +268,14 @@ class _SerialEngine:
         bits = [self.backend.sample(n, self.measured, rng) for _, n, rng in requests]
         # A unit is drawn once: its 2**n state and sampling tables go now,
         # not when the next unit is prepared over them.
-        self.release()
+        self.backend.release()
         empty = np.empty((0, len(self.measured)), dtype=np.uint8)
         return bits[0] if len(bits) == 1 else np.concatenate([empty, *bits])
 
     def release(self) -> None:
         self.backend.release()
+        if self.ladder is not None:
+            self.ladder.release()
 
 
 #: The strategy table: every BE engine behind one name, as the

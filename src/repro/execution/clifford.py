@@ -102,6 +102,9 @@ class _FrameEngine:
         self.config = config
         self.sampler, self.compile_seconds = timed(FrameSampler, circuit.freeze())
 
+    def share(self, table, peer) -> None:
+        """Units share nothing on this engine."""
+
     def prepare(self, table, sizes):
         self.flips, weights = self.sampler.frame_for_choices(table)
         return weights

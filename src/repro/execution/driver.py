@@ -76,6 +76,11 @@ took the same errors share a unit; the cuts, on rows alone, are the same
 ranges of that order.  A fault-unit name's range indexes the sorted
 order.  The order is computed after the first chunk is delivered, and it
 never depends on ``retain``.
+When the tasks after the head are cut, the engine is handed their
+prescription table in the order they run (:meth:`Engine.share`), once:
+an engine whose units share preparation plans it there (the serial
+engine's checkpoint ladder), and a look-ahead's second adapter shares that
+plan.  It lasts until the run ends (:meth:`Engine.release`).
 Delivery is in spec order whatever the order of preparation, so a chunk
 is whatever a unit's completion makes deliverable: on a sorting engine at
 most one window (the first chunk is group 0 alone), on every
@@ -89,9 +94,10 @@ prepared unit is resident ahead.  The helper runs nothing but
 ``prepare``: the fault hook, retry and halving stay on this thread, and a
 look-ahead that raised, or whose task is not the next one popped, is
 dropped and its unit prepared again in line, so an error surfaces once,
-where it does without one.  Rows draw from their own Philox streams and
-dense preparation is row-wise independent, so which thread prepared a
-unit changes no bits.  A task is a pure function of its group range and
+where it does without one (the dropped adapter's state goes when it
+prepares again, or when the run ends).  Rows draw from their own Philox
+streams and dense preparation is row-wise independent, so which thread
+prepared a unit changes no bits.  A task is a pure function of its group range and
 the root seed, so a retried or halved task re-emits bitwise-identical
 shots on every engine.  Where a unit is cut, and halving, change no bits
 where preparation is row-wise independent (the dense stack and the frame
@@ -179,6 +185,15 @@ class Engine(Protocol):
         helper thread while it draws (``None``: never)."""
         ...
 
+    def share(self, table: Prescriptions, peer: Optional["Engine"]) -> None:
+        """Plan what the units after the head share.  ``table`` holds their
+        prescriptions in the order they run, handed over once, when they
+        are cut (``peer`` is ``None``); a look-ahead's second adapter gets
+        the same table with the first adapter as ``peer``, and shares its
+        plan instead of making one.  The plan lasts until :meth:`release`.
+        An engine whose units share nothing ignores it."""
+        ...
+
     def prepare(self, table: Prescriptions, sizes: Sequence[Sequence[int]]) -> Sequence[float]:
         """Prepare one state per row of ``table``, the unit's slice of the
         run's checked prescription table; return the realized weights.
@@ -195,8 +210,8 @@ class Engine(Protocol):
         ...
 
     def release(self) -> None:
-        """Drop prepared state; the adapter stays usable.  Idempotent:
-        called on a dropped look-ahead's adapter, when the run ends and
+        """Drop prepared state and what :meth:`share` planned; the
+        adapter stays usable.  Idempotent: called when the run ends and
         again by ``StreamedResult.close()``."""
         ...
 
@@ -279,6 +294,8 @@ class _Runner:
         self.plan = plan
         self.carry = engine.compile_seconds
         self.spare: Optional[Engine] = None
+        #: The prescriptions of the tasks after the head (:meth:`share`).
+        self.scheduled: Optional[Prescriptions] = None
         self.helper: Optional[ThreadPoolExecutor] = None
         #: The unit prepared ahead on ``spare``: its group range and future.
         self.ahead: Optional[Tuple[int, int, "Future[Prepared]"]] = None
@@ -335,25 +352,33 @@ class _Runner:
         specs["sample"] = drawn * (wall / max(1, len(bits)))
         return UnitShots(members, bits, specs)
 
+    def share(self, head: int) -> None:
+        """Hand the engine the prescriptions of the tasks after the ``head``
+        groups, in the order they run."""
+        self.scheduled = self.groups.table[head:]
+        self.engine.share(self.scheduled, None)
+
     def claim(self, start: int, end: int) -> Optional[Prepared]:
         """The look-ahead, when it prepared groups ``[start, end)`` and did
-        not raise; its adapter then draws.  Otherwise it is dropped."""
+        not raise; its adapter then draws.  Otherwise it is dropped: its
+        adapter keeps what it prepared until it prepares the next one, and
+        what the two adapters share (:meth:`Engine.share`) stays."""
         if self.ahead is None:
             return None
-        assert self.spare is not None
         first, last, future = self.ahead
         self.ahead = None
         # exception() waits for the helper: from here on it is idle.
         if future.exception() is None and (first, last) == (start, end):
+            assert self.spare is not None
             self.engine, self.spare = self.spare, self.engine
             return future.result()
-        self.spare.release()
         return None
 
     def look_ahead(self, start: int, end: int) -> None:
         if self.spare is None:
+            assert self.scheduled is not None  # a look-ahead follows the head
             self.spare = self.build()
-            self.spare.release()  # what it allocated eagerly; the helper reallocates
+            self.spare.share(self.scheduled, self.engine)
             self.carry += self.spare.compile_seconds
             self.helper = ThreadPoolExecutor(1, thread_name_prefix="repro-lookahead")
         assert self.helper is not None
@@ -424,6 +449,7 @@ def drive(
         if engine.sort_bytes is not None:
             window = _windows(groups, cuts, engine.sort_bytes // len(measured))
             runner.groups = groups.take(groups.table.trie_order(window))
+        runner.share(head)
         return cuts
 
     def deliver() -> Iterator[SpecColumns]:

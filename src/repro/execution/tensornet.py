@@ -454,6 +454,9 @@ class _MPSStackEngine:
         self.cols = [self.schedule.site_of[q] for q in circuit.measured_qubits]
         self.release()
 
+    def share(self, table, peer) -> None:
+        """Units share nothing on this engine."""
+
     def prepare(self, table, sizes):
         self.release()  # the previous unit's stack goes before this one is built
         stack = BatchedMPSStack(self.num_qubits, len(table), **self.stack_options)

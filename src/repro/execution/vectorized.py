@@ -137,6 +137,9 @@ class _StackEngine:
         # run_fixed_stack call hits the plan cache.
         _, self.compile_seconds = timed(get_fused_plan, circuit, self.config)
 
+    def share(self, table, peer) -> None:
+        """Units share nothing on this engine."""
+
     def prepare(self, table, sizes):
         weights, alive = self.backend.run_fixed_stack(self.circuit, table)
         self.backend.cumulative_stack(sizes)  # the draw tables

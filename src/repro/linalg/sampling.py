@@ -15,7 +15,11 @@ basis-state indices through cumulative distributions, and both are
   It gets there with Chen & Asau's cutpoint (guide-table) method
   instead of one binary search per shot when the shot count pays for it,
   so a shot costs ``O(1)`` expected rather than ``O(log dim)``
-  mispredicted branches.
+  mispredicted branches.  The guide table is a function of the
+  distribution alone: :func:`guide_table` builds it ahead of the draw
+  (the dense backends build it with the cumulative table, when a unit is
+  prepared, so the serial look-ahead's helper pays for it), and a draw
+  handed none builds its own.
 * :func:`stacked_inverse_cdf_indices` serves a whole unit of requests
   at once: each uniform names its row of a ``(rows, 2**n)`` table, and
   one branchless binary search (``n`` levels, each one gather and one
@@ -31,13 +35,18 @@ All three are exact replacements: no shot bit depends on which path ran.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import BackendError
 
-__all__ = ["bits_from_indices", "inverse_cdf_indices", "stacked_inverse_cdf_indices"]
+__all__ = [
+    "bits_from_indices",
+    "guide_table",
+    "inverse_cdf_indices",
+    "stacked_inverse_cdf_indices",
+]
 
 #: Below this many shots the guide's fixed cost (a dozen NumPy calls,
 #: ~20 us) exceeds what it saves, whatever the dimension.
@@ -87,7 +96,19 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
     return counts[:cells].astype(dtype)
 
 
-def inverse_cdf_indices(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+def guide_table(cum: np.ndarray, num_shots: int) -> Optional[np.ndarray]:
+    """The guide table a draw of ``num_shots`` uniforms from ``cum`` reads
+    (:func:`inverse_cdf_indices`), or ``None`` where that draw takes the
+    binary search instead."""
+    return _guide_table(cum) if _use_guide(num_shots, cum.shape[0]) else None
+
+
+def inverse_cdf_indices(
+    cum: np.ndarray,
+    r: np.ndarray,
+    guide: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """``cum.searchsorted(r, side="right")`` for a whole shot budget at once.
 
     ``cum`` is a cumulative distribution over ``dim`` outcomes whose last
@@ -95,17 +116,31 @@ def inverse_cdf_indices(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
     entry ``j`` of the result is the first ``i`` with ``cum[i] > r[j]``.
 
     When the shot count pays for it (:func:`_use_guide`), ``[0, 1)`` is
-    bucketed into ``2 * dim`` cells (rounded up to a power of two) once
-    per call; a shot starts at its cell's guide entry, takes at most
-    :data:`_GUIDE_MAX_STEPS` vectorised linear steps while
-    ``cum[idx] <= r``, and any lane still unresolved (a peaked state) is
-    finished by the binary search itself — so the worst case is bounded
-    and the indices are ``searchsorted``'s by construction.
+    bucketed into ``2 * dim`` cells (rounded up to a power of two): the
+    prebuilt ``guide`` (:func:`guide_table` of ``cum``) when the caller
+    has one, else one built here.  A shot starts at its cell's guide
+    entry, takes at most :data:`_GUIDE_MAX_STEPS` vectorised linear steps
+    while ``cum[idx] <= r``, and any lane still unresolved (a peaked
+    state) is finished by the binary search itself — so the worst case is
+    bounded and the indices are ``searchsorted``'s by construction.
+    Otherwise ``guide`` is not read.
+
+    The indices are written to ``out`` (a 64-bit integer array of ``r``'s
+    shape, e.g. the caller's slice of a unit buffer) when given, else to a
+    fresh array; the guide path then works in it, with no index-sized
+    temporary besides the guide's ``int32`` lookup.
     """
     if not _use_guide(r.shape[0], cum.shape[0]):
-        return cum.searchsorted(r, side="right")
-    guide = _guide_table(cum)
-    idx = guide.take((r * guide.shape[0]).astype(np.intp)).astype(np.intp)
+        if out is None:
+            return cum.searchsorted(r, side="right")
+        out[...] = cum.searchsorted(r, side="right")
+        return out
+    if guide is None:
+        guide = _guide_table(cum)
+    idx = np.empty(r.shape, dtype=np.intp) if out is None else out
+    # Truncating r * cells in the multiply's own cast is astype(intp)'s cell.
+    np.multiply(r, guide.shape[0], out=idx, casting="unsafe")
+    idx[...] = guide.take(idx)
     todo = np.flatnonzero(cum.take(idx) <= r)
     for _ in range(_GUIDE_MAX_STEPS):
         if not todo.size:

@@ -24,7 +24,11 @@ unit, several or the whole run) on every strategy name and on ``"auto"``:
   circuit's refusal: the circuit is checked first);
 * a sampler's result and the same trajectories as a hand-built spec list
   (with a duplicate and an entry naming a dominant index drawn in) give
-  one shot table, the same dedup groups and each its own records.
+  one shot table, the same dedup groups and each its own records;
+* on unitary-mixture circuits of up to three qubits, the weighted pooled
+  distribution of ``serial`` and ``vectorized`` under ``ExhaustivePTS``
+  is within the oracle's TVD tolerance plus the uncovered mass of the
+  density-matrix reference.
 """
 
 import dataclasses
@@ -35,6 +39,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.convergence import exact_distribution
 from repro.backends.base import validate_deferred_measurement
 from repro.channels import depolarizing, pauli_channel
 from repro.channels.standard import amplitude_damping
@@ -44,10 +49,12 @@ from repro.execution import BackendSpec, analyze_circuit, run_ptsbe, run_ptsbe_s
 from repro.execution.results import TrajectoryResult
 from repro.execution import batched, clifford, tensornet, vectorized
 from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
+from repro.data.stats import total_variation_distance
 from repro.execution.router import resolve_strategy
 from repro.pts import ExhaustivePTS, ProbabilisticPTS, TrajectorySpec
 from repro.pts import base as pts_base
 from repro.rng import make_rng
+from repro.sweep.spec import OracleSpec
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
 #: Every adapter class, by module.
@@ -62,7 +69,7 @@ SAMPLER = ExhaustivePTS(cutoff=1e-6, nshots=20)
 SAMPLERS = (SAMPLER, ProbabilisticPTS(nsamples=60, nshots=20))
 RATES = (1e-10, 1e-7, 1e-3, 0.02)
 
-single_qubit_noise = st.one_of(
+unitary_mixture_noise = st.one_of(
     st.builds(depolarizing, st.sampled_from(RATES)),
     st.builds(
         pauli_channel,
@@ -70,16 +77,20 @@ single_qubit_noise = st.one_of(
         st.sampled_from((0.0, 1e-3)),
         st.sampled_from((0.0, 1e-10, 0.02)),
     ),
+)
+single_qubit_noise = st.one_of(
+    unitary_mixture_noise,
     st.builds(amplitude_damping, st.sampled_from((1e-12, 0.01, 0.1))),
 )
 
 
 @st.composite
-def noisy_circuits(draw):
-    """A circuit whose qubits may be measured mid-circuit (each once; the
-    rest at the end), so a later gate may act on a measured qubit: such a
-    circuit is not :func:`legal`."""
-    num_qubits = draw(st.integers(2, 4))
+def noisy_circuits(draw, max_qubits=4, noise=single_qubit_noise):
+    """A circuit of 2 to ``max_qubits`` qubits whose gates may each carry a
+    channel drawn from ``noise``, and whose qubits may be measured
+    mid-circuit (each once; the rest at the end), so a later gate may act
+    on a measured qubit: such a circuit is not :func:`legal`."""
+    num_qubits = draw(st.integers(2, max_qubits))
     qubit = st.integers(0, num_qubits - 1)
     circuit = Circuit(num_qubits)
     measured = []
@@ -94,7 +105,7 @@ def noisy_circuits(draw):
         else:
             qubits = [draw(qubit)]
             getattr(circuit, name)(*qubits)
-        channel = draw(st.none() | single_qubit_noise)
+        channel = draw(st.none() | noise)
         if channel is not None:
             circuit.attach(channel, draw(st.sampled_from(qubits)))
         if draw(st.integers(0, 3)) == 0:  # a mid-circuit measurement
@@ -178,6 +189,30 @@ def test_every_strategy_agrees_with_serial(circuit, sampler, max_batch):
     assert (auto.engine == "clifford") == eligible
     if not eligible:
         assert_dense_equal(auto, serial)
+
+
+#: The distribution tier's sampler: every trajectory down to 1e-4 nominal
+#: probability, each drawn often enough that the weighted pool's sampling
+#: error sits well inside the oracle's TVD tolerance.
+EXACT_SAMPLER = ExhaustivePTS(cutoff=1e-4, nshots=4000)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=noisy_circuits(max_qubits=3, noise=unitary_mixture_noise))
+def test_pooled_distributions_sit_within_the_density_matrix_bound(circuit):
+    """On unitary-mixture circuits of up to three qubits under
+    ``ExhaustivePTS``, the weighted pooled distribution of ``serial`` and
+    of ``vectorized`` is within the oracle's TVD tolerance plus the mass
+    the enumeration left out (``1 - sum(actual_weight)``) of
+    ``DensityMatrixBackend``'s exact distribution."""
+    assume(legal(circuit))
+    exact = exact_distribution(circuit)
+    for strategy in ("serial", "vectorized"):
+        result = run(circuit, strategy, sampler=EXACT_SAMPLER)
+        covered = sum(t.actual_weight for t in result.trajectories)
+        bound = OracleSpec().tvd_tolerance + max(0.0, 1.0 - covered)
+        tvd = total_variation_distance(result.pooled_distribution(), exact)
+        assert tvd <= bound, (strategy, tvd, bound, covered)
 
 
 def _no_unit(self, table, sizes):

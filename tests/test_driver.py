@@ -1122,7 +1122,8 @@ def test_look_ahead_prepare_seconds_overlap_the_draw(circuit, lookahead, monkeyp
 def test_look_ahead_holds_at_most_one_more_preparation(lookahead):
     """On an engaged 16-qubit run of 200 000-shot units, the traced peak
     exceeds the in-line run's by at most what preparing one unit holds
-    (its state, the kernel's fresh output and scratch, its draw table)."""
+    (its state, the kernel's fresh output and scratch, its draw table and
+    that table's guide, as the serial engine's ``prepare`` builds them)."""
     circuit = layered(16)
     specs = ProbabilisticPTS(nsamples=12, nshots=200_000).sample(circuit, make_rng(7)).specs
     assert len(groups_of(circuit, specs)) >= 4
@@ -1147,7 +1148,7 @@ def test_look_ahead_holds_at_most_one_more_preparation(lookahead):
 
     def prepare_one():
         backend.run_fixed(circuit, specs[1].choices)
-        backend.cumulative()
+        backend.cumulative([specs[1].num_shots])
 
     one_preparation = traced_peak(prepare_one)
     drain(False)

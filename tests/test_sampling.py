@@ -8,6 +8,7 @@ extraction.
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.errors import BackendError
 from repro.linalg import sampling
 from repro.linalg.sampling import (
     bits_from_indices,
+    guide_table,
     inverse_cdf_indices,
     stacked_inverse_cdf_indices,
 )
@@ -195,6 +197,75 @@ class TestInverseCdfIndices:
         assert built == []
         inverse_cdf_indices(cum, rng.random(4096))
         assert built == [cum.shape[0]]
+
+
+def peaked(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """One heavy amplitude among thousands of near-zero ones."""
+    dim = 2**num_qubits
+    probs = rng.random(dim) * 1e-9 / dim
+    probs[rng.integers(dim)] = 1.0
+    return np.sqrt(probs)
+
+
+class TestPrebuiltGuide:
+    """A guide built ahead of the draw (``guide_table``) gives the draw
+    built on the fly, which is ``searchsorted``'s."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_qubits=st.integers(4, 14),
+        kind=st.sampled_from(["porter-thomas", "peaked"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_prebuilt_guide_path_is_searchsorted(self, num_qubits, kind, seed):
+        rng = np.random.default_rng(seed)
+        state = porter_thomas(num_qubits, rng) if kind == "porter-thomas" else peaked(num_qubits, rng)
+        cum = cumulative(state)
+        for m in shot_counts(cum.shape[0]):
+            r = rng.random(m)
+            guide = guide_table(cum, m)
+            assert (guide is None) is not sampling._use_guide(m, cum.shape[0])
+            expected = cum.searchsorted(r, side="right")
+            np.testing.assert_array_equal(inverse_cdf_indices(cum, r, guide), expected)
+            out = np.full(m, -1, dtype=np.int64)
+            assert inverse_cdf_indices(cum, r, guide, out) is out
+            np.testing.assert_array_equal(out, expected)
+
+    def test_a_200000_shot_serial_draw_builds_no_guide(self, monkeypatch):
+        """The serial engine builds each unit's guide in ``prepare`` (on the
+        look-ahead's helper when it runs): its draws build none."""
+        from repro.channels import NoiseModel, depolarizing
+        from repro.execution import BatchedExecutor, batched
+        from repro.pts import ProbabilisticPTS
+
+        built = {"prepare": 0, "sample": 0}
+        drawing = set()  # the threads inside a draw (the look-ahead prepares beside one)
+        real, sample = sampling._guide_table, batched._SerialEngine.sample
+
+        def counting(cum):
+            built["sample" if threading.get_ident() in drawing else "prepare"] += 1
+            return real(cum)
+
+        def sampling_unit(self, requests):
+            drawing.add(threading.get_ident())
+            try:
+                return sample(self, requests)
+            finally:
+                drawing.discard(threading.get_ident())
+
+        monkeypatch.setattr(sampling, "_guide_table", counting)
+        monkeypatch.setattr(batched._SerialEngine, "sample", sampling_unit)
+        circuit = Circuit(10)
+        for q in range(10):
+            circuit.h(q)
+        for q in range(9):
+            circuit.cx(q, q + 1)
+        model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.05))
+        circuit = model.apply(circuit.measure_all()).freeze()
+        specs = ProbabilisticPTS(nsamples=6, nshots=200_000).sample(circuit, make_rng(1)).specs
+        result = BatchedExecutor().execute(circuit, specs, seed=1)
+        assert sampling._use_guide(200_000, 2**10)
+        assert built == {"prepare": result.unique_preparations, "sample": 0}
 
 
 def unit_table(num_qubits: int, rows: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Vectorized trajectory-stacked execution: backend, dedup, equivalence."""
 
+import itertools
 import random
 import sys
 import threading
@@ -13,6 +14,7 @@ import repro.linalg.apply as apply_module
 from repro.backends.batched_statevector import BatchedStatevectorBackend
 from repro import NoiseModel
 from repro.backends.statevector import StatevectorBackend
+from repro.channels.kraus import KrausChannel
 from repro.channels.standard import (
     amplitude_damping,
     bit_flip,
@@ -33,7 +35,9 @@ from repro.execution import (
     get_fused_plan,
     run_ptsbe,
 )
+from repro.execution import batched
 from repro.execution.plan import VariantTable, build_fused_plan
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.linalg.sampling import bits_from_indices
 from repro.prescriptions import as_prescriptions, site_table
 from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
@@ -522,7 +526,7 @@ class TestPrefixSharing:
         stack = BatchedStatevectorBackend(circuit.num_qubits)
         stack.run_fixed_stack(circuit, choices_list)
         stack.cumulative_stack([[50]] * rows)
-        at, cum, _ = stack._tables[True]
+        at, cum, _, _ = stack._tables[True]
         assert cum.shape[0] == len(set(walked)) == len(prefixes) < rows
         assert sorted(set(at.tolist())) == list(range(len(prefixes)))
         for i in range(rows):
@@ -824,6 +828,283 @@ class TestVariantTables:
             assert len(set(table.keys)) == len(table.keys) == len(table.probabilities)
             assert table.indices(table.keys) == list(range(len(table.keys)))
             assert len(table.operators()) == len(table.keys) == len(table.gemm)
+
+
+def _ladder_rows(circuit, choices_list):
+    """The run's prescription table, and each row's one-row table."""
+    table = as_prescriptions(site_table(circuit), choices_list)
+    return table, [table[i : i + 1] for i in range(len(table))]
+
+
+def _walk(circuit, row, ladder=None):
+    """A one-row walk of ``row``: its state, weight and alive flag."""
+    backend = BatchedStatevectorBackend(circuit.num_qubits)
+    weights, alive = backend._prepare(circuit, row, ladder)
+    return backend.statevector(0).copy(), weights[0], alive[0]
+
+
+def _every_rung_choice(plan):
+    """Every set of at most ``MAX_RUNGS`` rung steps, the empty one included."""
+    steps = range(1, plan.tail + 1)
+    return [
+        rungs
+        for k in range(stacked_module.MAX_RUNGS + 1)
+        for rungs in itertools.combinations(steps, k)
+    ]
+
+
+class TestLadder:
+    """The serial walk's checkpoint ladder: a row restores the deepest held
+    ideal-prefix state at or before its first deviation, and comes out
+    bitwise as its own walk from ``|0...0>``."""
+
+    @pytest.mark.parametrize("kind", ["brickwork", "damped"])
+    def test_every_row_is_its_walk_from_zero_for_every_rung_choice(self, kind):
+        if kind == "brickwork":
+            circuit = _noisy_brickwork(6, 0.05)
+            choices_list = [s.choices for s in _pts_specs(circuit, 3, nsamples=60, nshots=1)]
+        else:
+            circuit = _damped_register()
+            choices_list = [
+                {}, {13: 1}, {13: 1, 21: 1}, {4: 1}, {4: 1, 13: 1}, {9: 1}, {21: 1},
+                {12: 1}, {1: 1, 22: 1}, {22: 1}, {},
+            ]
+        plan = get_fused_plan(circuit)
+        table, rows = _ladder_rows(circuit, choices_list)
+        alone = [_walk(circuit, row) for row in rows]
+        if kind == "damped":
+            assert not all(live for _, _, live in alone)  # dead rows restore too
+        for rungs in _every_rung_choice(plan):
+            ladder = stacked_module.Ladder(plan, table)
+            ladder.steps = rungs
+            # Twice over: the second pass restores from rungs the first filled.
+            for row, (state, weight, live) in zip(rows + rows, alone + alone):
+                got_state, got_weight, got_live = _walk(circuit, row, ladder)
+                np.testing.assert_array_equal(got_state, state)
+                assert (got_weight, got_live) == (weight, live)
+            assert sorted(ladder.held) == [
+                r for r in rungs if any(_first_deviation(plan, c) >= r for c in choices_list)
+            ]
+
+    def test_kernel_calls_are_the_predicted_row_steps(self, monkeypatch):
+        """In run order or reversed, the rows walk what ``row_steps``
+        predicts; fewer than from ``|0...0>`` each."""
+        circuit = _noisy_brickwork(8, 0.05)
+        plan = get_fused_plan(circuit)
+        choices_list = [s.choices for s in _pts_specs(circuit, 5, nsamples=80, nshots=1)]
+        unique = list({tuple(sorted(c.items())): c for c in choices_list}.values())
+        table, rows = _ladder_rows(circuit, unique)
+        calls = []
+        kernel = stacked_module.apply_compiled_stack
+        monkeypatch.setattr(
+            stacked_module, "apply_compiled_stack", lambda *a: calls.append(1) or kernel(*a)
+        )
+        for order in (rows, rows[::-1]):
+            ladder = stacked_module.Ladder(plan, table)
+            calls.clear()
+            for row in order:  # no amplitude read: that would run the tail
+                BatchedStatevectorBackend(circuit.num_qubits)._prepare(circuit, row, ladder)
+            assert ladder.steps
+            assert len(calls) == ladder.row_steps < plan.tail * len(rows)
+
+    def test_a_serial_run_walks_the_head_then_the_predicted_row_steps(self, monkeypatch):
+        circuit = _noisy_brickwork(8, 0.05)
+        specs = _pts_specs(circuit, 5, nsamples=80, nshots=3)
+        plan = get_fused_plan(circuit)
+        calls, ladders = [], []
+        kernel = stacked_module.apply_compiled_stack
+        monkeypatch.setattr(
+            stacked_module, "apply_compiled_stack", lambda *a: calls.append(1) or kernel(*a)
+        )
+        share = batched._SerialEngine.share
+
+        def recording(self, table, peer):
+            share(self, table, peer)
+            ladders.append(self.ladder)
+
+        monkeypatch.setattr(batched._SerialEngine, "share", recording)
+        result = BatchedExecutor().execute(circuit, specs, seed=3)
+        monkeypatch.undo()
+        (ladder,) = ladders
+        assert len(calls) == plan.tail + ladder.row_steps
+        assert len(calls) < plan.tail * result.unique_preparations
+        reference = VectorizedExecutor(max_batch=1).execute(circuit, specs, seed=3)
+        np.testing.assert_array_equal(result.shot_table().bits, reference.shot_table().bits)
+
+    def test_a_dead_ideal_prefix_stays_dead(self):
+        """The dominant operator of a projector channel annihilates ``|0>``
+        at step 0, so the ideal prefix is dead: every row that keeps it is
+        dead however late it deviates, restored or walked, and a row that
+        deviates there lives."""
+        kill = KrausChannel("kill", [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+        assert kill.dominant_index() == 0
+        circuit = Circuit(6).attach(kill, 0)
+        for layer in range(4):
+            for q in range(6):
+                circuit.h(q) if layer % 2 == 0 else circuit.t(q)
+            for q in range(layer % 2, 5, 2):
+                circuit.cx(q, q + 1)
+        model = NoiseModel().add_all_qubit_gate_noise("cx", two_qubit_depolarizing(0.05))
+        circuit = model.apply(circuit.measure_all()).freeze()
+        plan = get_fused_plan(circuit)
+        assert plan.site_step[0] == 0 and plan.site_step[3] == 2 and plan.site_step[9] == plan.tail
+        choices_list = [{}, {3: 1}, {9: 2}, {0: 1}, {0: 1, 3: 5}, {}]
+        table, rows = _ladder_rows(circuit, choices_list)
+        ladder = stacked_module.Ladder(plan, table)
+        ladder.steps = (2, plan.tail)
+        got = [_walk(circuit, row, ladder) for row in rows]
+        assert sorted(ladder.held) == [2, plan.tail]
+        assert [live for _, _, live in got] == [0 in c for c in choices_list]
+        for (state, weight, live), row in zip(got, rows):
+            alone_state, alone_weight, alone_live = _walk(circuit, row)
+            np.testing.assert_array_equal(state, alone_state)
+            assert (weight, live) == (alone_weight, alone_live)
+            if not live:
+                assert weight == 0.0 and not state.any()
+
+    @pytest.mark.parametrize("failure", ["retried unit", "raising helper"])
+    def test_a_retried_look_ahead_unit_restores_from_the_same_rungs(
+        self, failure, lookahead, monkeypatch
+    ):
+        """A look-ahead unit whose task faults once claims the helper's
+        preparation on its retry; one whose helper raised is prepared again
+        in line.  Either way the adapters share one ladder, and the run
+        walks exactly the fault-free run's row-steps and draws its bits."""
+        circuit = _noisy_brickwork(8, 0.05)
+        specs = _pts_specs(circuit, 5, nsamples=40, nshots=3)
+        calls, ladders = [], []
+        kernel = stacked_module.apply_compiled_stack
+        monkeypatch.setattr(
+            stacked_module, "apply_compiled_stack", lambda *a: calls.append(1) or kernel(*a)
+        )
+        share = batched._SerialEngine.share
+
+        def recording(self, table, peer):
+            share(self, table, peer)
+            ladders.append(self.ladder)
+
+        monkeypatch.setattr(batched._SerialEngine, "share", recording)
+
+        def run(config=None):
+            calls.clear()
+            ladders.clear()
+            backend = BackendSpec.statevector(**({"config": config} if config else {}))
+            return BatchedExecutor(backend).execute(circuit, specs, seed=3)
+
+        threads = lookahead(True)
+        clean = run()
+        clean_calls = len(calls)
+        assert "repro-lookahead_0" in threads
+        if failure == "retried unit":
+            plan = FaultPlan(rules=(FaultSpec("transient-backend", "serial/stack:2:3"),))
+            faulty = run(Config(fault_plan=plan))
+            assert [(e.kind, e.unit) for e in faulty.recovery] == [("retry", "serial/stack:2:3")]
+        else:
+            prepare = batched._SerialEngine.prepare
+
+            def helper_fails(self, table, sizes):
+                if threading.current_thread() is not threading.main_thread():
+                    raise BackendError("the helper's preparation failed")
+                return prepare(self, table, sizes)
+
+            monkeypatch.setattr(batched._SerialEngine, "prepare", helper_fails)
+            faulty = run()
+        assert len(ladders) == 2 and ladders[0] is ladders[1]
+        assert len(calls) == clean_calls
+        np.testing.assert_array_equal(faulty.shot_table().bits, clean.shot_table().bits)
+
+    def test_the_look_ahead_shares_the_ladder_under_a_short_switch_interval(
+        self, lookahead, monkeypatch
+    ):
+        """The main thread draws while the helper restores and fills rungs,
+        switching every microsecond: the run walks the in-line run's
+        row-steps and draws its bits (a rung filled twice, or read half
+        written, would break one or the other)."""
+        circuit = _noisy_brickwork(8, 0.05)
+        specs = _pts_specs(circuit, 7, nsamples=60, nshots=50)
+        calls = []
+        kernel = stacked_module.apply_compiled_stack
+        monkeypatch.setattr(
+            stacked_module, "apply_compiled_stack", lambda *a: calls.append(1) or kernel(*a)
+        )
+        lookahead(False)
+        inline = BatchedExecutor().execute(circuit, specs, seed=4)
+        inline_calls, calls[:] = len(calls), []
+        threads = lookahead(True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = BatchedExecutor().execute(circuit, specs, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert "repro-lookahead_0" in threads
+        assert len(calls) == inline_calls
+        np.testing.assert_array_equal(ahead.shot_table().bits, inline.shot_table().bits)
+        assert [t.actual_weight for t in ahead.trajectories] == [
+            t.actual_weight for t in inline.trajectories
+        ]
+
+    @pytest.mark.parametrize("lookahead_on", [False, True], ids=["in-line", "look-ahead"])
+    def test_no_rung_outlives_close_or_a_consumer_that_stops_pulling(
+        self, lookahead_on, lookahead
+    ):
+        """Rungs are held while units still run, and none is held once the
+        stream closes: after a consumer stops pulling and closes, and after
+        a run drains."""
+        lookahead(lookahead_on)
+        circuit = _noisy_brickwork(8, 0.05)
+        specs = _pts_specs(circuit, 5, nsamples=60, nshots=3)
+        ladders = []
+        share = batched._SerialEngine.share
+
+        def recording(self, table, peer):
+            share(self, table, peer)
+            ladders.append(self.ladder)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batched._SerialEngine, "share", recording)
+            stream = BatchedExecutor().execute_stream(circuit, specs, seed=21)
+            for _ in stream:
+                if ladders and ladders[0].held:
+                    break
+            assert ladders[0].held
+            stream.close()
+            assert all(not ladder.held for ladder in ladders)
+            ladders.clear()
+            list(BatchedExecutor().execute_stream(circuit, specs, seed=21, retain=False))
+            assert ladders and all(not ladder.held for ladder in ladders)
+
+
+class TestLazyZeroState:
+    def test_the_constructor_allocates_no_state(self):
+        """A backend built to prepare never fills a ``|0...0>`` stack: at 20
+        qubits (a 16 MiB state) construction allocates no ``2**n`` buffer."""
+        tracemalloc.start()
+        try:
+            stack = BatchedStatevectorBackend(20)
+            view = StatevectorBackend(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert stack.batch_size == view.stack.batch_size == 1
+
+    @pytest.mark.parametrize("read", ["statevector", "probabilities", "cumulative", "sample"])
+    def test_a_never_prepared_backend_reads_the_zero_state(self, read):
+        backend = StatevectorBackend(3)
+        zero = np.zeros(8)
+        zero[0] = 1.0
+        if read == "statevector":
+            np.testing.assert_array_equal(backend.statevector, zero)
+        elif read == "probabilities":
+            np.testing.assert_array_equal(backend.probabilities(), zero)
+        elif read == "cumulative":
+            np.testing.assert_array_equal(backend.cumulative().reshape(-1), np.ones(8))
+        else:
+            assert not backend.sample(50, [0, 1, 2], make_rng(1)).any()
+        stack = BatchedStatevectorBackend(3, 2)
+        stack.reset(4)
+        assert stack.batch_size == 4 and stack.norms_squared().tolist() == [1.0] * 4
 
 
 class TestDedup:
