@@ -38,7 +38,6 @@ from repro.errors import (
     QECError,
     ReproError,
     SamplingError,
-    WorkerCrashError,
 )
 from repro.rng import StreamFactory, make_rng, trajectory_rng
 from repro.faults import FaultPlan, FaultSpec, RecoveryEvent, RetryPolicy
@@ -76,9 +75,7 @@ from repro.pts import (
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     PTSBEResult,
-    ShardedExecutor,
     ShotChunk,
     ShotTable,
     StreamedResult,
@@ -105,7 +102,6 @@ __all__ = [
     "CapacityError",
     "SamplingError",
     "ExecutionError",
-    "WorkerCrashError",
     "FaultError",
     "QECError",
     "DataError",
@@ -147,9 +143,7 @@ __all__ = [
     "TrajectorySpec",
     "BackendSpec",
     "BatchedExecutor",
-    "ParallelExecutor",
     "VectorizedExecutor",
-    "ShardedExecutor",
     "PTSBEResult",
     "ShotTable",
     "ShotChunk",

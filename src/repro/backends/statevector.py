@@ -171,14 +171,15 @@ class StatevectorBackend(PureStateBackend):
         return self.stack.probabilities(0)
 
     def cumulative(self, sizes: Optional[Sequence[int]] = None) -> Optional[np.ndarray]:
-        """The cumulative distribution over final basis indices, built once
-        per prepared state (the measurement tail runs here).  With
-        ``sizes``, the shot counts :meth:`sample` will draw, it builds only
-        the tables those draws read instead and returns ``None``: a draw
+        """The cumulative distribution over final basis indices, one
+        ``(2**n,)`` row like :meth:`probabilities`, built once per prepared
+        state (the measurement tail runs here).  With ``sizes``, the shot
+        counts :meth:`sample` will draw, it builds only the tables those
+        draws read instead and returns ``None``: a draw
         under ``2**n`` shots reads the walked-order table and is relabelled
         through the tail (see :mod:`repro.backends.batched_statevector`)."""
         if sizes is None:
-            return self.stack._cumulative()
+            return self.stack._cumulative()[0]
         self.stack._draw_tables([sizes])
         return None
 

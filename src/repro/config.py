@@ -75,10 +75,10 @@ class Config:
         :func:`repro.faults.plan.parse_fault_plan` for the syntax).
     retry:
         The :class:`~repro.faults.retry.RetryPolicy` applied per work
-        unit (one ``<strategy>/stack:a:b`` range of dedup groups).  Seed threading makes a retried unit
-        re-emit bitwise-identical shots, so the default policy (3
-        attempts, tiny exponential backoff with deterministic jitter) is
-        always safe to leave on.
+        unit (one ``<strategy>/stack:a:b`` range of dedup groups).  Seed
+        threading makes a retried unit re-emit bitwise-identical shots, so
+        the default policy (3 attempts, tiny exponential backoff) is always
+        safe to leave on.
     """
 
     dtype: np.dtype = np.dtype(np.complex128)

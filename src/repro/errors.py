@@ -56,21 +56,12 @@ class ExecutionError(ReproError):
     """Batched-execution failure (no trajectories, no measurements, ...)."""
 
 
-class WorkerCrashError(ExecutionError):
-    """A work unit's worker died mid-unit.
-
-    Raised by the fault-injection layer (the ``worker-crash`` kind) to
-    emulate a hard crash; the driver retries the unit in-process under the
-    same retry budget as any other failure.
-    """
-
-
 class FaultError(ExecutionError):
     """A work unit exhausted its recovery options.
 
     Carries the failing unit's name and the attempt count; the triggering
     exception rides on ``__cause__`` so callers see the full chain
-    (e.g. ``FaultError <- WorkerCrashError``).
+    (e.g. ``FaultError <- BackendError``).
     """
 
     def __init__(self, message: str, unit: str = "", attempts: int = 0):

@@ -11,10 +11,11 @@ over four executors, each a constructor plus an
 (:mod:`~repro.execution.clifford`) and ``tensornet`` trajectory-stacked
 MPS (:mod:`~repro.execution.tensornet`), all in this process.
 ``max_batch`` (the stacked executors) is a constructor parameter;
-``parallel`` and ``sharded`` are aliases of ``serial`` and ``vectorized``
-that differ in name and defaults only.  The name → class table is
-:data:`~repro.execution.batched.STRATEGIES`; ``strategy="auto"`` picks
-per circuit through :mod:`repro.execution.router`.
+``parallel`` and ``sharded`` are ``serial`` and ``vectorized`` under
+another name, differing in defaults only.  The name → (class, defaults)
+table is :data:`~repro.execution.batched.STRATEGIES`, built by
+:func:`~repro.execution.batched.build_executor`; ``strategy="auto"``
+picks per circuit through :mod:`repro.execution.router`.
 
 Results carry per-shot provenance (:mod:`repro.execution.results`) and
 stream as :class:`~repro.execution.streaming.ShotChunk`\\ s while the run is
@@ -29,7 +30,6 @@ from repro.execution.streaming import ShotChunk, StreamedResult
 from repro.execution.batched import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     run_ptsbe,
     run_ptsbe_stream,
     VALID_STRATEGIES,
@@ -40,7 +40,7 @@ from repro.execution.plan import (
     clear_plan_cache,
     get_fused_plan,
 )
-from repro.execution.vectorized import ShardedExecutor, VectorizedExecutor
+from repro.execution.vectorized import VectorizedExecutor
 from repro.execution.clifford import CliffordFrameExecutor
 from repro.execution.tensornet import TensorNetExecutor, compile_schedule
 from repro.execution.router import (
@@ -64,9 +64,7 @@ __all__ = [
     "build_fused_plan",
     "clear_plan_cache",
     "get_fused_plan",
-    "ParallelExecutor",
     "VectorizedExecutor",
-    "ShardedExecutor",
     "CliffordFrameExecutor",
     "TensorNetExecutor",
     "compile_schedule",

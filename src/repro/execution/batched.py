@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import import_module
 from typing import Dict, Optional, Tuple
 
@@ -55,8 +54,7 @@ __all__ = [
     "BackendSpec",
     "check_backend",
     "BatchedExecutor",
-    "ParallelExecutor",
-    "executor_class",
+    "build_executor",
     "run_ptsbe",
     "run_ptsbe_stream",
     "STRATEGIES",
@@ -67,7 +65,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """Picklable recipe for the backend a run uses.
+    """The recipe for the backend a run uses.
 
     ``kind`` is ``"statevector"``, ``"mps"``, or ``"batched_statevector"``
     (the trajectory-stacked backend used by
@@ -80,7 +78,7 @@ class BackendSpec:
     (:func:`check_backend`).
 
     ``options`` is stored as a sorted tuple of ``(key, value)`` pairs so
-    the spec stays picklable and deterministic; the spec is hashable only
+    equal recipes compare equal; the spec is hashable only
     when every option value is (a ``config=Config(...)`` option, being a
     mutable dataclass, is not — keep such specs out of hash-keyed
     containers).
@@ -198,14 +196,6 @@ class BatchedExecutor(StreamingExecutor):
         return _SerialEngine(self.strategy, backend, circuit, self.backend.config)
 
 
-class ParallelExecutor(BatchedExecutor):
-    """``BatchedExecutor`` under the name ``"parallel"``.  Kept as an
-    alias so seeds, fault sites (``parallel/stack:*``) and user code
-    replay unchanged."""
-
-    strategy = "parallel"
-
-
 class _SerialEngine:
     """:class:`~repro.execution.driver.Engine` over one dense statevector:
     a unit is a single ``run_fixed`` + bulk ``sample``.
@@ -238,7 +228,15 @@ class _SerialEngine:
         unit's preparation.  Measured on a 2-core host with the look-ahead
         always on: 1.6-1.9x shots/s at 16 qubits and 200 000 shots per
         unit; 0.85-0.96x at 6 and 10 qubits with 100 or 1 000 shots; 1.0x,
-        and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots."""
+        and peak RSS 120 -> 186 MiB, at 20 qubits and 2**17 shots.
+
+        Those figures, and the gain, hold with BLAS pinned to one thread
+        (as the benchmark harness runs).  With OpenBLAS left at its
+        default thread count the helper competes with BLAS's own threads
+        for the cores: on the brickwork 16q, 60 x 200 000-shot streamed
+        shape the look-ahead read 1.34x shots/s pinned (16 of 16
+        interleaved pairs) but 0.91x unpinned (2 of 16).  The threshold
+        stays until an unpinned benchmark row can decide it."""
         return max(1 << 16, 2**self.circuit.num_qubits)
 
     def share(self, table, peer) -> None:
@@ -279,16 +277,19 @@ class _SerialEngine:
 
 
 #: The strategy table: every BE engine behind one name, as the
-#: ``(module, executor class)`` that serves it (the modules import this
-#: one, so the classes are looked up at dispatch).  ``"auto"`` resolves to
+#: ``(module, executor class, default kwargs)`` that serves it (the modules
+#: import this one, so the classes are looked up at dispatch).
+#: ``"parallel"`` and ``"sharded"`` are ``"serial"`` and ``"vectorized"``
+#: under another name (``result.engine``, fault sites ``parallel/stack:*``),
+#: ``"sharded"`` with no ``max_batch`` by default.  ``"auto"`` resolves to
 #: one of these names first, through :mod:`repro.execution.router`.
 STRATEGIES = {
-    "serial": ("repro.execution.batched", "BatchedExecutor"),
-    "parallel": ("repro.execution.batched", "ParallelExecutor"),
-    "vectorized": ("repro.execution.vectorized", "VectorizedExecutor"),
-    "sharded": ("repro.execution.vectorized", "ShardedExecutor"),
-    "clifford": ("repro.execution.clifford", "CliffordFrameExecutor"),
-    "tensornet": ("repro.execution.tensornet", "TensorNetExecutor"),
+    "serial": ("repro.execution.batched", "BatchedExecutor", {}),
+    "parallel": ("repro.execution.batched", "BatchedExecutor", {}),
+    "vectorized": ("repro.execution.vectorized", "VectorizedExecutor", {}),
+    "sharded": ("repro.execution.vectorized", "VectorizedExecutor", {"max_batch": None}),
+    "clifford": ("repro.execution.clifford", "CliffordFrameExecutor", {}),
+    "tensornet": ("repro.execution.tensornet", "TensorNetExecutor", {}),
 }
 
 #: The strategies that materialize dense ``2**n`` statevectors and are
@@ -299,20 +300,40 @@ DENSE_STRATEGIES = ("serial", "parallel", "vectorized", "sharded")
 VALID_STRATEGIES = ("auto",) + tuple(STRATEGIES)
 
 
-@lru_cache(maxsize=None)
-def executor_class(strategy: str) -> type:
-    """The executor class behind a concrete strategy name.
+def build_executor(
+    strategy: str, backend: Optional[BackendSpec] = None, /, **kwargs
+) -> StreamingExecutor:
+    """The executor behind a concrete strategy name: the row's class, built
+    on ``backend`` (the class's default when ``None``) with the row's
+    default kwargs under ``kwargs``, and named ``strategy``.
 
-    Unknown names fail up front with the full list of valid strategies —
-    the misuse guard for ``run_ptsbe(strategy=...)``.
+    Unknown names fail up front with the full list of valid strategies,
+    and a keyword the class does not take (``backend`` is a parameter of
+    its own) with the names it does — the misuse guards for
+    ``run_ptsbe(strategy=..., executor_kwargs=...)``, before anything is
+    built.
     """
     if strategy not in STRATEGIES:
         valid = ", ".join(repr(name) for name in VALID_STRATEGIES)
         raise ExecutionError(
             f"unknown strategy {strategy!r}; valid strategies are: {valid}"
         )
-    module, name = STRATEGIES[strategy]
-    return getattr(import_module(module), name)
+    module, name, defaults = STRATEGIES[strategy]
+    cls = getattr(import_module(module), name)
+    if kwargs:  # else nothing to refuse: skip the signature lookup
+        accepted = [key for key in inspect.signature(cls).parameters if key != "backend"]
+        unknown = sorted(set(kwargs) - set(accepted))
+        if unknown:
+            takes = ", ".join(repr(key) for key in accepted) or "none"
+            raise ExecutionError(
+                f"strategy {strategy!r} ({name}) takes no executor argument "
+                f"{', '.join(repr(key) for key in unknown)}; it accepts: {takes}"
+            )
+    if backend is not None:
+        kwargs["backend"] = backend
+    executor = cls(**{**defaults, **kwargs})
+    executor.strategy = strategy
+    return executor
 
 
 def _check_dense_capacity(
@@ -337,24 +358,6 @@ def _check_dense_capacity(
         f"'tensornet' (trajectory-stacked truncated MPS, any circuit) and "
         f"'clifford' (pure-Clifford circuits with Pauli-mixture noise)"
     )
-
-
-def _check_executor_kwargs(cls: type, resolved: str, executor_kwargs: Dict) -> None:
-    """Refuse ``executor_kwargs`` the resolved executor does not take.
-
-    ``backend`` is passed by the pipeline itself, so it is not an
-    executor argument either.
-    """
-    if not executor_kwargs:
-        return  # nothing to refuse: skip the signature lookup
-    accepted = [name for name in inspect.signature(cls).parameters if name != "backend"]
-    unknown = sorted(set(executor_kwargs) - set(accepted))
-    if unknown:
-        takes = ", ".join(repr(name) for name in accepted) or "none"
-        raise ExecutionError(
-            f"strategy {resolved!r} ({cls.__name__}) takes no executor argument "
-            f"{', '.join(repr(name) for name in unknown)}; it accepts: {takes}"
-        )
 
 
 def run_ptsbe(
@@ -401,14 +404,12 @@ def run_ptsbe(
           (:class:`~repro.execution.vectorized.VectorizedExecutor`;
           a stack holds ``min(max_batch, the backend's dense amplitude
           budget)`` rows);
-        * ``"parallel"`` — alias of ``"serial"``
-          (:class:`ParallelExecutor`);
-        * ``"sharded"`` — alias of ``"vectorized"`` whose ``max_batch``
-          defaults to ``None``
-          (:class:`~repro.execution.vectorized.ShardedExecutor`).  An
-          alias differs from its parent in name (``result.engine``, fault
-          sites) and defaults only.  Every strategy runs in this process;
-          there is no worker-count option;
+        * ``"parallel"`` — ``"serial"`` under another name;
+        * ``"sharded"`` — ``"vectorized"`` under another name, with
+          ``max_batch`` defaulting to ``None``.  Each is a row of
+          :data:`STRATEGIES` and differs from its parent in name
+          (``result.engine``, fault sites) and defaults only.  Every
+          strategy runs in this process; there is no worker-count option;
         * ``"clifford"`` — batched Pauli-frame propagation for
           pure-Clifford circuits with Pauli-mixture noise, at any width
           (:class:`~repro.execution.clifford.CliffordFrameExecutor`);
@@ -520,10 +521,7 @@ def run_ptsbe_stream(
         # as in drive(): they refuse a circuit alike on every strategy.
         check_measurements(circuit)
         check_engine_fits(circuit, resolved)
-    cls = executor_class(resolved)
-    executor_kwargs = executor_kwargs or {}
-    _check_executor_kwargs(cls, resolved, executor_kwargs)
-    executor = cls(backend, **executor_kwargs)
+    executor = build_executor(resolved, backend, **(executor_kwargs or {}))
     # Resolve the root seed exactly once: the PTS sampler's stream and
     # every executor trajectory stream derive from the same value, and an
     # unseeded run resolves one entropy seed here instead of drawing two

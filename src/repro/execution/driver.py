@@ -114,7 +114,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
 from typing import (
     Any, Callable, Deque, Iterator, List, Optional, Protocol, Sequence, Tuple, TypeVar,
@@ -430,7 +430,7 @@ def drive(
     streams = StreamFactory(seed)
     engine = build()
     name = engine.name
-    ctx = FaultContext.from_config(engine.config, streams.seed, strategy=name)
+    ctx = FaultContext.from_config(engine.config, strategy=name)
     events: List[RecoveryEvent] = []
     # A task is one unit (_task_cuts: group 0 alone unless the engine's
     # rows are coupled, then max_rows groups or max_unit_shots shots).  The
@@ -492,11 +492,6 @@ def drive(
                     pending.appendleft((mid, end, 0))
                     pending.appendleft((start, mid, 0))
                     continue
-                except CancelledError as exc:
-                    raise ExecutionError(
-                        f"work unit {unit!r} was cancelled before "
-                        "completing; the run cannot be finalized"
-                    ) from exc
                 except ctx.policy.retryable as exc:
                     again = ctx.next_attempt(unit, attempt, exc, events)
                     pending.appendleft((start, end, again))

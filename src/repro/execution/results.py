@@ -248,8 +248,8 @@ class PTSBEResult(SpecViews):
     seed: Optional[int] = None
     #: Which execution engine realized the trajectories: the strategy
     #: name the :class:`~repro.execution.driver.Engine` adapter ran under
-    #: ("serial", "vectorized", "clifford", "tensornet", or the alias
-    #: names "parallel" and "sharded").  ``None`` only for results
+    #: ("serial", "vectorized", "clifford", "tensornet", or "parallel" /
+    #: "sharded", which run serial / vectorized under another name).  ``None`` only for results
     #: assembled outside the execution layer.
     engine: Optional[str] = None
     #: The router's decision trail for this run (set by

@@ -1,6 +1,7 @@
 """Trajectory-stacked dense execution.
 
-``strategy="vectorized"`` (and its alias ``"sharded"``):
+``strategy="vectorized"`` (and ``"sharded"``, the same executor under
+another name, with no ``max_batch`` by default):
 
 1. **Deduplicate** — the driver groups the equal rows of the run's
    trajectory table (:func:`~repro.pts.base.deduplicate_specs`) before
@@ -51,7 +52,7 @@ from repro.execution.batched import DENSE_KINDS, BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
 from repro.execution.plan import get_fused_plan
 
-__all__ = ["VectorizedExecutor", "ShardedExecutor"]
+__all__ = ["VectorizedExecutor"]
 
 
 class VectorizedExecutor(StreamingExecutor):
@@ -91,22 +92,6 @@ class VectorizedExecutor(StreamingExecutor):
         if self.max_batch is not None:
             rows = min(rows, self.max_batch)
         return _StackEngine(self.strategy, backend, circuit, int(rows))
-
-
-class ShardedExecutor(VectorizedExecutor):
-    """``VectorizedExecutor`` under the name ``"sharded"``, with no
-    ``max_batch`` by default.  Kept as an alias so seeds, fault sites
-    (``sharded/stack:*``) and user code replay unchanged."""
-
-    strategy = "sharded"
-
-    def __init__(
-        self,
-        backend: BackendSpec = BackendSpec.batched_statevector(),
-        *,
-        max_batch: Optional[int] = None,
-    ):
-        super().__init__(backend, max_batch=max_batch)
 
 
 class _StackEngine:

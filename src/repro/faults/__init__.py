@@ -1,8 +1,8 @@
 """Fault tolerance for the execution layer.
 
 Deterministic fault injection (:mod:`repro.faults.plan`), seed-exact
-retry with deterministic backoff jitter, and structured recovery
-reporting (:mod:`repro.faults.retry`).  Configured through
+retry with an exponential backoff, and structured recovery reporting
+(:mod:`repro.faults.retry`).  Configured through
 ``Config.fault_plan`` / ``Config.retry`` (env hook ``REPRO_FAULTS``);
 zero overhead when disabled.  See the "Fault tolerance" section of
 ``docs/architecture.md`` for the site map and the degradation ladder.

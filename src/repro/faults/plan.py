@@ -10,8 +10,8 @@ nothing.
 Two ways to target faults:
 
 * **Rules** — explicit :class:`FaultSpec` entries matching unit names by
-  ``fnmatch`` glob (``worker-crash`` at ``parallel/stack:0:1``,
-  ``transient-backend`` at ``vectorized/stack:*``).  A rule fires on
+  ``fnmatch`` glob (``transient-backend`` at ``parallel/stack:0:1``,
+  ``capacity`` at ``vectorized/stack:*``).  A rule fires on
   attempts ``0 .. times-1`` of a matching unit, so ``times=1`` (default)
   injects once and lets the retry succeed, while a large ``times``
   exhausts the retry budget deterministically.
@@ -42,11 +42,10 @@ shots.  ``tensornet``, whose rows share truncation ranks
 from __future__ import annotations
 
 import fnmatch
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.errors import BackendError, CapacityError, ExecutionError, WorkerCrashError
+from repro.errors import BackendError, CapacityError, ExecutionError
 from repro.rng import FAULT_NS_INJECTION, fault_rng
 
 __all__ = [
@@ -57,23 +56,11 @@ __all__ = [
     "parse_fault_plan",
 ]
 
-#: The injectable fault kinds, mirroring the failure modes a pooled-device
-#: PTSBE service actually sees.
+#: The injectable fault kinds: the two ways the driver recovers a unit.
 FAULT_KINDS = (
-    "worker-crash",  # hard worker death -> WorkerCrashError (retry)
     "transient-backend",  # recoverable backend hiccup -> BackendError (retry)
     "capacity",  # mid-run OOM -> CapacityError (batch-halving ladder)
-    "slow-worker",  # straggler: the unit sleeps, then succeeds
 )
-
-
-def _fault_exception(kind: str, site: str, attempt: int) -> Exception:
-    message = f"injected {kind} fault at {site!r} (attempt {attempt})"
-    if kind == "worker-crash":
-        return WorkerCrashError(message)
-    if kind == "capacity":
-        return CapacityError(message)
-    return BackendError(message)
 
 
 @dataclass(frozen=True)
@@ -103,7 +90,7 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A frozen, picklable description of the faults a run injects.
+    """A frozen description of the faults a run injects.
 
     Attributes
     ----------
@@ -116,14 +103,11 @@ class FaultPlan:
         stream.  ``0.0`` (default) disables random mode.
     kinds:
         The kind pool random mode draws from.
-    slow_seconds:
-        Sleep duration of a ``slow-worker`` fault.
     """
 
     rules: Tuple[FaultSpec, ...] = ()
     rate: float = 0.0
     kinds: Tuple[str, ...] = ("transient-backend",)
-    slow_seconds: float = 0.01
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -137,14 +121,12 @@ class FaultPlan:
                 )
         if self.rate > 0.0 and not self.kinds:
             raise ExecutionError("random-mode fault plan needs at least one kind")
-        if self.slow_seconds < 0.0:
-            raise ExecutionError("slow_seconds must be >= 0")
 
     def fault_at(self, site: str, attempt: int, seed: int) -> Optional[str]:
         """The fault kind firing at ``(site, attempt)``, or ``None``.
 
         Pure: the same ``(plan, site, attempt, seed)`` always decides the
-        same way, in any process.
+        same way, in any run.
         """
         for rule in self.rules:
             if rule.matches(site, attempt):
@@ -159,7 +141,7 @@ class FaultPlan:
 def maybe_inject(
     plan: Optional[FaultPlan], site: str, attempt: int, seed: int
 ) -> None:
-    """Fault-injection hook: raise (or stall) if the plan says so.
+    """Fault-injection hook: raise if the plan says so.
 
     The zero-overhead contract: with ``plan is None`` this is one branch.
     """
@@ -168,10 +150,8 @@ def maybe_inject(
     kind = plan.fault_at(site, attempt, seed)
     if kind is None:
         return
-    if kind == "slow-worker":
-        time.sleep(plan.slow_seconds)
-        return
-    raise _fault_exception(kind, site, attempt)
+    message = f"injected {kind} fault at {site!r} (attempt {attempt})"
+    raise CapacityError(message) if kind == "capacity" else BackendError(message)
 
 
 def parse_fault_plan(text: str) -> Optional[FaultPlan]:
@@ -182,9 +162,9 @@ def parse_fault_plan(text: str) -> Optional[FaultPlan]:
     * ``KIND@GLOB`` — a targeted rule, e.g.
       ``transient-backend@vectorized/stack:*``;
     * ``KIND@GLOB#N`` — the same rule hitting the first ``N`` attempts,
-      e.g. ``worker-crash@parallel/stack:0:1#2``;
+      e.g. ``transient-backend@parallel/stack:0:1#2``;
     * ``random:RATE`` or ``random:RATE:KIND,KIND`` — random mode, e.g.
-      ``random:0.2:transient-backend,slow-worker``.
+      ``random:0.2:transient-backend,capacity``.
 
     Empty input returns ``None`` (faults disabled).  Malformed input
     raises :class:`~repro.errors.ExecutionError` naming the directive.

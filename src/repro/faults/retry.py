@@ -7,14 +7,14 @@ bitwise-identical shots — retry is exactly-once-equivalent, no
 deduplication or fencing needed.  What this module adds on top:
 
 * :class:`RetryPolicy` — how many attempts a unit gets, which exception
-  classes are worth retrying, and an exponential backoff whose jitter is
-  drawn from the seed-derived fault stream (:func:`repro.rng.fault_rng`)
-  instead of wall-clock entropy, so even the *pauses* of a recovered run
-  replay deterministically.
+  classes are worth retrying, and an exponential backoff that is a pure
+  function of the attempt, so even the *pauses* of a recovered run
+  replay exactly.  The driver retries one unit at a time, so there is
+  no herd of retries to spread out with jitter.
 * :class:`RecoveryEvent` — the structured record of one recovery action
   (``retry`` / ``batch-halved``), surfaced on
   ``StreamedResult.recovery`` and ``PTSBEResult.recovery``.
-* :class:`FaultContext` — the (plan, policy, seed) triple of one run, and
+* :class:`FaultContext` — the plan and policy of one run, and
   the retry rule itself (:meth:`FaultContext.next_attempt`: classify,
   check the budget, record the event, back off).
   :func:`repro.execution.driver.drive` applies it to every failed task.
@@ -35,15 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a
     # cycle: config.py imports this module for its default retry policy)
     from repro.config import Config
 
-from repro.errors import (
-    BackendError,
-    CapacityError,
-    ExecutionError,
-    FaultError,
-    WorkerCrashError,
-)
+from repro.errors import BackendError, CapacityError, ExecutionError, FaultError
 from repro.faults.plan import FaultPlan
-from repro.rng import FAULT_NS_JITTER, fault_rng
 
 __all__ = [
     "RetryPolicy",
@@ -53,9 +46,8 @@ __all__ = [
 ]
 
 #: Exception classes a failed work unit is retried on by default: backend
-#: hiccups and injected worker crashes.  ``CancelledError`` is absent on
-#: purpose — cancellation means the *consumer* abandoned the run.
-DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (BackendError, WorkerCrashError)
+#: hiccups, injected or real.
+DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (BackendError,)
 
 
 def describe_exception(exc: BaseException) -> str:
@@ -79,10 +71,6 @@ class RetryPolicy:
         re-running.  The defaults are deliberately tiny — test suites and
         injected faults recover in microseconds; a deployment whose
         backend fails on real resources raises them via ``Config.retry``.
-    jitter:
-        When ``True`` (default) the delay is scaled by a factor in
-        ``[0.5, 1.5)`` drawn from the seed-derived fault stream — the
-        thundering-herd cure without sacrificing replay determinism.
     retryable:
         Exception classes worth re-running the unit for.
         ``CapacityError`` is excluded structurally (see module docs) even
@@ -92,7 +80,6 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_base: float = 0.002
     backoff_max: float = 0.1
-    jitter: bool = True
     retryable: Tuple[Type[BaseException], ...] = DEFAULT_RETRYABLE
 
     def __post_init__(self):
@@ -108,13 +95,9 @@ class RetryPolicy:
         """Whether ``exc`` warrants re-running the unit (never capacity)."""
         return isinstance(exc, self.retryable) and not isinstance(exc, CapacityError)
 
-    def backoff_seconds(self, seed: int, unit: str, attempt: int) -> float:
-        """Deterministic delay before retry ``attempt`` (1-based) of ``unit``."""
-        delay = min(self.backoff_max, self.backoff_base * (2 ** (attempt - 1)))
-        if self.jitter and delay > 0.0:
-            rng = fault_rng(seed, FAULT_NS_JITTER, unit, attempt)
-            delay *= 0.5 + rng.random()
-        return delay
+    def backoff_seconds(self, attempt: int) -> float:
+        """The delay before retry ``attempt`` (1-based) of a unit."""
+        return min(self.backoff_max, self.backoff_base * (2 ** (attempt - 1)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +111,7 @@ class RecoveryEvent:
         ``"batch-halved"`` (a unit split in two after a
         ``CapacityError``).
     strategy:
-        Executor that recovered (``"parallel"``, ``"sharded"``, ...).
+        Strategy name that recovered (``"parallel"``, ``"sharded"``, ...).
     unit:
         The instrumented unit name, ``<strategy>/stack:<a>:<b>`` on every
         strategy (``serial/stack:3:4``, ``sharded/stack:1:65``, ...).
@@ -151,20 +134,18 @@ class RecoveryEvent:
 
 @dataclass(frozen=True)
 class FaultContext:
-    """The (plan, policy, seed) triple threaded through one run."""
+    """The fault plan and retry policy threaded through one run of the
+    strategy named ``strategy``."""
 
     plan: Optional[FaultPlan]
     policy: RetryPolicy
-    seed: int
     strategy: str = ""
 
     @classmethod
-    def from_config(cls, config: Config, seed: int, strategy: str = "") -> "FaultContext":
+    def from_config(cls, config: Config, strategy: str = "") -> "FaultContext":
         """The context an executor runs under: ``config``'s fault plan and
         retry policy."""
-        return cls(
-            plan=config.fault_plan, policy=config.retry, seed=int(seed), strategy=strategy
-        )
+        return cls(plan=config.fault_plan, policy=config.retry, strategy=strategy)
 
     def next_attempt(
         self,
@@ -200,7 +181,7 @@ class FaultContext:
                 error=describe_exception(exc),
             )
         )
-        delay = self.policy.backoff_seconds(self.seed, unit, attempt)
+        delay = self.policy.backoff_seconds(attempt)
         if delay > 0.0:
             time.sleep(delay)
         return attempt

@@ -63,13 +63,13 @@ FAMILY_SHOTS = 0
 FAMILY_PTS = 1
 
 #: Reserved leading spawn-key element for the fault-tolerance machinery:
-#: fault/jitter draws use four-element ``SeedSequence`` spawn keys starting
-#: with this constant, a key no other stream is hashed under.
+#: random-mode fault draws use four-element ``SeedSequence`` spawn keys
+#: starting with this constant, a key no other stream is hashed under.
 FAULT_STREAM_KEY = 0xFA17
 
-#: Sub-namespaces under :data:`FAULT_STREAM_KEY`.
+#: The injection sub-namespace under :data:`FAULT_STREAM_KEY` (the key's
+#: second element, kept at 0 so random-mode fault patterns replay).
 FAULT_NS_INJECTION = 0
-FAULT_NS_JITTER = 1
 
 
 def fault_rng(
@@ -78,11 +78,11 @@ def fault_rng(
     """Deterministic stream for fault-machinery draws at one site/attempt.
 
     Keyed by ``(FAULT_STREAM_KEY, namespace, crc32(site), attempt)`` —
-    ``zlib.crc32`` rather than ``hash()`` so the derivation is stable
-    across processes regardless of ``PYTHONHASHSEED``.  Used for
-    random-mode fault injection decisions and for retry-backoff jitter;
-    both are therefore exactly replayable from the root seed, like every
-    other draw in the library.
+    ``zlib.crc32`` rather than ``hash()``, whose value for a string
+    changes with ``PYTHONHASHSEED``, so the same seed draws the same
+    stream in every interpreter run.  Used for random-mode fault injection
+    decisions, which are therefore exactly replayable from the root seed,
+    like every other draw in the library.
     """
     site_key = zlib.crc32(site.encode("utf-8"))
     seq = np.random.SeedSequence(

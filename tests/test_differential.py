@@ -48,7 +48,7 @@ from repro.errors import BackendError, ExecutionError
 from repro.execution import BackendSpec, analyze_circuit, run_ptsbe, run_ptsbe_stream
 from repro.execution.results import TrajectoryResult
 from repro.execution import batched, clifford, tensornet, vectorized
-from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
+from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, build_executor
 from repro.data.stats import total_variation_distance
 from repro.execution.router import resolve_strategy
 from repro.pts import ExhaustivePTS, ProbabilisticPTS, TrajectorySpec
@@ -146,7 +146,7 @@ def execute(circuit, strategy, specs, max_batch=3):
     """``specs`` through the executor ``run_ptsbe`` builds for ``strategy``."""
     backend = BackendSpec()
     resolved, _ = resolve_strategy(circuit, backend, strategy, backend.config)
-    executor = executor_class(resolved)(backend, **options(strategy, max_batch))
+    executor = build_executor(resolved, backend, **options(strategy, max_batch))
     return executor.execute(circuit, specs, seed=5)
 
 

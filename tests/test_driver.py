@@ -30,22 +30,20 @@ from repro.execution import (
     BackendSpec,
     BatchedExecutor,
     CliffordFrameExecutor,
-    ParallelExecutor,
-    ShardedExecutor,
     ShotTable,
     TensorNetExecutor,
     VectorizedExecutor,
     run_ptsbe,
 )
 from repro.execution import batched, clifford, driver, tensornet, vectorized
-from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, executor_class
+from repro.execution.batched import DENSE_STRATEGIES, STRATEGIES, build_executor
 from repro.execution.driver import Engine
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
 from repro.rng import StreamFactory, make_rng
 from repro.trajectory.events import KrausEvent, TrajectoryRecord
 
-FAST_RETRY = RetryPolicy(backoff_base=0.0, jitter=False)
+FAST_RETRY = RetryPolicy(backoff_base=0.0)
 
 #: The four executors, under their own names; the other two are aliases.
 ENGINES = ["serial", "vectorized", "clifford", "tensornet"]
@@ -97,11 +95,11 @@ def make_executor(strategy, config=None):
     if strategy == "serial":
         return BatchedExecutor(BackendSpec.statevector(**options))
     if strategy == "parallel":
-        return ParallelExecutor(BackendSpec.statevector(**options))
+        return build_executor("parallel", BackendSpec.statevector(**options))
     if strategy == "vectorized":
         return VectorizedExecutor(BackendSpec.batched_statevector(**options), max_batch=2)
     if strategy == "sharded":
-        return ShardedExecutor(BackendSpec.batched_statevector(**options), max_batch=4)
+        return build_executor("sharded", BackendSpec.batched_statevector(**options), max_batch=4)
     if strategy == "clifford":
         return CliffordFrameExecutor(BackendSpec.statevector(**options))
     if strategy == "tensornet":
@@ -191,14 +189,14 @@ def test_any_batch_and_row_budget_gives_the_serial_table(
         specs = list(specs)
     assert (PTSResult.from_specs(circuit, specs) is sampled) is (form == "view")
     if strategy == "parallel":
-        executor = ParallelExecutor()
+        executor = build_executor("parallel")
     else:
         backend = BackendSpec.batched_statevector()
         if budget_rows is not None:
             extra = budget_rows.bit_length() - 1  # log2 of a power of two
             config = Config(max_dense_qubits=circuit.num_qubits + extra)
             backend = BackendSpec.batched_statevector(config=config)
-        executor = ShardedExecutor(backend, max_batch=max_batch)
+        executor = build_executor("sharded", backend, max_batch=max_batch)
     stream = executor.execute_stream(circuit, specs, seed=21)
     chunks = list(stream)
     result = stream.finalize()
@@ -359,9 +357,9 @@ def test_every_table_entry_streams_under_its_own_name(circuit, specs, strategy, 
         "fault_plan",
         FaultPlan(rules=(FaultSpec("transient-backend", f"{strategy}/stack:*"),)),
     )
-    cls = executor_class(strategy)
-    assert "execute_stream" not in vars(cls)  # the one on the base class
-    stream = cls().execute_stream(circuit, specs, seed=21, retain=True)
+    executor = build_executor(strategy)
+    assert "execute_stream" not in vars(type(executor))  # the one on the base class
+    stream = executor.execute_stream(circuit, specs, seed=21, retain=True)
     assert stream.engine == strategy and stream.seed == 21
     result = stream.finalize()
     assert result.engine == strategy
@@ -372,18 +370,26 @@ def test_every_table_entry_streams_under_its_own_name(circuit, specs, strategy, 
 
 
 def test_an_alias_is_its_parent_under_another_name(circuit, specs):
+    """``parallel`` and ``sharded`` are rows of the strategy table over
+    their parents' classes, ``sharded`` with no ``max_batch`` by default:
+    the built executor carries the row's name, and draws the parent's
+    table bit for bit."""
+    assert STRATEGIES["parallel"] == STRATEGIES["serial"][:2] + ({},)
+    assert STRATEGIES["sharded"] == STRATEGIES["vectorized"][:2] + ({"max_batch": None},)
+    assert build_executor("sharded").max_batch is None
+    assert build_executor("vectorized").max_batch == VectorizedExecutor().max_batch
     serial = BatchedExecutor().execute(circuit, specs, seed=21)
-    for parent, alias, kwargs, own in (
-        (BatchedExecutor, ParallelExecutor, {}, {"strategy"}),
-        (VectorizedExecutor, ShardedExecutor, {"max_batch": 3}, {"strategy", "__init__"}),
-    ):
-        assert set(vars(alias)) - {"__module__", "__doc__"} == own
-        assert issubclass(alias, parent) and alias.strategy != parent.strategy
-        for cls in (parent, alias):
-            result = cls(**kwargs).execute(circuit, specs, seed=21)
-            assert result.engine == cls.strategy
+    for parent, alias, kwargs in (("serial", "parallel", {}), ("vectorized", "sharded", {"max_batch": 3})):
+        assert type(build_executor(alias)) is type(build_executor(parent))
+        for name in (parent, alias):
+            executor = build_executor(name, **kwargs)
+            assert executor.strategy == name
+            result = executor.execute(circuit, specs, seed=21)
+            assert result.engine == name
             assert_same_table(serial, result)
             assert result.unique_preparations == serial.unique_preparations
+    # Naming an instance leaves its class's name alone.
+    assert (BatchedExecutor.strategy, VectorizedExecutor.strategy) == ("serial", "vectorized")
 
 
 @pytest.mark.parametrize("strategy", DENSE_STRATEGIES)
@@ -409,14 +415,26 @@ def test_a_worker_count_is_refused_and_the_aliases_run_in_process(circuit, strat
 def test_no_executor_constructor_takes_a_worker_count(strategy):
     """Every executor runs in this process: its constructor takes a backend
     and, on the stacking ones, a row cap — a worker count is not a
-    parameter, so passing one fails as any unknown keyword does."""
-    cls = executor_class(strategy)
+    parameter, so passing one fails as any unknown keyword does (and
+    ``build_executor`` refuses it by name)."""
+    cls = type(build_executor(strategy))
     takes = list(inspect.signature(cls).parameters)
     stacked = strategy in ("vectorized", "sharded", "tensornet")
     assert takes == (["backend", "max_batch"] if stacked else ["backend"])
     assert not hasattr(cls, "num_workers")
     with pytest.raises(TypeError, match="num_workers"):
         cls(num_workers=2)
+    with pytest.raises(ExecutionError, match="no executor argument 'num_workers'"):
+        build_executor(strategy, num_workers=2)
+
+
+def test_a_backend_in_executor_kwargs_is_refused(circuit):
+    """The pipeline passes the backend itself: ``backend`` among
+    ``executor_kwargs`` is refused by name, like any argument the executor
+    does not take, before the sampler draws."""
+    with pytest.raises(ExecutionError, match="no executor argument 'backend'; it accepts: 'max_batch'$"):
+        run_ptsbe(circuit, _RefusedSampler(nsamples=5, nshots=5), seed=1, strategy="sharded",
+                  executor_kwargs={"backend": BackendSpec.batched_statevector()})
 
 
 def _factory(num_qubits):
@@ -428,7 +446,7 @@ def test_a_backend_is_a_spec_and_nothing_else(circuit, strategy):
     """A callable backend factory is refused by every executor and by
     ``run_ptsbe`` (before the sampler draws), naming ``BackendSpec``."""
     with pytest.raises(ExecutionError, match="takes a BackendSpec"):
-        executor_class(strategy)(_factory)
+        build_executor(strategy, _factory)
     with pytest.raises(ExecutionError, match="run_ptsbe takes a BackendSpec"):
         run_ptsbe(circuit, ProbabilisticPTS(nsamples=5, nshots=5), _factory, seed=1,
                   strategy=strategy)
@@ -509,7 +527,7 @@ def test_an_option_the_backend_does_not_take_raises(circuit, strategy, spec, acc
     in disguise (tensornet used to run ``max_bonds=8`` at bond 64)."""
     option = repr(spec.options[0][0])
     for run in (
-        lambda: executor_class(strategy)(spec),
+        lambda: build_executor(strategy, spec),
         lambda: run_ptsbe(circuit, ProbabilisticPTS(nsamples=5, nshots=5), spec, seed=1,
                           strategy=strategy),
     ):
@@ -542,7 +560,7 @@ def test_a_non_dense_engine_refuses_another_state_dtype(circuit, strategy, spec)
     runs = [lambda: run_ptsbe(circuit, ProbabilisticPTS(nsamples=5, nshots=5), spec, seed=1,
                               strategy=strategy)]
     if strategy != "auto":
-        runs.append(lambda: executor_class(strategy)(spec))
+        runs.append(lambda: build_executor(strategy, spec))
     for run in runs:
         with pytest.raises(ExecutionError) as err:
             run()
@@ -582,7 +600,7 @@ def test_a_consumer_that_stops_pulling_stops_the_run(circuit, specs, monkeypatch
         return prepare(self, table, sizes)
 
     monkeypatch.setattr(batched._SerialEngine, "prepare", counting)
-    stream = ParallelExecutor().execute_stream(circuit, specs, seed=21)
+    stream = build_executor("parallel").execute_stream(circuit, specs, seed=21)
     assert prepared == []
     assert next(stream).num_trajectories == 1
     assert prepared == [1]
@@ -633,9 +651,7 @@ PERMUTATIONS = st.fixed_dictionaries(
         "rows": st.sampled_from([1, 2, 3, 5, 64]),
         "unit_shots": st.sampled_from([40, 130, 1 << 16]),  # frame units only
         "fault_rate": st.sampled_from([0.0, 0.4, 1.0]),
-        "fault_kinds": st.sampled_from(
-            [("transient-backend",), ("worker-crash", "transient-backend")]
-        ),
+        "fault_kinds": st.sampled_from([("transient-backend",)]),
         "halvings": st.integers(0, 3),
     }
 )
@@ -645,7 +661,7 @@ _REFERENCE_TABLES = {}
 def _permuted_executor(strategy, rows, config):
     spec = BackendSpec.batched_statevector if strategy == "vectorized" else BackendSpec.statevector
     stacked = {"max_batch": rows} if strategy in ("vectorized", "tensornet") else {}
-    return executor_class(strategy)(spec(config=config), **stacked)
+    return build_executor(strategy, spec(config=config), **stacked)
 
 
 @pytest.mark.parametrize("strategy", ENGINES)
@@ -1026,10 +1042,10 @@ LOOKAHEAD_RULE = {
     "serial-16q-200000-shots": (BatchedExecutor, 16, 200_000, True),
     "serial-16q-2**16-shots": (BatchedExecutor, 16, 1 << 16, False),
     "serial-20q-2**17-shots": (BatchedExecutor, 20, 1 << 17, False),
-    "parallel-16q-200000-shots": (ParallelExecutor, 16, 200_000, True),
-    "parallel-16q-2**16-shots": (ParallelExecutor, 16, 1 << 16, False),
+    "parallel-16q-200000-shots": (partial(build_executor, "parallel"), 16, 200_000, True),
+    "parallel-16q-2**16-shots": (partial(build_executor, "parallel"), 16, 1 << 16, False),
     "vectorized": (partial(VectorizedExecutor, max_batch=1), 16, 200_000, False),
-    "sharded": (partial(ShardedExecutor, max_batch=1), 16, 200_000, False),
+    "sharded": (partial(build_executor, "sharded", max_batch=1), 16, 200_000, False),
     "clifford": (CliffordFrameExecutor, 16, 200_000, False),
     "tensornet": (partial(TensorNetExecutor, max_batch=1), 16, 200_000, False),
     "serial-on-mps": (partial(BatchedExecutor, BackendSpec.mps()), 16, 200_000, False),

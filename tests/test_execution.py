@@ -1,4 +1,4 @@
-"""Batched execution: results containers, the BE engine, the process fan-out."""
+"""Batched execution: results containers, the BE engine, the ``parallel`` row."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,10 @@ from repro.errors import DataError, ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
     ShotTable,
     run_ptsbe,
 )
-from repro.execution.batched import DENSE_STRATEGIES
+from repro.execution.batched import DENSE_STRATEGIES, build_executor
 from repro.execution.results import pack_bits
 from repro.pts import ExhaustivePTS, ProbabilisticPTS, TrajectorySpec
 from repro.rng import make_rng
@@ -165,12 +164,12 @@ class TestParallelExecutor:
         """The determinism contract: the alias changes nothing."""
         specs = [_spec(i, 40) for i in range(6)]
         serial = BatchedExecutor().execute(noisy_ghz3, specs, seed=5)
-        parallel = ParallelExecutor().execute(noisy_ghz3, specs, seed=5)
+        parallel = build_executor("parallel").execute(noisy_ghz3, specs, seed=5)
         a, b = serial.shot_table(), parallel.shot_table()
         # Sort both by (trajectory, row) since order within is preserved.
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.trajectory_ids, b.trajectory_ids)
 
     def test_single_chunk_shortcut(self, noisy_ghz3):
-        result = ParallelExecutor().execute(noisy_ghz3, [_spec(0, 10)], seed=1)
+        result = build_executor("parallel").execute(noisy_ghz3, [_spec(0, 10)], seed=1)
         assert result.total_shots == 10

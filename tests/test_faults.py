@@ -1,6 +1,6 @@
 """Chaos suite: deterministic fault injection, seed-exact retry, degradation.
 
-The central claim under test: a run that crashes, hiccups, and OOMs its
+The central claim under test: a run that hiccups and OOMs its
 way to completion produces the *bitwise identical* shot table of a
 fault-free run at the same seed, with every recovery action recorded as
 a structured :class:`~repro.faults.retry.RecoveryEvent`.  Seed threading
@@ -10,16 +10,12 @@ what makes retry exactly-once-equivalent; these tests are the proof.
 
 from __future__ import annotations
 
-import functools
 import threading
-import time
-from concurrent.futures import CancelledError
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, depolarizing, two_qubit_depolarizing
 from repro.circuits import Circuit
 from repro.config import Config
@@ -29,11 +25,9 @@ from repro.errors import (
     ExecutionError,
     FaultError,
     SamplingError,
-    WorkerCrashError,
 )
 from repro.execution import BackendSpec, run_ptsbe, run_ptsbe_stream
 from repro.execution.batched import _SerialEngine
-from repro.execution.driver import drive
 from repro.execution.results import SPEC_COLUMNS, UnitShots
 from repro.execution.streaming import OrderedDelivery, ShotChunk
 from repro.faults import (
@@ -46,13 +40,12 @@ from repro.faults import (
     parse_fault_plan,
 )
 from repro.pts import ProbabilisticPTS
-from repro.rng import make_rng
 
 SEED = 7
 
 #: Backoff-free policy so chaos runs finish in test time; determinism is
 #: unaffected (backoff only changes *pauses*, never results).
-FAST_RETRY = RetryPolicy(backoff_base=0.0, jitter=False)
+FAST_RETRY = RetryPolicy(backoff_base=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -151,11 +144,11 @@ class TestFaultPlan:
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "parallel/stack:1:2"),
+                FaultSpec("capacity", "parallel/stack:1:2"),
                 FaultSpec("transient-backend", "parallel/stack:*"),
             )
         )
-        assert plan.fault_at("parallel/stack:1:2", 0, seed=1) == "worker-crash"
+        assert plan.fault_at("parallel/stack:1:2", 0, seed=1) == "capacity"
         assert plan.fault_at("parallel/stack:0:1", 0, seed=1) == "transient-backend"
         assert plan.fault_at("vectorized/stack:0:4", 0, seed=1) is None
 
@@ -165,8 +158,8 @@ class TestFaultPlan:
         first = [plan.fault_at(site, 0, seed=11) for site in sites]
         second = [plan.fault_at(site, 0, seed=11) for site in sites]
         assert first == second
-        assert any(kind is not None for kind in first)
-        assert any(kind is None for kind in first)
+        # Both kinds are drawn across the sites, and some sites draw none.
+        assert set(first) == {None, "transient-backend", "capacity"}
         other = [plan.fault_at(site, 0, seed=12) for site in sites]
         assert other != first  # a different seed draws a different pattern
 
@@ -177,21 +170,12 @@ class TestFaultPlan:
 
     def test_maybe_inject_exception_classes(self):
         for kind, exc_type in [
-            ("worker-crash", WorkerCrashError),
             ("transient-backend", BackendError),
             ("capacity", CapacityError),
         ]:
             plan = FaultPlan(rules=(FaultSpec(kind, "unit"),))
             with pytest.raises(exc_type, match="injected"):
                 maybe_inject(plan, "unit", 0, seed=0)
-
-    def test_slow_worker_stalls_then_succeeds(self):
-        plan = FaultPlan(
-            rules=(FaultSpec("slow-worker", "unit"),), slow_seconds=0.01
-        )
-        t0 = time.perf_counter()
-        maybe_inject(plan, "unit", 0, seed=0)  # must not raise
-        assert time.perf_counter() - t0 >= 0.01
 
     def test_disabled_plan_is_inert(self):
         maybe_inject(None, "anything", 0, seed=0)  # no-op, no raise
@@ -206,20 +190,34 @@ class TestFaultPlan:
         with pytest.raises(ExecutionError, match="unknown fault kind"):
             FaultPlan(kinds=("bogus",))
 
+    @pytest.mark.parametrize("kind", ["worker-crash", "slow-worker"])
+    def test_the_pool_kinds_are_unknown(self, kind, monkeypatch):
+        """The two kinds that modelled a worker pool are gone: a spec, a
+        plan's random pool and a ``REPRO_FAULTS`` string naming one are
+        refused like any unknown kind."""
+        with pytest.raises(ExecutionError, match="unknown fault kind"):
+            FaultSpec(kind, "serial/stack:*")
+        for text in (f"{kind}@serial/stack:*", f"random:0.5:{kind}"):
+            with pytest.raises(ExecutionError, match="unknown fault kind"):
+                parse_fault_plan(text)
+            monkeypatch.setenv("REPRO_FAULTS", text)
+            with pytest.raises(ExecutionError, match="unknown fault kind"):
+                Config()
+
     def test_parse_round_trip(self):
         plan = parse_fault_plan(
-            "worker-crash@parallel/stack:1:2; transient-backend@sharded/*#2"
+            "transient-backend@parallel/stack:1:2; transient-backend@sharded/*#2"
         )
         assert plan.rules == (
-            FaultSpec("worker-crash", "parallel/stack:1:2"),
+            FaultSpec("transient-backend", "parallel/stack:1:2"),
             FaultSpec("transient-backend", "sharded/*", times=2),
         )
         assert plan.rate == 0.0
 
     def test_parse_random_mode(self):
-        plan = parse_fault_plan("random:0.25:transient-backend,slow-worker")
+        plan = parse_fault_plan("random:0.25:transient-backend,capacity")
         assert plan.rate == 0.25
-        assert plan.kinds == ("transient-backend", "slow-worker")
+        assert plan.kinds == ("transient-backend", "capacity")
 
     def test_parse_empty_disables(self):
         assert parse_fault_plan("") is None
@@ -228,7 +226,7 @@ class TestFaultPlan:
     @pytest.mark.parametrize(
         "text",
         [
-            "worker-crash",  # no @SITE
+            "transient-backend",  # no @SITE
             "melted@unit",  # unknown kind
             "capacity@unit#zero",  # non-integer times
             "random:lots",  # non-float rate
@@ -268,28 +266,19 @@ class TestRetryPolicy:
     def test_retryable_classification(self):
         policy = RetryPolicy()
         assert policy.is_retryable(BackendError("hiccup"))
-        assert policy.is_retryable(WorkerCrashError("died"))
         # CapacityError subclasses BackendError but repeating the same
         # allocation fails the same way -> structurally excluded.
         assert not policy.is_retryable(CapacityError("oom"))
         assert not policy.is_retryable(ValueError("not ours"))
         assert not policy.is_retryable(SamplingError("typed but not transient"))
 
-    def test_backoff_is_deterministic_and_capped(self):
-        policy = RetryPolicy(backoff_base=0.01, backoff_max=0.05, jitter=True)
-        a = policy.backoff_seconds(3, "unit", 1)
-        assert a == policy.backoff_seconds(3, "unit", 1)
-        assert policy.backoff_seconds(4, "unit", 1) != a  # keyed off seed
-        assert policy.backoff_seconds(3, "other", 1) != a  # ... and unit
-        for attempt in range(1, 10):
-            delay = policy.backoff_seconds(3, "unit", attempt)
-            assert 0.0 < delay <= 0.05 * 1.5
-
-    def test_backoff_without_jitter_is_exact(self):
-        policy = RetryPolicy(backoff_base=0.01, backoff_max=1.0, jitter=False)
-        assert policy.backoff_seconds(0, "u", 1) == 0.01
-        assert policy.backoff_seconds(0, "u", 2) == 0.02
-        assert policy.backoff_seconds(0, "u", 3) == 0.04
+    def test_backoff_is_exact_and_capped(self):
+        policy = RetryPolicy(backoff_base=0.01, backoff_max=1.0)
+        assert policy.backoff_seconds(1) == 0.01
+        assert policy.backoff_seconds(2) == 0.02
+        assert policy.backoff_seconds(3) == 0.04
+        capped = RetryPolicy(backoff_base=0.01, backoff_max=0.05)
+        assert [capped.backoff_seconds(k) for k in range(3, 10)] == [0.04] + [0.05] * 6
 
     def test_validation(self):
         with pytest.raises(ExecutionError, match="max_attempts"):
@@ -298,7 +287,7 @@ class TestRetryPolicy:
             RetryPolicy(backoff_base=-1.0)
 
     def test_next_attempt_counts_up_and_records(self):
-        ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0, strategy="test")
+        ctx = FaultContext(plan=None, policy=FAST_RETRY, strategy="test")
         events = []
         assert ctx.next_attempt("u", 0, BackendError("hiccup"), events) == 1
         assert ctx.next_attempt("u", 1, BackendError("hiccup"), events) == 2
@@ -308,14 +297,14 @@ class TestRetryPolicy:
             ctx.next_attempt("u", 2, BackendError("hiccup"), events)
 
     def test_capacity_error_passes_straight_through(self):
-        ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0)
+        ctx = FaultContext(plan=None, policy=FAST_RETRY)
         events = []
         with pytest.raises(CapacityError):
             ctx.next_attempt("u", 0, CapacityError("stack too wide"), events)
         assert events == []  # escalation, not recovery
 
     def test_non_retryable_propagates_unchanged(self):
-        ctx = FaultContext(plan=None, policy=FAST_RETRY, seed=0)
+        ctx = FaultContext(plan=None, policy=FAST_RETRY)
         bug = ValueError("logic bug")
         with pytest.raises(ValueError) as info:
             ctx.next_attempt("u", 0, bug, [])
@@ -347,10 +336,10 @@ class TestOrderedDeliveryTripwire:
 class TestBitwiseRecovery:
     """Faulty runs must reproduce fault-free shot tables exactly."""
 
-    def test_parallel_crash_and_transient(self, ghz):
+    def test_parallel_transients(self, ghz):
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "parallel/stack:1:2"),
+                FaultSpec("transient-backend", "parallel/stack:1:2"),
                 FaultSpec("transient-backend", "parallel/stack:0:1"),
             )
         )
@@ -391,14 +380,14 @@ class TestBitwiseRecovery:
         assert "split into" in faulty.recovery[0].detail
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    def test_sharded_crash_and_transient_recover_bitwise(self, ghz):
-        # A crashed unit is retried in this process like any other failed
-        # task: two retries, in task order, no other kind of event.
+    def test_sharded_transients_recover_bitwise(self, ghz):
+        # Each failed task is retried in this process: two retries, in
+        # task order, no other kind of event.
         clean = _run(ghz, "sharded")
         rest = f"sharded/stack:1:{clean.unique_preparations}"
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "sharded/stack:0:1"),
+                FaultSpec("transient-backend", "sharded/stack:0:1"),
                 FaultSpec("transient-backend", rest),
             )
         )
@@ -407,7 +396,7 @@ class TestBitwiseRecovery:
             ("retry", "sharded/stack:0:1", 1),
             ("retry", rest, 1),
         ]
-        assert "WorkerCrashError" in faulty.recovery[0].error
+        assert "BackendError" in faulty.recovery[0].error
         assert np.array_equal(_bits(clean), _bits(faulty))
 
     def test_sharded_inner_capacity_halving_bitwise(self, brickwork):
@@ -449,9 +438,8 @@ class TestBitwiseRecovery:
         ]
         assert np.array_equal(_bits(clean), _bits(faulty))
 
-    @pytest.mark.parametrize("kind", ["transient-backend", "worker-crash"])
-    def test_tensornet_retry_is_bitwise(self, ghz, kind):
-        plan = FaultPlan(rules=(FaultSpec(kind, "tensornet/stack:*"),))
+    def test_tensornet_retry_is_bitwise(self, ghz):
+        plan = FaultPlan(rules=(FaultSpec("transient-backend", "tensornet/stack:*"),))
         clean = _run(ghz, "tensornet")
         faulty = _run(ghz, "tensornet", plan=plan)
         assert "retry" in _kinds(faulty)
@@ -461,22 +449,21 @@ class TestBitwiseRecovery:
         "strategy", ["serial", "parallel", "vectorized", "sharded", "clifford", "tensornet"]
     )
     def test_acceptance_plan_recovers_bitwise(self, ghz, strategy):
-        """The issue's acceptance plan: >=1 crash, >=1 transient, >=1
-        stacked-prep capacity fault in one plan, completing on every
-        strategy name with fault-free-identical tables.  A crash is
-        retried in this process like any other fault."""
+        """The acceptance plan: >=1 retried fault on every strategy name and
+        >=1 stacked-prep capacity fault in one plan, completing with
+        fault-free-identical tables."""
         plan = FaultPlan(
             rules=(
-                FaultSpec("worker-crash", "serial/stack:1:2"),
-                FaultSpec("worker-crash", "parallel/stack:1:2"),
-                FaultSpec("worker-crash", "sharded/stack:0:1"),
-                FaultSpec("worker-crash", "clifford/stack:0:1"),
-                FaultSpec("worker-crash", "tensornet/stack:*"),
+                FaultSpec("transient-backend", "serial/stack:1:2"),
+                FaultSpec("transient-backend", "parallel/stack:1:2"),
+                FaultSpec("transient-backend", "sharded/stack:0:1"),
+                FaultSpec("transient-backend", "clifford/stack:0:1"),
+                FaultSpec("transient-backend", "tensornet/stack:*"),
                 FaultSpec("transient-backend", "serial/stack:0:1"),
                 FaultSpec("transient-backend", "parallel/stack:0:1"),
                 FaultSpec("transient-backend", "sharded/stack:1:*"),
                 FaultSpec("transient-backend", "clifford/stack:1:*"),
-                FaultSpec("worker-crash", "vectorized/stack:0:1"),
+                FaultSpec("transient-backend", "vectorized/stack:0:1"),
                 FaultSpec("capacity", "vectorized/stack:1:5"),
                 FaultSpec("capacity", "vectorized/stack:0:3"),
             )
@@ -552,13 +539,13 @@ class TestDegradation:
         assert info.value.attempts == 2
 
     def test_sharded_all_devices_dead(self, ghz):
-        # Every attempt of every unit crashes: the first task to spend its
+        # Every attempt of every unit fails: the first task to spend its
         # budget escalates, naming itself.
-        plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/stack:*", times=99),))
+        plan = FaultPlan(rules=(FaultSpec("transient-backend", "sharded/stack:*", times=99),))
         with pytest.raises(FaultError, match="failed after 3 attempt") as info:
             _run(ghz, "sharded", plan=plan)
         assert info.value.unit == "sharded/stack:0:1"
-        assert isinstance(info.value.__cause__, WorkerCrashError)
+        assert type(info.value.__cause__) is BackendError
 
     def test_tensornet_capacity_halving_is_structural(self, ghz):
         # Tensor-network stacking is *not* chunking-invariant (the batched
@@ -583,7 +570,6 @@ class TestDegradation:
 
     def test_fault_error_is_execution_error(self):
         assert issubclass(FaultError, ExecutionError)
-        assert issubclass(WorkerCrashError, ExecutionError)
 
 
 # --------------------------------------------------------------------- #
@@ -615,17 +601,17 @@ class TestLookAheadRecovery:
     fails on the way, the run records the in-line run's events and draws
     its bits."""
 
-    @pytest.mark.parametrize("kind", ["transient-backend", "worker-crash", "slow-worker"])
-    def test_fault_at_a_look_ahead_unit(self, brickwork, lookahead, kind):
-        plan = FaultPlan(rules=(FaultSpec(kind, "serial/stack:2:3"),))
+    def test_fault_at_a_look_ahead_unit(self, brickwork, lookahead):
+        plan = FaultPlan(rules=(FaultSpec("transient-backend", "serial/stack:2:3"),))
         lookahead(False)
         inline = _serial(brickwork, plan)
         threads = lookahead(True)
         ahead = _serial(brickwork, plan)
         assert HELPER in threads
         _same_run(ahead, inline)
-        retried = [] if kind == "slow-worker" else [("retry", "serial/stack:2:3", 1)]
-        assert [(e.kind, e.unit, e.attempt) for e in inline.recovery] == retried
+        assert [(e.kind, e.unit, e.attempt) for e in inline.recovery] == [
+            ("retry", "serial/stack:2:3", 1)
+        ]
 
     def test_capacity_fault_at_a_look_ahead_unit(self, brickwork, lookahead, lookahead_threads):
         # A serial unit is one row: the ladder has nothing to halve.
@@ -697,27 +683,6 @@ class TestLookAheadRecovery:
 
 
 # --------------------------------------------------------------------- #
-# A cancelled unit
-# --------------------------------------------------------------------- #
-class _TestEngine(_SerialEngine):
-    def __init__(self, circuit):
-        super().__init__("test", StatevectorBackend(circuit.num_qubits), circuit, Config())
-
-
-class _CancelledEngine(_TestEngine):
-    def prepare(self, choices_list, sizes):
-        raise CancelledError()
-
-
-class TestCancellation:
-    def test_cancelled_error_translated_with_unit_context(self, ghz):
-        specs = _pts().sample(ghz, make_rng(3)).specs
-        stream = drive(functools.partial(_CancelledEngine, ghz), ghz, specs)
-        with pytest.raises(ExecutionError, match="test/stack:0:1.*cancelled"):
-            stream.finalize()
-
-
-# --------------------------------------------------------------------- #
 # Mid-stream abandonment under faults
 # --------------------------------------------------------------------- #
 class TestMidStreamClose:
@@ -728,7 +693,7 @@ class TestMidStreamClose:
             fault_plan=FaultPlan(
                 rules=(FaultSpec("transient-backend", "parallel/stack:*"),),
             ),
-            retry=RetryPolicy(backoff_base=0.05, backoff_max=0.05, jitter=False),
+            retry=RetryPolicy(backoff_base=0.05, backoff_max=0.05),
         )
         stream = run_ptsbe_stream(
             ghz,
@@ -744,7 +709,7 @@ class TestMidStreamClose:
         assert [(e.kind, e.unit) for e in stream.recovery] == [("retry", "parallel/stack:0:1")]
 
     def test_finalize_after_partial_consumption_with_faults(self, ghz):
-        plan = FaultPlan(rules=(FaultSpec("worker-crash", "sharded/stack:0:1"),))
+        plan = FaultPlan(rules=(FaultSpec("transient-backend", "sharded/stack:0:1"),))
         cfg = Config(fault_plan=plan, retry=FAST_RETRY)
         stream = run_ptsbe_stream(
             ghz,

@@ -20,11 +20,8 @@ from repro.circuits.moments import schedule_fusion_windows
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.config import Config
 from repro.errors import BackendError, ExecutionError, ZeroProbabilityTrajectory
-from repro.execution import (
-    BatchedExecutor,
-    ShardedExecutor,
-    VectorizedExecutor,
-)
+from repro.execution import BatchedExecutor, VectorizedExecutor
+from repro.execution.batched import build_executor
 from repro.execution.plan import (
     GateStep,
     NoiseStep,
@@ -305,7 +302,7 @@ class TestFusionEquivalence:
         specs = _pts_specs(workload, 3)
         serial = BatchedExecutor().execute(workload, specs, seed=11)
         vectorized = VectorizedExecutor().execute(workload, specs, seed=11)
-        sharded = ShardedExecutor(max_batch=3).execute(workload, specs, seed=11)
+        sharded = build_executor("sharded", max_batch=3).execute(workload, specs, seed=11)
         a = serial.shot_table()
         for other in (vectorized, sharded):
             b = other.shot_table()
@@ -320,11 +317,9 @@ class TestFusionEquivalence:
     def test_four_strategies_bitwise_identical(self, noisy_ghz3):
         """The full 4-strategy matrix (parallel included) on one workload:
         every engine must emit the same bits under the new kernels."""
-        from repro.execution import ParallelExecutor
-
         specs = _pts_specs(noisy_ghz3, 6, nsamples=150, nshots=200)
         reference = BatchedExecutor().execute(noisy_ghz3, specs, seed=17)
-        others = [ParallelExecutor(), VectorizedExecutor(), ShardedExecutor()]
+        others = [build_executor("parallel"), VectorizedExecutor(), build_executor("sharded")]
         a = reference.shot_table()
         for executor in others:
             b = executor.execute(noisy_ghz3, specs, seed=17).shot_table()

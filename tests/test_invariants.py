@@ -769,10 +769,10 @@ def test_err001(path, source, expected):
 
 
 COMPLIANT_DISPATCH = """\
-STRATEGIES = {"foo": ("repro.execution.foo", "FooExecutor")}
+STRATEGIES = {"foo": ("repro.execution.foo", "FooExecutor", {})}
 
 def run_ptsbe_stream(circuit, sampler, strategy="auto"):
-    executor = executor_class(strategy)()
+    executor = build_executor(strategy)
     stream = executor.execute_stream(circuit, [], seed=0, retain=True)
     stream.routing = "explicit"
     return stream

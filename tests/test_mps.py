@@ -22,7 +22,7 @@ from repro.circuits.gates import CCX, CX, H, T, X
 from repro.circuits.library import build_workload, noisy
 from repro.errors import BackendError
 from repro.execution import BackendSpec, compile_schedule, run_ptsbe, tensornet
-from repro.execution.batched import executor_class
+from repro.execution.batched import build_executor
 from repro.pts import ProbabilisticPTS
 from repro.rng import make_rng
 
@@ -327,7 +327,7 @@ class TestSerialIsTheTensornetAdapter:
     @pytest.mark.parametrize("strategy", ["serial", "parallel"])
     def test_the_adapter_at_one_row_under_the_strategy_name(self, strategy):
         circuit = _profiled("ghz", "uniform_depolarizing")
-        executor = executor_class(strategy)(BackendSpec.mps(max_bond=4))
+        executor = build_executor(strategy, BackendSpec.mps(max_bond=4))
         engine = executor._engine(circuit)
         assert isinstance(engine, tensornet._MPSStackEngine)
         assert (engine.name, engine.max_rows) == (strategy, 1)

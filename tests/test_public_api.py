@@ -160,3 +160,29 @@ class TestConfig:
             assert DEFAULT_CONFIG.max_dense_qubits == 20
         finally:
             configure(max_dense_qubits=original)
+
+
+class TestFaultLayer:
+    """The fault layer models one process: the two ways the driver recovers
+    a unit, and no worker-pool kinds, errors or jitter."""
+
+    def test_kinds_are_the_tracked_two(self):
+        from repro.faults import FAULT_KINDS
+
+        assert FAULT_KINDS == ("transient-backend", "capacity")
+
+    def test_plan_and_policy_fields(self):
+        from repro.faults import FaultPlan, RetryPolicy
+
+        assert [f.name for f in dataclasses.fields(FaultPlan)] == ["rules", "rate", "kinds"]
+        assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+            "max_attempts",
+            "backoff_base",
+            "backoff_max",
+            "retryable",
+        ]
+
+    def test_no_pool_names_are_exported(self):
+        removed = {"ParallelExecutor", "ShardedExecutor", "WorkerCrashError"}
+        assert removed.isdisjoint(repro.__all__)
+        assert not any(hasattr(repro, name) for name in removed)

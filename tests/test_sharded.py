@@ -1,4 +1,4 @@
-"""The ``sharded`` alias of stacked execution: equivalence, sizing, guards."""
+"""The ``sharded`` row of stacked execution: equivalence, sizing, guards."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,11 @@ from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ShardedExecutor,
     VALID_STRATEGIES,
     VectorizedExecutor,
     run_ptsbe,
 )
-from repro.execution.batched import STRATEGIES
+from repro.execution.batched import STRATEGIES, build_executor
 from repro.execution.plan import get_fused_plan
 from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
 from repro.rng import make_rng
@@ -110,8 +109,8 @@ class TestShardedEquivalence:
         specs = _pts_specs(brickwork, 7)
         serial = BatchedExecutor().execute(brickwork, specs, seed=13)
         vectorized = VectorizedExecutor().execute(brickwork, specs, seed=13)
-        sharded = ShardedExecutor(
-            _budget(brickwork.num_qubits, budget_rows), max_batch=max_batch
+        sharded = build_executor(
+            "sharded", _budget(brickwork.num_qubits, budget_rows), max_batch=max_batch
         ).execute(brickwork, specs, seed=13)
         assert sharded.engine == "sharded"
         for reference in (serial, vectorized):
@@ -135,7 +134,7 @@ class TestShardedEquivalence:
         circ = _wide_gate_circuit(name)
         specs = _pts_specs(circ, 3, nsamples=120, nshots=150)
         serial = BatchedExecutor().execute(circ, specs, seed=6)
-        sharded = ShardedExecutor(_budget(circ.num_qubits, budget_rows)).execute(
+        sharded = build_executor("sharded", _budget(circ.num_qubits, budget_rows)).execute(
             circ, specs, seed=6
         )
         assert get_fused_plan(circ).max_qubits == cap
@@ -174,7 +173,7 @@ class TestDedupAcrossShards:
             _spec(2, 10),
             _spec(3, 40, [_event(1, 2, qubits=(0, 1))]),
         ]
-        result = ShardedExecutor(max_batch=3).execute(noisy_ghz3, specs, seed=3)
+        result = build_executor("sharded", max_batch=3).execute(noisy_ghz3, specs, seed=3)
         trajectories = PTSResult.from_specs(noisy_ghz3, specs)
         groups = deduplicate_specs(trajectories.table, trajectories.shots)
         assert result.unique_preparations == len(groups) == 3
@@ -184,15 +183,15 @@ class TestDedupAcrossShards:
     def test_matches_vectorized_dedup_accounting(self, noisy_ghz3):
         specs = _pts_specs(noisy_ghz3, 9)
         vec = VectorizedExecutor().execute(noisy_ghz3, specs, seed=1)
-        sharded = ShardedExecutor().execute(noisy_ghz3, specs, seed=1)
+        sharded = build_executor("sharded").execute(noisy_ghz3, specs, seed=1)
         assert sharded.unique_preparations == vec.unique_preparations
 
 
 class TestRowRule:
-    @pytest.mark.parametrize("cls", [VectorizedExecutor, ShardedExecutor])
+    @pytest.mark.parametrize("strategy", ["vectorized", "sharded"])
     @pytest.mark.parametrize("max_batch,rows", [(None, 4), (64, 4), (4, 4), (3, 3), (1, 1)])
     def test_rows_are_max_batch_within_the_backend_budget(
-        self, noisy_ghz3, cls, max_batch, rows
+        self, noisy_ghz3, strategy, max_batch, rows
     ):
         """A unit holds ``min(max_batch, backend.max_batch_rows)`` rows, read
         off the backend that runs the stack: a spec's backend under
@@ -202,7 +201,7 @@ class TestRowRule:
         trajectories = PTSResult.from_specs(noisy_ghz3, specs)
         assert len(deduplicate_specs(trajectories.table, trajectories.shots)) == len(specs) > 4
         spec = BackendSpec.batched_statevector(config=Config(max_dense_qubits=5))
-        executor = cls(spec, max_batch=max_batch)
+        executor = build_executor(strategy, spec, max_batch=max_batch)
         stream = executor.execute_stream(noisy_ghz3, specs, seed=6)
         assert next(stream).num_trajectories == 1  # one unit per chunk
         assert next(stream).num_trajectories == rows
@@ -263,22 +262,16 @@ class TestStrategyDispatch:
 
 
 class TestGuards:
-    def test_options_are_keyword_only(self):
-        # A positional option after the backend (an old device count among
-        # them) must not land silently on max_batch.
-        with pytest.raises(TypeError):
-            ShardedExecutor(BackendSpec.batched_statevector(), 2)
-
     def test_rejects_mps_backend(self):
         with pytest.raises(ExecutionError):
-            ShardedExecutor(BackendSpec.mps(max_bond=8))
+            build_executor("sharded", BackendSpec.mps(max_bond=8))
 
     def test_rejects_bad_max_batch(self):
         with pytest.raises(ExecutionError):
-            ShardedExecutor(max_batch=0)
+            build_executor("sharded", max_batch=0)
 
     def test_requires_specs_and_measurements(self, noisy_ghz3):
         with pytest.raises(ExecutionError):
-            ShardedExecutor().execute(noisy_ghz3, [], seed=0)
+            build_executor("sharded").execute(noisy_ghz3, [], seed=0)
         with pytest.raises(ExecutionError):
-            ShardedExecutor().execute(Circuit(1).h(0).freeze(), [_spec(0, 1)], seed=0)
+            build_executor("sharded").execute(Circuit(1).h(0).freeze(), [_spec(0, 1)], seed=0)

@@ -13,8 +13,6 @@ from repro.errors import ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
-    ShardedExecutor,
     ShotChunk,
     ShotTable,
     StreamedResult,
@@ -23,6 +21,7 @@ from repro.execution import (
     run_ptsbe_stream,
 )
 from repro.execution import driver
+from repro.execution.batched import build_executor
 from repro.execution.results import SPEC_COLUMNS, SpecColumns, UnitShots
 from repro.execution.streaming import OrderedDelivery
 from repro.pts import ProbabilisticPTS, PTSResult, TrajectorySpec, deduplicate_specs
@@ -71,11 +70,11 @@ def _executor(strategy):
     if strategy == "serial":
         return BatchedExecutor(BackendSpec.statevector())
     if strategy == "parallel":
-        return ParallelExecutor(BackendSpec.statevector())
+        return build_executor("parallel", BackendSpec.statevector())
     if strategy == "vectorized":
         return VectorizedExecutor(BackendSpec.batched_statevector(), max_batch=4)
     if strategy == "sharded":
-        return ShardedExecutor(BackendSpec.batched_statevector(), max_batch=4)
+        return build_executor("sharded", BackendSpec.batched_statevector(), max_batch=4)
     raise AssertionError(strategy)
 
 
@@ -292,7 +291,7 @@ class TestAbandonment:
 
     def test_context_manager_closes(self, brickwork):
         specs = _pts_specs(brickwork, 4)
-        with ParallelExecutor().execute_stream(brickwork, specs, seed=4) as stream:
+        with build_executor("parallel").execute_stream(brickwork, specs, seed=4) as stream:
             next(stream)
         assert stream.closed
 

@@ -29,13 +29,12 @@ from repro.errors import BackendError, CapacityError, ExecutionError
 from repro.execution import (
     BackendSpec,
     BatchedExecutor,
-    ParallelExecutor,
-    ShardedExecutor,
     VectorizedExecutor,
     get_fused_plan,
     run_ptsbe,
 )
 from repro.execution import batched
+from repro.execution.batched import build_executor
 from repro.execution.plan import VariantTable, build_fused_plan
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.linalg.sampling import bits_from_indices
@@ -1099,12 +1098,23 @@ class TestLazyZeroState:
         elif read == "probabilities":
             np.testing.assert_array_equal(backend.probabilities(), zero)
         elif read == "cumulative":
-            np.testing.assert_array_equal(backend.cumulative().reshape(-1), np.ones(8))
+            np.testing.assert_array_equal(backend.cumulative(), np.ones(8))
         else:
             assert not backend.sample(50, [0, 1, 2], make_rng(1)).any()
         stack = BatchedStatevectorBackend(3, 2)
         stack.reset(4)
         assert stack.batch_size == 4 and stack.norms_squared().tolist() == [1.0] * 4
+
+
+def test_the_one_row_view_reads_one_row_tables():
+    """``cumulative()`` on the serial view is the ``(2**n,)`` row that
+    ``probabilities()`` is, not the stack's one-row ``(1, 2**n)`` table."""
+    circuit = ghz(3).measure_all().freeze()
+    backend = StatevectorBackend(3)
+    backend.run_fixed(circuit)
+    probabilities, cumulative = backend.probabilities(), backend.cumulative()
+    assert cumulative.shape == probabilities.shape == (8,)
+    np.testing.assert_allclose(cumulative, np.cumsum(probabilities))
 
 
 class TestDedup:
@@ -1326,7 +1336,7 @@ class TestGuards:
 
     def test_parallel_executor_rejects_stacked_backend(self):
         with pytest.raises(ExecutionError):
-            ParallelExecutor(backend=BackendSpec.batched_statevector())
+            build_executor("parallel", BackendSpec.batched_statevector())
 
     def test_vectorized_rejects_mps(self):
         with pytest.raises(ExecutionError):
@@ -1388,7 +1398,7 @@ class TestMeasurementTailStrategies:
         runs = [
             BatchedExecutor().execute(circuit, specs, seed=3),
             VectorizedExecutor(max_batch=7).execute(circuit, specs, seed=3),
-            ShardedExecutor().execute(circuit, specs, seed=3),
+            build_executor("sharded").execute(circuit, specs, seed=3),
         ]
         first = runs[0].shot_table()
         for run in runs[1:]:
@@ -1507,7 +1517,7 @@ class TestRelabelledDraws:
         assert {len(t.bits) for t in serial.trajectories} == {dim - 1, dim, dim + 1}
         for run in (
             VectorizedExecutor(max_batch=7).execute(circuit, specs, seed=5),
-            ShardedExecutor().execute(circuit, specs, seed=5),
+            build_executor("sharded").execute(circuit, specs, seed=5),
         ):
             table = run.shot_table()
             np.testing.assert_array_equal(table.bits, first.bits)
