@@ -10,8 +10,10 @@ library-wide deferred-measurement contract):
 1.  One tableau run of the ideal circuit maps the noiseless outcome
     distribution, which for stabilizer circuits is uniform over an affine
     subspace of GF(2)^k: a reference sample ``b_ref`` plus one generator
-    per random measurement (obtained by re-running with that outcome
-    forced to 1).
+    per random measurement.  The measurements are made once, in order,
+    with every tableau sign carried as an affine function of the random
+    outcomes before it, so a deterministic outcome comes out as a
+    constant (its ``b_ref`` bit) plus coefficients (its generator bits).
 2.  Noise is handled entirely by Pauli *frames*: an (m, n) pair of X/Z bit
     matrices, one row per shot, propagated through the Clifford gates with
     O(1) column updates and XOR-ed with vectorized per-site error draws.
@@ -89,35 +91,20 @@ class FrameSampler:
     def _analyze_ideal(self) -> None:
         """Reference outcome plus one affine generator per random measurement.
 
-        The gate list is applied once.  The reference pass forces every
-        random measurement to 0 (so no rng is needed); generator ``g`` is
-        the pass that forces random measurement ``g`` to 1 instead, XOR the
-        reference.  That pass agrees with the reference up to its
-        measurement, so it resumes from a copy of the tableau taken right
-        before it rather than replaying the circuit.
+        The gate list is applied once; then one forward measurement pass
+        (:meth:`StabilizerBackend.affine_outcomes`) carries every tableau
+        sign as an affine function of the random outcomes, which yields the
+        reference (every random outcome 0) and the generators (each random
+        outcome's coefficients) together, with no tableau copy or replay.
         """
         backend = StabilizerBackend(self.num_qubits)
         for op in self.circuit:
             if isinstance(op, GateOp):
                 backend.apply_gate_by_name(op.gate.name, op.qubits)
             # NoiseOps ignored in the ideal pass; MeasureOps deferred.
-        measured = self.measured_qubits
-        reference = np.zeros(len(measured), dtype=np.uint8)
-        self.random_positions = []
-        tails = []
-        for pos, qubit in enumerate(measured):
-            before = backend.copy()
-            reference[pos], was_random = backend.measure(qubit, force=0)
-            if was_random:
-                self.random_positions.append(pos)
-                forced = [1] + [0] * (len(measured) - pos - 1)
-                tails.append(
-                    [before.measure(q, force=f)[0] for q, f in zip(measured[pos:], forced)]
-                )
-        self.reference = reference
-        self.generators = np.zeros((len(tails), len(measured)), dtype=np.uint8)
-        for row, pos, tail in zip(self.generators, self.random_positions, tails):
-            row[pos:] = reference[pos:] ^ np.array(tail, dtype=np.uint8)
+        self.reference, self.random_positions, self.generators = backend.affine_outcomes(
+            self.measured_qubits
+        )
 
     # ------------------------------------------------------------------ #
     # one-time noise-site compilation

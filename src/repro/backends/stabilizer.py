@@ -178,15 +178,58 @@ class StabilizerBackend:
         out = np.where(zonly, x2 * (1 - 2 * z2), out)
         return out
 
-    def _rowsum_into(self, hx, hz, hr, i: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Multiply arbitrary row (hx, hz, hr) by tableau row i."""
-        g = int(self._g_vector(self.x[i], self.z[i], hx, hz).sum())
-        phase = (2 * int(hr) + 2 * int(self.r[i]) + g) % 4
-        return hx ^ self.x[i], hz ^ self.z[i], 1 if phase == 2 else 0
+    def _product_sign(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(x, z, sign bit)`` of the product of tableau ``rows`` in order.
+
+        The rows must commute pairwise (any set of stabilizer rows does),
+        so every partial product commutes with the next row and each
+        sequential Aaronson-Gottesman rowsum has an even phase: the sign is
+        the XOR of the rows' signs and of one bit per row, ``g == 2 (mod
+        4)`` against the prefix product before it.  All prefixes come from
+        one ``bitwise_xor.accumulate`` and all ``g`` from one call.
+        """
+        if not len(rows):
+            identity = np.zeros(self.num_qubits, dtype=np.uint8)
+            return identity, identity.copy(), 0
+        x, z = self.x[rows], self.z[rows]
+        px = np.bitwise_xor.accumulate(x, axis=0)
+        pz = np.bitwise_xor.accumulate(z, axis=0)
+        g = int(self._g_vector(x[1:], z[1:], px[:-1], pz[:-1]).sum())
+        phase = (2 * int(self.r[rows].sum()) + g) % 4
+        return px[-1], pz[-1], phase // 2
 
     # ------------------------------------------------------------------ #
     # measurement
     # ------------------------------------------------------------------ #
+    def _collapse(self, qubit: int, p: int, signs: Optional[np.ndarray] = None) -> None:
+        """Random-outcome update with stabilizer ``p`` as the pivot: rowsum
+        ``p`` into every other row that anticommutes with ``Z_qubit``, move
+        it to destabilizer ``p - n`` and make row ``p`` ``+Z_qubit`` (the
+        caller sets its sign).  ``signs`` (``(2n, symbols)`` bits), when
+        given, is each row's sign as a function of earlier random outcomes,
+        and follows the rows."""
+        n = self.num_qubits
+        # rowsum(i, p) for every other row i that anticommutes with
+        # Z_qubit; row p itself does not change, so all at once.
+        rows = np.flatnonzero(self.x[:, qubit])
+        rows = rows[rows != p]
+        g = self._g_vector(self.x[p], self.z[p], self.x[rows], self.z[rows]).sum(axis=1)
+        phase = (2 * self.r[rows].astype(np.int64) + 2 * int(self.r[p]) + g) % 4
+        self.x[rows] ^= self.x[p]
+        self.z[rows] ^= self.z[p]
+        self.r[rows] = phase == 2
+        self.x[p - n] = self.x[p]
+        self.z[p - n] = self.z[p]
+        self.r[p - n] = self.r[p]
+        self.x[p] = 0
+        self.z[p] = 0
+        self.z[p, qubit] = 1
+        self.r[p] = 0
+        if signs is not None:
+            signs[rows] ^= signs[p]
+            signs[p - n] = signs[p]
+            signs[p] = 0
+
     def measure(
         self,
         qubit: int,
@@ -195,48 +238,63 @@ class StabilizerBackend:
     ) -> Tuple[int, bool]:
         """Measure ``qubit`` in the Z basis; return ``(outcome, was_random)``.
 
-        ``force`` pins the outcome to 0/1 *when the measurement is random*
-        (used by the Pauli-frame sampler to map the ideal affine outcome
-        space); deterministic measurements ignore it, since their outcome
-        is fixed by the state.
+        ``force`` pins the outcome to 0/1 *when the measurement is random*;
+        deterministic measurements ignore it, since their outcome is fixed
+        by the state.
         """
         n = self.num_qubits
-        stab_rows = np.nonzero(self.x[n:, qubit])[0]
+        stab_rows = np.flatnonzero(self.x[n:, qubit])
         if stab_rows.size > 0:
-            # Random outcome.
-            p = int(stab_rows[0]) + n
-            # rowsum(i, p) for every other row i that anticommutes with
-            # Z_qubit; row p itself does not change, so all at once.
-            rows = np.flatnonzero(self.x[:, qubit])
-            rows = rows[rows != p]
-            g = self._g_vector(self.x[p], self.z[p], self.x[rows], self.z[rows]).sum(axis=1)
-            phase = (2 * self.r[rows].astype(np.int64) + 2 * int(self.r[p]) + g) % 4
-            self.x[rows] ^= self.x[p]
-            self.z[rows] ^= self.z[p]
-            self.r[rows] = phase == 2
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, qubit] = 1
             if force is not None:
                 outcome = int(force)
             else:
                 if rng is None:
                     raise BackendError("random measurement requires an rng")
                 outcome = int(rng.integers(0, 2))
+            p = int(stab_rows[0]) + n
+            self._collapse(qubit, p)
             self.r[p] = outcome
             return outcome, True
-        # Deterministic outcome: accumulate stabilizer rows indexed by the
-        # destabilizers that anticommute with Z_qubit.
-        hx = np.zeros(n, dtype=np.uint8)
-        hz = np.zeros(n, dtype=np.uint8)
-        hr = 0
-        for i in range(n):
-            if self.x[i, qubit]:
-                hx, hz, hr = self._rowsum_into(hx, hz, hr, i + n)
-        return int(hr), False
+        # Deterministic outcome: the product of the stabilizer rows indexed
+        # by the destabilizers that anticommute with Z_qubit.
+        return self._product_sign(np.flatnonzero(self.x[:n, qubit]) + n)[2], False
+
+    def affine_outcomes(
+        self, qubits: Sequence[int]
+    ) -> Tuple[np.ndarray, List[int], np.ndarray]:
+        """The outcome space of measuring ``qubits`` in order, in one pass.
+
+        Returns ``(reference, random_positions, generators)``: the outcomes
+        are uniform over ``reference XOR span(generators)``, with one
+        ``(k,)`` generator per random measurement.  Each row's sign is
+        carried as an affine function of the random outcomes so far — its
+        constant in ``r``, its coefficients in a bit matrix — so a random
+        measurement opens a fresh symbol and a deterministic one reads its
+        outcome as a function of the earlier symbols.  Which measurements
+        are random depends on the x/z bits alone, so ``reference`` is the
+        run that forces every random outcome to 0 and generator ``j`` the
+        change when outcome ``j`` alone is forced to 1.  Collapses the
+        tableau.
+        """
+        n, k = self.num_qubits, len(qubits)
+        signs = np.zeros((2 * n, k), dtype=np.uint8)
+        reference = np.zeros(k, dtype=np.uint8)
+        coefficients = np.zeros((k, k), dtype=np.uint8)
+        random_positions: List[int] = []
+        for pos, qubit in enumerate(qubits):
+            stab_rows = np.flatnonzero(self.x[n:, qubit])
+            if stab_rows.size > 0:
+                p = int(stab_rows[0]) + n
+                self._collapse(qubit, p, signs)
+                signs[p, len(random_positions)] = 1
+                coefficients[pos, len(random_positions)] = 1
+                random_positions.append(pos)
+            else:
+                rows = np.flatnonzero(self.x[:n, qubit]) + n
+                reference[pos] = self._product_sign(rows)[2]
+                coefficients[pos] = np.bitwise_xor.reduce(signs[rows], axis=0)
+        generators = np.ascontiguousarray(coefficients[:, : len(random_positions)].T)
+        return reference, random_positions, generators
 
     def measure_many(
         self,
@@ -260,23 +318,12 @@ class StabilizerBackend:
     def expectation_pauli(self, pauli: PauliString) -> int:
         """<P> for a Pauli string: +1/-1 if stabilized, else 0."""
         n = self.num_qubits
-        # P is in the stabilizer group (up to sign) iff it commutes with
-        # every stabilizer; equivalently iff it anticommutes with no
-        # stabilizer.  Build P from stabilizer rows using destabilizer
-        # anticommutation pattern.
-        hx = np.zeros(n, dtype=np.uint8)
-        hz = np.zeros(n, dtype=np.uint8)
-        hr = 0
         target_x = pauli.x.astype(np.uint8)
         target_z = pauli.z.astype(np.uint8)
-        # Determine combination: P must equal product of stabilizers S_i for
-        # i where destabilizer_i anticommutes with P.
-        for i in range(n):
-            # symplectic product of destabilizer row i with P
-            anti = (int(np.count_nonzero(self.x[i] & target_z))
-                    + int(np.count_nonzero(self.z[i] & target_x))) % 2
-            if anti:
-                hx, hz, hr = self._rowsum_into(hx, hz, hr, i + n)
+        # P is in the stabilizer group (up to sign) iff it is the product of
+        # the stabilizers S_i whose destabilizer anticommutes with P.
+        anti = ((self.x[:n] & target_z) ^ (self.z[:n] & target_x)).sum(axis=1) % 2
+        hx, hz, hr = self._product_sign(np.flatnonzero(anti) + n)
         if not (np.array_equal(hx, target_x) and np.array_equal(hz, target_z)):
             return 0
         # Compare signs: hr gives the sign of the product as an X-Z ordered

@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.rng import library_rng
-from repro.circuits.gates import CX, CZ, H, RX, RY, RZ, Gate, T, X
+from repro.circuits.gates import CX, CZ, H, RX, RY, RZ, Gate, S, T, X
+from repro.circuits.operations import GateOp
 from repro.errors import CircuitError
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "bernstein_vazirani",
     "qaoa_ring",
     "surface_syndrome",
+    "cliffordized",
+    "clifford_msd_prep",
     "noisy",
     "WorkloadFamily",
     "register_workload",
@@ -238,6 +241,35 @@ def surface_syndrome(num_qubits: int, measure: bool = False) -> Circuit:
     return circ
 
 
+def cliffordized(circuit: Circuit) -> Circuit:
+    """``circuit`` with its magic-state rotations (``ry``, ``rz``) replaced
+    by S: a Clifford circuit with the same noise sites and measurements,
+    mutable (site ids are assigned again at freeze)."""
+    out = Circuit(circuit.num_qubits, name=circuit.name)
+    for op in circuit:
+        rotation = isinstance(op, GateOp) and op.gate.name in ("ry", "rz")
+        out.append(GateOp(S, op.qubits) if rotation else op)
+    return out
+
+
+def clifford_msd_prep(measure: bool = False) -> Circuit:
+    """The Steane-encoded MSD preparation (35 qubits), :func:`cliffordized`.
+
+    :func:`~repro.qec.magic.msd_preparation_circuit` with its magic-state
+    rotations replaced by S, as the benchmark's cliffordized MSD workloads
+    are.  No gate joins two blocks, so every MPS bond stays at most 8 and
+    both wide engines (``clifford``, ``tensornet``) serve it exactly: their
+    cross-check at the width of paper Fig. 5.
+    """
+    from repro.qec import msd_preparation_circuit, steane_code
+
+    circ = cliffordized(msd_preparation_circuit(steane_code(), measure=False))
+    circ.name = "msd_prep_clifford"
+    if measure:
+        circ.measure_all()
+    return circ
+
+
 def noisy(circuit: Circuit, noise_model) -> Circuit:
     """Interleave a noise model into an ideal circuit.
 
@@ -374,6 +406,15 @@ register_workload(
             "Rotated d=3 surface-code syndrome extraction "
             "(pure Clifford; widths past the dense cap via the frame engine)"
         ),
+    )
+)
+register_workload(
+    WorkloadFamily(
+        name="msd_prep_clifford",
+        builder=lambda n, rng: clifford_msd_prep(measure=True),
+        min_width=35,
+        max_width=35,
+        description="Steane MSD preparation, magic rotations replaced by S (35q, Clifford)",
     )
 )
 register_workload(

@@ -30,6 +30,12 @@ Three tiers, cheapest first; the two exact ones always run:
    when coverage is near-complete (un-covered mass below half the
    per-cell standard error), where the restricted and full distributions
    are statistically indistinguishable.
+
+Past the density-matrix widths a cell that runs both wide engines,
+``clifford`` and ``tensornet``, gets a fourth finding instead
+(:func:`check_wide_engines`): the two must draw the same trajectory set
+with the same weights, and agree on every per-qubit marginal and on the
+parities the ideal circuit fixes within a shot-noise bound.
 """
 
 from __future__ import annotations
@@ -52,9 +58,12 @@ __all__ = [
     "check_strategy_equivalence",
     "check_streaming_concat",
     "check_distribution",
+    "check_wide_engines",
     "chi_square_critical_value",
     "tables_identical",
     "CHI_SQUARE_ALPHA",
+    "WIDE_SIGMAS",
+    "WIDE_WEIGHT_RTOL",
 ]
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
@@ -62,12 +71,22 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 #: False-positive rate of the distribution tier's chi-square test.
 CHI_SQUARE_ALPHA = 1e-4
 
+#: Relative tolerance on a trajectory's weight across the wide engines:
+#: each realizes a Pauli-mixture trajectory's weight as the product of its
+#: branch probabilities, one exactly and one through an untruncated MPS
+#: norm, so anything past rounding is a retained-norm loss.
+WIDE_WEIGHT_RTOL = 1e-12
+
+#: Shot-noise bound of the wide-engine tier, in standard errors of the
+#: difference of two engines' shot means.
+WIDE_SIGMAS = 5.0
+
 
 @dataclass(frozen=True)
 class OracleFinding:
     """Outcome of one oracle tier on one cell (or one strategy)."""
 
-    check: str  # "strategy_equivalence" | "streaming_concat" | "distribution"
+    check: str  # "strategy_equivalence" | "streaming_concat" | "distribution" | "wide_engines"
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
     metrics: Tuple[Tuple[str, float], ...] = ()
@@ -248,5 +267,70 @@ def check_distribution(
         check="distribution",
         status=PASS,
         detail=f"TVD {tvd:.4f} within bound {bound:.4f}",
+        metrics=tuple(metrics),
+    )
+
+
+def check_wide_engines(circuit: Circuit, clifford, tensornet) -> OracleFinding:
+    """The two wide engines' results on one Clifford + Pauli-noise cell.
+
+    ``clifford`` and ``tensornet`` are the two strategies'
+    :class:`~repro.execution.results.PTSBEResult` under one seed.  They
+    must hold the same trajectories in the same order with the same shot
+    counts, and weights equal to :data:`WIDE_WEIGHT_RTOL`.  Then every
+    per-qubit marginal and every measured-bit parity the ideal circuit
+    fixes is compared.  The ideal outcomes are uniform over ``reference
+    XOR span(generators)`` (:class:`~repro.backends.pauli_frame.FrameSampler`),
+    so the fixed parities are the null space of the generators.  The two
+    shot means may differ by at most :data:`WIDE_SIGMAS` standard errors
+    of their difference, ``sqrt(p (1 - p) (1/n_a + 1/n_b))`` with ``p`` the
+    pooled mean (plus one pseudo-count each way).  A trajectory set's
+    shots are stratified, which only lowers the variance below that
+    binomial one.
+    """
+    from repro.backends.pauli_frame import FrameSampler
+    from repro.qec.gf2 import nullspace
+
+    runs = (clifford, tensornet)
+    records = [[(r.trajectory_id, r.signature()) for r in run.records] for run in runs]
+    if records[0] != records[1] or not np.array_equal(
+        clifford.columns.specs["count"], tensornet.columns.specs["count"]
+    ):
+        return OracleFinding(
+            check="wide_engines",
+            status=FAIL,
+            detail=f"trajectory sets differ ({len(records[0])} clifford vs "
+            f"{len(records[1])} tensornet specs)",
+        )
+    weights = [run.columns.specs["weight"] for run in runs]
+    weight_error = float(np.max(np.abs(weights[1] / weights[0] - 1.0), initial=0.0))
+    metrics = [("weight_rel_error", weight_error)]
+    if weight_error > WIDE_WEIGHT_RTOL:
+        return OracleFinding(
+            check="wide_engines",
+            status=FAIL,
+            detail=f"weights differ by {weight_error:.3g} relative (> {WIDE_WEIGHT_RTOL:g})",
+            metrics=tuple(metrics),
+        )
+    frames = FrameSampler(circuit)
+    width = len(frames.measured_qubits)
+    parities = nullspace(frames.generators)
+    stats = np.concatenate([np.eye(width, dtype=np.int64), parities]).T
+    bits = [run.shot_table().bits.astype(np.int64) for run in runs]
+    ones = [((b @ stats) & 1).sum(axis=0) for b in bits]
+    shots = [len(b) for b in bits]
+    pooled = (ones[0] + ones[1] + 1) / (shots[0] + shots[1] + 2)
+    error = np.sqrt(pooled * (1 - pooled) * (1 / shots[0] + 1 / shots[1]))
+    z = np.abs(ones[0] / shots[0] - ones[1] / shots[1]) / error
+    worst = int(np.argmax(z))
+    metrics += [("max_z", float(z[worst])), ("statistics", float(len(z)))]
+    what = f"marginal {worst}" if worst < width else f"fixed parity {worst - width}"
+    status = FAIL if z[worst] > WIDE_SIGMAS else PASS
+    return OracleFinding(
+        check="wide_engines",
+        status=status,
+        detail=f"{len(records[0])} trajectories, equal weights; {what} at "
+        f"{z[worst]:.2f} sigma, bound {WIDE_SIGMAS:g} "
+        f"({width} marginals, {len(parities)} fixed parities)",
         metrics=tuple(metrics),
     )

@@ -43,6 +43,7 @@ from repro.sweep.oracle import (
     check_distribution,
     check_strategy_equivalence,
     check_streaming_concat,
+    check_wide_engines,
     tables_identical,
 )
 from repro.sweep.spec import CellSpec, OracleSpec, SweepSpec
@@ -198,7 +199,9 @@ def run_cell(cell: CellSpec, oracle: OracleSpec) -> CellResult:
     mechanism and ``tensornet`` also truncates amplitudes, so their tables
     are seeded-reproducible but not bitwise equal to the dense ones: each
     gets its own distribution finding against the exact density-matrix
-    reference instead (subject to the same width/mixture gates).
+    reference instead (subject to the same width/mixture gates).  A cell
+    that runs both of them is also checked one against the other
+    (:func:`~repro.sweep.oracle.check_wide_engines`), at any width.
 
     When the cell carries a ``budget_seconds`` and its total wall clock
     exceeds it, a cell that would have passed is reported ``timeout``
@@ -255,6 +258,9 @@ def run_cell(cell: CellSpec, oracle: OracleSpec) -> CellResult:
         if strategy != reference:
             finding = replace(finding, detail=f"{strategy}: {finding.detail}")
         findings.append(finding)
+
+    if "clifford" in runs and "tensornet" in runs:
+        findings.append(check_wide_engines(circuit, runs["clifford"][0], runs["tensornet"][0]))
 
     outcomes = [
         StrategyOutcome(

@@ -178,28 +178,12 @@ def layered_brickwork():
     return _layered_brickwork
 
 
-def _cliffordized(noisy: Circuit) -> Circuit:
-    """``noisy`` with its magic-prep rotations (ry, rz) replaced by S: a
-    pure-Clifford circuit with the same Pauli noise sites, frozen."""
-    from repro.circuits.gates import S
-    from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
-
-    out = Circuit(noisy.num_qubits)
-    for op in noisy:
-        if isinstance(op, GateOp):
-            out.gate(S if op.gate.name in ("ry", "rz") else op.gate, *op.qubits)
-        elif isinstance(op, NoiseOp):
-            out.attach(op.channel, *op.qubits)
-        else:
-            out.append(MeasureOp(op.qubits, key=op.key))
-    return out.freeze()
-
-
 @pytest.fixture(scope="session")
 def msd35_circuit() -> Circuit:
     """Steane-encoded MSD, cliffordized: 35 measured qubits, 105 noise
     sites, 20 random measurements — the circuit of the ``clifford_pts_35q``
     benchmark workload."""
+    from repro.circuits.library import cliffordized
     from repro.qec import msd_benchmark_circuit, steane_code
 
     model = (
@@ -209,7 +193,7 @@ def msd35_circuit() -> Circuit:
         .add_all_qubit_gate_noise("sy", depolarizing(0.002))
         .add_all_qubit_gate_noise("sxdg", depolarizing(0.002))
     )
-    return _cliffordized(model.apply(msd_benchmark_circuit(steane_code())))
+    return cliffordized(model.apply(msd_benchmark_circuit(steane_code()))).freeze()
 
 
 @pytest.fixture(scope="session")
@@ -217,11 +201,11 @@ def msd_prep35_circuit() -> Circuit:
     """Steane-encoded MSD *preparation* (five blocks, 35 measured qubits,
     the ``tensornet_shots_35q`` workload's circuit), cliffordized: Clifford
     + Pauli noise at a width, and of an entanglement, both wide engines
-    represent exactly."""
-    from repro.qec import msd_preparation_circuit, steane_code
+    represent exactly; the sweep's ``msd_prep_clifford`` family."""
+    from repro.circuits.library import clifford_msd_prep
 
     model = NoiseModel().add_all_qubit_gate_noise("cx", depolarizing(0.005))
-    return _cliffordized(model.apply(msd_preparation_circuit(steane_code())))
+    return model.apply(clifford_msd_prep(measure=True)).freeze()
 
 
 def _assert_matches_per_op(make_backend, circuit, choices, state_of):

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backends.density_matrix import DensityMatrixBackend
 from repro.backends.pauli_frame import FrameSampler, frame_sample
+from repro.backends.stabilizer import StabilizerBackend
+from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, bit_flip, depolarizing
 from repro.channels.standard import amplitude_damping
 from repro.circuits import Circuit, library
@@ -357,6 +361,42 @@ class TestStackSampling:
         assert unpacked.flags.c_contiguous and unpacked.base is None
 
 
+_ONE_QUBIT_GATES = ("h", "s", "sdg", "x", "y", "z", "i", "sx", "sxdg", "sy", "sydg")
+_TWO_QUBIT_GATES = ("cx", "cz", "swap")
+
+
+@st.composite
+def clifford_circuits(draw, max_qubits=7, measure=None):
+    """A frozen Clifford circuit over every tableau gate, measuring a drawn
+    subset of its qubits in a drawn order (``measure="all"``: every qubit)."""
+    n = draw(st.integers(1, max_qubits))
+    circ = Circuit(n)
+    names = _ONE_QUBIT_GATES + (_TWO_QUBIT_GATES if n > 1 else ())
+    for _ in range(draw(st.integers(0, 4 * n))):
+        name = draw(st.sampled_from(names))
+        if name in _TWO_QUBIT_GATES:
+            qubits = draw(st.permutations(range(n)))[:2]
+        else:
+            qubits = [draw(st.integers(0, n - 1))]
+        getattr(circ, name)(*qubits)
+    order = draw(st.permutations(range(n)))
+    count = n if measure == "all" else draw(st.integers(1, n))
+    return circ.measure(*order[:count]).freeze()
+
+
+def ideal_support(circuit):
+    """``{outcome: probability}`` over the measured qubits (measurement
+    order, first qubit most significant) from the ideal statevector."""
+    sv = StatevectorBackend(circuit.num_qubits)
+    sv.run_fixed(circuit)
+    measured = list(circuit.measured_qubits)
+    probs = sv.probabilities().reshape((2,) * circuit.num_qubits)
+    drop = tuple(q for q in range(circuit.num_qubits) if q not in measured)
+    marginal = np.transpose(probs.sum(axis=drop), np.argsort(np.argsort(measured)))
+    flat = marginal.reshape(-1)
+    return {int(i): float(flat[i]) for i in np.flatnonzero(flat > 1e-9)}
+
+
 class TestCompile:
     def check(self, circuit):
         sampler = FrameSampler(circuit)
@@ -407,3 +447,63 @@ class TestCompile:
                 if isinstance(later, GateOp):
                     FrameSampler._propagate_gate(later.gate.name, later.qubits, fx, fz)
             np.testing.assert_array_equal(site.end_x_patterns, fx)
+
+    def test_drawn_gates_cover_the_tableau_dispatch(self):
+        assert set(_ONE_QUBIT_GATES + _TWO_QUBIT_GATES) == set(StabilizerBackend._GATE_DISPATCH)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(clifford_circuits())
+    def test_drawn_circuits_equal_forced_runs(self, circuit):
+        self.check(circuit)
+
+    def test_circuit_whose_every_measurement_is_random(self):
+        circ = Circuit(4).h(0).h(1).h(2).h(3).cx(0, 1).cz(2, 3).measure(3, 1, 0, 2)
+        sampler = self.check(circ.freeze())
+        assert sampler.random_positions == [0, 1, 2, 3]
+        np.testing.assert_array_equal(sampler.generators, np.eye(4, dtype=np.uint8))
+
+    def test_more_than_64_measured_qubits(self):
+        circ = Circuit(70)
+        for q in range(0, 70, 3):
+            circ.h(q)
+        for q in range(69):
+            circ.cx(q, q + 1) if q % 2 else circ.cz(q, q + 1)
+        circ.s(5).sx(11).swap(0, 69)
+        sampler = self.check(circ.measure(*range(69, -1, -1)).freeze())
+        assert 0 < len(sampler.random_positions) < 70
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(clifford_circuits(max_qubits=8))
+    def test_affine_space_is_the_ideal_support(self, circuit):
+        # An oracle that never reads a tableau: the statevector's support
+        # is reference XOR span(generators), each outcome at 2**-r.
+        sampler = FrameSampler(circuit)
+        r, k = len(sampler.random_positions), len(circuit.measured_qubits)
+        coefficients = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1
+        space = sampler.reference ^ ((coefficients @ sampler.generators) & 1).astype(np.uint8)
+        keys = space.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1))
+        assert len(set(keys.tolist())) == 1 << r  # independent generators
+        support = ideal_support(circuit)
+        assert set(support) == set(keys.tolist())
+        np.testing.assert_allclose(list(support.values()), 2.0**-r, rtol=1e-9)
+
+    def test_a_compile_measures_each_qubit_once_and_copies_no_tableau(self, msd35, monkeypatch):
+        circuit, _ = msd35
+        calls = {"copy": 0, "measure": 0, "collapse": 0, "product": 0}
+
+        def counting(name, method):
+            def wrapped(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            return wrapped
+
+        for name, attr in (("copy", "copy"), ("measure", "measure"),
+                           ("collapse", "_collapse"), ("product", "_product_sign")):
+            monkeypatch.setattr(
+                StabilizerBackend, attr, counting(name, getattr(StabilizerBackend, attr))
+            )
+        sampler = FrameSampler(circuit)
+        assert calls["copy"] == calls["measure"] == 0
+        assert calls["collapse"] == len(sampler.random_positions) == 20
+        assert calls["collapse"] + calls["product"] == len(circuit.measured_qubits) == 35

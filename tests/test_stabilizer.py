@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backends.stabilizer import StabilizerBackend
 from repro.backends.statevector import StatevectorBackend
@@ -125,6 +127,117 @@ class TestStabilizerQueries:
             sv.apply_gate(op.gate, op.qubits)
         for gen in st.stabilizer_generators():
             assert sv.expectation_pauli(gen) == pytest.approx(1.0, abs=1e-9)
+
+
+def rowsum_into(tab, hx, hz, hr, i):
+    """Multiply row (hx, hz, hr) by tableau row i: the per-row rowsum the
+    prefix-XOR sign replaced, kept as its oracle."""
+    g = int(StabilizerBackend._g_vector(tab.x[i], tab.z[i], hx, hz).sum())
+    phase = (2 * int(hr) + 2 * int(tab.r[i]) + g) % 4
+    return hx ^ tab.x[i], hz ^ tab.z[i], 1 if phase == 2 else 0
+
+
+def rowsum_product(tab, rows):
+    hx = np.zeros(tab.num_qubits, dtype=np.uint8)
+    hz = np.zeros(tab.num_qubits, dtype=np.uint8)
+    hr = 0
+    for i in rows:
+        hx, hz, hr = rowsum_into(tab, hx, hz, hr, i)
+    return hx, hz, hr
+
+
+def reference_measure(tab, qubit, force):
+    """``measure`` as it was with the per-row loop (forced random outcomes)."""
+    n = tab.num_qubits
+    stab_rows = np.nonzero(tab.x[n:, qubit])[0]
+    if stab_rows.size > 0:
+        p = int(stab_rows[0]) + n
+        for i in range(2 * n):
+            if i != p and tab.x[i, qubit]:
+                tab.x[i], tab.z[i], tab.r[i] = rowsum_into(tab, tab.x[i], tab.z[i], tab.r[i], p)
+        tab.x[p - n], tab.z[p - n], tab.r[p - n] = tab.x[p], tab.z[p], tab.r[p]
+        tab.x[p] = 0
+        tab.z[p] = 0
+        tab.z[p, qubit] = 1
+        tab.r[p] = force
+        return force, True
+    rows = [i + n for i in range(n) if tab.x[i, qubit]]
+    return rowsum_product(tab, rows)[2], False
+
+
+def reference_expectation(tab, pauli):
+    """``expectation_pauli`` as it was with the per-row loop."""
+    n = tab.num_qubits
+    tx, tz = pauli.x.astype(np.uint8), pauli.z.astype(np.uint8)
+    rows = [
+        i + n for i in range(n)
+        if (int(np.count_nonzero(tab.x[i] & tz)) + int(np.count_nonzero(tab.z[i] & tx))) % 2
+    ]
+    hx, hz, hr = rowsum_product(tab, rows)
+    if not (np.array_equal(hx, tx) and np.array_equal(hz, tz)):
+        return 0
+    return int(round((-1.0 if hr else 1.0) * np.real(pauli.phase_factor())))
+
+
+_GATES = {name: 2 if name in ("cx", "cz", "swap") else 1 for name in StabilizerBackend._GATE_DISPATCH}
+
+
+@st.composite
+def tableaux(draw, max_qubits=6):
+    """A tableau after drawn gates and drawn forced measurements, so its
+    signs and rows are far from the initial ones."""
+    n = draw(st.integers(1, max_qubits))
+    tab = StabilizerBackend(n)
+    for _ in range(draw(st.integers(0, 5 * n))):
+        name = draw(st.sampled_from(sorted(_GATES)))
+        if _GATES[name] > n:
+            continue
+        if draw(st.integers(0, 5)) == 0:
+            tab.measure(draw(st.integers(0, n - 1)), force=draw(st.integers(0, 1)))
+        qubits = draw(st.permutations(range(n)))[: _GATES[name]]
+        tab.apply_gate_by_name(name, qubits)
+    return tab
+
+
+class TestSignHelper:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tableaux(), st.data())
+    def test_prefix_xor_sign_equals_the_per_row_loop(self, tab, data):
+        n = tab.num_qubits
+        rows = data.draw(st.lists(st.integers(n, 2 * n - 1), unique=True))
+        hx, hz, hr = tab._product_sign(np.array(rows, dtype=np.intp))
+        ox, oz, orr = rowsum_product(tab, rows)
+        np.testing.assert_array_equal(hx, ox)
+        np.testing.assert_array_equal(hz, oz)
+        assert hr == orr
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tableaux(), st.data())
+    def test_measure_many_equals_the_per_row_loop(self, tab, data):
+        n = tab.num_qubits
+        qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        forces = {i: data.draw(st.integers(0, 1)) for i in range(len(qubits))}
+        oracle = tab.copy()
+        expected = [reference_measure(oracle, q, forces[i]) for i, q in enumerate(qubits)]
+        outcomes, flags = tab.measure_many(qubits, forces=forces)
+        assert list(zip(outcomes, flags)) == expected
+        for array in ("x", "z", "r"):
+            np.testing.assert_array_equal(getattr(tab, array), getattr(oracle, array))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tableaux(), st.data())
+    def test_expectation_pauli_equals_the_per_row_loop(self, tab, data):
+        n = tab.num_qubits
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        if data.draw(st.booleans()):
+            # A member of the stabilizer group, up to sign: the +/-1 cases.
+            rows = data.draw(st.lists(st.integers(n, 2 * n - 1), unique=True))
+            x, z, _ = rowsum_product(tab, rows)
+        else:
+            x, z = np.array(data.draw(bits)), np.array(data.draw(bits))
+        phase = int(np.count_nonzero(x & z)) + 2 * data.draw(st.integers(0, 1))
+        pauli = PauliString(np.asarray(x, dtype=np.uint8), np.asarray(z, dtype=np.uint8), phase % 4)
+        assert tab.expectation_pauli(pauli) == reference_expectation(tab, pauli)
 
 
 class TestNoise:

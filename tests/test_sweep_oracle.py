@@ -81,3 +81,85 @@ def test_relaxation_profile_is_skipped_by_distribution_tier():
     )
     assert finding.status == "skip"
     assert "non-unitary" in finding.detail
+
+
+class TestWideEngines:
+    """The wide tier: ``clifford`` against ``tensornet`` past every dense
+    reference, on the cliffordized Steane MSD-prep at 35 qubits."""
+
+    def cell(self, **overrides):
+        from repro.sweep.spec import CellSpec
+
+        fields = dict(
+            family="msd_prep_clifford", width=35, profile="uniform_depolarizing",
+            shots=20_000, sampler="exhaustive", sampler_options=(("cutoff", 1e-3),),
+            seed=11, strategies=("clifford", "tensornet"),
+        )
+        fields.update(overrides)
+        return CellSpec(**fields)
+
+    def test_msd_prep_cell_passes_on_both_engines(self):
+        from repro.sweep.runner import run_cell
+
+        result = run_cell(self.cell(), OracleSpec())
+        wide = result.finding("wide_engines")
+        assert result.status == PASS, result.findings
+        assert wide.status == PASS and wide.metric("weight_rel_error") < 1e-12
+        assert wide.metric("statistics") == 35 + 20  # marginals + the blocks' Z checks
+        assert sorted(result.verified_strategies()) == ["clifford", "tensornet"]
+
+    def test_a_max_bond_2_cell_fails(self, monkeypatch):
+        # The same cell with tensornet truncated to bond 2: the chain loses
+        # most of every trajectory's norm, and the weights say so.
+        import repro.sweep.runner as runner
+        from repro.execution import BackendSpec
+
+        forced = runner.run_ptsbe_stream
+
+        def truncated(circuit, sampler, seed, strategy):
+            backend = BackendSpec.mps(max_bond=2) if strategy == "tensornet" else BackendSpec()
+            return forced(circuit, sampler, backend=backend, seed=seed, strategy=strategy)
+
+        monkeypatch.setattr(runner, "run_ptsbe_stream", truncated)
+        result = runner.run_cell(self.cell(), OracleSpec())
+        wide = result.finding("wide_engines")
+        assert result.status == "fail" and wide.status == "fail"
+        assert "weights differ" in wide.detail and wide.metric("weight_rel_error") > 0.5
+        assert result.verified_strategies() == []
+
+    def test_one_flipped_qubit_fails_the_fixed_parities(self):
+        # Flipping qubit 0 in every tensornet shot leaves its marginal at
+        # 1/2 but flips the parities the ideal circuit fixes through it.
+        from types import SimpleNamespace
+
+        from repro.circuits.library import build_workload
+        from repro.execution.results import ShotTable
+        from repro.sweep.oracle import check_wide_engines
+
+        circuit = noisy(
+            build_workload("msd_prep_clifford", 35), device_profile("uniform_depolarizing").noise_model()
+        )
+        sampler = ExhaustivePTS(cutoff=1e-3, nshots=None, total_shots=20_000)
+        frames = run_ptsbe(circuit, sampler, seed=SEED, strategy="clifford")
+        chains = run_ptsbe(circuit, sampler, seed=SEED, strategy="tensornet")
+        assert check_wide_engines(circuit, frames, chains).status == PASS
+        table = chains.shot_table()
+        bits = table.bits.copy()
+        bits[:, 0] ^= 1
+        flipped = SimpleNamespace(
+            records=chains.records,
+            columns=chains.columns,
+            shot_table=lambda: ShotTable(bits, table.trajectory_ids, table.measured_qubits),
+        )
+        finding = check_wide_engines(circuit, frames, flipped)
+        assert finding.status == "fail" and "fixed parity" in finding.detail
+
+    def test_wide_smoke_spec_runs_both_engines_past_the_dense_cap(self):
+        from repro.sweep.spec import load_spec
+
+        spec = load_spec("benchmarks/sweeps/wide_smoke.yaml")
+        cells = spec.expand()
+        assert cells and all(c.strategies == ("clifford", "tensornet") for c in cells)
+        assert all(30 <= c.width <= 40 for c in cells)
+        assert all(c.budget_seconds is not None for c in cells)
+        assert {c.family for c in cells} == {"msd_prep_clifford"}
