@@ -15,13 +15,17 @@ quantum devices" (paper §2.3).
 Run:  python examples/decoder_training.py
 """
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro import depolarizing
 from repro.circuits import Circuit
 from repro.circuits.operations import GateOp
 from repro.data.dataset import build_decoder_dataset, iter_decoder_batches
-from repro.data.io import save_dataset
+from repro.data.io import load_dataset, save_dataset
 from repro.execution import run_ptsbe_stream
 from repro.pts import ProportionalPTS
 from repro.qec import LookupDecoder, steane_code, syndrome_extraction_circuit
@@ -41,6 +45,12 @@ def build_experiment(p_data: float):
             injected = True
         noisy.append(op)
     return code, noisy.freeze(), layout
+
+
+def check(condition: bool, message: str) -> None:
+    """Exit non-zero, naming what differs, unless ``condition`` holds."""
+    if not condition:
+        sys.exit(f"FAILED: {message}")
 
 
 def train_logistic(features, labels, epochs=300, lr=0.5):
@@ -68,22 +78,29 @@ def main() -> None:
     # trajectory completes — an online learner would partial_fit here
     # instead of accumulating.  Concatenating the batches reproduces the
     # materialized dataset bitwise (see docs/architecture.md, "Streaming
-    # delivery").
+    # delivery"); the script checks it, and exits non-zero if not.
     stream = run_ptsbe_stream(
         circuit, ProportionalPTS(total_shots=40_000, nsamples=4000), seed=3
     )
     batches = []
-    for i, (features, labels, _tids) in enumerate(
-        iter_decoder_batches(stream, circuit, code, layout)
-    ):
-        batches.append((features, labels))
+    for i, batch in enumerate(iter_decoder_batches(stream, circuit, code, layout)):
+        batches.append(batch)
         if i == 0:
-            print(f"first mini-batch: {features.shape[0]} shots (run still going)")
+            print(f"first mini-batch: {batch[0].shape[0]} shots (run still going)")
     print(f"streamed {len(batches)} mini-batches, replay seed {stream.seed}")
     dataset = build_decoder_dataset(stream.finalize(), circuit, code, layout)
     print(f"dataset: {dataset} | class balance: {dataset.class_balance()}")
-    save_dataset(dataset, "/tmp/steane_decoder_dataset.npz")
-    print("saved to /tmp/steane_decoder_dataset.npz")
+    columns = (dataset.features, dataset.labels, dataset.trajectory_ids)
+    streamed = [np.concatenate(column) for column in zip(*batches)]
+    check(all(map(np.array_equal, streamed, columns)), "streamed batches != the dataset")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_dataset(save_dataset(dataset, Path(tmp) / "steane_decoder_dataset.npz"))
+    reloaded = (loaded.features, loaded.labels, loaded.trajectory_ids)
+    check(all(map(np.array_equal, reloaded, columns)), "reloaded arrays != the dataset")
+    check(loaded.records == dataset.records, "reloaded records != the dataset's")
+    check(loaded.metadata == dataset.metadata, "reloaded metadata != the dataset's")
+    print("streamed batches and the saved file both equal the dataset")
 
     train, test = dataset.split(0.8, make_rng(1))
     w, b = train_logistic(train.features, train.labels)

@@ -41,7 +41,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError
 from repro.linalg.sampling import inverse_cdf_indices
-from repro.prescriptions import Choices, as_prescriptions, site_table
+from repro.prescriptions import Choices, Prescriptions, as_prescriptions, site_table
 
 __all__ = ["FrameSampler", "frame_sample"]
 
@@ -194,18 +194,30 @@ class FrameSampler:
         # trajectory is the all-dominant frame XOR one (branch XOR
         # dominant) row per deviation, so assembling it never walks the
         # sites it leaves alone.
+        self._end_x = fx
         self._site_start = np.array([start for start, _ in spans], dtype=np.intp)
-        site_branches = np.array([len(site.probs) for site in self.sites], dtype=np.intp)
-        dominant_rows = self._site_start + np.array(
+        self._site_branches = np.array([len(site.probs) for site in self.sites], dtype=np.intp)
+        self._dominant_rows = self._site_start + np.array(
             [site.dominant_index for site in self.sites], dtype=np.intp
         )
         self._branch_probs = np.concatenate([site.probs for site in self.sites] or [np.zeros(0)])
-        self._dominant_probs = self._branch_probs[dominant_rows]
-        end_flips = fx[:, self._measured_index]
-        self._delta_flips = end_flips ^ np.repeat(
-            end_flips[dominant_rows], site_branches, axis=0
-        )
-        self._dominant_flips = np.bitwise_xor.reduce(end_flips[dominant_rows], axis=0)
+        self._dominant_probs = self._branch_probs[self._dominant_rows]
+        self._dominant_flips, self._delta_flips = self._relative(fx[:, self._measured_index])
+
+    def _relative(self, end: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``end`` (one row per branch, flat by site) as the XOR of the
+        dominant branches' rows and one ``branch XOR dominant`` row per
+        branch: the two operands of :meth:`_assemble`."""
+        dominant = end[self._dominant_rows]
+        delta = end ^ np.repeat(dominant, self._site_branches, axis=0)
+        return np.bitwise_xor.reduce(dominant, axis=0), delta
+
+    def _assemble(self, table: Prescriptions, dominant: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Per row of ``table``: ``dominant`` XOR the ``delta`` row of each
+        of its deviations, in one array pass."""
+        out = np.tile(dominant, (len(table), 1))
+        np.bitwise_xor.at(out, table.rows(), delta[self._site_start[table.site_ids] + table.branches])
+        return out
 
     # ------------------------------------------------------------------ #
     # fixed-choice (PTS) sampling
@@ -226,15 +238,27 @@ class FrameSampler:
         mixtures are unitary mixtures, so nominal probabilities are exact).
         """
         table = as_prescriptions(site_table(self.circuit), choices_list)
-        rows, sites = table.rows(), table.site_ids
-        chosen = self._site_start[sites] + table.branches
-        flips = np.tile(self._dominant_flips, (len(table), 1))
-        np.bitwise_xor.at(flips, rows, self._delta_flips[chosen])
+        flips = self._assemble(table, self._dominant_flips, self._delta_flips)
+        sites = table.site_ids
         probs = np.tile(self._dominant_probs, (len(table), 1))
-        probs[rows, sites] = self._branch_probs[chosen]
+        probs[table.rows(), sites] = self._branch_probs[self._site_start[sites] + table.branches]
         # Reduced over the leading axis: the same left-to-right product
         # over sites a scalar loop takes, so weights keep their last bit.
         return flips, np.multiply.reduce(probs.T, axis=0, initial=1.0)
+
+    def end_parities(self, choices_list: Choices, support: np.ndarray) -> np.ndarray:
+        """Per prescription, the parity of its terminal X frame on
+        ``support`` (a ``(num_qubits,)`` 0/1 vector), ``(rows,)`` uint8: 1
+        where the row's Paulis, conjugated through every later gate to the
+        end of the circuit, anticommute with ``Z`` on ``support``.
+
+        The assembly of :meth:`frame_for_choices` over one bit per branch
+        (its end pattern's parity on ``support``), so it is exact on any
+        Clifford + Pauli-noise circuit; ``choices_list`` is taken the same way.
+        """
+        table = as_prescriptions(site_table(self.circuit), choices_list)
+        bits = np.bitwise_xor.reduce(self._end_x & support, axis=1)[:, None]
+        return self._assemble(table, *self._relative(bits))[:, 0]
 
     #: Generators per XOR-combination lookup table: 2**12 rows of k bytes
     #: stays comfortably cache-resident while covering 12 random

@@ -4,12 +4,20 @@
 output the paper closes on: feature rows (syndrome bits) aligned with
 supervision labels derived from Kraus-level error provenance — "not a
 feature that was previously available for trajectory simulators" and
-impossible for hardware data (§2.3).
+impossible for hardware data (§2.3).  It keeps the run's trajectory table
+(:class:`~repro.pts.base.PTSResult`) beside the arrays; ``records`` is a
+view of it, one record built per read.
 
 :func:`build_decoder_dataset` specializes a PTSBE run on a
 syndrome-extraction circuit into the standard decoder-training format:
-``X = syndrome bits``, ``y = logical-frame flip`` computed from each
-trajectory's injected Pauli errors.  It accepts either a materialized
+``X = syndrome bits``, ``y = logical-frame flip``.  The label is exact: a
+trajectory's Pauli errors, each conjugated through every later gate to the
+end of the circuit (:meth:`~repro.backends.pauli_frame.FrameSampler
+.end_parities`), anticommute with the code's logical Z on the data qubits
+or not — one array pass over the run's table.  A circuit the frame engine
+cannot propagate through (a non-Clifford gate, a non-Pauli channel) is
+refused with :class:`~repro.errors.DataError` naming the gate or channel.
+It accepts either a materialized
 :class:`~repro.execution.results.PTSBEResult` or a live
 :class:`~repro.execution.streaming.StreamedResult`, and
 :func:`iter_decoder_batches` exposes the streaming form directly:
@@ -21,16 +29,20 @@ preparing states.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.backends.pauli_frame import FrameSampler
 from repro.circuits.circuit import Circuit
-from repro.circuits.operations import NoiseOp
-from repro.errors import DataError
+from repro.errors import BackendError, DataError
 from repro.execution.results import PTSBEResult
 from repro.execution.streaming import StreamedResult
+from repro.prescriptions import Prescriptions
+from repro.pts.base import PTSResult
 from repro.qec.codes import CSSCode
 from repro.qec.syndrome import SyndromeLayout
 from repro.trajectory.events import TrajectoryRecord
@@ -49,9 +61,10 @@ class LabeledShotDataset:
     labels:
         (m,) integer labels — e.g. logical-flip class.
     trajectory_ids:
-        (m,) alignment back to trajectory records.
-    records:
-        ``records[tid]`` is the provenance of trajectory ``tid``.
+        (m,) alignment back to the run's trajectories.
+    run:
+        The run's trajectory table: each trajectory's deviations, id and
+        nominal probability (``None`` for a dataset without provenance).
     metadata:
         Free-form experiment description.
     """
@@ -59,7 +72,7 @@ class LabeledShotDataset:
     features: np.ndarray
     labels: np.ndarray
     trajectory_ids: np.ndarray
-    records: Dict[int, TrajectoryRecord] = field(default_factory=dict)
+    run: Optional[PTSResult] = None
     metadata: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,6 +82,12 @@ class LabeledShotDataset:
         m = self.features.shape[0]
         if self.labels.shape[0] != m or self.trajectory_ids.shape[0] != m:
             raise DataError("features, labels and trajectory_ids must align")
+
+    @cached_property
+    def records(self) -> Mapping:
+        """``records[tid]`` is the provenance of trajectory ``tid``, built
+        from ``run`` when read."""
+        return _Records(self.run)
 
     @property
     def num_samples(self) -> int:
@@ -93,7 +112,7 @@ class LabeledShotDataset:
                 self.features[idx],
                 self.labels[idx],
                 self.trajectory_ids[idx],
-                self.records,
+                self.run,
                 dict(self.metadata),
             )
 
@@ -106,40 +125,35 @@ class LabeledShotDataset:
         )
 
 
-def _logical_flip_label(
-    record: TrajectoryRecord, circuit: Circuit, code: CSSCode
-) -> int:
-    """Did this trajectory's injected Paulis flip the logical Z frame?
+class _Records(Mapping):
+    """:attr:`LabeledShotDataset.records`: trajectory id -> record, each
+    built by :meth:`PTSResult.record` when read (a repeated id reads its
+    last row)."""
 
-    Propagation-free label: for our syndrome workloads the injected
-    channels are Pauli mixtures applied directly on data qubits, so the
-    accumulated X-support on data qubits decides the logical-Z flip:
-    label 1 iff it anticommutes with logical Z and is not a stabilizer
-    action.  (The exact label for general circuits would conjugate each
-    Pauli through the downstream Cliffords; the syndrome workloads used
-    here attach noise after the encoder, where that propagation is
-    trivial for final-frame purposes.)
-    """
-    from repro.qec import gf2
+    def __init__(self, run: Optional[PTSResult]):
+        self.run, ids = run, [] if run is None else run.trajectory_ids.tolist()
+        self._rows = dict(zip(ids, range(len(ids))))
 
-    x_support = np.zeros(code.n, dtype=np.uint8)
-    site_channels: Dict[int, NoiseOp] = {
-        op.site_id: op for op in circuit.noise_sites
-    }
-    for event in record.events:
-        op = site_channels[event.site_id]
-        mixture = op.channel.mixture
-        local = None if mixture is None else mixture.paulis[event.kraus_index]
-        if local is None:
-            raise DataError(
-                f"channel {op.channel.name!r} branch {event.kraus_index} is not Pauli; "
-                "logical-flip labels need Pauli noise"
-            )
-        for pos, q in enumerate(op.qubits):
-            if q < code.n:  # data qubits only
-                x_support[q] ^= local.x[pos]
-    lz = code.logical_z_support(0)
-    return int(np.dot(x_support, lz) % 2)
+    def __getitem__(self, tid: int) -> TrajectoryRecord:
+        return self.run.record(self._rows[tid])
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _labeller(circuit: Circuit, code: CSSCode) -> Callable[[Prescriptions], np.ndarray]:
+    """Per row of a trajectory table on ``circuit``: does the row's frame,
+    propagated to the end, flip the code's logical Z on the data qubits?"""
+    try:
+        frame = FrameSampler(circuit)
+    except BackendError as err:
+        raise DataError(f"exact logical-flip labels need Clifford gates and Pauli noise: {err}") from None
+    support = np.zeros(circuit.num_qubits, dtype=np.uint8)
+    support[: code.n] = code.logical_z_support(0)
+    return lambda table: frame.end_parities(table, support).astype(np.int64)
 
 
 def iter_decoder_batches(
@@ -154,36 +168,28 @@ def iter_decoder_batches(
     :class:`~repro.execution.streaming.ShotChunk` the executor delivers
     becomes one training mini-batch the moment it completes, so decoder
     training starts while the run's remaining stacks/shards are still
-    executing.  Per-trajectory labels are memoized across chunks (a
-    trajectory's label never changes), and concatenating every batch in
-    order reproduces exactly what :func:`build_decoder_dataset` builds
-    from the materialized result.
+    executing.  Every row of the run's table is labelled once, at the
+    first chunk, and each chunk takes its slice; concatenating every
+    batch in order reproduces exactly what :func:`build_decoder_dataset`
+    builds from the materialized result.  A circuit that cannot be
+    labelled is refused before the first chunk is pulled.
 
     Chunks with zero shots (all-dead trajectories) are skipped — they
     contribute no training rows.
     """
+    label = _labeller(circuit, code)
     syndrome_bits = layout.syndrome_bit_count()
-    label_of: Dict[int, int] = {}
+    labels = None
     for chunk in stream:
-        records = list(chunk.records)
-        for record in records:
-            if record.trajectory_id not in label_of:
-                label_of[record.trajectory_id] = _logical_flip_label(
-                    record, circuit, code
-                )
+        columns = chunk.columns
+        if labels is None:
+            labels = label(columns.run.table)
         if chunk.num_shots == 0:
             continue
         table = chunk.shot_table()
-        labels = _shot_labels(label_of, records, chunk.columns.specs["count"])
-        yield table.bits[:, :syndrome_bits], labels, table.trajectory_ids
-
-
-def _shot_labels(
-    label_of: Dict[int, int], records: Sequence[TrajectoryRecord], shots: np.ndarray
-) -> np.ndarray:
-    """Each trajectory's label, repeated over its ``shots``."""
-    labels = np.array([label_of[r.trajectory_id] for r in records], dtype=np.int64)
-    return np.repeat(labels, shots)
+        counts = columns.specs["count"]
+        rows = labels[columns.start : columns.start + len(counts)]
+        yield table.bits[:, :syndrome_bits], np.repeat(rows, counts), table.trajectory_ids
 
 
 def build_decoder_dataset(
@@ -195,7 +201,9 @@ def build_decoder_dataset(
     """Decoder-training dataset from a PTSBE run on a syndrome circuit.
 
     Features: the shot's syndrome bits (all rounds).  Labels: the logical
-    Z-frame flip implied by the trajectory's provenance record.
+    Z-frame flip of the shot's trajectory, exact on any Clifford +
+    Pauli-noise circuit (a circuit with a non-Clifford gate or a non-Pauli
+    channel raises :class:`~repro.errors.DataError`).
 
     ``result`` may be a materialized
     :class:`~repro.execution.results.PTSBEResult` or a fresh live
@@ -205,6 +213,7 @@ def build_decoder_dataset(
     instead.  Each trajectory is labelled once and its label repeated over
     its shots.
     """
+    label = _labeller(circuit, code)
     if isinstance(result, StreamedResult):
         if result.delivered_trajectories:
             # Chunks consumed before this call would be silently missing
@@ -215,17 +224,13 @@ def build_decoder_dataset(
                 "StreamedResult, or finalize() it and pass the PTSBEResult"
             )
         result = result.finalize()
-    syndrome_bits = layout.syndrome_bit_count()
     table = result.shot_table()
-    features = table.bits[:, :syndrome_bits]
-    trajectory_records = list(result.records)
-    records = {r.trajectory_id: r for r in trajectory_records}
-    label_of = {tid: _logical_flip_label(r, circuit, code) for tid, r in records.items()}
+    run = result.columns.run
     return LabeledShotDataset(
-        features=features,
-        labels=_shot_labels(label_of, trajectory_records, result.columns.specs["count"]),
+        features=table.bits[:, : layout.syndrome_bit_count()],
+        labels=np.repeat(label(run.table), result.columns.specs["count"]),
         trajectory_ids=table.trajectory_ids,
-        records=records,
+        run=run,
         metadata={
             "code": code.name,
             "rounds": str(layout.rounds),

@@ -1,14 +1,23 @@
-"""Dataset persistence: one .npz for arrays + embedded JSON for provenance.
+"""Dataset persistence: one .npz of columns plus a small metadata JSON.
 
 The paper's datasets are massive (10**12 shots); ours are laptop-scale
-but keep the same separation: dense bit arrays stored in binary, and the
-lightweight provenance metadata — the whole point of PTS — serialized
-losslessly alongside.
+but keep the same separation: the shots' bit arrays and the run's
+trajectory table (its CSR arrays, trajectory ids, shot counts and nominal
+probabilities) are stored as binary columns, and the JSON holds only the
+experiment metadata and, per noise site, what a provenance record reads
+of the circuit — qubits, channel name, nominal branch probabilities
+(:class:`~repro.trajectory.events.NoiseSites`).  Nothing is written or
+read per record: records are built from the table when read.
+
+Files written before datasets kept the table (one JSON record per
+trajectory, under ``provenance``) still load, converted once into the
+same columns.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, Union
 
@@ -16,60 +25,34 @@ import numpy as np
 
 from repro.data.dataset import LabeledShotDataset
 from repro.errors import DataError
-from repro.trajectory.events import KrausEvent, TrajectoryRecord
+from repro.prescriptions import Prescriptions
+from repro.pts.base import PTSResult
+from repro.trajectory.events import NoiseSites
 
 __all__ = ["save_dataset", "load_dataset"]
 
-
-def _record_to_dict(record: TrajectoryRecord) -> Dict:
-    return {
-        "trajectory_id": record.trajectory_id,
-        "nominal_probability": record.nominal_probability,
-        "events": [
-            {
-                "site_id": e.site_id,
-                "kraus_index": e.kraus_index,
-                "qubits": list(e.qubits),
-                "channel_name": e.channel_name,
-                "probability": e.probability,
-            }
-            for e in record.events
-        ],
-    }
-
-
-def _record_from_dict(data: Dict) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        trajectory_id=int(data["trajectory_id"]),
-        events=tuple(
-            KrausEvent(
-                site_id=int(e["site_id"]),
-                kraus_index=int(e["kraus_index"]),
-                qubits=tuple(e["qubits"]),
-                channel_name=e["channel_name"],
-                probability=float(e["probability"]),
-            )
-            for e in data["events"]
-        ),
-        nominal_probability=float(data["nominal_probability"]),
-    )
+#: The trajectory table's columns in a file, beside the shots' three.
+_RUN = ("sites", "offsets", "site_ids", "branches", "run_ids", "shots", "probabilities")
 
 
 def save_dataset(dataset: LabeledShotDataset, path: Union[str, Path]) -> Path:
     """Write a labeled dataset to ``path`` (.npz)."""
     path = Path(path)
-    provenance = json.dumps(
-        {
-            "records": {str(k): _record_to_dict(v) for k, v in dataset.records.items()},
-            "metadata": dataset.metadata,
-        }
-    )
+    meta: Dict = {"metadata": dataset.metadata}
+    columns = {}
+    run = dataset.run
+    if run is not None:
+        meta.update(algorithm=run.algorithm, sites=run.noise_sites().facts)
+        table = run.table
+        columns = dict(zip(_RUN, (table.sites, table.offsets, table.site_ids, table.branches,
+                                  run.trajectory_ids, run.shots, run.probabilities)))
     np.savez_compressed(
         path,
         features=dataset.features,
         labels=dataset.labels,
         trajectory_ids=dataset.trajectory_ids,
-        provenance=np.frombuffer(provenance.encode("utf-8"), dtype=np.uint8),
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        **columns,
     )
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
@@ -84,12 +67,41 @@ def load_dataset(path: Union[str, Path]) -> LabeledShotDataset:
         else:
             raise DataError(f"no dataset at {path}")
     with np.load(path) as data:
-        blob = bytes(data["provenance"].tobytes()).decode("utf-8")
-        prov = json.loads(blob)
-        return LabeledShotDataset(
-            features=data["features"],
-            labels=data["labels"],
-            trajectory_ids=data["trajectory_ids"],
-            records={int(k): _record_from_dict(v) for k, v in prov["records"].items()},
-            metadata=dict(prov["metadata"]),
-        )
+        shots = [data[name] for name in ("features", "labels", "trajectory_ids")]
+        if "provenance" in data:
+            prov = json.loads(bytes(data["provenance"]).decode("utf-8"))
+            run = _legacy_run(prov["records"], shots[2])
+            return LabeledShotDataset(*shots, run, dict(prov["metadata"]))
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        run = None
+        if "sites" in meta:
+            columns, sites = [data[name] for name in _RUN], NoiseSites(meta["sites"])
+            table = Prescriptions(*columns[:4])
+            run = PTSResult(table, *columns[4:], None, meta["algorithm"], sites=sites)
+        return LabeledShotDataset(*shots, run, dict(meta["metadata"]))
+
+
+def _legacy_run(records: Dict[str, Dict], trajectory_ids: np.ndarray) -> PTSResult:
+    """The table of a file's per-record JSON: one row per record, its
+    events in the file's order and its shot count that of its id among
+    ``trajectory_ids``.  Its sites are what the events name; a branch no
+    event names has probability NaN, and no site a dominant branch
+    (``-1``)."""
+    rows = list(records.values())
+    events = [event for row in rows for event in row["events"]]
+    facts = [[(), "", []] for _ in range(1 + max((e["site_id"] for e in events), default=-1))]
+    for e in events:
+        fact, index = facts[e["site_id"]], e["kraus_index"]
+        fact[:2] = e["qubits"], e["channel_name"]
+        fact[2] += [math.nan] * (index + 1 - len(fact[2]))
+        fact[2][index] = e["probability"]
+    sites = np.array([[len(fact[2]), -1] for fact in facts], dtype=np.intp).reshape(-1, 2)
+    offsets = np.cumsum([0] + [len(row["events"]) for row in rows])
+    entries = np.array([(e["site_id"], e["kraus_index"]) for e in events], dtype=np.intp)
+    ids = np.array([row["trajectory_id"] for row in rows], dtype=np.int64)
+    present, counts = np.unique(trajectory_ids, return_counts=True)
+    counted = dict(zip(present.tolist(), counts.tolist()))
+    shots = np.array([counted.get(tid, 0) for tid in ids.tolist()], dtype=np.int64)
+    probabilities = np.array([row["nominal_probability"] for row in rows], dtype=np.float64)
+    table = Prescriptions(sites, offsets, *entries.reshape(-1, 2).T)
+    return PTSResult(table, ids, shots, probabilities, None, "legacy", sites=NoiseSites(facts))

@@ -12,12 +12,13 @@ __all__ = [
     "empirical_distribution",
     "total_variation_distance",
     "chi_square_statistic",
-    "unique_fraction",
 ]
 
 
 def empirical_distribution(bits: np.ndarray, num_outcomes: Optional[int] = None) -> np.ndarray:
-    """Normalized histogram of an (m, k) bit matrix over all 2**k outcomes."""
+    """Normalized histogram of an (m, k) bit matrix over all 2**k outcomes
+    (column 0 the most significant bit); ``ShotTable.empirical_distribution``
+    is this on its bits."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
         raise DataError(f"bits must be 2-D, got shape {bits.shape}")
@@ -66,11 +67,3 @@ def chi_square_statistic(
         stat += (tail_obs - tail_exp) ** 2 / tail_exp
         cells += 1
     return stat, max(1, cells - 1)
-
-
-def unique_fraction(bits: np.ndarray) -> float:
-    """Fraction of distinct rows (Fig. 4, right axis)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 2 or bits.shape[0] == 0:
-        raise DataError("need a non-empty 2-D bit matrix")
-    return float(len(np.unique(bits, axis=0)) / bits.shape[0])

@@ -76,16 +76,11 @@ class ShotTable:
         return {format(int(k), f"0{width}b"): int(c) for k, c in zip(keys, counts)}
 
     def empirical_distribution(self, dim: Optional[int] = None) -> np.ndarray:
-        """Normalized histogram over all 2**k outcomes (dense, small k)."""
-        k = self.num_bits
-        if k > 24:
-            raise DataError("dense distribution limited to <= 24 bits")
-        dim = dim if dim is not None else (1 << k)
-        hist = np.bincount(self.keys(), minlength=dim).astype(np.float64)
-        total = hist.sum()
-        if total == 0:
-            raise DataError("empty shot table has no distribution")
-        return hist / total
+        """Normalized histogram over all 2**k outcomes (dense, small k):
+        :func:`repro.data.stats.empirical_distribution` of the bits."""
+        from repro.data.stats import empirical_distribution
+
+        return empirical_distribution(self.bits, dim)
 
     def unique_fraction(self) -> float:
         """Fraction of shots that are distinct bitstrings (Fig. 4, right axis)."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import abc
 import math
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +36,7 @@ from repro.circuits.moments import moment_index_of_ops
 from repro.circuits.operations import GateOp, NoiseOp
 from repro.errors import SamplingError
 from repro.prescriptions import Prescriptions, gather, prescribe, site_table
-from repro.trajectory.events import KrausEvent, TrajectoryRecord
+from repro.trajectory.events import NoiseSites, TrajectoryRecord
 
 __all__ = [
     "ErrorCandidate",
@@ -189,22 +189,23 @@ class PTSResult:
     its deviations from the dominant branches (``table[i]``), ``shots[i]``
     shots and nominal probability ``probabilities[i]``.  ``specs`` is a
     sequence view of the rows, one :class:`TrajectorySpec` built per read.
+    A table read back from a dataset file has no ``circuit``, only the
+    ``sites`` its records read.
     """
 
     table: Prescriptions
     trajectory_ids: np.ndarray
     shots: np.ndarray
     probabilities: np.ndarray
-    circuit: Circuit
+    circuit: Optional[Circuit]
     algorithm: str
     attempted_samples: int = 0
     duplicates_rejected: int = 0
     incompatible_rejected: int = 0
     #: A hand-built spec list's own records (``None``: built from the rows).
     records: Optional[Sequence[TrajectoryRecord]] = None
-    _events: Dict[Tuple[int, int], KrausEvent] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    #: What the records read of ``circuit`` (``None``: read on first use).
+    sites: Optional[NoiseSites] = None
 
     @classmethod
     def from_specs(cls, circuit: Circuit, specs: Sequence[TrajectorySpec]) -> "PTSResult":
@@ -238,18 +239,16 @@ class PTSResult:
         lo, hi = table.offsets.item(row), table.offsets.item(row + 1)
         if hi > lo:
             sites, branches = table.site_ids[lo:hi].tolist(), table.branches[lo:hi].tolist()
-            events = tuple(map(self._event, sites, branches))
+            events = tuple(map(self.noise_sites().event, sites, branches))
         return TrajectoryRecord(
             self.trajectory_ids.item(row), events, self.probabilities.item(row)
         )
 
-    def _event(self, site: int, index: int) -> KrausEvent:
-        """One event per branch, built once and shared by every record."""
-        if (site, index) not in self._events:
-            op = self.circuit.noise_sites[site]
-            p = float(op.channel.nominal_probs[index])
-            self._events[site, index] = KrausEvent(site, index, op.qubits, op.channel.name, p)
-        return self._events[site, index]
+    def noise_sites(self) -> NoiseSites:
+        """What the records read of the circuit, read once."""
+        if self.sites is None:
+            self.sites = NoiseSites.of(self.circuit)
+        return self.sites
 
     def take(self, rows: np.ndarray, shots: np.ndarray, algorithm: str) -> "PTSResult":
         """Rows ``rows`` (an index array) with ``shots`` each, as

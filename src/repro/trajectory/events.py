@@ -12,9 +12,9 @@ and PTSBE keeps (e.g. as supervised-learning labels for AI decoders).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
-__all__ = ["KrausEvent", "TrajectoryRecord"]
+__all__ = ["KrausEvent", "TrajectoryRecord", "NoiseSites"]
 
 
 @dataclass(frozen=True, order=True)
@@ -91,3 +91,32 @@ class TrajectoryRecord:
             f"TrajectoryRecord(id={self.trajectory_id}, errors={self.num_errors()}, "
             f"p={self.nominal_probability:.3e})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseSites:
+    """What a record reads of its circuit: per noise site, by id, its
+    ``(qubits, channel name, nominal branch probabilities)``.
+
+    A dataset file keeps these beside its trajectory table, so its records
+    read back without the circuit.
+    """
+
+    facts: Sequence[Tuple[Sequence[int], str, Sequence[float]]]
+    _events: Dict[Tuple[int, int], KrausEvent] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @classmethod
+    def of(cls, circuit) -> "NoiseSites":
+        """The noise sites of a frozen ``circuit``."""
+        ops = circuit.noise_sites
+        return cls([(op.qubits, op.channel.name, op.channel.nominal_probs) for op in ops])
+
+    def event(self, site: int, index: int) -> KrausEvent:
+        """Branch ``index`` at ``site``, built once and shared by every record."""
+        if (site, index) not in self._events:
+            qubits, channel, probabilities = self.facts[site]
+            event = KrausEvent(site, index, tuple(qubits), channel, float(probabilities[index]))
+            self._events[site, index] = event
+        return self._events[site, index]

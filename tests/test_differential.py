@@ -28,7 +28,12 @@ unit, several or the whole run) on every strategy name and on ``"auto"``:
 * on unitary-mixture circuits of up to three qubits, the weighted pooled
   distribution of ``serial`` and ``vectorized`` under ``ExhaustivePTS``
   is within the oracle's TVD tolerance plus the uncovered mass of the
-  density-matrix reference.
+  density-matrix reference;
+* on general-Kraus circuits of up to three qubits (amplitude and phase
+  damping), every trajectory's ``actual_weight`` on ``serial`` and
+  ``vectorized`` is the squared norm of its Kraus product on ``|0...0>``,
+  computed with plain NumPy, and the weighted pool weighs each
+  trajectory's shots by it.
 """
 
 import dataclasses
@@ -42,8 +47,9 @@ from hypothesis import strategies as st
 from repro.analysis.convergence import exact_distribution
 from repro.backends.base import validate_deferred_measurement
 from repro.channels import depolarizing, pauli_channel
-from repro.channels.standard import amplitude_damping
+from repro.channels.standard import amplitude_damping, phase_damping
 from repro.circuits import Circuit
+from repro.circuits.operations import GateOp, NoiseOp
 from repro.errors import BackendError, ExecutionError
 from repro.execution import BackendSpec, analyze_circuit, run_ptsbe, run_ptsbe_stream
 from repro.execution.results import TrajectoryResult
@@ -213,6 +219,59 @@ def test_pooled_distributions_sit_within_the_density_matrix_bound(circuit):
         bound = OracleSpec().tvd_tolerance + max(0.0, 1.0 - covered)
         tvd = total_variation_distance(result.pooled_distribution(), exact)
         assert tvd <= bound, (strategy, tvd, bound, covered)
+
+
+general_kraus_noise = st.one_of(
+    st.builds(amplitude_damping, st.sampled_from((0.01, 0.1, 0.4))),
+    st.builds(phase_damping, st.sampled_from((0.01, 0.1, 0.4))),
+)
+
+
+def apply_local(state, matrix, qubits):
+    """``matrix`` on ``qubits`` of a ``(2,) * n`` state tensor (axis ``q``
+    is qubit ``q``; the first listed qubit is the matrix's high bit)."""
+    k = len(qubits)
+    moved = np.tensordot(matrix.reshape((2,) * 2 * k), state, axes=(range(k, 2 * k), qubits))
+    return np.moveaxis(moved, range(k), qubits)
+
+
+def kraus_weight(circuit, choices):
+    """``||K_n U ... K_1 U |0...0>||**2`` for the branches ``choices``
+    (the dominant one at every site it does not list): measurements are
+    deferred, so they leave the norm alone."""
+    state = np.zeros((2,) * circuit.num_qubits, dtype=np.complex128)
+    state[(0,) * circuit.num_qubits] = 1.0
+    for op in circuit:
+        if isinstance(op, GateOp):
+            state = apply_local(state, op.gate.matrix, op.qubits)
+        elif isinstance(op, NoiseOp):
+            branch = choices.get(op.site_id, op.channel.dominant_index())
+            state = apply_local(state, op.channel.kraus_ops[branch], op.qubits)
+    return float(np.vdot(state, state).real)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuit=noisy_circuits(max_qubits=3, noise=general_kraus_noise))
+def test_general_kraus_weights_are_the_kraus_product_norms(circuit):
+    """Under amplitude and phase damping a branch's nominal probability is
+    only a prior: ``serial`` and ``vectorized`` must weigh each
+    ``ExhaustivePTS`` trajectory by the norm its Kraus product leaves on
+    the actual state, and the weighted pool must use those weights."""
+    assume(legal(circuit))
+    for strategy in ("serial", "vectorized"):
+        result = run(circuit, strategy, sampler=ExhaustivePTS(cutoff=1e-6, nshots=50))
+        expected = [kraus_weight(circuit, t.record.choices) for t in result.trajectories]
+        got = [t.actual_weight for t in result.trajectories]
+        # atol: a branch that annihilates the state up to rounding.
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-20, err_msg=strategy)
+        k = len(circuit.measured_qubits)
+        pool, total = np.zeros(2**k), 0.0
+        for t, weight in zip(result.trajectories, expected):
+            if t.num_shots:
+                keys = t.bits.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1))
+                pool += weight * np.bincount(keys, minlength=2**k) / t.num_shots
+                total += weight
+        np.testing.assert_allclose(result.pooled_distribution(), pool / total, rtol=1e-9, atol=1e-15)
 
 
 def _no_unit(self, table, sizes):
