@@ -45,10 +45,10 @@ def main() -> None:
             f"errors: {t.record.label()}"
         )
 
-    # 5. Validation: the probability-weighted pooled distribution matches
+    # 5. Validation: the trajectory-weighted pooled distribution matches
     #    the exact density-matrix reference.
     exact = DensityMatrixBackend(3).run(noisy).probabilities()
-    pooled = result.pooled_distribution(weighted=True)
+    pooled = result.pooled_distribution()
     tvd = total_variation_distance(pooled, exact)
     print(f"\nTVD(pooled PTSBE, exact density matrix) = {tvd:.4f}")
     print("top outcomes:", sorted(table.counts().items(), key=lambda kv: -kv[1])[:4])

@@ -1,18 +1,7 @@
-"""Analysis: convergence and weighted estimators."""
+"""Analysis: convergence against the exact density-matrix reference.  The
+trajectory-weighted estimate of a run is
+:meth:`~repro.execution.results.PTSBEResult.pooled_distribution`."""
 
 from repro.analysis.convergence import distribution_error, exact_distribution
-from repro.analysis.estimators import (
-    Estimate,
-    bit_observable,
-    parity_observable,
-    stratified_estimate,
-)
 
-__all__ = [
-    "distribution_error",
-    "exact_distribution",
-    "Estimate",
-    "bit_observable",
-    "parity_observable",
-    "stratified_estimate",
-]
+__all__ = ["distribution_error", "exact_distribution"]

@@ -15,9 +15,9 @@ optionally T1 amplitude damping) that expands into a full
 :class:`~repro.channels.noise_model.NoiseModel` bound to every standard
 gate name — the qsimbench-style "device noise profile" sweep axis.
 Profiles whose channels are all unitary mixtures advertise it
-(:attr:`DeviceNoiseProfile.unitary_mixture_only`), which the sweep's
-density-matrix distribution oracle uses to decide whether nominal
-trajectory probabilities are exact.
+(:attr:`DeviceNoiseProfile.unitary_mixture_only`, listed by
+``python -m repro.sweep --list``): there the nominal trajectory
+probabilities are exact, elsewhere only priors of the realized weights.
 """
 
 from __future__ import annotations
@@ -188,9 +188,9 @@ class DeviceNoiseProfile:
     ``p1``/``p2`` are per-gate depolarizing rates (1q per wire, 2q on the
     full pair), ``p_prep``/``p_meas`` are SPAM bit-flip rates, and
     ``gamma1`` is an optional per-1q-gate amplitude-damping rate — setting
-    it makes the profile *general* (non-unitary-mixture), which the
-    sweep's distribution oracle must treat differently because nominal
-    trajectory probabilities become priors rather than exact weights.
+    it makes the profile *general* (non-unitary-mixture): nominal
+    trajectory probabilities become priors rather than exact weights, and
+    only realized weights estimate the distribution.
     """
 
     name: str

@@ -14,18 +14,19 @@ keeps the blocks it covers plus one :data:`SPEC_COLUMNS` row per spec
 ``trajectories`` and ``records`` are sequence views that build a
 :class:`TrajectoryResult` or a record per item read; ``shot_table()`` is
 one row gather of the blocks in spec order plus ``np.repeat`` ids, and
-the pooled distribution reads the columns.
+the pooled distribution reads the columns, one stratum per dedup group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import DataError
-from repro.pts.base import LazySequence, PTSResult
+from repro.pts.base import LazySequence, PTSResult, deduplicate_specs
 from repro.trajectory.events import TrajectoryRecord
 
 __all__ = ["ShotTable", "TrajectoryResult", "PTSBEResult", "pack_bits"]
@@ -280,32 +281,56 @@ class PTSBEResult(SpecViews):
             raise DataError("no trajectories were executed")
         return self.columns.shot_table(self.measured_qubits, retained=True)
 
-    def pooled_distribution(self, weighted: bool = True) -> np.ndarray:
-        """Pooled outcome distribution over the sampled trajectory subsets.
+    @cached_property
+    def _strata(self) -> Tuple[np.ndarray, float]:
+        """The one weighting pass: each dedup group of the run's table
+        (:func:`~repro.pts.base.deduplicate_specs`) is one stratum, whose
+        realized weight counts once and whose members' shots are pooled.
+        Per spec, the weight each of its shots carries (its group's weight
+        over the group's shots); and the summed weight of the groups that
+        drew shots."""
+        if not self.num_trajectories:
+            raise DataError("no trajectories were executed")
+        count, weight = self.columns.specs["count"], self.columns.specs["weight"]
+        groups = deduplicate_specs(self.columns.run.table, count)
+        weight, shots = weight[groups.members[groups.offsets[:-1]]], groups.total_shots
+        group = np.empty(len(count), dtype=np.intp)
+        group[groups.members] = np.repeat(np.arange(len(shots)), np.diff(groups.offsets))
+        return (weight / np.maximum(shots, 1))[group], float(weight[shots > 0].sum())
 
-        With ``weighted=True`` each trajectory's empirical conditional
-        distribution is weighted by its :attr:`TrajectoryResult.actual_weight`
-        — the realized probability of its Kraus choices on the actual
-        state — renormalized over the sampled trajectories.  The estimator
-        converges to the exact noisy distribution restricted to the sampled
-        trajectory subsets (the exact one as their total weight -> 1), for
-        general-Kraus channels too, where the nominal probability is only a
-        prior.  On ``tensornet`` the weight carries the truncated MPS norm.
-        With ``weighted=False`` shots are pooled raw (appropriate when
-        shot counts were already apportioned proportionally).  One
-        ``bincount`` over the shot table, each shot weighted by its
-        trajectory's weight over its shot count.
+    @property
+    def uncovered_mass(self) -> float:
+        """``1 -`` the summed realized weight of the distinct trajectories
+        that drew shots: the probability mass :meth:`pooled_distribution`
+        does not see, so a bound on its bias (the trajectory distribution
+        has unit total, paper Fig. 2).  On ``tensornet`` the weights carry
+        the truncated MPS norm, so the truncation is in it too.  It is
+        negative past rounding only on wrong weights: distinct
+        trajectories' realized weights sum to at most 1."""
+        return 1.0 - self._strata[1]
+
+    def pooled_distribution(self) -> np.ndarray:
+        """The trajectory-weighted outcome distribution (dense, <= 24 bits).
+
+        A stratified estimate: each distinct trajectory's empirical
+        conditional distribution, weighted by its realized weight
+        (:attr:`TrajectoryResult.actual_weight`, the probability of its
+        Kraus choices on the actual state) and renormalized over the
+        sampled trajectories.  It converges to the exact noisy
+        distribution within :attr:`uncovered_mass`, for general-Kraus
+        channels too, where the nominal probability is only a prior, and
+        whatever the shot allocation.  Specs that repeat one trajectory
+        are one stratum.  One ``bincount`` over the shot table, each shot
+        weighted by its stratum's weight over its shots; the raw histogram
+        is ``shot_table().empirical_distribution()``.
         """
         table = self.shot_table()
-        if not weighted:
-            return table.empirical_distribution()
         if table.num_bits > 24:
             raise DataError("dense distribution limited to <= 24 bits")
-        count, weight = self.columns.specs["count"], self.columns.specs["weight"]
-        total_weight = weight[count > 0].sum()
+        per_shot, total_weight = self._strata
         if total_weight <= 0:
             raise DataError("zero total trajectory weight")
-        per_shot = np.repeat(weight / np.maximum(count, 1), count)
+        per_shot = np.repeat(per_shot, self.columns.specs["count"])
         return np.bincount(table.keys(), per_shot, minlength=1 << table.num_bits) / total_weight
 
     def __repr__(self) -> str:

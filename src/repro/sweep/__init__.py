@@ -14,9 +14,10 @@ qsimbench sweeps algorithm families × sizes × device noise profiles:
 * :mod:`repro.sweep.oracle` — the differential conformance oracle every
   cell runs through: the dense strategies bitwise-identical to serial,
   every strategy's streamed chunks concatenating to its materialized
-  table, and (at small widths, for unitary-mixture profiles) the
-  empirical shot distribution agreeing with the exact density-matrix
-  reference within TVD/chi-square bounds;
+  table, and (at small widths, under the proportional ``exhaustive``
+  sampler) the run's trajectory-weighted distribution agreeing with the
+  exact density-matrix reference within TVD/chi-square bounds, on every
+  profile, general-Kraus ones included;
 * :mod:`repro.sweep.runner` — expands the spec into cells and drives each
   through :func:`~repro.execution.batched.run_ptsbe_stream`;
 * :mod:`repro.sweep.report` — renders the coverage/perf matrix

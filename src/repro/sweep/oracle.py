@@ -12,24 +12,28 @@ Three tiers, cheapest first; the two exact ones always run:
    ``execute_stream`` must concatenate to the same strategy's
    materialized table bitwise.  Verifies the delivery layer never
    reorders, drops, or duplicates trajectories.
-3. **Distribution** (small widths only) — the pooled empirical shot
-   distribution must agree with the exact density-matrix reference.
-   This tier is *statistical*, so it is gated on the conditions that
-   make it sound:
+3. **Distribution** (small widths only) — the run's trajectory-weighted
+   estimate (:meth:`~repro.execution.results.PTSBEResult.pooled_distribution`:
+   one stratum per distinct trajectory, weighted by its realized weight)
+   must agree with the exact density-matrix reference.  Realized weights
+   make it exact for general-Kraus profiles too.  This tier is
+   *statistical*, so it is gated on the conditions that make it sound:
 
-   * the device profile is a unitary mixture (nominal trajectory
-     probabilities are exact, not priors);
    * shots were apportioned proportionally to trajectory probability
-     (the ``exhaustive`` sampler's ``total_shots`` mode), so the pooled
-     histogram estimates the coverage-restricted exact distribution;
+     (the ``exhaustive`` sampler's ``total_shots`` mode), so the estimate's
+     effective sample size is the cell's shot count, which
+     ``tvd_tolerance`` is sized for;
    * width ≤ ``distribution_max_qubits`` (4**n density-matrix cost).
 
-   The TVD bound is ``tvd_tolerance + (1 - coverage)``: sampling
-   allowance plus the probability mass the enumeration provably did not
-   cover.  A chi-square test at :data:`CHI_SQUARE_ALPHA` additionally runs
-   when coverage is near-complete (un-covered mass below half the
-   per-cell standard error), where the restricted and full distributions
-   are statistically indistinguishable.
+   The TVD bound is ``tvd_tolerance + uncovered``: sampling allowance
+   plus the realized weight the sampled trajectories provably leave out
+   (:attr:`~repro.execution.results.PTSBEResult.uncovered_mass`).  A
+   chi-square test at :data:`CHI_SQUARE_ALPHA` additionally runs when
+   coverage is near-complete (uncovered mass below half the per-cell
+   standard error), where the restricted and full distributions are
+   statistically indistinguishable.  At any width, a result whose
+   distinct trajectories weigh more than 1 (past
+   :data:`WEIGHT_SUM_ATOL`) fails: it has counted a trajectory twice.
 
 Past the density-matrix widths a cell that runs both wide engines,
 ``clifford`` and ``tensornet``, gets a fourth finding instead
@@ -50,7 +54,7 @@ from repro.analysis.convergence import exact_distribution
 from repro.circuits.circuit import Circuit
 from repro.data.stats import chi_square_statistic, total_variation_distance
 from repro.errors import SweepError
-from repro.execution.results import ShotTable
+from repro.execution.results import PTSBEResult, ShotTable
 from repro.sweep.spec import OracleSpec
 
 __all__ = [
@@ -63,6 +67,7 @@ __all__ = [
     "tables_identical",
     "CHI_SQUARE_ALPHA",
     "WIDE_SIGMAS",
+    "WEIGHT_SUM_ATOL",
     "WIDE_WEIGHT_RTOL",
 ]
 
@@ -70,6 +75,11 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 #: False-positive rate of the distribution tier's chi-square test.
 CHI_SQUARE_ALPHA = 1e-4
+
+#: How far the summed realized weight of a run's distinct trajectories may
+#: pass 1 by rounding: their Kraus products resolve the identity, so the
+#: sum of all of them is 1.
+WEIGHT_SUM_ATOL = 1e-9
 
 #: Relative tolerance on a trajectory's weight across the wide engines:
 #: each realizes a Pauli-mixture trajectory's weight as the product of its
@@ -196,20 +206,26 @@ def _erfinv(y: float) -> float:
 
 
 def check_distribution(
-    circuit: Circuit,
-    table: ShotTable,
-    coverage: float,
-    oracle: OracleSpec,
-    unitary_mixture: bool,
-    proportional_shots: bool,
+    circuit: Circuit, result: PTSBEResult, oracle: OracleSpec, exhaustive: bool
 ) -> OracleFinding:
-    """Empirical pooled distribution vs. the exact density-matrix reference.
+    """``result``'s trajectory-weighted distribution vs. the exact
+    density-matrix reference of ``circuit``.
 
-    ``coverage`` is the summed nominal probability of the sampled
-    trajectory set (``PTSResult.coverage()``); the un-covered tail is an
-    honest bias term, so it widens the TVD bound instead of being
-    silently absorbed by a loose tolerance.
+    The weight its distinct trajectories leave out
+    (:attr:`~repro.execution.results.PTSBEResult.uncovered_mass`) is an
+    honest bias term, so it widens the TVD bound instead of being silently
+    absorbed by a loose tolerance.  ``exhaustive``: the shots were
+    apportioned proportionally (the ``exhaustive`` sampler).
     """
+    uncovered = result.uncovered_mass
+    if uncovered < -WEIGHT_SUM_ATOL:
+        return OracleFinding(
+            check="distribution",
+            status=FAIL,
+            detail=f"distinct trajectories weigh {1.0 - uncovered:.6f} > 1: "
+            "a trajectory is counted more than once",
+            metrics=(("coverage", 1.0 - uncovered),),
+        )
     width = circuit.num_qubits
     if width > oracle.distribution_max_qubits:
         return OracleFinding(
@@ -218,26 +234,19 @@ def check_distribution(
             detail=f"width {width} > distribution_max_qubits "
             f"{oracle.distribution_max_qubits}",
         )
-    if not unitary_mixture:
-        return OracleFinding(
-            check="distribution",
-            status=SKIP,
-            detail="profile has non-unitary channels: nominal trajectory "
-            "probabilities are priors, pooled histogram is not comparable",
-        )
-    if not proportional_shots:
+    if not exhaustive:
         return OracleFinding(
             check="distribution",
             status=SKIP,
             detail="shots not apportioned proportionally to trajectory "
-            "probability; pooled histogram is deliberately biased",
+            "probability: the estimate's sample size is not the cell's shots",
         )
     exact = exact_distribution(circuit)
-    empirical = table.empirical_distribution(len(exact))
-    tvd = total_variation_distance(empirical, exact)
-    uncovered = max(0.0, 1.0 - coverage)
+    estimate = result.pooled_distribution()
+    tvd = total_variation_distance(estimate, exact)
+    uncovered = max(0.0, uncovered)
     bound = oracle.tvd_tolerance + uncovered
-    metrics = [("tvd", tvd), ("tvd_bound", bound), ("coverage", coverage)]
+    metrics = [("tvd", tvd), ("tvd_bound", bound), ("coverage", 1.0 - uncovered)]
     if tvd > bound:
         return OracleFinding(
             check="distribution",
@@ -249,9 +258,9 @@ def check_distribution(
     # Chi-square only where the coverage restriction is statistically
     # invisible: uncovered mass below half of one standard error of the
     # pooled histogram.
-    shots = table.num_shots
+    shots = result.num_shots
     if uncovered <= 0.5 / math.sqrt(max(shots, 1)):
-        counts = empirical * shots
+        counts = estimate * shots
         stat, dof = chi_square_statistic(counts, exact)
         critical = chi_square_critical_value(dof, CHI_SQUARE_ALPHA)
         metrics += [("chi_square", stat), ("chi_square_critical", critical)]

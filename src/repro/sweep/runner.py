@@ -7,7 +7,7 @@ each cell the runner:
    interleaves the named device noise profile;
 2. constructs the PTS sampler (``exhaustive`` enumerates every trajectory
    above a cutoff and apportions the cell's shot budget proportionally —
-   the mode whose pooled histogram the distribution oracle can check;
+   the mode whose weighted estimate the distribution oracle can check;
    ``probabilistic`` is paper Algorithm 2 with uniform shots);
 3. runs :func:`~repro.execution.batched.run_ptsbe_stream` once per
    strategy of the cell with the *same* resolved seed, collecting
@@ -15,7 +15,9 @@ each cell the runner:
    is delivery-only, so one run serves both the streaming-concat and the
    cross-strategy checks);
 4. attaches the differential conformance oracle
-   (:mod:`repro.sweep.oracle`) and per-strategy timings.
+   (:mod:`repro.sweep.oracle`) and per-strategy timings.  The cell's
+   coverage is the reference run's summed realized weight
+   (``1 - result.uncovered_mass``): the sampler is not run again.
 
 Widths outside a family's registered range produce ``skip`` cells — the
 coverage matrix shows the hole instead of the run dying.
@@ -34,7 +36,6 @@ from repro.execution.batched import DENSE_STRATEGIES, run_ptsbe_stream
 from repro.pts.base import PTSAlgorithm
 from repro.pts.exhaustive import ExhaustivePTS
 from repro.pts.probabilistic import ProbabilisticPTS
-from repro.rng import StreamFactory
 from repro.sweep.oracle import (
     FAIL,
     PASS,
@@ -100,6 +101,8 @@ class CellResult:
     skip_reason: str = ""
     outcomes: List[StrategyOutcome] = field(default_factory=list)
     findings: List[OracleFinding] = field(default_factory=list)
+    #: The reference run's realized trajectory weight, summed over its
+    #: distinct trajectories (``1 - PTSBEResult.uncovered_mass``).
     coverage: float = 0.0
     resolved_seed: Optional[int] = None
     #: Wall-clock seconds the whole cell took (all strategies + oracle).
@@ -199,7 +202,7 @@ def run_cell(cell: CellSpec, oracle: OracleSpec) -> CellResult:
     mechanism and ``tensornet`` also truncates amplitudes, so their tables
     are seeded-reproducible but not bitwise equal to the dense ones: each
     gets its own distribution finding against the exact density-matrix
-    reference instead (subject to the same width/mixture gates).  A cell
+    reference instead (subject to the same width/sampler gates).  A cell
     that runs both of them is also checked one against the other
     (:func:`~repro.sweep.oracle.check_wide_engines`), at any width.
 
@@ -233,12 +236,6 @@ def run_cell(cell: CellSpec, oracle: OracleSpec) -> CellResult:
         runs[strategy] = (result, chunks, time.perf_counter() - t0)
     tables = {s: result.shot_table() for s, (result, _, _) in runs.items()}
 
-    # Coverage comes from re-running the sampler once against the same
-    # stream the executors derived theirs from (deterministic for
-    # exhaustive, seed-fixed for probabilistic) — cheap relative to state
-    # preparation.
-    coverage = sampler.sample(circuit, StreamFactory(cell.seed).sampler_rng()).coverage()
-
     streamed = {s: check_streaming_concat(s, runs[s][1], tables[s]) for s in ordered}
     findings = list(streamed.values())
     others = {s: tables[s] for s in dense if s != reference}
@@ -248,12 +245,7 @@ def run_cell(cell: CellSpec, oracle: OracleSpec) -> CellResult:
     # each distributional table is checked on its own.
     for strategy in [reference] + [s for s in ordered if s not in dense and s != reference]:
         finding = check_distribution(
-            circuit,
-            tables[strategy],
-            coverage,
-            oracle,
-            unitary_mixture=profile.unitary_mixture_only,
-            proportional_shots=(cell.sampler == "exhaustive"),
+            circuit, runs[strategy][0], oracle, exhaustive=cell.sampler == "exhaustive"
         )
         if strategy != reference:
             finding = replace(finding, detail=f"{strategy}: {finding.detail}")
@@ -284,7 +276,7 @@ def run_cell(cell: CellSpec, oracle: OracleSpec) -> CellResult:
         status=status,
         outcomes=outcomes,
         findings=findings,
-        coverage=coverage,
+        coverage=1.0 - runs[reference][0].uncovered_mass,
         resolved_seed=runs[ordered[0]][0].seed,
         elapsed_seconds=elapsed,
     )

@@ -112,9 +112,9 @@ class OracleSpec:
     """How tight the distribution tier is (the exact tiers always run).
 
     ``distribution_max_qubits`` caps the density-matrix tier (4**n memory);
-    ``tvd_tolerance`` is the *sampling* allowance on top of the spec's
-    un-enumerated probability mass (the oracle adds ``1 - coverage``
-    itself).  See :func:`repro.sweep.oracle.check_distribution`.
+    ``tvd_tolerance`` is the *sampling* allowance on top of the run's
+    uncovered trajectory weight (the oracle adds
+    ``PTSBEResult.uncovered_mass`` itself).  See :func:`repro.sweep.oracle.check_distribution`.
     """
 
     distribution_max_qubits: int = 6

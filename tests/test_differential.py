@@ -209,16 +209,15 @@ def test_pooled_distributions_sit_within_the_density_matrix_bound(circuit):
     """On unitary-mixture circuits of up to three qubits under
     ``ExhaustivePTS``, the weighted pooled distribution of ``serial`` and
     of ``vectorized`` is within the oracle's TVD tolerance plus the mass
-    the enumeration left out (``1 - sum(actual_weight)``) of
+    the enumeration left out (``uncovered_mass``) of
     ``DensityMatrixBackend``'s exact distribution."""
     assume(legal(circuit))
     exact = exact_distribution(circuit)
     for strategy in ("serial", "vectorized"):
         result = run(circuit, strategy, sampler=EXACT_SAMPLER)
-        covered = sum(t.actual_weight for t in result.trajectories)
-        bound = OracleSpec().tvd_tolerance + max(0.0, 1.0 - covered)
+        bound = OracleSpec().tvd_tolerance + max(0.0, result.uncovered_mass)
         tvd = total_variation_distance(result.pooled_distribution(), exact)
-        assert tvd <= bound, (strategy, tvd, bound, covered)
+        assert tvd <= bound, (strategy, tvd, bound)
 
 
 general_kraus_noise = st.one_of(

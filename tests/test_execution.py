@@ -155,7 +155,7 @@ class TestRunPTSBE:
         )
         assert result.num_trajectories == 256
         assert sum(t.actual_weight for t in result.trajectories) == pytest.approx(1.0, abs=1e-12)
-        pooled = result.pooled_distribution(weighted=True)
+        pooled = result.pooled_distribution()
         assert 0.5 * np.abs(pooled - exact_distribution(noisy)).sum() < 0.015
 
 

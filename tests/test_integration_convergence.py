@@ -35,7 +35,7 @@ class TestProportionalPTSBEExactness:
         exact = exact_distribution(noisy_ghz3)
         result = run_ptsbe(noisy_ghz3, ProbabilisticPTS(nsamples=3000, nshots=3000), seed=22)
         raw = result.shot_table().empirical_distribution(len(exact))
-        weighted = result.pooled_distribution(weighted=True)
+        weighted = result.pooled_distribution()
         assert total_variation_distance(weighted, exact) < total_variation_distance(raw, exact)
         assert total_variation_distance(weighted, exact) < 0.03
 
@@ -50,7 +50,7 @@ class TestProportionalPTSBEExactness:
             noisy_ghz3, ExhaustivePTS(cutoff=1e-5, nshots=4000), seed=23,
             strategy="serial",
         )
-        weighted = result.pooled_distribution(weighted=True)
+        weighted = result.pooled_distribution()
         assert total_variation_distance(weighted, exact) < 0.015
 
     def test_general_channel_weighted_pooling(self, noisy_ghz3_general):
@@ -129,6 +129,6 @@ class TestFrameSamplerCrossCheck:
         frame_bits = FrameSampler(noisy_ghz3).sample(60_000, make_rng(30))
         frame_dist = empirical_distribution(frame_bits, len(exact))
         ptsbe = run_ptsbe(noisy_ghz3, ExhaustivePTS(cutoff=1e-5, nshots=4000), seed=31)
-        pts_dist = ptsbe.pooled_distribution(weighted=True)
+        pts_dist = ptsbe.pooled_distribution()
         assert total_variation_distance(frame_dist, exact) < 0.02
         assert total_variation_distance(frame_dist, pts_dist) < 0.03

@@ -302,17 +302,9 @@ class TestFrameConformance:
         sampler = ExhaustivePTS(cutoff=1e-6, nshots=None, total_shots=30_000)
         frames = run_ptsbe(clifford_circuit, sampler, seed=13, strategy="clifford")
         serial = run_ptsbe(clifford_circuit, sampler, seed=13, strategy="serial")
-        coverage = sum(r.nominal_probability for r in frames.records)
         oracle = OracleSpec(tvd_tolerance=0.03)
         for result in (frames, serial):
-            finding = check_distribution(
-                clifford_circuit,
-                result.shot_table(),
-                coverage,
-                oracle,
-                unitary_mixture=True,
-                proportional_shots=True,
-            )
+            finding = check_distribution(clifford_circuit, result, oracle, True)
             assert finding.status == PASS, f"{result.engine}: {finding.detail}"
 
     def test_weights_match_dense_exactly(self, clifford_circuit):

@@ -70,8 +70,12 @@ class TestSpecParsing:
     def test_repo_smoke_spec_parses(self):
         spec = load_spec("benchmarks/sweeps/smoke.yaml")
         cells = spec.expand()
-        assert len(cells) == 6
+        assert len(cells) == 8
         assert sum(len(c.strategies) for c in cells) >= 8  # acceptance floor
+        # General-Kraus cells on every engine that runs them.
+        damped = [c for c in cells if c.profile == "relaxation_dominated"]
+        assert [(c.family, c.width) for c in damped] == [("ghz", 3), ("bernstein_vazirani", 6)]
+        assert all(c.strategies == ("serial", "vectorized", "tensornet") for c in damped)
         # The clifford-only cell rides past the dense width cap.
         wide = [c for c in cells if c.family == "surface_syndrome"]
         assert wide and wide[0].width >= 30
@@ -282,7 +286,7 @@ class TestRunner:
         assert cell.finding("distribution").status == "skip"
         assert cell.finding("strategy_equivalence").status == "pass"
 
-    def test_non_unitary_profile_skips_distribution(self):
+    def test_non_unitary_profile_checks_distribution(self):
         spec = _spec(
             shots=400,
             sweeps=[{"family": "ghz", "widths": [3],
@@ -290,8 +294,8 @@ class TestRunner:
         )
         (cell,) = run_sweep(spec).cells
         assert cell.status == "pass"
-        assert cell.finding("distribution").status == "skip"
-        assert "non-unitary" in cell.finding("distribution").detail
+        assert cell.finding("distribution").status == "pass"
+        assert cell.finding("distribution").metric("coverage") == pytest.approx(cell.coverage)
 
     def test_probabilistic_sampler_skips_distribution(self):
         spec = _spec(shots=400, sampler="probabilistic",
@@ -574,27 +578,25 @@ class TestFailurePath:
         assert check_streaming_concat("serial", (), full).status == "fail"
 
     def test_distribution_failure_reports_metrics(self):
-        """A deliberately wrong empirical table must fail with TVD metrics."""
+        """A deliberately wrong estimate must fail with TVD metrics."""
+        from types import SimpleNamespace
+
         import numpy as np
 
         from repro.channels.standard import device_profile
         from repro.circuits.library import build_workload, noisy
         from repro.sweep.oracle import check_distribution
-        from repro.execution import ShotTable
 
         circuit = noisy(
             build_workload("ghz", 3, seed=1),
             device_profile("uniform_depolarizing").noise_model(),
         )
-        # All-zeros shots: ~half the GHZ mass is on |111>, so TVD ~ 0.5.
-        bits = np.zeros((2000, 3), dtype=np.uint8)
-        table = ShotTable(
-            bits=bits,
-            trajectory_ids=np.zeros(2000, dtype=np.int64),
-            measured_qubits=(0, 1, 2),
+        # Every shot at |000>: ~half the GHZ mass is on |111>, so TVD ~ 0.5.
+        zeros = np.zeros(8)
+        zeros[0] = 1.0
+        result = SimpleNamespace(
+            uncovered_mass=0.0, num_shots=2000, pooled_distribution=lambda: zeros
         )
-        finding = check_distribution(
-            circuit, table, 1.0, OracleSpec(), True, True
-        )
+        finding = check_distribution(circuit, result, OracleSpec(), True)
         assert finding.status == "fail"
         assert finding.metric("tvd") > 0.3

@@ -1021,17 +1021,9 @@ class TestDistributionalConformance:
         sampler = ExhaustivePTS(cutoff=1e-4, nshots=None, total_shots=20_000)
         tn = run_ptsbe(circuit, sampler, seed=13, strategy="tensornet")
         serial = run_ptsbe(circuit, sampler, seed=13, strategy="serial")
-        coverage = sum(r.nominal_probability for r in tn.records)
         oracle = OracleSpec(tvd_tolerance=0.05)
         for result in (tn, serial):
-            finding = check_distribution(
-                circuit,
-                result.shot_table(),
-                coverage,
-                oracle,
-                unitary_mixture=True,
-                proportional_shots=True,
-            )
+            finding = check_distribution(circuit, result, oracle, True)
             assert finding.status == PASS, f"{result.engine}: {finding.detail}"
 
 
@@ -1068,14 +1060,8 @@ class TestRoutedColumns:
         assert site_of != tuple(range(7)) and sorted(site_of) == list(range(7))
         sampler = ExhaustivePTS(cutoff=2e-4, nshots=None, total_shots=20_000)
         tn = run_ptsbe(circuit, sampler, seed=5, strategy="tensornet")
-        coverage = sum(r.nominal_probability for r in tn.records)
         finding = check_distribution(
-            circuit,
-            tn.shot_table(),
-            coverage,
-            OracleSpec(tvd_tolerance=0.05, distribution_max_qubits=7),
-            unitary_mixture=True,
-            proportional_shots=True,
+            circuit, tn, OracleSpec(tvd_tolerance=0.05, distribution_max_qubits=7), True
         )
         assert finding.status == PASS, finding.detail
 
