@@ -42,6 +42,7 @@ from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError
 from repro.linalg.sampling import inverse_cdf_indices
 from repro.prescriptions import Choices, Prescriptions, as_prescriptions, site_table
+from repro.rng import uint16_draws
 
 __all__ = ["FrameSampler", "frame_sample"]
 
@@ -359,35 +360,34 @@ class FrameSampler:
         ``flips`` comes from :meth:`frame_for_choices`; the only per-shot
         randomness left is the uniform combination of the ideal circuit's
         affine outcome generators.  Each request draws one uniform table
-        row per generator group from its own generator — all groups in one
-        call of 16-bit words, masked to each table's power-of-two length —
-        into one unit-wide buffer; then the whole unit is one gather per
-        group, one XOR with each row's ``reference XOR flips`` and (over
-        packed words, when k fits a machine word) one unpack.
+        row per generator group from its own stream — its ``(groups,
+        shots)`` 16-bit words are the stream's raw words
+        (:func:`~repro.rng.uint16_draws`), masked to each table's
+        power-of-two length — into one unit-wide buffer; then the whole
+        unit is one gather per group, one XOR with each row's ``reference
+        XOR flips`` and (over packed words, when k fits a machine word)
+        one unpack.
         """
         rows = np.array([row for row, _, _ in requests], dtype=np.intp)
         shots = np.array([n for _, n, _ in requests], dtype=np.intp)
         ends = np.cumsum(shots)
         base = self.reference ^ flips
         if not self.random_positions:
-            bits = np.repeat(base[rows], shots, axis=0)
-        else:
-            packed = self._packed_word_dtype() is not None
-            tables = self._packed_combination_tables() if packed else self._combination_tables()
-            draws = np.empty((len(tables), int(shots.sum())), dtype=np.uint16)
-            for (_, n, rng), end in zip(requests, ends):
-                draws[:, end - n : end] = rng.integers(
-                    0, 0xFFFF, size=(len(tables), n), dtype=np.uint16, endpoint=True
-                )
-            draws &= np.array([[len(table) - 1] for table in tables], dtype=np.uint16)
-            # Words when k fits one, else (>64 measured qubits) rows of the
-            # unpacked (shots, k) tables.
-            sampled = np.take(tables[0], draws[0], axis=0)
-            for table, group_draws in zip(tables[1:], draws[1:]):
-                sampled ^= np.take(table, group_draws, axis=0)
-            sampled ^= np.repeat((self._pack_words(base) if packed else base)[rows], shots, axis=0)
-            bits = self._unpack_words(sampled) if packed else sampled
-        return bits
+            return np.repeat(base[rows], shots, axis=0)
+        packed = self._packed_word_dtype() is not None
+        tables = self._packed_combination_tables() if packed else self._combination_tables()
+        groups = len(tables)
+        draws = np.empty((groups, int(shots.sum())), dtype=np.uint16)
+        for (_, n, rng), end in zip(requests, ends):
+            draws[:, end - n : end] = uint16_draws(rng, groups * n).reshape(groups, n)
+        draws &= np.array([[len(table) - 1] for table in tables], dtype=np.uint16)
+        # Words when k fits one, else (>64 measured qubits) rows of the
+        # unpacked (shots, k) tables.
+        sampled = np.take(tables[0], draws[0], axis=0)
+        for table, group_draws in zip(tables[1:], draws[1:]):
+            sampled ^= np.take(table, group_draws, axis=0)
+        sampled ^= np.repeat((self._pack_words(base) if packed else base)[rows], shots, axis=0)
+        return self._unpack_words(sampled) if packed else sampled
 
     def sample_fixed(
         self, flips: np.ndarray, num_shots: int, rng: np.random.Generator

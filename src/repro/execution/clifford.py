@@ -15,8 +15,9 @@ shots) costs:
   deviating site (this is where PTS and Stim-style frame sampling
   compose: pre-sampling removes the per-shot branch draw the conventional
   frame sampler does);
-* **one packed gather** for the unit's whole shot budget: each trajectory
-  draws its table rows from its own Philox stream, then the unit is one
+* **one packed gather** for the unit's whole shot budget: each trajectory's
+  table rows are the raw 64-bit words of its own Philox stream, cut into
+  16-bit indices (:func:`~repro.rng.uint16_draws`), then the unit is one
   lookup per generator group, one XOR with ``reference XOR flips`` and one
   unpack.
 

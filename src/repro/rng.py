@@ -33,23 +33,31 @@ stream per site and attempt, far off the hot path.
 * :func:`trajectory_rng` derives the stream for trajectory *i* — the same
   stream is produced whether the trajectory runs serially, in a stack
   of any size, or in a process pool (verified in ``tests/test_rng.py``);
-* :class:`StreamFactory` packages this for the execution layer.
+* :class:`StreamFactory` packages this for the execution layer;
+* :func:`uint16_draws` reads a stream's 16-bit draws straight from its raw
+  64-bit words (a Clifford frame request's table indices): the words
+  ``Generator.integers`` returns for the full ``uint16`` range, without
+  its per-call cost.
 """
 
 from __future__ import annotations
 
 import zlib
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.typing import NDArray
+
+from repro.errors import BackendError
 
 __all__ = [
     "root_sequence",
     "make_rng",
     "library_rng",
     "trajectory_rng",
+    "uint16_draws",
     "fault_rng",
     "StreamFactory",
 ]
@@ -132,6 +140,27 @@ def trajectory_rng(seed: Optional[int], trajectory_index: int) -> np.random.Gene
     return StreamFactory(seed).rng_for(trajectory_index)
 
 
+#: Bit generators whose raw output is one 64-bit word (``MT19937``'s is 32-bit).
+_RAW_64 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+
+
+def uint16_draws(rng: np.random.Generator, count: int) -> NDArray[np.uint16]:
+    """``count`` uniform 16-bit words of ``rng``'s stream: its next
+    ``ceil(count / 4)`` raw 64-bit outputs, each cut into four
+    little-endian quarters.
+
+    That is how a 64-bit bit generator serves full-range ``uint16`` draws,
+    so on a fresh stream these are ``rng.integers(0, 0xFFFF, count,
+    np.uint16, endpoint=True)`` bit for bit, without that call's overhead.
+    A bit generator with narrower raw output (``MT19937``) is refused: its
+    quarters would not be uniform.
+    """
+    if not isinstance(rng.bit_generator, _RAW_64):
+        raise BackendError(f"{type(rng.bit_generator).__name__} has no 64-bit raw output")
+    raw = rng.bit_generator.random_raw(-(-count // 4))
+    return raw.astype("<u8", copy=False).view("<u2")[:count]
+
+
 class _StreamKey(ISpawnableSeedSequence):
     """A root seed's Philox key, as the seed sequence its streams are built
     from: ``Philox(_StreamKey(seed), counter=c)`` is
@@ -181,16 +210,6 @@ class StreamFactory:
         if trajectory_index < 0:
             raise ValueError(f"trajectory_index must be >= 0, got {trajectory_index}")
         return self._stream(trajectory_index, FAMILY_SHOTS)
-
-    def rngs_for(self, trajectory_indices: Sequence[int]) -> List[np.random.Generator]:
-        """One independent stream per stacked trajectory.
-
-        The vectorized executor's batch counterpart of :meth:`rng_for`:
-        row ``i`` of a trajectory stack samples from the stream of
-        ``trajectory_indices[i]``, so stacked execution stays shot-for-shot
-        identical to serial execution regardless of stacking or chunking.
-        """
-        return [self.rng_for(i) for i in trajectory_indices]
 
     def sampler_rng(self) -> np.random.Generator:
         """The stream the PTS sampler draws from: a counter family of its

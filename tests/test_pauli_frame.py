@@ -272,6 +272,22 @@ class TestStackFrames:
             sampler.frame_for_choices([{}, {5: 1}])
 
 
+def _fan_out(n, every):
+    """``n`` measured qubits; a Hadamard on every ``every``-th one, fanned
+    out to the next by a cx: ``n / every`` random measurements."""
+    circ = Circuit(n)
+    for q in range(0, n, every):
+        circ.h(q)
+    for q in range(n - 1):
+        circ.cx(q, q + 1)
+    return circ.measure_all()
+
+
+def _seventy_qubit_sampler():
+    """70 measured qubits (no packed word holds them), 14 random."""
+    return FrameSampler(_noisy(_fan_out(70, every=5), p=0.1))
+
+
 class TestStackSampling:
     def requests(self, seeds_and_shots, rows):
         return [(row, n, make_rng(seed)) for row, (seed, n) in zip(rows, seeds_and_shots)]
@@ -326,18 +342,46 @@ class TestStackSampling:
         assert (alone if alone.base is None else alone.base).nbytes <= 100 * 35
 
     def test_more_than_64_measured_qubits_take_the_unpacked_tables(self):
-        circ = Circuit(70)
-        for q in range(0, 70, 5):
-            circ.h(q)
-        for q in range(69):
-            circ.cx(q, q + 1)
-        sampler = FrameSampler(_noisy(circ.measure_all(), p=0.1))
+        sampler = _seventy_qubit_sampler()
         assert sampler._packed_word_dtype() is None and len(sampler.random_positions) == 14
         assert len(sampler._combination_tables()) == 2
         flips, _ = sampler.frame_for_choices([{}, {sampler.sites[3].site_id: 1}])
         self.check_unit(sampler, flips, rows=[1, 0, 1], shots=[40, 3, 9])
         bits = sampler.sample_fixed(flips[1], 50, make_rng(0))
         assert bits.shape == (50, 70) and len({row.tobytes() for row in bits}) > 20
+
+    @pytest.mark.parametrize("tables", ["one packed", "two packed", "unpacked"])
+    def test_one_shot_and_odd_shot_requests_equal_the_integers_draw(self, tables, msd35):
+        # A request reads ceil(groups * shots / 4) raw words of its stream:
+        # 1 and odd shot counts end inside a word, and the next request
+        # still starts on its own stream's first word.
+        sampler = {
+            "one packed": lambda: FrameSampler(_noisy(_fan_out(20, every=2), p=0.1)),
+            "two packed": lambda: msd35[1],
+            "unpacked": _seventy_qubit_sampler,
+        }[tables]()
+        packed = sampler._packed_word_dtype() is not None
+        groups = sampler._packed_combination_tables() if packed else sampler._combination_tables()
+        assert (packed, len(groups)) == {
+            "one packed": (True, 1), "two packed": (True, 2), "unpacked": (False, 2)
+        }[tables]
+        flips, _ = sampler.frame_for_choices([{}, {sampler.sites[1].site_id: 1}])
+        self.check_unit(sampler, flips, rows=[1, 0, 1, 1, 0], shots=[1, 3, 1, 7, 2])
+        self.check_unit(sampler, flips, rows=[0], shots=[1])
+
+    def test_a_stream_without_64_bit_raw_words_is_refused(self, msd35):
+        _, sampler = msd35
+        flips, _ = sampler.frame_for_choices([{}])
+        mersenne = np.random.Generator(np.random.MT19937(5))
+        with pytest.raises(BackendError, match="MT19937 has no 64-bit raw output"):
+            sampler.sample_fixed(flips[0], 10, mersenne)
+        for bit_generator in (np.random.PCG64(5), np.random.SFC64(5)):  # 64-bit raw words
+            np.testing.assert_array_equal(
+                sampler.sample_fixed(flips[0], 10, np.random.Generator(bit_generator)),
+                one_trajectory_draw(
+                    sampler, flips[0], 10, np.random.Generator(type(bit_generator)(5))
+                ),
+            )
 
     def test_deterministic_circuit_repeats_its_one_outcome(self):
         ideal = Circuit(2).x(0).cx(0, 1).measure_all()

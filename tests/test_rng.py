@@ -12,7 +12,9 @@ from repro.rng import (
     make_rng,
     root_sequence,
     trajectory_rng,
+    uint16_draws,
 )
+from repro.errors import BackendError
 
 DRAWS = 1 << 16
 
@@ -154,6 +156,25 @@ class TestStreamFactory:
         for mine, (pickled, rebuilt, sampler) in zip(here, there):
             assert np.array_equal(mine, pickled) and np.array_equal(mine, rebuilt)
             assert np.array_equal(sampler, factory.sampler_rng().random(8))
+
+
+class TestUint16Draws:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 7, 200, 1001])
+    def test_raw_words_are_the_full_range_integers_draw(self, count):
+        """A fresh stream's ``count`` 16-bit words are its raw 64-bit
+        outputs cut into little-endian quarters, which is what
+        ``Generator.integers`` serves for the full ``uint16`` range."""
+        factory = StreamFactory(7)
+        drawn = uint16_draws(factory.rng_for(3), count)
+        expected = factory.rng_for(3).integers(0, 0xFFFF, count, np.uint16, endpoint=True)
+        assert drawn.shape == (count,) and np.array_equal(drawn, expected)
+        rng = factory.rng_for(3)
+        uint16_draws(rng, count)
+        assert np.array_equal(words(rng, 1), words(factory.rng_for(3), -(-count // 4) + 1)[-1:])
+
+    def test_a_32_bit_raw_stream_is_refused(self):
+        with pytest.raises(BackendError, match="MT19937 has no 64-bit raw output"):
+            uint16_draws(np.random.Generator(np.random.MT19937(1)), 4)
 
 
 def test_make_rng_reproducible():

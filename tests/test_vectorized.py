@@ -106,7 +106,8 @@ class TestBatchedStatevectorBackend:
     def test_sample_rows_in_bulk(self, noisy_ghz3):
         stacked = BatchedStatevectorBackend(3)
         stacked.run_fixed_stack(noisy_ghz3, [{}, {0: 1}, {1: 1}])
-        rngs = StreamFactory(1).rngs_for([0, 1, 2])
+        factory = StreamFactory(1)
+        rngs = [factory.rng_for(i) for i in range(3)]
         block = stacked.sample(list(zip(range(3), [10, 20, 30], rngs)), (0, 1, 2))
         assert block.shape == (60, 3)
 
@@ -1350,11 +1351,6 @@ class TestGuards:
         with pytest.raises(ExecutionError):
             VectorizedExecutor(max_batch=0)
 
-    def test_rngs_for_matches_rng_for(self):
-        factory = StreamFactory(42)
-        batch = factory.rngs_for([0, 3])
-        assert batch[0].random(4).tolist() == factory.rng_for(0).random(4).tolist()
-        assert batch[1].random(4).tolist() == factory.rng_for(3).random(4).tolist()
 
 
 def _tail_engaging(kind):
@@ -1466,10 +1462,8 @@ class TestRelabelledDraws:
         rows = len(choices_list)
         per_row = 64_000 // (dim - 1) + 1
         owners = np.tile(np.arange(rows), per_row)  # requests interleave the rows
-        requests = [
-            (int(row), dim - 1, rng)
-            for row, rng in zip(owners, StreamFactory(17).rngs_for(range(owners.size)))
-        ]
+        factory = StreamFactory(17)
+        requests = [(int(row), dim - 1, factory.rng_for(i)) for i, row in enumerate(owners)]
         stack = BatchedStatevectorBackend(n)
         stack.run_fixed_stack(circuit, choices_list)
         stack.cumulative_stack([[dim - 1]] * rows)
