@@ -7,7 +7,12 @@ probabilities) are stored as binary columns, and the JSON holds only the
 experiment metadata and, per noise site, what a provenance record reads
 of the circuit — qubits, channel name, nominal branch probabilities
 (:class:`~repro.trajectory.events.NoiseSites`).  Nothing is written or
-read per record: records are built from the table when read.
+read per record: records are built from the table when read.  The shots
+of an unsplit dataset are its trajectories' rows repeated over their shot
+counts, so its labels are stored once per row (``row_labels``) and its
+labels and trajectory ids are repeated again on load; any other dataset
+(a split, or shot counts that differ from the table's) stores them per
+shot.
 
 Files written before datasets kept the table (one JSON record per
 trajectory, under ``provenance``) still load, converted once into the
@@ -19,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -39,18 +44,19 @@ def save_dataset(dataset: LabeledShotDataset, path: Union[str, Path]) -> Path:
     """Write a labeled dataset to ``path`` (.npz)."""
     path = Path(path)
     meta: Dict = {"metadata": dataset.metadata}
-    columns = {}
+    columns = {"labels": dataset.labels, "trajectory_ids": dataset.trajectory_ids}
     run = dataset.run
     if run is not None:
         meta.update(algorithm=run.algorithm, sites=run.noise_sites().facts)
         table = run.table
-        columns = dict(zip(_RUN, (table.sites, table.offsets, table.site_ids, table.branches,
+        row_labels = _row_labels(dataset, run)
+        if row_labels is not None:
+            columns = {"row_labels": row_labels}
+        columns.update(zip(_RUN, (table.sites, table.offsets, table.site_ids, table.branches,
                                   run.trajectory_ids, run.shots, run.probabilities)))
     np.savez_compressed(
         path,
         features=dataset.features,
-        labels=dataset.labels,
-        trajectory_ids=dataset.trajectory_ids,
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
         **columns,
     )
@@ -67,8 +73,8 @@ def load_dataset(path: Union[str, Path]) -> LabeledShotDataset:
         else:
             raise DataError(f"no dataset at {path}")
     with np.load(path) as data:
-        shots = [data[name] for name in ("features", "labels", "trajectory_ids")]
         if "provenance" in data:
+            shots = [data[name] for name in ("features", "labels", "trajectory_ids")]
             prov = json.loads(bytes(data["provenance"]).decode("utf-8"))
             run = _legacy_run(prov["records"], shots[2])
             return LabeledShotDataset(*shots, run, dict(prov["metadata"]))
@@ -78,7 +84,24 @@ def load_dataset(path: Union[str, Path]) -> LabeledShotDataset:
             columns, sites = [data[name] for name in _RUN], NoiseSites(meta["sites"])
             table = Prescriptions(*columns[:4])
             run = PTSResult(table, *columns[4:], None, meta["algorithm"], sites=sites)
-        return LabeledShotDataset(*shots, run, dict(meta["metadata"]))
+        if "row_labels" in data:
+            labels = np.repeat(data["row_labels"], run.shots)
+            ids = np.repeat(run.trajectory_ids, run.shots)
+        else:
+            labels, ids = data["labels"], data["trajectory_ids"]
+        return LabeledShotDataset(data["features"], labels, ids, run, dict(meta["metadata"]))
+
+
+def _row_labels(dataset: LabeledShotDataset, run: PTSResult) -> Optional[np.ndarray]:
+    """The dataset's labels per row of ``run``, when its labels and
+    trajectory ids are the rows' repeated over ``run.shots`` (``None``
+    otherwise)."""
+    if not np.array_equal(dataset.trajectory_ids, np.repeat(run.trajectory_ids, run.shots)):
+        return None
+    labels = np.zeros_like(dataset.labels, shape=len(run.shots))
+    drawn = run.shots > 0
+    labels[drawn] = dataset.labels[(np.cumsum(run.shots) - run.shots)[drawn]]
+    return labels if np.array_equal(np.repeat(labels, run.shots), dataset.labels) else None
 
 
 def _legacy_run(records: Dict[str, Dict], trajectory_ids: np.ndarray) -> PTSResult:

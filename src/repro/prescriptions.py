@@ -11,7 +11,7 @@ index is checked: every engine reads the arrays, and for every engine a
 site a row does not list is one where the row takes the dominant branch
 (an entry naming the dominant index is dropped at build).  The one table
 built without it is the one PTS emits
-(:meth:`~repro.pts.base.NoiseSiteView.result`), valid by construction:
+(:meth:`~repro.pts.base.NoiseSiteView.rows`), valid by construction:
 each entry is a real site's non-dominant branch, a site at most once a row.
 
 :func:`as_prescriptions` is how an engine's public entry point takes its

@@ -1,10 +1,12 @@
 """PTS core abstractions: candidates, the trajectory table, algorithm base.
 
 :class:`NoiseSiteView` flattens a frozen noisy circuit into the
-``NoisyCircuit({K}, {p})`` iterable of paper Algorithm 2: one
-:class:`ErrorCandidate` per non-dominant Kraus branch per noise site, each
-carrying its nominal probability, target qubits, moment index (for the
-``compatible`` check) and the name of the gate it decorates (for the
+``NoisyCircuit({K}, {p})`` iterable of paper Algorithm 2: one candidate
+column per non-dominant Kraus branch per noise site — its site, branch,
+nominal probability, target qubits, moment index (for the ``compatible``
+check) and log-probability step against the site's dominant branch — and,
+read on demand, the same candidates as :class:`ErrorCandidate` objects,
+which also name the gate each channel decorates (for the
 selection-criteria filters).
 
 :class:`PTSResult` is PTS's output — "the prescribed sampled set of Kraus
@@ -12,8 +14,9 @@ operators {K_a0, ..., K_ai} along with their prescribed number of shots
 m_a" (paper Fig. 1) — as one table: a
 :class:`~repro.prescriptions.Prescriptions` row per trajectory, its
 deviations from the dominant branches, beside its trajectory id, shot
-count and nominal probability.  :meth:`NoiseSiteView.result` builds it
-from a sampler's candidate selections.  A :class:`TrajectorySpec` and its
+count and nominal probability.  :meth:`NoiseSiteView.rows` builds it
+from candidate columns in CSR form (:meth:`NoiseSiteView.result` from
+lists of candidates).  A :class:`TrajectorySpec` and its
 provenance :class:`~repro.trajectory.events.TrajectoryRecord` are views of
 one row, built when read (``result.specs[i]``; the execution layer builds
 a record where its unit is delivered).  :func:`deduplicate_specs` groups
@@ -23,6 +26,7 @@ equal rows.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
@@ -63,16 +67,35 @@ class ErrorCandidate:
 
 
 class NoiseSiteView:
-    """Flattened view of a frozen circuit's stochastic structure."""
+    """Flattened view of a frozen circuit's stochastic structure, as
+    candidate columns built in one pass over the circuit: candidate ``j`` is
+    branch ``branch[j]`` of noise site ``site[j]``, of nominal probability
+    ``probability[j]``, acting on ``qubits[j]`` (padded with ``-1``) in
+    moment ``moment[j]``; ``step[j]`` is ``log probability[j] - log p`` for
+    the site's dominant branch probability ``p``, what selecting it adds to
+    a trajectory's log-probability.  Columns go in circuit order, so in site
+    order, and by branch within a site.
+
+    :attr:`candidates` builds the same candidates as
+    :class:`ErrorCandidate` objects (for selection filters and the
+    samplers that walk them) on first read.
+    """
 
     def __init__(self, circuit: Circuit):
         if not circuit.frozen:
             raise SamplingError("NoiseSiteView requires a frozen circuit")
         self.circuit = circuit
         moments = moment_index_of_ops(circuit)
-        self.candidates: List[ErrorCandidate] = []
         self.dominant_prob: Dict[int, float] = {}
         self.site_moment: Dict[int, int] = {}
+        # Per site: the ErrorCandidate fields after the branch and probability.
+        self._context: List[Tuple[Tuple[int, ...], str, int, str]] = []
+        site: List[int] = []
+        branch: List[int] = []
+        probability: List[float] = []
+        step: List[float] = []
+        # A channel object is analysed once however many sites it decorates.
+        branches: Dict[int, Tuple[List[int], List[float], List[float], float]] = {}
         last_gate_on_qubit: Dict[int, str] = {}
         for op_index, op in enumerate(circuit):
             if isinstance(op, GateOp):
@@ -82,25 +105,45 @@ class NoiseSiteView:
             if not isinstance(op, NoiseOp):
                 continue
             channel = op.channel
-            dom = channel.dominant_index()
-            probs = channel.nominal_probs
-            self.dominant_prob[op.site_id] = float(probs[dom])
+            analysed = branches.get(id(channel))
+            if analysed is None:
+                dom = channel.dominant_index()
+                probs = channel.nominal_probs
+                # math.log, not NumPy's: they differ in the last bit.  A
+                # dominant branch of probability 0 makes its selections' 0.
+                p_dom = float(probs[dom])
+                log_dom = math.log(p_dom) if p_dom > 0.0 else math.inf
+                ks = [k for k, p in enumerate(probs) if k != dom and p > 0.0]
+                ps = [float(probs[k]) for k in ks]
+                analysed = ks, ps, [math.log(p) - log_dom for p in ps], p_dom
+                branches[id(channel)] = analysed
+            ks, ps, steps, p_dom = analysed
+            self.dominant_prob[op.site_id] = p_dom
             self.site_moment[op.site_id] = moments[op_index]
             context = last_gate_on_qubit.get(op.qubits[0], "")
-            for k, p in enumerate(probs):
-                if k == dom or p <= 0.0:
-                    continue
-                self.candidates.append(
-                    ErrorCandidate(
-                        site_id=op.site_id,
-                        kraus_index=k,
-                        probability=float(p),
-                        qubits=op.qubits,
-                        channel_name=channel.name,
-                        moment=moments[op_index],
-                        gate_context=context,
-                    )
-                )
+            self._context.append((op.qubits, channel.name, moments[op_index], context))
+            site.extend([op.site_id] * len(ks))
+            branch.extend(ks)
+            probability.extend(ps)
+            step.extend(steps)
+        self.site = np.array(site, dtype=np.intp)
+        self.branch = np.array(branch, dtype=np.intp)
+        self.probability = np.array(probability, dtype=np.float64)
+        self.step = np.array(step, dtype=np.float64)
+        width = max((len(c[0]) for c in self._context), default=0)
+        site_qubits = np.full((len(self._context), width), -1, dtype=np.intp)
+        for s, (qubits, _, _, _) in enumerate(self._context):
+            site_qubits[s, : len(qubits)] = qubits
+        self.qubits = site_qubits[self.site]
+        self.moment = np.array([c[2] for c in self._context], dtype=np.intp)[self.site]
+
+    @functools.cached_property
+    def candidates(self) -> List[ErrorCandidate]:
+        """The columns as :class:`ErrorCandidate` objects, in column order."""
+        return [
+            ErrorCandidate(s, k, p, *self._context[s])
+            for s, k, p in zip(self.site.tolist(), self.branch.tolist(), self.probability.tolist())
+        ]
 
     @property
     def num_sites(self) -> int:
@@ -108,7 +151,16 @@ class NoiseSiteView:
 
     @property
     def num_candidates(self) -> int:
-        return len(self.candidates)
+        return len(self.site)
+
+    def columns(
+        self, candidate_filter: Optional[Callable[[ErrorCandidate], bool]] = None
+    ) -> np.ndarray:
+        """The columns (ascending) of the candidates ``candidate_filter``
+        accepts: every column without one."""
+        if candidate_filter is None:
+            return np.arange(self.num_candidates)
+        return np.flatnonzero([candidate_filter(c) for c in self.candidates])
 
     def log_dominant_total(self) -> float:
         """log of the all-dominant ("ideal") trajectory probability: every
@@ -125,35 +177,46 @@ class NoiseSiteView:
         algorithm: str,
         **counters: int,
     ) -> "PTSResult":
-        """The PTS output of ``selections`` — per trajectory, its
+        """:meth:`rows` of ``selections`` — per trajectory, this view's
         candidates in site order, a site at most once (what ``compatible``
-        keeps) — numbered from 0, with ``shots`` each (one count, or one per
-        trajectory); ``counters`` are the result's rejection counts.
+        keeps)."""
+        column = {(s, k): j for j, (s, k) in enumerate(zip(self.site.tolist(), self.branch.tolist()))}
+        lengths = np.array([len(selection) for selection in selections], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+        columns = [column[c.site_id, c.kraus_index] for c in chain.from_iterable(selections)]
+        return self.rows(offsets, np.array(columns, dtype=np.intp), shots, algorithm, **counters)
+
+    def rows(
+        self,
+        offsets: np.ndarray,
+        columns: np.ndarray,
+        shots: Union[int, np.ndarray],
+        algorithm: str,
+        **counters: int,
+    ) -> "PTSResult":
+        """The PTS output whose row ``i`` selects the candidates
+        ``columns[offsets[i]:offsets[i + 1]]`` (in site order, a site at
+        most once), numbered from 0, with ``shots`` each (one count, or one
+        per row); ``counters`` are the result's rejection counts.
 
         The table is valid by construction: a candidate is a real site's
         non-dominant branch.  A nominal joint probability takes each
         selected site's branch probability and every other site's dominant
         one (exact for unitary mixtures, paper §2.2): the log of the ideal
-        trajectory's, plus ``log p - log p_dominant`` per candidate in
-        selection order, then one ``exp``.
+        trajectory's, plus the candidates' ``step`` in selection order, then
+        one ``math.exp``.
         """
-        chosen = list(chain.from_iterable(selections))
-        lengths = np.array([len(selection) for selection in selections], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        site_ids = np.array([c.site_id for c in chosen], dtype=np.intp)
-        branches = np.array([c.kraus_index for c in chosen], dtype=np.intp)
-        table = Prescriptions(site_table(self.circuit), offsets, site_ids, branches)
-        # math.log and math.exp, not NumPy's: those differ in the last bit.
-        # A dominant branch of probability 0 makes its selections' 0.
-        dominant = {s: math.log(p) if p > 0.0 else math.inf for s, p in self.dominant_prob.items()}
-        steps = np.array([math.log(c.probability) - dominant[c.site_id] for c in chosen])
-        log_p = np.full(len(selections), self.log_dominant_total())
+        table = Prescriptions(
+            site_table(self.circuit), offsets, self.site[columns], self.branch[columns]
+        )
+        steps = self.step[columns]
+        log_p = np.full(len(table), self.log_dominant_total())
         rows = table.rows()
         position = np.arange(len(rows)) - offsets[rows]
-        for j in range(int(lengths.max(initial=0))):  # in selection order
+        for j in range(int(np.diff(offsets).max(initial=0))):  # in selection order
             log_p[rows[position == j]] += steps[position == j]
-        ids = np.arange(len(selections), dtype=np.int64)
-        shots = np.broadcast_to(np.asarray(shots, dtype=np.int64), len(selections)).copy()
+        ids = np.arange(len(table), dtype=np.int64)
+        shots = np.broadcast_to(np.asarray(shots, dtype=np.int64), len(table)).copy()
         probabilities = np.array([math.exp(x) for x in log_p.tolist()])
         return PTSResult(table, ids, shots, probabilities, self.circuit, algorithm, **counters)
 
@@ -369,19 +432,25 @@ def deduplicate_specs(table: Prescriptions, shots: np.ndarray) -> SpecGroups:
     order of their rows, so batched preparation stays deterministic.  One
     ``lexsort``.
     """
-    keys = table.keys()
-    # Equal rows (equal key columns) are adjacent in lexsort order, and
-    # stay in row order.  The row lengths lead: a key for an empty table.
-    order = np.lexsort(np.vstack((keys[::-1], np.diff(table.offsets))))
-    keys = keys[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(new)
+    # The row lengths lead: a key for an empty table.
+    order, starts = _runs(np.vstack((np.diff(table.offsets), table.keys())))
     rank = np.argsort(order[starts])  # the runs by first occurrence
     offsets, entries = gather(np.append(starts, len(order)), rank)
     members = order[entries]
     totals = np.add.reduceat(shots[members], offsets[:-1]) if len(members) else shots[:0]
     return SpecGroups(table.take(members[offsets[:-1]]), offsets, members, totals)
+
+
+def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns of ``keys`` (at least one row) in lexicographic order,
+    first row first, and where each run of equal columns starts in that
+    order.  The sort is stable, so a run's first column is its first
+    occurrence."""
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(new)
 
 
 class PTSAlgorithm(abc.ABC):

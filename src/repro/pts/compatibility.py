@@ -7,6 +7,10 @@ share a noise site (a site fires exactly one Kraus operator per
 trajectory) or when they would act on overlapping qubits in the same
 moment.
 
+:func:`conflicting` is ``compatible``'s rule over a
+:class:`~repro.pts.base.NoiseSiteView`'s candidate columns, pair by pair,
+which is how :class:`~repro.pts.probabilistic.ProbabilisticPTS` applies it.
+
 ``unique_kraus`` rejects "duplicate KrausSample trajectories": the whole
 point of PTS is to *never prepare the same noisy state twice*, so repeated
 error combinations are folded into a single spec.
@@ -14,11 +18,13 @@ error combinations are folded into a single spec.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
-from repro.pts.base import ErrorCandidate
+import numpy as np
 
-__all__ = ["compatible", "unique_kraus", "selection_signature"]
+from repro.pts.base import ErrorCandidate, NoiseSiteView
+
+__all__ = ["compatible", "conflicting", "unique_kraus", "selection_signature"]
 
 
 def compatible(candidate: ErrorCandidate, selection: Sequence[ErrorCandidate]) -> bool:
@@ -29,6 +35,14 @@ def compatible(candidate: ErrorCandidate, selection: Sequence[ErrorCandidate]) -
         if chosen.moment == candidate.moment and set(chosen.qubits) & set(candidate.qubits):
             return False
     return True
+
+
+def conflicting(view: NoiseSiteView, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per ``i``, whether the candidates at columns ``a[i]`` and ``b[i]`` of
+    ``view`` cannot be selected together: ``not compatible(b[i], [a[i]])``."""
+    qa, qb = view.qubits[a][:, :, None], view.qubits[b][:, None, :]
+    shared = ((qa == qb) & (qa >= 0)).any(axis=(1, 2))
+    return (view.site[a] == view.site[b]) | ((view.moment[a] == view.moment[b]) & shared)
 
 
 def selection_signature(selection: Sequence[ErrorCandidate]) -> Tuple[Tuple[int, int], ...]:

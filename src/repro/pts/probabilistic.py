@@ -15,11 +15,17 @@ flattened cell sequence with geometric gaps at ``p_max`` — the distance to
 the next success of a Bernoulli(``p_max``) sequence, by inversion of one
 uniform — and keeps a landing on a candidate of probability ``p`` with
 probability ``p / p_max``, which is exactly one independent Bernoulli(``p``)
-per cell.  The rest of Algorithm 2 (:meth:`ProbabilisticPTS.select`) visits
-only the attempts that fired something, in attempt order, and is field for
-field the per-attempt loop ``tests/test_pts.py`` keeps as its oracle:
-ascending candidates, ``compatible``, ``uniqueKraus``, both rejection
-counters.
+per cell.  The rest of Algorithm 2 (:meth:`ProbabilisticPTS.select`) is
+array passes over the fired cells, over the
+:class:`~repro.pts.base.NoiseSiteView`'s candidate columns: ``compatible``
+position by position over the attempts that fired more than one cell
+(:func:`~repro.pts.compatibility.conflicting` against the cells each kept
+before), ``uniqueKraus`` as the first occurrence of each distinct row (one
+stable ``lexsort`` per row length), and the table gathered from index
+arrays.  It is field for field the per-attempt loop ``tests/test_pts.py``
+keeps as its oracle: ascending candidates, ``compatible``,
+``uniqueKraus``, both rejection counters, the rows numbered by their first
+attempt.
 
 Cost is ``O(nsamples * |candidates| * p_max)`` — the fired sites, the
 paper's "~O(|{K}|^2 (p)^2)" — and entirely independent of the exponential
@@ -29,20 +35,19 @@ state dimension, which is the whole point: stochastic decisions are made
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.errors import SamplingError
-from repro.pts.base import ErrorCandidate, NoiseSiteView, PTSAlgorithm, PTSResult
-from repro.pts.compatibility import compatible
+from repro.prescriptions import gather
+from repro.pts.base import ErrorCandidate, NoiseSiteView, PTSAlgorithm, PTSResult, _runs
+from repro.pts.compatibility import conflicting
 
 __all__ = ["ProbabilisticPTS"]
 
-#: Most landings one ``rng.random`` call draws, and most attempts the
-#: selection pass holds as Python ints at a time.  What a run keeps for its
-#: whole length is NumPy over the fired cells, a few 8-byte words each.
+#: Most landings one ``rng.random`` call draws.
 _BLOCK = 1 << 16
 
 
@@ -85,11 +90,8 @@ class ProbabilisticPTS(PTSAlgorithm):
 
     def sample(self, circuit: Circuit, rng: np.random.Generator) -> PTSResult:
         view = NoiseSiteView(circuit)
-        candidates = view.candidates
-        if self.candidate_filter is not None:
-            candidates = [c for c in candidates if self.candidate_filter(c)]
-        probs = np.array([c.probability for c in candidates], dtype=np.float64)
-        return self.select(view, candidates, self.fired_cells(probs, rng))
+        columns = view.columns(self.candidate_filter)
+        return self.select(view, columns, self.fired_cells(view.probability[columns], rng))
 
     def fired_cells(self, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """The Bernoulli draws of Algorithm 2 (line 6) for every attempt: the
@@ -120,50 +122,63 @@ class ProbabilisticPTS(PTSAlgorithm):
             fired.append(landings[keep_draws[: len(landings)] < keep[landings % len(probs)]])
         return np.concatenate(fired)
 
-    def select(
-        self, view: NoiseSiteView, candidates: Sequence[ErrorCandidate], fired: np.ndarray
-    ) -> PTSResult:
+    def select(self, view: NoiseSiteView, columns: np.ndarray, fired: np.ndarray) -> PTSResult:
         """Algorithm 2 after its draws — ``compatible``, ``uniqueKraus``,
         the shot budget — given ``fired``, the cells :meth:`fired_cells`
-        returns for the probabilities of these ``candidates``."""
-        rows, cols = np.divmod(fired, max(1, len(candidates)))
-        # Cell ranges of the attempts that fired something, in attempt order
-        # (which is what numbers the trajectories): attempt k's is edges[k:k + 2].
-        edges = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), len(fired))
-        firing = len(edges) - 1
+        returns for the probabilities of the candidates at ``columns``
+        (ascending, as :meth:`NoiseSiteView.columns` returns them)."""
+        attempts, cells = np.divmod(fired, max(1, len(columns)))
+        cells = columns[cells]  # view columns, ascending within an attempt
+        # The first cell of each attempt that fired something, in attempt
+        # order (which is what numbers the trajectories).
+        first = np.ones(len(cells), dtype=bool)
+        first[1:] = attempts[1:] != attempts[:-1]
+        starts = np.flatnonzero(first)
+        firing = len(starts)
         kept = self.nsamples if self.include_ideal else firing
+        # Attempts that fired nothing are all the ideal trajectory, so only
+        # the first can be new: it stands before firing attempt `idle`.
+        idle = -1
         if self.include_ideal and firing < self.nsamples:
-            # Attempts that fired nothing are all the ideal trajectory, so
-            # only the first can be new: an empty range where it stands.
-            idle = int(np.argmax(np.append(rows[edges[:-1]] != np.arange(firing), True)))
-            edges = np.insert(edges, idle, edges[idle])
-        selections: List[List[ErrorCandidate]] = []
-        # A selection is identified by its candidate indices, ascending.
-        seen: Set[Tuple[int, ...]] = set()
-        incompatible = 0
-        for start in range(0, len(edges) - 1, _BLOCK):  # Python ints a block at a time
-            span = edges[start : start + _BLOCK + 1]
-            block = cols[span[0] : span[-1]].tolist()
-            bounds = (span - span[0]).tolist()
-            for lo, hi in zip(bounds, bounds[1:]):
-                chosen = block[lo:hi]
-                if len(chosen) > 1:
-                    # Only two or more fired candidates can conflict.
-                    agreed: List[int] = []
-                    for index in chosen:
-                        if compatible(candidates[index], [candidates[i] for i in agreed]):
-                            agreed.append(index)
-                    incompatible += len(chosen) - len(agreed)
-                    chosen = agreed
-                key = tuple(chosen)
-                if key not in seen:
-                    seen.add(key)
-                    selections.append([candidates[i] for i in key])
-        return view.result(
-            selections,
+            idle = int(np.argmax(np.append(attempts[starts] != np.arange(firing), True)))
+        # Scratch is dropped as the pass goes, so that at its peak it holds
+        # a few words per fired cell.
+        del attempts
+        # compatible: a cell is kept unless it conflicts with a cell its
+        # attempt kept before it, so only multi-fire attempts can lose one.
+        keep = np.ones(len(cells), dtype=bool)
+        counts = np.diff(np.append(starts, len(cells)))
+        for j in range(1, int(counts.max(initial=0))):
+            at = starts[counts > j]
+            clash = np.zeros(len(at), dtype=bool)
+            for i in range(j):
+                clash |= keep[at + i] & conflicting(view, cells[at + i], cells[at + j])
+            keep[at + j] = ~clash
+        del counts
+        incompatible = len(cells) - int(np.count_nonzero(keep))
+        starts = np.cumsum(keep)[starts] - 1  # an attempt's first cell is kept
+        cells = cells[keep]
+        # Row k (firing attempt k) is cells[offsets[k]:offsets[k + 1]]; row
+        # `firing` is the empty (ideal) row.
+        offsets = np.append(starts, [len(cells), len(cells)])
+        del starts
+        # uniqueKraus: equal rows have equal lengths; keep each one's first.
+        lengths = np.diff(offsets[:-1])
+        unique = [np.empty(0, dtype=np.intp)]
+        for length in np.flatnonzero(np.bincount(lengths)).tolist():
+            rows = np.flatnonzero(lengths == length)
+            order, runs = _runs(cells[offsets[rows] + np.arange(length)[:, None]])
+            unique.append(rows[order[runs]])
+        rows = np.sort(np.concatenate(unique))
+        if idle >= 0:
+            rows = np.insert(rows, np.searchsorted(rows, idle), firing)
+        offsets, entries = gather(offsets, rows)
+        return view.rows(
+            offsets,
+            cells[entries],
             self.nshots,
             self.name,
             attempted_samples=self.nsamples,
-            duplicates_rejected=kept - len(selections),
+            duplicates_rejected=kept - len(rows),
             incompatible_rejected=incompatible,
         )

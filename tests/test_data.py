@@ -132,6 +132,33 @@ class TestSerialization:
         assert rec == run.record(3)
         assert loaded.records == ds.records and len(loaded.records) == run.num_trajectories
 
+    def test_an_unsplit_dataset_stores_its_labels_per_row(self, tmp_path):
+        """An unsplit dataset's labels and trajectory ids are its rows'
+        repeated over their shots: the file holds one label per row and no
+        other per-shot column than the features, and loading repeats them
+        back bitwise.  A split, or labels that differ within a row, keep
+        the per-shot columns."""
+        from repro.data.dataset import build_decoder_dataset
+        from repro.data.io import load_dataset, save_dataset
+        from repro.execution import run_ptsbe
+        from repro.pts import ProbabilisticPTS
+
+        code, circuit, layout = data_noise_experiment(0.1)
+        result = run_ptsbe(circuit, ProbabilisticPTS(nsamples=400, nshots=3), seed=5)
+        ds = build_decoder_dataset(result, circuit, code, layout)
+        assert len(set(ds.labels.tolist())) == 2
+        train, test = ds.split(0.5, make_rng(0))
+        for dataset, per_row in ((ds, True), (train, False), (test, False), (small_run()[1], False)):
+            path = save_dataset(dataset, tmp_path / "ds.npz")
+            with np.load(path) as data:
+                assert ("row_labels" in data.files) == per_row
+                assert ("labels" in data.files) == ("trajectory_ids" in data.files) != per_row
+            loaded = load_dataset(path)
+            for name in ("features", "labels", "trajectory_ids"):
+                got, want = getattr(loaded, name), getattr(dataset, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert loaded.records == dataset.records
+
     def test_a_dataset_without_a_run_round_trips(self, tmp_path):
         from repro.data.dataset import LabeledShotDataset
         from repro.data.io import load_dataset, save_dataset

@@ -1,6 +1,9 @@
 """PTS algorithms: Algorithm 2, proportional, bands, exhaustive, top-k."""
 
 import math
+from collections import defaultdict
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.channels import NoiseModel, bit_flip, depolarizing
+from repro.channels import NoiseModel, bit_flip, depolarizing, two_qubit_depolarizing
 from repro.circuits import Circuit
+from repro.circuits.moments import moment_index_of_ops
 from repro.errors import SamplingError
 from repro.pts import (
     ExhaustivePTS,
@@ -22,9 +26,12 @@ from repro.pts import (
     TopKPTS,
     apportion_shots,
     by_gate_context,
+    by_min_probability,
     by_qubits,
 )
-from repro.pts.compatibility import compatible, selection_signature, unique_kraus
+from repro.pts.compatibility import (
+    compatible, conflicting, selection_signature, unique_kraus,
+)
 from repro.rng import StreamFactory, make_rng
 
 
@@ -97,6 +104,19 @@ class TestCompatibility:
         other = next(c for c in view.candidates if c.site_id != a.site_id and not (
             c.moment == a.moment and set(c.qubits) & set(a.qubits)))
         assert compatible(other, [a])
+
+    @pytest.mark.parametrize("one_moment", [False, True])
+    def test_conflicting_is_compatible_over_columns(self, mixed_noise_circuit, one_moment):
+        # Every ordered pair of candidates; with one_moment, every channel
+        # is put in moment 0, so shared qubits conflict too.
+        view = NoiseSiteView(mixed_noise_circuit)
+        if one_moment:
+            view.moment[:] = 0
+        candidates = [replace(c, moment=0) if one_moment else c for c in view.candidates]
+        a, b = np.divmod(np.arange(len(candidates) ** 2), len(candidates))
+        expected = [not compatible(candidates[j], [candidates[i]]) for i, j in zip(a, b)]
+        assert conflicting(view, a, b).tolist() == expected
+        assert sum(expected) > (len(candidates) ** 2 if one_moment else 0) // 4
 
     def test_unique_kraus_registers(self, noisy_ghz3):
         view = NoiseSiteView(noisy_ghz3)
@@ -176,11 +196,10 @@ class TestProbabilisticPTS(object):
 
 
 def filtered_candidates(sampler, circuit):
+    """The view of ``circuit`` and the columns of the candidates the
+    sampler's filter accepts: what ``select`` takes."""
     view = NoiseSiteView(circuit)
-    candidates = view.candidates
-    if sampler.candidate_filter is not None:
-        candidates = [c for c in candidates if sampler.candidate_filter(c)]
-    return view, candidates
+    return view, view.columns(sampler.candidate_filter)
 
 
 def algorithm2_reference(sampler, circuit, fired):
@@ -188,7 +207,10 @@ def algorithm2_reference(sampler, circuit, fired):
     ``ProbabilisticPTS`` ran before it visited only what fired, kept as the
     oracle of its selection pass.  ``fired[attempt, candidate]`` stands in
     for the loop's ``rng.random() <= p``."""
-    view, candidates = filtered_candidates(sampler, circuit)
+    view = NoiseSiteView(circuit)
+    candidates = view.candidates
+    if sampler.candidate_filter is not None:
+        candidates = [c for c in candidates if sampler.candidate_filter(c)]
     selections, seen = [], set()
     duplicates = incompatible = 0
     for attempt in range(sampler.nsamples):
@@ -210,8 +232,9 @@ def algorithm2_reference(sampler, circuit, fired):
 
 
 def crowded():
-    # Two channels on one qubit in one moment, and likely enough to fire
-    # together: incompatible candidates are routine here.
+    # Two channels back to back on each qubit (consecutive moments), and
+    # branches likely enough to fire together at one site: incompatible
+    # candidates are routine here.
     circ = Circuit(3).h(0).cx(0, 1).cx(1, 2)
     for q in range(3):
         circ.attach(depolarizing(0.3), q)
@@ -219,14 +242,62 @@ def crowded():
     return circ.measure_all().freeze()
 
 
+@st.composite
+def noisy_circuits(draw):
+    """Small noisy circuits: 1- and 2-qubit channels after gates, and two
+    channels back to back on one qubit."""
+    n = draw(st.integers(2, 4))
+    circ = Circuit(n)
+    for _ in range(draw(st.integers(1, 7))):
+        q = draw(st.integers(0, n - 1))
+        p = draw(st.sampled_from([0.01, 0.1, 0.3]))
+        kind = draw(st.sampled_from(["h", "cx", "twice"]))
+        if kind == "h":
+            circ.h(q).attach(depolarizing(p), q)
+        elif kind == "cx":
+            circ.cx(q, (q + 1) % n).attach(two_qubit_depolarizing(p), q, (q + 1) % n)
+        else:
+            circ.attach(depolarizing(p), q).attach(bit_flip(p), q)
+    return circ.measure_all().freeze()
+
+
 class TestSelectionPass:
     """``ProbabilisticPTS.select`` against the per-attempt loop, field for
     field, on one set of fired cells."""
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        circuit=noisy_circuits(),
+        nsamples=st.sampled_from([0, 1, 2, 9, 40]),
+        include_ideal=st.booleans(),
+        candidate_filter=st.sampled_from(
+            [None, by_qubits({0, 1}), by_gate_context("cx"), by_min_probability(0.02)]
+        ),
+        density=st.sampled_from([0.01, 0.2, 0.7]),
+        seed=st.integers(0, 2**16),
+        one_moment=st.booleans(),
+    )
+    def test_array_pass_is_the_loop(
+        self, circuit, nsamples, include_ideal, candidate_filter, density, seed, one_moment
+    ):
+        # A circuit's moments never put two channels on one qubit together,
+        # so the same-site rule alone decides; with every operation in
+        # moment 0, shared qubits conflict too, and the rule is no longer
+        # transitive: what a cell is checked against (the cells kept, not
+        # every cell) matters.
+        sampler = ProbabilisticPTS(
+            nsamples, 1, include_ideal=include_ideal, candidate_filter=candidate_filter
+        )
+        moments = (lambda circuit: defaultdict(int)) if one_moment else moment_index_of_ops
+        with mock.patch("repro.pts.base.moment_index_of_ops", moments):
+            columns = filtered_candidates(sampler, circuit)[1]
+            fired = make_rng(seed).random((nsamples, len(columns))) < density
+            self.check(sampler, circuit, fired)
+
     def check(self, sampler, circuit, fired):
-        view, candidates = filtered_candidates(sampler, circuit)
-        fired = np.asarray(fired, dtype=bool).reshape(sampler.nsamples, len(candidates))
-        got = sampler.select(view, candidates, np.flatnonzero(fired))
+        view, columns = filtered_candidates(sampler, circuit)
+        fired = np.asarray(fired, dtype=bool).reshape(sampler.nsamples, len(columns))
+        got = sampler.select(view, columns, np.flatnonzero(fired))
         specs, duplicates, incompatible = algorithm2_reference(sampler, circuit, fired)
         assert [s.record for s in got.specs] == [s.record for s in specs]
         assert [s.record.trajectory_id for s in got.specs] == list(range(len(specs)))
@@ -240,9 +311,8 @@ class TestSelectionPass:
 
     def bernoulli(self, sampler, circuit, seed):
         # Drawn without the sampler: one uniform per cell, as Algorithm 2 reads.
-        _, candidates = filtered_candidates(sampler, circuit)
-        probs = np.array([c.probability for c in candidates])
-        return make_rng(seed).random((sampler.nsamples, len(candidates))) <= probs
+        view, columns = filtered_candidates(sampler, circuit)
+        return make_rng(seed).random((sampler.nsamples, len(columns))) <= view.probability[columns]
 
     @pytest.mark.parametrize("nsamples", [57, 1, 0])
     def test_crowded_circuit(self, nsamples):
@@ -252,10 +322,9 @@ class TestSelectionPass:
 
     def test_the_samplers_own_fired_cells(self, mixed_noise_circuit):
         sampler = ProbabilisticPTS(nsamples=700, nshots=2)
-        view, candidates = filtered_candidates(sampler, mixed_noise_circuit)
-        probs = np.array([c.probability for c in candidates])
-        cells = sampler.fired_cells(probs, make_rng(1))
-        fired = np.zeros(700 * len(candidates), dtype=bool)
+        view, columns = filtered_candidates(sampler, mixed_noise_circuit)
+        cells = sampler.fired_cells(view.probability[columns], make_rng(1))
+        fired = np.zeros(700 * len(columns), dtype=bool)
         fired[cells] = True
         got = self.check(sampler, mixed_noise_circuit, fired)
         again = sampler.sample(mixed_noise_circuit, make_rng(1))  # sample() is the two halves
@@ -301,17 +370,18 @@ class TestSelectionPass:
         assert [s.record for s in sampled.specs] == [s.record for s in got.specs]
         assert rng.random() == make_rng(3).random()  # the stream was not touched
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_attempts_are_visited_a_block_at_a_time(self, monkeypatch, noisy_ghz3, block):
-        # The pass turns a block of attempts into Python ints at a time;
-        # where the cuts fall (here: everywhere, and around the idle
-        # attempt that numbers the ideal spec) changes nothing.
-        from repro.pts import probabilistic
-
-        monkeypatch.setattr(probabilistic, "_BLOCK", block)
-        sampler = ProbabilisticPTS(nsamples=57, nshots=3)
-        self.check(sampler, crowded(), self.bernoulli(sampler, crowded(), 8))
-        self.test_ideal_spec_is_numbered_where_its_first_attempt_stands(noisy_ghz3)
+    @pytest.mark.parametrize("idle", [0, 1, 3, 5, None])
+    def test_rows_of_every_length_are_numbered_by_first_occurrence(self, noisy_ghz3, idle):
+        # uniqueKraus runs once per row length and the firsts are merged by
+        # attempt; the ideal row stands where the first idle attempt does
+        # (first, between rows of other lengths, last, or nowhere).
+        sampler = ProbabilisticPTS(nsamples=6, nshots=1)
+        fired = np.zeros((6, 12), dtype=bool)
+        for attempt, cells in enumerate([[3, 7], [3], [0, 4, 10], [3], [3, 7], [10]]):
+            fired[attempt, cells] = attempt != idle
+        got = self.check(sampler, noisy_ghz3, fired)
+        ideal = [s.record.num_errors() == 0 for s in got.specs]
+        assert ideal.count(True) == (idle is not None)
 
     def test_scratch_follows_what_fired_not_the_attempts(self, noisy_ghz3):
         # select() holds NumPy arrays over the fired cells (a few 8-byte
@@ -330,22 +400,23 @@ class TestSelectionPass:
         assert result.duplicates_rejected == 1_000_000 - result.num_trajectories
         assert peak < 64 * fired.size + (1 << 20)
 
-    def test_compatible_is_asked_only_about_multiple_fired_candidates(
-        self, monkeypatch, noisy_ghz3
-    ):
+    def test_conflict_rule_reads_only_multiple_fired_attempts(self, monkeypatch, noisy_ghz3):
+        # compatible's rule reads each pair of an attempt's fired cells
+        # once, position by position: an attempt that fired one cell is
+        # never read.
         from repro.pts import probabilistic
 
-        asked = []
+        pairs = []
         monkeypatch.setattr(
-            probabilistic, "compatible",
-            lambda cand, selection: asked.append(len(selection)) or compatible(cand, selection),
+            probabilistic, "conflicting",
+            lambda view, a, b: pairs.append(len(b)) or conflicting(view, a, b),
         )
         sampler = ProbabilisticPTS(nsamples=500, nshots=1)
         fired = self.bernoulli(sampler, noisy_ghz3, 2)
-        view, candidates = filtered_candidates(sampler, noisy_ghz3)
-        sampler.select(view, candidates, np.flatnonzero(fired))
-        multiple = fired.sum(axis=1)[fired.sum(axis=1) > 1]
-        assert len(asked) == multiple.sum() and 0 < len(asked) < 500
+        view, columns = filtered_candidates(sampler, noisy_ghz3)
+        sampler.select(view, columns, np.flatnonzero(fired))
+        counts = fired.sum(axis=1)
+        assert sum(pairs) == (counts * (counts - 1) // 2).sum() and 0 < sum(pairs) < 500
 
 
 def words_drawn(rng):
@@ -416,13 +487,13 @@ class TestFiredCellDraw:
         assert len(exact) == 2**10 and sum(exact.values()) == pytest.approx(1.0)
         n = 60_000
         sampler = ProbabilisticPTS(nsamples=n, nshots=1)
-        view, candidates = filtered_candidates(sampler, circuit)
-        probs = np.array([c.probability for c in candidates])
+        view, columns = filtered_candidates(sampler, circuit)
+        probs = view.probability[columns]
         assert len(set(probs)) == 9 and sampler.select(
-            view, candidates, np.arange(10)
+            view, columns, np.arange(10)
         ).incompatible_rejected == 0
         fired = self.fired_table(probs, n, 13)
-        pairs = [(c.site_id, c.kraus_index) for c in candidates]
+        pairs = [(c.site_id, c.kraus_index) for c in view.candidates]
         observed = {}
         for row in fired:
             key = tuple(pairs[i] for i in np.flatnonzero(row))
