@@ -38,13 +38,13 @@ import numpy as np
 from repro.backends.base import validate_deferred_measurement
 from repro.backends.stabilizer import StabilizerBackend
 from repro.circuits.circuit import Circuit
-from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
+from repro.circuits.operations import GateOp, NoiseOp
 from repro.errors import BackendError
 from repro.linalg.sampling import inverse_cdf_indices
 from repro.prescriptions import Choices, Prescriptions, as_prescriptions, site_table
 from repro.rng import uint16_draws
 
-__all__ = ["FrameSampler", "frame_sample"]
+__all__ = ["FrameSampler", "pauli_sites", "propagate_to_end"]
 
 
 @dataclass
@@ -52,10 +52,10 @@ class _NoiseSite:
     """Pre-analyzed Pauli-mixture site: per-branch frame bit patterns.
 
     ``x_patterns``/``z_patterns`` are the branch Paulis *at* the site;
-    ``end_x_patterns`` are the same branches conjugated through every
-    Clifford gate after the site to the end of the circuit, which is what
-    makes fixed-choice (PTS) sampling O(deviations) per spec: a spec's
-    terminal frame is just the XOR of its chosen branches' end patterns.
+    :func:`propagate_to_end` carries them to the end of the circuit, which
+    is what makes fixed-choice (PTS) sampling O(deviations) per spec: a
+    spec's terminal frame is just the XOR of its chosen branches' end
+    patterns.
     """
 
     op_index: int
@@ -65,7 +65,102 @@ class _NoiseSite:
     probs: np.ndarray  # (branches,)
     x_patterns: np.ndarray  # (branches, n) uint8
     z_patterns: np.ndarray  # (branches, n) uint8
-    end_x_patterns: np.ndarray = None  # (branches, n) uint8, filled post-walk
+
+
+def _pauli_patterns(channel) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """``(probs, x, z, dominant branch)``: the channel as a Pauli mixture,
+    one ``(branches, channel qubits)`` bit pattern each (``None`` for a
+    channel that is not one)."""
+    mixture = channel.mixture
+    if mixture is None or None in mixture.paulis:
+        return None
+    return (
+        np.asarray(mixture.probs, dtype=np.float64),
+        np.array([p.x for p in mixture.paulis], dtype=np.uint8),
+        np.array([p.z for p in mixture.paulis], dtype=np.uint8),
+        channel.dominant_index(),
+    )
+
+
+def pauli_sites(circuit: Circuit, strict: bool) -> List[_NoiseSite]:
+    """The circuit's Pauli-mixture noise sites in program order, each with
+    its branches' bit patterns at the site.  A site whose channel is not a
+    Pauli mixture raises :class:`~repro.errors.BackendError` when
+    ``strict``, and is left out otherwise."""
+    sites: List[_NoiseSite] = []
+    # The channel's bit patterns depend on the channel object alone, and
+    # a noise model attaches a handful of channels to every site.
+    analyzed: Dict[int, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = {}
+    for op_index, op in enumerate(circuit):
+        if not isinstance(op, NoiseOp):
+            continue
+        if id(op.channel) not in analyzed:
+            analyzed[id(op.channel)] = _pauli_patterns(op.channel)
+        patterns = analyzed[id(op.channel)]
+        if patterns is None:
+            if strict:
+                raise BackendError(
+                    f"channel {op.channel.name!r} is not a Pauli mixture; the frame "
+                    "sampler has the Stim restriction (Clifford + Pauli noise)"
+                )
+            continue
+        probs, local_x, local_z, dominant = patterns
+        xpat = np.zeros((len(probs), circuit.num_qubits), dtype=np.uint8)
+        zpat = np.zeros((len(probs), circuit.num_qubits), dtype=np.uint8)
+        xpat[:, op.qubits] = local_x
+        zpat[:, op.qubits] = local_z
+        sites.append(
+            _NoiseSite(
+                op_index=op_index,
+                site_id=op.site_id,
+                dominant_index=dominant,
+                qubits=op.qubits,
+                probs=probs,
+                x_patterns=xpat,
+                z_patterns=zpat,
+            )
+        )
+    return sites
+
+
+def propagate_to_end(
+    circuit: Circuit, sites: Sequence[_NoiseSite]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Conjugate every site's branch patterns to the end of the circuit.
+
+    One forward walk: a site's branch rows join the working stack when the
+    walk reaches it, so each later gate's O(1) column update hits exactly
+    the branches the gate acts after.  Returns the end X patterns, one row
+    per branch, flat by site in ``sites`` order, and per site whether its
+    rows stayed Pauli frames to the end: a gate outside the frame rules, or
+    a noise operation not among ``sites``, acting where one of the site's
+    rows has support (its forward light cone) clears the flag, and that
+    site's rows mean nothing from there on.  On a Clifford + Pauli-noise
+    circuit with every site listed, every flag stays set.
+    """
+    counts = [len(site.probs) for site in sites]
+    fx = np.zeros((sum(counts), circuit.num_qubits), dtype=np.uint8)
+    fz = np.zeros_like(fx)
+    owner = np.repeat(np.arange(len(sites)), counts)
+    clean = np.ones(len(sites), dtype=bool)
+    active = 0
+    site_iter = iter(sites)
+    next_site = next(site_iter, None)
+    for op_index, op in enumerate(circuit):
+        if next_site is not None and next_site.op_index == op_index:
+            fx[active : active + len(next_site.probs)] = next_site.x_patterns
+            fz[active : active + len(next_site.probs)] = next_site.z_patterns
+            active += len(next_site.probs)
+            next_site = next(site_iter, None)
+        elif active and isinstance(op, (GateOp, NoiseOp)):
+            # The tableau's gates are the ones the frame rules cover.
+            if isinstance(op, GateOp) and op.gate.name.lower() in StabilizerBackend._GATE_DISPATCH:
+                _conjugate(op.gate.name, op.qubits, fx[:active], fz[:active])
+            else:
+                qubits = list(op.qubits)
+                touched = (fx[:active, qubits] | fz[:active, qubits]).any(axis=1)
+                clean[owner[:active][touched]] = False
+    return fx, clean
 
 
 class FrameSampler:
@@ -111,93 +206,20 @@ class FrameSampler:
     # one-time noise-site compilation
     # ------------------------------------------------------------------ #
     def _analyze_noise(self) -> None:
-        self.sites: List[_NoiseSite] = []
-        # The channel's bit patterns depend on the channel object alone, and
-        # a noise model attaches a handful of channels to every site.
-        analyzed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
-        for op_index, op in enumerate(self.circuit):
-            if not isinstance(op, NoiseOp):
-                continue
-            if id(op.channel) not in analyzed:
-                analyzed[id(op.channel)] = self._analyze_channel(op.channel)
-            probs, local_x, local_z, dominant = analyzed[id(op.channel)]
-            xpat = np.zeros((len(probs), self.num_qubits), dtype=np.uint8)
-            zpat = np.zeros((len(probs), self.num_qubits), dtype=np.uint8)
-            xpat[:, op.qubits] = local_x
-            zpat[:, op.qubits] = local_z
-            self.sites.append(
-                _NoiseSite(
-                    op_index=op_index,
-                    site_id=op.site_id,
-                    dominant_index=dominant,
-                    qubits=op.qubits,
-                    probs=probs,
-                    x_patterns=xpat,
-                    z_patterns=zpat,
-                )
-            )
-        self._propagate_site_patterns()
-
-    @staticmethod
-    def _analyze_channel(channel) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(probs, x, z, dominant branch)``: the channel as a Pauli
-        mixture, one ``(branches, channel qubits)`` bit pattern each."""
-        mixture = channel.mixture
-        if mixture is None:
-            raise BackendError(
-                f"channel {channel.name!r} is not a Pauli mixture; the frame "
-                "sampler has the Stim restriction (Clifford + Pauli noise)"
-            )
-        paulis = mixture.paulis
-        if None in paulis:
-            raise BackendError(
-                f"branch {paulis.index(None)} of {channel.name!r} is not a Pauli string"
-            )
-        return (
-            np.asarray(mixture.probs, dtype=np.float64),
-            np.array([p.x for p in paulis], dtype=np.uint8),
-            np.array([p.z for p in paulis], dtype=np.uint8),
-            channel.dominant_index(),
-        )
-
-    def _propagate_site_patterns(self) -> None:
-        """Conjugate every site's branch patterns to the end of the circuit.
-
-        One forward walk: a site's branch rows join the working stack when
-        the walk reaches it, so each subsequent gate's O(1) column update
-        hits exactly the branches the gate acts after.  The resulting
-        ``end_x_patterns`` let :meth:`frame_for_choices` assemble a fixed
-        trajectory's terminal frame without touching the gate list again.
-        """
-        total = sum(len(site.probs) for site in self.sites)
-        fx = np.zeros((total, self.num_qubits), dtype=np.uint8)
-        fz = np.zeros((total, self.num_qubits), dtype=np.uint8)
-        spans: List[Tuple[int, int]] = []
-        active = 0
-        site_iter = iter(self.sites)
-        next_site = next(site_iter, None)
-        for op_index, op in enumerate(self.circuit):
-            if isinstance(op, GateOp):
-                if active:
-                    self._propagate_gate(op.gate.name, op.qubits, fx[:active], fz[:active])
-            elif isinstance(op, NoiseOp):
-                assert next_site is not None and next_site.op_index == op_index
-                branches = len(next_site.probs)
-                fx[active : active + branches] = next_site.x_patterns
-                fz[active : active + branches] = next_site.z_patterns
-                spans.append((active, active + branches))
-                active += branches
-                next_site = next(site_iter, None)
-        for site, (start, stop) in zip(self.sites, spans):
-            site.end_x_patterns = fx[start:stop].copy()
+        """Every site's branch patterns, conjugated to the end of the
+        circuit (:func:`propagate_to_end`), so :meth:`frame_for_choices`
+        assembles a fixed trajectory's terminal frame without touching the
+        gate list again."""
+        self.sites = pauli_sites(self.circuit, strict=True)
+        fx, _ = propagate_to_end(self.circuit, self.sites)
         # Flat per-branch tables behind frame_for_choices, indexed by site
         # id (the sites are in program order, as the ids count them): a
         # trajectory is the all-dominant frame XOR one (branch XOR
         # dominant) row per deviation, so assembling it never walks the
         # sites it leaves alone.
-        self._end_x = fx
-        self._site_start = np.array([start for start, _ in spans], dtype=np.intp)
         self._site_branches = np.array([len(site.probs) for site in self.sites], dtype=np.intp)
+        self._site_start = np.cumsum(self._site_branches) - self._site_branches
+        self._end_x = fx
         self._dominant_rows = self._site_start + np.array(
             [site.dominant_index for site in self.sites], dtype=np.intp
         )
@@ -399,39 +421,6 @@ class FrameSampler:
     # ------------------------------------------------------------------ #
     # bulk sampling
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _propagate_gate(name: str, qubits: Sequence[int], fx: np.ndarray, fz: np.ndarray) -> None:
-        """Conjugate all shot frames through one Clifford gate (in place)."""
-        name = name.lower()
-        if name in ("i", "x", "y", "z"):
-            return  # Paulis commute with Pauli frames up to irrelevant phase
-        if name == "h":
-            q = qubits[0]
-            fx[:, q], fz[:, q] = fz[:, q].copy(), fx[:, q].copy()
-        elif name in ("s", "sdg"):
-            q = qubits[0]
-            fz[:, q] ^= fx[:, q]
-        elif name in ("sx", "sxdg"):
-            q = qubits[0]
-            fx[:, q] ^= fz[:, q]
-        elif name in ("sy", "sydg"):
-            q = qubits[0]
-            fx[:, q], fz[:, q] = fz[:, q].copy(), fx[:, q].copy()
-        elif name == "cx":
-            c, t = qubits
-            fx[:, t] ^= fx[:, c]
-            fz[:, c] ^= fz[:, t]
-        elif name == "cz":
-            a, b = qubits
-            fz[:, b] ^= fx[:, a]
-            fz[:, a] ^= fx[:, b]
-        elif name == "swap":
-            a, b = qubits
-            fx[:, [a, b]] = fx[:, [b, a]]
-            fz[:, [a, b]] = fz[:, [b, a]]
-        else:
-            raise BackendError(f"gate {name!r} unsupported by the frame sampler")
-
     def sample(self, num_shots: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``(num_shots, k)`` measurement bits for the noisy circuit."""
         m = num_shots
@@ -442,7 +431,7 @@ class FrameSampler:
         next_site = next(site_iter, None)
         for op_index, op in enumerate(self.circuit):
             if isinstance(op, GateOp):
-                self._propagate_gate(op.gate.name, op.qubits, fx, fz)
+                _conjugate(op.gate.name, op.qubits, fx, fz)
             elif isinstance(op, NoiseOp):
                 assert next_site is not None and next_site.op_index == op_index
                 site = next_site
@@ -463,8 +452,34 @@ class FrameSampler:
         return out
 
 
-def frame_sample(
-    circuit: Circuit, num_shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One-call convenience wrapper: compile + sample."""
-    return FrameSampler(circuit).sample(num_shots, rng)
+def _conjugate(name: str, qubits: Sequence[int], fx: np.ndarray, fz: np.ndarray) -> None:
+    """Conjugate all shot frames through one Clifford gate (in place)."""
+    name = name.lower()
+    if name in ("i", "x", "y", "z"):
+        return  # Paulis commute with Pauli frames up to irrelevant phase
+    if name == "h":
+        q = qubits[0]
+        fx[:, q], fz[:, q] = fz[:, q].copy(), fx[:, q].copy()
+    elif name in ("s", "sdg"):
+        q = qubits[0]
+        fz[:, q] ^= fx[:, q]
+    elif name in ("sx", "sxdg"):
+        q = qubits[0]
+        fx[:, q] ^= fz[:, q]
+    elif name in ("sy", "sydg"):
+        q = qubits[0]
+        fx[:, q], fz[:, q] = fz[:, q].copy(), fx[:, q].copy()
+    elif name == "cx":
+        c, t = qubits
+        fx[:, t] ^= fx[:, c]
+        fz[:, c] ^= fz[:, t]
+    elif name == "cz":
+        a, b = qubits
+        fz[:, b] ^= fx[:, a]
+        fz[:, a] ^= fx[:, b]
+    elif name == "swap":
+        a, b = qubits
+        fx[:, [a, b]] = fx[:, [b, a]]
+        fz[:, [a, b]] = fz[:, [b, a]]
+    else:
+        raise BackendError(f"gate {name!r} unsupported by the frame sampler")

@@ -12,7 +12,9 @@ of an unsplit dataset are its trajectories' rows repeated over their shot
 counts, so its labels are stored once per row (``row_labels``) and its
 labels and trajectory ids are repeated again on load; any other dataset
 (a split, or shot counts that differ from the table's) stores them per
-shot.
+shot.  Features that are all 0/1 bytes (measured bits) are stored packed
+eight to a byte along each shot (``packed_features``); any other features
+are stored as they are.
 
 Files written before datasets kept the table (one JSON record per
 trajectory, under ``provenance``) still load, converted once into the
@@ -54,11 +56,15 @@ def save_dataset(dataset: LabeledShotDataset, path: Union[str, Path]) -> Path:
             columns = {"row_labels": row_labels}
         columns.update(zip(_RUN, (table.sites, table.offsets, table.site_ids, table.branches,
                                   run.trajectory_ids, run.shots, run.probabilities)))
+    features = dataset.features
+    if features.dtype == np.uint8 and features.ndim == 2 and not (features > 1).any():
+        # Bits: eight to a byte before zlib sees them (~6x faster a save).
+        meta["packed_features"] = features.shape[1]
+        columns["packed_features"] = np.packbits(features, axis=1)
+    else:
+        columns["features"] = features
     np.savez_compressed(
-        path,
-        features=dataset.features,
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        **columns,
+        path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **columns
     )
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
@@ -89,7 +95,11 @@ def load_dataset(path: Union[str, Path]) -> LabeledShotDataset:
             ids = np.repeat(run.trajectory_ids, run.shots)
         else:
             labels, ids = data["labels"], data["trajectory_ids"]
-        return LabeledShotDataset(data["features"], labels, ids, run, dict(meta["metadata"]))
+        if "packed_features" in data:
+            features = np.unpackbits(data["packed_features"], axis=1, count=meta["packed_features"])
+        else:
+            features = data["features"]
+        return LabeledShotDataset(features, labels, ids, run, dict(meta["metadata"]))
 
 
 def _row_labels(dataset: LabeledShotDataset, run: PTSResult) -> Optional[np.ndarray]:

@@ -102,7 +102,8 @@ the root seed, so a retried or halved task re-emits bitwise-identical
 shots on every engine.  Where a unit is cut, and halving, change no bits
 where preparation is row-wise independent (the dense stack and the frame
 stack); the tensornet stack's truncated SVDs keep a common rank across
-the unit, so there halving preserves the sampled distribution only.
+the unit's replayed rows, so there halving preserves their sampled
+distribution only.
 
 The paper runs its inter-trajectory axis ("embarrassingly parallel", §3)
 across devices.  This driver has no such axis: on one host a process

@@ -13,7 +13,7 @@ LAPACK call over the rows that need it; only the noise steps differ per
 trajectory, realized by handing the stack the rows that leave a
 channel's dominant branch beside the Kraus operators they take.
 
-Three structural tricks keep the replay lean — each pays once for what
+Four structural tricks keep the replay lean — each pays once for what
 trajectories share:
 
 * **Compile-time routing and fusion.**  A multi-qubit operation on
@@ -40,11 +40,25 @@ trajectories share:
   wherever it owns nothing, exactly: a bond's basis changes only in a
   step on that bond, and every row owning a tensor at either end takes
   part in it beside the ideal row.
+* **Pauli errors in a Clifford light cone are bit flips.**  A
+  Pauli-mixture site whose forward light cone meets only Clifford gates
+  and Pauli channels before the terminal measurements (decided per site
+  at compile time, :class:`FrameSites`, by the frame walk the clifford
+  engine compiles with,
+  :func:`~repro.backends.pauli_frame.propagate_to_end`) changes its
+  trajectory by a Pauli at the end of the circuit: a deviation there
+  flips the bits its end pattern anticommutes with and scales the weight
+  by ``p_branch / p_dominant``, and is never replayed.  A trajectory with
+  nothing else to replay samples the run's ideal row, replayed once,
+  alone.  On the paper's MSD preparation every site is such a site (each
+  block's magic rotations come before its noise), so a run replays one
+  row.
 * **The telescoping-weight identity.**  The stack is never renormalized
   mid-run: each Kraus application scales a row's norm by its realized
   branch probability, so the final unnormalized squared norm *is* the
-  trajectory weight.  One batched right-environment pass at the end
-  yields both the per-row weights and the cached-sampling environments
+  trajectory weight (times its frame sites' ratios).  One batched
+  right-environment pass at the end yields both the per-row weights and
+  the cached-sampling environments
   (:func:`~repro.backends.mps_sampler.compute_right_environments_batched`),
   after which the unit's shots are drawn in one count-splitting sweep
   (:func:`~repro.backends.mps_sampler.sample_cached`, the stacked form):
@@ -78,6 +92,7 @@ from repro.backends.mps_sampler import (
     compute_right_environments_batched,
     sample_cached,
 )
+from repro.backends.pauli_frame import pauli_sites, propagate_to_end
 from repro.circuits.circuit import Circuit
 from repro.circuits.operations import GateOp, MeasureOp, NoiseOp
 from repro.errors import BackendError, ExecutionError
@@ -85,7 +100,7 @@ from repro.execution.batched import BackendSpec, check_backend
 from repro.execution.driver import StreamingExecutor, timed
 from repro.execution.router import check_engine_fits
 from repro.linalg.kron import permute_operator_qubits
-from repro.prescriptions import Choices, as_prescriptions, site_table
+from repro.prescriptions import Choices, Prescriptions, as_prescriptions, site_table
 
 __all__ = ["TensorNetExecutor", "compile_schedule", "GateSchedule"]
 
@@ -129,6 +144,58 @@ Step = Union[UnitaryStep, SwapStep, NoiseStep]
 
 
 @dataclass(frozen=True)
+class FrameSites:
+    """The noise sites whose deviations reach the measurements as bit flips.
+
+    A Pauli-mixture site whose forward light cone meets only Clifford gates
+    and Pauli channels (:func:`~repro.backends.pauli_frame.propagate_to_end`)
+    changes a trajectory only by a Pauli at the end of the circuit: its
+    branch ``b`` is the dominant branch followed by ``P_b P_dominant``,
+    which commutes (up to phase) through everything after it and leaves
+    every later Kraus norm alone.  So the deviation is two things, exactly:
+    the measured bits its end pattern flips, ``branch XOR dominant``, and
+    the weight ratio ``p_branch / p_dominant``.
+    """
+
+    frame: np.ndarray  # (num_sites,) bool, by site id
+    start: np.ndarray  # (num_sites,) intp: a frame site's first branch row
+    flips: np.ndarray  # (branch rows, measured) uint8
+    ratio: np.ndarray  # (branch rows,) float64
+
+    @classmethod
+    def of(cls, circuit: Circuit) -> "FrameSites":
+        sites = pauli_sites(circuit, strict=False)
+        end, clean = propagate_to_end(circuit, sites)
+        counts = np.array([len(site.probs) for site in sites], dtype=np.intp)
+        ids = np.array([site.site_id for site in sites], dtype=np.intp)
+        frame = np.zeros(len(circuit.noise_sites), dtype=bool)
+        start = np.zeros(len(circuit.noise_sites), dtype=np.intp)
+        frame[ids], start[ids] = clean, np.cumsum(counts) - counts
+        dominant = start[ids] + np.array([site.dominant_index for site in sites], dtype=np.intp)
+        end = end[:, list(circuit.measured_qubits)]
+        probs = np.concatenate([site.probs for site in sites] or [np.zeros(0)])
+        return cls(
+            frame=frame,
+            start=start,
+            flips=end ^ np.repeat(end[dominant], counts, axis=0),
+            ratio=probs / np.repeat(probs[dominant], counts),
+        )
+
+    def split(self, table: Prescriptions) -> Tuple[Prescriptions, np.ndarray, np.ndarray]:
+        """``table`` without its frame-site deviations, and per row the
+        bits they flip and the product of their weight ratios."""
+        rows, on = table.rows(), self.frame[table.site_ids]
+        at = self.start[table.site_ids[on]] + table.branches[on]
+        flips = np.zeros((len(table), self.flips.shape[1]), dtype=np.uint8)
+        np.bitwise_xor.at(flips, rows[on], self.flips[at])
+        ratio = np.ones(len(table))
+        np.multiply.at(ratio, rows[on], self.ratio[at])
+        offsets = np.searchsorted(rows[~on], np.arange(len(table) + 1))
+        rest = Prescriptions(table.sites, offsets, table.site_ids[~on], table.branches[~on])
+        return rest, flips, ratio
+
+
+@dataclass(frozen=True)
 class GateSchedule:
     """A compiled, routed, fusion-absorbed replay program.
 
@@ -136,13 +203,16 @@ class GateSchedule:
     moves them back, so ``site_of[q]`` says where qubit ``q`` sits once the
     schedule has run (a permutation of ``range(num_qubits)``).  ``sites``
     is the circuit's :func:`~repro.prescriptions.site_table`, which
-    prescriptions are checked against.
+    prescriptions are checked against.  ``frames`` are the noise sites an
+    engine may carry as end-of-circuit bit flips instead of replaying;
+    :func:`replay_schedule` replays every site it is handed.
     """
 
     num_qubits: int
     steps: Tuple[Step, ...]
     site_of: Tuple[int, ...]
     sites: np.ndarray  # the circuit's site_table
+    frames: FrameSites
 
 
 # circuit -> GateSchedule; weak-keyed so retired circuits drop out.
@@ -307,6 +377,7 @@ def compile_schedule(circuit: Circuit) -> GateSchedule:
         steps=tuple(comp.steps),
         site_of=tuple(comp.site_of),
         sites=site_table(circuit),
+        frames=FrameSites.of(circuit),
     )
     _SCHEDULE_CACHE[circuit] = schedule
     return schedule
@@ -405,21 +476,30 @@ class TensorNetExecutor(StreamingExecutor):
 
 class _MPSStackEngine:
     """:class:`~repro.execution.driver.Engine` over a trajectory-stacked
-    truncated MPS: a unit is one schedule replay, one batched
-    right-environment pass and one stacked sampling sweep.  It runs
-    ``strategy="tensornet"`` and, at ``max_rows=1`` under their own names,
-    ``"serial"`` / ``"parallel"`` on ``BackendSpec.mps``.
+    truncated MPS: a unit is at most one schedule replay, one batched
+    right-environment pass and one stacked sampling sweep per source.  It
+    runs ``strategy="tensornet"`` and, at ``max_rows=1`` under their own
+    names, ``"serial"`` / ``"parallel"`` on ``BackendSpec.mps``.
 
-    Unlike the dense stack, a unit's *composition* matters, so the shots
-    are a function of ``max_rows`` as well as of the seed: each batched
-    truncated SVD keeps one rank for all the rows taking part in that
-    step — the largest any of them needs, the ideal row included — and
-    the rows taking part in a step are the unit's rows whose own
+    A deviation at a frame site (``GateSchedule.frames``) is not replayed:
+    it flips the request's bits after the draw and scales the row's weight
+    by ``p_branch / p_dominant``.  A row left with nothing to replay (a
+    *frame-only* row) samples the run's ideal row, replayed once, alone,
+    at ``B = 1``, and kept until the run is released; the other rows of a
+    unit are replayed together on a stack.
+
+    Unlike the dense stack, a replayed row's *unit-mates* matter, so its
+    shots are a function of ``max_rows`` as well as of the seed: each
+    batched truncated SVD keeps one rank for all the rows taking part in
+    that step — the largest any of them needs, the ideal row included — and
+    the rows taking part in a step are the unit's replayed rows whose own
     deviations from the ideal circuit have reached one of its sites
-    (:func:`replay_schedule`).  A row's tensors therefore depend on its
-    own choices and on the light cones and singular spectra of the rows
-    stacked with it, not on their order.  Randomness is consumed along
-    the chain's product blocks, and routing does not put qubits back, so the
+    (:func:`replay_schedule`).  A replayed row's tensors therefore depend on
+    its own choices and on the light cones and singular spectra of the rows
+    stacked with it, not on their order.  A frame-only row's bits depend on
+    nothing but its choices and its stream: they are the same at any
+    ``max_rows`` and under halving.  Randomness is consumed along the
+    chain's product blocks, and routing does not put qubits back, so the
     sampler is asked for the measured qubits' sites
     (``GateSchedule.site_of``) as its columns.
 
@@ -429,8 +509,8 @@ class _MPSStackEngine:
     """
 
     max_unit_shots = None
-    # Truncation ranks are shared by a unit's rows: group 0 is not cut off
-    # on its own (see drive()).
+    # Truncation ranks are shared by a unit's replayed rows: group 0 is not
+    # cut off on its own (see drive()).
     coupled_rows = True
     sort_bytes = None  # for the same reason: a sort would move its bits
     # Measured with the look-ahead always on (tensornet_shots_35q, 2-core
@@ -455,21 +535,62 @@ class _MPSStackEngine:
         self.release()
 
     def share(self, table, peer) -> None:
-        """Units share nothing on this engine."""
+        """Nothing to plan: the one thing units share, the run's ideal
+        row, is replayed when a unit first needs it."""
 
-    def prepare(self, table, sizes):
-        self.release()  # the previous unit's stack goes before this one is built
+    def _replay(self, table: Choices) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
         stack = BatchedMPSStack(self.num_qubits, len(table), **self.stack_options)
         replay_schedule(stack, self.schedule, table)
         tensors, envs, weights = read_stack(stack)
-        self._prepared = (tensors, envs)
-        return weights
+        return tensors, envs, np.array(weights)
+
+    def prepare(self, table, sizes):
+        self._prepared = None  # the previous unit's stack goes before this one is built
+        rest, flips, ratio = self.schedule.frames.split(table)
+        replayed = np.diff(rest.offsets) > 0
+        sources = [None, None]  # the run's ideal row, this unit's stack
+        weights = np.empty(len(table))
+        if not replayed.all():
+            if self._ideal is None:
+                self._ideal = self._replay([{}])
+            sources[0] = self._ideal
+            weights[~replayed] = self._ideal[2][0]
+        if replayed.any():
+            sources[1] = self._replay(rest.take(np.flatnonzero(replayed)))
+            weights[replayed] = sources[1][2]
+        weights *= ratio
+        weights[weights <= DEAD_NORM] = 0.0
+        # Per row: its source and its row there.
+        slot = np.where(replayed, np.cumsum(replayed) - 1, 0)
+        self._prepared = (sources, replayed.astype(np.intp), slot, flips)
+        return weights.tolist()
 
     def sample(self, requests):
-        tensors, envs = self._prepared
-        total = sum(count for _, count, _ in requests)
-        # One pass over the unit; measured columns come back in qubit order.
-        return sample_cached(tensors, envs, total, requests, columns=self.cols)
+        sources, source, slot, flips = self._prepared
+        rows = np.array([row for row, _, _ in requests], dtype=np.intp)
+        counts = np.array([count for _, count, _ in requests], dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        # One pass per source; measured columns come back in qubit order.
+        passes = []
+        for s, prepared in enumerate(sources):
+            mine = np.flatnonzero(source[rows] == s)
+            if len(mine):
+                tensors, envs, _ = prepared
+                asked = [(int(slot[rows[i]]), requests[i][1], requests[i][2]) for i in mine]
+                total = int(counts[mine].sum())
+                passes.append((mine, sample_cached(tensors, envs, total, asked, columns=self.cols)))
+        if len(passes) == 1:
+            bits = passes[0][1]
+        else:  # each request's shots where its turn puts them
+            bits = np.empty((int(counts.sum()), len(self.cols)), dtype=np.uint8)
+            for mine, drawn in passes:
+                local = np.cumsum(counts[mine]) - counts[mine]
+                bits[np.repeat(starts[mine] - local, counts[mine]) + np.arange(len(drawn))] = drawn
+        for row, start, count in zip(rows.tolist(), starts.tolist(), counts.tolist()):
+            if flips[row].any():
+                bits[start : start + count] ^= flips[row]
+        return bits
 
     def release(self) -> None:
         self._prepared = None
+        self._ideal = None

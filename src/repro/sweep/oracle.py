@@ -228,11 +228,14 @@ def check_distribution(
         )
     width = circuit.num_qubits
     if width > oracle.distribution_max_qubits:
+        # The sum rule is the only distribution check left: state its gap.
         return OracleFinding(
             check="distribution",
             status=SKIP,
             detail=f"width {width} > distribution_max_qubits "
-            f"{oracle.distribution_max_qubits}",
+            f"{oracle.distribution_max_qubits}; distinct trajectories weigh "
+            f"{1.0 - uncovered:.6f} <= 1",
+            metrics=(("coverage", 1.0 - uncovered),),
         )
     if not exhaustive:
         return OracleFinding(

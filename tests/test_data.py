@@ -159,6 +159,27 @@ class TestSerialization:
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
             assert loaded.records == dataset.records
 
+    @pytest.mark.parametrize("width", [1, 7, 8, 18, 35])
+    def test_bit_features_are_stored_packed_and_load_bitwise(self, tmp_path, width):
+        """0/1 features (a dataset holds ``uint8``) go to the file eight to
+        a byte and come back bitwise, dtype and shape included; features
+        with any other value keep the plain column."""
+        from repro.data.dataset import LabeledShotDataset
+        from repro.data.io import load_dataset, save_dataset
+
+        bits = make_rng(width).integers(0, 2, size=(1001, width)).astype(np.uint8)
+        ids, labels = np.arange(1001) % 5, np.arange(1001) % 2
+        counts = bits.copy()
+        counts[3, 0] = 2
+        for features, packed in ((bits, True), (counts, False)):
+            path = save_dataset(LabeledShotDataset(features, labels, ids), tmp_path / "f.npz")
+            with np.load(path) as data:
+                assert ("packed_features" in data.files) == packed != ("features" in data.files)
+                if packed:
+                    assert data["packed_features"].shape == (1001, -(-width // 8))
+            loaded = load_dataset(path).features
+            assert loaded.dtype == features.dtype and np.array_equal(loaded, features)
+
     def test_a_dataset_without_a_run_round_trips(self, tmp_path):
         from repro.data.dataset import LabeledShotDataset
         from repro.data.io import load_dataset, save_dataset
@@ -183,7 +204,8 @@ class TestSerialization:
         with np.load(path) as data:
             assert "weight" not in bytes(data["meta"]).decode("utf-8")
             assert not any("weight" in name for name in data.files)
-            arrays = {name: data[name][:1] for name in ("features", "labels", "trajectory_ids")}
+            arrays = {name: data[name][:1] for name in ("labels", "trajectory_ids")}
+        arrays["features"] = ds.features[:1]
         record = TrajectoryRecord(trajectory_id=0, events=(), nominal_probability=0.9)
         assert not hasattr(record, "weight")
         old = {"trajectory_id": 0, "nominal_probability": 0.9, "events": [], "weight": 1.0}

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends.density_matrix import DensityMatrixBackend
-from repro.backends.pauli_frame import FrameSampler, frame_sample
+from repro.backends import pauli_frame
+from repro.backends.pauli_frame import FrameSampler
 from repro.backends.stabilizer import StabilizerBackend
 from repro.backends.statevector import StatevectorBackend
 from repro.channels import NoiseModel, bit_flip, depolarizing
@@ -24,7 +25,7 @@ def _noisy(circ, p=0.15, gate="cx"):
 class TestCorrectness:
     def test_noiseless_ghz(self):
         circ = library.ghz(3, measure=True).freeze()
-        bits = frame_sample(circ, 4000, make_rng(0))
+        bits = FrameSampler(circ).sample(4000, make_rng(0))
         sums = bits.sum(axis=1)
         assert np.all((sums == 0) | (sums == 3))
         assert abs((sums == 0).mean() - 0.5) < 0.05
@@ -32,7 +33,7 @@ class TestCorrectness:
     def test_matches_density_matrix_with_noise(self):
         circ = _noisy(library.ghz(3, measure=True))
         exact = DensityMatrixBackend(3).run(circ).probabilities()
-        bits = frame_sample(circ, 60000, make_rng(1))
+        bits = FrameSampler(circ).sample(60000, make_rng(1))
         assert total_variation_distance(empirical_distribution(bits), exact) < 0.015
 
     def test_matches_density_matrix_bitflip_measurement_noise(self):
@@ -44,7 +45,7 @@ class TestCorrectness:
         )
         circ = model.apply(ideal).freeze()
         exact = DensityMatrixBackend(2).run(circ).probabilities()
-        bits = frame_sample(circ, 60000, make_rng(2))
+        bits = FrameSampler(circ).sample(60000, make_rng(2))
         assert total_variation_distance(empirical_distribution(bits), exact) < 0.015
 
     def test_deterministic_circuit_with_noise(self):
@@ -52,7 +53,7 @@ class TestCorrectness:
         ideal = Circuit(1).x(0).measure_all()
         model = NoiseModel().add_measurement_noise(bit_flip(0.2))
         circ = model.apply(ideal).freeze()
-        bits = frame_sample(circ, 20000, make_rng(3))
+        bits = FrameSampler(circ).sample(20000, make_rng(3))
         assert abs(bits.mean() - 0.8) < 0.01
 
     def test_mid_circuit_noise_propagates_through_cliffords(self):
@@ -62,7 +63,7 @@ class TestCorrectness:
         circ.cx(0, 1)
         circ.measure_all()
         circ.freeze()
-        bits = frame_sample(circ, 30000, make_rng(4))
+        bits = FrameSampler(circ).sample(30000, make_rng(4))
         assert np.all(bits[:, 0] == bits[:, 1])
         assert abs(bits[:, 0].mean() - 0.3) < 0.01
 
@@ -77,7 +78,7 @@ class TestCorrectness:
         circ.sy(0)
         circ.measure_all()
         circ.freeze()
-        bits = frame_sample(circ, 5000, make_rng(5))
+        bits = FrameSampler(circ).sample(5000, make_rng(5))
         # Reference: the exact statevector with the (deterministic) Z branch.
         from repro.backends.statevector import StatevectorBackend
 
@@ -103,7 +104,7 @@ class TestRestrictions:
         with pytest.raises(BackendError, match=r"already-measured qubit\(s\) \[0\]"):
             FrameSampler(circ)
         with pytest.raises(BackendError, match=r"already-measured qubit\(s\) \[0\]"):
-            frame_sample(circ, 10, make_rng(0))
+            FrameSampler(circ).sample(10, make_rng(0))
 
     def test_rejects_non_pauli_noise(self):
         circ = Circuit(1)
@@ -153,11 +154,11 @@ def all_sites_walk(sampler, choices):
     ``frame_for_choices`` did before it took a stack, kept as its oracle."""
     flips = np.zeros(len(sampler.measured_qubits), dtype=np.uint8)
     weight = 1.0
-    for site in sampler.sites:
+    for site, start in zip(sampler.sites, sampler._site_start):
         branch = choices.get(site.site_id, site.dominant_index)
         if not 0 <= branch < len(site.probs):
             raise BackendError(f"site {site.site_id}: Kraus index {branch} out of range")
-        flips ^= site.end_x_patterns[branch][sampler._measured_index]
+        flips ^= sampler._end_x[start + branch][sampler._measured_index]
         weight *= float(site.probs[branch])
     return flips, weight
 
@@ -474,7 +475,7 @@ class TestCompile:
         sites = [(i, op) for i, op in enumerate(ops) if isinstance(op, NoiseOp)]
         assert len(sites) == len(sampler.sites) == 105
         assert len({id(op.channel) for _, op in sites}) == 4  # analysed once each
-        for (op_index, op), site in zip(sites, sampler.sites):
+        for (op_index, op), site, start in zip(sites, sampler.sites, sampler._site_start):
             mixture = as_unitary_mixture(op.channel)
             fx = np.zeros((len(mixture.probs), circuit.num_qubits), dtype=np.uint8)
             fz = np.zeros_like(fx)
@@ -489,8 +490,8 @@ class TestCompile:
             assert site.dominant_index == op.channel.dominant_index()
             for later in ops[op_index + 1 :]:
                 if isinstance(later, GateOp):
-                    FrameSampler._propagate_gate(later.gate.name, later.qubits, fx, fz)
-            np.testing.assert_array_equal(site.end_x_patterns, fx)
+                    pauli_frame._conjugate(later.gate.name, later.qubits, fx, fz)
+            np.testing.assert_array_equal(sampler._end_x[start : start + len(fx)], fx)
 
     def test_drawn_gates_cover_the_tableau_dispatch(self):
         assert set(_ONE_QUBIT_GATES + _TWO_QUBIT_GATES) == set(StabilizerBackend._GATE_DISPATCH)

@@ -146,6 +146,14 @@ class TestRepeatedSpecs:
         finding = check_distribution(circuit, heavy, narrow, True)
         assert finding.status == FAIL and "counted more than once" in finding.detail
 
+    def test_past_the_cap_the_skip_states_the_sum_rule(self, runs):
+        # Every trajectory of the circuit is here: they weigh 1.
+        circuit, (whole, _) = runs
+        finding = check_distribution(circuit, whole, OracleSpec(distribution_max_qubits=2), True)
+        assert finding.status == SKIP
+        assert finding.metric("coverage") == pytest.approx(1.0, abs=1e-12)
+        assert "distinct trajectories weigh 1.000000 <= 1" in finding.detail
+
 
 class TestWideEngines:
     """The wide tier: ``clifford`` against ``tensornet`` past every dense
